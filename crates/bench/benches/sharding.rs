@@ -4,14 +4,13 @@
 //! The roadmap's sharding claim is concrete: with the CM partitioned by
 //! aggregation group, a `tick` on a host with many idle groups should
 //! cost what the *active* groups cost, not a slab scan over every
-//! macroflow on the host. The `tick_1_active_of_16_groups_*` trio
-//! measures exactly that (unsharded full scan vs. the quiet-shard skip
-//! vs. bounded round-robin), and the `open_request_close_10k_*` series
-//! shows the 10k-flow churn lifecycle is not taxed by routing through
-//! 1, 4, or 16 shards.
+//! macroflow on the host. The `tick_1_active_of_16_groups_*` pair
+//! measures exactly that (unsharded full scan vs. the quiet-shard
+//! skip), and the `open_request_close_10k_*` series shows the 10k-flow
+//! churn lifecycle is not taxed by routing through 1, 4, or 16 shards.
 
 use cm_core::api::{CmNotification, CongestionManager};
-use cm_core::config::{CmConfig, ShardingConfig, ShardingMode, TickStrategy};
+use cm_core::config::{CmConfig, ShardingConfig};
 use cm_core::types::{Endpoint, FeedbackReport, FlowId, FlowKey};
 use cm_util::{Duration, Time};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -75,9 +74,8 @@ fn churn_by_shard_count(c: &mut Criterion) {
     // traffic dirties the CM before every tick, so the unsharded
     // baseline re-scans all 16 macroflow slots each time; the sharded
     // CM scans the one dirty shard's single slot and skips 15 quiet
-    // shards in O(1) each; round-robin additionally bounds the
-    // per-call budget.
-    let variants: [(&str, CmConfig); 3] = [
+    // shards in O(1) each.
+    let variants: [(&str, CmConfig); 2] = [
         (
             "tick_1_active_of_16_groups_unsharded",
             CmConfig {
@@ -86,17 +84,6 @@ fn churn_by_shard_count(c: &mut Criterion) {
             },
         ),
         ("tick_1_active_of_16_groups_sharded16", sharded_cfg(16)),
-        (
-            "tick_1_active_of_16_groups_sharded16_rr1",
-            CmConfig {
-                sharding: ShardingConfig {
-                    mode: ShardingMode::ByGroup { max_shards: 16 },
-                    tick: TickStrategy::RoundRobin { shards_per_tick: 1 },
-                },
-                pacing: false,
-                ..Default::default()
-            },
-        ),
     ];
     for (name, cfg) in variants {
         g.bench_function(name, |b| {

@@ -28,34 +28,32 @@
 //! Internally the CM is a set of shards (`crate::shard::Shard`) keyed by
 //! aggregation group id: each shard owns its own flow/macroflow slabs,
 //! free-lists, generation arrays, notification outbox, and
-//! re-aggregation state, and this type is a thin front that routes every
-//! entry point to the owning shard — by the shard index encoded in the
-//! id's high bits for flow/macroflow-addressed calls, and by
-//! [`crate::config::AggregationPolicy::group_of`] plus the group→shard
-//! map for `open`/`lookup`. Under the default
+//! re-aggregation state, and this type is a thin front over the shard
+//! engine (`crate::engine`) that routes every entry point to the owning
+//! shard — by the shard index encoded in the id's high bits for
+//! flow/macroflow-addressed calls, and by the engine's group→shard
+//! router for `open`/`lookup`. Under the default
 //! [`crate::config::ShardingMode::Single`] there is exactly one shard
 //! and behaviour (ids included) is byte-compatible with the historical
 //! unsharded CM; [`crate::config::ShardingMode::ByGroup`] gives each
 //! group its own shard, created lazily and recycled through a shell
-//! pool when empty, with optional per-group [`CmConfig`] overrides
-//! ([`CongestionManager::set_group_config`]). `split`/`merge` and
-//! dynamic re-aggregation stay intra-shard by construction (a flow's
-//! private macroflows live in its home shard). `merge_unchecked` is
-//! bounded by the *shard*, not the group: a target in another shard is
-//! rejected with [`CmError::CrossShardMerge`] (shards own disjoint
-//! slabs), while groups that share a shard — always in single mode,
-//! and past the `max_shards` cap in by-group mode — keep the
-//! historical §5 cross-group semantics.
+//! pool when empty. `split`/`merge` and dynamic re-aggregation stay
+//! intra-shard by construction (a flow's private macroflows live in
+//! its home shard). `merge_unchecked` is bounded by the *shard*, not
+//! the group: a target in another shard is rejected with
+//! [`CmError::CrossShardMerge`] (shards own disjoint slabs), while
+//! groups that share a shard — always in single mode, and past the
+//! `max_shards` cap in by-group mode — keep the historical §5
+//! cross-group semantics.
 
-use cm_obs::{FlightRecorder, MetricsSnapshot, TraceEvent, TraceRecord, Tracer};
-use cm_util::{FxHashMap, Time};
+use cm_obs::{FlightRecorder, MetricsSnapshot, TraceRecord};
+use cm_util::Time;
 
-use crate::config::{CmConfig, ShardingMode, TickStrategy};
+use crate::config::{CmConfig, ShardingMode};
+use crate::engine::{Router, ShardTable};
 use crate::error::{CmError, CmResult};
 use crate::shard::Shard;
-use crate::types::{
-    FeedbackReport, FlowId, FlowInfo, FlowKey, MacroflowId, Thresholds, MAX_SHARDS,
-};
+use crate::types::{FeedbackReport, FlowId, FlowInfo, FlowKey, MacroflowId, Thresholds};
 
 /// A deferred callback to a CM client.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -218,33 +216,11 @@ impl CmStats {
 /// a usage example, and the module docs above for the sharding model.
 pub struct CongestionManager {
     cfg: CmConfig,
-    /// Dense shard table; the index is the shard part of every id this
-    /// CM hands out. Vacated slots are recycled through `free_shards`.
-    shards: Vec<Option<Shard>>,
-    free_shards: Vec<u32>,
-    /// Emptied shard shells parked for reuse: slabs, maps, and the
-    /// macroflow pools inside survive, so shard churn under group churn
-    /// allocates nothing once warm.
-    shard_pool: Vec<Shard>,
-    /// Routing map: aggregation group id → dense shard index.
-    shard_map: FxHashMap<u64, u32>,
-    /// Where app-directed opens (no group) live in sharded mode.
-    private_shard: Option<u32>,
-    /// Per-group configuration overrides, applied when the group's shard
-    /// is created ([`CongestionManager::set_group_config`]).
-    group_overrides: FxHashMap<u64, CmConfig>,
-    live_shards: usize,
-    /// Round-robin tick cursor (slot index to start from next call).
-    rr_cursor: usize,
-    /// Front-level counters (tick accounting, shard lifecycle, and the
-    /// stats of shards that have been recycled).
-    front_stats: CmStats,
-    /// Front-level tracer: shard lifecycle events plus the folded-in
-    /// metrics of shards that have been recycled (so, like
-    /// [`CongestionManager::stats`], [`CongestionManager::metrics`]
-    /// never loses history). Disabled — one null word — unless
-    /// [`CmConfig::tracing`] is set.
-    front_tracer: Tracer,
+    /// Group → shard-index routing for `open`/`lookup`.
+    router: Router,
+    /// The shards; the index is the shard part of every id this CM
+    /// hands out.
+    table: ShardTable,
     /// Pooled buffer for `bulk_request`'s touched-shard set.
     scratch_shards: Vec<u32>,
 }
@@ -255,27 +231,16 @@ impl CongestionManager {
     /// [`ShardingMode::ByGroup`] shards are created lazily as groups
     /// first open flows.
     pub fn new(cfg: CmConfig) -> Self {
-        let front_tracer = cfg
-            .tracing
-            .map_or_else(Tracer::disabled, |t| Tracer::enabled(t.capacity));
-        let mut cm = CongestionManager {
-            cfg,
-            shards: Vec::new(),
-            free_shards: Vec::new(),
-            shard_pool: Vec::new(),
-            shard_map: FxHashMap::default(),
-            private_shard: None,
-            group_overrides: FxHashMap::default(),
-            live_shards: 0,
-            rr_cursor: 0,
-            front_stats: CmStats::default(),
-            front_tracer,
-            scratch_shards: Vec::new(),
-        };
-        if matches!(cm.cfg.sharding.mode, ShardingMode::Single) {
-            cm.create_shard(None, Time::ZERO);
+        let mut table = ShardTable::new(cfg.clone());
+        if matches!(cfg.sharding.mode, ShardingMode::Single) {
+            table.ensure(0, Time::ZERO);
         }
-        cm
+        CongestionManager {
+            router: Router::new(&cfg),
+            table,
+            cfg,
+            scratch_shards: Vec::new(),
+        }
     }
 
     /// The active configuration.
@@ -292,17 +257,13 @@ impl CongestionManager {
     /// true instantaneous snapshot: every per-shard counter block is
     /// read with no CM entry point in flight, counters are monotone
     /// (successive calls never regress, including across shard
-    /// recycling — recycled shards fold into `front_stats` first), and
+    /// recycling — recycled shards fold into the table first), and
     /// no read is torn. The parallel front
     /// ([`crate::runtime::ShardRuntime::stats`]) keeps the per-shard
     /// snapshot and monotonicity guarantees but relaxes the global
     /// instant — see its documentation for the exact model.
     pub fn stats(&self) -> CmStats {
-        let mut total = self.front_stats;
-        for shard in self.shards.iter().flatten() {
-            total.accumulate(&shard.stats);
-        }
-        total
+        self.table.stats()
     }
 
     // ------------------------------------------------------------------
@@ -319,13 +280,8 @@ impl CongestionManager {
     /// the group's shard is created (lazily) and the returned id carries
     /// its shard index.
     pub fn open(&mut self, key: FlowKey, now: Time) -> CmResult<FlowId> {
-        let group = self.cfg.aggregation.group_of(&key);
-        let sid = self.shard_for_open(group, now);
-        let Some(shard) = self.shards[sid as usize].as_mut() else {
-            unreachable!("shard_for_open returned an unrouted shard index")
-        };
-        shard.dirty = true;
-        shard.open(key, now)
+        let sid = self.router.route_open(&key);
+        self.table.ensure(sid, now).open(key, now)
     }
 
     /// Closes a flow (`cm_close`). The macroflow's congestion state
@@ -345,8 +301,7 @@ impl CongestionManager {
     /// interface" the IP output routine uses to find the flow to charge
     /// (paper §2.1.3).
     pub fn lookup(&self, key: &FlowKey) -> Option<FlowId> {
-        let sid = self.shard_for_key(key)?;
-        self.shards.get(sid as usize)?.as_ref()?.lookup(key)
+        self.table.get(self.router.route_key(key)?)?.lookup(key)
     }
 
     /// Sets a flow's scheduler weight (extension; the paper's default
@@ -376,9 +331,8 @@ impl CongestionManager {
         let mut result = Ok(());
         for &flow in flows {
             let sid = flow.shard();
-            match self.shard_mut(sid) {
+            match self.table.route(sid) {
                 Some(shard) => {
-                    shard.dirty = true;
                     if let Err(e) = shard.enqueue_request(flow, now) {
                         result = Err(e);
                         break;
@@ -394,7 +348,7 @@ impl CongestionManager {
             }
         }
         for &sid in &touched {
-            if let Some(shard) = self.shard_mut(sid) {
+            if let Some(shard) = self.table.route(sid) {
                 shard.flush_enqueued(now);
             }
         }
@@ -525,63 +479,15 @@ impl CongestionManager {
     /// and expires long-empty macroflows. Hosts call this from a coarse
     /// timer (tens to hundreds of milliseconds).
     ///
-    /// The walk is per-shard, governed by
-    /// [`crate::config::ShardingConfig::tick`]: all shards per call
-    /// (default) or a bounded round-robin. Either way a *quiet* shard —
-    /// no API call since its last scan and no timed work left behind —
-    /// costs one branch, not a slab scan, so a host with many idle
-    /// groups no longer pays for them on every timer fire
-    /// ([`CmStats::tick_shards_skipped`] counts these). Shards that
-    /// empty completely are recycled into the shell pool here (sharded
-    /// mode only).
+    /// The walk is per-shard, and a *quiet* shard — no API call since
+    /// its last scan and no timed work left behind — costs one branch,
+    /// not a slab scan, so a host with many idle groups does not pay for
+    /// them on every timer fire ([`CmStats::tick_shards_skipped`] counts
+    /// these). Shards that empty completely are recycled into the shell
+    /// pool here (sharded mode only).
     pub fn tick(&mut self, now: Time) {
-        let slots = self.shards.len();
-        if slots == 0 {
-            return;
-        }
-        let budget = match self.cfg.sharding.tick {
-            TickStrategy::AllShards => usize::MAX,
-            TickStrategy::RoundRobin { shards_per_tick } => shards_per_tick.max(1) as usize,
-        };
         let recycle = matches!(self.cfg.sharding.mode, ShardingMode::ByGroup { .. });
-        let mut cursor = if budget == usize::MAX {
-            0
-        } else {
-            self.rr_cursor % slots
-        };
-        let mut processed = 0usize;
-        for _ in 0..slots {
-            if processed >= budget {
-                break;
-            }
-            if let Some(shard) = self.shards[cursor].as_mut() {
-                if shard.needs_tick() {
-                    let scanned = shard.tick(now);
-                    self.front_stats.tick_mfs_scanned += scanned;
-                    self.front_stats.tick_shards_visited += 1;
-                    processed += 1;
-                    if recycle && shard.is_empty() {
-                        if shard.outbox.is_empty() {
-                            self.recycle_shard(cursor as u32, now);
-                        } else {
-                            // Undrained notifications pin the shard (the
-                            // shell pool must never swallow them). Keep
-                            // it dirty so a later tick — after the
-                            // client drains — reaches this check again
-                            // instead of the shard going quiet
-                            // unrecyclable forever.
-                            shard.dirty = true;
-                        }
-                    }
-                } else {
-                    self.front_stats.tick_shards_skipped += 1;
-                }
-            }
-            cursor = (cursor + 1) % slots;
-        }
-        if budget != usize::MAX {
-            self.rr_cursor = cursor;
-        }
+        self.table.tick(now, recycle.then_some(&mut self.router));
     }
 
     /// The earliest instant a pacing-deferred grant becomes releasable,
@@ -589,34 +495,17 @@ impl CongestionManager {
     /// should arm a timer for this instant and then call
     /// [`CongestionManager::release_paced`].
     pub fn next_grant_deadline(&self) -> Option<Time> {
-        self.shards
+        self.table
             .iter()
-            .flatten()
-            .filter_map(|s| s.next_grant_deadline())
+            .filter_map(|(_, s)| s.next_grant_deadline())
             .min()
     }
 
     /// Releases any grants whose pacing deadline has passed.
     pub fn release_paced(&mut self, now: Time) {
-        for shard in self.shards.iter_mut().flatten() {
+        for shard in self.table.iter_mut() {
             shard.release_paced(now);
         }
-    }
-
-    /// Removes and returns all pending notifications, in order,
-    /// **allocating a fresh `Vec` per call**.
-    ///
-    /// Discouraged: this drain runs after every CM entry point (the
-    /// control-socket readiness model from §2.2), which makes it a hot
-    /// path under docs/perf.md's no-per-event-allocation rule. Use
-    /// [`CongestionManager::drain_notifications_into`] with a reused
-    /// buffer instead; this form is kept (hidden) for one-shot unit
-    /// tests and doc examples only.
-    #[doc(hidden)]
-    pub fn drain_notifications(&mut self) -> Vec<CmNotification> {
-        let mut out = Vec::new();
-        self.drain_notifications_into(&mut out);
-        out
     }
 
     /// Drains all pending notifications into `out` (appending), reusing
@@ -626,76 +515,37 @@ impl CongestionManager {
     /// shard-index order (cross-shard ordering carries no semantics —
     /// shards share no congestion state).
     pub fn drain_notifications_into(&mut self, out: &mut Vec<CmNotification>) {
-        for shard in self.shards.iter_mut().flatten() {
-            out.extend(shard.outbox.drain(..));
-        }
+        self.table.drain_into(out);
     }
 
     /// True if notifications are waiting (the control socket's readable
     /// bits).
     pub fn has_notifications(&self) -> bool {
-        self.shards.iter().flatten().any(|s| !s.outbox.is_empty())
+        self.table.iter().any(|(_, s)| !s.outbox.is_empty())
     }
 
     // ------------------------------------------------------------------
     // Sharding control and introspection
     // ------------------------------------------------------------------
 
-    /// Registers a per-group [`CmConfig`] override: when `group`'s shard
-    /// is (next) created, it uses this configuration instead of the
-    /// CM-wide one — e.g. a gentler rate-based controller for a
-    /// media-heavy destination group. Routing-relevant fields
-    /// (`aggregation`, `group_by_dscp`, `sharding`) are forced to the
-    /// CM-wide values; only under [`ShardingMode::ByGroup`] does the
-    /// override take effect, and only for groups that get a dedicated
-    /// shard (a group hash-shared onto an existing shard under the
-    /// `max_shards` cap keeps that shard's configuration).
-    pub fn set_group_config(&mut self, group: u64, cfg: CmConfig) {
-        self.group_overrides.insert(group, cfg);
-    }
-
     /// Converts this in-process CM into a multi-core
-    /// [`crate::runtime::ShardRuntime`], moving every live shard — with
-    /// all of its flows, macroflows, learned congestion state, pending
-    /// notifications, and counters — onto the worker thread that owns
-    /// its index (`Shard` is `Send`; the move is a pointer handoff, not
-    /// a copy of the slabs). Routing state, group overrides, front-level
-    /// counters, and folded recycled-shard metrics history all carry
-    /// over, so `stats()` and `metrics()` remain lossless across the
-    /// conversion. Undrained notifications are forwarded by each worker
-    /// before it processes its first command; any barrier (a `tick`,
-    /// `stats`, or [`crate::runtime::ShardRuntime::sync`]) therefore
-    /// makes them visible to a subsequent drain. The shell pool and round-robin cursor do not apply
-    /// to the runtime (it never recycles shards) and are dropped.
+    /// [`crate::runtime::ShardRuntime`]: the router moves to the
+    /// runtime's front and the shard table is dealt out to the workers,
+    /// every live shard — with all of its flows, macroflows, learned
+    /// congestion state, pending notifications, and counters — going to
+    /// the worker thread that owns its index (`Shard` is `Send`; the
+    /// move is a pointer handoff, not a copy of the slabs). Table-level
+    /// counters and folded recycled-shard history travel with it, so
+    /// `stats()` and `metrics()` remain lossless across the conversion.
+    /// Undrained notifications are forwarded by each worker before it
+    /// processes its first command; any barrier (a `tick`, `stats`, or
+    /// [`crate::runtime::ShardRuntime::sync`]) therefore makes them
+    /// visible to a subsequent drain. The runtime never recycles shards.
     pub fn into_parallel(
         self,
         parallel: crate::runtime::ParallelConfig,
     ) -> crate::runtime::ShardRuntime {
-        let carry_metrics = self.front_tracer.metrics().map(|m| {
-            let mut acc = cm_obs::MetricsRegistry::new();
-            acc.merge(m);
-            acc
-        });
-        let seed = crate::runtime::FrontSeed {
-            shards: self.shards,
-            shard_map: self.shard_map,
-            private_shard: self.private_shard,
-            carry_stats: self.front_stats,
-            overrides: self.group_overrides,
-            carry_metrics,
-        };
-        crate::runtime::ShardRuntime::with_seed(self.cfg, seed, parallel)
-    }
-
-    /// The override registered for `group`, if any.
-    pub fn group_config(&self, group: u64) -> Option<&CmConfig> {
-        self.group_overrides.get(&group)
-    }
-
-    /// The configuration a given live shard is running (its override if
-    /// it was created for an overridden group).
-    pub fn shard_config(&self, shard: u32) -> Option<&CmConfig> {
-        self.shards.get(shard as usize)?.as_ref().map(|s| &s.cfg)
+        crate::runtime::ShardRuntime::from_parts(self.cfg, self.router, self.table, parallel)
     }
 
     /// One live shard's own lifetime counters (`None` for a vacant
@@ -705,7 +555,7 @@ impl CongestionManager {
     /// metrics attribute counter movement to the shard that did the
     /// work.
     pub fn shard_stats(&self, shard: u32) -> Option<CmStats> {
-        self.shards.get(shard as usize)?.as_ref().map(|s| s.stats)
+        self.table.get(shard).map(|s| s.stats)
     }
 
     // ------------------------------------------------------------------
@@ -715,7 +565,7 @@ impl CongestionManager {
     /// Whether flight-recorder tracing and metrics are enabled
     /// ([`CmConfig::tracing`]).
     pub fn tracing_enabled(&self) -> bool {
-        self.front_tracer.is_enabled()
+        self.table.tracer().is_enabled()
     }
 
     /// CM-wide metrics, condensed: every live shard's histograms merged
@@ -724,13 +574,7 @@ impl CongestionManager {
     /// is disabled. Merging allocates one registry — this is a
     /// reporting call, not a hot path.
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        let mut total = self.front_tracer.metrics()?.clone();
-        for shard in self.shards.iter().flatten() {
-            if let Some(m) = shard.tracer.metrics() {
-                total.merge(m);
-            }
-        }
-        Some(total.snapshot())
+        Some(self.table.metrics()?.snapshot())
     }
 
     /// One live shard's metrics snapshot (`None` for a vacant slot or
@@ -738,17 +582,13 @@ impl CongestionManager {
     /// [`CongestionManager::shard_stats`], covers the shard's current
     /// incarnation only.
     pub fn shard_metrics(&self, shard: u32) -> Option<MetricsSnapshot> {
-        self.shards
-            .get(shard as usize)?
-            .as_ref()?
-            .tracer
-            .metrics_snapshot()
+        self.table.get(shard)?.tracer.metrics_snapshot()
     }
 
     /// One live shard's flight recorder (`None` for a vacant slot or
     /// when tracing is disabled).
     pub fn shard_trace(&self, shard: u32) -> Option<&FlightRecorder> {
-        self.shards.get(shard as usize)?.as_ref()?.tracer.recorder()
+        self.table.get(shard)?.tracer.recorder()
     }
 
     /// Visits every retained trace record without allocating: the
@@ -759,43 +599,40 @@ impl CongestionManager {
     /// Dump emitters and the chaos harness's post-mortem reports are
     /// built on this.
     pub fn for_each_trace_record(&self, mut f: impl FnMut(Option<u32>, &TraceRecord)) {
-        if let Some(rec) = self.front_tracer.recorder() {
+        if let Some(rec) = self.table.tracer().recorder() {
             for r in rec.iter() {
                 f(None, r);
             }
         }
-        for (i, shard) in self.shards.iter().enumerate() {
-            let Some(rec) = shard.as_ref().and_then(|s| s.tracer.recorder()) else {
+        for (i, shard) in self.table.iter() {
+            let Some(rec) = shard.tracer.recorder() else {
                 continue;
             };
             for r in rec.iter() {
-                f(Some(i as u32), r);
+                f(Some(i), r);
             }
         }
     }
 
     /// Number of live shards (1 under the default single-shard mode).
     pub fn shard_count(&self) -> usize {
-        self.live_shards
+        self.table.live()
     }
 
     /// Shard table size (live + recyclable slots); bounded by the peak
     /// concurrent shard count and by the configured `max_shards`.
     pub fn shard_slots(&self) -> usize {
-        self.shards.len()
+        self.table.slots()
     }
 
     /// The shard index `group` currently routes to, if its shard exists.
     pub fn shard_for_group(&self, group: u64) -> Option<u32> {
-        match self.cfg.sharding.mode {
-            ShardingMode::Single => Some(0),
-            ShardingMode::ByGroup { .. } => self.shard_map.get(&group).copied(),
-        }
+        self.router.shard_for_group(group)
     }
 
     /// Number of open flows (all shards).
     pub fn flow_count(&self) -> usize {
-        self.shards.iter().flatten().map(|s| s.flow_count()).sum()
+        self.table.iter().map(|(_, s)| s.flow_count()).sum()
     }
 
     /// Checks every shard's structural invariants — slab/free-list
@@ -805,21 +642,12 @@ impl CongestionManager {
     /// property tests; it scans every slab, so it is not meant for hot
     /// paths. Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, shard) in self.shards.iter().enumerate() {
-            if let Some(shard) = shard {
-                shard.validate().map_err(|e| format!("shard {i}: {e}"))?;
-            }
-        }
-        Ok(())
+        self.table.validate()
     }
 
     /// Number of live macroflows (including empty, lingering ones).
     pub fn macroflow_count(&self) -> usize {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|s| s.macroflow_count())
-            .sum()
+        self.table.iter().map(|(_, s)| s.macroflow_count()).sum()
     }
 
     /// Total flow-slab capacity (live + recyclable slots) across shards.
@@ -828,36 +656,27 @@ impl CongestionManager {
     /// flat; see [`CongestionManager::flow_slab_capacity_of`] for the
     /// per-shard figure.
     pub fn flow_slab_capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|s| s.flow_slab_capacity())
-            .sum()
+        self.table.iter().map(|(_, s)| s.flow_slab_capacity()).sum()
     }
 
     /// One shard's flow-slab capacity (0 for a vacant slot).
     pub fn flow_slab_capacity_of(&self, shard: u32) -> usize {
-        self.shards
-            .get(shard as usize)
-            .and_then(Option::as_ref)
-            .map_or(0, |s| s.flow_slab_capacity())
+        self.table.get(shard).map_or(0, |s| s.flow_slab_capacity())
     }
 
     /// Total macroflow-slab capacity across shards; per shard it is
     /// bounded by that shard's peak concurrent macroflow count.
     pub fn macroflow_slab_capacity(&self) -> usize {
-        self.shards
+        self.table
             .iter()
-            .flatten()
-            .map(|s| s.macroflow_slab_capacity())
+            .map(|(_, s)| s.macroflow_slab_capacity())
             .sum()
     }
 
     /// One shard's macroflow-slab capacity (0 for a vacant slot).
     pub fn macroflow_slab_capacity_of(&self, shard: u32) -> usize {
-        self.shards
-            .get(shard as usize)
-            .and_then(Option::as_ref)
+        self.table
+            .get(shard)
             .map_or(0, |s| s.macroflow_slab_capacity())
     }
 
@@ -865,11 +684,7 @@ impl CongestionManager {
     /// (each shard's pool is bounded by its peak concurrent macroflow
     /// count).
     pub fn macroflow_pool_len(&self) -> usize {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|s| s.macroflow_pool_len())
-            .sum()
+        self.table.iter().map(|(_, s)| s.macroflow_pool_len()).sum()
     }
 
     /// The scheduler weight registered for `flow` on its current
@@ -912,180 +727,25 @@ impl CongestionManager {
     // Internals: routing
     // ------------------------------------------------------------------
 
-    fn shard_ref(&self, idx: u32) -> Option<&Shard> {
-        self.shards.get(idx as usize).and_then(Option::as_ref)
-    }
-
-    fn shard_mut(&mut self, idx: u32) -> Option<&mut Shard> {
-        self.shards.get_mut(idx as usize).and_then(Option::as_mut)
-    }
-
     /// The shard owning a flow id, for read-only access.
     fn flow_shard_ref(&self, flow: FlowId) -> CmResult<&Shard> {
-        self.shard_ref(flow.shard())
+        self.table
+            .get(flow.shard())
             .ok_or(CmError::UnknownFlow(flow))
     }
 
-    /// The shard owning a flow id, for mutation: marks it dirty so the
-    /// next tick scans it.
+    /// The shard owning a flow id, for mutation (marked dirty so the
+    /// next tick scans it).
     fn flow_shard_mut(&mut self, flow: FlowId) -> CmResult<&mut Shard> {
-        let shard = self
-            .shard_mut(flow.shard())
-            .ok_or(CmError::UnknownFlow(flow))?;
-        shard.dirty = true;
-        Ok(shard)
+        self.table
+            .route(flow.shard())
+            .ok_or(CmError::UnknownFlow(flow))
     }
 
     fn mf_shard_ref(&self, mf: MacroflowId) -> CmResult<&Shard> {
-        self.shard_ref(mf.shard())
+        self.table
+            .get(mf.shard())
             .ok_or(CmError::UnknownMacroflow(mf))
-    }
-
-    /// Where `open` places a flow of the given aggregation group,
-    /// creating the shard if needed.
-    fn shard_for_open(&mut self, group: Option<u64>, now: Time) -> u32 {
-        match self.cfg.sharding.mode {
-            ShardingMode::Single => 0,
-            ShardingMode::ByGroup { .. } => match group {
-                Some(g) => match self.shard_map.get(&g) {
-                    Some(&sid) => sid,
-                    None => self.create_shard(Some(g), now),
-                },
-                None => match self.private_shard {
-                    Some(sid) if self.shard_ref(sid).is_some() => sid,
-                    _ => {
-                        let sid = self.create_shard(None, now);
-                        self.private_shard = Some(sid);
-                        sid
-                    }
-                },
-            },
-        }
-    }
-
-    /// The shard a flow key would route to (read-only; `None` when the
-    /// group's shard does not exist yet).
-    fn shard_for_key(&self, key: &FlowKey) -> Option<u32> {
-        match self.cfg.sharding.mode {
-            ShardingMode::Single => Some(0),
-            ShardingMode::ByGroup { .. } => match self.cfg.aggregation.group_of(key) {
-                Some(g) => self.shard_map.get(&g).copied(),
-                None => self.private_shard,
-            },
-        }
-    }
-
-    /// The configured shard cap (1 in single mode), clamped to what the
-    /// id encoding can address.
-    fn max_shards(&self) -> usize {
-        match self.cfg.sharding.mode {
-            ShardingMode::Single => 1,
-            ShardingMode::ByGroup { max_shards } => max_shards.clamp(1, MAX_SHARDS) as usize,
-        }
-    }
-
-    /// The configuration a new shard for `route` runs: the group's
-    /// override if one is registered, with routing-relevant fields
-    /// forced to the CM-wide values so a shard can never disagree with
-    /// the front about grouping.
-    fn shard_cfg(&self, route: Option<u64>) -> CmConfig {
-        let mut cfg = route
-            .and_then(|g| self.group_overrides.get(&g))
-            .cloned()
-            .unwrap_or_else(|| self.cfg.clone());
-        cfg.aggregation = self.cfg.aggregation;
-        cfg.group_by_dscp = self.cfg.group_by_dscp;
-        cfg.sharding = self.cfg.sharding;
-        // Tracing is CM-wide: per-group overrides cannot toggle it, or a
-        // recycled shell's recorder capacity could disagree with its next
-        // incarnation and `metrics()` would silently skip shards.
-        cfg.tracing = self.cfg.tracing;
-        cfg
-    }
-
-    /// Creates (or, past the `max_shards` cap, shares) the shard for a
-    /// routing group, registering the routing so later opens and lookups
-    /// find it. Reuses a pooled shell when one is parked.
-    fn create_shard(&mut self, route: Option<u64>, now: Time) -> u32 {
-        let max = self.max_shards();
-        let idx = match self.free_shards.pop() {
-            Some(i) => i,
-            None if self.shards.len() < max => {
-                let new_slot = self.shards.len();
-                debug_assert!(new_slot < MAX_SHARDS as usize);
-                self.shards.push(None);
-                new_slot as u32
-            }
-            None => {
-                // At the cap with every slot occupied: deterministically
-                // hash the group onto an existing shard. It shares slabs
-                // (not congestion state — the group map inside keeps
-                // macroflows apart), exactly like the single-shard mode
-                // does for all groups.
-                let h = route
-                    .unwrap_or(u64::MAX)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let idx = (h % self.shards.len() as u64) as u32;
-                debug_assert!(self.shards[idx as usize].is_some());
-                if let (Some(g), Some(shard)) = (route, self.shard_mut(idx)) {
-                    shard.route_groups.push(g);
-                    self.shard_map.insert(g, idx);
-                }
-                return idx;
-            }
-        };
-        let cfg = self.shard_cfg(route);
-        let mut shard = match self.shard_pool.pop() {
-            Some(mut shell) => {
-                shell.reset(cfg, idx);
-                shell
-            }
-            None => Shard::new(cfg, idx),
-        };
-        if let Some(g) = route {
-            shard.route_groups.push(g);
-            self.shard_map.insert(g, idx);
-        }
-        self.shards[idx as usize] = Some(shard);
-        self.live_shards += 1;
-        self.front_stats.shards_created += 1;
-        self.front_tracer
-            .record(now, TraceEvent::ShardCreated { shard: idx });
-        idx
-    }
-
-    /// Parks an emptied shard's shell in the pool and clears its routing
-    /// entries. Its counters fold into the front's so `stats()` never
-    /// loses history.
-    fn recycle_shard(&mut self, idx: u32, now: Time) {
-        let Some(mut shard) = self.shards[idx as usize].take() else {
-            return;
-        };
-        for g in shard.route_groups.drain(..) {
-            if self.shard_map.get(&g) == Some(&idx) {
-                self.shard_map.remove(&g);
-            }
-        }
-        if self.private_shard == Some(idx) {
-            self.private_shard = None;
-        }
-        self.front_stats.accumulate(&shard.stats);
-        shard.stats = CmStats::default();
-        // Metrics fold like stats: the recycled shard's histograms merge
-        // into the front registry, so `metrics()` never loses history.
-        // (The shard's flight-recorder ring is discarded with its flows
-        // — traces are per-incarnation; the shell's `reset` clears it.)
-        if let (Some(front), Some(retiring)) =
-            (self.front_tracer.metrics_mut(), shard.tracer.metrics())
-        {
-            front.merge(retiring);
-        }
-        self.shard_pool.push(shard);
-        self.free_shards.push(idx);
-        self.live_shards -= 1;
-        self.front_stats.shards_recycled += 1;
-        self.front_tracer
-            .record(now, TraceEvent::ShardRecycled { shard: idx });
     }
 }
 
@@ -1097,6 +757,12 @@ mod tests {
 
     fn key(sport: u16, daddr: u32) -> FlowKey {
         FlowKey::new(Endpoint::new(1, sport), Endpoint::new(daddr, 80))
+    }
+
+    fn drain(cm: &mut CongestionManager) -> Vec<CmNotification> {
+        let mut out = Vec::new();
+        cm.drain_notifications_into(&mut out);
+        out
     }
 
     fn grants_in(notes: &[CmNotification]) -> Vec<FlowId> {
@@ -1156,7 +822,7 @@ mod tests {
         let mut now = Time::ZERO;
         let f = cm.open(key(1000, 9), now).unwrap();
         cm.request(f, now).unwrap();
-        for n in cm.drain_notifications() {
+        for n in drain(&mut cm) {
             if let CmNotification::SendGrant { flow } = n {
                 cm.notify(flow, 1460, now).unwrap();
             }
@@ -1205,10 +871,7 @@ mod tests {
         use crate::config::{ShardingConfig, TracingConfig};
         let mut cm = CongestionManager::new(CmConfig {
             pacing: false,
-            sharding: ShardingConfig {
-                mode: ShardingMode::ByGroup { max_shards: 8 },
-                ..Default::default()
-            },
+            sharding: ShardingConfig::by_group(8),
             macroflow_linger: Duration::ZERO,
             tracing: Some(TracingConfig { capacity: 64 }),
             ..Default::default()
@@ -1216,7 +879,7 @@ mod tests {
         let mut now = Time::ZERO;
         let f = cm.open(key(1000, 9), now).unwrap();
         cm.request(f, now).unwrap();
-        for n in cm.drain_notifications() {
+        for n in drain(&mut cm) {
             if let CmNotification::SendGrant { flow } = n {
                 cm.notify(flow, 1460, now).unwrap();
             }
@@ -1226,7 +889,7 @@ mod tests {
         let windows_before = cm.metrics().unwrap().window.count;
         assert!(windows_before > 0);
         cm.close(f, now).unwrap();
-        cm.drain_notifications();
+        drain(&mut cm);
         cm.tick(now + Duration::from_secs(120));
         assert_eq!(cm.shard_count(), 0, "shard should have been recycled");
         // The shard is gone; its histogram samples are not.
@@ -1269,7 +932,7 @@ mod tests {
         let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
         let mf = cm.macroflow_of(f).unwrap();
         cm.request(f, Time::ZERO).unwrap();
-        for n in cm.drain_notifications() {
+        for n in drain(&mut cm) {
             if let CmNotification::SendGrant { flow } = n {
                 cm.notify(flow, 1460, Time::ZERO).unwrap();
             }
@@ -1277,14 +940,14 @@ mod tests {
         assert_eq!(cm.outstanding_of(mf).unwrap(), 1460);
         // The window (IW = 1 MTU) is now fully consumed: no grants.
         cm.request(f, Time::ZERO).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![]);
         // Feedback never arrives. After several feedback-free RTOs the
         // maintenance timer writes the bytes off and grants flow again.
         let later = Time::from_secs(30);
         cm.tick(later);
         assert_eq!(cm.outstanding_of(mf).unwrap(), 0);
         assert_eq!(cm.stats().outstanding_reclaimed, 1460);
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f]);
     }
 
     /// Regression: a long-idle sender whose in-flight data evaporated
@@ -1304,7 +967,7 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..6 {
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -1322,7 +985,7 @@ mod tests {
         // One last burst goes out... and every ACK is lost. The sender
         // then idles for a long time.
         cm.request(f, now).unwrap();
-        for n in cm.drain_notifications() {
+        for n in drain(&mut cm) {
             if let CmNotification::SendGrant { flow } = n {
                 cm.notify(flow, 1460, now).unwrap();
             }
@@ -1359,7 +1022,7 @@ mod tests {
         let mut now = Time::ZERO;
         // A steady send/ack rhythm with a constant 1460 bytes in flight.
         cm.request(f, now).unwrap();
-        for n in cm.drain_notifications() {
+        for n in drain(&mut cm) {
             if let CmNotification::SendGrant { flow } = n {
                 cm.notify(flow, 1460, now).unwrap();
             }
@@ -1373,7 +1036,7 @@ mod tests {
             )
             .unwrap();
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -1390,7 +1053,7 @@ mod tests {
         let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
         cm.request(f, Time::ZERO).unwrap();
         cm.request(f, Time::ZERO).unwrap();
-        let notes = cm.drain_notifications();
+        let notes = drain(&mut cm);
         // IW = 1 MTU: only the first request is granted.
         assert_eq!(grants_in(&notes), vec![f]);
         // After notify + ack, the window doubles and the queued request
@@ -1402,7 +1065,7 @@ mod tests {
             Time::from_millis(50),
         )
         .unwrap();
-        let notes = cm.drain_notifications();
+        let notes = drain(&mut cm);
         assert_eq!(grants_in(&notes).len(), 1);
     }
 
@@ -1414,7 +1077,7 @@ mod tests {
         let mut now = Time::ZERO;
         for round in 0..20u64 {
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -1440,10 +1103,10 @@ mod tests {
         cm.request(f1, Time::ZERO).unwrap();
         cm.request(f2, Time::ZERO).unwrap();
         // One MTU window: only f1 granted.
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f1]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f1]);
         // f1 declines; the window passes to f2.
         cm.notify(f1, 0, Time::ZERO).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f2]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f2]);
     }
 
     #[test]
@@ -1459,7 +1122,7 @@ mod tests {
         // Grow the window first with f1 traffic.
         for _ in 0..4 {
             cm.request(f1, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -1477,7 +1140,7 @@ mod tests {
             cm.request(f1, now).unwrap();
             cm.request(f2, now).unwrap();
         }
-        let order = grants_in(&cm.drain_notifications());
+        let order = grants_in(&drain(&mut cm));
         assert_eq!(order.len(), 4);
         // Round-robin alternation.
         assert_ne!(order[0], order[1]);
@@ -1492,7 +1155,7 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..5 {
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -1521,7 +1184,7 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..6 {
             cm.request(f1, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -1573,11 +1236,11 @@ mod tests {
         let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
         cm.request(f1, Time::ZERO).unwrap();
         cm.request(f2, Time::ZERO).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f1]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f1]);
         // f1 never notifies. After the timeout, tick reclaims and f2 is
         // granted.
         cm.tick(Time::from_millis(200));
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f2]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f2]);
         assert_eq!(cm.stats().grants_reclaimed, 1);
     }
 
@@ -1592,7 +1255,7 @@ mod tests {
         // Drive traffic so the rate rises from zero.
         for _ in 0..6 {
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 match n {
                     CmNotification::SendGrant { flow } => {
                         cm.notify(flow, 1460, now).unwrap();
@@ -1609,7 +1272,7 @@ mod tests {
             now += Duration::from_millis(20);
         }
         rate_notes.extend(
-            cm.drain_notifications()
+            drain(&mut cm)
                 .into_iter()
                 .filter(|n| matches!(n, CmNotification::RateChange { .. })),
         );
@@ -1641,7 +1304,7 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..5 {
             cm.request(f1, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -1774,7 +1437,7 @@ mod tests {
         // Exhaust the 1-MTU initial window with f2 so f1's requests stay
         // pending, then queue two requests on f1.
         cm.request(f2, Time::ZERO).unwrap();
-        let _ = cm.drain_notifications();
+        let _ = drain(&mut cm);
         cm.request(f1, Time::ZERO).unwrap();
         cm.request(f1, Time::ZERO).unwrap();
         assert_eq!(cm.pending_of(f1).unwrap(), 2);
@@ -1783,7 +1446,7 @@ mod tests {
         assert_eq!(cm.weight_of(f1).unwrap(), 5, "weight reset by split");
         // The fresh private window grants one of the migrated requests
         // immediately; nothing was silently dropped.
-        let mut granted = grants_in(&cm.drain_notifications());
+        let mut granted = grants_in(&drain(&mut cm));
         assert_eq!(
             cm.pending_of(f1).unwrap() + granted.len() as u32,
             2,
@@ -1795,7 +1458,7 @@ mod tests {
             for g in granted.drain(..) {
                 cm.notify(g, 0, Time::ZERO).unwrap();
             }
-            granted = grants_in(&cm.drain_notifications());
+            granted = grants_in(&drain(&mut cm));
         }
 
         cm.merge(f1, home, Time::ZERO).unwrap();
@@ -2056,7 +1719,7 @@ mod tests {
         cm.bulk_request(&[f1, f2], Time::ZERO).unwrap();
         assert_eq!(cm.stats().requests, 2);
         // One MTU of window: exactly one grant.
-        assert_eq!(grants_in(&cm.drain_notifications()).len(), 1);
+        assert_eq!(grants_in(&drain(&mut cm)).len(), 1);
     }
 
     #[test]
@@ -2093,12 +1756,12 @@ mod tests {
         let mf = cm.macroflow_of(f1).unwrap();
         cm.request(f1, Time::ZERO).unwrap();
         cm.request(f2, Time::ZERO).unwrap();
-        let _ = cm.drain_notifications();
+        let _ = drain(&mut cm);
         assert_eq!(cm.reserved_of(mf).unwrap(), 1460);
         // f1 closes holding its grant: the reservation must be released
         // and handed to f2.
         cm.close(f1, Time::ZERO).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f2]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f2]);
     }
 
     /// Regression for unbounded flow-table growth: the slab must recycle
@@ -2115,7 +1778,7 @@ mod tests {
             for &f in &flows {
                 cm.request(f, now).unwrap();
             }
-            let _ = cm.drain_notifications();
+            let _ = drain(&mut cm);
             for &f in &flows {
                 cm.close(f, now).unwrap();
             }
@@ -2142,7 +1805,7 @@ mod tests {
         });
         let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
         cm.request(f1, Time::ZERO).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f1]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f1]);
         // Close while holding the grant: the reservation is released and
         // the queue entry goes stale.
         cm.close(f1, Time::ZERO).unwrap();
@@ -2151,7 +1814,7 @@ mod tests {
         assert_eq!(f2, f1, "slab should recycle the freed slot");
         let mf = cm.macroflow_of(f2).unwrap();
         cm.request(f2, Time::from_millis(10)).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f2]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f2]);
         assert_eq!(cm.reserved_of(mf).unwrap(), 1460);
         // Sweep before f2's grant times out: the stale f1 entry must be
         // dropped with no accounting, and f2's grant left alone.
@@ -2172,7 +1835,7 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..5 {
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -2209,7 +1872,7 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..6 {
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -2223,7 +1886,7 @@ mod tests {
             now += Duration::from_millis(50);
         }
         cm.request(f, now).unwrap();
-        for n in cm.drain_notifications() {
+        for n in drain(&mut cm) {
             if let CmNotification::SendGrant { flow } = n {
                 cm.notify(flow, 1460, now).unwrap();
             }
@@ -2357,7 +2020,7 @@ mod tests {
         // outstanding so nothing else keeps the shard pending.
         for _ in 0..4 {
             cm.request(f, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -2397,7 +2060,7 @@ mod tests {
     // Sharded-mode behaviour
     // ------------------------------------------------------------------
 
-    use crate::config::{ShardingConfig, ShardingMode, TickStrategy};
+    use crate::config::ShardingConfig;
 
     fn sharded(max: u32) -> CmConfig {
         CmConfig {
@@ -2431,7 +2094,7 @@ mod tests {
         for &f in &[f1, f3] {
             cm.request(f, Time::ZERO).unwrap();
         }
-        let granted = grants_in(&cm.drain_notifications());
+        let granted = grants_in(&drain(&mut cm));
         assert_eq!(granted.len(), 2, "each shard granted from its own window");
         for &f in &granted {
             cm.notify(f, 1460, Time::ZERO).unwrap();
@@ -2517,38 +2180,6 @@ mod tests {
         assert_eq!(cm.lookup(&key(1001, 7)), Some(f2));
     }
 
-    /// Per-group `CmConfig` overrides ride the shard map: the overridden
-    /// group's shard runs its own configuration (a media-friendly
-    /// rate-based controller here), other groups keep the base config.
-    #[test]
-    fn per_group_config_override_applies_to_its_shard() {
-        use crate::config::ControllerKind;
-        let mut cm = CongestionManager::new(sharded(16));
-        cm.set_group_config(
-            9,
-            CmConfig {
-                controller: ControllerKind::RateBased,
-                mtu: 512,
-                ..sharded(16)
-            },
-        );
-        let f_media = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f_bulk = cm.open(key(1001, 7), Time::ZERO).unwrap();
-        assert_eq!(cm.mtu(f_media).unwrap(), 512, "override mtu not applied");
-        assert_eq!(cm.mtu(f_bulk).unwrap(), 1460, "base config disturbed");
-        let sc = cm
-            .shard_config(f_media.shard())
-            .expect("media shard is live");
-        assert_eq!(sc.controller, ControllerKind::RateBased);
-        assert_eq!(
-            cm.shard_config(f_bulk.shard()).unwrap().controller,
-            CmConfig::default().controller
-        );
-        // Routing-relevant fields cannot be overridden per group.
-        assert_eq!(sc.aggregation, cm.config().aggregation);
-        assert_eq!(sc.sharding, cm.config().sharding);
-    }
-
     /// A host with many groups but one active group skips the idle
     /// shards' slab scans: the quiet-shard gate in action.
     #[test]
@@ -2567,7 +2198,7 @@ mod tests {
         for _ in 0..10 {
             now += Duration::from_millis(100);
             cm.request(active, now).unwrap();
-            for n in cm.drain_notifications() {
+            for n in drain(&mut cm) {
                 if let CmNotification::SendGrant { flow } = n {
                     cm.notify(flow, 1460, now).unwrap();
                 }
@@ -2589,39 +2220,6 @@ mod tests {
         assert_eq!(s.tick_shards_visited, 16 + 10, "active shard not ticked");
     }
 
-    /// Round-robin ticking bounds the per-call work: each tick call
-    /// processes at most `shards_per_tick` shards that need maintenance.
-    #[test]
-    fn round_robin_tick_bounds_shards_per_call() {
-        let mut cm = CongestionManager::new(CmConfig {
-            sharding: ShardingConfig {
-                mode: ShardingMode::ByGroup { max_shards: 16 },
-                tick: TickStrategy::RoundRobin { shards_per_tick: 1 },
-            },
-            macroflow_linger: Duration::from_millis(100),
-            pacing: false,
-            ..Default::default()
-        });
-        // Four groups, each left with timed maintenance work (a
-        // lingering empty macroflow).
-        for d in 1..=4u32 {
-            let f = cm.open(key(1000 + d as u16, d), Time::ZERO).unwrap();
-            cm.close(f, Time::ZERO).unwrap();
-        }
-        assert_eq!(cm.shard_count(), 4);
-        // Each call processes exactly one needy shard; four calls drain
-        // the whole host.
-        for i in 1..=4u64 {
-            cm.tick(Time::from_secs(i));
-            assert_eq!(
-                cm.stats().tick_shards_visited,
-                i,
-                "round-robin budget not enforced"
-            );
-        }
-        assert_eq!(cm.shard_count(), 0, "lingering macroflows never expired");
-    }
-
     /// More groups than `max_shards`: the overflow groups share shards
     /// (slabs, not congestion state) and everything keeps working.
     #[test]
@@ -2640,7 +2238,7 @@ mod tests {
             assert_eq!(cm.lookup(&key(1001 + i as u16, i as u32 + 1)), Some(f));
             cm.request(f, Time::ZERO).unwrap();
         }
-        assert_eq!(grants_in(&cm.drain_notifications()).len(), 6);
+        assert_eq!(grants_in(&drain(&mut cm)).len(), 6);
     }
 
     /// Regression (review finding): a shard that empties while
@@ -2661,7 +2259,7 @@ mod tests {
         cm.request(f2, Time::ZERO).unwrap();
         // Drain f1's grant only; then f1's close releases the window
         // and grants f2 — a notification nobody drains.
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f1]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f1]);
         cm.close(f1, Time::ZERO).unwrap();
         cm.close(f2, Time::ZERO).unwrap();
         assert!(cm.has_notifications(), "setup: no pending note");
@@ -2673,7 +2271,7 @@ mod tests {
         cm.tick(Time::from_secs(2));
         assert_eq!(cm.shard_count(), 1);
         // The client finally drains; the next tick recycles the shard.
-        let _ = cm.drain_notifications();
+        let _ = drain(&mut cm);
         cm.tick(Time::from_secs(3));
         assert_eq!(cm.shard_count(), 0, "shard never recycled after drain");
         assert_eq!(cm.stats().shards_recycled, 1);
@@ -2777,7 +2375,7 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..streak {
             cm.request(f, now).unwrap();
-            assert_eq!(grants_in(&cm.drain_notifications()), vec![f]);
+            assert_eq!(grants_in(&drain(&mut cm)), vec![f]);
             now += Duration::from_millis(20);
             cm.tick(now);
         }
@@ -2786,12 +2384,12 @@ mod tests {
         assert_eq!(stats.grant_backoffs, 1, "streak arms the backoff");
         // While backed off, a request parks: no grant, no pacing work.
         cm.request(f, now).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![]);
         assert!(cm.check_invariants().is_ok());
         // Once the backoff lapses the maintenance timer re-queues it.
         now += Duration::from_secs(1);
         cm.tick(now);
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f]);
         assert!(cm.check_invariants().is_ok());
     }
 
@@ -2810,15 +2408,15 @@ mod tests {
         let mut now = Time::ZERO;
         for _ in 0..streak {
             cm.request(f, now).unwrap();
-            let _ = cm.drain_notifications();
+            let _ = drain(&mut cm);
             now += Duration::from_millis(20);
             cm.tick(now);
         }
         cm.request(f, now).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![], "parked");
+        assert_eq!(grants_in(&drain(&mut cm)), vec![], "parked");
         // A (zero-byte) notify releases the parked request at once.
         cm.notify(f, 0, now).unwrap();
-        assert_eq!(grants_in(&cm.drain_notifications()), vec![f]);
+        assert_eq!(grants_in(&drain(&mut cm)), vec![f]);
         assert!(cm.check_invariants().is_ok());
     }
 

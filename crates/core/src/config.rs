@@ -147,50 +147,27 @@ pub enum ShardingMode {
     },
 }
 
-/// How the maintenance timer visits shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TickStrategy {
-    /// Every `tick` call visits all shards (quiet shards are still
-    /// skipped in O(1) each).
-    AllShards,
-    /// Every `tick` call processes at most this many shards that
-    /// actually need maintenance, round-robin, so the per-call cost is
-    /// bounded regardless of shard count. Maintenance timeouts (grant
-    /// reclamation, write-off, linger expiry) remain lower bounds: a
-    /// shard's deadlines are enforced when its turn comes.
-    RoundRobin {
-        /// Shards processed per `tick` call (minimum 1).
-        shards_per_tick: u32,
-    },
-}
-
-/// Sharding configuration: the partitioning mode plus the tick visiting
-/// strategy.
+/// Sharding configuration: the partitioning mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardingConfig {
     /// How state is partitioned.
     pub mode: ShardingMode,
-    /// How `tick` walks the shards.
-    pub tick: TickStrategy,
 }
 
 impl Default for ShardingConfig {
-    /// Unsharded, full-sweep ticks — the paper's single-trust-domain CM.
+    /// Unsharded — the paper's single-trust-domain CM.
     fn default() -> Self {
         ShardingConfig {
             mode: ShardingMode::Single,
-            tick: TickStrategy::AllShards,
         }
     }
 }
 
 impl ShardingConfig {
-    /// Convenience: shard by aggregation group with the given cap,
-    /// keeping full-sweep ticks.
+    /// Convenience: shard by aggregation group with the given cap.
     pub fn by_group(max_shards: u32) -> Self {
         ShardingConfig {
             mode: ShardingMode::ByGroup { max_shards },
-            tick: TickStrategy::AllShards,
         }
     }
 }
@@ -372,10 +349,7 @@ pub struct CmConfig {
     /// grouping static, exactly as the paper's CM behaves.
     pub reaggregation: Option<ReaggregationConfig>,
     /// How the CM's state is partitioned into shards (default: one
-    /// shard, the paper's single trust domain). Per-group `CmConfig`
-    /// overrides ([`crate::CongestionManager::set_group_config`]) take
-    /// effect only under [`ShardingMode::ByGroup`], where a group's
-    /// shard carries its own configuration.
+    /// shard, the paper's single trust domain).
     pub sharding: ShardingConfig,
     /// Include the DSCP in the macroflow key, so differentiated-services
     /// classes do not share congestion state (paper §5).

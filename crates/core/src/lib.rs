@@ -72,6 +72,7 @@
 pub mod api;
 pub mod config;
 pub mod controller;
+mod engine;
 pub mod error;
 pub mod flow;
 pub mod macroflow;
@@ -88,7 +89,7 @@ pub use cm_obs::{
 };
 pub use config::{
     AggregationPolicy, CmConfig, ControllerKind, ReaggregationConfig, SchedulerKind,
-    ShardingConfig, ShardingMode, TickStrategy, TracingConfig,
+    ShardingConfig, ShardingMode, TracingConfig,
 };
 pub use controller::{
     AimdController, CongestionController, DelayGradientController, DelaySignal, RateBasedController,
@@ -104,7 +105,7 @@ pub mod prelude {
     pub use crate::api::{CmNotification, CongestionManager};
     pub use crate::config::{
         AggregationPolicy, CmConfig, ControllerKind, ReaggregationConfig, SchedulerKind,
-        ShardingConfig, ShardingMode, TickStrategy, TracingConfig,
+        ShardingConfig, ShardingMode, TracingConfig,
     };
     pub use crate::error::CmError;
     pub use crate::runtime::{ParallelConfig, ShardRuntime, WorkerStats};

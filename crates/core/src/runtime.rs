@@ -4,12 +4,16 @@
 //! thread; this module runs the same shards on worker threads instead.
 //! The design (docs/architecture.md "Parallel execution"):
 //!
+//! * **One engine, dealt out.** Routing and the shard table are the
+//!   same `crate::engine` pieces the in-process CM is built from: the
+//!   front keeps the `Router`, each worker owns the slice of the
+//!   `ShardTable` holding the shards with `index % workers == worker`.
 //! * **Ownership, not locking.** Each `Shard` is owned by exactly one
-//!   worker thread (`shard_index % workers`), which applies commands to
-//!   it in FIFO order. No shard state is ever shared, so the per-packet
-//!   path takes no locks — the only synchronisation is the bounded SPSC
-//!   rings in [`crate::ring`] (one command ring in, one reply ring out,
-//!   per worker).
+//!   worker thread, which applies commands to it in FIFO order. No
+//!   shard state is ever shared, so the per-packet path takes no locks
+//!   — the only synchronisation is the bounded SPSC rings in
+//!   [`crate::ring`] (one command ring in, one reply ring out, per
+//!   worker).
 //! * **Flat messages.** [`ShardRuntime`]'s front translates each API
 //!   call into one `Copy` `ShardCommand` and routes it by the shard
 //!   index carried in every flow id (see [`crate::types`]). Grant and
@@ -46,14 +50,15 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
 
 use cm_obs::{MetricsRegistry, MetricsSnapshot};
-use cm_util::{FxHashMap, Time};
+use cm_util::Time;
 
-use crate::api::{CmNotification, CmStats};
-use crate::config::{CmConfig, ShardingMode};
+use crate::api::{CmNotification, CmStats, CongestionManager};
+use crate::config::CmConfig;
+use crate::engine::{Router, ShardTable};
 use crate::error::CmError;
 use crate::ring::{ring, Pop, Push, RingConsumer, RingProducer};
 use crate::shard::Shard;
-use crate::types::{FeedbackReport, FlowId, FlowInfo, FlowKey, MacroflowId, MAX_SHARDS};
+use crate::types::{FeedbackReport, FlowId, FlowInfo, FlowKey, MacroflowId};
 
 type CmResult<T> = Result<T, CmError>;
 
@@ -226,14 +231,11 @@ fn reply_seq(r: &ShardReply) -> Option<u32> {
 }
 
 /// Cold-path side channel shared between front and workers. Everything
-/// here is off the per-packet path (shard creation, metrics collection,
-/// invariant failure text), where a lock is acceptable and keeps the hot
-/// rings flat.
+/// here is off the per-packet path (metrics collection, invariant
+/// failure text), where a lock is acceptable and keeps the hot rings
+/// flat.
 #[derive(Default)]
 struct Shared {
-    /// Per-group config overrides, consulted when a worker creates a
-    /// shard (mirrors `CongestionManager::set_group_config`).
-    overrides: Mutex<FxHashMap<u64, CmConfig>>,
     /// Per-worker merged metrics registries, deposited on
     /// `CollectMetrics` and merged by the front.
     metrics: Mutex<Vec<MetricsRegistry>>,
@@ -297,18 +299,13 @@ impl ReplyPort {
 struct Worker {
     cmds: RingConsumer<ShardCommand>,
     replies: ReplyPort,
-    /// Dense by *global* shard index; entries this worker does not own
-    /// stay `None` forever.
-    shards: Vec<Option<Shard>>,
-    base_cfg: CmConfig,
+    /// This worker's deal of the shard table: dense by *global* shard
+    /// index; entries this worker does not own stay vacant forever.
+    table: ShardTable,
     shared: Arc<Shared>,
     /// `commands` / `notifications` counters (the rest of
     /// [`WorkerStats`] is filled in at `Stats` time).
     wstats: WorkerStats,
-    /// Worker-local front counters: tick visit/skip/scan accounting,
-    /// shard creations — the counters `CongestionManager` keeps in
-    /// `front_stats`.
-    fstats: CmStats,
 }
 
 impl Worker {
@@ -317,9 +314,7 @@ impl Worker {
         // Shards inherited from `CongestionManager::into_parallel` may
         // carry undrained notifications; forward them before the first
         // command so nothing is stranded.
-        for sid in 0..self.shards.len() as u32 {
-            self.flush_outbox(sid);
-        }
+        self.flush_all();
         let idle = StdDuration::from_millis(1);
         loop {
             self.replies.flush();
@@ -352,14 +347,18 @@ impl Worker {
     /// Applies one command. Returns `false` on `Shutdown`.
     fn handle(&mut self, cmd: ShardCommand) -> bool {
         match cmd {
+            // The shard is created on its first `Open` — the command
+            // every other reference to it is FIFO-ordered behind, since
+            // flow ids only exist once an `Opened` reply came back.
             ShardCommand::Open {
                 seq,
                 shard,
                 key,
                 now,
             } => {
-                let result = self.ensure_shard(shard, &key).open(key, now);
-                self.flush_outbox(shard);
+                let s = self.table.ensure(shard, now);
+                let result = s.open(key, now);
+                Self::flush_outbox(s, &mut self.replies, &mut self.wstats);
                 self.replies.push(ShardReply::Opened { seq, result });
             }
             ShardCommand::Close { flow, now } => self.flow_op(flow, |s| s.close(flow, now)),
@@ -374,58 +373,47 @@ impl Worker {
                 self.flow_op(flow, |s| s.set_weight(flow, weight))
             }
             ShardCommand::Query { seq, flow, now } => {
-                let result = match self.shard_mut(flow.shard()) {
+                let result = match self.table.route(flow.shard()) {
                     Some(s) => s.query(flow, now),
                     None => Err(CmError::UnknownFlow(flow)),
                 };
                 self.replies.push(ShardReply::Info { seq, result });
             }
             ShardCommand::MacroflowOf { seq, flow } => {
-                let result = match self.shard_mut(flow.shard()) {
+                let result = match self.table.get(flow.shard()) {
                     Some(s) => s.macroflow_of(flow),
                     None => Err(CmError::UnknownFlow(flow)),
                 };
                 self.replies.push(ShardReply::Macroflow { seq, result });
             }
+            // No router here, so no recycling: a runtime's shard→worker
+            // pinning is for life.
             ShardCommand::Tick { seq, now } => {
-                self.tick_all(now);
+                self.table.tick(now, None);
+                self.flush_all();
                 self.replies.push(ShardReply::TickDone { seq });
             }
             ShardCommand::Stats { seq } => {
-                let mut stats = self.fstats;
-                let mut live = 0u32;
-                for shard in self.shards.iter().flatten() {
-                    stats.accumulate(&shard.stats);
-                    live += 1;
-                }
                 let mut worker = self.wstats;
                 worker.reply_stalls = self.replies.stalls();
-                worker.shards = live;
-                self.replies.push(ShardReply::Stats { seq, stats, worker });
+                worker.shards = self.table.live() as u32;
+                self.replies.push(ShardReply::Stats {
+                    seq,
+                    stats: self.table.stats(),
+                    worker,
+                });
             }
             ShardCommand::CollectMetrics { seq } => {
-                if self.base_cfg.tracing.is_some() {
-                    let mut acc = MetricsRegistry::new();
-                    for shard in self.shards.iter().flatten() {
-                        if let Some(m) = shard.tracer.metrics() {
-                            acc.merge(m);
-                        }
-                    }
+                if let Some(acc) = self.table.metrics() {
                     lock_ignore_poison(&self.shared.metrics).push(acc);
                 }
                 self.replies.push(ShardReply::MetricsReady { seq });
             }
             ShardCommand::CheckInvariants { seq } => {
-                let mut ok = true;
-                for sid in 0..self.shards.len() {
-                    let Some(shard) = self.shards[sid].as_ref() else {
-                        continue;
-                    };
-                    if let Err(e) = shard.validate() {
-                        ok = false;
-                        lock_ignore_poison(&self.shared.invariant_errors)
-                            .push(format!("shard {sid}: {e}"));
-                    }
+                let check = self.table.validate();
+                let ok = check.is_ok();
+                if let Err(e) = check {
+                    lock_ignore_poison(&self.shared.invariant_errors).push(e);
                 }
                 self.replies.push(ShardReply::Invariants { seq, ok });
             }
@@ -434,85 +422,34 @@ impl Worker {
         true
     }
 
-    fn shard_mut(&mut self, sid: u32) -> Option<&mut Shard> {
-        self.shards.get_mut(sid as usize).and_then(Option::as_mut)
-    }
-
     /// A fire-and-forget flow command: route, apply, forward
     /// notifications, and report any error asynchronously.
     fn flow_op(&mut self, flow: FlowId, op: impl FnOnce(&mut Shard) -> CmResult<()>) {
-        let sid = flow.shard();
-        let result = match self.shard_mut(sid) {
-            Some(s) => op(s),
+        let result = match self.table.route(flow.shard()) {
+            Some(s) => {
+                let result = op(s);
+                Self::flush_outbox(s, &mut self.replies, &mut self.wstats);
+                result
+            }
             None => Err(CmError::UnknownFlow(flow)),
         };
-        self.flush_outbox(sid);
         if let Err(e) = result {
             self.replies.push(ShardReply::OpFailed(e));
         }
     }
 
-    /// The shard at `sid`, created lazily on its first `Open` — the
-    /// command every other reference to the shard is FIFO-ordered
-    /// behind, since flow ids only exist once an `Opened` reply came
-    /// back. Per-group config overrides apply here, exactly as in
-    /// `CongestionManager::create_shard`.
-    fn ensure_shard(&mut self, sid: u32, key: &FlowKey) -> &mut Shard {
-        if self.shards.len() <= sid as usize {
-            self.shards.resize_with(sid as usize + 1, || None);
-        }
-        if self.shards[sid as usize].is_none() {
-            let route = self.base_cfg.aggregation.group_of(key);
-            let mut cfg = route
-                .and_then(|g| lock_ignore_poison(&self.shared.overrides).get(&g).cloned())
-                .unwrap_or_else(|| self.base_cfg.clone());
-            // Routing-relevant fields are runtime-wide: a shard must
-            // never disagree with the front about grouping or tracing.
-            cfg.aggregation = self.base_cfg.aggregation;
-            cfg.group_by_dscp = self.base_cfg.group_by_dscp;
-            cfg.sharding = self.base_cfg.sharding;
-            cfg.tracing = self.base_cfg.tracing;
-            self.shards[sid as usize] = Some(Shard::new(cfg, sid));
-            self.fstats.shards_created += 1;
-        }
-        match self.shards[sid as usize].as_mut() {
-            Some(s) => s,
-            // The branch above inserted it when the slot was empty.
-            None => unreachable!("shard {sid} live after ensure_shard"),
-        }
-    }
-
-    /// Ticks every owned shard, with the same quiet-shard O(1) skip and
-    /// accounting as `CongestionManager::tick` (always `AllShards`
-    /// semantics: round-robin budgeting is a single-thread latency tool;
-    /// a worker owns few shards and ticks them all). Shards are never
-    /// recycled here — a runtime's shard→worker pinning is for life.
-    fn tick_all(&mut self, now: Time) {
-        for sid in 0..self.shards.len() as u32 {
-            let scanned = {
-                let Some(shard) = self.shards[sid as usize].as_mut() else {
-                    continue;
-                };
-                if !shard.needs_tick() {
-                    self.fstats.tick_shards_skipped += 1;
-                    continue;
-                }
-                shard.tick(now)
-            };
-            self.fstats.tick_mfs_scanned += scanned;
-            self.fstats.tick_shards_visited += 1;
-            self.flush_outbox(sid);
-        }
-    }
-
     /// Forwards everything in a shard's outbox to the reply ring.
-    fn flush_outbox(&mut self, sid: u32) {
-        let Some(shard) = self.shards.get_mut(sid as usize).and_then(Option::as_mut) else {
-            return;
-        };
+    fn flush_outbox(shard: &mut Shard, replies: &mut ReplyPort, wstats: &mut WorkerStats) {
         while let Some(note) = shard.outbox.pop_front() {
-            self.wstats.notifications += 1;
-            self.replies.push(ShardReply::Note(note));
+            wstats.notifications += 1;
+            replies.push(ShardReply::Note(note));
+        }
+    }
+
+    /// Forwards every owned shard's outbox, in shard-index order.
+    fn flush_all(&mut self) {
+        for shard in self.table.iter_mut() {
+            Self::flush_outbox(shard, &mut self.replies, &mut self.wstats);
         }
     }
     // lint:worker-loop:end
@@ -527,19 +464,6 @@ struct Lane {
     last_worker: WorkerStats,
 }
 
-/// State a [`ShardRuntime`] is seeded with when converted from an
-/// in-process [`crate::api::CongestionManager`]
-/// (`CongestionManager::into_parallel`); empty for a fresh runtime.
-#[derive(Default)]
-pub(crate) struct FrontSeed {
-    pub(crate) shards: Vec<Option<Shard>>,
-    pub(crate) shard_map: FxHashMap<u64, u32>,
-    pub(crate) private_shard: Option<u32>,
-    pub(crate) carry_stats: CmStats,
-    pub(crate) overrides: FxHashMap<u64, CmConfig>,
-    pub(crate) carry_metrics: Option<MetricsRegistry>,
-}
-
 /// The multi-core CM front: the same API surface as
 /// [`crate::api::CongestionManager`], executed by thread-per-shard
 /// workers behind bounded SPSC rings. See the module docs for the
@@ -547,14 +471,8 @@ pub(crate) struct FrontSeed {
 pub struct ShardRuntime {
     cfg: CmConfig,
     lanes: Vec<Lane>,
-    /// Routing map mirroring `CongestionManager`'s: aggregation group →
-    /// global shard index. Only the front writes it.
-    shard_map: FxHashMap<u64, u32>,
-    private_shard: Option<u32>,
-    /// Next unassigned shard index; past `max_shards`, groups hash onto
-    /// existing shards exactly like `CongestionManager::create_shard`.
-    next_shard: u32,
-    max_shards: u32,
+    /// Group → shard-index routing; only the (serial) front touches it.
+    router: Router,
     seq: u32,
     /// Notifications received from workers, in arrival order, waiting
     /// for [`ShardRuntime::drain_notifications_into`].
@@ -564,11 +482,6 @@ pub struct ShardRuntime {
     stray: Vec<ShardReply>,
     op_failures: u64,
     last_op_failure: Option<CmError>,
-    /// Counters inherited from a converted in-process CM (its
-    /// front-level stats, including recycled-shard history).
-    carry_stats: CmStats,
-    /// Metrics history inherited from a converted CM's front tracer.
-    carry_metrics: Option<MetricsRegistry>,
     shared: Arc<Shared>,
 }
 
@@ -577,40 +490,23 @@ impl ShardRuntime {
     /// given configuration. Shards are created lazily, on the worker
     /// that owns them, as groups first open flows.
     pub fn new(cfg: CmConfig, parallel: ParallelConfig) -> Self {
-        Self::with_seed(cfg, FrontSeed::default(), parallel)
+        CongestionManager::new(cfg).into_parallel(parallel)
     }
 
-    pub(crate) fn with_seed(cfg: CmConfig, seed: FrontSeed, parallel: ParallelConfig) -> Self {
+    /// Builds the runtime from an engine's two halves: `router` stays on
+    /// the front, `table` is dealt out to the workers.
+    pub(crate) fn from_parts(
+        cfg: CmConfig,
+        router: Router,
+        table: ShardTable,
+        parallel: ParallelConfig,
+    ) -> Self {
         let workers = parallel.workers.max(1);
         let capacity = parallel.ring_capacity.max(1);
-        let max_shards = match cfg.sharding.mode {
-            ShardingMode::Single => 1,
-            ShardingMode::ByGroup { max_shards } => max_shards.clamp(1, MAX_SHARDS),
-        };
-        let next_shard = seed.shards.len() as u32;
-        let shared = Arc::new(Shared {
-            overrides: Mutex::new(seed.overrides),
-            metrics: Mutex::new(Vec::new()),
-            invariant_errors: Mutex::new(Vec::new()),
-        });
-
-        // Distribute pre-existing shards to their owning workers,
-        // keeping global indices (worker slabs are dense by global id).
-        let mut per_worker: Vec<Vec<Option<Shard>>> = (0..workers)
-            .map(|_| {
-                let mut v = Vec::with_capacity(seed.shards.len());
-                v.resize_with(seed.shards.len(), || None);
-                v
-            })
-            .collect();
-        for (sid, slot) in seed.shards.into_iter().enumerate() {
-            if let Some(shard) = slot {
-                per_worker[sid % workers][sid] = Some(shard);
-            }
-        }
+        let shared = Arc::new(Shared::default());
 
         let mut lanes = Vec::with_capacity(workers);
-        for (w, shards) in per_worker.into_iter().enumerate() {
+        for (w, table) in table.deal(workers).into_iter().enumerate() {
             let (cmd_tx, cmd_rx) = ring::<ShardCommand>(capacity);
             let (rep_tx, rep_rx) = ring::<ShardReply>(capacity);
             let worker = Worker {
@@ -619,11 +515,9 @@ impl ShardRuntime {
                     ring: rep_tx,
                     spill: VecDeque::new(),
                 },
-                shards,
-                base_cfg: cfg.clone(),
+                table,
                 shared: Arc::clone(&shared),
                 wstats: WorkerStats::default(),
-                fstats: CmStats::default(),
             };
             let join = thread::Builder::new()
                 .name(format!("cm-shard-{w}"))
@@ -641,17 +535,12 @@ impl ShardRuntime {
         ShardRuntime {
             cfg,
             lanes,
-            shard_map: seed.shard_map,
-            private_shard: seed.private_shard,
-            next_shard,
-            max_shards,
+            router,
             seq: 0,
             notes: VecDeque::new(),
             stray: Vec::new(),
             op_failures: 0,
             last_op_failure: None,
-            carry_stats: seed.carry_stats,
-            carry_metrics: seed.carry_metrics,
             shared,
         }
     }
@@ -670,58 +559,11 @@ impl ShardRuntime {
     /// anything opened; assignment is front-side, so this needs no
     /// round-trip).
     pub fn shard_count(&self) -> usize {
-        match self.cfg.sharding.mode {
-            ShardingMode::Single => 1,
-            ShardingMode::ByGroup { .. } => self.next_shard as usize,
-        }
+        self.router.assigned()
     }
-
-    // ------------------------------------------------------------------
-    // Routing (front side; mirrors CongestionManager)
-    // ------------------------------------------------------------------
 
     fn lane_of(&self, sid: u32) -> usize {
         sid as usize % self.lanes.len()
-    }
-
-    fn shard_for_open(&mut self, key: &FlowKey) -> u32 {
-        match self.cfg.sharding.mode {
-            ShardingMode::Single => 0,
-            ShardingMode::ByGroup { .. } => match self.cfg.aggregation.group_of(key) {
-                Some(g) => match self.shard_map.get(&g) {
-                    Some(&sid) => sid,
-                    None => self.assign_shard(Some(g)),
-                },
-                None => match self.private_shard {
-                    Some(sid) => sid,
-                    None => {
-                        let sid = self.assign_shard(None);
-                        self.private_shard = Some(sid);
-                        sid
-                    }
-                },
-            },
-        }
-    }
-
-    /// Assigns a shard index to a new routing group: the next free
-    /// index, or — past the cap — the same deterministic hash onto an
-    /// existing shard that `CongestionManager::create_shard` uses.
-    fn assign_shard(&mut self, route: Option<u64>) -> u32 {
-        let sid = if self.next_shard < self.max_shards {
-            let s = self.next_shard;
-            self.next_shard += 1;
-            s
-        } else {
-            let h = route
-                .unwrap_or(u64::MAX)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (h % u64::from(self.next_shard.max(1))) as u32
-        };
-        if let Some(g) = route {
-            self.shard_map.insert(g, sid);
-        }
-        sid
     }
 
     // ------------------------------------------------------------------
@@ -829,7 +671,7 @@ impl ShardRuntime {
     /// (assigning one on first contact) and waits for the owning
     /// worker's reply. See [`crate::api::CongestionManager::open`].
     pub fn open(&mut self, key: FlowKey, now: Time) -> CmResult<FlowId> {
-        let sid = self.shard_for_open(&key);
+        let sid = self.router.route_open(&key);
         let seq = self.next_seq();
         let lane = self.lane_of(sid);
         self.send(
@@ -883,7 +725,7 @@ impl ShardRuntime {
             sync => front.push(sync),
         };
         for key in keys {
-            let sid = self.shard_for_open(key);
+            let sid = self.router.route_open(key);
             let seq = self.next_seq();
             let lane = self.lane_of(sid);
             self.send(
@@ -1064,7 +906,7 @@ impl ShardRuntime {
         for lane in 0..self.lanes.len() {
             self.send(lane, ShardCommand::Stats { seq });
         }
-        let mut total = self.carry_stats;
+        let mut total = CmStats::default();
         let mut reply_stalls = 0u64;
         for lane in 0..self.lanes.len() {
             match self.wait_lane(lane, seq) {
@@ -1087,8 +929,8 @@ impl ShardRuntime {
         self.lanes.iter().map(|l| l.last_worker).collect()
     }
 
-    /// Merged metrics across every shard on every worker (plus history
-    /// inherited from a converted in-process CM). `None` unless
+    /// Merged metrics across every shard on every worker (history
+    /// inherited from a converted in-process CM included). `None` unless
     /// [`CmConfig::tracing`] is set. Fan-out/fan-in over the cold side
     /// channel — histogram registries are heap-backed, so they travel
     /// under a lock rather than through the flat rings.
@@ -1104,9 +946,6 @@ impl ShardRuntime {
             debug_assert!(matches!(r, ShardReply::MetricsReady { .. }));
         }
         let mut acc = MetricsRegistry::new();
-        if let Some(carry) = &self.carry_metrics {
-            acc.merge(carry);
-        }
         for reg in lock_ignore_poison(&self.shared.metrics).drain(..) {
             acc.merge(&reg);
         }
@@ -1135,14 +974,6 @@ impl ShardRuntime {
             let errs = lock_ignore_poison(&self.shared.invariant_errors).join("; ");
             Err(errs)
         }
-    }
-
-    /// Registers a per-group config override, used when the group's
-    /// shard is (next) created on a worker. Like
-    /// [`crate::api::CongestionManager::set_group_config`], it affects
-    /// only shards created after the call.
-    pub fn set_group_config(&mut self, group: u64, cfg: CmConfig) {
-        lock_ignore_poison(&self.shared.overrides).insert(group, cfg);
     }
 
     // ------------------------------------------------------------------

@@ -55,14 +55,9 @@ fn lid(id: FlowId) -> FlowId {
     FlowId(id.0 & SLOT_MASK)
 }
 
-/// The ring capacity `cfg` asks for, or `None` when tracing is off.
-fn cfg_tracing_capacity(cfg: &CmConfig) -> Option<usize> {
-    cfg.tracing.map(|t| t.capacity)
-}
-
 /// The tracer a config asks for: enabled with the configured ring
 /// capacity, or the zero-cost disabled handle (the default).
-fn tracer_for(cfg: &CmConfig) -> Tracer {
+pub(crate) fn tracer_for(cfg: &CmConfig) -> Tracer {
     match cfg.tracing {
         Some(t) => Tracer::enabled(t.capacity),
         None => Tracer::disabled(),
@@ -83,7 +78,7 @@ fn congestion_signal(mode: LossMode) -> CongestionSignal {
 /// One partition of the CM: a full flow/macroflow state machine over its
 /// own slabs. See the module docs for the id conventions.
 pub(crate) struct Shard {
-    pub(crate) cfg: CmConfig,
+    cfg: CmConfig,
     /// Precomputed `shard_index << SLOT_BITS`, OR-ed into every id this
     /// shard hands out.
     base: u32,
@@ -121,9 +116,6 @@ pub(crate) struct Shard {
     /// Pooled buffers so the hot entry points allocate nothing.
     scratch_mfs: Vec<MacroflowId>,
     scratch_flows: Vec<FlowId>,
-    /// Routing groups the front has mapped onto this shard, so recycling
-    /// the shard can clean the front's shard map.
-    pub(crate) route_groups: Vec<u64>,
     /// Set by every mutating entry point; cleared by `tick`. A shard
     /// that is neither dirty nor pending maintenance is skipped in O(1).
     pub(crate) dirty: bool,
@@ -164,7 +156,6 @@ impl Shard {
             next_private_key: 0,
             scratch_mfs: Vec::new(),
             scratch_flows: Vec::new(),
-            route_groups: Vec::new(),
             dirty: true,
             pending_maintenance: true,
             thresh_regs: 0,
@@ -177,9 +168,8 @@ impl Shard {
     /// every slab, map, and buffer capacity (and the parked macroflow
     /// shells) so shard churn under group churn is allocation-free once
     /// the pool is warm.
-    pub(crate) fn reset(&mut self, cfg: CmConfig, index: u32) {
+    pub(crate) fn reset(&mut self, index: u32) {
         debug_assert!(self.live_flows == 0 && self.live_mfs == 0);
-        self.cfg = cfg;
         self.base = index << SLOT_BITS;
         self.flows.clear();
         self.free_flows.clear();
@@ -196,20 +186,13 @@ impl Shard {
         self.next_private_key = 0;
         self.scratch_mfs.clear();
         self.scratch_flows.clear();
-        self.route_groups.clear();
         self.dirty = true;
         self.pending_maintenance = true;
         self.thresh_regs = 0;
         self.parked_count = 0;
-        // Keep the recorder's ring storage when the new tenant wants the
-        // same capacity; otherwise rebuild (recycling is a cold path).
-        let want = cfg_tracing_capacity(&self.cfg);
-        let have = self.tracer.recorder().map(|r| r.capacity());
-        if want == have {
-            self.tracer.reset();
-        } else {
-            self.tracer = tracer_for(&self.cfg);
-        }
+        // The configuration (tracing capacity included) is table-wide,
+        // so the recorder's ring storage is kept.
+        self.tracer.reset();
     }
 
     /// True when the shard holds no live flows and no live macroflows
@@ -1575,6 +1558,9 @@ impl Shard {
     /// Emits `cmapp_update`-style callbacks for flows whose rate share
     /// crossed their registered thresholds.
     fn emit_rate_callbacks(&mut self, mf_id: MacroflowId) {
+        if self.thresh_regs == 0 {
+            return;
+        }
         let mut member_flows = std::mem::take(&mut self.scratch_flows);
         member_flows.clear();
         let Ok(mf) = self.mf_ref(mf_id) else {

@@ -37,6 +37,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// `ALLOCS` is process-wide and libtest runs tests on parallel threads,
+/// so each test holds this while it measures: a neighbour's set-up
+/// landing inside every trial window would otherwise read as a leak
+/// (it did, in ~4 % of whole-binary runs).
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Drives one full re-aggregation cycle: f2's feedback diverges until it
 /// auto-splits, both flows keep granted traffic moving, the signals
 /// re-converge, the maintenance tick merges f2 back, and a later tick
@@ -102,6 +114,7 @@ fn cycle(
 
 #[test]
 fn reaggregation_cycle_never_allocates_in_steady_state() {
+    let _turn = measuring();
     let reagg = ReaggregationConfig {
         rtt_ratio: 2.0,
         loss_delta: 0.15,
@@ -217,6 +230,7 @@ fn shard_cycle(cm: &mut CongestionManager, now: &mut Time, notes: &mut Vec<CmNot
 /// recycling included — performs zero heap allocation.
 #[test]
 fn sharded_churn_never_allocates_in_steady_state() {
+    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         sharding: ShardingConfig::by_group(8),
         macroflow_linger: Duration::from_millis(200),
@@ -280,6 +294,7 @@ fn delay_gradient_cycle(
 }
 
 fn delay_gradient_min_delta(tracing: Option<TracingConfig>) -> u64 {
+    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         controller: ControllerKind::DelayGradient,
         pacing: false,

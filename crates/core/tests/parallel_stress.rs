@@ -44,15 +44,24 @@ fn grant_histogram(notes: &[CmNotification]) -> Vec<(FlowId, u64)> {
     counts.into_iter().map(|(k, c)| (ids[&k], c)).collect()
 }
 
-/// 20k seeded operations across 24 groups on 16 shards and 4 workers,
-/// mirrored into an in-process CM. Flow ids, grant histograms,
-/// invariants, macroflow membership, and the full counter block must
-/// all match.
+/// 20k seeded operations across 24 groups and 4 workers, mirrored into
+/// an in-process CM, under two routings: per-destination groups on 16
+/// shards (so 8 groups hash-share past the cap), and app-directed
+/// opens, which all take the private-shard route. Flow ids, grant
+/// histograms, invariants, macroflow membership, and the full counter
+/// block must all match.
 #[test]
 fn four_worker_churn_matches_in_process_cm() {
+    churn_matches_in_process_cm(by_group_cfg(16));
+    churn_matches_in_process_cm(CmConfig {
+        aggregation: AggregationPolicy::AppDirected,
+        ..by_group_cfg(4)
+    });
+}
+
+fn churn_matches_in_process_cm(cfg: CmConfig) {
     const GROUPS: u32 = 24;
     const OPS: usize = 20_000;
-    let cfg = by_group_cfg(16);
     let mut rt = ShardRuntime::new(cfg.clone(), ParallelConfig::with_workers(4));
     let mut cm = CongestionManager::new(cfg);
     let mut rng = DetRng::seed(0x5eed_cafe);
@@ -178,6 +187,38 @@ fn four_worker_churn_matches_in_process_cm() {
     // only the parallel runtime can accumulate.
     let mut rt_stats = rt.stats();
     let cm_stats = cm.stats();
+    rt_stats.ring_stalls = cm_stats.ring_stalls;
+    assert_eq!(rt_stats, cm_stats);
+}
+
+/// A shard that went quiet and is then touched again is scanned by the
+/// next tick on both fronts: the granted-and-forgotten request below
+/// can only be reclaimed by a tick that does not skip its shard.
+#[test]
+fn quiet_shard_is_ticked_again_once_touched() {
+    let cfg = by_group_cfg(4);
+    let mut rt = ShardRuntime::new(cfg.clone(), ParallelConfig::with_workers(2));
+    let mut cm = CongestionManager::new(cfg);
+    let k = key(1000, 1);
+    let f = rt.open(k, Time::ZERO).expect("runtime open");
+    assert_eq!(cm.open(k, Time::ZERO).expect("in-process open"), f);
+    // The first tick scans the fresh shard and leaves no timed work
+    // behind; the second one skips it.
+    for s in 1..=2 {
+        rt.tick(Time::from_secs(s));
+        cm.tick(Time::from_secs(s));
+    }
+    assert_eq!(cm.stats().tick_shards_skipped, 1, "shard never went quiet");
+
+    rt.request(f, Time::from_secs(2));
+    cm.request(f, Time::from_secs(2))
+        .expect("in-process request");
+    rt.tick(Time::from_secs(60));
+    cm.tick(Time::from_secs(60));
+
+    let mut rt_stats = rt.stats();
+    let cm_stats = cm.stats();
+    assert_eq!(cm_stats.grants_reclaimed, 1);
     rt_stats.ring_stalls = cm_stats.ring_stalls;
     assert_eq!(rt_stats, cm_stats);
 }

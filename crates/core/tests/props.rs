@@ -334,7 +334,8 @@ proptest! {
                     let _ = cm.notify(flow, 0, now);
                 }
             }
-            let _ = cm.drain_notifications();
+            notes.clear();
+            cm.drain_notifications_into(&mut notes);
             peak_flows = peak_flows.max(cm.flow_count());
             peak_mfs = peak_mfs.max(cm.macroflow_count());
 

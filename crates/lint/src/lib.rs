@@ -36,6 +36,7 @@ use std::path::Path;
 /// silently rot away in a refactor.
 pub const REQUIRED_HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/shard.rs",
+    "crates/core/src/engine.rs",
     "crates/core/src/runtime.rs",
     "crates/core/src/ring.rs",
     "crates/core/src/scheduler.rs",

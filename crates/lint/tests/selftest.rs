@@ -271,6 +271,10 @@ fn runtime_markers_cover_rings_and_worker_loop() {
 fn ring_scheduler_and_obs_hot_regions_cover_steady_state_ops() {
     for (rel, needles) in [
         (
+            "crates/core/src/engine.rs",
+            &["pub(crate) fn route(", "pub(crate) fn tick("][..],
+        ),
+        (
             "crates/core/src/ring.rs",
             &["fn try_push(", "fn try_pop("][..],
         ),
