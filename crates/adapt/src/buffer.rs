@@ -59,11 +59,6 @@ impl BufferPolicy {
     pub fn deadline(ladder: RateLadder) -> Self {
         BufferPolicy::new(ladder, Duration::from_secs(1), Duration::ZERO, 1.0)
     }
-
-    /// The current throughput estimate, if any sample has arrived.
-    pub fn throughput_estimate(&self) -> Option<Rate> {
-        self.smoothed.get().map(|bps| Rate::from_bps(bps as u64))
-    }
 }
 
 impl AdaptationPolicy for BufferPolicy {

@@ -79,11 +79,6 @@ impl Engine {
         self.policy.ladder().len()
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Session statistics so far.
     pub fn stats(&self) -> &AdaptationStats {
         &self.stats

@@ -134,16 +134,6 @@ impl LogHistogram {
         self.bucket_hi(self.counts.len() - 1)
     }
 
-    /// The inclusive-exclusive bounds of bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not a valid bucket index.
-    pub fn bucket_bounds(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.counts.len(), "bucket {i} out of range");
-        (self.lo * (1u64 << i) as f64, self.bucket_hi(i))
-    }
-
     /// Bucket occupancy, underflow first: `(upper_bound, count)` rows in
     /// ascending bound order — the shape the `.dat` emitters plot.
     pub fn rows(&self) -> impl Iterator<Item = (f64, u64)> + '_ {

@@ -81,11 +81,6 @@ impl UtilityPolicy {
     pub fn utility(&self, level: usize) -> f64 {
         self.utilities[level]
     }
-
-    /// The current smoothed rate estimate, if any sample has arrived.
-    pub fn smoothed_rate(&self) -> Option<Rate> {
-        self.smoothed.get().map(|bps| Rate::from_bps(bps as u64))
-    }
 }
 
 impl AdaptationPolicy for UtilityPolicy {

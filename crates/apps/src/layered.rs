@@ -133,11 +133,6 @@ impl LayeredStreamer {
         }
     }
 
-    /// The currently selected layer index.
-    pub fn current_layer(&self) -> usize {
-        self.engine.level()
-    }
-
     /// Adaptation-quality statistics (switches, oscillation,
     /// time-in-layer, delivered utility).
     pub fn adaptation_stats(&self) -> &AdaptationStats {
@@ -228,13 +223,15 @@ impl LayeredStreamer {
 
 impl HostApp for LayeredStreamer {
     fn on_start(&mut self, os: &mut HostOs<'_, '_>) {
-        let sock = os.udp_socket(5004); // The RTP data port.
+        // The RTP data port, or the next free one when another streamer
+        // on this host already holds it.
+        let (sock, local_port) = os.udp_socket_from(5004);
         self.sock = Some(sock);
         match self.mode {
             AdaptMode::Alf => {
                 // "Applications that require tight control over data
                 // scheduling use the request/callback (ALF) API."
-                self.flow = Some(os.cm_open(5004, self.remote, self.port));
+                self.flow = Some(os.cm_open(local_port, self.remote, self.port));
                 self.top_up_requests(os);
             }
             AdaptMode::RateCallback => {

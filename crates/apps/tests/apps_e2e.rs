@@ -271,6 +271,55 @@ fn layered_streamer_tracks_bandwidth_schedule() {
     );
 }
 
+/// Regression: two streamers on one host used to collide on UDP port
+/// 5004 — the second bind took the port over, so the first streamer never
+/// saw an acknowledgement and its CM flow sat at the initial window for
+/// ever. Each must now hold its own port, get feedback and open its window.
+#[test]
+fn two_streamers_on_one_host_both_get_feedback() {
+    let stop = Time::from_secs(10);
+    let mut topo = Topology::new(11);
+    let mut rx = Vec::new();
+    for _ in 0..2 {
+        let mut host = Host::new(HostConfig::default());
+        let app = host.add_app(Box::new(AckReceiver::new(9000, FeedbackPolicy::PerPacket)));
+        let id = topo.add_host(Box::new(host));
+        rx.push((id, app, topo.sim().addr_of(id)));
+    }
+    let mut tx_host = Host::new(HostConfig::default());
+    let tx_apps: Vec<_> = [AdaptMode::Alf, AdaptMode::RateCallback]
+        .into_iter()
+        .zip(&rx)
+        .map(|(mode, &(_, _, addr))| {
+            tx_host.add_app(Box::new(LayeredStreamer::new(addr, 9000, mode, stop)))
+        })
+        .collect();
+    let tx_id = topo.add_host(Box::new(tx_host));
+    let bottleneck = LinkSpec::new(Rate::from_mbps(20), Duration::from_millis(20));
+    let access = LinkSpec::new(Rate::from_mbps(100), Duration::from_millis(1));
+    topo.dumbbell(&[tx_id], &[rx[0].0, rx[1].0], &bottleneck, &access);
+    let mut sim = topo.build();
+    sim.run_until(stop + Duration::from_secs(1));
+
+    let tx = sim.node_ref::<Host>(tx_id);
+    let initial_window = HostConfig::default().cm.initial_window_bytes();
+    for (i, (&app, &(rx_id, rx_app, _))) in tx_apps.iter().zip(&rx).enumerate() {
+        let streamer = tx.app_ref::<LayeredStreamer>(app);
+        let acked = sim.node_ref::<Host>(rx_id).app_ref::<AckReceiver>(rx_app);
+        assert!(acked.bytes > 500_000, "streamer {i} moved {}", acked.bytes);
+        assert!(
+            streamer.adaptation_stats().switches_up >= 1,
+            "streamer {i} never climbed off the base layer"
+        );
+        // One macroflow per receiver, in open order.
+        let window = tx.cm.window_of(cm_core::MacroflowId(i as u32)).unwrap();
+        assert!(
+            window > initial_window,
+            "streamer {i} is still at the initial window ({window} B): no feedback reached it"
+        );
+    }
+}
+
 #[test]
 fn web_client_sequential_requests_complete() {
     let mut topo = Topology::new(5);

@@ -87,7 +87,7 @@ fn churn_by_shard_count(c: &mut Criterion) {
     ];
     for (name, cfg) in variants {
         g.bench_function(name, |b| {
-            let mut cm = CongestionManager::new(cfg.clone());
+            let mut cm = CongestionManager::new(cfg);
             let mut now = Time::ZERO;
             let active = cm.open(key(0), now).expect("open");
             let _idle: Vec<FlowId> = (1..GROUPS as usize)

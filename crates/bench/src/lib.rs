@@ -1,16 +1,11 @@
-//! Experiment harness for the OSDI 2000 Congestion Manager reproduction.
+//! Criterion benches and the chaos CLI for the OSDI 2000 Congestion
+//! Manager reproduction.
 //!
-//! One binary per table/figure (see `src/bin/`); this library holds the
-//! shared scenario builders. Report formatting and the adaptation
-//! sweep scenarios live in `cm-experiments` (the paper-figure pipeline)
-//! and are re-exported here so the figure binaries share one emitter
-//! stack. Every scenario is deterministic given its seed, so rerunning a
-//! figure reproduces it byte-for-byte.
+//! The paper's figures are built-ins of the `cm-experiments` pipeline
+//! (`cargo run --release -p cm-experiments --bin figures`); the scenario
+//! builders they and the benches share are re-exported here, so
+//! `cm_bench::bulk_transfer` keeps its path.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
-pub mod scenarios;
-
-pub use cm_experiments::report::{self, Table};
-pub use scenarios::*;
+pub use cm_experiments::scenarios::*;

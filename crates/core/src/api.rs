@@ -231,7 +231,7 @@ impl CongestionManager {
     /// [`ShardingMode::ByGroup`] shards are created lazily as groups
     /// first open flows.
     pub fn new(cfg: CmConfig) -> Self {
-        let mut table = ShardTable::new(cfg.clone());
+        let mut table = ShardTable::new(cfg);
         if matches!(cfg.sharding.mode, ShardingMode::Single) {
             table.ensure(0, Time::ZERO);
         }
@@ -2336,12 +2336,10 @@ mod tests {
     /// lapses, after which it starts on a clean slate.
     #[test]
     fn inconsistent_flow_quarantined_then_released() {
-        let cfg = CmConfig::default();
-        let streak = cfg.feedback_sanity.quarantine_streak;
-        let period = cfg.feedback_sanity.quarantine_period;
-        let mut cm = CongestionManager::new(cfg);
+        use crate::shard::{QUARANTINE_PERIOD, QUARANTINE_STREAK};
+        let mut cm = CongestionManager::new(CmConfig::default());
         let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        for _ in 0..streak {
+        for _ in 0..QUARANTINE_STREAK {
             let _ = cm.update(f, FeedbackReport::ack(1 << 40, 1), Time::ZERO);
         }
         assert_eq!(cm.stats().flows_quarantined, 1);
@@ -2352,7 +2350,7 @@ mod tests {
         ));
         assert_eq!(cm.stats().updates, 0);
         // After the period, the flow is trusted again.
-        let later = Time::ZERO + period + Duration::from_millis(1);
+        let later = Time::ZERO + QUARANTINE_PERIOD + Duration::from_millis(1);
         cm.update(f, FeedbackReport::ack(1460, 1), later).unwrap();
         assert_eq!(cm.stats().updates, 1);
         assert!(cm.check_invariants().is_ok());

@@ -172,75 +172,24 @@ impl ShardingConfig {
     }
 }
 
-/// Bounds on what `cm_update` feedback the CM is willing to believe.
-///
-/// The update path trusts applications to report honest byte counts and
-/// RTT samples; a buggy or hostile app could otherwise blow the window
-/// wide open (absurd `bytes_acked`) or poison the shared RTT estimate
-/// (zero or hour-long samples). Reports past these bounds are rejected
-/// (byte counts) or stripped of the offending sample (RTT), counted in
-/// [`crate::api::CmStats`], and — if a flow keeps it up — quarantined.
-///
-/// Always on; the defaults are generous enough that no legitimate
-/// transport ever trips them.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FeedbackSanityConfig {
-    /// Maximum `bytes_acked + bytes_lost` a single report may carry.
-    /// A report past this is rejected outright.
-    pub max_bytes_per_report: u64,
-    /// RTT samples below this are discarded (a zero RTT would collapse
-    /// the RTO and pacing interval).
-    pub min_rtt: Duration,
-    /// RTT samples above this are discarded.
-    pub max_rtt: Duration,
-    /// Consecutive rejected/clamped reports from one flow before it is
-    /// quarantined (its updates ignored entirely for a cooling-off
-    /// period).
-    pub quarantine_streak: u32,
-    /// How long a quarantined flow's feedback is ignored.
-    pub quarantine_period: Duration,
-}
-
-impl Default for FeedbackSanityConfig {
-    /// 1 GiB per report, RTTs in [1 us, 300 s], quarantine after 8
-    /// consecutive bad reports for 2 s.
-    fn default() -> Self {
-        FeedbackSanityConfig {
-            max_bytes_per_report: 1 << 30,
-            min_rtt: Duration::from_micros(1),
-            max_rtt: Duration::from_secs(300),
-            quarantine_streak: 8,
-            quarantine_period: Duration::from_secs(2),
-        }
-    }
-}
-
 /// Backoff policy for applications that take grants and never notify.
 ///
 /// A single missed grant is routine (the app lost a race with `close`);
 /// a *streak* of reclaimed grants means the app is wedged, and granting
 /// to it again immediately just burns window another flow could use. On
 /// a streak, the flow's further requests are parked for an exponentially
-/// growing backoff instead of re-entering the scheduler.
+/// growing backoff (100 ms doubling to 3.2 s) instead of re-entering the
+/// scheduler.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UnresponsiveConfig {
     /// Consecutive reclaimed grants before backoff engages.
     pub reclaim_streak: u32,
-    /// First backoff period; doubles per additional streak level.
-    pub base_backoff: Duration,
-    /// Maximum doublings (caps the backoff at
-    /// `base_backoff * 2^max_level`).
-    pub max_level: u32,
 }
 
 impl Default for UnresponsiveConfig {
-    /// Back off after 3 consecutive reclaims, 100 ms doubling to 3.2 s.
+    /// Back off after 3 consecutive reclaims.
     fn default() -> Self {
-        UnresponsiveConfig {
-            reclaim_streak: 3,
-            base_backoff: Duration::from_millis(100),
-            max_level: 5,
-        }
+        UnresponsiveConfig { reclaim_streak: 3 }
     }
 }
 
@@ -311,7 +260,7 @@ pub enum SchedulerKind {
 }
 
 /// Tunable parameters for a [`crate::CongestionManager`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct CmConfig {
     /// Default maximum transmission unit granted per `cm_request`; the
     /// Ethernet-path default matches the paper's testbed.
@@ -320,21 +269,11 @@ pub struct CmConfig {
     /// RFC 2581 value); Linux 2.2 used 2, the source of the one-RTT
     /// difference visible in Figures 4 and 7.
     pub initial_window_mtus: u32,
-    /// Initial slow-start threshold in bytes (effectively unbounded by
-    /// default, as in Linux 2.2).
-    pub initial_ssthresh: u64,
     /// Hard upper bound on any controller's congestion window, in bytes.
     /// The default (2^40) matches the historical AIMD fixed-point guard
     /// and sits far above every real path's bandwidth-delay product, so
     /// it only bites on runaway feedback.
     pub max_window_bytes: u64,
-    /// Lower bound on the computed retransmission timeout.
-    pub min_rto: Duration,
-    /// Upper bound on the computed retransmission timeout.
-    pub max_rto: Duration,
-    /// RTO used before any RTT sample exists (RFC 6298's 3 s, which
-    /// descends from the era of the paper).
-    pub fallback_rto: Duration,
     /// How long a send grant may stay unclaimed before the timer-driven
     /// maintenance pass reclaims its window reservation.
     pub grant_timeout: Duration,
@@ -362,8 +301,6 @@ pub struct CmConfig {
     /// How long an empty macroflow (no open flows) retains its congestion
     /// state before being discarded.
     pub macroflow_linger: Duration,
-    /// Gain of the macroflow loss-rate EWMA.
-    pub loss_ewma_gain: f64,
     /// Pace grants at the macroflow's sustainable rate (one MTU every
     /// `srtt / (cwnd/mtu)`), instead of releasing the whole window at
     /// once. "The pacing of outgoing data on this connection is
@@ -371,8 +308,6 @@ pub struct CmConfig {
     /// connection reuse a large learned window (Figure 7) without
     /// dumping a window-sized burst into the bottleneck queue.
     pub pacing: bool,
-    /// Bounds on app-supplied feedback the update path enforces.
-    pub feedback_sanity: FeedbackSanityConfig,
     /// Backoff for apps that repeatedly let grants expire; `None`
     /// disables backoff (every reclaimed request simply re-queues).
     pub unresponsive: Option<UnresponsiveConfig>,
@@ -396,11 +331,7 @@ impl Default for CmConfig {
         CmConfig {
             mtu: 1460,
             initial_window_mtus: 1,
-            initial_ssthresh: u64::MAX / 2,
             max_window_bytes: 1 << 40,
-            min_rto: Duration::from_millis(200),
-            max_rto: Duration::from_secs(120),
-            fallback_rto: Duration::from_secs(3),
             grant_timeout: Duration::from_millis(500),
             controller: ControllerKind::Aimd {
                 byte_counting: true,
@@ -412,9 +343,7 @@ impl Default for CmConfig {
             group_by_dscp: false,
             aging_interval: None,
             macroflow_linger: Duration::from_secs(120),
-            loss_ewma_gain: 0.125,
             pacing: true,
-            feedback_sanity: FeedbackSanityConfig::default(),
             unresponsive: Some(UnresponsiveConfig::default()),
             orphan_timeout: None,
             tracing: None,
@@ -517,10 +446,6 @@ mod tests {
     #[test]
     fn hardening_defaults() {
         let c = CmConfig::default();
-        // Sanity bounds always on, generous enough for real transports.
-        assert!(c.feedback_sanity.max_bytes_per_report >= 1 << 30);
-        assert!(c.feedback_sanity.min_rtt > Duration::ZERO);
-        assert!(c.feedback_sanity.quarantine_streak > 1);
         // Backoff engages only on a streak, so single reclaims behave
         // exactly as before.
         let u = c.unresponsive.expect("backoff on by default");

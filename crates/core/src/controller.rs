@@ -89,13 +89,17 @@ pub trait CongestionController: Send {
     fn name(&self) -> &'static str;
 }
 
+/// Slow-start threshold of a fresh controller: effectively unbounded, as
+/// in Linux 2.2.
+const INITIAL_SSTHRESH: u64 = u64::MAX / 2;
+
 /// Builds the controller selected by a [`CmConfig`].
 pub fn build_controller(cfg: &CmConfig) -> Box<dyn CongestionController> {
     match cfg.controller {
         ControllerKind::Aimd { byte_counting } => Box::new(AimdController::new(
             cfg.mtu,
             cfg.initial_window_bytes(),
-            cfg.initial_ssthresh,
+            INITIAL_SSTHRESH,
             byte_counting,
             cfg.max_window_bytes,
         )),
@@ -234,7 +238,7 @@ impl CongestionController for AimdController {
         self.mtu = cfg.mtu as u64;
         self.init_window = cfg.initial_window_bytes();
         self.cwnd = self.init_window;
-        self.ssthresh = cfg.initial_ssthresh;
+        self.ssthresh = INITIAL_SSTHRESH;
         self.max_window = cfg.max_window_bytes;
         self.ca_accum = 0;
     }
@@ -275,7 +279,7 @@ impl RateBasedController {
             mtu: mtu as u64,
             init_window,
             wnd: init_window,
-            ssthresh: u64::MAX / 2,
+            ssthresh: INITIAL_SSTHRESH,
             max_window,
             accum: 0,
         }
@@ -340,7 +344,7 @@ impl CongestionController for RateBasedController {
         self.mtu = cfg.mtu as u64;
         self.init_window = cfg.initial_window_bytes();
         self.wnd = self.init_window;
-        self.ssthresh = u64::MAX / 2;
+        self.ssthresh = INITIAL_SSTHRESH;
         self.max_window = cfg.max_window_bytes;
         self.accum = 0;
     }
@@ -436,7 +440,7 @@ impl DelayGradientController {
             init_window,
             max_window,
             wnd: init_window,
-            ssthresh: u64::MAX / 2,
+            ssthresh: INITIAL_SSTHRESH,
             accum: 0,
             base_rtt: None,
             smoothed_ms: 0.0,
@@ -617,7 +621,7 @@ impl CongestionController for DelayGradientController {
         self.init_window = cfg.initial_window_bytes();
         self.max_window = cfg.max_window_bytes;
         self.wnd = self.init_window;
-        self.ssthresh = u64::MAX / 2;
+        self.ssthresh = INITIAL_SSTHRESH;
         self.accum = 0;
         self.last_cut = None;
         self.clear_filter();
@@ -783,7 +787,7 @@ mod tests {
         assert_ne!(c.window(), cfg.initial_window_bytes());
         c.reset(&cfg);
         assert_eq!(c.window(), cfg.initial_window_bytes());
-        assert_eq!(c.ssthresh(), cfg.initial_ssthresh);
+        assert_eq!(c.ssthresh(), INITIAL_SSTHRESH);
         // And it slow-starts from scratch again.
         c.on_ack(1460, 1, Time::ZERO);
         assert_eq!(c.window(), 2920);
@@ -836,7 +840,7 @@ mod tests {
         ] {
             let mut c = build_controller(&CmConfig {
                 controller: kind,
-                ..cfg.clone()
+                ..cfg
             });
             for _ in 0..64 {
                 c.on_ack(c.window(), 8, Time::ZERO);

@@ -207,7 +207,7 @@ impl ShardTable {
                     shell.reset(idx);
                     shell
                 }
-                None => Shard::new(cfg.clone(), idx),
+                None => Shard::new(*cfg, idx),
             }
         });
         shard.dirty = true;
@@ -356,9 +356,7 @@ impl ShardTable {
     /// table is this one — counters, folded history, and shell pool
     /// included — so nothing the table has accumulated is lost.
     pub(crate) fn deal(mut self, workers: usize) -> Vec<ShardTable> {
-        let mut tables: Vec<ShardTable> = (1..workers)
-            .map(|_| ShardTable::new(self.cfg.clone()))
-            .collect();
+        let mut tables: Vec<ShardTable> = (1..workers).map(|_| ShardTable::new(self.cfg)).collect();
         for idx in 0..self.shards.len() {
             let Some(w) = (idx % workers).checked_sub(1) else {
                 continue;

@@ -2,6 +2,7 @@
 
 use cm_util::{Ewma, Rate, Time};
 
+use crate::macroflow::LOSS_EWMA_GAIN;
 use crate::types::{FlowId, FlowKey, MacroflowId, Thresholds};
 
 /// The CM's record for one client flow.
@@ -80,16 +81,8 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Creates flow state at open time; `loss_gain` is the EWMA gain for
-    /// the flow-local loss estimate (the CM passes its configured gain).
-    pub fn new(
-        id: FlowId,
-        key: FlowKey,
-        macroflow: MacroflowId,
-        mtu: usize,
-        loss_gain: f64,
-        now: Time,
-    ) -> Self {
+    /// Creates flow state at open time.
+    pub fn new(id: FlowId, key: FlowKey, macroflow: MacroflowId, mtu: usize, now: Time) -> Self {
         Flow {
             id,
             key,
@@ -105,7 +98,7 @@ impl Flow {
             bytes_sent: 0,
             bytes_acked: 0,
             bytes_lost: 0,
-            loss_est: Ewma::new(loss_gain),
+            loss_est: Ewma::new(LOSS_EWMA_GAIN),
             diverge_streak: 0,
             inconsistent_streak: 0,
             quarantined_until: None,
@@ -128,7 +121,7 @@ mod tests {
     #[test]
     fn new_flow_is_quiescent() {
         let key = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(2, 80));
-        let f = Flow::new(FlowId(0), key, MacroflowId(0), 1460, 0.125, Time::ZERO);
+        let f = Flow::new(FlowId(0), key, MacroflowId(0), 1460, Time::ZERO);
         assert_eq!(f.granted, 0);
         assert_eq!(f.weight, 1);
         assert!(f.update_interest.is_none());

@@ -22,6 +22,16 @@ use crate::controller::{build_controller, CongestionController};
 use crate::scheduler::{build_scheduler, Scheduler};
 use crate::types::{FlowId, MacroflowId};
 
+/// Lower bound on the computed retransmission timeout.
+pub(crate) const MIN_RTO: Duration = Duration::from_millis(200);
+/// Upper bound on the computed retransmission timeout.
+const MAX_RTO: Duration = Duration::from_secs(120);
+/// RTO used before any RTT sample exists (RFC 6298's 3 s, which descends
+/// from the era of the paper).
+const FALLBACK_RTO: Duration = Duration::from_secs(3);
+/// Gain of the macroflow and per-flow loss-rate EWMAs.
+pub(crate) const LOSS_EWMA_GAIN: f64 = 0.125;
+
 /// What a macroflow aggregates over: one variant per
 /// [`AggregationPolicy`] granularity, plus the private macroflows that
 /// `split` (explicit or divergence-driven) creates.
@@ -166,7 +176,7 @@ impl Macroflow {
             granted_unnotified: 0,
             grant_queue: VecDeque::new(),
             rtt: RttEstimator::new(),
-            loss_rate: Ewma::new(cfg.loss_ewma_gain),
+            loss_rate: Ewma::new(LOSS_EWMA_GAIN),
             last_activity: now,
             recovery_until: Time::ZERO,
             next_grant_at: Time::ZERO,
@@ -192,7 +202,7 @@ impl Macroflow {
         self.granted_unnotified = 0;
         self.grant_queue.clear();
         self.rtt = RttEstimator::new();
-        self.loss_rate = Ewma::new(cfg.loss_ewma_gain);
+        self.loss_rate = Ewma::new(LOSS_EWMA_GAIN);
         self.last_activity = now;
         self.recovery_until = Time::ZERO;
         self.next_grant_at = Time::ZERO;
@@ -217,8 +227,8 @@ impl Macroflow {
 
     /// The retransmission-timeout estimate used for grant reclamation and
     /// idle aging.
-    pub fn rto(&self, cfg: &CmConfig) -> Duration {
-        self.rtt.rto(cfg.min_rto, cfg.max_rto, cfg.fallback_rto)
+    pub fn rto(&self) -> Duration {
+        self.rtt.rto(MIN_RTO, MAX_RTO, FALLBACK_RTO)
     }
 
     /// One flow's proportional share of the macroflow rate, by scheduler
@@ -263,7 +273,7 @@ impl Macroflow {
         if self.outstanding > 0 || self.granted_unnotified > 0 {
             return 0;
         }
-        let interval = cfg.aging_interval.unwrap_or_else(|| self.rto(cfg));
+        let interval = cfg.aging_interval.unwrap_or_else(|| self.rto());
         if interval.is_zero() {
             return 0;
         }

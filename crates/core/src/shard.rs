@@ -36,11 +36,35 @@ use crate::api::{CmNotification, CmStats};
 use crate::config::{CmConfig, ReaggregationConfig};
 use crate::error::{CmError, CmResult};
 use crate::flow::Flow;
-use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey};
+use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, MIN_RTO};
 use crate::types::{
     FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds, SLOT_BITS,
     SLOT_MASK,
 };
+
+// Bounds on what `cm_update` feedback the CM is willing to believe (the
+// checks are in `Shard::update`); generous enough that no legitimate
+// transport ever trips them.
+
+/// Maximum `bytes_acked + bytes_lost` one report may carry (1 GiB); a
+/// report past this is rejected outright.
+const MAX_BYTES_PER_REPORT: u64 = 1 << 30;
+/// RTT samples below this are stripped (a zero RTT would collapse the RTO
+/// and pacing interval).
+const MIN_RTT_SAMPLE: Duration = Duration::from_micros(1);
+/// RTT samples above this are stripped.
+const MAX_RTT_SAMPLE: Duration = Duration::from_secs(300);
+/// Consecutive rejected/clamped reports from one flow before it is
+/// quarantined.
+pub(crate) const QUARANTINE_STREAK: u32 = 8;
+/// How long a quarantined flow's feedback is ignored.
+pub(crate) const QUARANTINE_PERIOD: Duration = Duration::from_secs(2);
+
+/// First backoff period of an unresponsive app; doubles per additional
+/// streak level.
+const BASE_BACKOFF: Duration = Duration::from_millis(100);
+/// Maximum doublings (caps the backoff at 3.2 s).
+const MAX_BACKOFF_LEVEL: u32 = 5;
 
 /// The slab-slot index a global id addresses inside this shard.
 #[inline]
@@ -255,14 +279,7 @@ impl Shard {
                 FlowId(self.base | new_slot as u32)
             }
         };
-        let mut flow = Flow::new(
-            flow_id,
-            key,
-            mf_id,
-            self.cfg.mtu,
-            self.cfg.loss_ewma_gain,
-            now,
-        );
+        let mut flow = Flow::new(flow_id, key, mf_id, self.cfg.mtu, now);
         self.key_to_flow.insert(key, flow_id);
         let mf = self.mf_mut(mf_id)?;
         flow.mf_pos = mf.flows.len() as u32;
@@ -475,9 +492,7 @@ impl Shard {
         report: FeedbackReport,
         now: Time,
     ) -> CmResult<()> {
-        let min_rto = self.cfg.min_rto;
         let reagg = self.cfg.reaggregation;
-        let sanity = self.cfg.feedback_sanity;
         let mut report = report;
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
@@ -496,11 +511,11 @@ impl Shard {
             f.quarantined_until = None;
             f.inconsistent_streak = 0;
         }
-        if report.bytes_acked.saturating_add(report.bytes_lost) > sanity.max_bytes_per_report {
+        if report.bytes_acked.saturating_add(report.bytes_lost) > MAX_BYTES_PER_REPORT {
             f.inconsistent_streak = f.inconsistent_streak.saturating_add(1);
-            let quarantine = f.inconsistent_streak >= sanity.quarantine_streak;
+            let quarantine = f.inconsistent_streak >= QUARANTINE_STREAK;
             if quarantine {
-                f.quarantined_until = Some(now + sanity.quarantine_period);
+                f.quarantined_until = Some(now + QUARANTINE_PERIOD);
                 f.inconsistent_streak = 0;
                 self.stats.flows_quarantined += 1;
             }
@@ -514,15 +529,15 @@ impl Shard {
             return Err(CmError::InvalidFeedback("impossible byte count"));
         }
         match report.rtt_sample {
-            Some(rtt) if rtt < sanity.min_rtt || rtt > sanity.max_rtt => {
+            Some(rtt) if !(MIN_RTT_SAMPLE..=MAX_RTT_SAMPLE).contains(&rtt) => {
                 // The byte accounting may still be honest; strip only
                 // the impossible RTT sample rather than dropping the
                 // whole report, but count it toward the streak.
                 report.rtt_sample = None;
                 f.inconsistent_streak = f.inconsistent_streak.saturating_add(1);
-                let quarantine = f.inconsistent_streak >= sanity.quarantine_streak;
+                let quarantine = f.inconsistent_streak >= QUARANTINE_STREAK;
                 if quarantine {
-                    f.quarantined_until = Some(now + sanity.quarantine_period);
+                    f.quarantined_until = Some(now + QUARANTINE_PERIOD);
                     f.inconsistent_streak = 0;
                     self.stats.flows_quarantined += 1;
                 }
@@ -592,7 +607,7 @@ impl Shard {
             mf.controller.on_loss(report.loss, now);
             // Freeze growth for roughly one RTT: the reduction must
             // drain before positive feedback may reopen the window.
-            let freeze = mf.rtt.srtt().unwrap_or(min_rto);
+            let freeze = mf.rtt.srtt().unwrap_or(MIN_RTO);
             mf.recovery_until = now + freeze;
         }
         let cwnd_after = mf.controller.window();
@@ -710,7 +725,7 @@ impl Shard {
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
         f.last_api = now;
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let mf = self.mf_mut(mf_id)?;
         mf.age_if_idle(now, &cfg);
         self.stats.queries += 1;
@@ -861,8 +876,7 @@ impl Shard {
     /// has anything to do.
     // lint:hot-path:start
     pub(crate) fn tick(&mut self, now: Time) -> u64 {
-        // lint:allow(R1): CmConfig is plain-old-data; its derived Clone touches no heap (no_alloc test pins this)
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         if let Some(r) = cfg.reaggregation {
             self.merge_back_pass(&r, now);
         }
@@ -896,7 +910,7 @@ impl Shard {
                 // refreshes `last_activity`, starting a fresh
                 // feedback-free clock. Pinned by the
                 // `write_off_signal_does_not_refire_while_idle` test.
-                let write_off_after = (mf.rto(&cfg) * 4).max(Duration::from_secs(3));
+                let write_off_after = (mf.rto() * 4).max(Duration::from_secs(3));
                 if mf.outstanding > 0 && now.since(mf.last_activity) >= write_off_after {
                     let reclaimed = mf.outstanding;
                     self.stats.outstanding_reclaimed += mf.outstanding;
@@ -910,7 +924,7 @@ impl Shard {
                     // re-probes from a conservative state — and freeze
                     // growth for one RTT, mirroring `update`'s loss path.
                     mf.controller.on_loss(LossMode::Persistent, now);
-                    let freeze = mf.rtt.srtt().unwrap_or(cfg.min_rto);
+                    let freeze = mf.rtt.srtt().unwrap_or(MIN_RTO);
                     mf.recovery_until = now + freeze;
                     self.stats.write_off_congestion_signals += 1;
                     self.tracer.record(
@@ -1541,10 +1555,9 @@ impl Shard {
                     if let Some(u) = unresponsive {
                         f.reclaim_streak = f.reclaim_streak.saturating_add(1);
                         if f.reclaim_streak >= u.reclaim_streak {
-                            let level = f.backoff_level.min(u.max_level);
-                            f.backoff_until =
-                                Some(now + u.base_backoff.mul_ratio(1u64 << level, 1));
-                            f.backoff_level = (f.backoff_level + 1).min(u.max_level);
+                            let level = f.backoff_level.min(MAX_BACKOFF_LEVEL);
+                            f.backoff_until = Some(now + BASE_BACKOFF.mul_ratio(1u64 << level, 1));
+                            f.backoff_level = (f.backoff_level + 1).min(MAX_BACKOFF_LEVEL);
                             stats.grant_backoffs += 1;
                             tracer.record(now, TraceEvent::BackoffArmed { flow: front.flow.0 });
                         }

@@ -166,7 +166,7 @@ proptest! {
         let cfg = CmConfig::default();
         let mtu = cfg.mtu as u64;
         for &kind in &all_kinds() {
-            let mut ctl = build_controller(&CmConfig { controller: kind, ..cfg.clone() });
+            let mut ctl = build_controller(&CmConfig { controller: kind, ..cfg });
             let mut now = Time::ZERO;
             for (i, &op) in ops.iter().enumerate() {
                 now += Duration::from_millis(steps_ms[i % steps_ms.len()]);

@@ -62,7 +62,7 @@ fn four_worker_churn_matches_in_process_cm() {
 fn churn_matches_in_process_cm(cfg: CmConfig) {
     const GROUPS: u32 = 24;
     const OPS: usize = 20_000;
-    let mut rt = ShardRuntime::new(cfg.clone(), ParallelConfig::with_workers(4));
+    let mut rt = ShardRuntime::new(cfg, ParallelConfig::with_workers(4));
     let mut cm = CongestionManager::new(cfg);
     let mut rng = DetRng::seed(0x5eed_cafe);
     let mut now = Time::ZERO;
@@ -197,7 +197,7 @@ fn churn_matches_in_process_cm(cfg: CmConfig) {
 #[test]
 fn quiet_shard_is_ticked_again_once_touched() {
     let cfg = by_group_cfg(4);
-    let mut rt = ShardRuntime::new(cfg.clone(), ParallelConfig::with_workers(2));
+    let mut rt = ShardRuntime::new(cfg, ParallelConfig::with_workers(2));
     let mut cm = CongestionManager::new(cfg);
     let k = key(1000, 1);
     let f = rt.open(k, Time::ZERO).expect("runtime open");

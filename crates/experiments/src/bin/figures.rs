@@ -45,7 +45,7 @@ fn main() {
             "docs/figures"
         })
     });
-    let figures = builtin::all(smoke);
+    let figures = builtin::FIGURES;
     let mode = if smoke { " (smoke mode)" } else { "" };
     println!(
         "Regenerating {} figures into {}{mode}",
@@ -57,21 +57,21 @@ fn main() {
          Regenerated by `cargo run --release -p cm-experiments --bin figures`.\n\
          Do not edit by hand; see docs/experiments.md for the pipeline.\n\n",
     );
-    for fig in &figures {
-        let name = fig.experiment.name;
-        print!("  {name}: {} cells... ", fig.experiment.cell_count());
-        let (result, out) = builtin::run_figure(fig);
-        let written = out
+    for fig in figures {
+        let name = fig.name;
+        print!("  {name}... ");
+        let run = fig.run(smoke);
+        let written = run
+            .files
             .write_to(&out_dir)
             .unwrap_or_else(|e| panic!("writing {name}: {e}"));
-        println!(
-            "{} sessions aggregated, {} files",
-            result.fleets.iter().map(|(_, f)| f.sessions()).sum::<u64>(),
-            written.len()
-        );
+        if let Some(sweep) = &run.sweep {
+            print!("{} cells, ", sweep.cells.len());
+        }
+        println!("{} files", written.len());
         index.push_str(&format!(
             "- **{name}** — {} ([report]({name}.md), [csv]({name}.csv), [dat]({name}.dat))\n",
-            fig.experiment.title
+            fig.title
         ));
     }
     std::fs::write(out_dir.join("README.md"), index).expect("writing figure index");

@@ -1,15 +1,18 @@
-//! The built-in paper figures and their emitters.
+//! The built-in figures and their emitters.
 //!
-//! Each figure is a declarative [`Experiment`] plus an emitter that turns
-//! its [`ExperimentResult`] into three deterministic files: `<name>.csv`
-//! (one row per cell), `<name>.dat` (gnuplot-ready blocks), and
-//! `<name>.md` (the per-figure report). `docs/experiments.md` documents
-//! how each maps onto the paper.
+//! A [`Figure`] is a name, its mapping onto the paper, and a run function
+//! that turns simulations into three deterministic files: `<name>.csv`,
+//! `<name>.dat` (gnuplot-ready blocks) and `<name>.md` (the report).
+//! Figures that sweep a declarative [`Experiment`] go through `sweep`;
+//! the rest drive their scenario or `cm-core` directly. The paper's own
+//! evaluation lives in [`crate::paper`]; `docs/experiments.md` documents
+//! how each figure maps onto the paper.
 
 use cm_apps::layered::LayeredStreamer;
 use cm_core::config::ControllerKind;
 use cm_util::{Duration, Rate, Time};
 
+use crate::paper;
 use crate::report::{fmt_f64, DatFile, FigureDoc, OutputSet, Table};
 use crate::runner::{run_experiment, CellOutcome, ExperimentResult};
 use crate::spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule, ScheduleSpec};
@@ -18,54 +21,99 @@ const AIMD: ControllerKind = ControllerKind::Aimd {
     byte_counting: true,
 };
 
-/// A built-in figure: the experiment and its emitter.
+/// A built-in figure: its identity, its mapping onto the paper, and how
+/// to produce it.
 pub struct Figure {
-    /// The experiment to run.
-    pub experiment: Experiment,
-    /// Emits the figure's files from the result.
-    pub emit: fn(&ExperimentResult, &mut OutputSet),
+    /// File-stem name (`<name>.csv` / `.dat` / `.md`).
+    pub name: &'static str,
+    /// Human title.
+    pub title: &'static str,
+    /// Which figure/section of the paper this reproduces.
+    pub paper_ref: &'static str,
+    /// What the figure demonstrates.
+    pub description: &'static str,
+    pub(crate) run: fn(&Figure, bool) -> FigureRun,
 }
 
-/// All built-in figures, pipeline order. `smoke` shrinks durations and
-/// seed counts for CI; the full configuration regenerates
-/// `docs/figures/`.
-pub fn all(smoke: bool) -> Vec<Figure> {
-    vec![
-        fig8_9(smoke),
-        policy_frontier(smoke),
-        trace_replay(smoke),
-        vat_audio(smoke),
-        co_scheduling(smoke),
-        shard_scaling(smoke),
-        parallel_scaling(smoke),
-        robustness(smoke),
-        decision_timeline(smoke),
-    ]
+/// What running a figure produces.
+pub struct FigureRun {
+    /// The figure's output files.
+    pub files: OutputSet,
+    /// The executed sweep, for figures that are a declarative
+    /// [`Experiment`] (`None` for the ones that drive their scenario
+    /// directly).
+    pub sweep: Option<ExperimentResult>,
 }
 
-/// Runs one figure end to end, returning its output files.
-pub fn run_figure(fig: &Figure) -> (ExperimentResult, OutputSet) {
-    let result = run_experiment(&fig.experiment);
-    let mut out = OutputSet::new();
-    (fig.emit)(&result, &mut out);
-    (result, out)
+impl From<OutputSet> for FigureRun {
+    fn from(files: OutputSet) -> Self {
+        FigureRun { files, sweep: None }
+    }
+}
+
+impl Figure {
+    /// Runs the figure end to end. `smoke` shrinks durations and seed
+    /// counts for CI; the full configuration regenerates `docs/figures/`.
+    pub fn run(&self, smoke: bool) -> FigureRun {
+        (self.run)(self, smoke)
+    }
+}
+
+/// All built-in figures, pipeline order: the paper's evaluation in the
+/// paper's order, then the figures that go beyond it.
+pub const FIGURES: &[Figure] = &[
+    paper::FIG3,
+    paper::CONN_SETUP,
+    paper::FIG4,
+    paper::FIG5,
+    paper::FIG6,
+    paper::TABLE1,
+    paper::FIG7,
+    FIG8_9,
+    paper::FIG10,
+    paper::ABLATIONS,
+    POLICY_FRONTIER,
+    TRACE_REPLAY,
+    VAT_AUDIO,
+    CO_SCHEDULING,
+    SHARD_SCALING,
+    PARALLEL_SCALING,
+    ROBUSTNESS,
+    DECISION_TIMELINE,
+];
+
+/// Runs a declarative sweep and emits its files.
+fn sweep(
+    fig: &Figure,
+    experiment: Experiment,
+    emit: fn(&Figure, &ExperimentResult) -> OutputSet,
+) -> FigureRun {
+    let result = run_experiment(&experiment);
+    FigureRun {
+        files: emit(fig, &result),
+        sweep: Some(result),
+    }
 }
 
 // ---------------------------------------------------------------------
 // Figure 8/9: the layered streamer under step + square-wave schedules
 // ---------------------------------------------------------------------
 
-fn fig8_9(smoke: bool) -> Figure {
-    let secs = if smoke { 10 } else { 30 };
-    let experiment = Experiment {
-        name: "fig8_9_layered",
-        title: "Layered streamer quality track under varying bandwidth",
-        paper_ref: "Figures 8-9 (\u{a7}4.3): the four-layer streamer tracking the CM-reported rate",
-        description: "The ALF-mode layered streamer with the paper's immediate \
+const FIG8_9: Figure = Figure {
+    name: "fig8_9_layered",
+    title: "Layered streamer quality track under varying bandwidth",
+    paper_ref: "Figures 8-9 (\u{a7}4.3): the four-layer streamer tracking the CM-reported rate",
+    description: "The ALF-mode layered streamer with the paper's immediate \
 (hysteresis-free) ladder over a time-varying bottleneck. The quality track must \
 follow the CM-reported rate exactly: at every sample the selected layer is the \
 highest whose cumulative rate fits the report \u{2014} the `layer_for` loop of \
 Figures 8-9, also pinned by the `LadderConfig::immediate()` unit tests.",
+    run: fig8_9,
+};
+
+fn fig8_9(fig: &Figure, smoke: bool) -> FigureRun {
+    let secs = if smoke { 10 } else { 30 };
+    let experiment = Experiment {
         app: AppKind::Layered,
         schedules: vec![
             NamedSchedule::new(
@@ -91,10 +139,7 @@ Figures 8-9, also pinned by the `LadderConfig::immediate()` unit tests.",
         secs,
         seeds: vec![42],
     };
-    Figure {
-        experiment,
-        emit: emit_fig8_9,
-    }
+    sweep(fig, experiment, emit_fig8_9)
 }
 
 /// Counts track samples whose level differs from the immediate ladder's
@@ -114,7 +159,7 @@ pub fn immediate_track_mismatches(cell: &CellOutcome) -> usize {
         .count()
 }
 
-fn emit_fig8_9(result: &ExperimentResult, out: &mut OutputSet) {
+fn emit_fig8_9(fig: &Figure, result: &ExperimentResult) -> OutputSet {
     let layers = LayeredStreamer::default_layers();
     let mut dat = DatFile::new(
         "fig8_9_layered: quality track per cell\n\
@@ -135,7 +180,7 @@ fn emit_fig8_9(result: &ExperimentResult, out: &mut OutputSet) {
         }
     }
 
-    let mut doc = figure_doc(result);
+    let mut doc = figure_doc(fig, result);
     doc.section("Quality track vs. the paper's layer_for rule");
     let mut total_samples = 0usize;
     let mut total_mismatches = 0usize;
@@ -167,28 +212,32 @@ requires zero: the immediate policy is *defined* as tracking the report exactly 
     ));
     doc.section("Per-phase behaviour");
     doc.table(&phase_table(result));
-    finish(result, out, dat, doc);
+    finish(fig, cells_csv(result), dat, doc)
 }
 
 // ---------------------------------------------------------------------
 // The quality/oscillation policy frontier
 // ---------------------------------------------------------------------
 
-fn policy_frontier(smoke: bool) -> Figure {
+const POLICY_FRONTIER: Figure = Figure {
+    name: "policy_frontier",
+    title: "Quality vs. oscillation across adaptation policies",
+    paper_ref: "\u{a7}3.4 adaptation discussion; evaluation style follows the \
+network-assisted streaming literature's quality/oscillation frontiers",
+    description: "Every adaptation policy \u{d7} congestion controller \
+combination against the same time-varying bottlenecks. Each point is a fleet \
+aggregate over schedules and seeds: mean delivered utility (KB/s) against \
+oscillation rate (direction reversals per minute). The frontier quantifies the \
+hysteresis trade: damping buys stability at a small utility cost.",
+    run: policy_frontier,
+};
+
+fn policy_frontier(fig: &Figure, smoke: bool) -> FigureRun {
     let secs = if smoke { 12 } else { 24 };
     // Three seeds in the full run so the p5/p95 bands span a real
     // across-seed distribution, not a two-point spread.
     let seeds = if smoke { vec![1] } else { vec![1, 2, 3] };
     let experiment = Experiment {
-        name: "policy_frontier",
-        title: "Quality vs. oscillation across adaptation policies",
-        paper_ref: "\u{a7}3.4 adaptation discussion; evaluation style follows the \
-network-assisted streaming literature's quality/oscillation frontiers",
-        description: "Every adaptation policy \u{d7} congestion controller \
-combination against the same time-varying bottlenecks. Each point is a fleet \
-aggregate over schedules and seeds: mean delivered utility (KB/s) against \
-oscillation rate (direction reversals per minute). The frontier quantifies the \
-hysteresis trade: damping buys stability at a small utility cost.",
         app: AppKind::Layered,
         schedules: vec![
             NamedSchedule::new(
@@ -221,10 +270,7 @@ hysteresis trade: damping buys stability at a small utility cost.",
         secs,
         seeds,
     };
-    Figure {
-        experiment,
-        emit: emit_frontier,
-    }
+    sweep(fig, experiment, emit_frontier)
 }
 
 /// The immediate-vs-damped oscillation gap (reversals/min) under the
@@ -236,7 +282,7 @@ pub fn hysteresis_gap(result: &ExperimentResult) -> Option<(f64, f64)> {
     Some((immediate, damped))
 }
 
-fn emit_frontier(result: &ExperimentResult, out: &mut OutputSet) {
+fn emit_frontier(fig: &Figure, result: &ExperimentResult) -> OutputSet {
     let mut dat = DatFile::new(
         "policy_frontier: one point per policy/controller group, with p5/p95\n\
          percentile bands over the per-session (schedule x seed) distributions\n\
@@ -277,7 +323,7 @@ fn emit_frontier(result: &ExperimentResult, out: &mut OutputSet) {
         }
     }
 
-    let mut doc = figure_doc(result);
+    let mut doc = figure_doc(fig, result);
     doc.section("The frontier");
     doc.table(&fleet_table(result));
     doc.para(
@@ -310,7 +356,7 @@ documented trade the `LadderConfig::damped()` defaults buy.",
             fmt_f64(cost),
         ));
     }
-    finish(result, out, dat, doc);
+    finish(fig, cells_csv(result), dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -335,22 +381,26 @@ pub fn bundled_traces() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-fn trace_replay(smoke: bool) -> Figure {
+const TRACE_REPLAY: Figure = Figure {
+    name: "trace_replay",
+    title: "Adaptation under recorded 3G/LTE-style bandwidth traces",
+    paper_ref: "\u{a7}4.3's time-varying-bandwidth methodology, driven by \
+recorded cellular traces instead of synthetic waves",
+    description: "Each bundled trace under `traces/` is fed through \
+`BandwidthSchedule::parse_trace` and replayed against every adaptation policy. \
+The traces cover a drive with deep fades (umts_drive), a walk with shadowing \
+dips (lte_walk), a bus commute with a total outage (hspa_bus), and a bursty \
+Wi-Fi cafe with contention bursts and coarse rate steps (wifi_cafe).",
+    run: trace_replay,
+};
+
+fn trace_replay(fig: &Figure, smoke: bool) -> FigureRun {
     let secs = if smoke { 12 } else { 40 };
     let schedules = bundled_traces()
         .into_iter()
         .map(|(name, text)| NamedSchedule::new(name, ScheduleSpec::Trace(text.to_string())))
         .collect();
     let experiment = Experiment {
-        name: "trace_replay",
-        title: "Adaptation under recorded 3G/LTE-style bandwidth traces",
-        paper_ref: "\u{a7}4.3's time-varying-bandwidth methodology, driven by \
-recorded cellular traces instead of synthetic waves",
-        description: "Each bundled trace under `traces/` is fed through \
-`BandwidthSchedule::parse_trace` and replayed against every adaptation policy. \
-The traces cover a drive with deep fades (umts_drive), a walk with shadowing \
-dips (lte_walk), a bus commute with a total outage (hspa_bus), and a bursty \
-Wi-Fi cafe with contention bursts and coarse rate steps (wifi_cafe).",
         app: AppKind::Layered,
         schedules,
         policies: AdaptPolicyKind::ALL.to_vec(),
@@ -358,13 +408,10 @@ Wi-Fi cafe with contention bursts and coarse rate steps (wifi_cafe).",
         secs,
         seeds: vec![7],
     };
-    Figure {
-        experiment,
-        emit: emit_trace_replay,
-    }
+    sweep(fig, experiment, emit_trace_replay)
 }
 
-fn emit_trace_replay(result: &ExperimentResult, out: &mut OutputSet) {
+fn emit_trace_replay(fig: &Figure, result: &ExperimentResult) -> OutputSet {
     let mut dat = DatFile::new(
         "trace_replay: per-cell schedule-phase summaries\n\
          columns: phase_start_s  phase_end_s  sched_rate_KBps  mean_level  mean_cm_rate_KBps",
@@ -390,7 +437,7 @@ fn emit_trace_replay(result: &ExperimentResult, out: &mut OutputSet) {
             ]);
         }
     }
-    let mut doc = figure_doc(result);
+    let mut doc = figure_doc(fig, result);
     doc.section("Per-trace quality");
     doc.table(&cells_table(result));
     doc.section("Fleet aggregate per policy");
@@ -401,24 +448,28 @@ damped ladder and the utility policy ride through short dips that whipsaw the \
 immediate ladder. The hspa_bus outage (a zero-rate phase) exercises the \
 stall/restart path end to end.",
     );
-    finish(result, out, dat, doc);
+    finish(fig, cells_csv(result), dat, doc)
 }
 
 // ---------------------------------------------------------------------
 // Vat audio adaptation
 // ---------------------------------------------------------------------
 
-fn vat_audio(smoke: bool) -> Figure {
-    let secs = if smoke { 12 } else { 30 };
-    let experiment = Experiment {
-        name: "vat_audio",
-        title: "Vat audio policer adaptation on a narrow varying link",
-        paper_ref: "\u{a7}3.6 / Figure 2: the CM-driven audio policer shedding \
+const VAT_AUDIO: Figure = Figure {
+    name: "vat_audio",
+    title: "Vat audio policer adaptation on a narrow varying link",
+    paper_ref: "\u{a7}3.6 / Figure 2: the CM-driven audio policer shedding \
 load ahead of the buffers",
-        description: "The 64 Kbit/s vat source over a link squeezed below the \
+    description: "The 64 Kbit/s vat source over a link squeezed below the \
 source rate on a square wave. The policer's 16-level utility grid tracks the \
 CM-reported rate: delivery fraction drops with capacity while transmitted \
 frames stay fresh (low queue age) \u{2014} the drop-from-head design point.",
+    run: vat_audio,
+};
+
+fn vat_audio(fig: &Figure, smoke: bool) -> FigureRun {
+    let secs = if smoke { 12 } else { 30 };
+    let experiment = Experiment {
         app: AppKind::Vat,
         schedules: vec![NamedSchedule::new(
             "square_96_24kbps_8s",
@@ -434,13 +485,10 @@ frames stay fresh (low queue age) \u{2014} the drop-from-head design point.",
         secs,
         seeds: vec![7],
     };
-    Figure {
-        experiment,
-        emit: emit_vat,
-    }
+    sweep(fig, experiment, emit_vat)
 }
 
-fn emit_vat(result: &ExperimentResult, out: &mut OutputSet) {
+fn emit_vat(fig: &Figure, result: &ExperimentResult) -> OutputSet {
     let mut dat = DatFile::new(
         "vat_audio: per-cell scalars\n\
          columns: delivery_fraction  mean_send_age_ms  policer_drops  buffer_drops  oscillation_per_min",
@@ -471,7 +519,7 @@ fn emit_vat(result: &ExperimentResult, out: &mut OutputSet) {
             cell.stats.oscillation_per_min(),
         ]);
     }
-    let mut doc = figure_doc(result);
+    let mut doc = figure_doc(fig, result);
     doc.section("Policer behaviour per controller");
     doc.table(&cells_table(result));
     doc.para(
@@ -479,21 +527,19 @@ fn emit_vat(result: &ExperimentResult, out: &mut OutputSet) {
 falls below 1) while the mean frame age stays interactive \u{2014} load is shed \
 *before* the buffers, the paper's Figure 2 architecture.",
     );
-    finish(result, out, dat, doc);
+    finish(fig, cells_csv(result), dat, doc)
 }
 
 // ---------------------------------------------------------------------
 // §3.5 co-scheduling: web + streamer sharing one macroflow
 // ---------------------------------------------------------------------
 
-fn co_scheduling(smoke: bool) -> Figure {
-    let secs = if smoke { 12 } else { 30 };
-    let experiment = Experiment {
-        name: "co_scheduling",
-        title: "Web transfer and layered streamer co-scheduled in one macroflow",
-        paper_ref: "\u{a7}3.5: a server sending a document and a real-time stream to one \
+const CO_SCHEDULING: Figure = Figure {
+    name: "co_scheduling",
+    title: "Web transfer and layered streamer co-scheduled in one macroflow",
+    paper_ref: "\u{a7}3.5: a server sending a document and a real-time stream to one \
 client; both flows share the macroflow and the scheduler apportions bandwidth",
-        description: "A continuously backlogged web transfer (weight 1) and the ALF \
+    description: "A continuously backlogged web transfer (weight 1) and the ALF \
 layered streamer (weight 3) from one host to one destination: the default \
 per-destination aggregation puts both flows on a single macroflow, and the \
 weighted round-robin scheduler divides its grants 1:3. On/off cross traffic \
@@ -501,6 +547,12 @@ squeezes the bottleneck; both applications adapt jointly \u{2014} the streamer \
 drops layers while the web flow's reported share shrinks in proportion \u{2014} \
 and the measured steady-state byte shares must track the configured weights \
 within 5%.",
+    run: co_scheduling,
+};
+
+fn co_scheduling(fig: &Figure, smoke: bool) -> FigureRun {
+    let secs = if smoke { 12 } else { 30 };
+    let experiment = Experiment {
         app: AppKind::CoSchedule,
         schedules: vec![NamedSchedule::new(
             "onoff_8mbps_minus_6mbps",
@@ -518,10 +570,7 @@ within 5%.",
         secs,
         seeds: vec![42],
     };
-    Figure {
-        experiment,
-        emit: emit_co_scheduling,
-    }
+    sweep(fig, experiment, emit_co_scheduling)
 }
 
 /// A cell's named extra scalar (`NaN` when absent).
@@ -533,7 +582,7 @@ pub fn extra_scalar(cell: &CellOutcome, name: &str) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
-fn emit_co_scheduling(result: &ExperimentResult, out: &mut OutputSet) {
+fn emit_co_scheduling(fig: &Figure, result: &ExperimentResult) -> OutputSet {
     let layers = LayeredStreamer::default_layers();
     let mut dat = DatFile::new(
         "co_scheduling: per-flow tracks plus share accuracy\n\
@@ -582,7 +631,7 @@ fn emit_co_scheduling(result: &ExperimentResult, out: &mut OutputSet) {
         ]);
     }
 
-    let mut doc = figure_doc(result);
+    let mut doc = figure_doc(fig, result);
     doc.section("Share accuracy vs configured weights");
     let mut t = Table::new(&[
         "schedule",
@@ -620,7 +669,7 @@ it, and the layer drops \u{2014} then recovers when the burst ends.",
     ));
     doc.section("Streamer adaptation per cell");
     doc.table(&cells_table(result));
-    finish(result, out, dat, doc);
+    finish(fig, cells_csv(result), dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -722,37 +771,23 @@ pub fn shard_scaling_rows() -> Vec<ShardScalingRow> {
     ]
 }
 
-fn shard_scaling(_smoke: bool) -> Figure {
-    // No netsim cells: the sweep below drives cm-core directly with
-    // fixed timestamps (0 schedules expand to 0 cells; the experiment
-    // carries the figure's metadata). Identical in smoke and full mode
-    // — the sweep takes milliseconds.
-    let experiment = Experiment {
-        name: "shard_scaling",
-        title: "Maintenance-tick cost vs. CM shard count",
-        paper_ref: "beyond the paper: the roadmap's millions-of-flows scaling, \
+const SHARD_SCALING: Figure = Figure {
+    name: "shard_scaling",
+    title: "Maintenance-tick cost vs. CM shard count",
+    paper_ref: "beyond the paper: the roadmap's millions-of-flows scaling, \
 sharding the CM by the aggregation group established as the natural partition key",
-        description: "A host with 16 destination groups, one flow each, and only \
+    description: "A host with 16 destination groups, one flow each, and only \
 one group active \u{2014} the web-server steady state where most learned \
 congestion state is idle. Each row runs the same traffic/tick cadence on a \
 differently sharded CM and reports the deterministic per-tick work counters: \
 macroflow slab slots scanned, shards visited, and quiet shards skipped in O(1). \
 The unsharded CM's maintenance scan touches every group on every tick; sharding \
 by aggregation group confines it to the shards with work.",
-        app: AppKind::Layered,
-        schedules: vec![],
-        policies: vec![AdaptPolicyKind::LadderImmediate],
-        controllers: vec![AIMD],
-        secs: 0,
-        seeds: vec![1],
-    };
-    Figure {
-        experiment,
-        emit: emit_shard_scaling,
-    }
-}
+    run: shard_scaling,
+};
 
-fn emit_shard_scaling(result: &ExperimentResult, out: &mut OutputSet) {
+// Identical in smoke and full mode — the sweep takes milliseconds.
+fn shard_scaling(fig: &Figure, _smoke: bool) -> FigureRun {
     let rows = shard_scaling_rows();
     let mut dat = DatFile::new(
         "shard_scaling: per-tick maintenance work vs shard count\n\
@@ -776,8 +811,7 @@ fn emit_shard_scaling(result: &ExperimentResult, out: &mut OutputSet) {
         ]);
     }
 
-    let spec = &result.spec;
-    let mut doc = FigureDoc::new(spec.title, spec.paper_ref, spec.description);
+    let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
     doc.para(
         "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
 Deterministic: the sweep drives `cm-core` directly with fixed timestamps and \
@@ -834,9 +868,7 @@ flows, aggregation granularity is the sharding strategy.",
             fmt_f64(r.shards_skipped_per_tick),
         ));
     }
-    out.add("shard_scaling.csv", csv);
-    out.add("shard_scaling.dat", dat.render());
-    out.add("shard_scaling.md", doc.render());
+    finish(fig, csv, dat, doc).into()
 }
 
 // ---------------------------------------------------------------------
@@ -958,17 +990,13 @@ pub fn parallel_scaling_rows() -> Vec<ParallelScalingRow> {
     rows
 }
 
-fn parallel_scaling(_smoke: bool) -> Figure {
-    // Like shard_scaling, the sweep drives cm-core directly; the
-    // experiment carries metadata only. Identical in smoke and full
-    // mode — four sub-second runtime sweeps.
-    let experiment = Experiment {
-        name: "parallel_scaling",
-        title: "Thread-per-shard runtime: work partition vs. worker count",
-        paper_ref: "beyond the paper: the roadmap's millions-of-flows scaling \
+const PARALLEL_SCALING: Figure = Figure {
+    name: "parallel_scaling",
+    title: "Thread-per-shard runtime: work partition vs. worker count",
+    paper_ref: "beyond the paper: the roadmap's millions-of-flows scaling \
 taken across cores \u{2014} the by-group shards become the unit of thread \
 ownership",
-        description: "The same deterministic churn script \u{2014} 64 destination \
+    description: "The same deterministic churn script \u{2014} 64 destination \
 groups x 16 flows on 32 by-group shards, 40 rounds of request/feedback with a \
 tick barrier per round \u{2014} run on the thread-per-shard parallel runtime at \
 1, 2, 4 and 8 workers. Each row reports the per-worker command partition and \
@@ -978,20 +1006,11 @@ command sequence at any worker count, so worker count changes *where* work \
 runs, never *what* work runs. Wall-clock scaling lives in `cargo bench -p \
 cm-bench --bench churn_1m`; this figure pins the partition itself so CI stays \
 reproducible on any host.",
-        app: AppKind::Layered,
-        schedules: vec![],
-        policies: vec![AdaptPolicyKind::LadderImmediate],
-        controllers: vec![AIMD],
-        secs: 0,
-        seeds: vec![1],
-    };
-    Figure {
-        experiment,
-        emit: emit_parallel_scaling,
-    }
-}
+    run: parallel_scaling,
+};
 
-fn emit_parallel_scaling(result: &ExperimentResult, out: &mut OutputSet) {
+// Identical in smoke and full mode — four sub-second runtime sweeps.
+fn parallel_scaling(fig: &Figure, _smoke: bool) -> FigureRun {
     let rows = parallel_scaling_rows();
     let mut dat = DatFile::new(
         "parallel_scaling: per-worker command partition vs worker count\n\
@@ -1024,8 +1043,7 @@ cmds_total  grants  mfs_scanned",
         ]);
     }
 
-    let spec = &result.spec;
-    let mut doc = FigureDoc::new(spec.title, spec.paper_ref, spec.description);
+    let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
     doc.para(
         "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
 Deterministic: the sweep reports message and work counters, not wall-clock \
@@ -1089,25 +1107,19 @@ cmds_total,grants,mfs_scanned\n",
             r.mfs_scanned,
         ));
     }
-    out.add("parallel_scaling.csv", csv);
-    out.add("parallel_scaling.dat", dat.render());
-    out.add("parallel_scaling.md", doc.render());
+    finish(fig, csv, dat, doc).into()
 }
 
 // ---------------------------------------------------------------------
 // Robustness: goodput and recovery under hostile networks and apps
 // ---------------------------------------------------------------------
 
-fn robustness(_smoke: bool) -> Figure {
-    // Like shard_scaling, the sweep below runs its own deterministic
-    // cells (the chaos harness); the experiment carries metadata only.
-    // Identical in smoke and full mode — six ~70-simulated-second runs.
-    let experiment = Experiment {
-        name: "robustness",
-        title: "CM goodput and recovery under hostile networks and misbehaving apps",
-        paper_ref: "beyond the paper: \u{a7}5's trust discussion made operational \u{2014} \
+const ROBUSTNESS: Figure = Figure {
+    name: "robustness",
+    title: "CM goodput and recovery under hostile networks and misbehaving apps",
+    paper_ref: "beyond the paper: \u{a7}5's trust discussion made operational \u{2014} \
 the CM must degrade gracefully when the network or a co-located application misbehaves",
-        description: "One honest bulk TCP/CM transfer replayed under the chaos \
+    description: "One honest bulk TCP/CM transfer replayed under the chaos \
 harness's fault conditions: clean (baseline), Gilbert-Elliott bursty loss, hard \
 link flaps, a recorded flaky-cellular bandwidth trace, and two hostile \
 co-located applications (a grant hoarder and a crash-without-close). Every run \
@@ -1117,20 +1129,11 @@ windows \u{2014} so the figure doubles as the chaos harness's determinism \
 anchor. The degradation counters show which defense absorbed each fault: grant \
 reclaim and backoff for the hoarder, orphan reaping for the crash, feedback \
 validation for bogus reports.",
-        app: AppKind::Layered,
-        schedules: vec![],
-        policies: vec![AdaptPolicyKind::LadderImmediate],
-        controllers: vec![AIMD],
-        secs: 0,
-        seeds: vec![1],
-    };
-    Figure {
-        experiment,
-        emit: emit_robustness,
-    }
-}
+    run: robustness,
+};
 
-fn emit_robustness(result: &ExperimentResult, out: &mut OutputSet) {
+// Identical in smoke and full mode — six ~70-simulated-second runs.
+fn robustness(fig: &Figure, _smoke: bool) -> FigureRun {
     let rows = crate::chaos::robustness_rows();
     let mut dat = DatFile::new(
         "robustness: honest-transfer goodput and recovery under faults\n\
@@ -1158,8 +1161,7 @@ fn emit_robustness(result: &ExperimentResult, out: &mut OutputSet) {
         ]);
     }
 
-    let spec = &result.spec;
-    let mut doc = FigureDoc::new(spec.title, spec.paper_ref, spec.description);
+    let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
     doc.para(
         "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
 Deterministic: every condition is a fixed fault plan replayed on the seeded \
@@ -1245,9 +1247,7 @@ grant_backoffs,feedback_rejected,feedback_clamped,flows_quarantined,flows_reaped
             r.stats.flows_reaped,
         ));
     }
-    out.add("robustness.csv", csv);
-    out.add("robustness.dat", dat.render());
-    out.add("robustness.md", doc.render());
+    finish(fig, csv, dat, doc).into()
 }
 
 // ---------------------------------------------------------------------
@@ -1364,36 +1364,23 @@ fn decision_timeline_script() -> Result<cm_core::CongestionManager, cm_core::CmE
     Ok(cm)
 }
 
-fn decision_timeline(_smoke: bool) -> Figure {
-    // Like shard_scaling, the script above drives cm-core directly with
-    // fixed timestamps (0 cells; the experiment carries metadata only).
-    // Identical in smoke and full mode — the replay takes microseconds.
-    let experiment = Experiment {
-        name: "decision_timeline",
-        title: "One hostile session, flight-recorded end to end",
-        paper_ref: "beyond the paper: the observability layer \u{2014} every CM decision \
+const DECISION_TIMELINE: Figure = Figure {
+    name: "decision_timeline",
+    title: "One hostile session, flight-recorded end to end",
+    paper_ref: "beyond the paper: the observability layer \u{2014} every CM decision \
 class from \u{a7}2's grant loop to \u{a7}5's trust defenses, captured by the flight recorder",
-        description: "A scripted session replayed against a tracing-enabled CM: clean \
+    description: "A scripted session replayed against a tracing-enabled CM: clean \
 window growth, a transient-congestion signal, a hostile client stripped and \
 quarantined by feedback validation, a grant hoarder driven into reclaim and \
 backoff, a feedback-free write-off with its persistent-congestion signal, and \
 the orphan reaper. The CSV/JSONL files are the flight recorder's dump \u{2014} \
 the same decision trail a failing chaos run attaches to its report \u{2014} and \
 the event vocabulary is the tracer's full taxonomy in action.",
-        app: AppKind::Layered,
-        schedules: vec![],
-        policies: vec![AdaptPolicyKind::LadderImmediate],
-        controllers: vec![AIMD],
-        secs: 0,
-        seeds: vec![1],
-    };
-    Figure {
-        experiment,
-        emit: emit_decision_timeline,
-    }
-}
+    run: decision_timeline,
+};
 
-fn emit_decision_timeline(result: &ExperimentResult, out: &mut OutputSet) {
+// Identical in smoke and full mode — the replay takes microseconds.
+fn decision_timeline(fig: &Figure, _smoke: bool) -> FigureRun {
     let cm = decision_timeline_cm();
     let csv = crate::trace::trace_csv(&cm);
     let jsonl = crate::trace::trace_jsonl(&cm);
@@ -1422,8 +1409,7 @@ fn emit_decision_timeline(result: &ExperimentResult, out: &mut OutputSet) {
         dat.row(&[i as f64, *n as f64]);
     }
 
-    let spec = &result.spec;
-    let mut doc = FigureDoc::new(spec.title, spec.paper_ref, spec.description);
+    let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
     doc.para(
         "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
 Deterministic: the script drives `cm-core` directly with fixed timestamps, so \
@@ -1452,19 +1438,18 @@ JSON object per event).",
         counts.len(),
     ));
 
-    out.add("decision_timeline.csv", csv);
+    let mut out = finish(fig, csv, dat, doc);
     out.add("decision_timeline.jsonl", jsonl);
-    out.add("decision_timeline.dat", dat.render());
-    out.add("decision_timeline.md", doc.render());
+    out.into()
 }
 
 // ---------------------------------------------------------------------
 // Shared emission helpers
 // ---------------------------------------------------------------------
 
-fn figure_doc(result: &ExperimentResult) -> FigureDoc {
+fn figure_doc(fig: &Figure, result: &ExperimentResult) -> FigureDoc {
     let spec = &result.spec;
-    let mut doc = FigureDoc::new(spec.title, spec.paper_ref, spec.description);
+    let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
     doc.para(&format!(
         "*Generated by `cargo run --release -p cm-experiments --bin figures` \
 ({} cells: {} schedule(s) \u{d7} {} policy(ies) \u{d7} {} controller(s) \u{d7} \
@@ -1575,11 +1560,14 @@ fn cells_csv(result: &ExperimentResult) -> String {
     cells_table(result).to_csv()
 }
 
-fn finish(result: &ExperimentResult, out: &mut OutputSet, dat: DatFile, doc: FigureDoc) {
-    let name = result.spec.name;
-    out.add(&format!("{name}.csv"), cells_csv(result));
+/// The three files every figure emits.
+pub(crate) fn finish(fig: &Figure, csv: String, dat: DatFile, doc: FigureDoc) -> OutputSet {
+    let name = fig.name;
+    let mut out = OutputSet::new();
+    out.add(&format!("{name}.csv"), csv);
     out.add(&format!("{name}.dat"), dat.render());
     out.add(&format!("{name}.md"), doc.render());
+    out
 }
 
 #[cfg(test)]

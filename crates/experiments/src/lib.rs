@@ -1,7 +1,8 @@
 //! Paper-figure reproduction pipeline for the Congestion Manager.
 //!
-//! The paper's evidence is its figures; this crate regenerates
-//! paper-style results end to end from declarative specs:
+//! The paper's evidence is its figures; this crate regenerates them, and
+//! the figures that go beyond the paper, end to end. Most are sweeps of a
+//! declarative spec:
 //!
 //! ```text
 //!   Experiment spec            runner                    emitters
@@ -19,11 +20,16 @@
 //! * [`runner`] — expands the sweep, executes each cell on `cm-netsim`,
 //!   and folds per-session [`cm_adapt::AdaptationStats`] into
 //!   [`cm_adapt::FleetStats`] aggregates.
-//! * [`report`] — the shared deterministic emitters (aligned tables,
-//!   CSV, gnuplot `.dat`, markdown) the `cm-bench` binaries also use.
-//! * [`builtin`] — the shipped figures: the Figure 8/9 quality track,
-//!   the quality/oscillation policy frontier, recorded-trace replay, and
-//!   vat audio adaptation.
+//! * [`report`] — the deterministic emitters (aligned tables, CSV,
+//!   gnuplot `.dat`, markdown).
+//! * [`builtin`] — the [`builtin::Figure`] table and the figures beyond
+//!   the paper: the Figure 8/9 quality track, the quality/oscillation
+//!   policy frontier, recorded-trace replay, vat audio adaptation, the
+//!   scaling, robustness and decision-timeline figures.
+//! * [`paper`] — the paper's own evaluation: Table 1, Figures 3-7 and 10,
+//!   connection set-up, the design ablations.
+//! * [`scenarios`] — the paper's testbed set-ups those figures (and the
+//!   `cm-bench` benches) run.
 //! * [`chaos`] — the fault-injection harness: scenarios replayed under
 //!   seeded [`cm_netsim::fault::FaultPlan`]s with CM invariants checked
 //!   every simulated second (drives the `robustness` figure and the
@@ -48,11 +54,14 @@
 
 pub mod builtin;
 pub mod chaos;
+pub mod paper;
 pub mod report;
 pub mod runner;
+pub mod scenarios;
 pub mod spec;
 pub mod trace;
 
+pub use builtin::{Figure, FigureRun};
 pub use report::Table;
 pub use runner::{
     adaptive_stream_under_trace, default_adapt_trace, run_experiment, AdaptOutcome, CellOutcome,

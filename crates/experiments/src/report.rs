@@ -4,8 +4,7 @@
 //! Every output path in this module is **deterministic**: contents are
 //! built purely from the data handed in (no timestamps, no map-order
 //! iteration, fixed float formatting), so regenerating a figure from the
-//! same simulation produces byte-identical files. The `cm-bench` figure
-//! binaries and the `cm-experiments` pipeline both emit through here.
+//! same simulation produces byte-identical files.
 
 use std::fmt::Write as _;
 use std::io;
@@ -130,24 +129,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table and, when `CM_BENCH_CSV` is set, also writes the
-    /// CSV beside it (the `cm-bench` binaries' interactive convenience).
-    pub fn emit(&self, title: &str) {
-        println!("\n== {title} ==");
-        println!("{}", self.render());
-        if std::env::var_os("CM_BENCH_CSV").is_some() {
-            let path = format!(
-                "{}.csv",
-                title
-                    .to_lowercase()
-                    .replace(|c: char| !c.is_alphanumeric(), "_")
-            );
-            if std::fs::write(&path, self.to_csv()).is_ok() {
-                println!("(csv written to {path})");
-            }
-        }
-    }
 }
 
 /// Formats a float for data files: fixed three decimals, with `-0.000`
@@ -202,11 +183,6 @@ impl DatFile {
         assert_eq!(values.len(), cols.len(), "column mismatch in block {name}");
         rows.push(values.to_vec());
         self
-    }
-
-    /// Number of blocks so far.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
     }
 
     /// Renders the full file.

@@ -1,26 +1,21 @@
-//! Shared experiment scenarios.
+//! The paper's testbed scenarios.
 //!
 //! Each function builds a deterministic simulation matching one of the
-//! paper's testbed setups and returns the measurements the figures plot.
+//! paper's §4 setups and returns the measurements the [`crate::paper`]
+//! figures plot; [`crate::runner`] holds the sweep cells of the
+//! declarative experiments.
 
 use cm_apps::ack_clients::{AckReceiver, FeedbackPolicy};
 use cm_apps::blast::{BlastApi, BlastSender};
 use cm_apps::bulk::{BulkReceiver, BulkSender};
 use cm_apps::cross::{NullSink, OnOffSource};
 use cm_apps::layered::{AdaptMode, LayeredStreamer};
-use cm_apps::vat::{DropPolicy, VatAudio};
 use cm_apps::web::{WebClient, WebServer};
 use cm_core::config::{CmConfig, ControllerKind};
 use cm_netsim::channel::PathSpec;
 use cm_netsim::cpu::{CostModel, OpCounts};
-use cm_netsim::link::LinkSpec;
+use cm_netsim::link::{LinkSpec, QueueSpec};
 use cm_netsim::topology::Topology;
-
-// The adaptation-sweep scenarios migrated to the cm-experiments figure
-// pipeline; re-exported so existing callers keep one import path.
-pub use cm_experiments::{
-    adaptive_stream_under_trace, default_adapt_trace, AdaptOutcome, AdaptPolicyKind,
-};
 use cm_transport::host::{Host, HostConfig};
 use cm_transport::tcp::TcpConfig;
 use cm_transport::types::{CcMode, TcpConnId};
@@ -31,6 +26,9 @@ use cm_util::{Duration, Rate, Time, TimeSeries};
 pub struct BulkOutcome {
     /// Application goodput in bytes/second (NaN if incomplete).
     pub goodput_bps: f64,
+    /// Goodput over the middle half of the transfer (slow-start warm-up
+    /// and tail discarded), if the transfer got that far.
+    pub steady_goodput_bps: Option<f64>,
     /// Whether the transfer finished within the deadline.
     pub completed: bool,
     /// Transfer duration (connection initiation to final ACK).
@@ -110,7 +108,7 @@ pub fn bulk_transfer_controller(
     let mut server = Host::new(HostConfig {
         cost,
         tcp: tcp.clone(),
-        cm: cm.clone(),
+        cm,
         ..Default::default()
     });
     server.add_app(Box::new(BulkReceiver::new(80, mode)));
@@ -139,6 +137,7 @@ pub fn bulk_transfer_controller(
     };
     BulkOutcome {
         goodput_bps: tx.goodput_bps().unwrap_or(f64::NAN),
+        steady_goodput_bps: tx.steady_goodput_bps(),
         completed: tx.done_at.is_some(),
         elapsed,
         connect_time: tx.connect_time(),
@@ -154,31 +153,10 @@ pub fn bulk_transfer_controller(
     }
 }
 
-/// Figure 3 point: mean goodput in KB/s over `seeds` runs at `loss`.
-pub fn fig3_point(mode: CcMode, loss: f64, total: u64, seeds: u64) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0u32;
-    for s in 0..seeds {
-        let o = bulk_transfer(
-            mode,
-            &PathSpec::fig3(loss),
-            total,
-            42 + s,
-            CostModel::free(),
-            true,
-            1460,
-            Time::from_secs(600),
-        );
-        if o.completed {
-            sum += o.goodput_bps / 1000.0;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        f64::NAN
-    } else {
-        sum / n as f64
-    }
+/// The paper's 100 Mbps switched LAN, with enough switch buffering that
+/// its "no losses occurred" observation holds.
+pub fn switched_lan() -> PathSpec {
+    PathSpec::lan().with_queue(QueueSpec::DropTailPackets(256))
 }
 
 /// Result of one UDP API-overhead run (Figure 6 / Table 1).
@@ -215,9 +193,7 @@ pub fn blast(api: BlastApi, packet_size: u32, target: u64, seed: u64) -> BlastOu
         target,
     )));
     let tx_id = topo.add_host(Box::new(tx_host));
-    // A generous switch buffer: the paper's LAN tests saw no losses.
-    let path = PathSpec::lan().with_queue(cm_netsim::link::QueueSpec::DropTailPackets(256));
-    topo.emulated_path(tx_id, rx_id, &path);
+    topo.emulated_path(tx_id, rx_id, &switched_lan());
     let mut sim = topo.build();
     sim.run_until(Time::from_secs(600));
     let host = sim.node_ref::<Host>(tx_id);
@@ -235,10 +211,9 @@ pub fn blast(api: BlastApi, packet_size: u32, target: u64, seed: u64) -> BlastOu
 /// paper's long 200k-packet averaging).
 pub fn tcp_blast(mode: CcMode, mss: usize, segments: u64, delayed_ack: bool, seed: u64) -> f64 {
     let total = mss as u64 * segments;
-    let path = PathSpec::lan().with_queue(cm_netsim::link::QueueSpec::DropTailPackets(256));
-    let o = bulk_transfer_steady(
+    let o = bulk_transfer(
         mode,
-        &path,
+        &switched_lan(),
         total,
         seed,
         CostModel::default(),
@@ -246,62 +221,13 @@ pub fn tcp_blast(mode: CcMode, mss: usize, segments: u64, delayed_ack: bool, see
         mss,
         Time::from_secs(600),
     );
-    match o {
+    match o.steady_goodput_bps {
         Some(bps) if bps > 0.0 => mss as f64 / bps * 1e6,
         _ => f64::NAN,
     }
 }
 
-/// Like [`bulk_transfer`] but returns the steady-state goodput in
-/// bytes/second, or `None` if incomplete.
-#[allow(clippy::too_many_arguments)]
-fn bulk_transfer_steady(
-    mode: CcMode,
-    path: &PathSpec,
-    total: u64,
-    seed: u64,
-    cost: CostModel,
-    delayed_ack: bool,
-    mss: usize,
-    deadline: Time,
-) -> Option<f64> {
-    let tcp = TcpConfig {
-        mss,
-        delayed_ack,
-        rwnd: 64 * 1024,
-        ..Default::default()
-    };
-    let cm = CmConfig {
-        mtu: mss,
-        ..Default::default()
-    };
-    let mut topo = Topology::new(seed);
-    let mut server = Host::new(HostConfig {
-        cost,
-        tcp: tcp.clone(),
-        cm: cm.clone(),
-        ..Default::default()
-    });
-    server.add_app(Box::new(BulkReceiver::new(80, mode)));
-    let server_id = topo.add_host(Box::new(server));
-    let server_addr = topo.sim().addr_of(server_id);
-    let mut client = Host::new(HostConfig {
-        cost,
-        tcp,
-        cm,
-        ..Default::default()
-    });
-    let tx_app = client.add_app(Box::new(BulkSender::new(server_addr, 80, mode, total)));
-    let client_id = topo.add_host(Box::new(client));
-    topo.emulated_path(client_id, server_id, path);
-    let mut sim = topo.build();
-    sim.run_until(deadline);
-    sim.node_ref::<Host>(client_id)
-        .app_ref::<BulkSender>(tx_app)
-        .steady_goodput_bps()
-}
-
-/// Result of a streaming adaptation run (Figures 8-10).
+/// Result of a streaming adaptation run (Figure 10).
 pub struct StreamOutcome {
     /// Transmission rate over time, KB/s, binned.
     pub tx_rate: Vec<(f64, f64)>,
@@ -314,7 +240,9 @@ pub struct StreamOutcome {
 }
 
 /// Runs the layered streamer over a wide-area dumbbell with square-wave
-/// cross traffic, reproducing the Figure 8-10 environment.
+/// cross traffic — the Figure 10 environment. It is its own topology
+/// (real cross-traffic hosts on a dumbbell), not a scheduled-link sweep
+/// cell, so it stays apart from [`crate::runner::layered_cell`].
 pub fn layered_stream(
     mode: AdaptMode,
     secs: u64,
@@ -432,54 +360,6 @@ pub fn web_sharing(
         .latencies_ms()
 }
 
-/// Measures TCP connection-establishment time (§4.1's microbenchmark);
-/// returns handshake durations in milliseconds for `n` fresh connections.
-pub fn connection_setup_times(mode: CcMode, n: usize, seed: u64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let o = bulk_transfer(
-            mode,
-            &PathSpec::wide_area(),
-            1,
-            seed + i as u64,
-            CostModel::default(),
-            true,
-            1460,
-            Time::from_secs(30),
-        );
-        if let Some(ct) = o.connect_time {
-            out.push(ct.as_nanos() as f64 / 1e6);
-        }
-    }
-    out
-}
-
-/// Runs the vat interactive-audio scenario; returns
-/// `(delivery_fraction, mean_send_age_ms, policer_drops, buffer_drops)`.
-pub fn vat_run(policy: DropPolicy, link: Rate, secs: u64, seed: u64) -> (f64, f64, u64, u64) {
-    let stop = Time::from_secs(secs);
-    let mut topo = Topology::new(seed);
-    let mut rx_host = Host::new(HostConfig::default());
-    rx_host.add_app(Box::new(AckReceiver::new(5003, FeedbackPolicy::PerPacket)));
-    let rx_id = topo.add_host(Box::new(rx_host));
-    let rx_addr = topo.sim().addr_of(rx_id);
-    let mut tx_host = Host::new(HostConfig::default());
-    let tx_app = tx_host.add_app(Box::new(VatAudio::new(rx_addr, 5003, policy, stop)));
-    let tx_id = topo.add_host(Box::new(tx_host));
-    let path = PathSpec::new(link, Duration::from_millis(50))
-        .with_queue(cm_netsim::link::QueueSpec::DropTailPackets(8));
-    topo.emulated_path(tx_id, rx_id, &path);
-    let mut sim = topo.build();
-    sim.run_until(stop + Duration::from_secs(2));
-    let vat = sim.node_ref::<Host>(tx_id).app_ref::<VatAudio>(tx_app);
-    (
-        vat.delivery_fraction(),
-        vat.mean_send_age_ms(),
-        vat.policer_drops,
-        vat.buffer_drops,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,16 +407,6 @@ mod tests {
         );
         assert!(o.completed, "rate-based transfer did not finish");
         assert!(o.goodput_bps > 10_000.0);
-    }
-
-    #[test]
-    fn migrated_adaptation_scenarios_stay_reachable() {
-        // The adaptation sweep moved to cm-experiments; the re-exported
-        // path must keep working for benches and downstream callers.
-        let trace = default_adapt_trace(8);
-        let o = adaptive_stream_under_trace(AdaptPolicyKind::LadderImmediate, &trace, 8, 3);
-        assert!(o.delivered > 100_000, "delivered {}", o.delivered);
-        assert_eq!(o.time_in_layer.len(), 4);
     }
 
     #[test]

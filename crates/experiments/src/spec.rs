@@ -1,11 +1,12 @@
 //! The declarative experiment specification.
 //!
-//! An [`Experiment`] names everything a figure needs to be regenerated
-//! from scratch: the application under test, the bandwidth schedules it
-//! faces, the policy/controller sweep axes, and the run geometry
-//! (duration, seeds, sample bin). The runner expands the spec into its
+//! An [`Experiment`] names everything a sweep figure needs to be
+//! regenerated from scratch: the application under test, the bandwidth
+//! schedules it faces, the policy/controller sweep axes, and the run
+//! geometry (duration, seeds). The runner expands the spec into its
 //! cartesian cell grid and executes every cell on `cm-netsim`, so the
-//! same spec always reproduces the same bytes.
+//! same spec always reproduces the same bytes. The figure's name and its
+//! mapping onto the paper live on [`crate::builtin::Figure`].
 
 use cm_adapt::{Engine, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy};
 use cm_apps::layered::LayeredStreamer;
@@ -191,14 +192,6 @@ impl AppKind {
 /// A declarative experiment: the full cartesian sweep one figure runs.
 #[derive(Clone, Debug)]
 pub struct Experiment {
-    /// File-stem name (`<name>.csv` / `.dat` / `.md`).
-    pub name: &'static str,
-    /// Human title.
-    pub title: &'static str,
-    /// Which figure/section of the paper this reproduces.
-    pub paper_ref: &'static str,
-    /// What the figure demonstrates.
-    pub description: &'static str,
     /// Application under test.
     pub app: AppKind,
     /// Bandwidth schedules (one cell group per schedule).
@@ -273,10 +266,6 @@ mod tests {
     #[test]
     fn cell_count_is_the_cartesian_product() {
         let e = Experiment {
-            name: "x",
-            title: "x",
-            paper_ref: "x",
-            description: "x",
             app: AppKind::Layered,
             schedules: vec![
                 NamedSchedule::new("a", ScheduleSpec::None),

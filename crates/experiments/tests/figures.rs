@@ -1,32 +1,135 @@
 //! End-to-end checks on the built-in figure pipeline (smoke geometry):
-//! determinism, the Figure 8/9 immediate-ladder invariant, and the
-//! frontier's hysteresis gap.
+//! determinism, the paper's Table 1 / Figure 3 / Figure 7 results, the
+//! Figure 8/9 immediate-ladder invariant, and the frontier's hysteresis
+//! gap.
 
 use cm_experiments::builtin::{
     self, bundled_traces, extra_scalar, hysteresis_gap, immediate_track_mismatches,
 };
+use cm_experiments::report::OutputSet;
+use cm_experiments::{ExperimentResult, Figure};
 use cm_netsim::schedule::BandwidthSchedule;
 
-fn figure(name: &str) -> builtin::Figure {
-    builtin::all(true)
-        .into_iter()
-        .find(|f| f.experiment.name == name)
+fn figure(name: &str) -> &'static Figure {
+    builtin::FIGURES
+        .iter()
+        .find(|f| f.name == name)
         .unwrap_or_else(|| panic!("no builtin figure named {name}"))
+}
+
+/// Runs a sweep figure in smoke geometry.
+fn run_figure(fig: &Figure) -> (ExperimentResult, OutputSet) {
+    let run = fig.run(true);
+    (run.sweep.expect("a sweep figure"), run.files)
+}
+
+/// The first table of a figure's CSV: `(label, numeric columns)` per row.
+fn csv_rows(name: &str, smoke: bool) -> Vec<(String, Vec<f64>)> {
+    let files = figure(name).run(smoke).files;
+    let (_, csv) = files
+        .files()
+        .iter()
+        .find(|(n, _)| *n == format!("{name}.csv"))
+        .expect("csv emitted");
+    csv.lines()
+        .skip_while(|l| l.starts_with('#'))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let mut cells = l.split(',');
+            let label = cells.next().unwrap().to_string();
+            (label, cells.map(|c| c.parse().unwrap()).collect())
+        })
+        .collect()
 }
 
 #[test]
 fn figure_output_is_byte_deterministic() {
     // Two independent runs of the same figure must emit identical bytes
     // — the property that makes `git diff docs/figures` meaningful.
-    let fig = figure("fig8_9_layered");
-    let (_, out1) = builtin::run_figure(&fig);
-    let (_, out2) = builtin::run_figure(&fig);
-    assert!(!out1.files().is_empty());
-    assert_eq!(
-        out1.concat(),
-        out2.concat(),
-        "figure output differed between two identical runs"
-    );
+    for name in [
+        "fig8_9_layered",
+        "fig3",
+        "conn_setup",
+        "fig4",
+        "fig5",
+        "fig6",
+        "table1",
+        "fig7",
+        "fig10",
+        "ablations",
+    ] {
+        let fig = figure(name);
+        let (out1, out2) = (fig.run(true).files, fig.run(true).files);
+        assert_eq!(out1.files().len(), 3, "{name}: csv + dat + md");
+        assert_eq!(
+            out1.concat(),
+            out2.concat(),
+            "{name}: output differed between two identical runs"
+        );
+    }
+}
+
+/// Table 1: each API performs exactly the per-packet operations the paper
+/// attributes to it.
+#[test]
+fn table1_operation_counts_are_exact() {
+    let rows = csv_rows("table1", true);
+    // syscalls, ioctls, selects, gettimeofday per packet.
+    let expected = [
+        ("Buffered", [2.0, 1.0, 0.0, 2.0]),
+        ("ALF", [2.0, 3.0, 1.0, 2.0]),
+        ("ALF/noconnect", [2.0, 4.0, 1.0, 2.0]),
+    ];
+    assert_eq!(rows.len(), expected.len());
+    for ((label, counts), (api, want)) in rows.iter().zip(expected) {
+        assert_eq!(label, api);
+        assert_eq!(counts[..], want, "{api}");
+    }
+}
+
+/// Figure 3: both curves fall with loss and TCP/CM tracks TCP/Linux once
+/// loss, not the window, limits throughput.
+#[test]
+fn fig3_cm_tracks_linux_and_both_fall_with_loss() {
+    // Full geometry: one 500 KB transfer per point (smoke) is too noisy
+    // for a monotone curve.
+    let rows = csv_rows("fig3", false);
+    assert_eq!(rows.len(), 9);
+    for pair in rows.windows(2) {
+        for col in 0..2 {
+            assert!(
+                pair[1].1[col] < pair[0].1[col],
+                "column {col} rose from loss {} to {}",
+                pair[0].0,
+                pair[1].0
+            );
+        }
+    }
+    for (loss, kbs) in &rows {
+        if loss.parse::<f64>().unwrap() >= 0.5 {
+            let ratio = kbs[0] / kbs[1];
+            assert!(
+                (0.8..=1.25).contains(&ratio),
+                "at {loss}% loss TCP/CM is {ratio:.2}x TCP/Linux"
+            );
+        }
+    }
+}
+
+/// Figure 7: later TCP/CM requests reuse the macroflow's state; TCP/Linux
+/// slow-starts every time.
+#[test]
+fn fig7_cm_requests_speed_up_and_linux_stays_flat() {
+    let rows = csv_rows("fig7", true);
+    assert_eq!(rows.len(), 9);
+    let cm: Vec<f64> = rows.iter().map(|(_, ms)| ms[0]).collect();
+    let linux: Vec<f64> = rows.iter().map(|(_, ms)| ms[1]).collect();
+    assert!(cm[8] < cm[0], "request 9 ({}) vs 1 ({})", cm[8], cm[0]);
+    let (lo, hi) = linux
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    assert!(hi / lo < 1.02, "TCP/Linux spread {lo}..{hi} ms");
 }
 
 #[test]
@@ -34,7 +137,7 @@ fn fig8_9_quality_track_matches_immediate_ladder() {
     // The acceptance invariant: under the immediate policy every track
     // sample's level equals the ladder's layer_for of the reported rate
     // (the LadderConfig::immediate() unit-test semantics, end to end).
-    let (result, out) = builtin::run_figure(&figure("fig8_9_layered"));
+    let (result, out) = run_figure(figure("fig8_9_layered"));
     assert_eq!(result.cells.len(), 2);
     for cell in &result.cells {
         assert!(
@@ -69,7 +172,7 @@ fn fig8_9_quality_track_matches_immediate_ladder() {
 
 #[test]
 fn frontier_report_shows_the_hysteresis_gap() {
-    let (result, out) = builtin::run_figure(&figure("policy_frontier"));
+    let (result, out) = run_figure(figure("policy_frontier"));
     let (immediate, damped) = hysteresis_gap(&result).expect("both AIMD groups present");
     assert!(
         damped < immediate,
@@ -133,7 +236,7 @@ fn bundled_traces_parse_and_replay_degrades_and_recovers() {
     );
     assert_eq!(wifi.rate_at(Time::from_secs(40)), Some(Rate::from_mbps(27)));
 
-    let (result, _) = builtin::run_figure(&figure("trace_replay"));
+    let (result, _) = run_figure(figure("trace_replay"));
     // One cell per trace x policy (3 policies).
     assert_eq!(result.cells.len(), bundled_traces().len() * 3);
     for cell in &result.cells {
@@ -154,7 +257,7 @@ fn bundled_traces_parse_and_replay_degrades_and_recovers() {
 #[test]
 fn co_scheduling_shares_track_weights_within_5pct() {
     let fig = figure("co_scheduling");
-    let (result, out) = builtin::run_figure(&fig);
+    let (result, out) = run_figure(fig);
     assert!(!result.cells.is_empty());
     for cell in &result.cells {
         assert_eq!(
@@ -188,7 +291,7 @@ fn co_scheduling_shares_track_weights_within_5pct() {
         .expect("markdown report emitted");
     assert!(md.contains("Worst-case share error"));
     // Deterministic generation, same as the other figures.
-    let (_, out2) = builtin::run_figure(&fig);
+    let (_, out2) = run_figure(fig);
     assert_eq!(out.concat(), out2.concat());
 }
 
@@ -230,8 +333,7 @@ fn shard_scaling_reduces_tick_work_and_is_deterministic() {
     assert!(sharded16.mfs_scanned_per_tick <= get("sharded_4").mfs_scanned_per_tick);
 
     let fig = figure("shard_scaling");
-    let (_, out1) = builtin::run_figure(&fig);
-    let (_, out2) = builtin::run_figure(&fig);
+    let (out1, out2) = (fig.run(true).files, fig.run(true).files);
     assert_eq!(
         out1.concat(),
         out2.concat(),
@@ -251,7 +353,7 @@ fn shard_scaling_reduces_tick_work_and_is_deterministic() {
 
 #[test]
 fn vat_figure_polices_below_full_delivery() {
-    let (result, _) = builtin::run_figure(&figure("vat_audio"));
+    let (result, _) = run_figure(figure("vat_audio"));
     for cell in &result.cells {
         let delivery = cell
             .extra

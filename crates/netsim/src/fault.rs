@@ -100,13 +100,6 @@ impl LinkFaults {
         self
     }
 
-    /// Sets packet reordering (builder style).
-    pub fn with_reorder(mut self, prob: f64, extra: Duration) -> Self {
-        self.reorder_prob = prob;
-        self.reorder_extra = extra;
-        self
-    }
-
     /// Sets packet duplication (builder style).
     pub fn with_duplication(mut self, prob: f64) -> Self {
         self.duplicate_prob = prob;

@@ -155,14 +155,6 @@ impl Link {
         self.loss_rate = loss_rate;
     }
 
-    /// Replaces the fault configuration mid-run (used by the chaos
-    /// harness to inject faults into an already-built topology).
-    pub fn set_faults(&mut self, faults: LinkFaults) {
-        self.faults = faults;
-        self.ge_bad = false;
-        self.outage_restart = None;
-    }
-
     /// The link's current fault configuration.
     pub fn faults(&self) -> &LinkFaults {
         &self.faults

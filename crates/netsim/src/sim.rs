@@ -476,12 +476,6 @@ impl Simulator {
         }
     }
 
-    /// Runs for `d` of simulated time from now.
-    pub fn run_for(&mut self, d: Duration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-
     /// Runs until no events remain (natural quiescence), up to a safety
     /// limit of `max_events` to guard against livelock.
     ///

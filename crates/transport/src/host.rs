@@ -33,7 +33,7 @@ use cm_netsim::sim::{Node, NodeCtx};
 use cm_util::{Duration, FxHashMap, Time};
 
 use crate::segment::{TcpSegment, UdpDatagram};
-use crate::tcp::{TcpAction, TcpConfig, TcpConnection, TcpStats};
+use crate::tcp::{TcpAction, TcpConfig, TcpConnection};
 use crate::types::{AppId, CcMode, TcpConnId, TcpEvent, TcpTimer, UdpSocketId};
 use crate::udp::{QueuedDatagram, UdpSocket};
 
@@ -186,7 +186,7 @@ pub struct Host {
 impl Host {
     /// Creates a host.
     pub fn new(cfg: HostConfig) -> Self {
-        let cm = CongestionManager::new(cfg.cm.clone());
+        let cm = CongestionManager::new(cfg.cm);
         Host {
             cfg,
             cm,
@@ -233,11 +233,6 @@ impl Host {
         any.downcast_ref::<T>()
             // lint:allow(R2): documented panic — wrong app type is a caller bug
             .expect("app_ref called with wrong app type")
-    }
-
-    /// Statistics for a TCP connection.
-    pub fn tcp_stats(&self, conn: TcpConnId) -> Option<TcpStats> {
-        self.conns[conn.0 as usize].as_ref().map(|c| c.stats)
     }
 
     /// Immutable access to a TCP connection.
@@ -677,11 +672,6 @@ impl HostOs<'_, '_> {
         self.ctx.now()
     }
 
-    /// This host's network address.
-    pub fn local_addr(&self) -> Addr {
-        self.ctx.addr()
-    }
-
     /// Deterministic randomness for workloads.
     pub fn rng(&mut self) -> &mut cm_util::DetRng {
         self.ctx.rng()
@@ -762,23 +752,36 @@ impl HostOs<'_, '_> {
         self.host.run_tcp_actions(self.ctx, conn, actions);
     }
 
-    /// Cumulative in-order bytes delivered on a connection.
-    pub fn tcp_delivered(&self, conn: TcpConnId) -> u64 {
-        self.host
-            .tcp_conn(conn)
-            .map(|c| c.bytes_delivered())
-            .unwrap_or(0)
-    }
-
     // --- UDP ---
 
     /// Opens a UDP socket bound to `local_port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port is already bound on this host (`EADDRINUSE`):
+    /// taking it over would silently cut the first socket off from its
+    /// acknowledgements.
     pub fn udp_socket(&mut self, local_port: u16) -> UdpSocketId {
         let id = UdpSocketId(self.host.socks.len() as u32);
+        let taken = self.host.udp_demux.insert(local_port, id);
+        assert!(
+            taken.is_none(),
+            "udp_socket: port {local_port} is already bound on this host"
+        );
         self.host.socks.push(Some(UdpSocket::new(local_port)));
         self.host.sock_meta.push(Some((self.app, None)));
-        self.host.udp_demux.insert(local_port, id);
         id
+    }
+
+    /// Opens a UDP socket on the first free port at or above `first`,
+    /// returning the port with it — for apps that may share a host with
+    /// another instance of themselves.
+    pub fn udp_socket_from(&mut self, first: u16) -> (UdpSocketId, u16) {
+        let mut port = first;
+        while self.host.udp_demux.contains_key(&port) {
+            port += 1;
+        }
+        (self.udp_socket(port), port)
     }
 
     /// Converts a socket to a congestion-controlled UDP socket bound to
@@ -982,34 +985,6 @@ impl HostOs<'_, '_> {
         self.host.cm.stats()
     }
 
-    /// Live CM shards backing this host (1 unless `HostConfig::cm`
-    /// selects `ShardingMode::ByGroup`, under which each aggregation
-    /// group's state lives in its own shard).
-    pub fn cm_shard_count(&self) -> usize {
-        self.host.cm.shard_count()
-    }
-
-    /// One CM shard's own counters — the host-level view of
-    /// `CongestionManager::shard_stats` (`None` for a vacant slot).
-    pub fn cm_shard_stats(&self, shard: u32) -> Option<cm_core::api::CmStats> {
-        self.host.cm.shard_stats(shard)
-    }
-
-    /// This host's CM decision metrics (grant latency, feedback
-    /// inter-arrival, window sizes), merged across shards. `None`
-    /// unless `HostConfig::cm` enables `CmConfig::tracing`.
-    pub fn cm_metrics(&self) -> Option<cm_core::MetricsSnapshot> {
-        self.host.cm.metrics()
-    }
-
-    /// Visits this host's retained CM trace records (see
-    /// `CongestionManager::for_each_trace_record`); a no-op unless
-    /// `HostConfig::cm` enables `CmConfig::tracing`. The chaos
-    /// harness's post-mortem dumps are built on this.
-    pub fn cm_for_each_trace_record(&self, f: impl FnMut(Option<u32>, &cm_core::TraceRecord)) {
-        self.host.cm.for_each_trace_record(f)
-    }
-
     /// `gettimeofday`, charged per Table 1 (user-space RTT measurement
     /// needs two per packet).
     pub fn gettimeofday(&mut self) -> Time {
@@ -1017,16 +992,6 @@ impl HostOs<'_, '_> {
         self.host.cpu.ops.gettimeofdays += 1;
         self.host.cpu.run(now, self.host.cfg.cost.gettimeofday);
         now
-    }
-
-    /// Charges one `select` over `nfds` descriptors (the app's event
-    /// loop; the CM control socket adds a descriptor — Table 1's
-    /// "1 extra socket").
-    pub fn charge_select(&mut self, nfds: usize) {
-        let now = self.ctx.now();
-        self.host.cpu.ops.selects += 1;
-        let work = self.host.cfg.cost.select(nfds);
-        self.host.cpu.run(now, work);
     }
 
     /// Charges one `recv` syscall plus the copy of `bytes`.

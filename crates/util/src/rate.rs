@@ -82,11 +82,6 @@ impl Rate {
         self.0 as f64 / 8.0 / 1_000.0
     }
 
-    /// The rate in megabits per second.
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Returns true if this is the zero rate.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
