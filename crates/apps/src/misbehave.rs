@@ -17,7 +17,7 @@
 //! * [`AppFault::SlowNotify`] — resolves each grant only after a fixed
 //!   delay: exercises the grant-timeout boundary without being hostile.
 //!
-//! The chaos harness in `cm-bench` pairs this sender with an
+//! The chaos harness in `cm-experiments` pairs this sender with an
 //! [`crate::ack_clients::AckReceiver`] and asserts the CM's structural
 //! invariants hold throughout.
 

@@ -2440,5 +2440,21 @@ mod tests {
         ));
         cm.query(live, Time::from_secs(6)).unwrap();
         assert!(cm.check_invariants().is_ok());
+
+        // Crash-leak churn: a whole population appears, goes silent and
+        // is swept in one tick, round after round, into the same slots.
+        let mut now = Time::from_secs(6);
+        for round in 0..3u16 {
+            for i in 0..1_000u16 {
+                let port = 2_000 + round * 1_000 + i;
+                cm.open(key(port, 2 + u32::from(i % 64)), now).unwrap();
+            }
+            now += Duration::from_secs(6);
+            cm.tick(now);
+            assert_eq!(cm.flow_count(), 0, "reaper left flows behind");
+            assert!(cm.check_invariants().is_ok());
+        }
+        assert_eq!(cm.stats().flows_reaped, 3_002);
+        assert!(cm.flow_slab_capacity() <= 1_001, "reaped slots not reused");
     }
 }

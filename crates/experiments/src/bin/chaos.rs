@@ -2,7 +2,7 @@
 //! plans and fail loudly if any CM invariant breaks.
 //!
 //! ```text
-//! cargo run --release -p cm-bench --bin chaos [-- --smoke] [--plans N]
+//! cargo run --release -p cm-experiments --bin chaos [-- --smoke] [--plans N]
 //! ```
 //!
 //! * `--smoke` — one seeded plan per scenario (the CI gate).

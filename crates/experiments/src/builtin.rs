@@ -697,8 +697,7 @@ pub struct ShardScalingRow {
 /// one maintenance tick per traffic round. Pure `cm-core` calls with
 /// fixed timestamps — the counters are exactly reproducible, which is
 /// what lets a *cost* figure live in the byte-deterministic pipeline
-/// (wall-clock timings live in `cargo bench -p cm-bench`'s `sharding`
-/// group instead).
+/// (the wall-clock tick is the repo benchmark's `core.front.tick_us`).
 pub fn shard_scaling_row(label: &'static str, cfg: cm_core::CmConfig) -> ShardScalingRow {
     // lint:allow(R2): fixed-timestamp script — a CmError means the figure script itself is wrong
     shard_scaling_script(label, cfg).expect("shard-scaling script")
@@ -815,9 +814,9 @@ fn shard_scaling(fig: &Figure, _smoke: bool) -> FigureRun {
     doc.para(
         "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
 Deterministic: the sweep drives `cm-core` directly with fixed timestamps and \
-reports work counters, not wall-clock times (those live in the `sharding` \
-bench group of `cargo bench -p cm-bench`). Rerunning reproduces this file \
-byte for byte.*",
+reports work counters, not wall-clock times (those are the repo benchmark's \
+`core.front.tick_us`, beside its own `core.shard.tick_mfs_scanned_per_tick`). \
+Rerunning reproduces this file byte for byte.*",
     );
     doc.section("Per-tick maintenance work, 16 groups with 1 active");
     let mut t = Table::new(&[
@@ -907,7 +906,7 @@ pub struct ParallelScalingRow {
 /// command routing is a pure function of the key stream and the
 /// serial front replays the same per-shard command sequence at any
 /// worker count, so everything here except wall-clock time (which
-/// lives in `cargo bench -p cm-bench`'s `churn_1m` group) is exactly
+/// is the repo benchmark's `core.runtime.cycle_ns`) is exactly
 /// reproducible.
 pub fn parallel_scaling_row(workers: usize) -> ParallelScalingRow {
     use cm_core::prelude::*;
@@ -1003,9 +1002,9 @@ tick barrier per round \u{2014} run on the thread-per-shard parallel runtime at 
 the aggregate grant/scan counters. The aggregates are identical in every row \
 (asserted at generation time): the serial front replays the same per-shard \
 command sequence at any worker count, so worker count changes *where* work \
-runs, never *what* work runs. Wall-clock scaling lives in `cargo bench -p \
-cm-bench --bench churn_1m`; this figure pins the partition itself so CI stays \
-reproducible on any host.",
+runs, never *what* work runs. Wall-clock cost is the repo benchmark's \
+`core.runtime.cycle_ns` and `core.runtime.vs_inproc_ratio`; this figure pins \
+the partition itself so CI stays reproducible on any host.",
     run: parallel_scaling,
 };
 
@@ -1166,8 +1165,8 @@ fn robustness(fig: &Figure, _smoke: bool) -> FigureRun {
         "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
 Deterministic: every condition is a fixed fault plan replayed on the seeded \
 simulator; rerunning reproduces this file byte for byte. The seeded-sweep \
-version of the same harness runs via `cargo run --release -p cm-bench --bin \
-chaos`.*",
+version of the same harness runs via `cargo run --release -p cm-experiments \
+--bin chaos`.*",
     );
     doc.section("Honest transfer under each condition");
     let mut t = Table::new(&[

@@ -24,7 +24,7 @@
 //! is itself the final invariant.
 //!
 //! Everything is derived from `(scenario, seed)`, so a failing plan
-//! replays bit-for-bit: `cargo run --release -p cm-bench --bin chaos`.
+//! replays bit-for-bit: `cargo run --release -p cm-experiments --bin chaos`.
 
 use cm_apps::ack_clients::{AckReceiver, FeedbackPolicy};
 use cm_apps::blast::{BlastApi, BlastSender};

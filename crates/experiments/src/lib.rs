@@ -28,12 +28,11 @@
 //!   scaling, robustness and decision-timeline figures.
 //! * [`paper`] — the paper's own evaluation: Table 1, Figures 3-7 and 10,
 //!   connection set-up, the design ablations.
-//! * [`scenarios`] — the paper's testbed set-ups those figures (and the
-//!   `cm-bench` benches) run.
+//! * [`scenarios`] — the paper's testbed set-ups those figures run.
 //! * [`chaos`] — the fault-injection harness: scenarios replayed under
 //!   seeded [`cm_netsim::fault::FaultPlan`]s with CM invariants checked
 //!   every simulated second (drives the `robustness` figure and the
-//!   `cm-bench` chaos CLI).
+//!   `chaos` binary).
 //! * [`trace`] — deterministic CSV/JSONL emitters for the CM's
 //!   flight-recorder rings (drives the `decision_timeline` figure and
 //!   the chaos harness's post-mortem dumps); see
@@ -63,8 +62,5 @@ pub mod trace;
 
 pub use builtin::{Figure, FigureRun};
 pub use report::Table;
-pub use runner::{
-    adaptive_stream_under_trace, default_adapt_trace, run_experiment, AdaptOutcome, CellOutcome,
-    ExperimentResult,
-};
+pub use runner::{run_experiment, CellOutcome, ExperimentResult};
 pub use spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule, ScheduleSpec};

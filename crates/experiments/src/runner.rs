@@ -498,86 +498,35 @@ fn phase_summaries(
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Back-compat scenario surface (previously in `cm_bench::scenarios`)
-// ---------------------------------------------------------------------
-
-/// Adaptation quality under a bandwidth trace, per policy.
-#[derive(Clone, Debug)]
-pub struct AdaptOutcome {
-    /// Bytes delivered to the receiver.
-    pub delivered: u64,
-    /// Total layer switches.
-    pub switches: u64,
-    /// Direction reversals per minute (oscillation).
-    pub oscillation_per_min: f64,
-    /// Mean delivered utility (level rate in KB/s, time-weighted).
-    pub mean_utility: f64,
-    /// Fraction of time per layer.
-    pub time_in_layer: Vec<f64>,
-}
-
-/// Runs the layered streamer against a time-varying bottleneck and
-/// reports adaptation quality — the harness behind the "quality and
-/// oscillation vs. policy" comparison. The trace applies to the forward
-/// (data) direction of an otherwise clean 40 ms-RTT path.
-pub fn adaptive_stream_under_trace(
-    policy: AdaptPolicyKind,
-    trace: &BandwidthSchedule,
-    secs: u64,
-    seed: u64,
-) -> AdaptOutcome {
-    let cell = layered_cell(
-        policy,
-        ControllerKind::Aimd {
-            byte_counting: true,
-        },
-        trace,
-        secs,
-        seed,
-    );
-    let stats = &cell.stats;
-    AdaptOutcome {
-        delivered: cell.delivered,
-        switches: stats.switches,
-        oscillation_per_min: stats.oscillation_per_min(),
-        mean_utility: stats.mean_utility(),
-        time_in_layer: (0..stats.time_in_level().len())
-            .map(|i| stats.fraction_in_level(i))
-            .collect(),
-    }
-}
-
-/// The default trace for adaptation benches: capacity swings between
-/// comfortable (8 Mbps — sustains the 1 MB/s third layer) and
-/// constrained (600 kbps — forces the floor) every 6 s.
-pub fn default_adapt_trace(secs: u64) -> BandwidthSchedule {
-    BandwidthSchedule::square_wave(
-        Rate::from_mbps(8),
-        Rate::from_kbps(600),
-        Duration::from_secs(6),
-        Time::from_secs(secs),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn adaptation_trace_scenario_reports_quality() {
-        let trace = default_adapt_trace(14);
-        let o = adaptive_stream_under_trace(AdaptPolicyKind::LadderImmediate, &trace, 14, 3);
+        // Capacity swings between comfortable (8 Mbps sustains the
+        // 1 MB/s third layer) and constrained (600 kbps forces the
+        // floor) every 6 s.
+        let trace = BandwidthSchedule::square_wave(
+            Rate::from_mbps(8),
+            Rate::from_kbps(600),
+            Duration::from_secs(6),
+            Time::from_secs(14),
+        );
+        let aimd = ControllerKind::Aimd {
+            byte_counting: true,
+        };
+        let o = layered_cell(AdaptPolicyKind::LadderImmediate, aimd, &trace, 14, 3);
         assert!(o.delivered > 200_000, "delivered {}", o.delivered);
-        assert!(o.switches >= 2, "no adaptation under the trace");
-        assert_eq!(o.time_in_layer.len(), 4);
+        assert!(o.stats.switches >= 2, "no adaptation under the trace");
+        assert_eq!(o.stats.time_in_level().len(), 4);
         // Damping must cut switch count against the same trace.
-        let damped = adaptive_stream_under_trace(AdaptPolicyKind::LadderDamped, &trace, 14, 3);
+        let damped = layered_cell(AdaptPolicyKind::LadderDamped, aimd, &trace, 14, 3);
         assert!(
-            damped.switches <= o.switches,
+            damped.stats.switches <= o.stats.switches,
             "damped {} vs immediate {}",
-            damped.switches,
-            o.switches
+            damped.stats.switches,
+            o.stats.switches
         );
     }
 

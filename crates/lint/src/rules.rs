@@ -90,9 +90,9 @@ impl fmt::Display for Diagnostic {
 }
 
 /// What kind of build target a file belongs to. Rules apply
-/// differentially: R2 is library-only (binaries, tests, benches and
-/// examples may panic), R3 covers library and binary code of the
-/// deterministic crates.
+/// differentially: R2 is library-only (binaries, tests and examples
+/// may panic), R3 covers library and binary code of the deterministic
+/// crates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
     /// Part of a `lib` target (`src/` outside `src/bin/`).
@@ -101,8 +101,6 @@ pub enum FileKind {
     Bin,
     /// Integration tests (`tests/`).
     Tests,
-    /// Benchmarks (`benches/`).
-    Bench,
     /// Examples (`examples/`).
     Example,
 }
@@ -838,9 +836,9 @@ mod tests {
 ";
         let a = analyze(&lib_meta(), src);
         assert_eq!(rules_of(&a), vec![(1, Rule::R2)]);
-        let mut bench = lib_meta();
-        bench.kind = FileKind::Bench;
-        let a = analyze(&bench, src);
+        let mut example = lib_meta();
+        example.kind = FileKind::Example;
+        let a = analyze(&example, src);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
 

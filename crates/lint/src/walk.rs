@@ -3,10 +3,10 @@
 //! The walker mirrors cargo's target layout conventions instead of
 //! parsing manifests: for every workspace member it scans `src/`
 //! (library code; `src/bin/` and `src/main.rs` are binaries),
-//! `tests/`, `benches/`, and `examples/`. Vendored stand-in crates
-//! under `vendor/` are third-party shims: only the crate-root R5 check
-//! applies to them. The lint fixture corpus (`crates/lint/fixtures/`)
-//! holds deliberately-bad sources and is never swept.
+//! `tests/`, and `examples/`. Vendored stand-in crates under `vendor/`
+//! are third-party shims: only the crate-root R5 check applies to them.
+//! The lint fixture corpus (`crates/lint/fixtures/`) holds
+//! deliberately-bad sources and is never swept.
 
 use crate::rules::{FileKind, FileMeta};
 use std::fs;
@@ -64,7 +64,6 @@ fn collect_package(
     for (sub, kind) in [
         ("src", FileKind::Library),
         ("tests", FileKind::Tests),
-        ("benches", FileKind::Bench),
         ("examples", FileKind::Example),
     ] {
         let dir = pkg.join(sub);

@@ -87,7 +87,7 @@ fn r2_fires_on_panics_not_on_invariants_or_tests() {
 #[test]
 fn r2_exempt_in_non_library_targets() {
     let src = std::fs::read_to_string(fixture_dir().join("bad_r2_panics.rs")).unwrap();
-    for kind in [FileKind::Tests, FileKind::Bench, FileKind::Example] {
+    for kind in [FileKind::Tests, FileKind::Example] {
         let meta = FileMeta {
             path: "crates/lint/fixtures/bad_r2_panics.rs".into(),
             kind,

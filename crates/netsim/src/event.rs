@@ -26,8 +26,9 @@
 //!   `(time, seq)` exactly once when the cursor reaches it.
 //!
 //! Pop order is byte-identical to the reference heap — a property test in
-//! `tests/props.rs` drives both implementations with randomized schedules
-//! and asserts identical `(time, seq)` streams.
+//! `tests/props.rs` (which also holds that reference implementation)
+//! drives both with randomized schedules and asserts identical
+//! `(time, seq)` streams.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

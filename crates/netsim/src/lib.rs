@@ -33,7 +33,6 @@ pub mod fault;
 pub mod link;
 pub mod packet;
 pub mod queue;
-pub mod reference;
 pub mod schedule;
 pub mod sim;
 pub mod topology;

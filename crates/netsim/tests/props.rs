@@ -181,9 +181,91 @@ proptest! {
 // Timer wheel vs. reference heap
 // ---------------------------------------------------------------------
 
+/// The reference event queue: the original `BinaryHeap` implementation,
+/// kept so the differential property test below can drive it and the
+/// timer wheel with identical randomized schedules.
+mod reference {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    use cm_netsim::event::SimEvent;
+    use cm_util::Time;
+
+    struct Scheduled {
+        at: Time,
+        seq: u64,
+        event: SimEvent,
+    }
+
+    impl PartialEq for Scheduled {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+
+    impl Eq for Scheduled {}
+
+    impl PartialOrd for Scheduled {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Scheduled {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reverse: BinaryHeap is a max-heap, we want the earliest first.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// A deterministic future-event list backed by a binary min-heap.
+    #[derive(Default)]
+    pub struct HeapEventQueue {
+        heap: BinaryHeap<Scheduled>,
+        next_seq: u64,
+    }
+
+    impl HeapEventQueue {
+        /// Creates an empty queue.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Schedules `event` at absolute time `at`.
+        pub fn schedule(&mut self, at: Time, event: SimEvent) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Scheduled { at, seq, event });
+        }
+
+        /// Removes and returns the earliest event, with its time.
+        pub fn pop(&mut self) -> Option<(Time, SimEvent)> {
+            self.heap.pop().map(|s| (s.at, s.event))
+        }
+
+        /// The time of the earliest pending event.
+        pub fn peek_time(&self) -> Option<Time> {
+            self.heap.peek().map(|s| s.at)
+        }
+
+        /// Number of pending events.
+        pub fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// Returns true if no events are pending.
+        pub fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
+}
+
 mod event_queue_differential {
+    use super::reference::HeapEventQueue;
     use cm_netsim::event::{EventQueue, SimEvent};
-    use cm_netsim::reference::HeapEventQueue;
     use cm_netsim::sim::NodeId;
     use cm_util::Time;
     use proptest::prelude::*;

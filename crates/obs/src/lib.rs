@@ -25,7 +25,7 @@
 //! check per record call and allocates nothing at construction, so the
 //! hot paths of a CM that never asked for tracing are unchanged — a
 //! property enforced by the counting-allocator tests in this crate and
-//! the `trace_overhead` bench group in `cm-bench`.
+//! measured by the repo benchmark's `obs.tracer.on_off_ratio`.
 //!
 //! # Example
 //!

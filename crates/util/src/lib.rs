@@ -3,9 +3,8 @@
 //! Everything in this crate is intentionally independent of both the network
 //! simulator ([`cm-netsim`]) and the Congestion Manager itself
 //! ([`cm-core`]): simulated time, rate arithmetic, smoothing filters,
-//! token buckets, TCP-style wrapping sequence numbers, a deterministic
-//! splittable RNG, and small statistics helpers used by the experiment
-//! harness.
+//! token buckets, a deterministic splittable RNG, and small statistics
+//! helpers used by the experiment harness.
 //!
 //! All quantities are fixed-point integers (nanoseconds, bytes, bits per
 //! second) so that simulations are exactly reproducible across platforms;
@@ -22,7 +21,6 @@ pub mod ewma;
 pub mod fxhash;
 pub mod rate;
 pub mod rng;
-pub mod seq;
 pub mod stats;
 pub mod time;
 pub mod token_bucket;
@@ -31,7 +29,6 @@ pub use ewma::{Ewma, RttEstimator};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use rate::Rate;
 pub use rng::DetRng;
-pub use seq::Seq;
 pub use stats::{Summary, TimeSeries};
 pub use time::{Duration, Time};
 pub use token_bucket::TokenBucket;

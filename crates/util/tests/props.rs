@@ -1,38 +1,10 @@
 //! Property-based tests for the cm-util primitives.
 
 use cm_util::time::{Duration, Time};
-use cm_util::{DetRng, Ewma, Rate, Seq, TokenBucket};
+use cm_util::{DetRng, Ewma, Rate, TokenBucket};
 use proptest::prelude::*;
 
 proptest! {
-    /// Sequence comparison is antisymmetric away from the half-ring
-    /// boundary: exactly one of `a.lt(b)`, `b.lt(a)`, `a == b` holds.
-    #[test]
-    fn seq_trichotomy(a in any::<u32>(), d in 1u32..(1 << 31)) {
-        let a = Seq::new(a);
-        let b = a + d;
-        prop_assert!(a.lt(b));
-        prop_assert!(!b.lt(a));
-        prop_assert!(a != b);
-    }
-
-    /// `dist_from` inverts addition for any in-window distance.
-    #[test]
-    fn seq_add_dist_roundtrip(a in any::<u32>(), d in any::<u32>()) {
-        let a = Seq::new(a);
-        let b = a + d;
-        prop_assert_eq!(b.dist_from(a), d);
-    }
-
-    /// Modular min/max pick from the pair and order correctly in-window.
-    #[test]
-    fn seq_min_max_consistent(a in any::<u32>(), d in 0u32..(1 << 31)) {
-        let a = Seq::new(a);
-        let b = a + d;
-        prop_assert_eq!(a.max(b), b);
-        prop_assert_eq!(a.min(b), a);
-    }
-
     /// transmit_time and bytes_in are inverse-consistent: sending the
     /// bytes that fit in a window never takes longer than the window.
     #[test]
