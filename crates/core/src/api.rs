@@ -92,6 +92,10 @@ pub struct CmStats {
     pub queries: u64,
     /// Rate-change notifications emitted.
     pub rate_callbacks: u64,
+    /// Rate-callback checks that left a macroflow's quiet band and walked
+    /// its members; every other check (one per `update`, one per
+    /// macroflow per `tick`) cost one comparison.
+    pub rate_walks: u64,
     /// Grants reclaimed by the maintenance timer.
     pub grants_reclaimed: u64,
     /// Outstanding bytes written off after a long feedback-free
@@ -161,6 +165,7 @@ impl CmStats {
             updates,
             queries,
             rate_callbacks,
+            rate_walks,
             grants_reclaimed,
             outstanding_reclaimed,
             write_off_congestion_signals,
@@ -188,6 +193,7 @@ impl CmStats {
         self.updates += updates;
         self.queries += queries;
         self.rate_callbacks += rate_callbacks;
+        self.rate_walks += rate_walks;
         self.grants_reclaimed += grants_reclaimed;
         self.outstanding_reclaimed += outstanding_reclaimed;
         self.write_off_congestion_signals += write_off_congestion_signals;
@@ -1720,6 +1726,13 @@ mod tests {
         assert_eq!(cm.stats().requests, 2);
         // One MTU of window: exactly one grant.
         assert_eq!(grants_in(&drain(&mut cm)).len(), 1);
+        // A batch that comes back to a macroflow it already touched
+        // still gives each macroflow its one MTU, once.
+        let g1 = cm.open(key(1002, 10), Time::ZERO).unwrap();
+        let h = cm.open(key(1003, 11), Time::ZERO).unwrap();
+        let g2 = cm.open(key(1004, 10), Time::ZERO).unwrap();
+        cm.bulk_request(&[g1, h, g2], Time::ZERO).unwrap();
+        assert_eq!(grants_in(&drain(&mut cm)), vec![g1, h]);
     }
 
     #[test]
@@ -2456,5 +2469,33 @@ mod tests {
         }
         assert_eq!(cm.stats().flows_reaped, 3_002);
         assert!(cm.flow_slab_capacity() <= 1_001, "reaped slots not reused");
+    }
+
+    /// The reaper runs after the tick's macroflow pass, so when it
+    /// closes a shard's last flow the linger clock it starts is seen by
+    /// no one: the shard must stay scheduled for another tick, or it
+    /// goes quiet with the empty macroflow (and its group entry) held
+    /// for ever.
+    #[test]
+    fn macroflow_of_reaped_last_flow_still_expires() {
+        let mut cm = CongestionManager::new(CmConfig {
+            orphan_timeout: Some(Duration::from_secs(2)),
+            macroflow_linger: Duration::from_millis(500),
+            ..Default::default()
+        });
+        cm.open(key(1000, 9), Time::ZERO).unwrap();
+        cm.tick(Time::from_secs(3));
+        assert_eq!(cm.stats().flows_reaped, 1);
+        for s in 4..=40 {
+            cm.tick(Time::from_secs(s));
+        }
+        assert_eq!(cm.stats().macroflows_expired, 1);
+        assert_eq!(
+            cm.macroflow_count(),
+            0,
+            "reaped flow stranded its macroflow"
+        );
+        // Once the macroflow is gone the shard does go quiet.
+        assert!(cm.stats().tick_shards_skipped >= 30);
     }
 }

@@ -20,7 +20,7 @@ use cm_util::{Duration, Ewma, Rate, Time};
 use crate::config::{AggregationPolicy, CmConfig};
 use crate::controller::{build_controller, CongestionController};
 use crate::scheduler::{build_scheduler, Scheduler};
-use crate::types::{FlowId, MacroflowId};
+use crate::types::{FlowId, MacroflowId, Thresholds};
 
 /// Lower bound on the computed retransmission timeout.
 pub(crate) const MIN_RTO: Duration = Duration::from_millis(200);
@@ -114,6 +114,66 @@ pub struct GrantEntry {
     pub issued: Time,
 }
 
+/// Relative slack taken off both edges of every bound a [`QuietBand`]
+/// absorbs: seven orders of magnitude above the rounding of the f64
+/// divisions on either side of the comparison, so the band errs narrow.
+const BAND_SLACK: f64 = 1e-9;
+
+/// The interval of *unit shares* — `rate / total_weight`, bps per unit of
+/// scheduler weight — inside which no threshold-registered member of a
+/// macroflow can satisfy [`Thresholds::crossed`].
+///
+/// Every member's share is `floor(unit share x its weight)`, so each
+/// registration is a pair of bounds in one space all members share, and
+/// joins and leaves of unregistered members (which move only the total
+/// weight) leave the band valid. The band is only ever *conservative*:
+/// too narrow costs one member walk, which rebuilds it; too wide would
+/// lose a callback. It may therefore keep the bounds of members that
+/// have since unregistered, closed or left.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct QuietBand {
+    lo: f64,
+    hi: f64,
+}
+
+impl QuietBand {
+    /// No registration constrains the macroflow: every unit share is
+    /// quiet.
+    pub(crate) const OPEN: QuietBand = QuietBand {
+        lo: 0.0,
+        hi: f64::INFINITY,
+    };
+    /// No unit share is quiet: the next check walks the members and
+    /// rebuilds the band from what it finds.
+    pub(crate) const INVALID: QuietBand = QuietBand {
+        lo: f64::INFINITY,
+        hi: 0.0,
+    };
+
+    fn contains(&self, unit: f64) -> bool {
+        self.lo <= unit && unit <= self.hi
+    }
+
+    /// Narrows the band by the bounds of one registered member: the one
+    /// with scheduler weight `weight` whose thresholds `t` are judged
+    /// against a last reported share of `last`.
+    pub(crate) fn narrow(&mut self, last: Rate, t: Thresholds, weight: u32) {
+        let last = last.as_bps() as f64;
+        // A share is a whole number of bps, so the two float tests of
+        // `crossed` are exact integer bounds on it: quiet from `lo` up
+        // to, but excluding, `hi`.
+        let (lo, hi) = if last == 0.0 {
+            // From zero, any non-zero share is a crossing.
+            (0.0, 1.0)
+        } else {
+            ((last * t.down).floor() + 1.0, (last * t.up).ceil())
+        };
+        let w = weight as f64;
+        self.lo = self.lo.max(lo / w * (1.0 + BAND_SLACK));
+        self.hi = self.hi.min(hi / w * (1.0 - BAND_SLACK));
+    }
+}
+
 /// Shared congestion state for a group of flows.
 pub struct Macroflow {
     /// This macroflow's id.
@@ -161,6 +221,9 @@ pub struct Macroflow {
     pub home: Option<(u64, u8)>,
     /// When `home` was set (merge-back honours the configured dwell).
     pub home_since: Time,
+    /// Where the unit share may move without any member's rate callback
+    /// coming due; see [`QuietBand`].
+    pub(crate) quiet: QuietBand,
 }
 
 impl Macroflow {
@@ -185,6 +248,7 @@ impl Macroflow {
             mtu: cfg.mtu,
             home: None,
             home_since: Time::ZERO,
+            quiet: QuietBand::OPEN,
         }
     }
 
@@ -211,6 +275,7 @@ impl Macroflow {
         self.mtu = cfg.mtu;
         self.home = None;
         self.home_since = Time::ZERO;
+        self.quiet = QuietBand::OPEN;
     }
 
     /// Window headroom available for new grants, in bytes.
@@ -242,6 +307,18 @@ impl Macroflow {
         }
         let w = self.scheduler.weight_of(flow) as u64;
         self.rate().mul_ratio(w, total)
+    }
+
+    /// Whether the current unit share lies inside the quiet band, i.e.
+    /// no member's rate callback can be due. O(1): the rate-callback
+    /// check of every `update` and `tick` is this and nothing else
+    /// unless it fails.
+    pub(crate) fn is_quiet(&self) -> bool {
+        let total = self.scheduler.total_weight();
+        total == 0
+            || self
+                .quiet
+                .contains(self.rate().as_bps() as f64 / total as f64)
     }
 
     /// The pacing gap between successive grants: the time one MTU takes

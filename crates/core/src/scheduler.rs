@@ -12,14 +12,21 @@
 //!
 //! # Flat state
 //!
-//! Every scheduler here stores per-flow state in dense arrays indexed by
-//! `FlowId` (the CM allocates flow ids from a slab, so ids stay compact
-//! under churn). The round-robin rotations are intrusive doubly-linked
-//! rings threaded through those arrays: `enqueue`, `dequeue`, and —
+//! Every scheduler here stores per-flow state in a dense array of
+//! member-local slots and finds a flow's slot through a hash map keyed by
+//! `FlowId` that holds registered members only, so a scheduler's memory
+//! is proportional to its macroflow's membership — never to the shard's
+//! flow-id space, which would make the CM's memory grow as flows x
+//! macroflows. The round-robin rotations are intrusive doubly-linked
+//! rings threaded through the slot array: `enqueue`, `dequeue`, and —
 //! critically for flow churn — `remove_flow` are all O(1), with no
-//! per-operation allocation and no `retain` scans. Rotation order is
-//! identical to the original `VecDeque` implementation: the head is
-//! served, then rotated to the tail while it still has requests.
+//! `retain` scans and no allocation once the map and the slot array have
+//! reached the membership's size. Rotation order is identical to the
+//! original `VecDeque` implementation: the head is served, then rotated
+//! to the tail while it still has requests; the map is only ever looked
+//! up, never iterated, so it cannot influence order.
+
+use cm_util::FxHashMap;
 
 use crate::config::SchedulerKind;
 use crate::types::FlowId;
@@ -94,14 +101,12 @@ struct RingSlot {
 /// The intrusive circular rotation shared by RR and WRR: `head` is the
 /// flow served next; the tail is `head`'s `prev`.
 ///
-/// Member state lives in `slots`, sized by the macroflow's member count,
-/// not by the global flow-id space; `index` maps global `FlowId` to the
-/// local slot in O(1) with 4 bytes per global id, so a CM with many
-/// macroflows does not pay per-scheduler arrays proportional to the
-/// whole flow table.
+/// Member state lives in `slots` and `index` maps a registered flow's id
+/// to its slot; both are sized by the macroflow's member count, so a CM
+/// with many macroflows pays for its flows once, not once per macroflow.
 struct Ring {
-    /// Global flow id -> local slot ([`NIL`] when not registered here).
-    index: Vec<u32>,
+    /// Flow id -> local slot, for the flows registered here.
+    index: FxHashMap<u32, u32>,
     slots: Vec<RingSlot>,
     free: Vec<u32>,
     head: u32,
@@ -121,7 +126,7 @@ impl Default for Ring {
 impl Ring {
     fn new() -> Self {
         Ring {
-            index: Vec::new(),
+            index: FxHashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -133,10 +138,7 @@ impl Ring {
 
     #[inline]
     fn local(&self, flow: FlowId) -> Option<u32> {
-        self.index
-            .get(flow.0 as usize)
-            .copied()
-            .filter(|&l| l != NIL)
+        self.index.get(&flow.0).copied()
     }
 
     fn slot(&self, flow: FlowId) -> Option<&RingSlot> {
@@ -144,16 +146,9 @@ impl Ring {
     }
 
     fn add(&mut self, flow: FlowId, weight: u32) {
-        let g = flow.0 as usize;
-        if self.index.len() <= g {
-            self.index.resize(g + 1, NIL);
-        }
-        if self.index[g] != NIL {
+        if self.local(flow).is_some() {
             // Re-registration updates the weight but keeps queue state.
-            let s = &mut self.slots[self.index[g] as usize];
-            let old = s.weight;
-            s.weight = weight;
-            self.weight_sum = self.weight_sum - old as u64 + weight as u64;
+            self.set_weight(flow, weight);
             return;
         }
         let slot = RingSlot {
@@ -173,18 +168,17 @@ impl Ring {
                 self.slots.len() as u32 - 1
             }
         };
-        self.index[g] = local;
+        self.index.insert(flow.0, local);
         self.weight_sum += weight as u64;
         self.registered += 1;
     }
 
     /// Unlinks and unregisters; returns true if the flow was the head.
     fn remove(&mut self, flow: FlowId) -> bool {
-        let Some(l) = self.local(flow) else {
+        let Some(l) = self.index.remove(&flow.0) else {
             return false;
         };
         let s = self.slots[l as usize];
-        self.index[flow.0 as usize] = NIL;
         self.free.push(l);
         self.weight_sum -= s.weight as u64;
         self.registered -= 1;
@@ -296,13 +290,10 @@ impl Ring {
     }
     // lint:hot-path:end
 
-    /// Empties the ring while retaining capacity. The index keeps its
-    /// length (re-filled with [`NIL`]) so re-registering previously seen
-    /// flow ids never re-allocates.
+    /// Empties the ring while retaining capacity, so a recycled shell
+    /// re-registers as many members as it ever held without allocating.
     fn reset(&mut self) {
-        for x in &mut self.index {
-            *x = NIL;
-        }
+        self.index.clear();
         self.slots.clear();
         self.free.clear();
         self.head = NIL;
@@ -473,8 +464,8 @@ impl Scheduler for WeightedRoundRobinScheduler {
 /// touches only this scheduler's flows.
 #[derive(Default)]
 pub struct StrideScheduler {
-    /// Global flow id -> local slot ([`NIL`] when not registered here).
-    index: Vec<u32>,
+    /// Flow id -> local slot, for the flows registered here.
+    index: FxHashMap<u32, u32>,
     flows: Vec<StrideSlot>,
     free: Vec<u32>,
     total: usize,
@@ -501,10 +492,7 @@ impl StrideScheduler {
 
     #[inline]
     fn local(&self, flow: FlowId) -> Option<u32> {
-        self.index
-            .get(flow.0 as usize)
-            .copied()
-            .filter(|&l| l != NIL)
+        self.index.get(&flow.0).copied()
     }
 
     fn min_active_pass(&self) -> Option<u64> {
@@ -521,19 +509,15 @@ impl Scheduler for StrideScheduler {
         // New flows start at the current minimum pass so they cannot
         // monopolize (standard stride join rule).
         let pass = self.min_active_pass().unwrap_or(0);
-        let g = flow.0 as usize;
-        if self.index.len() <= g {
-            self.index.resize(g + 1, NIL);
-        }
         let slot = StrideSlot {
             flow: flow.0,
             weight: weight.max(1),
             pending: 0,
             pass,
         };
-        if self.index[g] != NIL {
+        if let Some(l) = self.local(flow) {
             // Re-registration resets the flow's stride state.
-            let s = &mut self.flows[self.index[g] as usize];
+            let s = &mut self.flows[l as usize];
             self.total -= s.pending as usize;
             self.weight_sum -= s.weight as u64;
             *s = slot;
@@ -548,19 +532,18 @@ impl Scheduler for StrideScheduler {
                     self.flows.len() as u32 - 1
                 }
             };
-            self.index[g] = local;
+            self.index.insert(flow.0, local);
         }
         self.weight_sum += weight.max(1) as u64;
     }
 
     fn remove_flow(&mut self, flow: FlowId) {
-        if let Some(l) = self.local(flow) {
+        if let Some(l) = self.index.remove(&flow.0) {
             let s = &mut self.flows[l as usize];
             self.total -= s.pending as usize;
             self.weight_sum -= s.weight as u64;
             s.flow = NIL;
             s.pending = 0;
-            self.index[flow.0 as usize] = NIL;
             self.free.push(l);
         }
     }
@@ -620,9 +603,7 @@ impl Scheduler for StrideScheduler {
     }
 
     fn reset(&mut self) {
-        for x in &mut self.index {
-            *x = NIL;
-        }
+        self.index.clear();
         self.flows.clear();
         self.free.clear();
         self.total = 0;

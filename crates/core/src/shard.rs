@@ -12,9 +12,9 @@
 //!
 //! Ids handed to clients (and stored in `key_to_flow`, macroflow member
 //! lists, and the grant queue) are *global* — shard bits included. The
-//! schedulers are the one exception: their dense index arrays are sized
-//! by the ids they see, so the shard hands them *local* slot ids
-//! (`FlowId(slot)` with zero shard bits) and re-encodes on the way out.
+//! schedulers are the one exception: the shard hands them *local* slot
+//! ids (`FlowId(slot)` with zero shard bits), which index the flow slab
+//! directly when a grant comes back out, and re-encodes on the way out.
 //!
 //! # Quiet-shard skip
 //!
@@ -36,7 +36,7 @@ use crate::api::{CmNotification, CmStats};
 use crate::config::{CmConfig, ReaggregationConfig};
 use crate::error::{CmError, CmResult};
 use crate::flow::Flow;
-use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, MIN_RTO};
+use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, QuietBand, MIN_RTO};
 use crate::types::{
     FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds, SLOT_BITS,
     SLOT_MASK,
@@ -73,7 +73,7 @@ fn slot(id: u32) -> usize {
 }
 
 /// The scheduler-local form of a global flow id (shard bits stripped —
-/// schedulers size their index arrays by the ids they are given).
+/// what `try_grants` gets back from `dequeue` is the slab index).
 #[inline]
 fn lid(id: FlowId) -> FlowId {
     FlowId(id.0 & SLOT_MASK)
@@ -108,8 +108,7 @@ pub(crate) struct Shard {
     base: u32,
     /// Flow slab: the id's slot bits index it; vacated slots are
     /// recycled through `free_flows`, so the id space (and every
-    /// slot-indexed array, notably the schedulers') stays dense under
-    /// churn.
+    /// slot-indexed array) stays dense under churn.
     flows: Vec<Option<Flow>>,
     free_flows: Vec<u32>,
     /// Per-slot generation, bumped whenever a slot's grant-queue entries
@@ -352,7 +351,11 @@ impl Shard {
         }
         let mf_id = self.flow_ref(flow)?.macroflow;
         self.flow_mut(flow)?.weight = weight;
-        self.mf_mut(mf_id)?.scheduler.set_weight(lid(flow), weight);
+        let mf = self.mf_mut(mf_id)?;
+        mf.scheduler.set_weight(lid(flow), weight);
+        // A registered member's bounds in unit-share space scale with
+        // its weight.
+        mf.quiet = QuietBand::INVALID;
         Ok(())
     }
 
@@ -394,7 +397,11 @@ impl Shard {
         }
         let mf = self.mf_mut(mf_id)?;
         mf.scheduler.enqueue(lid(flow));
-        if !self.scratch_mfs.contains(&mf_id) {
+        // Only a run of requests on one macroflow is folded: `try_grants`
+        // is idempotent, so a macroflow listed twice costs the flush one
+        // more O(1) pass, where a membership scan here would make a
+        // batch quadratic in the macroflows it touches.
+        if self.scratch_mfs.last() != Some(&mf_id) {
             // lint:allow(R1): scratch list retains capacity across flushes; no_alloc test pins the steady state
             self.scratch_mfs.push(mf_id);
         }
@@ -423,8 +430,9 @@ impl Shard {
         }
     }
 
-    /// The grant half of `bulk_request`: one `try_grants` pass per
-    /// macroflow touched by `enqueue_request` since the last flush.
+    /// The grant half of `bulk_request`: one `try_grants` pass per run
+    /// of requests `enqueue_request` saw on one macroflow since the last
+    /// flush.
     pub(crate) fn flush_enqueued(&mut self, now: Time) {
         let mut touched = std::mem::take(&mut self.scratch_mfs);
         for &mf_id in &touched {
@@ -738,7 +746,12 @@ impl Shard {
         thresholds: Option<Thresholds>,
     ) -> CmResult<()> {
         let mf_id = self.flow_ref(flow)?.macroflow;
-        let current = self.mf_ref(mf_id)?.share_of(lid(flow));
+        let mf = self.mf_mut(mf_id)?;
+        let current = mf.share_of(lid(flow));
+        if let Some(t) = thresholds {
+            mf.quiet
+                .narrow(current, t, mf.scheduler.weight_of(lid(flow)));
+        }
         let f = self.flow_mut(flow)?;
         match (f.update_interest.is_some(), thresholds.is_some()) {
             (false, true) => self.thresh_regs += 1,
@@ -848,6 +861,9 @@ impl Shard {
             mf.scheduler.enqueue(lid(flow));
         }
         mf.empty_since = None;
+        // The newcomer may bring a registration whose last report was a
+        // share of another macroflow.
+        mf.quiet = QuietBand::INVALID;
         let f = self.flow_mut(flow)?;
         f.macroflow = to;
         f.mf_pos = pos;
@@ -1032,6 +1048,10 @@ impl Shard {
                         .record(now, TraceEvent::FlowReaped { flow: id.0 });
                 }
             }
+            // A reaped flow may have been its macroflow's last: the
+            // linger clock it started is younger than the macroflow pass
+            // above, so only the next tick can see it.
+            needs |= !reap.is_empty();
             reap.clear();
             self.scratch_flows = reap;
         }
@@ -1053,8 +1073,8 @@ impl Shard {
 
     /// Structural invariant check for the chaos harness and property
     /// tests: slab/free-list consistency, flow ↔ macroflow membership,
-    /// grant reservations, and parked-request accounting. Never called
-    /// on a hot path.
+    /// grant reservations, parked-request accounting, and the quiet
+    /// bands' conservatism. Never called on a hot path.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let live = self.flows.iter().flatten().count();
         if live != self.live_flows {
@@ -1120,6 +1140,7 @@ impl Shard {
             let mut reserved = 0u64;
             let mut lazy_dead = 0usize;
             let mut granted = 0usize;
+            let quiet = mf.is_quiet();
             for (pos, &fid) in mf.flows.iter().enumerate() {
                 let Some(f) = self.flows.get(slot(fid.0)).and_then(Option::as_ref) else {
                     return Err(format!("macroflow {:?} lists dead flow {:?}", mf.id, fid));
@@ -1139,6 +1160,18 @@ impl Shard {
                 reserved += f.granted as u64 * mf.mtu as u64;
                 lazy_dead += f.dead_grant_entries as usize;
                 granted += f.granted as usize;
+                // The quiet band against the walk it stands in for:
+                // wherever the O(1) check would skip the members, the
+                // member-by-member test must find nothing to report.
+                let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
+                let share = mf.share_of(lid(fid));
+                if quiet && f.update_interest.is_some_and(|t| t.crossed(last, share)) {
+                    return Err(format!(
+                        "macroflow {:?} is inside its quiet band {:?} but flow {:?} \
+                         crossed its thresholds ({last:?} -> {share:?})",
+                        mf.id, mf.quiet, fid
+                    ));
+                }
             }
             if reserved != mf.granted_unnotified {
                 return Err(format!(
@@ -1258,16 +1291,7 @@ impl Shard {
     }
 
     pub(crate) fn flow_info(&self, flow: FlowId, mf_id: MacroflowId) -> CmResult<FlowInfo> {
-        let f = self.flow_ref(flow)?;
-        let mf = self.mf_ref(mf_id)?;
-        Ok(FlowInfo {
-            rate: mf.share_of(lid(flow)),
-            srtt: mf.rtt.srtt(),
-            rttvar: mf.rtt.rttvar(),
-            loss_rate: mf.loss_rate.get_or(0.0),
-            cwnd: mf.controller.window(),
-            mtu: f.mtu,
-        })
+        Ok(flow_info_of(self.flow_ref(flow)?, self.mf_ref(mf_id)?))
     }
 
     // ------------------------------------------------------------------
@@ -1569,48 +1593,51 @@ impl Shard {
     }
 
     /// Emits `cmapp_update`-style callbacks for flows whose rate share
-    /// crossed their registered thresholds.
+    /// crossed their registered thresholds. One comparison while the
+    /// macroflow's unit share stays inside its quiet band; on leaving it,
+    /// one walk over the members that also rebuilds the band around the
+    /// shares they were last told.
     fn emit_rate_callbacks(&mut self, mf_id: MacroflowId) {
         if self.thresh_regs == 0 {
             return;
         }
-        let mut member_flows = std::mem::take(&mut self.scratch_flows);
-        member_flows.clear();
-        let Ok(mf) = self.mf_ref(mf_id) else {
-            self.scratch_flows = member_flows;
+        let Self {
+            mfs,
+            flows,
+            outbox,
+            stats,
+            ..
+        } = self;
+        let Some(mf) = mfs.get_mut(slot(mf_id.0)).and_then(Option::as_mut) else {
             return;
         };
-        // lint:allow(R1): scratch buffer swapped in above; retains capacity across callback passes
-        member_flows.extend_from_slice(&mf.flows);
-        for &flow_id in &member_flows {
-            let Ok(f) = self.flow_ref(flow_id) else {
+        if mf.is_quiet() {
+            return;
+        }
+        stats.rate_walks += 1;
+        let mut quiet = QuietBand::OPEN;
+        for &flow_id in &mf.flows {
+            let Some(f) = flows.get_mut(slot(flow_id.0)).and_then(Option::as_mut) else {
                 continue;
             };
             let Some(thresh) = f.update_interest else {
                 continue;
             };
-            let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
-            let Ok(mf) = self.mf_ref(mf_id) else {
-                break;
-            };
+            let mut last = f.last_reported_rate.unwrap_or(Rate::ZERO);
             let current = mf.share_of(lid(flow_id));
             if thresh.crossed(last, current) {
-                let Ok(info) = self.flow_info(flow_id, mf_id) else {
-                    continue;
-                };
                 // lint:allow(R1): outbox ring retains capacity; drained by the settle loop every event
-                self.outbox.push_back(CmNotification::RateChange {
+                outbox.push_back(CmNotification::RateChange {
                     flow: flow_id,
-                    info,
+                    info: flow_info_of(f, mf),
                 });
-                self.stats.rate_callbacks += 1;
-                if let Ok(f) = self.flow_mut(flow_id) {
-                    f.last_reported_rate = Some(current);
-                }
+                stats.rate_callbacks += 1;
+                f.last_reported_rate = Some(current);
+                last = current;
             }
+            quiet.narrow(last, thresh, mf.scheduler.weight_of(lid(flow_id)));
         }
-        member_flows.clear();
-        self.scratch_flows = member_flows;
+        mf.quiet = quiet;
     }
 
     // lint:hot-path:end
@@ -1641,6 +1668,18 @@ impl Shard {
             .get_mut(slot(id.0))
             .and_then(Option::as_mut)
             .ok_or(CmError::UnknownMacroflow(id))
+    }
+}
+
+/// What `cm_query` and a rate callback report for `f`, a member of `mf`.
+fn flow_info_of(f: &Flow, mf: &Macroflow) -> FlowInfo {
+    FlowInfo {
+        rate: mf.share_of(lid(f.id)),
+        srtt: mf.rtt.srtt(),
+        rttvar: mf.rtt.rttvar(),
+        loss_rate: mf.loss_rate.get_or(0.0),
+        cwnd: mf.controller.window(),
+        mtu: f.mtu,
     }
 }
 

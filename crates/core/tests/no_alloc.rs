@@ -1,4 +1,5 @@
-//! Zero-allocation enforcement for the CM's re-aggregation paths.
+//! Zero-allocation enforcement for the CM's re-aggregation paths, and
+//! the per-flow memory bound the same counting allocator can state.
 //!
 //! docs/perf.md's flat-state rules require the hot entry points to
 //! allocate nothing in steady state. PR 1 established that for
@@ -12,24 +13,30 @@
 #![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; the counting allocator needs it
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use cm_core::prelude::*;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated (requested sizes, allocator overhead
+/// excluded).
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,8 +44,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// `ALLOCS` is process-wide and libtest runs tests on parallel threads,
-/// so each test holds this while it measures: a neighbour's set-up
+/// `ALLOCS` and `LIVE` are process-wide and libtest runs tests on parallel
+/// threads, so each test holds this while it measures: a neighbour's set-up
 /// landing inside every trial window would otherwise read as a leak
 /// (it did, in ~4 % of whole-binary runs).
 static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -349,4 +356,34 @@ fn delay_gradient_update_path_never_allocates_tracer_enabled() {
         "delay-gradient update path allocated in every trial (at least \
          {min_delta} allocations per 20 feedback cycles, tracing on)"
     );
+}
+
+/// CM memory is O(flows): what an open population holds does not depend
+/// on how many macroflows it is spread over. 4,096 flows at 8 and at 2
+/// per macroflow must both fit in 1 KB per flow, everything counted —
+/// slabs, key map, macroflow shells, controllers, schedulers. (A
+/// scheduler index sized by the shard's flow-id space, which is what
+/// this bound keeps out, costs 2 KB and 8 KB per flow at these shapes.)
+#[test]
+fn open_population_stays_under_1kb_per_flow() {
+    const FLOWS: usize = 4_096;
+    let _turn = measuring();
+    for dests in [512, 2_048] {
+        let before = LIVE.load(Ordering::SeqCst);
+        let mut cm = CongestionManager::new(CmConfig::default());
+        for i in 0..FLOWS {
+            let key = FlowKey::new(
+                Endpoint::new(1, i as u16 + 1),
+                Endpoint::new(0x0a00_0000 + (i % dests) as u32, 80),
+            );
+            cm.open(key, Time::ZERO).expect("open");
+        }
+        assert_eq!(cm.macroflow_count(), dests);
+        let per_flow = (LIVE.load(Ordering::SeqCst) - before) / FLOWS as i64;
+        assert!(
+            per_flow < 1_024,
+            "{per_flow} B per open flow at {} flows per macroflow",
+            FLOWS / dests
+        );
+    }
 }

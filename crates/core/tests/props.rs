@@ -626,11 +626,18 @@ proptest! {
     /// membership bijection, grant reservations, parked-request
     /// accounting), every surviving flow belongs to exactly one
     /// macroflow, and at the end nothing has leaked.
+    ///
+    /// The self-check also holds every macroflow's quiet band against
+    /// the member walk it replaces, so the ops include everything band
+    /// upkeep hangs on — registering and dropping thresholds, weight
+    /// changes (under a scheduler that honours them), loss, and flows
+    /// carrying registrations across macroflows.
     #[test]
     fn invariants_hold_under_fault_churn(
         ops in proptest::collection::vec(fault_op_strategy(), 1..200),
     ) {
         let mut cm = CongestionManager::new(CmConfig {
+            scheduler: SchedulerKind::WeightedRoundRobin,
             pacing: false,
             grant_timeout: Duration::from_millis(50),
             macroflow_linger: Duration::from_millis(500),
@@ -707,6 +714,41 @@ proptest! {
                         let _ = cm.update(f, report, now);
                     }
                 }
+                FaultOp::SetThresholds(i, band) => {
+                    if !flows.is_empty() {
+                        let t = band.map(|(down, up)| {
+                            Thresholds::new(
+                                [0.5, 0.8, 0.95, 1.0][down as usize],
+                                [1.0, 1.05, 1.5, 2.0][up as usize],
+                            )
+                        });
+                        let _ = cm.set_thresholds(flows[i % flows.len()], t);
+                    }
+                }
+                FaultOp::SetWeight(i, w) => {
+                    if !flows.is_empty() {
+                        let _ = cm.set_weight(flows[i % flows.len()], w as u32);
+                    }
+                }
+                FaultOp::Loss(i) => {
+                    if !flows.is_empty() {
+                        let report = FeedbackReport::loss(LossMode::Transient, 1460);
+                        let _ = cm.update(flows[i % flows.len()], report, now);
+                    }
+                }
+                FaultOp::Split(i) => {
+                    if !flows.is_empty() {
+                        let _ = cm.split(flows[i % flows.len()], now);
+                    }
+                }
+                FaultOp::MergeUnchecked(i, j) => {
+                    if !flows.is_empty() {
+                        let target = cm
+                            .macroflow_of(flows[j % flows.len()])
+                            .expect("live flow has a macroflow");
+                        let _ = cm.merge_unchecked(flows[i % flows.len()], target, now);
+                    }
+                }
                 FaultOp::Tick(ms) => {
                     now += Duration::from_millis(ms as u64);
                     cm.tick(now);
@@ -776,6 +818,15 @@ enum FaultOp {
     BogusRtt(usize, u8),
     /// Honest feedback.
     Ack(usize, u16),
+    /// Register rate-callback thresholds (indices into the test's
+    /// down/up factor tables) or drop the registration.
+    SetThresholds(usize, Option<(u8, u8)>),
+    SetWeight(usize, u8),
+    /// An honest transient-loss report.
+    Loss(usize),
+    Split(usize),
+    /// Move a flow onto another flow's macroflow, whatever its group.
+    MergeUnchecked(usize, usize),
     Tick(u16),
 }
 
@@ -789,6 +840,13 @@ fn fault_op_strategy() -> impl Strategy<Value = FaultOp> {
         (0usize..16).prop_map(FaultOp::AbsurdAck),
         ((0usize..16), (0u8..2)).prop_map(|(i, k)| FaultOp::BogusRtt(i, k)),
         ((0usize..16), (1u16..3000)).prop_map(|(i, b)| FaultOp::Ack(i, b)),
+        ((0usize..16), (0u8..4), (0u8..4))
+            .prop_map(|(i, d, u)| FaultOp::SetThresholds(i, Some((d, u)))),
+        (0usize..16).prop_map(|i| FaultOp::SetThresholds(i, None)),
+        ((0usize..16), (1u8..8)).prop_map(|(i, w)| FaultOp::SetWeight(i, w)),
+        (0usize..16).prop_map(FaultOp::Loss),
+        (0usize..16).prop_map(FaultOp::Split),
+        ((0usize..16), (0usize..16)).prop_map(|(i, j)| FaultOp::MergeUnchecked(i, j)),
         (1u16..500).prop_map(FaultOp::Tick),
     ]
 }

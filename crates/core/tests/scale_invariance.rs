@@ -1,0 +1,147 @@
+//! Scale invariance of the rate-callback check, stated as counts.
+//!
+//! Every `update`, and every macroflow a `tick` scans, asks whether some
+//! member's rate callback is due. The answer is one comparison against
+//! the macroflow's quiet band unless the unit share has left the band;
+//! only then are the members walked (`CmStats::rate_walks`). This test
+//! drives the repo benchmark's `cm_fanin` op stream — thresholds on every
+//! 8th flow, ack + RTT updates with one transient loss in 512, close/open
+//! churn, a `tick` per round — at 8 to 4,096 members per macroflow and
+//! asserts that the share of checks that walk stays under one bound at
+//! every size: per-update cost does not grow with fan-in.
+
+use cm_core::prelude::*;
+use cm_util::DetRng;
+
+const DESTS: usize = 2;
+const MTU: u64 = 1460;
+const WINDOW: usize = 64;
+/// Rounds before counting starts: the churn has replaced the whole
+/// population once and both controllers are long past slow start.
+const WARMUP_ROUNDS: usize = 512;
+const ROUNDS: usize = 1_024;
+/// The bound: at most one band check in `MAX_WALK_SHARE` walks. Measured:
+/// 1 in 737 (8 members), 1 in 1,107 (64), 1 in 558 (1,024), 1 in 625
+/// (4,096) — a walk needs a threshold crossing, and those come with
+/// losses, not with members — so the bound is the worst size with about
+/// 4x headroom. A CM that walked on every check would read 1 in 1.
+const MAX_WALK_SHARE: u64 = 128;
+
+struct Stream {
+    cm: CongestionManager,
+    flows: Vec<FlowId>,
+    next_key: usize,
+    request_at: usize,
+    churn_at: usize,
+    now: Time,
+    rng: DetRng,
+    notes: Vec<CmNotification>,
+}
+
+impl Stream {
+    fn open(members: usize) -> Self {
+        let mut s = Stream {
+            cm: CongestionManager::new(CmConfig {
+                pacing: false,
+                ..Default::default()
+            }),
+            flows: Vec::new(),
+            next_key: 0,
+            request_at: 0,
+            churn_at: 0,
+            now: Time::ZERO,
+            rng: DetRng::seed(18).split("scale_invariance"),
+            notes: Vec::new(),
+        };
+        for _ in 0..members * DESTS {
+            let f = s.open_next();
+            s.flows.push(f);
+        }
+        s
+    }
+
+    fn open_next(&mut self) -> FlowId {
+        let i = self.next_key;
+        self.next_key += 1;
+        let key = FlowKey::new(
+            Endpoint::new(1 + (i / 60_000) as u32, (i % 60_000) as u16 + 1),
+            Endpoint::new(0x0a00_0000 + (i % DESTS) as u32, 80),
+        );
+        let flow = self.cm.open(key, self.now).expect("open");
+        if i.is_multiple_of(8) {
+            self.cm
+                .set_thresholds(flow, Some(Thresholds::default()))
+                .expect("set_thresholds");
+        }
+        flow
+    }
+
+    fn round(&mut self) {
+        self.now += Duration::from_millis(1);
+        let now = self.now;
+        let n = self.flows.len();
+        for j in 0..WINDOW.min(n) {
+            self.cm
+                .request(self.flows[(self.request_at + j) % n], now)
+                .expect("request");
+        }
+        self.request_at = (self.request_at + WINDOW) % n;
+        loop {
+            self.notes.clear();
+            self.cm.drain_notifications_into(&mut self.notes);
+            if self.notes.is_empty() {
+                break;
+            }
+            for note in &self.notes {
+                let CmNotification::SendGrant { flow } = *note else {
+                    continue;
+                };
+                self.cm.notify(flow, MTU, now).expect("notify");
+                let r = self.rng.next_u64();
+                let report = if r & 511 == 0 {
+                    FeedbackReport::loss(LossMode::Transient, MTU)
+                } else {
+                    let jitter = Duration::from_micros((r >> 9) % 2_000);
+                    FeedbackReport::ack(MTU, 1).with_rtt(Duration::from_millis(40) + jitter)
+                };
+                self.cm.update(flow, report, now).expect("update");
+            }
+        }
+        // A 128th of the population leaves and is replaced, as in the
+        // benchmark (128 of 16,384).
+        for _ in 0..(n / 128).max(1) {
+            self.cm
+                .close(self.flows[self.churn_at], now)
+                .expect("close");
+            self.flows[self.churn_at] = self.open_next();
+            self.churn_at = (self.churn_at + 1) % n;
+        }
+        self.cm.tick(now);
+    }
+}
+
+#[test]
+fn rate_walks_per_check_do_not_grow_with_members() {
+    for members in [8, 64, 1_024, 4_096] {
+        let mut s = Stream::open(members);
+        for _ in 0..WARMUP_ROUNDS {
+            s.round();
+        }
+        let before = s.cm.stats();
+        for _ in 0..ROUNDS {
+            s.round();
+        }
+        let after = s.cm.stats();
+        assert_eq!(s.cm.macroflow_count(), DESTS);
+        s.cm.check_invariants().expect("invariants");
+        let checks = after.updates - before.updates + (ROUNDS * DESTS) as u64;
+        let walks = after.rate_walks - before.rate_walks;
+        let callbacks = after.rate_callbacks - before.rate_callbacks;
+        assert!(callbacks > 0, "{members} members: no rate callback fired");
+        assert!(
+            walks * MAX_WALK_SHARE <= checks,
+            "{members} members per macroflow: {walks} member walks in {checks} \
+             rate-callback checks ({callbacks} callbacks) exceeds 1 in {MAX_WALK_SHARE}"
+        );
+    }
+}
