@@ -33,7 +33,7 @@ use cm_netsim::link::{LinkId, LinkSpec};
 use cm_netsim::sim::{NodeId, Simulator};
 use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostConfig};
-use cm_transport::tcp::TcpConfig;
+use cm_transport::tcp::{TcpConfig, TcpConnection};
 use cm_transport::types::{AppId, CcMode, TcpConnId};
 use cm_util::{Duration, Rate, Time};
 
@@ -64,34 +64,24 @@ impl Fnv {
     }
 }
 
-/// What one scenario's hosts did, summed for the readable part of the
-/// golden line (the fingerprint carries the detail).
-#[derive(Default)]
-struct Totals {
-    segs_sent: u64,
-    timeouts: u64,
-    delivered: u64,
-    grants: u64,
+/// A host's connections; they are never removed, so the first gap is
+/// the end.
+fn conns(host: &Host) -> impl Iterator<Item = &TcpConnection> {
+    (0..).map_while(|i| host.tcp_conn(TcpConnId(i)))
 }
 
 /// Mixes everything observable about `host`: each connection's counters
 /// and delivered bytes, the CM's and the shim's counters, CPU busy time.
-fn mix_host(sim: &Simulator, id: NodeId, fnv: &mut Fnv, totals: &mut Totals) {
+fn mix_host(sim: &Simulator, id: NodeId, fnv: &mut Fnv) {
     let host = sim.node_ref::<Host>(id);
-    // Connections are never removed, so the first gap is the end.
-    for conn in (0..).map_while(|i| host.tcp_conn(TcpConnId(i))) {
+    for conn in conns(host) {
         fnv.debug(&conn.stats);
         fnv.u64(conn.bytes_delivered());
         fnv.u64(conn.bytes_acked());
-        totals.segs_sent += conn.stats.segs_sent;
-        totals.timeouts += conn.stats.timeouts;
-        totals.delivered += conn.bytes_delivered();
     }
-    let stats = host.cm.stats();
-    fnv.debug(&stats);
+    fnv.debug(&host.cm.stats());
     fnv.debug(&host.cpu.ops);
     fnv.u64(host.cpu.total_busy().as_nanos());
-    totals.grants += stats.grants;
 }
 
 fn mix_links(sim: &Simulator, links: usize, fnv: &mut Fnv) {
@@ -100,10 +90,24 @@ fn mix_links(sim: &Simulator, links: usize, fnv: &mut Fnv) {
     }
 }
 
-fn line(label: &str, fnv: &Fnv, t: &Totals) -> String {
+/// One golden line: the fingerprint, plus what `hosts` did in total by
+/// the end (and `udp_delivered` bytes the UDP receivers took) so a diff
+/// of the file reads without decoding anything.
+fn line(label: &str, fnv: &Fnv, sim: &Simulator, hosts: &[NodeId], udp_delivered: u64) -> String {
+    let (mut segs_sent, mut timeouts, mut delivered, mut grants) = (0, 0, udp_delivered, 0);
+    for &id in hosts {
+        let host = sim.node_ref::<Host>(id);
+        for conn in conns(host) {
+            segs_sent += conn.stats.segs_sent;
+            timeouts += conn.stats.timeouts;
+            delivered += conn.bytes_delivered();
+        }
+        grants += host.cm.stats().grants;
+    }
     format!(
-        "{label} fnv={:016x} segs_sent={} timeouts={} delivered={} grants={}",
-        fnv.0, t.segs_sent, t.timeouts, t.delivered, t.grants
+        "{label} fnv={:016x} segs_sent={segs_sent} timeouts={timeouts} \
+         delivered={delivered} grants={grants}",
+        fnv.0
     )
 }
 
@@ -131,7 +135,7 @@ fn bulk_cfg(cost: CostModel) -> HostConfig {
 fn bulk_line(label: &str, loss: f64, cost: CostModel) -> String {
     const TOTAL: u64 = 1_500_000;
     let mut topo = Topology::new(19);
-    let mut server = Host::new(bulk_cfg(cost.clone()));
+    let mut server = Host::new(bulk_cfg(cost));
     let rx_app = server.add_app(Box::new(BulkReceiver::new(80, CcMode::Cm)));
     let server_id = topo.add_host(Box::new(server));
     let server_addr = topo.sim().addr_of(server_id);
@@ -151,12 +155,10 @@ fn bulk_line(label: &str, loss: f64, cost: CostModel) -> String {
     let mut sim = topo.build();
 
     let mut fnv = Fnv::new();
-    let mut totals = Totals::default();
     for secs in [1, 3, 10, 60] {
         sim.run_until(Time::from_secs(secs));
-        totals = Totals::default();
-        mix_host(&sim, client_id, &mut fnv, &mut totals);
-        mix_host(&sim, server_id, &mut fnv, &mut totals);
+        mix_host(&sim, client_id, &mut fnv);
+        mix_host(&sim, server_id, &mut fnv);
         mix_links(&sim, 2, &mut fnv);
         let client = sim.node_ref::<Host>(client_id);
         for &app in &tx_apps {
@@ -177,7 +179,7 @@ fn bulk_line(label: &str, loss: f64, cost: CostModel) -> String {
         fnv.u64(rx.delivered);
         fnv.time(rx.last_delivery);
     }
-    line(label, &fnv, &totals)
+    line(label, &fnv, &sim, &[client_id, server_id], 0)
 }
 
 /// Three web-client hosts in one subnet fetch from one TCP/CM server
@@ -189,7 +191,7 @@ fn web_line(label: &str) -> String {
     let cost = CostModel::default();
     let mut topo = Topology::new(23);
     let mut server = Host::new(HostConfig {
-        cost: cost.clone(),
+        cost,
         cm: CmConfig {
             aggregation: AggregationPolicy::Subnet {
                 host_bits: AggregationPolicy::SUBNET_HOST_BITS,
@@ -204,7 +206,7 @@ fn web_line(label: &str) -> String {
     let clients: Vec<(NodeId, AppId)> = (1..=3)
         .map(|n| {
             let mut host = Host::new(HostConfig {
-                cost: cost.clone(),
+                cost,
                 ..Default::default()
             });
             let app = host.add_app(Box::new(WebClient::new(
@@ -226,17 +228,15 @@ fn web_line(label: &str) -> String {
     let mut sim = topo.build();
 
     let mut fnv = Fnv::new();
-    let mut totals = Totals::default();
     for secs in [1, 3, 30] {
         sim.run_until(Time::from_secs(secs));
-        totals = Totals::default();
-        mix_host(&sim, server_id, &mut fnv, &mut totals);
+        mix_host(&sim, server_id, &mut fnv);
         let server = sim
             .node_ref::<Host>(server_id)
             .app_ref::<WebServer>(server_app);
         fnv.u64(server.served);
         for &(id, app) in &clients {
-            mix_host(&sim, id, &mut fnv, &mut totals);
+            mix_host(&sim, id, &mut fnv);
             let client = sim.node_ref::<Host>(id).app_ref::<WebClient>(app);
             for r in &client.records {
                 fnv.time(Some(r.started));
@@ -245,7 +245,9 @@ fn web_line(label: &str) -> String {
         }
         mix_links(&sim, links, &mut fnv);
     }
-    line(label, &fnv, &totals)
+    let mut hosts = client_ids;
+    hosts.insert(0, server_id);
+    line(label, &fnv, &sim, &hosts, 0)
 }
 
 /// The layered streamer (ALF over libcm: app-managed flow, pipelined
@@ -284,12 +286,10 @@ fn media_line(label: &str) -> String {
     let mut sim = topo.build();
 
     let mut fnv = Fnv::new();
-    let mut totals = Totals::default();
     for secs in [3, 8, 17] {
         sim.run_until(Time::from_secs(secs));
-        totals = Totals::default();
-        mix_host(&sim, tx_id, &mut fnv, &mut totals);
-        mix_host(&sim, rx_id, &mut fnv, &mut totals);
+        mix_host(&sim, tx_id, &mut fnv);
+        mix_host(&sim, rx_id, &mut fnv);
         mix_links(&sim, 2, &mut fnv);
         let tx = sim.node_ref::<Host>(tx_id);
         let l = tx.app_ref::<LayeredStreamer>(layered);
@@ -311,10 +311,17 @@ fn media_line(label: &str) -> String {
             for n in [a.packets, a.bytes, a.acks_sent, a.highest_seq] {
                 fnv.u64(n);
             }
-            totals.delivered += a.bytes;
         }
     }
-    line(label, &fnv, &totals)
+    let rx = sim.node_ref::<Host>(rx_id);
+    let udp_delivered = rx_apps.map(|app| rx.app_ref::<AckReceiver>(app).bytes);
+    line(
+        label,
+        &fnv,
+        &sim,
+        &[tx_id, rx_id],
+        udp_delivered.iter().sum(),
+    )
 }
 
 #[test]

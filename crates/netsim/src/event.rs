@@ -4,7 +4,11 @@
 //! is a monotone counter assigned at insertion, so two events scheduled
 //! for the same instant always execute in insertion order — the property
 //! that makes whole-simulation determinism possible regardless of
-//! container iteration order elsewhere.
+//! container iteration order elsewhere. A caller that knows *now* where
+//! an event belongs among its instant's ties but not yet whether it will
+//! need the event takes the number with [`EventQueue::reserve_seq`] and
+//! inserts later with [`EventQueue::schedule_reserved`]
+//! ([`EventQueue::schedule`] is the two back to back).
 //!
 //! # Structure
 //!
@@ -198,8 +202,29 @@ impl EventQueue {
     // lint:hot-path:start
     #[inline]
     pub fn schedule(&mut self, at: Time, event: SimEvent) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Takes the next sequence number without scheduling anything: the
+    /// caller's place among same-instant events, to be used by a later
+    /// [`EventQueue::schedule_reserved`] (or dropped — a number nothing
+    /// is scheduled under leaves every other event's order as it was).
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at `at` under a sequence number taken earlier
+    /// with [`EventQueue::reserve_seq`], so it pops where an event
+    /// scheduled at the reservation would. `at` must not be before the
+    /// time of the last popped event (the simulator contract for every
+    /// schedule); a number may be used at most once.
+    #[inline]
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: SimEvent) {
+        debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         self.len += 1;
         let idx = if self.free_head != NIL {
             let idx = self.free_head;

@@ -169,9 +169,27 @@ impl NodeCtx<'_> {
 
     /// Schedules `on_timer(token)` to fire after `after`.
     pub fn set_timer(&mut self, after: Duration, token: u64) -> TimerHandle {
+        let order = self.reserve_order();
+        self.set_timer_ordered(after, token, order)
+    }
+
+    /// Takes this instant's next place in the event order without
+    /// scheduling anything — what a node that moves a timer's deadline
+    /// instead of arming a second event keeps, so that the event it
+    /// eventually schedules with [`NodeCtx::set_timer_ordered`] fires
+    /// where one armed now would.
+    pub fn reserve_order(&mut self) -> u64 {
+        self.evq.reserve_seq()
+    }
+
+    /// [`NodeCtx::set_timer`] under a place taken earlier with
+    /// [`NodeCtx::reserve_order`]: among events of its instant the timer
+    /// fires as if it had been armed when the place was reserved.
+    pub fn set_timer_ordered(&mut self, after: Duration, token: u64, order: u64) -> TimerHandle {
         let (slot, gen) = self.world.alloc_timer_slot();
-        self.evq.schedule(
+        self.evq.schedule_reserved(
             self.now + after,
+            order,
             SimEvent::Timer {
                 node: self.node,
                 token,

@@ -236,8 +236,19 @@ mod reference {
 
         /// Schedules `event` at absolute time `at`.
         pub fn schedule(&mut self, at: Time, event: SimEvent) {
+            let seq = self.reserve_seq();
+            self.schedule_reserved(at, seq, event);
+        }
+
+        /// Takes the next sequence number without scheduling anything.
+        pub fn reserve_seq(&mut self) -> u64 {
             let seq = self.next_seq;
             self.next_seq += 1;
+            seq
+        }
+
+        /// Schedules `event` at `at` under a number reserved earlier.
+        pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: SimEvent) {
             self.heap.push(Scheduled { at, seq, event });
         }
 
@@ -293,28 +304,47 @@ mod event_queue_differential {
         /// schedules (near, mid, and far deltas — exercising the wheel's
         /// current bucket, slots, and overflow heap) and pops, the timer
         /// wheel yields a byte-identical `(time, token)` stream to the
-        /// reference `BinaryHeap` implementation.
+        /// reference `BinaryHeap` implementation — including events
+        /// scheduled late under a sequence number reserved earlier,
+        /// which must pop where an event scheduled at the reservation
+        /// would, even among events of the instant last popped.
         #[test]
         fn wheel_pops_identical_to_reference_heap(
-            ops in proptest::collection::vec((0u8..5, 0u64..1_000), 1..500),
+            ops in proptest::collection::vec((0u8..7, 0u64..1_000), 1..500),
         ) {
             let mut wheel = EventQueue::new();
             let mut heap = HeapEventQueue::new();
             let mut now: u64 = 0;
             let mut next_token = 0u64;
+            let mut reserved: Vec<u64> = Vec::new();
+            // Simulator contract: schedules are at now + delta. The scale
+            // selects sub-slot (ns), in-wheel (us) or beyond the horizon
+            // (ms..s) deltas.
+            let delta = |scale: u64, d: u64| match scale {
+                0 => d,               // within one slot
+                1 => d * 10_000,      // across wheel slots
+                _ => d * 200_000_000, // far: overflow heap
+            };
             for (kind, d) in ops {
                 if kind < 3 {
-                    // Simulator contract: schedules are at now + delta.
-                    // kind selects the delta scale: sub-slot (ns),
-                    // in-wheel (us), beyond the horizon (ms..s).
-                    let delta = match kind {
-                        0 => d,                     // within one slot
-                        1 => d * 10_000,            // across wheel slots
-                        _ => d * 200_000_000,       // far: overflow heap
-                    };
-                    let at = Time::from_nanos(now + delta);
+                    let at = Time::from_nanos(now + delta(u64::from(kind), d));
                     wheel.schedule(at, timer(next_token));
                     heap.schedule(at, timer(next_token));
+                    next_token += 1;
+                } else if kind == 5 {
+                    let seq = wheel.reserve_seq();
+                    prop_assert_eq!(seq, heap.reserve_seq());
+                    reserved.push(seq);
+                } else if kind == 6 {
+                    // Use one of the numbers reserved so far, at a time
+                    // not before the last pop (d == 0: exactly then).
+                    if reserved.is_empty() {
+                        continue;
+                    }
+                    let seq = reserved.swap_remove(d as usize % reserved.len());
+                    let at = Time::from_nanos(now + delta(d % 3, d));
+                    wheel.schedule_reserved(at, seq, timer(next_token));
+                    heap.schedule_reserved(at, seq, timer(next_token));
                     next_token += 1;
                 } else {
                     let a = wheel.pop();

@@ -21,6 +21,21 @@
 //! ALF applications), deliver queued application events, repeat until
 //! quiescent. This preserves the callback semantics without re-entrant
 //! borrows.
+//!
+//! ## Timers
+//!
+//! A host timer token *is* its target (`TimerTarget` packed into the
+//! `u64` the simulator carries), so firing looks nothing up. TCP re-arms
+//! its timers far more often than they fire — the RTO on every ACK, the
+//! delayed-ACK timer on every other segment, nearly always to a later
+//! instant — so a connection's timer is a *deadline* (`ConnTimer`) over
+//! at most one live simulator event: re-arming moves the deadline, and an
+//! event that pops early re-schedules itself for the deadline and
+//! returns before the settle loop, where a superseded timer's event
+//! always returned. Each arm that schedules nothing still takes its
+//! place in the simulator's event order and the re-scheduled event is
+//! filed under the latest arm's, so every event that acts keeps the
+//! `(time, sequence)` key an event-per-arm host would give it.
 
 use std::collections::VecDeque;
 
@@ -85,15 +100,82 @@ enum AppEvent {
     Timer(u64),
 }
 
-/// What a host timer token points at.
-#[derive(Clone, Copy, Debug)]
+/// What a host timer token points at. The token is the target itself,
+/// packed as `tag:3 | connection id:32 | generation:29` (an application
+/// timer carries its slab slot in the low 32 bits instead).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TimerTarget {
-    Tcp(TcpConnId, TcpTimer),
-    App(AppId, u64),
+    /// A connection's timer, as of generation `gen` of its [`ConnTimer`].
+    Tcp {
+        conn: TcpConnId,
+        kind: TcpTimer,
+        gen: u32,
+    },
+    /// An application timer: its slot in `Host::app_timers` (the app's
+    /// own token is a full `u64`, so it cannot ride in ours).
+    App(u32),
     TxDequeue,
     CmTick,
     /// Release pacing-deferred CM grants.
     CmPace,
+}
+
+impl TimerTarget {
+    const TAG_SHIFT: u32 = 61;
+    const CONN_SHIFT: u32 = 29;
+    /// Generations count modulo 2^29; a stale event would have to stay
+    /// queued across that many re-arms of one timer to be mistaken.
+    const GEN_MASK: u32 = (1 << Self::CONN_SHIFT) - 1;
+
+    fn token(self) -> u64 {
+        let (tag, rest) = match self {
+            TimerTarget::TxDequeue => (0, 0),
+            TimerTarget::CmTick => (1, 0),
+            TimerTarget::CmPace => (2, 0),
+            TimerTarget::App(slot) => (3, u64::from(slot)),
+            TimerTarget::Tcp { conn, kind, gen } => (
+                4 + kind as u64,
+                u64::from(conn.0) << Self::CONN_SHIFT | u64::from(gen & Self::GEN_MASK),
+            ),
+        };
+        tag << Self::TAG_SHIFT | rest
+    }
+
+    /// Inverse of [`TimerTarget::token`]; `None` for a token no host
+    /// issued.
+    fn from_token(token: u64) -> Option<Self> {
+        let tcp = |kind| TimerTarget::Tcp {
+            conn: TcpConnId((token >> Self::CONN_SHIFT) as u32),
+            kind,
+            gen: token as u32 & Self::GEN_MASK,
+        };
+        Some(match token >> Self::TAG_SHIFT {
+            0 => TimerTarget::TxDequeue,
+            1 => TimerTarget::CmTick,
+            2 => TimerTarget::CmPace,
+            3 => TimerTarget::App(token as u32),
+            4 => tcp(TcpTimer::Rto),
+            5 => tcp(TcpTimer::DelayedAck),
+            _ => return None,
+        })
+    }
+}
+
+/// One TCP timer of one connection: a deadline that moves, over at most
+/// one live simulator event (see the module docs).
+#[derive(Clone, Copy, Default, Debug)]
+struct ConnTimer {
+    /// When TCP wants `on_timer`; `None` while disarmed.
+    deadline: Option<Time>,
+    /// When the live event — the one stamped `gen` — pops, if one is
+    /// queued. Never later than `deadline`.
+    event_at: Option<Time>,
+    /// Generation of the live event; an event stamped otherwise was
+    /// superseded by one for an earlier deadline.
+    gen: u32,
+    /// The place in the event order reserved by the latest arm that
+    /// scheduled nothing, for the event re-scheduled to its deadline.
+    order: u64,
 }
 
 /// Per-socket ownership record: owning app plus the connected remote
@@ -158,6 +240,8 @@ pub struct Host {
 
     conns: Vec<Option<TcpConnection>>,
     conn_meta: Vec<Option<ConnMeta>>,
+    /// Each connection's timers, indexed by `TcpTimer as usize`.
+    conn_timers: Vec<[ConnTimer; 2]>,
     tcp_demux: FxHashMap<(u16, u32, u16), TcpConnId>,
     tcp_listeners: FxHashMap<u16, (AppId, CcMode)>,
 
@@ -169,9 +253,10 @@ pub struct Host {
 
     apps: Vec<Option<Box<dyn HostApp>>>,
 
-    timer_targets: FxHashMap<u64, TimerTarget>,
-    next_token: u64,
-    tcp_timer_tokens: FxHashMap<(u32, TcpTimer), u64>,
+    /// Pending application timers `(owner, the app's token)`; a fired
+    /// timer's slot goes on `free_app_timers` for reuse.
+    app_timers: Vec<(AppId, u64)>,
+    free_app_timers: Vec<u32>,
 
     txq: VecDeque<Packet>,
     pending: VecDeque<(AppId, AppEvent)>,
@@ -181,6 +266,9 @@ pub struct Host {
     /// Reused buffer for draining CM notifications; the settle loop runs
     /// after every event, so it must not allocate per pass.
     notes_buf: Vec<CmNotification>,
+    /// Reused buffer the TCP entry points fill and `run_tcp_actions`
+    /// drains (it never re-enters TCP, so one suffices).
+    tcp_actions: Vec<TcpAction>,
 }
 
 impl Host {
@@ -194,6 +282,7 @@ impl Host {
             addr: None,
             conns: Vec::new(),
             conn_meta: Vec::new(),
+            conn_timers: Vec::new(),
             tcp_demux: FxHashMap::default(),
             tcp_listeners: FxHashMap::default(),
             socks: Vec::new(),
@@ -201,14 +290,14 @@ impl Host {
             udp_demux: FxHashMap::default(),
             flow_owner: FxHashMap::default(),
             apps: Vec::new(),
-            timer_targets: FxHashMap::default(),
-            next_token: 0,
-            tcp_timer_tokens: FxHashMap::default(),
+            app_timers: Vec::new(),
+            free_app_timers: Vec::new(),
             txq: VecDeque::new(),
             pending: VecDeque::new(),
             next_ephemeral: 40_000,
             pace_timer_at: None,
             notes_buf: Vec::new(),
+            tcp_actions: Vec::new(),
         }
     }
 
@@ -292,8 +381,10 @@ impl Host {
             };
             if need_arm {
                 self.pace_timer_at = Some(fire_at);
-                let token = self.alloc_token(TimerTarget::CmPace);
-                ctx.set_timer(fire_at.since(now).max(Duration::from_nanos(1)), token);
+                ctx.set_timer(
+                    fire_at.since(now).max(Duration::from_nanos(1)),
+                    TimerTarget::CmPace.token(),
+                );
             }
         }
     }
@@ -303,15 +394,15 @@ impl Host {
             CmNotification::SendGrant { flow } => match self.flow_owner.get(&flow).copied() {
                 Some(FlowOwner::Tcp(conn)) => {
                     let now = ctx.now();
-                    let actions = match self.conns[conn.0 as usize].as_mut() {
-                        Some(c) => c.on_cm_grant(now),
+                    match self.conns[conn.0 as usize].as_mut() {
+                        Some(c) => c.on_cm_grant_into(now, &mut self.tcp_actions),
                         None => {
                             // Connection gone; release the grant.
                             let _ = self.cm.notify(flow, 0, now);
                             return;
                         }
                     };
-                    self.run_tcp_actions(ctx, conn, actions);
+                    self.run_tcp_actions(ctx, conn);
                 }
                 Some(FlowOwner::CcUdp(sock)) => {
                     self.ccudp_grant(ctx, sock, flow);
@@ -367,23 +458,26 @@ impl Host {
     // TCP plumbing
     // ------------------------------------------------------------------
 
-    fn run_tcp_actions(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        conn_id: TcpConnId,
-        actions: Vec<TcpAction>,
-    ) {
+    /// Installs a new connection's state under the next id, which is
+    /// its index in each of the per-connection tables.
+    fn add_conn(&mut self, conn: TcpConnection, meta: ConnMeta) {
+        self.conns.push(Some(conn));
+        self.conn_meta.push(Some(meta));
+        self.conn_timers.push(Default::default());
+    }
+
+    /// Executes what a TCP entry point left in `tcp_actions` on
+    /// `conn_id`'s behalf.
+    fn run_tcp_actions(&mut self, ctx: &mut NodeCtx<'_>, conn_id: TcpConnId) {
         let now = ctx.now();
-        for act in actions {
+        let mut actions = std::mem::take(&mut self.tcp_actions);
+        for act in actions.drain(..) {
             match act {
                 TcpAction::Emit(seg) => self.emit_tcp_segment(ctx, conn_id, seg),
-                TcpAction::SetTimer(kind, after) => {
-                    self.cancel_tcp_timer(conn_id, kind);
-                    let token = self.alloc_token(TimerTarget::Tcp(conn_id, kind));
-                    self.tcp_timer_tokens.insert((conn_id.0, kind), token);
-                    ctx.set_timer(after, token);
+                TcpAction::SetTimer(kind, after) => self.arm_tcp_timer(ctx, conn_id, kind, after),
+                TcpAction::CancelTimer(kind) => {
+                    self.conn_timers[conn_id.0 as usize][kind as usize].deadline = None;
                 }
-                TcpAction::CancelTimer(kind) => self.cancel_tcp_timer(conn_id, kind),
                 TcpAction::CmRequest => {
                     if let Some(flow) = self.conn_flow(conn_id) {
                         // The flow can disappear between the action being
@@ -425,6 +519,68 @@ impl Host {
                 }
             }
         }
+        self.tcp_actions = actions;
+    }
+
+    /// `SetTimer`: moves the timer's deadline to `after` from now. A live
+    /// event that pops before the new deadline will carry itself there
+    /// (`tcp_timer_due`), so the arm only takes its place in the event
+    /// order; otherwise — no live event, or one that pops too late or in
+    /// the same instant ahead of this arm's place — a new event is
+    /// scheduled and the old one's generation goes stale.
+    fn arm_tcp_timer(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        conn: TcpConnId,
+        kind: TcpTimer,
+        after: Duration,
+    ) {
+        let deadline = ctx.now() + after;
+        let t = &mut self.conn_timers[conn.0 as usize][kind as usize];
+        t.deadline = Some(deadline);
+        match t.event_at {
+            Some(at) if at < deadline => t.order = ctx.reserve_order(),
+            _ => {
+                t.gen = t.gen.wrapping_add(1) & TimerTarget::GEN_MASK;
+                t.event_at = Some(deadline);
+                let gen = t.gen;
+                ctx.set_timer(after, TimerTarget::Tcp { conn, kind, gen }.token());
+            }
+        }
+    }
+
+    /// A connection timer's event popped: whether TCP's `on_timer` is due.
+    /// A stale or cancelled event is dropped; one that is early for a
+    /// deadline moved since re-schedules itself for it, in the place the
+    /// latest arm reserved.
+    fn tcp_timer_due(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        conn: TcpConnId,
+        kind: TcpTimer,
+        gen: u32,
+    ) -> bool {
+        let Some(timers) = self.conn_timers.get_mut(conn.0 as usize) else {
+            return false;
+        };
+        let t = &mut timers[kind as usize];
+        if t.gen != gen {
+            return false;
+        }
+        let now = ctx.now();
+        t.event_at = None;
+        match t.deadline {
+            Some(deadline) if deadline > now => {
+                t.event_at = Some(deadline);
+                let token = TimerTarget::Tcp { conn, kind, gen }.token();
+                ctx.set_timer_ordered(deadline.since(now), token, t.order);
+                false
+            }
+            armed => {
+                t.deadline = None;
+                armed.is_some()
+            }
+        }
     }
 
     fn emit_tcp_segment(&mut self, ctx: &mut NodeCtx<'_>, conn_id: TcpConnId, seg: TcpSegment) {
@@ -450,23 +606,10 @@ impl Host {
         self.emit_with_cpu(ctx, pkt, work);
     }
 
-    fn cancel_tcp_timer(&mut self, conn: TcpConnId, kind: TcpTimer) {
-        if let Some(token) = self.tcp_timer_tokens.remove(&(conn.0, kind)) {
-            self.timer_targets.remove(&token);
-        }
-    }
-
     fn conn_flow(&self, conn: TcpConnId) -> Option<FlowId> {
         self.conn_meta[conn.0 as usize]
             .as_ref()
             .and_then(|m| m.flow)
-    }
-
-    fn alloc_token(&mut self, target: TimerTarget) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timer_targets.insert(token, target);
-        token
     }
 
     /// Emits a packet after the CPU finishes `work`; maintains FIFO order
@@ -478,8 +621,7 @@ impl Host {
             ctx.send(pkt);
         } else {
             self.txq.push_back(pkt);
-            let token = self.alloc_token(TimerTarget::TxDequeue);
-            ctx.set_timer(done.since(now), token);
+            ctx.set_timer(done.since(now), TimerTarget::TxDequeue.token());
         }
     }
 
@@ -521,8 +663,7 @@ impl Host {
 impl Node for Host {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.addr = Some(ctx.addr());
-        let token = self.alloc_token(TimerTarget::CmTick);
-        ctx.set_timer(self.cfg.cm_tick, token);
+        ctx.set_timer(self.cfg.cm_tick, TimerTarget::CmTick.token());
         for i in 0..self.apps.len() {
             let app_id = AppId(i as u32);
             if let Some(mut app) = self.apps[i].take() {
@@ -576,26 +717,29 @@ impl Node for Host {
                         } else {
                             None
                         };
-                        self.conns.push(Some(conn));
-                        self.conn_meta.push(Some(ConnMeta {
-                            local_port: pkt.dst_port,
-                            remote: pkt.src,
-                            remote_port: pkt.src_port,
-                            owner,
-                            flow,
-                        }));
+                        self.add_conn(
+                            conn,
+                            ConnMeta {
+                                local_port: pkt.dst_port,
+                                remote: pkt.src,
+                                remote_port: pkt.src_port,
+                                owner,
+                                flow,
+                            },
+                        );
                         self.tcp_demux.insert(key, id);
-                        self.run_tcp_actions(ctx, id, actions);
+                        self.tcp_actions.extend(actions);
+                        self.run_tcp_actions(ctx, id);
                         self.settle(ctx);
                         return;
                     }
                     None => return,
                 };
-                let actions = match self.conns[conn_id.0 as usize].as_mut() {
-                    Some(c) => c.on_segment(&seg, ce, now),
+                match self.conns[conn_id.0 as usize].as_mut() {
+                    Some(c) => c.on_segment_into(&seg, ce, now, &mut self.tcp_actions),
                     None => return,
                 };
-                self.run_tcp_actions(ctx, conn_id, actions);
+                self.run_tcp_actions(ctx, conn_id);
             }
             Protocol::Udp => {
                 let Some(dgram) = pkt.payload.downcast_ref::<UdpDatagram>().copied() else {
@@ -619,21 +763,26 @@ impl Node for Host {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-        let Some(target) = self.timer_targets.remove(&token) else {
-            return; // Cancelled or superseded.
+        let Some(target) = TimerTarget::from_token(token) else {
+            return;
         };
         let now = ctx.now();
         match target {
-            TimerTarget::Tcp(conn, kind) => {
-                // Only fire if this token is still the registered one.
-                self.tcp_timer_tokens.remove(&(conn.0, kind));
-                let actions = match self.conns[conn.0 as usize].as_mut() {
-                    Some(c) => c.on_timer(kind, now),
+            TimerTarget::Tcp { conn, kind, gen } => {
+                if !self.tcp_timer_due(ctx, conn, kind, gen) {
+                    return; // Cancelled, superseded, or moved on to a later deadline.
+                }
+                match self.conns[conn.0 as usize].as_mut() {
+                    Some(c) => c.on_timer_into(kind, now, &mut self.tcp_actions),
                     None => return,
                 };
-                self.run_tcp_actions(ctx, conn, actions);
+                self.run_tcp_actions(ctx, conn);
             }
-            TimerTarget::App(app, app_token) => {
+            TimerTarget::App(slot) => {
+                let Some(&(app, app_token)) = self.app_timers.get(slot as usize) else {
+                    return;
+                };
+                self.free_app_timers.push(slot);
                 self.pending.push_back((app, AppEvent::Timer(app_token)));
             }
             TimerTarget::TxDequeue => {
@@ -643,8 +792,7 @@ impl Node for Host {
             }
             TimerTarget::CmTick => {
                 self.cm.tick(now);
-                let token = self.alloc_token(TimerTarget::CmTick);
-                ctx.set_timer(self.cfg.cm_tick, token);
+                ctx.set_timer(self.cfg.cm_tick, TimerTarget::CmTick.token());
             }
             TimerTarget::CmPace => {
                 self.pace_timer_at = None;
@@ -680,8 +828,18 @@ impl HostOs<'_, '_> {
     /// Sets an application timer; `token` is returned to
     /// [`HostApp::on_timer`].
     pub fn set_app_timer(&mut self, after: Duration, token: u64) {
-        let t = self.host.alloc_token(TimerTarget::App(self.app, token));
-        self.ctx.set_timer(after, t);
+        let entry = (self.app, token);
+        let slot = match self.host.free_app_timers.pop() {
+            Some(slot) => {
+                self.host.app_timers[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.host.app_timers.push(entry);
+                self.host.app_timers.len() as u32 - 1
+            }
+        };
+        self.ctx.set_timer(after, TimerTarget::App(slot).token());
     }
 
     // --- TCP ---
@@ -706,19 +864,22 @@ impl HostOs<'_, '_> {
         } else {
             None
         };
-        self.host.conns.push(Some(conn));
-        self.host.conn_meta.push(Some(ConnMeta {
-            local_port,
-            remote,
-            remote_port,
-            owner: self.app,
-            flow,
-        }));
+        self.host.add_conn(
+            conn,
+            ConnMeta {
+                local_port,
+                remote,
+                remote_port,
+                owner: self.app,
+                flow,
+            },
+        );
         self.host
             .tcp_demux
             .insert((local_port, remote.0, remote_port), id);
         self.host.cpu.run(now, self.host.cfg.cost.syscall);
-        self.host.run_tcp_actions(self.ctx, id, actions);
+        self.host.tcp_actions.extend(actions);
+        self.host.run_tcp_actions(self.ctx, id);
         id
     }
 
@@ -734,22 +895,22 @@ impl HostOs<'_, '_> {
         // write() syscall + copy into the socket buffer.
         let work = self.host.cfg.cost.syscall + self.host.cfg.cost.copy(bytes as usize);
         self.host.cpu.run(now, work);
-        let actions = match self.host.conns[conn.0 as usize].as_mut() {
-            Some(c) => c.app_write(bytes, now),
+        match self.host.conns[conn.0 as usize].as_mut() {
+            Some(c) => c.app_write_into(bytes, now, &mut self.host.tcp_actions),
             None => return,
         };
-        self.host.run_tcp_actions(self.ctx, conn, actions);
+        self.host.run_tcp_actions(self.ctx, conn);
     }
 
     /// Half-closes a connection (FIN after queued data).
     pub fn tcp_close(&mut self, conn: TcpConnId) {
         let now = self.ctx.now();
         self.host.cpu.run(now, self.host.cfg.cost.syscall);
-        let actions = match self.host.conns[conn.0 as usize].as_mut() {
-            Some(c) => c.app_close(now),
+        match self.host.conns[conn.0 as usize].as_mut() {
+            Some(c) => c.app_close_into(now, &mut self.host.tcp_actions),
             None => return,
         };
-        self.host.run_tcp_actions(self.ctx, conn, actions);
+        self.host.run_tcp_actions(self.ctx, conn);
     }
 
     // --- UDP ---
@@ -1014,6 +1175,7 @@ impl HostOs<'_, '_> {
 mod tests {
     use super::*;
     use cm_netsim::channel::PathSpec;
+    use cm_netsim::sim::{NodeId, Simulator};
     use cm_netsim::topology::Topology;
     use cm_util::Rate;
 
@@ -1060,7 +1222,13 @@ mod tests {
         }
     }
 
-    fn bulk_transfer(mode: CcMode, loss: f64, total: u64) -> (u64, Time) {
+    /// A bulk transfer of `total` bytes over `path`, not yet started: the
+    /// simulator, the server and the path's links.
+    fn bulk_sim(
+        mode: CcMode,
+        path: &PathSpec,
+        total: u64,
+    ) -> (Simulator, NodeId, cm_netsim::topology::Duplex) {
         let mut topo = Topology::new(42);
         let mut server = Host::new(HostConfig::default());
         server.add_app(Box::new(Receiver {
@@ -1082,17 +1250,21 @@ mod tests {
         }));
         let client_id = topo.add_host(Box::new(client));
 
+        let links = topo.emulated_path(client_id, server_id, path);
+        (topo.build(), server_id, links)
+    }
+
+    fn delivered(sim: &Simulator, server_id: NodeId) -> u64 {
+        let conn = sim.node_ref::<Host>(server_id).tcp_conn(TcpConnId(0));
+        conn.map_or(0, |c| c.bytes_delivered())
+    }
+
+    fn bulk_transfer(mode: CcMode, loss: f64, total: u64) -> (u64, Time) {
         let path =
             PathSpec::new(Rate::from_mbps(10), Duration::from_millis(40)).with_forward_loss(loss);
-        topo.emulated_path(client_id, server_id, &path);
-        let mut sim = topo.build();
+        let (mut sim, server_id, _) = bulk_sim(mode, &path, total);
         sim.run_until(Time::from_secs(120));
-        let server_host = sim.node_ref::<Host>(server_id);
-        let delivered = server_host
-            .tcp_conn(TcpConnId(0))
-            .map(|c| c.bytes_delivered())
-            .unwrap_or(0);
-        (delivered, sim.now())
+        (delivered(&sim, server_id), sim.now())
     }
 
     #[test]
@@ -1267,5 +1439,254 @@ mod tests {
                 "transfer incomplete under sharded CM"
             );
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The timer table
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn timer_tokens_round_trip() {
+        let targets = [
+            TimerTarget::TxDequeue,
+            TimerTarget::CmTick,
+            TimerTarget::CmPace,
+            TimerTarget::App(0),
+            TimerTarget::App(u32::MAX),
+            TimerTarget::Tcp {
+                conn: TcpConnId(0),
+                kind: TcpTimer::Rto,
+                gen: 1,
+            },
+            // Every connection id fits beside a full-width generation.
+            TimerTarget::Tcp {
+                conn: TcpConnId(u32::MAX),
+                kind: TcpTimer::DelayedAck,
+                gen: TimerTarget::GEN_MASK,
+            },
+        ];
+        for t in targets {
+            assert_eq!(TimerTarget::from_token(t.token()), Some(t));
+        }
+        assert_eq!(TimerTarget::from_token(u64::MAX), None);
+    }
+
+    /// Records the source port of every packet, in arrival order, and
+    /// answers none: connections to it sit in SYN-SENT, where every RTO
+    /// expiry retransmits the SYN — one observable packet per `on_timer`.
+    struct Sink {
+        arrivals: Vec<(Time, u16)>,
+    }
+
+    impl Node for Sink {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
+            self.arrivals.push((ctx.now(), pkt.src_port));
+        }
+        fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
+    }
+
+    /// Opens `conns` connections at start (local ports 40000, 40001, ...,
+    /// ids 0, 1, ...) and one more on every application timer.
+    struct Opener {
+        remote: Addr,
+        conns: u32,
+    }
+
+    impl HostApp for Opener {
+        fn on_start(&mut self, os: &mut HostOs<'_, '_>) {
+            for _ in 0..self.conns {
+                os.tcp_connect(self.remote, 80, CcMode::Native);
+            }
+        }
+        fn on_timer(&mut self, os: &mut HostOs<'_, '_>, _token: u64) {
+            os.tcp_connect(self.remote, 80, CcMode::Native);
+        }
+    }
+
+    /// One-way delay of the test link.
+    const LINK_DELAY: Duration = Duration::from_millis(1);
+
+    /// A host with `conns` connections in SYN-SENT (each RTO armed for
+    /// the 3 s fallback at t = 0) wired to a [`Sink`].
+    fn syn_sent_host(conns: u32) -> (Simulator, NodeId, NodeId) {
+        let mut topo = Topology::new(1);
+        let sink_id = topo.add_host(Box::new(Sink { arrivals: vec![] }));
+        let remote = topo.sim().addr_of(sink_id);
+        let mut host = Host::new(HostConfig::default());
+        host.add_app(Box::new(Opener { remote, conns }));
+        let host_id = topo.add_host(Box::new(host));
+        // Fast enough that serialization never reorders or delays.
+        topo.emulated_path(
+            host_id,
+            sink_id,
+            &PathSpec::new(Rate::from_mbps(1_000), LINK_DELAY * 2),
+        );
+        (topo.build(), host_id, sink_id)
+    }
+
+    /// Runs `action` on connection `conn` of `host` exactly as if TCP had
+    /// just asked for it.
+    fn tcp_action(sim: &mut Simulator, host: NodeId, conn: u32, action: TcpAction) {
+        sim.with_node::<Host, _>(host, |h, ctx| {
+            h.tcp_actions.push(action);
+            h.run_tcp_actions(ctx, TcpConnId(conn));
+        });
+    }
+
+    /// When each SYN *re*transmission left the host, with its local port
+    /// (the first `conns` arrivals are the original SYNs). Every firing in
+    /// these tests is on a millisecond; serialization adds nanoseconds.
+    fn retransmissions(sim: &Simulator, sink: NodeId, conns: usize) -> Vec<(Time, u16)> {
+        sim.node_ref::<Sink>(sink).arrivals[conns..]
+            .iter()
+            .map(|&(at, port)| {
+                let sent = Time::from_millis(at.as_nanos() / 1_000_000) - LINK_DELAY;
+                (sent, port)
+            })
+            .collect()
+    }
+
+    fn timeouts(sim: &Simulator, host: NodeId, conn: u32) -> u64 {
+        let c = sim.node_ref::<Host>(host).tcp_conn(TcpConnId(conn));
+        c.map_or(0, |c| c.stats.timeouts)
+    }
+
+    #[test]
+    fn rto_rearmed_on_every_ack_fires_once_at_the_last_deadline() {
+        let (mut sim, host, sink) = syn_sent_host(1);
+        let rto = Duration::from_secs(3);
+        // Re-arm as 1,000 ACKs one millisecond apart would.
+        for ms in 1..=1_000 {
+            sim.run_until(Time::from_millis(ms));
+            tcp_action(&mut sim, host, 0, TcpAction::SetTimer(TcpTimer::Rto, rto));
+        }
+        let events_before = sim.events_processed();
+        sim.run_until(Time::from_secs(5));
+        assert_eq!(timeouts(&sim, host, 0), 1);
+        assert_eq!(
+            retransmissions(&sim, sink, 1),
+            vec![(Time::from_millis(1_000) + rto, 40_000)],
+            "the RTO must fire exactly once, at the last arm's deadline"
+        );
+        // The one queued event carried itself to the deadline: reaching
+        // it took a handful of events (the hop, the firing, the SYN, CM
+        // ticks), not one per arm.
+        let events = sim.events_processed() - events_before;
+        assert!(events < 100, "{events} events for 1,000 re-arms");
+        assert!(sim.timer_slot_capacity() <= 8);
+    }
+
+    #[test]
+    fn cancelled_timer_never_fires() {
+        let (mut sim, host, sink) = syn_sent_host(1);
+        sim.run_until(Time::from_secs(1));
+        tcp_action(&mut sim, host, 0, TcpAction::CancelTimer(TcpTimer::Rto));
+        sim.run_until(Time::from_secs(60));
+        assert_eq!(timeouts(&sim, host, 0), 0);
+        assert!(retransmissions(&sim, sink, 1).is_empty());
+        // Cancel-then-arm before the old event pops: still one firing, at
+        // the new deadline.
+        let rto = Duration::from_secs(3);
+        tcp_action(&mut sim, host, 0, TcpAction::SetTimer(TcpTimer::Rto, rto));
+        tcp_action(&mut sim, host, 0, TcpAction::CancelTimer(TcpTimer::Rto));
+        tcp_action(
+            &mut sim,
+            host,
+            0,
+            TcpAction::SetTimer(TcpTimer::Rto, rto * 2),
+        );
+        sim.run_until(Time::from_secs(67));
+        assert_eq!(
+            retransmissions(&sim, sink, 1),
+            vec![(Time::from_secs(66), 40_000)]
+        );
+    }
+
+    #[test]
+    fn rearm_to_an_earlier_deadline_fires_at_the_earlier_one() {
+        let (mut sim, host, sink) = syn_sent_host(1);
+        sim.run_until(Time::from_secs(1));
+        let early = Duration::from_millis(500);
+        tcp_action(&mut sim, host, 0, TcpAction::SetTimer(TcpTimer::Rto, early));
+        // Past the original 3 s deadline, whose event is now stale (the
+        // firing at 1.5 s re-armed the backed-off RTO for 7.5 s).
+        sim.run_until(Time::from_secs(4));
+        assert_eq!(
+            retransmissions(&sim, sink, 1),
+            vec![(Time::from_secs(1) + early, 40_000)]
+        );
+    }
+
+    /// Among events of one instant a timer acts in the place of its
+    /// *latest* arm — whether that arm scheduled a fresh event (the queued
+    /// one would have popped at the same instant but ahead of it) or only
+    /// reserved the place for an event that hops to the deadline later.
+    #[test]
+    fn timer_acts_at_its_latest_arms_place_among_same_instant_events() {
+        let (mut sim, host, sink) = syn_sent_host(2);
+        let set = |after| TcpAction::SetTimer(TcpTimer::Rto, after);
+        sim.run_until(Time::from_secs(1));
+        // Both for t = 2 s: connection 0, then connection 1, then
+        // connection 0 again — which must now fire *after* connection 1.
+        tcp_action(&mut sim, host, 0, set(Duration::from_secs(1)));
+        tcp_action(&mut sim, host, 1, set(Duration::from_secs(1)));
+        tcp_action(&mut sim, host, 0, set(Duration::from_secs(1)));
+        sim.run_until(Time::from_millis(2_500));
+        let at = Time::from_secs(2);
+        assert_eq!(
+            retransmissions(&sim, sink, 2),
+            vec![(at, 40_001), (at, 40_000)]
+        );
+
+        // Connection 0's RTO now waits at 2 s + 6 s (backed off). Move it
+        // to t = 10 s — its queued event pops first, so the arm only
+        // reserves its place — and *then* set an application timer for
+        // the same instant. At 8 s the event hops to 10 s; at 10 s the
+        // RTO must still come before the application timer's connection
+        // (a third one, port 40002), as its arm did.
+        sim.run_until(Time::from_secs(3));
+        tcp_action(&mut sim, host, 1, TcpAction::CancelTimer(TcpTimer::Rto));
+        tcp_action(&mut sim, host, 0, set(Duration::from_secs(7)));
+        sim.with_node::<Host, _>(host, |h, ctx| {
+            let mut os = HostOs {
+                host: h,
+                ctx,
+                app: AppId(0),
+            };
+            os.set_app_timer(Duration::from_secs(7), 0);
+        });
+        sim.run_until(Time::from_millis(10_500));
+        let at = Time::from_secs(10);
+        assert_eq!(
+            retransmissions(&sim, sink, 2)[2..],
+            [(at, 40_000), (at, 40_002)]
+        );
+    }
+
+    /// The packet path's event budget: one transfer's two connection ends
+    /// re-arm a TCP timer on nearly every packet, and none of those arms
+    /// may cost a simulator event or a timer slot of its own.
+    #[test]
+    fn timer_rearms_cost_no_events_on_a_lossy_transfer() {
+        let total = 1_000_000;
+        let (mut sim, server_id, links) = bulk_sim(CcMode::Cm, &PathSpec::fig3(0.005), total);
+        // Stop at the first tenth of a second with everything delivered,
+        // so idle CM ticks do not pad the count.
+        while delivered(&sim, server_id) < total {
+            assert!(sim.now() < Time::from_secs(120), "transfer stalled");
+            sim.run_until(sim.now() + Duration::from_millis(100));
+        }
+        let delivered = sim.link_stats(links.forward).transmitted;
+        let per_pkt = sim.events_processed() as f64 / delivered as f64;
+        assert!(
+            per_pkt <= 4.2,
+            "{per_pkt:.2} events per delivered packet ({} / {delivered})",
+            sim.events_processed()
+        );
+        assert!(
+            sim.timer_slot_capacity() <= 32,
+            "timer slab grew to {} slots",
+            sim.timer_slot_capacity()
+        );
     }
 }

@@ -23,13 +23,14 @@
 //!   timeout events mapped to `cm_update` calls precisely as §3.2's
 //!   "Data acknowledgements" paragraph prescribes.
 //!
-//! The object is deliberately pure: every entry point returns a list of
+//! The object is deliberately pure: every entry point produces a list of
 //! [`TcpAction`]s (segments to emit, timers to arm, CM calls to make,
 //! application events to raise) that the host stack executes. That makes
 //! the protocol directly unit-testable without a simulator, which the
-//! tests at the bottom of this file exploit.
-
-use std::collections::BTreeMap;
+//! tests at the bottom of this file exploit. Each entry point comes in
+//! two forms over one body: `*_into` appends to a buffer the caller
+//! reuses (the host's per-packet path, which must not allocate), and the
+//! plain form returns a fresh `Vec` for tests and harnesses.
 
 use cm_core::types::{FeedbackReport, LossMode};
 use cm_util::ewma::RttEstimator;
@@ -139,6 +140,100 @@ pub enum TcpAction {
     Event(TcpEvent),
 }
 
+/// Byte ranges `[start, end)` sorted by start: the receiver's
+/// out-of-order store and the sender's SACK scoreboard. Both are empty
+/// outside a recovery episode and hold a handful of ranges inside one,
+/// so a flat vector that keeps its capacity between episodes beats a
+/// tree that allocates a node per segment.
+#[derive(Default)]
+struct Ranges(Vec<(u64, u64)>);
+
+impl Ranges {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Inserts `[start, end)`, keyed by `start`.
+    ///
+    /// A range that starts exactly where a held one starts *replaces*
+    /// that range's end, even with a smaller one — so a duplicate of the
+    /// first segment of a held run makes the store forget the rest of
+    /// the run (ROADMAP item 2 has the reproduction). Taking the larger
+    /// end is the fix; it moves goodput under loss, so it is kept out of
+    /// a change whose gate is bit-equal behaviour.
+    fn insert(&mut self, start: u64, end: u64) {
+        let at = self.0.partition_point(|&(s, _)| s < start);
+        match self.0.get_mut(at) {
+            Some(held) if held.0 == start => held.1 = end,
+            _ => self.0.insert(at, (start, end)),
+        }
+    }
+
+    /// Merges overlapping and touching ranges in place, clipping to
+    /// `floor` and dropping what lies wholly below it.
+    fn coalesce(&mut self, floor: u64) {
+        let mut kept = 0usize;
+        for i in 0..self.0.len() {
+            let (start, end) = self.0[i];
+            if end <= floor {
+                continue;
+            }
+            let start = start.max(floor);
+            if kept > 0 && start <= self.0[kept - 1].1 {
+                let last_end = &mut self.0[kept - 1].1;
+                *last_end = (*last_end).max(end);
+            } else {
+                self.0[kept] = (start, end);
+                kept += 1;
+            }
+        }
+        self.0.truncate(kept);
+    }
+
+    /// Removes the leading ranges that begin at or before `pos` and
+    /// returns how far they carry it.
+    fn take_prefix(&mut self, mut pos: u64) -> u64 {
+        let mut taken = 0;
+        for &(start, end) in &self.0 {
+            if start > pos {
+                break;
+            }
+            pos = pos.max(end);
+            taken += 1;
+        }
+        self.0.drain(..taken);
+        pos
+    }
+
+    /// Index of the first range that starts after `pos`.
+    fn first_after(&self, pos: u64) -> usize {
+        self.0.partition_point(|&(s, _)| s <= pos)
+    }
+
+    /// If `pos` lies inside a range, the range's end.
+    fn end_covering(&self, pos: u64) -> Option<u64> {
+        let &(_, end) = self.0.get(self.first_after(pos).checked_sub(1)?)?;
+        (pos < end).then_some(end)
+    }
+
+    /// Where the first range that starts after `pos` starts.
+    fn next_start_after(&self, pos: u64) -> Option<u64> {
+        self.0.get(self.first_after(pos)).map(|&(s, _)| s)
+    }
+
+    /// The end of the last range.
+    fn last_end(&self) -> Option<u64> {
+        self.0.last().map(|&(_, e)| e)
+    }
+}
+
+/// Runs one entry point's `*_into` body against a fresh action list.
+fn collect(body: impl FnOnce(&mut Vec<TcpAction>)) -> Vec<TcpAction> {
+    let mut out = Vec::new();
+    body(&mut out);
+    out
+}
+
 /// A TCP connection endpoint.
 pub struct TcpConnection {
     cfg: TcpConfig,
@@ -168,7 +263,7 @@ pub struct TcpConnection {
     partial_acks: u32,
     /// SACK scoreboard: ranges above `snd_una` the receiver holds
     /// (RFC 2018; Linux 2.2 shipped with SACK on).
-    sacked: BTreeMap<u64, u64>,
+    sacked: Ranges,
     /// Recovery progress: holes below this offset were already
     /// retransmitted in the current recovery episode.
     rtx_next_hole: u64,
@@ -202,8 +297,8 @@ pub struct TcpConnection {
     // --- Receive side ---
     /// Next expected offset.
     rcv_nxt: u64,
-    /// Out-of-order ranges, keyed by start offset (values are ends).
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order ranges above `rcv_nxt`.
+    ooo: Ranges,
     /// Cumulative in-order data bytes delivered to the application.
     delivered: u64,
     /// Whether the peer's SYN consumed offset 0 (always true once
@@ -287,7 +382,7 @@ impl TcpConnection {
             dupacks: 0,
             recover: None,
             partial_acks: 0,
-            sacked: BTreeMap::new(),
+            sacked: Ranges::default(),
             rtx_next_hole: 0,
             recovery_credits: 0,
             cwnd,
@@ -300,7 +395,7 @@ impl TcpConnection {
             highest_sent: 0,
             ecn_reacted_at: 0,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: Ranges::default(),
             delivered: 0,
             peer_fin_at: None,
             segs_since_ack: 0,
@@ -377,21 +472,27 @@ impl TcpConnection {
 
     /// The application wrote `bytes` more stream bytes.
     pub fn app_write(&mut self, bytes: u64, now: Time) -> Vec<TcpAction> {
-        let mut out = Vec::new();
+        collect(|out| self.app_write_into(bytes, now, out))
+    }
+
+    /// [`TcpConnection::app_write`], appending its actions to `out`.
+    pub fn app_write_into(&mut self, bytes: u64, now: Time, out: &mut Vec<TcpAction>) {
         self.app_written += bytes;
-        self.pump(now, &mut out);
-        out
+        self.pump(now, out);
     }
 
     /// The application closed its sending direction (FIN after data).
     pub fn app_close(&mut self, now: Time) -> Vec<TcpAction> {
-        let mut out = Vec::new();
+        collect(|out| self.app_close_into(now, out))
+    }
+
+    /// [`TcpConnection::app_close`], appending its actions to `out`.
+    pub fn app_close_into(&mut self, now: Time, out: &mut Vec<TcpAction>) {
         self.fin_queued = true;
         if self.state == TcpState::Established {
             self.state = TcpState::Closing;
         }
-        self.pump(now, &mut out);
-        out
+        self.pump(now, out);
     }
 
     // ------------------------------------------------------------------
@@ -401,7 +502,17 @@ impl TcpConnection {
     /// Processes an incoming segment (`ce_marked` reports the IP-layer
     /// ECN CE codepoint).
     pub fn on_segment(&mut self, seg: &TcpSegment, ce_marked: bool, now: Time) -> Vec<TcpAction> {
-        let mut out = Vec::new();
+        collect(|out| self.on_segment_into(seg, ce_marked, now, out))
+    }
+
+    /// [`TcpConnection::on_segment`], appending its actions to `out`.
+    pub fn on_segment_into(
+        &mut self,
+        seg: &TcpSegment,
+        ce_marked: bool,
+        now: Time,
+        out: &mut Vec<TcpAction>,
+    ) {
         self.stats.segs_rcvd += 1;
         if ce_marked && self.cfg.ecn {
             self.ece_pending = true;
@@ -416,14 +527,14 @@ impl TcpConnection {
                 self.state = TcpState::Established;
                 self.echo_ts = Some(seg.ts);
                 if let Some(ecr) = seg.ts_ecr {
-                    self.take_rtt_sample(now.since(ecr), &mut out);
+                    self.take_rtt_sample(now.since(ecr));
                 }
                 self.rto_armed = false;
                 out.push(TcpAction::CancelTimer(TcpTimer::Rto));
                 out.push(TcpAction::Event(TcpEvent::Connected));
-                self.send_ack(now, &mut out);
-                self.pump(now, &mut out);
-                return out;
+                self.send_ack(now, out);
+                self.pump(now, out);
+                return;
             }
             TcpState::SynRcvd if seg.flags.ack && seg.ack >= 1 => {
                 self.snd_una = self.snd_una.max(1);
@@ -438,12 +549,11 @@ impl TcpConnection {
         }
 
         if seg.flags.ack {
-            self.process_ack(seg, now, &mut out);
+            self.process_ack(seg, now, out);
         }
         if seg.seq_space() > 0 && !seg.flags.syn {
-            self.process_data(seg, now, &mut out);
+            self.process_data(seg, now, out);
         }
-        out
     }
 
     fn process_ack(&mut self, seg: &TcpSegment, now: Time, out: &mut Vec<TcpAction>) {
@@ -472,14 +582,12 @@ impl TcpConnection {
             // transmission can pass the send point; jump forward.
             self.snd_nxt = self.snd_nxt.max(self.snd_una);
             self.backoff = 0;
-            if !self.sacked.is_empty() {
-                self.merge_sacked();
-            }
+            self.sacked.coalesce(self.snd_una);
             let mut rtt_sample = None;
             if let Some(ecr) = seg.ts_ecr {
                 let sample = now.since(ecr);
                 rtt_sample = Some(sample);
-                self.take_rtt_sample(sample, out);
+                self.take_rtt_sample(sample);
             }
             let mut rearm_rto = true;
             match self.recover {
@@ -611,18 +719,18 @@ impl TcpConnection {
         }
         let mut out_of_order = end <= self.rcv_nxt || start > self.rcv_nxt;
         if end > self.rcv_nxt {
-            // Insert and merge into the out-of-order store.
-            self.ooo.insert(start.max(self.rcv_nxt), end);
-            self.merge_ooo();
-            // Advance rcv_nxt through any now-contiguous prefix.
             let before = self.rcv_nxt;
-            while let Some((&s, &e)) = self.ooo.first_key_value() {
-                if s <= self.rcv_nxt {
-                    self.rcv_nxt = self.rcv_nxt.max(e);
-                    self.ooo.pop_first();
-                } else {
-                    break;
-                }
+            if self.ooo.is_empty() && start <= before {
+                // In order with nothing held (all but the segments of a
+                // recovery episode): the store would take the range and
+                // hand it straight back.
+                self.rcv_nxt = end;
+            } else {
+                // Insert and merge into the out-of-order store, then
+                // advance rcv_nxt through any now-contiguous prefix.
+                self.ooo.insert(start.max(before), end);
+                self.ooo.coalesce(0);
+                self.rcv_nxt = self.ooo.take_prefix(before);
             }
             if self.rcv_nxt > before {
                 if start <= before {
@@ -666,42 +774,27 @@ impl TcpConnection {
         }
     }
 
-    fn merge_ooo(&mut self) {
-        let ranges: Vec<(u64, u64)> = self.ooo.iter().map(|(&s, &e)| (s, e)).collect();
-        self.ooo.clear();
-        let mut cur: Option<(u64, u64)> = None;
-        for (s, e) in ranges {
-            match cur {
-                None => cur = Some((s, e)),
-                Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-                Some((cs, ce)) => {
-                    self.ooo.insert(cs, ce);
-                    cur = Some((s, e));
-                }
-            }
-        }
-        if let Some((cs, ce)) = cur {
-            self.ooo.insert(cs, ce);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Timers
     // ------------------------------------------------------------------
 
     /// Handles a fired timer.
     pub fn on_timer(&mut self, timer: TcpTimer, now: Time) -> Vec<TcpAction> {
-        let mut out = Vec::new();
+        collect(|out| self.on_timer_into(timer, now, out))
+    }
+
+    /// [`TcpConnection::on_timer`], appending its actions to `out`.
+    pub fn on_timer_into(&mut self, timer: TcpTimer, now: Time, out: &mut Vec<TcpAction>) {
         match timer {
             TcpTimer::DelayedAck => {
                 if self.ack_pending {
-                    self.send_ack(now, &mut out);
+                    self.send_ack(now, out);
                 }
             }
             TcpTimer::Rto => {
                 self.rto_armed = false;
                 if self.flight() == 0 && self.state != TcpState::SynSent {
-                    return out;
+                    return;
                 }
                 self.stats.timeouts += 1;
                 self.backoff = (self.backoff + 1).min(10);
@@ -720,7 +813,7 @@ impl TcpConnection {
                             },
                             now,
                         );
-                        self.emit(syn, &mut out);
+                        self.emit(syn, out);
                     }
                     TcpState::SynRcvd => {
                         let synack = self.make_segment(
@@ -733,7 +826,7 @@ impl TcpConnection {
                             },
                             now,
                         );
-                        self.emit(synack, &mut out);
+                        self.emit(synack, out);
                     }
                     _ => {
                         // Go-back-N: rewind the send point to the oldest
@@ -749,7 +842,7 @@ impl TcpConnection {
                                 // Classic timeout response.
                                 self.ssthresh = (flight / 2).max(2 * self.cfg.mss as u64);
                                 self.cwnd = self.cfg.mss as u64;
-                                self.pump(now, &mut out);
+                                self.pump(now, out);
                             }
                             CcMode::Cm => {
                                 // "the expiration of the TCP retransmission
@@ -763,15 +856,14 @@ impl TcpConnection {
                                     LossMode::Persistent,
                                     drained,
                                 )));
-                                self.maybe_request(&mut out);
+                                self.maybe_request(out);
                             }
                         }
                     }
                 }
-                self.arm_rto(&mut out);
+                self.arm_rto(out);
             }
         }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -782,14 +874,18 @@ impl TcpConnection {
     /// one segment — a pending retransmission takes priority over new
     /// data, mirroring §3.2 — or declines with `cm_notify(0)`.
     pub fn on_cm_grant(&mut self, now: Time) -> Vec<TcpAction> {
+        collect(|out| self.on_cm_grant_into(now, out))
+    }
+
+    /// [`TcpConnection::on_cm_grant`], appending its actions to `out`.
+    pub fn on_cm_grant_into(&mut self, now: Time, out: &mut Vec<TcpAction>) {
         debug_assert_eq!(self.mode, CcMode::Cm);
-        let mut out = Vec::new();
         self.requests_outstanding = self.requests_outstanding.saturating_sub(1);
         if self.state != TcpState::Established && self.state != TcpState::Closing {
             out.push(TcpAction::CmNotify(0));
-            return out;
+            return;
         }
-        if self.retransmit_hole(now, &mut out) {
+        if self.retransmit_hole(now, out) {
             // A recovery hole took this grant.
         } else if let Some(seg) = self.next_new_segment(now) {
             let wire = seg.seq_space();
@@ -800,15 +896,14 @@ impl TcpConnection {
                 self.stats.bytes_sent += seg.len as u64;
                 self.highest_sent = seg.seq_end();
             }
-            self.emit(seg, &mut out);
+            self.emit(seg, out);
             out.push(TcpAction::CmNotify(wire));
-            self.arm_rto_if_idle(&mut out);
+            self.arm_rto_if_idle(out);
         } else {
             // Nothing to send: release the grant.
             out.push(TcpAction::CmNotify(0));
         }
-        self.maybe_request(&mut out);
-        out
+        self.maybe_request(out);
     }
 
     // ------------------------------------------------------------------
@@ -848,7 +943,7 @@ impl TcpConnection {
         }
         // After a timeout's go-back-N rewind, skip ranges the receiver
         // already holds (per the SACK scoreboard).
-        while let Some(end) = self.sacked_end_covering(self.snd_nxt) {
+        while let Some(end) = self.sacked.end_covering(self.snd_nxt) {
             self.snd_nxt = end;
         }
         let limit = self.stream_limit();
@@ -857,10 +952,8 @@ impl TcpConnection {
         if avail > 0 && wnd_room > 0 {
             let next_sacked = self
                 .sacked
-                .range(self.snd_nxt + 1..)
-                .next()
-                .map(|(&a, _)| a.saturating_sub(self.snd_nxt))
-                .unwrap_or(u64::MAX);
+                .next_start_after(self.snd_nxt)
+                .map_or(u64::MAX, |a| a - self.snd_nxt);
             let len = avail
                 .min(self.cfg.mss as u64)
                 .min(wnd_room)
@@ -948,7 +1041,8 @@ impl TcpConnection {
         }
     }
 
-    /// Merges the receiver's SACK blocks into the scoreboard.
+    /// Merges the receiver's SACK blocks into the scoreboard, coalescing
+    /// overlaps and pruning what the cumulative ACK has passed.
     fn absorb_sack(&mut self, blocks: &[(u64, u64)]) {
         for &(bs, be) in blocks {
             if be <= bs || be <= self.snd_una {
@@ -956,45 +1050,7 @@ impl TcpConnection {
             }
             self.sacked.insert(bs.max(self.snd_una), be);
         }
-        if !self.sacked.is_empty() {
-            self.merge_sacked();
-        }
-    }
-
-    /// Coalesces overlapping scoreboard ranges and prunes ranges the
-    /// cumulative ACK has passed.
-    fn merge_sacked(&mut self) {
-        let ranges: Vec<(u64, u64)> = self.sacked.iter().map(|(&a, &b)| (a, b)).collect();
-        self.sacked.clear();
-        let mut cur: Option<(u64, u64)> = None;
-        for (a, b) in ranges {
-            if b <= self.snd_una {
-                continue;
-            }
-            let a = a.max(self.snd_una);
-            match cur {
-                None => cur = Some((a, b)),
-                Some((cs, ce)) if a <= ce => cur = Some((cs, ce.max(b))),
-                Some((cs, ce)) => {
-                    self.sacked.insert(cs, ce);
-                    cur = Some((a, b));
-                }
-            }
-        }
-        if let Some((cs, ce)) = cur {
-            self.sacked.insert(cs, ce);
-        }
-    }
-
-    /// If `pos` lies inside a SACKed range, the range's end.
-    fn sacked_end_covering(&self, pos: u64) -> Option<u64> {
-        self.sacked.range(..=pos).next_back().and_then(|(&a, &b)| {
-            if pos >= a && pos < b {
-                Some(b)
-            } else {
-                None
-            }
-        })
+        self.sacked.coalesce(self.snd_una);
     }
 
     /// The next not-yet-retransmitted hole below the recovery point:
@@ -1005,17 +1061,13 @@ impl TcpConnection {
         // missing; anything above may simply not have been reported yet,
         // and retransmitting it would spray duplicates. With no SACK
         // information, exactly the classic `snd_una` hole qualifies.
-        let fack = self
-            .sacked
-            .last_key_value()
-            .map(|(_, &e)| e)
-            .unwrap_or(self.snd_una + 1);
+        let fack = self.sacked.last_end().unwrap_or(self.snd_una + 1);
         let mut pos = self.rtx_next_hole.max(self.snd_una).max(1);
         loop {
             if pos >= recover || pos >= fack {
                 return None;
             }
-            if let Some(end) = self.sacked_end_covering(pos) {
+            if let Some(end) = self.sacked.end_covering(pos) {
                 pos = end;
                 continue;
             }
@@ -1027,12 +1079,7 @@ impl TcpConnection {
                 }
                 return None;
             }
-            let next_sacked = self
-                .sacked
-                .range(pos + 1..)
-                .next()
-                .map(|(&a, _)| a)
-                .unwrap_or(u64::MAX);
+            let next_sacked = self.sacked.next_start_after(pos).unwrap_or(u64::MAX);
             let hole_end = recover.min(next_sacked).min(limit);
             let len = (hole_end - pos).min(self.cfg.mss as u64) as u32;
             if len == 0 {
@@ -1103,8 +1150,8 @@ impl TcpConnection {
         // scoreboard can steer retransmissions.
         let mut sack = [(0u64, 0u64); crate::segment::MAX_SACK_BLOCKS];
         let mut sack_count = 0u8;
-        for (&a, &b) in self.ooo.iter().take(crate::segment::MAX_SACK_BLOCKS) {
-            sack[sack_count as usize] = (a, b);
+        for (block, &range) in sack.iter_mut().zip(&self.ooo.0) {
+            *block = range;
             sack_count += 1;
         }
         TcpSegment {
@@ -1127,7 +1174,7 @@ impl TcpConnection {
         out.push(TcpAction::Emit(seg));
     }
 
-    fn take_rtt_sample(&mut self, sample: Duration, _out: &mut [TcpAction]) {
+    fn take_rtt_sample(&mut self, sample: Duration) {
         self.stats.rtt_samples += 1;
         self.rtt.update(sample);
     }
@@ -1610,5 +1657,78 @@ mod tests {
             .filter(|a| matches!(a, TcpAction::CmRequest))
             .count();
         assert_eq!(reqs, 8);
+    }
+
+    #[test]
+    fn ranges_coalesce_clip_and_search() {
+        let mut r = Ranges::default();
+        for (s, e) in [(30, 40), (10, 20), (20, 25), (50, 60), (35, 45)] {
+            r.insert(s, e);
+        }
+        // Sorted by start; touching and overlapping ranges merge.
+        r.coalesce(0);
+        assert_eq!(r.0, [(10, 25), (30, 45), (50, 60)]);
+        assert_eq!(r.end_covering(9), None);
+        assert_eq!(r.end_covering(10), Some(25));
+        assert_eq!(r.end_covering(24), Some(25));
+        assert_eq!(r.end_covering(25), None);
+        assert_eq!(r.next_start_after(9), Some(10));
+        assert_eq!(r.next_start_after(10), Some(30));
+        assert_eq!(r.next_start_after(50), None);
+        assert_eq!(r.last_end(), Some(60));
+        // A floor drops what lies below it and clips what straddles it.
+        r.coalesce(35);
+        assert_eq!(r.0, [(35, 45), (50, 60)]);
+        // Only ranges reachable from the position are taken.
+        assert_eq!(r.take_prefix(34), 34);
+        assert_eq!(r.take_prefix(40), 45);
+        assert_eq!(r.0, [(50, 60)]);
+        assert_eq!(r.take_prefix(50), 60);
+        assert!(r.is_empty());
+    }
+
+    /// Pins a recorded defect (ROADMAP item 2), not a requirement: the
+    /// out-of-order store is keyed by start, so a retransmission that
+    /// starts where a held run starts *replaces* the run's end — the
+    /// receiver forgets 1,460 bytes it holds and its next SACK un-reports
+    /// them. Go-back-N after an RTO produces exactly this arrival. The
+    /// fix (keep the larger end in `Ranges::insert`) moves goodput under
+    /// loss, so it waits for a change that may move the figures.
+    #[test]
+    fn duplicate_of_a_held_runs_first_segment_forgets_the_rest() {
+        let now = Time::ZERO;
+        let flags = |syn, ack| TcpFlags {
+            syn,
+            ack,
+            ..Default::default()
+        };
+        let seg = |seq, len, flags| TcpSegment {
+            seq,
+            len,
+            ack: 1,
+            flags,
+            wnd: 1 << 20,
+            ts: now,
+            ts_ecr: None,
+            sack: [(0, 0); 3],
+            sack_count: 0,
+        };
+        let (mut rx, _) =
+            TcpConnection::accept(cfg(), CcMode::Native, &seg(0, 0, flags(true, false)), now);
+        // [1, 1461) is missing; [1461, 4381) arrives in two segments.
+        let _ = rx.on_segment(&seg(1461, 1460, flags(false, true)), false, now);
+        let acts = rx.on_segment(&seg(2921, 1460, flags(false, true)), false, now);
+        let sack_of = |acts: &[TcpAction]| match acts.last() {
+            Some(TcpAction::Emit(ack)) => ack.sack_blocks().to_vec(),
+            other => panic!("expected an ACK, got {other:?}"),
+        };
+        assert_eq!(sack_of(&acts), [(1461, 4381)]);
+        // The first of them arrives again.
+        let acts = rx.on_segment(&seg(1461, 1460, flags(false, true)), false, now);
+        assert_eq!(
+            sack_of(&acts),
+            [(1461, 2921)],
+            "defect fixed? update ROADMAP item 2"
+        );
     }
 }

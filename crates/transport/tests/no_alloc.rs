@@ -1,0 +1,166 @@
+//! Zero-allocation enforcement for the host's packet path.
+//!
+//! docs/perf.md rule 2 ("zero per-event allocation") was proven for the
+//! CM (`crates/core/tests/no_alloc.rs`) and the recorder; this test
+//! extends it to everything a simulated TCP-over-CM packet crosses —
+//! event queue, links, `Host`, TCP, the CM — with the one stated
+//! exception: a packet's type-erased `Payload` is a `Box`, so each
+//! packet offered to a link costs exactly one allocation. Once a bulk
+//! transfer is warm, a window of thousands of delivered packets must
+//! allocate exactly that and nothing else: no action list per TCP entry
+//! point, no tree node per out-of-order segment, no map entry per timer.
+
+#![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; the counting allocator needs it
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use cm_core::config::CmConfig;
+use cm_netsim::channel::PathSpec;
+use cm_netsim::packet::Addr;
+use cm_netsim::sim::Simulator;
+use cm_netsim::topology::{Duplex, Topology};
+use cm_transport::host::{Host, HostApp, HostConfig, HostOs};
+use cm_transport::tcp::TcpConfig;
+use cm_transport::types::CcMode;
+use cm_util::{Duration, Time};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
+
+/// `ALLOCS` is process-wide and libtest runs tests on parallel threads,
+/// so each test holds this while it measures (as in
+/// `crates/core/tests/no_alloc.rs`).
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Writes more than any window can carry, as soon as it starts.
+struct Sender {
+    remote: Addr,
+}
+
+impl HostApp for Sender {
+    fn on_start(&mut self, os: &mut HostOs<'_, '_>) {
+        let conn = os.tcp_connect(self.remote, 80, CcMode::Cm);
+        os.tcp_send(conn, 1 << 40);
+    }
+}
+
+struct Receiver;
+
+impl HostApp for Receiver {
+    fn on_start(&mut self, os: &mut HostOs<'_, '_>) {
+        os.tcp_listen(80, CcMode::Cm);
+    }
+}
+
+/// A TCP/CM bulk transfer over the Figure 3 channel, `sim_bulk`'s host
+/// configuration (a 64 KB window fits the path's 50-packet queue, so
+/// `loss` is the only source of drops).
+fn bulk(loss: f64) -> (Simulator, Duplex) {
+    let cfg = HostConfig {
+        tcp: TcpConfig {
+            rwnd: 64 * 1024,
+            ..Default::default()
+        },
+        cm: CmConfig {
+            mtu: 1460,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut topo = Topology::new(5);
+    let mut server = Host::new(cfg.clone());
+    server.add_app(Box::new(Receiver));
+    let server_id = topo.add_host(Box::new(server));
+    let remote = topo.sim().addr_of(server_id);
+    let mut client = Host::new(cfg);
+    client.add_app(Box::new(Sender { remote }));
+    let client_id = topo.add_host(Box::new(client));
+    let path = topo.emulated_path(client_id, server_id, &PathSpec::fig3(loss));
+    (topo.build(), path)
+}
+
+/// Runs `sim` for `warmup_s` simulated seconds, then measures three
+/// windows of `window_s` each: in the best of them (the counter is
+/// process-global, so libtest's own one-shot allocations can land in a
+/// window; a per-packet allocation lands in all of them) the allocation
+/// count must equal the packets offered to the two links.
+fn assert_one_alloc_per_packet(loss: f64, warmup_s: u64, window_s: u64) {
+    let _turn = measuring();
+    let (mut sim, path) = bulk(loss);
+    let offered = |sim: &Simulator| {
+        sim.link_stats(path.forward).offered + sim.link_stats(path.reverse).offered
+    };
+    let mut until = Time::from_secs(warmup_s);
+    sim.run_until(until);
+
+    let mut min_excess = u64::MAX;
+    for _ in 0..3 {
+        until += Duration::from_secs(window_s);
+        let delivered_before = sim.link_stats(path.forward).transmitted;
+        let offered_before = offered(&sim);
+        let allocs_before = ALLOCS.load(Ordering::SeqCst);
+        sim.run_until(until);
+        let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
+        let packets = offered(&sim) - offered_before;
+        let delivered = sim.link_stats(path.forward).transmitted - delivered_before;
+        assert!(
+            delivered >= 2_000,
+            "window carried only {delivered} data packets"
+        );
+        assert!(
+            allocs >= packets,
+            "{allocs} allocations for {packets} packets: a payload was not boxed?"
+        );
+        min_excess = min_excess.min(allocs - packets);
+    }
+    if loss > 0.0 {
+        let lost = sim.link_stats(path.forward).dropped_random;
+        assert!(
+            lost > 100,
+            "only {lost} packets lost: no recovery exercised"
+        );
+    }
+    assert_eq!(
+        min_excess, 0,
+        "the packet path allocated beyond one payload box per packet in every \
+         window (at least {min_excess} extra allocations per window)"
+    );
+}
+
+#[test]
+fn loss_free_transfer_allocates_only_payload_boxes() {
+    assert_one_alloc_per_packet(0.0, 4, 4);
+}
+
+/// Under loss the out-of-order store, the SACK scoreboard and the
+/// recovery paths run constantly; they keep their capacity between
+/// episodes.
+#[test]
+fn lossy_transfer_allocates_only_payload_boxes() {
+    assert_one_alloc_per_packet(0.02, 30, 30);
+}
