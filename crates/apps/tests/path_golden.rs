@@ -86,7 +86,7 @@ fn mix_host(sim: &Simulator, id: NodeId, fnv: &mut Fnv) {
 
 fn mix_links(sim: &Simulator, links: usize, fnv: &mut Fnv) {
     for l in 0..links {
-        fnv.debug(sim.link_stats(LinkId(l)));
+        fnv.debug(&sim.link_stats(LinkId(l)));
     }
 }
 

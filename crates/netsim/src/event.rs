@@ -8,7 +8,12 @@
 //! an event belongs among its instant's ties but not yet whether it will
 //! need the event takes the number with [`EventQueue::reserve_seq`] and
 //! inserts later with [`EventQueue::schedule_reserved`]
-//! ([`EventQueue::schedule`] is the two back to back).
+//! ([`EventQueue::schedule`] is the two back to back). A caller that
+//! never scheduled the event at all — a link whose serialization nobody
+//! waited behind — can still ask whether its reserved place has gone by:
+//! [`EventQueue::current_seq`] is the number of the event being
+//! dispatched, so within one instant a reserved number below it belongs
+//! to the past and one above it to the future.
 //!
 //! # Structure
 //!
@@ -164,6 +169,9 @@ pub struct EventQueue {
     free_head: u32,
     len: usize,
     next_seq: u64,
+    /// Sequence number of the event last popped (see
+    /// [`EventQueue::current_seq`]).
+    current_seq: u64,
 }
 
 /// No free arena slot.
@@ -195,6 +203,7 @@ impl EventQueue {
             free_head: NIL,
             len: 0,
             next_seq: 0,
+            current_seq: 0,
         }
     }
 
@@ -302,6 +311,7 @@ impl EventQueue {
                     self.cur_pos = 0;
                 }
                 self.len -= 1;
+                self.current_seq = e.seq;
                 let slot = std::mem::replace(
                     &mut self.arena[e.idx as usize],
                     ArenaSlot::Free(self.free_head),
@@ -313,13 +323,35 @@ impl EventQueue {
                 return Some((Time::from_nanos(e.at), event));
             }
             if self.len == 0 {
+                // Nothing is pending, so nothing numbered so far is.
+                self.pass_instant();
                 return None;
             }
             self.advance();
         }
     }
 
+    /// The sequence number of the event being dispatched (the one last
+    /// popped). Among places reserved for the current instant, those
+    /// numbered below it have gone by and those above it are still to
+    /// come; the event's own number is neither. Once the instant is known
+    /// to be over ([`EventQueue::pass_instant`], or a `pop` that found
+    /// the queue empty) it is above every number handed out so far.
+    #[inline]
+    pub fn current_seq(&self) -> u64 {
+        self.current_seq
+    }
+
     // lint:hot-path:end
+
+    /// Declares that every event of the current instant has run — what a
+    /// driver that stops *between* events knows and the queue does not
+    /// (`Simulator::run_until` at its deadline). Every number handed out
+    /// so far then counts as gone by; numbers handed out later do not.
+    #[inline]
+    pub fn pass_instant(&mut self) {
+        self.current_seq = self.next_seq;
+    }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {

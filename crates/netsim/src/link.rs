@@ -8,6 +8,28 @@
 //! the destination node after the propagation delay. Delay and rate are
 //! modelled separately, exactly as a real link behaves, so bandwidth-delay
 //! products and ACK clocking emerge naturally.
+//!
+//! # The transmitter
+//!
+//! A serialization ends at a fixed instant and in a fixed place among
+//! that instant's events (a sequence number reserved when it starts), but
+//! a [`SimEvent::LinkTxDone`] is scheduled there only if something has to
+//! happen then. The transmitter is in one of three states:
+//!
+//! * **idle** — no serialization, or one whose reserved place has gone by
+//!   unobserved; its counters are settled the next time the link is
+//!   touched or read;
+//! * **on the wire** — the packet was handed to its
+//!   [`SimEvent::LinkDeliver`] when serialization started and nobody
+//!   waits behind it, so no completion event exists. The first packet to
+//!   arrive before the reserved place (earlier, or in the completion
+//!   instant under a lower number than [`EventQueue::current_seq`])
+//!   queues and schedules the completion into that place;
+//! * **completing** — a `LinkTxDone` is scheduled: a packet waits in the
+//!   queue, or the link has departure-stage faults (delay spikes,
+//!   reordering, duplication) or outage windows and holds the packet
+//!   until completion, because those draw from the shared RNG *at*
+//!   completion and seeded runs freeze the draw order.
 
 use cm_util::{DetRng, Duration, Rate, Time};
 
@@ -109,10 +131,38 @@ pub struct Link {
     /// End of the outage window a restart event has been scheduled for,
     /// so repeated offers during an outage schedule exactly one restart.
     outage_restart: Option<Time>,
-    /// The packet currently being serialized, if any.
-    in_flight: Option<Packet>,
-    /// Traffic counters.
-    pub stats: LinkStats,
+    /// Whether the packet stays with the link until `LinkTxDone`: set
+    /// when a departure stage (spike, reorder, duplicate) or an outage
+    /// window is configured. Gilbert–Elliott loss acts at *offer*, so
+    /// `LinkFaults::is_clean()` is stricter than this needs.
+    holds_packet: bool,
+    /// The serialization in progress (see the module docs).
+    tx: Option<Tx>,
+    /// Traffic counters, short of a completion nobody has observed yet;
+    /// read them through [`Link::stats`].
+    stats: LinkStats,
+}
+
+/// One serialization.
+struct Tx {
+    /// When the last bit leaves the transmitter.
+    done_at: Time,
+    /// The completion's reserved place among the events of `done_at`.
+    seq: u64,
+    /// Bytes being serialized.
+    size: usize,
+    /// Whether a `LinkTxDone` sits in the event queue under `seq`.
+    scheduled: bool,
+    /// The packet, on a link that holds it until completion.
+    held: Option<Packet>,
+}
+
+impl Tx {
+    /// Whether the completion's place went by without an event.
+    fn unobserved_done(&self, now: Time, evq: &EventQueue) -> bool {
+        !self.scheduled
+            && (now > self.done_at || (now == self.done_at && self.seq < evq.current_seq()))
+    }
 }
 
 impl Link {
@@ -129,9 +179,24 @@ impl Link {
             faults: spec.faults.clone(),
             ge_bad: false,
             outage_restart: None,
-            in_flight: None,
+            holds_packet: spec.faults.spike_prob > 0.0
+                || spec.faults.reorder_prob > 0.0
+                || spec.faults.duplicate_prob > 0.0
+                || !spec.faults.outages.is_empty(),
+            tx: None,
             stats: LinkStats::default(),
         }
+    }
+
+    /// The traffic counters as of `now`, the instant `evq` is
+    /// dispatching: a serialization whose completion has gone by counts
+    /// as transmitted whether or not an event marked it.
+    pub fn stats(&self, now: Time, evq: &EventQueue) -> LinkStats {
+        let mut stats = self.stats;
+        if let Some(tx) = self.tx.as_ref().filter(|tx| tx.unobserved_done(now, evq)) {
+            stats.count_transmitted(tx.size);
+        }
+        stats
     }
 
     /// The link's serialization rate.
@@ -203,9 +268,24 @@ impl Link {
             }
         }
         self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.len_packets());
-        if self.in_flight.is_none() {
+        if self.idle(now, evq) {
             self.start_tx(now, evq);
+        } else if let Some(tx) = self.tx.as_mut().filter(|tx| !tx.scheduled) {
+            // First packet to wait behind the one on the wire: now the
+            // completion has something to do, in the place kept for it.
+            tx.scheduled = true;
+            evq.schedule_reserved(tx.done_at, tx.seq, SimEvent::LinkTxDone { link: self.id });
         }
+    }
+
+    /// Whether the transmitter is free at `now`, settling the counters of
+    /// a serialization whose completion went by without an event.
+    fn idle(&mut self, now: Time, evq: &EventQueue) -> bool {
+        if let Some(tx) = self.tx.as_ref().filter(|tx| tx.unobserved_done(now, evq)) {
+            self.stats.count_transmitted(tx.size);
+            self.tx = None;
+        }
+        self.tx.is_none()
     }
 
     /// Applies a bandwidth-schedule step: adopts the new rate and, if
@@ -214,20 +294,23 @@ impl Link {
     /// rate write would leave a stalled queue wedged.
     ///
     /// A packet already being serialized completes at the old rate — its
-    /// completion event is on the wire, so to speak — and the new rate
-    /// applies from the next packet onward, exactly how a shaper change
-    /// behaves on real hardware.
+    /// completion instant (and, on a link that does not hold packets, its
+    /// delivery) was fixed when it started — and the new rate applies
+    /// from the next packet onward, exactly how a shaper change behaves
+    /// on real hardware.
     pub fn on_rate_change(&mut self, rate: Rate, now: Time, evq: &mut EventQueue) {
         self.rate = rate;
-        if self.in_flight.is_none() {
+        if self.idle(now, evq) {
             self.start_tx(now, evq);
         }
     }
 
-    /// Begins serializing the next queued packet, scheduling the
-    /// completion event.
+    /// Begins serializing the next queued packet: reserves the
+    /// completion's place, hands the packet to the wire unless this link
+    /// holds packets, and schedules the completion only if something
+    /// already waits on it.
     fn start_tx(&mut self, now: Time, evq: &mut EventQueue) {
-        debug_assert!(self.in_flight.is_none(), "transmitter already busy");
+        debug_assert!(self.tx.is_none(), "transmitter already busy");
         if self.rate.is_zero() {
             // A stopped link holds its queue; a schedule step restarts it.
             return;
@@ -243,9 +326,27 @@ impl Link {
             return;
         }
         if let Some(pkt) = self.queue.dequeue(now) {
-            let tx_time = self.rate.transmit_time(pkt.size);
-            self.in_flight = Some(pkt);
-            evq.schedule(now + tx_time, SimEvent::LinkTxDone { link: self.id });
+            let done_at = now + self.rate.transmit_time(pkt.size);
+            let seq = evq.reserve_seq();
+            let size = pkt.size;
+            let held = if self.holds_packet {
+                Some(pkt)
+            } else {
+                let link = self.id;
+                evq.schedule(done_at + self.delay, SimEvent::LinkDeliver { link, pkt });
+                None
+            };
+            let scheduled = held.is_some() || !self.queue.is_empty();
+            if scheduled {
+                evq.schedule_reserved(done_at, seq, SimEvent::LinkTxDone { link: self.id });
+            }
+            self.tx = Some(Tx {
+                done_at,
+                seq,
+                size,
+                scheduled,
+                held,
+            });
         }
     }
 
@@ -253,47 +354,51 @@ impl Link {
     /// it sat idle over a held queue.
     pub fn on_fault_restart(&mut self, now: Time, evq: &mut EventQueue) {
         self.outage_restart = None;
-        if self.in_flight.is_none() {
+        if self.idle(now, evq) {
             self.start_tx(now, evq);
         }
     }
 
-    /// Handles serialization completion: the packet departs on the wire
-    /// (arriving after the propagation delay) and the next packet starts.
+    /// Handles a scheduled serialization completion: the packet counts as
+    /// transmitted and the next one starts. On a link that holds packets
+    /// this is also where the packet departs (arriving after the
+    /// propagation delay).
     ///
     /// The fault stages run here, on departure: delay spikes and
     /// reordering stretch the propagation delay of this one packet
     /// (later packets may overtake it), and duplication schedules a
-    /// second delivery. Clean links take no RNG draws.
+    /// second delivery. Links without them hold nothing and draw nothing.
     pub fn on_tx_done(&mut self, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
-        let pkt = self
-            .in_flight
+        let tx = self
+            .tx
             .take()
-            // lint:allow(R2): event-order invariant — LinkTxDone is only ever scheduled with a packet in flight
-            .expect("LinkTxDone without a packet in flight");
-        self.stats.transmitted += 1;
-        self.stats.bytes_transmitted += pkt.size as u64;
-        let mut delay = self.delay;
-        if self.faults.spike_prob > 0.0 && rng.chance(self.faults.spike_prob) {
-            delay += self.faults.spike_extra;
-            self.stats.delay_spikes += 1;
+            // lint:allow(R2): event-order invariant — LinkTxDone is only ever scheduled for the serialization in progress
+            .expect("LinkTxDone without a serialization in progress");
+        debug_assert!(tx.scheduled && tx.done_at == now, "stray LinkTxDone");
+        self.stats.count_transmitted(tx.size);
+        if let Some(pkt) = tx.held {
+            let mut delay = self.delay;
+            if self.faults.spike_prob > 0.0 && rng.chance(self.faults.spike_prob) {
+                delay += self.faults.spike_extra;
+                self.stats.delay_spikes += 1;
+            }
+            if self.faults.reorder_prob > 0.0 && rng.chance(self.faults.reorder_prob) {
+                let extra_us = self.faults.reorder_extra.as_micros().max(1);
+                delay += Duration::from_micros(rng.next_range(1, extra_us));
+                self.stats.reordered += 1;
+            }
+            if self.faults.duplicate_prob > 0.0 && rng.chance(self.faults.duplicate_prob) {
+                self.stats.duplicated += 1;
+                evq.schedule(
+                    now + delay + Duration::from_micros(1),
+                    SimEvent::LinkDeliver {
+                        link: self.id,
+                        pkt: pkt.clone(),
+                    },
+                );
+            }
+            evq.schedule(now + delay, SimEvent::LinkDeliver { link: self.id, pkt });
         }
-        if self.faults.reorder_prob > 0.0 && rng.chance(self.faults.reorder_prob) {
-            let extra_us = self.faults.reorder_extra.as_micros().max(1);
-            delay += Duration::from_micros(rng.next_range(1, extra_us));
-            self.stats.reordered += 1;
-        }
-        if self.faults.duplicate_prob > 0.0 && rng.chance(self.faults.duplicate_prob) {
-            self.stats.duplicated += 1;
-            evq.schedule(
-                now + delay + Duration::from_micros(1),
-                SimEvent::LinkDeliver {
-                    link: self.id,
-                    pkt: pkt.clone(),
-                },
-            );
-        }
-        evq.schedule(now + delay, SimEvent::LinkDeliver { link: self.id, pkt });
         self.start_tx(now, evq);
     }
 }
@@ -319,6 +424,20 @@ mod tests {
         Link::new(LinkId(0), NodeId(0), NodeId(1), &spec)
     }
 
+    /// Pops the queue dry the way `Simulator` would, returning what was
+    /// delivered when.
+    fn drain(link: &mut Link, rng: &mut DetRng, evq: &mut EventQueue) -> Vec<Time> {
+        let mut delivered = Vec::new();
+        while let Some((t, e)) = evq.pop() {
+            match e {
+                SimEvent::LinkTxDone { .. } => link.on_tx_done(t, rng, evq),
+                SimEvent::LinkDeliver { .. } => delivered.push(t),
+                _ => unreachable!("a link on its own schedules nothing else"),
+            }
+        }
+        delivered
+    }
+
     #[test]
     fn serialization_then_propagation() {
         // 1 Mbps, 10 ms delay: a 1250-byte packet serializes in 10 ms.
@@ -326,16 +445,18 @@ mod tests {
         let mut rng = DetRng::seed(0);
         let mut evq = EventQueue::new();
         link.offer(pkt(1250), Time::ZERO, &mut rng, &mut evq);
-        // TxDone at 10 ms.
-        let (t, e) = evq.pop().unwrap();
-        assert_eq!(t, Time::from_millis(10));
-        assert!(matches!(e, SimEvent::LinkTxDone { .. }));
-        link.on_tx_done(t, &mut rng, &mut evq);
-        // Delivery at 20 ms.
-        let (t, e) = evq.pop().unwrap();
-        assert_eq!(t, Time::from_millis(20));
-        assert!(matches!(e, SimEvent::LinkDeliver { .. }));
-        assert_eq!(link.stats.transmitted, 1);
+        assert_eq!(link.queue_len(), 0, "the packet is on the wire, not queued");
+        // Still serializing at 10 ms - 1 ns, transmitted from 10 ms on.
+        let before = Time::from_nanos(Time::from_millis(10).as_nanos() - 1);
+        assert_eq!(link.stats(before, &evq).transmitted, 0);
+        assert_eq!(link.stats(Time::from_millis(11), &evq).transmitted, 1);
+        // Delivery at 20 ms, and nothing else ever fires.
+        assert_eq!(
+            drain(&mut link, &mut rng, &mut evq),
+            vec![Time::from_millis(20)]
+        );
+        let stats = link.stats(Time::from_millis(20), &evq);
+        assert_eq!((stats.transmitted, stats.bytes_transmitted), (1, 1250));
     }
 
     #[test]
@@ -347,16 +468,14 @@ mod tests {
         link.offer(pkt(1250), Time::ZERO, &mut rng, &mut evq);
         link.offer(pkt(1250), Time::ZERO, &mut rng, &mut evq);
         assert_eq!(link.queue_len(), 1);
-        let (t1, _) = evq.pop().unwrap();
-        assert_eq!(t1, Time::from_millis(10));
-        link.on_tx_done(t1, &mut rng, &mut evq);
-        // Next TxDone at 20 ms; delivery of first at 15 ms.
-        let mut times: Vec<Time> = Vec::new();
-        while let Some((t, _)) = evq.pop() {
-            times.push(t);
-        }
-        assert!(times.contains(&Time::from_millis(15)));
-        assert!(times.contains(&Time::from_millis(20)));
+        // First serialized 0-10 ms, second 10-20 ms; 5 ms propagation each.
+        assert_eq!(
+            drain(&mut link, &mut rng, &mut evq),
+            vec![Time::from_millis(15), Time::from_millis(25)]
+        );
+        assert_eq!(link.queue_len(), 0);
+        let stats = link.stats(Time::from_millis(25), &evq);
+        assert_eq!((stats.transmitted, stats.bytes_transmitted), (2, 2500));
     }
 
     #[test]

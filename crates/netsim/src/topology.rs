@@ -209,6 +209,87 @@ mod tests {
         assert_eq!(sim.unrouted_packets(), 0);
     }
 
+    /// Answers every packet with one of the same size until `left` runs
+    /// out; the side with `opens` set sends the first.
+    struct PingPong {
+        peer: Addr,
+        size: usize,
+        left: u32,
+        opens: bool,
+    }
+
+    impl PingPong {
+        fn send(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.left > 0 {
+                self.left -= 1;
+                let (src, size) = (ctx.addr(), self.size);
+                ctx.send(Packet::new(
+                    src,
+                    self.peer,
+                    9,
+                    9,
+                    Protocol::Udp,
+                    size,
+                    Payload::empty(),
+                ));
+            }
+        }
+    }
+
+    impl Node for PingPong {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.opens {
+                self.send(ctx);
+            }
+        }
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _pkt: Packet) {
+            self.send(ctx);
+        }
+        fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
+    }
+
+    /// The link layer's event budget: a packet nobody queues behind costs
+    /// one event per hop (its delivery), and only a packet that finds the
+    /// transmitter busy adds a completion. Two ping-pong pairs over a
+    /// three-hop dumbbell meet at the bottleneck now and then (1.06).
+    #[test]
+    fn lightly_loaded_dumbbell_pops_about_one_event_per_link_offer() {
+        const ROUND_TRIPS: u32 = 500;
+        let mut t = Topology::new(8);
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for (i, size) in [200, 1500].into_iter().enumerate() {
+            // Automatic addresses are dense: node index + 1.
+            let peer = |node: usize| Addr(node as u32 + 1);
+            left.push(t.add_host(Box::new(PingPong {
+                peer: peer(2 * i + 1),
+                size,
+                left: ROUND_TRIPS,
+                opens: true,
+            })));
+            right.push(t.add_host(Box::new(PingPong {
+                peer: peer(2 * i),
+                size,
+                left: ROUND_TRIPS,
+                opens: false,
+            })));
+        }
+        let bottleneck = LinkSpec::new(Rate::from_mbps(10), Duration::from_millis(2));
+        let access = LinkSpec::new(Rate::from_mbps(100), Duration::from_micros(100));
+        t.dumbbell(&left, &right, &bottleneck, &access);
+        let mut sim = t.build();
+        sim.run_to_quiescence(100_000);
+        let links = 2 + 2 * (left.len() + right.len());
+        let offered: u64 = (0..links).map(|l| sim.link_stats(LinkId(l)).offered).sum();
+        // Each round trip is three hops out and three back.
+        assert_eq!(offered, left.len() as u64 * 6 * u64::from(ROUND_TRIPS));
+        let per_offer = sim.events_processed() as f64 / offered as f64;
+        assert!(
+            (1.0..=1.2).contains(&per_offer),
+            "{per_offer:.3} events per link offer ({} / {offered})",
+            sim.events_processed()
+        );
+    }
+
     #[test]
     fn subnet_hosts_get_prefix_structured_addresses_and_route() {
         let mut t = Topology::new(6);

@@ -36,6 +36,12 @@ pub struct LinkStats {
 }
 
 impl LinkStats {
+    /// Counts one packet of `size` bytes as fully serialized.
+    pub(crate) fn count_transmitted(&mut self, size: usize) {
+        self.transmitted += 1;
+        self.bytes_transmitted += size as u64;
+    }
+
     /// Total drops from any cause.
     pub fn dropped(&self) -> u64 {
         self.dropped_random + self.dropped_burst + self.dropped_queue

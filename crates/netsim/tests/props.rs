@@ -381,3 +381,402 @@ mod event_queue_differential {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Link vs. an eager reference link
+// ---------------------------------------------------------------------
+
+/// The link as it was while every serialization scheduled its own
+/// completion: the packet stays with the link until `LinkTxDone`, which
+/// always fires. The differential property below drives it and the real
+/// [`cm_netsim::link::Link`] with one random script.
+mod link_differential {
+    use cm_netsim::event::{EventQueue, SimEvent};
+    use cm_netsim::fault::LinkFaults;
+    use cm_netsim::link::{Link, LinkId, LinkSpec, QueueSpec};
+    use cm_netsim::packet::{Addr, Ecn, Packet, Payload, Protocol};
+    use cm_netsim::queue::{DropTailQueue, EnqueueOutcome, Queue, RedConfig, RedQueue};
+    use cm_netsim::sim::NodeId;
+    use cm_netsim::trace::LinkStats;
+    use cm_util::{DetRng, Duration, Rate, Time};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    const LINK: LinkId = LinkId(0);
+
+    struct EagerLink {
+        rate: Rate,
+        delay: Duration,
+        queue: Box<dyn Queue>,
+        loss_rate: f64,
+        faults: LinkFaults,
+        outage_restart: Option<Time>,
+        /// The packet being serialized and when it will be done.
+        in_flight: Option<(Packet, Time)>,
+        stats: LinkStats,
+    }
+
+    impl EagerLink {
+        fn new(spec: &LinkSpec) -> Self {
+            EagerLink {
+                rate: spec.rate,
+                delay: spec.delay,
+                queue: match &spec.queue {
+                    QueueSpec::DropTailPackets(n) => Box::new(DropTailQueue::with_packet_limit(*n)),
+                    QueueSpec::DropTailBytes(n) => Box::new(DropTailQueue::with_byte_limit(*n)),
+                    QueueSpec::Red(cfg) => Box::new(RedQueue::new(*cfg)),
+                },
+                loss_rate: spec.loss_rate,
+                faults: spec.faults.clone(),
+                outage_restart: None,
+                in_flight: None,
+                stats: LinkStats::default(),
+            }
+        }
+
+        fn start_tx(&mut self, now: Time, evq: &mut EventQueue) {
+            if self.rate.is_zero() {
+                return;
+            }
+            if let Some(end) = self.faults.outage_until(now) {
+                if self.outage_restart != Some(end) {
+                    self.outage_restart = Some(end);
+                    evq.schedule(end, SimEvent::LinkFaultRestart { link: LINK });
+                }
+                return;
+            }
+            if let Some(pkt) = self.queue.dequeue(now) {
+                let done_at = now + self.rate.transmit_time(pkt.size);
+                self.in_flight = Some((pkt, done_at));
+                evq.schedule(done_at, SimEvent::LinkTxDone { link: LINK });
+            }
+        }
+    }
+
+    /// What the script drives: the real link and the reference.
+    trait Wire {
+        fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue);
+        fn on_tx_done(&mut self, now: Time, rng: &mut DetRng, evq: &mut EventQueue);
+        fn on_rate_change(&mut self, rate: Rate, now: Time, evq: &mut EventQueue);
+        fn on_fault_restart(&mut self, now: Time, evq: &mut EventQueue);
+        fn stats(&self, now: Time, evq: &EventQueue) -> LinkStats;
+    }
+
+    impl Wire for EagerLink {
+        fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
+            self.stats.offered += 1;
+            if self.loss_rate > 0.0 && rng.chance(self.loss_rate) {
+                self.stats.dropped_random += 1;
+                return;
+            }
+            match self.queue.enqueue(pkt, now, rng) {
+                EnqueueOutcome::Enqueued => self.stats.enqueued += 1,
+                EnqueueOutcome::EnqueuedMarked => {
+                    self.stats.enqueued += 1;
+                    self.stats.marked += 1;
+                }
+                EnqueueOutcome::Dropped(_) => {
+                    self.stats.dropped_queue += 1;
+                    return;
+                }
+            }
+            self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.len_packets());
+            if self.in_flight.is_none() {
+                self.start_tx(now, evq);
+            }
+        }
+
+        fn on_tx_done(&mut self, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
+            let (pkt, _) = self
+                .in_flight
+                .take()
+                .expect("LinkTxDone with nothing in flight");
+            self.stats.transmitted += 1;
+            self.stats.bytes_transmitted += pkt.size as u64;
+            let mut delay = self.delay;
+            if self.faults.spike_prob > 0.0 && rng.chance(self.faults.spike_prob) {
+                delay += self.faults.spike_extra;
+                self.stats.delay_spikes += 1;
+            }
+            if self.faults.reorder_prob > 0.0 && rng.chance(self.faults.reorder_prob) {
+                let extra_us = self.faults.reorder_extra.as_micros().max(1);
+                delay += Duration::from_micros(rng.next_range(1, extra_us));
+                self.stats.reordered += 1;
+            }
+            if self.faults.duplicate_prob > 0.0 && rng.chance(self.faults.duplicate_prob) {
+                self.stats.duplicated += 1;
+                let (link, pkt) = (LINK, pkt.clone());
+                let at = now + delay + Duration::from_micros(1);
+                evq.schedule(at, SimEvent::LinkDeliver { link, pkt });
+            }
+            evq.schedule(now + delay, SimEvent::LinkDeliver { link: LINK, pkt });
+            self.start_tx(now, evq);
+        }
+
+        fn on_rate_change(&mut self, rate: Rate, now: Time, evq: &mut EventQueue) {
+            self.rate = rate;
+            if self.in_flight.is_none() {
+                self.start_tx(now, evq);
+            }
+        }
+
+        fn on_fault_restart(&mut self, now: Time, evq: &mut EventQueue) {
+            self.outage_restart = None;
+            if self.in_flight.is_none() {
+                self.start_tx(now, evq);
+            }
+        }
+
+        fn stats(&self, _now: Time, _evq: &EventQueue) -> LinkStats {
+            self.stats
+        }
+    }
+
+    impl Wire for Link {
+        fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
+            Link::offer(self, pkt, now, rng, evq);
+        }
+        fn on_tx_done(&mut self, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
+            Link::on_tx_done(self, now, rng, evq);
+        }
+        fn on_rate_change(&mut self, rate: Rate, now: Time, evq: &mut EventQueue) {
+            Link::on_rate_change(self, rate, now, evq);
+        }
+        fn on_fault_restart(&mut self, now: Time, evq: &mut EventQueue) {
+            Link::on_fault_restart(self, now, evq);
+        }
+        fn stats(&self, now: Time, evq: &EventQueue) -> LinkStats {
+            Link::stats(self, now, evq)
+        }
+    }
+
+    /// One scripted step: `(op, arg, gap, jitter_us, below)`. `op` 0-5
+    /// offers `arg` bytes, 6 only reads the counters, 7-8 step the rate
+    /// to `RATES[arg % 4]`. The step runs as a timer event placed by
+    /// `gap` relative to the serialization in progress when the previous
+    /// step finished — 0: the same instant, 1: inside it, 2: *exactly*
+    /// its completion instant, 3: `jitter_us` after it — and numbered
+    /// below (`below == 1`) or above whatever the previous step reserved.
+    type Step = (u8, u16, u8, u16, u8);
+
+    const RATES: [Rate; 4] = [
+        Rate::ZERO,
+        Rate::from_mbps(1),
+        Rate::from_mbps(10),
+        Rate::from_mbps(100),
+    ];
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        (0u8..9, 40u16..1501, 0u8..4, 1u16..2000, 0u8..2)
+    }
+
+    /// When the next step runs, given the reference's transmitter.
+    fn place(step: Step, now: Time, busy_until: Option<Time>) -> Time {
+        let (_, _, gap, jitter_us, _) = step;
+        let jitter = Duration::from_micros(u64::from(jitter_us));
+        match (gap, busy_until.filter(|&done_at| done_at > now)) {
+            (0, _) => now,
+            (1, Some(done_at)) => now + Duration::from_nanos(done_at.since(now).as_nanos() / 2),
+            (2, Some(done_at)) => done_at,
+            (_, Some(done_at)) => done_at + jitter,
+            (_, None) => now + jitter,
+        }
+    }
+
+    /// Everything observable about one run.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// `(delivery time, packet id)` in pop order.
+        deliveries: Vec<(Time, u64)>,
+        /// The counters as read before each step and after the last event.
+        stats: Vec<String>,
+        /// The next draw after the run: the RNG state.
+        rng_tail: u64,
+    }
+
+    fn timer(step: usize) -> SimEvent {
+        SimEvent::Timer {
+            node: NodeId(0),
+            token: step as u64,
+            slot: 0,
+            gen: 0,
+        }
+    }
+
+    /// Runs `script` against `wire` the way `Simulator` would dispatch
+    /// it; `when(wire, i, now)` says when step `i` runs. Returns what was
+    /// observed, each step's instant, and the number of events popped.
+    fn drive<W: Wire>(
+        wire: &mut W,
+        script: &[Step],
+        seed: u64,
+        mut when: impl FnMut(&W, usize, Time) -> Time,
+    ) -> (Observed, Vec<Time>, u64) {
+        let mut evq = EventQueue::new();
+        let mut rng = DetRng::seed(seed);
+        let mut seen = Observed {
+            deliveries: Vec::new(),
+            stats: Vec::new(),
+            rng_tail: 0,
+        };
+        let (mut times, mut pops, mut now) = (Vec::new(), 0, Time::ZERO);
+        evq.schedule(when(wire, 0, now), timer(0));
+        while let Some((at, event)) = evq.pop() {
+            now = at;
+            pops += 1;
+            match event {
+                SimEvent::LinkTxDone { .. } => wire.on_tx_done(now, &mut rng, &mut evq),
+                SimEvent::LinkDeliver { pkt, .. } => seen.deliveries.push((now, pkt.id)),
+                SimEvent::LinkFaultRestart { .. } => wire.on_fault_restart(now, &mut evq),
+                SimEvent::LinkRateChange { .. } => unreachable!("rate steps are timers here"),
+                SimEvent::Timer { token, .. } => {
+                    let i = token as usize;
+                    times.push(now);
+                    seen.stats.push(format!("{:?}", wire.stats(now, &evq)));
+                    let below = evq.reserve_seq();
+                    let (op, arg, ..) = script[i];
+                    match op {
+                        0..=5 => {
+                            let ecn = if i.is_multiple_of(2) {
+                                Ecn::Ect
+                            } else {
+                                Ecn::NotEct
+                            };
+                            let (src, dst, size) = (Addr(1), Addr(2), usize::from(arg));
+                            let mut pkt =
+                                Packet::new(src, dst, 1, 2, Protocol::Udp, size, Payload::empty())
+                                    .with_ecn(ecn);
+                            pkt.id = token;
+                            wire.offer(pkt, now, &mut rng, &mut evq);
+                        }
+                        6 => {}
+                        _ => wire.on_rate_change(RATES[usize::from(arg) % 4], now, &mut evq),
+                    }
+                    if let Some(&(.., numbered_below)) = script.get(i + 1) {
+                        let at = when(wire, i + 1, now);
+                        let seq = if numbered_below == 1 {
+                            below
+                        } else {
+                            evq.reserve_seq()
+                        };
+                        evq.schedule_reserved(at, seq, timer(i + 1));
+                    }
+                }
+            }
+        }
+        seen.stats.push(format!("{:?}", wire.stats(now, &evq)));
+        seen.rng_tail = rng.next_u64();
+        (seen, times, pops)
+    }
+
+    /// `(queue, loss_pct, delay_us, rate, seed)`: `queue` 0-1 is RED, 2-7
+    /// a drop-tail of that many packets.
+    type Path = (usize, u8, u32, usize, u64);
+
+    fn path_strategy() -> impl Strategy<Value = Path> {
+        (0usize..8, 0u8..30, 0u32..3_000, 1usize..4, 0u64..1_000)
+    }
+
+    /// `(spike, reorder, duplicate, outages)`: each probability is the
+    /// number times 0.3; outage windows are `(start_us, length_us)`.
+    type Faults = (u8, u8, u8, Vec<(u32, u32)>);
+
+    fn check(path: Path, faults: Faults, script: &[Step]) -> Result<(), TestCaseError> {
+        let (queue, loss_pct, delay_us, rate, seed) = path;
+        let (spike, reorder, duplicate, outages) = faults;
+        let mut link_faults = LinkFaults::clean()
+            .with_delay_spikes(f64::from(spike) * 0.3, Duration::from_micros(700))
+            .with_duplication(f64::from(duplicate) * 0.3);
+        link_faults.reorder_prob = f64::from(reorder) * 0.3;
+        link_faults.reorder_extra = Duration::from_micros(900);
+        for (start_us, length_us) in outages {
+            let start = Time::from_micros(u64::from(start_us));
+            link_faults =
+                link_faults.with_outage(start, start + Duration::from_micros(u64::from(length_us)));
+        }
+        let red = RedConfig {
+            min_th: 1.0,
+            max_th: 4.0,
+            max_p: 0.5,
+            weight: 0.5,
+            capacity: 6,
+            ecn: true,
+        };
+        let spec = LinkSpec::new(RATES[rate], Duration::from_micros(u64::from(delay_us)))
+            .with_queue(match queue {
+                0 | 1 => QueueSpec::Red(red),
+                n => QueueSpec::DropTailPackets(n),
+            })
+            .with_loss(f64::from(loss_pct) / 100.0)
+            .with_faults(link_faults);
+
+        let mut eager = EagerLink::new(&spec);
+        let (expected, times, eager_pops) = drive(&mut eager, script, seed, |w, i, now| {
+            place(
+                script[i],
+                now,
+                w.in_flight.as_ref().map(|&(_, done_at)| done_at),
+            )
+        });
+        let mut link = Link::new(LINK, NodeId(0), NodeId(1), &spec);
+        let (seen, _, pops) = drive(&mut link, script, seed, |_, i, _| times[i]);
+        prop_assert_eq!(&seen.deliveries, &expected.deliveries);
+        prop_assert_eq!(&seen.stats, &expected.stats);
+        prop_assert_eq!(seen.rng_tail, expected.rng_tail, "RNG draws diverge");
+        prop_assert!(
+            pops <= eager_pops,
+            "{pops} events where eager completion takes {eager_pops}"
+        );
+        Ok(())
+    }
+
+    fn some_faults() -> impl Strategy<Value = Faults> {
+        let outages = proptest::collection::vec((0u32..20_000, 1u32..5_000), 0..3);
+        (0u8..3, 0u8..3, 0u8..3, outages)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A link that hands its packet to the wire when serialization
+        /// starts, and schedules a completion only when something waits
+        /// on it, is indistinguishable from one that completes eagerly:
+        /// same deliveries, drops, marks, counters at every read and RNG
+        /// draws, in no more events.
+        #[test]
+        fn link_matches_eager_reference(
+            path in path_strategy(),
+            script in proptest::collection::vec(step_strategy(), 1..120),
+        ) {
+            check(path, (0, 0, 0, Vec::new()), &script)?;
+        }
+
+        /// The same with departure-stage faults and outage windows, where
+        /// the link keeps the packet until its completion event.
+        #[test]
+        fn faulty_link_matches_eager_reference(
+            path in path_strategy(),
+            faults in some_faults(),
+            script in proptest::collection::vec(step_strategy(), 1..120),
+        ) {
+            check(path, faults, &script)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The long run of both properties (CI: `-- --ignored`).
+        #[test]
+        #[ignore = "20,000 cases; CI runs it in release"]
+        fn link_matches_eager_reference_20k(
+            path in path_strategy(),
+            faults in some_faults(),
+            clean in 0u8..2,
+            script in proptest::collection::vec(step_strategy(), 1..120),
+        ) {
+            let faults = if clean == 1 { (0, 0, 0, Vec::new()) } else { faults };
+            check(path, faults, &script)?;
+        }
+    }
+}
