@@ -1696,7 +1696,7 @@ mod tests {
     }
 
     /// Expired macroflow shells are parked and reused, so macroflow
-    /// churn does not rebuild controller/scheduler boxes.
+    /// churn does not rebuild controller boxes.
     #[test]
     fn expired_macroflow_shells_are_pooled() {
         let mut cm = CongestionManager::new(CmConfig {

@@ -36,8 +36,6 @@ pub struct Flow {
     /// The rate last reported through a rate callback, used to detect
     /// threshold crossings.
     pub last_reported_rate: Option<Rate>,
-    /// When the flow was opened.
-    pub opened_at: Time,
     /// Total bytes this flow reported sent via `cm_notify`.
     pub bytes_sent: u64,
     /// Total bytes acknowledged via `cm_update`.
@@ -94,7 +92,6 @@ impl Flow {
             dead_grant_entries: 0,
             update_interest: None,
             last_reported_rate: None,
-            opened_at: now,
             bytes_sent: 0,
             bytes_acked: 0,
             bytes_lost: 0,

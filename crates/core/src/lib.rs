@@ -74,8 +74,8 @@ pub mod config;
 pub mod controller;
 mod engine;
 pub mod error;
-pub mod flow;
-pub mod macroflow;
+mod flow;
+mod macroflow;
 pub mod ring;
 pub mod runtime;
 pub mod scheduler;

@@ -19,7 +19,7 @@ use cm_util::{Duration, Ewma, Rate, Time};
 
 use crate::config::{AggregationPolicy, CmConfig};
 use crate::controller::{build_controller, CongestionController};
-use crate::scheduler::{build_scheduler, Scheduler};
+use crate::scheduler::SlabScheduler;
 use crate::types::{FlowId, MacroflowId, Thresholds};
 
 /// Lower bound on the computed retransmission timeout.
@@ -182,8 +182,9 @@ pub struct Macroflow {
     pub key: MacroflowKey,
     /// The congestion-control algorithm.
     pub controller: Box<dyn CongestionController>,
-    /// The inter-flow scheduler.
-    pub scheduler: Box<dyn Scheduler>,
+    /// The inter-flow scheduler; its per-flow state is in the shard's
+    /// scheduler slab.
+    pub scheduler: SlabScheduler,
     /// Member flows, in open order.
     pub flows: Vec<FlowId>,
     /// Bytes transmitted (per `cm_notify`) and not yet resolved by
@@ -233,7 +234,7 @@ impl Macroflow {
             id,
             key,
             controller: build_controller(cfg),
-            scheduler: build_scheduler(cfg.scheduler),
+            scheduler: SlabScheduler::new(cfg.scheduler),
             flows: Vec::new(),
             outstanding: 0,
             granted_unnotified: 0,
@@ -253,7 +254,7 @@ impl Macroflow {
     }
 
     /// Re-initialises a pooled macroflow shell for a new tenant, reusing
-    /// the controller and scheduler boxes and every retained buffer, so
+    /// the controller box and every retained buffer, so
     /// macroflow churn (notably divergence-driven split/merge cycles) is
     /// allocation-free once the pool and slabs are warm.
     pub fn reset(&mut self, id: MacroflowId, key: MacroflowKey, cfg: &CmConfig, now: Time) {
@@ -296,17 +297,14 @@ impl Macroflow {
         self.rtt.rto(MIN_RTO, MAX_RTO, FALLBACK_RTO)
     }
 
-    /// One flow's proportional share of the macroflow rate, by scheduler
-    /// weight. Takes the *scheduler-local* (slot) form of the flow id —
-    /// the shard strips the shard bits before registering flows with the
-    /// scheduler, so callers must pass the same form here.
-    pub fn share_of(&self, flow: FlowId) -> Rate {
+    /// The proportional share of the macroflow rate that goes to a
+    /// member of scheduler weight `weight` (its `SchedSlot::weight`).
+    pub fn share_of(&self, weight: u32) -> Rate {
         let total = self.scheduler.total_weight();
         if total == 0 {
             return Rate::ZERO;
         }
-        let w = self.scheduler.weight_of(flow) as u64;
-        self.rate().mul_ratio(w, total)
+        self.rate().mul_ratio(weight as u64, total)
     }
 
     /// Whether the current unit share lies inside the quiet band, i.e.
@@ -369,6 +367,7 @@ impl Macroflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::SchedSlot;
     use crate::types::LossMode;
 
     fn mf(cfg: &CmConfig) -> Macroflow {
@@ -406,9 +405,10 @@ mod tests {
         let cfg = CmConfig::default();
         let mut m = mf(&cfg);
         m.rtt.update(Duration::from_millis(100));
-        m.scheduler.add_flow(FlowId(1), 1);
-        m.scheduler.add_flow(FlowId(2), 1);
-        let share = m.share_of(FlowId(1));
+        let mut slab = [SchedSlot::VACANT; 3];
+        m.scheduler.add_flow(&mut slab, 1, 1);
+        m.scheduler.add_flow(&mut slab, 2, 1);
+        let share = m.share_of(slab[1].weight());
         assert_eq!(share.as_bytes_per_sec(), 7_300);
     }
 

@@ -5,28 +5,36 @@
 //! apportioned among the constituent flows. Currently, our implementation
 //! uses a standard unweighted round-robin scheduler." (§2)
 //!
-//! [`RoundRobinScheduler`] reproduces that default. The trait also admits
-//! the natural extensions: [`WeightedRoundRobinScheduler`] and
-//! [`StrideScheduler`] give proportional shares, exercised by the
-//! scheduler ablation benchmark.
+//! [`SchedulerKind::RoundRobin`] reproduces that default. The natural
+//! extensions, [`SchedulerKind::WeightedRoundRobin`] and
+//! [`SchedulerKind::Stride`], give proportional shares and are exercised
+//! by the scheduler ablation figure.
 //!
 //! # Flat state
 //!
-//! Every scheduler here stores per-flow state in a dense array of
-//! member-local slots and finds a flow's slot through a hash map keyed by
-//! `FlowId` that holds registered members only, so a scheduler's memory
-//! is proportional to its macroflow's membership — never to the shard's
-//! flow-id space, which would make the CM's memory grow as flows x
-//! macroflows. The round-robin rotations are intrusive doubly-linked
-//! rings threaded through the slot array: `enqueue`, `dequeue`, and —
-//! critically for flow churn — `remove_flow` are all O(1), with no
-//! `retain` scans and no allocation once the map and the slot array have
-//! reached the membership's size. Rotation order is identical to the
-//! original `VecDeque` implementation: the head is served, then rotated
-//! to the tail while it still has requests; the map is only ever looked
-//! up, never iterated, so it cannot influence order.
-
-use cm_util::FxHashMap;
+//! A flow's scheduler state — pending requests, weight, rotation links:
+//! one 16-byte [`SchedSlot`] — lives in a slab the scheduler does not
+//! own, at the index the caller already holds for the flow. A shard keeps
+//! one such slab parallel to its flow slab and shares it among all its
+//! macroflows' schedulers: a flow belongs to exactly one macroflow at a
+//! time, so one slot per flow suffices and the CM pays 16 bytes per flow
+//! whatever the macroflow count. A [`SlabScheduler`] itself is a few
+//! words inline in its macroflow (ring head, totals, WRR credit), and no
+//! operation hashes, chases a box, or allocates. The round-robin
+//! rotations are intrusive doubly-linked rings threaded through the
+//! slab: `enqueue`, `dequeue`, and — critically for flow churn —
+//! `remove_flow` are all O(1). Rotation order is that of a `VecDeque`:
+//! the head is served, then rotated to the tail while it still has
+//! requests. Stride's min-pass scan walks a member list of its own (it
+//! scans members by design) and reaches each member's slot through it.
+//!
+//! The contract that sharing a slab imposes: a slot is registered with at
+//! most one scheduler at a time and every operation naming it goes to
+//! that scheduler. [`SlabScheduler::validate`] checks what follows from
+//! it, and `Shard::validate` runs that over every macroflow.
+//!
+//! [`build_scheduler`] wraps one `SlabScheduler` and a private slab behind
+//! the [`Scheduler`] trait for callers with no slab of their own.
 
 use crate::config::SchedulerKind;
 use crate::types::FlowId;
@@ -61,7 +69,7 @@ pub trait Scheduler: Send {
     fn pending_of(&self, flow: FlowId) -> u32;
 
     /// Unregisters every flow and drops all pending requests, retaining
-    /// allocated capacity — the pooled-macroflow recycling path.
+    /// allocated capacity.
     fn reset(&mut self);
 
     /// The weight registered for `flow` (1 for unweighted disciplines).
@@ -74,173 +82,151 @@ pub trait Scheduler: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Builds the scheduler selected by config.
+/// Builds the scheduler selected by config, over a slab of its own that
+/// grows to the highest flow id registered — for callers that schedule
+/// outside a CM (the ablation figure, the benchmark's replay), whose ids
+/// are small and dense.
 pub fn build_scheduler(kind: SchedulerKind) -> Box<dyn Scheduler> {
-    match kind {
-        SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::new()),
-        SchedulerKind::WeightedRoundRobin => Box::new(WeightedRoundRobinScheduler::new()),
-        SchedulerKind::Stride => Box::new(StrideScheduler::new()),
-    }
+    Box::new(Standalone {
+        slab: Vec::new(),
+        inner: SlabScheduler::new(kind),
+    })
 }
 
 /// "Not linked" sentinel for ring pointers.
 const NIL: u32 = u32::MAX;
 
-/// Rotation state for one member flow, stored at a member-local slot.
+/// One flow's scheduler state, stored at the flow's slot of a slab shared
+/// by every scheduler over it.
 #[derive(Clone, Copy, Debug)]
-struct RingSlot {
-    /// The global flow id this local slot belongs to.
-    flow: u32,
-    /// Outstanding requests; the flow sits in the rotation iff > 0.
+pub struct SchedSlot {
+    /// Outstanding requests; under the round-robin disciplines the flow
+    /// sits in the rotation iff > 0.
     pending: u32,
+    /// Registered weight, at least 1; 0 marks a slot no scheduler holds.
     weight: u32,
+    /// Ring successor (RR/WRR), or the flow's position in its scheduler's
+    /// member list (stride).
     next: u32,
+    /// Ring predecessor (RR/WRR).
     prev: u32,
 }
 
+impl SchedSlot {
+    /// A slot registered with no scheduler.
+    pub const VACANT: SchedSlot = SchedSlot {
+        pending: 0,
+        weight: 0,
+        next: NIL,
+        prev: NIL,
+    };
+
+    /// Requests queued for the flow (0 while unregistered).
+    pub fn pending(&self) -> u32 {
+        self.pending
+    }
+
+    /// The weight the flow's scheduler apportions by — 1 under unweighted
+    /// round-robin whatever was asked for — or 0 while unregistered.
+    pub fn weight(&self) -> u32 {
+        self.weight
+    }
+}
+
 /// The intrusive circular rotation shared by RR and WRR: `head` is the
-/// flow served next; the tail is `head`'s `prev`.
-///
-/// Member state lives in `slots` and `index` maps a registered flow's id
-/// to its slot; both are sized by the macroflow's member count, so a CM
-/// with many macroflows pays for its flows once, not once per macroflow.
+/// slot served next; the tail is `head`'s `prev`.
+#[derive(Debug)]
 struct Ring {
-    /// Flow id -> local slot, for the flows registered here.
-    index: FxHashMap<u32, u32>,
-    slots: Vec<RingSlot>,
-    free: Vec<u32>,
     head: u32,
     /// Total pending requests.
     total: usize,
     /// Sum of registered flows' weights.
     weight_sum: u64,
-    registered: usize,
-}
-
-impl Default for Ring {
-    fn default() -> Self {
-        Ring::new()
-    }
 }
 
 impl Ring {
-    fn new() -> Self {
-        Ring {
-            index: FxHashMap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            total: 0,
-            weight_sum: 0,
-            registered: 0,
-        }
-    }
+    const EMPTY: Ring = Ring {
+        head: NIL,
+        total: 0,
+        weight_sum: 0,
+    };
 
-    #[inline]
-    fn local(&self, flow: FlowId) -> Option<u32> {
-        self.index.get(&flow.0).copied()
-    }
-
-    fn slot(&self, flow: FlowId) -> Option<&RingSlot> {
-        self.local(flow).map(|l| &self.slots[l as usize])
-    }
-
-    fn add(&mut self, flow: FlowId, weight: u32) {
-        if self.local(flow).is_some() {
+    fn add(&mut self, slab: &mut [SchedSlot], l: u32, weight: u32) {
+        if slab[l as usize].weight != 0 {
             // Re-registration updates the weight but keeps queue state.
-            self.set_weight(flow, weight);
+            self.set_weight(slab, l, weight);
             return;
         }
-        let slot = RingSlot {
-            flow: flow.0,
-            pending: 0,
+        slab[l as usize] = SchedSlot {
             weight,
-            next: NIL,
-            prev: NIL,
+            ..SchedSlot::VACANT
         };
-        let local = match self.free.pop() {
-            Some(l) => {
-                self.slots[l as usize] = slot;
-                l
-            }
-            None => {
-                self.slots.push(slot);
-                self.slots.len() as u32 - 1
-            }
-        };
-        self.index.insert(flow.0, local);
         self.weight_sum += weight as u64;
-        self.registered += 1;
     }
 
     /// Unlinks and unregisters; returns true if the flow was the head.
-    fn remove(&mut self, flow: FlowId) -> bool {
-        let Some(l) = self.index.remove(&flow.0) else {
+    fn remove(&mut self, slab: &mut [SchedSlot], l: u32) -> bool {
+        let s = slab[l as usize];
+        if s.weight == 0 {
             return false;
-        };
-        let s = self.slots[l as usize];
-        self.free.push(l);
-        self.weight_sum -= s.weight as u64;
-        self.registered -= 1;
-        self.total -= s.pending as usize;
-        if s.pending > 0 {
-            self.unlink(l)
-        } else {
-            false
         }
+        self.weight_sum -= s.weight as u64;
+        self.total -= s.pending as usize;
+        let was_head = s.pending > 0 && self.unlink(slab, l);
+        slab[l as usize] = SchedSlot::VACANT;
+        was_head
     }
 
-    fn set_weight(&mut self, flow: FlowId, weight: u32) {
-        if let Some(l) = self.local(flow) {
-            let s = &mut self.slots[l as usize];
-            let old = s.weight;
+    fn set_weight(&mut self, slab: &mut [SchedSlot], l: u32, weight: u32) {
+        let s = &mut slab[l as usize];
+        if s.weight != 0 {
+            self.weight_sum = self.weight_sum - s.weight as u64 + weight as u64;
             s.weight = weight;
-            self.weight_sum = self.weight_sum - old as u64 + weight as u64;
         }
     }
 
     /// Counts one request; links the flow at the rotation tail when it
     /// transitions idle -> pending.
     // lint:hot-path:start
-    fn enqueue(&mut self, flow: FlowId) -> bool {
-        let Some(l) = self.local(flow) else {
+    fn enqueue(&mut self, slab: &mut [SchedSlot], l: u32) -> bool {
+        let s = &mut slab[l as usize];
+        if s.weight == 0 {
             return false;
-        };
-        let s = &mut self.slots[l as usize];
+        }
         s.pending += 1;
         self.total += 1;
         if s.pending == 1 {
-            self.link_tail(l);
+            self.link_tail(slab, l);
             return true;
         }
         false
     }
 
-    fn link_tail(&mut self, l: u32) {
+    fn link_tail(&mut self, slab: &mut [SchedSlot], l: u32) {
         if self.head == NIL {
-            self.slots[l as usize].next = l;
-            self.slots[l as usize].prev = l;
+            slab[l as usize].next = l;
+            slab[l as usize].prev = l;
             self.head = l;
         } else {
             let h = self.head;
-            let t = self.slots[h as usize].prev;
-            self.slots[t as usize].next = l;
-            self.slots[l as usize].prev = t;
-            self.slots[l as usize].next = h;
-            self.slots[h as usize].prev = l;
+            let t = slab[h as usize].prev;
+            slab[t as usize].next = l;
+            slab[l as usize].prev = t;
+            slab[l as usize].next = h;
+            slab[h as usize].prev = l;
         }
     }
 
-    /// Unlinks local slot `l` from the rotation; returns true if it was
-    /// the head (the head moves to its successor).
-    fn unlink(&mut self, l: u32) -> bool {
-        let s = self.slots[l as usize];
+    /// Unlinks slot `l` from the rotation; returns true if it was the
+    /// head (the head moves to its successor).
+    fn unlink(&mut self, slab: &mut [SchedSlot], l: u32) -> bool {
+        let s = slab[l as usize];
         let was_head = self.head == l;
         if s.next == l {
             self.head = NIL;
         } else {
-            self.slots[s.prev as usize].next = s.next;
-            self.slots[s.next as usize].prev = s.prev;
+            slab[s.prev as usize].next = s.next;
+            slab[s.next as usize].prev = s.prev;
             if was_head {
                 self.head = s.next;
             }
@@ -249,379 +235,462 @@ impl Ring {
     }
 
     /// Serves the head: consumes one request, unlinking when its pending
-    /// count runs dry. Returns `(flow, exhausted)`.
-    fn serve_head(&mut self) -> Option<(FlowId, bool)> {
+    /// count runs dry. Returns `(slot, exhausted)`.
+    fn serve_head(&mut self, slab: &mut [SchedSlot]) -> Option<(u32, bool)> {
         let l = self.head;
         if l == NIL {
             return None;
         }
-        let s = &mut self.slots[l as usize];
-        let flow = FlowId(s.flow);
+        let s = &mut slab[l as usize];
         s.pending -= 1;
         self.total -= 1;
         let exhausted = s.pending == 0;
         if exhausted {
-            self.unlink(l);
+            self.unlink(slab, l);
         }
-        Some((flow, exhausted))
+        Some((l, exhausted))
     }
 
-    fn head_weight(&self) -> u32 {
+    fn head_weight(&self, slab: &[SchedSlot]) -> u32 {
         if self.head == NIL {
             0
         } else {
-            self.slots[self.head as usize].weight
-        }
-    }
-
-    fn head_flow(&self) -> Option<FlowId> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(FlowId(self.slots[self.head as usize].flow))
+            slab[self.head as usize].weight
         }
     }
 
     /// Rotates the head to the tail (circular: head := head.next).
-    fn rotate(&mut self) {
+    fn rotate(&mut self, slab: &[SchedSlot]) {
         if self.head != NIL {
-            self.head = self.slots[self.head as usize].next;
+            self.head = slab[self.head as usize].next;
         }
     }
     // lint:hot-path:end
-
-    /// Empties the ring while retaining capacity, so a recycled shell
-    /// re-registers as many members as it ever held without allocating.
-    fn reset(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.total = 0;
-        self.weight_sum = 0;
-        self.registered = 0;
-    }
-}
-
-/// The paper's default: unweighted round-robin.
-///
-/// Flows with pending requests sit in a rotation; each dequeue takes the
-/// head flow, consumes one request, and moves it to the tail if it still
-/// has more.
-#[derive(Default)]
-pub struct RoundRobinScheduler {
-    ring: Ring,
-}
-
-impl RoundRobinScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for RoundRobinScheduler {
-    fn add_flow(&mut self, flow: FlowId, _weight: u32) {
-        self.ring.add(flow, 1);
-    }
-
-    fn remove_flow(&mut self, flow: FlowId) {
-        self.ring.remove(flow);
-    }
-
-    fn set_weight(&mut self, _flow: FlowId, _weight: u32) {
-        // Unweighted by definition.
-    }
-
-    fn enqueue(&mut self, flow: FlowId) {
-        self.ring.enqueue(flow);
-    }
-
-    fn dequeue(&mut self) -> Option<FlowId> {
-        let (flow, exhausted) = self.ring.serve_head()?;
-        if !exhausted {
-            self.ring.rotate();
-        }
-        Some(flow)
-    }
-
-    fn pending(&self) -> usize {
-        self.ring.total
-    }
-
-    fn pending_of(&self, flow: FlowId) -> u32 {
-        self.ring.slot(flow).map(|s| s.pending).unwrap_or(0)
-    }
-
-    fn reset(&mut self) {
-        self.ring.reset();
-    }
-
-    fn weight_of(&self, _flow: FlowId) -> u32 {
-        1
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.ring.registered as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Deficit-style weighted round-robin: each rotation pass gives a flow
-/// `weight` grants of credit.
-#[derive(Default)]
-pub struct WeightedRoundRobinScheduler {
-    ring: Ring,
-    /// Remaining credit in the current pass for the head flow.
-    credit: u32,
-}
-
-impl WeightedRoundRobinScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for WeightedRoundRobinScheduler {
-    fn add_flow(&mut self, flow: FlowId, weight: u32) {
-        self.ring.add(flow, weight.max(1));
-    }
-
-    fn remove_flow(&mut self, flow: FlowId) {
-        if self.ring.remove(flow) {
-            // The head left mid-pass; the next dequeue refills from the
-            // new head's full weight.
-            self.credit = 0;
-        }
-    }
-
-    fn set_weight(&mut self, flow: FlowId, weight: u32) {
-        self.ring.set_weight(flow, weight.max(1));
-    }
-
-    fn enqueue(&mut self, flow: FlowId) {
-        let became_linked = self.ring.enqueue(flow);
-        if became_linked && self.ring.head_flow() == Some(flow) {
-            // First flow in an empty rotation starts a fresh pass.
-            self.credit = self.ring.head_weight();
-        }
-    }
-
-    fn dequeue(&mut self) -> Option<FlowId> {
-        if self.ring.head == NIL {
-            return None;
-        }
-        if self.credit == 0 {
-            self.credit = self.ring.head_weight();
-        }
-        let (flow, exhausted) = self.ring.serve_head()?;
-        self.credit -= 1;
-        if exhausted {
-            self.credit = self.ring.head_weight();
-        } else if self.credit == 0 {
-            self.ring.rotate();
-            self.credit = self.ring.head_weight();
-        }
-        Some(flow)
-    }
-
-    fn pending(&self) -> usize {
-        self.ring.total
-    }
-
-    fn pending_of(&self, flow: FlowId) -> u32 {
-        self.ring.slot(flow).map(|s| s.pending).unwrap_or(0)
-    }
-
-    fn reset(&mut self) {
-        self.ring.reset();
-        self.credit = 0;
-    }
-
-    fn weight_of(&self, flow: FlowId) -> u32 {
-        self.ring.slot(flow).map(|s| s.weight).unwrap_or(1)
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.ring.weight_sum
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted-round-robin"
-    }
 }
 
 /// Stride scheduling: each flow advances a pass value by `STRIDE1/weight`
 /// per grant; the lowest pass goes next. Deterministic proportional share
 /// with tighter short-term fairness than WRR.
 ///
-/// Member state is stored in member-local slots (like the rotation ring
-/// the round-robin schedulers use), so the min-pass scan in `dequeue`
-/// touches only this scheduler's flows.
-#[derive(Default)]
-pub struct StrideScheduler {
-    /// Flow id -> local slot, for the flows registered here.
-    index: FxHashMap<u32, u32>,
-    flows: Vec<StrideSlot>,
-    free: Vec<u32>,
+/// The min-pass scan in `dequeue` walks `members`, so it touches only
+/// this scheduler's flows; a member's slab slot holds its position here.
+#[derive(Debug, Default)]
+struct Stride {
+    members: Vec<StrideMember>,
     total: usize,
     weight_sum: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
-struct StrideSlot {
-    /// The global flow id, or [`NIL`] for a vacant slot.
+struct StrideMember {
+    /// The member's slab slot.
     flow: u32,
-    weight: u32,
-    pending: u32,
     pass: u64,
 }
 
 /// The stride constant; large for precision.
 const STRIDE1: u64 = 1 << 20;
 
-impl StrideScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn local(&self, flow: FlowId) -> Option<u32> {
-        self.index.get(&flow.0).copied()
-    }
-
-    fn min_active_pass(&self) -> Option<u64> {
-        self.flows
+impl Stride {
+    fn min_active_pass(&self, slab: &[SchedSlot]) -> Option<u64> {
+        self.members
             .iter()
-            .filter(|s| s.flow != NIL && s.pending > 0)
-            .map(|s| s.pass)
+            .filter(|m| slab[m.flow as usize].pending > 0)
+            .map(|m| m.pass)
             .min()
+    }
+
+    fn add(&mut self, slab: &mut [SchedSlot], l: u32, weight: u32) {
+        // New flows start at the current minimum pass so they cannot
+        // monopolize (standard stride join rule).
+        let pass = self.min_active_pass(slab).unwrap_or(0);
+        let weight = weight.max(1);
+        let s = &mut slab[l as usize];
+        if s.weight != 0 {
+            // Re-registration resets the flow's stride state.
+            self.total -= s.pending as usize;
+            self.weight_sum -= s.weight as u64;
+            s.pending = 0;
+            s.weight = weight;
+            self.members[s.next as usize].pass = pass;
+        } else {
+            *s = SchedSlot {
+                weight,
+                next: self.members.len() as u32,
+                ..SchedSlot::VACANT
+            };
+            self.members.push(StrideMember { flow: l, pass });
+        }
+        self.weight_sum += weight as u64;
+    }
+
+    fn remove(&mut self, slab: &mut [SchedSlot], l: u32) {
+        let s = slab[l as usize];
+        if s.weight == 0 {
+            return;
+        }
+        self.total -= s.pending as usize;
+        self.weight_sum -= s.weight as u64;
+        slab[l as usize] = SchedSlot::VACANT;
+        // The pick is by (pass, flow), never by position, so the list is
+        // free to reorder.
+        self.members.swap_remove(s.next as usize);
+        if let Some(moved) = self.members.get(s.next as usize) {
+            slab[moved.flow as usize].next = s.next;
+        }
+    }
+
+    fn set_weight(&mut self, slab: &mut [SchedSlot], l: u32, weight: u32) {
+        let weight = weight.max(1);
+        let s = &mut slab[l as usize];
+        if s.weight != 0 {
+            self.weight_sum = self.weight_sum - s.weight as u64 + weight as u64;
+            s.weight = weight;
+        }
+    }
+
+    fn enqueue(&mut self, slab: &mut [SchedSlot], l: u32) {
+        let s = slab[l as usize];
+        if s.weight == 0 {
+            return;
+        }
+        if s.pending == 0 {
+            // Rejoin at the current minimum pass.
+            let min = self.min_active_pass(slab).unwrap_or(0);
+            let m = &mut self.members[s.next as usize];
+            m.pass = m.pass.max(min);
+        }
+        slab[l as usize].pending += 1;
+        self.total += 1;
+    }
+
+    fn dequeue(&mut self, slab: &mut [SchedSlot]) -> Option<u32> {
+        // Lowest pass among flows with work; ties break by the smaller
+        // flow id so the choice is deterministic regardless of the
+        // member list's order.
+        let (_, flow, at) = self
+            .members
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| slab[m.flow as usize].pending > 0)
+            .map(|(at, m)| (m.pass, m.flow, at))
+            .min()?;
+        let s = &mut slab[flow as usize];
+        s.pending -= 1;
+        self.members[at].pass += STRIDE1 / s.weight as u64;
+        self.total -= 1;
+        Some(flow)
     }
 }
 
-impl Scheduler for StrideScheduler {
-    fn add_flow(&mut self, flow: FlowId, weight: u32) {
-        // New flows start at the current minimum pass so they cannot
-        // monopolize (standard stride join rule).
-        let pass = self.min_active_pass().unwrap_or(0);
-        let slot = StrideSlot {
-            flow: flow.0,
-            weight: weight.max(1),
-            pending: 0,
-            pass,
-        };
-        if let Some(l) = self.local(flow) {
-            // Re-registration resets the flow's stride state.
-            let s = &mut self.flows[l as usize];
-            self.total -= s.pending as usize;
-            self.weight_sum -= s.weight as u64;
-            *s = slot;
-        } else {
-            let local = match self.free.pop() {
-                Some(l) => {
-                    self.flows[l as usize] = slot;
-                    l
-                }
-                None => {
-                    self.flows.push(slot);
-                    self.flows.len() as u32 - 1
-                }
-            };
-            self.index.insert(flow.0, local);
+/// One macroflow's scheduler over a slab it shares: the discipline's own
+/// few words, with every per-flow fact in the caller's [`SchedSlot`]s.
+///
+/// Flows are named by slab index. Operations on a slot no scheduler holds
+/// are ignored; the slab must cover every index passed.
+#[derive(Debug)]
+pub struct SlabScheduler(Discipline);
+
+#[derive(Debug)]
+enum Discipline {
+    /// The paper's default: flows with pending requests sit in a
+    /// rotation; each dequeue takes the head flow, consumes one request,
+    /// and moves it to the tail if it still has more.
+    RoundRobin(Ring),
+    /// Deficit-style weighted round-robin: each rotation pass gives a
+    /// flow `weight` grants of credit.
+    Weighted {
+        ring: Ring,
+        /// Remaining credit in the current pass for the head flow.
+        credit: u32,
+    },
+    Stride(Stride),
+}
+
+impl SlabScheduler {
+    /// An empty scheduler of the given discipline.
+    pub fn new(kind: SchedulerKind) -> Self {
+        SlabScheduler(match kind {
+            SchedulerKind::RoundRobin => Discipline::RoundRobin(Ring::EMPTY),
+            SchedulerKind::WeightedRoundRobin => Discipline::Weighted {
+                ring: Ring::EMPTY,
+                credit: 0,
+            },
+            SchedulerKind::Stride => Discipline::Stride(Stride::default()),
+        })
+    }
+
+    /// Registers `flow` with `weight` (ignored by unweighted round-robin,
+    /// raised to 1 otherwise). Re-registering a member keeps its queue
+    /// under RR/WRR and restarts it under stride.
+    pub fn add_flow(&mut self, slab: &mut [SchedSlot], flow: u32, weight: u32) {
+        match &mut self.0 {
+            Discipline::RoundRobin(ring) => ring.add(slab, flow, 1),
+            Discipline::Weighted { ring, .. } => ring.add(slab, flow, weight.max(1)),
+            Discipline::Stride(s) => s.add(slab, flow, weight),
         }
-        self.weight_sum += weight.max(1) as u64;
+    }
+
+    /// Unregisters `flow`, dropping its pending requests and leaving its
+    /// slot [`SchedSlot::VACANT`].
+    pub fn remove_flow(&mut self, slab: &mut [SchedSlot], flow: u32) {
+        match &mut self.0 {
+            Discipline::RoundRobin(ring) => {
+                ring.remove(slab, flow);
+            }
+            Discipline::Weighted { ring, credit } => {
+                if ring.remove(slab, flow) {
+                    // The head left mid-pass; the next dequeue refills
+                    // from the new head's full weight.
+                    *credit = 0;
+                }
+            }
+            Discipline::Stride(s) => s.remove(slab, flow),
+        }
+    }
+
+    /// Updates a member's weight (unweighted round-robin ignores it).
+    pub fn set_weight(&mut self, slab: &mut [SchedSlot], flow: u32, weight: u32) {
+        match &mut self.0 {
+            Discipline::RoundRobin(_) => {}
+            Discipline::Weighted { ring, .. } => ring.set_weight(slab, flow, weight.max(1)),
+            Discipline::Stride(s) => s.set_weight(slab, flow, weight),
+        }
+    }
+
+    /// Records one pending request for `flow`.
+    // lint:hot-path:start
+    pub fn enqueue(&mut self, slab: &mut [SchedSlot], flow: u32) {
+        match &mut self.0 {
+            Discipline::RoundRobin(ring) => {
+                ring.enqueue(slab, flow);
+            }
+            Discipline::Weighted { ring, credit } => {
+                if ring.enqueue(slab, flow) && ring.head == flow {
+                    // First flow in an empty rotation starts a fresh pass.
+                    *credit = ring.head_weight(slab);
+                }
+            }
+            Discipline::Stride(s) => s.enqueue(slab, flow),
+        }
+    }
+
+    /// Picks the next flow to receive a grant, consuming one of its
+    /// pending requests.
+    pub fn dequeue(&mut self, slab: &mut [SchedSlot]) -> Option<u32> {
+        match &mut self.0 {
+            Discipline::RoundRobin(ring) => {
+                let (flow, exhausted) = ring.serve_head(slab)?;
+                if !exhausted {
+                    ring.rotate(slab);
+                }
+                Some(flow)
+            }
+            Discipline::Weighted { ring, credit } => {
+                if *credit == 0 {
+                    *credit = ring.head_weight(slab);
+                }
+                let (flow, exhausted) = ring.serve_head(slab)?;
+                *credit -= 1;
+                if exhausted {
+                    *credit = ring.head_weight(slab);
+                } else if *credit == 0 {
+                    ring.rotate(slab);
+                    *credit = ring.head_weight(slab);
+                }
+                Some(flow)
+            }
+            Discipline::Stride(s) => s.dequeue(slab),
+        }
+    }
+
+    /// Total pending requests across members.
+    pub fn pending(&self) -> usize {
+        match &self.0 {
+            Discipline::RoundRobin(ring) | Discipline::Weighted { ring, .. } => ring.total,
+            Discipline::Stride(s) => s.total,
+        }
+    }
+
+    /// Sum of the members' weights.
+    pub fn total_weight(&self) -> u64 {
+        match &self.0 {
+            Discipline::RoundRobin(ring) | Discipline::Weighted { ring, .. } => ring.weight_sum,
+            Discipline::Stride(s) => s.weight_sum,
+        }
+    }
+    // lint:hot-path:end
+
+    /// Forgets every member and request, retaining capacity. The slots
+    /// are the caller's to vacate: a macroflow is recycled only after its
+    /// last member left, the standalone form clears its whole slab.
+    pub fn reset(&mut self) {
+        match &mut self.0 {
+            Discipline::RoundRobin(ring) => *ring = Ring::EMPTY,
+            Discipline::Weighted { ring, credit } => {
+                *ring = Ring::EMPTY;
+                *credit = 0;
+            }
+            Discipline::Stride(s) => {
+                s.members.clear();
+                s.total = 0;
+                s.weight_sum = 0;
+            }
+        }
+    }
+
+    /// Human-readable discipline name.
+    pub fn name(&self) -> &'static str {
+        match &self.0 {
+            Discipline::RoundRobin(_) => "round-robin",
+            Discipline::Weighted { .. } => "weighted-round-robin",
+            Discipline::Stride(_) => "stride",
+        }
+    }
+
+    /// Structural check against the slab, for invariant walks and tests.
+    /// `members` are the slots the caller believes registered here and
+    /// `is_member` the same set as a predicate; `linked` has one entry
+    /// per slab slot and is shared by every scheduler over the slab, so a
+    /// slot reachable from two of them is caught. Verifies that every
+    /// member is registered, that the members' pending and weight sums
+    /// are the scheduler's totals, and that the rotation (or stride's
+    /// member list) holds members only, each once, consistently linked.
+    pub fn validate(
+        &self,
+        slab: &[SchedSlot],
+        members: impl Iterator<Item = u32>,
+        is_member: impl Fn(u32) -> bool,
+        linked: &mut [bool],
+    ) -> Result<(), String> {
+        let (mut count, mut pending, mut weight) = (0usize, 0usize, 0u64);
+        for l in members {
+            let s = slab[l as usize];
+            if s.weight == 0 {
+                return Err(format!("member slot {l} is not registered"));
+            }
+            count += 1;
+            pending += s.pending as usize;
+            weight += s.weight as u64;
+        }
+        if (pending, weight) != (self.pending(), self.total_weight()) {
+            return Err(format!(
+                "members hold {pending} requests and weight {weight}, {} counts {} and {}",
+                self.name(),
+                self.pending(),
+                self.total_weight()
+            ));
+        }
+        // A slot the scheduler reaches by itself: a registered member's,
+        // reached for the first time.
+        let mut reach = |l: u32| match slab.get(l as usize) {
+            Some(s) if is_member(l) && s.weight != 0 && !linked[l as usize] => {
+                linked[l as usize] = true;
+                Ok(*s)
+            }
+            s => Err(format!("reaches slot {l} ({s:?}): no member's, or twice")),
+        };
+        match &self.0 {
+            Discipline::RoundRobin(ring) | Discipline::Weighted { ring, .. } => {
+                let (mut l, mut queued) = (ring.head, 0);
+                while l != NIL {
+                    let s = reach(l)?;
+                    if s.pending == 0 || slab.get(s.next as usize).map(|n| n.prev) != Some(l) {
+                        return Err(format!("slot {l} idle in the ring or ill-linked: {s:?}"));
+                    }
+                    queued += s.pending as usize;
+                    l = if s.next == ring.head { NIL } else { s.next };
+                }
+                if queued != ring.total {
+                    return Err(format!("ring holds {queued} of {} requests", ring.total));
+                }
+            }
+            Discipline::Stride(st) => {
+                for (at, m) in st.members.iter().enumerate() {
+                    if reach(m.flow)?.next as usize != at {
+                        return Err(format!("stride position {at} holds slot {}", m.flow));
+                    }
+                }
+                if st.members.len() != count {
+                    return Err(format!("stride lists {} of {count}", st.members.len()));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A [`SlabScheduler`] with a slab of its own: what [`build_scheduler`]
+/// hands out.
+struct Standalone {
+    /// Indexed by flow id; grown by `add_flow` to cover the id it names.
+    slab: Vec<SchedSlot>,
+    inner: SlabScheduler,
+}
+
+impl Standalone {
+    /// The slab index of `flow`, if the slab reaches it.
+    fn slot(&self, flow: FlowId) -> Option<u32> {
+        ((flow.0 as usize) < self.slab.len()).then_some(flow.0)
+    }
+}
+
+impl Scheduler for Standalone {
+    fn add_flow(&mut self, flow: FlowId, weight: u32) {
+        if self.slot(flow).is_none() {
+            self.slab.resize(flow.0 as usize + 1, SchedSlot::VACANT);
+        }
+        self.inner.add_flow(&mut self.slab, flow.0, weight);
     }
 
     fn remove_flow(&mut self, flow: FlowId) {
-        if let Some(l) = self.index.remove(&flow.0) {
-            let s = &mut self.flows[l as usize];
-            self.total -= s.pending as usize;
-            self.weight_sum -= s.weight as u64;
-            s.flow = NIL;
-            s.pending = 0;
-            self.free.push(l);
+        if let Some(l) = self.slot(flow) {
+            self.inner.remove_flow(&mut self.slab, l);
         }
     }
 
     fn set_weight(&mut self, flow: FlowId, weight: u32) {
-        if let Some(l) = self.local(flow) {
-            let s = &mut self.flows[l as usize];
-            self.weight_sum = self.weight_sum - s.weight as u64 + weight.max(1) as u64;
-            s.weight = weight.max(1);
+        if let Some(l) = self.slot(flow) {
+            self.inner.set_weight(&mut self.slab, l, weight);
         }
     }
 
     fn enqueue(&mut self, flow: FlowId) {
-        let Some(l) = self.local(flow) else {
-            return;
-        };
-        if self.flows[l as usize].pending == 0 {
-            // Rejoin at the current minimum pass.
-            let min = self.min_active_pass().unwrap_or(0);
-            let s = &mut self.flows[l as usize];
-            s.pass = s.pass.max(min);
+        if let Some(l) = self.slot(flow) {
+            self.inner.enqueue(&mut self.slab, l);
         }
-        self.flows[l as usize].pending += 1;
-        self.total += 1;
     }
 
     fn dequeue(&mut self) -> Option<FlowId> {
-        // Lowest pass among flows with work; ties break by the smaller
-        // flow id so the choice is deterministic regardless of slot
-        // allocation order.
-        let mut best: Option<(u64, u32, u32)> = None;
-        for (l, s) in self.flows.iter().enumerate() {
-            if s.flow != NIL && s.pending > 0 {
-                let cand = (s.pass, s.flow, l as u32);
-                match best {
-                    Some((pass, flow, _)) if (pass, flow) <= (cand.0, cand.1) => {}
-                    _ => best = Some(cand),
-                }
-            }
-        }
-        let (_, flow, l) = best?;
-        let s = &mut self.flows[l as usize];
-        s.pending -= 1;
-        s.pass += STRIDE1 / s.weight as u64;
-        self.total -= 1;
-        Some(FlowId(flow))
+        self.inner.dequeue(&mut self.slab).map(FlowId)
     }
 
     fn pending(&self) -> usize {
-        self.total
+        self.inner.pending()
     }
 
     fn pending_of(&self, flow: FlowId) -> u32 {
-        self.local(flow)
-            .map(|l| self.flows[l as usize].pending)
-            .unwrap_or(0)
+        self.slab.get(flow.0 as usize).map_or(0, |s| s.pending)
     }
 
     fn reset(&mut self) {
-        self.index.clear();
-        self.flows.clear();
-        self.free.clear();
-        self.total = 0;
-        self.weight_sum = 0;
+        self.slab.clear();
+        self.inner.reset();
     }
 
     fn weight_of(&self, flow: FlowId) -> u32 {
-        self.local(flow)
-            .map(|l| self.flows[l as usize].weight)
-            .unwrap_or(1)
+        match self.slab.get(flow.0 as usize) {
+            Some(s) if s.weight != 0 => s.weight,
+            _ => 1,
+        }
     }
 
     fn total_weight(&self) -> u64 {
-        self.weight_sum
+        self.inner.total_weight()
     }
 
     fn name(&self) -> &'static str {
-        "stride"
+        self.inner.name()
     }
 }
 
@@ -639,7 +708,7 @@ mod tests {
 
     #[test]
     fn rr_alternates_between_flows() {
-        let mut s = RoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::RoundRobin);
         let (a, b) = (FlowId(1), FlowId(2));
         s.add_flow(a, 1);
         s.add_flow(b, 1);
@@ -648,7 +717,7 @@ mod tests {
             s.enqueue(b);
         }
         assert_eq!(s.pending(), 6);
-        let grants = drain(&mut s, 6);
+        let grants = drain(&mut *s, 6);
         assert_eq!(grants, vec![a, b, a, b, a, b]);
         assert_eq!(s.pending(), 0);
         assert!(s.dequeue().is_none());
@@ -656,14 +725,14 @@ mod tests {
 
     #[test]
     fn rr_unregistered_flow_ignored() {
-        let mut s = RoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::RoundRobin);
         s.enqueue(FlowId(9));
         assert_eq!(s.pending(), 0);
     }
 
     #[test]
     fn rr_remove_drops_pending() {
-        let mut s = RoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::RoundRobin);
         let (a, b) = (FlowId(1), FlowId(2));
         s.add_flow(a, 1);
         s.add_flow(b, 1);
@@ -672,17 +741,17 @@ mod tests {
         s.enqueue(b);
         s.remove_flow(a);
         assert_eq!(s.pending(), 1);
-        assert_eq!(drain(&mut s, 2), vec![b]);
+        assert_eq!(drain(&mut *s, 2), vec![b]);
     }
 
     #[test]
     fn rr_single_flow_back_to_back() {
-        let mut s = RoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::RoundRobin);
         let a = FlowId(1);
         s.add_flow(a, 1);
         s.enqueue(a);
         s.enqueue(a);
-        assert_eq!(drain(&mut s, 2), vec![a, a]);
+        assert_eq!(drain(&mut *s, 2), vec![a, a]);
     }
 
     /// Churn regression: flows leave mid-rotation (head, middle, and tail
@@ -691,7 +760,7 @@ mod tests {
     /// surviving flows' relative order.
     #[test]
     fn rr_remove_mid_rotation_keeps_invariants() {
-        let mut s = RoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::RoundRobin);
         let flows: Vec<FlowId> = (0..8).map(FlowId).collect();
         for &f in &flows {
             s.add_flow(f, 1);
@@ -701,7 +770,7 @@ mod tests {
         assert_eq!(s.pending(), 16);
         // Serve three grants: rotation is now [3,4,5,6,7,0,1,2] with
         // flows 0-2 holding one pending request each.
-        assert_eq!(drain(&mut s, 3), vec![FlowId(0), FlowId(1), FlowId(2)]);
+        assert_eq!(drain(&mut *s, 3), vec![FlowId(0), FlowId(1), FlowId(2)]);
         assert_eq!(s.pending(), 13);
         // Remove the current head (3), a middle flow (5), and the last
         // flow (2) mid-rotation.
@@ -710,7 +779,7 @@ mod tests {
         s.remove_flow(FlowId(2));
         assert_eq!(s.pending(), 13 - 2 - 2 - 1);
         // Survivors rotate in order, skipping removed flows.
-        let grants = drain(&mut s, 8);
+        let grants = drain(&mut *s, 8);
         assert_eq!(
             grants,
             vec![
@@ -732,7 +801,7 @@ mod tests {
         // Re-adding a removed id starts fresh.
         s.add_flow(FlowId(3), 1);
         s.enqueue(FlowId(3));
-        assert_eq!(drain(&mut s, 1), vec![FlowId(3)]);
+        assert_eq!(drain(&mut *s, 1), vec![FlowId(3)]);
         assert_eq!(s.total_weight(), 6);
     }
 
@@ -740,7 +809,7 @@ mod tests {
     /// the pending count consistent with a reference model.
     #[test]
     fn rr_churn_pending_matches_reference() {
-        let mut s = RoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::RoundRobin);
         let mut expected: Vec<u32> = Vec::new();
         let mut pending = vec![0u32; 64];
         let mut x: u64 = 42;
@@ -786,7 +855,7 @@ mod tests {
 
     #[test]
     fn wrr_respects_weights() {
-        let mut s = WeightedRoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::WeightedRoundRobin);
         let (a, b) = (FlowId(1), FlowId(2));
         s.add_flow(a, 3);
         s.add_flow(b, 1);
@@ -794,7 +863,7 @@ mod tests {
             s.enqueue(a);
             s.enqueue(b);
         }
-        let grants = drain(&mut s, 40);
+        let grants = drain(&mut *s, 40);
         assert_eq!(grants.len(), 40);
         let ca = count(&grants, a);
         let cb = count(&grants, b);
@@ -806,7 +875,7 @@ mod tests {
 
     #[test]
     fn wrr_weight_update_takes_effect() {
-        let mut s = WeightedRoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::WeightedRoundRobin);
         let (a, b) = (FlowId(1), FlowId(2));
         s.add_flow(a, 1);
         s.add_flow(b, 1);
@@ -817,7 +886,7 @@ mod tests {
 
     #[test]
     fn wrr_remove_head_mid_pass_recovers() {
-        let mut s = WeightedRoundRobinScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::WeightedRoundRobin);
         let (a, b) = (FlowId(1), FlowId(2));
         s.add_flow(a, 4);
         s.add_flow(b, 2);
@@ -827,15 +896,15 @@ mod tests {
         }
         // One grant into a's pass of 4, remove a: b proceeds with its
         // own full credit.
-        assert_eq!(drain(&mut s, 1), vec![a]);
+        assert_eq!(drain(&mut *s, 1), vec![a]);
         s.remove_flow(a);
         assert_eq!(s.pending(), 4);
-        assert_eq!(drain(&mut s, 4), vec![b, b, b, b]);
+        assert_eq!(drain(&mut *s, 4), vec![b, b, b, b]);
     }
 
     #[test]
     fn stride_proportional_share() {
-        let mut s = StrideScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::Stride);
         let (a, b) = (FlowId(1), FlowId(2));
         s.add_flow(a, 2);
         s.add_flow(b, 1);
@@ -843,7 +912,7 @@ mod tests {
             s.enqueue(a);
             s.enqueue(b);
         }
-        let grants = drain(&mut s, 90);
+        let grants = drain(&mut *s, 90);
         let ca = count(&grants, a);
         let cb = count(&grants, b);
         // 2:1 proportional share: 60 vs 30 over 90 grants.
@@ -853,7 +922,7 @@ mod tests {
 
     #[test]
     fn stride_interleaving_is_smooth() {
-        let mut s = StrideScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::Stride);
         let (a, b) = (FlowId(1), FlowId(2));
         s.add_flow(a, 1);
         s.add_flow(b, 1);
@@ -861,7 +930,7 @@ mod tests {
             s.enqueue(a);
             s.enqueue(b);
         }
-        let grants = drain(&mut s, 20);
+        let grants = drain(&mut *s, 20);
         // Equal weights: perfect alternation after the first pick.
         for pair in grants.chunks(2) {
             assert_ne!(pair[0], pair[1]);
@@ -870,21 +939,21 @@ mod tests {
 
     #[test]
     fn stride_late_joiner_not_starved_and_cannot_monopolize() {
-        let mut s = StrideScheduler::new();
+        let mut s = build_scheduler(SchedulerKind::Stride);
         let a = FlowId(1);
         s.add_flow(a, 1);
         for _ in 0..100 {
             s.enqueue(a);
         }
         // Burn 50 grants so a's pass is large.
-        let _ = drain(&mut s, 50);
+        let _ = drain(&mut *s, 50);
         // b joins late; should not receive an unbounded run of grants.
         let b = FlowId(2);
         s.add_flow(b, 1);
         for _ in 0..50 {
             s.enqueue(b);
         }
-        let grants = drain(&mut s, 20);
+        let grants = drain(&mut *s, 20);
         let cb = count(&grants, b);
         assert!((8..=12).contains(&cb), "late joiner got {cb} of 20");
     }

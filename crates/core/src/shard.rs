@@ -12,9 +12,10 @@
 //!
 //! Ids handed to clients (and stored in `key_to_flow`, macroflow member
 //! lists, and the grant queue) are *global* — shard bits included. The
-//! schedulers are the one exception: the shard hands them *local* slot
-//! ids (`FlowId(slot)` with zero shard bits), which index the flow slab
-//! directly when a grant comes back out, and re-encodes on the way out.
+//! schedulers are the one exception: they name a flow by its slab *slot*
+//! (zero shard bits), because that is where its scheduler state lives —
+//! `sched`, one [`SchedSlot`] per flow slot, shared by every macroflow's
+//! scheduler — and the shard re-encodes what a dequeue hands back.
 //!
 //! # Quiet-shard skip
 //!
@@ -37,6 +38,7 @@ use crate::config::{CmConfig, ReaggregationConfig};
 use crate::error::{CmError, CmResult};
 use crate::flow::Flow;
 use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, QuietBand, MIN_RTO};
+use crate::scheduler::SchedSlot;
 use crate::types::{
     FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds, SLOT_BITS,
     SLOT_MASK,
@@ -72,11 +74,11 @@ fn slot(id: u32) -> usize {
     (id & SLOT_MASK) as usize
 }
 
-/// The scheduler-local form of a global flow id (shard bits stripped —
-/// what `try_grants` gets back from `dequeue` is the slab index).
+/// The scheduler's name for a flow: its slab slot (shard bits stripped —
+/// what `try_grants` gets back from `dequeue`).
 #[inline]
-fn lid(id: FlowId) -> FlowId {
-    FlowId(id.0 & SLOT_MASK)
+fn lid(id: FlowId) -> u32 {
+    id.0 & SLOT_MASK
 }
 
 /// The tracer a config asks for: enabled with the configured ring
@@ -110,6 +112,10 @@ pub(crate) struct Shard {
     /// recycled through `free_flows`, so the id space (and every
     /// slot-indexed array) stays dense under churn.
     flows: Vec<Option<Flow>>,
+    /// Scheduler state of the flow at the same slot of `flows`, for
+    /// whichever macroflow's scheduler the flow is registered with;
+    /// vacant while the flow slot is free.
+    sched: Vec<SchedSlot>,
     free_flows: Vec<u32>,
     /// Per-slot generation, bumped whenever a slot's grant-queue entries
     /// become invalid (close, split, merge); lets the grant queue drop
@@ -122,8 +128,8 @@ pub(crate) struct Shard {
     free_mfs: Vec<u32>,
     live_mfs: usize,
     /// Expired macroflow shells parked for reuse: `alloc_macroflow`
-    /// resets a pooled shell (controller, scheduler, and buffers kept)
-    /// instead of re-boxing, so macroflow churn — including
+    /// resets a pooled shell (controller and buffers kept) instead of
+    /// re-boxing, so macroflow churn — including
     /// divergence-driven split/merge cycles — allocates nothing once the
     /// pool is warm.
     mf_pool: Vec<Macroflow>,
@@ -165,6 +171,7 @@ impl Shard {
             cfg,
             base: index << SLOT_BITS,
             flows: Vec::new(),
+            sched: Vec::new(),
             free_flows: Vec::new(),
             flow_gens: Vec::new(),
             live_flows: 0,
@@ -195,6 +202,7 @@ impl Shard {
         debug_assert!(self.live_flows == 0 && self.live_mfs == 0);
         self.base = index << SLOT_BITS;
         self.flows.clear();
+        self.sched.clear();
         self.free_flows.clear();
         self.flow_gens.clear();
         self.live_flows = 0;
@@ -275,15 +283,16 @@ impl Shard {
                 );
                 self.flow_gens.push(0);
                 self.flows.push(None);
+                self.sched.push(SchedSlot::VACANT);
                 FlowId(self.base | new_slot as u32)
             }
         };
         let mut flow = Flow::new(flow_id, key, mf_id, self.cfg.mtu, now);
         self.key_to_flow.insert(key, flow_id);
-        let mf = self.mf_mut(mf_id)?;
+        let (mf, sched) = self.mf_sched(mf_id)?;
         flow.mf_pos = mf.flows.len() as u32;
         mf.flows.push(flow_id);
-        mf.scheduler.add_flow(lid(flow_id), 1);
+        mf.scheduler.add_flow(sched, lid(flow_id), 1);
         mf.empty_since = None;
         self.flows[slot(flow_id.0)] = Some(flow);
         self.live_flows += 1;
@@ -307,8 +316,24 @@ impl Shard {
         let pos = f.mf_pos;
         let registered = f.update_interest.is_some();
         let parked = f.parked_requests as usize;
+        let Self {
+            mfs, flows, sched, ..
+        } = self;
+        let mf = mfs
+            .get_mut(slot(mf_id.0))
+            .and_then(Option::as_mut)
+            .ok_or(CmError::UnknownMacroflow(mf_id))?;
+        // Unregistered before the slot can be handed out again: its next
+        // tenant may belong to another macroflow's scheduler.
+        mf.scheduler.remove_flow(sched, lid(flow));
+        remove_member(mf, flows, pos);
+        // Release window reserved by unresolved grants.
+        mf.granted_unnotified = mf.granted_unnotified.saturating_sub(granted as u64 * mtu);
+        if mf.flows.is_empty() {
+            mf.empty_since = Some(now);
+        }
         self.flows[slot(flow.0)] = None;
-        self.free_flows.push(flow.0 & SLOT_MASK);
+        self.free_flows.push(lid(flow));
         // Invalidate the flow's grant-queue entries; the reclamation
         // sweep drops stale-generation entries lazily in O(1) each.
         self.flow_gens[slot(flow.0)] = self.flow_gens[slot(flow.0)].wrapping_add(1);
@@ -318,18 +343,6 @@ impl Shard {
         }
         self.parked_count -= parked;
         self.key_to_flow.remove(&key);
-        let Self { mfs, flows, .. } = self;
-        let mf = mfs
-            .get_mut(slot(mf_id.0))
-            .and_then(Option::as_mut)
-            .ok_or(CmError::UnknownMacroflow(mf_id))?;
-        mf.scheduler.remove_flow(lid(flow));
-        remove_member(mf, flows, pos);
-        // Release window reserved by unresolved grants.
-        mf.granted_unnotified = mf.granted_unnotified.saturating_sub(granted as u64 * mtu);
-        if mf.flows.is_empty() {
-            mf.empty_since = Some(now);
-        }
         self.stats.closes += 1;
         self.tracer
             .record(now, TraceEvent::FlowClosed { flow: flow.0 });
@@ -351,8 +364,8 @@ impl Shard {
         }
         let mf_id = self.flow_ref(flow)?.macroflow;
         self.flow_mut(flow)?.weight = weight;
-        let mf = self.mf_mut(mf_id)?;
-        mf.scheduler.set_weight(lid(flow), weight);
+        let (mf, sched) = self.mf_sched(mf_id)?;
+        mf.scheduler.set_weight(sched, lid(flow), weight);
         // A registered member's bounds in unit-share space scale with
         // its weight.
         mf.quiet = QuietBand::INVALID;
@@ -376,8 +389,8 @@ impl Shard {
         if self.park_if_backing_off(flow, now) {
             return Ok(());
         }
-        let mf = self.mf_mut(mf_id)?;
-        mf.scheduler.enqueue(lid(flow));
+        let (mf, sched) = self.mf_sched(mf_id)?;
+        mf.scheduler.enqueue(sched, lid(flow));
         self.try_grants(mf_id, now);
         Ok(())
     }
@@ -395,8 +408,8 @@ impl Shard {
         if self.park_if_backing_off(flow, now) {
             return Ok(());
         }
-        let mf = self.mf_mut(mf_id)?;
-        mf.scheduler.enqueue(lid(flow));
+        let (mf, sched) = self.mf_sched(mf_id)?;
+        mf.scheduler.enqueue(sched, lid(flow));
         // Only a run of requests on one macroflow is folded: `try_grants`
         // is idempotent, so a macroflow listed twice costs the flush one
         // more O(1) pass, where a membership scan here would make a
@@ -468,9 +481,9 @@ impl Shard {
             self.tracer
                 .record(now, TraceEvent::BackoffLapsed { flow: flow.0 });
         }
-        let mf = self.mf_mut(mf_id)?;
+        let (mf, sched) = self.mf_sched(mf_id)?;
         for _ in 0..unparked {
-            mf.scheduler.enqueue(lid(flow));
+            mf.scheduler.enqueue(sched, lid(flow));
         }
         if had_grant {
             mf.granted_unnotified = mf.granted_unnotified.saturating_sub(mtu);
@@ -746,11 +759,11 @@ impl Shard {
         thresholds: Option<Thresholds>,
     ) -> CmResult<()> {
         let mf_id = self.flow_ref(flow)?.macroflow;
+        let weight = self.sched[slot(flow.0)].weight();
         let mf = self.mf_mut(mf_id)?;
-        let current = mf.share_of(lid(flow));
+        let current = mf.share_of(weight);
         if let Some(t) = thresholds {
-            mf.quiet
-                .narrow(current, t, mf.scheduler.weight_of(lid(flow)));
+            mf.quiet.narrow(current, t, weight);
         }
         let f = self.flow_mut(flow)?;
         match (f.update_interest.is_some(), thresholds.is_some()) {
@@ -851,14 +864,14 @@ impl Shard {
         now: Time,
     ) -> CmResult<()> {
         let weight = self.flow_ref(flow)?.weight;
-        let pending = self.mf_ref(from)?.scheduler.pending_of(lid(flow));
+        let pending = self.sched[slot(flow.0)].pending();
         self.detach_flow(flow, from, now)?;
-        let mf = self.mf_mut(to)?;
+        let (mf, sched) = self.mf_sched(to)?;
         let pos = mf.flows.len() as u32;
         mf.flows.push(flow);
-        mf.scheduler.add_flow(lid(flow), weight);
+        mf.scheduler.add_flow(sched, lid(flow), weight);
         for _ in 0..pending {
-            mf.scheduler.enqueue(lid(flow));
+            mf.scheduler.enqueue(sched, lid(flow));
         }
         mf.empty_since = None;
         // The newcomer may bring a registration whose last report was a
@@ -1034,9 +1047,9 @@ impl Shard {
                 self.parked_count -= unparked as usize;
                 self.tracer
                     .record(now, TraceEvent::BackoffLapsed { flow: id.0 });
-                if let Ok(mf) = self.mf_mut(mf_id) {
+                if let Ok((mf, sched)) = self.mf_sched(mf_id) {
                     for _ in 0..unparked {
-                        mf.scheduler.enqueue(lid(id));
+                        mf.scheduler.enqueue(sched, lid(id));
                     }
                 }
                 self.try_grants(mf_id, now);
@@ -1073,14 +1086,22 @@ impl Shard {
 
     /// Structural invariant check for the chaos harness and property
     /// tests: slab/free-list consistency, flow ↔ macroflow membership,
-    /// grant reservations, parked-request accounting, and the quiet
-    /// bands' conservatism. Never called on a hot path.
+    /// every scheduler's rotation walked through the shared slab, grant
+    /// reservations, parked-request accounting, and the quiet bands'
+    /// conservatism. Never called on a hot path.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let live = self.flows.iter().flatten().count();
         if live != self.live_flows {
             return Err(format!(
                 "live_flows says {} but {} slots are occupied",
                 self.live_flows, live
+            ));
+        }
+        if self.sched.len() != self.flows.len() {
+            return Err(format!(
+                "{} scheduler slots for {} flow slots",
+                self.sched.len(),
+                self.flows.len()
             ));
         }
         let mut seen = vec![false; self.flows.len()];
@@ -1093,8 +1114,8 @@ impl Shard {
                 return Err(format!("flow slot {s} appears on the free-list twice"));
             }
             seen[s] = true;
-            if self.flows[s].is_some() {
-                return Err(format!("free flow slot {s} is occupied"));
+            if self.flows[s].is_some() || self.sched[s].weight() != 0 {
+                return Err(format!("free flow slot {s} is occupied or still scheduled"));
             }
         }
         if self.free_flows.len() + live != self.flows.len() {
@@ -1135,8 +1156,18 @@ impl Shard {
             ));
         }
         let mut member_total = 0usize;
+        let mut linked = vec![false; self.sched.len()];
         for mf in self.mfs.iter().flatten() {
             member_total += mf.flows.len();
+            let is_member = |l: u32| matches!(self.flows.get(l as usize), Some(Some(f)) if f.macroflow == mf.id);
+            mf.scheduler
+                .validate(
+                    &self.sched,
+                    mf.flows.iter().map(|&f| lid(f)),
+                    is_member,
+                    &mut linked,
+                )
+                .map_err(|e| format!("macroflow {:?} scheduler: {e}", mf.id))?;
             let mut reserved = 0u64;
             let mut lazy_dead = 0usize;
             let mut granted = 0usize;
@@ -1164,7 +1195,7 @@ impl Shard {
                 // wherever the O(1) check would skip the members, the
                 // member-by-member test must find nothing to report.
                 let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
-                let share = mf.share_of(lid(fid));
+                let share = mf.share_of(self.sched[slot(fid.0)].weight());
                 if quiet && f.update_interest.is_some_and(|t| t.crossed(last, share)) {
                     return Err(format!(
                         "macroflow {:?} is inside its quiet band {:?} but flow {:?} \
@@ -1269,13 +1300,13 @@ impl Shard {
     }
 
     pub(crate) fn weight_of(&self, flow: FlowId) -> CmResult<u32> {
-        let f = self.flow_ref(flow)?;
-        Ok(self.mf_ref(f.macroflow)?.scheduler.weight_of(lid(flow)))
+        self.flow_ref(flow)?;
+        Ok(self.sched[slot(flow.0)].weight())
     }
 
     pub(crate) fn pending_of(&self, flow: FlowId) -> CmResult<u32> {
-        let f = self.flow_ref(flow)?;
-        Ok(self.mf_ref(f.macroflow)?.scheduler.pending_of(lid(flow)))
+        self.flow_ref(flow)?;
+        Ok(self.sched[slot(flow.0)].pending())
     }
 
     pub(crate) fn window_of(&self, mf: MacroflowId) -> CmResult<u64> {
@@ -1291,7 +1322,9 @@ impl Shard {
     }
 
     pub(crate) fn flow_info(&self, flow: FlowId, mf_id: MacroflowId) -> CmResult<FlowInfo> {
-        Ok(flow_info_of(self.flow_ref(flow)?, self.mf_ref(mf_id)?))
+        let f = self.flow_ref(flow)?;
+        let weight = self.sched[slot(flow.0)].weight();
+        Ok(flow_info_of(f, self.mf_ref(mf_id)?, weight))
     }
 
     // ------------------------------------------------------------------
@@ -1433,12 +1466,14 @@ impl Shard {
 
     fn detach_flow(&mut self, flow: FlowId, from: MacroflowId, now: Time) -> CmResult<()> {
         let pos = self.flow_ref(flow)?.mf_pos;
-        let Self { mfs, flows, .. } = self;
+        let Self {
+            mfs, flows, sched, ..
+        } = self;
         let mf = mfs
             .get_mut(slot(from.0))
             .and_then(Option::as_mut)
             .ok_or(CmError::UnknownMacroflow(from))?;
-        mf.scheduler.remove_flow(lid(flow));
+        mf.scheduler.remove_flow(sched, lid(flow));
         remove_member(mf, flows, pos);
         if mf.flows.is_empty() {
             mf.empty_since = Some(now);
@@ -1460,6 +1495,7 @@ impl Shard {
         let Self {
             mfs,
             flows,
+            sched,
             flow_gens,
             outbox,
             stats,
@@ -1474,14 +1510,18 @@ impl Shard {
             if pacing && now < mf.next_grant_at {
                 break;
             }
-            // The scheduler hands back a local slot id; re-encode the
-            // shard bits before anything client-visible sees it.
-            let Some(local) = mf.scheduler.dequeue() else {
+            // The scheduler hands back a slab slot; re-encode the shard
+            // bits before anything client-visible sees it.
+            let Some(local) = mf.scheduler.dequeue(sched) else {
                 break;
             };
-            let flow_id = FlowId(base | local.0);
-            let Some(flow) = flows.get_mut(local.0 as usize).and_then(Option::as_mut) else {
-                continue; // Flow closed with requests still queued.
+            let flow_id = FlowId(base | local);
+            let flow = flows.get_mut(local as usize).and_then(Option::as_mut);
+            // `close` and `detach_flow` unregister before the slot is
+            // freed, and `validate` walks every ring to hold them to it.
+            debug_assert!(flow.is_some(), "scheduler served free slot {local}");
+            let Some(flow) = flow else {
+                continue;
             };
             // An unresponsive flow's dequeued request is parked rather
             // than granted: granting would just feed more window into a
@@ -1500,7 +1540,7 @@ impl Shard {
             // lint:allow(R1): grant queue is bounded by the window and keeps its ring capacity
             mf.grant_queue.push_back(GrantEntry {
                 flow: flow_id,
-                gen: flow_gens[local.0 as usize],
+                gen: flow_gens[local as usize],
                 issued: now,
             });
             // lint:allow(R1): outbox ring retains capacity; drained by the settle loop every event
@@ -1604,6 +1644,7 @@ impl Shard {
         let Self {
             mfs,
             flows,
+            sched,
             outbox,
             stats,
             ..
@@ -1624,18 +1665,19 @@ impl Shard {
                 continue;
             };
             let mut last = f.last_reported_rate.unwrap_or(Rate::ZERO);
-            let current = mf.share_of(lid(flow_id));
+            let weight = sched[slot(flow_id.0)].weight();
+            let current = mf.share_of(weight);
             if thresh.crossed(last, current) {
                 // lint:allow(R1): outbox ring retains capacity; drained by the settle loop every event
                 outbox.push_back(CmNotification::RateChange {
                     flow: flow_id,
-                    info: flow_info_of(f, mf),
+                    info: flow_info_of(f, mf, weight),
                 });
                 stats.rate_callbacks += 1;
                 f.last_reported_rate = Some(current);
                 last = current;
             }
-            quiet.narrow(last, thresh, mf.scheduler.weight_of(lid(flow_id)));
+            quiet.narrow(last, thresh, weight);
         }
         mf.quiet = quiet;
     }
@@ -1664,17 +1706,26 @@ impl Shard {
     }
 
     fn mf_mut(&mut self, id: MacroflowId) -> CmResult<&mut Macroflow> {
-        self.mfs
+        Ok(self.mf_sched(id)?.0)
+    }
+
+    /// A macroflow together with the slab its scheduler's operations run
+    /// over.
+    fn mf_sched(&mut self, id: MacroflowId) -> CmResult<(&mut Macroflow, &mut [SchedSlot])> {
+        let mf = self
+            .mfs
             .get_mut(slot(id.0))
             .and_then(Option::as_mut)
-            .ok_or(CmError::UnknownMacroflow(id))
+            .ok_or(CmError::UnknownMacroflow(id))?;
+        Ok((mf, &mut self.sched))
     }
 }
 
-/// What `cm_query` and a rate callback report for `f`, a member of `mf`.
-fn flow_info_of(f: &Flow, mf: &Macroflow) -> FlowInfo {
+/// What `cm_query` and a rate callback report for `f`, a member of `mf`
+/// with scheduler weight `weight`.
+fn flow_info_of(f: &Flow, mf: &Macroflow, weight: u32) -> FlowInfo {
     FlowInfo {
-        rate: mf.share_of(lid(f.id)),
+        rate: mf.share_of(weight),
         srtt: mf.rtt.srtt(),
         rttvar: mf.rtt.rttvar(),
         loss_rate: mf.loss_rate.get_or(0.0),

@@ -9,8 +9,16 @@
 //! churn, a `tick` per round — at 8 to 4,096 members per macroflow and
 //! asserts that the share of checks that walk stays under one bound at
 //! every size: per-update cost does not grow with fan-in.
+//!
+//! The second axis is macroflow count. A flow's scheduler state sits at
+//! its slot of one slab the shard's macroflows share, so a request does
+//! the same things whether the shard holds 8 macroflows or 2,048:
+//! `per_request_work_does_not_depend_on_macroflow_count` runs one op
+//! stream at both sizes and demands equal counters and a scheduler slab
+//! exactly as long as the flow slab.
 
 use cm_core::prelude::*;
+use cm_core::CmStats;
 use cm_util::DetRng;
 
 const DESTS: usize = 2;
@@ -144,4 +152,61 @@ fn rate_walks_per_check_do_not_grow_with_members() {
              rate-callback checks ({callbacks} callbacks) exceeds 1 in {MAX_WALK_SHARE}"
         );
     }
+}
+
+#[test]
+fn per_request_work_does_not_depend_on_macroflow_count() {
+    const MEMBERS: usize = 8;
+    const CYCLES: usize = 32_768;
+    let run = |dests: usize| {
+        let mut cm = CongestionManager::new(CmConfig {
+            pacing: false,
+            ..Default::default()
+        });
+        let flows: Vec<FlowId> = (0..dests * MEMBERS)
+            .map(|i| {
+                let key = FlowKey::new(
+                    Endpoint::new(1 + (i / 60_000) as u32, (i % 60_000) as u16 + 1),
+                    Endpoint::new(0x0a00_0000 + (i % dests) as u32, 80),
+                );
+                cm.open(key, Time::ZERO).expect("open")
+            })
+            .collect();
+        assert_eq!(cm.macroflow_count(), dests);
+        let mut notes = Vec::new();
+        let mut now = Time::ZERO;
+        for i in 0..CYCLES {
+            now += Duration::from_micros(50);
+            let flow = flows[i % flows.len()];
+            cm.request(flow, now).expect("request");
+            cm.drain_notifications_into(&mut notes);
+            assert!(
+                matches!(notes[..], [CmNotification::SendGrant { flow: f }] if f == flow),
+                "{dests} macroflows, cycle {i}: {notes:?}"
+            );
+            notes.clear();
+            cm.notify(flow, MTU, now).expect("notify");
+            let report = FeedbackReport::ack(MTU, 1).with_rtt(Duration::from_millis(40));
+            cm.update(flow, report, now).expect("update");
+            if i % 8 == 0 {
+                cm.query(flow, now).expect("query");
+            }
+        }
+        // `check_invariants` holds the scheduler slab to the flow slab's
+        // length and walks every macroflow's rotation through it.
+        cm.check_invariants().expect("invariants");
+        assert_eq!(cm.flow_slab_capacity(), flows.len());
+        cm.stats()
+    };
+    let (few, many) = (run(8), run(2_048));
+    assert_eq!(few.grants, CYCLES as u64);
+    assert_eq!(
+        CmStats {
+            opens: few.opens,
+            macroflows_created: few.macroflows_created,
+            ..many
+        },
+        few,
+        "the same {CYCLES} request cycles counted differently at 2,048 macroflows"
+    );
 }

@@ -281,7 +281,7 @@ fn ring_scheduler_and_obs_hot_regions_cover_steady_state_ops() {
         (
             "crates/core/src/scheduler.rs",
             &[
-                "fn enqueue(&mut self, flow: FlowId) -> bool",
+                "fn enqueue(&mut self, slab: &mut [SchedSlot], l: u32) -> bool",
                 "fn serve_head(",
                 "fn rotate(",
             ][..],
