@@ -96,6 +96,10 @@ pub struct CmStats {
     /// its members; every other check (one per `update`, one per
     /// macroflow per `tick`) cost one comparison.
     pub rate_walks: u64,
+    /// Members those walks ran the exact threshold test on: the ones
+    /// whose own quiet band the unit share had left. Every other member
+    /// of a walked macroflow cost two comparisons on a 16-byte slot.
+    pub rate_rechecks: u64,
     /// Grants reclaimed by the maintenance timer.
     pub grants_reclaimed: u64,
     /// Outstanding bytes written off after a long feedback-free
@@ -166,6 +170,7 @@ impl CmStats {
             queries,
             rate_callbacks,
             rate_walks,
+            rate_rechecks,
             grants_reclaimed,
             outstanding_reclaimed,
             write_off_congestion_signals,
@@ -194,6 +199,7 @@ impl CmStats {
         self.queries += queries;
         self.rate_callbacks += rate_callbacks;
         self.rate_walks += rate_walks;
+        self.rate_rechecks += rate_rechecks;
         self.grants_reclaimed += grants_reclaimed;
         self.outstanding_reclaimed += outstanding_reclaimed;
         self.write_off_congestion_signals += write_off_congestion_signals;

@@ -119,26 +119,33 @@ pub struct GrantEntry {
 /// divisions on either side of the comparison, so the band errs narrow.
 const BAND_SLACK: f64 = 1e-9;
 
-/// The interval of *unit shares* — `rate / total_weight`, bps per unit of
-/// scheduler weight — inside which no threshold-registered member of a
-/// macroflow can satisfy [`Thresholds::crossed`].
+/// An interval of *unit shares* — `rate / total_weight`, bps per unit of
+/// scheduler weight — inside which [`Thresholds::crossed`] cannot hold.
+/// It is kept at two levels.
 ///
-/// Every member's share is `floor(unit share x its weight)`, so each
-/// registration is a pair of bounds in one space all members share, and
-/// joins and leaves of unregistered members (which move only the total
-/// weight) leave the band valid. The band is only ever *conservative*:
-/// too narrow costs one member walk, which rebuilds it; too wide would
-/// lose a callback. It may therefore keep the bounds of members that
-/// have since unregistered, closed or left.
-#[derive(Clone, Copy, Debug)]
+/// A *flow's* band ([`QuietBand::of`], at the flow's slot of the shard's
+/// band slab) is where the unit share may sit without that flow's rate
+/// callback coming due. The flow's share is `floor(unit share x its
+/// weight)`, so the band depends on what the flow was last told, its
+/// thresholds and its weight and on nothing else — not on the macroflow
+/// it belongs to, nor on who else does.
+///
+/// A *macroflow's* band is the intersection of its members' bands: inside
+/// it no member's callback can be due, which is the O(1) check of every
+/// `update` and `tick`. Joins and leaves of unregistered members (which
+/// move only the total weight) leave it valid. It is only ever
+/// *conservative*: too narrow costs one member walk, which rebuilds it;
+/// too wide would lose a callback. It may therefore keep the bounds of
+/// members that have since unregistered, closed or left.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct QuietBand {
     lo: f64,
     hi: f64,
 }
 
 impl QuietBand {
-    /// No registration constrains the macroflow: every unit share is
-    /// quiet.
+    /// No registration constrains the unit share: every value is quiet.
+    /// Also the band of an unregistered flow and of a vacant slot.
     pub(crate) const OPEN: QuietBand = QuietBand {
         lo: 0.0,
         hi: f64::INFINITY,
@@ -150,14 +157,10 @@ impl QuietBand {
         hi: 0.0,
     };
 
-    fn contains(&self, unit: f64) -> bool {
-        self.lo <= unit && unit <= self.hi
-    }
-
-    /// Narrows the band by the bounds of one registered member: the one
-    /// with scheduler weight `weight` whose thresholds `t` are judged
-    /// against a last reported share of `last`.
-    pub(crate) fn narrow(&mut self, last: Rate, t: Thresholds, weight: u32) {
+    /// The band of one registered flow: the one with scheduler weight
+    /// `weight` whose thresholds `t` are judged against a last reported
+    /// share of `last`.
+    pub(crate) fn of(last: Rate, t: Thresholds, weight: u32) -> QuietBand {
         let last = last.as_bps() as f64;
         // A share is a whole number of bps, so the two float tests of
         // `crossed` are exact integer bounds on it: quiet from `lo` up
@@ -169,8 +172,34 @@ impl QuietBand {
             ((last * t.down).floor() + 1.0, (last * t.up).ceil())
         };
         let w = weight as f64;
-        self.lo = self.lo.max(lo / w * (1.0 + BAND_SLACK));
-        self.hi = self.hi.min(hi / w * (1.0 - BAND_SLACK));
+        // Narrowed from `OPEN` rather than built outright: `max`/`min`
+        // drop the NaN a hand-built `Thresholds` could put in a bound.
+        let mut band = QuietBand::OPEN;
+        band.intersect(QuietBand {
+            lo: lo / w * (1.0 + BAND_SLACK),
+            hi: hi / w * (1.0 - BAND_SLACK),
+        });
+        band
+    }
+
+    pub(crate) fn contains(&self, unit: f64) -> bool {
+        self.lo <= unit && unit <= self.hi
+    }
+
+    /// Whether any unit share at all lies inside.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lo > self.hi
+    }
+
+    /// Whether every unit share inside `self` is inside `other` too.
+    pub(crate) fn is_within(&self, other: &QuietBand) -> bool {
+        other.lo <= self.lo && self.hi <= other.hi
+    }
+
+    /// Narrows the band to what it shares with `other`.
+    pub(crate) fn intersect(&mut self, other: QuietBand) {
+        self.lo = self.lo.max(other.lo);
+        self.hi = self.hi.min(other.hi);
     }
 }
 
@@ -307,16 +336,19 @@ impl Macroflow {
         self.rate().mul_ratio(weight as u64, total)
     }
 
-    /// Whether the current unit share lies inside the quiet band, i.e.
-    /// no member's rate callback can be due. O(1): the rate-callback
-    /// check of every `update` and `tick` is this and nothing else
-    /// unless it fails.
-    pub(crate) fn is_quiet(&self) -> bool {
+    /// The macroflow's rate, its members' total scheduler weight and the
+    /// unit share the two make, when that share lies *outside* the quiet
+    /// band — i.e. some member's rate callback may be due. `None` is the
+    /// O(1) answer of every other `update` and `tick`: two virtual calls
+    /// and one comparison.
+    pub(crate) fn band_exit(&self) -> Option<(Rate, u64, f64)> {
         let total = self.scheduler.total_weight();
-        total == 0
-            || self
-                .quiet
-                .contains(self.rate().as_bps() as f64 / total as f64)
+        if total == 0 {
+            return None;
+        }
+        let rate = self.rate();
+        let unit = rate.as_bps() as f64 / total as f64;
+        (!self.quiet.contains(unit)).then_some((rate, total, unit))
     }
 
     /// The pacing gap between successive grants: the time one MTU takes

@@ -16,6 +16,9 @@
 //! (zero shard bits), because that is where its scheduler state lives —
 //! `sched`, one [`SchedSlot`] per flow slot, shared by every macroflow's
 //! scheduler — and the shard re-encodes what a dequeue hands back.
+//! `bands` is the second slab of that shape: a flow's own quiet band sits
+//! at its slot, so a rate-callback walk decides whom to re-examine without
+//! loading a single `Flow`.
 //!
 //! # Quiet-shard skip
 //!
@@ -116,6 +119,14 @@ pub(crate) struct Shard {
     /// whichever macroflow's scheduler the flow is registered with;
     /// vacant while the flow slot is free.
     sched: Vec<SchedSlot>,
+    /// Quiet band of the flow at the same slot of `flows`: where the
+    /// unit share of whichever macroflow it is a member of may sit
+    /// without its rate callback coming due — [`QuietBand::of`] its last
+    /// reported share, thresholds and weight, rewritten wherever one of
+    /// the three changes and by nothing else (a move between macroflows
+    /// changes none). `OPEN` while the flow has no thresholds registered
+    /// or the slot is free.
+    bands: Vec<QuietBand>,
     free_flows: Vec<u32>,
     /// Per-slot generation, bumped whenever a slot's grant-queue entries
     /// become invalid (close, split, merge); lets the grant queue drop
@@ -172,6 +183,7 @@ impl Shard {
             base: index << SLOT_BITS,
             flows: Vec::new(),
             sched: Vec::new(),
+            bands: Vec::new(),
             free_flows: Vec::new(),
             flow_gens: Vec::new(),
             live_flows: 0,
@@ -203,6 +215,7 @@ impl Shard {
         self.base = index << SLOT_BITS;
         self.flows.clear();
         self.sched.clear();
+        self.bands.clear();
         self.free_flows.clear();
         self.flow_gens.clear();
         self.live_flows = 0;
@@ -284,6 +297,7 @@ impl Shard {
                 self.flow_gens.push(0);
                 self.flows.push(None);
                 self.sched.push(SchedSlot::VACANT);
+                self.bands.push(QuietBand::OPEN);
                 FlowId(self.base | new_slot as u32)
             }
         };
@@ -340,6 +354,8 @@ impl Shard {
         self.live_flows -= 1;
         if registered {
             self.thresh_regs -= 1;
+            // Only a registered flow's band is anything but `OPEN`.
+            self.bands[slot(flow.0)] = QuietBand::OPEN;
         }
         self.parked_count -= parked;
         self.key_to_flow.remove(&key);
@@ -363,12 +379,18 @@ impl Shard {
             return Err(CmError::InvalidArgument("weight must be positive"));
         }
         let mf_id = self.flow_ref(flow)?.macroflow;
-        self.flow_mut(flow)?.weight = weight;
         let (mf, sched) = self.mf_sched(mf_id)?;
         mf.scheduler.set_weight(sched, lid(flow), weight);
         // A registered member's bounds in unit-share space scale with
-        // its weight.
+        // the weight its scheduler now gives it.
         mf.quiet = QuietBand::INVALID;
+        let scheduled = self.sched[slot(flow.0)].weight();
+        let f = self.flow_mut(flow)?;
+        f.weight = weight;
+        if let Some(t) = f.update_interest {
+            let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
+            self.bands[slot(flow.0)] = QuietBand::of(last, t, scheduled);
+        }
         Ok(())
     }
 
@@ -762,9 +784,9 @@ impl Shard {
         let weight = self.sched[slot(flow.0)].weight();
         let mf = self.mf_mut(mf_id)?;
         let current = mf.share_of(weight);
-        if let Some(t) = thresholds {
-            mf.quiet.narrow(current, t, weight);
-        }
+        let band = thresholds.map_or(QuietBand::OPEN, |t| QuietBand::of(current, t, weight));
+        mf.quiet.intersect(band);
+        self.bands[slot(flow.0)] = band;
         let f = self.flow_mut(flow)?;
         match (f.update_interest.is_some(), thresholds.is_some()) {
             (false, true) => self.thresh_regs += 1,
@@ -1087,8 +1109,10 @@ impl Shard {
     /// Structural invariant check for the chaos harness and property
     /// tests: slab/free-list consistency, flow ↔ macroflow membership,
     /// every scheduler's rotation walked through the shared slab, grant
-    /// reservations, parked-request accounting, and the quiet bands'
-    /// conservatism. Never called on a hot path.
+    /// reservations, parked-request accounting, every flow's quiet band
+    /// against what it is defined to be, and every macroflow's band
+    /// against its members' bands and against the exact test. Never
+    /// called on a hot path.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let live = self.flows.iter().flatten().count();
         if live != self.live_flows {
@@ -1103,6 +1127,29 @@ impl Shard {
                 self.sched.len(),
                 self.flows.len()
             ));
+        }
+        if self.bands.len() != self.flows.len() {
+            return Err(format!(
+                "{} quiet-band slots for {} flow slots",
+                self.bands.len(),
+                self.flows.len()
+            ));
+        }
+        for (s, (f, band)) in self.flows.iter().zip(&self.bands).enumerate() {
+            let expected = match f {
+                Some(Flow {
+                    update_interest: Some(t),
+                    last_reported_rate: last,
+                    ..
+                }) => QuietBand::of(last.unwrap_or(Rate::ZERO), *t, self.sched[s].weight()),
+                _ => QuietBand::OPEN,
+            };
+            if *band != expected {
+                return Err(format!(
+                    "flow slot {s} holds quiet band {band:?} but its registration \
+                     makes {expected:?}"
+                ));
+            }
         }
         let mut seen = vec![false; self.flows.len()];
         for &s in &self.free_flows {
@@ -1171,7 +1218,7 @@ impl Shard {
             let mut reserved = 0u64;
             let mut lazy_dead = 0usize;
             let mut granted = 0usize;
-            let quiet = mf.is_quiet();
+            let quiet = mf.band_exit().is_none();
             for (pos, &fid) in mf.flows.iter().enumerate() {
                 let Some(f) = self.flows.get(slot(fid.0)).and_then(Option::as_ref) else {
                     return Err(format!("macroflow {:?} lists dead flow {:?}", mf.id, fid));
@@ -1191,6 +1238,15 @@ impl Shard {
                 reserved += f.granted as u64 * mf.mtu as u64;
                 lazy_dead += f.dead_grant_entries as usize;
                 granted += f.granted as usize;
+                // The macroflow's band is at most the intersection of
+                // its members' own.
+                let own = self.bands[slot(fid.0)];
+                if !mf.quiet.is_empty() && !mf.quiet.is_within(&own) {
+                    return Err(format!(
+                        "macroflow {:?} quiet band {:?} reaches outside flow {:?}'s {own:?}",
+                        mf.id, mf.quiet, fid
+                    ));
+                }
                 // The quiet band against the walk it stands in for:
                 // wherever the O(1) check would skip the members, the
                 // member-by-member test must find nothing to report.
@@ -1322,9 +1378,10 @@ impl Shard {
     }
 
     pub(crate) fn flow_info(&self, flow: FlowId, mf_id: MacroflowId) -> CmResult<FlowInfo> {
-        let f = self.flow_ref(flow)?;
-        let weight = self.sched[slot(flow.0)].weight();
-        Ok(flow_info_of(f, self.mf_ref(mf_id)?, weight))
+        let mtu = self.flow_ref(flow)?.mtu;
+        let mf = self.mf_ref(mf_id)?;
+        let share = mf.share_of(self.sched[slot(flow.0)].weight());
+        Ok(flow_info_of(share, mtu, mf))
     }
 
     // ------------------------------------------------------------------
@@ -1634,9 +1691,11 @@ impl Shard {
 
     /// Emits `cmapp_update`-style callbacks for flows whose rate share
     /// crossed their registered thresholds. One comparison while the
-    /// macroflow's unit share stays inside its quiet band; on leaving it,
-    /// one walk over the members that also rebuilds the band around the
-    /// shares they were last told.
+    /// macroflow's unit share stays inside its quiet band. On leaving it,
+    /// one pass over the members' own bands — a dense 16-byte slot each,
+    /// no `Flow` loaded — re-examines the few whose band was left too,
+    /// runs the exact test on those, and rebuilds the macroflow's band as
+    /// the intersection of what every member's band now is.
     fn emit_rate_callbacks(&mut self, mf_id: MacroflowId) {
         if self.thresh_regs == 0 {
             return;
@@ -1645,6 +1704,7 @@ impl Shard {
             mfs,
             flows,
             sched,
+            bands,
             outbox,
             stats,
             ..
@@ -1652,32 +1712,37 @@ impl Shard {
         let Some(mf) = mfs.get_mut(slot(mf_id.0)).and_then(Option::as_mut) else {
             return;
         };
-        if mf.is_quiet() {
+        let Some((rate, total_weight, unit)) = mf.band_exit() else {
             return;
-        }
+        };
         stats.rate_walks += 1;
         let mut quiet = QuietBand::OPEN;
         for &flow_id in &mf.flows {
-            let Some(f) = flows.get_mut(slot(flow_id.0)).and_then(Option::as_mut) else {
-                continue;
-            };
-            let Some(thresh) = f.update_interest else {
-                continue;
-            };
-            let mut last = f.last_reported_rate.unwrap_or(Rate::ZERO);
-            let weight = sched[slot(flow_id.0)].weight();
-            let current = mf.share_of(weight);
-            if thresh.crossed(last, current) {
-                // lint:allow(R1): outbox ring retains capacity; drained by the settle loop every event
-                outbox.push_back(CmNotification::RateChange {
-                    flow: flow_id,
-                    info: flow_info_of(f, mf, weight),
-                });
-                stats.rate_callbacks += 1;
-                f.last_reported_rate = Some(current);
-                last = current;
+            let s = slot(flow_id.0);
+            let band = &mut bands[s];
+            if !band.contains(unit) {
+                stats.rate_rechecks += 1;
+                let Some(f) = flows.get_mut(s).and_then(Option::as_mut) else {
+                    continue;
+                };
+                let Some(thresh) = f.update_interest else {
+                    continue;
+                };
+                let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
+                let weight = sched[s].weight();
+                let current = rate.mul_ratio(weight as u64, total_weight);
+                if thresh.crossed(last, current) {
+                    // lint:allow(R1): outbox ring retains capacity; drained by the settle loop every event
+                    outbox.push_back(CmNotification::RateChange {
+                        flow: flow_id,
+                        info: flow_info_of(current, f.mtu, mf),
+                    });
+                    stats.rate_callbacks += 1;
+                    f.last_reported_rate = Some(current);
+                    *band = QuietBand::of(current, thresh, weight);
+                }
             }
-            quiet.narrow(last, thresh, weight);
+            quiet.intersect(*band);
         }
         mf.quiet = quiet;
     }
@@ -1721,16 +1786,16 @@ impl Shard {
     }
 }
 
-/// What `cm_query` and a rate callback report for `f`, a member of `mf`
-/// with scheduler weight `weight`.
-fn flow_info_of(f: &Flow, mf: &Macroflow, weight: u32) -> FlowInfo {
+/// What `cm_query` and a rate callback report to a member of `mf` whose
+/// share of its rate is `share`.
+fn flow_info_of(share: Rate, mtu: usize, mf: &Macroflow) -> FlowInfo {
     FlowInfo {
-        rate: mf.share_of(weight),
+        rate: share,
         srtt: mf.rtt.srtt(),
         rttvar: mf.rtt.rttvar(),
         loss_rate: mf.loss_rate.get_or(0.0),
         cwnd: mf.controller.window(),
-        mtu: f.mtu,
+        mtu,
     }
 }
 

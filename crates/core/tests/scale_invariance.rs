@@ -10,6 +10,14 @@
 //! asserts that the share of checks that walk stays under one bound at
 //! every size: per-update cost does not grow with fan-in.
 //!
+//! Nor does the cost of a walk. Each flow's own band sits at its slab
+//! slot, and a walk runs the exact test only on the members whose own
+//! band was left (`CmStats::rate_rechecks`):
+//! `a_walk_re_examines_the_members_it_calls_back_not_the_members_it_has`
+//! holds re-checks per walk to callbacks per walk plus a constant, with
+//! thresholds on every member and on every 8th, and holds walks and
+//! callbacks to the counts the stream produced before the change.
+//!
 //! The second axis is macroflow count. A flow's scheduler state sits at
 //! its slot of one slab the shard's macroflows share, so a request does
 //! the same things whether the shard holds 8 macroflows or 2,048:
@@ -44,10 +52,12 @@ struct Stream {
     now: Time,
     rng: DetRng,
     notes: Vec<CmNotification>,
+    /// Thresholds go on every `register_every`-th flow opened.
+    register_every: usize,
 }
 
 impl Stream {
-    fn open(members: usize) -> Self {
+    fn open(members: usize, register_every: usize) -> Self {
         let mut s = Stream {
             cm: CongestionManager::new(CmConfig {
                 pacing: false,
@@ -60,6 +70,7 @@ impl Stream {
             now: Time::ZERO,
             rng: DetRng::seed(18).split("scale_invariance"),
             notes: Vec::new(),
+            register_every,
         };
         for _ in 0..members * DESTS {
             let f = s.open_next();
@@ -76,7 +87,7 @@ impl Stream {
             Endpoint::new(0x0a00_0000 + (i % DESTS) as u32, 80),
         );
         let flow = self.cm.open(key, self.now).expect("open");
-        if i.is_multiple_of(8) {
+        if i.is_multiple_of(self.register_every) {
             self.cm
                 .set_thresholds(flow, Some(Thresholds::default()))
                 .expect("set_thresholds");
@@ -128,20 +139,27 @@ impl Stream {
     }
 }
 
+/// Runs the stream at `members` per macroflow with thresholds on every
+/// `register_every`-th flow: the counters before and after the counted
+/// rounds.
+fn counted(members: usize, register_every: usize) -> (CmStats, CmStats) {
+    let mut s = Stream::open(members, register_every);
+    for _ in 0..WARMUP_ROUNDS {
+        s.round();
+    }
+    let before = s.cm.stats();
+    for _ in 0..ROUNDS {
+        s.round();
+    }
+    assert_eq!(s.cm.macroflow_count(), DESTS);
+    s.cm.check_invariants().expect("invariants");
+    (before, s.cm.stats())
+}
+
 #[test]
 fn rate_walks_per_check_do_not_grow_with_members() {
     for members in [8, 64, 1_024, 4_096] {
-        let mut s = Stream::open(members);
-        for _ in 0..WARMUP_ROUNDS {
-            s.round();
-        }
-        let before = s.cm.stats();
-        for _ in 0..ROUNDS {
-            s.round();
-        }
-        let after = s.cm.stats();
-        assert_eq!(s.cm.macroflow_count(), DESTS);
-        s.cm.check_invariants().expect("invariants");
+        let (before, after) = counted(members, 8);
         let checks = after.updates - before.updates + (ROUNDS * DESTS) as u64;
         let walks = after.rate_walks - before.rate_walks;
         let callbacks = after.rate_callbacks - before.rate_callbacks;
@@ -150,6 +168,45 @@ fn rate_walks_per_check_do_not_grow_with_members() {
             walks * MAX_WALK_SHARE <= checks,
             "{members} members per macroflow: {walks} member walks in {checks} \
              rate-callback checks ({callbacks} callbacks) exceeds 1 in {MAX_WALK_SHARE}"
+        );
+    }
+}
+
+/// What the stream produced before a flow's quiet band moved to its slab
+/// slot (PR 23's tree), per `(register_every, members)`: `rate_walks` and
+/// `rate_callbacks` over the counted rounds. The macroflow's band is still
+/// the intersection of its members' bands and the exact test still
+/// decides every callback, so neither count may move.
+const BEFORE_FLOW_BANDS: [(usize, usize, u64, u64); 8] = [
+    (1, 8, 95, 154),
+    (1, 64, 120, 2_875),
+    (1, 1_024, 157, 47_112),
+    (1, 4_096, 142, 188_864),
+    (8, 8, 25, 16),
+    (8, 64, 61, 436),
+    (8, 1_024, 121, 7_216),
+    (8, 4_096, 108, 28_968),
+];
+/// Members a walk may run the exact test on beyond those it calls back.
+/// Measured: 61 over 120 walks at 64 members with every member
+/// registered, 15 over 61 walks with every 8th, none at 8, 1,024 and
+/// 4,096 — a member's band is left when its thresholds are crossed, give
+/// or take the band's 1e-9 slack, which a share sitting exactly on a
+/// bound falls into.
+const MAX_IDLE_RECHECKS_PER_WALK: u64 = 2;
+
+#[test]
+fn a_walk_re_examines_the_members_it_calls_back_not_the_members_it_has() {
+    for (register_every, members, walks_before, callbacks_before) in BEFORE_FLOW_BANDS {
+        let (before, after) = counted(members, register_every);
+        let at = format!("{members} members, thresholds on every {register_every}");
+        let walks = after.rate_walks - before.rate_walks;
+        let callbacks = after.rate_callbacks - before.rate_callbacks;
+        let rechecks = after.rate_rechecks - before.rate_rechecks;
+        assert_eq!((walks, callbacks), (walks_before, callbacks_before), "{at}");
+        assert!(
+            callbacks <= rechecks && rechecks <= callbacks + walks * MAX_IDLE_RECHECKS_PER_WALK,
+            "{at}: {walks} walks re-examined {rechecks} members for {callbacks} callbacks"
         );
     }
 }

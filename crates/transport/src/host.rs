@@ -90,6 +90,44 @@ enum FlowOwner {
     App(AppId),
 }
 
+/// Who owns each CM flow, indexed by the flow id's shard and slab slot.
+/// The CM keeps ids dense per shard and recycles them, so the table is as
+/// long as the CM's flow slabs, and routing a grant or a rate callback is
+/// two indexings instead of a hash probe.
+#[derive(Default)]
+struct FlowOwners(Vec<Vec<Option<FlowOwner>>>);
+
+impl FlowOwners {
+    fn get(&self, flow: FlowId) -> Option<FlowOwner> {
+        *self
+            .0
+            .get(flow.shard() as usize)?
+            .get(flow.slot() as usize)?
+    }
+
+    fn set(&mut self, flow: FlowId, owner: FlowOwner) {
+        let (shard, slot) = (flow.shard() as usize, flow.slot() as usize);
+        if self.0.len() <= shard {
+            self.0.resize_with(shard + 1, Vec::new);
+        }
+        let slots = &mut self.0[shard];
+        if slots.len() <= slot {
+            slots.resize(slot + 1, None);
+        }
+        slots[slot] = Some(owner);
+    }
+
+    fn clear(&mut self, flow: FlowId) {
+        if let Some(owner) = self
+            .0
+            .get_mut(flow.shard() as usize)
+            .and_then(|slots| slots.get_mut(flow.slot() as usize))
+        {
+            *owner = None;
+        }
+    }
+}
+
 /// Events queued for application delivery.
 #[derive(Debug)]
 enum AppEvent {
@@ -249,7 +287,7 @@ pub struct Host {
     sock_meta: Vec<Option<SockMeta>>,
     udp_demux: FxHashMap<u16, UdpSocketId>,
 
-    flow_owner: FxHashMap<FlowId, FlowOwner>,
+    flow_owner: FlowOwners,
 
     apps: Vec<Option<Box<dyn HostApp>>>,
 
@@ -288,7 +326,7 @@ impl Host {
             socks: Vec::new(),
             sock_meta: Vec::new(),
             udp_demux: FxHashMap::default(),
-            flow_owner: FxHashMap::default(),
+            flow_owner: FlowOwners::default(),
             apps: Vec::new(),
             app_timers: Vec::new(),
             free_app_timers: Vec::new(),
@@ -391,7 +429,7 @@ impl Host {
 
     fn route_cm_notification(&mut self, ctx: &mut NodeCtx<'_>, n: CmNotification) {
         match n {
-            CmNotification::SendGrant { flow } => match self.flow_owner.get(&flow).copied() {
+            CmNotification::SendGrant { flow } => match self.flow_owner.get(flow) {
                 Some(FlowOwner::Tcp(conn)) => {
                     let now = ctx.now();
                     match self.conns[conn.0 as usize].as_mut() {
@@ -415,7 +453,7 @@ impl Host {
                 }
             },
             CmNotification::RateChange { flow, info } => {
-                match self.flow_owner.get(&flow).copied() {
+                match self.flow_owner.get(flow) {
                     Some(FlowOwner::App(app)) => {
                         self.pending.push_back((app, AppEvent::CmRate(flow, info)));
                     }
@@ -711,7 +749,7 @@ impl Node for Host {
                             );
                             let f = self.cm.open(fkey, now).ok();
                             if let Some(f) = f {
-                                self.flow_owner.insert(f, FlowOwner::Tcp(id));
+                                self.flow_owner.set(f, FlowOwner::Tcp(id));
                             }
                             f
                         } else {
@@ -858,7 +896,7 @@ impl HostOs<'_, '_> {
             );
             let f = self.host.cm.open(fkey, now).ok();
             if let Some(f) = f {
-                self.host.flow_owner.insert(f, FlowOwner::Tcp(id));
+                self.host.flow_owner.set(f, FlowOwner::Tcp(id));
             }
             f
         } else {
@@ -964,7 +1002,7 @@ impl HostOs<'_, '_> {
             .open(fkey, now)
             // lint:allow(R2): duplicate five-tuple on one host — a scenario-script bug, not a runtime condition
             .expect("ccudp flow open failed");
-        self.host.flow_owner.insert(flow, FlowOwner::CcUdp(sock));
+        self.host.flow_owner.set(flow, FlowOwner::CcUdp(sock));
         if let Some(s) = self.host.socks[sock.0 as usize].as_mut() {
             s.enable_cm(flow);
         }
@@ -1044,7 +1082,7 @@ impl HostOs<'_, '_> {
         );
         // lint:allow(R2): duplicate five-tuple on one host — a scenario-script bug, not a runtime condition
         let flow = self.host.cm.open(fkey, now).expect("cm_open failed");
-        self.host.flow_owner.insert(flow, FlowOwner::App(self.app));
+        self.host.flow_owner.set(flow, FlowOwner::App(self.app));
         flow
     }
 
@@ -1054,7 +1092,7 @@ impl HostOs<'_, '_> {
         // Double-close (or closing a flow the orphan reaper beat us to)
         // is a no-op at the syscall boundary.
         let _ = self.host.cm.close(flow, now);
-        self.host.flow_owner.remove(&flow);
+        self.host.flow_owner.clear(flow);
     }
 
     /// `cm_mtu`.
