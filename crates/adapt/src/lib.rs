@@ -43,6 +43,7 @@
 //! under the same counting-allocator test.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod buffer;

@@ -6,7 +6,10 @@
 //! construction, thousands of observations across all three policies must
 //! allocate nothing.
 
-#![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; the counting allocator needs it
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

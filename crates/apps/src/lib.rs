@@ -27,6 +27,7 @@
 //!   with a layered streamer under a weighted scheduler.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod ack_clients;

@@ -20,7 +20,7 @@ use cm_adapt::{AdaptationStats, BufferPolicy, Engine, Observation, RateLadder};
 use cm_netsim::packet::Addr;
 use cm_transport::host::{HostApp, HostOs};
 use cm_transport::types::{CcMode, TcpConnId, TcpEvent};
-use cm_util::{Duration, Rate, Time};
+use cm_util::{Duration, FxHashSet, Rate, Time};
 
 /// Serves a file on each inbound connection — fixed-size, or adapted to
 /// the path when configured with response variants.
@@ -45,7 +45,7 @@ pub struct WebServer {
     /// Response deadline the variant must meet.
     deadline: Duration,
     adapt: Option<Engine>,
-    responded: std::collections::HashSet<TcpConnId>,
+    responded: FxHashSet<TcpConnId>,
 }
 
 impl WebServer {
@@ -60,7 +60,7 @@ impl WebServer {
             variants: Vec::new(),
             deadline: Duration::ZERO,
             adapt: None,
-            responded: std::collections::HashSet::new(),
+            responded: FxHashSet::default(),
         }
     }
 
@@ -93,7 +93,7 @@ impl WebServer {
             variants,
             deadline,
             adapt: Some(engine),
-            responded: std::collections::HashSet::new(),
+            responded: FxHashSet::default(),
         }
     }
 

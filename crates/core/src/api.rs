@@ -2249,7 +2249,7 @@ mod tests {
             .collect();
         assert!(cm.shard_count() <= 2, "cap exceeded");
         // Groups keep separate macroflows even when sharing a shard.
-        let mfs: std::collections::HashSet<MacroflowId> =
+        let mfs: cm_util::FxHashSet<MacroflowId> =
             flows.iter().map(|&f| cm.macroflow_of(f).unwrap()).collect();
         assert_eq!(mfs.len(), 6, "overflow groups shared congestion state");
         // Lookups and the data path still route correctly.

@@ -519,10 +519,13 @@ impl ShardRuntime {
                 shared: Arc::clone(&shared),
                 wstats: WorkerStats::default(),
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread exhaustion at construction is unrecoverable"
+            )]
             let join = thread::Builder::new()
                 .name(format!("cm-shard-{w}"))
                 .spawn(move || worker.run())
-                // lint:allow(R2): OS thread exhaustion at construction is unrecoverable
                 .expect("spawn CM shard worker");
             lanes.push(Lane {
                 cmds: cmd_tx,
@@ -588,7 +591,10 @@ impl ShardRuntime {
                     self.drain_lane(lane);
                     thread::yield_now();
                 }
-                // lint:allow(R2): closed ring = worker panicked; propagate the crash instead of wedging the front
+                #[expect(
+                    clippy::panic,
+                    reason = "closed ring = worker panicked; propagate the crash instead of wedging the front"
+                )]
                 Push::Closed => panic!("cm-shard-{lane}: worker exited (command ring closed)"),
             }
         }
@@ -632,7 +638,10 @@ impl ShardRuntime {
         if let Some(r) = self.take_stray(want) {
             return r;
         }
-        // lint:allow(R3): wall-clock watchdog for a cross-thread wait; feeds no CM decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock watchdog for a cross-thread wait; feeds no CM decision"
+        )]
         let deadline = Instant::now() + SYNC_TIMEOUT;
         loop {
             match self.lanes[lane]
@@ -645,7 +654,10 @@ impl ShardRuntime {
                     }
                     self.absorb(r);
                 }
-                // lint:allow(R2): worker death mid-call crashes the runtime; surface it, don't return bogus data
+                #[expect(
+                    clippy::panic,
+                    reason = "worker death mid-call crashes the runtime; surface it, don't return bogus data"
+                )]
                 Pop::Closed => panic!("cm-shard-{lane}: worker exited mid-call"),
                 Pop::Empty => {
                     let dead = self.lanes[lane]
@@ -653,9 +665,13 @@ impl ShardRuntime {
                         .as_ref()
                         .is_some_and(JoinHandle::is_finished);
                     assert!(!dead, "cm-shard-{lane}: worker thread terminated");
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "watchdog expiry check (see above)"
+                    )]
+                    let now = Instant::now();
                     assert!(
-                        // lint:allow(R3): watchdog expiry check (see above)
-                        Instant::now() < deadline,
+                        now < deadline,
                         "cm-shard-{lane}: no reply within {SYNC_TIMEOUT:?}"
                     );
                 }
@@ -754,7 +770,10 @@ impl ShardRuntime {
         // Collect the tail. Any Opened seq in (base, base+len] belongs
         // to this batch — the front is serial, so no other opens are
         // outstanding.
-        // lint:allow(R3): wall-clock watchdog for the batched-open fan-in; feeds no CM decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock watchdog for the batched-open fan-in; feeds no CM decision"
+        )]
         let deadline = Instant::now() + SYNC_TIMEOUT;
         while done < keys.len() {
             let mut progressed = false;
@@ -788,9 +807,13 @@ impl ShardRuntime {
                 }
             }
             if !progressed {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "watchdog expiry check (see above)"
+                )]
+                let now = Instant::now();
                 assert!(
-                    // lint:allow(R3): watchdog expiry check (see above)
-                    Instant::now() < deadline,
+                    now < deadline,
                     "open_batch: {} of {} replies missing after {SYNC_TIMEOUT:?}",
                     keys.len() - done,
                     keys.len()

@@ -15,7 +15,7 @@
 //! `controller_golden.rs` (frozen decision sequences for the shipped
 //! controllers). Each test binary compiles its own copy, so helpers
 //! used by only one binary are dead code in the other.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses only some of the helpers")]
 
 use cm_core::config::{CmConfig, ControllerKind};
 use cm_core::controller::build_controller;

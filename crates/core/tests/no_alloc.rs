@@ -10,7 +10,10 @@
 //! queues — a full split/merge/expire cycle performs zero heap
 //! allocation once the pool is warm.
 
-#![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; the counting allocator needs it
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

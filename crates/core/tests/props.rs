@@ -261,7 +261,7 @@ proptest! {
         });
         let mut now = Time::ZERO;
         let mut flows: Vec<FlowId> = Vec::new();
-        let mut weights: std::collections::HashMap<FlowId, u32> = Default::default();
+        let mut weights: cm_util::FxHashMap<FlowId, u32> = Default::default();
         let mut peak_flows = 0usize;
         let mut peak_mfs = 0usize;
         let mut notes = Vec::new();
@@ -421,8 +421,8 @@ proptest! {
         let policy = cm.config().aggregation;
         let mut now = Time::ZERO;
         let mut flows: Vec<(FlowId, FlowKey)> = Vec::new();
-        let mut peak_shard_flows: std::collections::HashMap<u32, usize> = Default::default();
-        let mut peak_shard_mfs: std::collections::HashMap<u32, usize> = Default::default();
+        let mut peak_shard_flows: cm_util::FxHashMap<u32, usize> = Default::default();
+        let mut peak_shard_mfs: cm_util::FxHashMap<u32, usize> = Default::default();
         let mut notes = Vec::new();
         for op in ops {
             now += Duration::from_millis(11);
@@ -597,7 +597,7 @@ proptest! {
     #[test]
     fn grouping_partition(dsts in proptest::collection::vec(1u32..6, 1..24)) {
         let mut cm = CongestionManager::new(CmConfig::default());
-        let mut by_dst: std::collections::HashMap<u32, MacroflowId> = Default::default();
+        let mut by_dst: std::collections::BTreeMap<u32, MacroflowId> = Default::default();
         for (i, &d) in dsts.iter().enumerate() {
             let key = FlowKey::new(
                 Endpoint::new(1, 1000 + i as u16),

@@ -21,10 +21,8 @@
 //! all three schedulers. The default run is 256 scripts; the `#[ignore]`d
 //! run CI adds is 20,000.
 
-use std::collections::HashMap;
-
 use cm_core::prelude::*;
-use cm_util::DetRng;
+use cm_util::{DetRng, FxHashMap};
 
 const KINDS: [SchedulerKind; 3] = [
     SchedulerKind::RoundRobin,
@@ -42,7 +40,7 @@ struct World {
     now: Time,
     flows: Vec<FlowId>,
     /// The model: thresholds and last-told share of every registered flow.
-    told: HashMap<FlowId, (Thresholds, Rate)>,
+    told: FxHashMap<FlowId, (Thresholds, Rate)>,
     notes: Vec<CmNotification>,
     /// Callbacks the script's checks expected (and saw), so a run can
     /// show it exercised the emission path at all.
@@ -63,7 +61,7 @@ impl World {
             }),
             now: Time::ZERO,
             flows: Vec::new(),
-            told: HashMap::new(),
+            told: FxHashMap::default(),
             notes: Vec::new(),
             callbacks: 0,
         }

@@ -698,8 +698,11 @@ pub struct ShardScalingRow {
 /// fixed timestamps — the counters are exactly reproducible, which is
 /// what lets a *cost* figure live in the byte-deterministic pipeline
 /// (the wall-clock tick is the repo benchmark's `core.front.tick_us`).
+#[expect(
+    clippy::expect_used,
+    reason = "fixed-timestamp script — a CmError means the figure script itself is wrong"
+)]
 pub fn shard_scaling_row(label: &'static str, cfg: cm_core::CmConfig) -> ShardScalingRow {
-    // lint:allow(R2): fixed-timestamp script — a CmError means the figure script itself is wrong
     shard_scaling_script(label, cfg).expect("shard-scaling script")
 }
 
@@ -836,9 +839,15 @@ Rerunning reproduces this file byte for byte.*",
         ]);
     }
     doc.table(&t);
-    // lint:allow(R2): row labels are fixed by the generator loop above; lookup cannot fail
+    #[expect(
+        clippy::unwrap_used,
+        reason = "row labels are fixed by the generator loop above; lookup cannot fail"
+    )]
     let unsharded = rows.iter().find(|r| r.label == "unsharded").unwrap();
-    // lint:allow(R2): row labels are fixed by the generator loop above; lookup cannot fail
+    #[expect(
+        clippy::unwrap_used,
+        reason = "row labels are fixed by the generator loop above; lookup cannot fail"
+    )]
     let sharded16 = rows.iter().find(|r| r.label == "sharded_16").unwrap();
     doc.para(&format!(
         "**At 16 shards the maintenance tick scans {} macroflow slot(s) instead of \
@@ -928,7 +937,10 @@ pub fn parallel_scaling_row(workers: usize) -> ParallelScalingRow {
                 Endpoint::new(1, 1000 + (g as u16) * PER_GROUP + p),
                 Endpoint::new(g + 2, 80),
             );
-            // lint:allow(R2): scripted five-tuples are distinct by construction — open cannot collide
+            #[expect(
+                clippy::expect_used,
+                reason = "scripted five-tuples are distinct by construction — open cannot collide"
+            )]
             flows.push(rt.open(k, now).expect("open"));
         }
     }
@@ -952,7 +964,10 @@ pub fn parallel_scaling_row(workers: usize) -> ParallelScalingRow {
     }
     let stats = rt.stats();
     assert_eq!(rt.op_failures(), 0, "parallel_scaling script failed an op");
-    // lint:allow(R2): proof-point gate — an invariant breach must abort figure generation, not emit bad data
+    #[expect(
+        clippy::expect_used,
+        reason = "proof-point gate — an invariant breach must abort figure generation, not emit bad data"
+    )]
     rt.check_invariants().expect("parallel_scaling invariants");
     let per_worker = rt.worker_stats();
     let cmds_total: u64 = per_worker.iter().map(|w| w.commands).sum();
@@ -1073,7 +1088,10 @@ CI included.*",
         ]);
     }
     doc.table(&t);
-    // lint:allow(R2): the worker grid above always includes 8 — lookup cannot fail
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the worker grid above always includes 8 — lookup cannot fail"
+    )]
     let w8 = rows.iter().find(|r| r.workers == 8).unwrap();
     doc.para(&format!(
         "**Grant and scan counts are identical in every row** ({} grants, {} \
@@ -1260,8 +1278,11 @@ grant_backoffs,feedback_rejected,feedback_clamped,flows_quarantined,flows_reaped
 /// driven into reclaim and backoff, a feedback-free write-off, and the
 /// orphan reaper. Fixed timestamps throughout — the figure regenerates
 /// byte-identically.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed-timestamp script — a CmError means the figure script itself is wrong"
+)]
 pub fn decision_timeline_cm() -> cm_core::CongestionManager {
-    // lint:allow(R2): fixed-timestamp script — a CmError means the figure script itself is wrong
     decision_timeline_script().expect("decision-timeline script")
 }
 

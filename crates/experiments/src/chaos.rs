@@ -143,7 +143,10 @@ pub fn run_chaos(scenario: &str, plan: &FaultPlan) -> ChaosOutcome {
         "alf_blast" => alf_blast(plan),
         "misbehaving_app" => misbehaving_app(plan),
         "flaky_trace" => flaky_trace(plan),
-        // lint:allow(R2): scenario names come from the static registry below — an unknown one is a harness bug
+        #[expect(
+            clippy::panic,
+            reason = "scenario names come from the static registry below — an unknown one is a harness bug"
+        )]
         other => panic!("unknown chaos scenario {other:?}"),
     }
 }
@@ -578,9 +581,12 @@ fn misbehaving_app(plan: &FaultPlan) -> ChaosOutcome {
 /// faults layered on top.
 fn flaky_trace(plan: &FaultPlan) -> ChaosOutcome {
     const TOTAL: u64 = 96 * 1024;
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time-bundled trace — a parse failure means the shipped file is broken"
+    )]
     let schedule =
         BandwidthSchedule::parse_trace(include_str!("../../../traces/flaky_cellular.trace"))
-            // lint:allow(R2): compile-time-bundled trace — a parse failure means the shipped file is broken
             .expect("bundled trace parses");
 
     let mut topo = Topology::new(plan.seed.wrapping_add(0xc4a4));

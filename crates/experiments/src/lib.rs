@@ -49,6 +49,7 @@
 //! format and how to add a figure or a trace.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod builtin;

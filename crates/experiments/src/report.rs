@@ -178,7 +178,10 @@ impl DatFile {
     ///
     /// Panics if no block has been started or the width mismatches.
     pub fn row(&mut self, values: &[f64]) -> &mut Self {
-        // lint:allow(R2): documented panic — row() before block() is a caller bug
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic — row() before block() is a caller bug"
+        )]
         let (name, cols, rows) = self.blocks.last_mut().expect("no block started");
         assert_eq!(values.len(), cols.len(), "column mismatch in block {name}");
         rows.push(values.to_vec());

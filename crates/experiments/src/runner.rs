@@ -118,10 +118,13 @@ pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
     assert!(!exp.seeds.is_empty(), "need at least one seed");
     let mut cells = Vec::new();
     for sched in &exp.schedules {
+        #[expect(
+            clippy::panic,
+            reason = "schedule specs are compiled into the experiment table — a bad one is a harness bug"
+        )]
         let schedule = sched
             .spec
             .build()
-            // lint:allow(R2): schedule specs are compiled into the experiment table — a bad one is a harness bug
             .unwrap_or_else(|e| panic!("schedule {}: {e}", sched.name));
         for &policy in &exp.policies {
             // Fixed-policy apps (vat, co-scheduling) run their cells once.
@@ -160,9 +163,12 @@ pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
         let group = cell.group();
         let fleet = match fleets.iter_mut().find(|(g, _)| *g == group) {
             Some((_, f)) => f,
+            #[expect(
+                clippy::expect_used,
+                reason = "element pushed on the previous line — last_mut cannot fail"
+            )]
             None => {
                 fleets.push((group, FleetStats::new(levels)));
-                // lint:allow(R2): element pushed on the previous line — last_mut cannot fail
                 &mut fleets.last_mut().expect("just pushed").1
             }
         };

@@ -48,7 +48,10 @@ pub struct BulkOutcome {
 }
 
 /// Runs one ttcp-style bulk transfer over `path`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per knob of the scenario"
+)]
 pub fn bulk_transfer(
     mode: CcMode,
     path: &PathSpec,
@@ -78,7 +81,10 @@ pub fn bulk_transfer(
 /// [`bulk_transfer`] with an explicit CM congestion controller — the
 /// end-to-end harness for controller ablations (AIMD vs. the smooth
 /// rate-based scheme the paper suggests for audio/video).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per knob of the scenario"
+)]
 pub fn bulk_transfer_controller(
     mode: CcMode,
     path: &PathSpec,

@@ -22,6 +22,7 @@
 //!   Table 1 fall out of the same code path applications actually run.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod control_socket;

@@ -1,7 +1,5 @@
 //! Clean fixture: every rule's discipline followed; the sweep must
-//! report nothing. Analyzed as a deterministic-crate root.
-
-#![forbid(unsafe_code)]
+//! report nothing.
 
 /// Flat, Copy ring slot.
 // lint:ring-slot

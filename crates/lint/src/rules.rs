@@ -1,17 +1,16 @@
-//! The rule engine: lint directives, region tracking, and the five
-//! workspace rules (see docs/lint.md for the catalog).
+//! The rule engine: lint directives, region tracking, and the two
+//! marker rules (see docs/lint.md for the catalog).
 //!
 //! | id | rule |
 //! |----|------|
 //! | R1 | no allocating calls inside marked hot-path regions |
-//! | R2 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code |
-//! | R3 | no nondeterminism sources in the deterministic crates |
 //! | R4 | ring-slot types derive `Copy`; worker loops never block |
-//! | R5 | every crate root carries `#![forbid(unsafe_code)]` |
 //!
 //! R0 is the meta-rule for the directives themselves (unmatched
 //! markers, suppressions without a reason, unknown directives); it can
-//! never be suppressed.
+//! never be suppressed. The retired ids R2, R3 and R5 (no panics in
+//! library code, determinism, `unsafe`) are stock clippy/rustc lints
+//! now, configured in `clippy.toml` and the root `Cargo.toml`.
 
 use crate::lexer::{self, CommentLine};
 use std::collections::BTreeMap;
@@ -24,14 +23,8 @@ pub enum Rule {
     R0,
     /// Allocation on a marked hot path.
     R1,
-    /// Panicking calls in library code.
-    R2,
-    /// Nondeterminism in a deterministic crate.
-    R3,
     /// Ring-message discipline (Copy slots, non-blocking workers).
     R4,
-    /// Missing `#![forbid(unsafe_code)]` at a crate root.
-    R5,
 }
 
 impl Rule {
@@ -40,10 +33,7 @@ impl Rule {
         match self {
             Rule::R0 => "R0",
             Rule::R1 => "R1",
-            Rule::R2 => "R2",
-            Rule::R3 => "R3",
             Rule::R4 => "R4",
-            Rule::R5 => "R5",
         }
     }
 
@@ -51,10 +41,7 @@ impl Rule {
         match s {
             "R0" => Some(Rule::R0),
             "R1" => Some(Rule::R1),
-            "R2" => Some(Rule::R2),
-            "R3" => Some(Rule::R3),
             "R4" => Some(Rule::R4),
-            "R5" => Some(Rule::R5),
             _ => None,
         }
     }
@@ -87,37 +74,6 @@ impl fmt::Display for Diagnostic {
             self.file, self.line, self.rule, self.message
         )
     }
-}
-
-/// What kind of build target a file belongs to. Rules apply
-/// differentially: R2 is library-only (binaries, tests and examples
-/// may panic), R3 covers library and binary code of the deterministic
-/// crates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FileKind {
-    /// Part of a `lib` target (`src/` outside `src/bin/`).
-    Library,
-    /// A binary (`src/bin/` or `src/main.rs`).
-    Bin,
-    /// Integration tests (`tests/`).
-    Tests,
-    /// Examples (`examples/`).
-    Example,
-}
-
-/// Per-file facts the rule engine needs.
-#[derive(Clone, Debug)]
-pub struct FileMeta {
-    /// Workspace-relative path used in diagnostics.
-    pub path: String,
-    /// Target kind (decides which rules apply).
-    pub kind: FileKind,
-    /// Is this a crate root (`src/lib.rs`)? Enables R5.
-    pub crate_root: bool,
-    /// Does the file belong to a deterministic crate? Enables R3.
-    pub deterministic: bool,
-    /// Vendored stand-in crate: only R0 and R5 apply.
-    pub vendored: bool,
 }
 
 /// Full analysis of one file: diagnostics plus the marker regions, so
@@ -179,30 +135,6 @@ const R1_METHODS: &[&str] = &[
     "split_off",
 ];
 
-/// Panicking methods forbidden in library code.
-const R2_METHODS: &[&str] = &["unwrap", "expect"];
-
-/// Panicking macros forbidden in library code. `unreachable!` and the
-/// assert family stay legal: they document structural invariants.
-const R2_MACROS: &[&str] = &["panic!", "todo!", "unimplemented!"];
-
-/// Nondeterminism sources forbidden in deterministic crates: the
-/// randomly-seeded std hashers, wall-clock reads, and OS RNGs.
-const R3_IDENTS: &[&str] = &[
-    "HashMap",
-    "HashSet",
-    "RandomState",
-    "DefaultHasher",
-    "SystemTime",
-    "thread_rng",
-    "ThreadRng",
-    "OsRng",
-];
-
-/// Path-shaped nondeterminism sources (`Instant` alone is fine — a
-/// stored deadline type — but *reading the wall clock* is not).
-const R3_PATHS: &[&str] = &["Instant::now"];
-
 /// Blocking calls forbidden inside worker-loop regions (method form).
 const R4_METHODS: &[&str] = &[
     "lock",
@@ -227,22 +159,23 @@ enum Directive {
     Allow { rules: Vec<Rule> },
 }
 
-/// Runs every applicable rule over one file.
-pub fn analyze(meta: &FileMeta, source: &str) -> Analysis {
+/// Runs every rule over one file; `path` (workspace-relative) is only
+/// used to label the diagnostics.
+pub fn analyze(path: &str, source: &str) -> Analysis {
     let lexed = lexer::scrub(source);
     let mut diags: Vec<Diagnostic> = Vec::new();
 
     // --- directives ---------------------------------------------------
     let mut directives: Vec<(usize, Directive)> = Vec::new();
     for c in &lexed.comments {
-        parse_directive(meta, c, &mut directives, &mut diags);
+        parse_directive(path, c, &mut directives, &mut diags);
     }
     let mut hot_regions = Vec::new();
     let mut worker_regions = Vec::new();
     let mut ring_slot_lines = Vec::new();
     let mut allows: BTreeMap<usize, Vec<Rule>> = BTreeMap::new();
     build_regions(
-        meta,
+        path,
         &directives,
         last_line(source),
         &mut hot_regions,
@@ -253,22 +186,15 @@ pub fn analyze(meta: &FileMeta, source: &str) -> Analysis {
     );
 
     // --- scans over the scrubbed code ---------------------------------
-    if !meta.vendored {
-        let exempt = cfg_test_regions(&lexed.scrubbed);
-        scan_lines(
-            meta,
-            &lexed.scrubbed,
-            &hot_regions,
-            &worker_regions,
-            &exempt,
-            &mut diags,
-        );
-        for &line in &ring_slot_lines {
-            check_ring_slot(meta, &lexed.scrubbed, line, &mut diags);
-        }
-    }
-    if meta.crate_root {
-        check_crate_root(meta, &lexed.scrubbed, &mut diags);
+    scan_lines(
+        path,
+        &lexed.scrubbed,
+        &hot_regions,
+        &worker_regions,
+        &mut diags,
+    );
+    for &line in &ring_slot_lines {
+        check_ring_slot(path, &lexed.scrubbed, line, &mut diags);
     }
 
     // --- suppression filtering -----------------------------------------
@@ -294,7 +220,7 @@ fn last_line(source: &str) -> usize {
 }
 
 fn parse_directive(
-    meta: &FileMeta,
+    path: &str,
     c: &CommentLine,
     out: &mut Vec<(usize, Directive)>,
     diags: &mut Vec<Diagnostic>,
@@ -311,14 +237,14 @@ fn parse_directive(
         "lint:worker-loop:start" => Some(Directive::WorkerStart),
         "lint:worker-loop:end" => Some(Directive::WorkerEnd),
         "lint:ring-slot" => Some(Directive::RingSlot),
-        _ if t.starts_with("lint:allow") => parse_allow(meta, c.line, t, diags),
+        _ if t.starts_with("lint:allow") => parse_allow(path, c.line, t, diags),
         _ => {
-            diags.push(Diagnostic {
-                file: meta.path.clone(),
-                line: c.line,
-                rule: Rule::R0,
-                message: format!("unknown lint directive `{head}`"),
-            });
+            diags.push(diag(
+                path,
+                c.line,
+                Rule::R0,
+                format!("unknown lint directive `{head}`"),
+            ));
             None
         }
     };
@@ -327,19 +253,9 @@ fn parse_directive(
     }
 }
 
-fn parse_allow(
-    meta: &FileMeta,
-    line: usize,
-    t: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Option<Directive> {
+fn parse_allow(path: &str, line: usize, t: &str, diags: &mut Vec<Diagnostic>) -> Option<Directive> {
     let mut err = |msg: String| {
-        diags.push(Diagnostic {
-            file: meta.path.clone(),
-            line,
-            rule: Rule::R0,
-            message: msg,
-        });
+        diags.push(diag(path, line, Rule::R0, msg));
         None
     };
     let rest = &t["lint:allow".len()..];
@@ -360,6 +276,12 @@ fn parse_allow(
                 return err("R0 (directive syntax) cannot be suppressed".into());
             }
             Some(r) => rules.push(r),
+            None if matches!(id, "R2" | "R3" | "R5") => {
+                return err(format!(
+                    "`{id}` is retired: R2/R3/R5 are clippy/rustc lints now: \
+                     use `#[expect(clippy::…, reason = …)]`"
+                ));
+            }
             None => {
                 return err(format!("unknown rule id `{id}` in suppression"));
             }
@@ -376,9 +298,12 @@ fn parse_allow(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one out-parameter per region kind; a struct would only rename them"
+)]
 fn build_regions(
-    meta: &FileMeta,
+    path: &str,
     directives: &[(usize, Directive)],
     eof_line: usize,
     hot: &mut Vec<(usize, usize)>,
@@ -394,19 +319,19 @@ fn build_regions(
         match d {
             Directive::HotStart => match open_hot {
                 None => open_hot = Some(line),
-                Some(at) => diags.push(region_err(meta, line, "hot-path", "already open", at)),
+                Some(at) => diags.push(region_err(path, line, "hot-path", "already open", at)),
             },
             Directive::HotEnd => match open_hot.take() {
                 Some(start) => hot.push((start, line)),
-                None => diags.push(region_err(meta, line, "hot-path", "not open", line)),
+                None => diags.push(region_err(path, line, "hot-path", "not open", line)),
             },
             Directive::WorkerStart => match open_worker {
                 None => open_worker = Some(line),
-                Some(at) => diags.push(region_err(meta, line, "worker-loop", "already open", at)),
+                Some(at) => diags.push(region_err(path, line, "worker-loop", "already open", at)),
             },
             Directive::WorkerEnd => match open_worker.take() {
                 Some(start) => worker.push((start, line)),
-                None => diags.push(region_err(meta, line, "worker-loop", "not open", line)),
+                None => diags.push(region_err(path, line, "worker-loop", "not open", line)),
             },
             Directive::RingSlot => ring_slots.push(line),
             Directive::Allow { rules } => {
@@ -418,12 +343,12 @@ fn build_regions(
         }
     }
     if let Some(start) = open_hot {
-        diags.push(region_err(meta, start, "hot-path", "never closed", start));
+        diags.push(region_err(path, start, "hot-path", "never closed", start));
         hot.push((start, eof_line));
     }
     if let Some(start) = open_worker {
         diags.push(region_err(
-            meta,
+            path,
             start,
             "worker-loop",
             "never closed",
@@ -433,13 +358,13 @@ fn build_regions(
     }
 }
 
-fn region_err(meta: &FileMeta, line: usize, kind: &str, what: &str, at: usize) -> Diagnostic {
-    Diagnostic {
-        file: meta.path.clone(),
+fn region_err(path: &str, line: usize, kind: &str, what: &str, at: usize) -> Diagnostic {
+    diag(
+        path,
         line,
-        rule: Rule::R0,
-        message: format!("{kind} region {what} (opened at line {at})"),
-    }
+        Rule::R0,
+        format!("{kind} region {what} (opened at line {at})"),
+    )
 }
 
 fn in_regions(regions: &[(usize, usize)], line: usize) -> bool {
@@ -447,23 +372,19 @@ fn in_regions(regions: &[(usize, usize)], line: usize) -> bool {
 }
 
 fn scan_lines(
-    meta: &FileMeta,
+    path: &str,
     scrubbed: &str,
     hot: &[(usize, usize)],
     worker: &[(usize, usize)],
-    exempt: &[(usize, usize)],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let r2_applies = meta.kind == FileKind::Library;
-    let r3_applies = meta.deterministic && matches!(meta.kind, FileKind::Library | FileKind::Bin);
     for (idx, line) in scrubbed.lines().enumerate() {
         let ln = idx + 1;
-        let tested = in_regions(exempt, ln);
         if in_regions(hot, ln) {
             for pat in R1_PATHS {
                 if find_path(line, pat).is_some() {
                     diags.push(diag(
-                        meta,
+                        path,
                         ln,
                         Rule::R1,
                         format!("allocating call `{pat}` on a marked hot path"),
@@ -473,57 +394,10 @@ fn scan_lines(
             for m in R1_METHODS {
                 if find_method(line, m).is_some() {
                     diags.push(diag(
-                        meta,
+                        path,
                         ln,
                         Rule::R1,
                         format!("possibly-allocating call `.{m}()` on a marked hot path"),
-                    ));
-                }
-            }
-        }
-        if r2_applies && !tested {
-            for m in R2_METHODS {
-                if find_method(line, m).is_some() {
-                    diags.push(diag(
-                        meta,
-                        ln,
-                        Rule::R2,
-                        format!("`.{m}()` in library code: return a CmError/Option instead"),
-                    ));
-                }
-            }
-            for pat in R2_MACROS {
-                if find_path(line, pat).is_some() {
-                    diags.push(diag(
-                        meta,
-                        ln,
-                        Rule::R2,
-                        format!("`{pat}` in library code: return a CmError/Option instead"),
-                    ));
-                }
-            }
-        }
-        if r3_applies && !tested {
-            for id in R3_IDENTS {
-                if find_path(line, id).is_some() {
-                    diags.push(diag(
-                        meta,
-                        ln,
-                        Rule::R3,
-                        format!(
-                            "nondeterminism source `{id}` in a deterministic crate \
-                         (use the Fx-hashed maps / simulated time / DetRng)"
-                        ),
-                    ));
-                }
-            }
-            for pat in R3_PATHS {
-                if find_path(line, pat).is_some() {
-                    diags.push(diag(
-                        meta,
-                        ln,
-                        Rule::R3,
-                        format!("wall-clock read `{pat}` in a deterministic crate"),
                     ));
                 }
             }
@@ -532,7 +406,7 @@ fn scan_lines(
             for m in R4_METHODS {
                 if find_method(line, m).is_some() {
                     diags.push(diag(
-                        meta,
+                        path,
                         ln,
                         Rule::R4,
                         format!(
@@ -545,7 +419,7 @@ fn scan_lines(
             for pat in R4_PATHS {
                 if find_path(line, pat).is_some() {
                     diags.push(diag(
-                        meta,
+                        path,
                         ln,
                         Rule::R4,
                         format!("blocking call `{pat}` inside a worker-loop region"),
@@ -556,9 +430,9 @@ fn scan_lines(
     }
 }
 
-fn diag(meta: &FileMeta, line: usize, rule: Rule, message: String) -> Diagnostic {
+fn diag(path: &str, line: usize, rule: Rule, message: String) -> Diagnostic {
     Diagnostic {
-        file: meta.path.clone(),
+        file: path.to_string(),
         line,
         rule,
         message,
@@ -567,12 +441,7 @@ fn diag(meta: &FileMeta, line: usize, rule: Rule, message: String) -> Diagnostic
 
 /// A ring-slot marker at `marker_line` must be followed (within 25
 /// code lines) by a `struct`/`enum` whose derive list includes `Copy`.
-fn check_ring_slot(
-    meta: &FileMeta,
-    scrubbed: &str,
-    marker_line: usize,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_ring_slot(path: &str, scrubbed: &str, marker_line: usize, diags: &mut Vec<Diagnostic>) {
     let mut span = String::new();
     let mut type_line = None;
     for (idx, line) in scrubbed.lines().enumerate() {
@@ -589,7 +458,7 @@ fn check_ring_slot(
     }
     let Some(type_line) = type_line else {
         diags.push(diag(
-            meta,
+            path,
             marker_line,
             Rule::R0,
             "ring-slot marker not followed by a struct/enum declaration".into(),
@@ -599,22 +468,10 @@ fn check_ring_slot(
     let has_copy_derive = span.contains("derive") && find_path(&span, "Copy").is_some();
     if !has_copy_derive {
         diags.push(diag(
-            meta,
+            path,
             type_line,
             Rule::R4,
             "ring-slot type must derive Copy (flat slots only — no heap payloads in rings)".into(),
-        ));
-    }
-}
-
-fn check_crate_root(meta: &FileMeta, scrubbed: &str, diags: &mut Vec<Diagnostic>) {
-    let dense: String = scrubbed.chars().filter(|c| !c.is_whitespace()).collect();
-    if !dense.contains("#![forbid(unsafe_code)]") {
-        diags.push(diag(
-            meta,
-            1,
-            Rule::R5,
-            "crate root missing #![forbid(unsafe_code)]".into(),
         ));
     }
 }
@@ -649,8 +506,8 @@ pub fn find_path(line: &str, pat: &str) -> Option<usize> {
 }
 
 /// Finds a call of method `name`: `.name(` or a `.name::<..>(`
-/// turbofish. The boundary check keeps `unwrap` from matching
-/// `unwrap_or` and `recv` from matching `recv_timeout`.
+/// turbofish. The boundary check keeps `push` from matching
+/// `push_str` and `recv` from matching `recv_timeout`.
 pub fn find_method(line: &str, name: &str) -> Option<usize> {
     let lb = line.as_bytes();
     let mut start = 0;
@@ -671,136 +528,11 @@ pub fn find_method(line: &str, name: &str) -> Option<usize> {
     None
 }
 
-// --- #[cfg(test)] exemption ---------------------------------------------
-
-/// Finds `#[cfg(test)]`-guarded items (and `#[test]` functions) in the
-/// scrubbed source and returns their line ranges; R2/R3 skip them.
-pub fn cfg_test_regions(scrubbed: &str) -> Vec<(usize, usize)> {
-    let bytes = scrubbed.as_bytes();
-    let n = bytes.len();
-    // Precompute byte offset -> line.
-    let mut line_starts = vec![0usize];
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'\n' {
-            line_starts.push(i + 1);
-        }
-    }
-    let line_of = |pos: usize| match line_starts.binary_search(&pos) {
-        Ok(i) => i + 1,
-        Err(i) => i,
-    };
-
-    let mut regions = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        if bytes[i] != b'#' {
-            i += 1;
-            continue;
-        }
-        let attr_at = i;
-        let mut j = i + 1;
-        while j < n && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j >= n || bytes[j] != b'[' {
-            i += 1;
-            continue;
-        }
-        // Find the matching `]` (attribute args may nest brackets).
-        let inner_start = j + 1;
-        let mut depth = 1usize;
-        j += 1;
-        while j < n && depth > 0 {
-            match bytes[j] {
-                b'[' => depth += 1,
-                b']' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        let inner = &scrubbed[inner_start..j.saturating_sub(1)];
-        if !attr_is_test(inner) {
-            i = j;
-            continue;
-        }
-        // Skip any further attributes, then span the guarded item.
-        let mut k = j;
-        loop {
-            while k < n && bytes[k].is_ascii_whitespace() {
-                k += 1;
-            }
-            if k < n && bytes[k] == b'#' {
-                let mut m = k + 1;
-                while m < n && bytes[m].is_ascii_whitespace() {
-                    m += 1;
-                }
-                if m < n && bytes[m] == b'[' {
-                    let mut d = 1usize;
-                    m += 1;
-                    while m < n && d > 0 {
-                        match bytes[m] {
-                            b'[' => d += 1,
-                            b']' => d -= 1,
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    k = m;
-                    continue;
-                }
-            }
-            break;
-        }
-        // Scan to the item body `{..}` or a terminating `;`.
-        let mut end = k;
-        while end < n && bytes[end] != b'{' && bytes[end] != b';' {
-            end += 1;
-        }
-        if end < n && bytes[end] == b'{' {
-            let mut d = 1usize;
-            end += 1;
-            while end < n && d > 0 {
-                match bytes[end] {
-                    b'{' => d += 1,
-                    b'}' => d -= 1,
-                    _ => {}
-                }
-                end += 1;
-            }
-        }
-        regions.push((
-            line_of(attr_at),
-            line_of(end.saturating_sub(1).max(attr_at)),
-        ));
-        i = end.max(j);
-    }
-    regions
-}
-
-/// Is this attribute body a test guard? Covers `cfg(test)`,
-/// `cfg(all(test, ..))`, `cfg_attr(test, ..)` and plain `test`.
-fn attr_is_test(inner: &str) -> bool {
-    let t = inner.trim();
-    if t == "test" {
-        return true;
-    }
-    (t.starts_with("cfg(") || t.starts_with("cfg_attr(") || t.starts_with("cfg ("))
-        && find_path(t, "test").is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lib_meta() -> FileMeta {
-        FileMeta {
-            path: "crates/x/src/lib.rs".into(),
-            kind: FileKind::Library,
-            crate_root: false,
-            deterministic: true,
-            vendored: false,
-        }
-    }
+    const PATH: &str = "crates/x/src/lib.rs";
 
     fn rules_of(a: &Analysis) -> Vec<(usize, Rule)> {
         a.diagnostics.iter().map(|d| (d.line, d.rule)).collect()
@@ -815,7 +547,7 @@ fn hot() { let v = Vec::new(); v.push(1); }
 // lint:hot-path:end
 fn cold2() { let b = Box::new(2); }
 ";
-        let a = analyze(&lib_meta(), src);
+        let a = analyze(PATH, src);
         let r1: Vec<_> = a
             .diagnostics
             .iter()
@@ -823,45 +555,6 @@ fn cold2() { let b = Box::new(2); }
             .collect();
         assert_eq!(r1.len(), 2, "{:?}", a.diagnostics);
         assert!(r1.iter().all(|d| d.line == 3));
-    }
-
-    #[test]
-    fn r2_skips_cfg_test_and_non_library() {
-        let src = "\
-fn lib() { x.unwrap(); }
-#[cfg(test)]
-mod tests {
-    fn t() { y.unwrap(); panic!(); }
-}
-";
-        let a = analyze(&lib_meta(), src);
-        assert_eq!(rules_of(&a), vec![(1, Rule::R2)]);
-        let mut example = lib_meta();
-        example.kind = FileKind::Example;
-        let a = analyze(&example, src);
-        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
-    }
-
-    #[test]
-    fn r2_boundary_does_not_match_unwrap_or() {
-        let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(g); z.expect_err(); }\n";
-        let a = analyze(&lib_meta(), src);
-        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
-    }
-
-    #[test]
-    fn r3_flags_std_hash_and_wall_clock_but_not_fx() {
-        let src = "\
-use std::collections::HashMap;
-fn f() { let m: FxHashMap<u32, u32> = FxHashMap::default(); }
-fn g() { let t = Instant::now(); }
-";
-        let a = analyze(&lib_meta(), src);
-        assert_eq!(rules_of(&a), vec![(1, Rule::R3), (3, Rule::R3)]);
-        let mut nondet = lib_meta();
-        nondet.deterministic = false;
-        let a = analyze(&nondet, src);
-        assert!(a.diagnostics.is_empty());
     }
 
     #[test]
@@ -877,7 +570,7 @@ fn run() {
 }
 // lint:worker-loop:end
 ";
-        let a = analyze(&lib_meta(), src);
+        let a = analyze(PATH, src);
         assert_eq!(rules_of(&a), vec![(3, Rule::R4), (4, Rule::R4)]);
     }
 
@@ -893,48 +586,48 @@ enum Cmd { A }
 #[derive(Clone, Debug)]
 struct Reply { s: String }
 ";
-        assert!(analyze(&lib_meta(), good).diagnostics.is_empty());
-        let a = analyze(&lib_meta(), bad);
+        assert!(analyze(PATH, good).diagnostics.is_empty());
+        let a = analyze(PATH, bad);
         assert_eq!(rules_of(&a), vec![(3, Rule::R4)]);
-    }
-
-    #[test]
-    fn r5_crate_root() {
-        let mut meta = lib_meta();
-        meta.crate_root = true;
-        let a = analyze(&meta, "pub mod x;\n");
-        assert_eq!(rules_of(&a), vec![(1, Rule::R5)]);
-        let a = analyze(&meta, "#![forbid(unsafe_code)]\npub mod x;\n");
-        assert!(a.diagnostics.is_empty());
     }
 
     #[test]
     fn suppression_with_reason_works_same_and_next_line() {
         let src = "\
+// lint:hot-path:start
 fn f() {
-    // lint:allow(R2): poisoning is unrecoverable here
-    m.lock().unwrap();
-    n.take().unwrap() // lint:allow(R2): guarded by is_some above
+    // lint:allow(R1): scratch buffer retains its capacity
+    v.push(1);
+    w.push(2); // lint:allow(R1): bounded by the window
 }
+// lint:hot-path:end
 ";
-        let a = analyze(&lib_meta(), src);
+        let a = analyze(PATH, src);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
 
     #[test]
     fn suppression_without_reason_is_an_error() {
-        let src = "fn f() { x.unwrap() } // lint:allow(R2)\n";
-        let a = analyze(&lib_meta(), src);
+        let src = "\
+// lint:hot-path:start
+fn f() { v.push(1) } // lint:allow(R1)
+// lint:hot-path:end
+";
+        let a = analyze(PATH, src);
         assert!(a.diagnostics.iter().any(|d| d.rule == Rule::R0));
-        // And the R2 itself still fires: a bad allow suppresses nothing.
-        assert!(a.diagnostics.iter().any(|d| d.rule == Rule::R2));
+        // And the R1 itself still fires: a bad allow suppresses nothing.
+        assert!(a.diagnostics.iter().any(|d| d.rule == Rule::R1));
     }
 
     #[test]
     fn suppression_of_wrong_rule_does_not_mask() {
-        let src = "fn f() { x.unwrap() } // lint:allow(R3): wrong rule\n";
-        let a = analyze(&lib_meta(), src);
-        assert_eq!(rules_of(&a), vec![(1, Rule::R2)]);
+        let src = "\
+// lint:hot-path:start
+fn f() { v.push(1) } // lint:allow(R4): wrong rule
+// lint:hot-path:end
+";
+        let a = analyze(PATH, src);
+        assert_eq!(rules_of(&a), vec![(2, Rule::R1)]);
     }
 
     #[test]
@@ -945,7 +638,7 @@ fn f() {
 // lint:hot-path:start
 fn f() {}
 ";
-        let a = analyze(&lib_meta(), src);
+        let a = analyze(PATH, src);
         let r0: Vec<_> = a
             .diagnostics
             .iter()
@@ -965,7 +658,7 @@ fn hot() {
 }
 // lint:hot-path:end
 ";
-        let a = analyze(&lib_meta(), src);
+        let a = analyze(PATH, src);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
 
@@ -978,7 +671,7 @@ fn hot() {
 }
 // lint:hot-path:end
 ";
-        let a = analyze(&lib_meta(), src);
+        let a = analyze(PATH, src);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
 }

@@ -1,71 +1,43 @@
-//! Workspace discovery: which files to scan and what each one is.
+//! Workspace discovery: which files to scan.
 //!
 //! The walker mirrors cargo's target layout conventions instead of
-//! parsing manifests: for every workspace member it scans `src/`
-//! (library code; `src/bin/` and `src/main.rs` are binaries),
-//! `tests/`, and `examples/`. Vendored stand-in crates under `vendor/`
-//! are third-party shims: only the crate-root R5 check applies to them.
-//! The lint fixture corpus (`crates/lint/fixtures/`) holds
-//! deliberately-bad sources and is never swept.
+//! parsing manifests: for the root package and every member under
+//! `crates/` it scans `src/`, `tests/` and `examples/`. The vendored
+//! stand-ins under `vendor/` and the separate `benchmark/` workspace
+//! are outside the sweep, and the lint fixture corpus
+//! (`crates/lint/fixtures/`) holds deliberately-bad sources and is
+//! never swept.
 
-use crate::rules::{FileKind, FileMeta};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Crates whose outputs must be byte-deterministic (golden
-/// fingerprints, figure regeneration): R3 applies to their library and
-/// binary code.
-pub const DETERMINISTIC_CRATES: &[&str] = &["core", "netsim", "adapt", "experiments", "obs"];
 
 /// One file to lint.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Absolute path on disk.
     pub abs: PathBuf,
-    /// The facts the rule engine needs (includes the relative path).
-    pub meta: FileMeta,
+    /// Workspace-relative path used in diagnostics.
+    pub path: String,
 }
 
 /// Enumerates every lintable file under the workspace root, sorted by
 /// relative path so diagnostics come out in a stable order.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();
-
-    // Root package targets.
-    collect_package(root, root, false, false, &mut out)?;
-
-    // Workspace members under crates/.
+    collect_package(root, root, &mut out)?;
     for dir in subdirs(&root.join("crates"))? {
-        let name = dir_name(&dir);
-        let deterministic = DETERMINISTIC_CRATES.contains(&name.as_str());
-        collect_package(root, &dir, deterministic, false, &mut out)?;
+        collect_package(root, &dir, &mut out)?;
     }
-
-    // Vendored stand-ins: crate-root check only.
-    for dir in subdirs(&root.join("vendor"))? {
-        collect_package(root, &dir, false, true, &mut out)?;
-    }
-
-    out.sort_by(|a, b| a.meta.path.cmp(&b.meta.path));
+    out.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(out)
 }
 
-fn collect_package(
-    root: &Path,
-    pkg: &Path,
-    deterministic: bool,
-    vendored: bool,
-    out: &mut Vec<SourceFile>,
-) -> io::Result<()> {
+fn collect_package(root: &Path, pkg: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
     if !pkg.join("Cargo.toml").exists() {
         return Ok(());
     }
-    for (sub, kind) in [
-        ("src", FileKind::Library),
-        ("tests", FileKind::Tests),
-        ("examples", FileKind::Example),
-    ] {
+    for sub in ["src", "tests", "examples"] {
         let dir = pkg.join(sub);
         if !dir.is_dir() {
             continue;
@@ -74,31 +46,11 @@ fn collect_package(
         rust_files(&dir, &mut files)?;
         for abs in files {
             let rel = abs.strip_prefix(root).unwrap_or(&abs);
-            let rel_str = rel.to_string_lossy().replace('\\', "/");
-            let kind = refine_kind(kind, &rel_str);
-            let crate_root = kind == FileKind::Library && rel_str.ends_with("src/lib.rs");
-            out.push(SourceFile {
-                abs: abs.clone(),
-                meta: FileMeta {
-                    path: rel_str,
-                    kind,
-                    crate_root,
-                    deterministic,
-                    vendored,
-                },
-            });
+            let path = rel.to_string_lossy().replace('\\', "/");
+            out.push(SourceFile { abs, path });
         }
     }
     Ok(())
-}
-
-/// `src/bin/*` and `src/main.rs` are binary targets, not library code.
-fn refine_kind(kind: FileKind, rel: &str) -> FileKind {
-    if kind == FileKind::Library && (rel.contains("/src/bin/") || rel.ends_with("src/main.rs")) {
-        FileKind::Bin
-    } else {
-        kind
-    }
 }
 
 fn subdirs(dir: &Path) -> io::Result<Vec<PathBuf>> {
@@ -128,12 +80,6 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-fn dir_name(dir: &Path) -> String {
-    dir.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,23 +91,13 @@ mod tests {
             .and_then(Path::parent)
             .expect("workspace root");
         let files = workspace_files(root).expect("walk");
-        let paths: Vec<&str> = files.iter().map(|f| f.meta.path.as_str()).collect();
+        let paths: Vec<&str> = files.iter().map(|f| f.path.as_str()).collect();
         assert!(paths.contains(&"crates/core/src/shard.rs"));
         assert!(paths.contains(&"src/lib.rs"));
-        // Fixtures are never swept.
-        assert!(!paths.iter().any(|p| p.contains("fixtures")));
-        // Binaries are classified as such.
-        let figures = files
-            .iter()
-            .find(|f| f.meta.path == "crates/experiments/src/bin/figures.rs")
-            .expect("figures bin present");
-        assert_eq!(figures.meta.kind, FileKind::Bin);
-        assert!(figures.meta.deterministic);
-        // Vendor crates are root-check only.
-        let serde = files
-            .iter()
-            .find(|f| f.meta.path == "vendor/serde/src/lib.rs")
-            .expect("vendor serde present");
-        assert!(serde.meta.vendored && serde.meta.crate_root);
+        assert!(paths.contains(&"crates/experiments/src/bin/figures.rs"));
+        // Fixtures, the vendored stand-ins and the benchmark are never swept.
+        assert!(!paths.iter().any(|p| p.contains("fixtures")
+            || p.starts_with("vendor/")
+            || p.starts_with("benchmark/")));
     }
 }

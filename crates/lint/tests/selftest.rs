@@ -4,7 +4,7 @@
 //! the shipped hot-path regions actually cover the functions the
 //! counting-allocator tests exercise.
 
-use cm_lint::{analyze, analyze_workspace_file, FileKind, FileMeta, Rule};
+use cm_lint::{analyze, analyze_workspace_file, Rule};
 use std::path::{Path, PathBuf};
 
 fn fixture_dir() -> PathBuf {
@@ -18,17 +18,9 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root")
 }
 
-/// Analyzes a fixture as library code of a deterministic crate.
-fn run_fixture(name: &str, crate_root: bool) -> (String, cm_lint::Analysis) {
+fn run_fixture(name: &str) -> (String, cm_lint::Analysis) {
     let src = std::fs::read_to_string(fixture_dir().join(name)).expect("fixture readable");
-    let meta = FileMeta {
-        path: format!("crates/lint/fixtures/{name}"),
-        kind: FileKind::Library,
-        crate_root,
-        deterministic: true,
-        vendored: false,
-    };
-    let analysis = analyze(&meta, &src);
+    let analysis = analyze(&format!("crates/lint/fixtures/{name}"), &src);
     (src, analysis)
 }
 
@@ -54,7 +46,7 @@ fn fired(analysis: &cm_lint::Analysis) -> Vec<(usize, Rule)> {
 
 #[test]
 fn r1_fires_on_hot_path_allocations_only() {
-    let (src, a) = run_fixture("bad_r1_hot_alloc.rs", false);
+    let (src, a) = run_fixture("bad_r1_hot_alloc.rs");
     let expect: Vec<(usize, Rule)> = [
         "FIXTURE-R1-VEC-NEW",
         "FIXTURE-R1-PUSH",
@@ -69,70 +61,8 @@ fn r1_fires_on_hot_path_allocations_only() {
 }
 
 #[test]
-fn r2_fires_on_panics_not_on_invariants_or_tests() {
-    let (src, a) = run_fixture("bad_r2_panics.rs", false);
-    let expect: Vec<(usize, Rule)> = [
-        "FIXTURE-R2-UNWRAP",
-        "FIXTURE-R2-EXPECT",
-        "FIXTURE-R2-PANIC",
-        "FIXTURE-R2-TODO",
-        "FIXTURE-R2-UNIMPLEMENTED",
-    ]
-    .iter()
-    .map(|s| (line_of(&src, s), Rule::R2))
-    .collect();
-    assert_eq!(fired(&a), expect, "{:#?}", a.diagnostics);
-}
-
-#[test]
-fn r2_exempt_in_non_library_targets() {
-    let src = std::fs::read_to_string(fixture_dir().join("bad_r2_panics.rs")).unwrap();
-    for kind in [FileKind::Tests, FileKind::Example] {
-        let meta = FileMeta {
-            path: "crates/lint/fixtures/bad_r2_panics.rs".into(),
-            kind,
-            crate_root: false,
-            deterministic: false,
-            vendored: false,
-        };
-        let a = analyze(&meta, &src);
-        assert!(
-            a.diagnostics.iter().all(|d| d.rule != Rule::R2),
-            "{kind:?}: {:#?}",
-            a.diagnostics
-        );
-    }
-}
-
-#[test]
-fn r3_fires_on_nondeterminism_in_deterministic_crates_only() {
-    let (src, a) = run_fixture("bad_r3_nondet.rs", false);
-    let expect: Vec<(usize, Rule)> = [
-        "FIXTURE-R3-HASHMAP",
-        "FIXTURE-R3-INSTANT",
-        "FIXTURE-R3-SYSTEMTIME",
-        "FIXTURE-R3-HASHSET",
-    ]
-    .iter()
-    .map(|s| (line_of(&src, s), Rule::R3))
-    .collect();
-    assert_eq!(fired(&a), expect, "{:#?}", a.diagnostics);
-
-    // The same file in a non-deterministic crate is clean.
-    let meta = FileMeta {
-        path: "crates/lint/fixtures/bad_r3_nondet.rs".into(),
-        kind: FileKind::Library,
-        crate_root: false,
-        deterministic: false,
-        vendored: false,
-    };
-    let a = analyze(&meta, &src);
-    assert!(a.diagnostics.is_empty(), "{:#?}", a.diagnostics);
-}
-
-#[test]
 fn r4_fires_on_non_copy_slots_and_blocking_workers() {
-    let (src, a) = run_fixture("bad_r4_ring.rs", false);
+    let (src, a) = run_fixture("bad_r4_ring.rs");
     let expect: Vec<(usize, Rule)> = [
         ("FIXTURE-R4-NON-COPY", Rule::R4),
         ("FIXTURE-R4-LOCK", Rule::R4),
@@ -148,17 +78,8 @@ fn r4_fires_on_non_copy_slots_and_blocking_workers() {
 }
 
 #[test]
-fn r5_fires_on_crate_root_without_forbid() {
-    let (_, a) = run_fixture("bad_r5_no_forbid.rs", true);
-    assert_eq!(fired(&a), vec![(1, Rule::R5)], "{:#?}", a.diagnostics);
-    // The same file not as a crate root is clean.
-    let (_, a) = run_fixture("bad_r5_no_forbid.rs", false);
-    assert!(a.diagnostics.is_empty(), "{:#?}", a.diagnostics);
-}
-
-#[test]
 fn r0_directive_errors_are_unsuppressible() {
-    let (src, a) = run_fixture("bad_r0_directives.rs", false);
+    let (src, a) = run_fixture("bad_r0_directives.rs");
     let r0_lines: Vec<usize> = a
         .diagnostics
         .iter()
@@ -170,6 +91,7 @@ fn r0_directive_errors_are_unsuppressible() {
         "FIXTURE-R0-UNMATCHED-END",
         "FIXTURE-R0-NO-REASON",
         "FIXTURE-R0-BAD-RULE",
+        "FIXTURE-R0-RETIRED-RULE",
         "FIXTURE-R0-NEVER-CLOSED",
     ] {
         assert!(
@@ -178,13 +100,22 @@ fn r0_directive_errors_are_unsuppressible() {
             a.diagnostics
         );
     }
-    // The reasonless allow suppresses nothing: the unwrap it sat on
+    // The reasonless allow suppresses nothing: the allocation it sat on
     // still fires.
-    let unwrap_line = line_of(&src, "still fires");
+    let alloc_line = line_of(&src, "still fires");
     assert!(
         a.diagnostics
             .iter()
-            .any(|d| d.rule == Rule::R2 && d.line == unwrap_line),
+            .any(|d| d.rule == Rule::R1 && d.line == alloc_line),
+        "{:#?}",
+        a.diagnostics
+    );
+    // A retired id names its replacement instead of the generic error.
+    let retired_line = line_of(&src, "FIXTURE-R0-RETIRED-RULE");
+    assert!(
+        a.diagnostics.iter().any(|d| d.line == retired_line
+            && d.message.contains("R2/R3/R5 are clippy/rustc lints now")
+            && d.message.contains("#[expect(clippy::")),
         "{:#?}",
         a.diagnostics
     );
@@ -192,7 +123,7 @@ fn r0_directive_errors_are_unsuppressible() {
 
 #[test]
 fn clean_fixture_is_clean() {
-    let (_, a) = run_fixture("good_clean.rs", true);
+    let (_, a) = run_fixture("good_clean.rs");
     assert!(a.diagnostics.is_empty(), "{:#?}", a.diagnostics);
     assert_eq!(a.hot_regions.len(), 1);
     assert_eq!(a.worker_regions.len(), 1);

@@ -264,7 +264,7 @@ mod tests {
         let plans: Vec<String> = (0..16)
             .map(|s| format!("{:?}", FaultPlan::seeded(s, Duration::from_secs(20))))
             .collect();
-        let distinct: std::collections::HashSet<&String> = plans.iter().collect();
+        let distinct: std::collections::BTreeSet<&String> = plans.iter().collect();
         assert!(distinct.len() > 8, "plans barely vary: {distinct:?}");
     }
 

@@ -24,6 +24,7 @@
 //! * shared trace instrumentation ([`trace`]).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod channel;

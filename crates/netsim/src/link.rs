@@ -369,10 +369,13 @@ impl Link {
     /// (later packets may overtake it), and duplication schedules a
     /// second delivery. Links without them hold nothing and draw nothing.
     pub fn on_tx_done(&mut self, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
+        #[expect(
+            clippy::expect_used,
+            reason = "event-order invariant — LinkTxDone is only ever scheduled for the serialization in progress"
+        )]
         let tx = self
             .tx
             .take()
-            // lint:allow(R2): event-order invariant — LinkTxDone is only ever scheduled for the serialization in progress
             .expect("LinkTxDone without a serialization in progress");
         debug_assert!(tx.scheduled && tx.done_at == now, "stray LinkTxDone");
         self.stats.count_transmitted(tx.size);

@@ -427,15 +427,21 @@ impl Simulator {
         f: impl FnOnce(&mut T, &mut NodeCtx<'_>) -> R,
     ) -> R {
         self.start_if_needed();
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic — re-entrant with_node is a caller bug"
+        )]
         let mut node = self.nodes[id.0]
             .take()
-            // lint:allow(R2): documented panic — re-entrant with_node is a caller bug
             .expect("node missing (re-entrant with_node?)");
         let result = {
             let any: &mut dyn Any = node.as_mut();
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic — wrong node type is a caller bug"
+            )]
             let typed = any
                 .downcast_mut::<T>()
-                // lint:allow(R2): documented panic — wrong node type is a caller bug
                 .expect("with_node called with wrong node type");
             let mut ctx = NodeCtx {
                 now: self.now,
@@ -454,14 +460,20 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if the node is not of type `T` or is currently detached.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic — wrong node type is a caller bug"
+    )]
     pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic — node_ref during dispatch is a caller bug"
+        )]
         let node = self.nodes[id.0]
             .as_ref()
-            // lint:allow(R2): documented panic — node_ref during dispatch is a caller bug
             .expect("node missing (called during dispatch?)");
         let any: &dyn Any = node.as_ref();
         any.downcast_ref::<T>()
-            // lint:allow(R2): documented panic — wrong node type is a caller bug
             .expect("node_ref called with wrong node type")
     }
 

@@ -7,7 +7,10 @@
 //! values without allocating. A *disabled* tracer must of course also
 //! allocate nothing — it is the default on every CM hot path.
 
-#![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; the counting allocator needs it
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

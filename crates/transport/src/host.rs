@@ -351,14 +351,20 @@ impl Host {
     /// # Panics
     ///
     /// Panics if the app is not of type `T`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic — wrong app type is a caller bug"
+    )]
     pub fn app_ref<T: HostApp>(&self, id: AppId) -> &T {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic — app_ref during dispatch is a caller bug"
+        )]
         let app = self.apps[id.0 as usize]
             .as_ref()
-            // lint:allow(R2): documented panic — app_ref during dispatch is a caller bug
             .expect("app missing (called during dispatch?)");
         let any: &dyn std::any::Any = app.as_ref();
         any.downcast_ref::<T>()
-            // lint:allow(R2): documented panic — wrong app type is a caller bug
             .expect("app_ref called with wrong app type")
     }
 
@@ -373,8 +379,11 @@ impl Host {
     }
 
     /// This host's address (known after simulation start).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic — address() before simulation start is a caller bug"
+    )]
     pub fn address(&self) -> Addr {
-        // lint:allow(R2): documented panic — address() before simulation start is a caller bug
         self.addr.expect("host address unknown before start")
     }
 
@@ -987,20 +996,26 @@ impl HostOs<'_, '_> {
     /// `(remote, remote_port)` — `cm_open` + `setsockopt(CM_BUF)` (§3.3).
     pub fn ccudp_connect(&mut self, sock: UdpSocketId, remote: Addr, remote_port: u16) -> FlowId {
         let now = self.ctx.now();
+        #[expect(
+            clippy::expect_used,
+            reason = "syscall-shaped API — connecting a closed socket id is a caller bug (EBADF)"
+        )]
         let local_port = self.host.socks[sock.0 as usize]
             .as_ref()
-            // lint:allow(R2): syscall-shaped API — connecting a closed socket id is a caller bug (EBADF)
             .expect("socket open")
             .local_port;
         let fkey = FlowKey::new(
             Endpoint::new(self.ctx.addr().0, local_port),
             Endpoint::new(remote.0, remote_port),
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "duplicate five-tuple on one host — a scenario-script bug, not a runtime condition"
+        )]
         let flow = self
             .host
             .cm
             .open(fkey, now)
-            // lint:allow(R2): duplicate five-tuple on one host — a scenario-script bug, not a runtime condition
             .expect("ccudp flow open failed");
         self.host.flow_owner.set(flow, FlowOwner::CcUdp(sock));
         if let Some(s) = self.host.socks[sock.0 as usize].as_mut() {
@@ -1080,7 +1095,10 @@ impl HostOs<'_, '_> {
             Endpoint::new(self.ctx.addr().0, local_port),
             Endpoint::new(remote.0, remote_port),
         );
-        // lint:allow(R2): duplicate five-tuple on one host — a scenario-script bug, not a runtime condition
+        #[expect(
+            clippy::expect_used,
+            reason = "duplicate five-tuple on one host — a scenario-script bug, not a runtime condition"
+        )]
         let flow = self.host.cm.open(fkey, now).expect("cm_open failed");
         self.host.flow_owner.set(flow, FlowOwner::App(self.app));
         flow

@@ -301,8 +301,9 @@ pub struct TcpConnection {
     ooo: Ranges,
     /// Cumulative in-order data bytes delivered to the application.
     delivered: u64,
-    /// Whether the peer's SYN consumed offset 0 (always true once
-    /// connected; affects the data-byte accounting).
+    /// Stream offset of the peer's FIN, once a segment carrying it has
+    /// arrived: delivered-data accounting stops short of it, and
+    /// `PeerClosed` fires once `rcv_nxt` passes it.
     peer_fin_at: Option<u64>,
     /// Segments received since the last ACK was sent.
     segs_since_ack: u32,
@@ -981,7 +982,9 @@ impl TcpConnection {
         None
     }
 
-    /// Native mode: transmits as much as the window permits.
+    /// Sends what the mode allows now. Native mode transmits as much as
+    /// the congestion and peer windows permit; CM mode only tops up its
+    /// `cm_request`s (`maybe_request`) and transmits when granted.
     fn pump(&mut self, now: Time, out: &mut Vec<TcpAction>) {
         match self.mode {
             CcMode::Cm => {

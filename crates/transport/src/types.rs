@@ -60,7 +60,7 @@ mod tests {
     fn ids_are_ordered_and_hashable() {
         assert!(TcpConnId(1) < TcpConnId(2));
         assert!(UdpSocketId(3) != UdpSocketId(4));
-        let mut set = std::collections::HashSet::new();
+        let mut set = cm_util::FxHashSet::default();
         set.insert(AppId(0));
         assert!(set.contains(&AppId(0)));
     }

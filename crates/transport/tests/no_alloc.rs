@@ -10,7 +10,10 @@
 //! allocate exactly that and nothing else: no action list per TCP entry
 //! point, no tree node per out-of-order segment, no map entry per timer.
 
-#![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; the counting allocator needs it
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

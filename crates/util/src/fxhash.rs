@@ -6,6 +6,11 @@
 //! host stack (not by remote attackers), so DoS-resistant hashing buys
 //! nothing and costs a measurable slice of the per-packet path.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned wrapper: std's maps with a fixed-seed hasher"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -15,6 +15,7 @@
 //! [`cm-core`]: ../cm_core/index.html
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod ewma;

@@ -26,6 +26,7 @@
 //! one binary per table and figure in the paper's evaluation.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub use cm_adapt as adapt;
