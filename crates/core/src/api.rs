@@ -27,8 +27,8 @@
 //!
 //! Internally the CM is a set of shards (`crate::shard::Shard`) keyed by
 //! aggregation group id: each shard owns its own flow/macroflow slabs,
-//! free-lists, generation arrays, notification outbox, and
-//! re-aggregation state, and this type is a thin front over the shard
+//! free-lists, generation arrays, and notification outbox, and this type
+//! is a thin front over the shard
 //! engine (`crate::engine`) that routes every entry point to the owning
 //! shard — by the shard index encoded in the id's high bits for
 //! flow/macroflow-addressed calls, and by the engine's group→shard
@@ -37,14 +37,13 @@
 //! and behaviour (ids included) is byte-compatible with the historical
 //! unsharded CM; [`crate::config::ShardingMode::ByGroup`] gives each
 //! group its own shard, created lazily and recycled through a shell
-//! pool when empty. `split`/`merge` and dynamic re-aggregation stay
-//! intra-shard by construction (a flow's private macroflows live in
-//! its home shard). `merge_unchecked` is bounded by the *shard*, not
-//! the group: a target in another shard is rejected with
-//! [`CmError::CrossShardMerge`] (shards own disjoint slabs), while
-//! groups that share a shard — always in single mode, and past the
-//! `max_shards` cap in by-group mode — keep the historical §5
-//! cross-group semantics.
+//! pool when empty. `split`/`merge` stay intra-shard by construction
+//! (a flow's private macroflows live in its home shard).
+//! `merge_unchecked` is bounded by the *shard*, not the group: a target
+//! in another shard is rejected with [`CmError::CrossShardMerge`]
+//! (shards own disjoint slabs), while groups that share a shard — always
+//! in single mode, and past the `max_shards` cap in by-group mode — keep
+//! the historical §5 cross-group semantics.
 
 use cm_obs::{FlightRecorder, MetricsSnapshot, TraceRecord};
 use cm_util::Time;
@@ -113,12 +112,6 @@ pub struct CmStats {
     pub macroflows_created: u64,
     /// Macroflows expired after lingering empty.
     pub macroflows_expired: u64,
-    /// Flows automatically split onto a private macroflow because their
-    /// RTT/loss feedback persistently diverged from the group's.
-    pub auto_splits: u64,
-    /// Flows automatically merged back into their home group after
-    /// their congestion signals re-converged.
-    pub auto_merges: u64,
     /// Shards created (lazily, on a group's first `open`).
     pub shards_created: u64,
     /// Shards recycled into the shell pool after emptying.
@@ -130,7 +123,8 @@ pub struct CmStats {
     pub tick_shards_skipped: u64,
     /// Macroflow slab slots examined across all `tick` scans — the
     /// deterministic measure of maintenance cost the `shard_scaling`
-    /// figure and the `sharding` bench group report.
+    /// figure and the repo benchmark's
+    /// `core.shard.tick_mfs_scanned_per_tick` report.
     pub tick_mfs_scanned: u64,
     /// `update` reports rejected whole by feedback sanity validation
     /// (impossible byte counts, or the flow was quarantined).
@@ -176,8 +170,6 @@ impl CmStats {
             write_off_congestion_signals,
             macroflows_created,
             macroflows_expired,
-            auto_splits,
-            auto_merges,
             shards_created,
             shards_recycled,
             tick_shards_visited,
@@ -205,8 +197,6 @@ impl CmStats {
         self.write_off_congestion_signals += write_off_congestion_signals;
         self.macroflows_created += macroflows_created;
         self.macroflows_expired += macroflows_expired;
-        self.auto_splits += auto_splits;
-        self.auto_merges += auto_merges;
         self.shards_created += shards_created;
         self.shards_recycled += shards_recycled;
         self.tick_shards_visited += tick_shards_visited;
@@ -386,14 +376,6 @@ impl CongestionManager {
     /// bytes, the congestion kind, and an optional RTT sample. Drives the
     /// congestion controller, the shared RTT estimate, and the loss-rate
     /// EWMA; newly opened window is granted out and rate callbacks fire.
-    ///
-    /// With [`CmConfig::reaggregation`] set, this is also where flow
-    /// divergence is detected: a flow whose RTT samples (or loss
-    /// estimate) persistently disagree with its macroflow's shared state
-    /// is evidently not sharing the group's path, and is split out onto
-    /// a private macroflow (the maintenance timer merges it back once
-    /// the signals re-converge). The private macroflow lives in the
-    /// flow's own shard, so the cycle never crosses shards.
     pub fn update(&mut self, flow: FlowId, report: FeedbackReport, now: Time) -> CmResult<()> {
         self.flow_shard_mut(flow)?.update(flow, report, now)
     }
@@ -487,7 +469,6 @@ impl CongestionManager {
 
     /// Runs periodic maintenance: reclaims grants whose clients never
     /// notified, ages idle macroflows, grants freshly available window,
-    /// merges re-converged auto-split flows back into their home groups,
     /// and expires long-empty macroflows. Hosts call this from a coarse
     /// timer (tens to hundreds of milliseconds).
     ///
@@ -701,8 +682,8 @@ impl CongestionManager {
 
     /// The scheduler weight registered for `flow` on its current
     /// macroflow (1 under unweighted disciplines). Pinned by the
-    /// weight-preservation regression tests: migration via `split`,
-    /// `merge`, or dynamic re-aggregation must never reset it.
+    /// weight-preservation regression tests: migration via `split` or
+    /// `merge` must never reset it.
     pub fn weight_of(&self, flow: FlowId) -> CmResult<u32> {
         self.flow_shard_ref(flow)?.weight_of(flow)
     }
@@ -913,22 +894,6 @@ mod tests {
             }
         });
         assert_eq!(lifecycle, vec!["shard_created", "shard_recycled"]);
-    }
-
-    #[test]
-    fn dscp_grouping_optional() {
-        let mut cm = CongestionManager::new(CmConfig {
-            group_by_dscp: true,
-            ..Default::default()
-        });
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9).with_dscp(46), Time::ZERO).unwrap();
-        assert_ne!(cm.macroflow_of(f1).unwrap(), cm.macroflow_of(f2).unwrap());
-
-        let mut cm = CongestionManager::new(CmConfig::default());
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9).with_dscp(46), Time::ZERO).unwrap();
-        assert_eq!(cm.macroflow_of(f1).unwrap(), cm.macroflow_of(f2).unwrap());
     }
 
     /// Regression: outstanding bytes whose feedback never arrives (the
@@ -1429,8 +1394,7 @@ mod tests {
 
     /// Regression (satellite fix): a scheduler weight set via
     /// `set_weight` — and any pending requests — must survive every
-    /// migration path: explicit split, merge back, and dynamic
-    /// re-aggregation. Previously nothing pinned this; a migration that
+    /// migration path: split and merge back. Previously nothing pinned this; a migration that
     /// re-registered the flow at the default weight would silently
     /// revert `set_weight`.
     #[test]
@@ -1480,225 +1444,6 @@ mod tests {
         // round trip left the private macroflow empty.
         assert_eq!(cm.macroflow_of(f2).unwrap(), home);
         assert!(cm.flows_in(private).unwrap().is_empty());
-    }
-
-    /// Dynamic re-aggregation end to end: a flow whose RTT feedback
-    /// persistently disagrees with its macroflow is split out onto a
-    /// private macroflow, and merged back by the maintenance timer once
-    /// its signals re-converge — with its scheduler weight intact.
-    #[test]
-    fn divergent_flow_auto_splits_then_merges_back() {
-        use crate::config::{ReaggregationConfig, SchedulerKind};
-        let reagg = ReaggregationConfig {
-            divergence_samples: 4,
-            min_dwell: Duration::from_millis(500),
-            ..Default::default()
-        };
-        let mut cm = CongestionManager::new(CmConfig {
-            scheduler: SchedulerKind::WeightedRoundRobin,
-            reaggregation: Some(reagg),
-            pacing: false,
-            ..Default::default()
-        });
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
-        let home = cm.macroflow_of(f1).unwrap();
-        cm.set_weight(f2, 4).unwrap();
-        let mut now = Time::ZERO;
-        // Establish the shared estimate from f1: 50 ms.
-        for _ in 0..6 {
-            cm.update(
-                f1,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        // f2 persistently reports 4x the shared RTT: it is clearly not
-        // behind the same bottleneck.
-        for _ in 0..4 {
-            cm.update(
-                f2,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(200)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        let private = cm.macroflow_of(f2).unwrap();
-        assert_ne!(private, home, "diverging flow was not split out");
-        assert_eq!(cm.stats().auto_splits, 1);
-        assert_eq!(cm.weight_of(f2).unwrap(), 4, "weight reset by auto-split");
-        assert_eq!(cm.flows_in(home).unwrap(), &[f1]);
-
-        // Signals re-converge: f2 now reports RTTs matching the group.
-        for _ in 0..12 {
-            cm.update(
-                f2,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(55)),
-                now,
-            )
-            .unwrap();
-            cm.update(
-                f1,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        cm.tick(now + Duration::from_secs(1));
-        assert_eq!(
-            cm.macroflow_of(f2).unwrap(),
-            home,
-            "converged flow was not merged back"
-        );
-        assert_eq!(cm.stats().auto_merges, 1);
-        assert_eq!(cm.weight_of(f2).unwrap(), 4, "weight reset by merge-back");
-    }
-
-    /// Merge-back must respect the aggregation group: a foreign flow
-    /// the app explicitly merged onto an auto-split private macroflow
-    /// (legal — private targets accept any flow) must NOT be swept into
-    /// the home group when the private macroflow converges. Doing so
-    /// would produce a membership/key mismatch the checked `merge`
-    /// rejects, silently undoing the app's grouping.
-    #[test]
-    fn merge_back_leaves_foreign_flows_behind() {
-        use crate::config::ReaggregationConfig;
-        let reagg = ReaggregationConfig {
-            divergence_samples: 2,
-            min_dwell: Duration::from_millis(100),
-            ..Default::default()
-        };
-        let mut cm = CongestionManager::new(CmConfig {
-            reaggregation: Some(reagg),
-            pacing: false,
-            ..Default::default()
-        });
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
-        // A flow to a different destination entirely.
-        let foreign = cm.open(key(1002, 7), Time::ZERO).unwrap();
-        let home = cm.macroflow_of(f1).unwrap();
-        let mut now = Time::ZERO;
-        for _ in 0..4 {
-            cm.update(
-                f1,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        // f2 diverges and is split out.
-        for _ in 0..2 {
-            cm.update(
-                f2,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(300)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        let private = cm.macroflow_of(f2).unwrap();
-        assert_ne!(private, home);
-        // The app deliberately groups the foreign flow with f2 (legal:
-        // private macroflows accept any flow).
-        cm.merge(foreign, private, now).unwrap();
-        // Signals re-converge and the dwell elapses.
-        for _ in 0..10 {
-            cm.update(
-                f2,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            cm.update(
-                f1,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        cm.tick(now + Duration::from_secs(1));
-        // f2 went home; the foreign flow stayed put, and the private
-        // macroflow is now plain private (no further home checks).
-        assert_eq!(cm.macroflow_of(f2).unwrap(), home);
-        assert_eq!(cm.macroflow_of(foreign).unwrap(), private);
-        assert_eq!(cm.flows_in(private).unwrap(), &[foreign]);
-        assert_eq!(cm.stats().auto_merges, 1);
-        // Another converged tick must not move the foreign flow either.
-        cm.tick(now + Duration::from_secs(2));
-        assert_eq!(cm.macroflow_of(foreign).unwrap(), private);
-    }
-
-    /// Re-aggregation dwell: a just-split flow is not merged back before
-    /// `min_dwell`, even if the estimates agree immediately.
-    #[test]
-    fn merge_back_honours_dwell() {
-        use crate::config::ReaggregationConfig;
-        let reagg = ReaggregationConfig {
-            divergence_samples: 2,
-            min_dwell: Duration::from_secs(5),
-            ..Default::default()
-        };
-        let mut cm = CongestionManager::new(CmConfig {
-            reaggregation: Some(reagg),
-            pacing: false,
-            ..Default::default()
-        });
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
-        let home = cm.macroflow_of(f1).unwrap();
-        let mut now = Time::ZERO;
-        for _ in 0..4 {
-            cm.update(
-                f1,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        for _ in 0..2 {
-            cm.update(
-                f2,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(300)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        assert_ne!(cm.macroflow_of(f2).unwrap(), home);
-        // Immediately agreeing again is not enough: dwell first. (f1
-        // keeps reporting so the shared estimate — briefly pulled up by
-        // f2's divergent samples — settles back.)
-        for _ in 0..8 {
-            cm.update(
-                f2,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            cm.update(
-                f1,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        cm.tick(now);
-        assert_ne!(
-            cm.macroflow_of(f2).unwrap(),
-            home,
-            "merged back before dwell elapsed"
-        );
-        cm.tick(now + Duration::from_secs(5));
-        assert_eq!(cm.macroflow_of(f2).unwrap(), home);
     }
 
     /// Expired macroflow shells are parked and reused, so macroflow
@@ -1934,89 +1679,6 @@ mod tests {
         );
     }
 
-    /// Regression (satellite): a recycled flow slot must not inherit the
-    /// previous tenant's `diverge_streak`. Flow A accumulates a streak
-    /// just below the split threshold and closes; flow B reuses the slot
-    /// and must need the FULL threshold of diverging reports before it
-    /// is auto-split — a stale streak would split it on its first one.
-    #[test]
-    fn recycled_flow_slot_does_not_inherit_diverge_streak() {
-        use crate::config::ReaggregationConfig;
-        let reagg = ReaggregationConfig {
-            divergence_samples: 4,
-            ..Default::default()
-        };
-        let mut cm = CongestionManager::new(CmConfig {
-            reaggregation: Some(reagg),
-            pacing: false,
-            ..Default::default()
-        });
-        let anchor = cm.open(key(999, 9), Time::ZERO).unwrap();
-        let mut now = Time::ZERO;
-        // Establish the shared RTT estimate at 50 ms.
-        for _ in 0..6 {
-            cm.update(
-                anchor,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        // Flow A diverges for 3 of the 4 required samples, then closes.
-        let a = cm.open(key(1000, 9), now).unwrap();
-        for _ in 0..3 {
-            cm.update(
-                a,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(600)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        assert_eq!(cm.stats().auto_splits, 0, "split below threshold");
-        cm.close(a, now).unwrap();
-        // Re-anchor the shared estimate while the anchor is the sole
-        // member (a lone flow is never divergence-eligible, so this
-        // cannot feed the anchor's own streak).
-        for _ in 0..6 {
-            cm.update(
-                anchor,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        // Flow B recycles A's slot (slab free-list is LIFO).
-        let b = cm.open(key(1001, 9), now).unwrap();
-        assert_eq!(b, a, "slab should recycle the freed slot");
-        // B needs all 4 diverging samples of its own: after 3 it must
-        // still be on the shared macroflow.
-        for _ in 0..3 {
-            cm.update(
-                b,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(600)),
-                now,
-            )
-            .unwrap();
-            now += Duration::from_millis(50);
-        }
-        assert_eq!(
-            cm.stats().auto_splits,
-            0,
-            "recycled slot inherited a stale diverge streak"
-        );
-        // The fourth diverging sample triggers the split as designed.
-        cm.update(
-            b,
-            FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(600)),
-            now,
-        )
-        .unwrap();
-        assert_eq!(cm.stats().auto_splits, 1, "threshold never reached");
-    }
-
     /// Regression (review finding): the quiet-shard skip must not
     /// disable the idle staleness rule. A macroflow with a learned
     /// window and no other maintenance work keeps its shard scannable
@@ -2028,7 +1690,6 @@ mod tests {
     #[test]
     fn idle_window_ages_despite_quiet_skip() {
         let mut cm = CongestionManager::new(CmConfig {
-            aging_interval: Some(Duration::from_secs(1)),
             pacing: false,
             ..Default::default()
         });
@@ -2055,7 +1716,8 @@ mod tests {
         let learned = cm.window_of(mf).unwrap();
         assert!(learned >= 4 * 1460, "window never grew ({learned})");
         // The flow idles; the periodic timer keeps firing. Each elapsed
-        // aging interval must halve the window down to the initial one.
+        // RTO (the 200 ms floor here) must halve the window down to the
+        // initial one.
         for i in 1..=10u64 {
             cm.tick(now + Duration::from_secs(i));
         }
@@ -2385,7 +2047,7 @@ mod tests {
             grant_timeout: Duration::from_millis(10),
             ..Default::default()
         };
-        let streak = cfg.unresponsive.expect("default on").reclaim_streak;
+        let streak = crate::shard::RECLAIM_STREAK;
         let mut cm = CongestionManager::new(cfg);
         let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
         // Ignore `streak` grants in a row; each expires and is reclaimed.
@@ -2419,7 +2081,7 @@ mod tests {
             grant_timeout: Duration::from_millis(10),
             ..Default::default()
         };
-        let streak = cfg.unresponsive.expect("default on").reclaim_streak;
+        let streak = crate::shard::RECLAIM_STREAK;
         let mut cm = CongestionManager::new(cfg);
         let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
         let mut now = Time::ZERO;

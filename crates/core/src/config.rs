@@ -12,9 +12,7 @@ use crate::types::FlowKey;
 /// destinations behind one bottleneck — and the API's `split`/`merge`
 /// calls exist so applications can restructure groups themselves. This
 /// enum makes the granularity a first-class, pluggable policy: `open`
-/// consults it to pick (or create) the flow's macroflow, and dynamic
-/// re-aggregation (see [`ReaggregationConfig`]) moves flows whose
-/// congestion signals disagree with their group.
+/// consults it to pick (or create) the flow's macroflow.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AggregationPolicy {
     /// One macroflow per destination host (the paper's default; exactly
@@ -70,58 +68,15 @@ impl AggregationPolicy {
     }
 }
 
-/// Thresholds for dynamic re-aggregation: the CM watches each flow's
-/// feedback and *splits out* a flow whose RTT/loss signals persistently
-/// disagree with its macroflow (it is evidently not sharing the group's
-/// bottleneck), then *merges it back* once the signals re-converge.
-///
-/// Disabled by default ([`CmConfig::reaggregation`] is `None`): the
-/// paper's CM never regroups on its own, and byte-compatibility with the
-/// static grouping is the default contract.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReaggregationConfig {
-    /// A flow's RTT sample diverges when it differs from the macroflow's
-    /// smoothed RTT by more than this factor (in either direction).
-    pub rtt_ratio: f64,
-    /// A flow's loss estimate diverges when it differs from the
-    /// macroflow's by more than this absolute fraction.
-    pub loss_delta: f64,
-    /// Consecutive diverging feedback reports before the flow is split
-    /// onto its own macroflow.
-    pub divergence_samples: u32,
-    /// An auto-split flow merges back once its private smoothed RTT is
-    /// within this factor of its home macroflow's (and the loss
-    /// estimates agree within `loss_delta`).
-    pub converge_ratio: f64,
-    /// Minimum time a split-out flow stays on its private macroflow
-    /// before a merge-back is considered (hysteresis against flapping).
-    pub min_dwell: Duration,
-}
-
-impl Default for ReaggregationConfig {
-    /// Conservative defaults: split after 8 consecutive reports off by
-    /// 2x RTT (or 15% loss), merge back after 2 s once within 1.5x.
-    fn default() -> Self {
-        ReaggregationConfig {
-            rtt_ratio: 2.0,
-            loss_delta: 0.15,
-            divergence_samples: 8,
-            converge_ratio: 1.5,
-            min_dwell: Duration::from_secs(2),
-        }
-    }
-}
-
 /// How the CM's state is partitioned into shards.
 ///
 /// The unsharded CM keeps one flow slab, one macroflow slab, and one
 /// maintenance scan for the whole host. At the scale the roadmap targets
 /// (millions of flows), the aggregation group *is* the natural sharding
 /// key: flows in different groups share no congestion state, so each
-/// group's slabs, free-lists, notification outbox, and re-aggregation
-/// machinery can live in their own shard, and the maintenance `tick` can
-/// skip shards with nothing to do instead of scanning every macroflow on
-/// the host.
+/// group's slabs, free-lists, and notification outbox can live in their
+/// own shard, and the maintenance `tick` can skip shards with nothing to
+/// do instead of scanning every macroflow on the host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardingMode {
     /// One shard for everything — byte-compatible with the historical
@@ -169,27 +124,6 @@ impl ShardingConfig {
         ShardingConfig {
             mode: ShardingMode::ByGroup { max_shards },
         }
-    }
-}
-
-/// Backoff policy for applications that take grants and never notify.
-///
-/// A single missed grant is routine (the app lost a race with `close`);
-/// a *streak* of reclaimed grants means the app is wedged, and granting
-/// to it again immediately just burns window another flow could use. On
-/// a streak, the flow's further requests are parked for an exponentially
-/// growing backoff (100 ms doubling to 3.2 s) instead of re-entering the
-/// scheduler.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct UnresponsiveConfig {
-    /// Consecutive reclaimed grants before backoff engages.
-    pub reclaim_streak: u32,
-}
-
-impl Default for UnresponsiveConfig {
-    /// Back off after 3 consecutive reclaims.
-    fn default() -> Self {
-        UnresponsiveConfig { reclaim_streak: 3 }
     }
 }
 
@@ -269,11 +203,6 @@ pub struct CmConfig {
     /// RFC 2581 value); Linux 2.2 used 2, the source of the one-RTT
     /// difference visible in Figures 4 and 7.
     pub initial_window_mtus: u32,
-    /// Hard upper bound on any controller's congestion window, in bytes.
-    /// The default (2^40) matches the historical AIMD fixed-point guard
-    /// and sits far above every real path's bandwidth-delay product, so
-    /// it only bites on runaway feedback.
-    pub max_window_bytes: u64,
     /// How long a send grant may stay unclaimed before the timer-driven
     /// maintenance pass reclaims its window reservation.
     pub grant_timeout: Duration,
@@ -284,20 +213,9 @@ pub struct CmConfig {
     /// How flows are grouped into macroflows (paper §2 default plus the
     /// §5 coarser granularities).
     pub aggregation: AggregationPolicy,
-    /// Dynamic re-aggregation thresholds; `None` (the default) keeps
-    /// grouping static, exactly as the paper's CM behaves.
-    pub reaggregation: Option<ReaggregationConfig>,
     /// How the CM's state is partitioned into shards (default: one
     /// shard, the paper's single trust domain).
     pub sharding: ShardingConfig,
-    /// Include the DSCP in the macroflow key, so differentiated-services
-    /// classes do not share congestion state (paper §5).
-    pub group_by_dscp: bool,
-    /// Idle interval after which a macroflow's window is halved, per
-    /// interval, down to the initial window; `None` uses the current RTO.
-    /// This is the staleness rule that lets Figure 7's later connections
-    /// reuse — but not blindly trust — old state.
-    pub aging_interval: Option<Duration>,
     /// How long an empty macroflow (no open flows) retains its congestion
     /// state before being discarded.
     pub macroflow_linger: Duration,
@@ -308,9 +226,6 @@ pub struct CmConfig {
     /// connection reuse a large learned window (Figure 7) without
     /// dumping a window-sized burst into the bottleneck queue.
     pub pacing: bool,
-    /// Backoff for apps that repeatedly let grants expire; `None`
-    /// disables backoff (every reclaimed request simply re-queues).
-    pub unresponsive: Option<UnresponsiveConfig>,
     /// Reap flows whose owner has made no API call at all for this long
     /// (a crashed app that left flows open), returning their slots to
     /// the shard free-lists. `None` (the default) disables reaping —
@@ -331,20 +246,15 @@ impl Default for CmConfig {
         CmConfig {
             mtu: 1460,
             initial_window_mtus: 1,
-            max_window_bytes: 1 << 40,
             grant_timeout: Duration::from_millis(500),
             controller: ControllerKind::Aimd {
                 byte_counting: true,
             },
             scheduler: SchedulerKind::RoundRobin,
             aggregation: AggregationPolicy::Destination,
-            reaggregation: None,
             sharding: ShardingConfig::default(),
-            group_by_dscp: false,
-            aging_interval: None,
             macroflow_linger: Duration::from_secs(120),
             pacing: true,
-            unresponsive: Some(UnresponsiveConfig::default()),
             orphan_timeout: None,
             tracing: None,
         }
@@ -387,9 +297,6 @@ mod tests {
         );
         assert_eq!(c.scheduler, SchedulerKind::RoundRobin);
         assert_eq!(c.initial_window_bytes(), 1460);
-        // The window cap defaults to the historical AIMD fixed-point
-        // guard, so enforcing it config-wide changed no behaviour.
-        assert_eq!(c.max_window_bytes, 1 << 40);
     }
 
     #[test]
@@ -435,21 +342,23 @@ mod tests {
 
     #[test]
     fn default_config_keeps_static_destination_grouping() {
+        use crate::types::Endpoint;
         let c = CmConfig::default();
         assert_eq!(c.aggregation, AggregationPolicy::Destination);
-        assert!(c.reaggregation.is_none());
-        let r = ReaggregationConfig::default();
-        assert!(r.rtt_ratio > 1.0 && r.converge_ratio > 1.0);
-        assert!(r.divergence_samples > 0);
+        // The DSCP is part of a flow's identity, not of its group.
+        let key = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(9, 80));
+        assert_eq!(
+            c.aggregation.group_of(&key),
+            c.aggregation.group_of(&key.with_dscp(46))
+        );
     }
 
     #[test]
     fn hardening_defaults() {
         let c = CmConfig::default();
-        // Backoff engages only on a streak, so single reclaims behave
-        // exactly as before.
-        let u = c.unresponsive.expect("backoff on by default");
-        assert!(u.reclaim_streak >= 2);
+        // Backoff engages only on a streak, so a single reclaim behaves
+        // as it would without it.
+        assert_eq!(crate::shard::RECLAIM_STREAK, 3);
         // Orphan reaping is opt-in: it trades the quiet-shard skip away.
         assert!(c.orphan_timeout.is_none());
         // Tracing is opt-in: the default CM observes nothing.

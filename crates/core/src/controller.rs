@@ -80,9 +80,10 @@ pub trait CongestionController: Send {
     /// per interval, never below the initial window.
     fn decay_idle(&mut self, intervals: u32);
 
-    /// Restores pristine initial state per `cfg`, as if freshly built —
-    /// used when a pooled macroflow shell is re-issued, so macroflow
-    /// churn does not rebuild (re-allocate) controllers.
+    /// Restores pristine initial state per `cfg`, as if freshly built
+    /// (the window cap is the one it was built with) — used when a pooled
+    /// macroflow shell is re-issued, so macroflow churn does not rebuild
+    /// (re-allocate) controllers.
     fn reset(&mut self, cfg: &CmConfig);
 
     /// Human-readable algorithm name (for experiment output).
@@ -93,6 +94,12 @@ pub trait CongestionController: Send {
 /// in Linux 2.2.
 const INITIAL_SSTHRESH: u64 = u64::MAX / 2;
 
+/// Hard upper bound on the window of every controller
+/// [`build_controller`] makes, in bytes: the historical AIMD fixed-point
+/// guard, far above every real path's bandwidth-delay product, so it
+/// only bites on runaway feedback.
+pub const MAX_WINDOW_BYTES: u64 = 1 << 40;
+
 /// Builds the controller selected by a [`CmConfig`].
 pub fn build_controller(cfg: &CmConfig) -> Box<dyn CongestionController> {
     match cfg.controller {
@@ -101,17 +108,17 @@ pub fn build_controller(cfg: &CmConfig) -> Box<dyn CongestionController> {
             cfg.initial_window_bytes(),
             INITIAL_SSTHRESH,
             byte_counting,
-            cfg.max_window_bytes,
+            MAX_WINDOW_BYTES,
         )),
         ControllerKind::RateBased => Box::new(RateBasedController::new(
             cfg.mtu,
             cfg.initial_window_bytes(),
-            cfg.max_window_bytes,
+            MAX_WINDOW_BYTES,
         )),
         ControllerKind::DelayGradient => Box::new(DelayGradientController::new(
             cfg.mtu,
             cfg.initial_window_bytes(),
-            cfg.max_window_bytes,
+            MAX_WINDOW_BYTES,
         )),
     }
 }
@@ -133,8 +140,9 @@ pub struct AimdController {
     cwnd: u64,
     ssthresh: u64,
     byte_counting: bool,
-    /// Configured window cap ([`CmConfig::max_window_bytes`]); protects
-    /// the fixed-point arithmetic and bounds runaway feedback.
+    /// Window cap given at construction ([`MAX_WINDOW_BYTES`] from
+    /// [`build_controller`]); protects the fixed-point arithmetic and
+    /// bounds runaway feedback.
     max_window: u64,
     /// Fractional congestion-avoidance growth carried between updates,
     /// in bytes scaled by `cwnd` (i.e. we accumulate `mtu * bytes_acked`
@@ -239,7 +247,6 @@ impl CongestionController for AimdController {
         self.init_window = cfg.initial_window_bytes();
         self.cwnd = self.init_window;
         self.ssthresh = INITIAL_SSTHRESH;
-        self.max_window = cfg.max_window_bytes;
         self.ca_accum = 0;
     }
 
@@ -267,7 +274,7 @@ pub struct RateBasedController {
     /// Window-equivalent state, in bytes (rate * srtt).
     wnd: u64,
     ssthresh: u64,
-    /// Configured window cap ([`CmConfig::max_window_bytes`]).
+    /// Window cap given at construction.
     max_window: u64,
     accum: u64,
 }
@@ -345,7 +352,6 @@ impl CongestionController for RateBasedController {
         self.init_window = cfg.initial_window_bytes();
         self.wnd = self.init_window;
         self.ssthresh = INITIAL_SSTHRESH;
-        self.max_window = cfg.max_window_bytes;
         self.accum = 0;
     }
 
@@ -619,7 +625,6 @@ impl CongestionController for DelayGradientController {
     fn reset(&mut self, cfg: &CmConfig) {
         self.mtu = cfg.mtu as u64;
         self.init_window = cfg.initial_window_bytes();
-        self.max_window = cfg.max_window_bytes;
         self.wnd = self.init_window;
         self.ssthresh = INITIAL_SSTHRESH;
         self.accum = 0;
@@ -827,21 +832,13 @@ mod tests {
 
     #[test]
     fn configured_window_cap_binds_every_controller() {
-        let cfg = CmConfig {
-            max_window_bytes: 10_000,
-            ..Default::default()
-        };
-        for kind in [
-            ControllerKind::Aimd {
-                byte_counting: true,
-            },
-            ControllerKind::RateBased,
-            ControllerKind::DelayGradient,
-        ] {
-            let mut c = build_controller(&CmConfig {
-                controller: kind,
-                ..cfg
-            });
+        let cap = 10_000;
+        let controllers: [Box<dyn CongestionController>; 3] = [
+            Box::new(AimdController::new(1460, 1460, INITIAL_SSTHRESH, true, cap)),
+            Box::new(RateBasedController::new(1460, 1460, cap)),
+            Box::new(DelayGradientController::new(1460, 1460, cap)),
+        ];
+        for mut c in controllers {
             for _ in 0..64 {
                 c.on_ack(c.window(), 8, Time::ZERO);
             }

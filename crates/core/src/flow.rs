@@ -1,8 +1,7 @@
 //! Per-flow state.
 
-use cm_util::{Ewma, Rate, Time};
+use cm_util::{Rate, Time};
 
-use crate::macroflow::LOSS_EWMA_GAIN;
 use crate::types::{FlowId, FlowKey, MacroflowId, Thresholds};
 
 /// The CM's record for one client flow.
@@ -14,7 +13,7 @@ use crate::types::{FlowId, FlowKey, MacroflowId, Thresholds};
 pub struct Flow {
     /// This flow's id.
     pub id: FlowId,
-    /// The 4-tuple (+DSCP) it was opened with.
+    /// The 4-tuple and DSCP it was opened with.
     pub key: FlowKey,
     /// The macroflow whose congestion state this flow shares.
     pub macroflow: MacroflowId,
@@ -42,15 +41,8 @@ pub struct Flow {
     pub bytes_acked: u64,
     /// Total bytes reported lost via `cm_update`.
     pub bytes_lost: u64,
-    /// This flow's own smoothed loss fraction (the macroflow keeps the
-    /// shared estimate); dynamic re-aggregation compares the two.
-    pub loss_est: Ewma,
-    /// Consecutive feedback reports whose RTT/loss signals diverged from
-    /// the macroflow's shared estimates; reaching the configured
-    /// threshold triggers an automatic split.
-    pub diverge_streak: u32,
     /// Consecutive feedback reports that failed sanity validation;
-    /// reaching the configured threshold quarantines the flow.
+    /// reaching `QUARANTINE_STREAK` quarantines the flow.
     pub inconsistent_streak: u32,
     /// While set and in the future, the flow is quarantined: its
     /// `cm_update` reports are ignored (but counted). Cleared lazily on
@@ -95,8 +87,6 @@ impl Flow {
             bytes_sent: 0,
             bytes_acked: 0,
             bytes_lost: 0,
-            loss_est: Ewma::new(LOSS_EWMA_GAIN),
-            diverge_streak: 0,
             inconsistent_streak: 0,
             quarantined_until: None,
             reclaim_streak: 0,
@@ -123,7 +113,5 @@ mod tests {
         assert_eq!(f.weight, 1);
         assert!(f.update_interest.is_none());
         assert_eq!(f.bytes_sent + f.bytes_acked + f.bytes_lost, 0);
-        assert_eq!(f.diverge_streak, 0);
-        assert_eq!(f.loss_est.get_or(0.0), 0.0);
     }
 }

@@ -89,8 +89,8 @@ pub use cm_obs::{
     TraceRecord, Tracer,
 };
 pub use config::{
-    AggregationPolicy, CmConfig, ControllerKind, ReaggregationConfig, SchedulerKind,
-    ShardingConfig, ShardingMode, TracingConfig,
+    AggregationPolicy, CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode,
+    TracingConfig,
 };
 pub use controller::{
     AimdController, CongestionController, DelayGradientController, DelaySignal, RateBasedController,
@@ -105,8 +105,8 @@ pub use types::{
 pub mod prelude {
     pub use crate::api::{CmNotification, CongestionManager};
     pub use crate::config::{
-        AggregationPolicy, CmConfig, ControllerKind, ReaggregationConfig, SchedulerKind,
-        ShardingConfig, ShardingMode, TracingConfig,
+        AggregationPolicy, CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode,
+        TracingConfig,
     };
     pub use crate::error::CmError;
     pub use crate::runtime::{ParallelConfig, ShardRuntime, WorkerStats};

@@ -29,40 +29,33 @@ const MAX_RTO: Duration = Duration::from_secs(120);
 /// RTO used before any RTT sample exists (RFC 6298's 3 s, which descends
 /// from the era of the paper).
 const FALLBACK_RTO: Duration = Duration::from_secs(3);
-/// Gain of the macroflow and per-flow loss-rate EWMAs.
-pub(crate) const LOSS_EWMA_GAIN: f64 = 0.125;
+/// Gain of the macroflow loss-rate EWMA.
+const LOSS_EWMA_GAIN: f64 = 0.125;
 
 /// What a macroflow aggregates over: one variant per
 /// [`AggregationPolicy`] granularity, plus the private macroflows that
-/// `split` (explicit or divergence-driven) creates.
+/// `split` creates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MacroflowKey {
-    /// The default: all flows to one destination address (optionally
-    /// segregated by DSCP when `group_by_dscp` is set).
+    /// The default: all flows to one destination address.
     Destination {
         /// Remote network address.
         addr: u32,
-        /// DSCP class (zero unless `group_by_dscp`).
-        dscp: u8,
     },
     /// All flows whose destination shares one prefix
     /// ([`AggregationPolicy::Subnet`]).
     Subnet {
         /// The shared prefix (`addr >> host_bits`).
         prefix: u32,
-        /// DSCP class (zero unless `group_by_dscp`).
-        dscp: u8,
     },
     /// All flows leaving one local interface ([`AggregationPolicy::Path`]).
     Path {
         /// The shared local (source) address.
         local: u32,
-        /// DSCP class (zero unless `group_by_dscp`).
-        dscp: u8,
     },
-    /// A macroflow created by an explicit or divergence-driven `split`
-    /// (or by every `open` under [`AggregationPolicy::AppDirected`]);
-    /// not eligible for default assignment.
+    /// A macroflow created by `split` (or by every `open` under
+    /// [`AggregationPolicy::AppDirected`]); not eligible for default
+    /// assignment.
     Private(u32),
 }
 
@@ -70,31 +63,23 @@ impl MacroflowKey {
     /// Builds the key for aggregation group `group` under `policy`, or
     /// `None` for [`AggregationPolicy::AppDirected`], which has no group
     /// keys (every open is private).
-    pub fn for_group(policy: AggregationPolicy, group: u64, dscp: u8) -> Option<Self> {
+    pub fn for_group(policy: AggregationPolicy, group: u64) -> Option<Self> {
+        let g = group as u32;
         match policy {
-            AggregationPolicy::Destination => Some(MacroflowKey::Destination {
-                addr: group as u32,
-                dscp,
-            }),
-            AggregationPolicy::Subnet { .. } => Some(MacroflowKey::Subnet {
-                prefix: group as u32,
-                dscp,
-            }),
-            AggregationPolicy::Path => Some(MacroflowKey::Path {
-                local: group as u32,
-                dscp,
-            }),
+            AggregationPolicy::Destination => Some(MacroflowKey::Destination { addr: g }),
+            AggregationPolicy::Subnet { .. } => Some(MacroflowKey::Subnet { prefix: g }),
+            AggregationPolicy::Path => Some(MacroflowKey::Path { local: g }),
             AggregationPolicy::AppDirected => None,
         }
     }
 
-    /// The `(group, dscp)` pair this key indexes in the CM's group map,
-    /// or `None` for private macroflows.
-    pub fn group(&self) -> Option<(u64, u8)> {
+    /// The group this key indexes in the shard's group map, or `None`
+    /// for private macroflows.
+    pub fn group(&self) -> Option<u64> {
         match *self {
-            MacroflowKey::Destination { addr, dscp } => Some((addr as u64, dscp)),
-            MacroflowKey::Subnet { prefix, dscp } => Some((prefix as u64, dscp)),
-            MacroflowKey::Path { local, dscp } => Some((local as u64, dscp)),
+            MacroflowKey::Destination { addr: g }
+            | MacroflowKey::Subnet { prefix: g }
+            | MacroflowKey::Path { local: g } => Some(g as u64),
             MacroflowKey::Private(_) => None,
         }
     }
@@ -244,13 +229,6 @@ pub struct Macroflow {
     pub grants_reclaimed: u64,
     /// MTU used for window math (largest member MTU).
     pub mtu: usize,
-    /// For a macroflow created by divergence-driven auto-split: the
-    /// `(group, dscp)` it was split out of, so the maintenance pass can
-    /// merge its members back once their signals re-converge. `None` for
-    /// default-assigned and explicitly split macroflows.
-    pub home: Option<(u64, u8)>,
-    /// When `home` was set (merge-back honours the configured dwell).
-    pub home_since: Time,
     /// Where the unit share may move without any member's rate callback
     /// coming due; see [`QuietBand`].
     pub(crate) quiet: QuietBand,
@@ -276,16 +254,14 @@ impl Macroflow {
             empty_since: None,
             grants_reclaimed: 0,
             mtu: cfg.mtu,
-            home: None,
-            home_since: Time::ZERO,
             quiet: QuietBand::OPEN,
         }
     }
 
     /// Re-initialises a pooled macroflow shell for a new tenant, reusing
     /// the controller box and every retained buffer, so
-    /// macroflow churn (notably divergence-driven split/merge cycles) is
-    /// allocation-free once the pool and slabs are warm.
+    /// macroflow churn (notably split/merge cycles) is allocation-free
+    /// once the pool and slabs are warm.
     pub fn reset(&mut self, id: MacroflowId, key: MacroflowKey, cfg: &CmConfig, now: Time) {
         self.id = id;
         self.key = key;
@@ -303,8 +279,6 @@ impl Macroflow {
         self.empty_since = None;
         self.grants_reclaimed = 0;
         self.mtu = cfg.mtu;
-        self.home = None;
-        self.home_since = Time::ZERO;
         self.quiet = QuietBand::OPEN;
     }
 
@@ -371,19 +345,17 @@ impl Macroflow {
     }
 
     /// Applies the idle staleness rule: if nothing has touched this
-    /// macroflow for one or more aging intervals, halve the window per
-    /// interval (down to the initial window). Returns the number of
-    /// intervals applied.
-    pub fn age_if_idle(&mut self, now: Time, cfg: &CmConfig) -> u32 {
+    /// macroflow for one or more RTOs, halve the window per RTO (down to
+    /// the initial window). This is what lets Figure 7's later
+    /// connections reuse — but not blindly trust — old state. Returns
+    /// the number of intervals applied.
+    pub fn age_if_idle(&mut self, now: Time) -> u32 {
         // Never decay while data is in flight: quiet time with bytes
         // outstanding means feedback is pending, not that we are idle.
         if self.outstanding > 0 || self.granted_unnotified > 0 {
             return 0;
         }
-        let interval = cfg.aging_interval.unwrap_or_else(|| self.rto());
-        if interval.is_zero() {
-            return 0;
-        }
+        let interval = self.rto();
         let idle = now.since(self.last_activity);
         let intervals = (idle.as_nanos() / interval.as_nanos()) as u32;
         if intervals > 0 {
@@ -405,7 +377,7 @@ mod tests {
     fn mf(cfg: &CmConfig) -> Macroflow {
         Macroflow::new(
             MacroflowId(0),
-            MacroflowKey::Destination { addr: 9, dscp: 0 },
+            MacroflowKey::Destination { addr: 9 },
             cfg,
             Time::ZERO,
         )
@@ -446,10 +418,7 @@ mod tests {
 
     #[test]
     fn aging_halves_per_interval() {
-        let cfg = CmConfig {
-            aging_interval: Some(Duration::from_secs(1)),
-            ..Default::default()
-        };
+        let cfg = CmConfig::default();
         let mut m = mf(&cfg);
         // Grow the window.
         for _ in 0..4 {
@@ -457,39 +426,37 @@ mod tests {
         }
         let w = m.controller.window();
         assert_eq!(w, 1460 * 16);
+        // The interval is the RTO: 3 s before any RTT sample.
+        let rto = m.rto();
+        assert_eq!(rto, FALLBACK_RTO);
         // 2.5 intervals idle: two halvings.
-        let applied = m.age_if_idle(Time::from_millis(2_500), &cfg);
-        assert_eq!(applied, 2);
+        let idle_until = Time::ZERO + rto * 2 + rto / 2;
+        assert_eq!(m.age_if_idle(idle_until), 2);
         assert_eq!(m.controller.window(), w / 4);
         // Immediately after, no further decay.
-        assert_eq!(m.age_if_idle(Time::from_millis(2_600), &cfg), 0);
+        let soon = idle_until + Duration::from_millis(100);
+        assert_eq!(m.age_if_idle(soon), 0);
     }
 
     #[test]
     fn aging_skipped_while_data_outstanding() {
-        let cfg = CmConfig {
-            aging_interval: Some(Duration::from_secs(1)),
-            ..Default::default()
-        };
+        let cfg = CmConfig::default();
         let mut m = mf(&cfg);
         m.controller.on_ack(1460, 1, Time::ZERO);
         m.outstanding = 100;
-        assert_eq!(m.age_if_idle(Time::from_secs(10), &cfg), 0);
+        assert_eq!(m.age_if_idle(Time::from_secs(100)), 0);
         assert_eq!(m.controller.window(), 2920);
     }
 
     #[test]
     fn loss_collapse_then_age_bottoms_at_initial() {
-        let cfg = CmConfig {
-            aging_interval: Some(Duration::from_millis(100)),
-            ..Default::default()
-        };
+        let cfg = CmConfig::default();
         let mut m = mf(&cfg);
         for _ in 0..6 {
             m.controller.on_ack(m.controller.window(), 4, Time::ZERO);
         }
         m.controller.on_loss(LossMode::Transient, Time::ZERO);
-        m.age_if_idle(Time::from_secs(100), &cfg);
+        m.age_if_idle(Time::from_secs(100));
         assert_eq!(m.controller.window(), cfg.initial_window_bytes());
     }
 }

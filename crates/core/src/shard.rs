@@ -2,8 +2,8 @@
 //!
 //! A [`Shard`] owns everything the historical monolithic CM owned — the
 //! flow and macroflow slabs with their free-lists and generation arrays,
-//! the notification outbox, the pooled macroflow shells, and the dynamic
-//! re-aggregation state — for one partition of the host's flows. The
+//! the notification outbox, and the pooled macroflow shells — for one
+//! partition of the host's flows. The
 //! [`crate::CongestionManager`] front routes every entry point to the
 //! owning shard by the shard index encoded in the id's high bits (see
 //! [`crate::types::SLOT_BITS`]); under the default single-shard
@@ -25,11 +25,11 @@
 //! Each shard tracks whether the maintenance timer has anything to do:
 //! `dirty` is set by every mutating entry point, and
 //! `pending_maintenance` is recomputed during each tick scan (grant
-//! queues, outstanding bytes, lingering empty macroflows, auto-split
-//! homes, queued requests, or registered rate-callback thresholds all
-//! keep it set). A shard with neither flag costs the front one branch
-//! per tick instead of a slab scan — on a host where one group is active
-//! and fifteen idle, `tick` touches one shard's slab, not sixteen.
+//! queues, outstanding bytes, lingering empty macroflows, queued
+//! requests, or registered rate-callback thresholds all keep it set). A
+//! shard with neither flag costs the front one branch per tick instead
+//! of a slab scan — on a host where one group is active and fifteen
+//! idle, `tick` touches one shard's slab, not sixteen.
 
 use std::collections::VecDeque;
 
@@ -37,7 +37,7 @@ use cm_obs::{CongestionSignal, TraceEvent, Tracer};
 use cm_util::{Duration, FxHashMap, Rate, Time};
 
 use crate::api::{CmNotification, CmStats};
-use crate::config::{CmConfig, ReaggregationConfig};
+use crate::config::CmConfig;
 use crate::error::{CmError, CmResult};
 use crate::flow::Flow;
 use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, QuietBand, MIN_RTO};
@@ -65,6 +65,9 @@ pub(crate) const QUARANTINE_STREAK: u32 = 8;
 /// How long a quarantined flow's feedback is ignored.
 pub(crate) const QUARANTINE_PERIOD: Duration = Duration::from_secs(2);
 
+/// Consecutive grants reclaimed without an intervening `cm_notify` before
+/// an app counts as unresponsive and its requests are parked.
+pub(crate) const RECLAIM_STREAK: u32 = 3;
 /// First backoff period of an unresponsive app; doubles per additional
 /// streak level.
 const BASE_BACKOFF: Duration = Duration::from_millis(100);
@@ -140,16 +143,15 @@ pub(crate) struct Shard {
     live_mfs: usize,
     /// Expired macroflow shells parked for reuse: `alloc_macroflow`
     /// resets a pooled shell (controller and buffers kept) instead of
-    /// re-boxing, so macroflow churn — including
-    /// divergence-driven split/merge cycles — allocates nothing once the
-    /// pool is warm.
+    /// re-boxing, so macroflow churn — split/merge cycles included —
+    /// allocates nothing once the pool is warm.
     mf_pool: Vec<Macroflow>,
-    /// Aggregation-group index: `(group, dscp) -> macroflow`, where the
-    /// group id is computed by the configured
-    /// [`crate::config::AggregationPolicy`]. A shard normally hosts one
-    /// routing group, but overflow routing (more groups than shards) and
-    /// the single-shard mode put several here; the map keeps them apart.
-    group_to_mf: FxHashMap<(u64, u8), MacroflowId>,
+    /// Aggregation-group index: `group -> macroflow`, where the group id
+    /// is computed by the configured [`crate::config::AggregationPolicy`].
+    /// A shard normally hosts one routing group, but overflow routing
+    /// (more groups than shards) and the single-shard mode put several
+    /// here; the map keeps them apart.
+    group_to_mf: FxHashMap<u64, MacroflowId>,
     pub(crate) outbox: VecDeque<CmNotification>,
     pub(crate) stats: CmStats,
     next_private_key: u32,
@@ -160,8 +162,8 @@ pub(crate) struct Shard {
     /// that is neither dirty nor pending maintenance is skipped in O(1).
     pub(crate) dirty: bool,
     /// Whether the previous tick scan left timed work behind (grants to
-    /// reclaim, outstanding to write off, lingering macroflows, homes to
-    /// merge back, queued requests, or threshold registrations).
+    /// reclaim, outstanding to write off, lingering macroflows, queued
+    /// requests, or threshold registrations).
     pending_maintenance: bool,
     /// Live rate-callback registrations (aging can move shares, so any
     /// registration keeps the tick scan alive).
@@ -258,19 +260,18 @@ impl Shard {
         if self.key_to_flow.contains_key(&key) {
             return Err(CmError::DuplicateFlow);
         }
-        let dscp_class = if self.cfg.group_by_dscp { key.dscp } else { 0 };
         // `group_of` yields a group only for policies with group keys,
         // so `for_group` always resolves here; app-directed opens (and
         // any future keyless policy) fall through to a private macroflow.
         let grouped = self.cfg.aggregation.group_of(&key).and_then(|group| {
-            MacroflowKey::for_group(self.cfg.aggregation, group, dscp_class).map(|mk| (group, mk))
+            MacroflowKey::for_group(self.cfg.aggregation, group).map(|mk| (group, mk))
         });
         let mf_id = match grouped {
-            Some((group, mk)) => match self.group_to_mf.get(&(group, dscp_class)) {
+            Some((group, mk)) => match self.group_to_mf.get(&group) {
                 Some(&id) => id,
                 None => {
                     let id = self.alloc_macroflow(mk, now);
-                    self.group_to_mf.insert((group, dscp_class), id);
+                    self.group_to_mf.insert(group, id);
                     id
                 }
             },
@@ -535,7 +536,6 @@ impl Shard {
         report: FeedbackReport,
         now: Time,
     ) -> CmResult<()> {
-        let reagg = self.cfg.reaggregation;
         let mut report = report;
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
@@ -595,36 +595,14 @@ impl Shard {
             _ => f.inconsistent_streak = 0,
         }
         let f = self.flow_mut(flow)?;
+        f.bytes_acked += report.bytes_acked;
+        f.bytes_lost += report.bytes_lost;
         if let Some(prev) = f.last_feedback_at.replace(now) {
             self.tracer.feedback_gap(now.since(prev));
         }
-        let f = self.flow_mut(flow)?;
-        f.bytes_acked += report.bytes_acked;
-        f.bytes_lost += report.bytes_lost;
         let resolved = report.bytes_acked + report.bytes_lost;
-        if resolved > 0 {
-            f.loss_est
-                .update(report.bytes_lost as f64 / resolved as f64);
-        } else if report.loss != LossMode::None {
-            f.loss_est.update(1.0);
-        }
-        let flow_loss = f.loss_est.get_or(0.0);
         self.stats.updates += 1;
         let mf = self.mf_mut(mf_id)?;
-        // Divergence is judged against the shared estimates *before*
-        // this report folds in, so a flow pulling the shared sRTT toward
-        // itself still registers as disagreeing with the group.
-        let mut diverged = false;
-        if let Some(r) = reagg {
-            if let (Some(sample), Some(srtt)) = (report.rtt_sample, mf.rtt.srtt()) {
-                let (a, b) = (sample.as_nanos() as f64, srtt.as_nanos() as f64);
-                if b > 0.0 {
-                    let ratio = a / b;
-                    diverged |= ratio > r.rtt_ratio || ratio < 1.0 / r.rtt_ratio;
-                }
-            }
-            diverged |= (flow_loss - mf.loss_rate.get_or(0.0)).abs() > r.loss_delta;
-        }
         mf.last_activity = now;
         let mut delay_overuse = false;
         if let Some(rtt) = report.rtt_sample {
@@ -682,83 +660,12 @@ impl Shard {
             );
         }
         self.tracer.window(cwnd_after);
-        if let Some(r) = reagg {
-            self.note_divergence(flow, mf_id, diverged, &r, now)?;
-        }
         self.try_grants(mf_id, now);
         self.emit_rate_callbacks(mf_id);
         Ok(())
     }
 
     // lint:hot-path:end
-
-    /// Applies one divergence observation to `flow`'s streak and splits
-    /// it out when the configured threshold is reached. Part of the
-    /// `update` hot path: allocation-free (the split reuses pooled
-    /// macroflow shells).
-    fn note_divergence(
-        &mut self,
-        flow: FlowId,
-        mf_id: MacroflowId,
-        diverged: bool,
-        r: &ReaggregationConfig,
-        now: Time,
-    ) -> CmResult<()> {
-        // The common, non-diverging case returns before any macroflow
-        // lookup: steady-state updates pay only the streak reset.
-        if !diverged {
-            self.flow_mut(flow)?.diverge_streak = 0;
-            return Ok(());
-        }
-        // Only flows on a multi-member *group* macroflow can split out:
-        // a private macroflow has no group to disagree with, and
-        // splitting a lone member changes nothing.
-        let eligible = {
-            let mf = self.mf_ref(mf_id)?;
-            mf.key.group().is_some() && mf.flows.len() > 1
-        };
-        let f = self.flow_mut(flow)?;
-        if !eligible {
-            f.diverge_streak = 0;
-            return Ok(());
-        }
-        f.diverge_streak = f.diverge_streak.saturating_add(1);
-        // A flow holding grants cannot move yet; keep counting and let a
-        // later (grant-free) report trigger the split.
-        if f.diverge_streak >= r.divergence_samples && f.granted == 0 {
-            f.diverge_streak = 0;
-            self.auto_split(flow, mf_id, now)?;
-        }
-        Ok(())
-    }
-
-    /// Splits a diverging flow onto a private macroflow that remembers
-    /// its home group for later merge-back. Unlike the client-visible
-    /// `split`, the RTT estimate is *not* inherited: the flow split
-    /// precisely because the shared estimate does not describe its path.
-    /// The private macroflow lives in this shard (its home group is
-    /// here), so merge-back never crosses shards.
-    fn auto_split(&mut self, flow: FlowId, from: MacroflowId, now: Time) -> CmResult<MacroflowId> {
-        let home = self.mf_ref(from)?.key.group();
-        let key = MacroflowKey::Private(self.next_private_key);
-        self.next_private_key += 1;
-        let new_mf = self.alloc_macroflow(key, now);
-        {
-            let mf = self.mf_mut(new_mf)?;
-            mf.home = home;
-            mf.home_since = now;
-        }
-        self.move_flow(flow, from, new_mf, now)?;
-        self.stats.auto_splits += 1;
-        self.tracer.record(
-            now,
-            TraceEvent::MacroflowSplit {
-                from: from.0,
-                to: new_mf.0,
-            },
-        );
-        Ok(new_mf)
-    }
 
     // ------------------------------------------------------------------
     // Querying (paper §2.1.4)
@@ -768,9 +675,7 @@ impl Shard {
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
         f.last_api = now;
-        let cfg = self.cfg;
-        let mf = self.mf_mut(mf_id)?;
-        mf.age_if_idle(now, &cfg);
+        self.mf_mut(mf_id)?.age_if_idle(now);
         self.stats.queries += 1;
         self.flow_info(flow, mf_id)
     }
@@ -830,17 +735,7 @@ impl Shard {
     }
 
     pub(crate) fn merge(&mut self, flow: FlowId, into: MacroflowId, now: Time) -> CmResult<()> {
-        let f = self.flow_ref(flow)?;
-        let dscp_class = if self.cfg.group_by_dscp {
-            f.key.dscp
-        } else {
-            0
-        };
-        let natural = self
-            .cfg
-            .aggregation
-            .group_of(&f.key)
-            .map(|g| (g, dscp_class));
+        let natural = self.cfg.aggregation.group_of(&self.flow_ref(flow)?.key);
         let target_ok = match self.mf_ref(into)?.key.group() {
             Some(group) => natural == Some(group),
             None => true,
@@ -872,10 +767,10 @@ impl Shard {
         self.move_flow(flow, old_mf, into, now)
     }
 
-    /// The shared migration primitive behind `split`, `merge`, and
-    /// dynamic re-aggregation: moves `flow` from `from` onto `to` in
-    /// O(1) (plus re-queueing its pending requests), preserving the
-    /// flow's scheduler weight and its pending (ungranted) requests.
+    /// The shared migration primitive behind `split` and `merge`: moves
+    /// `flow` from `from` onto `to` in O(1) (plus re-queueing its pending
+    /// requests), preserving the flow's scheduler weight and its pending
+    /// (ungranted) requests.
     /// Callers guarantee the flow holds no unresolved grants. Both
     /// macroflows are in this shard by construction.
     fn move_flow(
@@ -902,9 +797,6 @@ impl Shard {
         let f = self.flow_mut(flow)?;
         f.macroflow = to;
         f.mf_pos = pos;
-        // A migrated flow starts its divergence bookkeeping over: the
-        // streak measured disagreement with the *old* group's estimates.
-        f.diverge_streak = 0;
         // Migrated requests may be grantable immediately on the target.
         if pending > 0 {
             self.try_grants(to, now);
@@ -919,18 +811,14 @@ impl Shard {
 
     /// Runs this shard's periodic maintenance: reclaims grants whose
     /// clients never notified, writes off feedback-free outstanding
-    /// bytes, ages idle macroflows, grants freshly available window,
-    /// merges re-converged auto-split flows back into their home groups,
-    /// and expires long-empty macroflows. Returns the number of slab
+    /// bytes, ages idle macroflows, grants freshly available window, and
+    /// expires long-empty macroflows. Returns the number of slab
     /// slots scanned (the front's tick-cost accounting), and leaves
     /// `pending_maintenance`/`dirty` reflecting whether the next tick
     /// has anything to do.
     // lint:hot-path:start
     pub(crate) fn tick(&mut self, now: Time) -> u64 {
         let cfg = self.cfg;
-        if let Some(r) = cfg.reaggregation {
-            self.merge_back_pass(&r, now);
-        }
         let mut needs = self.thresh_regs > 0;
         let mut scanned = self.mfs.len() as u64;
         for i in 0..self.mfs.len() {
@@ -994,7 +882,7 @@ impl Shard {
                         },
                     );
                 }
-                mf.age_if_idle(now, &cfg);
+                mf.age_if_idle(now);
                 matches!(mf.empty_since, Some(t) if now.since(t) >= cfg.macroflow_linger)
             };
             if expired {
@@ -1024,7 +912,6 @@ impl Shard {
                 || mf.outstanding > 0
                 || mf.granted_unnotified > 0
                 || mf.empty_since.is_some()
-                || mf.home.is_some()
                 || mf.scheduler.pending() > 0
                 // A learned-but-idle window still owes the staleness
                 // rule: keep scanning so `age_if_idle` halves it per
@@ -1107,7 +994,8 @@ impl Shard {
     // lint:hot-path:end
 
     /// Structural invariant check for the chaos harness and property
-    /// tests: slab/free-list consistency, flow ↔ macroflow membership,
+    /// tests: slab/free-list consistency, the group index against the
+    /// live group-keyed macroflows, flow ↔ macroflow membership,
     /// every scheduler's rotation walked through the shared slab, grant
     /// reservations, parked-request accounting, every flow's quiet band
     /// against what it is defined to be, and every macroflow's band
@@ -1206,6 +1094,11 @@ impl Shard {
         let mut linked = vec![false; self.sched.len()];
         for mf in self.mfs.iter().flatten() {
             member_total += mf.flows.len();
+            if let Some(g) = mf.key.group() {
+                if self.group_to_mf.get(&g) != Some(&mf.id) {
+                    return Err(format!("{:?} of group {g} is not its entry", mf.id));
+                }
+            }
             let is_member = |l: u32| matches!(self.flows.get(l as usize), Some(Some(f)) if f.macroflow == mf.id);
             mf.scheduler
                 .validate(
@@ -1276,6 +1169,11 @@ impl Shard {
                     mf.grant_queue.len(),
                     granted + lazy_dead
                 ));
+            }
+        }
+        for (&g, &id) in &self.group_to_mf {
+            if self.mf_ref(id).ok().and_then(|mf| mf.key.group()) != Some(g) {
+                return Err(format!("group {g} indexes {id:?}, no live macroflow of it"));
             }
         }
         if member_total != live {
@@ -1418,109 +1316,6 @@ impl Shard {
         id
     }
 
-    /// The maintenance half of dynamic re-aggregation: for every
-    /// auto-split private macroflow whose dwell has elapsed, compare its
-    /// RTT/loss estimates against its home group's; once they agree
-    /// within the configured factors, move its grant-free members back.
-    /// Home groups live in this shard by construction (auto-split never
-    /// crosses shards), so the pass is shard-local.
-    fn merge_back_pass(&mut self, r: &ReaggregationConfig, now: Time) {
-        for i in 0..self.mfs.len() {
-            let Some(mf) = self.mfs[i].as_ref() else {
-                continue;
-            };
-            let Some(home_key) = mf.home else {
-                continue;
-            };
-            if mf.flows.is_empty() || now.since(mf.home_since) < r.min_dwell {
-                continue;
-            }
-            let mf_id = MacroflowId(self.base | i as u32);
-            let Some(&home_mf) = self.group_to_mf.get(&home_key) else {
-                // The home group expired while the flow was away; this
-                // is now a plain private macroflow.
-                if let Some(mf) = self.mfs[i].as_mut() {
-                    mf.home = None;
-                }
-                continue;
-            };
-            let converged = {
-                let Ok(home) = self.mf_ref(home_mf) else {
-                    continue;
-                };
-                let Some(mf) = self.mfs[i].as_ref() else {
-                    continue;
-                };
-                match (mf.rtt.srtt(), home.rtt.srtt()) {
-                    (Some(a), Some(b)) if !b.is_zero() => {
-                        let ratio = a.as_nanos() as f64 / b.as_nanos() as f64;
-                        ratio <= r.converge_ratio
-                            && ratio >= 1.0 / r.converge_ratio
-                            && (mf.loss_rate.get_or(0.0) - home.loss_rate.get_or(0.0)).abs()
-                                <= r.loss_delta
-                    }
-                    _ => false,
-                }
-            };
-            if !converged {
-                continue;
-            }
-            let mut members = std::mem::take(&mut self.scratch_flows);
-            members.clear();
-            if let Some(mf) = self.mfs[i].as_ref() {
-                members.extend_from_slice(&mf.flows);
-            }
-            // Only flows that *naturally belong* to the home group go
-            // back: the app may have explicitly merged foreign flows
-            // onto this private macroflow, and moving those would
-            // bypass the checked-merge group guard and silently undo
-            // the app's grouping.
-            let mut home_member_left_behind = false;
-            for &f in &members {
-                let (movable, belongs_home) = match self.flow_ref(f) {
-                    Ok(fl) => {
-                        let dscp = if self.cfg.group_by_dscp {
-                            fl.key.dscp
-                        } else {
-                            0
-                        };
-                        let natural = self.cfg.aggregation.group_of(&fl.key).map(|g| (g, dscp));
-                        (fl.granted == 0, natural == Some(home_key))
-                    }
-                    Err(_) => (false, false),
-                };
-                if !belongs_home {
-                    continue;
-                }
-                if movable && self.move_flow(f, mf_id, home_mf, now).is_ok() {
-                    self.stats.auto_merges += 1;
-                    self.tracer.record(
-                        now,
-                        TraceEvent::MacroflowMerged {
-                            from: mf_id.0,
-                            into: home_mf.0,
-                        },
-                    );
-                } else {
-                    home_member_left_behind = true;
-                }
-            }
-            members.clear();
-            self.scratch_flows = members;
-            // If only app-placed foreign flows remain, this is now a
-            // plain private macroflow: stop re-checking it. A home
-            // member skipped for holding grants keeps `home` so a later
-            // pass can still return it.
-            if !home_member_left_behind {
-                if let Some(mf) = self.mfs[i].as_mut() {
-                    if !mf.flows.is_empty() {
-                        mf.home = None;
-                    }
-                }
-            }
-        }
-    }
-
     fn detach_flow(&mut self, flow: FlowId, from: MacroflowId, now: Time) -> CmResult<()> {
         let pos = self.flow_ref(flow)?.mf_pos;
         let Self {
@@ -1623,7 +1418,6 @@ impl Shard {
     /// notify); the paper's timer-driven "error handling".
     fn reclaim_expired_grants(&mut self, mf_id: MacroflowId, now: Time) {
         let timeout = self.cfg.grant_timeout;
-        let unresponsive = self.cfg.unresponsive;
         let Self {
             mfs,
             flows,
@@ -1673,15 +1467,13 @@ impl Shard {
                     // marks the app unresponsive: park its future
                     // requests for an exponentially growing backoff
                     // instead of burning window on grants it ignores.
-                    if let Some(u) = unresponsive {
-                        f.reclaim_streak = f.reclaim_streak.saturating_add(1);
-                        if f.reclaim_streak >= u.reclaim_streak {
-                            let level = f.backoff_level.min(MAX_BACKOFF_LEVEL);
-                            f.backoff_until = Some(now + BASE_BACKOFF.mul_ratio(1u64 << level, 1));
-                            f.backoff_level = (f.backoff_level + 1).min(MAX_BACKOFF_LEVEL);
-                            stats.grant_backoffs += 1;
-                            tracer.record(now, TraceEvent::BackoffArmed { flow: front.flow.0 });
-                        }
+                    f.reclaim_streak = f.reclaim_streak.saturating_add(1);
+                    if f.reclaim_streak >= RECLAIM_STREAK {
+                        let level = f.backoff_level.min(MAX_BACKOFF_LEVEL);
+                        f.backoff_until = Some(now + BASE_BACKOFF.mul_ratio(1u64 << level, 1));
+                        f.backoff_level = (f.backoff_level + 1).min(MAX_BACKOFF_LEVEL);
+                        stats.grant_backoffs += 1;
+                        tracer.record(now, TraceEvent::BackoffArmed { flow: front.flow.0 });
                     }
                     mf.grant_queue.pop_front();
                 }

@@ -18,7 +18,7 @@
 #![allow(dead_code, reason = "each test binary uses only some of the helpers")]
 
 use cm_core::config::{CmConfig, ControllerKind};
-use cm_core::controller::build_controller;
+use cm_core::controller::{build_controller, MAX_WINDOW_BYTES};
 use cm_core::types::LossMode;
 use cm_netsim::fault::{FaultPlan, GilbertElliott};
 use cm_netsim::schedule::BandwidthSchedule;
@@ -82,7 +82,7 @@ pub struct RunResult {
     pub label: &'static str,
     /// MTU the run used.
     pub mtu: u64,
-    /// Configured window cap the run used.
+    /// Window cap the run's controller was built with.
     pub max_window: u64,
     /// Per-step decisions, one per driver step.
     pub steps: Vec<StepRecord>,
@@ -375,7 +375,7 @@ pub fn run_scenario(kind: ControllerKind, scenario: &Scenario) -> RunResult {
     RunResult {
         label: kind_label(kind),
         mtu,
-        max_window: cfg.max_window_bytes,
+        max_window: MAX_WINDOW_BYTES,
         steps,
     }
 }

@@ -16,7 +16,7 @@
 mod common;
 
 use cm_core::config::{CmConfig, ControllerKind};
-use cm_core::controller::build_controller;
+use cm_core::controller::{build_controller, MAX_WINDOW_BYTES};
 use cm_core::types::LossMode;
 use cm_util::{Duration, Time};
 use common::{
@@ -218,7 +218,7 @@ proptest! {
                     ctl.name()
                 );
                 prop_assert!(
-                    ctl.window() <= cfg.max_window_bytes,
+                    ctl.window() <= MAX_WINDOW_BYTES,
                     "{}: window exceeded the configured cap",
                     ctl.name()
                 );

@@ -5,7 +5,7 @@
 //! per scenario in `tests/golden/<label>.golden`. The legacy kinds
 //! (`aimd`, `aimd-acks`, `rate-based`) were frozen *before* the
 //! delay-gradient controller landed, so these files prove the new
-//! `on_rtt_sample` hook and the configurable window cap left their
+//! `on_rtt_sample` hook and the window cap left their
 //! behaviour byte-identical; `delay-gradient` is pinned the same way so
 //! future filter tweaks are deliberate, visible diffs.
 //!

@@ -1,14 +1,14 @@
-//! Zero-allocation enforcement for the CM's re-aggregation paths, and
-//! the per-flow memory bound the same counting allocator can state.
+//! Zero-allocation enforcement for the CM's macroflow-construction
+//! paths, and the per-flow memory bound the same counting allocator can
+//! state.
 //!
 //! docs/perf.md's flat-state rules require the hot entry points to
 //! allocate nothing in steady state. PR 1 established that for
-//! request/notify/update/tick; this test extends the guarantee to
-//! dynamic re-aggregation: divergence-driven auto-split (which runs
-//! inside `update`) and the maintenance merge-back must reuse pooled
-//! macroflow shells, retained scheduler slabs, and the recycled grant
-//! queues — a full split/merge/expire cycle performs zero heap
-//! allocation once the pool is warm.
+//! request/notify/update/tick; this test extends the guarantee to the
+//! paper's macroflow-construction API: a client `split` and `merge` must
+//! reuse pooled macroflow shells, the shard's scheduler slab, and the
+//! recycled grant queues — a full split/merge/expire cycle performs zero
+//! heap allocation once the pool is warm.
 
 #![allow(
     unsafe_code,
@@ -59,10 +59,10 @@ fn measuring() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Drives one full re-aggregation cycle: f2's feedback diverges until it
-/// auto-splits, both flows keep granted traffic moving, the signals
-/// re-converge, the maintenance tick merges f2 back, and a later tick
-/// expires the emptied private macroflow into the shell pool.
+/// Drives one client split/merge cycle: f2 splits onto a private
+/// macroflow, both macroflows keep granted traffic moving, f2 merges back
+/// into its group's macroflow, and a later tick expires the emptied
+/// private macroflow into the shell pool.
 fn cycle(
     cm: &mut CongestionManager,
     f1: FlowId,
@@ -70,23 +70,8 @@ fn cycle(
     now: &mut Time,
     notes: &mut Vec<CmNotification>,
 ) {
-    // Divergence phase: three straight reports at 5x the shared RTT.
-    for _ in 0..3 {
-        cm.update(
-            f1,
-            FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-            *now,
-        )
-        .unwrap();
-        cm.update(
-            f2,
-            FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(250)),
-            *now,
-        )
-        .unwrap();
-        *now += Duration::from_millis(20);
-    }
-    // Convergence phase with live granted traffic on both macroflows.
+    let home = cm.macroflow_of(f1).unwrap();
+    cm.split(f2, *now).unwrap();
     for _ in 0..16 {
         for f in [f1, f2] {
             cm.request(f, *now).unwrap();
@@ -98,23 +83,31 @@ fn cycle(
                 cm.notify(flow, 1460, *now).unwrap();
             }
         }
-        cm.update(
-            f1,
-            FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-            *now,
-        )
-        .unwrap();
-        cm.update(
-            f2,
-            FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
-            *now,
-        )
-        .unwrap();
+        for f in [f1, f2] {
+            cm.update(
+                f,
+                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(50)),
+                *now,
+            )
+            .unwrap();
+        }
         *now += Duration::from_millis(20);
     }
-    // Dwell elapses; the maintenance pass merges f2 back.
-    *now += Duration::from_millis(150);
-    cm.tick(*now);
+    // Decline whatever the last feedback granted: a flow holding a
+    // grant cannot move.
+    loop {
+        notes.clear();
+        cm.drain_notifications_into(notes);
+        if notes.is_empty() {
+            break;
+        }
+        for &n in notes.iter() {
+            if let CmNotification::SendGrant { flow } = n {
+                cm.notify(flow, 0, *now).unwrap();
+            }
+        }
+    }
+    cm.merge(f2, home, *now).unwrap();
     // The emptied private macroflow lingers, then expires into the pool.
     *now += Duration::from_millis(300);
     cm.tick(*now);
@@ -123,18 +116,10 @@ fn cycle(
 }
 
 #[test]
-fn reaggregation_cycle_never_allocates_in_steady_state() {
+fn split_merge_cycle_never_allocates_in_steady_state() {
     let _turn = measuring();
-    let reagg = ReaggregationConfig {
-        rtt_ratio: 2.0,
-        loss_delta: 0.15,
-        divergence_samples: 3,
-        converge_ratio: 1.5,
-        min_dwell: Duration::from_millis(100),
-    };
     let mut cm = CongestionManager::new(CmConfig {
         scheduler: SchedulerKind::WeightedRoundRobin,
-        reaggregation: Some(reagg),
         macroflow_linger: Duration::from_millis(200),
         pacing: false,
         ..Default::default()
@@ -151,9 +136,8 @@ fn reaggregation_cycle_never_allocates_in_steady_state() {
     for _ in 0..2 {
         cycle(&mut cm, f1, f2, &mut now, &mut notes);
     }
-    let warm_splits = cm.stats().auto_splits;
-    assert!(warm_splits >= 2, "warm-up cycles never auto-split");
-    assert_eq!(cm.stats().auto_splits, cm.stats().auto_merges);
+    let warm_expired = cm.stats().macroflows_expired;
+    assert_eq!(warm_expired, 2, "warm-up cycles never expired a split");
     assert_eq!(cm.macroflow_count(), 1, "private macroflow not expired");
     assert!(cm.macroflow_pool_len() >= 1, "no shell parked for reuse");
 
@@ -169,16 +153,15 @@ fn reaggregation_cycle_never_allocates_in_steady_state() {
         let after = ALLOCS.load(Ordering::SeqCst);
         min_delta = min_delta.min(after - before);
     }
-    assert!(
-        cm.stats().auto_splits >= warm_splits + 100,
-        "cycles stopped re-aggregating ({} splits)",
-        cm.stats().auto_splits
+    assert_eq!(
+        cm.stats().macroflows_expired,
+        warm_expired + 100,
+        "cycles stopped splitting and merging"
     );
-    assert_eq!(cm.stats().auto_splits, cm.stats().auto_merges);
     assert_eq!(cm.weight_of(f2).unwrap(), 3, "weight lost under churn");
     assert_eq!(
         min_delta, 0,
-        "re-aggregation cycle allocated in every trial (at least {min_delta} \
+        "split/merge cycle allocated in every trial (at least {min_delta} \
          allocations per 20 split/merge/expire cycles)"
     );
 }
@@ -370,17 +353,15 @@ fn delay_gradient_update_path_never_allocates_tracer_enabled() {
 /// on how many macroflows it is spread over, everything counted — slabs,
 /// key map, macroflow shells, controllers, and the one scheduler slab the
 /// macroflows share (16 B per flow slot; a macroflow's own scheduler is
-/// a few inline words). 4,096 flows measure 349 B each at 8 per
-/// macroflow and 507 B at 2 per macroflow, where per-macroflow scheduler
-/// maps and slot vectors cost 392 B and 609 B; the bounds sit a tenth
-/// above the new figures and below the old. (A scheduler index sized by
-/// the shard's flow-id space per macroflow costs 2 KB and 8 KB per flow
-/// at these shapes.)
+/// a few inline words). 4,096 flows measure 335 B each at 8 per
+/// macroflow and 475 B at 2 per macroflow; the bounds sit a tenth above
+/// those figures. (A scheduler index sized by the shard's flow-id space
+/// per macroflow costs 2 KB and 8 KB per flow at these shapes.)
 #[test]
 fn open_population_stays_under_1kb_per_flow() {
     const FLOWS: usize = 4_096;
     let _turn = measuring();
-    for (dests, bound) in [(512, 384), (2_048, 560)] {
+    for (dests, bound) in [(512, 368), (2_048, 523)] {
         let before = LIVE.load(Ordering::SeqCst);
         let mut cm = CongestionManager::new(CmConfig::default());
         for i in 0..FLOWS {

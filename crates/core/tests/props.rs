@@ -35,14 +35,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// One arbitrary operation for the membership/re-aggregation churn test.
+/// One arbitrary operation for the membership/split/merge churn tests.
 #[derive(Clone, Debug)]
 enum ChurnOp {
     Open(u16, u32),
     Close(usize),
     Request(usize),
     SetWeight(usize, u8),
-    /// Ack with an RTT sample; wide RTT spread drives auto split/merge.
+    /// Ack with an RTT sample.
     Ack(usize, u16),
     Split(usize),
     Merge(usize, usize),
@@ -237,24 +237,17 @@ proptest! {
     }
 
     /// Membership invariant under arbitrary open/close/request/notify/
-    /// split/merge/re-aggregation churn: every live flow belongs to
+    /// split/merge churn: every live flow belongs to
     /// exactly one macroflow, `flows_in` and `macroflow_of` agree
     /// exactly, scheduler weights survive every migration, and the
     /// flow/macroflow slabs stay bounded by their peak live counts
     /// (no leak).
     #[test]
-    fn membership_partition_under_reaggregation_churn(
+    fn membership_partition_under_split_merge_churn(
         ops in proptest::collection::vec(churn_op_strategy(), 1..250),
     ) {
         let mut cm = CongestionManager::new(CmConfig {
             scheduler: SchedulerKind::WeightedRoundRobin,
-            reaggregation: Some(ReaggregationConfig {
-                rtt_ratio: 2.0,
-                loss_delta: 0.15,
-                divergence_samples: 3,
-                converge_ratio: 1.5,
-                min_dwell: Duration::from_millis(200),
-            }),
             macroflow_linger: Duration::from_millis(500),
             pacing: false,
             ..Default::default()
@@ -393,13 +386,13 @@ proptest! {
     }
 
     /// The membership invariants on the *sharded* CM: under
-    /// open/close/split/merge/re-aggregation churn across several
+    /// open/close/split/merge churn across several
     /// aggregation groups with `ShardingMode::ByGroup`, every live flow
     /// belongs to exactly one macroflow, `flows_in`/`macroflow_of`
     /// agree, each shard's slabs stay bounded by that shard's peak live
     /// counts, and every flow lives in the shard its policy group
-    /// routes to (auto-split private macroflows included — re-aggregation
-    /// never crosses shards).
+    /// routes to (split-off private macroflows included — a split never
+    /// crosses shards).
     #[test]
     fn sharded_membership_partition_under_churn(
         ops in proptest::collection::vec(churn_op_strategy(), 1..200),
@@ -407,13 +400,6 @@ proptest! {
         let mut cm = CongestionManager::new(CmConfig {
             scheduler: SchedulerKind::WeightedRoundRobin,
             sharding: ShardingConfig::by_group(8),
-            reaggregation: Some(ReaggregationConfig {
-                rtt_ratio: 2.0,
-                loss_delta: 0.15,
-                divergence_samples: 3,
-                converge_ratio: 1.5,
-                min_dwell: Duration::from_millis(200),
-            }),
             macroflow_linger: Duration::from_millis(500),
             pacing: false,
             ..Default::default()
@@ -545,8 +531,8 @@ proptest! {
             }
             prop_assert_eq!(seen, cm.flow_count(), "membership partition broken");
             // INVARIANT: every flow lives in the shard its policy group
-            // routes to (macroflow — group or auto-split private — in
-            // the same shard).
+            // routes to (macroflow — group or split-off private — in the
+            // same shard).
             for &(f, key) in &flows {
                 let mf = cm.macroflow_of(f).expect("live flow has a macroflow");
                 prop_assert_eq!(mf.shard(), f.shard());

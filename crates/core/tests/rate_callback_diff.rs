@@ -50,9 +50,8 @@ struct World {
 impl World {
     fn new(kind: SchedulerKind) -> Self {
         World {
-            // No re-aggregation and no orphan reaping: either could move
-            // or close a member between a walk and the oracle's reading
-            // of the shares it saw.
+            // No orphan reaping: it could close a member between a walk
+            // and the oracle's reading of the shares it saw.
             cm: CongestionManager::new(CmConfig {
                 scheduler: kind,
                 pacing: false,

@@ -139,8 +139,6 @@ fn fingerprint_line(label: &str, cfg: CmConfig) -> String {
         stats.outstanding_reclaimed,
         stats.macroflows_created,
         stats.macroflows_expired,
-        stats.auto_splits,
-        stats.auto_merges,
         stats.shards_created,
         stats.shards_recycled,
         stats.tick_mfs_scanned,

@@ -31,9 +31,8 @@ pub enum CongestionSignal {
 /// a flow or macroflow: lifecycle (open/close/reap), the grant loop
 /// (issue/reclaim), feedback vetting (accept/clamp/reject/quarantine),
 /// controller transitions (congestion responses and the feedback-free
-/// write-off), unresponsive-app backoff (arm/lapse), re-aggregation
-/// (split/merge), shard lifecycle (create/recycle), and the periodic
-/// maintenance tick.
+/// write-off), unresponsive-app backoff (arm/lapse), shard lifecycle
+/// (create/recycle), and the periodic maintenance tick.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TraceEvent {
     /// `cm_open` admitted a flow into a macroflow.
@@ -116,20 +115,6 @@ pub enum TraceEvent {
         /// The recovering flow.
         flow: u32,
     },
-    /// Divergence-driven re-aggregation split a flow out.
-    MacroflowSplit {
-        /// The macroflow the flow left.
-        from: u32,
-        /// The private macroflow it now owns.
-        to: u32,
-    },
-    /// A converged private macroflow merged back.
-    MacroflowMerged {
-        /// The private macroflow being retired.
-        from: u32,
-        /// The macroflow absorbing its flow.
-        into: u32,
-    },
     /// A shard was created (or re-activated from the shell pool).
     ShardCreated {
         /// The shard's index.
@@ -175,8 +160,6 @@ impl TraceEvent {
             TraceEvent::WriteOff { .. } => "write_off",
             TraceEvent::BackoffArmed { .. } => "backoff_armed",
             TraceEvent::BackoffLapsed { .. } => "backoff_lapsed",
-            TraceEvent::MacroflowSplit { .. } => "macroflow_split",
-            TraceEvent::MacroflowMerged { .. } => "macroflow_merged",
             TraceEvent::ShardCreated { .. } => "shard_created",
             TraceEvent::ShardRecycled { .. } => "shard_recycled",
             TraceEvent::TickSummary { .. } => "tick",
@@ -215,12 +198,6 @@ impl TraceEvent {
                 macroflow,
                 reclaimed,
             } => [("macroflow", macroflow as u64), ("bytes", reclaimed)],
-            TraceEvent::MacroflowSplit { from, to } => {
-                [("macroflow", from as u64), ("peer", to as u64)]
-            }
-            TraceEvent::MacroflowMerged { from, into } => {
-                [("macroflow", from as u64), ("peer", into as u64)]
-            }
             TraceEvent::ShardCreated { shard } | TraceEvent::ShardRecycled { shard } => {
                 [("shard", shard as u64), NONE]
             }
@@ -293,8 +270,6 @@ mod tests {
             },
             TraceEvent::BackoffArmed { flow: 1 },
             TraceEvent::BackoffLapsed { flow: 1 },
-            TraceEvent::MacroflowSplit { from: 2, to: 3 },
-            TraceEvent::MacroflowMerged { from: 3, into: 2 },
             TraceEvent::ShardCreated { shard: 0 },
             TraceEvent::ShardRecycled { shard: 0 },
             TraceEvent::TickSummary {

@@ -2,10 +2,9 @@
 //!
 //! Segments carry byte *counts*, not byte contents: a simulated gigabyte
 //! transfer needs no gigabyte of memory. Stream positions are absolute
-//! `u64` offsets — the 32-bit wrapping arithmetic a production TCP needs
-//! is implemented and tested in `cm_util::seq`, but a simulator gains
-//! nothing from exercising wraparound on every comparison, so offsets here
-//! are monotone.
+//! `u64` offsets: a production TCP needs 32-bit wrapping sequence
+//! arithmetic, but a simulator gains nothing from exercising wraparound
+//! on every comparison, so offsets here are monotone.
 
 use cm_util::Time;
 
