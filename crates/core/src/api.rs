@@ -1394,9 +1394,9 @@ mod tests {
 
     /// Regression (satellite fix): a scheduler weight set via
     /// `set_weight` — and any pending requests — must survive every
-    /// migration path: split and merge back. Previously nothing pinned this; a migration that
-    /// re-registered the flow at the default weight would silently
-    /// revert `set_weight`.
+    /// migration path: split and merge back. Previously nothing pinned
+    /// this; a migration that re-registered the flow at the default
+    /// weight would silently revert `set_weight`.
     #[test]
     fn weight_and_pending_survive_split_and_merge() {
         use crate::config::SchedulerKind;
@@ -1715,11 +1715,22 @@ mod tests {
         }
         let learned = cm.window_of(mf).unwrap();
         assert!(learned >= 4 * 1460, "window never grew ({learned})");
-        // The flow idles; the periodic timer keeps firing. Each elapsed
-        // RTO (the 200 ms floor here) must halve the window down to the
-        // initial one.
-        for i in 1..=10u64 {
-            cm.tick(now + Duration::from_secs(i));
+        // The flow idles; the periodic timer fires once per RTO (the
+        // `MIN_RTO` floor here), so each tick owes exactly one halving.
+        // The first tick leaves the window above the initial one; every
+        // later halving happens only if that still-learned window keeps
+        // the shard scannable.
+        use crate::macroflow::MIN_RTO;
+        now += MIN_RTO;
+        cm.tick(now);
+        let once = cm.window_of(mf).unwrap();
+        assert!(
+            once > 1460 && once < learned,
+            "first idle tick should apply exactly one halving ({learned} -> {once})"
+        );
+        for _ in 0..10 {
+            now += MIN_RTO;
+            cm.tick(now);
         }
         assert_eq!(
             cm.window_of(mf).unwrap(),
@@ -1729,8 +1740,8 @@ mod tests {
         // Fully decayed and otherwise idle, the shard finally goes
         // quiet: later ticks skip it.
         let skipped_before = cm.stats().tick_shards_skipped;
-        cm.tick(now + Duration::from_secs(11));
-        cm.tick(now + Duration::from_secs(12));
+        cm.tick(now + MIN_RTO);
+        cm.tick(now + MIN_RTO * 2);
         assert!(
             cm.stats().tick_shards_skipped >= skipped_before + 2,
             "decayed idle shard still being scanned"

@@ -642,7 +642,7 @@ mod tests {
     use super::*;
 
     fn aimd_bytes() -> AimdController {
-        AimdController::new(1460, 1460, u64::MAX / 2, true, 1 << 40)
+        AimdController::new(1460, 1460, u64::MAX / 2, true, MAX_WINDOW_BYTES)
     }
 
     #[test]
@@ -658,7 +658,7 @@ mod tests {
 
     #[test]
     fn congestion_avoidance_linear_growth() {
-        let mut c = AimdController::new(1460, 14600, 14600, true, 1 << 40);
+        let mut c = AimdController::new(1460, 14600, 14600, true, MAX_WINDOW_BYTES);
         // At ssthresh already: acking one full window grows ~1 MTU.
         let w0 = c.window();
         c.on_ack(w0, 10, Time::ZERO);
@@ -672,7 +672,7 @@ mod tests {
 
     #[test]
     fn ca_accumulates_fractional_growth() {
-        let mut c = AimdController::new(1460, 14600, 14600, true, 1 << 40);
+        let mut c = AimdController::new(1460, 14600, 14600, true, MAX_WINDOW_BYTES);
         let w0 = c.window();
         // Ten small acks of one-tenth window each: same total growth.
         for _ in 0..10 {
@@ -736,8 +736,8 @@ mod tests {
         // 10 ACKs each covering 146 bytes (an attacker splitting one MTU
         // into ten ACKs): byte counting grows by 1460 total, ACK counting
         // would grow by 14600.
-        let mut bytes = AimdController::new(1460, 1460, u64::MAX / 2, true, 1 << 40);
-        let mut acks = AimdController::new(1460, 1460, u64::MAX / 2, false, 1 << 40);
+        let mut bytes = AimdController::new(1460, 1460, u64::MAX / 2, true, MAX_WINDOW_BYTES);
+        let mut acks = AimdController::new(1460, 1460, u64::MAX / 2, false, MAX_WINDOW_BYTES);
         for _ in 0..10 {
             bytes.on_ack(146, 1, Time::ZERO);
             acks.on_ack(146, 1, Time::ZERO);
@@ -761,7 +761,7 @@ mod tests {
 
     #[test]
     fn rate_estimate_uses_srtt() {
-        let c = AimdController::new(1460, 14600, 14600, true, 1 << 40);
+        let c = AimdController::new(1460, 14600, 14600, true, MAX_WINDOW_BYTES);
         let r = c.rate(Some(Duration::from_millis(100)));
         // 14600 bytes / 100 ms = 146 KB/s = 1.168 Mbps.
         assert_eq!(r.as_bytes_per_sec(), 146_000);
@@ -770,7 +770,7 @@ mod tests {
 
     #[test]
     fn rate_based_smoother_than_window() {
-        let mut c = RateBasedController::new(1460, 1460, 1 << 40);
+        let mut c = RateBasedController::new(1460, 1460, MAX_WINDOW_BYTES);
         for _ in 0..20 {
             c.on_ack(c.window(), 4, Time::ZERO);
         }
@@ -852,7 +852,7 @@ mod tests {
     }
 
     fn dg() -> DelayGradientController {
-        DelayGradientController::new(1460, 1460, 1 << 40)
+        DelayGradientController::new(1460, 1460, MAX_WINDOW_BYTES)
     }
 
     /// Feeds `n` RTT samples ramping linearly from `from` to `to`, one
