@@ -177,11 +177,12 @@ impl HostApp for BlastSender {
         // ioctl wakeup costs, batched per instant.
         self.libcm.socket.post_grant(flow);
         let now = os.now();
-        let wk = {
+        let granted = {
             let (cpu, costs) = os.cpu_and_costs();
-            self.libcm.wakeup(now, cpu, costs)
+            self.libcm.wakeup(now, cpu, costs).ready.len()
         };
-        for f in wk.ready {
+        for i in 0..granted {
+            let f = self.libcm.ready()[i];
             self.requests_outstanding = self.requests_outstanding.saturating_sub(1);
             self.send_one(os);
             // The transmission must be charged to the CM: the kernel

@@ -151,11 +151,12 @@ impl HostApp for CoScheduledWeb {
     fn on_cm_grant(&mut self, os: &mut HostOs<'_, '_>, flow: FlowId) {
         self.libcm.socket.post_grant(flow);
         let now = os.now();
-        let wk = {
+        let granted = {
             let (cpu, costs) = os.cpu_and_costs();
-            self.libcm.wakeup(now, cpu, costs)
+            self.libcm.wakeup(now, cpu, costs).ready.len()
         };
-        for f in wk.ready {
+        for i in 0..granted {
+            let f = self.libcm.ready()[i];
             self.requests_outstanding = self.requests_outstanding.saturating_sub(1);
             if self.send_packet(os) {
                 os.cm_notify(f, self.packet_size as u64 + WIRE_OVERHEAD, false);

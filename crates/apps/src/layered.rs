@@ -295,11 +295,12 @@ impl HostApp for LayeredStreamer {
         // ALF mode only: transmit on every grant.
         self.libcm.socket.post_grant(flow);
         let now = os.now();
-        let wk = {
+        let granted = {
             let (cpu, costs) = os.cpu_and_costs();
-            self.libcm.wakeup(now, cpu, costs)
+            self.libcm.wakeup(now, cpu, costs).ready.len()
         };
-        for f in wk.ready {
+        for i in 0..granted {
+            let f = self.libcm.ready()[i];
             self.requests_outstanding = self.requests_outstanding.saturating_sub(1);
             if self.send_packet(os) {
                 let wire = self.packet_size as u64 + 28;

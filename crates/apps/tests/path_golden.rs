@@ -124,7 +124,6 @@ fn bulk_cfg(cost: CostModel) -> HostConfig {
             mtu: 1460,
             ..Default::default()
         },
-        ..Default::default()
     }
 }
 

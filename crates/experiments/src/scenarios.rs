@@ -115,18 +115,12 @@ pub fn bulk_transfer_controller(
         cost,
         tcp: tcp.clone(),
         cm,
-        ..Default::default()
     });
     server.add_app(Box::new(BulkReceiver::new(80, mode)));
     let server_id = topo.add_host(Box::new(server));
     let server_addr = topo.sim().addr_of(server_id);
 
-    let mut client = Host::new(HostConfig {
-        cost,
-        tcp,
-        cm,
-        ..Default::default()
-    });
+    let mut client = Host::new(HostConfig { cost, tcp, cm });
     let tx_app = client.add_app(Box::new(BulkSender::new(server_addr, 80, mode, total)));
     let client_id = topo.add_host(Box::new(client));
     topo.emulated_path(client_id, server_id, path);

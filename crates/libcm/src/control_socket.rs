@@ -16,8 +16,6 @@
 //! "reducing the number of system calls that must be made if several
 //! flows become ready simultaneously".
 
-use std::collections::BTreeMap;
-
 use cm_core::types::{FlowId, FlowInfo};
 
 /// The readiness bits `select()` reports for the control socket.
@@ -37,13 +35,22 @@ impl SelectBits {
 }
 
 /// Kernel-side state backing one application's control socket.
+///
+/// Both tables are flat vectors sorted by flow id: an application holds a
+/// handful of flows, and a drained vector keeps its capacity, so posting
+/// and collecting on every packet allocates nothing once warm.
 #[derive(Debug, Default)]
 pub struct ControlSocket {
     /// Outstanding send permissions per flow. A count, not a set: a flow
     /// granted twice may send twice.
-    grants: BTreeMap<FlowId, u32>,
+    grants: Vec<(FlowId, u32)>,
     /// Latest (and only the latest) status change per flow.
-    status: BTreeMap<FlowId, FlowInfo>,
+    status: Vec<(FlowId, FlowInfo)>,
+}
+
+/// Where `flow` sits (`Ok`) or belongs (`Err`) in a table sorted by flow.
+fn position<T>(table: &[(FlowId, T)], flow: FlowId) -> Result<usize, usize> {
+    table.binary_search_by_key(&flow, |&(f, _)| f)
 }
 
 impl ControlSocket {
@@ -56,19 +63,29 @@ impl ControlSocket {
 
     /// Posts a send permission for `flow` (`cmapp_send` pending).
     pub fn post_grant(&mut self, flow: FlowId) {
-        *self.grants.entry(flow).or_insert(0) += 1;
+        match position(&self.grants, flow) {
+            Ok(i) => self.grants[i].1 += 1,
+            Err(i) => self.grants.insert(i, (flow, 1)),
+        }
     }
 
     /// Posts a status change for `flow` (`cmapp_update` pending);
     /// overwrites any undelivered status for the same flow.
     pub fn post_status(&mut self, flow: FlowId, info: FlowInfo) {
-        self.status.insert(flow, info);
+        match position(&self.status, flow) {
+            Ok(i) => self.status[i].1 = info,
+            Err(i) => self.status.insert(i, (flow, info)),
+        }
     }
 
     /// Drops all state for a closed flow.
     pub fn forget_flow(&mut self, flow: FlowId) {
-        self.grants.remove(&flow);
-        self.status.remove(&flow);
+        if let Ok(i) = position(&self.grants, flow) {
+            self.grants.remove(i);
+        }
+        if let Ok(i) = position(&self.status, flow) {
+            self.status.remove(i);
+        }
     }
 
     // --- User side ---
@@ -81,36 +98,32 @@ impl ControlSocket {
         }
     }
 
-    /// The "who can send" ioctl: returns every flow id with at least one
-    /// undelivered permission, each repeated by its grant count, and
-    /// clears them. Flow order rotates by flow id, which provides the
-    /// weak-but-starvation-free ordering §2.2.2 asks for.
-    pub fn ioctl_ready_flows(&mut self) -> Vec<FlowId> {
-        let mut out = Vec::new();
-        for (&flow, &count) in &self.grants {
-            for _ in 0..count {
-                out.push(flow);
-            }
+    /// The "who can send" ioctl: appends to `out` every flow id with at
+    /// least one undelivered permission, each repeated by its grant
+    /// count, and clears them. Flow order rotates by flow id, which
+    /// provides the weak-but-starvation-free ordering §2.2.2 asks for.
+    pub fn ioctl_ready_flows(&mut self, out: &mut Vec<FlowId>) {
+        for (flow, count) in self.grants.drain(..) {
+            out.extend(std::iter::repeat_n(flow, count as usize));
         }
-        self.grants.clear();
-        out
     }
 
     /// The "current network state" ioctl for one flow; delivering clears
     /// the pending-change mark.
     pub fn ioctl_status(&mut self, flow: FlowId) -> Option<FlowInfo> {
-        self.status.remove(&flow)
+        let i = position(&self.status, flow).ok()?;
+        Some(self.status.remove(i).1)
     }
 
-    /// Bulk form: all pending status changes at once (the libcm bulk
-    /// query the paper mentions under "Optimizations").
-    pub fn ioctl_all_status(&mut self) -> Vec<(FlowId, FlowInfo)> {
-        std::mem::take(&mut self.status).into_iter().collect()
+    /// Bulk form: appends all pending status changes to `out` at once
+    /// (the libcm bulk query the paper mentions under "Optimizations").
+    pub fn ioctl_all_status(&mut self, out: &mut Vec<(FlowId, FlowInfo)>) {
+        out.append(&mut self.status);
     }
 
     /// Undelivered grant count (for tests).
     pub fn pending_grants(&self) -> usize {
-        self.grants.values().map(|&c| c as usize).sum()
+        self.grants.iter().map(|&(_, c)| c as usize).sum()
     }
 }
 
@@ -147,12 +160,14 @@ mod tests {
         cs.post_grant(FlowId(1));
         cs.post_grant(FlowId(2));
         cs.post_grant(FlowId(1));
-        let ready = cs.ioctl_ready_flows();
-        assert_eq!(ready.len(), 3);
-        assert_eq!(ready.iter().filter(|&&f| f == FlowId(1)).count(), 2);
-        assert_eq!(ready.iter().filter(|&&f| f == FlowId(2)).count(), 1);
+        let mut ready = Vec::new();
+        cs.ioctl_ready_flows(&mut ready);
+        // In flow-id order, each repeated by its count.
+        assert_eq!(ready, [FlowId(1), FlowId(1), FlowId(2)]);
         // Drained.
-        assert!(cs.ioctl_ready_flows().is_empty());
+        ready.clear();
+        cs.ioctl_ready_flows(&mut ready);
+        assert!(ready.is_empty());
         assert!(!cs.select_bits().writable);
     }
 
@@ -171,7 +186,8 @@ mod tests {
         let mut cs = ControlSocket::new();
         cs.post_status(FlowId(1), info(1));
         cs.post_status(FlowId(2), info(2));
-        let all = cs.ioctl_all_status();
+        let mut all = Vec::new();
+        cs.ioctl_all_status(&mut all);
         assert_eq!(all.len(), 2);
         assert!(!cs.select_bits().exception);
     }
@@ -191,10 +207,12 @@ mod tests {
         // Two flows posting continuously: each round's ioctl returns
         // both, so neither can be starved regardless of processing order.
         let mut cs = ControlSocket::new();
+        let mut ready = Vec::new();
         for _ in 0..10 {
             cs.post_grant(FlowId(1));
             cs.post_grant(FlowId(2));
-            let ready = cs.ioctl_ready_flows();
+            ready.clear();
+            cs.ioctl_ready_flows(&mut ready);
             assert!(ready.contains(&FlowId(1)));
             assert!(ready.contains(&FlowId(2)));
         }

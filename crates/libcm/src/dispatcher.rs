@@ -56,7 +56,9 @@ pub struct DispatchStats {
     pub updates_delivered: u64,
 }
 
-/// One wakeup's worth of events for the application.
+/// One wakeup's worth of events for the application. The dispatcher
+/// refills one of these on every wakeup, so its buffers keep their
+/// capacity.
 #[derive(Debug, Default)]
 pub struct Wakeup {
     /// Flows that may send (repeated per permission).
@@ -81,6 +83,8 @@ pub struct Dispatcher {
     /// the same instant share one select+ioctl (the batching §2.2.2 is
     /// designed around).
     last_wakeup: Option<Time>,
+    /// The latest wakeup's events, handed out by reference.
+    woken: Wakeup,
     /// Counters.
     pub stats: DispatchStats,
 }
@@ -92,24 +96,28 @@ impl Dispatcher {
             socket: ControlSocket::new(),
             mode,
             last_wakeup: None,
+            woken: Wakeup::default(),
             stats: DispatchStats::default(),
         }
     }
 
-    /// The notification mode.
-    pub fn mode(&self) -> NotifyMode {
-        self.mode
+    /// The flows the latest [`Dispatcher::wakeup`] handed out, in
+    /// delivery order (repeated per permission).
+    pub fn ready(&self) -> &[FlowId] {
+        &self.woken.ready
     }
 
     /// Processes a wakeup at `now`, charging `cpu` per `costs`, and
     /// returns everything the application should handle. Call this from
     /// the app's notification handler (or its poll loop).
-    pub fn wakeup(&mut self, now: Time, cpu: &mut Cpu, costs: &CostModel) -> Wakeup {
+    pub fn wakeup(&mut self, now: Time, cpu: &mut Cpu, costs: &CostModel) -> &Wakeup {
+        self.woken.ready.clear();
+        self.woken.updates.clear();
         let bits = self.socket.select_bits();
         let fresh_instant = self.last_wakeup != Some(now);
         let is_poll = matches!(self.mode, NotifyMode::Poll { .. });
         if !bits.any() && !is_poll {
-            return Wakeup::default();
+            return &self.woken;
         }
         if fresh_instant {
             self.last_wakeup = Some(now);
@@ -126,9 +134,9 @@ impl Dispatcher {
                 }
             }
         } else if !bits.any() {
-            return Wakeup::default();
+            return &self.woken;
         }
-        let mut out = Wakeup::default();
+        let out = &mut self.woken;
         if bits.writable {
             if fresh_instant {
                 // One batched ioctl covers every simultaneously-ready
@@ -137,7 +145,7 @@ impl Dispatcher {
                 cpu.run(now, costs.ioctl);
                 self.stats.ready_ioctls += 1;
             }
-            out.ready = self.socket.ioctl_ready_flows();
+            self.socket.ioctl_ready_flows(&mut out.ready);
             self.stats.grants_delivered += out.ready.len() as u64;
         }
         if bits.exception {
@@ -146,7 +154,7 @@ impl Dispatcher {
                 cpu.run(now, costs.ioctl);
                 self.stats.status_ioctls += 1;
             }
-            out.updates = self.socket.ioctl_all_status();
+            self.socket.ioctl_all_status(&mut out.updates);
             self.stats.updates_delivered += out.updates.len() as u64;
         }
         out

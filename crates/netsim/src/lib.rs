@@ -5,8 +5,10 @@
 //! It provides:
 //!
 //! * an event queue with deterministic tie-breaking ([`event`]),
-//! * packets with ECN codepoints and opaque transport payloads
-//!   ([`packet`]),
+//! * packets with ECN codepoints, carrying their transport header inline
+//!   as a closed [`Payload`] enum ([`packet`]), and the wire formats it
+//!   ranges over — TCP segments, UDP datagrams, CM feedback bodies
+//!   ([`segment`]),
 //! * queueing disciplines: drop-tail and RED with ECN marking ([`queue`]),
 //! * links with a serialization rate, propagation delay, and Dummynet-style
 //!   Bernoulli loss ([`link`]),
@@ -35,6 +37,7 @@ pub mod link;
 pub mod packet;
 pub mod queue;
 pub mod schedule;
+pub mod segment;
 pub mod sim;
 pub mod topology;
 pub mod trace;

@@ -1,16 +1,18 @@
-//! Packets: addresses, protocol numbers, ECN codepoints, and opaque
-//! transport payloads.
+//! Packets: addresses, protocol numbers, ECN codepoints, and transport
+//! payloads.
 //!
 //! The simulator moves [`Packet`]s between nodes. A packet carries enough
 //! header information for routing (`src`/`dst` addresses), demultiplexing
 //! (ports and [`Protocol`]), congestion signalling ([`Ecn`]), and byte
 //! accounting (`size`, the full wire size used for serialization delay and
-//! queue occupancy). The transport protocols in `cm-transport` attach their
-//! segment structures as a type-erased [`Payload`], keeping this crate free
-//! of any knowledge of TCP or the CM.
+//! queue occupancy). Its transport header rides inline as a [`Payload`], a
+//! closed enum over the wire formats in [`crate::segment`]; the simulator
+//! never looks inside it, and the protocols that do live in
+//! `cm-transport`.
 
-use core::any::Any;
 use core::fmt;
+
+use crate::segment::{TcpSegment, UdpDatagram};
 
 /// A network-layer address (think IPv4 host address).
 ///
@@ -107,83 +109,29 @@ impl Ecn {
     }
 }
 
-/// A type-erased transport payload.
+/// A packet's transport header.
 ///
-/// Transports put their segment headers (and logically, their data) here;
-/// the simulator treats it as opaque freight. The wire size of the packet
-/// is tracked separately in [`Packet::size`], so payloads need not contain
-/// actual data bytes — most carry only headers plus a byte count, which
-/// keeps multi-gigabyte transfer simulations cheap.
-///
-/// Payload values must be `Clone` so the fault-injection layer can
-/// duplicate packets in flight; transport segments are plain header
-/// structs, so this costs nothing in practice.
-pub struct Payload(Option<Box<dyn PayloadValue>>);
-
-/// Object-safe clone-box shim over `Any + Send + Clone` payload values.
-trait PayloadValue: Any + Send {
-    fn clone_box(&self) -> Box<dyn PayloadValue>;
-    fn as_any(&self) -> &dyn Any;
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-impl<T: Any + Send + Clone> PayloadValue for T {
-    fn clone_box(&self) -> Box<dyn PayloadValue> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-impl Clone for Payload {
-    fn clone(&self) -> Self {
-        Payload(self.0.as_deref().map(PayloadValue::clone_box))
-    }
+/// The simulator treats it as freight. The wire size of the packet is
+/// tracked separately in [`Packet::size`], so payloads carry no data
+/// bytes — only headers plus a byte count, which keeps multi-gigabyte
+/// transfer simulations cheap. The enum is closed and `Copy`: a packet
+/// holds its header inline, so building, forwarding or duplicating one
+/// allocates nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Payload {
+    /// No transport header (pure filler packets, e.g. cross traffic).
+    #[default]
+    Empty,
+    /// A TCP segment.
+    Tcp(TcpSegment),
+    /// A UDP datagram.
+    Udp(UdpDatagram),
 }
 
 impl Payload {
-    /// Wraps a transport-defined value.
-    pub fn new<T: Any + Send + Clone>(value: T) -> Self {
-        Payload(Some(Box::new(value)))
-    }
-
     /// An empty payload (pure filler packets, e.g. cross traffic).
     pub fn empty() -> Self {
-        Payload(None)
-    }
-
-    /// Returns true if there is no payload value.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// Consumes the payload, returning the inner value if it has type `T`.
-    pub fn downcast<T: Any>(self) -> Option<T> {
-        match self.0 {
-            Some(b) => b.into_any().downcast::<T>().ok().map(|b| *b),
-            None => None,
-        }
-    }
-
-    /// Borrows the inner value if it has type `T`.
-    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
-        self.0
-            .as_deref()
-            .and_then(|b| b.as_any().downcast_ref::<T>())
-    }
-}
-
-impl fmt::Debug for Payload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_some() {
-            write!(f, "Payload(..)")
-        } else {
-            write!(f, "Payload(empty)")
-        }
+        Payload::Empty
     }
 }
 
@@ -210,7 +158,7 @@ pub struct Packet {
     pub ecn: Ecn,
     /// Unique id assigned at send time, for tracing.
     pub id: u64,
-    /// Type-erased transport payload.
+    /// Transport header.
     pub payload: Payload,
 }
 
@@ -270,30 +218,12 @@ pub mod wire {
 mod tests {
     use super::*;
 
+    /// Every event-arena slot and link-queue slot holds one packet, so a
+    /// wire-format field that grows it must be a decision, not an
+    /// accident: raise this bound only on purpose.
     #[test]
-    fn payload_roundtrip() {
-        #[derive(Debug, PartialEq, Clone)]
-        struct Seg {
-            seq: u32,
-        }
-        let p = Payload::new(Seg { seq: 9 });
-        assert!(!p.is_empty());
-        assert_eq!(p.downcast_ref::<Seg>().unwrap().seq, 9);
-        assert_eq!(p.downcast::<Seg>(), Some(Seg { seq: 9 }));
-    }
-
-    #[test]
-    fn payload_wrong_type_is_none() {
-        let p = Payload::new(17u32);
-        assert!(p.downcast_ref::<String>().is_none());
-        assert!(p.downcast::<String>().is_none());
-    }
-
-    #[test]
-    fn payload_empty() {
-        let p = Payload::empty();
-        assert!(p.is_empty());
-        assert!(p.downcast_ref::<u32>().is_none());
+    fn packet_size_is_pinned() {
+        assert!(size_of::<Packet>() <= 144, "{} B", size_of::<Packet>());
     }
 
     #[test]

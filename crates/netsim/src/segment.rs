@@ -1,5 +1,9 @@
-//! Wire formats: TCP segments and UDP datagrams.
+//! Wire formats: TCP segments, UDP datagrams, and the CM feedback
+//! protocol's data and acknowledgement bodies.
 //!
+//! These are the only transport headers a [`Packet`](crate::packet::Packet)
+//! carries ([`Payload`](crate::packet::Payload) is a closed enum over
+//! them); the protocols that read and write them live in `cm-transport`.
 //! Segments carry byte *counts*, not byte contents: a simulated gigabyte
 //! transfer needs no gigabyte of memory. Stream positions are absolute
 //! `u64` offsets: a production TCP needs 32-bit wrapping sequence
@@ -55,9 +59,7 @@ impl TcpSegment {
     pub fn sack_blocks(&self) -> &[(u64, u64)] {
         &self.sack[..self.sack_count as usize]
     }
-}
 
-impl TcpSegment {
     /// The stream space this segment occupies (SYN and FIN each consume
     /// one offset).
     pub fn seq_space(&self) -> u64 {
@@ -93,9 +95,44 @@ pub enum UdpBody {
     /// Opaque data (cross traffic, fillers).
     Raw,
     /// A data packet in the CM feedback protocol.
-    Data(crate::feedback::DataPayload),
+    Data(DataPayload),
     /// An acknowledgement in the CM feedback protocol.
-    Ack(crate::feedback::AckPayload),
+    Ack(AckPayload),
+}
+
+/// What a CM-using UDP sender stamps on each data packet.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DataPayload {
+    /// Sender's per-flow sequence number, starting at zero.
+    pub seq: u64,
+    /// Payload bytes in this packet.
+    pub bytes: u32,
+    /// Send timestamp, echoed back for RTT measurement (the sender's
+    /// first `gettimeofday` in Table 1's accounting).
+    pub sent_at: Time,
+    /// The layered-streaming layer this packet belongs to (zero when
+    /// unused); lets experiment receivers compute per-layer goodput.
+    pub layer: u8,
+}
+
+/// What the receiver returns.
+///
+/// A per-packet acknowledger echoes one [`AckPayload`] per data packet; a
+/// delayed acknowledger batches (the Figure 10 configuration: feedback
+/// every `min(500 ACKs, 2000 ms)`), reporting cumulative counts.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AckPayload {
+    /// Highest sequence number received so far.
+    pub highest_seq: u64,
+    /// Cumulative count of packets received.
+    pub packets_received: u64,
+    /// Cumulative bytes received.
+    pub bytes_received: u64,
+    /// Echo of the newest data packet's send timestamp.
+    pub echo_sent_at: Time,
+    /// How many data packets this acknowledgement covers (1 for
+    /// per-packet feedback, up to the batch limit for delayed feedback).
+    pub acks_batched: u32,
 }
 
 #[cfg(test)]
@@ -109,9 +146,8 @@ mod tests {
             ack: 0,
             flags: TcpFlags {
                 syn,
-                ack: false,
                 fin,
-                ece: false,
+                ..Default::default()
             },
             wnd: 65535,
             ts: Time::ZERO,

@@ -1,47 +1,13 @@
 //! The application-level feedback protocol for UDP clients of the CM.
 //!
 //! "Note that all UDP-based clients must implement application level data
-//! acknowledgements in order to make use of the CM." (§3.1). This module
-//! defines the wire payloads both ends exchange; the receiver-side
-//! applications (per-packet and delayed/batched acknowledgers) live in
-//! `cm-apps`.
+//! acknowledgements in order to make use of the CM." (§3.1). The wire
+//! payloads both ends exchange are defined beside the other wire formats
+//! in `cm_netsim::segment`; this module adds the sender's loss inference.
+//! The receiver-side applications (per-packet and delayed/batched
+//! acknowledgers) live in `cm-apps`.
 
-use cm_util::Time;
-
-/// What a CM-using UDP sender stamps on each data packet.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DataPayload {
-    /// Sender's per-flow sequence number, starting at zero.
-    pub seq: u64,
-    /// Payload bytes in this packet.
-    pub bytes: u32,
-    /// Send timestamp, echoed back for RTT measurement (the sender's
-    /// first `gettimeofday` in Table 1's accounting).
-    pub sent_at: Time,
-    /// The layered-streaming layer this packet belongs to (zero when
-    /// unused); lets experiment receivers compute per-layer goodput.
-    pub layer: u8,
-}
-
-/// What the receiver returns.
-///
-/// A per-packet acknowledger echoes one [`AckPayload`] per data packet; a
-/// delayed acknowledger batches (the Figure 10 configuration: feedback
-/// every `min(500 ACKs, 2000 ms)`), reporting cumulative counts.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AckPayload {
-    /// Highest sequence number received so far.
-    pub highest_seq: u64,
-    /// Cumulative count of packets received.
-    pub packets_received: u64,
-    /// Cumulative bytes received.
-    pub bytes_received: u64,
-    /// Echo of the newest data packet's send timestamp.
-    pub echo_sent_at: Time,
-    /// How many data packets this acknowledgement covers (1 for
-    /// per-packet feedback, up to the batch limit for delayed feedback).
-    pub acks_batched: u32,
-}
+pub use cm_netsim::segment::{AckPayload, DataPayload};
 
 /// Sender-side loss detection over the feedback stream.
 ///
@@ -107,6 +73,7 @@ impl FeedbackTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cm_util::Time;
 
     fn ack(seq: u64, pkts: u64, bytes: u64, batched: u32) -> AckPayload {
         AckPayload {

@@ -56,6 +56,8 @@ use crate::udp::{QueuedDatagram, UdpSocket};
 const TCP_OVERHEAD: usize = 40;
 /// IP + UDP header overhead, bytes.
 const UDP_OVERHEAD: usize = 28;
+/// Period of the CM maintenance timer.
+const CM_TICK: Duration = Duration::from_millis(100);
 
 /// Host-level configuration.
 #[derive(Clone, Debug)]
@@ -67,8 +69,6 @@ pub struct HostConfig {
     /// CPU cost model; [`CostModel::free`] for pure protocol-dynamics
     /// experiments.
     pub cost: CostModel,
-    /// Period of the CM maintenance timer.
-    pub cm_tick: Duration,
 }
 
 impl Default for HostConfig {
@@ -77,7 +77,6 @@ impl Default for HostConfig {
             cm: CmConfig::default(),
             tcp: TcpConfig::default(),
             cost: CostModel::free(),
-            cm_tick: Duration::from_millis(100),
         }
     }
 }
@@ -642,7 +641,7 @@ impl Host {
             meta.remote_port,
             Protocol::Tcp,
             seg.len as usize + TCP_OVERHEAD,
-            Payload::new(seg),
+            Payload::Tcp(seg),
         );
         if ecn_capable {
             pkt = pkt.with_ecn(Ecn::Ect);
@@ -693,7 +692,7 @@ impl Host {
                     q.dst_port,
                     Protocol::Udp,
                     wire,
-                    Payload::new(q.dgram),
+                    Payload::Udp(q.dgram),
                 );
                 let work = self.cfg.cost.udp_proc + self.cfg.cost.ip_output;
                 self.emit_with_cpu(ctx, pkt, work);
@@ -710,7 +709,7 @@ impl Host {
 impl Node for Host {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.addr = Some(ctx.addr());
-        ctx.set_timer(self.cfg.cm_tick, TimerTarget::CmTick.token());
+        ctx.set_timer(CM_TICK, TimerTarget::CmTick.token());
         for i in 0..self.apps.len() {
             let app_id = AppId(i as u32);
             if let Some(mut app) = self.apps[i].take() {
@@ -735,7 +734,7 @@ impl Node for Host {
         let ce = pkt.ecn == Ecn::Ce;
         match pkt.proto {
             Protocol::Tcp => {
-                let Some(seg) = pkt.payload.downcast_ref::<TcpSegment>().copied() else {
+                let Payload::Tcp(seg) = pkt.payload else {
                     return;
                 };
                 self.cpu.run(now, self.cfg.cost.tcp_proc);
@@ -789,7 +788,7 @@ impl Node for Host {
                 self.run_tcp_actions(ctx, conn_id);
             }
             Protocol::Udp => {
-                let Some(dgram) = pkt.payload.downcast_ref::<UdpDatagram>().copied() else {
+                let Payload::Udp(dgram) = pkt.payload else {
                     return;
                 };
                 self.cpu.run(now, self.cfg.cost.udp_proc);
@@ -839,7 +838,7 @@ impl Node for Host {
             }
             TimerTarget::CmTick => {
                 self.cm.tick(now);
-                ctx.set_timer(self.cfg.cm_tick, TimerTarget::CmTick.token());
+                ctx.set_timer(CM_TICK, TimerTarget::CmTick.token());
             }
             TimerTarget::CmPace => {
                 self.pace_timer_at = None;
@@ -1072,7 +1071,7 @@ impl HostOs<'_, '_> {
                 dst_port,
                 Protocol::Udp,
                 dgram.len as usize + UDP_OVERHEAD,
-                Payload::new(dgram),
+                Payload::Udp(dgram),
             );
             let work = self.host.cfg.cost.udp_proc + self.host.cfg.cost.ip_output;
             self.host.emit_with_cpu(self.ctx, pkt, work);

@@ -25,11 +25,11 @@
 
 pub mod feedback;
 pub mod host;
-pub mod segment;
 pub mod tcp;
 pub mod types;
 pub mod udp;
 
+pub use cm_netsim::segment;
 pub use host::{Host, HostApp, HostOs};
 pub use segment::{TcpSegment, UdpDatagram};
 pub use tcp::{TcpConfig, TcpConnection, TcpStats};

@@ -46,21 +46,8 @@ pub struct TcpConfig {
     pub mss: usize,
     /// Whether the receiver delays ACKs (200 ms / every-other-segment).
     pub delayed_ack: bool,
-    /// The delayed-ACK timer.
-    pub delack_timeout: Duration,
     /// Receive window advertised to the peer.
     pub rwnd: u64,
-    /// Native mode's initial window, in segments (Linux 2.2 used 2).
-    pub initial_cwnd_segments: u32,
-    /// RTO clamp floor.
-    pub min_rto: Duration,
-    /// RTO clamp ceiling.
-    pub max_rto: Duration,
-    /// RTO before any RTT sample.
-    pub fallback_rto: Duration,
-    /// CM mode: cap on `cm_request`s outstanding at once (bounds the
-    /// scheduler queue during bulk transfers).
-    pub max_requests: u32,
     /// Mark data packets ECN-capable and react to ECE echoes.
     pub ecn: bool,
 }
@@ -70,17 +57,25 @@ impl Default for TcpConfig {
         TcpConfig {
             mss: 1460,
             delayed_ack: true,
-            delack_timeout: Duration::from_millis(200),
             rwnd: 1 << 24,
-            initial_cwnd_segments: 2,
-            min_rto: Duration::from_millis(200),
-            max_rto: Duration::from_secs(120),
-            fallback_rto: Duration::from_secs(3),
-            max_requests: 64,
             ecn: false,
         }
     }
 }
+
+/// The delayed-ACK timer.
+const DELACK_TIMEOUT: Duration = Duration::from_millis(200);
+/// Native mode's initial window, in segments (Linux 2.2 used 2).
+const INITIAL_CWND_SEGMENTS: u64 = 2;
+/// RTO clamp floor.
+const MIN_RTO: Duration = Duration::from_millis(200);
+/// RTO clamp ceiling.
+const MAX_RTO: Duration = Duration::from_secs(120);
+/// RTO before any RTT sample.
+const FALLBACK_RTO: Duration = Duration::from_secs(3);
+/// CM mode: cap on `cm_request`s outstanding at once (bounds the
+/// scheduler queue during bulk transfers).
+const MAX_REQUESTS: u64 = 64;
 
 /// Connection lifecycle states (simplified from RFC 793: no TIME_WAIT,
 /// since the simulator never reuses 4-tuples).
@@ -369,7 +364,7 @@ impl TcpConnection {
     }
 
     fn new(cfg: TcpConfig, mode: CcMode, state: TcpState) -> Self {
-        let cwnd = cfg.initial_cwnd_segments as u64 * cfg.mss as u64;
+        let cwnd = INITIAL_CWND_SEGMENTS * cfg.mss as u64;
         TcpConnection {
             cfg,
             mode,
@@ -416,11 +411,6 @@ impl TcpConnection {
         self.state
     }
 
-    /// Congestion mode.
-    pub fn mode(&self) -> CcMode {
-        self.mode
-    }
-
     /// Bytes in flight (sequence space between `snd_una` and `snd_nxt`).
     pub fn flight(&self) -> u64 {
         self.snd_nxt.saturating_sub(self.snd_una)
@@ -456,15 +446,11 @@ impl TcpConnection {
     /// The connection's current retransmission timeout.
     pub fn rto(&self) -> Duration {
         let base = match (self.mode, self.shared_rtt) {
-            (CcMode::Cm, Some((srtt, rttvar))) => {
-                (srtt + rttvar * 4).clamp(self.cfg.min_rto, self.cfg.max_rto)
-            }
-            _ => self
-                .rtt
-                .rto(self.cfg.min_rto, self.cfg.max_rto, self.cfg.fallback_rto),
+            (CcMode::Cm, Some((srtt, rttvar))) => (srtt + rttvar * 4).clamp(MIN_RTO, MAX_RTO),
+            _ => self.rtt.rto(MIN_RTO, MAX_RTO, FALLBACK_RTO),
         };
         let scaled = base * (1u64 << self.backoff.min(6));
-        scaled.min(self.cfg.max_rto)
+        scaled.min(MAX_RTO)
     }
 
     // ------------------------------------------------------------------
@@ -768,10 +754,7 @@ impl TcpConnection {
             self.send_ack(now, out);
         } else if !self.ack_pending {
             self.ack_pending = true;
-            out.push(TcpAction::SetTimer(
-                TcpTimer::DelayedAck,
-                self.cfg.delack_timeout,
-            ));
+            out.push(TcpAction::SetTimer(TcpTimer::DelayedAck, DELACK_TIMEOUT));
         }
     }
 
@@ -1037,7 +1020,7 @@ impl TcpConnection {
         let mut want = unsent.div_ceil(self.cfg.mss as u64)
             + self.next_hole().is_some() as u64
             + (self.fin_queued && !self.fin_sent) as u64;
-        want = want.min(self.cfg.max_requests as u64);
+        want = want.min(MAX_REQUESTS);
         while (self.requests_outstanding as u64) < want {
             self.requests_outstanding += 1;
             out.push(TcpAction::CmRequest);
@@ -1099,23 +1082,23 @@ impl TcpConnection {
         let Some((pos, len, fin)) = self.next_hole() else {
             return false;
         };
-        self.rtx_next_hole = pos + len as u64 + fin as u64;
         let flags = TcpFlags {
             ack: true,
             fin,
             ..Default::default()
         };
         let seg = self.make_segment(pos, len, flags, now);
+        self.rtx_next_hole = seg.seq_end();
         self.stats.bytes_rtx += len as u64;
         self.emit(seg, out);
         if self.mode == CcMode::Cm {
             // Charge the retransmission, and drain the original
             // transmission's charge — it is lost (no congestion signal
             // here; the episode already reported one).
-            out.push(TcpAction::CmNotify(seg_space(len, flags)));
+            out.push(TcpAction::CmNotify(seg.seq_space()));
             out.push(TcpAction::CmUpdate(FeedbackReport::loss(
                 LossMode::None,
-                seg_space(len, flags),
+                seg.seq_space(),
             )));
         }
         self.arm_rto_if_idle(out);
@@ -1194,10 +1177,6 @@ impl TcpConnection {
             }
         }
     }
-}
-
-fn seg_space(len: u32, flags: TcpFlags) -> u64 {
-    len as u64 + flags.syn as u64 + flags.fin as u64
 }
 
 #[cfg(test)]
@@ -1326,6 +1305,35 @@ mod tests {
 
     fn cfg() -> TcpConfig {
         TcpConfig::default()
+    }
+
+    fn flags(syn: bool, ack: bool) -> TcpFlags {
+        TcpFlags {
+            syn,
+            ack,
+            ..Default::default()
+        }
+    }
+
+    /// A segment from a peer that has received only our SYN, with a
+    /// 1 MB window and no SACK blocks.
+    fn peer_segment(seq: u64, len: u32, flags: TcpFlags, now: Time) -> TcpSegment {
+        TcpSegment {
+            seq,
+            len,
+            ack: 1,
+            flags,
+            wnd: 1 << 20,
+            ts: now,
+            ts_ecr: None,
+            sack: [(0, 0); 3],
+            sack_count: 0,
+        }
+    }
+
+    /// The SYN|ACK answering a connection's SYN.
+    fn synack(now: Time) -> TcpSegment {
+        peer_segment(0, 0, flags(true, true), now)
     }
 
     #[test]
@@ -1474,22 +1482,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, TcpAction::Emit(s) if s.flags.syn)));
         // Fake the SYN|ACK.
-        let synack = TcpSegment {
-            seq: 0,
-            len: 0,
-            ack: 1,
-            flags: TcpFlags {
-                syn: true,
-                ack: true,
-                ..Default::default()
-            },
-            wnd: 1 << 20,
-            ts: now,
-            ts_ecr: None,
-            sack: [(0, 0); 3],
-            sack_count: 0,
-        };
-        let actions = conn.on_segment(&synack, false, now);
+        let actions = conn.on_segment(&synack(now), false, now);
         assert!(actions
             .iter()
             .any(|a| matches!(a, TcpAction::Event(TcpEvent::Connected))));
@@ -1521,22 +1514,7 @@ mod tests {
     fn cm_mode_grant_with_nothing_to_send_notifies_zero() {
         let now = Time::ZERO;
         let (mut conn, _) = TcpConnection::connect(cfg(), CcMode::Cm, now);
-        let synack = TcpSegment {
-            seq: 0,
-            len: 0,
-            ack: 1,
-            flags: TcpFlags {
-                syn: true,
-                ack: true,
-                ..Default::default()
-            },
-            wnd: 1 << 20,
-            ts: now,
-            ts_ecr: None,
-            sack: [(0, 0); 3],
-            sack_count: 0,
-        };
-        let _ = conn.on_segment(&synack, false, now);
+        let _ = conn.on_segment(&synack(now), false, now);
         let actions = conn.on_cm_grant(now);
         assert!(actions.iter().any(|a| matches!(a, TcpAction::CmNotify(0))));
     }
@@ -1545,42 +1523,14 @@ mod tests {
     fn cm_mode_dupacks_report_to_cm() {
         let now = Time::ZERO;
         let (mut conn, _) = TcpConnection::connect(cfg(), CcMode::Cm, now);
-        let synack = TcpSegment {
-            seq: 0,
-            len: 0,
-            ack: 1,
-            flags: TcpFlags {
-                syn: true,
-                ack: true,
-                ..Default::default()
-            },
-            wnd: 1 << 20,
-            ts: now,
-            ts_ecr: None,
-            sack: [(0, 0); 3],
-            sack_count: 0,
-        };
-        let _ = conn.on_segment(&synack, false, now);
+        let _ = conn.on_segment(&synack(now), false, now);
         let _ = conn.app_write(20 * 1460, now);
         // Send 6 segments via grants.
         for _ in 0..6 {
             let _ = conn.on_cm_grant(now);
         }
         // Three duplicate ACKs at snd_una = 1.
-        let dup = TcpSegment {
-            seq: 1,
-            len: 0,
-            ack: 1,
-            flags: TcpFlags {
-                ack: true,
-                ..Default::default()
-            },
-            wnd: 1 << 20,
-            ts: now,
-            ts_ecr: None,
-            sack: [(0, 0); 3],
-            sack_count: 0,
-        };
+        let dup = peer_segment(1, 0, flags(false, true), now);
         let _ = conn.on_segment(&dup, false, now);
         let _ = conn.on_segment(&dup, false, now);
         let actions = conn.on_segment(&dup, false, now);
@@ -1600,22 +1550,7 @@ mod tests {
     fn cm_mode_timeout_reports_persistent() {
         let now = Time::ZERO;
         let (mut conn, _) = TcpConnection::connect(cfg(), CcMode::Cm, now);
-        let synack = TcpSegment {
-            seq: 0,
-            len: 0,
-            ack: 1,
-            flags: TcpFlags {
-                syn: true,
-                ack: true,
-                ..Default::default()
-            },
-            wnd: 1 << 20,
-            ts: now,
-            ts_ecr: None,
-            sack: [(0, 0); 3],
-            sack_count: 0,
-        };
-        let _ = conn.on_segment(&synack, false, now);
+        let _ = conn.on_segment(&synack(now), false, now);
         let _ = conn.app_write(5 * 1460, now);
         let _ = conn.on_cm_grant(now);
         let actions = conn.on_timer(TcpTimer::Rto, Time::from_secs(3));
@@ -1630,36 +1565,14 @@ mod tests {
     #[test]
     fn request_cap_bounds_outstanding_requests() {
         let now = Time::ZERO;
-        let (mut conn, _) = TcpConnection::connect(
-            TcpConfig {
-                max_requests: 8,
-                ..cfg()
-            },
-            CcMode::Cm,
-            now,
-        );
-        let synack = TcpSegment {
-            seq: 0,
-            len: 0,
-            ack: 1,
-            flags: TcpFlags {
-                syn: true,
-                ack: true,
-                ..Default::default()
-            },
-            wnd: 1 << 20,
-            ts: now,
-            ts_ecr: None,
-            sack: [(0, 0); 3],
-            sack_count: 0,
-        };
-        let _ = conn.on_segment(&synack, false, now);
+        let (mut conn, _) = TcpConnection::connect(cfg(), CcMode::Cm, now);
+        let _ = conn.on_segment(&synack(now), false, now);
         let actions = conn.app_write(1_000_000, now);
         let reqs = actions
             .iter()
             .filter(|a| matches!(a, TcpAction::CmRequest))
             .count();
-        assert_eq!(reqs, 8);
+        assert_eq!(reqs as u64, MAX_REQUESTS);
     }
 
     #[test]
@@ -1700,22 +1613,7 @@ mod tests {
     #[test]
     fn duplicate_of_a_held_runs_first_segment_forgets_the_rest() {
         let now = Time::ZERO;
-        let flags = |syn, ack| TcpFlags {
-            syn,
-            ack,
-            ..Default::default()
-        };
-        let seg = |seq, len, flags| TcpSegment {
-            seq,
-            len,
-            ack: 1,
-            flags,
-            wnd: 1 << 20,
-            ts: now,
-            ts_ecr: None,
-            sack: [(0, 0); 3],
-            sack_count: 0,
-        };
+        let seg = |seq, len, flags| peer_segment(seq, len, flags, now);
         let (mut rx, _) =
             TcpConnection::accept(cfg(), CcMode::Native, &seg(0, 0, flags(true, false)), now);
         // [1, 1461) is missing; [1461, 4381) arrives in two segments.

@@ -3,12 +3,11 @@
 //! docs/perf.md rule 2 ("zero per-event allocation") was proven for the
 //! CM (`crates/core/tests/no_alloc.rs`) and the recorder; this test
 //! extends it to everything a simulated TCP-over-CM packet crosses —
-//! event queue, links, `Host`, TCP, the CM — with the one stated
-//! exception: a packet's type-erased `Payload` is a `Box`, so each
-//! packet offered to a link costs exactly one allocation. Once a bulk
-//! transfer is warm, a window of thousands of delivered packets must
-//! allocate exactly that and nothing else: no action list per TCP entry
-//! point, no tree node per out-of-order segment, no map entry per timer.
+//! event queue, links, `Host`, TCP, the CM. A packet carries its
+//! transport header inline, so once a bulk transfer is warm, a window of
+//! thousands of delivered packets must allocate nothing at all: no
+//! action list per TCP entry point, no tree node per out-of-order
+//! segment, no map entry per timer.
 
 #![allow(
     unsafe_code,
@@ -110,36 +109,27 @@ fn bulk(loss: f64) -> (Simulator, Duplex) {
 /// Runs `sim` for `warmup_s` simulated seconds, then measures three
 /// windows of `window_s` each: in the best of them (the counter is
 /// process-global, so libtest's own one-shot allocations can land in a
-/// window; a per-packet allocation lands in all of them) the allocation
-/// count must equal the packets offered to the two links.
-fn assert_one_alloc_per_packet(loss: f64, warmup_s: u64, window_s: u64) {
+/// window; a per-packet allocation lands in all of them) nothing may
+/// allocate.
+fn assert_warm_path_allocates_nothing(loss: f64, warmup_s: u64, window_s: u64) {
     let _turn = measuring();
     let (mut sim, path) = bulk(loss);
-    let offered = |sim: &Simulator| {
-        sim.link_stats(path.forward).offered + sim.link_stats(path.reverse).offered
-    };
     let mut until = Time::from_secs(warmup_s);
     sim.run_until(until);
 
-    let mut min_excess = u64::MAX;
+    let mut min_allocs = u64::MAX;
     for _ in 0..3 {
         until += Duration::from_secs(window_s);
         let delivered_before = sim.link_stats(path.forward).transmitted;
-        let offered_before = offered(&sim);
         let allocs_before = ALLOCS.load(Ordering::SeqCst);
         sim.run_until(until);
         let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-        let packets = offered(&sim) - offered_before;
         let delivered = sim.link_stats(path.forward).transmitted - delivered_before;
         assert!(
             delivered >= 2_000,
             "window carried only {delivered} data packets"
         );
-        assert!(
-            allocs >= packets,
-            "{allocs} allocations for {packets} packets: a payload was not boxed?"
-        );
-        min_excess = min_excess.min(allocs - packets);
+        min_allocs = min_allocs.min(allocs);
     }
     if loss > 0.0 {
         let lost = sim.link_stats(path.forward).dropped_random;
@@ -149,21 +139,21 @@ fn assert_one_alloc_per_packet(loss: f64, warmup_s: u64, window_s: u64) {
         );
     }
     assert_eq!(
-        min_excess, 0,
-        "the packet path allocated beyond one payload box per packet in every \
-         window (at least {min_excess} extra allocations per window)"
+        min_allocs, 0,
+        "the packet path allocated in every window (at least {min_allocs} \
+         allocations per window)"
     );
 }
 
 #[test]
-fn loss_free_transfer_allocates_only_payload_boxes() {
-    assert_one_alloc_per_packet(0.0, 4, 4);
+fn loss_free_transfer_allocates_nothing() {
+    assert_warm_path_allocates_nothing(0.0, 4, 4);
 }
 
 /// Under loss the out-of-order store, the SACK scoreboard and the
 /// recovery paths run constantly; they keep their capacity between
 /// episodes.
 #[test]
-fn lossy_transfer_allocates_only_payload_boxes() {
-    assert_one_alloc_per_packet(0.02, 30, 30);
+fn lossy_transfer_allocates_nothing() {
+    assert_warm_path_allocates_nothing(0.02, 30, 30);
 }
