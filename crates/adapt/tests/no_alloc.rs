@@ -6,40 +6,17 @@
 //! construction, thousands of observations across all three policies must
 //! allocate nothing.
 
-#![allow(
-    unsafe_code,
-    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
-)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use cm_adapt::{
     AdaptationStats, BufferPolicy, Engine, FleetStats, LadderConfig, LadderPolicy, Observation,
     RateLadder, UtilityPolicy,
 };
 use cm_util::{Duration, Rate, Time};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
+use counting_alloc::ALLOCS;
 
 fn ladder() -> RateLadder {
     RateLadder::new(vec![

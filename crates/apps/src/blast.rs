@@ -15,12 +15,12 @@
 //!   attribute the transmission, so the application must also issue the
 //!   `cm_notify` ioctl itself — the most expensive row of Table 1.
 
-use cm_core::types::{FeedbackReport, FlowId, LossMode};
+use cm_core::types::FlowId;
 use cm_libcm::dispatcher::{Dispatcher, NotifyMode};
 use cm_netsim::packet::Addr;
-use cm_transport::feedback::{DataPayload, FeedbackTracker};
+use cm_transport::feedback::FeedbackTracker;
 use cm_transport::host::{HostApp, HostOs};
-use cm_transport::segment::{UdpBody, UdpDatagram};
+use cm_transport::segment::{UdpBody, UdpDatagram, UDP_OVERHEAD};
 use cm_transport::types::UdpSocketId;
 use cm_util::Time;
 
@@ -111,16 +111,7 @@ impl BlastSender {
         }
         // User-space RTT measurement: gettimeofday at send (Table 1).
         let sent_at = os.gettimeofday();
-        let dgram = UdpDatagram {
-            tag: self.sent,
-            len: self.packet_size,
-            body: UdpBody::Data(DataPayload {
-                seq: self.sent,
-                bytes: self.packet_size,
-                sent_at,
-                layer: 0,
-            }),
-        };
+        let dgram = UdpDatagram::data(self.sent, self.packet_size, sent_at, 0);
         if os.udp_sendto(sock, self.remote, self.port, dgram) {
             if self.first_send.is_none() {
                 self.first_send = Some(os.now());
@@ -189,7 +180,7 @@ impl HostApp for BlastSender {
             // does it automatically on a connected socket; an
             // unconnected socket leaves it to the application (an extra
             // ioctl).
-            let wire = self.packet_size as u64 + 28;
+            let wire = self.packet_size as u64 + UDP_OVERHEAD;
             os.cm_notify(f, wire, self.api == BlastApi::AlfNoconnect);
         }
         self.top_up(os);
@@ -217,24 +208,7 @@ impl HostApp for BlastSender {
             // ACKs can only arrive for packets sent on an open flow, but
             // degrade to dropping the report rather than crashing the host.
             let Some(flow) = self.flow else { return };
-            let report = if delta.packets_lost > 0 {
-                FeedbackReport::loss(
-                    LossMode::Transient,
-                    delta.packets_lost * (self.packet_size as u64 + 28),
-                )
-                .with_acked(
-                    delta.bytes_acked + delta.packets_acked * 28,
-                    delta.ack_events,
-                )
-                .with_rtt(rtt)
-            } else {
-                FeedbackReport::ack(
-                    delta.bytes_acked + delta.packets_acked * 28,
-                    delta.ack_events,
-                )
-                .with_rtt(rtt)
-            };
-            os.cm_update(flow, report);
+            os.cm_update(flow, delta.report(self.packet_size, rtt));
         }
         if self.acked >= self.target_packets && self.done_at.is_none() {
             self.done_at = Some(os.now());

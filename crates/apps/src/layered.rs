@@ -19,12 +19,12 @@
 //! same rate-callback server reproduces Figure 10's bursty estimates.
 
 use cm_adapt::{AdaptationStats, Engine, LadderPolicy, RateLadder};
-use cm_core::types::{FeedbackReport, FlowId, FlowInfo, LossMode, Thresholds};
+use cm_core::types::{FlowId, FlowInfo, Thresholds};
 use cm_libcm::dispatcher::{Dispatcher, NotifyMode};
 use cm_netsim::packet::Addr;
-use cm_transport::feedback::{DataPayload, FeedbackTracker};
+use cm_transport::feedback::FeedbackTracker;
 use cm_transport::host::{HostApp, HostOs};
-use cm_transport::segment::{UdpBody, UdpDatagram};
+use cm_transport::segment::{UdpBody, UdpDatagram, UDP_OVERHEAD};
 use cm_transport::types::UdpSocketId;
 use cm_util::{Duration, Rate, Time, TimeSeries};
 
@@ -153,16 +153,8 @@ impl LayeredStreamer {
         if os.now() >= self.stop_at {
             return false;
         }
-        let dgram = UdpDatagram {
-            tag: self.seq,
-            len: self.packet_size,
-            body: UdpBody::Data(DataPayload {
-                seq: self.seq,
-                bytes: self.packet_size,
-                sent_at: os.now(),
-                layer: self.engine.level() as u8,
-            }),
-        };
+        let layer = self.engine.level() as u8;
+        let dgram = UdpDatagram::data(self.seq, self.packet_size, os.now(), layer);
         let ok = os.udp_sendto(sock, self.remote, self.port, dgram);
         if ok {
             self.seq += 1;
@@ -187,36 +179,6 @@ impl LayeredStreamer {
         while self.requests_outstanding < PIPELINE {
             os.cm_request(flow);
             self.requests_outstanding += 1;
-        }
-    }
-
-    fn apply_feedback(
-        &mut self,
-        os: &mut HostOs<'_, '_>,
-        ack: &cm_transport::feedback::AckPayload,
-        rtt: Duration,
-    ) {
-        let Some(flow) = self.flow else { return };
-        if let Some(delta) = self.tracker.absorb(ack) {
-            let wire_per_pkt = 28u64;
-            let report = if delta.packets_lost > 0 {
-                FeedbackReport::loss(
-                    LossMode::Transient,
-                    delta.packets_lost * (self.packet_size as u64 + wire_per_pkt),
-                )
-                .with_acked(
-                    delta.bytes_acked + delta.packets_acked * wire_per_pkt,
-                    delta.ack_events,
-                )
-                .with_rtt(rtt)
-            } else {
-                FeedbackReport::ack(
-                    delta.bytes_acked + delta.packets_acked * wire_per_pkt,
-                    delta.ack_events,
-                )
-                .with_rtt(rtt)
-            };
-            os.cm_update(flow, report);
         }
     }
 }
@@ -303,7 +265,7 @@ impl HostApp for LayeredStreamer {
             let f = self.libcm.ready()[i];
             self.requests_outstanding = self.requests_outstanding.saturating_sub(1);
             if self.send_packet(os) {
-                let wire = self.packet_size as u64 + 28;
+                let wire = self.packet_size as u64 + UDP_OVERHEAD;
                 os.cm_notify(f, wire, false);
             } else {
                 os.cm_notify(f, 0, false);
@@ -336,6 +298,9 @@ impl HostApp for LayeredStreamer {
         os.charge_recv(dgram.len as usize);
         let now_ts = os.gettimeofday();
         let rtt = now_ts.since(ack.echo_sent_at);
-        self.apply_feedback(os, &ack, rtt);
+        let Some(flow) = self.flow else { return };
+        if let Some(delta) = self.tracker.absorb(&ack) {
+            os.cm_update(flow, delta.report(self.packet_size, rtt));
+        }
     }
 }

@@ -16,15 +16,13 @@
 //! * [`layered`] — the layered audio/video streaming server in both
 //!   adaptation styles: ALF request/callback (Figure 8) and rate
 //!   callbacks with `cm_thresh` (Figure 9; with delayed feedback,
-//!   Figure 10).
+//!   Figure 10). A one-level ALF streamer is also the backlogged web
+//!   transfer of the §3.5 co-scheduling workload.
 //! * [`vat`] — the interactive-audio architecture of §3.6/Figure 2: a
 //!   constant-bit-rate source, a policer driven by CM rate callbacks,
 //!   and an application buffer with drop-from-head or drop-tail policy.
 //! * [`cross`] — on/off CBR cross-traffic sources that vary the
 //!   available bandwidth for the adaptation figures.
-//! * [`co_sched`] — the §3.5 co-scheduling workload: a weighted,
-//!   continuously backlogged ALF web transfer that shares one macroflow
-//!   with a layered streamer under a weighted scheduler.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -33,7 +31,6 @@
 pub mod ack_clients;
 pub mod blast;
 pub mod bulk;
-pub mod co_sched;
 pub mod cross;
 pub mod layered;
 pub mod misbehave;
@@ -43,7 +40,6 @@ pub mod web;
 pub use ack_clients::{AckReceiver, FeedbackPolicy};
 pub use blast::{BlastApi, BlastSender};
 pub use bulk::{BulkReceiver, BulkSender};
-pub use co_sched::CoScheduledWeb;
 pub use cross::OnOffSource;
 pub use layered::{AdaptMode, LayeredStreamer};
 pub use vat::{DropPolicy, VatAudio};

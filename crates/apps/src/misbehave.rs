@@ -21,12 +21,12 @@
 //! [`crate::ack_clients::AckReceiver`] and asserts the CM's structural
 //! invariants hold throughout.
 
-use cm_core::types::{FeedbackReport, FlowId, LossMode};
+use cm_core::types::FlowId;
 use cm_netsim::fault::AppFault;
 use cm_netsim::packet::Addr;
-use cm_transport::feedback::{DataPayload, FeedbackTracker};
+use cm_transport::feedback::FeedbackTracker;
 use cm_transport::host::{HostApp, HostOs};
-use cm_transport::segment::{UdpBody, UdpDatagram};
+use cm_transport::segment::{UdpBody, UdpDatagram, UDP_OVERHEAD};
 use cm_transport::types::UdpSocketId;
 use cm_util::Time;
 
@@ -116,16 +116,7 @@ impl MisbehavingSender {
     fn send_one(&mut self, os: &mut HostOs<'_, '_>) {
         let Some(sock) = self.sock else { return };
         let sent_at = os.gettimeofday();
-        let dgram = UdpDatagram {
-            tag: self.sent,
-            len: self.packet_size,
-            body: UdpBody::Data(DataPayload {
-                seq: self.sent,
-                bytes: self.packet_size,
-                sent_at,
-                layer: 0,
-            }),
-        };
+        let dgram = UdpDatagram::data(self.sent, self.packet_size, sent_at, 0);
         if os.udp_sendto(sock, self.remote, self.port, dgram) {
             self.sent += 1;
         }
@@ -134,7 +125,7 @@ impl MisbehavingSender {
     /// Resolves one grant honestly: send a packet and charge it.
     fn resolve_grant(&mut self, os: &mut HostOs<'_, '_>, flow: FlowId) {
         self.send_one(os);
-        let wire = self.packet_size as u64 + 28;
+        let wire = self.packet_size as u64 + UDP_OVERHEAD;
         os.cm_notify(flow, wire, true);
     }
 
@@ -217,24 +208,7 @@ impl HostApp for MisbehavingSender {
             self.lost += delta.packets_lost;
             if !self.silent(now) {
                 let Some(flow) = self.flow else { return };
-                let report = if delta.packets_lost > 0 {
-                    FeedbackReport::loss(
-                        LossMode::Transient,
-                        delta.packets_lost * (self.packet_size as u64 + 28),
-                    )
-                    .with_acked(
-                        delta.bytes_acked + delta.packets_acked * 28,
-                        delta.ack_events,
-                    )
-                    .with_rtt(rtt)
-                } else {
-                    FeedbackReport::ack(
-                        delta.bytes_acked + delta.packets_acked * 28,
-                        delta.ack_events,
-                    )
-                    .with_rtt(rtt)
-                };
-                os.cm_update(flow, report);
+                os.cm_update(flow, delta.report(self.packet_size, rtt));
             }
         }
         self.top_up(os);

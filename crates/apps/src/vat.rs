@@ -22,9 +22,9 @@
 //! rate. Its level grid quantizes the old `clamp(rate, 4k, 64k)` rule.
 
 use cm_adapt::{AdaptationStats, Engine, RateLadder, UtilityPolicy};
-use cm_core::types::{FeedbackReport, FlowId, FlowInfo, LossMode, Thresholds};
+use cm_core::types::{FlowId, FlowInfo, Thresholds};
 use cm_netsim::packet::Addr;
-use cm_transport::feedback::{DataPayload, FeedbackTracker};
+use cm_transport::feedback::FeedbackTracker;
 use cm_transport::host::{HostApp, HostOs};
 use cm_transport::segment::{UdpBody, UdpDatagram};
 use cm_transport::types::UdpSocketId;
@@ -157,16 +157,7 @@ impl VatAudio {
                 break;
             };
             let now = os.now();
-            let dgram = UdpDatagram {
-                tag: frame.seq,
-                len: frame_bytes,
-                body: UdpBody::Data(DataPayload {
-                    seq: frame.seq,
-                    bytes: frame_bytes,
-                    sent_at: frame.created,
-                    layer: 0,
-                }),
-            };
+            let dgram = UdpDatagram::data(frame.seq, frame_bytes, frame.created, 0);
             if os.udp_sendto(sock, self.remote, self.port, dgram) {
                 self.frames_sent += 1;
                 self.age_sum_ns += now.since(frame.created).as_nanos();
@@ -250,22 +241,7 @@ impl HostApp for VatAudio {
         let rtt = now_ts.since(ack.echo_sent_at);
         if let Some(delta) = self.tracker.absorb(&ack) {
             let Some(flow) = self.flow else { return };
-            let frame_wire = self.frame_bytes() as u64 + 28;
-            let report = if delta.packets_lost > 0 {
-                FeedbackReport::loss(LossMode::Transient, delta.packets_lost * frame_wire)
-                    .with_acked(
-                        delta.bytes_acked + delta.packets_acked * 28,
-                        delta.ack_events,
-                    )
-                    .with_rtt(rtt)
-            } else {
-                FeedbackReport::ack(
-                    delta.bytes_acked + delta.packets_acked * 28,
-                    delta.ack_events,
-                )
-                .with_rtt(rtt)
-            };
-            os.cm_update(flow, report);
+            os.cm_update(flow, delta.report(self.frame_bytes(), rtt));
         }
         self.drain(os);
     }

@@ -18,13 +18,10 @@
 //! 90 simulated seconds) each tick instant may cost one bucket, so a
 //! window may allocate at most [`TICKS_PER_WINDOW`] times.
 
-#![allow(
-    unsafe_code,
-    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
-)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use cm_apps::ack_clients::{AckReceiver, FeedbackPolicy};
 use cm_apps::blast::{BlastApi, BlastSender};
@@ -34,38 +31,7 @@ use cm_netsim::sim::Simulator;
 use cm_netsim::topology::{Duplex, Topology};
 use cm_transport::host::{Host, HostConfig};
 use cm_util::{Duration, Time};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// `ALLOCS` is process-wide and libtest runs tests on parallel threads,
-/// so each test holds this while it measures (as in
-/// `crates/core/tests/no_alloc.rs`).
-static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn measuring() -> std::sync::MutexGuard<'static, ()> {
-    MEASURING
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use counting_alloc::{measuring, ALLOCS};
 
 /// Figure 6's setup with no packet target: a blaster over `api` with
 /// 1,000-byte packets and a per-packet acknowledger, both hosts paying

@@ -276,9 +276,7 @@ impl CongestionManager {
     /// configured [`crate::config::AggregationPolicy`] selects — joining
     /// (and reusing the learned state of) the group's existing macroflow,
     /// or creating one with fresh congestion state for the group's first
-    /// flow. Under the app-directed policy every open gets a private
-    /// macroflow and the client builds aggregates with
-    /// [`CongestionManager::merge`]. In sharded mode this is also where
+    /// flow. In sharded mode this is also where
     /// the group's shard is created (lazily) and the returned id carries
     /// its shard index.
     pub fn open(&mut self, key: FlowKey, now: Time) -> CmResult<FlowId> {
@@ -1356,42 +1354,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn path_policy_groups_by_local_interface() {
-        use crate::config::AggregationPolicy;
-        let mut cm = CongestionManager::new(CmConfig {
-            aggregation: AggregationPolicy::Path,
-            ..Default::default()
-        });
-        // Same local interface, different destinations: one macroflow.
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 7), Time::ZERO).unwrap();
-        assert_eq!(cm.macroflow_of(f1).unwrap(), cm.macroflow_of(f2).unwrap());
-        // A different local interface takes a different path.
-        let other = FlowKey::new(Endpoint::new(2, 1000), Endpoint::new(9, 80));
-        let f3 = cm.open(other, Time::ZERO).unwrap();
-        assert_ne!(cm.macroflow_of(f1).unwrap(), cm.macroflow_of(f3).unwrap());
-    }
-
-    #[test]
-    fn app_directed_policy_opens_private_macroflows() {
-        use crate::config::AggregationPolicy;
-        let mut cm = CongestionManager::new(CmConfig {
-            aggregation: AggregationPolicy::AppDirected,
-            ..Default::default()
-        });
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
-        // Same destination, but no default grouping.
-        assert_ne!(cm.macroflow_of(f1).unwrap(), cm.macroflow_of(f2).unwrap());
-        assert_eq!(cm.macroflow_count(), 2);
-        // The application composes the aggregate itself.
-        let shared = cm.macroflow_of(f1).unwrap();
-        cm.merge(f2, shared, Time::ZERO).unwrap();
-        assert_eq!(cm.macroflow_of(f2).unwrap(), shared);
-        assert_eq!(cm.flows_in(shared).unwrap().len(), 2);
-    }
-
     /// Regression (satellite fix): a scheduler weight set via
     /// `set_weight` — and any pending requests — must survive every
     /// migration path: split and merge back. Previously nothing pinned
@@ -1850,26 +1812,6 @@ mod tests {
         let mf = cm.macroflow_of(f2).unwrap();
         assert_eq!(cm.window_of(mf).unwrap(), 1460, "stale state in shell");
         assert_eq!(cm.stats().shards_created, 2);
-    }
-
-    /// App-directed opens (no aggregation group) share one private
-    /// shard, so the application's explicit `merge` composition keeps
-    /// working under sharding.
-    #[test]
-    fn sharded_app_directed_shares_private_shard() {
-        use crate::config::AggregationPolicy;
-        let mut cm = CongestionManager::new(CmConfig {
-            aggregation: AggregationPolicy::AppDirected,
-            ..sharded(16)
-        });
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 7), Time::ZERO).unwrap();
-        assert_eq!(f1.shard(), f2.shard(), "app-directed opens split shards");
-        assert_eq!(cm.shard_count(), 1);
-        let shared = cm.macroflow_of(f1).unwrap();
-        cm.merge(f2, shared, Time::ZERO).unwrap();
-        assert_eq!(cm.flows_in(shared).unwrap().len(), 2);
-        assert_eq!(cm.lookup(&key(1001, 7)), Some(f2));
     }
 
     /// A host with many groups but one active group skips the idle

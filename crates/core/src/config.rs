@@ -28,15 +28,6 @@ pub enum AggregationPolicy {
         /// group (the prefix is `addr >> host_bits`).
         host_bits: u8,
     },
-    /// One macroflow per local interface address: every flow leaving the
-    /// same interface shares the same first hop, so this is the coarsest
-    /// "same path" granularity (all traffic through one access link).
-    Path,
-    /// No default grouping: every `open` creates a private macroflow and
-    /// the application constructs aggregates explicitly with
-    /// `merge`/`merge_unchecked` — the ALF server composing the §3.5
-    /// web-plus-streamer macroflow by hand.
-    AppDirected,
 }
 
 impl AggregationPolicy {
@@ -44,16 +35,13 @@ impl AggregationPolicy {
     /// (`Addr::from_subnet`), where the low byte is the host number.
     pub const SUBNET_HOST_BITS: u8 = 8;
 
-    /// The aggregation group a flow key belongs to under this policy, or
-    /// `None` when the policy assigns no default group (app-directed).
-    pub fn group_of(&self, key: &FlowKey) -> Option<u64> {
+    /// The aggregation group a flow key belongs to under this policy.
+    pub fn group_of(&self, key: &FlowKey) -> u64 {
         match *self {
-            AggregationPolicy::Destination => Some(key.remote.addr as u64),
+            AggregationPolicy::Destination => key.remote.addr as u64,
             AggregationPolicy::Subnet { host_bits } => {
-                Some((key.remote.addr >> host_bits.min(31)) as u64)
+                (key.remote.addr >> host_bits.min(31)) as u64
             }
-            AggregationPolicy::Path => Some(key.local.addr as u64),
-            AggregationPolicy::AppDirected => None,
         }
     }
 
@@ -62,8 +50,6 @@ impl AggregationPolicy {
         match self {
             AggregationPolicy::Destination => "destination",
             AggregationPolicy::Subnet { .. } => "subnet",
-            AggregationPolicy::Path => "path",
-            AggregationPolicy::AppDirected => "app-directed",
         }
     }
 }
@@ -88,8 +74,7 @@ pub enum ShardingMode {
     /// first `open` and recycled into a shell pool once every macroflow
     /// in it has expired. At most `max_shards` shards exist at once;
     /// additional groups are deterministically hashed onto the existing
-    /// shards (sharing slabs, not congestion state). App-directed opens
-    /// (no group) share one private shard.
+    /// shards (sharing slabs, not congestion state).
     ///
     /// Cross-*shard* `merge_unchecked` is rejected with
     /// [`crate::CmError::CrossShardMerge`]: shards share no slabs, so
@@ -306,7 +291,7 @@ mod tests {
             FlowKey::new(Endpoint::new(local, 1000), Endpoint::new(remote, 80))
         };
         let dest = AggregationPolicy::Destination;
-        assert_eq!(dest.group_of(&key(1, 0x0203)), Some(0x0203));
+        assert_eq!(dest.group_of(&key(1, 0x0203)), 0x0203);
         assert_ne!(
             dest.group_of(&key(1, 0x0203)),
             dest.group_of(&key(1, 0x0204))
@@ -324,20 +309,12 @@ mod tests {
             subnet.group_of(&key(1, 0x0203)),
             subnet.group_of(&key(1, 0x0303))
         );
-
-        let path = AggregationPolicy::Path;
-        assert_eq!(path.group_of(&key(7, 100)), path.group_of(&key(7, 200)));
-        assert_ne!(path.group_of(&key(7, 100)), path.group_of(&key(8, 100)));
-
-        assert_eq!(AggregationPolicy::AppDirected.group_of(&key(1, 2)), None);
     }
 
     #[test]
     fn aggregation_labels_are_stable() {
         assert_eq!(AggregationPolicy::Destination.label(), "destination");
         assert_eq!(AggregationPolicy::Subnet { host_bits: 8 }.label(), "subnet");
-        assert_eq!(AggregationPolicy::Path.label(), "path");
-        assert_eq!(AggregationPolicy::AppDirected.label(), "app-directed");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! threads) make the same two decisions, so both are made here, once:
 //!
 //! * [`Router`] — *which shard does this group get*: the group→shard
-//!   map, the private shard for app-directed opens, index allocation
-//!   (recycled indices first, then the next unused one), the
-//!   `max_shards` cap, and the deterministic hash-share past it.
+//!   map, index allocation (recycled indices first, then the next unused
+//!   one), the `max_shards` cap, and the deterministic hash-share past
+//!   it.
 //! * [`ShardTable`] — *how a shard at an index is created, reached,
 //!   ticked, folded, and validated*: create-or-reuse from the shell
 //!   pool, id-routed access with the dirty mark, the maintenance walk
@@ -34,8 +34,6 @@ pub(crate) struct Router {
     mode: ShardingMode,
     /// Routing map: aggregation group id → dense shard index.
     shard_map: FxHashMap<u64, u32>,
-    /// Where app-directed opens (no group) live in by-group mode.
-    private_shard: Option<u32>,
     /// Per shard index, the groups mapped onto it, so releasing the
     /// index can clean `shard_map`. Its length is the number of indices
     /// handed out so far; the inner lists keep their capacity across
@@ -51,20 +49,15 @@ impl Router {
             aggregation: cfg.aggregation,
             mode: cfg.sharding.mode,
             shard_map: FxHashMap::default(),
-            private_shard: None,
             groups: Vec::new(),
             free: Vec::new(),
         }
     }
 
     /// The key's routing group and the shard it currently routes to.
-    fn placement(&self, key: &FlowKey) -> (Option<u64>, Option<u32>) {
+    fn placement(&self, key: &FlowKey) -> (u64, Option<u32>) {
         let group = self.aggregation.group_of(key);
-        let idx = match group {
-            Some(g) => self.shard_map.get(&g).copied(),
-            None => self.private_shard,
-        };
-        (group, idx)
+        (group, self.shard_map.get(&group).copied())
     }
 
     /// Where `open` places a flow with this key, assigning its group a
@@ -103,13 +96,12 @@ impl Router {
         }
     }
 
-    /// Gives a routing group (`None` = the private shard) an index: a
-    /// released one, else the next unused one, else — at the cap with
-    /// every index taken — a deterministic hash onto an existing shard.
-    /// A shared shard shares slabs, not congestion state (the group map
-    /// inside keeps macroflows apart), exactly like single mode does for
-    /// all groups.
-    fn assign(&mut self, route: Option<u64>) -> u32 {
+    /// Gives a routing group an index: a released one, else the next
+    /// unused one, else — at the cap with every index taken — a
+    /// deterministic hash onto an existing shard. A shared shard shares
+    /// slabs, not congestion state (the group map inside keeps macroflows
+    /// apart), exactly like single mode does for all groups.
+    fn assign(&mut self, group: u64) -> u32 {
         let max = match self.mode {
             ShardingMode::Single => 1,
             ShardingMode::ByGroup { max_shards } => max_shards.clamp(1, MAX_SHARDS) as usize,
@@ -121,19 +113,12 @@ impl Router {
                 self.groups.len() as u32 - 1
             }
             None => {
-                let h = route
-                    .unwrap_or(u64::MAX)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let h = group.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 (h % self.groups.len() as u64) as u32
             }
         };
-        match route {
-            Some(g) => {
-                self.groups[idx as usize].push(g);
-                self.shard_map.insert(g, idx);
-            }
-            None => self.private_shard = Some(idx),
-        }
+        self.groups[idx as usize].push(group);
+        self.shard_map.insert(group, idx);
         idx
     }
 
@@ -142,9 +127,6 @@ impl Router {
     fn release(&mut self, idx: u32) {
         for g in self.groups[idx as usize].drain(..) {
             self.shard_map.remove(&g);
-        }
-        if self.private_shard == Some(idx) {
-            self.private_shard = None;
         }
         self.free.push(idx);
     }

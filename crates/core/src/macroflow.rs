@@ -48,28 +48,18 @@ pub enum MacroflowKey {
         /// The shared prefix (`addr >> host_bits`).
         prefix: u32,
     },
-    /// All flows leaving one local interface ([`AggregationPolicy::Path`]).
-    Path {
-        /// The shared local (source) address.
-        local: u32,
-    },
-    /// A macroflow created by `split` (or by every `open` under
-    /// [`AggregationPolicy::AppDirected`]); not eligible for default
+    /// A macroflow created by `split`; not eligible for default
     /// assignment.
     Private(u32),
 }
 
 impl MacroflowKey {
-    /// Builds the key for aggregation group `group` under `policy`, or
-    /// `None` for [`AggregationPolicy::AppDirected`], which has no group
-    /// keys (every open is private).
-    pub fn for_group(policy: AggregationPolicy, group: u64) -> Option<Self> {
+    /// Builds the key for aggregation group `group` under `policy`.
+    pub fn for_group(policy: AggregationPolicy, group: u64) -> Self {
         let g = group as u32;
         match policy {
-            AggregationPolicy::Destination => Some(MacroflowKey::Destination { addr: g }),
-            AggregationPolicy::Subnet { .. } => Some(MacroflowKey::Subnet { prefix: g }),
-            AggregationPolicy::Path => Some(MacroflowKey::Path { local: g }),
-            AggregationPolicy::AppDirected => None,
+            AggregationPolicy::Destination => MacroflowKey::Destination { addr: g },
+            AggregationPolicy::Subnet { .. } => MacroflowKey::Subnet { prefix: g },
         }
     }
 
@@ -77,9 +67,9 @@ impl MacroflowKey {
     /// for private macroflows.
     pub fn group(&self) -> Option<u64> {
         match *self {
-            MacroflowKey::Destination { addr: g }
-            | MacroflowKey::Subnet { prefix: g }
-            | MacroflowKey::Path { local: g } => Some(g as u64),
+            MacroflowKey::Destination { addr: g } | MacroflowKey::Subnet { prefix: g } => {
+                Some(g as u64)
+            }
             MacroflowKey::Private(_) => None,
         }
     }

@@ -260,25 +260,14 @@ impl Shard {
         if self.key_to_flow.contains_key(&key) {
             return Err(CmError::DuplicateFlow);
         }
-        // `group_of` yields a group only for policies with group keys,
-        // so `for_group` always resolves here; app-directed opens (and
-        // any future keyless policy) fall through to a private macroflow.
-        let grouped = self.cfg.aggregation.group_of(&key).and_then(|group| {
-            MacroflowKey::for_group(self.cfg.aggregation, group).map(|mk| (group, mk))
-        });
-        let mf_id = match grouped {
-            Some((group, mk)) => match self.group_to_mf.get(&group) {
-                Some(&id) => id,
-                None => {
-                    let id = self.alloc_macroflow(mk, now);
-                    self.group_to_mf.insert(group, id);
-                    id
-                }
-            },
+        let group = self.cfg.aggregation.group_of(&key);
+        let mf_id = match self.group_to_mf.get(&group) {
+            Some(&id) => id,
             None => {
-                let key = MacroflowKey::Private(self.next_private_key);
-                self.next_private_key += 1;
-                self.alloc_macroflow(key, now)
+                let mk = MacroflowKey::for_group(self.cfg.aggregation, group);
+                let id = self.alloc_macroflow(mk, now);
+                self.group_to_mf.insert(group, id);
+                id
             }
         };
         // Checked slot arithmetic: the slot is taken *before* the push
@@ -737,7 +726,7 @@ impl Shard {
     pub(crate) fn merge(&mut self, flow: FlowId, into: MacroflowId, now: Time) -> CmResult<()> {
         let natural = self.cfg.aggregation.group_of(&self.flow_ref(flow)?.key);
         let target_ok = match self.mf_ref(into)?.key.group() {
-            Some(group) => natural == Some(group),
+            Some(group) => natural == group,
             None => true,
         };
         if !target_ok {

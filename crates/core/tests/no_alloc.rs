@@ -10,54 +10,13 @@
 //! recycled grant queues — a full split/merge/expire cycle performs zero
 //! heap allocation once the pool is warm.
 
-#![allow(
-    unsafe_code,
-    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
-)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use cm_core::prelude::*;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated (requested sizes, allocator overhead
-/// excluded).
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// `ALLOCS` and `LIVE` are process-wide and libtest runs tests on parallel
-/// threads, so each test holds this while it measures: a neighbour's set-up
-/// landing inside every trial window would otherwise read as a leak
-/// (it did, in ~4 % of whole-binary runs).
-static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn measuring() -> std::sync::MutexGuard<'static, ()> {
-    MEASURING
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use counting_alloc::{measuring, ALLOCS, LIVE};
 
 /// Drives one client split/merge cycle: f2 splits onto a private
 /// macroflow, both macroflows keep granted traffic moving, f2 merges back

@@ -45,23 +45,15 @@ fn grant_histogram(notes: &[CmNotification]) -> Vec<(FlowId, u64)> {
 }
 
 /// 20k seeded operations across 24 groups and 4 workers, mirrored into
-/// an in-process CM, under two routings: per-destination groups on 16
-/// shards (so 8 groups hash-share past the cap), and app-directed
-/// opens, which all take the private-shard route. Flow ids, grant
-/// histograms, invariants, macroflow membership, and the full counter
-/// block must all match.
+/// an in-process CM, with per-destination groups on 16 shards (so 8
+/// groups hash-share past the cap). Flow ids, grant histograms,
+/// invariants, macroflow membership, and the full counter block must
+/// all match.
 #[test]
 fn four_worker_churn_matches_in_process_cm() {
-    churn_matches_in_process_cm(by_group_cfg(16));
-    churn_matches_in_process_cm(CmConfig {
-        aggregation: AggregationPolicy::AppDirected,
-        ..by_group_cfg(4)
-    });
-}
-
-fn churn_matches_in_process_cm(cfg: CmConfig) {
     const GROUPS: u32 = 24;
     const OPS: usize = 20_000;
+    let cfg = by_group_cfg(16);
     let mut rt = ShardRuntime::new(cfg, ParallelConfig::with_workers(4));
     let mut cm = CongestionManager::new(cfg);
     let mut rng = DetRng::seed(0x5eed_cafe);

@@ -536,7 +536,7 @@ proptest! {
             for &(f, key) in &flows {
                 let mf = cm.macroflow_of(f).expect("live flow has a macroflow");
                 prop_assert_eq!(mf.shard(), f.shard());
-                let group = policy.group_of(&key).expect("destination policy");
+                let group = policy.group_of(&key);
                 prop_assert_eq!(
                     cm.shard_for_group(group),
                     Some(f.shard()),

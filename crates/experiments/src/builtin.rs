@@ -10,12 +10,13 @@
 
 use cm_apps::layered::LayeredStreamer;
 use cm_core::config::ControllerKind;
+use cm_netsim::schedule::BandwidthSchedule;
 use cm_util::{Duration, Rate, Time};
 
 use crate::paper;
 use crate::report::{fmt_f64, DatFile, FigureDoc, OutputSet, Table};
 use crate::runner::{run_experiment, CellOutcome, ExperimentResult};
-use crate::spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule, ScheduleSpec};
+use crate::spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule};
 
 const AIMD: ControllerKind = ControllerKind::Aimd {
     byte_counting: true,
@@ -118,20 +119,20 @@ fn fig8_9(fig: &Figure, smoke: bool) -> FigureRun {
         schedules: vec![
             NamedSchedule::new(
                 "step_8mbps_to_1200kbps",
-                ScheduleSpec::Step {
-                    before: Rate::from_mbps(8),
-                    after: Rate::from_kbps(1200),
-                    at: Time::from_secs(secs / 2),
-                },
+                BandwidthSchedule::step(
+                    Rate::from_mbps(8),
+                    Rate::from_kbps(1200),
+                    Time::from_secs(secs / 2),
+                ),
             ),
             NamedSchedule::new(
                 "square_8mbps_600kbps_6s",
-                ScheduleSpec::SquareWave {
-                    high: Rate::from_mbps(8),
-                    low: Rate::from_kbps(600),
-                    half_period: Duration::from_secs(6),
-                    until: Time::from_secs(secs),
-                },
+                BandwidthSchedule::square_wave(
+                    Rate::from_mbps(8),
+                    Rate::from_kbps(600),
+                    Duration::from_secs(6),
+                    Time::from_secs(secs),
+                ),
             ),
         ],
         policies: vec![AdaptPolicyKind::LadderImmediate],
@@ -242,23 +243,23 @@ fn policy_frontier(fig: &Figure, smoke: bool) -> FigureRun {
         schedules: vec![
             NamedSchedule::new(
                 "square_8mbps_600kbps_6s",
-                ScheduleSpec::SquareWave {
-                    high: Rate::from_mbps(8),
-                    low: Rate::from_kbps(600),
-                    half_period: Duration::from_secs(6),
-                    until: Time::from_secs(secs),
-                },
+                BandwidthSchedule::square_wave(
+                    Rate::from_mbps(8),
+                    Rate::from_kbps(600),
+                    Duration::from_secs(6),
+                    Time::from_secs(secs),
+                ),
             ),
             NamedSchedule::new(
                 "onoff_12mbps_minus_10mbps",
-                ScheduleSpec::OnOff {
-                    base: Rate::from_mbps(12),
-                    cross: Rate::from_mbps(10),
-                    start: Time::from_secs(4),
-                    on_for: Duration::from_secs(4),
-                    off_for: Duration::from_secs(4),
-                    until: Time::from_secs(secs),
-                },
+                BandwidthSchedule::on_off(
+                    Rate::from_mbps(12),
+                    Rate::from_mbps(10),
+                    Time::from_secs(4),
+                    Duration::from_secs(4),
+                    Duration::from_secs(4),
+                    Time::from_secs(secs),
+                ),
             ),
         ],
         policies: AdaptPolicyKind::ALL.to_vec(),
@@ -398,7 +399,15 @@ fn trace_replay(fig: &Figure, smoke: bool) -> FigureRun {
     let secs = if smoke { 12 } else { 40 };
     let schedules = bundled_traces()
         .into_iter()
-        .map(|(name, text)| NamedSchedule::new(name, ScheduleSpec::Trace(text.to_string())))
+        .map(|(name, text)| {
+            #[expect(
+                clippy::panic,
+                reason = "the traces are compiled into the binary — a bad one is a harness bug"
+            )]
+            let schedule = BandwidthSchedule::parse_trace(text)
+                .unwrap_or_else(|e| panic!("trace {name}: {e}"));
+            NamedSchedule::new(name, schedule)
+        })
         .collect();
     let experiment = Experiment {
         app: AppKind::Layered,
@@ -473,12 +482,12 @@ fn vat_audio(fig: &Figure, smoke: bool) -> FigureRun {
         app: AppKind::Vat,
         schedules: vec![NamedSchedule::new(
             "square_96_24kbps_8s",
-            ScheduleSpec::SquareWave {
-                high: Rate::from_kbps(96),
-                low: Rate::from_kbps(24),
-                half_period: Duration::from_secs(8),
-                until: Time::from_secs(secs),
-            },
+            BandwidthSchedule::square_wave(
+                Rate::from_kbps(96),
+                Rate::from_kbps(24),
+                Duration::from_secs(8),
+                Time::from_secs(secs),
+            ),
         )],
         policies: vec![AdaptPolicyKind::LadderImmediate],
         controllers: vec![AIMD, ControllerKind::RateBased],
@@ -556,14 +565,14 @@ fn co_scheduling(fig: &Figure, smoke: bool) -> FigureRun {
         app: AppKind::CoSchedule,
         schedules: vec![NamedSchedule::new(
             "onoff_8mbps_minus_6mbps",
-            ScheduleSpec::OnOff {
-                base: Rate::from_mbps(8),
-                cross: Rate::from_mbps(6),
-                start: Time::from_secs(4),
-                on_for: Duration::from_secs(4),
-                off_for: Duration::from_secs(4),
-                until: Time::from_secs(secs),
-            },
+            BandwidthSchedule::on_off(
+                Rate::from_mbps(8),
+                Rate::from_mbps(6),
+                Time::from_secs(4),
+                Duration::from_secs(4),
+                Duration::from_secs(4),
+                Time::from_secs(secs),
+            ),
         )],
         policies: vec![AdaptPolicyKind::LadderImmediate],
         controllers: vec![AIMD],

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! * [`spec`] — the declarative [`Experiment`]: topology app mix,
-//!   [`ScheduleSpec`] bandwidth schedules, and
+//!   named [`cm_netsim::schedule::BandwidthSchedule`]s, and
 //!   `AdaptPolicyKind`/`ControllerKind` sweep axes.
 //! * [`runner`] — expands the sweep, executes each cell on `cm-netsim`,
 //!   and folds per-session [`cm_adapt::AdaptationStats`] into
@@ -64,4 +64,4 @@ pub mod trace;
 pub use builtin::{Figure, FigureRun};
 pub use report::Table;
 pub use runner::{run_experiment, CellOutcome, ExperimentResult};
-pub use spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule, ScheduleSpec};
+pub use spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule};

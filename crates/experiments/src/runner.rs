@@ -9,9 +9,8 @@
 //! per-phase summaries keyed to the schedule's piecewise-constant
 //! segments (via [`BandwidthSchedule::phases`]).
 
-use cm_adapt::{AdaptationStats, FleetStats};
+use cm_adapt::{AdaptationStats, Engine, FleetStats, LadderPolicy, RateLadder};
 use cm_apps::ack_clients::{AckReceiver, FeedbackPolicy};
-use cm_apps::co_sched::CoScheduledWeb;
 use cm_apps::layered::{AdaptMode, LayeredStreamer};
 use cm_apps::vat::{DropPolicy, VatAudio};
 use cm_core::config::{CmConfig, ControllerKind, SchedulerKind};
@@ -109,23 +108,15 @@ impl ExperimentResult {
 ///
 /// # Panics
 ///
-/// Panics if a schedule spec fails to build (a malformed inline trace)
-/// or a sweep axis is empty — both are authoring errors in a built-in
-/// figure, not runtime conditions.
+/// Panics if a sweep axis is empty — an authoring error in a built-in
+/// figure, not a runtime condition.
 pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
     assert!(!exp.controllers.is_empty(), "need at least one controller");
     assert!(!exp.policies.is_empty(), "need at least one policy");
     assert!(!exp.seeds.is_empty(), "need at least one seed");
     let mut cells = Vec::new();
     for sched in &exp.schedules {
-        #[expect(
-            clippy::panic,
-            reason = "schedule specs are compiled into the experiment table — a bad one is a harness bug"
-        )]
-        let schedule = sched
-            .spec
-            .build()
-            .unwrap_or_else(|e| panic!("schedule {}: {e}", sched.name));
+        let schedule = &sched.schedule;
         for &policy in &exp.policies {
             // Fixed-policy apps (vat, co-scheduling) run their cells once.
             if exp.app.fixed_policy() && policy != exp.policies[0] {
@@ -135,12 +126,12 @@ pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
                 for &seed in &exp.seeds {
                     let mut cell = match exp.app {
                         AppKind::Layered => {
-                            layered_cell(policy, controller, &schedule, exp.secs, seed)
+                            layered_cell(policy, controller, schedule, exp.secs, seed)
                         }
-                        AppKind::Vat => vat_cell(controller, &schedule, exp.secs, seed),
+                        AppKind::Vat => vat_cell(controller, schedule, exp.secs, seed),
                         AppKind::CoSchedule => co_sched_cell(
                             controller,
-                            &schedule,
+                            schedule,
                             exp.secs,
                             seed,
                             CO_SCHED_WEB_WEIGHT,
@@ -324,9 +315,18 @@ pub fn co_sched_cell(
     let mut streamer = LayeredStreamer::new(rx_addr, 9000, AdaptMode::Alf, stop);
     streamer.weight = stream_weight;
     let stream_app = tx_host.add_app(Box::new(streamer));
-    let web_app = tx_host.add_app(Box::new(CoScheduledWeb::new(
-        rx_addr, 9001, web_weight, stop,
-    )));
+    // The web transfer is a one-level ALF streamer: continuously
+    // backlogged, it sends on every grant and never switches level.
+    let one_level = LadderPolicy::immediate(RateLadder::new(vec![Rate::from_mbps(8)]));
+    let mut web = LayeredStreamer::with_engine(
+        rx_addr,
+        9001,
+        AdaptMode::Alf,
+        stop,
+        Engine::new(Box::new(one_level)),
+    );
+    web.weight = web_weight;
+    let web_app = tx_host.add_app(Box::new(web));
     let tx_id = topo.add_host(Box::new(tx_host));
 
     let base = base_rate(schedule, Rate::from_mbps(8));
@@ -341,7 +341,7 @@ pub fn co_sched_cell(
 
     let tx_host_ref = sim.node_ref::<Host>(tx_id);
     let streamer = tx_host_ref.app_ref::<LayeredStreamer>(stream_app);
-    let web = tx_host_ref.app_ref::<CoScheduledWeb>(web_app);
+    let web = tx_host_ref.app_ref::<LayeredStreamer>(web_app);
     let rx = sim.node_ref::<Host>(rx_id);
     let delivered =
         rx.app_ref::<AckReceiver>(stream_rx).bytes + rx.app_ref::<AckReceiver>(web_rx).bytes;

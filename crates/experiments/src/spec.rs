@@ -11,8 +11,7 @@
 use cm_adapt::{Engine, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy};
 use cm_apps::layered::LayeredStreamer;
 use cm_core::config::ControllerKind;
-use cm_netsim::schedule::{BandwidthSchedule, TraceParseError};
-use cm_util::{Duration, Rate, Time};
+use cm_netsim::schedule::BandwidthSchedule;
 
 /// Which adaptation policy a cell drives (config shorthand for the
 /// quality/oscillation comparison).
@@ -75,94 +74,21 @@ pub fn controller_label(kind: ControllerKind) -> &'static str {
     }
 }
 
-/// How a cell's bandwidth schedule is produced.
-#[derive(Clone, Debug)]
-pub enum ScheduleSpec {
-    /// No schedule: the link keeps its configured rate.
-    None,
-    /// A single step at `at`.
-    Step {
-        /// Rate before the step.
-        before: Rate,
-        /// Rate after the step.
-        after: Rate,
-        /// When the step happens.
-        at: Time,
-    },
-    /// A square wave starting high at time zero.
-    SquareWave {
-        /// High-phase rate.
-        high: Rate,
-        /// Low-phase rate.
-        low: Rate,
-        /// Half period (time in each phase).
-        half_period: Duration,
-        /// Wave end.
-        until: Time,
-    },
-    /// On/off cross traffic subtracted from a base rate.
-    OnOff {
-        /// Link rate with the source off.
-        base: Rate,
-        /// Capacity the cross traffic consumes while on.
-        cross: Rate,
-        /// First on-transition.
-        start: Time,
-        /// On-phase length.
-        on_for: Duration,
-        /// Off-phase length.
-        off_for: Duration,
-        /// Source end.
-        until: Time,
-    },
-    /// A recorded trace in the `<seconds> <rate>` format of
-    /// [`BandwidthSchedule::parse_trace`] (the text itself, so specs
-    /// stay self-contained and deterministic).
-    Trace(String),
-}
-
-impl ScheduleSpec {
-    /// Builds the concrete schedule.
-    pub fn build(&self) -> Result<BandwidthSchedule, TraceParseError> {
-        Ok(match self {
-            ScheduleSpec::None => BandwidthSchedule::none(),
-            ScheduleSpec::Step { before, after, at } => {
-                BandwidthSchedule::step(*before, *after, *at)
-            }
-            ScheduleSpec::SquareWave {
-                high,
-                low,
-                half_period,
-                until,
-            } => BandwidthSchedule::square_wave(*high, *low, *half_period, *until),
-            ScheduleSpec::OnOff {
-                base,
-                cross,
-                start,
-                on_for,
-                off_for,
-                until,
-            } => BandwidthSchedule::on_off(*base, *cross, *start, *on_for, *off_for, *until),
-            ScheduleSpec::Trace(text) => BandwidthSchedule::parse_trace(text)?,
-        })
-    }
-}
-
 /// A schedule plus the name it carries through every emitter.
 #[derive(Clone, Debug)]
 pub struct NamedSchedule {
     /// Stable name (used in CSV/dat/markdown rows).
     pub name: String,
-    /// How to build it.
-    pub spec: ScheduleSpec,
+    /// The bottleneck's rate over time.
+    pub schedule: BandwidthSchedule,
 }
 
 impl NamedSchedule {
     /// Convenience constructor.
-    pub fn new(name: &str, spec: ScheduleSpec) -> Self {
+    pub fn new(name: &str, schedule: BandwidthSchedule) -> Self {
         NamedSchedule {
             name: name.to_string(),
-            spec,
+            schedule,
         }
     }
 }
@@ -226,24 +152,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_specs_build() {
-        assert!(ScheduleSpec::None.build().unwrap().is_empty());
-        let s = ScheduleSpec::Step {
-            before: Rate::from_mbps(8),
-            after: Rate::from_mbps(1),
-            at: Time::from_secs(5),
-        }
-        .build()
-        .unwrap();
-        assert_eq!(s.steps().len(), 2);
-        let s = ScheduleSpec::Trace("0 8mbps\n5 1mbps\n".to_string())
-            .build()
-            .unwrap();
-        assert_eq!(s.rate_at(Time::from_secs(6)), Some(Rate::from_mbps(1)));
-        assert!(ScheduleSpec::Trace("garbage".to_string()).build().is_err());
-    }
-
-    #[test]
     fn policy_engines_share_the_default_ladder() {
         for kind in AdaptPolicyKind::ALL {
             let e = kind.engine();
@@ -268,8 +176,8 @@ mod tests {
         let e = Experiment {
             app: AppKind::Layered,
             schedules: vec![
-                NamedSchedule::new("a", ScheduleSpec::None),
-                NamedSchedule::new("b", ScheduleSpec::None),
+                NamedSchedule::new("a", BandwidthSchedule::none()),
+                NamedSchedule::new("b", BandwidthSchedule::none()),
             ],
             policies: vec![AdaptPolicyKind::LadderImmediate, AdaptPolicyKind::Utility],
             controllers: vec![ControllerKind::RateBased],

@@ -78,6 +78,10 @@ impl TcpSegment {
     }
 }
 
+/// IP + UDP header overhead per datagram, bytes: what the wire carries
+/// beyond [`UdpDatagram::len`].
+pub const UDP_OVERHEAD: u64 = 28;
+
 /// A UDP datagram payload: an application tag plus a typed body.
 #[derive(Clone, Copy, Debug)]
 pub struct UdpDatagram {
@@ -87,6 +91,23 @@ pub struct UdpDatagram {
     pub len: u32,
     /// Typed body for the CM feedback protocol, if any.
     pub body: UdpBody,
+}
+
+impl UdpDatagram {
+    /// A CM feedback-protocol data packet of `bytes` payload, tagged with
+    /// its sequence number.
+    pub fn data(seq: u64, bytes: u32, sent_at: Time, layer: u8) -> Self {
+        UdpDatagram {
+            tag: seq,
+            len: bytes,
+            body: UdpBody::Data(DataPayload {
+                seq,
+                bytes,
+                sent_at,
+                layer,
+            }),
+        }
+    }
 }
 
 /// Bodies the experiments attach to datagrams.
@@ -173,5 +194,25 @@ mod tests {
         let mut d = seg(5, 100, false, false);
         d.flags.ack = true;
         assert!(!d.is_pure_ack());
+    }
+
+    #[test]
+    fn data_datagram_is_tagged_with_its_seq() {
+        let at = Time::from_millis(7);
+        let d = UdpDatagram::data(42, 1000, at, 2);
+        assert_eq!(d.tag, 42);
+        assert_eq!(d.len, 1000);
+        let UdpBody::Data(p) = d.body else {
+            panic!("not a data body: {:?}", d.body)
+        };
+        assert_eq!(
+            p,
+            DataPayload {
+                seq: 42,
+                bytes: 1000,
+                sent_at: at,
+                layer: 2,
+            }
+        );
     }
 }

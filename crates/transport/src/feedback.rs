@@ -9,6 +9,10 @@
 
 pub use cm_netsim::segment::{AckPayload, DataPayload};
 
+use cm_core::types::{FeedbackReport, LossMode};
+use cm_netsim::segment::UDP_OVERHEAD;
+use cm_util::Duration;
+
 /// Sender-side loss detection over the feedback stream.
 ///
 /// Tracks the cumulative counters from successive [`AckPayload`]s and
@@ -67,6 +71,23 @@ impl FeedbackTracker {
             packets_lost,
             ack_events: ack.acks_batched,
         })
+    }
+}
+
+impl FeedbackDelta {
+    /// The `cm_update` report for this delta from a sender of `payload`
+    /// bytes per packet, counted on the wire (UDP/IP headers included).
+    /// Any inferred loss is transient — a sequence gap, not a timeout —
+    /// and still carries the acknowledged bytes.
+    pub fn report(&self, payload: u32, rtt: Duration) -> FeedbackReport {
+        let acked = self.bytes_acked + self.packets_acked * UDP_OVERHEAD;
+        let report = if self.packets_lost > 0 {
+            let lost = self.packets_lost * (payload as u64 + UDP_OVERHEAD);
+            FeedbackReport::loss(LossMode::Transient, lost).with_acked(acked, self.ack_events)
+        } else {
+            FeedbackReport::ack(acked, self.ack_events)
+        };
+        report.with_rtt(rtt)
     }
 }
 
@@ -134,5 +155,43 @@ mod tests {
         let d = t.absorb(&ack(4, 3, 3_000, 3)).unwrap();
         assert_eq!(d.packets_acked, 3);
         assert_eq!(d.packets_lost, 2);
+    }
+
+    const RTT: Duration = Duration::from_millis(40);
+
+    #[test]
+    fn clean_delta_reports_wire_bytes_acked() {
+        let d = FeedbackTracker::new().absorb(&ack(1, 2, 2_000, 1)).unwrap();
+        let r = d.report(1000, RTT);
+        assert_eq!(r.bytes_acked, 2_000 + 2 * 28);
+        assert_eq!(r.bytes_lost, 0);
+        assert_eq!(r.loss, LossMode::None);
+        assert_eq!(r.ack_events, 1);
+        assert_eq!(r.rtt_sample, Some(RTT));
+    }
+
+    #[test]
+    fn lossy_delta_reports_transient_loss_with_acked_bytes() {
+        let mut t = FeedbackTracker::new();
+        t.absorb(&ack(0, 1, 1000, 1)).unwrap();
+        let d = t.absorb(&ack(3, 2, 2000, 1)).unwrap();
+        let r = d.report(1000, RTT);
+        assert_eq!(r.loss, LossMode::Transient);
+        assert_eq!(r.bytes_lost, 2 * (1000 + 28));
+        assert_eq!(r.bytes_acked, 1000 + 28);
+        assert_eq!(r.ack_events, 1);
+        assert_eq!(r.rtt_sample, Some(RTT));
+    }
+
+    #[test]
+    fn batched_delta_passes_ack_events_through() {
+        let d = FeedbackTracker::new()
+            .absorb(&ack(499, 500, 500 * 1000, 500))
+            .unwrap();
+        let r = d.report(1000, RTT);
+        assert_eq!(r.ack_events, 500);
+        assert_eq!(r.bytes_acked, 500 * (1000 + 28));
+        assert_eq!(r.loss, LossMode::None);
+        assert_eq!(r.rtt_sample, Some(RTT));
     }
 }

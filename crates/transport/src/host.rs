@@ -47,15 +47,13 @@ use cm_netsim::packet::{Addr, Ecn, Packet, Payload, Protocol};
 use cm_netsim::sim::{Node, NodeCtx};
 use cm_util::{Duration, FxHashMap, Time};
 
-use crate::segment::{TcpSegment, UdpDatagram};
+use crate::segment::{TcpSegment, UdpDatagram, UDP_OVERHEAD};
 use crate::tcp::{TcpAction, TcpConfig, TcpConnection};
 use crate::types::{AppId, CcMode, TcpConnId, TcpEvent, TcpTimer, UdpSocketId};
 use crate::udp::{QueuedDatagram, UdpSocket};
 
 /// IP + TCP header overhead, bytes.
 const TCP_OVERHEAD: usize = 40;
-/// IP + UDP header overhead, bytes.
-const UDP_OVERHEAD: usize = 28;
 /// Period of the CM maintenance timer.
 const CM_TICK: Duration = Duration::from_millis(100);
 
@@ -684,7 +682,7 @@ impl Host {
         match sock.on_cm_grant() {
             Some(q) => {
                 let local_port = sock.local_port;
-                let wire = q.dgram.len as usize + UDP_OVERHEAD;
+                let wire = q.dgram.len as usize + UDP_OVERHEAD as usize;
                 let pkt = Packet::new(
                     ctx.addr(),
                     Addr(q.dst),
@@ -1070,7 +1068,7 @@ impl HostOs<'_, '_> {
                 local_port,
                 dst_port,
                 Protocol::Udp,
-                dgram.len as usize + UDP_OVERHEAD,
+                dgram.len as usize + UDP_OVERHEAD as usize,
                 Payload::Udp(dgram),
             );
             let work = self.host.cfg.cost.udp_proc + self.host.cfg.cost.ip_output;

@@ -9,13 +9,10 @@
 //! action list per TCP entry point, no tree node per out-of-order
 //! segment, no map entry per timer.
 
-#![allow(
-    unsafe_code,
-    reason = "GlobalAlloc is an unsafe trait; the counting allocator needs it"
-)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use cm_core::config::CmConfig;
 use cm_netsim::channel::PathSpec;
@@ -26,38 +23,7 @@ use cm_transport::host::{Host, HostApp, HostConfig, HostOs};
 use cm_transport::tcp::TcpConfig;
 use cm_transport::types::CcMode;
 use cm_util::{Duration, Time};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// `ALLOCS` is process-wide and libtest runs tests on parallel threads,
-/// so each test holds this while it measures (as in
-/// `crates/core/tests/no_alloc.rs`).
-static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn measuring() -> std::sync::MutexGuard<'static, ()> {
-    MEASURING
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use counting_alloc::{measuring, ALLOCS};
 
 /// Writes more than any window can carry, as soon as it starts.
 struct Sender {
