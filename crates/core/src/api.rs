@@ -1682,7 +1682,7 @@ mod tests {
         // The first tick leaves the window above the initial one; every
         // later halving happens only if that still-learned window keeps
         // the shard scannable.
-        use crate::macroflow::MIN_RTO;
+        use cm_util::ewma::MIN_RTO;
         now += MIN_RTO;
         cm.tick(now);
         let once = cm.window_of(mf).unwrap();

@@ -141,9 +141,9 @@ impl Default for TracingConfig {
 ///
 /// The paper's CM uses a TCP-style window AIMD with slow start, with
 /// byte counting rather than Linux's ACK counting (§4, Figure 3
-/// discussion); the modular controller interface "encourages
-/// experimentation with other non-AIMD schemes", so a rate-based
-/// controller is provided as well.
+/// discussion); the modular controller "encourages experimentation with
+/// other non-AIMD schemes", so rate-based and delay-gradient laws are
+/// provided as well (see [`crate::controller`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ControllerKind {
     /// Window-based additive-increase/multiplicative-decrease with slow
@@ -163,6 +163,22 @@ pub enum ControllerKind {
     /// *grows*, before loss, so it trades peak throughput for a near-
     /// empty bottleneck queue.
     DelayGradient,
+}
+
+impl ControllerKind {
+    /// Stable label for experiment output and golden-file names.
+    pub fn label(self) -> &'static str {
+        match self {
+            ControllerKind::Aimd {
+                byte_counting: true,
+            } => "aimd",
+            ControllerKind::Aimd {
+                byte_counting: false,
+            } => "aimd-acks",
+            ControllerKind::RateBased => "rate-based",
+            ControllerKind::DelayGradient => "delay-gradient",
+        }
+    }
 }
 
 /// Which inter-flow scheduler apportions a macroflow's window.

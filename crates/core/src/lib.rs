@@ -92,9 +92,7 @@ pub use config::{
     AggregationPolicy, CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode,
     TracingConfig,
 };
-pub use controller::{
-    AimdController, CongestionController, DelayGradientController, DelaySignal, RateBasedController,
-};
+pub use controller::{Controller, DelaySignal};
 pub use error::CmError;
 pub use runtime::{ParallelConfig, ShardRuntime, WorkerStats};
 pub use types::{

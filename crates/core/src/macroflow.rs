@@ -18,17 +18,10 @@ use cm_util::ewma::RttEstimator;
 use cm_util::{Duration, Ewma, Rate, Time};
 
 use crate::config::{AggregationPolicy, CmConfig};
-use crate::controller::{build_controller, CongestionController};
+use crate::controller::{build_controller, Controller};
 use crate::scheduler::SlabScheduler;
 use crate::types::{FlowId, MacroflowId, Thresholds};
 
-/// Lower bound on the computed retransmission timeout.
-pub(crate) const MIN_RTO: Duration = Duration::from_millis(200);
-/// Upper bound on the computed retransmission timeout.
-const MAX_RTO: Duration = Duration::from_secs(120);
-/// RTO used before any RTT sample exists (RFC 6298's 3 s, which descends
-/// from the era of the paper).
-const FALLBACK_RTO: Duration = Duration::from_secs(3);
 /// Gain of the macroflow loss-rate EWMA.
 const LOSS_EWMA_GAIN: f64 = 0.125;
 
@@ -185,7 +178,7 @@ pub struct Macroflow {
     /// What it aggregates over.
     pub key: MacroflowKey,
     /// The congestion-control algorithm.
-    pub controller: Box<dyn CongestionController>,
+    pub controller: Controller,
     /// The inter-flow scheduler; its per-flow state is in the shard's
     /// scheduler slab.
     pub scheduler: SlabScheduler,
@@ -249,7 +242,7 @@ impl Macroflow {
     }
 
     /// Re-initialises a pooled macroflow shell for a new tenant, reusing
-    /// the controller box and every retained buffer, so
+    /// the controller's storage and every retained buffer, so
     /// macroflow churn (notably split/merge cycles) is allocation-free
     /// once the pool and slabs are warm.
     pub fn reset(&mut self, id: MacroflowId, key: MacroflowKey, cfg: &CmConfig, now: Time) {
@@ -287,7 +280,7 @@ impl Macroflow {
     /// The retransmission-timeout estimate used for grant reclamation and
     /// idle aging.
     pub fn rto(&self) -> Duration {
-        self.rtt.rto(MIN_RTO, MAX_RTO, FALLBACK_RTO)
+        self.rtt.rto()
     }
 
     /// The proportional share of the macroflow rate that goes to a
@@ -303,8 +296,8 @@ impl Macroflow {
     /// The macroflow's rate, its members' total scheduler weight and the
     /// unit share the two make, when that share lies *outside* the quiet
     /// band — i.e. some member's rate callback may be due. `None` is the
-    /// O(1) answer of every other `update` and `tick`: two virtual calls
-    /// and one comparison.
+    /// O(1) answer of every other `update` and `tick`: one rate and one
+    /// comparison.
     pub(crate) fn band_exit(&self) -> Option<(Rate, u64, f64)> {
         let total = self.scheduler.total_weight();
         if total == 0 {
@@ -363,6 +356,7 @@ mod tests {
     use super::*;
     use crate::scheduler::SchedSlot;
     use crate::types::LossMode;
+    use cm_util::ewma::FALLBACK_RTO;
 
     fn mf(cfg: &CmConfig) -> Macroflow {
         Macroflow::new(

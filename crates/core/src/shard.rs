@@ -34,13 +34,14 @@
 use std::collections::VecDeque;
 
 use cm_obs::{CongestionSignal, TraceEvent, Tracer};
+use cm_util::ewma::MIN_RTO;
 use cm_util::{Duration, FxHashMap, Rate, Time};
 
 use crate::api::{CmNotification, CmStats};
 use crate::config::CmConfig;
 use crate::error::{CmError, CmResult};
 use crate::flow::Flow;
-use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, QuietBand, MIN_RTO};
+use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, QuietBand};
 use crate::scheduler::SchedSlot;
 use crate::types::{
     FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds, SLOT_BITS,

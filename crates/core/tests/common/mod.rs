@@ -4,7 +4,7 @@
 //! files or synthetic schedules, plus seeded `FaultPlan`-derived fault
 //! streams) through a deterministic single-bottleneck fluid model and
 //! feeds the resulting feedback stream — acks, RTT samples, bursty loss,
-//! outage write-offs — into one `CongestionController`, mimicking the
+//! outage write-offs — into one `Controller`, mimicking the
 //! shard `update` path's gating (recovery freeze after a loss, RTT sample
 //! absorbed before positive feedback). Every controller sees byte-for-byte
 //! the same link behaviour modulo its own sending decisions, which is
@@ -22,13 +22,11 @@ use cm_core::controller::{build_controller, MAX_WINDOW_BYTES};
 use cm_core::types::LossMode;
 use cm_netsim::fault::{FaultPlan, GilbertElliott};
 use cm_netsim::schedule::BandwidthSchedule;
+use cm_util::ewma::MIN_RTO;
 use cm_util::{DetRng, Duration, Rate, RttEstimator, Time};
 
 /// Driver step: feedback is generated and applied at 100 Hz.
 pub const STEP: Duration = Duration::from_millis(10);
-
-/// Freeze fallback before any RTT sample exists (mirrors `min_rto`).
-const MIN_RTO: Duration = Duration::from_millis(200);
 
 /// Feedback-free interval after which the driver emits the write-off's
 /// `Persistent` signal (mirrors the shard's feedback-free write-off).
@@ -78,29 +76,12 @@ pub struct StepRecord {
 
 /// A full scenario replay for one controller.
 pub struct RunResult {
-    /// `controller_label`-style name of the controller that ran.
+    /// [`ControllerKind::label`] of the controller that ran.
     pub label: &'static str,
     /// MTU the run used.
     pub mtu: u64,
-    /// Window cap the run's controller was built with.
-    pub max_window: u64,
     /// Per-step decisions, one per driver step.
     pub steps: Vec<StepRecord>,
-}
-
-/// Stable label for a controller kind (mirrors the experiment crate's
-/// `controller_label`, which `cm-core` cannot depend on).
-pub fn kind_label(kind: ControllerKind) -> &'static str {
-    match kind {
-        ControllerKind::Aimd {
-            byte_counting: true,
-        } => "aimd",
-        ControllerKind::Aimd {
-            byte_counting: false,
-        } => "aimd-acks",
-        ControllerKind::RateBased => "rate-based",
-        ControllerKind::DelayGradient => "delay-gradient",
-    }
 }
 
 /// Every controller kind the conformance harness must cover.
@@ -373,9 +354,8 @@ pub fn run_scenario(kind: ControllerKind, scenario: &Scenario) -> RunResult {
     }
 
     RunResult {
-        label: kind_label(kind),
+        label: kind.label(),
         mtu,
-        max_window: MAX_WINDOW_BYTES,
         steps,
     }
 }
@@ -422,7 +402,7 @@ pub fn steady_queue_delay_secs(run: &RunResult) -> f64 {
 
 /// Asserts the cross-controller conformance invariants over one run:
 ///
-/// 1. the window never drops below 1 MTU nor exceeds the configured cap,
+/// 1. the window never drops below 1 MTU nor exceeds the cap,
 /// 2. a congestion step never grows the window (beyond AIMD's 2-MTU cut
 ///    floor), and `Persistent` loss is
 ///    a monotone multiplicative decrease (strictly below the pre-loss
@@ -444,10 +424,9 @@ pub fn assert_conformance(run: &RunResult, scenario_name: &str) {
             run.mtu
         );
         assert!(
-            s.wnd_after <= run.max_window,
-            "{}: window above the configured cap {}",
+            s.wnd_after <= MAX_WINDOW_BYTES,
+            "{}: window above the cap {MAX_WINDOW_BYTES}",
             ctx(s),
-            run.max_window
         );
         if s.loss != LossMode::None {
             // AIMD's fast-retransmit cut floors ssthresh at 2 MTU, so a

@@ -11,7 +11,8 @@
 //!
 //! The proptest at the bottom mirrors `invariants_hold_under_fault_churn`:
 //! arbitrary feedback sequences — absurd RTTs, reordered acks, duplicate
-//! feedback — must uphold the per-op invariants on every controller.
+//! feedback — must uphold the per-op invariants on every controller. The
+//! default run is 64 cases; the `#[ignore]`d run CI adds is 20,000.
 
 mod common;
 
@@ -19,10 +20,9 @@ use cm_core::config::{CmConfig, ControllerKind};
 use cm_core::controller::{build_controller, MAX_WINDOW_BYTES};
 use cm_core::types::LossMode;
 use cm_util::{Duration, Time};
-use common::{
-    all_kinds, decision_fingerprint, kind_label, run_scenario, scenarios, steady_queue_delay_secs,
-};
+use common::{all_kinds, decision_fingerprint, run_scenario, scenarios, steady_queue_delay_secs};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 #[test]
 fn harness_covers_at_least_four_traces_and_all_kinds() {
@@ -58,7 +58,7 @@ fn decision_sequences_are_byte_deterministic_per_seed() {
                 a,
                 b,
                 "{} on {} is not replay-deterministic",
-                kind_label(kind),
+                kind.label(),
                 scenario.name
             );
         }
@@ -90,7 +90,7 @@ fn delay_gradient_detects_and_respects_injected_overuse() {
         assert!(
             run.steps.iter().all(|s| !s.overuse),
             "{} claims delay overuse but has no delay detector",
-            kind_label(kind)
+            kind.label()
         );
     }
 }
@@ -148,6 +148,69 @@ fn op_strategy() -> impl Strategy<Value = FeedbackOp> {
     ]
 }
 
+/// Replays `ops` on every controller kind, each op advancing time by
+/// the next of `steps_ms`, and checks the per-op invariants after every
+/// op.
+fn check_per_op(ops: &[FeedbackOp], steps_ms: &[u64]) -> Result<(), TestCaseError> {
+    let cfg = CmConfig::default();
+    let mtu = cfg.mtu as u64;
+    for &kind in &all_kinds() {
+        let label = kind.label();
+        let mut ctl = build_controller(&CmConfig {
+            controller: kind,
+            ..cfg
+        });
+        let mut now = Time::ZERO;
+        for (i, &op) in ops.iter().enumerate() {
+            now += Duration::from_millis(steps_ms[i % steps_ms.len()]);
+            let before = ctl.window();
+            match op {
+                FeedbackOp::Ack { bytes, acks } => {
+                    ctl.on_ack(bytes, acks, now);
+                }
+                FeedbackOp::Loss(mode) => {
+                    ctl.on_loss(mode, now);
+                    if mode != LossMode::None {
+                        // AIMD's fast-retransmit cut floors ssthresh at
+                        // 2 MTU, so a sub-floor window may rise *to* the
+                        // floor — never past it.
+                        prop_assert!(
+                            ctl.window() <= before.max(2 * mtu),
+                            "{label}: window grew on {mode:?}"
+                        );
+                    }
+                    if mode == LossMode::Persistent && before > 2 * mtu {
+                        prop_assert!(
+                            ctl.window() < before,
+                            "{label}: persistent loss did not decrease"
+                        );
+                    }
+                }
+                FeedbackOp::Rtt { millis } => {
+                    ctl.on_rtt_sample(Duration::from_millis(millis), now);
+                    prop_assert!(
+                        ctl.window() <= before,
+                        "{label}: an RTT sample grew the window"
+                    );
+                }
+                FeedbackOp::Decay { intervals } => {
+                    ctl.decay_idle(intervals);
+                    prop_assert!(
+                        ctl.window() <= before.max(cfg.initial_window_bytes()),
+                        "{label}: idle decay grew the window"
+                    );
+                }
+            }
+            prop_assert!(ctl.window() >= mtu, "{label}: window fell below 1 MTU");
+            prop_assert!(
+                ctl.window() <= MAX_WINDOW_BYTES,
+                "{label}: window exceeded the cap"
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -163,66 +226,21 @@ proptest! {
         // advances time by a random step, sometimes zero (duplicates).
         steps_ms in proptest::collection::vec(0u64..=5_000, 1..200),
     ) {
-        let cfg = CmConfig::default();
-        let mtu = cfg.mtu as u64;
-        for &kind in &all_kinds() {
-            let mut ctl = build_controller(&CmConfig { controller: kind, ..cfg });
-            let mut now = Time::ZERO;
-            for (i, &op) in ops.iter().enumerate() {
-                now += Duration::from_millis(steps_ms[i % steps_ms.len()]);
-                let before = ctl.window();
-                match op {
-                    FeedbackOp::Ack { bytes, acks } => {
-                        ctl.on_ack(bytes, acks, now);
-                    }
-                    FeedbackOp::Loss(mode) => {
-                        ctl.on_loss(mode, now);
-                        if mode != LossMode::None {
-                            // AIMD's fast-retransmit cut floors ssthresh
-                            // at 2 MTU, so a sub-floor window may rise
-                            // *to* the floor — never past it.
-                            prop_assert!(
-                                ctl.window() <= before.max(2 * mtu),
-                                "{}: window grew on {:?}",
-                                ctl.name(), mode
-                            );
-                        }
-                        if mode == LossMode::Persistent && before > 2 * mtu {
-                            prop_assert!(
-                                ctl.window() < before,
-                                "{}: persistent loss did not decrease",
-                                ctl.name()
-                            );
-                        }
-                    }
-                    FeedbackOp::Rtt { millis } => {
-                        ctl.on_rtt_sample(Duration::from_millis(millis), now);
-                        prop_assert!(
-                            ctl.window() <= before,
-                            "{}: an RTT sample grew the window",
-                            ctl.name()
-                        );
-                    }
-                    FeedbackOp::Decay { intervals } => {
-                        ctl.decay_idle(intervals);
-                        prop_assert!(
-                            ctl.window() <= before.max(cfg.initial_window_bytes()),
-                            "{}: idle decay grew the window",
-                            ctl.name()
-                        );
-                    }
-                }
-                prop_assert!(
-                    ctl.window() >= mtu,
-                    "{}: window fell below 1 MTU",
-                    ctl.name()
-                );
-                prop_assert!(
-                    ctl.window() <= MAX_WINDOW_BYTES,
-                    "{}: window exceeded the configured cap",
-                    ctl.name()
-                );
-            }
-        }
+        check_per_op(&ops, &steps_ms)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// CI's long run: `cargo test --release -p cm-core --test
+    /// controller_diff -- --ignored`.
+    #[test]
+    #[ignore = "20,000 cases; CI runs it in release"]
+    fn conformance_invariants_hold_per_op_20k(
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+        steps_ms in proptest::collection::vec(0u64..=5_000, 1..200),
+    ) {
+        check_per_op(&ops, &steps_ms)?;
     }
 }

@@ -26,7 +26,7 @@ use cm_core::config::{CmConfig, ControllerKind};
 use cm_core::controller::{build_controller, DelaySignal};
 use cm_core::types::LossMode;
 use cm_util::{DetRng, Duration, Time};
-use common::{all_kinds, golden_line, kind_label, run_scenario, scenarios};
+use common::{all_kinds, golden_line, run_scenario, scenarios};
 
 /// Seeds of the arbitrary-op streams, and ops per stream.
 const OP_SEEDS: [u64; 3] = [1, 2, 3];
@@ -121,7 +121,7 @@ fn arbitrary_ops_line(kind: ControllerKind) -> String {
 fn decision_sequences_match_golden_files() {
     let update = std::env::var_os("UPDATE_GOLDENS").is_some();
     for &kind in &all_kinds() {
-        let label = kind_label(kind);
+        let label = kind.label();
         let path = golden_path(label);
         let current = current_lines(kind);
         if update {

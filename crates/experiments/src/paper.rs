@@ -21,10 +21,9 @@ use cm_util::Summary;
 use crate::builtin::{finish, Figure, FigureRun};
 use crate::report::{DatFile, FigureDoc, Table};
 use crate::scenarios::{
-    blast, bulk_transfer, bulk_transfer_controller, layered_stream, switched_lan, tcp_blast,
-    web_sharing, BulkOutcome,
+    blast, bulk_transfer, layered_stream, switched_lan, tcp_blast, web_sharing, BulkOutcome,
+    BulkSpec,
 };
-use crate::spec::controller_label;
 
 /// The seed of every single-seed paper figure.
 const SEED: u64 = 42;
@@ -107,16 +106,7 @@ fn fig3(fig: &Figure, smoke: bool) -> FigureRun {
     let point = |mode, loss| {
         let mut s = Summary::new();
         for seed in SEED..SEED + seeds {
-            let o = bulk_transfer(
-                mode,
-                &PathSpec::fig3(loss),
-                total,
-                seed,
-                CostModel::free(),
-                true,
-                1460,
-                Time::from_secs(600),
-            );
+            let o = bulk_transfer(&PathSpec::fig3(loss), BulkSpec::new(mode, total, seed));
             if o.completed {
                 s.add(kbs(&o));
             }
@@ -169,14 +159,12 @@ fn conn_setup(fig: &Figure, _smoke: bool) -> FigureRun {
         let mut s = Summary::new();
         for seed in SEED..SEED + N {
             let o = bulk_transfer(
-                mode,
                 &PathSpec::wide_area(),
-                1,
-                seed,
-                CostModel::default(),
-                true,
-                1460,
-                Time::from_secs(30),
+                BulkSpec {
+                    cost: CostModel::default(),
+                    deadline: Time::from_secs(30),
+                    ..BulkSpec::new(mode, 1, seed)
+                },
             );
             if let Some(ct) = o.connect_time {
                 s.add(ct.as_nanos() as f64 / 1e6);
@@ -218,14 +206,12 @@ fn lan_bulk(smoke: bool) -> Vec<(u64, BulkOutcome, BulkOutcome)> {
     };
     let run = |mode, buffers: u64| {
         bulk_transfer(
-            mode,
             &switched_lan(),
-            buffers * 8 * 1024,
-            SEED,
-            CostModel::default(),
-            true,
-            1460,
-            Time::from_secs(3_000),
+            BulkSpec {
+                cost: CostModel::default(),
+                deadline: Time::from_secs(3_000),
+                ..BulkSpec::new(mode, buffers * 8 * 1024, SEED)
+            },
         )
     };
     counts
@@ -666,19 +652,15 @@ fn ablations(fig: &Figure, _smoke: bool) -> FigureRun {
         ControllerKind::DelayGradient,
     ] {
         for loss in [0.0, 0.01, 0.02] {
-            let o = bulk_transfer_controller(
-                CcMode::Cm,
+            let o = bulk_transfer(
                 &PathSpec::fig3(loss),
-                500 * 1460,
-                SEED,
-                CostModel::free(),
-                true,
-                1460,
-                Time::from_secs(600),
-                kind,
+                BulkSpec {
+                    controller: kind,
+                    ..BulkSpec::new(CcMode::Cm, 500 * 1460, SEED)
+                },
             );
             controllers.push((
-                format!("{} @{:.0}%", controller_label(kind), loss * 100.0),
+                format!("{} @{:.0}%", kind.label(), loss * 100.0),
                 vec![loss * 100.0, kbs(&o), o.bytes_rtx as f64 / 1000.0],
             ));
         }

@@ -21,7 +21,7 @@ use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostConfig};
 use cm_util::{Duration, Rate, Time};
 
-use crate::spec::{controller_label, AdaptPolicyKind, AppKind, Experiment};
+use crate::spec::{AdaptPolicyKind, AppKind, Experiment};
 
 /// One point of a cell's quality track.
 #[derive(Clone, Copy, Debug)]
@@ -239,7 +239,7 @@ pub fn layered_cell(
     CellOutcome {
         schedule: String::new(),
         policy: policy.label(),
-        controller: controller_label(controller),
+        controller: controller.label(),
         seed,
         delivered: rx.bytes,
         stats: tx.adaptation_stats().clone(),
@@ -390,7 +390,7 @@ pub fn co_sched_cell(
     CellOutcome {
         schedule: String::new(),
         policy: "co-sched",
-        controller: controller_label(controller),
+        controller: controller.label(),
         seed,
         delivered,
         stats: streamer.adaptation_stats().clone(),
@@ -452,7 +452,7 @@ pub fn vat_cell(
     CellOutcome {
         schedule: String::new(),
         policy: "vat",
-        controller: controller_label(controller),
+        controller: controller.label(),
         seed,
         delivered: rx.bytes,
         stats: vat.adaptation_stats().clone(),

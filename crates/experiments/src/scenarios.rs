@@ -47,27 +47,52 @@ pub struct BulkOutcome {
     pub timeouts: u64,
 }
 
-/// Runs one ttcp-style bulk transfer over `path`.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one argument per knob of the scenario"
-)]
-pub fn bulk_transfer(
-    mode: CcMode,
-    path: &PathSpec,
-    total: u64,
-    seed: u64,
-    cost: CostModel,
-    delayed_ack: bool,
-    mss: usize,
-    deadline: Time,
-) -> BulkOutcome {
-    let controller = ControllerKind::Aimd {
-        byte_counting: true,
-    };
-    bulk_transfer_controller(
+/// One ttcp-style bulk transfer: `total` bytes from a client to a
+/// server over TCP in `mode`.
+#[derive(Clone, Copy, Debug)]
+pub struct BulkSpec {
+    /// Native TCP congestion control, or TCP over the CM.
+    pub mode: CcMode,
+    /// Bytes to send.
+    pub total: u64,
+    /// Topology seed.
+    pub seed: u64,
+    /// Both hosts' CPU cost model.
+    pub cost: CostModel,
+    /// Whether the receiver delays its ACKs.
+    pub delayed_ack: bool,
+    /// TCP segment size; the CM grants in the same unit.
+    pub mss: usize,
+    /// When the run stops, finished or not.
+    pub deadline: Time,
+    /// The CM's congestion controller — the end-to-end axis of the
+    /// controller ablations.
+    pub controller: ControllerKind,
+}
+
+impl BulkSpec {
+    /// `total` bytes in `mode` with delayed ACKs, 1460-byte segments,
+    /// the CM's byte-counting AIMD, free CPU and a 600 s deadline.
+    pub fn new(mode: CcMode, total: u64, seed: u64) -> Self {
+        BulkSpec {
+            mode,
+            total,
+            seed,
+            cost: CostModel::free(),
+            delayed_ack: true,
+            mss: 1460,
+            deadline: Time::from_secs(600),
+            controller: ControllerKind::Aimd {
+                byte_counting: true,
+            },
+        }
+    }
+}
+
+/// Runs one bulk transfer over `path`.
+pub fn bulk_transfer(path: &PathSpec, spec: BulkSpec) -> BulkOutcome {
+    let BulkSpec {
         mode,
-        path,
         total,
         seed,
         cost,
@@ -75,27 +100,7 @@ pub fn bulk_transfer(
         mss,
         deadline,
         controller,
-    )
-}
-
-/// [`bulk_transfer`] with an explicit CM congestion controller — the
-/// end-to-end harness for controller ablations (AIMD vs. the smooth
-/// rate-based scheme the paper suggests for audio/video).
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one argument per knob of the scenario"
-)]
-pub fn bulk_transfer_controller(
-    mode: CcMode,
-    path: &PathSpec,
-    total: u64,
-    seed: u64,
-    cost: CostModel,
-    delayed_ack: bool,
-    mss: usize,
-    deadline: Time,
-    controller: ControllerKind,
-) -> BulkOutcome {
+    } = spec;
     // The CM grants in MTU units; align it with the test's segment size.
     // The 64 KB receive window is the era-correct default and keeps the
     // LAN runs loss-free, as the paper observed on its testbed.
@@ -210,16 +215,14 @@ pub fn blast(api: BlastApi, packet_size: u32, target: u64, seed: u64) -> BlastOu
 /// segment (the slow-start warmup quarter is discarded, matching the
 /// paper's long 200k-packet averaging).
 pub fn tcp_blast(mode: CcMode, mss: usize, segments: u64, delayed_ack: bool, seed: u64) -> f64 {
-    let total = mss as u64 * segments;
     let o = bulk_transfer(
-        mode,
         &switched_lan(),
-        total,
-        seed,
-        CostModel::default(),
-        delayed_ack,
-        mss,
-        Time::from_secs(600),
+        BulkSpec {
+            cost: CostModel::default(),
+            delayed_ack,
+            mss,
+            ..BulkSpec::new(mode, mss as u64 * segments, seed)
+        },
     );
     match o.steady_goodput_bps {
         Some(bps) if bps > 0.0 => mss as f64 / bps * 1e6,
@@ -367,14 +370,11 @@ mod tests {
     #[test]
     fn bulk_scenario_completes() {
         let o = bulk_transfer(
-            CcMode::Cm,
             &PathSpec::fig3(0.0),
-            200_000,
-            1,
-            CostModel::free(),
-            true,
-            1460,
-            Time::from_secs(60),
+            BulkSpec {
+                deadline: Time::from_secs(60),
+                ..BulkSpec::new(CcMode::Cm, 200_000, 1)
+            },
         );
         assert!(o.completed);
         assert!(o.goodput_bps > 50_000.0);
@@ -394,16 +394,13 @@ mod tests {
     fn rate_based_controller_completes_end_to_end() {
         // The second controller must survive a real lossy transfer, not
         // just unit tests.
-        let o = bulk_transfer_controller(
-            CcMode::Cm,
+        let o = bulk_transfer(
             &PathSpec::fig3(0.01),
-            150_000,
-            7,
-            CostModel::free(),
-            true,
-            1460,
-            Time::from_secs(120),
-            ControllerKind::RateBased,
+            BulkSpec {
+                deadline: Time::from_secs(120),
+                controller: ControllerKind::RateBased,
+                ..BulkSpec::new(CcMode::Cm, 150_000, 7)
+            },
         );
         assert!(o.completed, "rate-based transfer did not finish");
         assert!(o.goodput_bps > 10_000.0);

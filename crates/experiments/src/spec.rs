@@ -60,20 +60,6 @@ impl AdaptPolicyKind {
     }
 }
 
-/// Stable label for a controller in experiment output.
-pub fn controller_label(kind: ControllerKind) -> &'static str {
-    match kind {
-        ControllerKind::Aimd {
-            byte_counting: true,
-        } => "aimd",
-        ControllerKind::Aimd {
-            byte_counting: false,
-        } => "aimd-acks",
-        ControllerKind::RateBased => "rate-based",
-        ControllerKind::DelayGradient => "delay-gradient",
-    }
-}
-
 /// A schedule plus the name it carries through every emitter.
 #[derive(Clone, Debug)]
 pub struct NamedSchedule {
@@ -163,12 +149,13 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(AdaptPolicyKind::LadderImmediate.label(), "immediate");
         assert_eq!(
-            controller_label(ControllerKind::Aimd {
+            ControllerKind::Aimd {
                 byte_counting: true
-            }),
+            }
+            .label(),
             "aimd"
         );
-        assert_eq!(controller_label(ControllerKind::RateBased), "rate-based");
+        assert_eq!(ControllerKind::RateBased.label(), "rate-based");
     }
 
     #[test]

@@ -23,10 +23,9 @@ pub struct PathSpec {
     pub loss_reverse: f64,
     /// Queue for each direction; Dummynet defaults to 50 slots.
     pub queue: QueueSpec,
-    /// Fault injection on the forward (data) direction.
+    /// Fault injection on the forward (data) direction; the reverse
+    /// (ACK) direction is always clean.
     pub faults_forward: LinkFaults,
-    /// Fault injection on the reverse (ACK) direction.
-    pub faults_reverse: LinkFaults,
 }
 
 impl PathSpec {
@@ -39,7 +38,6 @@ impl PathSpec {
             loss_reverse: 0.0,
             queue: QueueSpec::DropTailPackets(50),
             faults_forward: LinkFaults::clean(),
-            faults_reverse: LinkFaults::clean(),
         }
     }
 
@@ -81,17 +79,9 @@ impl PathSpec {
     }
 
     /// Sets forward-direction fault injection (builder style). The data
-    /// direction is where bursty loss, flaps, and reordering bite; ACK
-    /// paths can be faulted separately with
-    /// [`PathSpec::with_reverse_faults`].
+    /// direction is where bursty loss, flaps, and reordering bite.
     pub fn with_forward_faults(mut self, faults: LinkFaults) -> Self {
         self.faults_forward = faults;
-        self
-    }
-
-    /// Sets reverse-direction fault injection (builder style).
-    pub fn with_reverse_faults(mut self, faults: LinkFaults) -> Self {
-        self.faults_reverse = faults;
         self
     }
 
@@ -113,7 +103,7 @@ impl PathSpec {
             delay: self.rtt / 2,
             queue: self.queue.clone(),
             loss_rate: self.loss_reverse,
-            faults: self.faults_reverse.clone(),
+            faults: LinkFaults::clean(),
         }
     }
 }

@@ -41,22 +41,6 @@ pub struct GilbertElliott {
     pub loss_bad: f64,
 }
 
-impl GilbertElliott {
-    /// The steady-state fraction of time spent in the bad state.
-    pub fn bad_fraction(&self) -> f64 {
-        if self.p_enter + self.p_exit <= 0.0 {
-            return 0.0;
-        }
-        self.p_enter / (self.p_enter + self.p_exit)
-    }
-
-    /// The long-run average loss rate implied by the model.
-    pub fn mean_loss(&self) -> f64 {
-        let b = self.bad_fraction();
-        b * self.loss_bad + (1.0 - b) * self.loss_good
-    }
-}
-
 /// Per-link fault configuration. `Default` is a clean link.
 #[derive(Clone, Debug, Default)]
 pub struct LinkFaults {
@@ -286,18 +270,6 @@ mod tests {
         );
         assert_eq!(f.outage_until(Time::from_secs(3)), None);
         assert!(!f.is_clean());
-    }
-
-    #[test]
-    fn ge_steady_state() {
-        let ge = GilbertElliott {
-            p_enter: 0.01,
-            p_exit: 0.09,
-            loss_good: 0.0,
-            loss_bad: 0.5,
-        };
-        assert!((ge.bad_fraction() - 0.1).abs() < 1e-12);
-        assert!((ge.mean_loss() - 0.05).abs() < 1e-12);
     }
 
     #[test]

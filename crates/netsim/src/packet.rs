@@ -192,12 +192,6 @@ impl Packet {
         self.ecn = ecn;
         self
     }
-
-    /// The 4-tuple identifying the packet's flow, ordered (src, dst,
-    /// sport, dport) from the sender's point of view.
-    pub fn flow_tuple(&self) -> (Addr, Addr, u16, u16) {
-        (self.src, self.dst, self.src_port, self.dst_port)
-    }
 }
 
 /// Conventional wire overhead constants used throughout the experiments.
@@ -244,7 +238,10 @@ mod tests {
             1500,
             Payload::empty(),
         );
-        assert_eq!(pkt.flow_tuple(), (Addr(1), Addr(2), 5000, 80));
+        assert_eq!(
+            (pkt.src, pkt.dst, pkt.src_port, pkt.dst_port),
+            (Addr(1), Addr(2), 5000, 80)
+        );
         assert_eq!(pkt.ecn, Ecn::NotEct);
         let pkt = pkt.with_ecn(Ecn::Ect);
         assert_eq!(pkt.ecn, Ecn::Ect);

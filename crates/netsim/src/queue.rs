@@ -94,16 +94,6 @@ impl DropTailQueue {
             max_packets,
         }
     }
-
-    /// A queue bounded by both bytes and packets.
-    pub fn with_limits(max_bytes: usize, max_packets: usize) -> Self {
-        DropTailQueue {
-            fifo: Default::default(),
-            bytes: 0,
-            max_bytes,
-            max_packets,
-        }
-    }
 }
 
 impl Queue for DropTailQueue {
@@ -177,9 +167,11 @@ pub struct RedQueue {
     count: i64,
     /// When the queue went idle, for the idle-time decay of `avg`.
     idle_since: Option<Time>,
-    /// Mean packet transmission time used for idle decay, in seconds.
-    mean_pkt_time_s: f64,
 }
+
+/// Mean packet transmission time used to decay RED's average while the
+/// queue is idle, in seconds: 1500 B at 10 Mbps.
+const MEAN_PKT_TIME_S: f64 = 1500.0 * 8.0 / 10e6;
 
 impl RedQueue {
     /// Creates a RED queue.
@@ -191,14 +183,7 @@ impl RedQueue {
             avg: 0.0,
             count: -1,
             idle_since: Some(Time::ZERO),
-            mean_pkt_time_s: 1500.0 * 8.0 / 10e6, // 1500B at 10 Mbps
         }
-    }
-
-    /// Sets the mean packet time used to decay the average while idle.
-    pub fn with_mean_packet_time(mut self, seconds: f64) -> Self {
-        self.mean_pkt_time_s = seconds;
-        self
     }
 
     /// The current average queue estimate, in packets.
@@ -210,7 +195,7 @@ impl RedQueue {
         if let Some(idle_start) = self.idle_since {
             // Decay the average as if `m` small packets had drained.
             let idle = now.since(idle_start).as_secs_f64();
-            let m = (idle / self.mean_pkt_time_s).floor();
+            let m = (idle / MEAN_PKT_TIME_S).floor();
             self.avg *= (1.0 - self.cfg.weight).powf(m.max(0.0));
             self.idle_since = None;
         }
@@ -347,15 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn droptail_combined_limits() {
-        let mut q = DropTailQueue::with_limits(1_000, 2);
-        let mut rng = DetRng::seed(0);
-        assert!(q.enqueue(pkt(10), Time::ZERO, &mut rng).is_enqueued());
-        assert!(q.enqueue(pkt(10), Time::ZERO, &mut rng).is_enqueued());
-        assert!(!q.enqueue(pkt(10), Time::ZERO, &mut rng).is_enqueued());
-    }
-
-    #[test]
     fn red_accepts_below_min_th() {
         let mut q = RedQueue::new(RedConfig::default());
         let mut rng = DetRng::seed(1);
@@ -439,7 +415,7 @@ mod tests {
             weight: 0.5,
             ..Default::default()
         };
-        let mut q = RedQueue::new(cfg).with_mean_packet_time(0.001);
+        let mut q = RedQueue::new(cfg);
         let mut rng = DetRng::seed(5);
         for _ in 0..20 {
             let _ = q.enqueue(pkt(100), Time::ZERO, &mut rng);

@@ -1,10 +1,6 @@
-//! Trace instrumentation: per-link counters and sampled time series.
+//! Trace instrumentation: per-link counters.
 //!
-//! Counters are always on (they are a handful of integer increments);
-//! per-packet event logs and queue-depth sampling are opt-in because the
-//! long transfers in Figures 4 and 5 move millions of packets.
-
-use cm_util::{Time, TimeSeries};
+//! Counters are always on (they are a handful of integer increments).
 
 /// Cumulative counters for one link.
 #[derive(Clone, Copy, Debug, Default)]
@@ -57,43 +53,6 @@ impl LinkStats {
     }
 }
 
-/// A sampling recorder for scalar signals over simulated time (queue
-/// depth, rates, cwnd), shared by experiments.
-#[derive(Debug, Default)]
-pub struct Sampler {
-    series: TimeSeries,
-    enabled: bool,
-}
-
-impl Sampler {
-    /// Creates a disabled sampler; call [`Sampler::enable`] to record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Turns recording on.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Records a point if enabled.
-    pub fn record(&mut self, t: Time, v: f64) {
-        if self.enabled {
-            self.series.push(t, v);
-        }
-    }
-
-    /// The recorded series.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
-    /// Consumes the sampler, returning the series.
-    pub fn into_series(self) -> TimeSeries {
-        self.series
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,16 +73,5 @@ mod tests {
         };
         assert_eq!(s.dropped(), 25);
         assert!((s.drop_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampler_disabled_by_default() {
-        let mut s = Sampler::new();
-        s.record(Time::ZERO, 1.0);
-        assert!(s.series().is_empty());
-        s.enable();
-        s.record(Time::from_secs(1), 2.0);
-        assert_eq!(s.series().len(), 1);
-        assert_eq!(s.into_series().last(), Some(2.0));
     }
 }

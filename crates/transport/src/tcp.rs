@@ -33,7 +33,7 @@
 //! plain form returns a fresh `Vec` for tests and harnesses.
 
 use cm_core::types::{FeedbackReport, LossMode};
-use cm_util::ewma::RttEstimator;
+use cm_util::ewma::{self, RttEstimator};
 use cm_util::{Duration, Time};
 
 use crate::segment::{TcpFlags, TcpSegment};
@@ -67,12 +67,6 @@ impl Default for TcpConfig {
 const DELACK_TIMEOUT: Duration = Duration::from_millis(200);
 /// Native mode's initial window, in segments (Linux 2.2 used 2).
 const INITIAL_CWND_SEGMENTS: u64 = 2;
-/// RTO clamp floor.
-const MIN_RTO: Duration = Duration::from_millis(200);
-/// RTO clamp ceiling.
-const MAX_RTO: Duration = Duration::from_secs(120);
-/// RTO before any RTT sample.
-const FALLBACK_RTO: Duration = Duration::from_secs(3);
 /// CM mode: cap on `cm_request`s outstanding at once (bounds the
 /// scheduler queue during bulk transfers).
 const MAX_REQUESTS: u64 = 64;
@@ -446,11 +440,11 @@ impl TcpConnection {
     /// The connection's current retransmission timeout.
     pub fn rto(&self) -> Duration {
         let base = match (self.mode, self.shared_rtt) {
-            (CcMode::Cm, Some((srtt, rttvar))) => (srtt + rttvar * 4).clamp(MIN_RTO, MAX_RTO),
-            _ => self.rtt.rto(MIN_RTO, MAX_RTO, FALLBACK_RTO),
+            (CcMode::Cm, Some((srtt, rttvar))) => ewma::rto_of(srtt, rttvar),
+            _ => self.rtt.rto(),
         };
         let scaled = base * (1u64 << self.backoff.min(6));
-        scaled.min(MAX_RTO)
+        scaled.min(ewma::MAX_RTO)
     }
 
     // ------------------------------------------------------------------
@@ -468,12 +462,8 @@ impl TcpConnection {
         self.pump(now, out);
     }
 
-    /// The application closed its sending direction (FIN after data).
-    pub fn app_close(&mut self, now: Time) -> Vec<TcpAction> {
-        collect(|out| self.app_close_into(now, out))
-    }
-
-    /// [`TcpConnection::app_close`], appending its actions to `out`.
+    /// The application closed its sending direction (FIN after data),
+    /// appending the resulting actions to `out`.
     pub fn app_close_into(&mut self, now: Time, out: &mut Vec<TcpAction>) {
         self.fin_queued = true;
         if self.state == TcpState::Established {
@@ -1448,7 +1438,7 @@ mod tests {
         w.run(Time::from_millis(100));
         let a1 = w.a.app_write(5000, w.now);
         w.apply(true, a1);
-        let a2 = w.a.app_close(w.now);
+        let a2 = collect(|out| w.a.app_close_into(w.now, out));
         w.apply(true, a2);
         w.run(Time::from_secs(5));
         assert_eq!(w.b.bytes_delivered(), 5000);

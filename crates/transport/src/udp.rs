@@ -70,12 +70,6 @@ impl UdpSocket {
         self.cm_flow = Some(flow);
     }
 
-    /// Sets the kernel queue bound (builder style).
-    pub fn with_max_queue(mut self, max_queue: usize) -> Self {
-        self.max_queue = max_queue;
-        self
-    }
-
     /// True if this socket's output is paced by the CM.
     pub fn is_cm(&self) -> bool {
         self.cm_flow.is_some()
@@ -161,7 +155,8 @@ mod tests {
 
     #[test]
     fn queue_bound_drops_excess() {
-        let mut s = UdpSocket::new(5000).with_max_queue(2);
+        let mut s = UdpSocket::new(5000);
+        s.max_queue = 2;
         s.enable_cm(FlowId(0));
         assert!(s.enqueue(dgram(1)));
         assert!(s.enqueue(dgram(2)));
@@ -172,7 +167,7 @@ mod tests {
 
     #[test]
     fn timestamps_preserved_through_queue() {
-        let mut s = UdpSocket::new(1).with_max_queue(4);
+        let mut s = UdpSocket::new(1);
         s.enable_cm(FlowId(0));
         let mut q = dgram(7);
         q.dgram.body = UdpBody::Data(crate::feedback::DataPayload {

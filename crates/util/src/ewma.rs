@@ -8,6 +8,24 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::time::Duration;
+
+/// Lower bound on every computed retransmission timeout, TCP's and the
+/// CM's alike.
+pub const MIN_RTO: Duration = Duration::from_millis(200);
+/// Upper bound on every retransmission timeout, backoff included.
+pub const MAX_RTO: Duration = Duration::from_secs(120);
+/// The retransmission timeout before any RTT sample (RFC 6298's 3 s,
+/// which descends from the era of the paper).
+pub const FALLBACK_RTO: Duration = Duration::from_secs(3);
+
+/// The retransmission timeout `srtt + 4 * rttvar`, clamped to
+/// `[MIN_RTO, MAX_RTO]`.
+pub fn rto_of(srtt: Duration, rttvar: Duration) -> Duration {
+    Duration::from_nanos(srtt.as_nanos().saturating_add(4 * rttvar.as_nanos()))
+        .clamp(MIN_RTO, MAX_RTO)
+}
+
 /// An exponentially-weighted moving average over `f64` samples.
 ///
 /// The filter is uninitialized until the first sample, which is adopted
@@ -68,11 +86,6 @@ impl Ewma {
     pub fn reset(&mut self) {
         self.value = None;
     }
-
-    /// Returns true if at least one sample has been observed.
-    pub fn is_initialized(&self) -> bool {
-        self.value.is_some()
-    }
 }
 
 /// Jacobson-style smoothed RTT estimator with mean deviation, over integer
@@ -95,8 +108,6 @@ pub struct RttEstimator {
     srtt_ns: Option<u64>,
     /// Mean deviation in nanoseconds.
     rttvar_ns: u64,
-    /// Count of samples absorbed (used by tests and the stats surface).
-    samples: u64,
 }
 
 impl RttEstimator {
@@ -106,7 +117,7 @@ impl RttEstimator {
     }
 
     /// Absorbs one RTT sample.
-    pub fn update(&mut self, sample: crate::time::Duration) {
+    pub fn update(&mut self, sample: Duration) {
         let s = sample.as_nanos();
         match self.srtt_ns {
             None => {
@@ -124,39 +135,23 @@ impl RttEstimator {
                 self.srtt_ns = Some(new_srtt);
             }
         }
-        self.samples += 1;
     }
 
     /// The smoothed RTT, or `None` before any sample.
-    pub fn srtt(&self) -> Option<crate::time::Duration> {
-        self.srtt_ns.map(crate::time::Duration::from_nanos)
+    pub fn srtt(&self) -> Option<Duration> {
+        self.srtt_ns.map(Duration::from_nanos)
     }
 
     /// The RTT mean deviation (zero before any sample).
-    pub fn rttvar(&self) -> crate::time::Duration {
-        crate::time::Duration::from_nanos(self.rttvar_ns)
+    pub fn rttvar(&self) -> Duration {
+        Duration::from_nanos(self.rttvar_ns)
     }
 
-    /// The retransmission timeout `srtt + 4*rttvar`, clamped to
-    /// `[min_rto, max_rto]`; returns `fallback` before any sample.
-    pub fn rto(
-        &self,
-        min_rto: crate::time::Duration,
-        max_rto: crate::time::Duration,
-        fallback: crate::time::Duration,
-    ) -> crate::time::Duration {
-        match self.srtt_ns {
-            None => fallback,
-            Some(srtt) => {
-                crate::time::Duration::from_nanos(srtt.saturating_add(4 * self.rttvar_ns))
-                    .clamp(min_rto, max_rto)
-            }
-        }
-    }
-
-    /// Number of samples absorbed so far.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
+    /// The retransmission timeout: [`rto_of`] the estimate, or
+    /// [`FALLBACK_RTO`] before any sample.
+    pub fn rto(&self) -> Duration {
+        self.srtt()
+            .map_or(FALLBACK_RTO, |srtt| rto_of(srtt, self.rttvar()))
     }
 
     /// Discards all state.
@@ -168,7 +163,6 @@ impl RttEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
 
     #[test]
     fn ewma_first_sample_adopted() {
@@ -192,7 +186,7 @@ mod tests {
         let mut e = Ewma::new(0.5);
         e.update(10.0);
         e.reset();
-        assert!(!e.is_initialized());
+        assert!(e.get().is_none());
         assert_eq!(e.get_or(7.0), 7.0);
     }
 
@@ -225,13 +219,14 @@ mod tests {
     #[test]
     fn rtt_rto_clamping() {
         let mut r = RttEstimator::new();
-        let min = Duration::from_millis(200);
-        let max = Duration::from_secs(120);
-        let fb = Duration::from_secs(3);
-        assert_eq!(r.rto(min, max, fb), fb);
+        assert_eq!(r.rto(), FALLBACK_RTO);
         r.update(Duration::from_micros(100));
-        // Tiny RTT clamps up to min_rto.
-        assert_eq!(r.rto(min, max, fb), min);
+        // Tiny RTT clamps up to MIN_RTO, a huge one down to MAX_RTO.
+        assert_eq!(r.rto(), MIN_RTO);
+        assert_eq!(
+            rto_of(Duration::from_secs(100), Duration::from_secs(10)),
+            MAX_RTO
+        );
     }
 
     #[test]
@@ -245,6 +240,5 @@ mod tests {
         }
         let srtt = r.srtt().unwrap().as_millis();
         assert!((149..=151).contains(&srtt), "srtt={srtt}ms");
-        assert_eq!(r.sample_count(), 250);
     }
 }

@@ -99,14 +99,6 @@ impl DetRng {
         }
         self.next_f64() < p
     }
-
-    /// An exponentially-distributed sample with the given mean, for
-    /// Poisson workload inter-arrivals.
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
-        // Inverse CDF; guard against ln(0).
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
 }
 
 /// The SplitMix64 output mixer.
@@ -168,15 +160,6 @@ mod tests {
         assert!((frac - 0.25).abs() < 0.01, "frac={frac}");
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn exp_mean_roughly_right() {
-        let mut r = DetRng::seed(4);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| r.next_exp(3.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean={mean}");
     }
 
     #[test]

@@ -80,17 +80,6 @@ impl Summary {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Sample standard deviation; zero with fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// The `q`-quantile (`q` in `[0,1]`) by nearest-rank on the sorted
     /// samples; zero when empty.
     pub fn percentile(&self, q: f64) -> f64 {
@@ -183,33 +172,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Time-weighted average of a step function defined by the points over
-    /// `[start, end)`: each value holds until the next point.
-    pub fn step_average(&self, start: Time, end: Time) -> f64 {
-        if self.points.is_empty() || end <= start {
-            return 0.0;
-        }
-        let mut pts = self.points.clone();
-        pts.sort_by_key(|&(t, _)| t);
-        let mut acc = 0.0f64;
-        let mut cur_v = 0.0f64;
-        let mut cur_t = start;
-        for &(t, v) in &pts {
-            if t <= start {
-                cur_v = v;
-                continue;
-            }
-            if t >= end {
-                break;
-            }
-            acc += cur_v * t.since(cur_t).as_secs_f64();
-            cur_t = t;
-            cur_v = v;
-        }
-        acc += cur_v * end.since(cur_t).as_secs_f64();
-        acc / end.since(start).as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -243,16 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_stddev() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(v);
-        }
-        // Known sample stddev of this classic dataset is ~2.138.
-        assert!((s.stddev() - 2.138).abs() < 0.01);
-    }
-
-    #[test]
     fn series_rebin_averages_and_carries() {
         let mut ts = TimeSeries::new();
         ts.push(Time::from_millis(100), 10.0);
@@ -263,16 +215,6 @@ mod tests {
         assert_eq!(bins[0].1, 20.0); // average of 10 and 30
         assert_eq!(bins[1].1, 20.0); // empty bin carries forward
         assert_eq!(bins[2].1, 50.0);
-    }
-
-    #[test]
-    fn series_step_average() {
-        let mut ts = TimeSeries::new();
-        ts.push(Time::ZERO, 10.0);
-        ts.push(Time::from_secs(1), 20.0);
-        // 1s at 10 + 1s at 20 over 2s = 15.
-        let avg = ts.step_average(Time::ZERO, Time::from_secs(2));
-        assert!((avg - 15.0).abs() < 1e-9);
     }
 
     #[test]

@@ -91,15 +91,6 @@ impl TokenBucket {
         }
     }
 
-    /// Consumes `bytes` unconditionally, allowing the fill to go negative
-    /// is *not* supported; instead the fill saturates at zero. Useful for
-    /// shapers that always transmit but want to account for overshoot.
-    pub fn consume_saturating(&mut self, bytes: u64, now: Time) {
-        self.refill(now);
-        let need = bytes as u128 * SCALE;
-        self.tokens_scaled = self.tokens_scaled.saturating_sub(need);
-    }
-
     fn refill(&mut self, now: Time) {
         if now <= self.last_update {
             return;
@@ -156,7 +147,7 @@ mod tests {
     fn fractional_refill_accumulates() {
         // 1 byte/sec: after 1 ms we have 0 whole bytes but fractions pile up.
         let mut tb = TokenBucket::new(Rate::from_bytes_per_sec(1), 10);
-        tb.consume_saturating(10, Time::ZERO);
+        assert!(tb.try_consume(10, Time::ZERO));
         assert_eq!(tb.available(Time::from_millis(1)), 0);
         assert_eq!(tb.available(Time::from_millis(999)), 0);
         assert_eq!(tb.available(Time::from_secs(1)), 1);
@@ -165,7 +156,7 @@ mod tests {
     #[test]
     fn set_rate_preserves_tokens() {
         let mut tb = TokenBucket::new(Rate::from_bytes_per_sec(1_000), 1_000);
-        tb.consume_saturating(1_000, Time::ZERO);
+        assert!(tb.try_consume(1_000, Time::ZERO));
         // Run at 1000 B/s for 0.5s -> 500 bytes.
         tb.set_rate(Rate::from_bytes_per_sec(2_000), Time::from_millis(500));
         // Then at 2000 B/s for 0.25s -> +500 bytes = 1000 total (capped).
@@ -175,7 +166,7 @@ mod tests {
     #[test]
     fn time_never_goes_backwards() {
         let mut tb = TokenBucket::new(Rate::from_bytes_per_sec(100), 100);
-        tb.consume_saturating(100, Time::from_secs(10));
+        assert!(tb.try_consume(100, Time::from_secs(10)));
         // An out-of-order query must not panic or refill.
         assert_eq!(tb.available(Time::from_secs(5)), 0);
     }
