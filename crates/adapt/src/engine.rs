@@ -43,7 +43,6 @@ impl Engine {
     /// (the natural "bytes of quality per second" curve) unless the
     /// policy is a [`crate::UtilityPolicy`], whose explicit curve the
     /// caller can integrate separately.
-    // lint:hot-path:start
     pub fn observe(&mut self, obs: &Observation) -> Decision {
         let utility = self.policy.ladder().rate(self.level).as_kbytes_per_sec();
         let new_level = self.policy.decide(obs);
@@ -61,8 +60,6 @@ impl Engine {
     pub fn on_rate(&mut self, now: Time, rate: Rate) -> Decision {
         self.observe(&Observation::rate_only(now, rate))
     }
-
-    // lint:hot-path:end
 
     /// The currently selected level.
     pub fn level(&self) -> usize {

@@ -27,6 +27,7 @@ fn ladder() -> RateLadder {
     ])
 }
 
+/// Drives: `Engine::observe`, under all three policies.
 #[test]
 fn observe_never_allocates_in_steady_state() {
     // Construction may allocate (boxes, ladders, stats vectors)...

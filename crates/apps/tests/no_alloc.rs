@@ -71,6 +71,9 @@ const TICKS_PER_WINDOW: u64 = 5;
 /// own one-shot allocations can land in a window; a per-packet one
 /// lands in all of them) nothing but the CM ticks' buckets may
 /// allocate.
+///
+/// Drives: netsim `EventQueue::schedule` (its one warm-up allocation,
+/// a slot bucket's first `reserve`, bounded here), `pop`.
 fn assert_warm_blast_allocates_only_tick_buckets(api: BlastApi) {
     let _turn = measuring();
     let (mut sim, path) = blast(api);

@@ -196,7 +196,6 @@ impl ShardTable {
         shard
     }
 
-    // lint:hot-path:start
     pub(crate) fn get(&self, idx: u32) -> Option<&Shard> {
         self.shards.get(idx as usize).and_then(Option::as_ref)
     }
@@ -244,7 +243,6 @@ impl ShardTable {
             }
         }
     }
-    // lint:hot-path:end
 
     /// Parks an emptied shard's shell in the pool. Its counters and
     /// histograms fold into the table's so `stats`/`metrics` never lose

@@ -67,7 +67,6 @@ impl<T: Copy + Send> RingProducer<T> {
     /// Non-blocking push. A [`Push::Full`] result increments the stall
     /// counter; the caller decides how to apply backpressure (spin,
     /// drain the opposite ring, or spill).
-    // lint:hot-path:start
     pub fn try_push(&mut self, msg: T) -> Push {
         match self.tx.try_send(msg) {
             Ok(()) => Push::Ok,
@@ -94,8 +93,6 @@ impl<T: Copy + Send> RingProducer<T> {
         }
     }
 
-    // lint:hot-path:end
-
     /// Pushes that found the ring full over this producer's lifetime.
     pub fn stalls(&self) -> u64 {
         self.stalls
@@ -109,7 +106,6 @@ pub struct RingConsumer<T> {
 
 impl<T: Copy + Send> RingConsumer<T> {
     /// Non-blocking pop.
-    // lint:hot-path:start
     pub fn try_pop(&mut self) -> Pop<T> {
         match self.rx.try_recv() {
             Ok(v) => Pop::Item(v),
@@ -117,8 +113,6 @@ impl<T: Copy + Send> RingConsumer<T> {
             Err(TryRecvError::Disconnected) => Pop::Closed,
         }
     }
-
-    // lint:hot-path:end
 
     /// Pop, parking up to `timeout` if the ring is empty.
     pub fn pop_timeout(&mut self, timeout: StdDuration) -> Pop<T> {

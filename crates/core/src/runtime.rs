@@ -121,7 +121,6 @@ pub struct WorkerStats {
 
 /// One command to the worker owning a shard. Every variant is `Copy`
 /// and flat: the ring slot is the only storage a message ever occupies.
-// lint:ring-slot
 #[derive(Clone, Copy, Debug)]
 enum ShardCommand {
     Open {
@@ -178,7 +177,6 @@ enum ShardCommand {
 }
 
 /// One message from a worker back to the front. Also flat `Copy`.
-// lint:ring-slot
 #[derive(Clone, Copy, Debug)]
 enum ShardReply {
     Opened {
@@ -256,16 +254,14 @@ struct ReplyPort {
 }
 
 impl ReplyPort {
-    // lint:hot-path:start
     fn push(&mut self, reply: ShardReply) {
         if self.spill.is_empty() {
             match self.ring.try_push(reply) {
                 Push::Ok | Push::Closed => {}
-                // lint:allow(R1): lossless overflow for a full ring; the deque keeps its capacity once grown
                 Push::Full => self.spill.push_back(reply),
             }
         } else {
-            // lint:allow(R1): FIFO order — new replies queue behind the spill until it drains
+            // FIFO order: new replies queue behind the spill until it drains.
             self.spill.push_back(reply);
         }
     }
@@ -285,8 +281,6 @@ impl ReplyPort {
             }
         }
     }
-
-    // lint:hot-path:end
 
     fn stalls(&self) -> u64 {
         self.ring.stalls()
@@ -309,7 +303,6 @@ struct Worker {
 }
 
 impl Worker {
-    // lint:worker-loop:start
     fn run(mut self) {
         // Shards inherited from `CongestionManager::into_parallel` may
         // carry undrained notifications; forward them before the first
@@ -452,7 +445,6 @@ impl Worker {
             Self::flush_outbox(shard, &mut self.replies, &mut self.wstats);
         }
     }
-    // lint:worker-loop:end
 }
 
 /// The front's handle to one worker thread.
@@ -582,7 +574,6 @@ impl ShardRuntime {
     /// the worker's replies (so it is never the front that deadlocks a
     /// full reply ring against a full command ring) and retry. Stalls
     /// are counted by the producer and reported via `stats()`.
-    // lint:hot-path:start
     fn send(&mut self, lane: usize, cmd: ShardCommand) {
         loop {
             match self.lanes[lane].cmds.try_push(cmd) {
@@ -604,13 +595,12 @@ impl ShardRuntime {
     /// (batched opens) park in `stray` until their waiter looks.
     fn absorb(&mut self, reply: ShardReply) {
         match reply {
-            // lint:allow(R1): notification buffer retains capacity; drained by drain_notifications_into
             ShardReply::Note(n) => self.notes.push_back(n),
             ShardReply::OpFailed(e) => {
                 self.op_failures += 1;
                 self.last_op_failure = Some(e);
             }
-            // lint:allow(R1): stray parking lot is bounded by in-flight sync calls (tiny); capacity retained
+            // Bounded by the sync calls in flight.
             sync => self.stray.push(sync),
         }
     }
@@ -624,8 +614,6 @@ impl ShardRuntime {
             }
         }
     }
-
-    // lint:hot-path:end
 
     fn take_stray(&mut self, want: u32) -> Option<ShardReply> {
         let idx = self.stray.iter().position(|r| reply_seq(r) == Some(want))?;

@@ -187,7 +187,6 @@ impl Ring {
 
     /// Counts one request; links the flow at the rotation tail when it
     /// transitions idle -> pending.
-    // lint:hot-path:start
     fn enqueue(&mut self, slab: &mut [SchedSlot], l: u32) -> bool {
         let s = &mut slab[l as usize];
         if s.weight == 0 {
@@ -265,7 +264,6 @@ impl Ring {
             self.head = slab[self.head as usize].next;
         }
     }
-    // lint:hot-path:end
 }
 
 /// Stride scheduling: each flow advances a pass value by `STRIDE1/weight`
@@ -459,7 +457,6 @@ impl SlabScheduler {
     }
 
     /// Records one pending request for `flow`.
-    // lint:hot-path:start
     pub fn enqueue(&mut self, slab: &mut [SchedSlot], flow: u32) {
         match &mut self.0 {
             Discipline::RoundRobin(ring) => {
@@ -519,7 +516,6 @@ impl SlabScheduler {
             Discipline::Stride(s) => s.weight_sum,
         }
     }
-    // lint:hot-path:end
 
     /// Forgets every member and request, retaining capacity. The slots
     /// are the caller's to vacate: a macroflow is recycled only after its

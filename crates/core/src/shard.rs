@@ -389,7 +389,6 @@ impl Shard {
     // Data transmission (paper §2.1.2)
     // ------------------------------------------------------------------
 
-    // lint:hot-path:start
     pub(crate) fn request(&mut self, flow: FlowId, now: Time) -> CmResult<()> {
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
@@ -428,7 +427,6 @@ impl Shard {
         // more O(1) pass, where a membership scan here would make a
         // batch quadratic in the macroflows it touches.
         if self.scratch_mfs.last() != Some(&mf_id) {
-            // lint:allow(R1): scratch list retains capacity across flushes; no_alloc test pins the steady state
             self.scratch_mfs.push(mf_id);
         }
         Ok(())
@@ -655,8 +653,6 @@ impl Shard {
         Ok(())
     }
 
-    // lint:hot-path:end
-
     // ------------------------------------------------------------------
     // Querying (paper §2.1.4)
     // ------------------------------------------------------------------
@@ -806,7 +802,6 @@ impl Shard {
     /// slots scanned (the front's tick-cost accounting), and leaves
     /// `pending_maintenance`/`dirty` reflecting whether the next tick
     /// has anything to do.
-    // lint:hot-path:start
     pub(crate) fn tick(&mut self, now: Time) -> u64 {
         let cfg = self.cfg;
         let mut needs = self.thresh_regs > 0;
@@ -879,7 +874,6 @@ impl Shard {
                 let Some(mut mf) = self.mfs[i].take() else {
                     continue;
                 };
-                // lint:allow(R1): free list shrank when this slot was allocated — push refills retained capacity
                 self.free_mfs.push(i as u32);
                 self.live_mfs -= 1;
                 if let Some(group) = mf.key.group() {
@@ -888,7 +882,6 @@ impl Shard {
                 // Park the shell so the next macroflow creation reuses
                 // its boxes and buffers instead of allocating.
                 mf.grant_queue.clear();
-                // lint:allow(R1): shell parked for reuse — pool capacity is retained across expiry cycles
                 self.mf_pool.push(mf);
                 self.stats.macroflows_expired += 1;
                 continue;
@@ -930,7 +923,6 @@ impl Shard {
                     };
                     if let Some(t) = reap_after {
                         if now.since(f.last_api) >= t {
-                            // lint:allow(R1): reap scratch buffer retains capacity across ticks
                             reap.push(f.id);
                             continue;
                         }
@@ -980,8 +972,6 @@ impl Shard {
         );
         scanned
     }
-
-    // lint:hot-path:end
 
     /// Structural invariant check for the chaos harness and property
     /// tests: slab/free-list consistency, the group index against the
@@ -1330,7 +1320,6 @@ impl Shard {
 
     /// Issues grants while the window has headroom and requests wait,
     /// subject to rate pacing.
-    // lint:hot-path:start
     fn try_grants(&mut self, mf_id: MacroflowId, now: Time) {
         let pacing = self.cfg.pacing;
         let base = self.base;
@@ -1379,13 +1368,11 @@ impl Shard {
             }
             flow.granted += 1;
             mf.granted_unnotified += mf.mtu as u64;
-            // lint:allow(R1): grant queue is bounded by the window and keeps its ring capacity
             mf.grant_queue.push_back(GrantEntry {
                 flow: flow_id,
                 gen: flow_gens[local as usize],
                 issued: now,
             });
-            // lint:allow(R1): outbox ring retains capacity; drained by the settle loop every event
             outbox.push_back(CmNotification::SendGrant { flow: flow_id });
             stats.grants += 1;
             tracer.record(
@@ -1514,7 +1501,6 @@ impl Shard {
                 let weight = sched[s].weight();
                 let current = rate.mul_ratio(weight as u64, total_weight);
                 if thresh.crossed(last, current) {
-                    // lint:allow(R1): outbox ring retains capacity; drained by the settle loop every event
                     outbox.push_back(CmNotification::RateChange {
                         flow: flow_id,
                         info: flow_info_of(current, f.mtu, mf),
@@ -1528,8 +1514,6 @@ impl Shard {
         }
         mf.quiet = quiet;
     }
-
-    // lint:hot-path:end
 
     fn flow_ref(&self, id: FlowId) -> CmResult<&Flow> {
         self.flows

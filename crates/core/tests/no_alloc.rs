@@ -1,14 +1,10 @@
-//! Zero-allocation enforcement for the CM's macroflow-construction
-//! paths, and the per-flow memory bound the same counting allocator can
-//! state.
+//! Zero-allocation enforcement for the CM's own entry points, and the
+//! per-flow memory bound the same counting allocator can state.
 //!
-//! docs/perf.md's flat-state rules require the hot entry points to
-//! allocate nothing in steady state. PR 1 established that for
-//! request/notify/update/tick; this test extends the guarantee to the
-//! paper's macroflow-construction API: a client `split` and `merge` must
-//! reuse pooled macroflow shells, the shard's scheduler slab, and the
-//! recycled grant queues — a full split/merge/expire cycle performs zero
-//! heap allocation once the pool is warm.
+//! docs/perf.md rule 2 requires the CM's hot functions to allocate
+//! nothing once warm; the tests here and in `cm-transport`, `cm-apps`,
+//! `cm-obs` and `cm-adapt` are that rule's only gate. Each driver's doc
+//! comment names the hot functions it holds in steady state.
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -17,6 +13,23 @@ use std::sync::atomic::Ordering;
 
 use cm_core::prelude::*;
 use counting_alloc::{measuring, ALLOCS, LIVE};
+
+/// The fewest allocations any of five runs of `run` made. The counter is
+/// process-global, so libtest's own one-shot allocations can land in a
+/// run; a real per-cycle allocation lands in all five.
+fn fewest_allocs_of_five(mut run: impl FnMut()) -> u64 {
+    (0..5)
+        .map(|_| {
+            let before = ALLOCS.load(Ordering::SeqCst);
+            run();
+            ALLOCS.load(Ordering::SeqCst) - before
+        })
+        .fold(u64::MAX, u64::min)
+}
+
+fn key(port: u16, dst: u32) -> FlowKey {
+    FlowKey::new(Endpoint::new(1, port), Endpoint::new(dst, 80))
+}
 
 /// Drives one client split/merge cycle: f2 splits onto a private
 /// macroflow, both macroflows keep granted traffic moving, f2 merges back
@@ -74,6 +87,12 @@ fn cycle(
     cm.drain_notifications_into(notes);
 }
 
+/// A client `split` and `merge` reuse pooled macroflow shells, the
+/// shard's scheduler slab and the recycled grant queues: a full
+/// split/merge/expire cycle allocates nothing once the pool is warm.
+///
+/// Drives: shard `request`, `notify`, `update`, `tick`, `try_grants`;
+/// scheduler `enqueue`, `serve_head`, `rotate` (weighted round-robin).
 #[test]
 fn split_merge_cycle_never_allocates_in_steady_state() {
     let _turn = measuring();
@@ -83,9 +102,8 @@ fn split_merge_cycle_never_allocates_in_steady_state() {
         pacing: false,
         ..Default::default()
     });
-    let k = |p: u16| FlowKey::new(Endpoint::new(1, p), Endpoint::new(9, 80));
-    let f1 = cm.open(k(1000), Time::ZERO).unwrap();
-    let f2 = cm.open(k(1001), Time::ZERO).unwrap();
+    let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
+    let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
     cm.set_weight(f2, 3).unwrap();
     let mut now = Time::ZERO;
     let mut notes: Vec<CmNotification> = Vec::with_capacity(64);
@@ -100,18 +118,11 @@ fn split_merge_cycle_never_allocates_in_steady_state() {
     assert_eq!(cm.macroflow_count(), 1, "private macroflow not expired");
     assert!(cm.macroflow_pool_len() >= 1, "no shell parked for reuse");
 
-    // Steady state: the counter is process-global, so take the minimum
-    // delta over several trials (ambient libtest allocations are
-    // one-shot; a real per-cycle allocation shows up in every trial).
-    let mut min_delta = u64::MAX;
-    for _ in 0..5 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+    let min_delta = fewest_allocs_of_five(|| {
         for _ in 0..20 {
             cycle(&mut cm, f1, f2, &mut now, &mut notes);
         }
-        let after = ALLOCS.load(Ordering::SeqCst);
-        min_delta = min_delta.min(after - before);
-    }
+    });
     assert_eq!(
         cm.stats().macroflows_expired,
         warm_expired + 100,
@@ -133,11 +144,9 @@ fn split_merge_cycle_never_allocates_in_steady_state() {
 fn shard_cycle(cm: &mut CongestionManager, now: &mut Time, notes: &mut Vec<CmNotification>) {
     let mut flows = [FlowId(0); 4];
     for (i, slot) in flows.iter_mut().enumerate() {
-        let key = FlowKey::new(
-            Endpoint::new(1, 1000 + i as u16),
-            Endpoint::new(i as u32 + 2, 80),
-        );
-        *slot = cm.open(key, *now).expect("open");
+        *slot = cm
+            .open(key(1000 + i as u16, i as u32 + 2), *now)
+            .expect("open");
     }
     for round in 0..4 {
         for &f in &flows {
@@ -180,6 +189,8 @@ fn shard_cycle(cm: &mut CongestionManager, now: &mut Time, notes: &mut Vec<CmNot
 /// shell pool, the per-shard slabs, and the routing map are warm, a full
 /// cross-shard open/traffic/close/tick cycle — shard creation and
 /// recycling included — performs zero heap allocation.
+///
+/// Drives: engine `route`, `tick` (shard recycling included).
 #[test]
 fn sharded_churn_never_allocates_in_steady_state() {
     let _turn = measuring();
@@ -199,15 +210,11 @@ fn sharded_churn_never_allocates_in_steady_state() {
     assert_eq!(cm.shard_count(), 0, "shards not recycled after drain");
     assert!(cm.stats().shards_recycled >= 8, "recycling never happened");
 
-    let mut min_delta = u64::MAX;
-    for _ in 0..5 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+    let min_delta = fewest_allocs_of_five(|| {
         for _ in 0..20 {
             shard_cycle(&mut cm, &mut now, &mut notes);
         }
-        let after = ALLOCS.load(Ordering::SeqCst);
-        min_delta = min_delta.min(after - before);
-    }
+    });
     assert_eq!(cm.flow_count(), 0);
     assert_eq!(
         min_delta, 0,
@@ -216,8 +223,8 @@ fn sharded_churn_never_allocates_in_steady_state() {
     );
     // A recycled shell starts over with every slab empty, the scheduler
     // slab included: its next tenant's slots line up with its flows'.
-    let key = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(2, 80));
-    cm.open(key, now).expect("open on a recycled shard");
+    cm.open(key(1000, 2), now)
+        .expect("open on a recycled shard");
     cm.check_invariants().expect("recycled shard");
 }
 
@@ -258,8 +265,7 @@ fn delay_gradient_min_delta(tracing: Option<TracingConfig>) -> u64 {
         tracing,
         ..Default::default()
     });
-    let key = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(9, 80));
-    let f = cm.open(key, Time::ZERO).unwrap();
+    let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
     let mut now = Time::ZERO;
     let mut notes: Vec<CmNotification> = Vec::with_capacity(64);
 
@@ -269,16 +275,11 @@ fn delay_gradient_min_delta(tracing: Option<TracingConfig>) -> u64 {
         delay_gradient_cycle(&mut cm, f, &mut now, &mut notes);
     }
 
-    let mut min_delta = u64::MAX;
-    for _ in 0..5 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+    fewest_allocs_of_five(|| {
         for _ in 0..20 {
             delay_gradient_cycle(&mut cm, f, &mut now, &mut notes);
         }
-        let after = ALLOCS.load(Ordering::SeqCst);
-        min_delta = min_delta.min(after - before);
-    }
-    min_delta
+    })
 }
 
 /// The delay-gradient controller's whole update path — EWMA, trendline
@@ -298,6 +299,9 @@ fn delay_gradient_update_path_never_allocates_tracer_disabled() {
 /// Same guarantee with the flight recorder on: recording the
 /// `congestion_delay` overuse events into the fixed-capacity ring must
 /// not allocate either.
+///
+/// Drives, from inside the CM: recorder `push`; metrics
+/// `record_grant_latency`, `record_feedback_gap`, `record_window`.
 #[test]
 fn delay_gradient_update_path_never_allocates_tracer_enabled() {
     let min_delta = delay_gradient_min_delta(Some(TracingConfig::default()));
@@ -324,11 +328,8 @@ fn open_population_stays_under_1kb_per_flow() {
         let before = LIVE.load(Ordering::SeqCst);
         let mut cm = CongestionManager::new(CmConfig::default());
         for i in 0..FLOWS {
-            let key = FlowKey::new(
-                Endpoint::new(1, i as u16 + 1),
-                Endpoint::new(0x0a00_0000 + (i % dests) as u32, 80),
-            );
-            cm.open(key, Time::ZERO).expect("open");
+            let dst = 0x0a00_0000 + (i % dests) as u32;
+            cm.open(key(i as u16 + 1, dst), Time::ZERO).expect("open");
         }
         assert_eq!(cm.macroflow_count(), dests);
         let per_flow = (LIVE.load(Ordering::SeqCst) - before) / FLOWS as i64;
@@ -341,21 +342,25 @@ fn open_population_stays_under_1kb_per_flow() {
 }
 
 /// A brand-new macroflow — no pooled shell to reuse — costs its first
-/// member two allocations on a warm shard, the controller box and the
-/// member list, under either round-robin discipline: the scheduler is
-/// inline in the macroflow and the member's scheduler slot has been in
-/// the shard's slab since its flow slot was first minted. (With a boxed
-/// scheduler holding its own map and slot vector this open made five.)
+/// member one allocation on a warm shard under either round-robin
+/// discipline: the macroflow's member list. The controller and the
+/// round-robin scheduler are inline in the macroflow, and the member's
+/// scheduler slot has been in the shard's slab since its flow slot was
+/// first minted. Stride adds a second, its own member vector. (With a
+/// boxed scheduler holding its own map and slot vector this open made
+/// five.)
 #[test]
 fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
     let _turn = measuring();
-    for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin] {
+    for (scheduler, expected) in [
+        (SchedulerKind::RoundRobin, 1),
+        (SchedulerKind::WeightedRoundRobin, 1),
+        (SchedulerKind::Stride, 2),
+    ] {
         let mut cm = CongestionManager::new(CmConfig {
             scheduler,
             ..Default::default()
         });
-        let key =
-            |port: u16, dst: u32| FlowKey::new(Endpoint::new(1, port), Endpoint::new(dst, 80));
         // Warm the flow slab, both maps and the macroflow slab with one
         // destination's population, then free half its flow slots.
         let flows: Vec<FlowId> = (0..8)
@@ -368,9 +373,153 @@ fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
         cm.open(key(2000, 3), Time::ZERO).expect("open");
         let allocs = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(cm.macroflow_count(), 2);
-        assert!(
-            allocs <= 2,
-            "{scheduler:?}: {allocs} allocations to open a new macroflow's first flow"
+        assert_eq!(
+            allocs, expected,
+            "{scheduler:?}: allocations to open a new macroflow's first flow"
         );
     }
+}
+
+/// One round of traffic on three weighted flows of one macroflow, each
+/// with rate thresholds: a batched request from every flow; every grant
+/// claimed but, on every fourth round, the first, which is left to the
+/// grant timeout; feedback for what each flow sent, with a transient
+/// loss on every eighth round; then the maintenance tick.
+fn maintenance_round(
+    cm: &mut CongestionManager,
+    flows: &[FlowId; 3],
+    round: u64,
+    now: &mut Time,
+    notes: &mut Vec<CmNotification>,
+) {
+    cm.bulk_request(flows, *now).unwrap();
+    notes.clear();
+    cm.drain_notifications_into(notes);
+    let mut strand = round.is_multiple_of(4);
+    let mut sent = [0u64; 3];
+    for &n in notes.iter() {
+        if let CmNotification::SendGrant { flow } = n {
+            if std::mem::take(&mut strand) {
+                continue;
+            }
+            cm.notify(flow, 1460, *now).unwrap();
+            if let Some(i) = flows.iter().position(|&f| f == flow) {
+                sent[i] += 1460;
+            }
+        }
+    }
+    for (i, &f) in flows.iter().enumerate() {
+        let report = if round % 8 == 7 && i == 0 {
+            FeedbackReport::loss(LossMode::Transient, 1460).with_acked(sent[i], 1)
+        } else if sent[i] > 0 {
+            FeedbackReport::ack(sent[i], 1)
+        } else {
+            continue;
+        };
+        cm.update(f, report.with_rtt(Duration::from_millis(50)), *now)
+            .unwrap();
+    }
+    *now += Duration::from_millis(20);
+    cm.tick(*now);
+}
+
+/// The maintenance and callback paths the other drivers never reach: a
+/// stranded grant reclaimed by the tick, rate callbacks on every
+/// threshold crossing, a batched request, under each scheduling
+/// discipline. Once warm, 80 rounds allocate nothing.
+///
+/// Drives: shard `enqueue_request`, `update`, `tick`, `try_grants`,
+/// `reclaim_expired_grants`, `emit_rate_callbacks`; scheduler `enqueue`,
+/// `serve_head`, `rotate` (round-robin, weighted round-robin) and the
+/// stride discipline.
+#[test]
+fn maintenance_and_rate_callbacks_never_allocate_in_steady_state() {
+    let _turn = measuring();
+    for scheduler in [
+        SchedulerKind::RoundRobin,
+        SchedulerKind::WeightedRoundRobin,
+        SchedulerKind::Stride,
+    ] {
+        let mut cm = CongestionManager::new(CmConfig {
+            scheduler,
+            grant_timeout: Duration::from_millis(50),
+            ..Default::default()
+        });
+        let mut flows = [FlowId(0); 3];
+        for (i, f) in flows.iter_mut().enumerate() {
+            *f = cm.open(key(1000 + i as u16, 9), Time::ZERO).unwrap();
+            cm.set_weight(*f, i as u32 + 1).unwrap();
+            cm.set_thresholds(*f, Some(Thresholds::new(0.9, 1.1)))
+                .unwrap();
+        }
+        let mut now = Time::ZERO;
+        let mut round = 0;
+        let mut notes: Vec<CmNotification> = Vec::with_capacity(64);
+        let mut rounds = |cm: &mut CongestionManager, n: u64| {
+            for _ in 0..n {
+                maintenance_round(cm, &flows, round, &mut now, &mut notes);
+                round += 1;
+            }
+        };
+
+        rounds(&mut cm, 24);
+        let warm = cm.stats();
+        let min_delta = fewest_allocs_of_five(|| rounds(&mut cm, 80));
+        let stats = cm.stats();
+        assert!(
+            stats.grants_reclaimed > warm.grants_reclaimed,
+            "{scheduler:?}: no stranded grant was reclaimed"
+        );
+        assert!(
+            stats.rate_callbacks > warm.rate_callbacks,
+            "{scheduler:?}: no rate callback fired"
+        );
+        cm.check_invariants().unwrap();
+        assert_eq!(
+            min_delta, 0,
+            "{scheduler:?}: maintenance allocated in every trial (at least \
+             {min_delta} allocations per 80 rounds)"
+        );
+    }
+}
+
+/// Opt-in orphan reaping: each cycle opens four flows that never call
+/// the API again, and a tick past `orphan_timeout` reaps them while the
+/// one live flow survives. Once warm, the reap allocates nothing.
+///
+/// Drives: shard `tick` (the reap list and the closes it makes).
+#[test]
+fn orphan_reaping_never_allocates_in_steady_state() {
+    let _turn = measuring();
+    let mut cm = CongestionManager::new(CmConfig {
+        orphan_timeout: Some(Duration::from_secs(2)),
+        ..Default::default()
+    });
+    let live = cm.open(key(1000, 9), Time::ZERO).unwrap();
+    let mut now = Time::ZERO;
+    let mut cycle = |cm: &mut CongestionManager| {
+        for i in 0..4 {
+            cm.open(key(2000 + i, 9), now).unwrap();
+        }
+        now += Duration::from_secs(3);
+        cm.query(live, now).unwrap();
+        cm.tick(now);
+    };
+
+    for _ in 0..3 {
+        cycle(&mut cm);
+    }
+    let warm_reaped = cm.stats().flows_reaped;
+    let min_delta = fewest_allocs_of_five(|| {
+        for _ in 0..10 {
+            cycle(&mut cm);
+        }
+    });
+    assert_eq!(cm.stats().flows_reaped, warm_reaped + 5 * 10 * 4);
+    assert_eq!(cm.flow_count(), 1, "the live flow was reaped");
+    assert_eq!(
+        min_delta, 0,
+        "orphan reaping allocated in every trial (at least {min_delta} \
+         allocations per 10 cycles)"
+    );
 }

@@ -208,7 +208,6 @@ impl EventQueue {
     }
 
     /// Schedules `event` at absolute time `at`.
-    // lint:hot-path:start
     #[inline]
     pub fn schedule(&mut self, at: Time, event: SimEvent) {
         let seq = self.reserve_seq();
@@ -244,7 +243,6 @@ impl EventQueue {
             idx
         } else {
             let idx = self.arena.len() as u32;
-            // lint:allow(R1): arena growth only when the free list is dry; steady state reuses freed slots
             self.arena.push(ArenaSlot::Event(event));
             idx
         };
@@ -260,7 +258,6 @@ impl EventQueue {
             self.cursor = slot;
             self.current.clear();
             self.cur_pos = 0;
-            // lint:allow(R1): the current bucket keeps its capacity across advance() buffer swaps
             self.current.push(entry);
             return;
         }
@@ -273,10 +270,8 @@ impl EventQueue {
                 Some(last) if last.key() > key => {
                     let pos = self.cur_pos
                         + self.current[self.cur_pos..].partition_point(|e| e.key() < key);
-                    // lint:allow(R1): sorted insert into the retained-capacity current bucket; shifts, no alloc in steady state
                     self.current.insert(pos, entry);
                 }
-                // lint:allow(R1): append into the retained-capacity current bucket
                 _ => self.current.push(entry),
             }
         } else if slot < self.cursor + WHEEL_SLOTS as u64 {
@@ -286,15 +281,15 @@ impl EventQueue {
                 // First entry this rotation: reserve a batch up front so
                 // a filling slot does not realloc through tiny sizes
                 // (capacity is kept across rotations by the advance()
-                // buffer swap).
-                // lint:allow(R1): one batched reservation per slot per rotation, kept across rotations
+                // buffer swap). A bucket's first use is the one known
+                // warm-up allocation of a warm queue: the UDP blasters'
+                // allocation test (crates/apps/tests/no_alloc.rs) bounds
+                // it at one per CM tick.
                 bucket.reserve(32);
                 self.occupied[idx >> 6] |= 1 << (idx & 63);
             }
-            // lint:allow(R1): bucket capacity reserved above and retained across rotations
             bucket.push(entry);
         } else {
-            // lint:allow(R1): overflow heap is the designed spill for beyond-horizon events (cold by construction)
             self.overflow.push(entry);
         }
     }
@@ -341,8 +336,6 @@ impl EventQueue {
     pub fn current_seq(&self) -> u64 {
         self.current_seq
     }
-
-    // lint:hot-path:end
 
     /// Declares that every event of the current instant has run — what a
     /// driver that stops *between* events knows and the queue does not

@@ -55,7 +55,6 @@ impl MetricsRegistry {
     }
 
     /// Records how long a request waited before its grant was issued.
-    // lint:hot-path:start
     #[inline]
     pub fn record_grant_latency(&mut self, waited: Duration) {
         self.grant_latency.record(waited.as_secs_f64());
@@ -73,8 +72,6 @@ impl MetricsRegistry {
     pub fn record_window(&mut self, cwnd: u64) {
         self.window.record(cwnd as f64);
     }
-
-    // lint:hot-path:end
 
     /// The grant-latency histogram (seconds).
     pub fn grant_latency(&self) -> &LogHistogram {

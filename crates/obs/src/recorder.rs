@@ -39,7 +39,6 @@ impl FlightRecorder {
 
     /// Records an event, overwriting the oldest record when full.
     /// Returns the sequence number assigned to it.
-    // lint:hot-path:start
     #[inline]
     pub fn push(&mut self, at: Time, event: TraceEvent) -> u64 {
         let seq = self.next_seq;
@@ -47,7 +46,6 @@ impl FlightRecorder {
         let rec = TraceRecord { seq, at, event };
         if self.buf.len() < self.cap {
             // Still filling the preallocated storage: no reallocation.
-            // lint:allow(R1): len < cap and the Vec was built with with_capacity(cap) — push cannot grow it
             self.buf.push(rec);
         } else {
             self.buf[self.head] = rec;
@@ -58,8 +56,6 @@ impl FlightRecorder {
         }
         seq
     }
-
-    // lint:hot-path:end
 
     /// Number of records currently held (≤ capacity).
     pub fn len(&self) -> usize {

@@ -58,6 +58,8 @@ fn min_delta_over_trials(t: &mut Tracer) -> u64 {
     min_delta
 }
 
+/// Drives: `FlightRecorder::push`; `MetricsRegistry::record_grant_latency`,
+/// `record_feedback_gap`, `record_window`.
 #[test]
 fn enabled_record_and_snapshot_paths_never_allocate() {
     // Construction is the one allowed allocation: ring + buckets.

@@ -77,6 +77,9 @@ fn bulk(loss: f64) -> (Simulator, Duplex) {
 /// process-global, so libtest's own one-shot allocations can land in a
 /// window; a per-packet allocation lands in all of them) nothing may
 /// allocate.
+///
+/// Drives: netsim `EventQueue::schedule`, `pop`; shard `request`,
+/// `notify`, `update`, `tick`, `try_grants` (round-robin).
 fn assert_warm_path_allocates_nothing(loss: f64, warmup_s: u64, window_s: u64) {
     let _turn = measuring();
     let (mut sim, path) = bulk(loss);

@@ -22,8 +22,9 @@
 //!   interactive audio, web server/client, bulk transfer.
 //! * [`util`] — time, rates, filters, deterministic RNG, statistics.
 //!
-//! See `examples/` for runnable programs and `crates/bench/src/bin/` for
-//! one binary per table and figure in the paper's evaluation.
+//! See `examples/` for runnable programs. The `figures` binary of
+//! `cm-experiments` regenerates every table and figure in the paper's
+//! evaluation (`docs/experiments.md`).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
