@@ -45,7 +45,7 @@
 //! in single mode, and past the `max_shards` cap in by-group mode — keep
 //! the historical §5 cross-group semantics.
 
-use cm_obs::{FlightRecorder, MetricsSnapshot, TraceRecord};
+use cm_obs::{FlightRecorder, TraceRecord};
 use cm_util::Time;
 
 use crate::config::{CmConfig, ShardingMode};
@@ -527,7 +527,7 @@ impl CongestionManager {
     /// the worker thread that owns its index (`Shard` is `Send`; the
     /// move is a pointer handoff, not a copy of the slabs). Table-level
     /// counters and folded recycled-shard history travel with it, so
-    /// `stats()` and `metrics()` remain lossless across the conversion.
+    /// `stats()` remains lossless across the conversion.
     /// Undrained notifications are forwarded by each worker before it
     /// processes its first command; any barrier (a `tick`, `stats`, or
     /// [`crate::runtime::ShardRuntime::sync`]) therefore makes them
@@ -539,42 +539,9 @@ impl CongestionManager {
         crate::runtime::ShardRuntime::from_parts(self.cfg, self.router, self.table, parallel)
     }
 
-    /// One live shard's own lifetime counters (`None` for a vacant
-    /// slot). Unlike [`CongestionManager::stats`] this is *not*
-    /// cumulative across recycling: a recycled shell restarts from zero,
-    /// its history having been folded into the front. Lets tests and
-    /// metrics attribute counter movement to the shard that did the
-    /// work.
-    pub fn shard_stats(&self, shard: u32) -> Option<CmStats> {
-        self.table.get(shard).map(|s| s.stats)
-    }
-
     // ------------------------------------------------------------------
-    // Observability: tracing and metrics (see docs/observability.md)
+    // Observability: the flight recorder (see docs/observability.md)
     // ------------------------------------------------------------------
-
-    /// Whether flight-recorder tracing and metrics are enabled
-    /// ([`CmConfig::tracing`]).
-    pub fn tracing_enabled(&self) -> bool {
-        self.table.tracer().is_enabled()
-    }
-
-    /// CM-wide metrics, condensed: every live shard's histograms merged
-    /// with the front's (which holds the folded history of recycled
-    /// shards, so nothing is lost to shard churn). `None` when tracing
-    /// is disabled. Merging allocates one registry — this is a
-    /// reporting call, not a hot path.
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(self.table.metrics()?.snapshot())
-    }
-
-    /// One live shard's metrics snapshot (`None` for a vacant slot or
-    /// when tracing is disabled). Allocation-free. Like
-    /// [`CongestionManager::shard_stats`], covers the shard's current
-    /// incarnation only.
-    pub fn shard_metrics(&self, shard: u32) -> Option<MetricsSnapshot> {
-        self.table.get(shard)?.tracer.metrics_snapshot()
-    }
 
     /// One live shard's flight recorder (`None` for a vacant slot or
     /// when tracing is disabled).
@@ -793,9 +760,6 @@ mod tests {
         let mut cm = CongestionManager::new(CmConfig::default());
         let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
         cm.request(f, Time::ZERO).unwrap();
-        assert!(!cm.tracing_enabled());
-        assert!(cm.metrics().is_none());
-        assert!(cm.shard_metrics(0).is_none());
         assert!(cm.shard_trace(0).is_none());
         let mut seen = 0;
         cm.for_each_trace_record(|_, _| seen += 1);
@@ -829,7 +793,6 @@ mod tests {
         cm.update(f, FeedbackReport::ack(1460, 1), now).unwrap();
         cm.close(f, now).unwrap();
 
-        assert!(cm.tracing_enabled());
         let mut kinds = Vec::new();
         cm.for_each_trace_record(|shard, r| kinds.push((shard, r.event.kind())));
         for expected in [
@@ -843,22 +806,12 @@ mod tests {
                 "missing {expected} in {kinds:?}"
             );
         }
-        let m = cm.metrics().expect("tracing enabled");
-        assert_eq!(m.grant_latency.count, 1);
-        assert_eq!(m.feedback_gap.count, 1, "gap needs two accepted reports");
-        assert_eq!(m.window.count, 2);
-        assert_eq!(cm.shard_metrics(0).expect("live shard").window.count, 2);
-        // Per-shard attribution: shard 0 did all the work.
-        let s = cm.shard_stats(0).expect("shard 0 live");
-        assert_eq!(s.opens, 1);
-        assert_eq!(s.grants, 1);
-        assert!(cm.shard_stats(7).is_none());
     }
 
-    /// Shard churn folds a recycled shard's metrics into the front (like
-    /// stats) and records the lifecycle in the front tracer.
+    /// Shard churn records the lifecycle in the front tracer: the only
+    /// place `shard_recycled` reaches a ring.
     #[test]
-    fn recycled_shard_metrics_survive_in_the_front() {
+    fn recycled_shard_lifecycle_is_traced_in_the_front() {
         use crate::config::{ShardingConfig, TracingConfig};
         let mut cm = CongestionManager::new(CmConfig {
             pacing: false,
@@ -877,14 +830,10 @@ mod tests {
         }
         now += Duration::from_millis(50);
         cm.update(f, FeedbackReport::ack(1460, 1), now).unwrap();
-        let windows_before = cm.metrics().unwrap().window.count;
-        assert!(windows_before > 0);
         cm.close(f, now).unwrap();
         drain(&mut cm);
         cm.tick(now + Duration::from_secs(120));
         assert_eq!(cm.shard_count(), 0, "shard should have been recycled");
-        // The shard is gone; its histogram samples are not.
-        assert_eq!(cm.metrics().unwrap().window.count, windows_before);
         let mut lifecycle = Vec::new();
         cm.for_each_trace_record(|shard, r| {
             if shard.is_none() {

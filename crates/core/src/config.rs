@@ -113,9 +113,7 @@ impl ShardingConfig {
 }
 
 /// Flight-recorder tracing: every shard embeds a fixed-capacity ring of
-/// typed [`cm_obs::TraceEvent`]s plus a [`cm_obs::MetricsRegistry`] of
-/// decision histograms (grant latency, feedback inter-arrival, window
-/// sizes).
+/// typed [`cm_obs::TraceEvent`]s.
 ///
 /// Off by default ([`CmConfig::tracing`] is `None`): a disabled tracer
 /// is a single null-pointer check on the hot paths and allocates
@@ -234,11 +232,11 @@ pub struct CmConfig {
     /// shards that still hold flows, trading the quiet-shard skip for
     /// leak-proofing, so it is opt-in for chaos and long-lived hosts.
     pub orphan_timeout: Option<Duration>,
-    /// Flight-recorder tracing and per-shard metrics; `None` (the
-    /// default) compiles every record call down to a null check and
-    /// keeps the CM allocation- and observation-free. Applies CM-wide:
-    /// per-group config overrides cannot toggle it, so a dump always
-    /// covers every shard or none.
+    /// Flight-recorder tracing; `None` (the default) compiles every
+    /// record call down to a null check and keeps the CM allocation-
+    /// and observation-free. Applies CM-wide: per-group config
+    /// overrides cannot toggle it, so a dump always covers every shard
+    /// or none.
     pub tracing: Option<TracingConfig>,
 }
 
@@ -338,12 +336,10 @@ mod tests {
         use crate::types::Endpoint;
         let c = CmConfig::default();
         assert_eq!(c.aggregation, AggregationPolicy::Destination);
-        // The DSCP is part of a flow's identity, not of its group.
+        // Ports are part of a flow's identity, not of its group.
         let key = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(9, 80));
-        assert_eq!(
-            c.aggregation.group_of(&key),
-            c.aggregation.group_of(&key.with_dscp(46))
-        );
+        let other = FlowKey::new(Endpoint::new(1, 1001), Endpoint::new(9, 443));
+        assert_eq!(c.aggregation.group_of(&key), c.aggregation.group_of(&other));
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!   ticked, folded, and validated*: create-or-reuse from the shell
 //!   pool, id-routed access with the dirty mark, the maintenance walk
 //!   with the quiet-shard skip and its accounting, the stats fold, the
-//!   metrics merge, the invariant sweep, and the outbox drain.
+//!   invariant sweep, and the outbox drain.
 //!
 //! The in-process front is `Router` + one table. The runtime keeps the
 //! `Router` on its serial front and deals the table out to its workers
 //! by `index % workers` ([`ShardTable::deal`]).
 
-use cm_obs::{MetricsRegistry, TraceEvent, Tracer};
+use cm_obs::{TraceEvent, Tracer};
 use cm_util::{FxHashMap, Time};
 
 use crate::api::{CmNotification, CmStats};
@@ -134,7 +134,7 @@ impl Router {
 
 /// A table of shards, dense by the shard index encoded in every id, plus
 /// what outlives any one shard: the shell pool, the tick and lifecycle
-/// counters, and the history (stats, metrics) of recycled shards.
+/// counters, and the stats of recycled shards.
 pub(crate) struct ShardTable {
     cfg: CmConfig,
     shards: Vec<Option<Shard>>,
@@ -146,9 +146,8 @@ pub(crate) struct ShardTable {
     /// Table-level counters: tick accounting, shard lifecycle, and the
     /// folded stats of recycled shards.
     stats: CmStats,
-    /// Shard lifecycle events plus the folded metrics of recycled
-    /// shards, so — like `stats` — `metrics` never loses history.
-    /// Disabled (one null word) unless [`CmConfig::tracing`] is set.
+    /// Shard lifecycle events. Disabled (one null word) unless
+    /// [`CmConfig::tracing`] is set.
     tracer: Tracer,
 }
 
@@ -244,21 +243,16 @@ impl ShardTable {
         }
     }
 
-    /// Parks an emptied shard's shell in the pool. Its counters and
-    /// histograms fold into the table's so `stats`/`metrics` never lose
-    /// history. (The shard's flight-recorder ring is discarded with its
-    /// flows — traces are per-incarnation; the shell's `reset` clears
-    /// it.)
+    /// Parks an emptied shard's shell in the pool. Its counters fold
+    /// into the table's so `stats` never loses history. (The shard's
+    /// flight-recorder ring is discarded with its flows — traces are
+    /// per-incarnation; the shell's `reset` clears it.)
     fn recycle(&mut self, idx: u32, now: Time) {
         let Some(mut shard) = self.shards[idx as usize].take() else {
             return;
         };
         self.stats.accumulate(&shard.stats);
         shard.stats = CmStats::default();
-        if let (Some(folded), Some(retiring)) = (self.tracer.metrics_mut(), shard.tracer.metrics())
-        {
-            folded.merge(retiring);
-        }
         self.pool.push(shard);
         self.live -= 1;
         self.stats.shards_recycled += 1;
@@ -299,19 +293,6 @@ impl ShardTable {
             total.accumulate(&shard.stats);
         }
         total
-    }
-
-    /// Every live shard's histograms merged with the folded history of
-    /// recycled ones; `None` when tracing is disabled. Allocates one
-    /// registry — a reporting call, not a hot path.
-    pub(crate) fn metrics(&self) -> Option<MetricsRegistry> {
-        let mut total = self.tracer.metrics()?.clone();
-        for (_, shard) in self.iter() {
-            if let Some(m) = shard.tracer.metrics() {
-                total.merge(m);
-            }
-        }
-        Some(total)
     }
 
     /// Checks every live shard's structural invariants; describes the

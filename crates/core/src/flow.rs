@@ -13,7 +13,7 @@ use crate::types::{FlowId, FlowKey, MacroflowId, Thresholds};
 pub struct Flow {
     /// This flow's id.
     pub id: FlowId,
-    /// The 4-tuple and DSCP it was opened with.
+    /// The endpoint pair it was opened with.
     pub key: FlowKey,
     /// The macroflow whose congestion state this flow shares.
     pub macroflow: MacroflowId,
@@ -35,12 +35,6 @@ pub struct Flow {
     /// The rate last reported through a rate callback, used to detect
     /// threshold crossings.
     pub last_reported_rate: Option<Rate>,
-    /// Total bytes this flow reported sent via `cm_notify`.
-    pub bytes_sent: u64,
-    /// Total bytes acknowledged via `cm_update`.
-    pub bytes_acked: u64,
-    /// Total bytes reported lost via `cm_update`.
-    pub bytes_lost: u64,
     /// Consecutive feedback reports that failed sanity validation;
     /// reaching `QUARANTINE_STREAK` quarantines the flow.
     pub inconsistent_streak: u32,
@@ -62,12 +56,6 @@ pub struct Flow {
     /// The last time the owning application touched this flow through
     /// any API call; orphaned-flow reaping keys off this.
     pub last_api: Time,
-    /// The last time the application requested to send; the tracer's
-    /// grant-latency histogram measures issuance against this.
-    pub last_request_at: Time,
-    /// When this flow's previous feedback report was accepted; the
-    /// tracer's feedback inter-arrival histogram measures the gap.
-    pub last_feedback_at: Option<Time>,
 }
 
 impl Flow {
@@ -84,9 +72,6 @@ impl Flow {
             dead_grant_entries: 0,
             update_interest: None,
             last_reported_rate: None,
-            bytes_sent: 0,
-            bytes_acked: 0,
-            bytes_lost: 0,
             inconsistent_streak: 0,
             quarantined_until: None,
             reclaim_streak: 0,
@@ -94,8 +79,6 @@ impl Flow {
             backoff_level: 0,
             parked_requests: 0,
             last_api: now,
-            last_request_at: now,
-            last_feedback_at: None,
         }
     }
 }
@@ -112,6 +95,13 @@ mod tests {
         assert_eq!(f.granted, 0);
         assert_eq!(f.weight, 1);
         assert!(f.update_interest.is_none());
-        assert_eq!(f.bytes_sent + f.bytes_acked + f.bytes_lost, 0);
+    }
+
+    /// A shard's slab stores `Option<Flow>`, so this is the CM's per-flow
+    /// footprint. Every field here is read by some decision or check; a
+    /// new field needs a reader too, not just a writer.
+    #[test]
+    fn flow_slot_fits_in_144_bytes() {
+        assert!(std::mem::size_of::<Option<Flow>>() <= 144);
     }
 }

@@ -84,10 +84,7 @@ mod shard;
 pub mod types;
 
 pub use api::{CmNotification, CmStats, CongestionManager};
-pub use cm_obs::{
-    CongestionSignal, FlightRecorder, HistSummary, MetricsRegistry, MetricsSnapshot, TraceEvent,
-    TraceRecord, Tracer,
-};
+pub use cm_obs::{CongestionSignal, FlightRecorder, TraceEvent, TraceRecord, Tracer};
 pub use config::{
     AggregationPolicy, CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode,
     TracingConfig,
@@ -111,6 +108,6 @@ pub mod prelude {
     pub use crate::types::{
         Endpoint, FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds,
     };
-    pub use cm_obs::{MetricsSnapshot, TraceEvent, TraceRecord};
+    pub use cm_obs::{TraceEvent, TraceRecord};
     pub use cm_util::{Duration, Rate, Time};
 }

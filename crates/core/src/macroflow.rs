@@ -208,8 +208,6 @@ pub struct Macroflow {
     /// configured expiry (this is what Figure 7's later connections
     /// reuse).
     pub empty_since: Option<Time>,
-    /// Count of grants reclaimed by the maintenance timer.
-    pub grants_reclaimed: u64,
     /// MTU used for window math (largest member MTU).
     pub mtu: usize,
     /// Where the unit share may move without any member's rate callback
@@ -235,7 +233,6 @@ impl Macroflow {
             recovery_until: Time::ZERO,
             next_grant_at: Time::ZERO,
             empty_since: None,
-            grants_reclaimed: 0,
             mtu: cfg.mtu,
             quiet: QuietBand::OPEN,
         }
@@ -260,7 +257,6 @@ impl Macroflow {
         self.recovery_until = Time::ZERO;
         self.next_grant_at = Time::ZERO;
         self.empty_since = None;
-        self.grants_reclaimed = 0;
         self.mtu = cfg.mtu;
         self.quiet = QuietBand::OPEN;
     }

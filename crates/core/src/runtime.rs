@@ -24,7 +24,7 @@
 //!   command is enqueued; errors surface asynchronously through
 //!   [`ShardRuntime::op_failures`]. Lookup-style calls (`open`, `query`,
 //!   `macroflow_of`) and cross-shard operations (`tick`, `stats`,
-//!   `metrics`, `check_invariants`) are synchronous fan-out/fan-in
+//!   `check_invariants`) are synchronous fan-out/fan-in
 //!   sequences matched by sequence number.
 //! * **Workers never block.** A worker pushes replies with
 //!   push-or-spill (bounded ring first, a worker-local overflow queue
@@ -49,7 +49,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
 
-use cm_obs::{MetricsRegistry, MetricsSnapshot};
 use cm_util::Time;
 
 use crate::api::{CmNotification, CmStats, CongestionManager};
@@ -167,9 +166,6 @@ enum ShardCommand {
     Stats {
         seq: u32,
     },
-    CollectMetrics {
-        seq: u32,
-    },
     CheckInvariants {
         seq: u32,
     },
@@ -205,9 +201,6 @@ enum ShardReply {
         stats: CmStats,
         worker: WorkerStats,
     },
-    MetricsReady {
-        seq: u32,
-    },
     Invariants {
         seq: u32,
         ok: bool,
@@ -222,21 +215,16 @@ fn reply_seq(r: &ShardReply) -> Option<u32> {
         | ShardReply::Macroflow { seq, .. }
         | ShardReply::TickDone { seq }
         | ShardReply::Stats { seq, .. }
-        | ShardReply::MetricsReady { seq }
         | ShardReply::Invariants { seq, .. } => Some(*seq),
         ShardReply::Note(_) | ShardReply::OpFailed(_) => None,
     }
 }
 
 /// Cold-path side channel shared between front and workers. Everything
-/// here is off the per-packet path (metrics collection, invariant
-/// failure text), where a lock is acceptable and keeps the hot rings
-/// flat.
+/// here is off the per-packet path (invariant failure text), where a
+/// lock is acceptable and keeps the hot rings flat.
 #[derive(Default)]
 struct Shared {
-    /// Per-worker merged metrics registries, deposited on
-    /// `CollectMetrics` and merged by the front.
-    metrics: Mutex<Vec<MetricsRegistry>>,
     /// Invariant-violation descriptions from `CheckInvariants`.
     invariant_errors: Mutex<Vec<String>>,
 }
@@ -395,12 +383,6 @@ impl Worker {
                     stats: self.table.stats(),
                     worker,
                 });
-            }
-            ShardCommand::CollectMetrics { seq } => {
-                if let Some(acc) = self.table.metrics() {
-                    lock_ignore_poison(&self.shared.metrics).push(acc);
-                }
-                self.replies.push(ShardReply::MetricsReady { seq });
             }
             ShardCommand::CheckInvariants { seq } => {
                 let check = self.table.validate();
@@ -940,29 +922,6 @@ impl ShardRuntime {
         self.lanes.iter().map(|l| l.last_worker).collect()
     }
 
-    /// Merged metrics across every shard on every worker (history
-    /// inherited from a converted in-process CM included). `None` unless
-    /// [`CmConfig::tracing`] is set. Fan-out/fan-in over the cold side
-    /// channel — histogram registries are heap-backed, so they travel
-    /// under a lock rather than through the flat rings.
-    pub fn metrics(&mut self) -> Option<MetricsSnapshot> {
-        self.cfg.tracing?;
-        lock_ignore_poison(&self.shared.metrics).clear();
-        let seq = self.next_seq();
-        for lane in 0..self.lanes.len() {
-            self.send(lane, ShardCommand::CollectMetrics { seq });
-        }
-        for lane in 0..self.lanes.len() {
-            let r = self.wait_lane(lane, seq);
-            debug_assert!(matches!(r, ShardReply::MetricsReady { .. }));
-        }
-        let mut acc = MetricsRegistry::new();
-        for reg in lock_ignore_poison(&self.shared.metrics).drain(..) {
-            acc.merge(&reg);
-        }
-        Some(acc.snapshot())
-    }
-
     /// Validates every shard's internal invariants on its owning
     /// worker; failure descriptions come back over the cold side
     /// channel.
@@ -1046,7 +1005,6 @@ const _: () = {
     assert_send::<Shard>();
     assert_send::<cm_obs::Tracer>();
     assert_send::<cm_obs::FlightRecorder>();
-    assert_send::<cm_obs::MetricsRegistry>();
     assert_send::<ShardCommand>();
     assert_send::<ShardReply>();
     assert_send::<RingProducer<ShardCommand>>();

@@ -393,7 +393,6 @@ impl Shard {
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
         f.last_api = now;
-        f.last_request_at = now;
         self.stats.requests += 1;
         // An unresponsive flow's requests are parked, not scheduled:
         // leaving them pending would keep `next_grant_deadline` firing
@@ -415,7 +414,6 @@ impl Shard {
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
         f.last_api = now;
-        f.last_request_at = now;
         self.stats.requests += 1;
         if self.park_if_backing_off(flow, now) {
             return Ok(());
@@ -476,7 +474,6 @@ impl Shard {
             f.granted -= 1;
             f.dead_grant_entries += 1;
         }
-        f.bytes_sent += bytes_sent;
         f.last_api = now;
         // A notify proves the app is draining its grants: end any
         // unresponsive-app backoff and release its parked requests back
@@ -582,12 +579,6 @@ impl Shard {
             }
             _ => f.inconsistent_streak = 0,
         }
-        let f = self.flow_mut(flow)?;
-        f.bytes_acked += report.bytes_acked;
-        f.bytes_lost += report.bytes_lost;
-        if let Some(prev) = f.last_feedback_at.replace(now) {
-            self.tracer.feedback_gap(now.since(prev));
-        }
         let resolved = report.bytes_acked + report.bytes_lost;
         self.stats.updates += 1;
         let mf = self.mf_mut(mf_id)?;
@@ -647,7 +638,6 @@ impl Shard {
                 },
             );
         }
-        self.tracer.window(cwnd_after);
         self.try_grants(mf_id, now);
         self.emit_rate_callbacks(mf_id);
         Ok(())
@@ -1382,7 +1372,6 @@ impl Shard {
                     bytes: mf.mtu as u64,
                 },
             );
-            tracer.grant_latency(now.since(flow.last_request_at));
             if pacing {
                 let interval = mf.pacing_interval();
                 mf.next_grant_at = mf.next_grant_at.max(now) + interval;
@@ -1431,7 +1420,6 @@ impl Shard {
                     }
                     f.granted = f.granted.saturating_sub(1);
                     mf.granted_unnotified = mf.granted_unnotified.saturating_sub(mf.mtu as u64);
-                    mf.grants_reclaimed += 1;
                     stats.grants_reclaimed += 1;
                     tracer.record(
                         now,

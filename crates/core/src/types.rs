@@ -34,33 +34,19 @@ impl fmt::Display for Endpoint {
 /// The flow parameters passed to `cm_open`.
 ///
 /// The original CM API required only a destination; the implementation
-/// added the source to handle multihomed hosts (paper §2.1.1). The DSCP
-/// field supports the differentiated-services macroflow refinement the
-/// paper discusses in §5.
+/// added the source to handle multihomed hosts (paper §2.1.1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct FlowKey {
     /// Local (sending) endpoint.
     pub local: Endpoint,
     /// Remote (receiving) endpoint.
     pub remote: Endpoint,
-    /// Differentiated-services codepoint; zero for best effort.
-    pub dscp: u8,
 }
 
 impl FlowKey {
-    /// Creates a best-effort flow key.
+    /// Creates a flow key.
     pub fn new(local: Endpoint, remote: Endpoint) -> Self {
-        FlowKey {
-            local,
-            remote,
-            dscp: 0,
-        }
-    }
-
-    /// Sets the DSCP (builder style).
-    pub fn with_dscp(mut self, dscp: u8) -> Self {
-        self.dscp = dscp;
-        self
+        FlowKey { local, remote }
     }
 }
 
@@ -318,11 +304,11 @@ mod tests {
     }
 
     #[test]
-    fn flow_key_dscp_distinguishes() {
+    fn flow_key_ports_distinguish() {
         let a = FlowKey::new(Endpoint::new(1, 10), Endpoint::new(2, 20));
-        let b = a.with_dscp(46);
+        let b = FlowKey::new(Endpoint::new(1, 11), Endpoint::new(2, 20));
         assert_ne!(a, b);
-        assert_eq!(b.dscp, 46);
+        assert_eq!(a, FlowKey::new(Endpoint::new(1, 10), Endpoint::new(2, 20)));
     }
 
     #[test]

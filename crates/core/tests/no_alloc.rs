@@ -300,8 +300,7 @@ fn delay_gradient_update_path_never_allocates_tracer_disabled() {
 /// `congestion_delay` overuse events into the fixed-capacity ring must
 /// not allocate either.
 ///
-/// Drives, from inside the CM: recorder `push`; metrics
-/// `record_grant_latency`, `record_feedback_gap`, `record_window`.
+/// Drives, from inside the CM: recorder `push`.
 #[test]
 fn delay_gradient_update_path_never_allocates_tracer_enabled() {
     let min_delta = delay_gradient_min_delta(Some(TracingConfig::default()));

@@ -1,30 +1,20 @@
-//! Flight-recorder tracing and per-shard metrics for the Congestion
-//! Manager.
+//! Flight-recorder tracing for the Congestion Manager.
 //!
 //! The CM is a *shared* decision-maker: applications trust it to
 //! apportion bandwidth, so when it grants, clamps, quarantines, splits,
 //! or writes off a window, the interesting question is always *why* —
 //! and an aggregate counter block cannot answer it. This crate supplies
-//! the two observability primitives the rest of the workspace wires in:
+//! the [`FlightRecorder`]: a fixed-capacity ring buffer of typed
+//! [`TraceEvent`]s. Recording is allocation-free (all storage is
+//! preallocated) and O(1); once full, the recorder keeps exactly the
+//! most recent `capacity` events, which is precisely what a post-mortem
+//! wants: the last N decisions before the invariant tripped.
 //!
-//! * [`FlightRecorder`] — a fixed-capacity ring buffer of typed
-//!   [`TraceEvent`]s. Recording is allocation-free (all storage is
-//!   preallocated) and O(1); once full, the recorder keeps exactly the
-//!   most recent `capacity` events, which is precisely what a
-//!   post-mortem wants: the last N decisions before the invariant
-//!   tripped.
-//! * [`MetricsRegistry`] — log-bucketed histograms (reusing
-//!   [`cm_adapt::fleet::LogHistogram`]) of the CM's steady-state
-//!   distributions: grant latency, feedback inter-arrival gap, and
-//!   congestion-window size. The record path is O(1) and
-//!   allocation-free; [`MetricsRegistry::snapshot`] condenses each
-//!   histogram into a [`HistSummary`] without allocating.
-//!
-//! Both live behind a [`Tracer`] handle that is a no-op when disabled
-//! (the default): a disabled tracer is a single null-niche `Option`
-//! check per record call and allocates nothing at construction, so the
-//! hot paths of a CM that never asked for tracing are unchanged — a
-//! property enforced by the counting-allocator tests in this crate and
+//! The recorder lives behind a [`Tracer`] handle that is a no-op when
+//! disabled (the default): a disabled tracer is a single null-niche
+//! `Option` check per record call and allocates nothing at construction,
+//! so the hot paths of a CM that never asked for tracing are unchanged —
+//! a property enforced by the counting-allocator tests in this crate and
 //! measured by the repo benchmark's `obs.tracer.on_off_ratio`.
 //!
 //! # Example
@@ -39,12 +29,10 @@
 //!     Time::ZERO + Duration::from_millis(3),
 //!     TraceEvent::GrantIssued { flow: 0, bytes: 1460 },
 //! );
-//! tracer.grant_latency(Duration::from_millis(3));
 //!
 //! let rec = tracer.recorder().unwrap();
 //! assert_eq!(rec.len(), 2);
 //! assert_eq!(rec.iter().last().unwrap().event.kind(), "grant_issued");
-//! assert_eq!(tracer.metrics().unwrap().snapshot().grant_latency.count, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,12 +40,10 @@
 #![warn(missing_docs)]
 
 mod event;
-mod metrics;
 mod recorder;
 mod tracer;
 
 pub use event::{CongestionSignal, TraceEvent, TraceRecord};
-pub use metrics::{HistSummary, MetricsRegistry, MetricsSnapshot};
 pub use recorder::FlightRecorder;
 pub use tracer::Tracer;
 

@@ -1,114 +1,57 @@
 //! The `Tracer` handle: the single field a shard embeds.
 
-use cm_util::{Duration, Time};
+use cm_util::Time;
 
 use crate::event::TraceEvent;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::recorder::FlightRecorder;
 
-/// A flight recorder plus metrics registry behind one enable check.
+/// A flight recorder behind one enable check.
 ///
 /// A disabled tracer (the default) is a null `Option<Box<_>>` — one
 /// machine word, no heap allocation, and every record method reduces to
-/// a single pointer-null test before returning. An enabled tracer owns
-/// a [`FlightRecorder`] and a [`MetricsRegistry`] boxed together, so
-/// enabling tracing never changes the embedding struct's layout.
+/// a single pointer-null test before returning. An enabled tracer owns a
+/// boxed [`FlightRecorder`], so enabling tracing never changes the
+/// embedding struct's layout.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    inner: Option<Box<Inner>>,
+    recorder: Option<Box<FlightRecorder>>,
 }
 
-#[derive(Clone, Debug)]
-struct Inner {
-    recorder: FlightRecorder,
-    metrics: MetricsRegistry,
-}
+const _: () = assert!(size_of::<Tracer>() == size_of::<usize>());
 
 impl Tracer {
     /// A disabled tracer: records nothing, allocates nothing.
     pub fn disabled() -> Self {
-        Tracer { inner: None }
+        Tracer { recorder: None }
     }
 
     /// An enabled tracer whose flight recorder holds the most recent
     /// `capacity` events.
     pub fn enabled(capacity: usize) -> Self {
         Tracer {
-            inner: Some(Box::new(Inner {
-                recorder: FlightRecorder::with_capacity(capacity),
-                metrics: MetricsRegistry::new(),
-            })),
+            recorder: Some(Box::new(FlightRecorder::with_capacity(capacity))),
         }
-    }
-
-    /// Whether this tracer records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Records a decision. A no-op when disabled.
     #[inline]
     pub fn record(&mut self, at: Time, event: TraceEvent) {
-        if let Some(inner) = &mut self.inner {
-            inner.recorder.push(at, event);
-        }
-    }
-
-    /// Records a request-to-grant latency sample. A no-op when disabled.
-    #[inline]
-    pub fn grant_latency(&mut self, waited: Duration) {
-        if let Some(inner) = &mut self.inner {
-            inner.metrics.record_grant_latency(waited);
-        }
-    }
-
-    /// Records a feedback inter-arrival gap sample. A no-op when
-    /// disabled.
-    #[inline]
-    pub fn feedback_gap(&mut self, gap: Duration) {
-        if let Some(inner) = &mut self.inner {
-            inner.metrics.record_feedback_gap(gap);
-        }
-    }
-
-    /// Records a congestion-window size sample. A no-op when disabled.
-    #[inline]
-    pub fn window(&mut self, cwnd: u64) {
-        if let Some(inner) = &mut self.inner {
-            inner.metrics.record_window(cwnd);
+        if let Some(recorder) = &mut self.recorder {
+            recorder.push(at, event);
         }
     }
 
     /// The flight recorder, when enabled.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.inner.as_ref().map(|i| &i.recorder)
+        self.recorder.as_deref()
     }
 
-    /// The metrics registry, when enabled.
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.inner.as_ref().map(|i| &i.metrics)
-    }
-
-    /// Mutable access to the metrics registry, when enabled — used by an
-    /// aggregator to [`MetricsRegistry::merge`] a retiring registry in so
-    /// its samples outlive their source.
-    pub fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
-        self.inner.as_mut().map(|i| &mut i.metrics)
-    }
-
-    /// A condensed metrics snapshot, when enabled. Allocation-free.
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.inner.as_ref().map(|i| i.metrics.snapshot())
-    }
-
-    /// Clears recorded history and samples in place (an enabled tracer
-    /// stays enabled with its capacity; a disabled one stays disabled).
-    /// Used when a recycled shard shell is re-activated.
+    /// Clears recorded history in place (an enabled tracer stays enabled
+    /// with its capacity; a disabled one stays disabled). Used when a
+    /// recycled shard shell is re-activated.
     pub fn reset(&mut self) {
-        if let Some(inner) = &mut self.inner {
-            inner.recorder.clear();
-            inner.metrics.reset();
+        if let Some(recorder) = &mut self.recorder {
+            recorder.clear();
         }
     }
 }
@@ -120,7 +63,6 @@ mod tests {
     #[test]
     fn disabled_tracer_is_side_effect_free() {
         let mut t = Tracer::disabled();
-        assert!(!t.is_enabled());
         t.record(
             Time::ZERO,
             TraceEvent::FlowOpened {
@@ -128,22 +70,15 @@ mod tests {
                 macroflow: 0,
             },
         );
-        t.grant_latency(Duration::from_millis(1));
-        t.feedback_gap(Duration::from_millis(1));
-        t.window(1460);
-        // No events, no counters, no storage — nothing observable
-        // happened.
+        // No events, no storage — nothing observable happened.
         assert!(t.recorder().is_none());
-        assert!(t.metrics().is_none());
-        assert!(t.metrics_snapshot().is_none());
         t.reset();
-        assert!(!t.is_enabled());
+        assert!(t.recorder().is_none());
     }
 
     #[test]
     fn enabled_tracer_records_events_and_samples() {
         let mut t = Tracer::enabled(4);
-        assert!(t.is_enabled());
         t.record(Time::ZERO, TraceEvent::ShardCreated { shard: 0 });
         t.record(
             Time::from_millis(1),
@@ -152,15 +87,10 @@ mod tests {
                 bytes: 1460,
             },
         );
-        t.grant_latency(Duration::from_millis(1));
-        t.window(1460);
         let rec = t.recorder().unwrap();
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.iter().next().unwrap().event.kind(), "shard_created");
-        let snap = t.metrics_snapshot().unwrap();
-        assert_eq!(snap.grant_latency.count, 1);
-        assert_eq!(snap.window.count, 1);
-        assert_eq!(snap.feedback_gap.count, 0);
+        assert_eq!(rec.iter().last().unwrap().event.kind(), "grant_issued");
     }
 
     #[test]
@@ -169,12 +99,9 @@ mod tests {
         for i in 0..5 {
             t.record(Time::ZERO, TraceEvent::FlowClosed { flow: i });
         }
-        t.window(1460);
         t.reset();
-        assert!(t.is_enabled());
         let rec = t.recorder().unwrap();
         assert!(rec.is_empty());
         assert_eq!(rec.capacity(), 2);
-        assert_eq!(t.metrics_snapshot().unwrap().window.count, 0);
     }
 }
