@@ -38,11 +38,23 @@
 //! `tests/props.rs` (which also holds that reference implementation)
 //! drives both with randomized schedules and asserts identical
 //! `(time, seq)` streams.
+//!
+//! # Packets in flight
+//!
+//! The queue also owns a [`PacketSlab`]: every packet between the moment
+//! a link accepts it and the moment a host receives it sits in one slab
+//! slot, written once. Link queues, a transmitter's held packet and the
+//! queue's own delivery events carry the 4-byte [`PacketSlot`]; the
+//! simulator forwards a slot that reaches a router onward without taking
+//! the packet out. The public [`SimEvent::LinkDeliver`] still carries the
+//! packet itself: [`EventQueue::schedule`] puts it into the slab and
+//! [`EventQueue::pop`] takes it back out.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::{Index, IndexMut};
 
-use cm_util::Time;
+use cm_util::{Rate, Time};
 
 use crate::link::LinkId;
 use crate::packet::Packet;
@@ -94,11 +106,221 @@ pub enum SimEvent {
     },
 }
 
+/// An event as the queue stores it: a [`SimEvent`] with its ids narrowed
+/// to `u32` and a delivery's packet left in the [`PacketSlab`], so that
+/// an arena slot is 24 bytes instead of a packet's 144.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Event {
+    LinkTxDone {
+        link: u32,
+    },
+    LinkDeliver {
+        link: u32,
+        pkt: PacketSlot,
+    },
+    LinkRateChange {
+        link: u32,
+        rate: Rate,
+    },
+    LinkFaultRestart {
+        link: u32,
+    },
+    Timer {
+        node: u32,
+        slot: u32,
+        gen: u32,
+        token: u64,
+    },
+}
+
+impl Event {
+    /// The stored form of `event`; a delivery's packet moves into `pkts`.
+    #[inline]
+    fn stow(event: SimEvent, pkts: &mut PacketSlab) -> Event {
+        match event {
+            SimEvent::LinkTxDone { link } => Event::LinkTxDone {
+                link: link.0 as u32,
+            },
+            SimEvent::LinkDeliver { link, pkt } => Event::LinkDeliver {
+                link: link.0 as u32,
+                pkt: pkts.insert(pkt),
+            },
+            SimEvent::LinkRateChange { link, rate } => Event::LinkRateChange {
+                link: link.0 as u32,
+                rate,
+            },
+            SimEvent::LinkFaultRestart { link } => Event::LinkFaultRestart {
+                link: link.0 as u32,
+            },
+            SimEvent::Timer {
+                node,
+                token,
+                slot,
+                gen,
+            } => Event::Timer {
+                node: node.0 as u32,
+                slot,
+                gen,
+                token,
+            },
+        }
+    }
+
+    /// The public form of a stored event; a delivery's packet leaves
+    /// `pkts`.
+    #[inline]
+    fn unstow(self, pkts: &mut PacketSlab) -> SimEvent {
+        match self {
+            Event::LinkTxDone { link } => SimEvent::LinkTxDone {
+                link: LinkId(link as usize),
+            },
+            Event::LinkDeliver { link, pkt } => SimEvent::LinkDeliver {
+                link: LinkId(link as usize),
+                pkt: pkts.remove(pkt),
+            },
+            Event::LinkRateChange { link, rate } => SimEvent::LinkRateChange {
+                link: LinkId(link as usize),
+                rate,
+            },
+            Event::LinkFaultRestart { link } => SimEvent::LinkFaultRestart {
+                link: LinkId(link as usize),
+            },
+            Event::Timer {
+                node,
+                slot,
+                gen,
+                token,
+            } => SimEvent::Timer {
+                node: NodeId(node as usize),
+                token,
+                slot,
+                gen,
+            },
+        }
+    }
+}
+
+/// A packet's place in a [`PacketSlab`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PacketSlot(u32);
+
+/// Packets in flight, each written once into a slot that is recycled
+/// when the packet leaves (see the module docs). Vacated slots form an
+/// intrusive free list, so a warm slab allocates nothing.
+pub struct PacketSlab {
+    slots: Vec<SlabEntry>,
+    free_head: u32,
+    len: usize,
+}
+
+enum SlabEntry {
+    Packet(Packet),
+    /// Vacant; holds the next free slot's index (or [`NIL`]).
+    Free(u32),
+}
+
+impl Default for PacketSlab {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PacketSlab {
+    /// An empty slab.
+    pub fn new() -> Self {
+        PacketSlab {
+            slots: Vec::new(),
+            free_head: NIL,
+            len: 0,
+        }
+    }
+
+    /// Stores `pkt` and returns its slot.
+    #[inline]
+    pub fn insert(&mut self, pkt: Packet) -> PacketSlot {
+        self.len += 1;
+        if self.free_head == NIL {
+            let idx = self.slots.len() as u32;
+            self.slots.push(SlabEntry::Packet(pkt));
+            return PacketSlot(idx);
+        }
+        let idx = self.free_head;
+        match std::mem::replace(&mut self.slots[idx as usize], SlabEntry::Packet(pkt)) {
+            SlabEntry::Free(next) => self.free_head = next,
+            SlabEntry::Packet(_) => unreachable!("free list pointed at a live slot"),
+        }
+        PacketSlot(idx)
+    }
+
+    /// Takes the packet out of `slot`, freeing the slot.
+    #[inline]
+    pub fn remove(&mut self, slot: PacketSlot) -> Packet {
+        let entry = std::mem::replace(
+            &mut self.slots[slot.0 as usize],
+            SlabEntry::Free(self.free_head),
+        );
+        let SlabEntry::Packet(pkt) = entry else {
+            unreachable!("packet slot freed twice");
+        };
+        self.free_head = slot.0;
+        self.len -= 1;
+        pkt
+    }
+
+    /// Drops the packet in `slot`, freeing the slot.
+    #[inline]
+    pub fn free(&mut self, slot: PacketSlot) {
+        debug_assert!(matches!(self.slots[slot.0 as usize], SlabEntry::Packet(_)));
+        self.slots[slot.0 as usize] = SlabEntry::Free(self.free_head);
+        self.free_head = slot.0;
+        self.len -= 1;
+    }
+
+    /// Stores a copy of the packet in `slot` (a duplicating link's second
+    /// delivery) and returns the copy's slot.
+    pub fn duplicate(&mut self, slot: PacketSlot) -> PacketSlot {
+        let copy = self[slot].clone();
+        self.insert(copy)
+    }
+
+    /// Number of packets held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns true if no packets are held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Index<PacketSlot> for PacketSlab {
+    type Output = Packet;
+
+    #[inline]
+    fn index(&self, slot: PacketSlot) -> &Packet {
+        match &self.slots[slot.0 as usize] {
+            SlabEntry::Packet(pkt) => pkt,
+            SlabEntry::Free(_) => unreachable!("read of a freed packet slot"),
+        }
+    }
+}
+
+impl IndexMut<PacketSlot> for PacketSlab {
+    #[inline]
+    fn index_mut(&mut self, slot: PacketSlot) -> &mut Packet {
+        match &mut self.slots[slot.0 as usize] {
+            SlabEntry::Packet(pkt) => pkt,
+            SlabEntry::Free(_) => unreachable!("write to a freed packet slot"),
+        }
+    }
+}
+
 /// One queued entry: the sort key plus an index into the event arena.
 ///
-/// Events themselves live in [`EventQueue::arena`] and are moved exactly
-/// twice — in at `schedule`, out at `pop` — while these 24-byte entries
-/// are what flows through slot vectors, sorts, and the overflow heap.
+/// Events themselves live in [`EventQueue::arena`], stored once at
+/// `schedule` and read once at `pop`, while these 24-byte entries are
+/// what flows through slot vectors, sorts, and the overflow heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     at: u64,
@@ -167,6 +389,9 @@ pub struct EventQueue {
     /// by `free_head`.
     arena: Vec<ArenaSlot>,
     free_head: u32,
+    /// The packets of pending deliveries and of every link's queue and
+    /// transmitter.
+    packets: PacketSlab,
     len: usize,
     next_seq: u64,
     /// Sequence number of the event last popped (see
@@ -178,7 +403,7 @@ pub struct EventQueue {
 const NIL: u32 = u32::MAX;
 
 enum ArenaSlot {
-    Event(SimEvent),
+    Event(Event),
     /// Vacant; holds the next free slot's index (or [`NIL`]).
     Free(u32),
 }
@@ -201,6 +426,7 @@ impl EventQueue {
             overflow: BinaryHeap::new(),
             arena: Vec::new(),
             free_head: NIL,
+            packets: PacketSlab::new(),
             len: 0,
             next_seq: 0,
             current_seq: 0,
@@ -232,6 +458,21 @@ impl EventQueue {
     /// schedule); a number may be used at most once.
     #[inline]
     pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: SimEvent) {
+        let event = Event::stow(event, &mut self.packets);
+        self.push(at, seq, event);
+    }
+
+    /// Schedules the delivery of the packet in `pkt` across `link`.
+    #[inline]
+    pub(crate) fn deliver(&mut self, at: Time, link: LinkId, pkt: PacketSlot) {
+        let seq = self.reserve_seq();
+        let link = link.0 as u32;
+        self.push(at, seq, Event::LinkDeliver { link, pkt });
+    }
+
+    /// [`EventQueue::schedule_reserved`] of an event in its stored form.
+    #[inline]
+    pub(crate) fn push(&mut self, at: Time, seq: u64, event: Event) {
         debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         self.len += 1;
         let idx = if self.free_head != NIL {
@@ -294,9 +535,18 @@ impl EventQueue {
         }
     }
 
-    /// Removes and returns the earliest event, with its time.
+    /// Removes and returns the earliest event, with its time. A delivery's
+    /// packet leaves the slab here.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, SimEvent)> {
+        let (at, event) = self.pop_stored()?;
+        Some((at, event.unstow(&mut self.packets)))
+    }
+
+    /// [`EventQueue::pop`] in the stored form: a delivery's packet stays
+    /// in the slab.
+    #[inline]
+    pub(crate) fn pop_stored(&mut self) -> Option<(Time, Event)> {
         loop {
             if self.cur_pos < self.current.len() {
                 let e = self.current[self.cur_pos];
@@ -324,6 +574,18 @@ impl EventQueue {
             }
             self.advance();
         }
+    }
+
+    /// The packets in flight: those of pending deliveries and of every
+    /// link's queue and transmitter.
+    pub fn packets(&self) -> &PacketSlab {
+        &self.packets
+    }
+
+    /// Mutable access to the packets in flight.
+    #[inline]
+    pub(crate) fn packets_mut(&mut self) -> &mut PacketSlab {
+        &mut self.packets
     }
 
     /// The sequence number of the event being dispatched (the one last
@@ -493,6 +755,15 @@ mod tests {
             SimEvent::Timer { token, .. } => token,
             _ => unreachable!(),
         }
+    }
+
+    /// An arena slot holds an event and never a packet (deliveries carry
+    /// a slab slot), which keeps schedule and pop off the packet's 144
+    /// bytes: raise this bound only on purpose.
+    #[test]
+    fn arena_slot_is_pinned() {
+        assert!(size_of::<ArenaSlot>() <= 32, "{} B", size_of::<ArenaSlot>());
+        assert_eq!(size_of::<PacketSlot>(), 4);
     }
 
     #[test]

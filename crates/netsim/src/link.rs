@@ -19,8 +19,8 @@
 //! * **idle** — no serialization, or one whose reserved place has gone by
 //!   unobserved; its counters are settled the next time the link is
 //!   touched or read;
-//! * **on the wire** — the packet was handed to its
-//!   [`SimEvent::LinkDeliver`] when serialization started and nobody
+//! * **on the wire** — the packet was handed to its delivery event when
+//!   serialization started and nobody
 //!   waits behind it, so no completion event exists. The first packet to
 //!   arrive before the reserved place (earlier, or in the completion
 //!   instant under a lower number than [`EventQueue::current_seq`])
@@ -30,10 +30,20 @@
 //!   reordering, duplication) or outage windows and holds the packet
 //!   until completion, because those draw from the shared RNG *at*
 //!   completion and seeded runs freeze the draw order.
+//!
+//! # Packets
+//!
+//! The link never stores a packet itself. [`Link::offer`] writes an
+//! accepted packet into the event queue's [`PacketSlab`] once, after the
+//! loss stages; the queue, the transmitter and the delivery event then
+//! carry its [`PacketSlot`].
+//!
+//! [`PacketSlab`]: crate::event::PacketSlab
+//! [`SimEvent::LinkTxDone`]: crate::event::SimEvent::LinkTxDone
 
 use cm_util::{DetRng, Duration, Rate, Time};
 
-use crate::event::{EventQueue, SimEvent};
+use crate::event::{Event, EventQueue, PacketSlot};
 use crate::fault::LinkFaults;
 use crate::packet::Packet;
 use crate::queue::{DropTailQueue, EnqueueOutcome, Queue, RedConfig, RedQueue};
@@ -154,7 +164,7 @@ struct Tx {
     /// Whether a `LinkTxDone` sits in the event queue under `seq`.
     scheduled: bool,
     /// The packet, on a link that holds it until completion.
-    held: Option<Packet>,
+    held: Option<PacketSlot>,
 }
 
 impl Tx {
@@ -228,10 +238,35 @@ impl Link {
     /// Offers a packet to the link: loss stage, then queue, then (if the
     /// transmitter is idle) serialization begins immediately.
     pub fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
+        if self.survives_loss(rng) {
+            let slot = evq.packets_mut().insert(pkt);
+            self.enqueue(slot, now, rng, evq);
+        }
+    }
+
+    /// [`Link::offer`] of a packet already in the slab (one a router
+    /// forwards); a lost packet's slot is freed.
+    pub(crate) fn forward(
+        &mut self,
+        slot: PacketSlot,
+        now: Time,
+        rng: &mut DetRng,
+        evq: &mut EventQueue,
+    ) {
+        if self.survives_loss(rng) {
+            self.enqueue(slot, now, rng, evq);
+        } else {
+            evq.packets_mut().free(slot);
+        }
+    }
+
+    /// Counts an offered packet and runs the loss stages on it.
+    #[inline]
+    fn survives_loss(&mut self, rng: &mut DetRng) -> bool {
         self.stats.offered += 1;
         if self.loss_rate > 0.0 && rng.chance(self.loss_rate) {
             self.stats.dropped_random += 1;
-            return;
+            return false;
         }
         if let Some(ge) = self.faults.ge {
             // Advance the burst chain once per offered packet, then draw
@@ -251,10 +286,16 @@ impl Link {
             };
             if p > 0.0 && rng.chance(p) {
                 self.stats.dropped_burst += 1;
-                return;
+                return false;
             }
         }
-        match self.queue.enqueue(pkt, now, rng) {
+        true
+    }
+
+    /// Queues the packet in `slot` (freeing the slot if the queue drops
+    /// it) and starts or schedules the transmitter.
+    fn enqueue(&mut self, slot: PacketSlot, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
+        match self.queue.enqueue(slot, evq.packets_mut(), now, rng) {
             EnqueueOutcome::Enqueued => {
                 self.stats.enqueued += 1;
             }
@@ -262,8 +303,9 @@ impl Link {
                 self.stats.enqueued += 1;
                 self.stats.marked += 1;
             }
-            EnqueueOutcome::Dropped(_) => {
+            EnqueueOutcome::Dropped => {
                 self.stats.dropped_queue += 1;
+                evq.packets_mut().free(slot);
                 return;
             }
         }
@@ -274,7 +316,14 @@ impl Link {
             // First packet to wait behind the one on the wire: now the
             // completion has something to do, in the place kept for it.
             tx.scheduled = true;
-            evq.schedule_reserved(tx.done_at, tx.seq, SimEvent::LinkTxDone { link: self.id });
+            evq.push(tx.done_at, tx.seq, self.tx_done());
+        }
+    }
+
+    /// This link's completion event.
+    fn tx_done(&self) -> Event {
+        Event::LinkTxDone {
+            link: self.id.0 as u32,
         }
     }
 
@@ -321,24 +370,25 @@ impl Link {
             // restart at the window's end.
             if self.outage_restart != Some(end) {
                 self.outage_restart = Some(end);
-                evq.schedule(end, SimEvent::LinkFaultRestart { link: self.id });
+                let seq = evq.reserve_seq();
+                let link = self.id.0 as u32;
+                evq.push(end, seq, Event::LinkFaultRestart { link });
             }
             return;
         }
-        if let Some(pkt) = self.queue.dequeue(now) {
-            let done_at = now + self.rate.transmit_time(pkt.size);
+        if let Some(slot) = self.queue.dequeue(evq.packets(), now) {
+            let size = evq.packets()[slot].size;
+            let done_at = now + self.rate.transmit_time(size);
             let seq = evq.reserve_seq();
-            let size = pkt.size;
             let held = if self.holds_packet {
-                Some(pkt)
+                Some(slot)
             } else {
-                let link = self.id;
-                evq.schedule(done_at + self.delay, SimEvent::LinkDeliver { link, pkt });
+                evq.deliver(done_at + self.delay, self.id, slot);
                 None
             };
             let scheduled = held.is_some() || !self.queue.is_empty();
             if scheduled {
-                evq.schedule_reserved(done_at, seq, SimEvent::LinkTxDone { link: self.id });
+                evq.push(done_at, seq, self.tx_done());
             }
             self.tx = Some(Tx {
                 done_at,
@@ -379,7 +429,7 @@ impl Link {
             .expect("LinkTxDone without a serialization in progress");
         debug_assert!(tx.scheduled && tx.done_at == now, "stray LinkTxDone");
         self.stats.count_transmitted(tx.size);
-        if let Some(pkt) = tx.held {
+        if let Some(slot) = tx.held {
             let mut delay = self.delay;
             if self.faults.spike_prob > 0.0 && rng.chance(self.faults.spike_prob) {
                 delay += self.faults.spike_extra;
@@ -392,15 +442,10 @@ impl Link {
             }
             if self.faults.duplicate_prob > 0.0 && rng.chance(self.faults.duplicate_prob) {
                 self.stats.duplicated += 1;
-                evq.schedule(
-                    now + delay + Duration::from_micros(1),
-                    SimEvent::LinkDeliver {
-                        link: self.id,
-                        pkt: pkt.clone(),
-                    },
-                );
+                let copy = evq.packets_mut().duplicate(slot);
+                evq.deliver(now + delay + Duration::from_micros(1), self.id, copy);
             }
-            evq.schedule(now + delay, SimEvent::LinkDeliver { link: self.id, pkt });
+            evq.deliver(now + delay, self.id, slot);
         }
         self.start_tx(now, evq);
     }
@@ -409,6 +454,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SimEvent;
     use crate::packet::{Addr, Payload, Protocol};
 
     fn pkt(size: usize) -> Packet {

@@ -212,9 +212,11 @@ pub mod wire {
 mod tests {
     use super::*;
 
-    /// Every event-arena slot and link-queue slot holds one packet, so a
-    /// wire-format field that grows it must be a decision, not an
-    /// accident: raise this bound only on purpose.
+    /// Every packet in flight occupies one slot of the event queue's
+    /// packet slab, so a wire-format field that grows it must be a
+    /// decision, not an accident: raise this bound only on purpose. The
+    /// event-arena slot is pinned beside the queue
+    /// (`event::tests::arena_slot_is_pinned`).
     #[test]
     fn packet_size_is_pinned() {
         assert!(size_of::<Packet>() <= 144, "{} B", size_of::<Packet>());

@@ -5,10 +5,17 @@
 //! (RFC 2481) as an alternative congestion signal, which requires an
 //! active-queue-management discipline — we provide classic RED with the
 //! gentle marking variant.
+//!
+//! A queue holds [`PacketSlot`]s, not packets: the packets stay in the
+//! event queue's [`PacketSlab`], which a discipline reads for sizes and
+//! writes for ECN marks.
+
+use std::collections::VecDeque;
 
 use cm_util::{DetRng, Time};
 
-use crate::packet::{Ecn, Packet};
+use crate::event::{PacketSlab, PacketSlot};
+use crate::packet::Ecn;
 
 /// What happened when a packet was offered to a queue.
 #[derive(Debug)]
@@ -17,25 +24,30 @@ pub enum EnqueueOutcome {
     Enqueued,
     /// The packet was accepted and its ECN codepoint set to CE.
     EnqueuedMarked,
-    /// The packet was refused; ownership returns to the caller for trace
-    /// accounting.
-    Dropped(Packet),
+    /// The packet was refused; its slot is still the caller's to free.
+    Dropped,
 }
 
 impl EnqueueOutcome {
     /// Returns true if the packet was accepted (marked or not).
     pub fn is_enqueued(&self) -> bool {
-        !matches!(self, EnqueueOutcome::Dropped(_))
+        !matches!(self, EnqueueOutcome::Dropped)
     }
 }
 
 /// A link buffer discipline.
 pub trait Queue: Send {
-    /// Offers a packet to the queue.
-    fn enqueue(&mut self, pkt: Packet, now: Time, rng: &mut DetRng) -> EnqueueOutcome;
+    /// Offers the packet in `slot` of `pkts` to the queue.
+    fn enqueue(
+        &mut self,
+        slot: PacketSlot,
+        pkts: &mut PacketSlab,
+        now: Time,
+        rng: &mut DetRng,
+    ) -> EnqueueOutcome;
 
     /// Removes the next packet to transmit.
-    fn dequeue(&mut self, now: Time) -> Option<Packet>;
+    fn dequeue(&mut self, pkts: &PacketSlab, now: Time) -> Option<PacketSlot>;
 
     /// Current occupancy in bytes.
     fn len_bytes(&self) -> usize;
@@ -54,20 +66,25 @@ pub trait Queue: Send {
 /// # Examples
 ///
 /// ```
+/// use cm_netsim::event::PacketSlab;
 /// use cm_netsim::queue::{DropTailQueue, Queue};
 /// use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 /// use cm_util::{DetRng, Time};
 ///
 /// let mut q = DropTailQueue::with_packet_limit(2);
+/// let mut pkts = PacketSlab::new();
 /// let mut rng = DetRng::seed(0);
 /// let mk = || Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, 100, Payload::empty());
-/// assert!(q.enqueue(mk(), Time::ZERO, &mut rng).is_enqueued());
-/// assert!(q.enqueue(mk(), Time::ZERO, &mut rng).is_enqueued());
+/// for _ in 0..2 {
+///     let slot = pkts.insert(mk());
+///     assert!(q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
+/// }
 /// // Third packet exceeds the two-packet limit and is dropped.
-/// assert!(!q.enqueue(mk(), Time::ZERO, &mut rng).is_enqueued());
+/// let slot = pkts.insert(mk());
+/// assert!(!q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
 /// ```
 pub struct DropTailQueue {
-    fifo: std::collections::VecDeque<Packet>,
+    fifo: VecDeque<PacketSlot>,
     bytes: usize,
     max_bytes: usize,
     max_packets: usize,
@@ -77,7 +94,7 @@ impl DropTailQueue {
     /// A queue bounded by total bytes.
     pub fn with_byte_limit(max_bytes: usize) -> Self {
         DropTailQueue {
-            fifo: Default::default(),
+            fifo: VecDeque::new(),
             bytes: 0,
             max_bytes,
             max_packets: usize::MAX,
@@ -88,7 +105,7 @@ impl DropTailQueue {
     /// Dummynet's default queue is 50 slots).
     pub fn with_packet_limit(max_packets: usize) -> Self {
         DropTailQueue {
-            fifo: Default::default(),
+            fifo: VecDeque::new(),
             bytes: 0,
             max_bytes: usize::MAX,
             max_packets,
@@ -97,19 +114,26 @@ impl DropTailQueue {
 }
 
 impl Queue for DropTailQueue {
-    fn enqueue(&mut self, pkt: Packet, _now: Time, _rng: &mut DetRng) -> EnqueueOutcome {
-        if self.fifo.len() + 1 > self.max_packets || self.bytes + pkt.size > self.max_bytes {
-            return EnqueueOutcome::Dropped(pkt);
+    fn enqueue(
+        &mut self,
+        slot: PacketSlot,
+        pkts: &mut PacketSlab,
+        _now: Time,
+        _rng: &mut DetRng,
+    ) -> EnqueueOutcome {
+        let size = pkts[slot].size;
+        if self.fifo.len() + 1 > self.max_packets || self.bytes + size > self.max_bytes {
+            return EnqueueOutcome::Dropped;
         }
-        self.bytes += pkt.size;
-        self.fifo.push_back(pkt);
+        self.bytes += size;
+        self.fifo.push_back(slot);
         EnqueueOutcome::Enqueued
     }
 
-    fn dequeue(&mut self, _now: Time) -> Option<Packet> {
-        let pkt = self.fifo.pop_front()?;
-        self.bytes -= pkt.size;
-        Some(pkt)
+    fn dequeue(&mut self, pkts: &PacketSlab, _now: Time) -> Option<PacketSlot> {
+        let slot = self.fifo.pop_front()?;
+        self.bytes -= pkts[slot].size;
+        Some(slot)
     }
 
     fn len_bytes(&self) -> usize {
@@ -160,7 +184,7 @@ impl Default for RedConfig {
 /// probability correction), and forced mark/drop (above `max_th`).
 pub struct RedQueue {
     cfg: RedConfig,
-    fifo: std::collections::VecDeque<Packet>,
+    fifo: VecDeque<PacketSlot>,
     bytes: usize,
     avg: f64,
     /// Packets since the last mark/drop, for the uniformization correction.
@@ -178,7 +202,7 @@ impl RedQueue {
     pub fn new(cfg: RedConfig) -> Self {
         RedQueue {
             cfg,
-            fifo: Default::default(),
+            fifo: VecDeque::new(),
             bytes: 0,
             avg: 0.0,
             count: -1,
@@ -217,10 +241,16 @@ impl RedQueue {
 }
 
 impl Queue for RedQueue {
-    fn enqueue(&mut self, mut pkt: Packet, now: Time, rng: &mut DetRng) -> EnqueueOutcome {
+    fn enqueue(
+        &mut self,
+        slot: PacketSlot,
+        pkts: &mut PacketSlab,
+        now: Time,
+        rng: &mut DetRng,
+    ) -> EnqueueOutcome {
         if self.fifo.len() >= self.cfg.capacity {
             self.count = 0;
-            return EnqueueOutcome::Dropped(pkt);
+            return EnqueueOutcome::Dropped;
         }
         self.update_avg(now);
         let decision = match self.base_prob() {
@@ -245,27 +275,28 @@ impl Queue for RedQueue {
                 }
             }
         };
+        let pkt = &mut pkts[slot];
         if decision {
             if self.cfg.ecn && pkt.ecn.is_capable() {
                 pkt.ecn = Ecn::Ce;
                 self.bytes += pkt.size;
-                self.fifo.push_back(pkt);
+                self.fifo.push_back(slot);
                 return EnqueueOutcome::EnqueuedMarked;
             }
-            return EnqueueOutcome::Dropped(pkt);
+            return EnqueueOutcome::Dropped;
         }
         self.bytes += pkt.size;
-        self.fifo.push_back(pkt);
+        self.fifo.push_back(slot);
         EnqueueOutcome::Enqueued
     }
 
-    fn dequeue(&mut self, now: Time) -> Option<Packet> {
-        let pkt = self.fifo.pop_front()?;
-        self.bytes -= pkt.size;
+    fn dequeue(&mut self, pkts: &PacketSlab, now: Time) -> Option<PacketSlot> {
+        let slot = self.fifo.pop_front()?;
+        self.bytes -= pkts[slot].size;
         if self.fifo.is_empty() {
             self.idle_since = Some(now);
         }
-        Some(pkt)
+        Some(slot)
     }
 
     fn len_bytes(&self) -> usize {
@@ -280,7 +311,48 @@ impl Queue for RedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Addr, Payload, Protocol};
+    use crate::packet::{Addr, Packet, Payload, Protocol};
+
+    /// A queue under test and the slab its packets live in.
+    struct Bench<Q> {
+        q: Q,
+        pkts: PacketSlab,
+        rng: DetRng,
+    }
+
+    impl<Q: Queue> Bench<Q> {
+        fn new(q: Q, seed: u64) -> Self {
+            Bench {
+                q,
+                pkts: PacketSlab::new(),
+                rng: DetRng::seed(seed),
+            }
+        }
+
+        /// Offers a packet at `now`, freeing its slot if it is dropped.
+        fn offer_at(&mut self, pkt: Packet, now: Time) -> EnqueueOutcome {
+            let slot = self.pkts.insert(pkt);
+            let outcome = self.q.enqueue(slot, &mut self.pkts, now, &mut self.rng);
+            if !outcome.is_enqueued() {
+                self.pkts.free(slot);
+            }
+            outcome
+        }
+
+        fn offer(&mut self, pkt: Packet) -> EnqueueOutcome {
+            self.offer_at(pkt, Time::ZERO)
+        }
+
+        /// Dequeues at `now`, taking the packet out of the slab.
+        fn take_at(&mut self, now: Time) -> Option<Packet> {
+            let slot = self.q.dequeue(&self.pkts, now)?;
+            Some(self.pkts.remove(slot))
+        }
+
+        fn take(&mut self) -> Option<Packet> {
+            self.take_at(Time::ZERO)
+        }
+    }
 
     fn pkt(size: usize) -> Packet {
         Packet::new(
@@ -300,45 +372,41 @@ mod tests {
 
     #[test]
     fn droptail_fifo_order() {
-        let mut q = DropTailQueue::with_packet_limit(10);
-        let mut rng = DetRng::seed(0);
+        let mut b = Bench::new(DropTailQueue::with_packet_limit(10), 0);
         for i in 0..3 {
             let mut p = pkt(100);
             p.id = i;
-            assert!(q.enqueue(p, Time::ZERO, &mut rng).is_enqueued());
+            assert!(b.offer(p).is_enqueued());
         }
-        assert_eq!(q.len_packets(), 3);
-        assert_eq!(q.len_bytes(), 300);
+        assert_eq!(b.q.len_packets(), 3);
+        assert_eq!(b.q.len_bytes(), 300);
         for i in 0..3 {
-            assert_eq!(q.dequeue(Time::ZERO).unwrap().id, i);
+            assert_eq!(b.take().unwrap().id, i);
         }
-        assert!(q.is_empty());
+        assert!(b.q.is_empty());
+        assert!(b.pkts.is_empty());
     }
 
     #[test]
     fn droptail_byte_limit() {
-        let mut q = DropTailQueue::with_byte_limit(250);
-        let mut rng = DetRng::seed(0);
-        assert!(q.enqueue(pkt(100), Time::ZERO, &mut rng).is_enqueued());
-        assert!(q.enqueue(pkt(100), Time::ZERO, &mut rng).is_enqueued());
+        let mut b = Bench::new(DropTailQueue::with_byte_limit(250), 0);
+        assert!(b.offer(pkt(100)).is_enqueued());
+        assert!(b.offer(pkt(100)).is_enqueued());
         // 100 more bytes would exceed 250.
-        match q.enqueue(pkt(100), Time::ZERO, &mut rng) {
-            EnqueueOutcome::Dropped(p) => assert_eq!(p.size, 100),
-            _ => panic!("expected drop"),
-        }
+        assert!(!b.offer(pkt(100)).is_enqueued());
         // A smaller packet still fits.
-        assert!(q.enqueue(pkt(50), Time::ZERO, &mut rng).is_enqueued());
-        assert_eq!(q.len_bytes(), 250);
+        assert!(b.offer(pkt(50)).is_enqueued());
+        assert_eq!(b.q.len_bytes(), 250);
+        assert_eq!(b.pkts.len(), 3);
     }
 
     #[test]
     fn red_accepts_below_min_th() {
-        let mut q = RedQueue::new(RedConfig::default());
-        let mut rng = DetRng::seed(1);
+        let mut b = Bench::new(RedQueue::new(RedConfig::default()), 1);
         // With an empty queue the average stays near zero: all accepted.
         for _ in 0..100 {
-            assert!(q.enqueue(pkt(1500), Time::ZERO, &mut rng).is_enqueued());
-            q.dequeue(Time::ZERO);
+            assert!(b.offer(pkt(1500)).is_enqueued());
+            b.take();
         }
     }
 
@@ -348,12 +416,11 @@ mod tests {
             capacity: 5,
             ..Default::default()
         };
-        let mut q = RedQueue::new(cfg);
-        let mut rng = DetRng::seed(2);
+        let mut b = Bench::new(RedQueue::new(cfg), 2);
         for _ in 0..5 {
-            let _ = q.enqueue(pkt(100), Time::ZERO, &mut rng);
+            let _ = b.offer(pkt(100));
         }
-        assert!(!q.enqueue(pkt(100), Time::ZERO, &mut rng).is_enqueued());
+        assert!(!b.offer(pkt(100)).is_enqueued());
     }
 
     #[test]
@@ -366,17 +433,19 @@ mod tests {
             capacity: 100,
             ..Default::default()
         };
-        let mut q = RedQueue::new(cfg);
-        let mut rng = DetRng::seed(3);
+        let mut b = Bench::new(RedQueue::new(cfg), 3);
         // First packet raises avg to 1 > max_th after one resident packet.
-        assert!(q.enqueue(ect_pkt(100), Time::ZERO, &mut rng).is_enqueued());
-        let outcome = q.enqueue(ect_pkt(100), Time::ZERO, &mut rng);
+        assert!(b.offer(ect_pkt(100)).is_enqueued());
+        let outcome = b.offer(ect_pkt(100));
         match outcome {
             EnqueueOutcome::EnqueuedMarked => {}
             o => panic!("expected mark, got {o:?}"),
         }
         // Non-ECT packets are dropped under identical pressure.
-        assert!(!q.enqueue(pkt(100), Time::ZERO, &mut rng).is_enqueued());
+        assert!(!b.offer(pkt(100)).is_enqueued());
+        // The mark is on the packet in the slab.
+        let ecns: Vec<Ecn> = std::iter::from_fn(|| b.take()).map(|p| p.ecn).collect();
+        assert_eq!(ecns, [Ecn::Ect, Ecn::Ce]);
     }
 
     #[test]
@@ -389,20 +458,19 @@ mod tests {
             capacity: 1_000,
             ecn: false,
         };
-        let mut q = RedQueue::new(cfg);
-        let mut rng = DetRng::seed(4);
+        let mut b = Bench::new(RedQueue::new(cfg), 4);
         // Keep ~30 packets resident: avg ~30, pb ~0.146.
         let mut drops = 0;
         let mut total = 0;
         for _ in 0..30 {
-            let _ = q.enqueue(pkt(100), Time::ZERO, &mut rng);
+            let _ = b.offer(pkt(100));
         }
         for _ in 0..2_000 {
             total += 1;
-            if !q.enqueue(pkt(100), Time::ZERO, &mut rng).is_enqueued() {
+            if !b.offer(pkt(100)).is_enqueued() {
                 drops += 1;
             } else {
-                q.dequeue(Time::ZERO);
+                b.take();
             }
         }
         let frac = drops as f64 / total as f64;
@@ -415,16 +483,15 @@ mod tests {
             weight: 0.5,
             ..Default::default()
         };
-        let mut q = RedQueue::new(cfg);
-        let mut rng = DetRng::seed(5);
+        let mut b = Bench::new(RedQueue::new(cfg), 5);
         for _ in 0..20 {
-            let _ = q.enqueue(pkt(100), Time::ZERO, &mut rng);
+            let _ = b.offer(pkt(100));
         }
-        let avg_loaded = q.avg();
+        let avg_loaded = b.q.avg();
         assert!(avg_loaded > 1.0);
-        while q.dequeue(Time::from_millis(1)).is_some() {}
+        while b.take_at(Time::from_millis(1)).is_some() {}
         // After a long idle period the average collapses.
-        let _ = q.enqueue(pkt(100), Time::from_secs(10), &mut rng);
-        assert!(q.avg() < 1.0, "avg {} after idle", q.avg());
+        let _ = b.offer_at(pkt(100), Time::from_secs(10));
+        assert!(b.q.avg() < 1.0, "avg {} after idle", b.q.avg());
     }
 }

@@ -31,12 +31,22 @@
 //! workloads with an instrumented build: no such tie in 4.20 M
 //! (`sim_bulk`) and 16.12 M (`sim_mix`) deliveries; the goldens under
 //! `tests/golden/` and `docs/figures/` are the standing gate.
+//!
+//! # Routers
+//!
+//! A packet that arrives at a plain [`RouterNode`] is not handed to it:
+//! the simulator forwards the packet's slot in the event queue's packet
+//! slab itself, doing exactly what [`RouterNode::on_packet`] does through
+//! [`NodeCtx::send`] — the same route lookup, the same fresh packet id,
+//! the same loss-stage draws and the same events — without taking the
+//! packet out of the slab. Only a node with behaviour of its own receives
+//! the packet by value.
 
 use std::any::Any;
 
 use cm_util::{DetRng, Duration, Rate, Time};
 
-use crate::event::{EventQueue, SimEvent};
+use crate::event::{Event, EventQueue, PacketSlot, SimEvent};
 use crate::link::{Link, LinkId, LinkSpec};
 use crate::packet::{Addr, Packet};
 use crate::schedule::BandwidthSchedule;
@@ -83,7 +93,9 @@ pub trait Node: Any {
 }
 
 /// A node that forwards every packet onward using the routing table; the
-/// interior nodes of a dumbbell.
+/// interior nodes of a dumbbell. The simulator recognises it and forwards
+/// what arrives at it without a call into `on_packet` (see the module
+/// docs); the handler below states what that forwarding does.
 pub struct RouterNode;
 
 impl Node for RouterNode {
@@ -143,18 +155,41 @@ impl World {
         }
     }
 
+    /// The link `node` sends a packet for `dst` out on, counting a packet
+    /// without a route.
+    fn next_hop(&mut self, node: NodeId, dst: Addr) -> Option<LinkId> {
+        let link = self.route_for(node, dst);
+        if link.is_none() {
+            debug_assert!(false, "no route from {node:?} to {dst}");
+            self.unrouted += 1;
+        }
+        link
+    }
+
+    /// Takes the next packet id.
+    fn stamp(&mut self) -> u64 {
+        let id = self.next_pkt_id;
+        self.next_pkt_id += 1;
+        id
+    }
+
     fn send_from(&mut self, node: NodeId, mut pkt: Packet, now: Time, evq: &mut EventQueue) {
-        match self.route_for(node, pkt.dst) {
+        if let Some(link) = self.next_hop(node, pkt.dst) {
+            pkt.id = self.stamp();
+            self.links[link.0].offer(pkt, now, &mut self.rng, evq);
+        }
+    }
+
+    /// [`World::send_from`] of a packet already in the slab: what a
+    /// [`RouterNode`] does with a packet, done in place.
+    fn forward(&mut self, node: NodeId, slot: PacketSlot, now: Time, evq: &mut EventQueue) {
+        let dst = evq.packets()[slot].dst;
+        match self.next_hop(node, dst) {
             Some(link) => {
-                pkt.id = self.next_pkt_id;
-                self.next_pkt_id += 1;
-                let rng = &mut self.rng;
-                self.links[link.0].offer(pkt, now, rng, evq);
+                evq.packets_mut()[slot].id = self.stamp();
+                self.links[link.0].forward(slot, now, &mut self.rng, evq);
             }
-            None => {
-                debug_assert!(false, "no route from {:?} to {}", node, pkt.dst);
-                self.unrouted += 1;
-            }
+            None => evq.packets_mut().free(slot),
         }
     }
 }
@@ -208,14 +243,15 @@ impl NodeCtx<'_> {
     /// fires as if it had been armed when the place was reserved.
     pub fn set_timer_ordered(&mut self, after: Duration, token: u64, order: u64) -> TimerHandle {
         let (slot, gen) = self.world.alloc_timer_slot();
-        self.evq.schedule_reserved(
+        let node = self.node.0 as u32;
+        self.evq.push(
             self.now + after,
             order,
-            SimEvent::Timer {
-                node: self.node,
-                token,
+            Event::Timer {
+                node,
                 slot,
                 gen,
+                token,
             },
         );
         TimerHandle { slot, gen }
@@ -247,6 +283,8 @@ pub struct Simulator {
     now: Time,
     evq: EventQueue,
     nodes: Vec<Option<Box<dyn Node>>>,
+    /// Per node: is it a plain [`RouterNode`], forwarded in place?
+    routers: Vec<bool>,
     world: World,
     started: bool,
     events_processed: u64,
@@ -259,6 +297,7 @@ impl Simulator {
             now: Time::ZERO,
             evq: EventQueue::new(),
             nodes: Vec::new(),
+            routers: Vec::new(),
             world: World {
                 links: Vec::new(),
                 routes: Vec::new(),
@@ -302,6 +341,8 @@ impl Simulator {
             "address {addr} already assigned"
         );
         let id = NodeId(self.nodes.len());
+        let any: &dyn Any = node.as_ref();
+        self.routers.push(any.is::<RouterNode>());
         self.nodes.push(Some(node));
         self.world.addrs.push(addr);
         if self.world.addr_to_node.len() <= addr.0 as usize {
@@ -387,6 +428,12 @@ impl Simulator {
     /// Packets dropped for want of a route (should stay zero).
     pub fn unrouted_packets(&self) -> u64 {
         self.world.unrouted
+    }
+
+    /// Packets inside the network: queued at a link, being serialized or
+    /// held by one, or on their way to a node.
+    pub fn packets_in_flight(&self) -> usize {
+        self.evq.packets().len()
     }
 
     /// Attaches a bandwidth schedule to `link`: each step becomes one
@@ -501,7 +548,7 @@ impl Simulator {
     /// Executes the next event, if any; returns whether one ran.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        match self.evq.pop() {
+        match self.evq.pop_stored() {
             None => false,
             Some((at, ev)) => {
                 debug_assert!(at >= self.now, "time went backwards");
@@ -550,27 +597,32 @@ impl Simulator {
         }
     }
 
-    fn dispatch(&mut self, ev: SimEvent) {
+    fn dispatch(&mut self, ev: Event) {
         match ev {
-            SimEvent::LinkTxDone { link } => {
+            Event::LinkTxDone { link } => {
                 let World { links, rng, .. } = &mut self.world;
-                links[link.0].on_tx_done(self.now, rng, &mut self.evq);
+                links[link as usize].on_tx_done(self.now, rng, &mut self.evq);
             }
-            SimEvent::LinkDeliver { link, pkt } => {
-                let to = self.world.links[link.0].to;
-                self.deliver(to, pkt);
+            Event::LinkDeliver { link, pkt } => {
+                let to = self.world.links[link as usize].to;
+                if self.routers[to.0] {
+                    self.world.forward(to, pkt, self.now, &mut self.evq);
+                } else {
+                    let pkt = self.evq.packets_mut().remove(pkt);
+                    self.deliver(to, pkt);
+                }
             }
-            SimEvent::LinkRateChange { link, rate } => {
-                self.world.links[link.0].on_rate_change(rate, self.now, &mut self.evq);
+            Event::LinkRateChange { link, rate } => {
+                self.world.links[link as usize].on_rate_change(rate, self.now, &mut self.evq);
             }
-            SimEvent::LinkFaultRestart { link } => {
-                self.world.links[link.0].on_fault_restart(self.now, &mut self.evq);
+            Event::LinkFaultRestart { link } => {
+                self.world.links[link as usize].on_fault_restart(self.now, &mut self.evq);
             }
-            SimEvent::Timer {
+            Event::Timer {
                 node,
-                token,
                 slot,
                 gen,
+                token,
             } => {
                 // Resolve and recycle the slot; skip dispatch if the
                 // timer was cancelled after arming.
@@ -583,6 +635,7 @@ impl Simulator {
                 if !armed {
                     return;
                 }
+                let node = NodeId(node as usize);
                 let Some(mut n) = self.nodes[node.0].take() else {
                     return;
                 };

@@ -1,5 +1,6 @@
 //! Property-based tests for the simulator substrate.
 
+use cm_netsim::event::PacketSlab;
 use cm_netsim::link::{LinkSpec, QueueSpec};
 use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 use cm_netsim::queue::{DropTailQueue, EnqueueOutcome, Queue, RedConfig, RedQueue};
@@ -86,32 +87,43 @@ proptest! {
         }
     }
 
-    /// Drop-tail conservation: enqueued + dropped == offered, and
-    /// occupancy never exceeds the configured bound.
+    /// Drop-tail conservation: enqueued + dropped == offered, occupancy
+    /// never exceeds the configured bound, and the slab holds exactly the
+    /// queued packets (a dropped packet's slot is freed by the caller).
     #[test]
     fn droptail_conserves_packets(
         offers in proptest::collection::vec(1u16..2000, 1..100),
         cap in 1usize..32,
     ) {
         let mut q = DropTailQueue::with_packet_limit(cap);
+        let mut pkts = PacketSlab::new();
         let mut rng = DetRng::seed(0);
         let mut accepted = 0usize;
         let mut dropped = 0usize;
+        let mut drained = 0usize;
         for (i, &size) in offers.iter().enumerate() {
             let pkt = Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, size as usize, Payload::empty());
-            match q.enqueue(pkt, Time::ZERO, &mut rng) {
-                EnqueueOutcome::Dropped(_) => dropped += 1,
+            let slot = pkts.insert(pkt);
+            match q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng) {
+                EnqueueOutcome::Dropped => {
+                    dropped += 1;
+                    pkts.free(slot);
+                }
                 _ => accepted += 1,
             }
             prop_assert!(q.len_packets() <= cap);
+            prop_assert_eq!(pkts.len(), q.len_packets());
             // Occasionally drain one.
-            if i % 3 == 0
-                && q.dequeue(Time::ZERO).is_some() {
-                    accepted -= 1;
+            if i % 3 == 0 {
+                if let Some(slot) = q.dequeue(&pkts, Time::ZERO) {
+                    pkts.remove(slot);
+                    drained += 1;
                 }
+            }
         }
-        prop_assert_eq!(accepted, q.len_packets());
-        prop_assert_eq!(q.len_packets() + dropped + (offers.len() - q.len_packets() - dropped), offers.len());
+        prop_assert_eq!(accepted - drained, q.len_packets());
+        prop_assert_eq!(accepted + dropped, offers.len());
+        prop_assert_eq!(pkts.len(), q.len_packets());
     }
 
     /// RED with ECN never drops an ECT packet in the probabilistic
@@ -131,22 +143,39 @@ proptest! {
             ecn: true,
         };
         let mut q = RedQueue::new(cfg);
+        let mut pkts = PacketSlab::new();
         let mut rng = DetRng::seed(seed);
         let mut dropped_ect_soft = 0;
+        let (mut marked, mut ce_seen) = (0, 0);
         for i in 0..n {
             let pkt = Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, 500, Payload::empty())
                 .with_ecn(Ecn::Ect);
+            let slot = pkts.insert(pkt);
             let at_capacity = q.len_packets() >= 16;
-            match q.enqueue(pkt, Time::ZERO, &mut rng) {
-                EnqueueOutcome::Dropped(_) if !at_capacity => dropped_ect_soft += 1,
-                _ => {}
+            match q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng) {
+                EnqueueOutcome::Dropped => {
+                    if !at_capacity {
+                        dropped_ect_soft += 1;
+                    }
+                    pkts.free(slot);
+                }
+                EnqueueOutcome::EnqueuedMarked => marked += 1,
+                EnqueueOutcome::Enqueued => {}
             }
             prop_assert!(q.len_packets() <= 16);
+            prop_assert_eq!(pkts.len(), q.len_packets());
             if i % 4 == 0 {
-                let _ = q.dequeue(Time::ZERO);
+                if let Some(slot) = q.dequeue(&pkts, Time::ZERO) {
+                    ce_seen += usize::from(pkts.remove(slot).ecn == Ecn::Ce);
+                }
             }
         }
+        while let Some(slot) = q.dequeue(&pkts, Time::ZERO) {
+            ce_seen += usize::from(pkts.remove(slot).ecn == Ecn::Ce);
+        }
         prop_assert_eq!(dropped_ect_soft, 0, "ECT packets must be marked, not soft-dropped");
+        prop_assert_eq!(ce_seen, marked, "every mark lands on the queued packet");
+        prop_assert!(pkts.is_empty());
     }
 
     /// Simulator determinism: identical seeds and inputs produce
@@ -388,37 +417,48 @@ mod event_queue_differential {
 
 /// The link as it was while every serialization scheduled its own
 /// completion: the packet stays with the link until `LinkTxDone`, which
-/// always fires. The differential property below drives it and the real
-/// [`cm_netsim::link::Link`] with one random script.
+/// always fires (a link without departure stages numbers the delivery
+/// when serialization starts, the simulator's tie rule). The differential properties below drive it and the real
+/// [`cm_netsim::link::Link`] with one random script — one hop straight
+/// into a sink, or two hops with a router between them, where the real
+/// side is a whole `Simulator` (whose routers forward packets in place)
+/// and the reference models the router the way `RouterNode` states it.
 mod link_differential {
-    use cm_netsim::event::{EventQueue, SimEvent};
+    use cm_netsim::event::{EventQueue, PacketSlab, PacketSlot, SimEvent};
     use cm_netsim::fault::LinkFaults;
     use cm_netsim::link::{Link, LinkId, LinkSpec, QueueSpec};
     use cm_netsim::packet::{Addr, Ecn, Packet, Payload, Protocol};
     use cm_netsim::queue::{DropTailQueue, EnqueueOutcome, Queue, RedConfig, RedQueue};
-    use cm_netsim::sim::NodeId;
+    use cm_netsim::schedule::BandwidthSchedule;
+    use cm_netsim::sim::{Node, NodeCtx, NodeId, RouterNode, Simulator};
     use cm_netsim::trace::LinkStats;
     use cm_util::{DetRng, Duration, Rate, Time};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
-    const LINK: LinkId = LinkId(0);
-
     struct EagerLink {
+        id: LinkId,
         rate: Rate,
         delay: Duration,
         queue: Box<dyn Queue>,
+        /// The packets of `queue` and `in_flight`.
+        pkts: PacketSlab,
         loss_rate: f64,
         faults: LinkFaults,
         outage_restart: Option<Time>,
-        /// The packet being serialized and when it will be done.
-        in_flight: Option<(Packet, Time)>,
+        /// Whether a departure stage or an outage window is configured.
+        holds_packet: bool,
+        /// The packet being serialized, when it will be done, and the
+        /// number its delivery is scheduled under on a link that does not
+        /// hold packets.
+        in_flight: Option<(PacketSlot, Time, Option<u64>)>,
         stats: LinkStats,
     }
 
     impl EagerLink {
-        fn new(spec: &LinkSpec) -> Self {
+        fn new(id: LinkId, spec: &LinkSpec) -> Self {
             EagerLink {
+                id,
                 rate: spec.rate,
                 delay: spec.delay,
                 queue: match &spec.queue {
@@ -426,9 +466,14 @@ mod link_differential {
                     QueueSpec::DropTailBytes(n) => Box::new(DropTailQueue::with_byte_limit(*n)),
                     QueueSpec::Red(cfg) => Box::new(RedQueue::new(*cfg)),
                 },
+                pkts: PacketSlab::new(),
                 loss_rate: spec.loss_rate,
                 faults: spec.faults.clone(),
                 outage_restart: None,
+                holds_packet: spec.faults.spike_prob > 0.0
+                    || spec.faults.reorder_prob > 0.0
+                    || spec.faults.duplicate_prob > 0.0
+                    || !spec.faults.outages.is_empty(),
                 in_flight: None,
                 stats: LinkStats::default(),
             }
@@ -441,42 +486,56 @@ mod link_differential {
             if let Some(end) = self.faults.outage_until(now) {
                 if self.outage_restart != Some(end) {
                     self.outage_restart = Some(end);
-                    evq.schedule(end, SimEvent::LinkFaultRestart { link: LINK });
+                    evq.schedule(end, SimEvent::LinkFaultRestart { link: self.id });
                 }
                 return;
             }
-            if let Some(pkt) = self.queue.dequeue(now) {
-                let done_at = now + self.rate.transmit_time(pkt.size);
-                self.in_flight = Some((pkt, done_at));
-                evq.schedule(done_at, SimEvent::LinkTxDone { link: LINK });
+            if let Some(slot) = self.queue.dequeue(&self.pkts, now) {
+                let done_at = now + self.rate.transmit_time(self.pkts[slot].size);
+                evq.schedule(done_at, SimEvent::LinkTxDone { link: self.id });
+                // The simulator's tie rule: a delivery that draws nothing
+                // at completion takes its place among same-instant events
+                // when serialization starts.
+                let deliver_seq = (!self.holds_packet).then(|| evq.reserve_seq());
+                self.in_flight = Some((slot, done_at, deliver_seq));
             }
         }
     }
 
     /// What the script drives: the real link and the reference.
     trait Wire {
+        fn new(id: LinkId, spec: &LinkSpec) -> Self;
         fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue);
         fn on_tx_done(&mut self, now: Time, rng: &mut DetRng, evq: &mut EventQueue);
         fn on_rate_change(&mut self, rate: Rate, now: Time, evq: &mut EventQueue);
         fn on_fault_restart(&mut self, now: Time, evq: &mut EventQueue);
         fn stats(&self, now: Time, evq: &EventQueue) -> LinkStats;
+        fn queue_len(&self) -> usize;
+        /// Packets held outside the event queue's slab.
+        fn own_packets(&self) -> usize;
     }
 
     impl Wire for EagerLink {
+        fn new(id: LinkId, spec: &LinkSpec) -> Self {
+            EagerLink::new(id, spec)
+        }
+
         fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
             self.stats.offered += 1;
             if self.loss_rate > 0.0 && rng.chance(self.loss_rate) {
                 self.stats.dropped_random += 1;
                 return;
             }
-            match self.queue.enqueue(pkt, now, rng) {
+            let slot = self.pkts.insert(pkt);
+            match self.queue.enqueue(slot, &mut self.pkts, now, rng) {
                 EnqueueOutcome::Enqueued => self.stats.enqueued += 1,
                 EnqueueOutcome::EnqueuedMarked => {
                     self.stats.enqueued += 1;
                     self.stats.marked += 1;
                 }
-                EnqueueOutcome::Dropped(_) => {
+                EnqueueOutcome::Dropped => {
                     self.stats.dropped_queue += 1;
+                    self.pkts.free(slot);
                     return;
                 }
             }
@@ -487,10 +546,11 @@ mod link_differential {
         }
 
         fn on_tx_done(&mut self, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
-            let (pkt, _) = self
+            let (slot, _, deliver_seq) = self
                 .in_flight
                 .take()
                 .expect("LinkTxDone with nothing in flight");
+            let pkt = self.pkts.remove(slot);
             self.stats.transmitted += 1;
             self.stats.bytes_transmitted += pkt.size as u64;
             let mut delay = self.delay;
@@ -503,13 +563,18 @@ mod link_differential {
                 delay += Duration::from_micros(rng.next_range(1, extra_us));
                 self.stats.reordered += 1;
             }
+            let link = self.id;
             if self.faults.duplicate_prob > 0.0 && rng.chance(self.faults.duplicate_prob) {
                 self.stats.duplicated += 1;
-                let (link, pkt) = (LINK, pkt.clone());
                 let at = now + delay + Duration::from_micros(1);
+                let pkt = pkt.clone();
                 evq.schedule(at, SimEvent::LinkDeliver { link, pkt });
             }
-            evq.schedule(now + delay, SimEvent::LinkDeliver { link: LINK, pkt });
+            let deliver = SimEvent::LinkDeliver { link, pkt };
+            match deliver_seq {
+                Some(seq) => evq.schedule_reserved(now + delay, seq, deliver),
+                None => evq.schedule(now + delay, deliver),
+            }
             self.start_tx(now, evq);
         }
 
@@ -530,9 +595,20 @@ mod link_differential {
         fn stats(&self, _now: Time, _evq: &EventQueue) -> LinkStats {
             self.stats
         }
+
+        fn queue_len(&self) -> usize {
+            self.queue.len_packets()
+        }
+
+        fn own_packets(&self) -> usize {
+            self.pkts.len()
+        }
     }
 
     impl Wire for Link {
+        fn new(id: LinkId, spec: &LinkSpec) -> Self {
+            Link::new(id, NodeId(id.0), NodeId(id.0 + 1), spec)
+        }
         fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
             Link::offer(self, pkt, now, rng, evq);
         }
@@ -548,15 +624,22 @@ mod link_differential {
         fn stats(&self, now: Time, evq: &EventQueue) -> LinkStats {
             Link::stats(self, now, evq)
         }
+        fn queue_len(&self) -> usize {
+            Link::queue_len(self)
+        }
+        fn own_packets(&self) -> usize {
+            0
+        }
     }
 
     /// One scripted step: `(op, arg, gap, jitter_us, below)`. `op` 0-5
-    /// offers `arg` bytes, 6 only reads the counters, 7-8 step the rate
-    /// to `RATES[arg % 4]`. The step runs as a timer event placed by
-    /// `gap` relative to the serialization in progress when the previous
-    /// step finished — 0: the same instant, 1: inside it, 2: *exactly*
-    /// its completion instant, 3: `jitter_us` after it — and numbered
-    /// below (`below == 1`) or above whatever the previous step reserved.
+    /// offers `arg` bytes to the first link, 6 only reads the counters,
+    /// 7-8 step the first link's rate to `RATES[arg % 4]`. The step runs
+    /// as a timer event placed by `gap` relative to the serialization in
+    /// progress on the first link when the previous step finished — 0:
+    /// the same instant, 1: inside it, 2: *exactly* its completion
+    /// instant, 3: `jitter_us` after it — and numbered below
+    /// (`below == 1`) or above whatever the previous step reserved.
     type Step = (u8, u16, u8, u16, u8);
 
     const RATES: [Rate; 4] = [
@@ -583,15 +666,43 @@ mod link_differential {
         }
     }
 
+    /// The packet step `i` offers (the network stamps its id).
+    fn scripted_packet(i: usize, size: u16, dst: Addr) -> Packet {
+        let ecn = if i.is_multiple_of(2) {
+            Ecn::Ect
+        } else {
+            Ecn::NotEct
+        };
+        Packet::new(
+            Addr(1),
+            dst,
+            1,
+            2,
+            Protocol::Udp,
+            usize::from(size),
+            Payload::empty(),
+        )
+        .with_ecn(ecn)
+    }
+
     /// Everything observable about one run.
     #[derive(Debug, PartialEq)]
     struct Observed {
-        /// `(delivery time, packet id)` in pop order.
+        /// `(delivery time, packet id)` at the last hop, in pop order.
         deliveries: Vec<(Time, u64)>,
-        /// The counters as read before each step and after the last event.
+        /// Every link's counters as read before each step and after the
+        /// last event.
         stats: Vec<String>,
         /// The next draw after the run: the RNG state.
         rng_tail: u64,
+    }
+
+    /// Packets accepted by a link and not yet delivered to the end of
+    /// the path, by the links' counters: what the slab must hold.
+    fn accounted(stats: &[LinkStats], delivered: usize) -> u64 {
+        let accepted: u64 = stats.iter().map(|s| s.enqueued + s.duplicated).sum();
+        let forwarded: u64 = stats.iter().skip(1).map(|s| s.offered).sum();
+        accepted - forwarded - delivered as u64
     }
 
     fn timer(step: usize) -> SimEvent {
@@ -603,57 +714,64 @@ mod link_differential {
         }
     }
 
-    /// Runs `script` against `wire` the way `Simulator` would dispatch
-    /// it; `when(wire, i, now)` says when step `i` runs. Returns what was
-    /// observed, each step's instant, and the number of events popped.
+    /// Runs `script` against a path of `hops` links of type `W` the way
+    /// `Simulator` would dispatch it, a router between consecutive links
+    /// (a fresh id, then the next link); `when(first, i, now)` says when
+    /// step `i` runs. Returns what was observed, each step's instant, and
+    /// the number of events popped. After every event the packets held
+    /// equal the packets accepted and not yet delivered, and once the
+    /// queue drains only queued packets are left.
     fn drive<W: Wire>(
-        wire: &mut W,
+        hops: &mut [W],
         script: &[Step],
         seed: u64,
         mut when: impl FnMut(&W, usize, Time) -> Time,
-    ) -> (Observed, Vec<Time>, u64) {
+    ) -> Result<(Observed, Vec<Time>, u64), TestCaseError> {
         let mut evq = EventQueue::new();
-        let mut rng = DetRng::seed(seed);
+        let mut rng = DetRng::seed(seed).split("netsim");
         let mut seen = Observed {
             deliveries: Vec::new(),
             stats: Vec::new(),
             rng_tail: 0,
         };
-        let (mut times, mut pops, mut now) = (Vec::new(), 0, Time::ZERO);
-        evq.schedule(when(wire, 0, now), timer(0));
+        let (mut times, mut pops, mut now, mut next_id) = (Vec::new(), 0, Time::ZERO, 0);
+        let last = hops.len() - 1;
+        evq.schedule(when(&hops[0], 0, now), timer(0));
         while let Some((at, event)) = evq.pop() {
             now = at;
             pops += 1;
             match event {
-                SimEvent::LinkTxDone { .. } => wire.on_tx_done(now, &mut rng, &mut evq),
-                SimEvent::LinkDeliver { pkt, .. } => seen.deliveries.push((now, pkt.id)),
-                SimEvent::LinkFaultRestart { .. } => wire.on_fault_restart(now, &mut evq),
+                SimEvent::LinkTxDone { link } => hops[link.0].on_tx_done(now, &mut rng, &mut evq),
+                SimEvent::LinkDeliver { link, pkt } if link.0 == last => {
+                    seen.deliveries.push((now, pkt.id));
+                }
+                SimEvent::LinkDeliver { link, mut pkt } => {
+                    pkt.id = next_id;
+                    next_id += 1;
+                    hops[link.0 + 1].offer(pkt, now, &mut rng, &mut evq);
+                }
+                SimEvent::LinkFaultRestart { link } => hops[link.0].on_fault_restart(now, &mut evq),
                 SimEvent::LinkRateChange { .. } => unreachable!("rate steps are timers here"),
                 SimEvent::Timer { token, .. } => {
                     let i = token as usize;
                     times.push(now);
-                    seen.stats.push(format!("{:?}", wire.stats(now, &evq)));
+                    for hop in hops.iter() {
+                        seen.stats.push(format!("{:?}", hop.stats(now, &evq)));
+                    }
                     let below = evq.reserve_seq();
                     let (op, arg, ..) = script[i];
                     match op {
                         0..=5 => {
-                            let ecn = if i.is_multiple_of(2) {
-                                Ecn::Ect
-                            } else {
-                                Ecn::NotEct
-                            };
-                            let (src, dst, size) = (Addr(1), Addr(2), usize::from(arg));
-                            let mut pkt =
-                                Packet::new(src, dst, 1, 2, Protocol::Udp, size, Payload::empty())
-                                    .with_ecn(ecn);
-                            pkt.id = token;
-                            wire.offer(pkt, now, &mut rng, &mut evq);
+                            let mut pkt = scripted_packet(i, arg, Addr(2));
+                            pkt.id = next_id;
+                            next_id += 1;
+                            hops[0].offer(pkt, now, &mut rng, &mut evq);
                         }
                         6 => {}
-                        _ => wire.on_rate_change(RATES[usize::from(arg) % 4], now, &mut evq),
+                        _ => hops[0].on_rate_change(RATES[usize::from(arg) % 4], now, &mut evq),
                     }
                     if let Some(&(.., numbered_below)) = script.get(i + 1) {
-                        let at = when(wire, i + 1, now);
+                        let at = when(&hops[0], i + 1, now);
                         let seq = if numbered_below == 1 {
                             below
                         } else {
@@ -663,10 +781,126 @@ mod link_differential {
                     }
                 }
             }
+            let stats: Vec<LinkStats> = hops.iter().map(|h| h.stats(now, &evq)).collect();
+            let held = evq.packets().len() + hops.iter().map(W::own_packets).sum::<usize>();
+            prop_assert_eq!(
+                held as u64,
+                accounted(&stats, seen.deliveries.len()),
+                "packets held vs. accepted and undelivered"
+            );
         }
-        seen.stats.push(format!("{:?}", wire.stats(now, &evq)));
+        for hop in hops.iter() {
+            seen.stats.push(format!("{:?}", hop.stats(now, &evq)));
+        }
+        let queued: usize = hops.iter().map(W::queue_len).sum();
+        let held = evq.packets().len() + hops.iter().map(W::own_packets).sum::<usize>();
+        prop_assert_eq!(held, queued, "drained slab holds only queued packets");
         seen.rng_tail = rng.next_u64();
-        (seen, times, pops)
+        Ok((seen, times, pops))
+    }
+
+    /// Runs the script's timer steps from outside the simulator.
+    struct Scripter {
+        due: Option<usize>,
+    }
+
+    impl Node for Scripter {
+        fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _pkt: Packet) {
+            unreachable!("nothing is addressed to the script");
+        }
+        fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, token: u64) {
+            self.due = Some(token as usize);
+        }
+    }
+
+    struct Sink {
+        got: Vec<(Time, u64)>,
+    }
+
+    impl Node for Sink {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
+            self.got.push((ctx.now(), pkt.id));
+        }
+        fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
+    }
+
+    /// Runs `script` on a `Simulator`: script node, first link,
+    /// `RouterNode`, second link, sink. Each step runs when its timer
+    /// pops, at the times `drive` recorded.
+    fn drive_two_hop_sim(
+        specs: [&LinkSpec; 2],
+        script: &[Step],
+        seed: u64,
+        times: &[Time],
+    ) -> Result<(Observed, u64), TestCaseError> {
+        let mut sim = Simulator::new(seed);
+        let src = sim.add_node(Box::new(Scripter { due: None }));
+        let router = sim.add_node(Box::new(RouterNode));
+        let sink = sim.add_node(Box::new(Sink { got: Vec::new() }));
+        let dst = sim.addr_of(sink);
+        let links = [
+            sim.add_link(src, router, specs[0]),
+            sim.add_link(router, sink, specs[1]),
+        ];
+        sim.set_default_route(src, links[0]);
+        sim.set_default_route(router, links[1]);
+        let mut stats = Vec::new();
+        sim.with_node::<Scripter, _>(src, |_, ctx| ctx.set_timer(times[0] - Time::ZERO, 0));
+        while sim.step() {
+            let now = sim.now();
+            if let Some(i) = sim.with_node::<Scripter, _>(src, |s, _| s.due.take()) {
+                for &l in &links {
+                    stats.push(format!("{:?}", sim.link_stats(l)));
+                }
+                let below = sim.with_node::<Scripter, _>(src, |_, ctx| ctx.reserve_order());
+                let (op, arg, ..) = script[i];
+                match op {
+                    0..=5 => sim.with_node::<Scripter, _>(src, |_, ctx| {
+                        ctx.send(scripted_packet(i, arg, dst));
+                    }),
+                    6 => {}
+                    _ => {
+                        let step = vec![(now, RATES[usize::from(arg) % 4])];
+                        sim.apply_link_schedule(links[0], &BandwidthSchedule::from_steps(step));
+                    }
+                }
+                if let Some(&(.., numbered_below)) = script.get(i + 1) {
+                    let after = times[i + 1].since(now);
+                    sim.with_node::<Scripter, _>(src, |_, ctx| {
+                        let seq = if numbered_below == 1 {
+                            below
+                        } else {
+                            ctx.reserve_order()
+                        };
+                        ctx.set_timer_ordered(after, (i + 1) as u64, seq);
+                    });
+                }
+            }
+            let read: Vec<LinkStats> = links.iter().map(|&l| sim.link_stats(l)).collect();
+            let delivered = sim.node_ref::<Sink>(sink).got.len();
+            prop_assert_eq!(
+                sim.packets_in_flight() as u64,
+                accounted(&read, delivered),
+                "packets in flight vs. accepted and undelivered"
+            );
+        }
+        for &l in &links {
+            stats.push(format!("{:?}", sim.link_stats(l)));
+        }
+        let queued: usize = links.iter().map(|&l| sim.link_mut(l).queue_len()).sum();
+        prop_assert_eq!(
+            sim.packets_in_flight(),
+            queued,
+            "drained slab holds only queued packets"
+        );
+        let rng_tail = sim.with_node::<Scripter, _>(src, |_, ctx| ctx.rng().next_u64());
+        let pops = sim.events_processed();
+        let seen = Observed {
+            deliveries: sim.node_ref::<Sink>(sink).got.clone(),
+            stats,
+            rng_tail,
+        };
+        Ok((seen, pops))
     }
 
     /// `(queue, loss_pct, delay_us, rate, seed)`: `queue` 0-1 is RED, 2-7
@@ -681,7 +915,16 @@ mod link_differential {
     /// number times 0.3; outage windows are `(start_us, length_us)`.
     type Faults = (u8, u8, u8, Vec<(u32, u32)>);
 
-    fn check(path: Path, faults: Faults, script: &[Step]) -> Result<(), TestCaseError> {
+    /// Drives the reference and the real link with `script` over `hops`
+    /// links (1 or 2). Every link gets `path`'s queue, loss, delay and
+    /// `faults`; the first runs at `RATES[rate]`, a second at another
+    /// nonzero rate.
+    fn check(
+        path: Path,
+        faults: Faults,
+        hops: usize,
+        script: &[Step],
+    ) -> Result<(), TestCaseError> {
         let (queue, loss_pct, delay_us, rate, seed) = path;
         let (spike, reorder, duplicate, outages) = faults;
         let mut link_faults = LinkFaults::clean()
@@ -702,24 +945,43 @@ mod link_differential {
             capacity: 6,
             ecn: true,
         };
-        let spec = LinkSpec::new(RATES[rate], Duration::from_micros(u64::from(delay_us)))
+        let first = LinkSpec::new(RATES[rate], Duration::from_micros(u64::from(delay_us)))
             .with_queue(match queue {
                 0 | 1 => QueueSpec::Red(red),
                 n => QueueSpec::DropTailPackets(n),
             })
             .with_loss(f64::from(loss_pct) / 100.0)
             .with_faults(link_faults);
+        let second = LinkSpec {
+            rate: RATES[rate % 3 + 1],
+            ..first.clone()
+        };
+        let specs = [&first, &second];
+        let path_of = |n: usize| -> Vec<(LinkId, &LinkSpec)> {
+            (0..n).map(|i| (LinkId(i), specs[i])).collect()
+        };
 
-        let mut eager = EagerLink::new(&spec);
+        let mut eager: Vec<EagerLink> = path_of(hops)
+            .into_iter()
+            .map(|(id, spec)| Wire::new(id, spec))
+            .collect();
         let (expected, times, eager_pops) = drive(&mut eager, script, seed, |w, i, now| {
             place(
                 script[i],
                 now,
-                w.in_flight.as_ref().map(|&(_, done_at)| done_at),
+                w.in_flight.as_ref().map(|&(_, done_at, _)| done_at),
             )
-        });
-        let mut link = Link::new(LINK, NodeId(0), NodeId(1), &spec);
-        let (seen, _, pops) = drive(&mut link, script, seed, |_, i, _| times[i]);
+        })?;
+        let (seen, pops) = if hops == 1 {
+            let mut link: Vec<Link> = path_of(1)
+                .into_iter()
+                .map(|(id, spec)| Wire::new(id, spec))
+                .collect();
+            let (seen, _, pops) = drive(&mut link, script, seed, |_, i, _| times[i])?;
+            (seen, pops)
+        } else {
+            drive_two_hop_sim(specs, script, seed, &times)?
+        };
         prop_assert_eq!(&seen.deliveries, &expected.deliveries);
         prop_assert_eq!(&seen.stats, &expected.stats);
         prop_assert_eq!(seen.rng_tail, expected.rng_tail, "RNG draws diverge");
@@ -742,13 +1004,14 @@ mod link_differential {
         /// starts, and schedules a completion only when something waits
         /// on it, is indistinguishable from one that completes eagerly:
         /// same deliveries, drops, marks, counters at every read and RNG
-        /// draws, in no more events.
+        /// draws, in no more events. Its packets sit in the event
+        /// queue's slab from acceptance to delivery and no longer.
         #[test]
         fn link_matches_eager_reference(
             path in path_strategy(),
             script in proptest::collection::vec(step_strategy(), 1..120),
         ) {
-            check(path, (0, 0, 0, Vec::new()), &script)?;
+            check(path, (0, 0, 0, Vec::new()), 1, &script)?;
         }
 
         /// The same with departure-stage faults and outage windows, where
@@ -759,14 +1022,28 @@ mod link_differential {
             faults in some_faults(),
             script in proptest::collection::vec(step_strategy(), 1..120),
         ) {
-            check(path, faults, &script)?;
+            check(path, faults, 1, &script)?;
+        }
+
+        /// Two links with a `RouterNode` between them, run by the
+        /// simulator (which forwards the packet's slab slot in place),
+        /// against two eager links and a modelled router.
+        #[test]
+        fn router_hop_matches_eager_reference(
+            path in path_strategy(),
+            faults in some_faults(),
+            clean in 0u8..2,
+            script in proptest::collection::vec(step_strategy(), 1..120),
+        ) {
+            let faults = if clean == 1 { (0, 0, 0, Vec::new()) } else { faults };
+            check(path, faults, 2, &script)?;
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(20_000))]
 
-        /// The long run of both properties (CI: `-- --ignored`).
+        /// The long run of the one-hop properties (CI: `-- --ignored`).
         #[test]
         #[ignore = "20,000 cases; CI runs it in release"]
         fn link_matches_eager_reference_20k(
@@ -776,7 +1053,20 @@ mod link_differential {
             script in proptest::collection::vec(step_strategy(), 1..120),
         ) {
             let faults = if clean == 1 { (0, 0, 0, Vec::new()) } else { faults };
-            check(path, faults, &script)?;
+            check(path, faults, 1, &script)?;
+        }
+
+        /// The long run of the router-hop property (CI: `-- --ignored`).
+        #[test]
+        #[ignore = "20,000 cases; CI runs it in release"]
+        fn router_hop_matches_eager_reference_20k(
+            path in path_strategy(),
+            faults in some_faults(),
+            clean in 0u8..2,
+            script in proptest::collection::vec(step_strategy(), 1..120),
+        ) {
+            let faults = if clean == 1 { (0, 0, 0, Vec::new()) } else { faults };
+            check(path, faults, 2, &script)?;
         }
     }
 }

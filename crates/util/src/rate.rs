@@ -95,6 +95,14 @@ impl Rate {
         if self.0 == 0 {
             return Duration::MAX;
         }
+        // The u64 quotient of the same product is the same number; only a
+        // product past 2^64 needs the 128-bit division.
+        if let Some(bit_ns) = u64::try_from(bytes)
+            .ok()
+            .and_then(|b| b.checked_mul(8_000_000_000))
+        {
+            return Duration::from_nanos(bit_ns / self.0);
+        }
         let bits = bytes as u128 * 8;
         let ns = bits * 1_000_000_000 / self.0 as u128;
         Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
@@ -116,13 +124,17 @@ impl Rate {
         Rate(self.0.saturating_sub(other.0))
     }
 
-    /// Scales the rate by a rational factor `num/den` in 128-bit arithmetic.
+    /// Scales the rate by a rational factor `num/den`, exactly: in 64-bit
+    /// arithmetic when `self * num` fits, in 128-bit otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `den` is zero.
     pub fn mul_ratio(self, num: u64, den: u64) -> Rate {
         assert!(den != 0, "mul_ratio denominator must be non-zero");
+        if let Some(product) = self.0.checked_mul(num) {
+            return Rate(product / den);
+        }
         Rate(((self.0 as u128 * num as u128) / den as u128).min(u64::MAX as u128) as u64)
     }
 

@@ -96,14 +96,17 @@ impl Duration {
         Duration(self.0.saturating_add(rhs.0))
     }
 
-    /// Multiplies by a rational factor `num/den`, computed in 128-bit
-    /// arithmetic to avoid overflow.
+    /// Multiplies by a rational factor `num/den`, exactly: in 64-bit
+    /// arithmetic when `self * num` fits, in 128-bit otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `den` is zero.
     pub fn mul_ratio(self, num: u64, den: u64) -> Duration {
         assert!(den != 0, "mul_ratio denominator must be non-zero");
+        if let Some(product) = self.0.checked_mul(num) {
+            return Duration(product / den);
+        }
         let v = (self.0 as u128 * num as u128) / den as u128;
         Duration(v.min(u64::MAX as u128) as u64)
     }

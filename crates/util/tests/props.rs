@@ -102,3 +102,99 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// u64 fast paths vs. the 128-bit formulas
+// ---------------------------------------------------------------------
+
+/// `Rate::mul_ratio` and `Duration::mul_ratio` as they were: always in
+/// 128 bits, saturating.
+fn ratio_u128(v: u64, num: u64, den: u64) -> u64 {
+    ((v as u128 * num as u128) / den as u128).min(u64::MAX as u128) as u64
+}
+
+/// `Rate::transmit_time` as it was, in nanoseconds.
+fn transmit_u128(bytes: u64, bps: u64) -> u64 {
+    if bps == 0 {
+        return u64::MAX;
+    }
+    (bytes as u128 * 8 * 1_000_000_000 / bps as u128).min(u64::MAX as u128) as u64
+}
+
+/// Values where 64-bit multiplication changes behaviour.
+const EDGES: [u64; 7] = [0, 1, 2, u32::MAX as u64, 1 << 32, u64::MAX - 1, u64::MAX];
+
+/// A factor drawn by `kind`: small (products fit), anything (products
+/// mostly overflow), an edge value.
+fn factor(kind: u8, x: u64) -> u64 {
+    match kind % 3 {
+        0 => x >> 32,
+        1 => x,
+        _ => EDGES[(x % EDGES.len() as u64) as usize],
+    }
+}
+
+/// The partner of `a` drawn by `kind`: kinds 0-2 as [`factor`], 3 the
+/// largest `b` with `a * b` below 2^64, 4 the smallest above it.
+fn partner(kind: u8, a: u64, y: u64) -> u64 {
+    let fit = u64::MAX / a.max(1);
+    match kind {
+        3 => fit,
+        4 => fit.saturating_add(1),
+        k => factor(k, y),
+    }
+}
+
+/// Checks the three functions at one operand triple.
+fn fast_paths_agree(v: u64, num: u64, den: u64) -> Result<(), proptest::test_runner::TestCaseError> {
+    let den = den.max(1);
+    let want = ratio_u128(v, num, den);
+    prop_assert_eq!(Rate::from_bps(v).mul_ratio(num, den).as_bps(), want);
+    prop_assert_eq!(Duration::from_nanos(v).mul_ratio(num, den).as_nanos(), want);
+    let bytes = num as usize;
+    prop_assert_eq!(
+        Rate::from_bps(v).transmit_time(bytes).as_nanos(),
+        transmit_u128(num, v)
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+    /// The u64 fast paths of `mul_ratio` and `transmit_time` return
+    /// exactly what the 128-bit formulas do, for small and large
+    /// operands, edge values, and products just below and just above
+    /// 2^64 (for `transmit_time` the product is `bytes * 8e9`).
+    #[test]
+    fn u64_fast_paths_match_the_u128_formulas(
+        kind in 0u8..5,
+        x in any::<u64>(),
+        y in any::<u64>(),
+        den_kind in 0u8..3,
+        d in any::<u64>(),
+    ) {
+        let v = factor(kind, x).max(u64::from(kind >= 3));
+        let den = factor(den_kind, d);
+        fast_paths_agree(v, partner(kind, v, y), den)?;
+        // transmit_time's product is bytes * 8e9.
+        let bytes = partner(kind, 8_000_000_000, y);
+        fast_paths_agree(v, bytes, den)?;
+    }
+}
+
+/// Every combination of edge values and their 2^64 boundaries.
+#[test]
+fn u64_fast_paths_match_at_the_edges() {
+    let mut values = EDGES.to_vec();
+    for a in [3, 7, 8_000_000_000, 1 << 33, u32::MAX as u64] {
+        values.extend([u64::MAX / a, u64::MAX / a + 1]);
+    }
+    for &v in &values {
+        for &num in &values {
+            for &den in &values {
+                fast_paths_agree(v, num, den).unwrap();
+            }
+        }
+    }
+}
