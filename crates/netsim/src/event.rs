@@ -239,29 +239,31 @@ impl PacketSlab {
     #[inline]
     pub fn insert(&mut self, pkt: Packet) -> PacketSlot {
         self.len += 1;
-        if self.free_head == NIL {
-            let idx = self.slots.len() as u32;
-            self.slots.push(SlabEntry::Packet(pkt));
-            return PacketSlot(idx);
-        }
         let idx = self.free_head;
-        match std::mem::replace(&mut self.slots[idx as usize], SlabEntry::Packet(pkt)) {
-            SlabEntry::Free(next) => self.free_head = next,
-            SlabEntry::Packet(_) => unreachable!("free list pointed at a live slot"),
+        if idx == NIL {
+            self.slots.push(SlabEntry::Packet(pkt));
+            return PacketSlot(self.slots.len() as u32 - 1);
         }
+        let entry = &mut self.slots[idx as usize];
+        let SlabEntry::Free(next) = *entry else {
+            unreachable!("free list pointed at a live slot");
+        };
+        self.free_head = next;
+        *entry = SlabEntry::Packet(pkt);
         PacketSlot(idx)
     }
 
     /// Takes the packet out of `slot`, freeing the slot.
     #[inline]
     pub fn remove(&mut self, slot: PacketSlot) -> Packet {
-        let entry = std::mem::replace(
-            &mut self.slots[slot.0 as usize],
-            SlabEntry::Free(self.free_head),
-        );
+        let entry = &mut self.slots[slot.0 as usize];
+        // Copied once, into the caller's place; `mem::replace` of the
+        // whole entry would copy it twice.
         let SlabEntry::Packet(pkt) = entry else {
             unreachable!("packet slot freed twice");
         };
+        let pkt = pkt.clone();
+        *entry = SlabEntry::Free(self.free_head);
         self.free_head = slot.0;
         self.len -= 1;
         pkt
@@ -274,13 +276,6 @@ impl PacketSlab {
         self.slots[slot.0 as usize] = SlabEntry::Free(self.free_head);
         self.free_head = slot.0;
         self.len -= 1;
-    }
-
-    /// Stores a copy of the packet in `slot` (a duplicating link's second
-    /// delivery) and returns the copy's slot.
-    pub fn duplicate(&mut self, slot: PacketSlot) -> PacketSlot {
-        let copy = self[slot].clone();
-        self.insert(copy)
     }
 
     /// Number of packets held.

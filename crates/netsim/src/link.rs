@@ -237,6 +237,7 @@ impl Link {
 
     /// Offers a packet to the link: loss stage, then queue, then (if the
     /// transmitter is idle) serialization begins immediately.
+    #[inline]
     pub fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
         if self.survives_loss(rng) {
             let slot = evq.packets_mut().insert(pkt);
@@ -442,7 +443,8 @@ impl Link {
             }
             if self.faults.duplicate_prob > 0.0 && rng.chance(self.faults.duplicate_prob) {
                 self.stats.duplicated += 1;
-                let copy = evq.packets_mut().duplicate(slot);
+                let copy = evq.packets()[slot].clone();
+                let copy = evq.packets_mut().insert(copy);
                 evq.deliver(now + delay + Duration::from_micros(1), self.id, copy);
             }
             evq.deliver(now + delay, self.id, slot);

@@ -183,10 +183,10 @@ impl World {
     /// [`World::send_from`] of a packet already in the slab: what a
     /// [`RouterNode`] does with a packet, done in place.
     fn forward(&mut self, node: NodeId, slot: PacketSlot, now: Time, evq: &mut EventQueue) {
-        let dst = evq.packets()[slot].dst;
-        match self.next_hop(node, dst) {
+        let pkt = &mut evq.packets_mut()[slot];
+        match self.next_hop(node, pkt.dst) {
             Some(link) => {
-                evq.packets_mut()[slot].id = self.stamp();
+                pkt.id = self.stamp();
                 self.links[link.0].forward(slot, now, &mut self.rng, evq);
             }
             None => evq.packets_mut().free(slot),
@@ -219,6 +219,7 @@ impl NodeCtx<'_> {
     }
 
     /// Sends a packet into the network along the routing table.
+    #[inline]
     pub fn send(&mut self, pkt: Packet) {
         self.world.send_from(self.node, pkt, self.now, self.evq);
     }

@@ -16,13 +16,14 @@ use std::sync::atomic::Ordering;
 
 use cm_core::config::CmConfig;
 use cm_netsim::channel::PathSpec;
+use cm_netsim::link::{LinkId, LinkSpec};
 use cm_netsim::packet::Addr;
 use cm_netsim::sim::Simulator;
-use cm_netsim::topology::{Duplex, Topology};
+use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostApp, HostConfig, HostOs};
 use cm_transport::tcp::TcpConfig;
 use cm_transport::types::CcMode;
-use cm_util::{Duration, Time};
+use cm_util::{Duration, Rate, Time};
 use counting_alloc::{measuring, ALLOCS};
 
 /// Writes more than any window can carry, as soon as it starts.
@@ -47,8 +48,11 @@ impl HostApp for Receiver {
 
 /// A TCP/CM bulk transfer over the Figure 3 channel, `sim_bulk`'s host
 /// configuration (a 64 KB window fits the path's 50-packet queue, so
-/// `loss` is the only source of drops).
-fn bulk(loss: f64) -> (Simulator, Duplex) {
+/// `loss` is the only source of drops). `routed` makes the channel the
+/// bottleneck of a dumbbell, whose two `RouterNode`s the simulator
+/// forwards packets through in place. Returns the data direction's
+/// lossy link.
+fn bulk(loss: f64, routed: bool) -> (Simulator, LinkId) {
     let cfg = HostConfig {
         tcp: TcpConfig {
             rwnd: 64 * 1024,
@@ -68,8 +72,15 @@ fn bulk(loss: f64) -> (Simulator, Duplex) {
     let mut client = Host::new(cfg);
     client.add_app(Box::new(Sender { remote }));
     let client_id = topo.add_host(Box::new(client));
-    let path = topo.emulated_path(client_id, server_id, &PathSpec::fig3(loss));
-    (topo.build(), path)
+    let path = PathSpec::fig3(loss);
+    let forward = if routed {
+        let access = LinkSpec::new(Rate::from_mbps(100), Duration::from_micros(100));
+        let (_, _, center) = topo.dumbbell(&[client_id], &[server_id], &path.forward(), &access);
+        center.forward
+    } else {
+        topo.emulated_path(client_id, server_id, &path).forward
+    };
+    (topo.build(), forward)
 }
 
 /// Runs `sim` for `warmup_s` simulated seconds, then measures three
@@ -78,22 +89,24 @@ fn bulk(loss: f64) -> (Simulator, Duplex) {
 /// window; a per-packet allocation lands in all of them) nothing may
 /// allocate.
 ///
-/// Drives: netsim `EventQueue::schedule`, `pop`; shard `request`,
-/// `notify`, `update`, `tick`, `try_grants` (round-robin).
-fn assert_warm_path_allocates_nothing(loss: f64, warmup_s: u64, window_s: u64) {
+/// Drives: netsim `EventQueue::schedule`, `pop`, `Link::offer`,
+/// `PacketSlab::insert`, `remove` (and, `routed`, the simulator's router
+/// forwarding); shard `request`, `notify`, `update`, `tick`,
+/// `try_grants` (round-robin).
+fn assert_warm_path_allocates_nothing(loss: f64, routed: bool, warmup_s: u64, window_s: u64) {
     let _turn = measuring();
-    let (mut sim, path) = bulk(loss);
+    let (mut sim, forward) = bulk(loss, routed);
     let mut until = Time::from_secs(warmup_s);
     sim.run_until(until);
 
     let mut min_allocs = u64::MAX;
     for _ in 0..3 {
         until += Duration::from_secs(window_s);
-        let delivered_before = sim.link_stats(path.forward).transmitted;
+        let delivered_before = sim.link_stats(forward).transmitted;
         let allocs_before = ALLOCS.load(Ordering::SeqCst);
         sim.run_until(until);
         let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-        let delivered = sim.link_stats(path.forward).transmitted - delivered_before;
+        let delivered = sim.link_stats(forward).transmitted - delivered_before;
         assert!(
             delivered >= 2_000,
             "window carried only {delivered} data packets"
@@ -101,7 +114,7 @@ fn assert_warm_path_allocates_nothing(loss: f64, warmup_s: u64, window_s: u64) {
         min_allocs = min_allocs.min(allocs);
     }
     if loss > 0.0 {
-        let lost = sim.link_stats(path.forward).dropped_random;
+        let lost = sim.link_stats(forward).dropped_random;
         assert!(
             lost > 100,
             "only {lost} packets lost: no recovery exercised"
@@ -116,7 +129,7 @@ fn assert_warm_path_allocates_nothing(loss: f64, warmup_s: u64, window_s: u64) {
 
 #[test]
 fn loss_free_transfer_allocates_nothing() {
-    assert_warm_path_allocates_nothing(0.0, 4, 4);
+    assert_warm_path_allocates_nothing(0.0, false, 4, 4);
 }
 
 /// Under loss the out-of-order store, the SACK scoreboard and the
@@ -124,5 +137,12 @@ fn loss_free_transfer_allocates_nothing() {
 /// episodes.
 #[test]
 fn lossy_transfer_allocates_nothing() {
-    assert_warm_path_allocates_nothing(0.02, 30, 30);
+    assert_warm_path_allocates_nothing(0.02, false, 30, 30);
+}
+
+/// Through two routers, with loss (both ways) on the link between them:
+/// a forwarded packet keeps its slab slot, a lost one frees it.
+#[test]
+fn routed_lossy_transfer_allocates_nothing() {
+    assert_warm_path_allocates_nothing(0.02, true, 30, 30);
 }

@@ -146,7 +146,11 @@ fn partner(kind: u8, a: u64, y: u64) -> u64 {
 }
 
 /// Checks the three functions at one operand triple.
-fn fast_paths_agree(v: u64, num: u64, den: u64) -> Result<(), proptest::test_runner::TestCaseError> {
+fn fast_paths_agree(
+    v: u64,
+    num: u64,
+    den: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
     let den = den.max(1);
     let want = ratio_u128(v, num, den);
     prop_assert_eq!(Rate::from_bps(v).mul_ratio(num, den).as_bps(), want);
