@@ -20,11 +20,11 @@
 //!   unobserved; its counters are settled the next time the link is
 //!   touched or read;
 //! * **on the wire** — the packet was handed to its delivery event when
-//!   serialization started and nobody
-//!   waits behind it, so no completion event exists. The first packet to
-//!   arrive before the reserved place (earlier, or in the completion
-//!   instant under a lower number than [`EventQueue::current_seq`])
-//!   queues and schedules the completion into that place;
+//!   serialization started and nobody waits behind it, so no completion
+//!   event exists. The first packet to arrive before the reserved place
+//!   (earlier, or in the completion instant under a lower number than
+//!   [`EventQueue::current_seq`]) queues and schedules the completion
+//!   into that place;
 //! * **completing** — a `LinkTxDone` is scheduled: a packet waits in the
 //!   queue, or the link has departure-stage faults (delay spikes,
 //!   reordering, duplication) or outage windows and holds the packet

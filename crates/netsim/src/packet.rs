@@ -138,7 +138,8 @@ impl Payload {
 /// A simulated network packet.
 ///
 /// `Clone` exists for the fault-injection layer's packet duplication;
-/// normal forwarding moves packets by value.
+/// inside the network a packet stays in one slot of the event queue's
+/// packet slab, and a host receives it by value.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Source address.
