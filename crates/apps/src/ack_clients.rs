@@ -97,7 +97,7 @@ impl AckReceiver {
             acks_batched: self.unacked,
         };
         let dgram = UdpDatagram {
-            tag: self.packets,
+            tag: self.packets as u32,
             len: self.ack_bytes,
             body: UdpBody::Ack(payload),
         };

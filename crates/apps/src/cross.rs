@@ -65,7 +65,7 @@ impl OnOffSource {
     fn emit(&mut self, os: &mut HostOs<'_, '_>) {
         let Some(sock) = self.sock else { return };
         let dgram = UdpDatagram {
-            tag: self.sent,
+            tag: self.sent as u32,
             len: self.packet_size,
             body: UdpBody::Raw,
         };

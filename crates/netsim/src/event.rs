@@ -108,7 +108,7 @@ pub enum SimEvent {
 
 /// An event as the queue stores it: a [`SimEvent`] with its ids narrowed
 /// to `u32` and a delivery's packet left in the [`PacketSlab`], so that
-/// an arena slot is 24 bytes instead of a packet's 144.
+/// an arena slot is 24 bytes instead of a packet's 96.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Event {
     LinkTxDone {
@@ -651,13 +651,22 @@ impl EventQueue {
                 self.slots[idx].clear();
                 self.cur_pos = 0;
                 self.occupied[idx >> 6] &= !(1 << (idx & 63));
-                for d in 1..ADVANCE_BATCH {
-                    let s = abs + d;
-                    let idx = (s & WHEEL_MASK) as usize;
-                    if self.occupied[idx >> 6] & (1 << (idx & 63)) != 0 {
-                        self.current.append(&mut self.slots[idx]);
-                        self.occupied[idx >> 6] &= !(1 << (idx & 63));
-                    }
+                // The rest of the window, slots abs+1 .. abs+ADVANCE_BATCH-1,
+                // as one mask read from at most two bitmap words (the
+                // second when the window crosses a word or the ring's
+                // end); only its set bits are visited, nearest first.
+                let start = (idx + 1) & WHEEL_MASK as usize;
+                let (word, off) = (start >> 6, start & 63);
+                let mut window = self.occupied[word] >> off;
+                if off > 64 - (ADVANCE_BATCH as usize - 1) {
+                    window |= self.occupied[(word + 1) % WORDS] << (64 - off);
+                }
+                window &= (1 << (ADVANCE_BATCH - 1)) - 1;
+                while window != 0 {
+                    let idx = (start + window.trailing_zeros() as usize) & WHEEL_MASK as usize;
+                    window &= window - 1;
+                    self.current.append(&mut self.slots[idx]);
+                    self.occupied[idx >> 6] &= !(1 << (idx & 63));
                 }
                 self.cursor = abs + ADVANCE_BATCH - 1;
                 self.current.sort_unstable_by_key(Entry::key);
@@ -753,7 +762,7 @@ mod tests {
     }
 
     /// An arena slot holds an event and never a packet (deliveries carry
-    /// a slab slot), which keeps schedule and pop off the packet's 144
+    /// a slab slot), which keeps schedule and pop off the packet's 96
     /// bytes: raise this bound only on purpose.
     #[test]
     fn arena_slot_is_pinned() {

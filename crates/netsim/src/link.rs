@@ -36,7 +36,10 @@
 //! The link never stores a packet itself. [`Link::offer`] writes an
 //! accepted packet into the event queue's [`PacketSlab`] once, after the
 //! loss stages; the queue, the transmitter and the delivery event then
-//! carry its [`PacketSlot`].
+//! carry its [`PacketSlot`]. The queue keeps the packet's size beside the
+//! slot, taken from the packet `offer` holds by value (or from the read a
+//! router hop already makes), so neither queueing nor starting a
+//! serialization reads the slab.
 //!
 //! [`PacketSlab`]: crate::event::PacketSlab
 //! [`SimEvent::LinkTxDone`]: crate::event::SimEvent::LinkTxDone
@@ -66,11 +69,11 @@ pub enum QueueSpec {
 }
 
 impl QueueSpec {
-    fn build(&self) -> Box<dyn Queue> {
+    fn build(&self) -> Queue {
         match self {
-            QueueSpec::DropTailPackets(n) => Box::new(DropTailQueue::with_packet_limit(*n)),
-            QueueSpec::DropTailBytes(n) => Box::new(DropTailQueue::with_byte_limit(*n)),
-            QueueSpec::Red(cfg) => Box::new(RedQueue::new(*cfg)),
+            QueueSpec::DropTailPackets(n) => Queue::DropTail(DropTailQueue::with_packet_limit(*n)),
+            QueueSpec::DropTailBytes(n) => Queue::DropTail(DropTailQueue::with_byte_limit(*n)),
+            QueueSpec::Red(cfg) => Queue::Red(RedQueue::new(*cfg)),
         }
     }
 }
@@ -133,7 +136,7 @@ pub struct Link {
     pub to: NodeId,
     rate: Rate,
     delay: Duration,
-    queue: Box<dyn Queue>,
+    queue: Queue,
     loss_rate: f64,
     faults: LinkFaults,
     /// Gilbert–Elliott chain state: currently in the bad (burst) state.
@@ -240,22 +243,25 @@ impl Link {
     #[inline]
     pub fn offer(&mut self, pkt: Packet, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
         if self.survives_loss(rng) {
+            let size = pkt.size;
             let slot = evq.packets_mut().insert(pkt);
-            self.enqueue(slot, now, rng, evq);
+            self.enqueue(slot, size, now, rng, evq);
         }
     }
 
     /// [`Link::offer`] of a packet already in the slab (one a router
-    /// forwards); a lost packet's slot is freed.
+    /// forwards), `size` bytes on the wire; a lost packet's slot is
+    /// freed.
     pub(crate) fn forward(
         &mut self,
         slot: PacketSlot,
+        size: usize,
         now: Time,
         rng: &mut DetRng,
         evq: &mut EventQueue,
     ) {
         if self.survives_loss(rng) {
-            self.enqueue(slot, now, rng, evq);
+            self.enqueue(slot, size, now, rng, evq);
         } else {
             evq.packets_mut().free(slot);
         }
@@ -293,10 +299,18 @@ impl Link {
         true
     }
 
-    /// Queues the packet in `slot` (freeing the slot if the queue drops
-    /// it) and starts or schedules the transmitter.
-    fn enqueue(&mut self, slot: PacketSlot, now: Time, rng: &mut DetRng, evq: &mut EventQueue) {
-        match self.queue.enqueue(slot, evq.packets_mut(), now, rng) {
+    /// Queues the packet in `slot`, `size` bytes on the wire (freeing the
+    /// slot if the queue drops it), and starts or schedules the
+    /// transmitter.
+    fn enqueue(
+        &mut self,
+        slot: PacketSlot,
+        size: usize,
+        now: Time,
+        rng: &mut DetRng,
+        evq: &mut EventQueue,
+    ) {
+        match self.queue.enqueue(slot, size, evq.packets_mut(), now, rng) {
             EnqueueOutcome::Enqueued => {
                 self.stats.enqueued += 1;
             }
@@ -377,8 +391,7 @@ impl Link {
             }
             return;
         }
-        if let Some(slot) = self.queue.dequeue(evq.packets(), now) {
-            let size = evq.packets()[slot].size;
+        if let Some((slot, size)) = self.queue.dequeue(now) {
             let done_at = now + self.rate.transmit_time(size);
             let seq = evq.reserve_seq();
             let held = if self.holds_packet {

@@ -220,7 +220,7 @@ mod tests {
     /// (`event::tests::arena_slot_is_pinned`).
     #[test]
     fn packet_size_is_pinned() {
-        assert!(size_of::<Packet>() <= 144, "{} B", size_of::<Packet>());
+        assert!(size_of::<Packet>() <= 96, "{} B", size_of::<Packet>());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! active-queue-management discipline — we provide classic RED with the
 //! gentle marking variant.
 //!
-//! A queue holds [`PacketSlot`]s, not packets: the packets stay in the
-//! event queue's [`PacketSlab`], which a discipline reads for sizes and
-//! writes for ECN marks.
+//! A queue holds each packet's [`PacketSlot`] and wire size, not the
+//! packet: the packets stay in the event queue's [`PacketSlab`], which
+//! RED reads and writes only to set an ECN mark. [`Queue`] is the closed
+//! set of disciplines a link can hold.
 
 use std::collections::VecDeque;
 
@@ -35,29 +36,94 @@ impl EnqueueOutcome {
     }
 }
 
-/// A link buffer discipline.
-pub trait Queue: Send {
-    /// Offers the packet in `slot` of `pkts` to the queue.
-    fn enqueue(
+/// A link buffer: one of the disciplines below.
+pub enum Queue {
+    /// A drop-tail FIFO.
+    DropTail(DropTailQueue),
+    /// Random Early Detection.
+    Red(RedQueue),
+}
+
+impl Queue {
+    /// Offers the packet in `slot` of `pkts`, `size` bytes on the wire.
+    #[inline]
+    pub fn enqueue(
         &mut self,
         slot: PacketSlot,
+        size: usize,
         pkts: &mut PacketSlab,
         now: Time,
         rng: &mut DetRng,
-    ) -> EnqueueOutcome;
+    ) -> EnqueueOutcome {
+        match self {
+            Queue::DropTail(q) => q.enqueue(slot, size),
+            Queue::Red(q) => q.enqueue(slot, size, pkts, now, rng),
+        }
+    }
 
-    /// Removes the next packet to transmit.
-    fn dequeue(&mut self, pkts: &PacketSlab, now: Time) -> Option<PacketSlot>;
+    /// Removes the next packet to transmit: its slot and its size.
+    #[inline]
+    pub fn dequeue(&mut self, now: Time) -> Option<(PacketSlot, usize)> {
+        match self {
+            Queue::DropTail(q) => q.dequeue(),
+            Queue::Red(q) => q.dequeue(now),
+        }
+    }
+
+    fn fifo(&self) -> &Fifo {
+        match self {
+            Queue::DropTail(q) => &q.fifo,
+            Queue::Red(q) => &q.fifo,
+        }
+    }
 
     /// Current occupancy in bytes.
-    fn len_bytes(&self) -> usize;
+    pub fn len_bytes(&self) -> usize {
+        self.fifo().bytes
+    }
 
     /// Current occupancy in packets.
-    fn len_packets(&self) -> usize;
+    pub fn len_packets(&self) -> usize {
+        self.fifo().entries.len()
+    }
 
     /// Returns true if no packets are queued.
-    fn is_empty(&self) -> bool {
-        self.len_packets() == 0
+    pub fn is_empty(&self) -> bool {
+        self.fifo().entries.is_empty()
+    }
+}
+
+/// One queued packet: its slot and its wire size, so that neither the
+/// queue's byte count nor a transmitter starting on it reads the slab.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    slot: PacketSlot,
+    size: u32,
+}
+
+/// The FIFO both disciplines keep, with its byte count.
+#[derive(Default)]
+struct Fifo {
+    entries: VecDeque<Entry>,
+    bytes: usize,
+}
+
+impl Fifo {
+    #[inline]
+    fn push(&mut self, slot: PacketSlot, size: usize) {
+        debug_assert!(u32::try_from(size).is_ok(), "a {size} B packet");
+        self.bytes += size;
+        self.entries.push_back(Entry {
+            slot,
+            size: size as u32,
+        });
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(PacketSlot, usize)> {
+        let Entry { slot, size } = self.entries.pop_front()?;
+        self.bytes -= size as usize;
+        Some((slot, size as usize))
     }
 }
 
@@ -71,21 +137,22 @@ pub trait Queue: Send {
 /// use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 /// use cm_util::{DetRng, Time};
 ///
-/// let mut q = DropTailQueue::with_packet_limit(2);
+/// let mut q = Queue::DropTail(DropTailQueue::with_packet_limit(2));
 /// let mut pkts = PacketSlab::new();
 /// let mut rng = DetRng::seed(0);
 /// let mk = || Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, 100, Payload::empty());
 /// for _ in 0..2 {
 ///     let slot = pkts.insert(mk());
-///     assert!(q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
+///     assert!(q.enqueue(slot, 100, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
 /// }
 /// // Third packet exceeds the two-packet limit and is dropped.
 /// let slot = pkts.insert(mk());
-/// assert!(!q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
+/// assert!(!q.enqueue(slot, 100, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
+/// // Packets leave in arrival order, with the size they were offered at.
+/// assert!(matches!(q.dequeue(Time::ZERO), Some((_, 100))));
 /// ```
 pub struct DropTailQueue {
-    fifo: VecDeque<PacketSlot>,
-    bytes: usize,
+    fifo: Fifo,
     max_bytes: usize,
     max_packets: usize,
 }
@@ -94,8 +161,7 @@ impl DropTailQueue {
     /// A queue bounded by total bytes.
     pub fn with_byte_limit(max_bytes: usize) -> Self {
         DropTailQueue {
-            fifo: VecDeque::new(),
-            bytes: 0,
+            fifo: Fifo::default(),
             max_bytes,
             max_packets: usize::MAX,
         }
@@ -105,43 +171,25 @@ impl DropTailQueue {
     /// Dummynet's default queue is 50 slots).
     pub fn with_packet_limit(max_packets: usize) -> Self {
         DropTailQueue {
-            fifo: VecDeque::new(),
-            bytes: 0,
+            fifo: Fifo::default(),
             max_bytes: usize::MAX,
             max_packets,
         }
     }
-}
 
-impl Queue for DropTailQueue {
-    fn enqueue(
-        &mut self,
-        slot: PacketSlot,
-        pkts: &mut PacketSlab,
-        _now: Time,
-        _rng: &mut DetRng,
-    ) -> EnqueueOutcome {
-        let size = pkts[slot].size;
-        if self.fifo.len() + 1 > self.max_packets || self.bytes + size > self.max_bytes {
+    #[inline]
+    fn enqueue(&mut self, slot: PacketSlot, size: usize) -> EnqueueOutcome {
+        if self.fifo.entries.len() + 1 > self.max_packets || self.fifo.bytes + size > self.max_bytes
+        {
             return EnqueueOutcome::Dropped;
         }
-        self.bytes += size;
-        self.fifo.push_back(slot);
+        self.fifo.push(slot, size);
         EnqueueOutcome::Enqueued
     }
 
-    fn dequeue(&mut self, pkts: &PacketSlab, _now: Time) -> Option<PacketSlot> {
-        let slot = self.fifo.pop_front()?;
-        self.bytes -= pkts[slot].size;
-        Some(slot)
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len_packets(&self) -> usize {
-        self.fifo.len()
+    #[inline]
+    fn dequeue(&mut self) -> Option<(PacketSlot, usize)> {
+        self.fifo.pop()
     }
 }
 
@@ -184,8 +232,7 @@ impl Default for RedConfig {
 /// probability correction), and forced mark/drop (above `max_th`).
 pub struct RedQueue {
     cfg: RedConfig,
-    fifo: VecDeque<PacketSlot>,
-    bytes: usize,
+    fifo: Fifo,
     avg: f64,
     /// Packets since the last mark/drop, for the uniformization correction.
     count: i64,
@@ -202,8 +249,7 @@ impl RedQueue {
     pub fn new(cfg: RedConfig) -> Self {
         RedQueue {
             cfg,
-            fifo: VecDeque::new(),
-            bytes: 0,
+            fifo: Fifo::default(),
             avg: 0.0,
             count: -1,
             idle_since: Some(Time::ZERO),
@@ -223,7 +269,7 @@ impl RedQueue {
             self.avg *= (1.0 - self.cfg.weight).powf(m.max(0.0));
             self.idle_since = None;
         }
-        self.avg += self.cfg.weight * (self.fifo.len() as f64 - self.avg);
+        self.avg += self.cfg.weight * (self.fifo.entries.len() as f64 - self.avg);
     }
 
     /// The current mark probability given the average, before the count
@@ -240,15 +286,18 @@ impl RedQueue {
     }
 }
 
-impl Queue for RedQueue {
+impl RedQueue {
+    /// Reads the slab only to mark a packet it decided to mark.
+    #[inline]
     fn enqueue(
         &mut self,
         slot: PacketSlot,
+        size: usize,
         pkts: &mut PacketSlab,
         now: Time,
         rng: &mut DetRng,
     ) -> EnqueueOutcome {
-        if self.fifo.len() >= self.cfg.capacity {
+        if self.fifo.entries.len() >= self.cfg.capacity {
             self.count = 0;
             return EnqueueOutcome::Dropped;
         }
@@ -275,36 +324,26 @@ impl Queue for RedQueue {
                 }
             }
         };
-        let pkt = &mut pkts[slot];
         if decision {
+            let pkt = &mut pkts[slot];
             if self.cfg.ecn && pkt.ecn.is_capable() {
                 pkt.ecn = Ecn::Ce;
-                self.bytes += pkt.size;
-                self.fifo.push_back(slot);
+                self.fifo.push(slot, size);
                 return EnqueueOutcome::EnqueuedMarked;
             }
             return EnqueueOutcome::Dropped;
         }
-        self.bytes += pkt.size;
-        self.fifo.push_back(slot);
+        self.fifo.push(slot, size);
         EnqueueOutcome::Enqueued
     }
 
-    fn dequeue(&mut self, pkts: &PacketSlab, now: Time) -> Option<PacketSlot> {
-        let slot = self.fifo.pop_front()?;
-        self.bytes -= pkts[slot].size;
-        if self.fifo.is_empty() {
+    #[inline]
+    fn dequeue(&mut self, now: Time) -> Option<(PacketSlot, usize)> {
+        let popped = self.fifo.pop()?;
+        if self.fifo.entries.is_empty() {
             self.idle_since = Some(now);
         }
-        Some(slot)
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len_packets(&self) -> usize {
-        self.fifo.len()
+        Some(popped)
     }
 }
 
@@ -314,14 +353,14 @@ mod tests {
     use crate::packet::{Addr, Packet, Payload, Protocol};
 
     /// A queue under test and the slab its packets live in.
-    struct Bench<Q> {
-        q: Q,
+    struct Bench {
+        q: Queue,
         pkts: PacketSlab,
         rng: DetRng,
     }
 
-    impl<Q: Queue> Bench<Q> {
-        fn new(q: Q, seed: u64) -> Self {
+    impl Bench {
+        fn new(q: Queue, seed: u64) -> Self {
             Bench {
                 q,
                 pkts: PacketSlab::new(),
@@ -331,8 +370,11 @@ mod tests {
 
         /// Offers a packet at `now`, freeing its slot if it is dropped.
         fn offer_at(&mut self, pkt: Packet, now: Time) -> EnqueueOutcome {
+            let size = pkt.size;
             let slot = self.pkts.insert(pkt);
-            let outcome = self.q.enqueue(slot, &mut self.pkts, now, &mut self.rng);
+            let outcome = self
+                .q
+                .enqueue(slot, size, &mut self.pkts, now, &mut self.rng);
             if !outcome.is_enqueued() {
                 self.pkts.free(slot);
             }
@@ -345,8 +387,10 @@ mod tests {
 
         /// Dequeues at `now`, taking the packet out of the slab.
         fn take_at(&mut self, now: Time) -> Option<Packet> {
-            let slot = self.q.dequeue(&self.pkts, now)?;
-            Some(self.pkts.remove(slot))
+            let (slot, size) = self.q.dequeue(now)?;
+            let pkt = self.pkts.remove(slot);
+            assert_eq!(size, pkt.size, "a queue entry's size is its packet's");
+            Some(pkt)
         }
 
         fn take(&mut self) -> Option<Packet> {
@@ -370,9 +414,15 @@ mod tests {
         pkt(size).with_ecn(Ecn::Ect)
     }
 
+    /// A queued packet costs its queue 8 bytes: a slot and a size.
+    #[test]
+    fn queue_entry_is_pinned() {
+        assert_eq!(size_of::<Entry>(), 8);
+    }
+
     #[test]
     fn droptail_fifo_order() {
-        let mut b = Bench::new(DropTailQueue::with_packet_limit(10), 0);
+        let mut b = Bench::new(Queue::DropTail(DropTailQueue::with_packet_limit(10)), 0);
         for i in 0..3 {
             let mut p = pkt(100);
             p.id = i;
@@ -389,7 +439,7 @@ mod tests {
 
     #[test]
     fn droptail_byte_limit() {
-        let mut b = Bench::new(DropTailQueue::with_byte_limit(250), 0);
+        let mut b = Bench::new(Queue::DropTail(DropTailQueue::with_byte_limit(250)), 0);
         assert!(b.offer(pkt(100)).is_enqueued());
         assert!(b.offer(pkt(100)).is_enqueued());
         // 100 more bytes would exceed 250.
@@ -402,7 +452,7 @@ mod tests {
 
     #[test]
     fn red_accepts_below_min_th() {
-        let mut b = Bench::new(RedQueue::new(RedConfig::default()), 1);
+        let mut b = Bench::new(Queue::Red(RedQueue::new(RedConfig::default())), 1);
         // With an empty queue the average stays near zero: all accepted.
         for _ in 0..100 {
             assert!(b.offer(pkt(1500)).is_enqueued());
@@ -416,7 +466,7 @@ mod tests {
             capacity: 5,
             ..Default::default()
         };
-        let mut b = Bench::new(RedQueue::new(cfg), 2);
+        let mut b = Bench::new(Queue::Red(RedQueue::new(cfg)), 2);
         for _ in 0..5 {
             let _ = b.offer(pkt(100));
         }
@@ -433,7 +483,7 @@ mod tests {
             capacity: 100,
             ..Default::default()
         };
-        let mut b = Bench::new(RedQueue::new(cfg), 3);
+        let mut b = Bench::new(Queue::Red(RedQueue::new(cfg)), 3);
         // First packet raises avg to 1 > max_th after one resident packet.
         assert!(b.offer(ect_pkt(100)).is_enqueued());
         let outcome = b.offer(ect_pkt(100));
@@ -458,7 +508,7 @@ mod tests {
             capacity: 1_000,
             ecn: false,
         };
-        let mut b = Bench::new(RedQueue::new(cfg), 4);
+        let mut b = Bench::new(Queue::Red(RedQueue::new(cfg)), 4);
         // Keep ~30 packets resident: avg ~30, pb ~0.146.
         let mut drops = 0;
         let mut total = 0;
@@ -483,15 +533,19 @@ mod tests {
             weight: 0.5,
             ..Default::default()
         };
-        let mut b = Bench::new(RedQueue::new(cfg), 5);
+        let mut b = Bench::new(Queue::Red(RedQueue::new(cfg)), 5);
         for _ in 0..20 {
             let _ = b.offer(pkt(100));
         }
-        let avg_loaded = b.q.avg();
+        let red = |b: &Bench| match &b.q {
+            Queue::Red(q) => q.avg(),
+            Queue::DropTail(_) => unreachable!(),
+        };
+        let avg_loaded = red(&b);
         assert!(avg_loaded > 1.0);
         while b.take_at(Time::from_millis(1)).is_some() {}
         // After a long idle period the average collapses.
         let _ = b.offer_at(pkt(100), Time::from_secs(10));
-        assert!(b.q.avg() < 1.0, "avg {} after idle", b.q.avg());
+        assert!(red(&b) < 1.0, "avg {} after idle", red(&b));
     }
 }

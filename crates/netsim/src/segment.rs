@@ -5,10 +5,13 @@
 //! carries ([`Payload`](crate::packet::Payload) is a closed enum over
 //! them); the protocols that read and write them live in `cm-transport`.
 //! Segments carry byte *counts*, not byte contents: a simulated gigabyte
-//! transfer needs no gigabyte of memory. Stream positions are absolute
-//! `u64` offsets: a production TCP needs 32-bit wrapping sequence
-//! arithmetic, but a simulator gains nothing from exercising wraparound
-//! on every comparison, so offsets here are monotone.
+//! transfer needs no gigabyte of memory.
+//!
+//! Header fields have their wire widths (RFC 793, RFC 2018): a
+//! [`TcpSegment`] carries the low 32 bits of its stream offsets, and a
+//! receiver recovers the full offset with [`unwrap_seq`] against a 64-bit
+//! position of its own. TCP's state stays 64-bit; only the header
+//! narrows, which keeps a packet in flight small enough to copy inline.
 
 use cm_util::Time;
 
@@ -29,34 +32,62 @@ pub struct TcpFlags {
 /// timestamps).
 pub const MAX_SACK_BLOCKS: usize = 3;
 
+/// The low 32 bits of stream offset `pos`: what a header carries.
+#[inline]
+pub fn wrap_seq(pos: u64) -> u32 {
+    pos as u32
+}
+
+/// The stream offset whose low 32 bits are `wire` and which lies nearest
+/// to `near`, a 64-bit offset the receiver already knows (its `rcv_nxt`
+/// for a sequence number, its `snd_una` for an acknowledgement or a SACK
+/// edge). Exact while the true offset is less than 2^31 from `near`.
+#[inline]
+pub fn unwrap_seq(wire: u32, near: u64) -> u64 {
+    let delta = wire.wrapping_sub(near as u32) as i32;
+    near.wrapping_add(delta as i64 as u64)
+}
+
 /// A TCP segment, attached to a simulated packet as its payload.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpSegment {
-    /// First stream offset carried (SYN occupies offset 0; data starts
-    /// at 1).
-    pub seq: u64,
+    /// First stream offset carried, modulo 2^32 (SYN occupies offset 0;
+    /// data starts at 1).
+    pub seq: u32,
     /// Payload length in bytes (zero for pure ACKs and SYN/FIN).
     pub len: u32,
-    /// Cumulative acknowledgement: the next offset expected.
-    pub ack: u64,
+    /// Cumulative acknowledgement, modulo 2^32: the next offset expected.
+    pub ack: u32,
     /// Header flags.
     pub flags: TcpFlags,
     /// Receiver's advertised window, in bytes.
-    pub wnd: u64,
+    pub wnd: u32,
     /// Timestamp at transmission (RFC 1323 TSval), for RTT sampling.
     pub ts: Time,
-    /// Echoed timestamp (RFC 1323 TSecr), `None` when nothing to echo.
-    pub ts_ecr: Option<Time>,
+    /// Echoed timestamp (RFC 1323 TSecr), [`TcpSegment::NO_ECHO`] when
+    /// there is nothing to echo; read it through [`TcpSegment::echo`].
+    pub ts_ecr: Time,
     /// SACK blocks (RFC 2018): `[start, end)` ranges the receiver holds
-    /// above the cumulative ACK. Only the first `sack_count` are valid.
-    pub sack: [(u64, u64); MAX_SACK_BLOCKS],
+    /// above the cumulative ACK, modulo 2^32. Only the first
+    /// `sack_count` are valid.
+    pub sack: [(u32, u32); MAX_SACK_BLOCKS],
     /// Number of valid SACK blocks.
     pub sack_count: u8,
 }
 
 impl TcpSegment {
+    /// The `ts_ecr` of a segment that echoes nothing: no simulated clock
+    /// reaches it.
+    pub const NO_ECHO: Time = Time::MAX;
+
+    /// The echoed timestamp, if any.
+    #[inline]
+    pub fn echo(&self) -> Option<Time> {
+        (self.ts_ecr != Self::NO_ECHO).then_some(self.ts_ecr)
+    }
+
     /// The valid SACK blocks.
-    pub fn sack_blocks(&self) -> &[(u64, u64)] {
+    pub fn sack_blocks(&self) -> &[(u32, u32)] {
         &self.sack[..self.sack_count as usize]
     }
 
@@ -64,11 +95,6 @@ impl TcpSegment {
     /// one offset).
     pub fn seq_space(&self) -> u64 {
         self.len as u64 + self.flags.syn as u64 + self.flags.fin as u64
-    }
-
-    /// The offset one past this segment's occupancy.
-    pub fn seq_end(&self) -> u64 {
-        self.seq + self.seq_space()
     }
 
     /// True for segments carrying neither data nor SYN/FIN — pure ACKs,
@@ -85,8 +111,10 @@ pub const UDP_OVERHEAD: u64 = 28;
 /// A UDP datagram payload: an application tag plus a typed body.
 #[derive(Clone, Copy, Debug)]
 pub struct UdpDatagram {
-    /// Application-chosen sequence number / tag.
-    pub tag: u64,
+    /// Application-chosen tag; a CM feedback-protocol data packet carries
+    /// the low 32 bits of its sequence number (the full one is in its
+    /// [`DataPayload`]).
+    pub tag: u32,
     /// Payload bytes (counted, not stored).
     pub len: u32,
     /// Typed body for the CM feedback protocol, if any.
@@ -98,7 +126,7 @@ impl UdpDatagram {
     /// its sequence number.
     pub fn data(seq: u64, bytes: u32, sent_at: Time, layer: u8) -> Self {
         UdpDatagram {
-            tag: seq,
+            tag: seq as u32,
             len: bytes,
             body: UdpBody::Data(DataPayload {
                 seq,
@@ -160,7 +188,7 @@ pub struct AckPayload {
 mod tests {
     use super::*;
 
-    fn seg(seq: u64, len: u32, syn: bool, fin: bool) -> TcpSegment {
+    fn seg(seq: u32, len: u32, syn: bool, fin: bool) -> TcpSegment {
         TcpSegment {
             seq,
             len,
@@ -172,7 +200,7 @@ mod tests {
             },
             wnd: 65535,
             ts: Time::ZERO,
-            ts_ecr: None,
+            ts_ecr: TcpSegment::NO_ECHO,
             sack: [(0, 0); 3],
             sack_count: 0,
         }
@@ -183,7 +211,28 @@ mod tests {
         assert_eq!(seg(0, 0, true, false).seq_space(), 1);
         assert_eq!(seg(0, 0, false, true).seq_space(), 1);
         assert_eq!(seg(1, 1460, false, false).seq_space(), 1460);
-        assert_eq!(seg(1, 1460, false, true).seq_end(), 1462);
+        assert_eq!(seg(1, 1460, false, true).seq_space(), 1461);
+    }
+
+    #[test]
+    fn echo_reads_the_sentinel_as_none() {
+        let mut s = seg(0, 0, false, false);
+        assert_eq!(s.echo(), None);
+        s.ts_ecr = Time::ZERO;
+        assert_eq!(s.echo(), Some(Time::ZERO));
+    }
+
+    #[test]
+    fn unwrap_recovers_offsets_near_the_reference() {
+        const B: u64 = 1 << 32;
+        for near in [0, 1, B - 1, B, B + 1, 3 * B - 5, 7 * B + (1 << 31)] {
+            for d in [-(1i64 << 31) + 1, -1460, -1, 0, 1, 1460, (1 << 31) - 1] {
+                let Some(pos) = near.checked_add_signed(d) else {
+                    continue;
+                };
+                assert_eq!(unwrap_seq(wrap_seq(pos), near), pos, "near {near} d {d}");
+            }
+        }
     }
 
     #[test]

@@ -187,7 +187,8 @@ impl World {
         match self.next_hop(node, pkt.dst) {
             Some(link) => {
                 pkt.id = self.stamp();
-                self.links[link.0].forward(slot, now, &mut self.rng, evq);
+                let size = pkt.size;
+                self.links[link.0].forward(slot, size, now, &mut self.rng, evq);
             }
             None => evq.packets_mut().free(slot),
         }
@@ -525,10 +526,18 @@ impl Simulator {
             .expect("node_ref called with wrong node type")
     }
 
+    /// Runs every node's `on_start` the first time the simulation is
+    /// driven: a flag test on every step, the start itself out of line.
+    #[inline(always)]
     fn start_if_needed(&mut self) {
-        if self.started {
-            return;
+        if !self.started {
+            self.start();
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn start(&mut self) {
         self.started = true;
         for i in 0..self.nodes.len() {
             let id = NodeId(i);

@@ -95,7 +95,7 @@ proptest! {
         offers in proptest::collection::vec(1u16..2000, 1..100),
         cap in 1usize..32,
     ) {
-        let mut q = DropTailQueue::with_packet_limit(cap);
+        let mut q = Queue::DropTail(DropTailQueue::with_packet_limit(cap));
         let mut pkts = PacketSlab::new();
         let mut rng = DetRng::seed(0);
         let mut accepted = 0usize;
@@ -104,7 +104,7 @@ proptest! {
         for (i, &size) in offers.iter().enumerate() {
             let pkt = Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, size as usize, Payload::empty());
             let slot = pkts.insert(pkt);
-            match q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng) {
+            match q.enqueue(slot, usize::from(size), &mut pkts, Time::ZERO, &mut rng) {
                 EnqueueOutcome::Dropped => {
                     dropped += 1;
                     pkts.free(slot);
@@ -115,8 +115,8 @@ proptest! {
             prop_assert_eq!(pkts.len(), q.len_packets());
             // Occasionally drain one.
             if i % 3 == 0 {
-                if let Some(slot) = q.dequeue(&pkts, Time::ZERO) {
-                    pkts.remove(slot);
+                if let Some((slot, size)) = q.dequeue(Time::ZERO) {
+                    prop_assert_eq!(pkts.remove(slot).size, size);
                     drained += 1;
                 }
             }
@@ -142,7 +142,7 @@ proptest! {
             capacity: 16,
             ecn: true,
         };
-        let mut q = RedQueue::new(cfg);
+        let mut q = Queue::Red(RedQueue::new(cfg));
         let mut pkts = PacketSlab::new();
         let mut rng = DetRng::seed(seed);
         let mut dropped_ect_soft = 0;
@@ -152,7 +152,7 @@ proptest! {
                 .with_ecn(Ecn::Ect);
             let slot = pkts.insert(pkt);
             let at_capacity = q.len_packets() >= 16;
-            match q.enqueue(slot, &mut pkts, Time::ZERO, &mut rng) {
+            match q.enqueue(slot, 500, &mut pkts, Time::ZERO, &mut rng) {
                 EnqueueOutcome::Dropped => {
                     if !at_capacity {
                         dropped_ect_soft += 1;
@@ -165,12 +165,12 @@ proptest! {
             prop_assert!(q.len_packets() <= 16);
             prop_assert_eq!(pkts.len(), q.len_packets());
             if i % 4 == 0 {
-                if let Some(slot) = q.dequeue(&pkts, Time::ZERO) {
+                if let Some((slot, _)) = q.dequeue(Time::ZERO) {
                     ce_seen += usize::from(pkts.remove(slot).ecn == Ecn::Ce);
                 }
             }
         }
-        while let Some(slot) = q.dequeue(&pkts, Time::ZERO) {
+        while let Some((slot, _)) = q.dequeue(Time::ZERO) {
             ce_seen += usize::from(pkts.remove(slot).ecn == Ecn::Ce);
         }
         prop_assert_eq!(dropped_ect_soft, 0, "ECT packets must be marked, not soft-dropped");
@@ -203,6 +203,74 @@ proptest! {
             (s.ids.clone(), s.times.clone())
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Wire-width TCP headers
+// ---------------------------------------------------------------------
+
+mod header_unwrap {
+    use cm_netsim::segment::{unwrap_seq, wrap_seq, TcpFlags, TcpSegment, MAX_SACK_BLOCKS};
+    use cm_util::Time;
+    use proptest::prelude::*;
+
+    /// Largest distance from the receiver's reference at which a 32-bit
+    /// field still unwraps exactly.
+    const REACH: u64 = (1 << 31) - 1;
+
+    /// A 64-bit reference `off` bytes below (`below`) or above the
+    /// `wraps`-th multiple of 2^32, and a stream offset `d` into the
+    /// window of `2 * REACH + 1` offsets centred on it.
+    fn around(wraps: u64, off: u64, below: bool, d: u64) -> (u64, u64) {
+        let boundary = wraps << 32;
+        let near = if below {
+            boundary - 1 - off
+        } else {
+            boundary + off
+        };
+        (near, near - REACH + d)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// A segment built from 64-bit stream offsets carries their low
+        /// 32 bits, and a receiver recovers each one exactly: the
+        /// sequence number against its `rcv_nxt`, the acknowledgement
+        /// and every SACK edge against its `snd_una`, on either side of
+        /// a 2^32 boundary, anywhere within 2^31 of the reference.
+        #[test]
+        fn header_fields_unwrap_to_their_stream_offsets(
+            rcv in (1u64..5, 0u64..1 << 20, any::<bool>(), 0u64..=2 * REACH),
+            snd in (1u64..5, 0u64..1 << 20, any::<bool>(), 0u64..=2 * REACH),
+            edges in proptest::collection::vec(0u64..=2 * REACH, 2 * MAX_SACK_BLOCKS..2 * MAX_SACK_BLOCKS + 1),
+        ) {
+            let (rcv_nxt, seq) = around(rcv.0, rcv.1, rcv.2, rcv.3);
+            let (snd_una, ack) = around(snd.0, snd.1, snd.2, snd.3);
+            let edges: Vec<u64> = edges.iter().map(|&d| snd_una - REACH + d).collect();
+            let mut sack = [(0, 0); MAX_SACK_BLOCKS];
+            for (block, pair) in sack.iter_mut().zip(edges.chunks(2)) {
+                *block = (wrap_seq(pair[0]), wrap_seq(pair[1]));
+            }
+            let seg = TcpSegment {
+                seq: wrap_seq(seq),
+                len: 1460,
+                ack: wrap_seq(ack),
+                flags: TcpFlags { ack: true, ..Default::default() },
+                wnd: 1 << 16,
+                ts: Time::ZERO,
+                ts_ecr: TcpSegment::NO_ECHO,
+                sack,
+                sack_count: MAX_SACK_BLOCKS as u8,
+            };
+            prop_assert_eq!(unwrap_seq(seg.seq, rcv_nxt), seq);
+            prop_assert_eq!(unwrap_seq(seg.ack, snd_una), ack);
+            for (&(start, end), pair) in seg.sack_blocks().iter().zip(edges.chunks(2)) {
+                prop_assert_eq!(unwrap_seq(start, snd_una), pair[0]);
+                prop_assert_eq!(unwrap_seq(end, snd_una), pair[1]);
+            }
+        }
     }
 }
 
@@ -305,10 +373,11 @@ mod reference {
 
 mod event_queue_differential {
     use super::reference::HeapEventQueue;
-    use cm_netsim::event::{EventQueue, SimEvent};
+    use cm_netsim::event::{EventQueue, SimEvent, SLOT_NANOS, WHEEL_SLOTS};
     use cm_netsim::sim::NodeId;
     use cm_util::Time;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn timer(token: u64) -> SimEvent {
         SimEvent::Timer {
@@ -326,6 +395,113 @@ mod event_queue_differential {
         }
     }
 
+    /// Drives the wheel and the reference heap with one script of
+    /// `(kind, d)` ops from instant `start`: kinds 0-2 schedule at
+    /// `now + delta(kind, d)`, 5 reserves a number, 6 schedules under a
+    /// reserved number at `now + delta(d % 3, d)`, and 3-4 pop from both,
+    /// comparing `(time, token)`, length and next time. The two drain to
+    /// identical ends.
+    fn differential(
+        ops: &[(u8, u64)],
+        start: u64,
+        delta: impl Fn(u64, u64) -> u64,
+    ) -> Result<(), TestCaseError> {
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        let mut now = start;
+        let mut next_token = 0u64;
+        let mut reserved: Vec<u64> = Vec::new();
+        for &(kind, d) in ops {
+            if kind < 3 {
+                let at = Time::from_nanos(now + delta(u64::from(kind), d));
+                wheel.schedule(at, timer(next_token));
+                heap.schedule(at, timer(next_token));
+                next_token += 1;
+            } else if kind == 5 {
+                let seq = wheel.reserve_seq();
+                prop_assert_eq!(seq, heap.reserve_seq());
+                reserved.push(seq);
+            } else if kind == 6 {
+                // Use one of the numbers reserved so far, at a time
+                // not before the last pop (d == 0: exactly then).
+                if reserved.is_empty() {
+                    continue;
+                }
+                let seq = reserved.swap_remove(d as usize % reserved.len());
+                let at = Time::from_nanos(now + delta(d % 3, d));
+                wheel.schedule_reserved(at, seq, timer(next_token));
+                heap.schedule_reserved(at, seq, timer(next_token));
+                next_token += 1;
+            } else {
+                let a = wheel.pop();
+                let b = heap.pop();
+                match (&a, &b) {
+                    (None, None) => {}
+                    (Some((ta, ea)), Some((tb, eb))) => {
+                        prop_assert_eq!(ta, tb, "pop times diverge");
+                        prop_assert_eq!(token_of(ea), token_of(eb), "pop order diverges");
+                    }
+                    _ => prop_assert!(false, "one queue empty, the other not"),
+                }
+                if let Some((t, _)) = a {
+                    now = t.as_nanos();
+                }
+                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            }
+        }
+        // Drain both to the end: the full remaining streams match.
+        loop {
+            let a = wheel.pop();
+            let b = heap.pop();
+            match (&a, &b) {
+                (None, None) => break,
+                (Some((ta, ea)), Some((tb, eb))) => {
+                    prop_assert_eq!(ta, tb, "drain times diverge");
+                    prop_assert_eq!(token_of(ea), token_of(eb), "drain order diverges");
+                }
+                _ => prop_assert!(false, "queues drained to different lengths"),
+            }
+        }
+        prop_assert!(wheel.is_empty() && heap.is_empty());
+        Ok(())
+    }
+
+    /// Simulator contract: schedules are at now + delta. The scale
+    /// selects sub-slot (ns), in-wheel (us) or beyond the horizon (ms..s)
+    /// deltas.
+    fn mixed_delta(scale: u64, d: u64) -> u64 {
+        match scale {
+            0 => d,               // within one slot
+            1 => d * 10_000,      // across wheel slots
+            _ => d * 200_000_000, // far: overflow heap
+        }
+    }
+
+    /// Deltas in whole slots plus a sub-slot remainder: within the
+    /// gathered window and just past it, or anywhere from the wheel's
+    /// middle to twice its horizon.
+    fn slot_delta(scale: u64, d: u64) -> u64 {
+        match scale {
+            0 => d,
+            1 => (d % 48) * SLOT_NANOS + d,
+            _ => (256 + d) * SLOT_NANOS + d,
+        }
+    }
+
+    /// A start instant a few slots short of a bitmap word's end: `word`
+    /// 0-6 puts the first gathered window across a word boundary, 7
+    /// across the ring's end (slot 511 to slot 0), `turn` picks the wheel
+    /// rotation.
+    fn boundary_start(turn: u64, word: u64, back: u64, sub: u64) -> u64 {
+        let slot = turn * WHEEL_SLOTS as u64 + word * 64 + 63 - back;
+        slot * SLOT_NANOS + sub
+    }
+
+    fn script() -> impl Strategy<Value = Vec<(u8, u64)>> {
+        proptest::collection::vec((0u8..7, 0u64..1_000), 1..500)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -338,75 +514,40 @@ mod event_queue_differential {
         /// which must pop where an event scheduled at the reservation
         /// would, even among events of the instant last popped.
         #[test]
-        fn wheel_pops_identical_to_reference_heap(
-            ops in proptest::collection::vec((0u8..7, 0u64..1_000), 1..500),
+        fn wheel_pops_identical_to_reference_heap(ops in script()) {
+            differential(&ops, 0, mixed_delta)?;
+        }
+
+        /// The same where the cursor starts just short of a bitmap
+        /// word's end or the ring's, with slot-scale deltas: the gather
+        /// after each drained slot reads its window across two words.
+        #[test]
+        fn wheel_pops_identical_across_word_and_ring_boundaries(
+            ops in script(),
+            start in (0u64..3, 0u64..8, 0u64..16, 0u64..SLOT_NANOS),
         ) {
-            let mut wheel = EventQueue::new();
-            let mut heap = HeapEventQueue::new();
-            let mut now: u64 = 0;
-            let mut next_token = 0u64;
-            let mut reserved: Vec<u64> = Vec::new();
-            // Simulator contract: schedules are at now + delta. The scale
-            // selects sub-slot (ns), in-wheel (us) or beyond the horizon
-            // (ms..s) deltas.
-            let delta = |scale: u64, d: u64| match scale {
-                0 => d,               // within one slot
-                1 => d * 10_000,      // across wheel slots
-                _ => d * 200_000_000, // far: overflow heap
-            };
-            for (kind, d) in ops {
-                if kind < 3 {
-                    let at = Time::from_nanos(now + delta(u64::from(kind), d));
-                    wheel.schedule(at, timer(next_token));
-                    heap.schedule(at, timer(next_token));
-                    next_token += 1;
-                } else if kind == 5 {
-                    let seq = wheel.reserve_seq();
-                    prop_assert_eq!(seq, heap.reserve_seq());
-                    reserved.push(seq);
-                } else if kind == 6 {
-                    // Use one of the numbers reserved so far, at a time
-                    // not before the last pop (d == 0: exactly then).
-                    if reserved.is_empty() {
-                        continue;
-                    }
-                    let seq = reserved.swap_remove(d as usize % reserved.len());
-                    let at = Time::from_nanos(now + delta(d % 3, d));
-                    wheel.schedule_reserved(at, seq, timer(next_token));
-                    heap.schedule_reserved(at, seq, timer(next_token));
-                    next_token += 1;
-                } else {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    match (&a, &b) {
-                        (None, None) => {}
-                        (Some((ta, ea)), Some((tb, eb))) => {
-                            prop_assert_eq!(ta, tb, "pop times diverge");
-                            prop_assert_eq!(token_of(ea), token_of(eb), "pop order diverges");
-                        }
-                        _ => prop_assert!(false, "one queue empty, the other not"),
-                    }
-                    if let Some((t, _)) = a {
-                        now = t.as_nanos();
-                    }
-                    prop_assert_eq!(wheel.len(), heap.len());
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                }
+            let (turn, word, back, sub) = start;
+            differential(&ops, boundary_start(turn, word, back, sub), slot_delta)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The long run of both wheel properties (CI: `-- --ignored`).
+        #[test]
+        #[ignore = "20,000 cases; CI runs it in release"]
+        fn wheel_pops_identical_to_reference_heap_20k(
+            ops in script(),
+            boundary in 0u8..2,
+            start in (0u64..3, 0u64..8, 0u64..16, 0u64..SLOT_NANOS),
+        ) {
+            if boundary == 1 {
+                let (turn, word, back, sub) = start;
+                differential(&ops, boundary_start(turn, word, back, sub), slot_delta)?;
+            } else {
+                differential(&ops, 0, mixed_delta)?;
             }
-            // Drain both to the end: the full remaining streams match.
-            loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                match (&a, &b) {
-                    (None, None) => break,
-                    (Some((ta, ea)), Some((tb, eb))) => {
-                        prop_assert_eq!(ta, tb, "drain times diverge");
-                        prop_assert_eq!(token_of(ea), token_of(eb), "drain order diverges");
-                    }
-                    _ => prop_assert!(false, "queues drained to different lengths"),
-                }
-            }
-            prop_assert!(wheel.is_empty() && heap.is_empty());
         }
     }
 }
@@ -424,11 +565,13 @@ mod event_queue_differential {
 /// side is a whole `Simulator` (whose routers forward packets in place)
 /// and the reference models the router the way `RouterNode` states it.
 mod link_differential {
+    use std::collections::VecDeque;
+
     use cm_netsim::event::{EventQueue, PacketSlab, PacketSlot, SimEvent};
     use cm_netsim::fault::LinkFaults;
     use cm_netsim::link::{Link, LinkId, LinkSpec, QueueSpec};
     use cm_netsim::packet::{Addr, Ecn, Packet, Payload, Protocol};
-    use cm_netsim::queue::{DropTailQueue, EnqueueOutcome, Queue, RedConfig, RedQueue};
+    use cm_netsim::queue::{EnqueueOutcome, RedConfig};
     use cm_netsim::schedule::BandwidthSchedule;
     use cm_netsim::sim::{Node, NodeCtx, NodeId, RouterNode, Simulator};
     use cm_netsim::trace::LinkStats;
@@ -436,11 +579,151 @@ mod link_differential {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
+    /// The reference link's buffer, modelled here rather than built from
+    /// `cm_netsim::queue`, so that the real queues are checked against a
+    /// model and not against themselves: a FIFO of bare slots that reads
+    /// every size from the reference's own slab, under drop-tail (by
+    /// packets or by bytes) or RED with ECN marking.
+    struct SlotFifo {
+        rule: Rule,
+        fifo: VecDeque<PacketSlot>,
+        bytes: usize,
+    }
+
+    enum Rule {
+        DropTail {
+            max_packets: usize,
+            max_bytes: usize,
+        },
+        /// Floyd/Jacobson RED: an EWMA of the occupancy (decayed over idle
+        /// time as if 1500 B packets had drained at 10 Mbps), a mark
+        /// probability rising from `min_th` to `max_th` with the
+        /// count-based correction, forced marks above `max_th`.
+        Red {
+            cfg: RedConfig,
+            avg: f64,
+            count: i64,
+            idle_since: Option<Time>,
+        },
+    }
+
+    impl SlotFifo {
+        fn new(spec: &QueueSpec) -> Self {
+            let rule = match *spec {
+                QueueSpec::DropTailPackets(n) => Rule::DropTail {
+                    max_packets: n,
+                    max_bytes: usize::MAX,
+                },
+                QueueSpec::DropTailBytes(n) => Rule::DropTail {
+                    max_packets: usize::MAX,
+                    max_bytes: n,
+                },
+                QueueSpec::Red(cfg) => Rule::Red {
+                    cfg,
+                    avg: 0.0,
+                    count: -1,
+                    idle_since: Some(Time::ZERO),
+                },
+            };
+            SlotFifo {
+                rule,
+                fifo: VecDeque::new(),
+                bytes: 0,
+            }
+        }
+
+        fn enqueue(
+            &mut self,
+            slot: PacketSlot,
+            pkts: &mut PacketSlab,
+            now: Time,
+            rng: &mut DetRng,
+        ) -> EnqueueOutcome {
+            let len = self.fifo.len();
+            let size = pkts[slot].size;
+            let mut outcome = EnqueueOutcome::Enqueued;
+            match &mut self.rule {
+                Rule::DropTail {
+                    max_packets,
+                    max_bytes,
+                } => {
+                    if len + 1 > *max_packets || self.bytes + size > *max_bytes {
+                        return EnqueueOutcome::Dropped;
+                    }
+                }
+                Rule::Red {
+                    cfg,
+                    avg,
+                    count,
+                    idle_since,
+                } => {
+                    if len >= cfg.capacity {
+                        *count = 0;
+                        return EnqueueOutcome::Dropped;
+                    }
+                    if let Some(idle_start) = idle_since.take() {
+                        let idle = now.since(idle_start).as_secs_f64();
+                        let m = (idle / (1500.0 * 8.0 / 10e6)).floor();
+                        *avg *= (1.0 - cfg.weight).powf(m.max(0.0));
+                    }
+                    *avg += cfg.weight * (len as f64 - *avg);
+                    let p = if *avg < cfg.min_th {
+                        None
+                    } else if *avg >= cfg.max_th {
+                        Some(1.0)
+                    } else {
+                        Some(cfg.max_p * ((*avg - cfg.min_th) / (cfg.max_th - cfg.min_th)))
+                    };
+                    let hit = match p {
+                        None => {
+                            *count = -1;
+                            false
+                        }
+                        Some(p) if p >= 1.0 => {
+                            *count = 0;
+                            true
+                        }
+                        Some(pb) => {
+                            *count += 1;
+                            let denom = 1.0 - *count as f64 * pb;
+                            let hit = rng.chance(if denom <= 0.0 { 1.0 } else { pb / denom });
+                            if hit {
+                                *count = 0;
+                            }
+                            hit
+                        }
+                    };
+                    if hit {
+                        if !(cfg.ecn && pkts[slot].ecn.is_capable()) {
+                            return EnqueueOutcome::Dropped;
+                        }
+                        pkts[slot].ecn = Ecn::Ce;
+                        outcome = EnqueueOutcome::EnqueuedMarked;
+                    }
+                }
+            }
+            self.bytes += size;
+            self.fifo.push_back(slot);
+            outcome
+        }
+
+        fn dequeue(&mut self, pkts: &PacketSlab, now: Time) -> Option<PacketSlot> {
+            let slot = self.fifo.pop_front()?;
+            self.bytes -= pkts[slot].size;
+            if let Rule::Red { idle_since, .. } = &mut self.rule {
+                if self.fifo.is_empty() {
+                    *idle_since = Some(now);
+                }
+            }
+            Some(slot)
+        }
+    }
+
     struct EagerLink {
         id: LinkId,
         rate: Rate,
         delay: Duration,
-        queue: Box<dyn Queue>,
+        queue: SlotFifo,
         /// The packets of `queue` and `in_flight`.
         pkts: PacketSlab,
         loss_rate: f64,
@@ -461,11 +744,7 @@ mod link_differential {
                 id,
                 rate: spec.rate,
                 delay: spec.delay,
-                queue: match &spec.queue {
-                    QueueSpec::DropTailPackets(n) => Box::new(DropTailQueue::with_packet_limit(*n)),
-                    QueueSpec::DropTailBytes(n) => Box::new(DropTailQueue::with_byte_limit(*n)),
-                    QueueSpec::Red(cfg) => Box::new(RedQueue::new(*cfg)),
-                },
+                queue: SlotFifo::new(&spec.queue),
                 pkts: PacketSlab::new(),
                 loss_rate: spec.loss_rate,
                 faults: spec.faults.clone(),
@@ -539,7 +818,7 @@ mod link_differential {
                     return;
                 }
             }
-            self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.len_packets());
+            self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.fifo.len());
             if self.in_flight.is_none() {
                 self.start_tx(now, evq);
             }
@@ -597,7 +876,7 @@ mod link_differential {
         }
 
         fn queue_len(&self) -> usize {
-            self.queue.len_packets()
+            self.queue.fifo.len()
         }
 
         fn own_packets(&self) -> usize {
@@ -904,11 +1183,12 @@ mod link_differential {
     }
 
     /// `(queue, loss_pct, delay_us, rate, seed)`: `queue` 0-1 is RED, 2-7
-    /// a drop-tail of that many packets.
+    /// a drop-tail of that many packets, 8-9 a drop-tail of 1,200 or
+    /// 4,500 bytes (the first refuses a large packet even when empty).
     type Path = (usize, u8, u32, usize, u64);
 
     fn path_strategy() -> impl Strategy<Value = Path> {
-        (0usize..8, 0u8..30, 0u32..3_000, 1usize..4, 0u64..1_000)
+        (0usize..10, 0u8..30, 0u32..3_000, 1usize..4, 0u64..1_000)
     }
 
     /// `(spike, reorder, duplicate, outages)`: each probability is the
@@ -948,6 +1228,8 @@ mod link_differential {
         let first = LinkSpec::new(RATES[rate], Duration::from_micros(u64::from(delay_us)))
             .with_queue(match queue {
                 0 | 1 => QueueSpec::Red(red),
+                8 => QueueSpec::DropTailBytes(1_200),
+                9 => QueueSpec::DropTailBytes(4_500),
                 n => QueueSpec::DropTailPackets(n),
             })
             .with_loss(f64::from(loss_pct) / 100.0)

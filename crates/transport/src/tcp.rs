@@ -36,7 +36,7 @@ use cm_core::types::{FeedbackReport, LossMode};
 use cm_util::ewma::{self, RttEstimator};
 use cm_util::{Duration, Time};
 
-use crate::segment::{TcpFlags, TcpSegment};
+use crate::segment::{unwrap_seq, wrap_seq, TcpFlags, TcpSegment};
 use crate::types::{CcMode, TcpEvent, TcpTimer};
 
 /// Tunables for one connection.
@@ -494,6 +494,11 @@ impl TcpConnection {
         if ce_marked && self.cfg.ecn {
             self.ece_pending = true;
         }
+        // The header's 32-bit positions, at full width: a sequence number
+        // is near what we expect next, an acknowledgement near what we
+        // wait on.
+        let seq = unwrap_seq(seg.seq, self.rcv_nxt);
+        let ack = unwrap_seq(seg.ack, self.snd_una);
 
         // Handshake transitions.
         match self.state {
@@ -503,7 +508,7 @@ impl TcpConnection {
                 self.backoff = 0;
                 self.state = TcpState::Established;
                 self.echo_ts = Some(seg.ts);
-                if let Some(ecr) = seg.ts_ecr {
+                if let Some(ecr) = seg.echo() {
                     self.take_rtt_sample(now.since(ecr));
                 }
                 self.rto_armed = false;
@@ -513,7 +518,7 @@ impl TcpConnection {
                 self.pump(now, out);
                 return;
             }
-            TcpState::SynRcvd if seg.flags.ack && seg.ack >= 1 => {
+            TcpState::SynRcvd if seg.flags.ack && ack >= 1 => {
                 self.snd_una = self.snd_una.max(1);
                 self.backoff = 0;
                 self.state = TcpState::Established;
@@ -526,15 +531,16 @@ impl TcpConnection {
         }
 
         if seg.flags.ack {
-            self.process_ack(seg, now, out);
+            self.process_ack(seg, ack, now, out);
         }
         if seg.seq_space() > 0 && !seg.flags.syn {
-            self.process_data(seg, now, out);
+            self.process_data(seg, seq, now, out);
         }
     }
 
-    fn process_ack(&mut self, seg: &TcpSegment, now: Time, out: &mut Vec<TcpAction>) {
-        self.peer_wnd = seg.wnd;
+    /// The acknowledgement half of a segment whose `ack` is unwrapped.
+    fn process_ack(&mut self, seg: &TcpSegment, ack: u64, now: Time, out: &mut Vec<TcpAction>) {
+        self.peer_wnd = seg.wnd as u64;
         self.absorb_sack(seg.sack_blocks());
         // ECN echo: react at most once per window of data.
         if seg.flags.ece && self.cfg.ecn && self.snd_una >= self.ecn_reacted_at {
@@ -550,25 +556,25 @@ impl TcpConnection {
             }
         }
 
-        if seg.ack > self.snd_una {
+        if ack > self.snd_una {
             // --- New data acknowledged ---
-            let acked = seg.ack - self.snd_una;
-            let data_acked = self.data_bytes_in(self.snd_una, seg.ack);
-            self.snd_una = seg.ack;
+            let acked = ack - self.snd_una;
+            let data_acked = self.data_bytes_in(self.snd_una, ack);
+            self.snd_una = ack;
             // After a go-back-N rewind, a late ACK from a pre-reset
             // transmission can pass the send point; jump forward.
             self.snd_nxt = self.snd_nxt.max(self.snd_una);
             self.backoff = 0;
             self.sacked.coalesce(self.snd_una);
             let mut rtt_sample = None;
-            if let Some(ecr) = seg.ts_ecr {
+            if let Some(ecr) = seg.echo() {
                 let sample = now.since(ecr);
                 rtt_sample = Some(sample);
                 self.take_rtt_sample(sample);
             }
             let mut rearm_rto = true;
             match self.recover {
-                Some(point) if seg.ack < point => {
+                Some(point) if ack < point => {
                     // NewReno partial ACK: retransmit the next hole
                     // immediately, stay in recovery. Per the RFC 6582
                     // "Impatient" variant, only the first partial ACK
@@ -633,7 +639,7 @@ impl TcpConnection {
                 }
             }
             self.pump(now, out);
-        } else if seg.ack == self.snd_una && self.flight() > 0 && seg.is_pure_ack() {
+        } else if ack == self.snd_una && self.flight() > 0 && seg.is_pure_ack() {
             // --- Duplicate ACK ---
             self.dupacks += 1;
             self.stats.dupacks += 1;
@@ -688,9 +694,10 @@ impl TcpConnection {
         }
     }
 
-    fn process_data(&mut self, seg: &TcpSegment, now: Time, out: &mut Vec<TcpAction>) {
-        let start = seg.seq;
-        let end = seg.seq_end();
+    /// The data half of a segment whose `seq` is unwrapped.
+    fn process_data(&mut self, seg: &TcpSegment, seq: u64, now: Time, out: &mut Vec<TcpAction>) {
+        let start = seq;
+        let end = seq + seg.seq_space();
         if seg.flags.fin {
             self.peer_fin_at = Some(end - 1);
         }
@@ -863,14 +870,7 @@ impl TcpConnection {
             // A recovery hole took this grant.
         } else if let Some(seg) = self.next_new_segment(now) {
             let wire = seg.seq_space();
-            self.snd_nxt = seg.seq_end();
-            if seg.seq_end() <= self.highest_sent {
-                self.stats.bytes_rtx += seg.len as u64;
-            } else {
-                self.stats.bytes_sent += seg.len as u64;
-                self.highest_sent = seg.seq_end();
-            }
-            self.emit(seg, out);
+            self.send_at_snd_nxt(seg, out);
             out.push(TcpAction::CmNotify(wire));
             self.arm_rto_if_idle(out);
         } else {
@@ -976,14 +976,7 @@ impl TcpConnection {
                     let Some(seg) = self.next_new_segment(now) else {
                         break;
                     };
-                    self.snd_nxt = seg.seq_end();
-                    if seg.seq_end() <= self.highest_sent {
-                        self.stats.bytes_rtx += seg.len as u64;
-                    } else {
-                        self.stats.bytes_sent += seg.len as u64;
-                        self.highest_sent = seg.seq_end();
-                    }
-                    self.emit(seg, out);
+                    self.send_at_snd_nxt(seg, out);
                     sent_any = true;
                 }
                 if sent_any {
@@ -991,6 +984,20 @@ impl TcpConnection {
                 }
             }
         }
+    }
+
+    /// Emits `seg`, built at `snd_nxt` by [`Self::next_new_segment`], and
+    /// moves `snd_nxt` past it; bytes below `highest_sent` count as
+    /// retransmitted.
+    fn send_at_snd_nxt(&mut self, seg: TcpSegment, out: &mut Vec<TcpAction>) {
+        self.snd_nxt += seg.seq_space();
+        if self.snd_nxt <= self.highest_sent {
+            self.stats.bytes_rtx += seg.len as u64;
+        } else {
+            self.stats.bytes_sent += seg.len as u64;
+            self.highest_sent = self.snd_nxt;
+        }
+        self.emit(seg, out);
     }
 
     /// CM mode: tops up outstanding `cm_request`s to cover the work we
@@ -1019,8 +1026,10 @@ impl TcpConnection {
 
     /// Merges the receiver's SACK blocks into the scoreboard, coalescing
     /// overlaps and pruning what the cumulative ACK has passed.
-    fn absorb_sack(&mut self, blocks: &[(u64, u64)]) {
+    /// The edges arrive modulo 2^32 and are unwrapped against `snd_una`.
+    fn absorb_sack(&mut self, blocks: &[(u32, u32)]) {
         for &(bs, be) in blocks {
+            let (bs, be) = (unwrap_seq(bs, self.snd_una), unwrap_seq(be, self.snd_una));
             if be <= bs || be <= self.snd_una {
                 continue;
             }
@@ -1078,7 +1087,7 @@ impl TcpConnection {
             ..Default::default()
         };
         let seg = self.make_segment(pos, len, flags, now);
-        self.rtx_next_hole = seg.seq_end();
+        self.rtx_next_hole = pos + seg.seq_space();
         self.stats.bytes_rtx += len as u64;
         self.emit(seg, out);
         if self.mode == CcMode::Cm {
@@ -1124,20 +1133,20 @@ impl TcpConnection {
     fn make_segment(&self, seq: u64, len: u32, flags: TcpFlags, now: Time) -> TcpSegment {
         // RFC 2018: report up to three out-of-order ranges so the peer's
         // scoreboard can steer retransmissions.
-        let mut sack = [(0u64, 0u64); crate::segment::MAX_SACK_BLOCKS];
+        let mut sack = [(0, 0); crate::segment::MAX_SACK_BLOCKS];
         let mut sack_count = 0u8;
-        for (block, &range) in sack.iter_mut().zip(&self.ooo.0) {
-            *block = range;
+        for (block, &(start, end)) in sack.iter_mut().zip(&self.ooo.0) {
+            *block = (wrap_seq(start), wrap_seq(end));
             sack_count += 1;
         }
         TcpSegment {
-            seq,
+            seq: wrap_seq(seq),
             len,
-            ack: self.rcv_nxt,
+            ack: wrap_seq(self.rcv_nxt),
             flags,
-            wnd: self.cfg.rwnd,
+            wnd: u32::try_from(self.cfg.rwnd).unwrap_or(u32::MAX),
             ts: now,
-            ts_ecr: self.echo_ts,
+            ts_ecr: self.echo_ts.unwrap_or(TcpSegment::NO_ECHO),
             sack,
             sack_count,
         }
@@ -1215,7 +1224,8 @@ mod tests {
                 match act {
                     TcpAction::Emit(seg) => {
                         if from_a && seg.len > 0 {
-                            if let Some(pos) = self.drop_seqs.iter().position(|&s| s == seg.seq) {
+                            let seq = unwrap_seq(seg.seq, self.a.snd_una);
+                            if let Some(pos) = self.drop_seqs.iter().position(|&s| s == seq) {
                                 self.drop_seqs.remove(pos);
                                 continue;
                             }
@@ -1307,7 +1317,7 @@ mod tests {
 
     /// A segment from a peer that has received only our SYN, with a
     /// 1 MB window and no SACK blocks.
-    fn peer_segment(seq: u64, len: u32, flags: TcpFlags, now: Time) -> TcpSegment {
+    fn peer_segment(seq: u32, len: u32, flags: TcpFlags, now: Time) -> TcpSegment {
         TcpSegment {
             seq,
             len,
@@ -1315,7 +1325,7 @@ mod tests {
             flags,
             wnd: 1 << 20,
             ts: now,
-            ts_ecr: None,
+            ts_ecr: TcpSegment::NO_ECHO,
             sack: [(0, 0); 3],
             sack_count: 0,
         }
@@ -1364,6 +1374,48 @@ mod tests {
         assert_eq!(w.b.bytes_delivered(), 60 * 1460);
         assert_eq!(w.a.stats.fast_retransmits, 1);
         assert_eq!(w.a.stats.timeouts, 0, "loss should recover without RTO");
+    }
+
+    /// A transfer longer than 2^32 bytes wraps every header field: the
+    /// receiver unwraps sequence numbers, the sender acknowledgements and
+    /// SACK edges. 1 MiB segments keep it to a few thousand; the two
+    /// dropped ones (one straddling offset 2^32, one just above it) make
+    /// SACK blocks span the wrap and recovery retransmit across it.
+    #[test]
+    fn transfer_past_four_gib_wraps_every_header_field() {
+        const MSS: u64 = 1 << 20;
+        let cfg = TcpConfig {
+            mss: MSS as usize,
+            ..cfg()
+        };
+        let mut w = Wire::new(cfg, Duration::from_millis(5));
+        w.run(Time::from_millis(100));
+        let total = 4_200 * MSS;
+        assert!(total > 1 << 32);
+        w.drop_seqs.push(1 + 4_095 * MSS);
+        w.drop_seqs.push(1 + 4_097 * MSS);
+        let actions = w.a.app_write(total, w.now);
+        w.apply(true, actions);
+        // At the third duplicate ACK the scoreboard holds the segment
+        // between the two holes, which lies above 2^32.
+        let mut until = w.now;
+        while w.a.stats.fast_retransmits == 0 {
+            until += Duration::from_millis(1);
+            w.run(until);
+        }
+        let between = 1 + 4_096 * MSS;
+        assert_eq!(w.a.sacked.end_covering(between), Some(between + MSS));
+        w.run(Time::from_secs(60));
+        assert!(w.drop_seqs.is_empty(), "both drops happened");
+        assert_eq!(w.b.bytes_delivered(), total);
+        assert_eq!(w.a.bytes_acked(), total);
+        assert!(w.a.send_complete());
+        assert_eq!(w.a.stats.fast_retransmits, 1);
+        assert_eq!(
+            w.a.stats.timeouts, 0,
+            "recovery across the wrap needs no RTO"
+        );
+        assert_eq!(w.a.stats.bytes_rtx, 2 * MSS);
     }
 
     #[test]

@@ -120,7 +120,7 @@ mod tests {
     use crate::segment::UdpBody;
     use cm_util::Time;
 
-    fn dgram(tag: u64) -> QueuedDatagram {
+    fn dgram(tag: u32) -> QueuedDatagram {
         QueuedDatagram {
             dst: 2,
             dst_port: 9,

@@ -89,10 +89,11 @@ fn bulk(loss: f64, routed: bool) -> (Simulator, LinkId) {
 /// window; a per-packet allocation lands in all of them) nothing may
 /// allocate.
 ///
-/// Drives: netsim `EventQueue::schedule`, `pop`, `Link::offer`,
+/// Drives: netsim `EventQueue::schedule`, `pop`, `advance`,
+/// `Link::offer`, `start_tx`, the drop-tail `Queue::enqueue`, `dequeue`,
 /// `PacketSlab::insert`, `remove` (and, `routed`, the simulator's router
-/// forwarding); shard `request`, `notify`, `update`, `tick`,
-/// `try_grants` (round-robin).
+/// forwarding); transport `TcpConnection::on_segment_into`; shard
+/// `request`, `notify`, `update`, `tick`, `try_grants` (round-robin).
 fn assert_warm_path_allocates_nothing(loss: f64, routed: bool, warmup_s: u64, window_s: u64) {
     let _turn = measuring();
     let (mut sim, forward) = bulk(loss, routed);
