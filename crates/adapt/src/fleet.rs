@@ -263,11 +263,6 @@ impl FleetStats {
         self.reversals
     }
 
-    /// Summed observed span across all sessions.
-    pub fn total_span(&self) -> Duration {
-        self.total_span
-    }
-
     /// Fleet-wide switches per session-minute.
     pub fn switches_per_min(&self) -> f64 {
         let mins = self.total_span.as_secs_f64() / 60.0;
@@ -391,7 +386,7 @@ mod tests {
         assert_eq!(fleet.sessions(), 2);
         assert_eq!(fleet.switches(), 5);
         assert_eq!(fleet.reversals(), 2);
-        assert_eq!(fleet.total_span(), Duration::from_secs(120));
+        assert_eq!(fleet.total_span, Duration::from_secs(120));
         // Both sessions held utility 1.0 throughout.
         assert!((fleet.mean_utility() - 1.0).abs() < 1e-9);
         // switch-rate histogram saw 2/min and 3/min.
@@ -420,7 +415,7 @@ mod tests {
         assert_eq!(a.sessions(), all.sessions());
         assert_eq!(a.switches(), all.switches());
         assert_eq!(a.reversals(), all.reversals());
-        assert_eq!(a.total_span(), all.total_span());
+        assert_eq!(a.total_span, all.total_span);
         assert_eq!(a.switch_rate.count(), all.switch_rate.count());
         assert!((a.mean_utility() - all.mean_utility()).abs() < 1e-12);
     }

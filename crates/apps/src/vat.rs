@@ -122,7 +122,7 @@ impl VatAudio {
     }
 
     /// Frame payload size implied by the source rate and interval.
-    pub fn frame_bytes(&self) -> u32 {
+    fn frame_bytes(&self) -> u32 {
         self.source_rate.bytes_in(self.frame_interval) as u32
     }
 

@@ -187,9 +187,6 @@ pub enum SchedulerKind {
     /// Weighted round-robin (deficit-style), an extension the paper's
     /// scheduler modularity anticipates.
     WeightedRoundRobin,
-    /// Stride scheduling: deterministic proportional share with better
-    /// short-term fairness than WRR.
-    Stride,
 }
 
 /// Tunable parameters for a [`crate::CongestionManager`].

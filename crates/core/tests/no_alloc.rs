@@ -341,21 +341,15 @@ fn open_population_stays_under_1kb_per_flow() {
 }
 
 /// A brand-new macroflow — no pooled shell to reuse — costs its first
-/// member one allocation on a warm shard under either round-robin
-/// discipline: the macroflow's member list. The controller and the
-/// round-robin scheduler are inline in the macroflow, and the member's
-/// scheduler slot has been in the shard's slab since its flow slot was
-/// first minted. Stride adds a second, its own member vector. (With a
-/// boxed scheduler holding its own map and slot vector this open made
-/// five.)
+/// member one allocation on a warm shard under either discipline: the
+/// macroflow's member list. The controller and the scheduler are inline
+/// in the macroflow, and the member's scheduler slot has been in the
+/// shard's slab since its flow slot was first minted. (With a boxed
+/// scheduler holding its own map and slot vector this open made five.)
 #[test]
 fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
     let _turn = measuring();
-    for (scheduler, expected) in [
-        (SchedulerKind::RoundRobin, 1),
-        (SchedulerKind::WeightedRoundRobin, 1),
-        (SchedulerKind::Stride, 2),
-    ] {
+    for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin] {
         let mut cm = CongestionManager::new(CmConfig {
             scheduler,
             ..Default::default()
@@ -373,7 +367,7 @@ fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
         let allocs = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(cm.macroflow_count(), 2);
         assert_eq!(
-            allocs, expected,
+            allocs, 1,
             "{scheduler:?}: allocations to open a new macroflow's first flow"
         );
     }
@@ -429,16 +423,11 @@ fn maintenance_round(
 ///
 /// Drives: shard `enqueue_request`, `update`, `tick`, `try_grants`,
 /// `reclaim_expired_grants`, `emit_rate_callbacks`; scheduler `enqueue`,
-/// `serve_head`, `rotate` (round-robin, weighted round-robin) and the
-/// stride discipline.
+/// `serve_head`, `rotate` (round-robin, weighted round-robin).
 #[test]
 fn maintenance_and_rate_callbacks_never_allocate_in_steady_state() {
     let _turn = measuring();
-    for scheduler in [
-        SchedulerKind::RoundRobin,
-        SchedulerKind::WeightedRoundRobin,
-        SchedulerKind::Stride,
-    ] {
+    for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin] {
         let mut cm = CongestionManager::new(CmConfig {
             scheduler,
             grant_timeout: Duration::from_millis(50),

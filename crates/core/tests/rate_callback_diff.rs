@@ -18,17 +18,13 @@
 //!
 //! Scripts draw from `props.rs`' alphabet (open, close, ack, loss,
 //! thresholds set and dropped, weight, split, unchecked merge, tick) over
-//! all three schedulers. The default run is 256 scripts; the `#[ignore]`d
+//! both schedulers. The default run is 256 scripts; the `#[ignore]`d
 //! run CI adds is 20,000.
 
 use cm_core::prelude::*;
 use cm_util::{DetRng, FxHashMap};
 
-const KINDS: [SchedulerKind; 3] = [
-    SchedulerKind::RoundRobin,
-    SchedulerKind::WeightedRoundRobin,
-    SchedulerKind::Stride,
-];
+const KINDS: [SchedulerKind; 2] = [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin];
 const OPS_PER_SCRIPT: usize = 200;
 /// Threshold factors a script registers with; `(1.0, 1.0)` is crossed by
 /// every share, so its holder is told at every check.

@@ -6,8 +6,10 @@
 //! free-list. It is kept here, out of the library, as the oracle. The
 //! tests drive it and the slab form with the same random scripts and
 //! demand the same dequeue stream and the same `pending`, `pending_of`,
-//! `weight_of` and `total_weight` after every operation, for all three
-//! disciplines:
+//! `weight_of` and `total_weight` after every operation, for both
+//! disciplines. The library runs both on one weighted ring, holding every
+//! weight at 1 under round-robin; the reference keeps the two algorithms
+//! apart, so each checks one side of that fold:
 //!
 //! * two or three [`SlabScheduler`]s sharing **one** slab, the way a
 //!   shard's macroflows do — including what sharing makes possible: a
@@ -38,7 +40,6 @@ mod reference {
         match kind {
             SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::new()),
             SchedulerKind::WeightedRoundRobin => Box::new(WeightedRoundRobinScheduler::new()),
-            SchedulerKind::Stride => Box::new(StrideScheduler::new()),
         }
     }
 
@@ -411,183 +412,9 @@ mod reference {
             "weighted-round-robin"
         }
     }
-
-    /// Stride scheduling: each flow advances a pass value by `STRIDE1/weight`
-    /// per grant; the lowest pass goes next. Deterministic proportional share
-    /// with tighter short-term fairness than WRR.
-    ///
-    /// Member state is stored in member-local slots (like the rotation ring
-    /// the round-robin schedulers use), so the min-pass scan in `dequeue`
-    /// touches only this scheduler's flows.
-    #[derive(Default)]
-    pub(crate) struct StrideScheduler {
-        /// Flow id -> local slot, for the flows registered here.
-        index: FxHashMap<u32, u32>,
-        flows: Vec<StrideSlot>,
-        free: Vec<u32>,
-        total: usize,
-        weight_sum: u64,
-    }
-
-    #[derive(Clone, Copy, Debug)]
-    struct StrideSlot {
-        /// The global flow id, or [`NIL`] for a vacant slot.
-        flow: u32,
-        weight: u32,
-        pending: u32,
-        pass: u64,
-    }
-
-    /// The stride constant; large for precision.
-    const STRIDE1: u64 = 1 << 20;
-
-    impl StrideScheduler {
-        /// Creates an empty scheduler.
-        pub(crate) fn new() -> Self {
-            Self::default()
-        }
-
-        #[inline]
-        fn local(&self, flow: FlowId) -> Option<u32> {
-            self.index.get(&flow.0).copied()
-        }
-
-        fn min_active_pass(&self) -> Option<u64> {
-            self.flows
-                .iter()
-                .filter(|s| s.flow != NIL && s.pending > 0)
-                .map(|s| s.pass)
-                .min()
-        }
-    }
-
-    impl Scheduler for StrideScheduler {
-        fn add_flow(&mut self, flow: FlowId, weight: u32) {
-            // New flows start at the current minimum pass so they cannot
-            // monopolize (standard stride join rule).
-            let pass = self.min_active_pass().unwrap_or(0);
-            let slot = StrideSlot {
-                flow: flow.0,
-                weight: weight.max(1),
-                pending: 0,
-                pass,
-            };
-            if let Some(l) = self.local(flow) {
-                // Re-registration resets the flow's stride state.
-                let s = &mut self.flows[l as usize];
-                self.total -= s.pending as usize;
-                self.weight_sum -= s.weight as u64;
-                *s = slot;
-            } else {
-                let local = match self.free.pop() {
-                    Some(l) => {
-                        self.flows[l as usize] = slot;
-                        l
-                    }
-                    None => {
-                        self.flows.push(slot);
-                        self.flows.len() as u32 - 1
-                    }
-                };
-                self.index.insert(flow.0, local);
-            }
-            self.weight_sum += weight.max(1) as u64;
-        }
-
-        fn remove_flow(&mut self, flow: FlowId) {
-            if let Some(l) = self.index.remove(&flow.0) {
-                let s = &mut self.flows[l as usize];
-                self.total -= s.pending as usize;
-                self.weight_sum -= s.weight as u64;
-                s.flow = NIL;
-                s.pending = 0;
-                self.free.push(l);
-            }
-        }
-
-        fn set_weight(&mut self, flow: FlowId, weight: u32) {
-            if let Some(l) = self.local(flow) {
-                let s = &mut self.flows[l as usize];
-                self.weight_sum = self.weight_sum - s.weight as u64 + weight.max(1) as u64;
-                s.weight = weight.max(1);
-            }
-        }
-
-        fn enqueue(&mut self, flow: FlowId) {
-            let Some(l) = self.local(flow) else {
-                return;
-            };
-            if self.flows[l as usize].pending == 0 {
-                // Rejoin at the current minimum pass.
-                let min = self.min_active_pass().unwrap_or(0);
-                let s = &mut self.flows[l as usize];
-                s.pass = s.pass.max(min);
-            }
-            self.flows[l as usize].pending += 1;
-            self.total += 1;
-        }
-
-        fn dequeue(&mut self) -> Option<FlowId> {
-            // Lowest pass among flows with work; ties break by the smaller
-            // flow id so the choice is deterministic regardless of slot
-            // allocation order.
-            let mut best: Option<(u64, u32, u32)> = None;
-            for (l, s) in self.flows.iter().enumerate() {
-                if s.flow != NIL && s.pending > 0 {
-                    let cand = (s.pass, s.flow, l as u32);
-                    match best {
-                        Some((pass, flow, _)) if (pass, flow) <= (cand.0, cand.1) => {}
-                        _ => best = Some(cand),
-                    }
-                }
-            }
-            let (_, flow, l) = best?;
-            let s = &mut self.flows[l as usize];
-            s.pending -= 1;
-            s.pass += STRIDE1 / s.weight as u64;
-            self.total -= 1;
-            Some(FlowId(flow))
-        }
-
-        fn pending(&self) -> usize {
-            self.total
-        }
-
-        fn pending_of(&self, flow: FlowId) -> u32 {
-            self.local(flow)
-                .map(|l| self.flows[l as usize].pending)
-                .unwrap_or(0)
-        }
-
-        fn reset(&mut self) {
-            self.index.clear();
-            self.flows.clear();
-            self.free.clear();
-            self.total = 0;
-            self.weight_sum = 0;
-        }
-
-        fn weight_of(&self, flow: FlowId) -> u32 {
-            self.local(flow)
-                .map(|l| self.flows[l as usize].weight)
-                .unwrap_or(1)
-        }
-
-        fn total_weight(&self) -> u64 {
-            self.weight_sum
-        }
-
-        fn name(&self) -> &'static str {
-            "stride"
-        }
-    }
 }
 
-const KINDS: [SchedulerKind; 3] = [
-    SchedulerKind::RoundRobin,
-    SchedulerKind::WeightedRoundRobin,
-    SchedulerKind::Stride,
-];
+const KINDS: [SchedulerKind; 2] = [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin];
 /// Slab slots (flow ids) a script draws from: few, so rotations are
 /// short and removals hit heads and tails often.
 const SLOTS: u32 = 10;

@@ -135,7 +135,7 @@ impl ChaosOutcome {
 
 /// Runs `scenario` under `plan`. Panics on an unknown scenario name —
 /// the catalogue is [`SCENARIOS`].
-pub fn run_chaos(scenario: &str, plan: &FaultPlan) -> ChaosOutcome {
+fn run_chaos(scenario: &str, plan: &FaultPlan) -> ChaosOutcome {
     match scenario {
         "tcp_bulk" => tcp_bulk(plan),
         "tcp_bulk_delay" => tcp_bulk_delay(plan),

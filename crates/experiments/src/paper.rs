@@ -584,7 +584,7 @@ the scheduler and controller modularity claims",
     description: "Four knobs, each isolated: byte counting vs. ACK counting (the \
 controller accounting the paper adopts, also its ACK-division defense); initial \
 window 1 vs. 2 MTU (the knob behind Figure 4's gap and Figure 7's first-transfer \
-penalty); grant shares under the three scheduler disciplines; and the congestion \
+penalty); grant shares under the two scheduler disciplines; and the congestion \
 controller swapped under real lossy transfers through the full \
 host/transport/simulator stack.",
     run: ablations,
@@ -690,17 +690,13 @@ Figure 7's first-transfer penalty in miniature."
             Grid {
                 heading: "Grant shares over 400 grants, weights 3:1",
                 headers: &["discipline", "flow A (w=3)", "flow B (w=1)"],
-                rows: [
-                    SchedulerKind::RoundRobin,
-                    SchedulerKind::WeightedRoundRobin,
-                    SchedulerKind::Stride,
-                ]
-                .into_iter()
-                .map(|kind| (format!("{kind:?}"), scheduler_shares(kind)))
-                .collect(),
+                rows: [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin]
+                    .into_iter()
+                    .map(|kind| (format!("{kind:?}"), scheduler_shares(kind)))
+                    .collect(),
                 note: "Unweighted RR splits evenly regardless of weight (the paper's \
-default); WRR and stride honor the 3:1 request, with stride interleaving most \
-smoothly."
+default); WRR honors the 3:1 request. Both run on one ring: RR is WRR with every \
+weight held at 1."
                     .into(),
             },
             Grid {

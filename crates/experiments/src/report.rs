@@ -16,14 +16,16 @@ use std::path::{Path, PathBuf};
 /// # Examples
 ///
 /// ```
-/// use cm_experiments::report::Table;
+/// use cm_experiments::report::{FigureDoc, Table};
 ///
 /// let mut t = Table::new(&["loss%", "TCP/CM", "TCP/Linux"]);
 /// t.row(&["0.0", "867.8", "533.0"]);
 /// let text = t.render();
 /// assert!(text.contains("TCP/CM"));
 /// assert!(t.to_csv().starts_with("loss%,TCP/CM,TCP/Linux"));
-/// assert!(t.to_markdown().starts_with("| loss% |"));
+/// let mut doc = FigureDoc::new("Figure 3", "§4", "TCP/CM vs. TCP/Linux.");
+/// doc.table(&t);
+/// assert!(doc.render().contains("| loss% | TCP/CM | TCP/Linux |"));
 /// ```
 pub struct Table {
     headers: Vec<String>,
@@ -112,7 +114,7 @@ impl Table {
     }
 
     /// Serializes to a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
+    fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "| {} |", self.headers.join(" | "));
         let _ = writeln!(

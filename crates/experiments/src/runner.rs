@@ -286,7 +286,7 @@ pub const CO_SCHED_STREAM_WEIGHT: u32 = 3;
 /// time-varying bottleneck. Reports the streamer's quality track, the
 /// web flow's rate track (`aux_track`), and steady-state share accuracy
 /// against the configured weights.
-pub fn co_sched_cell(
+fn co_sched_cell(
     controller: ControllerKind,
     schedule: &BandwidthSchedule,
     secs: u64,
@@ -410,7 +410,7 @@ pub fn co_sched_cell(
 
 /// Runs one vat cell: the 64 Kbit/s audio policer over a narrow
 /// scheduled path with a short queue.
-pub fn vat_cell(
+fn vat_cell(
     controller: ControllerKind,
     schedule: &BandwidthSchedule,
     secs: u64,

@@ -119,20 +119,6 @@ pub struct Experiment {
     pub seeds: Vec<u64>,
 }
 
-impl Experiment {
-    /// Number of cells the sweep expands to. Apps with a fixed
-    /// adaptation policy (vat, co-scheduling) contribute one cell group
-    /// regardless of the policy axis length (matching the runner).
-    pub fn cell_count(&self) -> usize {
-        let policies = if self.app.fixed_policy() {
-            self.policies.len().min(1)
-        } else {
-            self.policies.len()
-        };
-        self.schedules.len() * policies * self.controllers.len() * self.seeds.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,27 +142,5 @@ mod tests {
             "aimd"
         );
         assert_eq!(ControllerKind::RateBased.label(), "rate-based");
-    }
-
-    #[test]
-    fn cell_count_is_the_cartesian_product() {
-        let e = Experiment {
-            app: AppKind::Layered,
-            schedules: vec![
-                NamedSchedule::new("a", BandwidthSchedule::none()),
-                NamedSchedule::new("b", BandwidthSchedule::none()),
-            ],
-            policies: vec![AdaptPolicyKind::LadderImmediate, AdaptPolicyKind::Utility],
-            controllers: vec![ControllerKind::RateBased],
-            secs: 1,
-            seeds: vec![1, 2, 3],
-        };
-        assert_eq!(e.cell_count(), 12);
-        // The vat app ignores the policy axis, matching the runner.
-        let vat = Experiment {
-            app: AppKind::Vat,
-            ..e
-        };
-        assert_eq!(vat.cell_count(), 6);
     }
 }

@@ -102,7 +102,7 @@ pub fn trace_jsonl(cm: &CongestionManager) -> String {
 /// Formats one record as the single text line the chaos post-mortem
 /// dumps use: `host=client shard=0 seq=12 t=1.000000 grant_issued
 /// flow=0 bytes=1460`.
-pub fn trace_line(host: &str, shard: Option<u32>, r: &TraceRecord) -> String {
+fn trace_line(host: &str, shard: Option<u32>, r: &TraceRecord) -> String {
     let mut out = format!(
         "host={host} shard={} seq={} t={} {}",
         source(shard),

@@ -78,16 +78,6 @@ impl ControlSocket {
         }
     }
 
-    /// Drops all state for a closed flow.
-    pub fn forget_flow(&mut self, flow: FlowId) {
-        if let Ok(i) = position(&self.grants, flow) {
-            self.grants.remove(i);
-        }
-        if let Ok(i) = position(&self.status, flow) {
-            self.status.remove(i);
-        }
-    }
-
     // --- User side ---
 
     /// What `select()` would report right now.
@@ -190,16 +180,6 @@ mod tests {
         cs.ioctl_all_status(&mut all);
         assert_eq!(all.len(), 2);
         assert!(!cs.select_bits().exception);
-    }
-
-    #[test]
-    fn forget_flow_clears_both_queues() {
-        let mut cs = ControlSocket::new();
-        cs.post_grant(FlowId(5));
-        cs.post_status(FlowId(5), info(10));
-        cs.forget_flow(FlowId(5));
-        assert!(!cs.select_bits().any());
-        assert_eq!(cs.pending_grants(), 0);
     }
 
     #[test]

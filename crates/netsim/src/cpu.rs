@@ -46,8 +46,6 @@ pub struct CostModel {
     pub cm_accounting: Duration,
     /// Delivering a POSIX signal (the SIGIO notification option).
     pub signal_delivery: Duration,
-    /// A user-space application's per-packet processing outside the API.
-    pub app_proc: Duration,
 }
 
 impl Default for CostModel {
@@ -69,7 +67,6 @@ impl Default for CostModel {
             udp_proc: Duration::from_nanos(1_500),
             cm_accounting: Duration::from_nanos(800),
             signal_delivery: Duration::from_micros(4),
-            app_proc: Duration::from_nanos(1_000),
         }
     }
 }
@@ -91,7 +88,6 @@ impl CostModel {
             udp_proc: Duration::ZERO,
             cm_accounting: Duration::ZERO,
             signal_delivery: Duration::ZERO,
-            app_proc: Duration::ZERO,
         }
     }
 

@@ -31,7 +31,8 @@ pub enum EnqueueOutcome {
 
 impl EnqueueOutcome {
     /// Returns true if the packet was accepted (marked or not).
-    pub fn is_enqueued(&self) -> bool {
+    #[cfg(test)]
+    fn is_enqueued(&self) -> bool {
         !matches!(self, EnqueueOutcome::Dropped)
     }
 }
@@ -75,11 +76,6 @@ impl Queue {
             Queue::DropTail(q) => &q.fifo,
             Queue::Red(q) => &q.fifo,
         }
-    }
-
-    /// Current occupancy in bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.fifo().bytes
     }
 
     /// Current occupancy in packets.
@@ -133,7 +129,7 @@ impl Fifo {
 ///
 /// ```
 /// use cm_netsim::event::PacketSlab;
-/// use cm_netsim::queue::{DropTailQueue, Queue};
+/// use cm_netsim::queue::{DropTailQueue, EnqueueOutcome, Queue};
 /// use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 /// use cm_util::{DetRng, Time};
 ///
@@ -143,11 +139,13 @@ impl Fifo {
 /// let mk = || Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, 100, Payload::empty());
 /// for _ in 0..2 {
 ///     let slot = pkts.insert(mk());
-///     assert!(q.enqueue(slot, 100, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
+///     let outcome = q.enqueue(slot, 100, &mut pkts, Time::ZERO, &mut rng);
+///     assert!(matches!(outcome, EnqueueOutcome::Enqueued));
 /// }
 /// // Third packet exceeds the two-packet limit and is dropped.
 /// let slot = pkts.insert(mk());
-/// assert!(!q.enqueue(slot, 100, &mut pkts, Time::ZERO, &mut rng).is_enqueued());
+/// let outcome = q.enqueue(slot, 100, &mut pkts, Time::ZERO, &mut rng);
+/// assert!(matches!(outcome, EnqueueOutcome::Dropped));
 /// // Packets leave in arrival order, with the size they were offered at.
 /// assert!(matches!(q.dequeue(Time::ZERO), Some((_, 100))));
 /// ```
@@ -254,11 +252,6 @@ impl RedQueue {
             count: -1,
             idle_since: Some(Time::ZERO),
         }
-    }
-
-    /// The current average queue estimate, in packets.
-    pub fn avg(&self) -> f64 {
-        self.avg
     }
 
     fn update_avg(&mut self, now: Time) {
@@ -429,7 +422,7 @@ mod tests {
             assert!(b.offer(p).is_enqueued());
         }
         assert_eq!(b.q.len_packets(), 3);
-        assert_eq!(b.q.len_bytes(), 300);
+        assert_eq!(b.q.fifo().bytes, 300);
         for i in 0..3 {
             assert_eq!(b.take().unwrap().id, i);
         }
@@ -446,7 +439,7 @@ mod tests {
         assert!(!b.offer(pkt(100)).is_enqueued());
         // A smaller packet still fits.
         assert!(b.offer(pkt(50)).is_enqueued());
-        assert_eq!(b.q.len_bytes(), 250);
+        assert_eq!(b.q.fifo().bytes, 250);
         assert_eq!(b.pkts.len(), 3);
     }
 
@@ -538,7 +531,7 @@ mod tests {
             let _ = b.offer(pkt(100));
         }
         let red = |b: &Bench| match &b.q {
-            Queue::Red(q) => q.avg(),
+            Queue::Red(q) => q.avg,
             Queue::DropTail(_) => unreachable!(),
         };
         let avg_loaded = red(&b);

@@ -261,7 +261,8 @@ impl NodeCtx<'_> {
 
     /// Cancels a pending timer; a no-op if it already fired. O(1): the
     /// slot is disarmed in place and recycled when its event pops.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) {
+    #[cfg(test)]
+    fn cancel_timer(&mut self, handle: TimerHandle) {
         if let Some(s) = self.world.timer_slots.get_mut(handle.slot as usize) {
             if s.gen == handle.gen {
                 s.armed = false;
@@ -384,18 +385,12 @@ impl Simulator {
     }
 
     /// The node owning `addr`, if any.
-    pub fn node_of_addr(&self, addr: Addr) -> Option<NodeId> {
+    fn node_of_addr(&self, addr: Addr) -> Option<NodeId> {
         self.world
             .addr_to_node
             .get(addr.0 as usize)
             .copied()
             .flatten()
-    }
-
-    /// Timer-slab slots currently armed or awaiting their queued event
-    /// (for leak regression tests).
-    pub fn timer_slots_in_use(&self) -> usize {
-        self.world.timer_slots.len() - self.world.free_timer_slots.len()
     }
 
     /// Total timer-slab capacity ever allocated. Stays bounded by the
@@ -1184,6 +1179,11 @@ mod tests {
             "timer slab grew to {} slots",
             sim.timer_slot_capacity()
         );
-        assert_eq!(sim.timer_slots_in_use(), 0);
+        // Every slot is back on the free list: none armed, none awaiting
+        // its queued event.
+        assert_eq!(
+            sim.world.timer_slots.len(),
+            sim.world.free_timer_slots.len()
+        );
     }
 }

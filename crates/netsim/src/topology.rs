@@ -46,12 +46,12 @@ impl Topology {
     }
 
     /// Adds an interior router.
-    pub fn add_router(&mut self) -> NodeId {
+    fn add_router(&mut self) -> NodeId {
         self.sim.add_node(Box::new(RouterNode))
     }
 
     /// Connects `a` and `b` with a duplex pair of identical links.
-    pub fn duplex(&mut self, a: NodeId, b: NodeId, spec: &LinkSpec) -> Duplex {
+    fn duplex(&mut self, a: NodeId, b: NodeId, spec: &LinkSpec) -> Duplex {
         let forward = self.sim.add_link(a, b, spec);
         let reverse = self.sim.add_link(b, a, spec);
         Duplex { forward, reverse }

@@ -42,15 +42,6 @@ impl LinkStats {
     pub fn dropped(&self) -> u64 {
         self.dropped_random + self.dropped_burst + self.dropped_queue
     }
-
-    /// Fraction of offered packets dropped; zero when nothing was offered.
-    pub fn drop_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.dropped() as f64 / self.offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -58,20 +49,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drop_fraction_handles_empty() {
-        let s = LinkStats::default();
-        assert_eq!(s.drop_fraction(), 0.0);
-    }
-
-    #[test]
-    fn drop_fraction_sums_causes() {
+    fn dropped_sums_causes() {
+        assert_eq!(LinkStats::default().dropped(), 0);
         let s = LinkStats {
             offered: 100,
             dropped_random: 10,
+            dropped_burst: 5,
             dropped_queue: 15,
             ..Default::default()
         };
-        assert_eq!(s.dropped(), 25);
-        assert!((s.drop_fraction() - 0.25).abs() < 1e-12);
+        assert_eq!(s.dropped(), 30);
     }
 }

@@ -371,7 +371,7 @@ impl Host {
     }
 
     /// Immutable access to a UDP socket.
-    pub fn udp_sock(&self, sock: UdpSocketId) -> Option<&UdpSocket> {
+    fn udp_sock(&self, sock: UdpSocketId) -> Option<&UdpSocket> {
         self.socks.get(sock.0 as usize).and_then(Option::as_ref)
     }
 
@@ -1182,9 +1182,9 @@ impl HostOs<'_, '_> {
 
     /// Sets a flow's scheduler weight (an ioctl, like the other CM
     /// controls) — how the §3.5 co-scheduled applications express their
-    /// relative shares of one macroflow. Takes effect with a weighted
-    /// scheduler (`SchedulerKind::WeightedRoundRobin` / `Stride`) and
-    /// survives macroflow migration.
+    /// relative shares of one macroflow. Takes effect with the weighted
+    /// scheduler (`SchedulerKind::WeightedRoundRobin`) and survives
+    /// macroflow migration.
     pub fn cm_set_weight(&mut self, flow: FlowId, weight: u32) {
         let now = self.ctx.now();
         self.host.cpu.ops.ioctls += 1;

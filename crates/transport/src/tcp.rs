@@ -422,7 +422,7 @@ impl TcpConnection {
     }
 
     /// True when every written byte (and FIN, if queued) is acknowledged.
-    pub fn send_complete(&self) -> bool {
+    fn send_complete(&self) -> bool {
         self.snd_una >= self.stream_limit() + (self.fin_queued as u64) && self.app_written > 0
     }
 
