@@ -48,9 +48,16 @@ impl LinkStats {
 mod tests {
     use super::*;
 
+    // A drop fraction is `dropped()` over `offered`; these pin the numerator.
     #[test]
-    fn dropped_sums_causes() {
-        assert_eq!(LinkStats::default().dropped(), 0);
+    fn drop_fraction_handles_empty() {
+        let s = LinkStats::default();
+        assert_eq!(s.offered, 0);
+        assert_eq!(s.dropped(), 0);
+    }
+
+    #[test]
+    fn drop_fraction_sums_causes() {
         let s = LinkStats {
             offered: 100,
             dropped_random: 10,
