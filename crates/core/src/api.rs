@@ -122,9 +122,9 @@ pub struct CmStats {
     /// API call nor left with timed maintenance work).
     pub tick_shards_skipped: u64,
     /// Macroflow slab slots examined across all `tick` scans — the
-    /// deterministic measure of maintenance cost the `shard_scaling`
-    /// figure and the repo benchmark's
-    /// `core.shard.tick_mfs_scanned_per_tick` report.
+    /// deterministic measure of maintenance cost the repo benchmark's
+    /// `core.shard.tick_mfs_scanned_per_tick` reports (pinned per tick by
+    /// the `quiet_shards_skipped_by_tick` test).
     pub tick_mfs_scanned: u64,
     /// `update` reports rejected whole by feedback sanity validation
     /// (impossible byte counts, or the flow was quarantined).
@@ -536,7 +536,7 @@ impl CongestionManager {
         self,
         parallel: crate::runtime::ParallelConfig,
     ) -> crate::runtime::ShardRuntime {
-        crate::runtime::ShardRuntime::from_parts(self.cfg, self.router, self.table, parallel)
+        crate::runtime::ShardRuntime::from_parts(self.router, self.table, parallel)
     }
 
     // ------------------------------------------------------------------
@@ -1764,43 +1764,59 @@ mod tests {
     }
 
     /// A host with many groups but one active group skips the idle
-    /// shards' slab scans: the quiet-shard gate in action.
+    /// shards' slab scans: the quiet-shard gate in action. The same
+    /// script with every group in one shard scans every group's slot on
+    /// every tick.
     #[test]
     fn quiet_shards_skipped_by_tick() {
-        let mut cm = CongestionManager::new(sharded(16));
-        let active = cm.open(key(1000, 1), Time::ZERO).unwrap();
-        let _idle: Vec<FlowId> = (2..=16)
-            .map(|d| cm.open(key(1000 + d as u16, d), Time::ZERO).unwrap())
-            .collect();
-        assert_eq!(cm.shard_count(), 16);
-        // First tick scans everything (every shard is dirty from open).
-        cm.tick(Time::from_millis(100));
-        assert_eq!(cm.stats().tick_shards_visited, 16);
-        // Steady state: only the active group's shard sees API calls.
-        let mut now = Time::from_millis(100);
-        for _ in 0..10 {
-            now += Duration::from_millis(100);
-            cm.request(active, now).unwrap();
-            for n in drain(&mut cm) {
-                if let CmNotification::SendGrant { flow } = n {
-                    cm.notify(flow, 1460, now).unwrap();
-                }
+        // 16 groups with one flow each, only the first active; returns
+        // the shard count and the stats after the first tick and at the
+        // end of 10 steady rounds.
+        let steady = |max_shards: u32| {
+            let mut cm = CongestionManager::new(sharded(max_shards));
+            let active = cm.open(key(1000, 1), Time::ZERO).unwrap();
+            for d in 2..=16 {
+                cm.open(key(1000 + d as u16, d), Time::ZERO).unwrap();
             }
-            cm.update(
-                active,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(20)),
-                now,
-            )
-            .unwrap();
-            cm.tick(now);
-        }
-        let s = cm.stats();
+            let shards = cm.shard_count();
+            // First tick scans everything (every shard is dirty from open).
+            cm.tick(Time::from_millis(100));
+            let settled = cm.stats();
+            // Steady state: only the active group's shard sees API calls.
+            let mut now = Time::from_millis(100);
+            for _ in 0..10 {
+                now += Duration::from_millis(100);
+                cm.request(active, now).unwrap();
+                for n in drain(&mut cm) {
+                    if let CmNotification::SendGrant { flow } = n {
+                        cm.notify(flow, 1460, now).unwrap();
+                    }
+                }
+                cm.update(
+                    active,
+                    FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(20)),
+                    now,
+                )
+                .unwrap();
+                cm.tick(now);
+            }
+            (shards, settled, cm.stats())
+        };
+        let (shards, settled, s) = steady(16);
+        assert_eq!(shards, 16);
+        assert_eq!(settled.tick_shards_visited, 16);
         assert!(
             s.tick_shards_skipped >= 10 * 15,
             "idle shards were scanned: only {} skips",
             s.tick_shards_skipped
         );
         assert_eq!(s.tick_shards_visited, 16 + 10, "active shard not ticked");
+        // One macroflow slot per steady tick at 16 shards; 16 when one
+        // shard holds all 16 groups.
+        assert_eq!(s.tick_mfs_scanned - settled.tick_mfs_scanned, 10);
+        let (shards, settled, s) = steady(1);
+        assert_eq!(shards, 1);
+        assert_eq!(s.tick_mfs_scanned - settled.tick_mfs_scanned, 10 * 16);
     }
 
     /// More groups than `max_shards`: the overflow groups share shards

@@ -91,7 +91,7 @@ pub use config::{
 };
 pub use controller::{Controller, DelaySignal};
 pub use error::CmError;
-pub use runtime::{ParallelConfig, ShardRuntime, WorkerStats};
+pub use runtime::{ParallelConfig, ShardRuntime};
 pub use types::{
     Endpoint, FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds,
 };
@@ -104,7 +104,7 @@ pub mod prelude {
         TracingConfig,
     };
     pub use crate::error::CmError;
-    pub use crate::runtime::{ParallelConfig, ShardRuntime, WorkerStats};
+    pub use crate::runtime::{ParallelConfig, ShardRuntime};
     pub use crate::types::{
         Endpoint, FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds,
     };

@@ -20,8 +20,8 @@
 //!   rate-change notifications come back as `Copy` `ShardReply`
 //!   messages. Nothing is allocated per message.
 //! * **Fire-and-forget per-packet path.** `request` / `notify` /
-//!   `update` / `close` / `set_weight` return immediately once the
-//!   command is enqueued; errors surface asynchronously through
+//!   `update` / `close` return immediately once the command is
+//!   enqueued; errors surface asynchronously through
 //!   [`ShardRuntime::op_failures`]. Lookup-style calls (`open`, `query`,
 //!   `macroflow_of`) and cross-shard operations (`tick`, `stats`,
 //!   `check_invariants`) are synchronous fan-out/fan-in
@@ -36,8 +36,8 @@
 //! Determinism: the front is single-threaded and routing is pure, so
 //! each shard observes a deterministic command sequence regardless of
 //! the worker count — per-shard state, grants, and counters are
-//! identical at 1, 2, 4, or 8 workers (the `parallel_scaling` figure
-//! pins this). Wall-clock interleaving *across* shards is the only
+//! identical at 1, 2, 4, or 8 workers (`tests/parallel_stress.rs` pins
+//! this). Wall-clock interleaving *across* shards is the only
 //! nondeterminism, and shards share no congestion state.
 //!
 //! The in-process paths are untouched: `ShardingMode::Single` and
@@ -90,34 +90,6 @@ impl ParallelConfig {
     }
 }
 
-impl Default for ParallelConfig {
-    /// One worker per available core.
-    fn default() -> Self {
-        let n = thread::available_parallelism().map_or(1, |n| n.get());
-        Self::with_workers(n)
-    }
-}
-
-/// Per-worker execution counters, returned by
-/// [`ShardRuntime::worker_stats`]. `commands` and `notifications` are
-/// deterministic for a given call sequence (the front's routing is
-/// pure); `reply_stalls` depends on scheduling and is excluded from
-/// deterministic figures.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerStats {
-    /// Commands this worker has executed (including fan-out commands
-    /// like `Tick` and `Stats`).
-    pub commands: u64,
-    /// Notifications this worker has forwarded from its shards'
-    /// outboxes to the reply ring.
-    pub notifications: u64,
-    /// Reply pushes that found the reply ring full and spilled to the
-    /// worker-local overflow queue.
-    pub reply_stalls: u64,
-    /// Shards currently owned (created) on this worker.
-    pub shards: u32,
-}
-
 /// One command to the worker owning a shard. Every variant is `Copy`
 /// and flat: the ring slot is the only storage a message ever occupies.
 #[derive(Clone, Copy, Debug)]
@@ -145,10 +117,6 @@ enum ShardCommand {
         flow: FlowId,
         report: FeedbackReport,
         now: Time,
-    },
-    SetWeight {
-        flow: FlowId,
-        weight: u32,
     },
     Query {
         seq: u32,
@@ -199,7 +167,8 @@ enum ShardReply {
     Stats {
         seq: u32,
         stats: CmStats,
-        worker: WorkerStats,
+        /// Reply pushes that found the reply ring full and spilled.
+        reply_stalls: u64,
     },
     Invariants {
         seq: u32,
@@ -285,9 +254,6 @@ struct Worker {
     /// index; entries this worker does not own stay vacant forever.
     table: ShardTable,
     shared: Arc<Shared>,
-    /// `commands` / `notifications` counters (the rest of
-    /// [`WorkerStats`] is filled in at `Stats` time).
-    wstats: WorkerStats,
 }
 
 impl Worker {
@@ -318,7 +284,6 @@ impl Worker {
                     Pop::Closed => return,
                 }
             };
-            self.wstats.commands += 1;
             if !self.handle(cmd) {
                 return;
             }
@@ -339,7 +304,7 @@ impl Worker {
             } => {
                 let s = self.table.ensure(shard, now);
                 let result = s.open(key, now);
-                Self::flush_outbox(s, &mut self.replies, &mut self.wstats);
+                Self::flush_outbox(s, &mut self.replies);
                 self.replies.push(ShardReply::Opened { seq, result });
             }
             ShardCommand::Close { flow, now } => self.flow_op(flow, |s| s.close(flow, now)),
@@ -349,9 +314,6 @@ impl Worker {
             }
             ShardCommand::Update { flow, report, now } => {
                 self.flow_op(flow, |s| s.update(flow, report, now))
-            }
-            ShardCommand::SetWeight { flow, weight } => {
-                self.flow_op(flow, |s| s.set_weight(flow, weight))
             }
             ShardCommand::Query { seq, flow, now } => {
                 let result = match self.table.route(flow.shard()) {
@@ -375,13 +337,10 @@ impl Worker {
                 self.replies.push(ShardReply::TickDone { seq });
             }
             ShardCommand::Stats { seq } => {
-                let mut worker = self.wstats;
-                worker.reply_stalls = self.replies.stalls();
-                worker.shards = self.table.live() as u32;
                 self.replies.push(ShardReply::Stats {
                     seq,
                     stats: self.table.stats(),
-                    worker,
+                    reply_stalls: self.replies.stalls(),
                 });
             }
             ShardCommand::CheckInvariants { seq } => {
@@ -403,7 +362,7 @@ impl Worker {
         let result = match self.table.route(flow.shard()) {
             Some(s) => {
                 let result = op(s);
-                Self::flush_outbox(s, &mut self.replies, &mut self.wstats);
+                Self::flush_outbox(s, &mut self.replies);
                 result
             }
             None => Err(CmError::UnknownFlow(flow)),
@@ -414,9 +373,8 @@ impl Worker {
     }
 
     /// Forwards everything in a shard's outbox to the reply ring.
-    fn flush_outbox(shard: &mut Shard, replies: &mut ReplyPort, wstats: &mut WorkerStats) {
+    fn flush_outbox(shard: &mut Shard, replies: &mut ReplyPort) {
         while let Some(note) = shard.outbox.pop_front() {
-            wstats.notifications += 1;
             replies.push(ShardReply::Note(note));
         }
     }
@@ -424,7 +382,7 @@ impl Worker {
     /// Forwards every owned shard's outbox, in shard-index order.
     fn flush_all(&mut self) {
         for shard in self.table.iter_mut() {
-            Self::flush_outbox(shard, &mut self.replies, &mut self.wstats);
+            Self::flush_outbox(shard, &mut self.replies);
         }
     }
 }
@@ -434,8 +392,6 @@ struct Lane {
     cmds: RingProducer<ShardCommand>,
     replies: RingConsumer<ShardReply>,
     join: Option<JoinHandle<()>>,
-    /// The worker's counters as of the most recent `stats()` fan-in.
-    last_worker: WorkerStats,
 }
 
 /// The multi-core CM front: the same API surface as
@@ -443,7 +399,6 @@ struct Lane {
 /// workers behind bounded SPSC rings. See the module docs for the
 /// execution and consistency model.
 pub struct ShardRuntime {
-    cfg: CmConfig,
     lanes: Vec<Lane>,
     /// Group → shard-index routing; only the (serial) front touches it.
     router: Router,
@@ -451,9 +406,6 @@ pub struct ShardRuntime {
     /// Notifications received from workers, in arrival order, waiting
     /// for [`ShardRuntime::drain_notifications_into`].
     notes: VecDeque<CmNotification>,
-    /// Sync replies that arrived while draining for something else
-    /// (possible during batched opens); consulted before the rings.
-    stray: Vec<ShardReply>,
     op_failures: u64,
     last_op_failure: Option<CmError>,
     shared: Arc<Shared>,
@@ -469,12 +421,7 @@ impl ShardRuntime {
 
     /// Builds the runtime from an engine's two halves: `router` stays on
     /// the front, `table` is dealt out to the workers.
-    pub(crate) fn from_parts(
-        cfg: CmConfig,
-        router: Router,
-        table: ShardTable,
-        parallel: ParallelConfig,
-    ) -> Self {
+    pub(crate) fn from_parts(router: Router, table: ShardTable, parallel: ParallelConfig) -> Self {
         let workers = parallel.workers.max(1);
         let capacity = parallel.ring_capacity.max(1);
         let shared = Arc::new(Shared::default());
@@ -491,7 +438,6 @@ impl ShardRuntime {
                 },
                 table,
                 shared: Arc::clone(&shared),
-                wstats: WorkerStats::default(),
             };
             #[expect(
                 clippy::expect_used,
@@ -505,31 +451,18 @@ impl ShardRuntime {
                 cmds: cmd_tx,
                 replies: rep_rx,
                 join: Some(join),
-                last_worker: WorkerStats::default(),
             });
         }
 
         ShardRuntime {
-            cfg,
             lanes,
             router,
             seq: 0,
             notes: VecDeque::new(),
-            stray: Vec::new(),
             op_failures: 0,
             last_op_failure: None,
             shared,
         }
-    }
-
-    /// The number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CmConfig {
-        &self.cfg
     }
 
     /// Shard indices assigned so far (1 in single-shard mode once
@@ -573,8 +506,9 @@ impl ShardRuntime {
         }
     }
 
-    /// Absorbs an async reply; sync replies that show up out of band
-    /// (batched opens) park in `stray` until their waiter looks.
+    /// Absorbs an async reply. A sync reply is never absorbed: every
+    /// sync call waits out all of its replies before the front sends
+    /// another command, so none is ever outstanding here.
     fn absorb(&mut self, reply: ShardReply) {
         match reply {
             ShardReply::Note(n) => self.notes.push_back(n),
@@ -582,8 +516,7 @@ impl ShardRuntime {
                 self.op_failures += 1;
                 self.last_op_failure = Some(e);
             }
-            // Bounded by the sync calls in flight.
-            sync => self.stray.push(sync),
+            sync => unreachable!("sync reply outside its call: {sync:?}"),
         }
     }
 
@@ -597,17 +530,9 @@ impl ShardRuntime {
         }
     }
 
-    fn take_stray(&mut self, want: u32) -> Option<ShardReply> {
-        let idx = self.stray.iter().position(|r| reply_seq(r) == Some(want))?;
-        Some(self.stray.swap_remove(idx))
-    }
-
     /// Waits for the reply matching `want` on one lane, absorbing
     /// everything else that arrives meanwhile.
     fn wait_lane(&mut self, lane: usize, want: u32) -> ShardReply {
-        if let Some(r) = self.take_stray(want) {
-            return r;
-        }
         #[expect(
             clippy::disallowed_methods,
             reason = "wall-clock watchdog for a cross-thread wait; feeds no CM decision"
@@ -675,124 +600,6 @@ impl ShardRuntime {
         }
     }
 
-    /// Pipelined bulk open: all commands are enqueued before replies
-    /// are collected, so opening N flows costs one round-trip *wave*
-    /// per ring capacity instead of N sequential round-trips.
-    /// `out[i]` is the result for `keys[i]`.
-    pub fn open_batch(&mut self, keys: &[FlowKey], now: Time, out: &mut Vec<CmResult<FlowId>>) {
-        out.clear();
-        out.resize(
-            keys.len(),
-            Err(CmError::InvalidArgument("open_batch: reply missing")),
-        );
-        let base = self.seq;
-        let mut done = 0usize;
-        let harvest = |front: &mut Vec<ShardReply>,
-                       notes: &mut VecDeque<CmNotification>,
-                       failures: &mut u64,
-                       last: &mut Option<CmError>,
-                       r: ShardReply,
-                       out: &mut Vec<CmResult<FlowId>>,
-                       done: &mut usize| match r {
-            ShardReply::Opened { seq, result } => {
-                let idx = seq.wrapping_sub(base) as usize;
-                if idx >= 1 && idx <= out.len() {
-                    out[idx - 1] = result;
-                    *done += 1;
-                } else {
-                    front.push(r);
-                }
-            }
-            ShardReply::Note(n) => notes.push_back(n),
-            ShardReply::OpFailed(e) => {
-                *failures += 1;
-                *last = Some(e);
-            }
-            sync => front.push(sync),
-        };
-        for key in keys {
-            let sid = self.router.route_open(key);
-            let seq = self.next_seq();
-            let lane = self.lane_of(sid);
-            self.send(
-                lane,
-                ShardCommand::Open {
-                    seq,
-                    shard: sid,
-                    key: *key,
-                    now,
-                },
-            );
-            // Opportunistic, non-blocking harvest keeps reply rings and
-            // worker spill queues from growing with the batch size.
-            while let Pop::Item(r) = self.lanes[lane].replies.try_pop() {
-                harvest(
-                    &mut self.stray,
-                    &mut self.notes,
-                    &mut self.op_failures,
-                    &mut self.last_op_failure,
-                    r,
-                    out,
-                    &mut done,
-                );
-            }
-        }
-        // Collect the tail. Any Opened seq in (base, base+len] belongs
-        // to this batch — the front is serial, so no other opens are
-        // outstanding.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "wall-clock watchdog for the batched-open fan-in; feeds no CM decision"
-        )]
-        let deadline = Instant::now() + SYNC_TIMEOUT;
-        while done < keys.len() {
-            let mut progressed = false;
-            // Strays first (a full-ring drain during sends may have
-            // parked some there).
-            let strays: Vec<ShardReply> = std::mem::take(&mut self.stray);
-            for r in strays {
-                harvest(
-                    &mut self.stray,
-                    &mut self.notes,
-                    &mut self.op_failures,
-                    &mut self.last_op_failure,
-                    r,
-                    out,
-                    &mut done,
-                );
-                progressed = true;
-            }
-            for lane in 0..self.lanes.len() {
-                while let Pop::Item(r) = self.lanes[lane].replies.try_pop() {
-                    progressed = true;
-                    harvest(
-                        &mut self.stray,
-                        &mut self.notes,
-                        &mut self.op_failures,
-                        &mut self.last_op_failure,
-                        r,
-                        out,
-                        &mut done,
-                    );
-                }
-            }
-            if !progressed {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "watchdog expiry check (see above)"
-                )]
-                let now = Instant::now();
-                assert!(
-                    now < deadline,
-                    "open_batch: {} of {} replies missing after {SYNC_TIMEOUT:?}",
-                    keys.len() - done,
-                    keys.len()
-                );
-                thread::yield_now();
-            }
-        }
-    }
-
     /// Closes a flow (`cm_close`). Fire-and-forget: the command is
     /// FIFO-ordered on the owning worker; errors surface via
     /// [`ShardRuntime::op_failures`].
@@ -819,12 +626,6 @@ impl ShardRuntime {
     pub fn update(&mut self, flow: FlowId, report: FeedbackReport, now: Time) {
         let lane = self.lane_of(flow.shard());
         self.send(lane, ShardCommand::Update { flow, report, now });
-    }
-
-    /// Changes a flow's scheduler weight. Fire-and-forget.
-    pub fn set_weight(&mut self, flow: FlowId, weight: u32) {
-        let lane = self.lane_of(flow.shard());
-        self.send(lane, ShardCommand::SetWeight { flow, weight });
     }
 
     /// Queries a flow's state (`cm_query`). Synchronous.
@@ -903,10 +704,13 @@ impl ShardRuntime {
         let mut reply_stalls = 0u64;
         for lane in 0..self.lanes.len() {
             match self.wait_lane(lane, seq) {
-                ShardReply::Stats { stats, worker, .. } => {
+                ShardReply::Stats {
+                    stats,
+                    reply_stalls: stalls,
+                    ..
+                } => {
                     total.accumulate(&stats);
-                    reply_stalls += worker.reply_stalls;
-                    self.lanes[lane].last_worker = worker;
+                    reply_stalls += stalls;
                 }
                 other => unreachable!("stats answered with {other:?}"),
             }
@@ -914,12 +718,6 @@ impl ShardRuntime {
         let cmd_stalls: u64 = self.lanes.iter().map(|l| l.cmds.stalls()).sum();
         total.ring_stalls += reply_stalls + cmd_stalls;
         total
-    }
-
-    /// Per-worker execution counters (refreshes via a stats fan-in).
-    pub fn worker_stats(&mut self) -> Vec<WorkerStats> {
-        let _ = self.stats();
-        self.lanes.iter().map(|l| l.last_worker).collect()
     }
 
     /// Validates every shard's internal invariants on its owning
@@ -1108,30 +906,6 @@ mod tests {
         assert_eq!(a.shard(), 0);
         assert_eq!(b.shard(), 0);
         assert_eq!(rt.shard_count(), 1);
-        rt.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn open_batch_matches_sequential_open() {
-        let mut rt = ShardRuntime::new(by_group_cfg(8), ParallelConfig::with_workers(4));
-        let now = Time::ZERO;
-        let keys: Vec<FlowKey> = (0..500u16)
-            .map(|i| key(1000 + i, u32::from(i % 13)))
-            .collect();
-        let mut ids = Vec::new();
-        rt.open_batch(&keys, now, &mut ids);
-        assert_eq!(ids.len(), keys.len());
-        for (i, id) in ids.iter().enumerate() {
-            let id = id.expect("batched open failed");
-            rt.query(id, now).unwrap();
-            // Round-tripping the id through the worker proves out[i]
-            // really is keys[i]'s flow.
-            let mf = rt.macroflow_of(id).unwrap();
-            assert_eq!(mf.shard(), id.shard(), "row {i} misrouted");
-        }
-        let stats = rt.stats();
-        assert_eq!(stats.opens, 500);
-        assert_eq!(stats.queries, 500);
         rt.check_invariants().unwrap();
     }
 }

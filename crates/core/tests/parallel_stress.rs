@@ -8,7 +8,8 @@
 //! So the stress test here is differential: every operation is mirrored
 //! into an in-process CM and the two are required to agree exactly,
 //! under a seeded churn of open/request/feedback/close across 4
-//! workers.
+//! workers. A second churn script runs alone at 1, 2, 4 and 8 workers
+//! and must produce the same counters at each.
 
 use cm_core::prelude::*;
 use cm_core::CmStats;
@@ -316,4 +317,66 @@ fn into_parallel_carries_live_state() {
     rt.sync();
     assert_eq!(rt.op_failures(), 0);
     rt.check_invariants().unwrap();
+}
+
+/// Worker count moves work across threads without changing it: one
+/// churn script (64 groups x 16 flows on 32 shards, 40 rounds of
+/// request/feedback on a rotating quarter of the flows, a tick barrier
+/// per round) issues the same grants, requests and tick slot scans at
+/// 1, 2, 4 and 8 workers, with no failed op and every invariant green.
+#[test]
+fn churn_counters_match_at_1_2_4_8_workers() {
+    const GROUPS: u32 = 64;
+    const PER_GROUP: u16 = 16;
+    const ROUNDS: u64 = 40;
+    let cfg = CmConfig {
+        pacing: false,
+        ..by_group_cfg(32)
+    };
+    let run = |workers: usize| {
+        let mut rt = ShardRuntime::new(cfg, ParallelConfig::with_workers(workers));
+        let mut now = Time::ZERO;
+        let mut flows = Vec::new();
+        for g in 0..GROUPS {
+            for p in 0..PER_GROUP {
+                let port = 1000 + g as u16 * PER_GROUP + p;
+                flows.push(rt.open(key(port, g), now).expect("open"));
+            }
+        }
+        let mut notes = Vec::new();
+        for round in 0..ROUNDS {
+            now += Duration::from_millis(25);
+            for (i, &f) in flows.iter().enumerate() {
+                if !(i as u64 + round).is_multiple_of(4) {
+                    continue;
+                }
+                rt.request(f, now);
+                rt.notify(f, 1460, now);
+                rt.update(
+                    f,
+                    FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(20)),
+                    now,
+                );
+            }
+            rt.tick(now);
+            rt.drain_notifications_into(&mut notes);
+        }
+        let s = rt.stats();
+        assert_eq!(
+            rt.op_failures(),
+            0,
+            "{workers} workers: {:?}",
+            rt.last_op_failure()
+        );
+        rt.check_invariants()
+            .unwrap_or_else(|e| panic!("{workers} workers: {e}"));
+        (s.grants, s.requests, s.tick_mfs_scanned)
+    };
+    // Every request is granted, and each tick scans one macroflow slot
+    // per group.
+    let granted = ROUNDS * u64::from(GROUPS) * u64::from(PER_GROUP) / 4;
+    let want = (granted, granted, ROUNDS * u64::from(GROUPS));
+    for workers in [1, 2, 4, 8] {
+        assert_eq!(run(workers), want, "runtime diverged at {workers} workers");
+    }
 }

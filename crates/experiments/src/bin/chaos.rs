@@ -13,7 +13,7 @@
 //! binary can gate CI directly. Runs are fully deterministic: a failure
 //! line names the `(scenario, seed)` pair that replays it.
 
-use cm_experiments::chaos::{chaos_sweep, ChaosOutcome};
+use cm_experiments::chaos::{chaos_sweep, smoke_report};
 
 fn main() {
     let mut plans: u64 = 8;
@@ -35,50 +35,24 @@ fn main() {
         }
     }
 
-    println!("chaos: {plans} seeded plan(s) per scenario plus the clean baseline");
-    println!(
-        "{:<16} {:>5} {:>6} {:>13} {:>9} {:>8} {:>7} {:>7}  verdict",
-        "scenario", "seed", "done", "goodput_kbps", "reclaims", "backoffs", "quarant", "reaped"
-    );
     let outcomes = chaos_sweep(plans);
+    print!("{}", smoke_report(&outcomes));
     let mut failed = 0usize;
-    for o in &outcomes {
-        print_row(o);
-        if !o.ok() {
-            failed += 1;
-            for v in &o.violations {
-                eprintln!("  VIOLATION: {v}");
-            }
-            if !o.trace_dump.is_empty() {
-                eprintln!("  flight recorder (newest events per host):");
-                for line in &o.trace_dump {
-                    eprintln!("    {line}");
-                }
+    for o in outcomes.iter().filter(|o| !o.ok()) {
+        failed += 1;
+        eprintln!("{} seed {}:", o.scenario, o.seed);
+        for v in &o.violations {
+            eprintln!("  VIOLATION: {v}");
+        }
+        if !o.trace_dump.is_empty() {
+            eprintln!("  flight recorder (newest events per host):");
+            for line in &o.trace_dump {
+                eprintln!("    {line}");
             }
         }
     }
-    println!(
-        "chaos: {}/{} runs green",
-        outcomes.len() - failed,
-        outcomes.len()
-    );
     if failed > 0 {
         eprintln!("chaos: {failed} run(s) violated CM invariants");
         std::process::exit(1);
     }
-}
-
-fn print_row(o: &ChaosOutcome) {
-    println!(
-        "{:<16} {:>5} {:>6} {:>13.1} {:>9} {:>8} {:>7} {:>7}  {}",
-        o.scenario,
-        o.seed,
-        if o.completed { "yes" } else { "no" },
-        o.goodput_kbps,
-        o.client_stats.grants_reclaimed,
-        o.client_stats.grant_backoffs,
-        o.client_stats.flows_quarantined,
-        o.client_stats.flows_reaped,
-        if o.ok() { "ok" } else { "FAIL" },
-    );
 }

@@ -77,8 +77,6 @@ pub const FIGURES: &[Figure] = &[
     TRACE_REPLAY,
     VAT_AUDIO,
     CO_SCHEDULING,
-    SHARD_SCALING,
-    PARALLEL_SCALING,
     ROBUSTNESS,
     DECISION_TIMELINE,
 ];
@@ -679,461 +677,6 @@ it, and the layer drops \u{2014} then recovers when the burst ends.",
     doc.section("Streamer adaptation per cell");
     doc.table(&cells_table(result));
     finish(fig, cells_csv(result), dat, doc)
-}
-
-// ---------------------------------------------------------------------
-// Shard scaling: maintenance-tick cost vs. shard count
-// ---------------------------------------------------------------------
-
-/// One row of the shard-scaling sweep: deterministic per-tick work
-/// counters for a host with 16 aggregation groups and 1 active group.
-pub struct ShardScalingRow {
-    /// Configuration label (`unsharded`, `sharded_1`, ...).
-    pub label: &'static str,
-    /// Live shards once all groups have opened.
-    pub shards: usize,
-    /// Macroflow slab slots scanned per maintenance tick in steady
-    /// state (the unsharded CM's full-slab scan touches every group).
-    pub mfs_scanned_per_tick: f64,
-    /// Shards whose slabs a tick actually walked, per tick.
-    pub shards_visited_per_tick: f64,
-    /// Quiet shards skipped in O(1), per tick.
-    pub shards_skipped_per_tick: f64,
-}
-
-/// Runs the shard-scaling scenario for one CM configuration: 16
-/// destination groups with one flow each, only the first group active,
-/// one maintenance tick per traffic round. Pure `cm-core` calls with
-/// fixed timestamps — the counters are exactly reproducible, which is
-/// what lets a *cost* figure live in the byte-deterministic pipeline
-/// (the wall-clock tick is the repo benchmark's `core.front.tick_us`).
-#[expect(
-    clippy::expect_used,
-    reason = "fixed-timestamp script — a CmError means the figure script itself is wrong"
-)]
-pub fn shard_scaling_row(label: &'static str, cfg: cm_core::CmConfig) -> ShardScalingRow {
-    shard_scaling_script(label, cfg).expect("shard-scaling script")
-}
-
-fn shard_scaling_script(
-    label: &'static str,
-    cfg: cm_core::CmConfig,
-) -> Result<ShardScalingRow, cm_core::CmError> {
-    use cm_core::prelude::*;
-
-    const GROUPS: u32 = 16;
-    const ROUNDS: u64 = 200;
-    let mut cm = CongestionManager::new(cfg);
-    let mut now = Time::ZERO;
-    let key = |g: u32| FlowKey::new(Endpoint::new(1, 1000 + g as u16), Endpoint::new(g + 2, 80));
-    let active = cm.open(key(0), now)?;
-    for g in 1..GROUPS {
-        cm.open(key(g), now)?;
-    }
-    let shards = cm.shard_count();
-    // Settle: the first tick scans every group once and marks the idle
-    // ones quiet.
-    now += Duration::from_millis(100);
-    cm.tick(now);
-    let mut notes = Vec::new();
-    let before = cm.stats();
-    for _ in 0..ROUNDS {
-        now += Duration::from_millis(100);
-        cm.request(active, now)?;
-        notes.clear();
-        cm.drain_notifications_into(&mut notes);
-        for &n in &notes {
-            if let CmNotification::SendGrant { flow } = n {
-                cm.notify(flow, 1460, now)?;
-            }
-        }
-        cm.update(
-            active,
-            FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(20)),
-            now,
-        )?;
-        cm.tick(now);
-    }
-    let after = cm.stats();
-    let per = |a: u64, b: u64| (a - b) as f64 / ROUNDS as f64;
-    Ok(ShardScalingRow {
-        label,
-        shards,
-        mfs_scanned_per_tick: per(after.tick_mfs_scanned, before.tick_mfs_scanned),
-        shards_visited_per_tick: per(after.tick_shards_visited, before.tick_shards_visited),
-        shards_skipped_per_tick: per(after.tick_shards_skipped, before.tick_shards_skipped),
-    })
-}
-
-/// The full sweep: the unsharded baseline against by-group sharding at
-/// 1, 4, and 16 shards.
-pub fn shard_scaling_rows() -> Vec<ShardScalingRow> {
-    use cm_core::{CmConfig, ShardingConfig};
-    let base = |sharding| CmConfig {
-        sharding,
-        pacing: false,
-        ..Default::default()
-    };
-    vec![
-        shard_scaling_row("unsharded", base(ShardingConfig::default())),
-        shard_scaling_row("sharded_1", base(ShardingConfig::by_group(1))),
-        shard_scaling_row("sharded_4", base(ShardingConfig::by_group(4))),
-        shard_scaling_row("sharded_16", base(ShardingConfig::by_group(16))),
-    ]
-}
-
-const SHARD_SCALING: Figure = Figure {
-    name: "shard_scaling",
-    title: "Maintenance-tick cost vs. CM shard count",
-    paper_ref: "beyond the paper: the roadmap's millions-of-flows scaling, \
-sharding the CM by the aggregation group established as the natural partition key",
-    description: "A host with 16 destination groups, one flow each, and only \
-one group active \u{2014} the web-server steady state where most learned \
-congestion state is idle. Each row runs the same traffic/tick cadence on a \
-differently sharded CM and reports the deterministic per-tick work counters: \
-macroflow slab slots scanned, shards visited, and quiet shards skipped in O(1). \
-The unsharded CM's maintenance scan touches every group on every tick; sharding \
-by aggregation group confines it to the shards with work.",
-    run: shard_scaling,
-};
-
-// Identical in smoke and full mode — the sweep takes milliseconds.
-fn shard_scaling(fig: &Figure, _smoke: bool) -> FigureRun {
-    let rows = shard_scaling_rows();
-    let mut dat = DatFile::new(
-        "shard_scaling: per-tick maintenance work vs shard count\n\
-         columns: shards  mfs_scanned_per_tick  shards_visited_per_tick  shards_skipped_per_tick",
-    );
-    dat.block(
-        "per-tick work (16 groups, 1 active)",
-        &[
-            "shards",
-            "mfs_scanned_per_tick",
-            "shards_visited_per_tick",
-            "shards_skipped_per_tick",
-        ],
-    );
-    for r in &rows {
-        dat.row(&[
-            r.shards as f64,
-            r.mfs_scanned_per_tick,
-            r.shards_visited_per_tick,
-            r.shards_skipped_per_tick,
-        ]);
-    }
-
-    let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
-    doc.para(
-        "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
-Deterministic: the sweep drives `cm-core` directly with fixed timestamps and \
-reports work counters, not wall-clock times (those are the repo benchmark's \
-`core.front.tick_us`, beside its own `core.shard.tick_mfs_scanned_per_tick`). \
-Rerunning reproduces this file byte for byte.*",
-    );
-    doc.section("Per-tick maintenance work, 16 groups with 1 active");
-    let mut t = Table::new(&[
-        "configuration",
-        "live shards",
-        "mf slots scanned / tick",
-        "shards visited / tick",
-        "quiet shards skipped / tick",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.label,
-            &r.shards.to_string(),
-            &fmt_f64(r.mfs_scanned_per_tick),
-            &fmt_f64(r.shards_visited_per_tick),
-            &fmt_f64(r.shards_skipped_per_tick),
-        ]);
-    }
-    doc.table(&t);
-    #[expect(
-        clippy::unwrap_used,
-        reason = "row labels are fixed by the generator loop above; lookup cannot fail"
-    )]
-    let unsharded = rows.iter().find(|r| r.label == "unsharded").unwrap();
-    #[expect(
-        clippy::unwrap_used,
-        reason = "row labels are fixed by the generator loop above; lookup cannot fail"
-    )]
-    let sharded16 = rows.iter().find(|r| r.label == "sharded_16").unwrap();
-    doc.para(&format!(
-        "**At 16 shards the maintenance tick scans {} macroflow slot(s) instead of \
-the unsharded scan's {}** \u{2014} a {}x reduction in slab work on this host \
-shape, with the 15 idle groups costing one branch each \
-(`tick_shards_skipped`). One shard reproduces the unsharded scan exactly \
-(same slots, one slab), and four shards land in between: scan cost tracks \
-the number of *active* shards, not the number of groups. This is the \
-scaling lever the aggregation-policy seam was built for: at millions of \
-flows, aggregation granularity is the sharding strategy.",
-        fmt_f64(sharded16.mfs_scanned_per_tick),
-        fmt_f64(unsharded.mfs_scanned_per_tick),
-        fmt_f64(unsharded.mfs_scanned_per_tick / sharded16.mfs_scanned_per_tick.max(1e-9)),
-    ));
-    // CSV mirrors the table for spreadsheet users.
-    let mut csv = String::from(
-        "configuration,shards,mfs_scanned_per_tick,shards_visited_per_tick,shards_skipped_per_tick\n",
-    );
-    for r in &rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{}\n",
-            r.label,
-            r.shards,
-            fmt_f64(r.mfs_scanned_per_tick),
-            fmt_f64(r.shards_visited_per_tick),
-            fmt_f64(r.shards_skipped_per_tick),
-        ));
-    }
-    finish(fig, csv, dat, doc).into()
-}
-
-// ---------------------------------------------------------------------
-// parallel_scaling: deterministic work partition across worker threads
-// ---------------------------------------------------------------------
-
-/// One row of the parallel-scaling sweep: the same churn script run on
-/// the thread-per-shard runtime ([`cm_core::ShardRuntime`]) at one
-/// worker count.
-pub struct ParallelScalingRow {
-    /// Worker threads the runtime was started with.
-    pub workers: usize,
-    /// Fewest shards owned by any worker.
-    pub shards_min: u32,
-    /// Most shards owned by any worker.
-    pub shards_max: u32,
-    /// Smallest per-worker share of executed commands, in percent.
-    pub cmd_share_min: f64,
-    /// Largest per-worker share of executed commands, in percent.
-    pub cmd_share_max: f64,
-    /// Commands executed across all workers.
-    pub cmds_total: u64,
-    /// Send grants issued — must be identical at every worker count.
-    pub grants: u64,
-    /// Requests processed — must be identical at every worker count.
-    pub requests: u64,
-    /// Macroflow slots scanned by ticks — must be identical at every
-    /// worker count.
-    pub mfs_scanned: u64,
-}
-
-/// Runs the parallel-scaling churn script at one worker count: 64
-/// destination groups x 16 flows on 32 by-group shards, 40 rounds of
-/// request + feedback on a rotating quarter of the flows with a tick
-/// barrier per round. Only deterministic counters are reported —
-/// command routing is a pure function of the key stream and the
-/// serial front replays the same per-shard command sequence at any
-/// worker count, so everything here except wall-clock time (which
-/// is the repo benchmark's `core.runtime.cycle_ns`) is exactly
-/// reproducible.
-pub fn parallel_scaling_row(workers: usize) -> ParallelScalingRow {
-    use cm_core::prelude::*;
-
-    const GROUPS: u32 = 64;
-    const PER_GROUP: u16 = 16;
-    const ROUNDS: u64 = 40;
-    let cfg = cm_core::CmConfig {
-        sharding: cm_core::ShardingConfig::by_group(32),
-        pacing: false,
-        ..Default::default()
-    };
-    let mut rt = ShardRuntime::new(cfg, ParallelConfig::with_workers(workers));
-    let mut now = Time::ZERO;
-    let mut flows = Vec::new();
-    for g in 0..GROUPS {
-        for p in 0..PER_GROUP {
-            let k = FlowKey::new(
-                Endpoint::new(1, 1000 + (g as u16) * PER_GROUP + p),
-                Endpoint::new(g + 2, 80),
-            );
-            #[expect(
-                clippy::expect_used,
-                reason = "scripted five-tuples are distinct by construction — open cannot collide"
-            )]
-            flows.push(rt.open(k, now).expect("open"));
-        }
-    }
-    let mut notes = Vec::new();
-    for round in 0..ROUNDS {
-        now += Duration::from_millis(25);
-        for (i, &f) in flows.iter().enumerate() {
-            if !(i as u64 + round).is_multiple_of(4) {
-                continue;
-            }
-            rt.request(f, now);
-            rt.notify(f, 1460, now);
-            rt.update(
-                f,
-                FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(20)),
-                now,
-            );
-        }
-        rt.tick(now);
-        rt.drain_notifications_into(&mut notes);
-    }
-    let stats = rt.stats();
-    assert_eq!(rt.op_failures(), 0, "parallel_scaling script failed an op");
-    #[expect(
-        clippy::expect_used,
-        reason = "proof-point gate — an invariant breach must abort figure generation, not emit bad data"
-    )]
-    rt.check_invariants().expect("parallel_scaling invariants");
-    let per_worker = rt.worker_stats();
-    let cmds_total: u64 = per_worker.iter().map(|w| w.commands).sum();
-    let share = |c: u64| 100.0 * c as f64 / cmds_total as f64;
-    ParallelScalingRow {
-        workers,
-        shards_min: per_worker.iter().map(|w| w.shards).min().unwrap_or(0),
-        shards_max: per_worker.iter().map(|w| w.shards).max().unwrap_or(0),
-        cmd_share_min: share(per_worker.iter().map(|w| w.commands).min().unwrap_or(0)),
-        cmd_share_max: share(per_worker.iter().map(|w| w.commands).max().unwrap_or(0)),
-        cmds_total,
-        grants: stats.grants,
-        requests: stats.requests,
-        mfs_scanned: stats.tick_mfs_scanned,
-    }
-}
-
-/// The full sweep, 1 through 8 workers. Panics if the per-shard work
-/// is not identical across worker counts — the determinism claim the
-/// figure exists to pin.
-pub fn parallel_scaling_rows() -> Vec<ParallelScalingRow> {
-    let rows: Vec<ParallelScalingRow> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| parallel_scaling_row(w))
-        .collect();
-    for r in &rows[1..] {
-        assert_eq!(
-            (r.grants, r.requests, r.mfs_scanned),
-            (rows[0].grants, rows[0].requests, rows[0].mfs_scanned),
-            "parallel runtime diverged at {} workers",
-            r.workers
-        );
-    }
-    rows
-}
-
-const PARALLEL_SCALING: Figure = Figure {
-    name: "parallel_scaling",
-    title: "Thread-per-shard runtime: work partition vs. worker count",
-    paper_ref: "beyond the paper: the roadmap's millions-of-flows scaling \
-taken across cores \u{2014} the by-group shards become the unit of thread \
-ownership",
-    description: "The same deterministic churn script \u{2014} 64 destination \
-groups x 16 flows on 32 by-group shards, 40 rounds of request/feedback with a \
-tick barrier per round \u{2014} run on the thread-per-shard parallel runtime at \
-1, 2, 4 and 8 workers. Each row reports the per-worker command partition and \
-the aggregate grant/scan counters. The aggregates are identical in every row \
-(asserted at generation time): the serial front replays the same per-shard \
-command sequence at any worker count, so worker count changes *where* work \
-runs, never *what* work runs. Wall-clock cost is the repo benchmark's \
-`core.runtime.cycle_ns` and `core.runtime.vs_inproc_ratio`; this figure pins \
-the partition itself so CI stays reproducible on any host.",
-    run: parallel_scaling,
-};
-
-// Identical in smoke and full mode — four sub-second runtime sweeps.
-fn parallel_scaling(fig: &Figure, _smoke: bool) -> FigureRun {
-    let rows = parallel_scaling_rows();
-    let mut dat = DatFile::new(
-        "parallel_scaling: per-worker command partition vs worker count\n\
-         columns: workers  shards_min  shards_max  cmd_share_min_pct  cmd_share_max_pct  \
-cmds_total  grants  mfs_scanned",
-    );
-    dat.block(
-        "work partition (64 groups, 32 shards)",
-        &[
-            "workers",
-            "shards_min",
-            "shards_max",
-            "cmd_share_min_pct",
-            "cmd_share_max_pct",
-            "cmds_total",
-            "grants",
-            "mfs_scanned",
-        ],
-    );
-    for r in &rows {
-        dat.row(&[
-            r.workers as f64,
-            r.shards_min as f64,
-            r.shards_max as f64,
-            r.cmd_share_min,
-            r.cmd_share_max,
-            r.cmds_total as f64,
-            r.grants as f64,
-            r.mfs_scanned as f64,
-        ]);
-    }
-
-    let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
-    doc.para(
-        "*Generated by `cargo run --release -p cm-experiments --bin figures`. \
-Deterministic: the sweep reports message and work counters, not wall-clock \
-times. Rerunning reproduces this file byte for byte on any host, single-core \
-CI included.*",
-    );
-    doc.section("Per-worker command partition, 64 groups on 32 shards");
-    let mut t = Table::new(&[
-        "workers",
-        "shards/worker",
-        "command share (min..max)",
-        "commands total",
-        "grants",
-        "mf slots scanned",
-    ]);
-    for r in &rows {
-        t.row(&[
-            &r.workers.to_string(),
-            &format!("{}..{}", r.shards_min, r.shards_max),
-            &format!(
-                "{}%..{}%",
-                fmt_f64(r.cmd_share_min),
-                fmt_f64(r.cmd_share_max)
-            ),
-            &r.cmds_total.to_string(),
-            &r.grants.to_string(),
-            &r.mfs_scanned.to_string(),
-        ]);
-    }
-    doc.table(&t);
-    #[expect(
-        clippy::unwrap_used,
-        reason = "the worker grid above always includes 8 — lookup cannot fail"
-    )]
-    let w8 = rows.iter().find(|r| r.workers == 8).unwrap();
-    doc.para(&format!(
-        "**Grant and scan counts are identical in every row** ({} grants, {} \
-macroflow slots scanned \u{2014} asserted at generation time): worker count \
-moves work across threads without changing it, the property the differential \
-stress test (`cargo test -p cm-core --test parallel_stress`) checks against \
-the in-process CM op by op. At 8 workers the busiest worker executes {}% of \
-commands against an even share of {}% \u{2014} by-group routing keeps the \
-partition balanced, so aggregate throughput on a multi-core host tracks the \
-worker count until the serial front saturates.",
-        w8.grants,
-        w8.mfs_scanned,
-        fmt_f64(w8.cmd_share_max),
-        fmt_f64(100.0 / 8.0),
-    ));
-    let mut csv = String::from(
-        "workers,shards_min,shards_max,cmd_share_min_pct,cmd_share_max_pct,\
-cmds_total,grants,mfs_scanned\n",
-    );
-    for r in &rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.workers,
-            r.shards_min,
-            r.shards_max,
-            fmt_f64(r.cmd_share_min),
-            fmt_f64(r.cmd_share_max),
-            r.cmds_total,
-            r.grants,
-            r.mfs_scanned,
-        ));
-    }
-    finish(fig, csv, dat, doc).into()
 }
 
 // ---------------------------------------------------------------------

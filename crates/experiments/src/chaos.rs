@@ -164,6 +164,36 @@ pub fn chaos_sweep(plans: u64) -> Vec<ChaosOutcome> {
     out
 }
 
+/// The chaos CLI's report of a sweep: a header naming the seeded plans
+/// per scenario (the highest seed), one row per outcome, and the tally
+/// of green runs. Deterministic; `tests/golden/chaos_smoke.txt` freezes
+/// it for `chaos_sweep(1)`.
+pub fn smoke_report(outcomes: &[ChaosOutcome]) -> String {
+    let plans = outcomes.iter().map(|o| o.seed).max().unwrap_or(0);
+    let mut out = format!("chaos: {plans} seeded plan(s) per scenario plus the clean baseline\n");
+    out.push_str(&format!(
+        "{:<16} {:>5} {:>6} {:>13} {:>9} {:>8} {:>7} {:>7}  verdict\n",
+        "scenario", "seed", "done", "goodput_kbps", "reclaims", "backoffs", "quarant", "reaped"
+    ));
+    for o in outcomes {
+        out.push_str(&format!(
+            "{:<16} {:>5} {:>6} {:>13.1} {:>9} {:>8} {:>7} {:>7}  {}\n",
+            o.scenario,
+            o.seed,
+            if o.completed { "yes" } else { "no" },
+            o.goodput_kbps,
+            o.client_stats.grants_reclaimed,
+            o.client_stats.grant_backoffs,
+            o.client_stats.flows_quarantined,
+            o.client_stats.flows_reaped,
+            if o.ok() { "ok" } else { "FAIL" },
+        ));
+    }
+    let green = outcomes.iter().filter(|o| o.ok()).count();
+    out.push_str(&format!("chaos: {green}/{} runs green\n", outcomes.len()));
+    out
+}
+
 /// Steps `sim` to `end` in one-second slices, checking every listed
 /// host's CM invariants after each slice. `scenario`/`seed` identify
 /// the run in any violation reported.
@@ -766,10 +796,15 @@ mod tests {
     use super::*;
 
     /// The CI smoke slice: every scenario once under one seeded plan
-    /// (the full ≥8-plan sweep runs in the chaos CLI).
+    /// (the full ≥8-plan sweep runs in the chaos CLI). Its report is
+    /// the `chaos -- --smoke` output, frozen in
+    /// `tests/golden/chaos_smoke.txt`; regenerate it with
+    /// `UPDATE_GOLDENS=1 cargo test -p cm-experiments --lib chaos_smoke`
+    /// only for a change that means to move a defense.
     #[test]
     fn chaos_smoke_one_seeded_plan_per_scenario() {
-        for o in chaos_sweep(1) {
+        let outcomes = chaos_sweep(1);
+        for o in &outcomes {
             assert!(
                 o.ok(),
                 "{} seed {} violated invariants: {:?}",
@@ -778,6 +813,26 @@ mod tests {
                 o.violations
             );
         }
+        let report = smoke_report(&outcomes);
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chaos_smoke.txt");
+        if std::env::var_os("UPDATE_GOLDENS").is_some() {
+            std::fs::write(&path, &report).unwrap();
+            return;
+        }
+        let frozen = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden file {} ({e}); regenerate with UPDATE_GOLDENS=1",
+                path.display()
+            )
+        });
+        assert_eq!(
+            frozen,
+            report,
+            "the chaos smoke report diverged from {}; if the change is \
+             intentional, regenerate with UPDATE_GOLDENS=1",
+            path.display()
+        );
     }
 
     /// Forcing a liveness failure (a permanent outage from t=0 starves

@@ -24,8 +24,8 @@
 //!   gnuplot `.dat`, markdown).
 //! * [`builtin`] — the [`builtin::Figure`] table and the figures beyond
 //!   the paper: the Figure 8/9 quality track, the quality/oscillation
-//!   policy frontier, recorded-trace replay, vat audio adaptation, the
-//!   scaling, robustness and decision-timeline figures.
+//!   policy frontier, recorded-trace replay, vat audio adaptation,
+//!   §3.5 co-scheduling, the robustness and decision-timeline figures.
 //! * [`paper`] — the paper's own evaluation: Table 1, Figures 3-7 and 10,
 //!   connection set-up, the design ablations.
 //! * [`scenarios`] — the paper's testbed set-ups those figures run.

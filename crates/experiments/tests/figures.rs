@@ -295,59 +295,28 @@ fn co_scheduling_shares_track_weights_within_5pct() {
     assert_eq!(out.concat(), out2.concat());
 }
 
-/// The shard-scaling figure's acceptance: per-tick slab work shrinks
-/// monotonically with shard count, the 16-shard host scans a fraction
-/// of the unsharded baseline (the quiet idle groups are skipped, not
-/// scanned), and generation is byte-deterministic like every other
-/// figure.
+/// `docs/figures/` holds exactly what the `figures` binary writes: its
+/// index, three files per entry of `FIGURES`, and the decision
+/// timeline's JSONL. The binary never deletes a file, so a retired
+/// figure whose outputs were left behind would otherwise pass the
+/// regenerate-and-diff check unnoticed.
 #[test]
-fn shard_scaling_reduces_tick_work_and_is_deterministic() {
-    let rows = cm_experiments::builtin::shard_scaling_rows();
-    let get = |label: &str| {
-        rows.iter()
-            .find(|r| r.label == label)
-            .unwrap_or_else(|| panic!("missing row {label}"))
-    };
-    let unsharded = get("unsharded");
-    let sharded16 = get("sharded_16");
-    // The unsharded scan touches every group's macroflow each tick; the
-    // sharded host scans only the active shard's slab.
-    assert!(
-        unsharded.mfs_scanned_per_tick >= 16.0,
-        "baseline lost its full scan ({})",
-        unsharded.mfs_scanned_per_tick
-    );
-    assert!(
-        sharded16.mfs_scanned_per_tick * 4.0 <= unsharded.mfs_scanned_per_tick,
-        "sharded tick ({}) not measurably below the unsharded scan ({})",
-        sharded16.mfs_scanned_per_tick,
-        unsharded.mfs_scanned_per_tick
-    );
-    assert!(
-        sharded16.shards_skipped_per_tick >= 14.0,
-        "idle shards were scanned, not skipped ({})",
-        sharded16.shards_skipped_per_tick
-    );
-    // Monotone in shard count.
-    assert!(get("sharded_4").mfs_scanned_per_tick <= get("sharded_1").mfs_scanned_per_tick);
-    assert!(sharded16.mfs_scanned_per_tick <= get("sharded_4").mfs_scanned_per_tick);
-
-    let fig = figure("shard_scaling");
-    let (out1, out2) = (fig.run(true).files, fig.run(true).files);
-    assert_eq!(
-        out1.concat(),
-        out2.concat(),
-        "shard_scaling not deterministic"
-    );
-    let md = out1
-        .files()
+fn docs_figures_holds_exactly_the_builtin_outputs() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/figures");
+    let present: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let expected: Vec<String> = builtin::FIGURES
         .iter()
-        .find(|(n, _)| n == "shard_scaling.md")
-        .map(|(_, c)| c.as_str())
-        .expect("markdown report emitted");
+        .flat_map(|f| ["csv", "dat", "md"].map(|ext| format!("{}.{ext}", f.name)))
+        .chain(["README.md".into(), "decision_timeline.jsonl".into()])
+        .collect();
+    let stray: Vec<&String> = present.iter().filter(|f| !expected.contains(f)).collect();
+    let missing: Vec<&String> = expected.iter().filter(|f| !present.contains(f)).collect();
     assert!(
-        md.contains("reduction in slab work"),
-        "report omits the headline reduction"
+        stray.is_empty() && missing.is_empty(),
+        "docs/figures/: {stray:?} written by no figure, {missing:?} missing"
     );
 }
 
