@@ -81,6 +81,7 @@ pub mod ring;
 pub mod runtime;
 pub mod scheduler;
 mod shard;
+mod slot_index;
 pub mod types;
 
 pub use api::{CmNotification, CmStats, CongestionManager};

@@ -10,15 +10,18 @@
 //! configuration there is exactly one shard and its ids are numerically
 //! identical to the unsharded CM's.
 //!
-//! Ids handed to clients (and stored in `key_to_flow`, macroflow member
-//! lists, and the grant queue) are *global* — shard bits included. The
+//! Ids handed to clients (and stored in macroflow member lists and the
+//! grant queue) are *global* — shard bits included. The
 //! schedulers are the one exception: they name a flow by its slab *slot*
 //! (zero shard bits), because that is where its scheduler state lives —
 //! `sched`, one [`SchedSlot`] per flow slot, shared by every macroflow's
 //! scheduler — and the shard re-encodes what a dequeue hands back.
 //! `bands` is the second slab of that shape: a flow's own quiet band sits
 //! at its slot, so a rate-callback walk decides whom to re-examine without
-//! loading a single `Flow`.
+//! loading a single `Flow`. The two key indexes name slots too: a
+//! [`SlotIndex`] holds an 8-byte `(hash, slot)` pair per live flow (or
+//! grouped macroflow) and confirms a candidate against the key its slot
+//! already holds, so no key is stored twice.
 //!
 //! # Quiet-shard skip
 //!
@@ -35,7 +38,7 @@ use std::collections::VecDeque;
 
 use cm_obs::{CongestionSignal, TraceEvent, Tracer};
 use cm_util::ewma::MIN_RTO;
-use cm_util::{Duration, FxHashMap, Rate, Time};
+use cm_util::{Duration, Rate, Time};
 
 use crate::api::{CmNotification, CmStats};
 use crate::config::CmConfig;
@@ -43,6 +46,7 @@ use crate::error::{CmError, CmResult};
 use crate::flow::Flow;
 use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, QuietBand};
 use crate::scheduler::SchedSlot;
+use crate::slot_index::{hash_of, Probe, SlotIndex};
 use crate::types::{
     FeedbackReport, FlowId, FlowInfo, FlowKey, LossMode, MacroflowId, Thresholds, SLOT_BITS,
     SLOT_MASK,
@@ -137,7 +141,8 @@ pub(crate) struct Shard {
     /// stale entries lazily instead of `retain`-scanning on every close.
     flow_gens: Vec<u32>,
     live_flows: usize,
-    key_to_flow: FxHashMap<FlowKey, FlowId>,
+    /// `Flow::key` -> flow slot, for every live flow.
+    flow_index: SlotIndex,
     /// Macroflow slab with the same recycling scheme.
     mfs: Vec<Option<Macroflow>>,
     free_mfs: Vec<u32>,
@@ -147,12 +152,14 @@ pub(crate) struct Shard {
     /// re-boxing, so macroflow churn — split/merge cycles included —
     /// allocates nothing once the pool is warm.
     mf_pool: Vec<Macroflow>,
-    /// Aggregation-group index: `group -> macroflow`, where the group id
-    /// is computed by the configured [`crate::config::AggregationPolicy`].
+    /// Aggregation-group index: the group of `Macroflow::key` ->
+    /// macroflow slot, for every live group-keyed macroflow (lingering
+    /// ones included; private ones have no group). The group id is
+    /// computed by the configured [`crate::config::AggregationPolicy`].
     /// A shard normally hosts one routing group, but overflow routing
     /// (more groups than shards) and the single-shard mode put several
-    /// here; the map keeps them apart.
-    group_to_mf: FxHashMap<u64, MacroflowId>,
+    /// here; the index keeps them apart.
+    group_index: SlotIndex,
     pub(crate) outbox: VecDeque<CmNotification>,
     pub(crate) stats: CmStats,
     next_private_key: u32,
@@ -190,12 +197,12 @@ impl Shard {
             free_flows: Vec::new(),
             flow_gens: Vec::new(),
             live_flows: 0,
-            key_to_flow: FxHashMap::default(),
+            flow_index: SlotIndex::default(),
             mfs: Vec::new(),
             free_mfs: Vec::new(),
             live_mfs: 0,
             mf_pool: Vec::new(),
-            group_to_mf: FxHashMap::default(),
+            group_index: SlotIndex::default(),
             outbox: VecDeque::new(),
             stats: CmStats::default(),
             next_private_key: 0,
@@ -210,7 +217,7 @@ impl Shard {
     }
 
     /// Re-initialises a pooled shard shell for a new tenant, retaining
-    /// every slab, map, and buffer capacity (and the parked macroflow
+    /// every slab, index, and buffer capacity (and the parked macroflow
     /// shells) so shard churn under group churn is allocation-free once
     /// the pool is warm.
     pub(crate) fn reset(&mut self, index: u32) {
@@ -222,12 +229,12 @@ impl Shard {
         self.free_flows.clear();
         self.flow_gens.clear();
         self.live_flows = 0;
-        self.key_to_flow.clear();
+        self.flow_index.clear();
         self.mfs.clear();
         self.free_mfs.clear();
         self.live_mfs = 0;
         // mf_pool retained: shells are fully reset at allocation time.
-        self.group_to_mf.clear();
+        self.group_index.clear();
         self.outbox.clear();
         self.stats = CmStats::default();
         self.next_private_key = 0;
@@ -258,16 +265,26 @@ impl Shard {
     // ------------------------------------------------------------------
 
     pub(crate) fn open(&mut self, key: FlowKey, now: Time) -> CmResult<FlowId> {
-        if self.key_to_flow.contains_key(&key) {
-            return Err(CmError::DuplicateFlow);
-        }
+        // One probe per index: it finds the key, or the bucket it goes in.
+        let flows = &self.flows;
+        let vacancy = match self
+            .flow_index
+            .find_or_vacancy(hash_of(&key), |s| holds_key(flows, s, &key))
+        {
+            Probe::Found(_) => return Err(CmError::DuplicateFlow),
+            Probe::Vacant(v) => v,
+        };
         let group = self.cfg.aggregation.group_of(&key);
-        let mf_id = match self.group_to_mf.get(&group) {
-            Some(&id) => id,
-            None => {
+        let mfs = &self.mfs;
+        let mf_id = match self
+            .group_index
+            .find_or_vacancy(hash_of(&group), |s| holds_group(mfs, s, group))
+        {
+            Probe::Found(s) => MacroflowId(self.base | s),
+            Probe::Vacant(v) => {
                 let mk = MacroflowKey::for_group(self.cfg.aggregation, group);
                 let id = self.alloc_macroflow(mk, now);
-                self.group_to_mf.insert(group, id);
+                self.group_index.fill(v, slot(id.0) as u32);
                 id
             }
         };
@@ -293,7 +310,7 @@ impl Shard {
             }
         };
         let mut flow = Flow::new(flow_id, key, mf_id, self.cfg.mtu, now);
-        self.key_to_flow.insert(key, flow_id);
+        self.flow_index.fill(vacancy, lid(flow_id));
         let (mf, sched) = self.mf_sched(mf_id)?;
         flow.mf_pos = mf.flows.len() as u32;
         mf.flows.push(flow_id);
@@ -349,7 +366,8 @@ impl Shard {
             self.bands[slot(flow.0)] = QuietBand::OPEN;
         }
         self.parked_count -= parked;
-        self.key_to_flow.remove(&key);
+        let removed = self.flow_index.remove(hash_of(&key), lid(flow));
+        debug_assert!(removed, "live flow {flow:?} was not indexed");
         self.stats.closes += 1;
         self.tracer
             .record(now, TraceEvent::FlowClosed { flow: flow.0 });
@@ -362,7 +380,9 @@ impl Shard {
     }
 
     pub(crate) fn lookup(&self, key: &FlowKey) -> Option<FlowId> {
-        self.key_to_flow.get(key).copied()
+        self.flow_index
+            .find(hash_of(key), |s| holds_key(&self.flows, s, key))
+            .map(|s| FlowId(self.base | s))
     }
 
     pub(crate) fn set_weight(&mut self, flow: FlowId, weight: u32) -> CmResult<()> {
@@ -867,7 +887,8 @@ impl Shard {
                 self.free_mfs.push(i as u32);
                 self.live_mfs -= 1;
                 if let Some(group) = mf.key.group() {
-                    self.group_to_mf.remove(&group);
+                    let removed = self.group_index.remove(hash_of(&group), i as u32);
+                    debug_assert!(removed, "group {group} was not indexed");
                 }
                 // Park the shell so the next macroflow creation reuses
                 // its boxes and buffers instead of allocating.
@@ -964,8 +985,9 @@ impl Shard {
     }
 
     /// Structural invariant check for the chaos harness and property
-    /// tests: slab/free-list consistency, the group index against the
-    /// live group-keyed macroflows, flow ↔ macroflow membership,
+    /// tests: slab/free-list consistency, both key indexes (one entry per
+    /// live flow and per live group-keyed macroflow, each naming a live
+    /// slot whose own key finds it), flow ↔ macroflow membership,
     /// every scheduler's rotation walked through the shared slab, grant
     /// reservations, parked-request accounting, every flow's quiet band
     /// against what it is defined to be, and every macroflow's band
@@ -1061,12 +1083,17 @@ impl Shard {
             ));
         }
         let mut member_total = 0usize;
+        let mut grouped = 0usize;
         let mut linked = vec![false; self.sched.len()];
         for mf in self.mfs.iter().flatten() {
             member_total += mf.flows.len();
             if let Some(g) = mf.key.group() {
-                if self.group_to_mf.get(&g) != Some(&mf.id) {
-                    return Err(format!("{:?} of group {g} is not its entry", mf.id));
+                grouped += 1;
+                let found = self
+                    .group_index
+                    .find(hash_of(&g), |s| holds_group(&self.mfs, s, g));
+                if found != Some(slot(mf.id.0) as u32) {
+                    return Err(format!("{:?} of group {g} is not found by it", mf.id));
                 }
             }
             let is_member = |l: u32| matches!(self.flows.get(l as usize), Some(Some(f)) if f.macroflow == mf.id);
@@ -1141,9 +1168,35 @@ impl Shard {
                 ));
             }
         }
-        for (&g, &id) in &self.group_to_mf {
-            if self.mf_ref(id).ok().and_then(|mf| mf.key.group()) != Some(g) {
-                return Err(format!("group {g} indexes {id:?}, no live macroflow of it"));
+        self.group_index
+            .validate()
+            .map_err(|e| format!("group index: {e}"))?;
+        if self.group_index.len() != grouped {
+            return Err(format!(
+                "{} group-index entries for {grouped} live grouped macroflows",
+                self.group_index.len()
+            ));
+        }
+        for (hash, s) in self.group_index.entries() {
+            let group = self
+                .mfs
+                .get(s as usize)
+                .and_then(Option::as_ref)
+                .and_then(|mf| mf.key.group());
+            let Some(g) = group else {
+                return Err(format!(
+                    "group index names slot {s}, no live grouped macroflow"
+                ));
+            };
+            if hash != hash_of(&g) {
+                return Err(format!("group-index entry of slot {s} holds a stale hash"));
+            }
+            if self
+                .group_index
+                .find(hash, |t| holds_group(&self.mfs, t, g))
+                != Some(s)
+            {
+                return Err(format!("group {g} of slot {s} is not found by it"));
             }
         }
         if member_total != live {
@@ -1151,17 +1204,29 @@ impl Shard {
                 "{live} flows live but {member_total} macroflow memberships"
             ));
         }
-        if self.key_to_flow.len() != live {
+        self.flow_index
+            .validate()
+            .map_err(|e| format!("flow index: {e}"))?;
+        if self.flow_index.len() != live {
             return Err(format!(
-                "{} key-map entries for {} live flows",
-                self.key_to_flow.len(),
-                live
+                "{} flow-index entries for {live} live flows",
+                self.flow_index.len()
             ));
         }
-        for (key, &fid) in &self.key_to_flow {
-            match self.flows.get(slot(fid.0)).and_then(Option::as_ref) {
-                Some(f) if f.key == *key => {}
-                _ => return Err(format!("key-map entry for {fid:?} is stale")),
+        for (hash, s) in self.flow_index.entries() {
+            let Some(f) = self.flows.get(s as usize).and_then(Option::as_ref) else {
+                return Err(format!("flow index names vacant slot {s}"));
+            };
+            if hash != hash_of(&f.key) {
+                return Err(format!("flow-index entry of {:?} holds a stale hash", f.id));
+            }
+            if self.lookup(&f.key) != Some(f.id) {
+                return Err(format!("the key of {:?} finds another flow", f.id));
+            }
+        }
+        for f in self.flows.iter().flatten() {
+            if self.lookup(&f.key) != Some(f.id) {
+                return Err(format!("{:?} is not found by its key", f.id));
             }
         }
         let parked: usize = self
@@ -1553,6 +1618,18 @@ fn flow_info_of(share: Rate, mtu: usize, mf: &Macroflow) -> FlowInfo {
     }
 }
 
+/// Whether flow slot `s` holds a flow opened with `key`.
+#[inline]
+fn holds_key(flows: &[Option<Flow>], s: u32, key: &FlowKey) -> bool {
+    matches!(flows.get(s as usize), Some(Some(f)) if f.key == *key)
+}
+
+/// Whether macroflow slot `s` holds the macroflow of `group`.
+#[inline]
+fn holds_group(mfs: &[Option<Macroflow>], s: u32, group: u64) -> bool {
+    matches!(mfs.get(s as usize), Some(Some(mf)) if mf.key.group() == Some(group))
+}
+
 /// Swap-removes the member at `pos` from `mf.flows`, repairing the moved
 /// flow's back-pointer so membership removal stays O(1). Member lists
 /// hold global ids; the slab index is the slot part.
@@ -1562,6 +1639,86 @@ fn remove_member(mf: &mut Macroflow, flows: &mut [Option<Flow>], pos: u32) {
         let moved = mf.flows[pos as usize];
         if let Some(f) = flows.get_mut(slot(moved.0)).and_then(Option::as_mut) {
             f.mf_pos = pos;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::Endpoint;
+
+    /// Ten times the population churns through one shard: each round
+    /// closes the oldest tenth of the flows and opens as many fresh keys,
+    /// and the fresh keys bring fresh groups while old groups drain,
+    /// linger and expire. Neither key index grows past what its peak live
+    /// count needs — the smallest power of two holding it at load 1/2 —
+    /// and the flow index, whose peak is the population, does not grow at
+    /// all once the population is up.
+    #[test]
+    fn churn_never_grows_the_key_indexes() {
+        const FLOWS: u32 = 1_000;
+        const PER_GROUP: u32 = 10;
+        let key = |n: u32| {
+            FlowKey::new(
+                Endpoint::new(1, 1 + (n % 60_000) as u16),
+                Endpoint::new(0x0a00_0000 + n / PER_GROUP, 80),
+            )
+        };
+        let mut shard = Shard::new(
+            CmConfig {
+                macroflow_linger: Duration::from_millis(100),
+                ..Default::default()
+            },
+            0,
+        );
+        let mut now = Time::ZERO;
+        let mut live = VecDeque::new();
+        let (mut peak_flows, mut peak_groups) = (0, 0);
+        let mut next = 0;
+        let mut open = |shard: &mut Shard, live: &mut VecDeque<FlowId>, now: Time| {
+            live.push_back(shard.open(key(next), now).expect("fresh key"));
+            assert_eq!(shard.open(key(next), now), Err(CmError::DuplicateFlow));
+            next += 1;
+        };
+        for _ in 0..FLOWS {
+            open(&mut shard, &mut live, now);
+            peak_flows = peak_flows.max(shard.flow_index.len());
+            peak_groups = peak_groups.max(shard.group_index.len());
+        }
+        let set_up = shard.flow_index.capacity();
+        for _round in 0..100 {
+            for _ in 0..FLOWS / 10 {
+                let f = live.pop_front().expect("live flow");
+                shard.close(f, now).expect("close");
+            }
+            for _ in 0..FLOWS / 10 {
+                open(&mut shard, &mut live, now);
+                peak_flows = peak_flows.max(shard.flow_index.len());
+                peak_groups = peak_groups.max(shard.group_index.len());
+            }
+            now += Duration::from_millis(40);
+            shard.tick(now);
+            shard.validate().expect("shard invariants");
+        }
+        assert_eq!(next, 11 * FLOWS, "ten populations churned through");
+        assert!(shard.stats.macroflows_expired > 900, "groups never expired");
+        assert_eq!(peak_flows, FLOWS as usize);
+        assert_eq!(shard.flow_index.capacity(), 2_048);
+        for (index, peak) in [
+            (&shard.flow_index, peak_flows),
+            (&shard.group_index, peak_groups),
+        ] {
+            assert_eq!(index.capacity(), (2 * peak).next_power_of_two());
+        }
+        assert_eq!(
+            shard.flow_index.capacity(),
+            set_up,
+            "churn grew the flow index"
+        );
+        for &f in &live {
+            let k = shard.flow_ref(f).expect("live").key;
+            assert_eq!(shard.lookup(&k), Some(f));
         }
     }
 }

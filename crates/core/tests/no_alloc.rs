@@ -9,6 +9,7 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use cm_core::prelude::*;
@@ -228,6 +229,89 @@ fn sharded_churn_never_allocates_in_steady_state() {
     cm.check_invariants().expect("recycled shard");
 }
 
+/// The key of the `n`-th flow a churn opens: eight flows per
+/// destination, so groups are opened, drained and expired as `n` moves
+/// on.
+fn churn_key(n: u32) -> FlowKey {
+    key(1 + (n % 60_000) as u16, 0x0a00_0000 + n / 8)
+}
+
+/// Connection churn at a constant population: each cycle closes the
+/// `CHURN` oldest of `POPULATION` flows and opens as many fresh keys,
+/// looking each one up, then ticks past the linger so the groups the
+/// closes drained expire into the shell pool while the opens create
+/// others. Every open and close goes through both key indexes, and the
+/// group index loses and gains entries every cycle.
+fn churn_cycle(
+    cm: &mut CongestionManager,
+    live: &mut VecDeque<FlowId>,
+    next: &mut u32,
+    now: &mut Time,
+) {
+    const CHURN: usize = 16;
+    for _ in 0..CHURN {
+        let f = live.pop_front().expect("live flow");
+        cm.close(f, *now).unwrap();
+    }
+    for _ in 0..CHURN {
+        let k = churn_key(*next);
+        *next += 1;
+        let f = cm.open(k, *now).unwrap();
+        assert_eq!(cm.lookup(&k), Some(f));
+        live.push_back(f);
+    }
+    *now += Duration::from_millis(20);
+    cm.tick(*now);
+}
+
+/// Per-connection set-up and tear-down on a single shard: once the
+/// slabs, both key indexes and the macroflow shell pool are warm, opening
+/// and closing fresh keys at a constant population allocates nothing —
+/// neither index grows under churn, because removal leaves no
+/// tombstones.
+///
+/// Drives: shard `open`, `close`, `lookup`, `tick`'s macroflow expiry;
+/// slot index `find_or_vacancy`, `fill`, `find`, `remove`.
+#[test]
+fn open_close_churn_never_allocates_in_steady_state() {
+    const POPULATION: u32 = 256;
+    let _turn = measuring();
+    let mut cm = CongestionManager::new(CmConfig {
+        macroflow_linger: Duration::from_millis(10),
+        ..Default::default()
+    });
+    let mut now = Time::ZERO;
+    let mut live = VecDeque::with_capacity(POPULATION as usize);
+    let mut next = 0;
+    for _ in 0..POPULATION {
+        live.push_back(cm.open(churn_key(next), now).unwrap());
+        next += 1;
+    }
+    // Warm-up: enough cycles to expire groups and refill the shell pool.
+    for _ in 0..8 {
+        churn_cycle(&mut cm, &mut live, &mut next, &mut now);
+    }
+    let warm_expired = cm.stats().macroflows_expired;
+    assert!(warm_expired > 0, "warm-up expired no group");
+    let min_delta = fewest_allocs_of_five(|| {
+        for _ in 0..20 {
+            churn_cycle(&mut cm, &mut live, &mut next, &mut now);
+        }
+    });
+    assert_eq!(cm.flow_count(), POPULATION as usize);
+    assert_eq!(
+        cm.stats().macroflows_expired,
+        warm_expired + 5 * 20 * 2,
+        "cycles stopped expiring the drained groups"
+    );
+    cm.check_invariants().unwrap();
+    assert_eq!(
+        min_delta, 0,
+        "open/close churn allocated in every trial (at least {min_delta} \
+         allocations per 20 cycles of 16 closes and 16 opens)"
+    );
+}
+
 /// One delay-gradient feedback cycle: a request/grant/notify round, then
 /// an `update` carrying an RTT sample that ramps up and back down so the
 /// trendline filter sweeps Normal -> Overuse -> Underuse territory —
@@ -313,17 +397,18 @@ fn delay_gradient_update_path_never_allocates_tracer_enabled() {
 
 /// CM memory is O(flows): what an open population holds does not depend
 /// on how many macroflows it is spread over, everything counted — slabs,
-/// key map, macroflow shells, controllers, and the one scheduler slab the
-/// macroflows share (16 B per flow slot; a macroflow's own scheduler is
-/// a few inline words). 4,096 flows measure 335 B each at 8 per
-/// macroflow and 475 B at 2 per macroflow; the bounds sit a tenth above
-/// those figures. (A scheduler index sized by the shard's flow-id space
-/// per macroflow costs 2 KB and 8 KB per flow at these shapes.)
+/// both key indexes, macroflow shells, controllers, and the one scheduler
+/// slab the macroflows share (16 B per flow slot; a macroflow's own
+/// scheduler is a few inline words). 4,096 flows measure 238 B each at 8
+/// per macroflow and 356 B at 2 per macroflow; the bounds sit a tenth
+/// above those figures. (The `FxHashMap`s the key indexes replaced put
+/// these at 266 and 391 B; a scheduler index sized by the shard's flow-id
+/// space per macroflow costs 2 KB and 8 KB per flow at these shapes.)
 #[test]
 fn open_population_stays_under_1kb_per_flow() {
     const FLOWS: usize = 4_096;
     let _turn = measuring();
-    for (dests, bound) in [(512, 368), (2_048, 523)] {
+    for (dests, bound) in [(512, 262), (2_048, 392)] {
         let before = LIVE.load(Ordering::SeqCst);
         let mut cm = CongestionManager::new(CmConfig::default());
         for i in 0..FLOWS {
@@ -354,7 +439,7 @@ fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
             scheduler,
             ..Default::default()
         });
-        // Warm the flow slab, both maps and the macroflow slab with one
+        // Warm the flow slab, both indexes and the macroflow slab with one
         // destination's population, then free half its flow slots.
         let flows: Vec<FlowId> = (0..8)
             .map(|i| cm.open(key(1000 + i, 2), Time::ZERO).expect("open"))
