@@ -1171,33 +1171,13 @@ impl Shard {
         self.group_index
             .validate()
             .map_err(|e| format!("group index: {e}"))?;
+        // As for flows below: the count, and (in the walk above) every
+        // grouped macroflow found at its own slot by its group.
         if self.group_index.len() != grouped {
             return Err(format!(
                 "{} group-index entries for {grouped} live grouped macroflows",
                 self.group_index.len()
             ));
-        }
-        for (hash, s) in self.group_index.entries() {
-            let group = self
-                .mfs
-                .get(s as usize)
-                .and_then(Option::as_ref)
-                .and_then(|mf| mf.key.group());
-            let Some(g) = group else {
-                return Err(format!(
-                    "group index names slot {s}, no live grouped macroflow"
-                ));
-            };
-            if hash != hash_of(&g) {
-                return Err(format!("group-index entry of slot {s} holds a stale hash"));
-            }
-            if self
-                .group_index
-                .find(hash, |t| holds_group(&self.mfs, t, g))
-                != Some(s)
-            {
-                return Err(format!("group {g} of slot {s} is not found by it"));
-            }
         }
         if member_total != live {
             return Err(format!(
@@ -1213,17 +1193,9 @@ impl Shard {
                 self.flow_index.len()
             ));
         }
-        for (hash, s) in self.flow_index.entries() {
-            let Some(f) = self.flows.get(s as usize).and_then(Option::as_ref) else {
-                return Err(format!("flow index names vacant slot {s}"));
-            };
-            if hash != hash_of(&f.key) {
-                return Err(format!("flow-index entry of {:?} holds a stale hash", f.id));
-            }
-            if self.lookup(&f.key) != Some(f.id) {
-                return Err(format!("the key of {:?} finds another flow", f.id));
-            }
-        }
+        // One entry per live flow, and each live flow's key finds its own
+        // slot: so every entry names a live slot, holds its key's hash
+        // and is found by it, and no key is live twice.
         for f in self.flows.iter().flatten() {
             if self.lookup(&f.key) != Some(f.id) {
                 return Err(format!("{:?} is not found by its key", f.id));
