@@ -1,4 +1,4 @@
-//! A packet-level TCP with pluggable congestion control.
+//! A packet-level TCP whose congestion control sits behind one seam.
 //!
 //! The connection object implements connection establishment and teardown,
 //! reliable in-order delivery with out-of-order reassembly, RTT estimation
@@ -11,26 +11,34 @@
 //! > all other TCP functionality (connection establishment and
 //! > termination, loss recovery and protocol state handling)."
 //!
-//! Two [`CcMode`]s select who owns the window:
+//! Who owns the window is one private enum, `Cc`, picked by the
+//! [`CcMode`] a connection is built with and holding only its state:
 //!
-//! * **Native** — the connection runs its own Reno-style AIMD with the
-//!   Linux 2.2 idiosyncrasies the paper calls out (§4): an initial window
-//!   of **2** segments and **ACK counting** ("it assumes that each ACK is
-//!   for a full MTU").
-//! * **Cm** — the connection emits [`TcpAction::CmRequest`] /
-//!   [`TcpAction::CmNotify`] / [`TcpAction::CmUpdate`] actions and
-//!   transmits exactly one segment per CM grant, with duplicate-ACK and
-//!   timeout events mapped to `cm_update` calls precisely as §3.2's
-//!   "Data acknowledgements" paragraph prescribes.
+//! * **Native** — Reno-style AIMD with the Linux 2.2 idiosyncrasies the
+//!   paper calls out (§4): an initial window of **2** segments and **ACK
+//!   counting** ("it assumes that each ACK is for a full MTU").
+//! * **Cm** — the CM owns the window. The connection emits
+//!   [`TcpAction::CmRequest`] / [`TcpAction::CmNotify`] /
+//!   [`TcpAction::CmUpdate`] actions and transmits exactly one segment
+//!   per CM grant, with duplicate-ACK and timeout events mapped to
+//!   `cm_update` calls precisely as §3.2's "Data acknowledgements"
+//!   paragraph prescribes.
+//!
+//! The reliability core reaches `Cc` at four points only: may I send
+//! (`pump`), I sent (a retransmission's charge), data acked
+//! (`Cc::on_ack`), and `Cc::congestion` for an ECN echo, the third
+//! duplicate ACK and the RTO, the one place Reno halves and TCP/CM
+//! reports a loss.
 //!
 //! The object is deliberately pure: every entry point produces a list of
 //! [`TcpAction`]s (segments to emit, timers to arm, CM calls to make,
 //! application events to raise) that the host stack executes. That makes
 //! the protocol directly unit-testable without a simulator, which the
-//! tests at the bottom of this file exploit. Each entry point comes in
-//! two forms over one body: `*_into` appends to a buffer the caller
-//! reuses (the host's per-packet path, which must not allocate), and the
-//! plain form returns a fresh `Vec` for tests and harnesses.
+//! tests at the bottom of this file and `tests/tcp_over_cm.rs` exploit.
+//! Each entry point comes in two forms over one body: `*_into` appends
+//! to a buffer the caller reuses (the host's per-packet path, which must
+//! not allocate), and the plain form returns a fresh `Vec` for tests and
+//! harnesses.
 
 use cm_core::types::{FeedbackReport, LossMode};
 use cm_util::ewma::{self, RttEstimator};
@@ -65,9 +73,9 @@ impl Default for TcpConfig {
 
 /// The delayed-ACK timer.
 const DELACK_TIMEOUT: Duration = Duration::from_millis(200);
-/// Native mode's initial window, in segments (Linux 2.2 used 2).
+/// Reno's initial window, in segments (Linux 2.2 used 2).
 const INITIAL_CWND_SEGMENTS: u64 = 2;
-/// CM mode: cap on `cm_request`s outstanding at once (bounds the
+/// TCP/CM: cap on `cm_request`s outstanding at once (bounds the
 /// scheduler queue during bulk transfers).
 const MAX_REQUESTS: u64 = 64;
 
@@ -223,10 +231,119 @@ fn collect(body: impl FnOnce(&mut Vec<TcpAction>)) -> Vec<TcpAction> {
     out
 }
 
+/// Who owns a connection's congestion window, holding only that
+/// owner's state.
+enum Cc {
+    /// Reno with Linux 2.2's ACK counting.
+    Native {
+        /// Congestion window (bytes).
+        cwnd: u64,
+        /// Slow-start threshold (bytes).
+        ssthresh: u64,
+    },
+    /// The CM owns the window; a segment goes out per grant.
+    Cm {
+        /// `cm_request`s issued and not yet granted.
+        requests: u32,
+        /// Bytes duplicate ACKs already drained from the CM's outstanding
+        /// count, which the cumulative ACK must not drain again.
+        recovery_credits: u64,
+        /// The CM's shared (srtt, rttvar), which the host pushes in for
+        /// the RTO: "useful in loss recovery" (§3.2).
+        shared_rtt: Option<(Duration, Duration)>,
+    },
+}
+
+/// What an acknowledgement did, as congestion control sees it.
+enum Ack {
+    /// New data acknowledged outside recovery.
+    Open,
+    /// New data below the recovery point (NewReno partial ACK).
+    Partial,
+    /// The cumulative ACK that ends recovery.
+    Recovered,
+    /// A duplicate past the third: one more segment reached the receiver.
+    Duplicate,
+}
+
+impl Cc {
+    /// Data acked: `acked` sequence bytes left the network, `data` of
+    /// them stream data. Reno deflates on a partial ACK, resumes at
+    /// `ssthresh` after recovery, inflates per duplicate and otherwise
+    /// grows by ACK counting. TCP/CM reports the data to the CM, net of
+    /// what duplicates already drained.
+    fn on_ack(
+        &mut self,
+        ack: Ack,
+        acked: u64,
+        data: u64,
+        rtt: Option<Duration>,
+        mss: u64,
+        out: &mut Vec<TcpAction>,
+    ) {
+        match self {
+            Cc::Native { cwnd, ssthresh } => {
+                *cwnd = match ack {
+                    Ack::Partial => cwnd.saturating_sub(acked).max(mss),
+                    Ack::Recovered => *ssthresh,
+                    Ack::Open if *cwnd >= *ssthresh => *cwnd + (mss * mss / *cwnd).max(1),
+                    Ack::Open | Ack::Duplicate => *cwnd + mss,
+                }
+            }
+            Cc::Cm {
+                recovery_credits: credits,
+                ..
+            } if data > 0 => {
+                let fresh = if matches!(ack, Ack::Duplicate) {
+                    *credits += data;
+                    data
+                } else {
+                    let credit = (*credits).min(data);
+                    *credits -= credit;
+                    data - credit
+                };
+                let report = FeedbackReport::ack(fresh, 1);
+                out.push(TcpAction::CmUpdate(
+                    rtt.map_or(report, |s| report.with_rtt(s)),
+                ));
+            }
+            Cc::Cm { .. } => {}
+        }
+    }
+
+    /// A congestion signal with `flight` bytes outstanding: an ECN echo
+    /// (`Ecn`), the third duplicate ACK (`Transient`) or the RTO
+    /// (`Persistent`). Reno halves its window, inflated by the three
+    /// duplicates in fast recovery and cut to one segment at a timeout.
+    /// TCP/CM reports the signal (§3.2); a lost segment's charge drains
+    /// with its retransmission, but a timeout drains the whole flight.
+    fn congestion(&mut self, signal: LossMode, flight: u64, mss: u64, out: &mut Vec<TcpAction>) {
+        match self {
+            Cc::Native { cwnd, ssthresh } => {
+                *ssthresh = (flight / 2).max(2 * mss);
+                *cwnd = match signal {
+                    LossMode::Transient => *ssthresh + 3 * mss,
+                    LossMode::Persistent => mss,
+                    _ => *ssthresh,
+                };
+            }
+            Cc::Cm {
+                recovery_credits, ..
+            } => {
+                let drained = match signal {
+                    LossMode::Persistent => flight.saturating_sub(std::mem::take(recovery_credits)),
+                    _ => 0,
+                };
+                out.push(TcpAction::CmUpdate(FeedbackReport::loss(signal, drained)));
+            }
+        }
+    }
+}
+
 /// A TCP connection endpoint.
 pub struct TcpConnection {
     cfg: TcpConfig,
-    mode: CcMode,
+    cc: Cc,
     state: TcpState,
 
     // --- Send side ---
@@ -256,24 +373,10 @@ pub struct TcpConnection {
     /// Recovery progress: holes below this offset were already
     /// retransmitted in the current recovery episode.
     rtx_next_hole: u64,
-    /// CM mode: bytes already drained from the CM's outstanding count by
-    /// per-dupack progress reports; the eventual cumulative ACK must not
-    /// drain them again.
-    recovery_credits: u64,
-    /// Native-mode congestion window (bytes).
-    cwnd: u64,
-    /// Native-mode slow-start threshold (bytes).
-    ssthresh: u64,
     /// RTO backoff exponent.
     backoff: u32,
-    /// Native-mode RTT estimator (CM mode uses the shared estimate).
+    /// RTT estimator (TCP/CM's RTO prefers the CM's shared one).
     rtt: RttEstimator,
-    /// CM mode: shared (srtt, rttvar) pushed in by the host from
-    /// `cm_query` — "the smoothed estimates ... calculated by the CM ...
-    /// useful in loss recovery" (§3.2).
-    shared_rtt: Option<(Duration, Duration)>,
-    /// CM mode: `cm_request`s issued and not yet granted.
-    requests_outstanding: u32,
     /// Whether the RTO timer is currently armed (transmissions arm it
     /// only when it is not; new ACKs restart it).
     rto_armed: bool,
@@ -311,21 +414,7 @@ impl TcpConnection {
     /// Creates an active-open connection; the returned actions transmit
     /// the SYN and arm the handshake timer.
     pub fn connect(cfg: TcpConfig, mode: CcMode, now: Time) -> (Self, Vec<TcpAction>) {
-        let mut conn = Self::new(cfg, mode, TcpState::SynSent);
-        let mut out = Vec::new();
-        let syn = conn.make_segment(
-            0,
-            0,
-            TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
-            now,
-        );
-        conn.snd_nxt = 1;
-        conn.emit(syn, &mut out);
-        conn.arm_rto(&mut out);
-        (conn, out)
+        Self::new(cfg, mode, TcpState::SynSent).open(now)
     }
 
     /// Creates a passive-open connection in response to a SYN; the
@@ -340,28 +429,43 @@ impl TcpConnection {
         let mut conn = Self::new(cfg, mode, TcpState::SynRcvd);
         conn.rcv_nxt = 1;
         conn.echo_ts = Some(syn.ts);
+        conn.open(now)
+    }
+
+    /// Sends the opening SYN (or SYN|ACK) and arms the handshake timer.
+    fn open(mut self, now: Time) -> (Self, Vec<TcpAction>) {
         let mut out = Vec::new();
-        let synack = conn.make_segment(
-            0,
-            0,
-            TcpFlags {
-                syn: true,
-                ack: true,
-                ..Default::default()
-            },
-            now,
-        );
-        conn.snd_nxt = 1;
-        conn.emit(synack, &mut out);
-        conn.arm_rto(&mut out);
-        (conn, out)
+        self.send_syn(now, &mut out);
+        self.snd_nxt = 1;
+        self.arm_rto(&mut out);
+        (self, out)
+    }
+
+    /// Emits our SYN, or SYN|ACK as the passive opener.
+    fn send_syn(&mut self, now: Time, out: &mut Vec<TcpAction>) {
+        let flags = TcpFlags {
+            syn: true,
+            ack: self.state == TcpState::SynRcvd,
+            ..Default::default()
+        };
+        let syn = self.make_segment(0, 0, flags, now);
+        self.emit(syn, out);
     }
 
     fn new(cfg: TcpConfig, mode: CcMode, state: TcpState) -> Self {
-        let cwnd = INITIAL_CWND_SEGMENTS * cfg.mss as u64;
         TcpConnection {
+            cc: match mode {
+                CcMode::Native => Cc::Native {
+                    cwnd: INITIAL_CWND_SEGMENTS * cfg.mss as u64,
+                    ssthresh: u64::MAX / 2,
+                },
+                CcMode::Cm => Cc::Cm {
+                    requests: 0,
+                    recovery_credits: 0,
+                    shared_rtt: None,
+                },
+            },
             cfg,
-            mode,
             state,
             snd_una: 0,
             snd_nxt: 0,
@@ -374,13 +478,8 @@ impl TcpConnection {
             partial_acks: 0,
             sacked: Ranges::default(),
             rtx_next_hole: 0,
-            recovery_credits: 0,
-            cwnd,
-            ssthresh: u64::MAX / 2,
             backoff: 0,
             rtt: RttEstimator::new(),
-            shared_rtt: None,
-            requests_outstanding: 0,
             rto_armed: false,
             highest_sent: 0,
             ecn_reacted_at: 0,
@@ -426,21 +525,30 @@ impl TcpConnection {
         self.snd_una >= self.stream_limit() + (self.fin_queued as u64) && self.app_written > 0
     }
 
-    /// Native-mode congestion window (meaningless in CM mode).
-    pub fn cwnd(&self) -> u64 {
-        self.cwnd
+    /// Reno's congestion window; `None` under TCP/CM, whose window the
+    /// CM holds.
+    pub fn cwnd(&self) -> Option<u64> {
+        match self.cc {
+            Cc::Native { cwnd, .. } => Some(cwnd),
+            Cc::Cm { .. } => None,
+        }
     }
 
-    /// The host pushes the CM's shared RTT estimate here after feedback
-    /// (CM mode), for RTO computation.
+    /// The host pushes the CM's shared RTT estimate here after feedback,
+    /// for a TCP/CM connection's RTO.
     pub fn set_shared_rtt(&mut self, srtt: Duration, rttvar: Duration) {
-        self.shared_rtt = Some((srtt, rttvar));
+        if let Cc::Cm { shared_rtt, .. } = &mut self.cc {
+            *shared_rtt = Some((srtt, rttvar));
+        }
     }
 
     /// The connection's current retransmission timeout.
     pub fn rto(&self) -> Duration {
-        let base = match (self.mode, self.shared_rtt) {
-            (CcMode::Cm, Some((srtt, rttvar))) => ewma::rto_of(srtt, rttvar),
+        let base = match self.cc {
+            Cc::Cm {
+                shared_rtt: Some((srtt, rttvar)),
+                ..
+            } => ewma::rto_of(srtt, rttvar),
             _ => self.rtt.rto(),
         };
         let scaled = base * (1u64 << self.backoff.min(6));
@@ -540,20 +648,13 @@ impl TcpConnection {
 
     /// The acknowledgement half of a segment whose `ack` is unwrapped.
     fn process_ack(&mut self, seg: &TcpSegment, ack: u64, now: Time, out: &mut Vec<TcpAction>) {
+        let mss = self.cfg.mss as u64;
         self.peer_wnd = seg.wnd as u64;
         self.absorb_sack(seg.sack_blocks());
         // ECN echo: react at most once per window of data.
         if seg.flags.ece && self.cfg.ecn && self.snd_una >= self.ecn_reacted_at {
             self.ecn_reacted_at = self.snd_nxt;
-            match self.mode {
-                CcMode::Native => {
-                    self.ssthresh = (self.flight() / 2).max(2 * self.cfg.mss as u64);
-                    self.cwnd = self.ssthresh;
-                }
-                CcMode::Cm => {
-                    out.push(TcpAction::CmUpdate(FeedbackReport::loss(LossMode::Ecn, 0)));
-                }
-            }
+            self.cc.congestion(LossMode::Ecn, self.flight(), mss, out);
         }
 
         if ack > self.snd_una {
@@ -566,14 +667,12 @@ impl TcpConnection {
             self.snd_nxt = self.snd_nxt.max(self.snd_una);
             self.backoff = 0;
             self.sacked.coalesce(self.snd_una);
-            let mut rtt_sample = None;
-            if let Some(ecr) = seg.echo() {
-                let sample = now.since(ecr);
-                rtt_sample = Some(sample);
+            let rtt_sample = seg.echo().map(|ecr| now.since(ecr));
+            if let Some(sample) = rtt_sample {
                 self.take_rtt_sample(sample);
             }
             let mut rearm_rto = true;
-            match self.recover {
+            let kind = match self.recover {
                 Some(point) if ack < point => {
                     // NewReno partial ACK: retransmit the next hole
                     // immediately, stay in recovery. Per the RFC 6582
@@ -583,18 +682,8 @@ impl TcpConnection {
                     // retransmission per RTT.
                     self.partial_acks += 1;
                     rearm_rto = self.partial_acks == 1;
-                    match self.mode {
-                        CcMode::Native => {
-                            // Deflate by the amount acked, then
-                            // retransmit the next hole directly.
-                            self.cwnd = self.cwnd.saturating_sub(acked).max(self.cfg.mss as u64);
-                            self.retransmit_hole(now, out);
-                        }
-                        CcMode::Cm => {
-                            // The retransmission waits for a grant.
-                            self.maybe_request(out);
-                        }
-                    }
+                    self.retransmit_or_request(now, out);
+                    Ack::Partial
                 }
                 Some(_) => {
                     // Recovery complete.
@@ -602,28 +691,15 @@ impl TcpConnection {
                     self.partial_acks = 0;
                     self.dupacks = 0;
                     self.rtx_next_hole = 0;
-                    if self.mode == CcMode::Native {
-                        self.cwnd = self.ssthresh;
-                    }
+                    Ack::Recovered
                 }
                 None => {
                     self.dupacks = 0;
-                    if self.mode == CcMode::Native {
-                        self.grow_cwnd(1);
-                    }
+                    Ack::Open
                 }
-            }
-            if self.mode == CcMode::Cm && data_acked > 0 {
-                // Bytes already drained by per-dupack progress reports
-                // must not drain the CM's outstanding count twice.
-                let credit = self.recovery_credits.min(data_acked);
-                self.recovery_credits -= credit;
-                let mut report = FeedbackReport::ack(data_acked - credit, 1);
-                if let Some(s) = rtt_sample {
-                    report = report.with_rtt(s);
-                }
-                out.push(TcpAction::CmUpdate(report));
-            }
+            };
+            self.cc
+                .on_ack(kind, acked, data_acked, rtt_sample, mss, out);
             out.push(TcpAction::Event(TcpEvent::SendProgress(self.bytes_acked())));
             // Restart or cancel the RTO.
             if self.flight() > 0 {
@@ -647,48 +723,19 @@ impl TcpConnection {
                 self.stats.fast_retransmits += 1;
                 self.recover = Some(self.snd_nxt);
                 self.rtx_next_hole = self.snd_una;
-                match self.mode {
-                    CcMode::Native => {
-                        self.ssthresh = (self.flight() / 2).max(2 * self.cfg.mss as u64);
-                        self.cwnd = self.ssthresh + 3 * self.cfg.mss as u64;
-                        self.retransmit_hole(now, out);
-                    }
-                    CcMode::Cm => {
-                        // "TCP assumes a simple, congestion-caused packet
-                        // loss, and calls cm_update" (§3.2). The byte
-                        // drain for lost segments rides on the per-hole
-                        // retransmission reports, so this is the
-                        // congestion signal only.
-                        out.push(TcpAction::CmUpdate(FeedbackReport::loss(
-                            LossMode::Transient,
-                            0,
-                        )));
-                        self.maybe_request(out);
-                    }
-                }
+                // "TCP assumes a simple, congestion-caused packet loss"
+                // (§3.2).
+                self.cc
+                    .congestion(LossMode::Transient, self.flight(), mss, out);
+                self.retransmit_or_request(now, out);
             } else if self.dupacks > 3 {
-                match self.mode {
-                    CcMode::Native => {
-                        // Reno inflation; each duplicate means one more
-                        // packet left the pipe, so retransmit the next
-                        // scoreboard hole, or send new data.
-                        self.cwnd += self.cfg.mss as u64;
-                        if !self.retransmit_hole(now, out) {
-                            self.pump(now, out);
-                        }
-                    }
-                    CcMode::Cm => {
-                        // "TCP assumes that a segment reached the
-                        // receiver and caused this ACK ... calls
-                        // cm_update()" (§3.2). Remember the drain so the
-                        // cumulative ACK does not repeat it.
-                        self.recovery_credits += self.cfg.mss as u64;
-                        out.push(TcpAction::CmUpdate(FeedbackReport::ack(
-                            self.cfg.mss as u64,
-                            1,
-                        )));
-                        self.maybe_request(out);
-                    }
+                // "TCP assumes that a segment reached the receiver and
+                // caused this ACK" (§3.2): one more segment left the
+                // pipe, so retransmit the next scoreboard hole, or send
+                // new data.
+                self.cc.on_ack(Ack::Duplicate, mss, mss, None, mss, out);
+                if !self.retransmit_or_request(now, out) {
+                    self.pump(now, out);
                 }
             }
         }
@@ -783,32 +830,7 @@ impl TcpConnection {
                 self.recover = None;
                 self.partial_acks = 0;
                 match self.state {
-                    TcpState::SynSent => {
-                        // Retransmit the SYN.
-                        let syn = self.make_segment(
-                            0,
-                            0,
-                            TcpFlags {
-                                syn: true,
-                                ..Default::default()
-                            },
-                            now,
-                        );
-                        self.emit(syn, out);
-                    }
-                    TcpState::SynRcvd => {
-                        let synack = self.make_segment(
-                            0,
-                            0,
-                            TcpFlags {
-                                syn: true,
-                                ack: true,
-                                ..Default::default()
-                            },
-                            now,
-                        );
-                        self.emit(synack, out);
-                    }
+                    TcpState::SynSent | TcpState::SynRcvd => self.send_syn(now, out),
                     _ => {
                         // Go-back-N: rewind the send point to the oldest
                         // unacknowledged byte; slow start (or CM grants)
@@ -818,28 +840,12 @@ impl TcpConnection {
                         self.snd_nxt = self.snd_una.max(1);
                         self.fin_sent = false;
                         self.rtx_next_hole = 0;
-                        match self.mode {
-                            CcMode::Native => {
-                                // Classic timeout response.
-                                self.ssthresh = (flight / 2).max(2 * self.cfg.mss as u64);
-                                self.cwnd = self.cfg.mss as u64;
-                                self.pump(now, out);
-                            }
-                            CcMode::Cm => {
-                                // "the expiration of the TCP retransmission
-                                // timer ... calls cm_update with the
-                                // CM_LOST_FEEDBACK option set" (§3.2). The
-                                // whole flight's charge drains here, so
-                                // dupack credits are void.
-                                let drained = flight.saturating_sub(self.recovery_credits);
-                                self.recovery_credits = 0;
-                                out.push(TcpAction::CmUpdate(FeedbackReport::loss(
-                                    LossMode::Persistent,
-                                    drained,
-                                )));
-                                self.maybe_request(out);
-                            }
-                        }
+                        // "the expiration of the TCP retransmission timer
+                        // ... calls cm_update with the CM_LOST_FEEDBACK
+                        // option set" (§3.2).
+                        let mss = self.cfg.mss as u64;
+                        self.cc.congestion(LossMode::Persistent, flight, mss, out);
+                        self.pump(now, out);
                     }
                 }
                 self.arm_rto(out);
@@ -851,17 +857,21 @@ impl TcpConnection {
     // CM grant handling
     // ------------------------------------------------------------------
 
-    /// CM mode: a send grant arrived (`cmapp_send`). Transmits exactly
+    /// TCP/CM: a send grant arrived (`cmapp_send`). Transmits exactly
     /// one segment — a pending retransmission takes priority over new
-    /// data, mirroring §3.2 — or declines with `cm_notify(0)`.
+    /// data, mirroring §3.2 — or declines with `cm_notify(0)`. A native
+    /// connection's window, not a grant, says when it sends, so a grant
+    /// reaching one does nothing.
     pub fn on_cm_grant(&mut self, now: Time) -> Vec<TcpAction> {
         collect(|out| self.on_cm_grant_into(now, out))
     }
 
     /// [`TcpConnection::on_cm_grant`], appending its actions to `out`.
     pub fn on_cm_grant_into(&mut self, now: Time, out: &mut Vec<TcpAction>) {
-        debug_assert_eq!(self.mode, CcMode::Cm);
-        self.requests_outstanding = self.requests_outstanding.saturating_sub(1);
+        let Cc::Cm { requests, .. } = &mut self.cc else {
+            return;
+        };
+        *requests = requests.saturating_sub(1);
         if self.state != TcpState::Established && self.state != TcpState::Closing {
             out.push(TcpAction::CmNotify(0));
             return;
@@ -955,35 +965,38 @@ impl TcpConnection {
         None
     }
 
-    /// Sends what the mode allows now. Native mode transmits as much as
-    /// the congestion and peer windows permit; CM mode only tops up its
-    /// `cm_request`s (`maybe_request`) and transmits when granted.
+    /// May I send: Reno transmits as much as its window and the peer's
+    /// permit; TCP/CM only tops up its `cm_request`s and transmits when
+    /// granted.
     fn pump(&mut self, now: Time, out: &mut Vec<TcpAction>) {
-        match self.mode {
-            CcMode::Cm => {
-                self.maybe_request(out);
-            }
-            CcMode::Native => {
-                if self.state != TcpState::Established && self.state != TcpState::Closing {
-                    return;
-                }
-                let mut sent_any = false;
-                loop {
-                    let flight = self.flight();
-                    if flight + self.cfg.mss as u64 / 2 >= self.cwnd {
-                        break; // Window full (allow a final short segment).
-                    }
-                    let Some(seg) = self.next_new_segment(now) else {
-                        break;
-                    };
-                    self.send_at_snd_nxt(seg, out);
-                    sent_any = true;
-                }
-                if sent_any {
-                    self.arm_rto_if_idle(out);
-                }
-            }
+        let Cc::Native { cwnd, .. } = self.cc else {
+            return self.maybe_request(out);
+        };
+        if self.state != TcpState::Established && self.state != TcpState::Closing {
+            return;
         }
+        let mut sent_any = false;
+        // Stop at a full window, allowing a final short segment.
+        while self.flight() + self.cfg.mss as u64 / 2 < cwnd {
+            let Some(seg) = self.next_new_segment(now) else {
+                break;
+            };
+            self.send_at_snd_nxt(seg, out);
+            sent_any = true;
+        }
+        if sent_any {
+            self.arm_rto_if_idle(out);
+        }
+    }
+
+    /// Recovery's next transmission: Reno retransmits the next hole now,
+    /// TCP/CM asks for a grant to send it. False when Reno had no hole.
+    fn retransmit_or_request(&mut self, now: Time, out: &mut Vec<TcpAction>) -> bool {
+        if let Cc::Native { .. } = self.cc {
+            return self.retransmit_hole(now, out);
+        }
+        self.maybe_request(out);
+        true
     }
 
     /// Emits `seg`, built at `snd_nxt` by [`Self::next_new_segment`], and
@@ -1000,12 +1013,10 @@ impl TcpConnection {
         self.emit(seg, out);
     }
 
-    /// CM mode: tops up outstanding `cm_request`s to cover the work we
+    /// TCP/CM: tops up outstanding `cm_request`s to cover the work we
     /// could do with more grants.
     fn maybe_request(&mut self, out: &mut Vec<TcpAction>) {
-        if self.mode != CcMode::Cm
-            || (self.state != TcpState::Established && self.state != TcpState::Closing)
-        {
+        if self.state != TcpState::Established && self.state != TcpState::Closing {
             return;
         }
         // Request only for data the peer window lets us send; otherwise a
@@ -1014,13 +1025,15 @@ impl TcpConnection {
             .stream_limit()
             .min(self.snd_una.saturating_add(self.peer_wnd).max(1));
         let unsent = limit.saturating_sub(self.snd_nxt.max(1));
-        let mut want = unsent.div_ceil(self.cfg.mss as u64)
+        let want = (unsent.div_ceil(self.cfg.mss as u64)
             + self.next_hole().is_some() as u64
-            + (self.fin_queued && !self.fin_sent) as u64;
-        want = want.min(MAX_REQUESTS);
-        while (self.requests_outstanding as u64) < want {
-            self.requests_outstanding += 1;
-            out.push(TcpAction::CmRequest);
+            + (self.fin_queued && !self.fin_sent) as u64)
+            .min(MAX_REQUESTS);
+        if let Cc::Cm { requests, .. } = &mut self.cc {
+            while u64::from(*requests) < want {
+                *requests += 1;
+                out.push(TcpAction::CmRequest);
+            }
         }
     }
 
@@ -1090,8 +1103,8 @@ impl TcpConnection {
         self.rtx_next_hole = pos + seg.seq_space();
         self.stats.bytes_rtx += len as u64;
         self.emit(seg, out);
-        if self.mode == CcMode::Cm {
-            // Charge the retransmission, and drain the original
+        if let Cc::Cm { .. } = self.cc {
+            // I sent: charge the retransmission, and drain the original
             // transmission's charge — it is lost (no congestion signal
             // here; the episode already reported one).
             out.push(TcpAction::CmNotify(seg.seq_space()));
@@ -1162,19 +1175,6 @@ impl TcpConnection {
     fn take_rtt_sample(&mut self, sample: Duration) {
         self.stats.rtt_samples += 1;
         self.rtt.update(sample);
-    }
-
-    /// Native-mode window growth on `acks` new-data ACK arrivals — ACK
-    /// counting, per the Linux 2.2 behaviour the paper documents.
-    fn grow_cwnd(&mut self, acks: u32) {
-        let mss = self.cfg.mss as u64;
-        for _ in 0..acks {
-            if self.cwnd < self.ssthresh {
-                self.cwnd += mss;
-            } else {
-                self.cwnd += (mss * mss / self.cwnd).max(1);
-            }
-        }
     }
 }
 
@@ -1451,12 +1451,32 @@ mod tests {
     fn slow_start_grows_window_exponentially() {
         let mut w = Wire::new(cfg(), Duration::from_millis(20));
         w.run(Time::from_millis(200));
-        let w0 = w.a.cwnd();
-        assert_eq!(w0, 2 * 1460, "Linux-like IW of 2 segments");
+        assert_eq!(w.a.cwnd(), Some(2 * 1460), "Linux-like IW of 2 segments");
         let actions = w.a.app_write(200 * 1460, w.now);
         w.apply(true, actions);
         w.run(Time::from_secs(3));
-        assert!(w.a.cwnd() > 16 * 1460, "cwnd {} after bulk", w.a.cwnd());
+        let cwnd = w.a.cwnd().unwrap_or(0);
+        assert!(cwnd > 16 * 1460, "cwnd {cwnd} after bulk");
+    }
+
+    /// A native connection's window, not a grant, says when it sends: a
+    /// grant handed to one (a host bug) sends nothing and reports nothing.
+    #[test]
+    fn grant_reaching_a_native_connection_does_nothing() {
+        let now = Time::ZERO;
+        let (mut conn, _) = TcpConnection::connect(cfg(), CcMode::Native, now);
+        let _ = conn.on_segment(&synack(now), false, now);
+        // Fill the initial window, so any further segment would exceed it.
+        let sent = conn.app_write(10 * 1460, now);
+        let emitted = sent.iter().filter(|a| matches!(a, TcpAction::Emit(_)));
+        assert_eq!(emitted.count(), 2);
+        let flight = conn.flight();
+        assert!(conn.on_cm_grant(now).is_empty());
+        assert_eq!(conn.flight(), flight);
+        assert_eq!(conn.cwnd(), Some(2 * 1460));
+        // And a TCP/CM connection has no window of its own to report.
+        let (cm, _) = TcpConnection::connect(cfg(), CcMode::Cm, now);
+        assert_eq!(cm.cwnd(), None);
     }
 
     #[test]
@@ -1673,5 +1693,52 @@ mod tests {
             [(1461, 2921)],
             "defect fixed? update ROADMAP item 2"
         );
+    }
+
+    /// Pins a recorded defect (ROADMAP item 2b), not a requirement: the
+    /// receiver SACKs the FIN's offset with the data, so after a timeout
+    /// `next_new_segment` skips the SACKed run past the FIN and sends the
+    /// FIN again one offset late. A receiver still missing data below
+    /// then counts the first FIN's offset as a data byte.
+    /// `tests/tcp_over_cm.rs` meets it under both modes.
+    #[test]
+    fn go_back_n_past_a_sacked_fin_resends_it_one_offset_late() {
+        let now = Time::ZERO;
+        let (mut tx, syn) = TcpConnection::connect(cfg(), CcMode::Cm, now);
+        let Some(TcpAction::Emit(syn)) = syn.first() else {
+            panic!("connect emits the SYN first");
+        };
+        let (mut rx, _) = TcpConnection::accept(cfg(), CcMode::Native, syn, now);
+        let _ = tx.on_segment(&synack(now), false, now);
+        let _ = tx.app_write(3 * 1460, now);
+        tx.app_close_into(now, &mut Vec::new());
+        // Each grant sends one segment.
+        let granted = |tx: &mut TcpConnection| {
+            let acts = tx.on_cm_grant(now);
+            let seg = acts.iter().find_map(|a| match a {
+                TcpAction::Emit(seg) => Some(*seg),
+                _ => None,
+            });
+            seg.expect("a grant sends a segment")
+        };
+        let _lost = granted(&mut tx);
+        let _ = rx.on_segment(&granted(&mut tx), false, now);
+        // The last segment carries the FIN, at offset 4381.
+        let last = granted(&mut tx);
+        assert!(last.flags.fin && last.seq + last.len == 4381);
+        let acts = rx.on_segment(&last, false, now);
+        let Some(TcpAction::Emit(sack)) = acts.last() else {
+            panic!("the receiver ACKs the out-of-order FIN");
+        };
+        assert_eq!(sack.sack_blocks(), [(1461, 4382)]);
+        let _ = tx.on_segment(sack, false, now);
+        let _ = tx.on_timer(TcpTimer::Rto, Time::from_secs(3));
+        let first = granted(&mut tx);
+        let fin = granted(&mut tx);
+        assert!(fin.flags.fin && fin.len == 0);
+        assert_eq!(fin.seq, 4382, "defect fixed? update ROADMAP item 2b");
+        let _ = rx.on_segment(&fin, false, now);
+        let _ = rx.on_segment(&first, false, now);
+        assert_eq!(rx.bytes_delivered(), 3 * 1460 + 1);
     }
 }
