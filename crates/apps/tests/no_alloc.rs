@@ -8,15 +8,12 @@
 //! dispatcher, the CM's request/notify/update calls, and the app-level
 //! feedback tracker; none of them may allocate once warm.
 //!
-//! One allocation remains, and it is not per packet: the event wheel
-//! gives each of its 512 slot buckets memory on first use. The blast's
-//! LAN clock is so regular that its packets keep to slots already
-//! warm, but each host's 100 ms CM tick lies beyond the wheel's 33.5 ms
-//! horizon, and when the overflow heap hands it to the wheel it lands
-//! about ten slots further round than the last one — often in a bucket
-//! never used before. Until that drift has swept the whole ring (about
-//! 90 simulated seconds) each tick instant may cost one bucket, so a
-//! window may allocate at most [`TICKS_PER_WINDOW`] times.
+//! That includes the event wheel's slots the run has not used yet. Each
+//! host's 100 ms CM tick lies beyond the wheel's 33.5 ms horizon, and
+//! when the overflow heap hands it to the wheel it lands about ten slots
+//! further round than the last one, so a window keeps reaching slots
+//! never used before; a slot is a list threaded through the queue's
+//! event arena, so its first use costs nothing.
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -61,20 +58,13 @@ fn blast(api: BlastApi) -> (Simulator, Duplex) {
 
 const WINDOW: Duration = Duration::from_millis(500);
 
-/// CM tick instants in one [`WINDOW`] (both hosts tick every 100 ms,
-/// together); each may warm one event-wheel bucket (see the module
-/// docs).
-const TICKS_PER_WINDOW: u64 = 5;
-
-/// Runs five warm-up seconds (long enough for the packets' own wheel
-/// slots to warm), then three windows: in the best of them (libtest's
-/// own one-shot allocations can land in a window; a per-packet one
-/// lands in all of them) nothing but the CM ticks' buckets may
+/// Runs five warm-up seconds, then three windows: in the best of them
+/// (libtest's own one-shot allocations can land in a window; a
+/// per-packet or per-tick one lands in all of them) nothing may
 /// allocate.
 ///
-/// Drives: netsim `EventQueue::schedule` (its one warm-up allocation,
-/// a slot bucket's first `reserve`, bounded here), `pop`.
-fn assert_warm_blast_allocates_only_tick_buckets(api: BlastApi) {
+/// Drives: netsim `EventQueue::schedule`, `pop`.
+fn assert_warm_blast_allocates_nothing(api: BlastApi) {
     let _turn = measuring();
     let (mut sim, path) = blast(api);
     let mut until = Time::from_secs(5);
@@ -94,23 +84,20 @@ fn assert_warm_blast_allocates_only_tick_buckets(api: BlastApi) {
         );
         min_allocs = min_allocs.min(allocs);
     }
-    assert!(
-        min_allocs <= TICKS_PER_WINDOW,
-        "{api:?}: {min_allocs} allocations in the best window, beyond one per CM tick"
-    );
+    assert_eq!(min_allocs, 0, "{api:?}: allocations in the best window");
 }
 
 #[test]
-fn buffered_blast_allocates_only_tick_buckets() {
-    assert_warm_blast_allocates_only_tick_buckets(BlastApi::Buffered);
+fn buffered_blast_allocates_nothing() {
+    assert_warm_blast_allocates_nothing(BlastApi::Buffered);
 }
 
 #[test]
-fn alf_blast_allocates_only_tick_buckets() {
-    assert_warm_blast_allocates_only_tick_buckets(BlastApi::Alf);
+fn alf_blast_allocates_nothing() {
+    assert_warm_blast_allocates_nothing(BlastApi::Alf);
 }
 
 #[test]
-fn alf_noconnect_blast_allocates_only_tick_buckets() {
-    assert_warm_blast_allocates_only_tick_buckets(BlastApi::AlfNoconnect);
+fn alf_noconnect_blast_allocates_nothing() {
+    assert_warm_blast_allocates_nothing(BlastApi::AlfNoconnect);
 }

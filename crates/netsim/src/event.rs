@@ -26,13 +26,17 @@
 //! * a **near wheel** of [`WHEEL_SLOTS`] fixed-width slots
 //!   ([`SLOT_NANOS`] ns each) covering the next ~33.5 ms of simulated time
 //!   from the drain cursor — packet serialization and propagation events
-//!   land here with an O(1) push;
+//!   land here with an O(1) push. A slot is a FIFO list threaded through
+//!   the event arena, whose slots hold each event's `(time, seq)` key and
+//!   link, so its first use allocates nothing; FIFO order (a slot fills
+//!   mostly in time order) keeps the sort on nearly sorted input;
 //! * an **overflow heap** for events beyond the wheel horizon (RTO and
 //!   maintenance timers); entries migrate into the wheel as the cursor
 //!   advances, paying the heap cost once per far event instead of on
 //!   every reshuffle;
-//! * a **current bucket** holding the slot being drained, sorted by
-//!   `(time, seq)` exactly once when the cursor reaches it.
+//! * a **current bucket** holding the slots being drained (a gathered run
+//!   of up to 16), sorted by `(time, seq)` exactly once when the cursor
+//!   reaches them.
 //!
 //! Pop order is byte-identical to the reference heap — a property test in
 //! `tests/props.rs` (which also holds that reference implementation)
@@ -108,7 +112,7 @@ pub enum SimEvent {
 
 /// An event as the queue stores it: a [`SimEvent`] with its ids narrowed
 /// to `u32` and a delivery's packet left in the [`PacketSlab`], so that
-/// an arena slot is 24 bytes instead of a packet's 96.
+/// it is 24 bytes instead of a packet's 96.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Event {
     LinkTxDone {
@@ -315,7 +319,7 @@ impl IndexMut<PacketSlot> for PacketSlab {
 ///
 /// Events themselves live in [`EventQueue::arena`], stored once at
 /// `schedule` and read once at `pop`, while these 24-byte entries are
-/// what flows through slot vectors, sorts, and the overflow heap.
+/// what flows through the current bucket, sorts and the overflow heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     at: u64,
@@ -371,9 +375,10 @@ pub struct EventQueue {
     /// being drained — is an O(1) append, not a front memmove.
     current: Vec<Entry>,
     cur_pos: usize,
-    /// Future slots at ring distance 1..WHEEL_SLOTS from the cursor;
-    /// unsorted until the cursor reaches them.
-    slots: Box<[Vec<Entry>]>,
+    /// Future slots at ring distance 1..WHEEL_SLOTS from the cursor,
+    /// each a list threaded through the arena in push order; unsorted
+    /// until the cursor reaches them.
+    slots: Box<[List]>,
     /// One bit per slot: does it hold any entries?
     occupied: [u64; WORDS],
     /// Absolute slot index currently being drained.
@@ -397,10 +402,44 @@ pub struct EventQueue {
 /// No free arena slot.
 const NIL: u32 = u32::MAX;
 
-enum ArenaSlot {
-    Event(Event),
-    /// Vacant; holds the next free slot's index (or [`NIL`]).
-    Free(u32),
+/// A pending event with its `(time, seq)` key, or a vacant slot
+/// (`event` is `None`).
+struct ArenaSlot {
+    at: u64,
+    seq: u64,
+    /// Next event in the same wheel slot, next free slot, or [`NIL`].
+    next: u32,
+    event: Option<Event>,
+}
+
+/// A wheel slot: the first and last arena index of its FIFO list, or
+/// [`NIL`] twice.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
+/// The entries of the list starting at arena index `idx`, in push order.
+fn entries(arena: &[ArenaSlot], mut idx: u32) -> impl Iterator<Item = Entry> + '_ {
+    std::iter::from_fn(move || {
+        if idx == NIL {
+            return None;
+        }
+        let slot = &arena[idx as usize];
+        let entry = Entry {
+            at: slot.at,
+            seq: slot.seq,
+            idx,
+        };
+        idx = slot.next;
+        Some(entry)
+    })
 }
 
 impl Default for EventQueue {
@@ -415,7 +454,7 @@ impl EventQueue {
         EventQueue {
             current: Vec::new(),
             cur_pos: 0,
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            slots: vec![EMPTY; WHEEL_SLOTS].into_boxed_slice(),
             occupied: [0; WORDS],
             cursor: 0,
             overflow: BinaryHeap::new(),
@@ -470,23 +509,24 @@ impl EventQueue {
     pub(crate) fn push(&mut self, at: Time, seq: u64, event: Event) {
         debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         self.len += 1;
+        let at = at.as_nanos();
+        let pending = ArenaSlot {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
         let idx = if self.free_head != NIL {
             let idx = self.free_head;
-            match std::mem::replace(&mut self.arena[idx as usize], ArenaSlot::Event(event)) {
-                ArenaSlot::Free(next) => self.free_head = next,
-                ArenaSlot::Event(_) => unreachable!("free list pointed at a live slot"),
-            }
+            let vacant = std::mem::replace(&mut self.arena[idx as usize], pending);
+            assert!(vacant.event.is_none(), "free list pointed at a live slot");
+            self.free_head = vacant.next;
             idx
         } else {
-            let idx = self.arena.len() as u32;
-            self.arena.push(ArenaSlot::Event(event));
-            idx
+            self.arena.push(pending);
+            self.arena.len() as u32 - 1
         };
-        let entry = Entry {
-            at: at.as_nanos(),
-            seq,
-            idx,
-        };
+        let entry = Entry { at, seq, idx };
         let slot = slot_of(entry.at);
         if self.len == 1 {
             // Empty queue: snap the cursor to the event so a long quiet
@@ -511,20 +551,7 @@ impl EventQueue {
                 _ => self.current.push(entry),
             }
         } else if slot < self.cursor + WHEEL_SLOTS as u64 {
-            let idx = (slot & WHEEL_MASK) as usize;
-            let bucket = &mut self.slots[idx];
-            if bucket.is_empty() {
-                // First entry this rotation: reserve a batch up front so
-                // a filling slot does not realloc through tiny sizes
-                // (capacity is kept across rotations by the advance()
-                // buffer swap). A bucket's first use is the one known
-                // warm-up allocation of a warm queue: the UDP blasters'
-                // allocation test (crates/apps/tests/no_alloc.rs) bounds
-                // it at one per CM tick.
-                bucket.reserve(32);
-                self.occupied[idx >> 6] |= 1 << (idx & 63);
-            }
-            bucket.push(entry);
+            self.link((slot & WHEEL_MASK) as usize, idx);
         } else {
             self.overflow.push(entry);
         }
@@ -552,14 +579,12 @@ impl EventQueue {
                 }
                 self.len -= 1;
                 self.current_seq = e.seq;
-                let slot = std::mem::replace(
-                    &mut self.arena[e.idx as usize],
-                    ArenaSlot::Free(self.free_head),
-                );
-                self.free_head = e.idx;
-                let ArenaSlot::Event(event) = slot else {
+                let slot = &mut self.arena[e.idx as usize];
+                let Some(event) = slot.event.take() else {
                     unreachable!("arena slot vacated early");
                 };
+                slot.next = self.free_head;
+                self.free_head = e.idx;
                 return Some((Time::from_nanos(e.at), event));
             }
             if self.len == 0 {
@@ -612,12 +637,11 @@ impl EventQueue {
             return None;
         }
         if let Some(abs) = self.next_occupied_slot() {
-            let idx = (abs & WHEEL_MASK) as usize;
-            return self.slots[idx]
-                .iter()
-                .map(|e| e.key())
+            let head = self.slots[(abs & WHEEL_MASK) as usize].head;
+            return entries(&self.arena, head)
+                .map(|e| e.at)
                 .min()
-                .map(|k| Time::from_nanos((k >> 64) as u64));
+                .map(Time::from_nanos);
         }
         self.overflow.peek().map(|e| Time::from_nanos(e.at))
     }
@@ -645,12 +669,9 @@ impl EventQueue {
                 // the gathered window that fills later lands in the
                 // current bucket via sorted insert, which stays correct.
                 let idx = (abs & WHEEL_MASK) as usize;
-                // Swap buffers so the drained slot's allocation is reused
-                // next time it fills.
-                std::mem::swap(&mut self.current, &mut self.slots[idx]);
-                self.slots[idx].clear();
+                self.current.clear();
                 self.cur_pos = 0;
-                self.occupied[idx >> 6] &= !(1 << (idx & 63));
+                self.gather(idx);
                 // The rest of the window, slots abs+1 .. abs+ADVANCE_BATCH-1,
                 // as one mask read from at most two bitmap words (the
                 // second when the window crosses a word or the ring's
@@ -665,8 +686,7 @@ impl EventQueue {
                 while window != 0 {
                     let idx = (start + window.trailing_zeros() as usize) & WHEEL_MASK as usize;
                     window &= window - 1;
-                    self.current.append(&mut self.slots[idx]);
-                    self.occupied[idx >> 6] &= !(1 << (idx & 63));
+                    self.gather(idx);
                 }
                 self.cursor = abs + ADVANCE_BATCH - 1;
                 self.current.sort_unstable_by_key(Entry::key);
@@ -704,14 +724,33 @@ impl EventQueue {
                 self.current.push(entry);
                 resort_current = true;
             } else {
-                let idx = (slot & WHEEL_MASK) as usize;
-                self.slots[idx].push(entry);
-                self.occupied[idx >> 6] |= 1 << (idx & 63);
+                self.link((slot & WHEEL_MASK) as usize, entry.idx);
             }
         }
         if resort_current {
             self.current.sort_unstable_by_key(Entry::key);
         }
+    }
+
+    /// Appends the pending event at arena index `idx` to wheel slot `w`.
+    #[inline]
+    fn link(&mut self, w: usize, idx: u32) {
+        let list = &mut self.slots[w];
+        if list.head == NIL {
+            list.head = idx;
+            self.occupied[w >> 6] |= 1 << (w & 63);
+        } else {
+            self.arena[list.tail as usize].next = idx;
+        }
+        list.tail = idx;
+    }
+
+    /// Moves wheel slot `w`'s entries, in push order, to the end of the
+    /// current bucket.
+    fn gather(&mut self, w: usize) {
+        let head = std::mem::replace(&mut self.slots[w], EMPTY).head;
+        self.occupied[w >> 6] &= !(1 << (w & 63));
+        self.current.extend(entries(&self.arena, head));
     }
 
     /// The absolute index of the nearest occupied slot strictly after the
@@ -761,13 +800,77 @@ mod tests {
         }
     }
 
-    /// An arena slot holds an event and never a packet (deliveries carry
-    /// a slab slot), which keeps schedule and pop off the packet's 96
-    /// bytes: raise this bound only on purpose.
+    /// An arena slot holds an event with its key and wheel link, and
+    /// never a packet (deliveries carry a slab slot), which keeps schedule
+    /// and pop off the packet's 96 bytes: raise this bound only on
+    /// purpose.
     #[test]
     fn arena_slot_is_pinned() {
-        assert!(size_of::<ArenaSlot>() <= 32, "{} B", size_of::<ArenaSlot>());
+        assert!(size_of::<ArenaSlot>() <= 48, "{} B", size_of::<ArenaSlot>());
         assert_eq!(size_of::<PacketSlot>(), 4);
+    }
+
+    /// The seqs of wheel slot `w`'s list, head first.
+    fn list_seqs(q: &EventQueue, w: usize) -> Vec<u64> {
+        entries(&q.arena, q.slots[w].head).map(|e| e.seq).collect()
+    }
+
+    #[test]
+    fn wheel_slot_keeps_push_order() {
+        // Later pushes at earlier times: a list must still reach the
+        // sort in push order, not reversed (the sort's worst case).
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_nanos(0), timer(0, 0));
+        let at = 5 * SLOT_NANOS;
+        for i in 1..=8u64 {
+            q.schedule(Time::from_nanos(at + SLOT_NANOS - i), timer(0, i));
+        }
+        let w = slot_of(at) as usize;
+        assert_eq!(list_seqs(&q, w), (1..=8).collect::<Vec<_>>());
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| token_of(e))
+            .collect();
+        assert_eq!(order, vec![0, 8, 7, 6, 5, 4, 3, 2, 1]);
+        assert!(q.slots.iter().all(|l| l.head == NIL && l.tail == NIL));
+        assert_eq!(q.occupied, [0; WORDS]);
+    }
+
+    #[test]
+    fn crowded_slot_mixing_migrated_and_linked_entries_pops_in_order() {
+        // 40 far events land in one slot beyond the horizon; a near
+        // event's advance migrates them into the wheel, and 40 more are
+        // then linked into the same slot directly, at interleaved times
+        // and some at equal instants. A token equals its event's seq.
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_nanos(0), timer(0, 0));
+        q.schedule(Time::from_nanos(SLOT_NANOS), timer(0, 1));
+        let far = (WHEEL_SLOTS as u64 + 8) * SLOT_NANOS;
+        let mut expected = Vec::new();
+        for token in 2..42u64 {
+            let at = far + (token * 7919) % 50;
+            q.schedule(Time::from_nanos(at), timer(0, token));
+            expected.push((at, token));
+        }
+        assert_eq!(q.overflow.len(), 40);
+        assert_eq!(token_of(q.pop().unwrap().1), 0);
+        assert_eq!(token_of(q.pop().unwrap().1), 1);
+        assert!(q.overflow.is_empty(), "advance migrates the far slot");
+        // The heap hands the far events over in (time, seq) order.
+        expected.sort_unstable();
+        let mut list: Vec<u64> = expected.iter().map(|&(_, token)| token).collect();
+        for token in 42..82u64 {
+            let at = far + (token * 104_729) % 50;
+            q.schedule(Time::from_nanos(at), timer(0, token));
+            expected.push((at, token));
+        }
+        list.extend(42..82);
+        let w = (slot_of(far) & WHEEL_MASK) as usize;
+        assert_eq!(list_seqs(&q, w), list);
+        expected.sort_unstable();
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.as_nanos(), token_of(e)))
+            .collect();
+        assert_eq!(order, expected);
     }
 
     #[test]
