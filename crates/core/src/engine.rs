@@ -305,10 +305,14 @@ impl ShardTable {
     }
 
     /// Drains every outbox into `out` (appending): in order within a
-    /// shard, in index order across shards.
+    /// shard, in index order across shards. An empty outbox costs one
+    /// branch: a host's settle loop drains after every CM call, and most
+    /// calls leave nothing behind.
     pub(crate) fn drain_into(&mut self, out: &mut Vec<CmNotification>) {
         for shard in self.iter_mut() {
-            out.extend(shard.outbox.drain(..));
+            if !shard.outbox.is_empty() {
+                out.extend(shard.outbox.drain(..));
+            }
         }
     }
 

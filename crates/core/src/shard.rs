@@ -18,7 +18,11 @@
 //! scheduler — and the shard re-encodes what a dequeue hands back.
 //! `bands` is the second slab of that shape: a flow's own quiet band sits
 //! at its slot, so a rate-callback walk decides whom to re-examine without
-//! loading a single `Flow`. The two key indexes name slots too: a
+//! loading a single `Flow`. A `Flow` itself holds only what every entry
+//! point touches and fits in one cache line; rate-callback thresholds and
+//! the defenses' streaks, quarantine and backoff live in a [`FlowCold`]
+//! record from the shard's `cold` slab, which a flow takes on its first
+//! registration or offence and returns on close. The two key indexes name slots too: a
 //! [`SlotIndex`] holds an 8-byte `(hash, slot)` pair per live flow (or
 //! grouped macroflow) and confirms a candidate against the key its slot
 //! already holds, so no key is stored twice.
@@ -43,7 +47,7 @@ use cm_util::{Duration, Rate, Time};
 use crate::api::{CmNotification, CmStats};
 use crate::config::CmConfig;
 use crate::error::{CmError, CmResult};
-use crate::flow::Flow;
+use crate::flow::{ColdSlab, Flow, FlowCold};
 use crate::macroflow::{GrantEntry, Macroflow, MacroflowKey, QuietBand};
 use crate::scheduler::SchedSlot;
 use crate::slot_index::{hash_of, Probe, SlotIndex};
@@ -135,6 +139,9 @@ pub(crate) struct Shard {
     /// changes none). `OPEN` while the flow has no thresholds registered
     /// or the slot is free.
     bands: Vec<QuietBand>,
+    /// Threshold and defense state of the flows that have any, named by
+    /// `Flow::cold`; recycled through its own free list on close.
+    cold: ColdSlab,
     free_flows: Vec<u32>,
     /// Per-slot generation, bumped whenever a slot's grant-queue entries
     /// become invalid (close, split, merge); lets the grant queue drop
@@ -194,6 +201,7 @@ impl Shard {
             flows: Vec::new(),
             sched: Vec::new(),
             bands: Vec::new(),
+            cold: ColdSlab::default(),
             free_flows: Vec::new(),
             flow_gens: Vec::new(),
             live_flows: 0,
@@ -226,6 +234,7 @@ impl Shard {
         self.flows.clear();
         self.sched.clear();
         self.bands.clear();
+        self.cold.clear();
         self.free_flows.clear();
         self.flow_gens.clear();
         self.live_flows = 0;
@@ -309,7 +318,7 @@ impl Shard {
                 FlowId(self.base | new_slot as u32)
             }
         };
-        let mut flow = Flow::new(flow_id, key, mf_id, self.cfg.mtu, now);
+        let mut flow = Flow::new(flow_id, key, mf_id, now);
         self.flow_index.fill(vacancy, lid(flow_id));
         let (mf, sched) = self.mf_sched(mf_id)?;
         flow.mf_pos = mf.flows.len() as u32;
@@ -334,10 +343,12 @@ impl Shard {
         let mf_id = f.macroflow;
         let key = f.key;
         let granted = f.granted;
-        let mtu = f.mtu as u64;
         let pos = f.mf_pos;
-        let registered = f.update_interest.is_some();
-        let parked = f.parked_requests as usize;
+        let cold = f.cold;
+        let mtu = self.cfg.mtu as u64;
+        let (registered, parked) = self.cold.get(cold).map_or((false, 0), |c| {
+            (c.update_interest.is_some(), c.parked_requests as usize)
+        });
         let Self {
             mfs, flows, sched, ..
         } = self;
@@ -366,6 +377,7 @@ impl Shard {
             self.bands[slot(flow.0)] = QuietBand::OPEN;
         }
         self.parked_count -= parked;
+        self.cold.release(cold);
         let removed = self.flow_index.remove(hash_of(&key), lid(flow));
         debug_assert!(removed, "live flow {flow:?} was not indexed");
         self.stats.closes += 1;
@@ -376,7 +388,8 @@ impl Shard {
     }
 
     pub(crate) fn mtu(&self, flow: FlowId) -> CmResult<usize> {
-        Ok(self.flow_ref(flow)?.mtu)
+        self.flow_ref(flow)?;
+        Ok(self.cfg.mtu)
     }
 
     pub(crate) fn lookup(&self, key: &FlowKey) -> Option<FlowId> {
@@ -396,11 +409,14 @@ impl Shard {
         // the weight its scheduler now gives it.
         mf.quiet = QuietBand::INVALID;
         let scheduled = self.sched[slot(flow.0)].weight();
-        let f = self.flow_mut(flow)?;
-        f.weight = weight;
-        if let Some(t) = f.update_interest {
-            let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
-            self.bands[slot(flow.0)] = QuietBand::of(last, t, scheduled);
+        let cold = self.flow_ref(flow)?.cold;
+        if let Some(FlowCold {
+            update_interest: Some(t),
+            last_reported_rate: last,
+            ..
+        }) = self.cold.get(cold)
+        {
+            self.bands[slot(flow.0)] = QuietBand::of(last.unwrap_or(Rate::ZERO), *t, scheduled);
         }
         Ok(())
     }
@@ -455,17 +471,20 @@ impl Shard {
     /// requests re-queue via `notify` (the app proved itself alive) or
     /// the maintenance tick (the backoff lapsed).
     fn park_if_backing_off(&mut self, flow: FlowId, now: Time) -> bool {
-        let Ok(f) = self.flow_mut(flow) else {
+        let Ok(cold) = self.flow_ref(flow).map(|f| f.cold) else {
             return false;
         };
-        match f.backoff_until {
+        let Some(c) = self.cold.get_mut(cold) else {
+            return false;
+        };
+        match c.backoff_until {
             Some(until) if now < until => {
-                f.parked_requests += 1;
+                c.parked_requests += 1;
                 self.parked_count += 1;
                 true
             }
             Some(_) => {
-                f.backoff_until = None;
+                c.backoff_until = None;
                 false
             }
             None => false,
@@ -486,23 +505,28 @@ impl Shard {
 
     pub(crate) fn notify(&mut self, flow: FlowId, bytes_sent: u64, now: Time) -> CmResult<()> {
         let pacing = self.cfg.pacing;
+        let mtu = self.cfg.mtu as u64;
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
-        let mtu = f.mtu as u64;
         let had_grant = f.granted > 0;
         if had_grant {
             f.granted -= 1;
             f.dead_grant_entries += 1;
         }
         f.last_api = now;
+        let cold = f.cold;
         // A notify proves the app is draining its grants: end any
         // unresponsive-app backoff and release its parked requests back
         // to the scheduler.
-        f.reclaim_streak = 0;
-        f.backoff_level = 0;
-        let was_backing_off = f.backoff_until.take().is_some();
-        let unparked = f.parked_requests;
-        f.parked_requests = 0;
+        let (was_backing_off, unparked) = match self.cold.get_mut(cold) {
+            Some(c) => {
+                c.reclaim_streak = 0;
+                c.backoff_level = 0;
+                let was_backing_off = c.backoff_until.take().is_some();
+                (was_backing_off, std::mem::take(&mut c.parked_requests))
+            }
+            None => (false, 0),
+        };
         self.parked_count -= unparked as usize;
         self.stats.notifies += 1;
         if was_backing_off {
@@ -545,28 +569,25 @@ impl Shard {
         let f = self.flow_mut(flow)?;
         let mf_id = f.macroflow;
         f.last_api = now;
+        let cold = f.cold;
         // Feedback sanity (the paper's §5 trust boundary): the CM's
         // shared estimates serve *every* flow in the macroflow, so one
         // client feeding impossible values must not poison them.
-        if let Some(until) = f.quarantined_until {
-            if now < until {
-                self.stats.feedback_rejected += 1;
-                self.tracer
-                    .record(now, TraceEvent::FeedbackRejected { flow: flow.0 });
-                return Err(CmError::InvalidFeedback("flow quarantined"));
+        if let Some(c) = self.cold.get_mut(cold) {
+            if let Some(until) = c.quarantined_until {
+                if now < until {
+                    self.stats.feedback_rejected += 1;
+                    self.tracer
+                        .record(now, TraceEvent::FeedbackRejected { flow: flow.0 });
+                    return Err(CmError::InvalidFeedback("flow quarantined"));
+                }
+                // Quarantine served; start the flow on a clean slate.
+                c.quarantined_until = None;
+                c.inconsistent_streak = 0;
             }
-            // Quarantine served; start the flow on a clean slate.
-            f.quarantined_until = None;
-            f.inconsistent_streak = 0;
         }
         if report.bytes_acked.saturating_add(report.bytes_lost) > MAX_BYTES_PER_REPORT {
-            f.inconsistent_streak = f.inconsistent_streak.saturating_add(1);
-            let quarantine = f.inconsistent_streak >= QUARANTINE_STREAK;
-            if quarantine {
-                f.quarantined_until = Some(now + QUARANTINE_PERIOD);
-                f.inconsistent_streak = 0;
-                self.stats.flows_quarantined += 1;
-            }
+            let quarantine = self.offence(flow, now);
             self.stats.feedback_rejected += 1;
             self.tracer
                 .record(now, TraceEvent::FeedbackRejected { flow: flow.0 });
@@ -582,13 +603,7 @@ impl Shard {
                 // the impossible RTT sample rather than dropping the
                 // whole report, but count it toward the streak.
                 report.rtt_sample = None;
-                f.inconsistent_streak = f.inconsistent_streak.saturating_add(1);
-                let quarantine = f.inconsistent_streak >= QUARANTINE_STREAK;
-                if quarantine {
-                    f.quarantined_until = Some(now + QUARANTINE_PERIOD);
-                    f.inconsistent_streak = 0;
-                    self.stats.flows_quarantined += 1;
-                }
+                let quarantine = self.offence(flow, now);
                 self.stats.feedback_clamped += 1;
                 self.tracer
                     .record(now, TraceEvent::FeedbackClamped { flow: flow.0 });
@@ -597,7 +612,11 @@ impl Shard {
                         .record(now, TraceEvent::FlowQuarantined { flow: flow.0 });
                 }
             }
-            _ => f.inconsistent_streak = 0,
+            _ => {
+                if let Some(c) = self.cold.get_mut(cold) {
+                    c.inconsistent_streak = 0;
+                }
+            }
         }
         let resolved = report.bytes_acked + report.bytes_lost;
         self.stats.updates += 1;
@@ -688,15 +707,31 @@ impl Shard {
         let band = thresholds.map_or(QuietBand::OPEN, |t| QuietBand::of(current, t, weight));
         mf.quiet.intersect(band);
         self.bands[slot(flow.0)] = band;
-        let f = self.flow_mut(flow)?;
-        match (f.update_interest.is_some(), thresholds.is_some()) {
-            (false, true) => self.thresh_regs += 1,
-            (true, false) => self.thresh_regs -= 1,
+        let Self {
+            flows,
+            cold,
+            thresh_regs,
+            ..
+        } = self;
+        let f = flows
+            .get_mut(slot(flow.0))
+            .and_then(Option::as_mut)
+            .ok_or(CmError::UnknownFlow(flow))?;
+        // Dropping thresholds a flow never had takes no record.
+        let record = match thresholds {
+            Some(_) => cold.attach(&mut f.cold),
+            None => match cold.get_mut(f.cold) {
+                Some(c) => c,
+                None => return Ok(()),
+            },
+        };
+        match (record.update_interest.is_some(), thresholds.is_some()) {
+            (false, true) => *thresh_regs += 1,
+            (true, false) => *thresh_regs -= 1,
             _ => {}
         }
-        let f = self.flow_mut(flow)?;
-        f.update_interest = thresholds;
-        f.last_reported_rate = Some(current);
+        record.update_interest = thresholds;
+        record.last_reported_rate = Some(current);
         Ok(())
     }
 
@@ -776,7 +811,7 @@ impl Shard {
         to: MacroflowId,
         now: Time,
     ) -> CmResult<()> {
-        let weight = self.flow_ref(flow)?.weight;
+        let weight = self.sched[slot(flow.0)].weight();
         let pending = self.sched[slot(flow.0)].pending();
         self.detach_flow(flow, from, now)?;
         let (mf, sched) = self.mf_sched(to)?;
@@ -938,13 +973,14 @@ impl Shard {
                             continue;
                         }
                     }
-                    if f.parked_requests == 0 || f.backoff_until.is_some_and(|u| now < u) {
+                    let Some(c) = self.cold.get_mut(f.cold) else {
+                        continue;
+                    };
+                    if c.parked_requests == 0 || c.backoff_until.is_some_and(|u| now < u) {
                         continue;
                     }
-                    f.backoff_until = None;
-                    let n = f.parked_requests;
-                    f.parked_requests = 0;
-                    (f.id, f.macroflow, n)
+                    c.backoff_until = None;
+                    (f.id, f.macroflow, std::mem::take(&mut c.parked_requests))
                 };
                 self.parked_count -= unparked as usize;
                 self.tracer
@@ -1015,13 +1051,20 @@ impl Shard {
                 self.flows.len()
             ));
         }
+        self.cold
+            .validate(self.flows.iter().flatten().map(|f| f.cold))
+            .map_err(|e| format!("cold slab: {e}"))?;
+        let mut registered = 0;
         for (s, (f, band)) in self.flows.iter().zip(&self.bands).enumerate() {
-            let expected = match f {
-                Some(Flow {
+            let expected = match f.as_ref().and_then(|f| self.cold.get(f.cold)) {
+                Some(FlowCold {
                     update_interest: Some(t),
                     last_reported_rate: last,
                     ..
-                }) => QuietBand::of(last.unwrap_or(Rate::ZERO), *t, self.sched[s].weight()),
+                }) => {
+                    registered += 1;
+                    QuietBand::of(last.unwrap_or(Rate::ZERO), *t, self.sched[s].weight())
+                }
                 _ => QuietBand::OPEN,
             };
             if *band != expected {
@@ -1030,6 +1073,12 @@ impl Shard {
                      makes {expected:?}"
                 ));
             }
+        }
+        if registered != self.thresh_regs {
+            return Err(format!(
+                "thresh_regs says {} but {registered} flows hold thresholds",
+                self.thresh_regs
+            ));
         }
         let mut seen = vec![false; self.flows.len()];
         for &s in &self.free_flows {
@@ -1140,9 +1189,13 @@ impl Shard {
                 // The quiet band against the walk it stands in for:
                 // wherever the O(1) check would skip the members, the
                 // member-by-member test must find nothing to report.
-                let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
+                let record = self.cold.get(f.cold);
+                let last = record
+                    .and_then(|c| c.last_reported_rate)
+                    .unwrap_or(Rate::ZERO);
                 let share = mf.share_of(self.sched[slot(fid.0)].weight());
-                if quiet && f.update_interest.is_some_and(|t| t.crossed(last, share)) {
+                let thresh = record.and_then(|c| c.update_interest);
+                if quiet && thresh.is_some_and(|t| t.crossed(last, share)) {
                     return Err(format!(
                         "macroflow {:?} is inside its quiet band {:?} but flow {:?} \
                          crossed its thresholds ({last:?} -> {share:?})",
@@ -1205,7 +1258,8 @@ impl Shard {
             .flows
             .iter()
             .flatten()
-            .map(|f| f.parked_requests as usize)
+            .filter_map(|f| self.cold.get(f.cold))
+            .map(|c| c.parked_requests as usize)
             .sum();
         if parked != self.parked_count {
             return Err(format!(
@@ -1283,10 +1337,10 @@ impl Shard {
     }
 
     pub(crate) fn flow_info(&self, flow: FlowId, mf_id: MacroflowId) -> CmResult<FlowInfo> {
-        let mtu = self.flow_ref(flow)?.mtu;
+        self.flow_ref(flow)?;
         let mf = self.mf_ref(mf_id)?;
         let share = mf.share_of(self.sched[slot(flow.0)].weight());
-        Ok(flow_info_of(share, mtu, mf))
+        Ok(flow_info_of(share, self.cfg.mtu, mf))
     }
 
     // ------------------------------------------------------------------
@@ -1354,6 +1408,7 @@ impl Shard {
             mfs,
             flows,
             sched,
+            cold,
             flow_gens,
             outbox,
             stats,
@@ -1384,14 +1439,16 @@ impl Shard {
             // An unresponsive flow's dequeued request is parked rather
             // than granted: granting would just feed more window into a
             // client that is not notifying.
-            match flow.backoff_until {
-                Some(until) if now < until => {
-                    flow.parked_requests += 1;
-                    *parked_count += 1;
-                    continue;
+            if let Some(c) = cold.get_mut(flow.cold) {
+                match c.backoff_until {
+                    Some(until) if now < until => {
+                        c.parked_requests += 1;
+                        *parked_count += 1;
+                        continue;
+                    }
+                    Some(_) => c.backoff_until = None,
+                    None => {}
                 }
-                Some(_) => flow.backoff_until = None,
-                None => {}
             }
             flow.granted += 1;
             mf.granted_unnotified += mf.mtu as u64;
@@ -1424,6 +1481,7 @@ impl Shard {
         let Self {
             mfs,
             flows,
+            cold,
             flow_gens,
             stats,
             tracer,
@@ -1469,11 +1527,12 @@ impl Shard {
                     // marks the app unresponsive: park its future
                     // requests for an exponentially growing backoff
                     // instead of burning window on grants it ignores.
-                    f.reclaim_streak = f.reclaim_streak.saturating_add(1);
-                    if f.reclaim_streak >= RECLAIM_STREAK {
-                        let level = f.backoff_level.min(MAX_BACKOFF_LEVEL);
-                        f.backoff_until = Some(now + BASE_BACKOFF.mul_ratio(1u64 << level, 1));
-                        f.backoff_level = (f.backoff_level + 1).min(MAX_BACKOFF_LEVEL);
+                    let c = cold.attach(&mut f.cold);
+                    c.reclaim_streak = c.reclaim_streak.saturating_add(1);
+                    if c.reclaim_streak >= RECLAIM_STREAK {
+                        let level = c.backoff_level.min(MAX_BACKOFF_LEVEL);
+                        c.backoff_until = Some(now + BASE_BACKOFF.mul_ratio(1u64 << level, 1));
+                        c.backoff_level = (c.backoff_level + 1).min(MAX_BACKOFF_LEVEL);
                         stats.grant_backoffs += 1;
                         tracer.record(now, TraceEvent::BackoffArmed { flow: front.flow.0 });
                     }
@@ -1494,11 +1553,13 @@ impl Shard {
         if self.thresh_regs == 0 {
             return;
         }
+        let mtu = self.cfg.mtu;
         let Self {
             mfs,
             flows,
             sched,
             bands,
+            cold,
             outbox,
             stats,
             ..
@@ -1516,28 +1577,50 @@ impl Shard {
             let band = &mut bands[s];
             if !band.contains(unit) {
                 stats.rate_rechecks += 1;
-                let Some(f) = flows.get_mut(s).and_then(Option::as_mut) else {
+                let Some(c) = flows
+                    .get(s)
+                    .and_then(Option::as_ref)
+                    .and_then(|f| cold.get_mut(f.cold))
+                else {
                     continue;
                 };
-                let Some(thresh) = f.update_interest else {
+                let Some(thresh) = c.update_interest else {
                     continue;
                 };
-                let last = f.last_reported_rate.unwrap_or(Rate::ZERO);
+                let last = c.last_reported_rate.unwrap_or(Rate::ZERO);
                 let weight = sched[s].weight();
                 let current = rate.mul_ratio(weight as u64, total_weight);
                 if thresh.crossed(last, current) {
                     outbox.push_back(CmNotification::RateChange {
                         flow: flow_id,
-                        info: flow_info_of(current, f.mtu, mf),
+                        info: flow_info_of(current, mtu, mf),
                     });
                     stats.rate_callbacks += 1;
-                    f.last_reported_rate = Some(current);
+                    c.last_reported_rate = Some(current);
                     *band = QuietBand::of(current, thresh, weight);
                 }
             }
             quiet.intersect(*band);
         }
         mf.quiet = quiet;
+    }
+
+    /// Counts one rejected or clamped report against `flow`, giving it a
+    /// cold record if it holds none; returns whether the streak has just
+    /// quarantined it.
+    fn offence(&mut self, flow: FlowId, now: Time) -> bool {
+        let Some(f) = self.flows.get_mut(slot(flow.0)).and_then(Option::as_mut) else {
+            return false;
+        };
+        let c = self.cold.attach(&mut f.cold);
+        c.inconsistent_streak = c.inconsistent_streak.saturating_add(1);
+        let quarantine = c.inconsistent_streak >= QUARANTINE_STREAK;
+        if quarantine {
+            c.quarantined_until = Some(now + QUARANTINE_PERIOD);
+            c.inconsistent_streak = 0;
+            self.stats.flows_quarantined += 1;
+        }
+        quarantine
     }
 
     fn flow_ref(&self, id: FlowId) -> CmResult<&Flow> {
@@ -1618,7 +1701,82 @@ fn remove_member(mf: &mut Macroflow, flows: &mut [Option<Flow>], pos: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::NO_COLD;
     use crate::types::Endpoint;
+
+    fn cold_of(shard: &Shard, f: FlowId) -> u32 {
+        shard.flow_ref(f).expect("live flow").cold
+    }
+
+    /// A flow holds no cold record until its first threshold registration
+    /// or first offence — a rejected report, a clamped report, a
+    /// reclaimed grant — and dropping thresholds it never had takes none.
+    #[test]
+    fn cold_record_is_taken_on_first_registration_or_offence() {
+        let mut shard = Shard::new(CmConfig::default(), 0);
+        let key = |p| FlowKey::new(Endpoint::new(1, p), Endpoint::new(2, 80));
+        let mut now = Time::ZERO;
+        let [registers, rejected, clamped, ignores] =
+            [1, 2, 3, 4].map(|p| shard.open(key(p), now).expect("open"));
+        shard.set_thresholds(registers, None).expect("drop");
+        assert_eq!(cold_of(&shard, registers), NO_COLD);
+        shard
+            .set_thresholds(registers, Some(Thresholds::default()))
+            .expect("register");
+        assert_ne!(cold_of(&shard, registers), NO_COLD);
+
+        let honest = FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(30));
+        shard.update(ignores, honest, now).expect("honest report");
+        assert_eq!(cold_of(&shard, ignores), NO_COLD);
+        let absurd = FeedbackReport::ack(MAX_BYTES_PER_REPORT + 1, 1);
+        assert!(shard.update(rejected, absurd, now).is_err());
+        assert_ne!(cold_of(&shard, rejected), NO_COLD);
+        let zero_rtt = FeedbackReport::ack(0, 0).with_rtt(Duration::ZERO);
+        shard
+            .update(clamped, zero_rtt, now)
+            .expect("clamped report");
+        assert_ne!(cold_of(&shard, clamped), NO_COLD);
+
+        shard.request(ignores, now).expect("request");
+        assert_eq!(shard.flow_ref(ignores).expect("live").granted, 1);
+        now += shard.cfg.grant_timeout;
+        shard.tick(now);
+        assert_eq!(shard.stats.grants_reclaimed, 1);
+        let c = cold_of(&shard, ignores);
+        assert_eq!(shard.cold.get(c).map(|c| c.reclaim_streak), Some(1));
+        assert_eq!(shard.cold.len(), 4);
+        shard.validate().expect("shard invariants");
+    }
+
+    /// Close returns a flow's record, reset, to the free list, and the
+    /// next flow that needs a record takes that one rather than growing
+    /// the slab; a flow that needs none leaves the free list alone.
+    #[test]
+    fn close_recycles_the_cold_record() {
+        let mut shard = Shard::new(CmConfig::default(), 0);
+        let key = |p| FlowKey::new(Endpoint::new(1, p), Endpoint::new(2, 80));
+        let now = Time::ZERO;
+        let [a, b] = [1, 2].map(|p| shard.open(key(p), now).expect("open"));
+        for f in [a, b] {
+            shard
+                .set_thresholds(f, Some(Thresholds::default()))
+                .expect("register");
+        }
+        let freed = cold_of(&shard, a);
+        shard.close(a, now).expect("close");
+        shard.validate().expect("shard invariants");
+        let plain = shard.open(key(3), now).expect("open");
+        assert_eq!(cold_of(&shard, plain), NO_COLD);
+        let late = shard.open(key(4), now).expect("open");
+        let absurd = FeedbackReport::ack(MAX_BYTES_PER_REPORT + 1, 1);
+        assert!(shard.update(late, absurd, now).is_err());
+        assert_eq!(cold_of(&shard, late), freed, "the freed record is reused");
+        let record = shard.cold.get(freed).copied().expect("record");
+        assert_eq!(record.update_interest, None, "the record was reset");
+        assert_eq!(record.inconsistent_streak, 1);
+        assert_eq!(shard.cold.len(), 2);
+        shard.validate().expect("shard invariants");
+    }
 
     /// Ten times the population churns through one shard: each round
     /// closes the oldest tenth of the flows and opens as many fresh keys,

@@ -399,16 +399,18 @@ fn delay_gradient_update_path_never_allocates_tracer_enabled() {
 /// on how many macroflows it is spread over, everything counted — slabs,
 /// both key indexes, macroflow shells, controllers, and the one scheduler
 /// slab the macroflows share (16 B per flow slot; a macroflow's own
-/// scheduler is a few inline words). 4,096 flows measure 238 B each at 8
-/// per macroflow and 356 B at 2 per macroflow; the bounds sit a tenth
-/// above those figures. (The `FxHashMap`s the key indexes replaced put
-/// these at 266 and 391 B; a scheduler index sized by the shard's flow-id
-/// space per macroflow costs 2 KB and 8 KB per flow at these shapes.)
+/// scheduler is a few inline words). 4,096 flows measure 150 B each at 8
+/// per macroflow and 268 B at 2 per macroflow; the bounds sit a tenth
+/// above those figures. (A 144 B flow slot that held thresholds and
+/// defense state inline put these at 238 and 356 B; the `FxHashMap`s the
+/// key indexes replaced, at 266 and 391 B; a scheduler index sized by the
+/// shard's flow-id space per macroflow costs 2 KB and 8 KB per flow at
+/// these shapes.)
 #[test]
 fn open_population_stays_under_1kb_per_flow() {
     const FLOWS: usize = 4_096;
     let _turn = measuring();
-    for (dests, bound) in [(512, 262), (2_048, 392)] {
+    for (dests, bound) in [(512, 165), (2_048, 295)] {
         let before = LIVE.load(Ordering::SeqCst);
         let mut cm = CongestionManager::new(CmConfig::default());
         for i in 0..FLOWS {
@@ -594,5 +596,134 @@ fn orphan_reaping_never_allocates_in_steady_state() {
         min_delta, 0,
         "orphan reaping allocated in every trial (at least {min_delta} \
          allocations per 10 cycles)"
+    );
+}
+
+/// A population for [`cold_churn_cycle`]: flows that claim their grants
+/// and flows that ignore them, each oldest first, and the cycle count.
+struct ColdChurn {
+    claiming: VecDeque<FlowId>,
+    ignoring: VecDeque<FlowId>,
+    next: u32,
+    round: u64,
+}
+
+impl ColdChurn {
+    /// Opens a fresh key, on one of four destinations or, for a flow
+    /// that will ignore its grants, on a fifth of its own, and registers
+    /// thresholds on it.
+    fn open(&mut self, cm: &mut CongestionManager, ignores: bool, now: Time) -> FlowId {
+        let dst = if ignores { 9 } else { 20 + self.next % 4 };
+        let f = cm
+            .open(key(1 + (self.next % 60_000) as u16, dst), now)
+            .unwrap();
+        self.next += 1;
+        cm.set_thresholds(f, Some(Thresholds::new(0.9, 1.1)))
+            .unwrap();
+        f
+    }
+}
+
+/// One cycle of churn over flows that need cold records: the two oldest
+/// claiming flows close and two fresh ones open, and every sixteenth
+/// cycle the older of the two ignoring flows is replaced too, every opened flow
+/// registering thresholds; every flow requests; the claiming flows
+/// notify and report feedback for their grants, while the ignoring flows
+/// leave theirs to be reclaimed until they back off and park their
+/// requests; then the maintenance tick.
+fn cold_churn_cycle(
+    cm: &mut CongestionManager,
+    pop: &mut ColdChurn,
+    now: &mut Time,
+    notes: &mut Vec<CmNotification>,
+) {
+    for _ in 0..2 {
+        let f = pop.claiming.pop_front().expect("claiming flow");
+        cm.close(f, *now).unwrap();
+        let f = pop.open(cm, false, *now);
+        pop.claiming.push_back(f);
+    }
+    if pop.round.is_multiple_of(16) {
+        let f = pop.ignoring.pop_front().expect("ignoring flow");
+        cm.close(f, *now).unwrap();
+        let f = pop.open(cm, true, *now);
+        pop.ignoring.push_back(f);
+    }
+    pop.round += 1;
+    for &f in pop.claiming.iter().chain(&pop.ignoring) {
+        cm.request(f, *now).unwrap();
+    }
+    notes.clear();
+    cm.drain_notifications_into(notes);
+    for &n in notes.iter() {
+        let CmNotification::SendGrant { flow } = n else {
+            continue;
+        };
+        if pop.claiming.contains(&flow) {
+            cm.notify(flow, 1460, *now).unwrap();
+            let report = FeedbackReport::ack(1460, 1).with_rtt(Duration::from_millis(30));
+            cm.update(flow, report, *now).unwrap();
+        }
+    }
+    *now += Duration::from_millis(20);
+    cm.tick(*now);
+}
+
+/// Cold records under churn: closes return the records of flows that
+/// registered thresholds or backed off, and the reopened flows' first
+/// registrations take them again, so once the record slab has reached
+/// its peak, 40 cycles allocate nothing.
+///
+/// Drives: shard `set_thresholds`, `reclaim_expired_grants` and `close`
+/// taking and returning records; `request`, `try_grants` and the tick
+/// parking and releasing requests; cold slab `attach`, `release`.
+#[test]
+fn cold_record_churn_never_allocates_in_steady_state() {
+    let _turn = measuring();
+    let mut cm = CongestionManager::new(CmConfig {
+        grant_timeout: Duration::from_millis(50),
+        ..Default::default()
+    });
+    let mut now = Time::ZERO;
+    let mut pop = ColdChurn {
+        claiming: VecDeque::with_capacity(32),
+        ignoring: VecDeque::with_capacity(2),
+        next: 0,
+        round: 0,
+    };
+    for i in 0..34 {
+        let ignores = i >= 32;
+        let f = pop.open(&mut cm, ignores, now);
+        if ignores {
+            pop.ignoring.push_back(f);
+        } else {
+            pop.claiming.push_back(f);
+        }
+    }
+    let mut notes: Vec<CmNotification> = Vec::with_capacity(256);
+    for _ in 0..40 {
+        cold_churn_cycle(&mut cm, &mut pop, &mut now, &mut notes);
+    }
+    let warm = cm.stats();
+    let min_delta = fewest_allocs_of_five(|| {
+        for _ in 0..40 {
+            cold_churn_cycle(&mut cm, &mut pop, &mut now, &mut notes);
+        }
+    });
+    let stats = cm.stats();
+    assert!(
+        stats.grant_backoffs > warm.grant_backoffs,
+        "no ignoring flow was backed off"
+    );
+    assert!(
+        stats.rate_callbacks > warm.rate_callbacks,
+        "no rate callback fired"
+    );
+    assert_eq!(cm.flow_count(), 34);
+    cm.check_invariants().unwrap();
+    assert_eq!(
+        min_delta, 0,
+        "cold-record churn allocated in every trial (at least {min_delta} \
+         allocations per 40 cycles)"
     );
 }

@@ -604,186 +604,199 @@ proptest! {
         }
     }
 
-    /// Structural invariants under *hostile* churn: clients feeding
-    /// absurd feedback, ignoring grants until they are reclaimed and
-    /// backed off, going silent long enough to be reaped as orphans —
-    /// interleaved with honest traffic. After every operation the CM's
-    /// own structural check must pass (slab/free-list consistency,
-    /// membership bijection, grant reservations, parked-request
-    /// accounting), every surviving flow belongs to exactly one
-    /// macroflow, and at the end nothing has leaked.
-    ///
-    /// The self-check also holds every macroflow's quiet band against
-    /// the member walk it replaces, so the ops include everything band
-    /// upkeep hangs on — registering and dropping thresholds, weight
-    /// changes (under a scheduler that honours them), loss, and flows
-    /// carrying registrations across macroflows.
     #[test]
     fn invariants_hold_under_fault_churn(
         ops in proptest::collection::vec(fault_op_strategy(), 1..200),
     ) {
-        let mut cm = CongestionManager::new(CmConfig {
-            scheduler: SchedulerKind::WeightedRoundRobin,
-            pacing: false,
-            grant_timeout: Duration::from_millis(50),
-            macroflow_linger: Duration::from_millis(500),
-            orphan_timeout: Some(Duration::from_secs(2)),
-            ..Default::default()
-        });
-        let mut now = Time::ZERO;
-        let mut flows: Vec<FlowId> = Vec::new();
-        let mut pending_grants: Vec<FlowId> = Vec::new();
-        let mut peak_flows = 0usize;
-        let mut notes = Vec::new();
-        for op in ops {
-            now += Duration::from_millis(7);
-            match op {
-                FaultOp::Open(port, dst) => {
-                    let key = FlowKey::new(
-                        Endpoint::new(1, port),
-                        Endpoint::new(dst, 80),
-                    );
-                    if let Ok(f) = cm.open(key, now) {
-                        flows.push(f);
-                    }
-                }
-                FaultOp::Close(i) => {
-                    if !flows.is_empty() {
-                        let f = flows.remove(i % flows.len());
-                        let _ = cm.close(f, now);
-                        pending_grants.retain(|&g| g != f);
-                    }
-                }
-                FaultOp::Request(i) => {
-                    if !flows.is_empty() {
-                        let _ = cm.request(flows[i % flows.len()], now);
-                    }
-                }
-                FaultOp::NotifyReal(i, frac) => {
-                    if !pending_grants.is_empty() {
-                        let f = pending_grants.remove(i % pending_grants.len());
-                        let _ = cm.notify(f, 1460 * frac as u64 / 10, now);
-                    }
-                }
-                // The hostile client: grants silently dropped, never
-                // notified — the reclaim/backoff machinery must absorb
-                // them.
-                FaultOp::IgnoreGrants => {
-                    pending_grants.clear();
-                }
-                FaultOp::AbsurdAck(i) => {
-                    if !flows.is_empty() {
-                        let f = flows[i % flows.len()];
-                        let _ = cm.update(f, FeedbackReport::ack(1 << 40, 1), now);
-                    }
-                }
-                FaultOp::BogusRtt(i, kind) => {
-                    if !flows.is_empty() {
-                        let f = flows[i % flows.len()];
-                        let rtt = if kind == 0 {
-                            Duration::from_nanos(1)
-                        } else {
-                            Duration::from_secs(3600)
-                        };
-                        let _ = cm.update(
-                            f,
-                            FeedbackReport::ack(1460, 1).with_rtt(rtt),
-                            now,
-                        );
-                    }
-                }
-                FaultOp::Ack(i, bytes) => {
-                    if !flows.is_empty() {
-                        let f = flows[i % flows.len()];
-                        let report = FeedbackReport::ack(bytes as u64, 1)
-                            .with_rtt(Duration::from_millis(20));
-                        let _ = cm.update(f, report, now);
-                    }
-                }
-                FaultOp::SetThresholds(i, band) => {
-                    if !flows.is_empty() {
-                        let t = band.map(|(down, up)| {
-                            Thresholds::new(
-                                [0.5, 0.8, 0.95, 1.0][down as usize],
-                                [1.0, 1.05, 1.5, 2.0][up as usize],
-                            )
-                        });
-                        let _ = cm.set_thresholds(flows[i % flows.len()], t);
-                    }
-                }
-                FaultOp::SetWeight(i, w) => {
-                    if !flows.is_empty() {
-                        let _ = cm.set_weight(flows[i % flows.len()], w as u32);
-                    }
-                }
-                FaultOp::Loss(i) => {
-                    if !flows.is_empty() {
-                        let report = FeedbackReport::loss(LossMode::Transient, 1460);
-                        let _ = cm.update(flows[i % flows.len()], report, now);
-                    }
-                }
-                FaultOp::Split(i) => {
-                    if !flows.is_empty() {
-                        let _ = cm.split(flows[i % flows.len()], now);
-                    }
-                }
-                FaultOp::MergeUnchecked(i, j) => {
-                    if !flows.is_empty() {
-                        let target = cm
-                            .macroflow_of(flows[j % flows.len()])
-                            .expect("live flow has a macroflow");
-                        let _ = cm.merge_unchecked(flows[i % flows.len()], target, now);
-                    }
-                }
-                FaultOp::Tick(ms) => {
-                    now += Duration::from_millis(ms as u64);
-                    cm.tick(now);
-                }
-            }
-            notes.clear();
-            cm.drain_notifications_into(&mut notes);
-            for &n in &notes {
-                if let CmNotification::SendGrant { flow } = n {
-                    pending_grants.push(flow);
-                }
-            }
-            // Orphan reaping may have closed flows under us; prune both
-            // shadow lists before asserting anything about them.
-            flows.retain(|&f| cm.macroflow_of(f).is_ok());
-            pending_grants.retain(|&f| cm.macroflow_of(f).is_ok());
-            peak_flows = peak_flows.max(cm.flow_count());
+        fault_churn(ops)?;
+    }
+}
 
-            // INVARIANT: the CM's structural self-check passes after
-            // every single operation.
-            if let Err(e) = cm.check_invariants() {
-                prop_assert!(false, "invariant violated: {e}");
-            }
-            // INVARIANT: exactly-one-macroflow partition.
-            let mut seen = 0usize;
-            for mf_slot in 0..cm.macroflow_slab_capacity() {
-                if let Ok(members) = cm.flows_in(MacroflowId(mf_slot as u32)) {
-                    seen += members.len();
+/// Structural invariants under *hostile* churn: clients feeding
+/// absurd feedback, ignoring grants until they are reclaimed and
+/// backed off, going silent long enough to be reaped as orphans —
+/// interleaved with honest traffic. After every operation the CM's
+/// own structural check must pass (slab/free-list consistency,
+/// membership bijection, grant reservations, parked-request
+/// accounting), every surviving flow belongs to exactly one
+/// macroflow, and at the end nothing has leaked.
+///
+/// The self-check also holds every macroflow's quiet band against
+/// the member walk it replaces, so the ops include everything band
+/// upkeep hangs on — registering and dropping thresholds, weight
+/// changes (under a scheduler that honours them), loss, and flows
+/// carrying registrations across macroflows.
+fn fault_churn(ops: Vec<FaultOp>) -> Result<(), TestCaseError> {
+    let mut cm = CongestionManager::new(CmConfig {
+        scheduler: SchedulerKind::WeightedRoundRobin,
+        pacing: false,
+        grant_timeout: Duration::from_millis(50),
+        macroflow_linger: Duration::from_millis(500),
+        orphan_timeout: Some(Duration::from_secs(2)),
+        ..Default::default()
+    });
+    let mut now = Time::ZERO;
+    let mut flows: Vec<FlowId> = Vec::new();
+    let mut pending_grants: Vec<FlowId> = Vec::new();
+    let mut peak_flows = 0usize;
+    let mut notes = Vec::new();
+    for op in ops {
+        now += Duration::from_millis(7);
+        match op {
+            FaultOp::Open(port, dst) => {
+                let key = FlowKey::new(Endpoint::new(1, port), Endpoint::new(dst, 80));
+                if let Ok(f) = cm.open(key, now) {
+                    flows.push(f);
                 }
             }
-            prop_assert_eq!(seen, cm.flow_count(), "membership partition broken");
+            FaultOp::Close(i) => {
+                if !flows.is_empty() {
+                    let f = flows.remove(i % flows.len());
+                    let _ = cm.close(f, now);
+                    pending_grants.retain(|&g| g != f);
+                }
+            }
+            FaultOp::Request(i) => {
+                if !flows.is_empty() {
+                    let _ = cm.request(flows[i % flows.len()], now);
+                }
+            }
+            FaultOp::NotifyReal(i, frac) => {
+                if !pending_grants.is_empty() {
+                    let f = pending_grants.remove(i % pending_grants.len());
+                    let _ = cm.notify(f, 1460 * frac as u64 / 10, now);
+                }
+            }
+            // The hostile client: grants silently dropped, never
+            // notified — the reclaim/backoff machinery must absorb
+            // them.
+            FaultOp::IgnoreGrants => {
+                pending_grants.clear();
+            }
+            FaultOp::AbsurdAck(i) => {
+                if !flows.is_empty() {
+                    let f = flows[i % flows.len()];
+                    let _ = cm.update(f, FeedbackReport::ack(1 << 40, 1), now);
+                }
+            }
+            FaultOp::BogusRtt(i, kind) => {
+                if !flows.is_empty() {
+                    let f = flows[i % flows.len()];
+                    let rtt = if kind == 0 {
+                        Duration::from_nanos(1)
+                    } else {
+                        Duration::from_secs(3600)
+                    };
+                    let _ = cm.update(f, FeedbackReport::ack(1460, 1).with_rtt(rtt), now);
+                }
+            }
+            FaultOp::Ack(i, bytes) => {
+                if !flows.is_empty() {
+                    let f = flows[i % flows.len()];
+                    let report =
+                        FeedbackReport::ack(bytes as u64, 1).with_rtt(Duration::from_millis(20));
+                    let _ = cm.update(f, report, now);
+                }
+            }
+            FaultOp::SetThresholds(i, band) => {
+                if !flows.is_empty() {
+                    let t = band.map(|(down, up)| {
+                        Thresholds::new(
+                            [0.5, 0.8, 0.95, 1.0][down as usize],
+                            [1.0, 1.05, 1.5, 2.0][up as usize],
+                        )
+                    });
+                    let _ = cm.set_thresholds(flows[i % flows.len()], t);
+                }
+            }
+            FaultOp::SetWeight(i, w) => {
+                if !flows.is_empty() {
+                    let _ = cm.set_weight(flows[i % flows.len()], w as u32);
+                }
+            }
+            FaultOp::Loss(i) => {
+                if !flows.is_empty() {
+                    let report = FeedbackReport::loss(LossMode::Transient, 1460);
+                    let _ = cm.update(flows[i % flows.len()], report, now);
+                }
+            }
+            FaultOp::Split(i) => {
+                if !flows.is_empty() {
+                    let _ = cm.split(flows[i % flows.len()], now);
+                }
+            }
+            FaultOp::MergeUnchecked(i, j) => {
+                if !flows.is_empty() {
+                    let target = cm
+                        .macroflow_of(flows[j % flows.len()])
+                        .expect("live flow has a macroflow");
+                    let _ = cm.merge_unchecked(flows[i % flows.len()], target, now);
+                }
+            }
+            FaultOp::Tick(ms) => {
+                now += Duration::from_millis(ms as u64);
+                cm.tick(now);
+            }
         }
-        // Drain: everything closes and expires; nothing leaks.
-        for f in flows.drain(..) {
-            let _ = cm.close(f, now);
+        notes.clear();
+        cm.drain_notifications_into(&mut notes);
+        for &n in &notes {
+            if let CmNotification::SendGrant { flow } = n {
+                pending_grants.push(flow);
+            }
         }
-        now += Duration::from_secs(30);
-        cm.tick(now);
-        prop_assert_eq!(cm.flow_count(), 0);
-        prop_assert_eq!(cm.macroflow_count(), 0);
-        prop_assert!(
-            cm.flow_slab_capacity() <= peak_flows,
-            "flow slab {} exceeds peak {} (slot leak)",
-            cm.flow_slab_capacity(),
-            peak_flows
-        );
+        // Orphan reaping may have closed flows under us; prune both
+        // shadow lists before asserting anything about them.
+        flows.retain(|&f| cm.macroflow_of(f).is_ok());
+        pending_grants.retain(|&f| cm.macroflow_of(f).is_ok());
+        peak_flows = peak_flows.max(cm.flow_count());
+
+        // INVARIANT: the CM's structural self-check passes after
+        // every single operation.
         if let Err(e) = cm.check_invariants() {
-            prop_assert!(false, "invariant violated after drain: {e}");
+            prop_assert!(false, "invariant violated: {e}");
         }
+        // INVARIANT: exactly-one-macroflow partition.
+        let mut seen = 0usize;
+        for mf_slot in 0..cm.macroflow_slab_capacity() {
+            if let Ok(members) = cm.flows_in(MacroflowId(mf_slot as u32)) {
+                seen += members.len();
+            }
+        }
+        prop_assert_eq!(seen, cm.flow_count(), "membership partition broken");
+    }
+    // Drain: everything closes and expires; nothing leaks.
+    for f in flows.drain(..) {
+        let _ = cm.close(f, now);
+    }
+    now += Duration::from_secs(30);
+    cm.tick(now);
+    prop_assert_eq!(cm.flow_count(), 0);
+    prop_assert_eq!(cm.macroflow_count(), 0);
+    prop_assert!(
+        cm.flow_slab_capacity() <= peak_flows,
+        "flow slab {} exceeds peak {} (slot leak)",
+        cm.flow_slab_capacity(),
+        peak_flows
+    );
+    if let Err(e) = cm.check_invariants() {
+        prop_assert!(false, "invariant violated after drain: {e}");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// CI's long run of [`fault_churn`], the property that reaches every
+    /// cold-record path: `cargo test --release -p cm-core --test props
+    /// -- --ignored`.
+    #[test]
+    #[ignore = "20,000 cases; CI runs it in release"]
+    fn invariants_hold_under_fault_churn_20k(
+        ops in proptest::collection::vec(fault_op_strategy(), 1..200),
+    ) {
+        fault_churn(ops)?;
     }
 }
 

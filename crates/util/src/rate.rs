@@ -62,6 +62,11 @@ impl Rate {
         if period.is_zero() {
             return Rate::ZERO;
         }
+        // As in `transmit_time`: the u64 quotient of the same product is
+        // the same number, and only a product past 2^64 needs u128.
+        if let Some(bit_ns) = bytes.checked_mul(8_000_000_000) {
+            return Rate(bit_ns / period.as_nanos());
+        }
         let bits = bytes as u128 * 8 * 1_000_000_000;
         Rate((bits / period.as_nanos() as u128).min(u64::MAX as u128) as u64)
     }
@@ -232,6 +237,30 @@ mod tests {
         let r = Rate::from_window(1_250_000, Duration::from_secs(1));
         assert_eq!(r, Rate::from_mbps(10));
         assert_eq!(Rate::from_window(100, Duration::ZERO), Rate::ZERO);
+    }
+
+    /// The u64 path agrees with the u128 division it skips, on both sides
+    /// of the largest byte count whose bit-nanosecond product fits.
+    #[test]
+    fn from_window_u64_path_matches_u128_division() {
+        let wide = |bytes: u64, period: Duration| {
+            let bits = bytes as u128 * 8 * 1_000_000_000;
+            Rate((bits / period.as_nanos() as u128).min(u64::MAX as u128) as u64)
+        };
+        let edge = u64::MAX / 8_000_000_000;
+        let periods = [1, 3, 999, 1_000_000_007, 86_400_000_000_000, u64::MAX];
+        for bytes in [0, 1, 1460, edge - 1, edge, edge + 1, u64::MAX / 2, u64::MAX] {
+            for ns in periods {
+                let period = Duration::from_nanos(ns);
+                assert_eq!(
+                    Rate::from_window(bytes, period),
+                    wide(bytes, period),
+                    "{bytes} B over {ns} ns"
+                );
+            }
+        }
+        assert!(edge.checked_mul(8_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(8_000_000_000).is_none());
     }
 
     #[test]
