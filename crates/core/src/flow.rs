@@ -90,6 +90,24 @@ pub struct FlowCold {
     pub parked_requests: u32,
 }
 
+impl FlowCold {
+    /// If the flow is in unresponsive-app backoff, parks one request on
+    /// it and returns true; clears a lapsed backoff otherwise.
+    pub fn park_if_backing_off(&mut self, now: Time) -> bool {
+        match self.backoff_until {
+            Some(until) if now < until => {
+                self.parked_requests += 1;
+                true
+            }
+            Some(_) => {
+                self.backoff_until = None;
+                false
+            }
+            None => false,
+        }
+    }
+}
+
 /// A shard's [`FlowCold`] records, recycled through a free list so that
 /// flow churn allocates nothing once the slab has grown to its peak.
 #[derive(Debug, Default)]

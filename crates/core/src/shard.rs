@@ -22,10 +22,10 @@
 //! point touches and fits in one cache line; rate-callback thresholds and
 //! the defenses' streaks, quarantine and backoff live in a [`FlowCold`]
 //! record from the shard's `cold` slab, which a flow takes on its first
-//! registration or offence and returns on close. The two key indexes name slots too: a
-//! [`SlotIndex`] holds an 8-byte `(hash, slot)` pair per live flow (or
-//! grouped macroflow) and confirms a candidate against the key its slot
-//! already holds, so no key is stored twice.
+//! registration or offence and returns on close. The two key indexes
+//! name slots too: a [`SlotIndex`] holds an 8-byte `(hash, slot)` pair
+//! per live flow (or grouped macroflow) and confirms a candidate against
+//! the key its slot already holds, so no key is stored twice.
 //!
 //! # Quiet-shard skip
 //!
@@ -474,21 +474,12 @@ impl Shard {
         let Ok(cold) = self.flow_ref(flow).map(|f| f.cold) else {
             return false;
         };
-        let Some(c) = self.cold.get_mut(cold) else {
-            return false;
-        };
-        match c.backoff_until {
-            Some(until) if now < until => {
-                c.parked_requests += 1;
-                self.parked_count += 1;
-                true
-            }
-            Some(_) => {
-                c.backoff_until = None;
-                false
-            }
-            None => false,
-        }
+        let parked = self
+            .cold
+            .get_mut(cold)
+            .is_some_and(|c| c.park_if_backing_off(now));
+        self.parked_count += usize::from(parked);
+        parked
     }
 
     /// The grant half of `bulk_request`: one `try_grants` pass per run
@@ -1439,16 +1430,12 @@ impl Shard {
             // An unresponsive flow's dequeued request is parked rather
             // than granted: granting would just feed more window into a
             // client that is not notifying.
-            if let Some(c) = cold.get_mut(flow.cold) {
-                match c.backoff_until {
-                    Some(until) if now < until => {
-                        c.parked_requests += 1;
-                        *parked_count += 1;
-                        continue;
-                    }
-                    Some(_) => c.backoff_until = None,
-                    None => {}
-                }
+            if cold
+                .get_mut(flow.cold)
+                .is_some_and(|c| c.park_if_backing_off(now))
+            {
+                *parked_count += 1;
+                continue;
             }
             flow.granted += 1;
             mf.granted_unnotified += mf.mtu as u64;

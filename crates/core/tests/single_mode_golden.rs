@@ -175,7 +175,9 @@ enum Role {
     /// breaks the first streak): clamped, then quarantined.
     Clamped,
     /// Ignores its grants until round 60: reclaims, backoff and parked
-    /// requests, released by its first notify.
+    /// requests, released by its first notify. Ignores them again in
+    /// rounds 100..130, which must start a fresh streak at backoff level
+    /// zero, because that notify reset both.
     IgnoresUntilNotify,
     /// Requests and ignores its grants until round 40, then falls silent:
     /// the tick releases its parked requests, and orphan reaping closes it.
@@ -213,7 +215,7 @@ impl Member {
     /// Whether the flow answers the grants it is given in `round`.
     fn responsive(&self, round: u64) -> bool {
         match self.role {
-            Role::IgnoresUntilNotify => round >= 60,
+            Role::IgnoresUntilNotify => (60..100).contains(&round) || round >= 130,
             Role::IgnoresThenSilent => false,
             Role::Orphan => round < 20,
             _ => true,
