@@ -153,7 +153,6 @@ fn fingerprint_line(label: &str, cfg: CmConfig) -> String {
         stats.macroflows_created,
         stats.macroflows_expired,
         stats.shards_created,
-        stats.shards_recycled,
         stats.tick_mfs_scanned,
         stats.ring_stalls,
     ] {
