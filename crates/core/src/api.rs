@@ -36,8 +36,8 @@
 //! [`crate::config::ShardingMode::Single`] there is exactly one shard
 //! and behaviour (ids included) is byte-compatible with the historical
 //! unsharded CM; [`crate::config::ShardingMode::ByGroup`] gives each
-//! group its own shard, created lazily and recycled through a shell
-//! pool when empty. `split`/`merge` stay intra-shard by construction
+//! group its own shard, created lazily and kept for the CM's life.
+//! `split`/`merge` stay intra-shard by construction
 //! (a flow's private macroflows live in its home shard).
 //! `merge_unchecked` is bounded by the *shard*, not the group: a target
 //! in another shard is rejected with [`CmError::CrossShardMerge`]
@@ -114,8 +114,6 @@ pub struct CmStats {
     pub macroflows_expired: u64,
     /// Shards created (lazily, on a group's first `open`).
     pub shards_created: u64,
-    /// Shards recycled into the shell pool after emptying.
-    pub shards_recycled: u64,
     /// Shards whose slabs a `tick` call actually scanned.
     pub tick_shards_visited: u64,
     /// Quiet shards a `tick` call skipped in O(1) (neither dirtied by an
@@ -171,7 +169,6 @@ impl CmStats {
             macroflows_created,
             macroflows_expired,
             shards_created,
-            shards_recycled,
             tick_shards_visited,
             tick_shards_skipped,
             tick_mfs_scanned,
@@ -198,7 +195,6 @@ impl CmStats {
         self.macroflows_created += macroflows_created;
         self.macroflows_expired += macroflows_expired;
         self.shards_created += shards_created;
-        self.shards_recycled += shards_recycled;
         self.tick_shards_visited += tick_shards_visited;
         self.tick_shards_skipped += tick_shards_skipped;
         self.tick_mfs_scanned += tick_mfs_scanned;
@@ -250,17 +246,14 @@ impl CongestionManager {
         &self.cfg
     }
 
-    /// Lifetime counters, aggregated across all shards (live and
-    /// recycled).
+    /// Lifetime counters, aggregated across all shards.
     ///
     /// # Consistency model
     ///
     /// The in-process CM is single-threaded, so this aggregate is a
     /// true instantaneous snapshot: every per-shard counter block is
     /// read with no CM entry point in flight, counters are monotone
-    /// (successive calls never regress, including across shard
-    /// recycling — recycled shards fold into the table first), and
-    /// no read is torn. The parallel front
+    /// (successive calls never regress), and no read is torn. The parallel front
     /// ([`crate::runtime::ShardRuntime::stats`]) keeps the per-shard
     /// snapshot and monotonicity guarantees but relaxes the global
     /// instant — see its documentation for the exact model.
@@ -450,9 +443,9 @@ impl CongestionManager {
     /// the flow's shard is accepted — always the case under the default
     /// single-shard mode (every macroflow is reachable, exactly as
     /// before), and, in by-group mode, for groups hash-shared onto one
-    /// shard past the `max_shards` cap. Callers that need a
-    /// placement-independent answer in by-group mode should compare
-    /// [`CongestionManager::shard_for_group`] for the two groups first.
+    /// shard past the `max_shards` cap. A group keeps its shard for the
+    /// CM's life, so callers that need the answer in advance in by-group
+    /// mode can compare [`FlowId::shard`] of one flow from each group.
     pub fn merge_unchecked(&mut self, flow: FlowId, into: MacroflowId, now: Time) -> CmResult<()> {
         if flow.shard() != into.shard() {
             return Err(CmError::CrossShardMerge);
@@ -474,11 +467,9 @@ impl CongestionManager {
     /// its last scan and no timed work left behind — costs one branch,
     /// not a slab scan, so a host with many idle groups does not pay for
     /// them on every timer fire ([`CmStats::tick_shards_skipped`] counts
-    /// these). Shards that empty completely are recycled into the shell
-    /// pool here (sharded mode only).
+    /// these). A shard that empties stays for the CM's life.
     pub fn tick(&mut self, now: Time) {
-        let recycle = matches!(self.cfg.sharding.mode, ShardingMode::ByGroup { .. });
-        self.table.tick(now, recycle.then_some(&mut self.router));
+        self.table.tick(now);
     }
 
     /// The earliest instant a pacing-deferred grant becomes releasable,
@@ -519,20 +510,9 @@ impl CongestionManager {
     // Sharding control and introspection
     // ------------------------------------------------------------------
 
-    /// Converts this in-process CM into a multi-core
-    /// [`crate::runtime::ShardRuntime`]: the router moves to the
-    /// runtime's front and the shard table is dealt out to the workers,
-    /// every live shard — with all of its flows, macroflows, learned
-    /// congestion state, pending notifications, and counters — going to
-    /// the worker thread that owns its index (`Shard` is `Send`; the
-    /// move is a pointer handoff, not a copy of the slabs). Table-level
-    /// counters and folded recycled-shard history travel with it, so
-    /// `stats()` remains lossless across the conversion.
-    /// Undrained notifications are forwarded by each worker before it
-    /// processes its first command; any barrier (a `tick`, `stats`, or
-    /// [`crate::runtime::ShardRuntime::sync`]) therefore makes them
-    /// visible to a subsequent drain. The runtime never recycles shards.
-    pub fn into_parallel(
+    /// Hands a fresh CM's router and shard table to
+    /// [`crate::runtime::ShardRuntime::new`].
+    pub(crate) fn into_parallel(
         self,
         parallel: crate::runtime::ParallelConfig,
     ) -> crate::runtime::ShardRuntime {
@@ -572,20 +552,11 @@ impl CongestionManager {
         }
     }
 
-    /// Number of live shards (1 under the default single-shard mode).
+    /// Number of shards (1 under the default single-shard mode): the
+    /// groups seen so far, capped at `max_shards`, under by-group mode.
+    /// Shards live as long as the CM, so their indices are `0..count`.
     pub fn shard_count(&self) -> usize {
-        self.table.live()
-    }
-
-    /// Shard table size (live + recyclable slots); bounded by the peak
-    /// concurrent shard count and by the configured `max_shards`.
-    pub fn shard_slots(&self) -> usize {
-        self.table.slots()
-    }
-
-    /// The shard index `group` currently routes to, if its shard exists.
-    pub fn shard_for_group(&self, group: u64) -> Option<u32> {
-        self.router.shard_for_group(group)
+        self.router.assigned()
     }
 
     /// Number of open flows (all shards).
@@ -806,41 +777,6 @@ mod tests {
                 "missing {expected} in {kinds:?}"
             );
         }
-    }
-
-    /// Shard churn records the lifecycle in the front tracer: the only
-    /// place `shard_recycled` reaches a ring.
-    #[test]
-    fn recycled_shard_lifecycle_is_traced_in_the_front() {
-        use crate::config::{ShardingConfig, TracingConfig};
-        let mut cm = CongestionManager::new(CmConfig {
-            pacing: false,
-            sharding: ShardingConfig::by_group(8),
-            macroflow_linger: Duration::ZERO,
-            tracing: Some(TracingConfig { capacity: 64 }),
-            ..Default::default()
-        });
-        let mut now = Time::ZERO;
-        let f = cm.open(key(1000, 9), now).unwrap();
-        cm.request(f, now).unwrap();
-        for n in drain(&mut cm) {
-            if let CmNotification::SendGrant { flow } = n {
-                cm.notify(flow, 1460, now).unwrap();
-            }
-        }
-        now += Duration::from_millis(50);
-        cm.update(f, FeedbackReport::ack(1460, 1), now).unwrap();
-        cm.close(f, now).unwrap();
-        drain(&mut cm);
-        cm.tick(now + Duration::from_secs(120));
-        assert_eq!(cm.shard_count(), 0, "shard should have been recycled");
-        let mut lifecycle = Vec::new();
-        cm.for_each_trace_record(|shard, r| {
-            if shard.is_none() {
-                lifecycle.push(r.event.kind());
-            }
-        });
-        assert_eq!(lifecycle, vec!["shard_created", "shard_recycled"]);
     }
 
     /// Regression: outstanding bytes whose feedback never arrives (the
@@ -1685,8 +1621,11 @@ mod tests {
         assert_eq!(cm.shard_count(), 2);
         assert_eq!(f1.shard(), f2.shard(), "same group, same shard");
         assert_ne!(f1.shard(), f3.shard(), "distinct groups, distinct shards");
-        assert_eq!(cm.shard_for_group(9), Some(f1.shard()));
-        assert_eq!(cm.shard_for_group(7), Some(f3.shard()));
+        assert_eq!(
+            (f1.shard(), f3.shard()),
+            (0, 1),
+            "indices in first-contact order"
+        );
         // Macroflow ids carry the same shard index as their members.
         let mf1 = cm.macroflow_of(f1).unwrap();
         let mf3 = cm.macroflow_of(f3).unwrap();
@@ -1734,33 +1673,6 @@ mod tests {
         assert_eq!(private.shard(), f1.shard());
         cm.merge(f1, mf1, Time::ZERO).unwrap();
         assert_eq!(cm.macroflow_of(f1).unwrap(), mf1);
-    }
-
-    /// An emptied shard (all macroflows expired) is recycled into the
-    /// shell pool, its routing entries removed; the group's next open
-    /// re-creates it with fresh state.
-    #[test]
-    fn sharded_shard_recycles_when_empty() {
-        let mut cm = CongestionManager::new(CmConfig {
-            macroflow_linger: Duration::from_millis(100),
-            ..sharded(16)
-        });
-        let f = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        cm.close(f, Time::ZERO).unwrap();
-        assert_eq!(cm.shard_count(), 1);
-        cm.tick(Time::from_secs(1));
-        assert_eq!(cm.shard_count(), 0, "empty shard not recycled");
-        assert_eq!(cm.stats().shards_recycled, 1);
-        assert_eq!(cm.shard_for_group(9), None, "routing entry leaked");
-        // Stats survive recycling.
-        assert_eq!(cm.stats().opens, 1);
-        assert_eq!(cm.stats().closes, 1);
-        // Reopening the group reuses the pooled shell.
-        let f2 = cm.open(key(1000, 9), Time::from_secs(2)).unwrap();
-        assert_eq!(cm.shard_count(), 1);
-        let mf = cm.macroflow_of(f2).unwrap();
-        assert_eq!(cm.window_of(mf).unwrap(), 1460, "stale state in shell");
-        assert_eq!(cm.stats().shards_created, 2);
     }
 
     /// A host with many groups but one active group skips the idle
@@ -1838,42 +1750,6 @@ mod tests {
             cm.request(f, Time::ZERO).unwrap();
         }
         assert_eq!(grants_in(&drain(&mut cm)).len(), 6);
-    }
-
-    /// Regression (review finding): a shard that empties while
-    /// undrained notifications sit in its outbox must not become
-    /// permanently unrecyclable. The expiry tick may not recycle it
-    /// (the pool must never swallow notifications), but it stays
-    /// flagged so the tick after the client drains completes the
-    /// recycle.
-    #[test]
-    fn shard_with_undrained_notes_recycles_after_drain() {
-        let mut cm = CongestionManager::new(CmConfig {
-            macroflow_linger: Duration::from_millis(100),
-            ..sharded(16)
-        });
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
-        cm.request(f1, Time::ZERO).unwrap();
-        cm.request(f2, Time::ZERO).unwrap();
-        // Drain f1's grant only; then f1's close releases the window
-        // and grants f2 — a notification nobody drains.
-        assert_eq!(grants_in(&drain(&mut cm)), vec![f1]);
-        cm.close(f1, Time::ZERO).unwrap();
-        cm.close(f2, Time::ZERO).unwrap();
-        assert!(cm.has_notifications(), "setup: no pending note");
-        // Linger elapses: the macroflow expires, the shard is empty,
-        // but the undrained grant pins it.
-        cm.tick(Time::from_secs(1));
-        assert_eq!(cm.shard_count(), 1, "recycled with notes in the outbox");
-        // More ticks without a drain must neither recycle nor wedge.
-        cm.tick(Time::from_secs(2));
-        assert_eq!(cm.shard_count(), 1);
-        // The client finally drains; the next tick recycles the shard.
-        let _ = drain(&mut cm);
-        cm.tick(Time::from_secs(3));
-        assert_eq!(cm.shard_count(), 0, "shard never recycled after drain");
-        assert_eq!(cm.stats().shards_recycled, 1);
     }
 
     /// Unknown ids with out-of-range shard bits fail cleanly.

@@ -71,17 +71,17 @@ pub enum ShardingMode {
     Single,
     /// One shard per aggregation group (as computed by
     /// [`AggregationPolicy::group_of`]), created lazily on the group's
-    /// first `open` and recycled into a shell pool once every macroflow
-    /// in it has expired. At most `max_shards` shards exist at once;
-    /// additional groups are deterministically hashed onto the existing
-    /// shards (sharing slabs, not congestion state).
+    /// first `open` and kept for the CM's life. At most `max_shards`
+    /// shards exist; the groups met after the first `max_shards` are
+    /// deterministically hashed onto the existing shards (sharing slabs,
+    /// not congestion state).
     ///
     /// Cross-*shard* `merge_unchecked` is rejected with
     /// [`crate::CmError::CrossShardMerge`]: shards share no slabs, so
     /// the §5 shared-bottleneck aggregate across groups needs the
     /// detector-driven design tracked in the roadmap.
     ByGroup {
-        /// Upper bound on concurrently live shards (clamped to the id
+        /// Upper bound on the shards a CM creates (clamped to the id
         /// encoding's limit, [`crate::types::MAX_SHARDS`]).
         max_shards: u32,
     },

@@ -223,6 +223,12 @@ impl Controller {
         self.credit = 0;
     }
 
+    /// The MTU the window counts in, in bytes (`CmConfig::mtu`): what
+    /// one grant reserves.
+    pub(crate) fn mtu(&self) -> u64 {
+        self.mtu
+    }
+
     /// The current congestion window, in bytes: the number of bytes the
     /// macroflow may have outstanding.
     pub fn window(&self) -> u64 {

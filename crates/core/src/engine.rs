@@ -4,19 +4,20 @@
 //! thread) and [`crate::runtime::ShardRuntime`] (shards driven by worker
 //! threads) make the same two decisions, so both are made here, once:
 //!
-//! * [`Router`] — *which shard does this group get*: the group→shard
-//!   map, index allocation (recycled indices first, then the next unused
-//!   one), the `max_shards` cap, and the deterministic hash-share past
-//!   it.
+//! * [`Router`] — *which shard does this group get*: dense indices in
+//!   first-contact order up to the `max_shards` cap, then a
+//!   deterministic hash-share onto the existing shards.
 //! * [`ShardTable`] — *how a shard at an index is created, reached,
-//!   ticked, folded, and validated*: create-or-reuse from the shell
-//!   pool, id-routed access with the dirty mark, the maintenance walk
-//!   with the quiet-shard skip and its accounting, the stats fold, the
-//!   invariant sweep, and the outbox drain.
+//!   ticked, folded, and validated*: creation on first contact, id-routed
+//!   access with the dirty mark, the maintenance walk with the
+//!   quiet-shard skip and its accounting, the stats fold, the invariant
+//!   sweep, and the outbox drain.
 //!
-//! The in-process front is `Router` + one table. The runtime keeps the
-//! `Router` on its serial front and deals the table out to its workers
-//! by `index % workers` ([`ShardTable::deal`]).
+//! A shard lives as long as the CM that created it, on both fronts, so
+//! a group's placement never changes. The in-process front is `Router` +
+//! one table. The runtime keeps the `Router` on its serial front and
+//! deals the table out to its workers by `index % workers`
+//! ([`ShardTable::deal`]).
 
 use cm_obs::{TraceEvent, Tracer};
 use cm_util::{FxHashMap, Time};
@@ -32,43 +33,56 @@ use crate::types::{FlowKey, MAX_SHARDS};
 pub(crate) struct Router {
     aggregation: AggregationPolicy,
     mode: ShardingMode,
-    /// Routing map: aggregation group id → dense shard index.
-    shard_map: FxHashMap<u64, u32>,
-    /// Per shard index, the groups mapped onto it, so releasing the
-    /// index can clean `shard_map`. Its length is the number of indices
-    /// handed out so far; the inner lists keep their capacity across
-    /// release/re-assign cycles.
-    groups: Vec<Vec<u64>>,
-    /// Released indices, reused before a new one is handed out.
-    free: Vec<u32>,
+    /// Shard indices by-group routing may hand out: the clamped
+    /// `max_shards`.
+    cap: usize,
+    /// The groups that own a shard index: the first `cap` distinct
+    /// groups, at indices 0, 1, ... in first-contact order. A later
+    /// group owns none and routes by hash, so the map never holds more
+    /// than `cap` entries however many groups a run meets.
+    owners: FxHashMap<u64, u32>,
 }
 
 impl Router {
     pub(crate) fn new(cfg: &CmConfig) -> Self {
+        let cap = match cfg.sharding.mode {
+            ShardingMode::Single => 1,
+            ShardingMode::ByGroup { max_shards } => max_shards.clamp(1, MAX_SHARDS) as usize,
+        };
         Router {
             aggregation: cfg.aggregation,
             mode: cfg.sharding.mode,
-            shard_map: FxHashMap::default(),
-            groups: Vec::new(),
-            free: Vec::new(),
+            cap,
+            owners: FxHashMap::default(),
         }
     }
 
-    /// The key's routing group and the shard it currently routes to.
-    fn placement(&self, key: &FlowKey) -> (u64, Option<u32>) {
-        let group = self.aggregation.group_of(key);
-        (group, self.shard_map.get(&group).copied())
+    /// The shard `group` routes to, `None` while it has none yet: its own
+    /// index, or — once every index is owned — a deterministic hash onto
+    /// an existing shard. A shared shard shares slabs, not congestion
+    /// state (the group map inside keeps macroflows apart), exactly like
+    /// single mode does for all groups.
+    fn index_of(&self, group: u64) -> Option<u32> {
+        if let Some(&idx) = self.owners.get(&group) {
+            return Some(idx);
+        }
+        (self.owners.len() == self.cap)
+            .then(|| (group.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.cap as u64) as u32)
     }
 
-    /// Where `open` places a flow with this key, assigning its group a
-    /// shard index on first contact. The caller creates the shard there
-    /// if it does not exist yet ([`ShardTable::ensure`]).
+    /// Where `open` places a flow with this key, giving its group the
+    /// next index on first contact below the cap. The caller creates the
+    /// shard there if it does not exist yet ([`ShardTable::ensure`]).
     pub(crate) fn route_open(&mut self, key: &FlowKey) -> u32 {
         if matches!(self.mode, ShardingMode::Single) {
             return 0;
         }
-        let (group, idx) = self.placement(key);
-        idx.unwrap_or_else(|| self.assign(group))
+        let group = self.aggregation.group_of(key);
+        self.index_of(group).unwrap_or_else(|| {
+            let idx = self.owners.len() as u32;
+            self.owners.insert(group, idx);
+            idx
+        })
     }
 
     /// The shard a flow key would route to (read-only; `None` while its
@@ -76,15 +90,7 @@ impl Router {
     pub(crate) fn route_key(&self, key: &FlowKey) -> Option<u32> {
         match self.mode {
             ShardingMode::Single => Some(0),
-            ShardingMode::ByGroup { .. } => self.placement(key).1,
-        }
-    }
-
-    /// The shard index `group` currently routes to, if any.
-    pub(crate) fn shard_for_group(&self, group: u64) -> Option<u32> {
-        match self.mode {
-            ShardingMode::Single => Some(0),
-            ShardingMode::ByGroup { .. } => self.shard_map.get(&group).copied(),
+            ShardingMode::ByGroup { .. } => self.index_of(self.aggregation.group_of(key)),
         }
     }
 
@@ -92,59 +98,17 @@ impl Router {
     pub(crate) fn assigned(&self) -> usize {
         match self.mode {
             ShardingMode::Single => 1,
-            ShardingMode::ByGroup { .. } => self.groups.len(),
+            ShardingMode::ByGroup { .. } => self.owners.len(),
         }
-    }
-
-    /// Gives a routing group an index: a released one, else the next
-    /// unused one, else — at the cap with every index taken — a
-    /// deterministic hash onto an existing shard. A shared shard shares
-    /// slabs, not congestion state (the group map inside keeps macroflows
-    /// apart), exactly like single mode does for all groups.
-    fn assign(&mut self, group: u64) -> u32 {
-        let max = match self.mode {
-            ShardingMode::Single => 1,
-            ShardingMode::ByGroup { max_shards } => max_shards.clamp(1, MAX_SHARDS) as usize,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None if self.groups.len() < max => {
-                self.groups.push(Vec::new());
-                self.groups.len() as u32 - 1
-            }
-            None => {
-                let h = group.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                (h % self.groups.len() as u64) as u32
-            }
-        };
-        self.groups[idx as usize].push(group);
-        self.shard_map.insert(group, idx);
-        idx
-    }
-
-    /// Forgets everything routed to `idx` (its shard was recycled) and
-    /// makes the index available again.
-    fn release(&mut self, idx: u32) {
-        for g in self.groups[idx as usize].drain(..) {
-            self.shard_map.remove(&g);
-        }
-        self.free.push(idx);
     }
 }
 
 /// A table of shards, dense by the shard index encoded in every id, plus
-/// what outlives any one shard: the shell pool, the tick and lifecycle
-/// counters, and the stats of recycled shards.
+/// the table-level tick and creation counters.
 pub(crate) struct ShardTable {
     cfg: CmConfig,
     shards: Vec<Option<Shard>>,
-    /// Emptied shard shells parked for reuse: slabs, maps, and the
-    /// macroflow pools inside survive, so shard churn under group churn
-    /// allocates nothing once warm.
-    pool: Vec<Shard>,
-    live: usize,
-    /// Table-level counters: tick accounting, shard lifecycle, and the
-    /// folded stats of recycled shards.
+    /// Table-level counters: tick accounting and shard creation.
     stats: CmStats,
     /// Shard lifecycle events. Disabled (one null word) unless
     /// [`CmConfig::tracing`] is set.
@@ -157,14 +121,12 @@ impl ShardTable {
             tracer: tracer_for(&cfg),
             cfg,
             shards: Vec::new(),
-            pool: Vec::new(),
-            live: 0,
             stats: CmStats::default(),
         }
     }
 
-    /// The shard at `idx` for an `open`, created on first contact from a
-    /// pooled shell when one is parked. Marks it dirty.
+    /// The shard at `idx` for an `open`, created on first contact. Marks
+    /// it dirty.
     pub(crate) fn ensure(&mut self, idx: u32, now: Time) -> &mut Shard {
         let i = idx as usize;
         if self.shards.len() <= i {
@@ -174,22 +136,13 @@ impl ShardTable {
         let ShardTable {
             cfg,
             shards,
-            pool,
-            live,
             stats,
             tracer,
         } = self;
         let shard = shards[i].get_or_insert_with(|| {
-            *live += 1;
             stats.shards_created += 1;
             tracer.record(now, TraceEvent::ShardCreated { shard: idx });
-            match pool.pop() {
-                Some(mut shell) => {
-                    shell.reset(idx);
-                    shell
-                }
-                None => Shard::new(*cfg, idx),
-            }
+            Shard::new(*cfg, idx)
         });
         shard.dirty = true;
         shard
@@ -209,55 +162,16 @@ impl ShardTable {
 
     /// Runs maintenance on every shard that needs it. A *quiet* shard —
     /// no API call since its last scan and no timed work left behind —
-    /// costs one branch, not a slab scan. With a `router`, shards that
-    /// empty completely are recycled into the shell pool and their
-    /// indices released; without one (a runtime worker: the router is on
-    /// another thread) shards live as long as the table.
-    pub(crate) fn tick(&mut self, now: Time, mut router: Option<&mut Router>) {
-        for idx in 0..self.shards.len() {
-            let Some(shard) = self.shards[idx].as_mut() else {
-                continue;
-            };
+    /// costs one branch, not a slab scan.
+    pub(crate) fn tick(&mut self, now: Time) {
+        for shard in self.shards.iter_mut().flatten() {
             if !shard.needs_tick() {
                 self.stats.tick_shards_skipped += 1;
                 continue;
             }
             self.stats.tick_mfs_scanned += shard.tick(now);
             self.stats.tick_shards_visited += 1;
-            let Some(router) = router.as_deref_mut() else {
-                continue;
-            };
-            if shard.is_empty() {
-                if shard.outbox.is_empty() {
-                    router.release(idx as u32);
-                    self.recycle(idx as u32, now);
-                } else {
-                    // Undrained notifications pin the shard (the shell
-                    // pool must never swallow them). Keep it dirty so a
-                    // later tick — after the client drains — reaches
-                    // this check again instead of the shard going quiet
-                    // unrecyclable forever.
-                    shard.dirty = true;
-                }
-            }
         }
-    }
-
-    /// Parks an emptied shard's shell in the pool. Its counters fold
-    /// into the table's so `stats` never loses history. (The shard's
-    /// flight-recorder ring is discarded with its flows — traces are
-    /// per-incarnation; the shell's `reset` clears it.)
-    fn recycle(&mut self, idx: u32, now: Time) {
-        let Some(mut shard) = self.shards[idx as usize].take() else {
-            return;
-        };
-        self.stats.accumulate(&shard.stats);
-        shard.stats = CmStats::default();
-        self.pool.push(shard);
-        self.live -= 1;
-        self.stats.shards_recycled += 1;
-        self.tracer
-            .record(now, TraceEvent::ShardRecycled { shard: idx });
     }
 
     /// Live shards with their indices, in index order.
@@ -273,20 +187,11 @@ impl ShardTable {
         self.shards.iter_mut().flatten()
     }
 
-    pub(crate) fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Table size (live + vacant slots).
-    pub(crate) fn slots(&self) -> usize {
-        self.shards.len()
-    }
-
     pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// Lifetime counters folded across live and recycled shards.
+    /// Lifetime counters folded across the table and its shards.
     pub(crate) fn stats(&self) -> CmStats {
         let mut total = self.stats;
         for (_, shard) in self.iter() {
@@ -316,24 +221,49 @@ impl ShardTable {
         }
     }
 
-    /// Splits the table into one table per worker, shard `s` going to
-    /// worker `s % workers` at its unchanged global index. Worker 0's
-    /// table is this one — counters, folded history, and shell pool
-    /// included — so nothing the table has accumulated is lost.
-    pub(crate) fn deal(mut self, workers: usize) -> Vec<ShardTable> {
-        let mut tables: Vec<ShardTable> = (1..workers).map(|_| ShardTable::new(self.cfg)).collect();
-        for idx in 0..self.shards.len() {
-            let Some(w) = (idx % workers).checked_sub(1) else {
-                continue;
+    /// Splits a fresh table into one table per worker, shard `s` going
+    /// to worker `s % workers` at its unchanged global index. Worker 0's
+    /// table is this one — its counters and tracer, and single mode's
+    /// shard 0 — and the others start empty.
+    pub(crate) fn deal(self, workers: usize) -> Vec<ShardTable> {
+        debug_assert!(self.shards.len() <= 1, "only a fresh table is dealt");
+        let cfg = self.cfg;
+        std::iter::once(self)
+            .chain((1..workers).map(|_| ShardTable::new(cfg)))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ShardingConfig;
+    use crate::types::Endpoint;
+
+    /// The runtime's case: a by-group router meets 10,000 groups and
+    /// nothing ever releases one. It keeps only the groups that own an
+    /// index, and places the first four at 0..3 and every later one by
+    /// the hash rule.
+    #[test]
+    fn router_holds_only_the_groups_that_own_an_index() {
+        let mut router = Router::new(&CmConfig {
+            sharding: ShardingConfig::by_group(4),
+            ..Default::default()
+        });
+        for g in 1..=10_000u32 {
+            let key = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(g, 80));
+            let want = match g {
+                1..=4 => g - 1,
+                _ => (u64::from(g).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 4) as u32,
             };
-            if let Some(shard) = self.shards[idx].take() {
-                self.live -= 1;
-                tables[w].live += 1;
-                tables[w].shards.resize_with(idx + 1, || None);
-                tables[w].shards[idx] = Some(shard);
-            }
+            assert_eq!(router.route_open(&key), want, "group {g}");
+            assert_eq!(router.route_key(&key), Some(want), "group {g}");
         }
-        tables.insert(0, self);
-        tables
+        assert!(
+            router.owners.len() <= 4,
+            "router grew to {} entries",
+            router.owners.len()
+        );
+        assert_eq!(router.assigned(), 4);
     }
 }

@@ -147,17 +147,11 @@ impl ColdSlab {
     }
 
     /// Returns a closing flow's record, if it holds one, to the free list.
-    pub fn release(&mut self, cold: u32) {
+    pub fn detach(&mut self, cold: u32) {
         if let Some(r) = self.records.get_mut(cold as usize) {
             *r = FlowCold::default();
             self.free.push(cold);
         }
-    }
-
-    /// Drops every record, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.free.clear();
     }
 
     /// Records in the slab, held and free.
@@ -230,6 +224,14 @@ mod tests {
         assert!(std::mem::size_of::<Option<Flow>>() <= 64);
     }
 
+    /// A macroflow's slab slot, pinned beside the flow's: the MTU is
+    /// read from the controller, and a linger instant needs no
+    /// `Option` tag.
+    #[test]
+    fn macroflow_slot_fits_in_272_bytes() {
+        assert!(std::mem::size_of::<Option<crate::macroflow::Macroflow>>() <= 272);
+    }
+
     /// Only flows with thresholds or a record of misbehaviour hold one.
     #[test]
     fn cold_record_fits_in_88_bytes() {
@@ -252,8 +254,8 @@ mod tests {
         slab.validate([a, b, NO_COLD].into_iter()).unwrap();
         assert!(slab.validate([a, a].into_iter()).is_err(), "shared record");
         assert!(slab.validate([a].into_iter()).is_err(), "leaked record");
-        slab.release(a);
-        slab.release(NO_COLD);
+        slab.detach(a);
+        slab.detach(NO_COLD);
         slab.validate([b].into_iter()).unwrap();
         let mut c = NO_COLD;
         assert_eq!(*slab.attach(&mut c), FlowCold::default());

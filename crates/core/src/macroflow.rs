@@ -204,18 +204,19 @@ pub struct Macroflow {
     pub recovery_until: Time,
     /// Earliest instant the next paced grant may be issued.
     pub next_grant_at: Time,
-    /// Set when the last member flow closes; state lingers until the
-    /// configured expiry (this is what Figure 7's later connections
-    /// reuse).
-    pub empty_since: Option<Time>,
-    /// MTU used for window math (largest member MTU).
-    pub mtu: usize,
+    /// When the last member flow closed, or [`Macroflow::OCCUPIED`]
+    /// while it has members; state lingers until the configured expiry
+    /// (this is what Figure 7's later connections reuse).
+    pub empty_since: Time,
     /// Where the unit share may move without any member's rate callback
     /// coming due; see [`QuietBand`].
     pub(crate) quiet: QuietBand,
 }
 
 impl Macroflow {
+    /// The `empty_since` of a macroflow that has members.
+    pub(crate) const OCCUPIED: Time = Time::MAX;
+
     /// Creates a macroflow with fresh congestion state.
     pub fn new(id: MacroflowId, key: MacroflowKey, cfg: &CmConfig, now: Time) -> Self {
         Macroflow {
@@ -232,8 +233,7 @@ impl Macroflow {
             last_activity: now,
             recovery_until: Time::ZERO,
             next_grant_at: Time::ZERO,
-            empty_since: None,
-            mtu: cfg.mtu,
+            empty_since: Macroflow::OCCUPIED,
             quiet: QuietBand::OPEN,
         }
     }
@@ -256,8 +256,7 @@ impl Macroflow {
         self.last_activity = now;
         self.recovery_until = Time::ZERO;
         self.next_grant_at = Time::ZERO;
-        self.empty_since = None;
-        self.mtu = cfg.mtu;
+        self.empty_since = Macroflow::OCCUPIED;
         self.quiet = QuietBand::OPEN;
     }
 
@@ -311,8 +310,9 @@ impl Macroflow {
         let Some(srtt) = self.rtt.srtt() else {
             return Duration::ZERO;
         };
-        let cwnd = self.controller.window().max(self.mtu as u64);
-        let base = srtt.mul_ratio(self.mtu as u64, cwnd);
+        let mtu = self.controller.mtu();
+        let cwnd = self.controller.window().max(mtu);
+        let base = srtt.mul_ratio(mtu, cwnd);
         if cwnd < self.controller.ssthresh() {
             // Slow start doubles the window per RTT; pacing at the
             // current rate would halve the ramp, so use a 2x gain (the

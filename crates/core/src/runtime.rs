@@ -258,10 +258,6 @@ struct Worker {
 
 impl Worker {
     fn run(mut self) {
-        // Shards inherited from `CongestionManager::into_parallel` may
-        // carry undrained notifications; forward them before the first
-        // command so nothing is stranded.
-        self.flush_all();
         let idle = StdDuration::from_millis(1);
         loop {
             self.replies.flush();
@@ -329,10 +325,8 @@ impl Worker {
                 };
                 self.replies.push(ShardReply::Macroflow { seq, result });
             }
-            // No router here, so no recycling: a runtime's shard→worker
-            // pinning is for life.
             ShardCommand::Tick { seq, now } => {
-                self.table.tick(now, None);
+                self.table.tick(now);
                 self.flush_all();
                 self.replies.push(ShardReply::TickDone { seq });
             }

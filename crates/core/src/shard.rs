@@ -224,46 +224,6 @@ impl Shard {
         }
     }
 
-    /// Re-initialises a pooled shard shell for a new tenant, retaining
-    /// every slab, index, and buffer capacity (and the parked macroflow
-    /// shells) so shard churn under group churn is allocation-free once
-    /// the pool is warm.
-    pub(crate) fn reset(&mut self, index: u32) {
-        debug_assert!(self.live_flows == 0 && self.live_mfs == 0);
-        self.base = index << SLOT_BITS;
-        self.flows.clear();
-        self.sched.clear();
-        self.bands.clear();
-        self.cold.clear();
-        self.free_flows.clear();
-        self.flow_gens.clear();
-        self.live_flows = 0;
-        self.flow_index.clear();
-        self.mfs.clear();
-        self.free_mfs.clear();
-        self.live_mfs = 0;
-        // mf_pool retained: shells are fully reset at allocation time.
-        self.group_index.clear();
-        self.outbox.clear();
-        self.stats = CmStats::default();
-        self.next_private_key = 0;
-        self.scratch_mfs.clear();
-        self.scratch_flows.clear();
-        self.dirty = true;
-        self.pending_maintenance = true;
-        self.thresh_regs = 0;
-        self.parked_count = 0;
-        // The configuration (tracing capacity included) is table-wide,
-        // so the recorder's ring storage is kept.
-        self.tracer.reset();
-    }
-
-    /// True when the shard holds no live flows and no live macroflows
-    /// (lingering state included) — the recycling condition.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.live_flows == 0 && self.live_mfs == 0
-    }
-
     /// Whether the next tick needs to scan this shard at all.
     pub(crate) fn needs_tick(&self) -> bool {
         self.dirty || self.pending_maintenance
@@ -324,7 +284,7 @@ impl Shard {
         flow.mf_pos = mf.flows.len() as u32;
         mf.flows.push(flow_id);
         mf.scheduler.add_flow(sched, lid(flow_id), 1);
-        mf.empty_since = None;
+        mf.empty_since = Macroflow::OCCUPIED;
         self.flows[slot(flow_id.0)] = Some(flow);
         self.live_flows += 1;
         self.stats.opens += 1;
@@ -363,7 +323,7 @@ impl Shard {
         // Release window reserved by unresolved grants.
         mf.granted_unnotified = mf.granted_unnotified.saturating_sub(granted as u64 * mtu);
         if mf.flows.is_empty() {
-            mf.empty_since = Some(now);
+            mf.empty_since = now;
         }
         self.flows[slot(flow.0)] = None;
         self.free_flows.push(lid(flow));
@@ -377,7 +337,7 @@ impl Shard {
             self.bands[slot(flow.0)] = QuietBand::OPEN;
         }
         self.parked_count -= parked;
-        self.cold.release(cold);
+        self.cold.detach(cold);
         let removed = self.flow_index.remove(hash_of(&key), lid(flow));
         debug_assert!(removed, "live flow {flow:?} was not indexed");
         self.stats.closes += 1;
@@ -812,7 +772,7 @@ impl Shard {
         for _ in 0..pending {
             mf.scheduler.enqueue(sched, lid(flow));
         }
-        mf.empty_since = None;
+        mf.empty_since = Macroflow::OCCUPIED;
         // The newcomer may bring a registration whose last report was a
         // share of another macroflow.
         mf.quiet = QuietBand::INVALID;
@@ -904,7 +864,8 @@ impl Shard {
                     );
                 }
                 mf.age_if_idle(now);
-                matches!(mf.empty_since, Some(t) if now.since(t) >= cfg.macroflow_linger)
+                mf.empty_since != Macroflow::OCCUPIED
+                    && now.since(mf.empty_since) >= cfg.macroflow_linger
             };
             if expired {
                 let Some(mut mf) = self.mfs[i].take() else {
@@ -931,7 +892,7 @@ impl Shard {
             needs |= !mf.grant_queue.is_empty()
                 || mf.outstanding > 0
                 || mf.granted_unnotified > 0
-                || mf.empty_since.is_some()
+                || mf.empty_since != Macroflow::OCCUPIED
                 || mf.scheduler.pending() > 0
                 // A learned-but-idle window still owes the staleness
                 // rule: keep scanning so `age_if_idle` halves it per
@@ -1165,7 +1126,7 @@ impl Shard {
                         fid, f.mf_pos, pos
                     ));
                 }
-                reserved += f.granted as u64 * mf.mtu as u64;
+                reserved += f.granted as u64 * mf.controller.mtu();
                 lazy_dead += f.dead_grant_entries as usize;
                 granted += f.granted as usize;
                 // The macroflow's band is at most the intersection of
@@ -1268,7 +1229,7 @@ impl Shard {
         self.mfs
             .iter()
             .flatten()
-            .filter(|mf| mf.scheduler.pending() > 0 && mf.available_window() >= mf.mtu as u64)
+            .filter(|mf| mf.scheduler.pending() > 0 && mf.available_window() >= mf.controller.mtu())
             .map(|mf| mf.next_grant_at)
             .min()
     }
@@ -1380,7 +1341,7 @@ impl Shard {
         mf.scheduler.remove_flow(sched, lid(flow));
         remove_member(mf, flows, pos);
         if mf.flows.is_empty() {
-            mf.empty_since = Some(now);
+            mf.empty_since = now;
         }
         // The flow moves with zero unresolved grants (callers enforce
         // this), so its entries still in the old queue are all dead:
@@ -1410,7 +1371,7 @@ impl Shard {
         let Some(mf) = mfs.get_mut(slot(mf_id.0)).and_then(Option::as_mut) else {
             return;
         };
-        while mf.available_window() >= mf.mtu as u64 && mf.scheduler.pending() > 0 {
+        while mf.available_window() >= mf.controller.mtu() && mf.scheduler.pending() > 0 {
             if pacing && now < mf.next_grant_at {
                 break;
             }
@@ -1438,7 +1399,7 @@ impl Shard {
                 continue;
             }
             flow.granted += 1;
-            mf.granted_unnotified += mf.mtu as u64;
+            mf.granted_unnotified += mf.controller.mtu();
             mf.grant_queue.push_back(GrantEntry {
                 flow: flow_id,
                 gen: flow_gens[local as usize],
@@ -1450,7 +1411,7 @@ impl Shard {
                 now,
                 TraceEvent::GrantIssued {
                     flow: flow_id.0,
-                    bytes: mf.mtu as u64,
+                    bytes: mf.controller.mtu(),
                 },
             );
             if pacing {
@@ -1501,13 +1462,14 @@ impl Shard {
                         break;
                     }
                     f.granted = f.granted.saturating_sub(1);
-                    mf.granted_unnotified = mf.granted_unnotified.saturating_sub(mf.mtu as u64);
+                    mf.granted_unnotified =
+                        mf.granted_unnotified.saturating_sub(mf.controller.mtu());
                     stats.grants_reclaimed += 1;
                     tracer.record(
                         now,
                         TraceEvent::GrantReclaimed {
                             flow: front.flow.0,
-                            bytes: mf.mtu as u64,
+                            bytes: mf.controller.mtu(),
                         },
                     );
                     // A streak of reclaims with no intervening notify

@@ -88,12 +88,6 @@ impl SlotIndex {
         self.buckets.len()
     }
 
-    /// Empties the index and keeps its buckets.
-    pub(crate) fn clear(&mut self) {
-        self.buckets.fill(Bucket::EMPTY);
-        self.len = 0;
-    }
-
     #[inline]
     fn home(&self, hash: u32) -> usize {
         (hash >> self.shift) as usize
@@ -464,22 +458,5 @@ mod tests {
             }
             assert!(m.index.capacity() <= (2 * peak).next_power_of_two());
         }
-    }
-
-    #[test]
-    fn clear_keeps_capacity() {
-        let mut m = Model::new(3);
-        for k in 0..20 {
-            m.insert(k);
-        }
-        let capacity = m.index.capacity();
-        m.index.clear();
-        m.keys.clear();
-        assert_eq!(m.index.len(), 0);
-        assert_eq!(m.index.capacity(), capacity);
-        m.check();
-        assert!(m.insert(5));
-        assert_eq!(m.index.capacity(), capacity);
-        m.check();
     }
 }

@@ -47,7 +47,9 @@ fn grant_histogram(notes: &[CmNotification]) -> Vec<(FlowId, u64)> {
 
 /// 20k seeded operations across 24 groups and 4 workers, mirrored into
 /// an in-process CM, with per-destination groups on 16 shards (so 8
-/// groups hash-share past the cap). Flow ids, grant histograms,
+/// groups hash-share past the cap). No flow is pinned: both fronts keep
+/// every shard for life, so the closes empty groups and later opens
+/// refill them (94 times in this script). Flow ids, grant histograms,
 /// invariants, macroflow membership, and the full counter block must
 /// all match.
 #[test]
@@ -66,18 +68,6 @@ fn four_worker_churn_matches_in_process_cm() {
     let mut cm_notes: Vec<CmNotification> = Vec::new();
     let mut buf = Vec::new();
 
-    // One pinned flow per group, never closed: keeps every shard
-    // occupied so the in-process CM never recycles one (the runtime
-    // pins shards for life; recycling is the one lifecycle difference).
-    for g in 0..GROUPS {
-        let k = key(next_port as u16, g);
-        next_port += 1;
-        let a = rt.open(k, now).expect("runtime pinned open");
-        let b = cm.open(k, now).expect("in-process pinned open");
-        assert_eq!(a, b, "flow ids must match");
-        live.push(a);
-    }
-
     for step in 0..OPS {
         match rng.next_bounded(100) {
             // open
@@ -90,14 +80,14 @@ fn four_worker_churn_matches_in_process_cm() {
                 assert_eq!(a, b, "flow ids diverged at step {step}");
                 live.push(a);
             }
-            // close (pinned flows at indices 0..GROUPS stay)
-            25..=44 if live.len() > GROUPS as usize => {
-                let i = GROUPS as usize
-                    + rng.next_bounded((live.len() - GROUPS as usize) as u64) as usize;
-                let f = live.swap_remove(i);
+            // close
+            25..=44 if !live.is_empty() => {
+                let f = live.swap_remove(rng.next_bounded(live.len() as u64) as usize);
                 rt.close(f, now);
                 cm.close(f, now).expect("in-process close");
             }
+            // every other op addresses a live flow
+            _ if live.is_empty() => {}
             // request
             25..=69 => {
                 let f = live[rng.next_bounded(live.len() as u64) as usize];
@@ -252,70 +242,6 @@ fn stats_are_monotone_and_untorn_under_churn() {
     }
     let mut notes = Vec::new();
     rt.drain_notifications_into(&mut notes);
-    rt.check_invariants().unwrap();
-}
-
-/// `CongestionManager::into_parallel` moves live shards — flows,
-/// learned congestion state, pending notifications, counters — onto
-/// worker threads without losing anything.
-#[test]
-fn into_parallel_carries_live_state() {
-    let cfg = by_group_cfg(8);
-    let mut cm = CongestionManager::new(cfg);
-    let now = Time::ZERO;
-    let mut flows = Vec::new();
-    for g in 0..6u32 {
-        for p in 0..4u16 {
-            flows.push(cm.open(key(2000 + p, g), now).unwrap());
-        }
-    }
-    // Grow some congestion state and leave notifications undrained.
-    for &f in &flows {
-        cm.request(f, now).unwrap();
-        cm.notify(f, 1460, now).unwrap();
-        cm.update(f, FeedbackReport::ack(1460, 1), now).unwrap();
-    }
-    let pre_stats = cm.stats();
-    let pre_infos: Vec<FlowInfo> = flows.iter().map(|&f| cm.query(f, now).unwrap()).collect();
-    let queries_during_snapshot = flows.len() as u64;
-
-    let mut rt = cm.into_parallel(ParallelConfig::with_workers(3));
-
-    // The undrained grants survived the move. Workers forward
-    // inherited outboxes on startup, before their first command, so a
-    // barrier makes them visible to a non-blocking drain.
-    rt.sync();
-    let mut notes = Vec::new();
-    rt.drain_notifications_into(&mut notes);
-    let grants = notes
-        .iter()
-        .filter(|n| matches!(n, CmNotification::SendGrant { .. }))
-        .count();
-    assert_eq!(grants, flows.len(), "pending notifications lost in move");
-
-    // Flow state is intact, queryable through the workers.
-    for (&f, pre) in flows.iter().zip(&pre_infos) {
-        assert_eq!(rt.query(f, now).unwrap(), *pre);
-    }
-
-    // Counters carried over (the post-conversion queries are the only
-    // delta).
-    let post = rt.stats();
-    assert_eq!(post.opens, pre_stats.opens);
-    assert_eq!(post.requests, pre_stats.requests);
-    assert_eq!(post.grants, pre_stats.grants);
-    assert_eq!(
-        post.queries,
-        pre_stats.queries + queries_during_snapshot * 2
-    );
-
-    // And the moved shards still validate on their new threads.
-    rt.check_invariants().unwrap();
-    for &f in &flows {
-        rt.close(f, now);
-    }
-    rt.sync();
-    assert_eq!(rt.op_failures(), 0);
     rt.check_invariants().unwrap();
 }
 

@@ -244,7 +244,7 @@ fn check_host(
     if let Err(e) = host.cm.check_invariants() {
         violations.push(format!("{tag} {label}: {e}"));
     }
-    for shard in 0..host.cm.shard_slots() as u32 {
+    for shard in 0..host.cm.shard_count() as u32 {
         for slot in 0..host.cm.macroflow_slab_capacity_of(shard) as u32 {
             let mf = MacroflowId::from_parts(shard, slot);
             if let Ok(w) = host.cm.window_of(mf) {

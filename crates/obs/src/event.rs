@@ -31,8 +31,8 @@ pub enum CongestionSignal {
 /// a flow or macroflow: lifecycle (open/close/reap), the grant loop
 /// (issue/reclaim), feedback vetting (accept/clamp/reject/quarantine),
 /// controller transitions (congestion responses and the feedback-free
-/// write-off), unresponsive-app backoff (arm/lapse), shard lifecycle
-/// (create/recycle), and the periodic maintenance tick.
+/// write-off), unresponsive-app backoff (arm/lapse), shard creation,
+/// and the periodic maintenance tick.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TraceEvent {
     /// `cm_open` admitted a flow into a macroflow.
@@ -115,13 +115,8 @@ pub enum TraceEvent {
         /// The recovering flow.
         flow: u32,
     },
-    /// A shard was created (or re-activated from the shell pool).
+    /// A shard was created (on its first group's first `open`).
     ShardCreated {
-        /// The shard's index.
-        shard: u32,
-    },
-    /// An emptied shard was recycled into the shell pool.
-    ShardRecycled {
         /// The shard's index.
         shard: u32,
     },
@@ -161,7 +156,6 @@ impl TraceEvent {
             TraceEvent::BackoffArmed { .. } => "backoff_armed",
             TraceEvent::BackoffLapsed { .. } => "backoff_lapsed",
             TraceEvent::ShardCreated { .. } => "shard_created",
-            TraceEvent::ShardRecycled { .. } => "shard_recycled",
             TraceEvent::TickSummary { .. } => "tick",
         }
     }
@@ -198,9 +192,7 @@ impl TraceEvent {
                 macroflow,
                 reclaimed,
             } => [("macroflow", macroflow as u64), ("bytes", reclaimed)],
-            TraceEvent::ShardCreated { shard } | TraceEvent::ShardRecycled { shard } => {
-                [("shard", shard as u64), NONE]
-            }
+            TraceEvent::ShardCreated { shard } => [("shard", shard as u64), NONE],
             TraceEvent::TickSummary { shard, scanned } => {
                 [("shard", shard as u64), ("scanned", scanned)]
             }
@@ -271,7 +263,6 @@ mod tests {
             TraceEvent::BackoffArmed { flow: 1 },
             TraceEvent::BackoffLapsed { flow: 1 },
             TraceEvent::ShardCreated { shard: 0 },
-            TraceEvent::ShardRecycled { shard: 0 },
             TraceEvent::TickSummary {
                 shard: 0,
                 scanned: 4,

@@ -89,14 +89,6 @@ impl FlightRecorder {
     pub fn tail(&self, n: usize) -> impl Iterator<Item = &TraceRecord> + '_ {
         self.iter().skip(self.buf.len().saturating_sub(n))
     }
-
-    /// Forgets all records and restarts the sequence at 0, keeping the
-    /// storage. Used when a recycled shard shell is re-activated.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-        self.next_seq = 0;
-    }
 }
 
 #[cfg(test)]
@@ -152,20 +144,6 @@ mod tests {
         // Asking for more than is held returns everything.
         let seqs: Vec<u64> = r.tail(100).map(|t| t.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clear_restarts_the_sequence() {
-        let mut r = FlightRecorder::with_capacity(2);
-        r.push(Time::ZERO, ev(0));
-        r.push(Time::ZERO, ev(1));
-        r.push(Time::ZERO, ev(2));
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.total_recorded(), 0);
-        let s = r.push(Time::ZERO, ev(9));
-        assert_eq!(s, 0);
-        assert_eq!(r.iter().count(), 1);
     }
 
     #[test]

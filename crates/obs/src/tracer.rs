@@ -45,15 +45,6 @@ impl Tracer {
     pub fn recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_deref()
     }
-
-    /// Clears recorded history in place (an enabled tracer stays enabled
-    /// with its capacity; a disabled one stays disabled). Used when a
-    /// recycled shard shell is re-activated.
-    pub fn reset(&mut self) {
-        if let Some(recorder) = &mut self.recorder {
-            recorder.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -72,8 +63,6 @@ mod tests {
         );
         // No events, no storage — nothing observable happened.
         assert!(t.recorder().is_none());
-        t.reset();
-        assert!(t.recorder().is_none());
     }
 
     #[test]
@@ -91,17 +80,5 @@ mod tests {
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.iter().next().unwrap().event.kind(), "shard_created");
         assert_eq!(rec.iter().last().unwrap().event.kind(), "grant_issued");
-    }
-
-    #[test]
-    fn reset_keeps_enablement_and_capacity() {
-        let mut t = Tracer::enabled(2);
-        for i in 0..5 {
-            t.record(Time::ZERO, TraceEvent::FlowClosed { flow: i });
-        }
-        t.reset();
-        let rec = t.recorder().unwrap();
-        assert!(rec.is_empty());
-        assert_eq!(rec.capacity(), 2);
     }
 }
