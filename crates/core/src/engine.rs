@@ -110,7 +110,7 @@ pub(crate) struct ShardTable {
     shards: Vec<Option<Shard>>,
     /// Table-level counters: tick accounting and shard creation.
     stats: CmStats,
-    /// Shard lifecycle events. Disabled (one null word) unless
+    /// Shard creation events. Disabled (one null word) unless
     /// [`CmConfig::tracing`] is set.
     tracer: Tracer,
 }
