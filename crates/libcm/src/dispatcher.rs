@@ -189,6 +189,25 @@ mod tests {
     }
 
     #[test]
+    fn empty_wakeup_leaves_the_instant_unspent() {
+        let mut d = Dispatcher::new(NotifyMode::SelectLoop { extra_fds: 1 });
+        let mut cpu = Cpu::new();
+        let costs = CostModel::default();
+        let now = Time::from_millis(4);
+        assert!(d.wakeup(now, &mut cpu, &costs).is_empty());
+        assert_eq!(cpu.total_busy(), Duration::ZERO);
+        assert_eq!((cpu.ops.selects, cpu.ops.ioctls), (0, 0));
+        // A grant posted later at the same instant still pays for its
+        // own select and ioctl: the empty wakeup did not use them up.
+        d.socket.post_grant(FlowId(2));
+        let _ = d.wakeup(now, &mut cpu, &costs);
+        assert_eq!(d.ready(), [FlowId(2)]);
+        assert_eq!((cpu.ops.selects, cpu.ops.ioctls), (1, 1));
+        assert_eq!(cpu.total_busy(), costs.select(2) + costs.ioctl);
+        assert_eq!((d.stats.wakeups, d.stats.ready_ioctls), (1, 1));
+    }
+
+    #[test]
     fn poll_mode_charges_even_when_idle() {
         let mut d = Dispatcher::new(NotifyMode::Poll { extra_fds: 0 });
         let mut cpu = Cpu::new();
