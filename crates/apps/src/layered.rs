@@ -259,7 +259,7 @@ impl HostApp for LayeredStreamer {
         let now = os.now();
         let granted = {
             let (cpu, costs) = os.cpu_and_costs();
-            self.libcm.wakeup(now, cpu, costs).ready.len()
+            self.libcm.wakeup(now, cpu, costs).len()
         };
         for i in 0..granted {
             let f = self.libcm.ready()[i];

@@ -44,8 +44,6 @@ pub struct CostModel {
     /// The CM's per-packet accounting (`cm_notify` bookkeeping, window
     /// arithmetic); the source of the <1 % overhead in Figure 5.
     pub cm_accounting: Duration,
-    /// Delivering a POSIX signal (the SIGIO notification option).
-    pub signal_delivery: Duration,
 }
 
 impl Default for CostModel {
@@ -66,7 +64,6 @@ impl Default for CostModel {
             tcp_proc: Duration::from_micros(3),
             udp_proc: Duration::from_nanos(1_500),
             cm_accounting: Duration::from_nanos(800),
-            signal_delivery: Duration::from_micros(4),
         }
     }
 }
@@ -87,7 +84,6 @@ impl CostModel {
             tcp_proc: Duration::ZERO,
             udp_proc: Duration::ZERO,
             cm_accounting: Duration::ZERO,
-            signal_delivery: Duration::ZERO,
         }
     }
 
@@ -130,8 +126,6 @@ pub struct OpCounts {
     pub gettimeofdays: u64,
     /// Bytes copied across the user/kernel boundary.
     pub bytes_copied: u64,
-    /// Signals delivered.
-    pub signals: u64,
 }
 
 impl Cpu {
