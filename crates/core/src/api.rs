@@ -213,7 +213,6 @@ impl CmStats {
 /// See the crate-level documentation for the API correspondence table and
 /// a usage example, and the module docs above for the sharding model.
 pub struct CongestionManager {
-    cfg: CmConfig,
     /// Group → shard-index routing for `open`/`lookup`.
     router: Router,
     /// The shards; the index is the shard part of every id this CM
@@ -236,14 +235,8 @@ impl CongestionManager {
         CongestionManager {
             router: Router::new(&cfg),
             table,
-            cfg,
             scratch_shards: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CmConfig {
-        &self.cfg
     }
 
     /// Lifetime counters, aggregated across all shards.
@@ -498,12 +491,6 @@ impl CongestionManager {
     /// shards share no congestion state).
     pub fn drain_notifications_into(&mut self, out: &mut Vec<CmNotification>) {
         self.table.drain_into(out);
-    }
-
-    /// True if notifications are waiting (the control socket's readable
-    /// bits).
-    pub fn has_notifications(&self) -> bool {
-        self.table.iter().any(|(_, s)| !s.outbox.is_empty())
     }
 
     // ------------------------------------------------------------------

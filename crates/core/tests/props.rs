@@ -50,8 +50,13 @@ enum ChurnOp {
 }
 
 fn churn_op_strategy() -> impl Strategy<Value = ChurnOp> {
+    churn_ops_over(1..4)
+}
+
+/// The churn ops with opens spread over destination hosts `dsts`.
+fn churn_ops_over(dsts: std::ops::Range<u32>) -> impl Strategy<Value = ChurnOp> {
     prop_oneof![
-        (1u16..2000, 1u32..4).prop_map(|(p, d)| ChurnOp::Open(p, d)),
+        (1u16..2000, dsts).prop_map(|(p, d)| ChurnOp::Open(p, d)),
         (0usize..16).prop_map(ChurnOp::Close),
         (0usize..16).prop_map(ChurnOp::Request),
         ((0usize..16), (1u8..8)).prop_map(|(i, w)| ChurnOp::SetWeight(i, w)),
@@ -386,27 +391,31 @@ proptest! {
     }
 
     /// The membership invariants on the *sharded* CM: under
-    /// open/close/split/merge churn across several
-    /// aggregation groups with `ShardingMode::ByGroup`, every live flow
+    /// open/close/split/merge churn across fifteen aggregation groups
+    /// with `ShardingMode::ByGroup` capped at eight shards (so groups
+    /// past the cap share shards by hash), every live flow
     /// belongs to exactly one macroflow, `flows_in`/`macroflow_of`
     /// agree, each shard's slabs stay bounded by that shard's peak live
     /// counts, every flow lives in the shard its policy group was given
     /// on first contact (split-off private macroflows included — a split
     /// never crosses shards), and shards persist: the shard count is the
     /// number of distinct groups seen, capped at `max_shards`, emptied
-    /// groups included.
+    /// groups included. A merge succeeds only inside one shard.
     #[test]
     fn sharded_membership_partition_under_churn(
-        ops in proptest::collection::vec(churn_op_strategy(), 1..200),
+        // Fifteen destinations against an eight-shard cap: groups past
+        // the cap share shards by hash.
+        ops in proptest::collection::vec(churn_ops_over(1..16), 1..200),
     ) {
-        let mut cm = CongestionManager::new(CmConfig {
+        let cfg = CmConfig {
             scheduler: SchedulerKind::WeightedRoundRobin,
             sharding: ShardingConfig::by_group(8),
             macroflow_linger: Duration::from_millis(500),
             pacing: false,
             ..Default::default()
-        });
-        let policy = cm.config().aggregation;
+        };
+        let policy = cfg.aggregation;
+        let mut cm = CongestionManager::new(cfg);
         let mut now = Time::ZERO;
         let mut flows: Vec<(FlowId, FlowKey)> = Vec::new();
         let mut peak_shard_flows: cm_util::FxHashMap<u32, usize> = Default::default();
@@ -466,7 +475,9 @@ proptest! {
                             // (not a panic, not corruption) is the
                             // contract.
                             match cm.merge_unchecked(f, mf, now) {
-                                Ok(()) => {}
+                                Ok(()) => {
+                                    prop_assert_eq!(f.shard(), mf.shard());
+                                }
                                 Err(CmError::CrossShardMerge) => {
                                     prop_assert_ne!(f.shard(), mf.shard());
                                 }
