@@ -11,11 +11,6 @@
 //! — and one call returns everything, "reducing the number of system
 //! calls that must be made if several flows become ready
 //! simultaneously".
-//!
-//! The paper's socket also carries status changes on its exception bit.
-//! No application here reads them through the socket: a rate change
-//! reaches a user-space app as a direct `HostApp::on_cm_rate_change`
-//! callback, which crosses no modelled socket and is charged no syscall.
 
 use cm_core::types::FlowId;
 

@@ -49,7 +49,9 @@ pub struct DispatchStats {
 pub struct Dispatcher {
     /// The control socket shared with the kernel side.
     pub socket: ControlSocket,
-    mode: NotifyMode,
+    /// Descriptors in the app's `select` set, the control socket's
+    /// included.
+    select_fds: usize,
     /// The instant of the last charged wakeup; grants arriving at the
     /// same instant share one select+ioctl (the batching §2.2.2 is
     /// designed around).
@@ -64,9 +66,10 @@ pub struct Dispatcher {
 impl Dispatcher {
     /// Creates a dispatcher in the given notification mode.
     pub fn new(mode: NotifyMode) -> Self {
+        let NotifyMode::SelectLoop { extra_fds } = mode;
         Dispatcher {
             socket: ControlSocket::new(),
-            mode,
+            select_fds: extra_fds + 1,
             last_wakeup: None,
             ready: Vec::new(),
             stats: DispatchStats::default(),
@@ -91,9 +94,8 @@ impl Dispatcher {
         if self.last_wakeup != Some(now) {
             self.last_wakeup = Some(now);
             self.stats.wakeups += 1;
-            let NotifyMode::SelectLoop { extra_fds } = self.mode;
             cpu.ops.selects += 1;
-            cpu.run(now, costs.select(extra_fds + 1));
+            cpu.run(now, costs.select(self.select_fds));
             // One batched ioctl covers every simultaneously-ready flow;
             // same-instant stragglers ride along free.
             cpu.ops.ioctls += 1;
