@@ -97,7 +97,22 @@ fn mix_host(sim: &Simulator, id: NodeId, fnv: &mut Fnv) {
 
 fn mix_links(sim: &Simulator, links: usize, fnv: &mut Fnv) {
     for l in 0..links {
-        fnv.debug(&sim.link_stats(LinkId(l)));
+        let s = sim.link_stats(LinkId(l));
+        for n in [
+            s.offered,
+            s.enqueued,
+            s.dropped_random,
+            s.dropped_burst,
+            s.dropped_queue,
+            s.transmitted,
+            s.bytes_transmitted,
+            s.max_queue_pkts as u64,
+            s.duplicated,
+            s.reordered,
+            s.delay_spikes,
+        ] {
+            fnv.u64(n);
+        }
     }
 }
 

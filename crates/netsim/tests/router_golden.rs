@@ -1,12 +1,12 @@
 //! Golden-file regression pinning what hosts receive across routers.
 //!
 //! Four hosts on a dumbbell talk to each other through two `RouterNode`s
-//! and a faulty bottleneck pair: random loss, a RED queue that marks ECN,
-//! duplication, reordering and delay spikes. Every host sends requests on
-//! a jittered timer and echoes each request it receives, so packets enter
-//! the network from timers and from packet handlers alike. The test
-//! freezes the `(time, packet id, size, ecn)` sequence each host
-//! receives, in `tests/golden/router.golden`.
+//! and a faulty bottleneck pair: random loss, a drop-tail queue the
+//! offered load overflows, duplication, reordering and delay spikes.
+//! Every host sends requests on a jittered timer and echoes each request
+//! it receives, so packets enter the network from timers and from packet
+//! handlers alike. The test freezes the `(time, packet id, size)`
+//! sequence each host receives, in `tests/golden/router.golden`.
 //!
 //! Regenerate intentionally with:
 //!
@@ -18,8 +18,7 @@ use std::fmt::Write as _;
 
 use cm_netsim::fault::LinkFaults;
 use cm_netsim::link::{LinkSpec, QueueSpec};
-use cm_netsim::packet::{Addr, Ecn, Packet, Payload, Protocol};
-use cm_netsim::queue::RedConfig;
+use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 use cm_netsim::sim::{Node, NodeCtx, NodeId};
 use cm_netsim::topology::Topology;
 use cm_util::{Duration, Rate, Time};
@@ -34,7 +33,7 @@ struct Talker {
     peers: Vec<Addr>,
     until: Time,
     sent: u64,
-    received: Vec<(Time, u64, usize, Ecn)>,
+    received: Vec<(Time, u64, usize)>,
 }
 
 impl Talker {
@@ -50,7 +49,7 @@ impl Node for Talker {
     }
 
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
-        self.received.push((ctx.now(), pkt.id, pkt.size, pkt.ecn));
+        self.received.push((ctx.now(), pkt.id, pkt.size));
         if pkt.dst_port == REQUEST_PORT {
             let size = 40 + pkt.size / 10;
             let echo = Packet::new(
@@ -61,8 +60,7 @@ impl Node for Talker {
                 Protocol::Udp,
                 size,
                 Payload::empty(),
-            )
-            .with_ecn(pkt.ecn);
+            );
             ctx.send(echo);
         }
     }
@@ -70,11 +68,6 @@ impl Node for Talker {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
         let dst = self.peers[self.sent as usize % self.peers.len()];
         let size = 60 + ctx.rng().next_bounded(1_440) as usize;
-        let ecn = if self.sent.is_multiple_of(3) {
-            Ecn::NotEct
-        } else {
-            Ecn::Ect
-        };
         let pkt = Packet::new(
             ctx.addr(),
             dst,
@@ -83,8 +76,7 @@ impl Node for Talker {
             Protocol::Udp,
             size,
             Payload::empty(),
-        )
-        .with_ecn(ecn);
+        );
         ctx.send(pkt);
         self.sent += 1;
         if ctx.now() < self.until {
@@ -121,31 +113,28 @@ fn run(seed: u64) -> String {
         reorder_extra: Duration::from_millis(2),
         ..faults
     };
-    let red = RedConfig {
-        min_th: 3.0,
-        max_th: 10.0,
-        max_p: 0.2,
-        weight: 0.2,
-        capacity: 16,
-        ecn: true,
-    };
     let bottleneck = LinkSpec::new(Rate::from_mbps(4), Duration::from_millis(5))
-        .with_queue(QueueSpec::Red(red))
+        .with_queue(QueueSpec::DropTailPackets(16))
         .with_loss(0.01)
         .with_faults(faults);
     let access = LinkSpec::new(Rate::from_mbps(10), Duration::from_micros(200))
         .with_queue(QueueSpec::DropTailPackets(12));
-    topo.dumbbell(&hosts[..2], &hosts[2..], &bottleneck, &access);
+    let (_, _, center) = topo.dumbbell(&hosts[..2], &hosts[2..], &bottleneck, &access);
     let mut sim = topo.build();
     sim.run_until(Time::from_millis(400));
     assert_eq!(sim.unrouted_packets(), 0);
+    // The golden covers a full queue in each direction.
+    for link in [center.forward, center.reverse] {
+        let dropped = sim.link_stats(link).dropped_queue;
+        assert!(dropped > 0, "bottleneck {link:?} never overflowed");
+    }
 
     let mut out = String::new();
     for (i, &h) in hosts.iter().enumerate() {
         let got = &sim.node_ref::<Talker>(h).received;
         writeln!(out, "seed {seed} host {i}: {} packets", got.len()).unwrap();
-        for (t, id, size, ecn) in got {
-            writeln!(out, "{} {id} {size} {ecn:?}", t.as_nanos()).unwrap();
+        for (t, id, size) in got {
+            writeln!(out, "{} {id} {size}", t.as_nanos()).unwrap();
         }
     }
     out
