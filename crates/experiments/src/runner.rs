@@ -15,7 +15,6 @@ use cm_apps::layered::{AdaptMode, LayeredStreamer};
 use cm_apps::vat::{DropPolicy, VatAudio};
 use cm_core::config::{CmConfig, ControllerKind, SchedulerKind};
 use cm_netsim::channel::PathSpec;
-use cm_netsim::link::QueueSpec;
 use cm_netsim::schedule::BandwidthSchedule;
 use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostConfig};
@@ -440,8 +439,7 @@ fn vat_cell(
     let tx_id = topo.add_host(Box::new(tx_host));
 
     let base = base_rate(schedule, Rate::from_kbps(128));
-    let path =
-        PathSpec::new(base, Duration::from_millis(50)).with_queue(QueueSpec::DropTailPackets(8));
+    let path = PathSpec::new(base, Duration::from_millis(50)).with_queue_limit(8);
     let d = topo.emulated_path(tx_id, rx_id, &path);
     topo.schedule_link(d.forward, schedule);
     let mut sim = topo.build();

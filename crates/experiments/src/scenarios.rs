@@ -14,7 +14,7 @@ use cm_apps::web::{WebClient, WebServer};
 use cm_core::config::{CmConfig, ControllerKind};
 use cm_netsim::channel::PathSpec;
 use cm_netsim::cpu::{CostModel, OpCounts};
-use cm_netsim::link::{LinkSpec, QueueSpec};
+use cm_netsim::link::LinkSpec;
 use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostConfig};
 use cm_transport::tcp::TcpConfig;
@@ -108,7 +108,6 @@ pub fn bulk_transfer(path: &PathSpec, spec: BulkSpec) -> BulkOutcome {
         mss,
         delayed_ack,
         rwnd: 64 * 1024,
-        ..Default::default()
     };
     let cm = CmConfig {
         mtu: mss,
@@ -161,7 +160,7 @@ pub fn bulk_transfer(path: &PathSpec, spec: BulkSpec) -> BulkOutcome {
 /// The paper's 100 Mbps switched LAN, with enough switch buffering that
 /// its "no losses occurred" observation holds.
 pub fn switched_lan() -> PathSpec {
-    PathSpec::lan().with_queue(QueueSpec::DropTailPackets(256))
+    PathSpec::lan().with_queue_limit(256)
 }
 
 /// Result of one UDP API-overhead run (Figure 6 / Table 1).

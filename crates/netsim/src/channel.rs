@@ -8,7 +8,7 @@
 use cm_util::{Duration, Rate};
 
 use crate::fault::LinkFaults;
-use crate::link::{LinkSpec, QueueSpec};
+use crate::link::LinkSpec;
 
 /// A bidirectional emulated path (Dummynet pipe pair).
 #[derive(Clone, Debug)]
@@ -21,8 +21,9 @@ pub struct PathSpec {
     pub loss_forward: f64,
     /// Random loss probability on the reverse (ACK) direction.
     pub loss_reverse: f64,
-    /// Queue for each direction; Dummynet defaults to 50 slots.
-    pub queue: QueueSpec,
+    /// Drop-tail buffer size in packets, each direction; Dummynet
+    /// defaults to 50 slots.
+    pub queue_limit: usize,
     /// Fault injection on the forward (data) direction; the reverse
     /// (ACK) direction is always clean.
     pub faults_forward: LinkFaults,
@@ -36,7 +37,7 @@ impl PathSpec {
             rtt,
             loss_forward: 0.0,
             loss_reverse: 0.0,
-            queue: QueueSpec::DropTailPackets(50),
+            queue_limit: 50,
             faults_forward: LinkFaults::clean(),
         }
     }
@@ -56,8 +57,7 @@ impl PathSpec {
     /// A vBNS-like wide-area path (MIT to Utah in the paper, Figures
     /// 7-10): ~70 ms RTT, moderate bottleneck, backbone-router buffering.
     pub fn wide_area() -> Self {
-        PathSpec::new(Rate::from_mbps(20), Duration::from_millis(70))
-            .with_queue(QueueSpec::DropTailPackets(120))
+        PathSpec::new(Rate::from_mbps(20), Duration::from_millis(70)).with_queue_limit(120)
     }
 
     /// Sets forward-direction loss (builder style).
@@ -72,9 +72,10 @@ impl PathSpec {
         self
     }
 
-    /// Sets the queue discipline for both directions (builder style).
-    pub fn with_queue(mut self, queue: QueueSpec) -> Self {
-        self.queue = queue;
+    /// Sets the drop-tail buffer size in packets for both directions
+    /// (builder style).
+    pub fn with_queue_limit(mut self, packets: usize) -> Self {
+        self.queue_limit = packets;
         self
     }
 
@@ -90,7 +91,7 @@ impl PathSpec {
         LinkSpec {
             rate: self.rate,
             delay: self.rtt / 2,
-            queue: self.queue.clone(),
+            queue_limit: self.queue_limit,
             loss_rate: self.loss_forward,
             faults: self.faults_forward.clone(),
         }
@@ -101,7 +102,7 @@ impl PathSpec {
         LinkSpec {
             rate: self.rate,
             delay: self.rtt / 2,
-            queue: self.queue.clone(),
+            queue_limit: self.queue_limit,
             loss_rate: self.loss_reverse,
             faults: LinkFaults::clean(),
         }

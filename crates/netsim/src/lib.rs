@@ -5,13 +5,12 @@
 //! It provides:
 //!
 //! * an event queue with deterministic tie-breaking ([`event`]),
-//! * packets with ECN codepoints, carrying their transport header inline
-//!   as a closed [`Payload`] enum ([`packet`]), and the wire formats it
-//!   ranges over — TCP segments, UDP datagrams, CM feedback bodies
-//!   ([`segment`]),
-//! * queueing disciplines: drop-tail and RED with ECN marking ([`queue`]),
-//! * links with a serialization rate, propagation delay, and Dummynet-style
-//!   Bernoulli loss ([`link`]),
+//! * packets carrying their transport header inline as a closed
+//!   [`Payload`] enum ([`packet`]), and the wire formats it ranges over —
+//!   TCP segments, UDP datagrams, CM feedback bodies ([`segment`]),
+//! * links with a serialization rate, propagation delay, Dummynet-style
+//!   Bernoulli loss ([`link`]) and a packet-limited drop-tail buffer
+//!   ([`queue`]),
 //! * deterministic fault injection — Gilbert–Elliott bursty loss,
 //!   reordering, duplication, delay spikes, link flaps, and
 //!   misbehaving-app scripts, all derived from a seed ([`fault`]),
@@ -48,8 +47,7 @@ pub mod prelude {
     pub use crate::cpu::{CostModel, Cpu};
     pub use crate::fault::{AppFault, FaultPlan, GilbertElliott, LinkFaults};
     pub use crate::link::{LinkId, LinkSpec};
-    pub use crate::packet::{Addr, Ecn, Packet, Payload, Protocol};
-    pub use crate::queue::{DropTailQueue, EnqueueOutcome, Queue, RedQueue};
+    pub use crate::packet::{Addr, Packet, Payload, Protocol};
     pub use crate::schedule::BandwidthSchedule;
     pub use crate::sim::{Node, NodeCtx, NodeId, RouterNode, Simulator, TimerHandle};
     pub use crate::topology::Topology;
@@ -60,8 +58,7 @@ pub use channel::PathSpec;
 pub use cpu::{CostModel, Cpu};
 pub use fault::{AppFault, FaultPlan, GilbertElliott, LinkFaults};
 pub use link::{LinkId, LinkSpec};
-pub use packet::{Addr, Ecn, Packet, Payload, Protocol};
-pub use queue::{DropTailQueue, EnqueueOutcome, Queue, RedQueue};
+pub use packet::{Addr, Packet, Payload, Protocol};
 pub use schedule::BandwidthSchedule;
 pub use sim::{Node, NodeCtx, NodeId, RouterNode, Simulator, TimerHandle};
 pub use topology::Topology;

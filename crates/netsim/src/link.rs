@@ -1,9 +1,9 @@
-//! Unidirectional links: serialization rate, propagation delay, a buffer
-//! discipline, and Dummynet-style Bernoulli loss.
+//! Unidirectional links: serialization rate, propagation delay, a
+//! drop-tail buffer, and Dummynet-style Bernoulli loss.
 //!
 //! A link connects two nodes. Packets offered to the link first pass the
 //! loss stage (emulating Dummynet's `plr` knob used throughout the paper's
-//! evaluation), then the queueing discipline. The link serializes one
+//! evaluation), then the drop-tail queue. The link serializes one
 //! packet at a time at its configured rate; a serialized packet arrives at
 //! the destination node after the propagation delay. Delay and rate are
 //! modelled separately, exactly as a real link behaves, so bandwidth-delay
@@ -49,34 +49,13 @@ use cm_util::{DetRng, Duration, Rate, Time};
 use crate::event::{Event, EventQueue, PacketSlot};
 use crate::fault::LinkFaults;
 use crate::packet::Packet;
-use crate::queue::{DropTailQueue, EnqueueOutcome, Queue, RedConfig, RedQueue};
+use crate::queue::DropTailQueue;
 use crate::sim::NodeId;
 use crate::trace::LinkStats;
 
 /// Identifies a link within a simulator.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LinkId(pub usize);
-
-/// The buffer discipline to attach to a link.
-#[derive(Clone, Debug)]
-pub enum QueueSpec {
-    /// Drop-tail FIFO bounded by packet count.
-    DropTailPackets(usize),
-    /// Drop-tail FIFO bounded by bytes.
-    DropTailBytes(usize),
-    /// RED active queue management (with optional ECN marking).
-    Red(RedConfig),
-}
-
-impl QueueSpec {
-    fn build(&self) -> Queue {
-        match self {
-            QueueSpec::DropTailPackets(n) => Queue::DropTail(DropTailQueue::with_packet_limit(*n)),
-            QueueSpec::DropTailBytes(n) => Queue::DropTail(DropTailQueue::with_byte_limit(*n)),
-            QueueSpec::Red(cfg) => Queue::Red(RedQueue::new(*cfg)),
-        }
-    }
-}
 
 /// Static description of a link, consumed by the topology builder.
 #[derive(Clone, Debug)]
@@ -85,8 +64,8 @@ pub struct LinkSpec {
     pub rate: Rate,
     /// One-way propagation delay.
     pub delay: Duration,
-    /// Buffer discipline; Dummynet's default is a 50-slot drop-tail queue.
-    pub queue: QueueSpec,
+    /// Drop-tail buffer size in packets; Dummynet's default is 50 slots.
+    pub queue_limit: usize,
     /// Random loss probability applied to packets entering the link
     /// (Dummynet `plr`).
     pub loss_rate: f64,
@@ -101,7 +80,7 @@ impl LinkSpec {
         LinkSpec {
             rate,
             delay,
-            queue: QueueSpec::DropTailPackets(50),
+            queue_limit: 50,
             loss_rate: 0.0,
             faults: LinkFaults::clean(),
         }
@@ -113,9 +92,9 @@ impl LinkSpec {
         self
     }
 
-    /// Sets the buffer discipline (builder style).
-    pub fn with_queue(mut self, queue: QueueSpec) -> Self {
-        self.queue = queue;
+    /// Sets the drop-tail buffer size in packets (builder style).
+    pub fn with_queue_limit(mut self, packets: usize) -> Self {
+        self.queue_limit = packets;
         self
     }
 
@@ -136,7 +115,7 @@ pub struct Link {
     pub to: NodeId,
     rate: Rate,
     delay: Duration,
-    queue: Queue,
+    queue: DropTailQueue,
     loss_rate: f64,
     faults: LinkFaults,
     /// Gilbert–Elliott chain state: currently in the bad (burst) state.
@@ -187,7 +166,7 @@ impl Link {
             to,
             rate: spec.rate,
             delay: spec.delay,
-            queue: spec.queue.build(),
+            queue: DropTailQueue::with_packet_limit(spec.queue_limit),
             loss_rate: spec.loss_rate,
             faults: spec.faults.clone(),
             ge_bad: false,
@@ -227,12 +206,6 @@ impl Link {
         self.queue.len_packets()
     }
 
-    /// Changes the random loss probability mid-run (used by loss-sweep
-    /// experiments).
-    pub fn set_loss_rate(&mut self, loss_rate: f64) {
-        self.loss_rate = loss_rate;
-    }
-
     /// The link's current fault configuration.
     pub fn faults(&self) -> &LinkFaults {
         &self.faults
@@ -245,7 +218,7 @@ impl Link {
         if self.survives_loss(rng) {
             let size = pkt.size;
             let slot = evq.packets_mut().insert(pkt);
-            self.enqueue(slot, size, now, rng, evq);
+            self.enqueue(slot, size, now, evq);
         }
     }
 
@@ -261,7 +234,7 @@ impl Link {
         evq: &mut EventQueue,
     ) {
         if self.survives_loss(rng) {
-            self.enqueue(slot, size, now, rng, evq);
+            self.enqueue(slot, size, now, evq);
         } else {
             evq.packets_mut().free(slot);
         }
@@ -302,28 +275,13 @@ impl Link {
     /// Queues the packet in `slot`, `size` bytes on the wire (freeing the
     /// slot if the queue drops it), and starts or schedules the
     /// transmitter.
-    fn enqueue(
-        &mut self,
-        slot: PacketSlot,
-        size: usize,
-        now: Time,
-        rng: &mut DetRng,
-        evq: &mut EventQueue,
-    ) {
-        match self.queue.enqueue(slot, size, evq.packets_mut(), now, rng) {
-            EnqueueOutcome::Enqueued => {
-                self.stats.enqueued += 1;
-            }
-            EnqueueOutcome::EnqueuedMarked => {
-                self.stats.enqueued += 1;
-                self.stats.marked += 1;
-            }
-            EnqueueOutcome::Dropped => {
-                self.stats.dropped_queue += 1;
-                evq.packets_mut().free(slot);
-                return;
-            }
+    fn enqueue(&mut self, slot: PacketSlot, size: usize, now: Time, evq: &mut EventQueue) {
+        if !self.queue.enqueue(slot, size) {
+            self.stats.dropped_queue += 1;
+            evq.packets_mut().free(slot);
+            return;
         }
+        self.stats.enqueued += 1;
         self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.len_packets());
         if self.idle(now, evq) {
             self.start_tx(now, evq);
@@ -391,7 +349,7 @@ impl Link {
             }
             return;
         }
-        if let Some((slot, size)) = self.queue.dequeue(now) {
+        if let Some((slot, size)) = self.queue.dequeue() {
             let done_at = now + self.rate.transmit_time(size);
             let seq = evq.reserve_seq();
             let held = if self.holds_packet {
@@ -569,8 +527,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_counted() {
-        let spec = LinkSpec::new(Rate::from_kbps(8), Duration::ZERO)
-            .with_queue(QueueSpec::DropTailPackets(2));
+        let spec = LinkSpec::new(Rate::from_kbps(8), Duration::ZERO).with_queue_limit(2);
         let mut link = test_link(spec);
         let mut rng = DetRng::seed(0);
         let mut evq = EventQueue::new();

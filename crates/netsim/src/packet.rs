@@ -1,10 +1,8 @@
-//! Packets: addresses, protocol numbers, ECN codepoints, and transport
-//! payloads.
+//! Packets: addresses, protocol numbers, and transport payloads.
 //!
 //! The simulator moves [`Packet`]s between nodes. A packet carries enough
 //! header information for routing (`src`/`dst` addresses), demultiplexing
-//! (ports and [`Protocol`]), congestion signalling ([`Ecn`]), and byte
-//! accounting (`size`, the full wire size used for serialization delay and
+//! (ports and [`Protocol`]), and byte accounting (`size`, the full wire size used for serialization delay and
 //! queue occupancy). Its transport header rides inline as a [`Payload`], a
 //! closed enum over the wire formats in [`crate::segment`]; the simulator
 //! never looks inside it, and the protocols that do live in
@@ -90,25 +88,6 @@ pub enum Protocol {
     Udp,
 }
 
-/// ECN codepoints from RFC 3168 (the paper cites its precursor, RFC 2481).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum Ecn {
-    /// Not ECN-capable transport.
-    #[default]
-    NotEct,
-    /// ECN-capable transport (ECT(0)).
-    Ect,
-    /// Congestion experienced: set by a RED queue instead of dropping.
-    Ce,
-}
-
-impl Ecn {
-    /// Whether a router may mark this packet instead of dropping it.
-    pub fn is_capable(self) -> bool {
-        matches!(self, Ecn::Ect | Ecn::Ce)
-    }
-}
-
 /// A packet's transport header.
 ///
 /// The simulator treats it as freight. The wire size of the packet is
@@ -155,8 +134,6 @@ pub struct Packet {
     /// Full wire size in bytes (headers + data); drives serialization
     /// delay and queue occupancy.
     pub size: usize,
-    /// ECN codepoint.
-    pub ecn: Ecn,
     /// Unique id assigned at send time, for tracing.
     pub id: u64,
     /// Transport header.
@@ -182,16 +159,9 @@ impl Packet {
             dst_port,
             proto,
             size,
-            ecn: Ecn::NotEct,
             id: 0,
             payload,
         }
-    }
-
-    /// Sets the ECN codepoint (builder style).
-    pub fn with_ecn(mut self, ecn: Ecn) -> Self {
-        self.ecn = ecn;
-        self
     }
 }
 
@@ -224,13 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn ecn_capability() {
-        assert!(!Ecn::NotEct.is_capable());
-        assert!(Ecn::Ect.is_capable());
-        assert!(Ecn::Ce.is_capable());
-    }
-
-    #[test]
     fn packet_flow_tuple() {
         let pkt = Packet::new(
             Addr(1),
@@ -245,9 +208,6 @@ mod tests {
             (pkt.src, pkt.dst, pkt.src_port, pkt.dst_port),
             (Addr(1), Addr(2), 5000, 80)
         );
-        assert_eq!(pkt.ecn, Ecn::NotEct);
-        let pkt = pkt.with_ecn(Ecn::Ect);
-        assert_eq!(pkt.ecn, Ecn::Ect);
     }
 
     #[test]

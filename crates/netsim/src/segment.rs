@@ -24,8 +24,6 @@ pub struct TcpFlags {
     pub ack: bool,
     /// Sender has finished sending.
     pub fin: bool,
-    /// ECN echo: the receiver saw a CE mark (RFC 3168's ECE).
-    pub ece: bool,
 }
 
 /// Maximum SACK blocks per segment (RFC 2018 allows 3 alongside

@@ -417,7 +417,8 @@ impl Simulator {
         self.world.links[link.0].stats(self.now, &self.evq)
     }
 
-    /// Mutable link access, e.g. to change the loss rate mid-experiment.
+    /// Mutable link access. Nothing in the library changes a link this
+    /// way; readers use it for a link's endpoints and queue length.
     pub fn link_mut(&mut self, link: LinkId) -> &mut Link {
         &mut self.world.links[link.0]
     }
@@ -711,13 +712,12 @@ mod tests {
     }
 
     fn two_node_sim(rate: Rate, delay: Duration, n: usize, size: usize) -> (Simulator, NodeId) {
-        seeded_two_node_sim(1, rate, delay, n, size)
+        seeded_two_node_sim(1, &LinkSpec::new(rate, delay), n, size)
     }
 
     fn seeded_two_node_sim(
         seed: u64,
-        rate: Rate,
-        delay: Duration,
+        spec: &LinkSpec,
         n: usize,
         size: usize,
     ) -> (Simulator, NodeId) {
@@ -729,7 +729,7 @@ mod tests {
             n,
             size,
         }));
-        let link = sim.add_link(src, sink, &LinkSpec::new(rate, delay));
+        let link = sim.add_link(src, sink, spec);
         sim.set_default_route(src, link);
         (sim, sink)
     }
@@ -831,10 +831,9 @@ mod tests {
     #[test]
     fn identical_seeds_identical_traces() {
         let run = |seed| {
-            let (mut sim, sink) =
-                seeded_two_node_sim(seed, Rate::from_mbps(10), Duration::ZERO, 10, 700);
-            // Add loss to exercise the RNG path.
-            sim.link_mut(LinkId(0)).set_loss_rate(0.3);
+            // Loss exercises the RNG path.
+            let spec = LinkSpec::new(Rate::from_mbps(10), Duration::ZERO).with_loss(0.3);
+            let (mut sim, sink) = seeded_two_node_sim(seed, &spec, 10, 700);
             sim.run_to_quiescence(10_000);
             sim.node_ref::<Sink>(sink)
                 .received

@@ -13,10 +13,8 @@ pub struct LinkStats {
     pub dropped_random: u64,
     /// Packets dropped by the Gilbert–Elliott burst-loss stage.
     pub dropped_burst: u64,
-    /// Packets dropped by the buffer discipline (overflow or RED).
+    /// Packets dropped by the full drop-tail buffer.
     pub dropped_queue: u64,
-    /// Packets CE-marked by RED.
-    pub marked: u64,
     /// Packets fully serialized onto the wire.
     pub transmitted: u64,
     /// Bytes fully serialized onto the wire.

@@ -1,11 +1,11 @@
 //! Property-based tests for the simulator substrate.
 
 use cm_netsim::event::PacketSlab;
-use cm_netsim::link::{LinkSpec, QueueSpec};
+use cm_netsim::link::LinkSpec;
 use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
-use cm_netsim::queue::{DropTailQueue, EnqueueOutcome, Queue, RedConfig, RedQueue};
+use cm_netsim::queue::DropTailQueue;
 use cm_netsim::sim::{Node, NodeCtx, Simulator};
-use cm_util::{DetRng, Duration, Rate, Time};
+use cm_util::{Duration, Rate, Time};
 use proptest::prelude::*;
 
 struct Sink {
@@ -66,7 +66,7 @@ proptest! {
             sizes: sizes.clone(),
         }));
         let spec = LinkSpec::new(rate, Duration::from_micros(delay_us))
-            .with_queue(QueueSpec::DropTailPackets(sizes.len() + 1));
+            .with_queue_limit(sizes.len() + 1);
         let link = sim.add_link(src, sink, &spec);
         sim.set_default_route(src, link);
         sim.run_to_quiescence(1_000_000);
@@ -95,27 +95,25 @@ proptest! {
         offers in proptest::collection::vec(1u16..2000, 1..100),
         cap in 1usize..32,
     ) {
-        let mut q = Queue::DropTail(DropTailQueue::with_packet_limit(cap));
+        let mut q = DropTailQueue::with_packet_limit(cap);
         let mut pkts = PacketSlab::new();
-        let mut rng = DetRng::seed(0);
         let mut accepted = 0usize;
         let mut dropped = 0usize;
         let mut drained = 0usize;
         for (i, &size) in offers.iter().enumerate() {
             let pkt = Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, size as usize, Payload::empty());
             let slot = pkts.insert(pkt);
-            match q.enqueue(slot, usize::from(size), &mut pkts, Time::ZERO, &mut rng) {
-                EnqueueOutcome::Dropped => {
-                    dropped += 1;
-                    pkts.free(slot);
-                }
-                _ => accepted += 1,
+            if q.enqueue(slot, usize::from(size)) {
+                accepted += 1;
+            } else {
+                dropped += 1;
+                pkts.free(slot);
             }
             prop_assert!(q.len_packets() <= cap);
             prop_assert_eq!(pkts.len(), q.len_packets());
             // Occasionally drain one.
             if i % 3 == 0 {
-                if let Some((slot, size)) = q.dequeue(Time::ZERO) {
+                if let Some((slot, size)) = q.dequeue() {
                     prop_assert_eq!(pkts.remove(slot).size, size);
                     drained += 1;
                 }
@@ -124,58 +122,6 @@ proptest! {
         prop_assert_eq!(accepted - drained, q.len_packets());
         prop_assert_eq!(accepted + dropped, offers.len());
         prop_assert_eq!(pkts.len(), q.len_packets());
-    }
-
-    /// RED with ECN never drops an ECT packet in the probabilistic
-    /// region — it marks instead — and never exceeds capacity.
-    #[test]
-    fn red_marks_ect_probabilistically(
-        n in 10usize..200,
-        seed in 0u64..100,
-    ) {
-        use cm_netsim::packet::Ecn;
-        let cfg = RedConfig {
-            min_th: 2.0,
-            max_th: 8.0,
-            max_p: 0.3,
-            weight: 0.5,
-            capacity: 16,
-            ecn: true,
-        };
-        let mut q = Queue::Red(RedQueue::new(cfg));
-        let mut pkts = PacketSlab::new();
-        let mut rng = DetRng::seed(seed);
-        let mut dropped_ect_soft = 0;
-        let (mut marked, mut ce_seen) = (0, 0);
-        for i in 0..n {
-            let pkt = Packet::new(Addr(1), Addr(2), 1, 2, Protocol::Udp, 500, Payload::empty())
-                .with_ecn(Ecn::Ect);
-            let slot = pkts.insert(pkt);
-            let at_capacity = q.len_packets() >= 16;
-            match q.enqueue(slot, 500, &mut pkts, Time::ZERO, &mut rng) {
-                EnqueueOutcome::Dropped => {
-                    if !at_capacity {
-                        dropped_ect_soft += 1;
-                    }
-                    pkts.free(slot);
-                }
-                EnqueueOutcome::EnqueuedMarked => marked += 1,
-                EnqueueOutcome::Enqueued => {}
-            }
-            prop_assert!(q.len_packets() <= 16);
-            prop_assert_eq!(pkts.len(), q.len_packets());
-            if i % 4 == 0 {
-                if let Some((slot, _)) = q.dequeue(Time::ZERO) {
-                    ce_seen += usize::from(pkts.remove(slot).ecn == Ecn::Ce);
-                }
-            }
-        }
-        while let Some((slot, _)) = q.dequeue(Time::ZERO) {
-            ce_seen += usize::from(pkts.remove(slot).ecn == Ecn::Ce);
-        }
-        prop_assert_eq!(dropped_ect_soft, 0, "ECT packets must be marked, not soft-dropped");
-        prop_assert_eq!(ce_seen, marked, "every mark lands on the queued packet");
-        prop_assert!(pkts.is_empty());
     }
 
     /// Simulator determinism: identical seeds and inputs produce
@@ -569,9 +515,8 @@ mod link_differential {
 
     use cm_netsim::event::{EventQueue, PacketSlab, PacketSlot, SimEvent};
     use cm_netsim::fault::LinkFaults;
-    use cm_netsim::link::{Link, LinkId, LinkSpec, QueueSpec};
-    use cm_netsim::packet::{Addr, Ecn, Packet, Payload, Protocol};
-    use cm_netsim::queue::{EnqueueOutcome, RedConfig};
+    use cm_netsim::link::{Link, LinkId, LinkSpec};
+    use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
     use cm_netsim::schedule::BandwidthSchedule;
     use cm_netsim::sim::{Node, NodeCtx, NodeId, RouterNode, Simulator};
     use cm_netsim::trace::LinkStats;
@@ -580,142 +525,22 @@ mod link_differential {
     use proptest::test_runner::TestCaseError;
 
     /// The reference link's buffer, modelled here rather than built from
-    /// `cm_netsim::queue`, so that the real queues are checked against a
-    /// model and not against themselves: a FIFO of bare slots that reads
-    /// every size from the reference's own slab, under drop-tail (by
-    /// packets or by bytes) or RED with ECN marking.
+    /// `cm_netsim::queue`, so that the real queue is checked against a
+    /// model and not against itself: a FIFO of bare slots, drop-tail by
+    /// packet count, that reads every size from the reference's own slab.
     struct SlotFifo {
-        rule: Rule,
+        max_packets: usize,
         fifo: VecDeque<PacketSlot>,
-        bytes: usize,
-    }
-
-    enum Rule {
-        DropTail {
-            max_packets: usize,
-            max_bytes: usize,
-        },
-        /// Floyd/Jacobson RED: an EWMA of the occupancy (decayed over idle
-        /// time as if 1500 B packets had drained at 10 Mbps), a mark
-        /// probability rising from `min_th` to `max_th` with the
-        /// count-based correction, forced marks above `max_th`.
-        Red {
-            cfg: RedConfig,
-            avg: f64,
-            count: i64,
-            idle_since: Option<Time>,
-        },
     }
 
     impl SlotFifo {
-        fn new(spec: &QueueSpec) -> Self {
-            let rule = match *spec {
-                QueueSpec::DropTailPackets(n) => Rule::DropTail {
-                    max_packets: n,
-                    max_bytes: usize::MAX,
-                },
-                QueueSpec::DropTailBytes(n) => Rule::DropTail {
-                    max_packets: usize::MAX,
-                    max_bytes: n,
-                },
-                QueueSpec::Red(cfg) => Rule::Red {
-                    cfg,
-                    avg: 0.0,
-                    count: -1,
-                    idle_since: Some(Time::ZERO),
-                },
-            };
-            SlotFifo {
-                rule,
-                fifo: VecDeque::new(),
-                bytes: 0,
+        /// Queues `slot` unless the buffer is full.
+        fn enqueue(&mut self, slot: PacketSlot) -> bool {
+            let fits = self.fifo.len() < self.max_packets;
+            if fits {
+                self.fifo.push_back(slot);
             }
-        }
-
-        fn enqueue(
-            &mut self,
-            slot: PacketSlot,
-            pkts: &mut PacketSlab,
-            now: Time,
-            rng: &mut DetRng,
-        ) -> EnqueueOutcome {
-            let len = self.fifo.len();
-            let size = pkts[slot].size;
-            let mut outcome = EnqueueOutcome::Enqueued;
-            match &mut self.rule {
-                Rule::DropTail {
-                    max_packets,
-                    max_bytes,
-                } => {
-                    if len + 1 > *max_packets || self.bytes + size > *max_bytes {
-                        return EnqueueOutcome::Dropped;
-                    }
-                }
-                Rule::Red {
-                    cfg,
-                    avg,
-                    count,
-                    idle_since,
-                } => {
-                    if len >= cfg.capacity {
-                        *count = 0;
-                        return EnqueueOutcome::Dropped;
-                    }
-                    if let Some(idle_start) = idle_since.take() {
-                        let idle = now.since(idle_start).as_secs_f64();
-                        let m = (idle / (1500.0 * 8.0 / 10e6)).floor();
-                        *avg *= (1.0 - cfg.weight).powf(m.max(0.0));
-                    }
-                    *avg += cfg.weight * (len as f64 - *avg);
-                    let p = if *avg < cfg.min_th {
-                        None
-                    } else if *avg >= cfg.max_th {
-                        Some(1.0)
-                    } else {
-                        Some(cfg.max_p * ((*avg - cfg.min_th) / (cfg.max_th - cfg.min_th)))
-                    };
-                    let hit = match p {
-                        None => {
-                            *count = -1;
-                            false
-                        }
-                        Some(p) if p >= 1.0 => {
-                            *count = 0;
-                            true
-                        }
-                        Some(pb) => {
-                            *count += 1;
-                            let denom = 1.0 - *count as f64 * pb;
-                            let hit = rng.chance(if denom <= 0.0 { 1.0 } else { pb / denom });
-                            if hit {
-                                *count = 0;
-                            }
-                            hit
-                        }
-                    };
-                    if hit {
-                        if !(cfg.ecn && pkts[slot].ecn.is_capable()) {
-                            return EnqueueOutcome::Dropped;
-                        }
-                        pkts[slot].ecn = Ecn::Ce;
-                        outcome = EnqueueOutcome::EnqueuedMarked;
-                    }
-                }
-            }
-            self.bytes += size;
-            self.fifo.push_back(slot);
-            outcome
-        }
-
-        fn dequeue(&mut self, pkts: &PacketSlab, now: Time) -> Option<PacketSlot> {
-            let slot = self.fifo.pop_front()?;
-            self.bytes -= pkts[slot].size;
-            if let Rule::Red { idle_since, .. } = &mut self.rule {
-                if self.fifo.is_empty() {
-                    *idle_since = Some(now);
-                }
-            }
-            Some(slot)
+            fits
         }
     }
 
@@ -744,7 +569,10 @@ mod link_differential {
                 id,
                 rate: spec.rate,
                 delay: spec.delay,
-                queue: SlotFifo::new(&spec.queue),
+                queue: SlotFifo {
+                    max_packets: spec.queue_limit,
+                    fifo: VecDeque::new(),
+                },
                 pkts: PacketSlab::new(),
                 loss_rate: spec.loss_rate,
                 faults: spec.faults.clone(),
@@ -769,7 +597,7 @@ mod link_differential {
                 }
                 return;
             }
-            if let Some(slot) = self.queue.dequeue(&self.pkts, now) {
+            if let Some(slot) = self.queue.fifo.pop_front() {
                 let done_at = now + self.rate.transmit_time(self.pkts[slot].size);
                 evq.schedule(done_at, SimEvent::LinkTxDone { link: self.id });
                 // The simulator's tie rule: a delivery that draws nothing
@@ -806,18 +634,12 @@ mod link_differential {
                 return;
             }
             let slot = self.pkts.insert(pkt);
-            match self.queue.enqueue(slot, &mut self.pkts, now, rng) {
-                EnqueueOutcome::Enqueued => self.stats.enqueued += 1,
-                EnqueueOutcome::EnqueuedMarked => {
-                    self.stats.enqueued += 1;
-                    self.stats.marked += 1;
-                }
-                EnqueueOutcome::Dropped => {
-                    self.stats.dropped_queue += 1;
-                    self.pkts.free(slot);
-                    return;
-                }
+            if !self.queue.enqueue(slot) {
+                self.stats.dropped_queue += 1;
+                self.pkts.free(slot);
+                return;
             }
+            self.stats.enqueued += 1;
             self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.fifo.len());
             if self.in_flight.is_none() {
                 self.start_tx(now, evq);
@@ -946,12 +768,7 @@ mod link_differential {
     }
 
     /// The packet step `i` offers (the network stamps its id).
-    fn scripted_packet(i: usize, size: u16, dst: Addr) -> Packet {
-        let ecn = if i.is_multiple_of(2) {
-            Ecn::Ect
-        } else {
-            Ecn::NotEct
-        };
+    fn scripted_packet(size: u16, dst: Addr) -> Packet {
         Packet::new(
             Addr(1),
             dst,
@@ -961,7 +778,6 @@ mod link_differential {
             usize::from(size),
             Payload::empty(),
         )
-        .with_ecn(ecn)
     }
 
     /// Everything observable about one run.
@@ -1041,7 +857,7 @@ mod link_differential {
                     let (op, arg, ..) = script[i];
                     match op {
                         0..=5 => {
-                            let mut pkt = scripted_packet(i, arg, Addr(2));
+                            let mut pkt = scripted_packet(arg, Addr(2));
                             pkt.id = next_id;
                             next_id += 1;
                             hops[0].offer(pkt, now, &mut rng, &mut evq);
@@ -1135,7 +951,7 @@ mod link_differential {
                 let (op, arg, ..) = script[i];
                 match op {
                     0..=5 => sim.with_node::<Scripter, _>(src, |_, ctx| {
-                        ctx.send(scripted_packet(i, arg, dst));
+                        ctx.send(scripted_packet(arg, dst));
                     }),
                     6 => {}
                     _ => {
@@ -1182,13 +998,12 @@ mod link_differential {
         Ok((seen, pops))
     }
 
-    /// `(queue, loss_pct, delay_us, rate, seed)`: `queue` 0-1 is RED, 2-7
-    /// a drop-tail of that many packets, 8-9 a drop-tail of 1,200 or
-    /// 4,500 bytes (the first refuses a large packet even when empty).
+    /// `(queue, loss_pct, delay_us, rate, seed)`: `queue` is the
+    /// drop-tail cap in packets, 1-10.
     type Path = (usize, u8, u32, usize, u64);
 
     fn path_strategy() -> impl Strategy<Value = Path> {
-        (0usize..10, 0u8..30, 0u32..3_000, 1usize..4, 0u64..1_000)
+        (1usize..11, 0u8..30, 0u32..3_000, 1usize..4, 0u64..1_000)
     }
 
     /// `(spike, reorder, duplicate, outages)`: each probability is the
@@ -1217,21 +1032,8 @@ mod link_differential {
             link_faults =
                 link_faults.with_outage(start, start + Duration::from_micros(u64::from(length_us)));
         }
-        let red = RedConfig {
-            min_th: 1.0,
-            max_th: 4.0,
-            max_p: 0.5,
-            weight: 0.5,
-            capacity: 6,
-            ecn: true,
-        };
         let first = LinkSpec::new(RATES[rate], Duration::from_micros(u64::from(delay_us)))
-            .with_queue(match queue {
-                0 | 1 => QueueSpec::Red(red),
-                8 => QueueSpec::DropTailBytes(1_200),
-                9 => QueueSpec::DropTailBytes(4_500),
-                n => QueueSpec::DropTailPackets(n),
-            })
+            .with_queue_limit(queue)
             .with_loss(f64::from(loss_pct) / 100.0)
             .with_faults(link_faults);
         let second = LinkSpec {
@@ -1285,7 +1087,7 @@ mod link_differential {
         /// A link that hands its packet to the wire when serialization
         /// starts, and schedules a completion only when something waits
         /// on it, is indistinguishable from one that completes eagerly:
-        /// same deliveries, drops, marks, counters at every read and RNG
+        /// same deliveries, drops, counters at every read and RNG
         /// draws, in no more events. Its packets sit in the event
         /// queue's slab from acceptance to delivery and no longer.
         #[test]

@@ -17,7 +17,7 @@
 use std::fmt::Write as _;
 
 use cm_netsim::fault::LinkFaults;
-use cm_netsim::link::{LinkSpec, QueueSpec};
+use cm_netsim::link::LinkSpec;
 use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 use cm_netsim::sim::{Node, NodeCtx, NodeId};
 use cm_netsim::topology::Topology;
@@ -114,11 +114,11 @@ fn run(seed: u64) -> String {
         ..faults
     };
     let bottleneck = LinkSpec::new(Rate::from_mbps(4), Duration::from_millis(5))
-        .with_queue(QueueSpec::DropTailPackets(16))
+        .with_queue_limit(16)
         .with_loss(0.01)
         .with_faults(faults);
-    let access = LinkSpec::new(Rate::from_mbps(10), Duration::from_micros(200))
-        .with_queue(QueueSpec::DropTailPackets(12));
+    let access =
+        LinkSpec::new(Rate::from_mbps(10), Duration::from_micros(200)).with_queue_limit(12);
     let (_, _, center) = topo.dumbbell(&hosts[..2], &hosts[2..], &bottleneck, &access);
     let mut sim = topo.build();
     sim.run_until(Time::from_millis(400));

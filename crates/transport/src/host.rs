@@ -43,7 +43,7 @@ use cm_core::api::{CmNotification, CongestionManager};
 use cm_core::config::CmConfig;
 use cm_core::types::{Endpoint, FeedbackReport, FlowId, FlowInfo, FlowKey, Thresholds};
 use cm_netsim::cpu::{CostModel, Cpu};
-use cm_netsim::packet::{Addr, Ecn, Packet, Payload, Protocol};
+use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 use cm_netsim::sim::{Node, NodeCtx};
 use cm_util::{Duration, FxHashMap, Time};
 
@@ -631,8 +631,7 @@ impl Host {
         let Some(meta) = self.conn_meta[conn_id.0 as usize].as_ref() else {
             return;
         };
-        let ecn_capable = seg.len > 0 && self.cfg.tcp.ecn;
-        let mut pkt = Packet::new(
+        let pkt = Packet::new(
             ctx.addr(),
             meta.remote,
             meta.local_port,
@@ -641,9 +640,6 @@ impl Host {
             seg.len as usize + TCP_OVERHEAD,
             Payload::Tcp(seg),
         );
-        if ecn_capable {
-            pkt = pkt.with_ecn(Ecn::Ect);
-        }
         // Kernel send path: TCP processing + IP output + the data copy.
         let work =
             self.cfg.cost.tcp_proc + self.cfg.cost.ip_output + self.cfg.cost.copy(seg.len as usize);
@@ -729,7 +725,6 @@ impl Node for Host {
         let now = ctx.now();
         // Receive path: interrupt + driver.
         self.cpu.run(now, self.cfg.cost.interrupt);
-        let ce = pkt.ecn == Ecn::Ce;
         match pkt.proto {
             Protocol::Tcp => {
                 let Payload::Tcp(seg) = pkt.payload else {
@@ -780,7 +775,7 @@ impl Node for Host {
                     None => return,
                 };
                 match self.conns[conn_id.0 as usize].as_mut() {
-                    Some(c) => c.on_segment_into(&seg, ce, now, &mut self.tcp_actions),
+                    Some(c) => c.on_segment_into(&seg, now, &mut self.tcp_actions),
                     None => return,
                 };
                 self.run_tcp_actions(ctx, conn_id);

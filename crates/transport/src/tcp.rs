@@ -3,8 +3,8 @@
 //! The connection object implements connection establishment and teardown,
 //! reliable in-order delivery with out-of-order reassembly, RTT estimation
 //! from timestamps, RTO with exponential backoff, fast retransmit on three
-//! duplicate ACKs with NewReno partial-ACK recovery, optional delayed
-//! ACKs, and ECN echo — everything the paper's §3.2 keeps *inside* TCP
+//! duplicate ACKs with NewReno partial-ACK recovery, and optional
+//! delayed ACKs — everything the paper's §3.2 keeps *inside* TCP
 //! when the CM takes over congestion control:
 //!
 //! > "TCP/CM offloads all congestion control to the CM, while retaining
@@ -26,9 +26,8 @@
 //!
 //! The reliability core reaches `Cc` at four points only: may I send
 //! (`pump`), I sent (a retransmission's charge), data acked
-//! (`Cc::on_ack`), and `Cc::congestion` for an ECN echo, the third
-//! duplicate ACK and the RTO, the one place Reno halves and TCP/CM
-//! reports a loss.
+//! (`Cc::on_ack`), and `Cc::congestion` for the third duplicate ACK and
+//! the RTO, the one place Reno halves and TCP/CM reports a loss.
 //!
 //! The object is deliberately pure: every entry point produces a list of
 //! [`TcpAction`]s (segments to emit, timers to arm, CM calls to make,
@@ -56,8 +55,6 @@ pub struct TcpConfig {
     pub delayed_ack: bool,
     /// Receive window advertised to the peer.
     pub rwnd: u64,
-    /// Mark data packets ECN-capable and react to ECE echoes.
-    pub ecn: bool,
 }
 
 impl Default for TcpConfig {
@@ -66,7 +63,6 @@ impl Default for TcpConfig {
             mss: 1460,
             delayed_ack: true,
             rwnd: 1 << 24,
-            ecn: false,
         }
     }
 }
@@ -311,10 +307,10 @@ impl Cc {
         }
     }
 
-    /// A congestion signal with `flight` bytes outstanding: an ECN echo
-    /// (`Ecn`), the third duplicate ACK (`Transient`) or the RTO
-    /// (`Persistent`). Reno halves its window, inflated by the three
-    /// duplicates in fast recovery and cut to one segment at a timeout.
+    /// A congestion signal with `flight` bytes outstanding: the third
+    /// duplicate ACK (`Transient`) or the RTO (`Persistent`). Reno halves
+    /// its window, inflated by the three duplicates in fast recovery and
+    /// cut to one segment at a timeout.
     /// TCP/CM reports the signal (§3.2); a lost segment's charge drains
     /// with its retransmission, but a timeout drains the whole flight.
     fn congestion(&mut self, signal: LossMode, flight: u64, mss: u64, out: &mut Vec<TcpAction>) {
@@ -322,9 +318,8 @@ impl Cc {
             Cc::Native { cwnd, ssthresh } => {
                 *ssthresh = (flight / 2).max(2 * mss);
                 *cwnd = match signal {
-                    LossMode::Transient => *ssthresh + 3 * mss,
                     LossMode::Persistent => mss,
-                    _ => *ssthresh,
+                    _ => *ssthresh + 3 * mss,
                 };
             }
             Cc::Cm {
@@ -383,8 +378,6 @@ pub struct TcpConnection {
     /// Highest offset ever transmitted; sends below it after a timeout's
     /// go-back-N reset are retransmissions for accounting purposes.
     highest_sent: u64,
-    /// ECN: highest offset at which we already reacted to an ECE.
-    ecn_reacted_at: u64,
 
     // --- Receive side ---
     /// Next expected offset.
@@ -403,8 +396,6 @@ pub struct TcpConnection {
     ack_pending: bool,
     /// Timestamp to echo on the next ACK.
     echo_ts: Option<Time>,
-    /// An ECN CE mark awaits echoing.
-    ece_pending: bool,
 
     /// Counters.
     pub stats: TcpStats,
@@ -482,7 +473,6 @@ impl TcpConnection {
             rtt: RttEstimator::new(),
             rto_armed: false,
             highest_sent: 0,
-            ecn_reacted_at: 0,
             rcv_nxt: 0,
             ooo: Ranges::default(),
             delivered: 0,
@@ -490,7 +480,6 @@ impl TcpConnection {
             segs_since_ack: 0,
             ack_pending: false,
             echo_ts: None,
-            ece_pending: false,
             stats: TcpStats::default(),
         }
     }
@@ -584,24 +573,16 @@ impl TcpConnection {
     // Segment arrival
     // ------------------------------------------------------------------
 
-    /// Processes an incoming segment (`ce_marked` reports the IP-layer
-    /// ECN CE codepoint).
-    pub fn on_segment(&mut self, seg: &TcpSegment, ce_marked: bool, now: Time) -> Vec<TcpAction> {
-        collect(|out| self.on_segment_into(seg, ce_marked, now, out))
+    /// Processes an incoming segment. `_ce_marked` is ignored: no
+    /// simulated queue marks a packet. It stays because the benchmark's
+    /// TCP replay (`benchmark/src/replay.rs`) passes it.
+    pub fn on_segment(&mut self, seg: &TcpSegment, _ce_marked: bool, now: Time) -> Vec<TcpAction> {
+        collect(|out| self.on_segment_into(seg, now, out))
     }
 
     /// [`TcpConnection::on_segment`], appending its actions to `out`.
-    pub fn on_segment_into(
-        &mut self,
-        seg: &TcpSegment,
-        ce_marked: bool,
-        now: Time,
-        out: &mut Vec<TcpAction>,
-    ) {
+    pub fn on_segment_into(&mut self, seg: &TcpSegment, now: Time, out: &mut Vec<TcpAction>) {
         self.stats.segs_rcvd += 1;
-        if ce_marked && self.cfg.ecn {
-            self.ece_pending = true;
-        }
         // The header's 32-bit positions, at full width: a sequence number
         // is near what we expect next, an acknowledgement near what we
         // wait on.
@@ -651,11 +632,6 @@ impl TcpConnection {
         let mss = self.cfg.mss as u64;
         self.peer_wnd = seg.wnd as u64;
         self.absorb_sack(seg.sack_blocks());
-        // ECN echo: react at most once per window of data.
-        if seg.flags.ece && self.cfg.ecn && self.snd_una >= self.ecn_reacted_at {
-            self.ecn_reacted_at = self.snd_nxt;
-            self.cc.congestion(LossMode::Ecn, self.flight(), mss, out);
-        }
 
         if ack > self.snd_una {
             // --- New data acknowledged ---
@@ -791,7 +767,6 @@ impl TcpConnection {
         let force = out_of_order
             || !self.ooo.is_empty()
             || seg.flags.fin
-            || self.ece_pending
             || !self.cfg.delayed_ack
             || self.segs_since_ack >= 2;
         if force {
@@ -1134,10 +1109,8 @@ impl TcpConnection {
     fn send_ack(&mut self, now: Time, out: &mut Vec<TcpAction>) {
         let flags = TcpFlags {
             ack: true,
-            ece: self.ece_pending,
             ..Default::default()
         };
-        self.ece_pending = false;
         let ack = self.make_segment(self.snd_nxt, 0, flags, now);
         self.stats.acks_sent += 1;
         self.emit(ack, out);

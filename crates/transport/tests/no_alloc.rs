@@ -90,7 +90,7 @@ fn bulk(loss: f64, routed: bool) -> (Simulator, LinkId) {
 /// allocate.
 ///
 /// Drives: netsim `EventQueue::schedule`, `pop`, `advance`,
-/// `Link::offer`, `start_tx`, the drop-tail `Queue::enqueue`, `dequeue`,
+/// `Link::offer`, `start_tx`, `DropTailQueue::enqueue`, `dequeue`,
 /// `PacketSlab::insert`, `remove` (and, `routed`, the simulator's router
 /// forwarding); transport `TcpConnection::on_segment_into`; shard
 /// `request`, `notify`, `update`, `tick`, `try_grants` (round-robin).

@@ -269,9 +269,9 @@ impl Run {
         match event {
             Event::Arrive { conn, to_rx, seg } => {
                 if !to_rx {
-                    self.senders[conn].on_segment_into(&seg, false, now, &mut self.actions);
+                    self.senders[conn].on_segment_into(&seg, now, &mut self.actions);
                 } else if let Some(rx) = self.receivers[conn].as_mut() {
-                    rx.on_segment_into(&seg, false, now, &mut self.actions);
+                    rx.on_segment_into(&seg, now, &mut self.actions);
                 } else {
                     let (rx, actions) =
                         TcpConnection::accept(cfg.clone(), CcMode::Native, &seg, now);

@@ -7,7 +7,6 @@
 use congestion_manager::apps::ack_clients::{AckReceiver, FeedbackPolicy};
 use congestion_manager::apps::vat::{DropPolicy, VatAudio};
 use congestion_manager::netsim::channel::PathSpec;
-use congestion_manager::netsim::link::QueueSpec;
 use congestion_manager::netsim::topology::Topology;
 use congestion_manager::transport::host::{Host, HostConfig};
 use congestion_manager::util::{Duration, Rate, Time};
@@ -26,8 +25,8 @@ fn run(policy: DropPolicy, link_kbps: u64) {
 
     // A narrow path with a short queue: interactive audio cannot hide
     // behind deep buffers.
-    let path = PathSpec::new(Rate::from_kbps(link_kbps), Duration::from_millis(50))
-        .with_queue(QueueSpec::DropTailPackets(8));
+    let path =
+        PathSpec::new(Rate::from_kbps(link_kbps), Duration::from_millis(50)).with_queue_limit(8);
     topo.emulated_path(tx_id, rx_id, &path);
     let mut sim = topo.build();
     sim.run_until(stop + Duration::from_secs(2));

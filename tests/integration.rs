@@ -4,7 +4,6 @@ use congestion_manager::apps::bulk::{BulkReceiver, BulkSender};
 use congestion_manager::apps::web::{WebClient, WebServer};
 use congestion_manager::core::prelude::*;
 use congestion_manager::netsim::channel::PathSpec;
-use congestion_manager::netsim::link::LinkSpec;
 use congestion_manager::netsim::topology::Topology;
 use congestion_manager::transport::host::{Host, HostConfig};
 use congestion_manager::transport::types::CcMode;
@@ -202,64 +201,6 @@ fn concurrent_flows_share_fairly() {
     assert!(p1 > 0.0 && p2 > 0.0, "both making progress");
     let ratio = p1.max(p2) / p1.min(p2);
     assert!(ratio < 2.0, "progress imbalance: {p1} vs {p2}");
-}
-
-/// ECN: with RED+ECN on the bottleneck and ECN-capable TCP, transfers
-/// complete with window reductions driven by marks instead of only drops.
-#[test]
-fn ecn_marks_drive_cm_reductions() {
-    use congestion_manager::netsim::queue::RedConfig;
-    use congestion_manager::transport::tcp::TcpConfig;
-
-    let tcp = TcpConfig {
-        ecn: true,
-        ..Default::default()
-    };
-    let mut topo = Topology::new(5);
-    let mut server = Host::new(HostConfig {
-        tcp: tcp.clone(),
-        ..Default::default()
-    });
-    server.add_app(Box::new(BulkReceiver::new(80, CcMode::Cm)));
-    let server_id = topo.add_host(Box::new(server));
-    let server_addr = topo.sim().addr_of(server_id);
-    let mut client = Host::new(HostConfig {
-        tcp,
-        ..Default::default()
-    });
-    let app = client.add_app(Box::new(BulkSender::new(
-        server_addr,
-        80,
-        CcMode::Cm,
-        600_000,
-    )));
-    let client_id = topo.add_host(Box::new(client));
-    let spec = LinkSpec::new(Rate::from_mbps(4), D::from_millis(20)).with_queue(
-        congestion_manager::netsim::link::QueueSpec::Red(RedConfig {
-            min_th: 5.0,
-            max_th: 15.0,
-            max_p: 0.2,
-            weight: 0.02,
-            capacity: 50,
-            ecn: true,
-        }),
-    );
-    let rev = LinkSpec::new(Rate::from_mbps(4), D::from_millis(20));
-    let fwd_link = {
-        let d = topo.duplex_asym(client_id, server_id, &spec, &rev);
-        topo.sim_mut().set_default_route(client_id, d.forward);
-        topo.sim_mut().set_default_route(server_id, d.reverse);
-        d.forward
-    };
-    let mut sim = topo.build();
-    sim.run_until(Time::from_secs(60));
-    let done = sim
-        .node_ref::<Host>(client_id)
-        .app_ref::<BulkSender>(app)
-        .done_at;
-    assert!(done.is_some(), "ECN transfer completed");
-    let marked = sim.link_stats(fwd_link).marked;
-    assert!(marked > 0, "RED marked {marked} packets");
 }
 
 /// The CM API example from the crate docs, end to end, including
