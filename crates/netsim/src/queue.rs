@@ -124,22 +124,4 @@ mod tests {
         assert!(q.is_empty());
         assert!(pkts.is_empty());
     }
-
-    #[test]
-    fn droptail_packet_limit() {
-        let mut q = DropTailQueue::with_packet_limit(2);
-        let mut pkts = PacketSlab::new();
-        assert!(q.enqueue(pkts.insert(pkt(0)), 100));
-        assert!(q.enqueue(pkts.insert(pkt(1)), 100));
-        // A third packet, however small, finds no slot.
-        let refused = pkts.insert(pkt(2));
-        assert!(!q.enqueue(refused, 1));
-        pkts.free(refused);
-        assert_eq!(q.len_packets(), 2);
-        // One leaves, one more fits.
-        let (slot, _) = q.dequeue().unwrap();
-        pkts.free(slot);
-        assert!(q.enqueue(pkts.insert(pkt(3)), 100));
-        assert_eq!(pkts.len(), 2);
-    }
 }

@@ -524,31 +524,16 @@ mod link_differential {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
-    /// The reference link's buffer, modelled here rather than built from
-    /// `cm_netsim::queue`, so that the real queue is checked against a
-    /// model and not against itself: a FIFO of bare slots, drop-tail by
-    /// packet count, that reads every size from the reference's own slab.
-    struct SlotFifo {
-        max_packets: usize,
-        fifo: VecDeque<PacketSlot>,
-    }
-
-    impl SlotFifo {
-        /// Queues `slot` unless the buffer is full.
-        fn enqueue(&mut self, slot: PacketSlot) -> bool {
-            let fits = self.fifo.len() < self.max_packets;
-            if fits {
-                self.fifo.push_back(slot);
-            }
-            fits
-        }
-    }
-
     struct EagerLink {
         id: LinkId,
         rate: Rate,
         delay: Duration,
-        queue: SlotFifo,
+        /// The buffer, modelled here rather than built from
+        /// `cm_netsim::queue`, so that the real queue is checked against
+        /// a model and not against itself: bare slots, drop-tail at
+        /// `queue_limit` packets, every size read from `pkts`.
+        queue: VecDeque<PacketSlot>,
+        queue_limit: usize,
         /// The packets of `queue` and `in_flight`.
         pkts: PacketSlab,
         loss_rate: f64,
@@ -569,10 +554,8 @@ mod link_differential {
                 id,
                 rate: spec.rate,
                 delay: spec.delay,
-                queue: SlotFifo {
-                    max_packets: spec.queue_limit,
-                    fifo: VecDeque::new(),
-                },
+                queue: VecDeque::new(),
+                queue_limit: spec.queue_limit,
                 pkts: PacketSlab::new(),
                 loss_rate: spec.loss_rate,
                 faults: spec.faults.clone(),
@@ -597,7 +580,7 @@ mod link_differential {
                 }
                 return;
             }
-            if let Some(slot) = self.queue.fifo.pop_front() {
+            if let Some(slot) = self.queue.pop_front() {
                 let done_at = now + self.rate.transmit_time(self.pkts[slot].size);
                 evq.schedule(done_at, SimEvent::LinkTxDone { link: self.id });
                 // The simulator's tie rule: a delivery that draws nothing
@@ -634,13 +617,14 @@ mod link_differential {
                 return;
             }
             let slot = self.pkts.insert(pkt);
-            if !self.queue.enqueue(slot) {
+            if self.queue.len() >= self.queue_limit {
                 self.stats.dropped_queue += 1;
                 self.pkts.free(slot);
                 return;
             }
+            self.queue.push_back(slot);
             self.stats.enqueued += 1;
-            self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.fifo.len());
+            self.stats.max_queue_pkts = self.stats.max_queue_pkts.max(self.queue.len());
             if self.in_flight.is_none() {
                 self.start_tx(now, evq);
             }
@@ -698,7 +682,7 @@ mod link_differential {
         }
 
         fn queue_len(&self) -> usize {
-            self.queue.fifo.len()
+            self.queue.len()
         }
 
         fn own_packets(&self) -> usize {
