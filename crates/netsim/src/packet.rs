@@ -2,11 +2,11 @@
 //!
 //! The simulator moves [`Packet`]s between nodes. A packet carries enough
 //! header information for routing (`src`/`dst` addresses), demultiplexing
-//! (ports and [`Protocol`]), and byte accounting (`size`, the full wire size used for serialization delay and
-//! queue occupancy). Its transport header rides inline as a [`Payload`], a
-//! closed enum over the wire formats in [`crate::segment`]; the simulator
-//! never looks inside it, and the protocols that do live in
-//! `cm-transport`.
+//! (ports and [`Protocol`]), and byte accounting (`size`, the full wire
+//! size used for serialization delay and queue occupancy). Its transport
+//! header rides inline as a [`Payload`], a closed enum over the wire
+//! formats in [`crate::segment`]; the simulator never looks inside it,
+//! and the protocols that do live in `cm-transport`.
 
 use core::fmt;
 

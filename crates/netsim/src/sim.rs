@@ -417,8 +417,8 @@ impl Simulator {
         self.world.links[link.0].stats(self.now, &self.evq)
     }
 
-    /// Mutable link access. Nothing in the library changes a link this
-    /// way; readers use it for a link's endpoints and queue length.
+    /// Mutable access to a link. No library code changes a link through
+    /// it; its callers read a link's endpoints and queue length.
     pub fn link_mut(&mut self, link: LinkId) -> &mut Link {
         &mut self.world.links[link.0]
     }
