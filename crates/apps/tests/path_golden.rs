@@ -26,7 +26,7 @@ use cm_apps::bulk::{BulkReceiver, BulkSender};
 use cm_apps::layered::{AdaptMode, LayeredStreamer};
 use cm_apps::vat::{DropPolicy, VatAudio};
 use cm_apps::web::{WebClient, WebServer};
-use cm_core::config::{AggregationPolicy, CmConfig};
+use cm_core::config::CmConfig;
 use cm_netsim::channel::PathSpec;
 use cm_netsim::cpu::CostModel;
 use cm_netsim::link::{LinkId, LinkSpec};
@@ -207,28 +207,23 @@ fn bulk_line(label: &str, loss: f64, cost: CostModel) -> String {
     line(label, &fnv, &sim, &[client_id, server_id], 0)
 }
 
-/// Three web-client hosts in one subnet fetch from one TCP/CM server
-/// that aggregates by subnet, across a dumbbell that loses packets both
-/// ways, with the paper's CPU costs: one shared macroflow on the server,
-/// passive opens, SYN and FIN retransmission, application timers, and
-/// the deferred-transmit queue (`TxDequeue`) on every send.
+/// Three web-client hosts fetch from one TCP/CM server across a
+/// dumbbell that loses packets both ways, with the paper's CPU costs:
+/// one macroflow per client host on the server, shared by that client's
+/// sequential connections, passive opens, SYN and FIN retransmission,
+/// application timers, and the deferred-transmit queue (`TxDequeue`) on
+/// every send.
 fn web_line(label: &str) -> String {
     let cost = CostModel::default();
     let mut topo = Topology::new(23);
     let mut server = Host::new(HostConfig {
         cost,
-        cm: CmConfig {
-            aggregation: AggregationPolicy::Subnet {
-                host_bits: AggregationPolicy::SUBNET_HOST_BITS,
-            },
-            ..Default::default()
-        },
         ..Default::default()
     });
     let server_app = server.add_app(Box::new(WebServer::new(80, CcMode::Cm, 48 * 1024)));
     let server_id = topo.add_host(Box::new(server));
     let server_addr = topo.sim().addr_of(server_id);
-    let clients: Vec<(NodeId, AppId)> = (1..=3)
+    let clients: Vec<(NodeId, AppId)> = (1..=3u32)
         .map(|n| {
             let mut host = Host::new(HostConfig {
                 cost,
@@ -241,7 +236,7 @@ fn web_line(label: &str) -> String {
                 Duration::from_millis(250 + 50 * u64::from(n)),
                 48 * 1024,
             )));
-            (topo.add_host_in_subnet(Box::new(host), 2, n), app)
+            (topo.add_host(Box::new(host)), app)
         })
         .collect();
     let client_ids: Vec<NodeId> = clients.iter().map(|&(id, _)| id).collect();
