@@ -26,7 +26,7 @@
 //! # Sharding
 //!
 //! Internally the CM is a set of shards (`crate::shard::Shard`) keyed by
-//! aggregation group id: each shard owns its own flow/macroflow slabs,
+//! group — a macroflow's destination address: each shard owns its own flow/macroflow slabs,
 //! free-lists, generation arrays, and notification outbox, and this type
 //! is a thin front over the shard
 //! engine (`crate::engine`) that routes every entry point to the owning
@@ -37,13 +37,11 @@
 //! and behaviour (ids included) is byte-compatible with the historical
 //! unsharded CM; [`crate::config::ShardingMode::ByGroup`] gives each
 //! group its own shard, created lazily and kept for the CM's life.
-//! `split`/`merge` stay intra-shard by construction
-//! (a flow's private macroflows live in its home shard).
-//! `merge_unchecked` is bounded by the *shard*, not the group: a target
-//! in another shard is rejected with [`CmError::CrossShardMerge`]
-//! (shards own disjoint slabs), while groups that share a shard — always
-//! in single mode, and past the `max_shards` cap in by-group mode — keep
-//! the historical §5 cross-group semantics.
+//! `split`/`merge` stay intra-shard by construction: a flow's own
+//! destination and its private macroflows live in its home shard, and
+//! `merge` accepts no other target. A target in another shard is
+//! rejected with [`CmError::CrossShardMerge`] (shards own disjoint
+//! slabs) before the destination check runs.
 
 use cm_obs::{FlightRecorder, TraceRecord};
 use cm_util::Time;
@@ -79,7 +77,7 @@ pub struct CmStats {
     pub opens: u64,
     /// `close` calls that succeeded.
     pub closes: u64,
-    /// `request` calls (including those inside `bulk_request`).
+    /// `request` calls.
     pub requests: u64,
     /// Send grants issued.
     pub grants: u64,
@@ -218,8 +216,6 @@ pub struct CongestionManager {
     /// The shards; the index is the shard part of every id this CM
     /// hands out.
     table: ShardTable,
-    /// Pooled buffer for `bulk_request`'s touched-shard set.
-    scratch_shards: Vec<u32>,
 }
 
 impl CongestionManager {
@@ -235,7 +231,6 @@ impl CongestionManager {
         CongestionManager {
             router: Router::new(&cfg),
             table,
-            scratch_shards: Vec::new(),
         }
     }
 
@@ -258,11 +253,10 @@ impl CongestionManager {
     // State management (paper §2.1.1)
     // ------------------------------------------------------------------
 
-    /// Opens a flow (`cm_open`), assigning it to the macroflow the
-    /// configured [`crate::config::AggregationPolicy`] selects — joining
-    /// (and reusing the learned state of) the group's existing macroflow,
-    /// or creating one with fresh congestion state for the group's first
-    /// flow. In sharded mode this is also where
+    /// Opens a flow (`cm_open`), assigning it to its destination host's
+    /// macroflow — joining (and reusing the learned state of) the
+    /// destination's existing macroflow, or creating one with fresh
+    /// congestion state for the destination's first flow. In sharded mode this is also where
     /// the group's shard is created (lazily) and the returned id carries
     /// its shard index.
     pub fn open(&mut self, key: FlowKey, now: Time) -> CmResult<FlowId> {
@@ -305,42 +299,6 @@ impl CongestionManager {
     /// the macroflow's window has room, or later when feedback opens it.
     pub fn request(&mut self, flow: FlowId, now: Time) -> CmResult<()> {
         self.flow_shard_mut(flow)?.request(flow, now)
-    }
-
-    /// Batched [`CongestionManager::request`] (`cm_bulk_request`, paper
-    /// §5 "Optimizations"): one call, many flows, one grant pass per
-    /// touched macroflow. Batches may span shards; each touched shard
-    /// runs its own grant pass after the whole batch is enqueued.
-    pub fn bulk_request(&mut self, flows: &[FlowId], now: Time) -> CmResult<()> {
-        let mut touched = std::mem::take(&mut self.scratch_shards);
-        touched.clear();
-        let mut result = Ok(());
-        for &flow in flows {
-            let sid = flow.shard();
-            match self.table.route(sid) {
-                Some(shard) => {
-                    if let Err(e) = shard.enqueue_request(flow, now) {
-                        result = Err(e);
-                        break;
-                    }
-                }
-                None => {
-                    result = Err(CmError::UnknownFlow(flow));
-                    break;
-                }
-            }
-            if !touched.contains(&sid) {
-                touched.push(sid);
-            }
-        }
-        for &sid in &touched {
-            if let Some(shard) = self.table.route(sid) {
-                shard.flush_enqueued(now);
-            }
-        }
-        touched.clear();
-        self.scratch_shards = touched;
-        result
     }
 
     // ------------------------------------------------------------------
@@ -397,7 +355,7 @@ impl CongestionManager {
     }
 
     /// Moves `flow` onto a brand-new private macroflow with fresh
-    /// congestion state (splitting it from the policy-assigned
+    /// congestion state (splitting it from its destination's
     /// aggregate). The shared RTT estimate is inherited — the path did
     /// not change — but window state starts over. The private macroflow
     /// is created in the flow's own shard.
@@ -410,40 +368,20 @@ impl CongestionManager {
     }
 
     /// Moves `flow` onto an existing macroflow (`merge`). The target must
-    /// aggregate the flow's own group under the configured aggregation
-    /// policy (the same destination by default, the same prefix under
-    /// per-subnet grouping) or be private; use
-    /// [`CongestionManager::merge_unchecked`] for the paper's §5
-    /// shared-bottleneck extension where unrelated groups share state.
-    /// In sharded mode the target must additionally live in the flow's
-    /// shard (always true for same-group targets and for private
-    /// macroflows the flow's own `split` created).
+    /// aggregate the flow's own destination or be private (made by
+    /// `split`); any other target is rejected with
+    /// [`CmError::DestinationMismatch`], so every member of a
+    /// destination's macroflow goes to that destination. In sharded mode
+    /// the target must additionally live in the flow's shard, or the
+    /// call fails with [`CmError::CrossShardMerge`] (always true for the
+    /// flow's own destination and for private macroflows the flow's own
+    /// `split` created). The flow must have no unresolved grants; its
+    /// scheduler weight and pending requests move with it.
     pub fn merge(&mut self, flow: FlowId, into: MacroflowId, now: Time) -> CmResult<()> {
         if flow.shard() != into.shard() {
             return Err(CmError::CrossShardMerge);
         }
         self.flow_shard_mut(flow)?.merge(flow, into, now)
-    }
-
-    /// Moves `flow` onto `into` without the group check — aggregating
-    /// "multiple destination hosts behind the same shared bottleneck
-    /// link" (paper §5). The caller asserts path sharing. The flow's
-    /// scheduler weight and pending requests move with it.
-    ///
-    /// The boundary is the **shard**, not the group: shards own
-    /// disjoint slabs, so a target in another shard is rejected with
-    /// [`CmError::CrossShardMerge`], while a target whose group shares
-    /// the flow's shard is accepted — always the case under the default
-    /// single-shard mode (every macroflow is reachable, exactly as
-    /// before), and, in by-group mode, for groups hash-shared onto one
-    /// shard past the `max_shards` cap. A group keeps its shard for the
-    /// CM's life, so callers that need the answer in advance in by-group
-    /// mode can compare [`FlowId::shard`] of one flow from each group.
-    pub fn merge_unchecked(&mut self, flow: FlowId, into: MacroflowId, now: Time) -> CmResult<()> {
-        if flow.shard() != into.shard() {
-            return Err(CmError::CrossShardMerge);
-        }
-        self.flow_shard_mut(flow)?.merge_unchecked(flow, into, now)
     }
 
     // ------------------------------------------------------------------
@@ -1185,45 +1123,7 @@ mod tests {
             cm.merge(f2, mf1, Time::ZERO),
             Err(CmError::DestinationMismatch)
         );
-        // The unchecked variant permits it (shared-bottleneck extension).
-        cm.merge_unchecked(f2, mf1, Time::ZERO).unwrap();
-        assert_eq!(cm.macroflow_of(f2).unwrap(), mf1);
-    }
-
-    #[test]
-    fn subnet_policy_groups_across_destination_hosts() {
-        use crate::config::AggregationPolicy;
-        let mut cm = CongestionManager::new(CmConfig {
-            aggregation: AggregationPolicy::Subnet { host_bits: 8 },
-            ..Default::default()
-        });
-        // 0x0101 and 0x0102 share a /24-style prefix; 0x0201 does not.
-        let f1 = cm.open(key(1000, 0x0101), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 0x0102), Time::ZERO).unwrap();
-        let f3 = cm.open(key(1002, 0x0201), Time::ZERO).unwrap();
-        assert_eq!(cm.macroflow_of(f1).unwrap(), cm.macroflow_of(f2).unwrap());
-        assert_ne!(cm.macroflow_of(f1).unwrap(), cm.macroflow_of(f3).unwrap());
-        assert_eq!(cm.macroflow_count(), 2);
-        // Shared state across hosts in the prefix: f2 sees RTT learned
-        // from f1's feedback.
-        cm.update(
-            f1,
-            FeedbackReport::ack(0, 0).with_rtt(Duration::from_millis(70)),
-            Time::ZERO,
-        )
-        .unwrap();
-        let info = cm.query(f2, Time::ZERO).unwrap();
-        assert_eq!(info.srtt, Some(Duration::from_millis(70)));
-        // The checked merge uses the policy's group, not the raw
-        // destination: same-prefix merges pass, cross-prefix fail.
-        let private = cm.split(f2, Time::ZERO).unwrap();
-        assert_ne!(private, cm.macroflow_of(f1).unwrap());
-        cm.merge(f2, cm.macroflow_of(f1).unwrap(), Time::ZERO)
-            .unwrap();
-        assert_eq!(
-            cm.merge(f3, cm.macroflow_of(f1).unwrap(), Time::ZERO),
-            Err(CmError::DestinationMismatch)
-        );
+        assert_ne!(cm.macroflow_of(f2).unwrap(), mf1);
     }
 
     /// Regression (satellite fix): a scheduler weight set via
@@ -1300,24 +1200,6 @@ mod tests {
         let mf = cm.macroflow_of(f2).unwrap();
         assert_eq!(cm.window_of(mf).unwrap(), 1460);
         assert_eq!(cm.outstanding_of(mf).unwrap(), 0);
-    }
-
-    #[test]
-    fn bulk_request_grants_across_flows() {
-        let mut cm = CongestionManager::new(CmConfig::default());
-        let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
-        let f2 = cm.open(key(1001, 9), Time::ZERO).unwrap();
-        cm.bulk_request(&[f1, f2], Time::ZERO).unwrap();
-        assert_eq!(cm.stats().requests, 2);
-        // One MTU of window: exactly one grant.
-        assert_eq!(grants_in(&drain(&mut cm)).len(), 1);
-        // A batch that comes back to a macroflow it already touched
-        // still gives each macroflow its one MTU, once.
-        let g1 = cm.open(key(1002, 10), Time::ZERO).unwrap();
-        let h = cm.open(key(1003, 11), Time::ZERO).unwrap();
-        let g2 = cm.open(key(1004, 10), Time::ZERO).unwrap();
-        cm.bulk_request(&[g1, h, g2], Time::ZERO).unwrap();
-        assert_eq!(grants_in(&drain(&mut cm)), vec![g1, h]);
     }
 
     #[test]
@@ -1597,7 +1479,7 @@ mod tests {
     }
 
     /// Groups get their own shards: ids carry the shard index, routing
-    /// agrees with the policy's group, and state stays per-shard.
+    /// agrees with the destination, and state stays per-shard.
     #[test]
     fn by_group_sharding_partitions_state() {
         let mut cm = CongestionManager::new(sharded(16));
@@ -1641,23 +1523,23 @@ mod tests {
         assert_eq!(cm.lookup(&key(1002, 7)), Some(f3));
     }
 
-    /// Cross-shard `merge_unchecked` is rejected: shards own disjoint
-    /// slabs. (Single-shard mode keeps the historical §5 semantics — see
-    /// `merge_rejects_destination_mismatch`.)
+    /// Cross-shard `merge` is rejected: shards own disjoint slabs, so
+    /// even a private target, which the destination check admits, must
+    /// live in the flow's shard.
     #[test]
     fn sharded_cross_shard_merge_rejected() {
         let mut cm = CongestionManager::new(sharded(16));
         let f1 = cm.open(key(1000, 9), Time::ZERO).unwrap();
         let f2 = cm.open(key(1001, 7), Time::ZERO).unwrap();
         let mf1 = cm.macroflow_of(f1).unwrap();
-        assert_eq!(
-            cm.merge_unchecked(f2, mf1, Time::ZERO),
-            Err(CmError::CrossShardMerge)
-        );
         assert_eq!(cm.merge(f2, mf1, Time::ZERO), Err(CmError::CrossShardMerge));
         // Intra-shard split + merge-back still work.
         let private = cm.split(f1, Time::ZERO).unwrap();
         assert_eq!(private.shard(), f1.shard());
+        assert_eq!(
+            cm.merge(f2, private, Time::ZERO),
+            Err(CmError::CrossShardMerge)
+        );
         cm.merge(f1, mf1, Time::ZERO).unwrap();
         assert_eq!(cm.macroflow_of(f1).unwrap(), mf1);
     }

@@ -2,84 +2,32 @@
 
 use cm_util::Duration;
 
-use crate::types::FlowKey;
-
-/// How `cm_open` groups flows into macroflows.
-///
-/// The paper's default granularity is the destination host ("all flows
-/// destined to the same end host take the same path in the common case",
-/// §2), but §5 explicitly anticipates coarser aggregates — several
-/// destinations behind one bottleneck — and the API's `split`/`merge`
-/// calls exist so applications can restructure groups themselves. This
-/// enum makes the granularity a first-class, pluggable policy: `open`
-/// consults it to pick (or create) the flow's macroflow.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AggregationPolicy {
-    /// One macroflow per destination host (the paper's default; exactly
-    /// the grouping previous versions hardcoded).
-    Destination,
-    /// One macroflow per destination prefix: addresses that agree above
-    /// the low `host_bits` bits share congestion state — the "multiple
-    /// destination hosts behind the same shared bottleneck" aggregate of
-    /// §5. Use [`AggregationPolicy::SUBNET_HOST_BITS`] to match the
-    /// simulator's subnet addressing.
-    Subnet {
-        /// Number of low address bits that distinguish hosts within one
-        /// group (the prefix is `addr >> host_bits`).
-        host_bits: u8,
-    },
-}
-
-impl AggregationPolicy {
-    /// The `host_bits` value matching `cm-netsim`'s subnet addressing
-    /// (`Addr::from_subnet`), where the low byte is the host number.
-    pub const SUBNET_HOST_BITS: u8 = 8;
-
-    /// The aggregation group a flow key belongs to under this policy.
-    pub fn group_of(&self, key: &FlowKey) -> u64 {
-        match *self {
-            AggregationPolicy::Destination => key.remote.addr as u64,
-            AggregationPolicy::Subnet { host_bits } => {
-                (key.remote.addr >> host_bits.min(31)) as u64
-            }
-        }
-    }
-
-    /// Stable label for experiment and bench output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AggregationPolicy::Destination => "destination",
-            AggregationPolicy::Subnet { .. } => "subnet",
-        }
-    }
-}
-
 /// How the CM's state is partitioned into shards.
 ///
 /// The unsharded CM keeps one flow slab, one macroflow slab, and one
 /// maintenance scan for the whole host. At the scale the roadmap targets
-/// (millions of flows), the aggregation group *is* the natural sharding
-/// key: flows in different groups share no congestion state, so each
-/// group's slabs, free-lists, and notification outbox can live in their
-/// own shard, and the maintenance `tick` can skip shards with nothing to
-/// do instead of scanning every macroflow on the host.
+/// (millions of flows), the destination host — the macroflow's group —
+/// *is* the natural sharding key: flows to different destinations share
+/// no congestion state, so each group's slabs, free-lists, and
+/// notification outbox can live in their own shard, and the maintenance
+/// `tick` can skip shards with nothing to do instead of scanning every
+/// macroflow on the host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardingMode {
     /// One shard for everything — byte-compatible with the historical
-    /// unsharded CM (ids, grouping, and `merge_unchecked` semantics are
-    /// exactly as before). The default.
+    /// unsharded CM (ids and grouping are exactly as before). The
+    /// default.
     Single,
-    /// One shard per aggregation group (as computed by
-    /// [`AggregationPolicy::group_of`]), created lazily on the group's
-    /// first `open` and kept for the CM's life. At most `max_shards`
-    /// shards exist; the groups met after the first `max_shards` are
-    /// deterministically hashed onto the existing shards (sharing slabs,
-    /// not congestion state).
+    /// One shard per group (destination address), created lazily on the
+    /// group's first `open` and kept for the CM's life. At most
+    /// `max_shards` shards exist; the groups met after the first
+    /// `max_shards` are deterministically hashed onto the existing shards
+    /// (sharing slabs, not congestion state).
     ///
-    /// Cross-*shard* `merge_unchecked` is rejected with
-    /// [`crate::CmError::CrossShardMerge`]: shards share no slabs, so
-    /// the §5 shared-bottleneck aggregate across groups needs the
-    /// detector-driven design tracked in the roadmap.
+    /// `merge` onto a macroflow in another shard is rejected with
+    /// [`crate::CmError::CrossShardMerge`]: shards share no slabs. A
+    /// flow's own destination and its shard's private macroflows are
+    /// always in its shard.
     ByGroup {
         /// Upper bound on the shards a CM creates (clamped to the id
         /// encoding's limit, [`crate::types::MAX_SHARDS`]).
@@ -104,7 +52,7 @@ impl Default for ShardingConfig {
 }
 
 impl ShardingConfig {
-    /// Convenience: shard by aggregation group with the given cap.
+    /// Convenience: shard by group (destination) with the given cap.
     pub fn by_group(max_shards: u32) -> Self {
         ShardingConfig {
             mode: ShardingMode::ByGroup { max_shards },
@@ -206,9 +154,6 @@ pub struct CmConfig {
     pub controller: ControllerKind,
     /// Inter-flow scheduler.
     pub scheduler: SchedulerKind,
-    /// How flows are grouped into macroflows (paper §2 default plus the
-    /// §5 coarser granularities).
-    pub aggregation: AggregationPolicy,
     /// How the CM's state is partitioned into shards (default: one
     /// shard, the paper's single trust domain).
     pub sharding: ShardingConfig,
@@ -247,7 +192,6 @@ impl Default for CmConfig {
                 byte_counting: true,
             },
             scheduler: SchedulerKind::RoundRobin,
-            aggregation: AggregationPolicy::Destination,
             sharding: ShardingConfig::default(),
             macroflow_linger: Duration::from_secs(120),
             pacing: true,
@@ -296,47 +240,22 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_groups_by_policy() {
-        use crate::types::Endpoint;
-        let key = |local: u32, remote: u32| {
-            FlowKey::new(Endpoint::new(local, 1000), Endpoint::new(remote, 80))
-        };
-        let dest = AggregationPolicy::Destination;
-        assert_eq!(dest.group_of(&key(1, 0x0203)), 0x0203);
-        assert_ne!(
-            dest.group_of(&key(1, 0x0203)),
-            dest.group_of(&key(1, 0x0204))
-        );
-
-        let subnet = AggregationPolicy::Subnet {
-            host_bits: AggregationPolicy::SUBNET_HOST_BITS,
-        };
-        // Same /24-style prefix: one group. Different prefix: another.
-        assert_eq!(
-            subnet.group_of(&key(1, 0x0203)),
-            subnet.group_of(&key(1, 0x0204))
-        );
-        assert_ne!(
-            subnet.group_of(&key(1, 0x0203)),
-            subnet.group_of(&key(1, 0x0303))
-        );
-    }
-
-    #[test]
-    fn aggregation_labels_are_stable() {
-        assert_eq!(AggregationPolicy::Destination.label(), "destination");
-        assert_eq!(AggregationPolicy::Subnet { host_bits: 8 }.label(), "subnet");
-    }
-
-    #[test]
     fn default_config_keeps_static_destination_grouping() {
-        use crate::types::Endpoint;
-        let c = CmConfig::default();
-        assert_eq!(c.aggregation, AggregationPolicy::Destination);
+        use crate::types::{Endpoint, FlowKey};
+        use crate::CongestionManager;
+        use cm_util::Time;
+        let mut cm = CongestionManager::new(CmConfig::default());
         // Ports are part of a flow's identity, not of its group.
         let key = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(9, 80));
         let other = FlowKey::new(Endpoint::new(1, 1001), Endpoint::new(9, 443));
-        assert_eq!(c.aggregation.group_of(&key), c.aggregation.group_of(&other));
+        let elsewhere = FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(10, 80));
+        let mf = |cm: &mut CongestionManager, k| {
+            let f = cm.open(k, Time::ZERO).unwrap();
+            cm.macroflow_of(f).unwrap()
+        };
+        let (a, b, c) = (mf(&mut cm, key), mf(&mut cm, other), mf(&mut cm, elsewhere));
+        assert_eq!(a, b);
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -23,15 +23,14 @@ use cm_obs::{TraceEvent, Tracer};
 use cm_util::{FxHashMap, Time};
 
 use crate::api::{CmNotification, CmStats};
-use crate::config::{AggregationPolicy, CmConfig, ShardingMode};
+use crate::config::{CmConfig, ShardingMode};
 use crate::shard::{tracer_for, Shard};
 use crate::types::{FlowKey, MAX_SHARDS};
 
-/// Group → shard-index routing. Pure bookkeeping: it owns no shard and
+/// Group (destination address) → shard-index routing. Pure bookkeeping: it owns no shard and
 /// never looks inside one, which is what lets the runtime keep it on the
 /// front while the shards live on worker threads.
 pub(crate) struct Router {
-    aggregation: AggregationPolicy,
     mode: ShardingMode,
     /// Shard indices by-group routing may hand out: the clamped
     /// `max_shards`.
@@ -50,7 +49,6 @@ impl Router {
             ShardingMode::ByGroup { max_shards } => max_shards.clamp(1, MAX_SHARDS) as usize,
         };
         Router {
-            aggregation: cfg.aggregation,
             mode: cfg.sharding.mode,
             cap,
             owners: FxHashMap::default(),
@@ -77,7 +75,7 @@ impl Router {
         if matches!(self.mode, ShardingMode::Single) {
             return 0;
         }
-        let group = self.aggregation.group_of(key);
+        let group = key.remote.addr as u64;
         self.index_of(group).unwrap_or_else(|| {
             let idx = self.owners.len() as u32;
             self.owners.insert(group, idx);
@@ -90,7 +88,7 @@ impl Router {
     pub(crate) fn route_key(&self, key: &FlowKey) -> Option<u32> {
         match self.mode {
             ShardingMode::Single => Some(0),
-            ShardingMode::ByGroup { .. } => self.index_of(self.aggregation.group_of(key)),
+            ShardingMode::ByGroup { .. } => self.index_of(key.remote.addr as u64),
         }
     }
 

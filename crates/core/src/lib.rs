@@ -30,7 +30,6 @@
 //! | `cm_query(flow)`          | [`CongestionManager::query`]                   |
 //! | `cm_thresh(down, up)`     | [`CongestionManager::set_thresholds`]          |
 //! | `cmapp_update` callback   | [`CmNotification::RateChange`]                 |
-//! | `cm_bulk_request` etc.    | [`CongestionManager::bulk_request`] and kin    |
 //! | macroflow construction    | [`CongestionManager::split`] / [`CongestionManager::merge`] |
 //!
 //! Kernel-style synchronous callbacks are inverted into a notification
@@ -87,8 +86,7 @@ pub mod types;
 pub use api::{CmNotification, CmStats, CongestionManager};
 pub use cm_obs::{CongestionSignal, FlightRecorder, TraceEvent, TraceRecord, Tracer};
 pub use config::{
-    AggregationPolicy, CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode,
-    TracingConfig,
+    CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode, TracingConfig,
 };
 pub use controller::{Controller, DelaySignal};
 pub use error::CmError;
@@ -101,8 +99,7 @@ pub use types::{
 pub mod prelude {
     pub use crate::api::{CmNotification, CongestionManager};
     pub use crate::config::{
-        AggregationPolicy, CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode,
-        TracingConfig,
+        CmConfig, ControllerKind, SchedulerKind, ShardingConfig, ShardingMode, TracingConfig,
     };
     pub use crate::error::CmError;
     pub use crate::runtime::{ParallelConfig, ShardRuntime};

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use cm_util::ewma::RttEstimator;
 use cm_util::{Duration, Ewma, Rate, Time};
 
-use crate::config::{AggregationPolicy, CmConfig};
+use crate::config::CmConfig;
 use crate::controller::{build_controller, Controller};
 use crate::scheduler::SlabScheduler;
 use crate::types::{FlowId, MacroflowId, Thresholds};
@@ -25,21 +25,14 @@ use crate::types::{FlowId, MacroflowId, Thresholds};
 /// Gain of the macroflow loss-rate EWMA.
 const LOSS_EWMA_GAIN: f64 = 0.125;
 
-/// What a macroflow aggregates over: one variant per
-/// [`AggregationPolicy`] granularity, plus the private macroflows that
-/// `split` creates.
+/// What a macroflow aggregates over: a destination host, or nothing for
+/// the private macroflows that `split` creates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MacroflowKey {
-    /// The default: all flows to one destination address.
+    /// All flows to one destination address.
     Destination {
         /// Remote network address.
         addr: u32,
-    },
-    /// All flows whose destination shares one prefix
-    /// ([`AggregationPolicy::Subnet`]).
-    Subnet {
-        /// The shared prefix (`addr >> host_bits`).
-        prefix: u32,
     },
     /// A macroflow created by `split`; not eligible for default
     /// assignment.
@@ -47,22 +40,11 @@ pub enum MacroflowKey {
 }
 
 impl MacroflowKey {
-    /// Builds the key for aggregation group `group` under `policy`.
-    pub fn for_group(policy: AggregationPolicy, group: u64) -> Self {
-        let g = group as u32;
-        match policy {
-            AggregationPolicy::Destination => MacroflowKey::Destination { addr: g },
-            AggregationPolicy::Subnet { .. } => MacroflowKey::Subnet { prefix: g },
-        }
-    }
-
-    /// The group this key indexes in the shard's group map, or `None`
-    /// for private macroflows.
+    /// The group this key indexes in the shard's group map — the
+    /// destination address — or `None` for private macroflows.
     pub fn group(&self) -> Option<u64> {
         match *self {
-            MacroflowKey::Destination { addr: g } | MacroflowKey::Subnet { prefix: g } => {
-                Some(g as u64)
-            }
+            MacroflowKey::Destination { addr } => Some(addr as u64),
             MacroflowKey::Private(_) => None,
         }
     }

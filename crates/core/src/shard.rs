@@ -159,10 +159,9 @@ pub(crate) struct Shard {
     /// re-boxing, so macroflow churn — split/merge cycles included —
     /// allocates nothing once the pool is warm.
     mf_pool: Vec<Macroflow>,
-    /// Aggregation-group index: the group of `Macroflow::key` ->
-    /// macroflow slot, for every live group-keyed macroflow (lingering
-    /// ones included; private ones have no group). The group id is
-    /// computed by the configured [`crate::config::AggregationPolicy`].
+    /// Group index: the group of `Macroflow::key` (its destination
+    /// address) -> macroflow slot, for every live destination-keyed
+    /// macroflow (lingering ones included; private ones have no group).
     /// A shard normally hosts one routing group, but overflow routing
     /// (more groups than shards) and the single-shard mode put several
     /// here; the index keeps them apart.
@@ -170,8 +169,7 @@ pub(crate) struct Shard {
     pub(crate) outbox: VecDeque<CmNotification>,
     pub(crate) stats: CmStats,
     next_private_key: u32,
-    /// Pooled buffers so the hot entry points allocate nothing.
-    scratch_mfs: Vec<MacroflowId>,
+    /// Pooled buffer so the hot entry points allocate nothing.
     scratch_flows: Vec<FlowId>,
     /// Set by every mutating entry point; cleared by `tick`. A shard
     /// that is neither dirty nor pending maintenance is skipped in O(1).
@@ -214,7 +212,6 @@ impl Shard {
             outbox: VecDeque::new(),
             stats: CmStats::default(),
             next_private_key: 0,
-            scratch_mfs: Vec::new(),
             scratch_flows: Vec::new(),
             dirty: true,
             pending_maintenance: true,
@@ -243,7 +240,7 @@ impl Shard {
             Probe::Found(_) => return Err(CmError::DuplicateFlow),
             Probe::Vacant(v) => v,
         };
-        let group = self.cfg.aggregation.group_of(&key);
+        let group = key.remote.addr as u64;
         let mfs = &self.mfs;
         let mf_id = match self
             .group_index
@@ -251,7 +248,9 @@ impl Shard {
         {
             Probe::Found(s) => MacroflowId(self.base | s),
             Probe::Vacant(v) => {
-                let mk = MacroflowKey::for_group(self.cfg.aggregation, group);
+                let mk = MacroflowKey::Destination {
+                    addr: key.remote.addr,
+                };
                 let id = self.alloc_macroflow(mk, now);
                 self.group_index.fill(v, slot(id.0) as u32);
                 id
@@ -402,30 +401,6 @@ impl Shard {
         Ok(())
     }
 
-    /// The enqueue half of `bulk_request`: records the request and the
-    /// touched macroflow without granting, so the front can run one
-    /// grant pass per touched macroflow after the whole batch (batches
-    /// may span shards; each shard flushes its own touched set).
-    pub(crate) fn enqueue_request(&mut self, flow: FlowId, now: Time) -> CmResult<()> {
-        let f = self.flow_mut(flow)?;
-        let mf_id = f.macroflow;
-        f.last_api = now;
-        self.stats.requests += 1;
-        if self.park_if_backing_off(flow, now) {
-            return Ok(());
-        }
-        let (mf, sched) = self.mf_sched(mf_id)?;
-        mf.scheduler.enqueue(sched, lid(flow));
-        // Only a run of requests on one macroflow is folded: `try_grants`
-        // is idempotent, so a macroflow listed twice costs the flush one
-        // more O(1) pass, where a membership scan here would make a
-        // batch quadratic in the macroflows it touches.
-        if self.scratch_mfs.last() != Some(&mf_id) {
-            self.scratch_mfs.push(mf_id);
-        }
-        Ok(())
-    }
-
     /// If `flow` is in unresponsive-app backoff, parks one request on it
     /// and returns true; clears an expired backoff otherwise. Parked
     /// requests re-queue via `notify` (the app proved itself alive) or
@@ -440,18 +415,6 @@ impl Shard {
             .is_some_and(|c| c.park_if_backing_off(now));
         self.parked_count += usize::from(parked);
         parked
-    }
-
-    /// The grant half of `bulk_request`: one `try_grants` pass per run
-    /// of requests `enqueue_request` saw on one macroflow since the last
-    /// flush.
-    pub(crate) fn flush_enqueued(&mut self, now: Time) {
-        let mut touched = std::mem::take(&mut self.scratch_mfs);
-        for &mf_id in &touched {
-            self.try_grants(mf_id, now);
-        }
-        touched.clear();
-        self.scratch_mfs = touched;
     }
 
     pub(crate) fn notify(&mut self, flow: FlowId, bytes_sent: u64, now: Time) -> CmResult<()> {
@@ -717,24 +680,11 @@ impl Shard {
     }
 
     pub(crate) fn merge(&mut self, flow: FlowId, into: MacroflowId, now: Time) -> CmResult<()> {
-        let natural = self.cfg.aggregation.group_of(&self.flow_ref(flow)?.key);
-        let target_ok = match self.mf_ref(into)?.key.group() {
-            Some(group) => natural == group,
-            None => true,
-        };
-        if !target_ok {
+        let f = self.flow_ref(flow)?;
+        let natural = f.key.remote.addr as u64;
+        if self.mf_ref(into)?.key.group().is_some_and(|g| g != natural) {
             return Err(CmError::DestinationMismatch);
         }
-        self.merge_unchecked(flow, into, now)
-    }
-
-    pub(crate) fn merge_unchecked(
-        &mut self,
-        flow: FlowId,
-        into: MacroflowId,
-        now: Time,
-    ) -> CmResult<()> {
-        let f = self.flow_ref(flow)?;
         if f.granted > 0 {
             return Err(CmError::InvalidArgument(
                 "cannot merge a flow with unresolved grants",
@@ -744,8 +694,6 @@ impl Shard {
         if old_mf == into {
             return Ok(());
         }
-        // Validate the target exists before detaching.
-        let _ = self.mf_ref(into)?;
         self.move_flow(flow, old_mf, into, now)
     }
 
@@ -1124,6 +1072,16 @@ impl Shard {
                     return Err(format!(
                         "flow {:?} back-pointer {} != member position {}",
                         fid, f.mf_pos, pos
+                    ));
+                }
+                if mf
+                    .key
+                    .group()
+                    .is_some_and(|g| g != f.key.remote.addr as u64)
+                {
+                    return Err(format!(
+                        "flow {:?} to {} is a member of {:?}",
+                        fid, f.key.remote.addr, mf.key
                     ));
                 }
                 reserved += f.granted as u64 * mf.controller.mtu();
@@ -1694,6 +1652,29 @@ mod tests {
         let c = cold_of(&shard, ignores);
         assert_eq!(shard.cold.get(c).map(|c| c.reclaim_streak), Some(1));
         assert_eq!(shard.cold.len(), 4);
+        shard.validate().expect("shard invariants");
+    }
+
+    /// A destination's macroflow holds only flows to that destination:
+    /// `merge` refuses another destination's flow, private macroflows
+    /// take any, and a move that bypasses the check fails `validate`.
+    #[test]
+    fn destination_macroflow_holds_only_its_destination() {
+        let mut shard = Shard::new(CmConfig::default(), 0);
+        let now = Time::ZERO;
+        let key = |dst| FlowKey::new(Endpoint::new(1, 1000), Endpoint::new(dst, 80));
+        let [a, b] = [2, 3].map(|d| shard.open(key(d), now).expect("open"));
+        let home = shard.macroflow_of(a).expect("live");
+        let other = shard.macroflow_of(b).expect("live");
+        assert_eq!(shard.merge(b, home, now), Err(CmError::DestinationMismatch));
+        let private = shard.split(a, now).expect("split");
+        shard
+            .merge(b, private, now)
+            .expect("a private target takes any flow");
+        shard.validate().expect("shard invariants");
+        shard.move_flow(b, private, home, now).expect("move");
+        assert!(shard.validate().is_err(), "foreign member went unseen");
+        shard.move_flow(b, home, other, now).expect("move back");
         shard.validate().expect("shard invariants");
     }
 

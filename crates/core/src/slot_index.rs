@@ -1,7 +1,7 @@
 //! A hash index over slab slots that stores no keys.
 //!
 //! The shard finds a flow by its 4-tuple and a macroflow by its
-//! aggregation group. Both keys already sit in the slab slot they name
+//! destination address. Both keys already sit in the slab slot they name
 //! (`Flow::key`, `Macroflow::key`), so an index entry is just the 8-byte
 //! pair `(hash, slot)`: the high 32 bits of the key's [`FxHasher`] hash
 //! and the slot it names. A lookup compares the stored hash first and

@@ -1,7 +1,7 @@
 //! The shard's key indexes against the maps they replaced.
 //!
 //! A shard used to find a flow by its 4-tuple in an
-//! `FxHashMap<FlowKey, FlowId>` and a macroflow by its aggregation group
+//! `FxHashMap<FlowKey, FlowId>` and a macroflow by its destination address
 //! in an `FxHashMap<u64, MacroflowId>`. It now keeps one slot index for
 //! each, which holds 8-byte `(hash, slot)` pairs and confirms a candidate
 //! against the key its slab slot already holds. The two maps are kept

@@ -457,7 +457,7 @@ fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
 }
 
 /// One round of traffic on three weighted flows of one macroflow, each
-/// with rate thresholds: a batched request from every flow; every grant
+/// with rate thresholds: one request from every flow; every grant
 /// claimed but, on every fourth round, the first, which is left to the
 /// grant timeout; feedback for what each flow sent, with a transient
 /// loss on every eighth round; then the maintenance tick.
@@ -468,7 +468,9 @@ fn maintenance_round(
     now: &mut Time,
     notes: &mut Vec<CmNotification>,
 ) {
-    cm.bulk_request(flows, *now).unwrap();
+    for &f in flows {
+        cm.request(f, *now).unwrap();
+    }
     notes.clear();
     cm.drain_notifications_into(notes);
     let mut strand = round.is_multiple_of(4);
@@ -501,10 +503,10 @@ fn maintenance_round(
 
 /// The maintenance and callback paths the other drivers never reach: a
 /// stranded grant reclaimed by the tick, rate callbacks on every
-/// threshold crossing, a batched request, under each scheduling
-/// discipline. Once warm, 80 rounds allocate nothing.
+/// threshold crossing, under each scheduling discipline. Once warm, 80
+/// rounds allocate nothing.
 ///
-/// Drives: shard `enqueue_request`, `update`, `tick`, `try_grants`,
+/// Drives: shard `request`, `update`, `tick`, `try_grants`,
 /// `reclaim_expired_grants`, `emit_rate_callbacks`; scheduler `enqueue`,
 /// `serve_head`, `rotate` (round-robin, weighted round-robin).
 #[test]

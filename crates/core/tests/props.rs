@@ -67,6 +67,45 @@ fn churn_ops_over(dsts: std::ops::Range<u32>) -> impl Strategy<Value = ChurnOp> 
     ]
 }
 
+/// Each churned flow's destination, and whether it sits on a private
+/// macroflow (split off, or merged onto a flow that was): what decides
+/// which macroflows `merge` accepts for it.
+type Homes = cm_util::FxHashMap<FlowId, (u32, bool)>;
+
+/// A `Merge(i, j)` op: moves `flows[i]` onto the `j`-th of the
+/// macroflows `merge` accepts for it — its own destination's or a
+/// private one — other than its current one. Only unresolved grants, or
+/// a private target in another shard, may refuse the move.
+fn merge_op(
+    cm: &mut CongestionManager,
+    flows: &[FlowId],
+    homes: &mut Homes,
+    (i, j): (usize, usize),
+    now: Time,
+) -> Result<(), TestCaseError> {
+    let f = flows[i % flows.len()];
+    let (dst, home) = (homes[&f].0, cm.macroflow_of(f).expect("live flow"));
+    let targets: Vec<(FlowId, MacroflowId)> = flows
+        .iter()
+        .filter(|g| matches!(homes[g], (d, private) if d == dst || private))
+        .map(|&g| (g, cm.macroflow_of(g).expect("live flow")))
+        .filter(|&(_, mf)| mf != home)
+        .collect();
+    let Some(&(g, mf)) = targets.get(j % targets.len().max(1)) else {
+        return Ok(());
+    };
+    match cm.merge(f, mf, now) {
+        Ok(()) => {
+            prop_assert_eq!(f.shard(), mf.shard());
+            let private = homes[&g].1;
+            homes.insert(f, (dst, private));
+        }
+        Err(CmError::CrossShardMerge) => prop_assert_ne!(f.shard(), mf.shard()),
+        Err(e) => prop_assert!(matches!(e, CmError::InvalidArgument(_)), "refused: {e:?}"),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -260,6 +299,7 @@ proptest! {
         let mut now = Time::ZERO;
         let mut flows: Vec<FlowId> = Vec::new();
         let mut weights: cm_util::FxHashMap<FlowId, u32> = Default::default();
+        let mut homes = Homes::default();
         let mut peak_flows = 0usize;
         let mut peak_mfs = 0usize;
         let mut notes = Vec::new();
@@ -274,6 +314,7 @@ proptest! {
                     if let Ok(f) = cm.open(key, now) {
                         flows.push(f);
                         weights.insert(f, 1);
+                        homes.insert(f, (dst, false));
                     }
                 }
                 ChurnOp::Close(i) => {
@@ -306,16 +347,15 @@ proptest! {
                 }
                 ChurnOp::Split(i) => {
                     if !flows.is_empty() {
-                        let _ = cm.split(flows[i % flows.len()], now);
+                        let f = flows[i % flows.len()];
+                        if cm.split(f, now).is_ok() {
+                            homes.insert(f, (homes[&f].0, true));
+                        }
                     }
                 }
                 ChurnOp::Merge(i, j) => {
                     if flows.len() >= 2 {
-                        let f = flows[i % flows.len()];
-                        let target = flows[j % flows.len()];
-                        if let Ok(mf) = cm.macroflow_of(target) {
-                            let _ = cm.merge_unchecked(f, mf, now);
-                        }
+                        merge_op(&mut cm, &flows, &mut homes, (i, j), now)?;
                     }
                 }
                 ChurnOp::Tick(ms) => {
@@ -391,12 +431,12 @@ proptest! {
     }
 
     /// The membership invariants on the *sharded* CM: under
-    /// open/close/split/merge churn across fifteen aggregation groups
+    /// open/close/split/merge churn across fifteen destinations
     /// with `ShardingMode::ByGroup` capped at eight shards (so groups
     /// past the cap share shards by hash), every live flow
     /// belongs to exactly one macroflow, `flows_in`/`macroflow_of`
     /// agree, each shard's slabs stay bounded by that shard's peak live
-    /// counts, every flow lives in the shard its policy group was given
+    /// counts, every flow lives in the shard its destination was given
     /// on first contact (split-off private macroflows included — a split
     /// never crosses shards), and shards persist: the shard count is the
     /// number of distinct groups seen, capped at `max_shards`, emptied
@@ -414,14 +454,14 @@ proptest! {
             pacing: false,
             ..Default::default()
         };
-        let policy = cfg.aggregation;
         let mut cm = CongestionManager::new(cfg);
         let mut now = Time::ZERO;
         let mut flows: Vec<(FlowId, FlowKey)> = Vec::new();
         let mut peak_shard_flows: cm_util::FxHashMap<u32, usize> = Default::default();
         let mut peak_shard_mfs: cm_util::FxHashMap<u32, usize> = Default::default();
         // Each group's shard, from the first flow opened in it.
-        let mut group_shard: cm_util::FxHashMap<u64, u32> = Default::default();
+        let mut group_shard: cm_util::FxHashMap<u32, u32> = Default::default();
+        let mut homes = Homes::default();
         let mut notes = Vec::new();
         for op in ops {
             now += Duration::from_millis(11);
@@ -432,9 +472,10 @@ proptest! {
                         Endpoint::new(dst, 80),
                     );
                     if let Ok(f) = cm.open(key, now) {
-                        let home = *group_shard.entry(policy.group_of(&key)).or_insert(f.shard());
+                        let home = *group_shard.entry(dst).or_insert(f.shard());
                         prop_assert_eq!(home, f.shard(), "a group moved shards");
                         flows.push((f, key));
+                        homes.insert(f, (dst, false));
                     }
                 }
                 ChurnOp::Close(i) => {
@@ -463,27 +504,19 @@ proptest! {
                 }
                 ChurnOp::Split(i) => {
                     if !flows.is_empty() {
-                        let _ = cm.split(flows[i % flows.len()].0, now);
+                        let f = flows[i % flows.len()].0;
+                        if cm.split(f, now).is_ok() {
+                            homes.insert(f, (homes[&f].0, true));
+                        }
                     }
                 }
                 ChurnOp::Merge(i, j) => {
                     if flows.len() >= 2 {
-                        let f = flows[i % flows.len()].0;
-                        let target = flows[j % flows.len()].0;
-                        if let Ok(mf) = cm.macroflow_of(target) {
-                            // Cross-shard merges are rejected; the error
-                            // (not a panic, not corruption) is the
-                            // contract.
-                            match cm.merge_unchecked(f, mf, now) {
-                                Ok(()) => {
-                                    prop_assert_eq!(f.shard(), mf.shard());
-                                }
-                                Err(CmError::CrossShardMerge) => {
-                                    prop_assert_ne!(f.shard(), mf.shard());
-                                }
-                                Err(_) => {}
-                            }
-                        }
+                        // A private target in another shard is rejected;
+                        // the error (not a panic, not corruption) is the
+                        // contract.
+                        let ids: Vec<FlowId> = flows.iter().map(|&(f, _)| f).collect();
+                        merge_op(&mut cm, &ids, &mut homes, (i, j), now)?;
                     }
                 }
                 ChurnOp::Tick(ms) => {
@@ -554,7 +587,7 @@ proptest! {
                 let mf = cm.macroflow_of(f).expect("live flow has a macroflow");
                 prop_assert_eq!(mf.shard(), f.shard());
                 prop_assert_eq!(
-                    group_shard[&policy.group_of(&key)],
+                    group_shard[&key.remote.addr],
                     f.shard(),
                     "flow's shard disagrees with its group's"
                 );
@@ -647,6 +680,7 @@ fn fault_churn(ops: Vec<FaultOp>) -> Result<(), TestCaseError> {
     });
     let mut now = Time::ZERO;
     let mut flows: Vec<FlowId> = Vec::new();
+    let mut homes = Homes::default();
     let mut pending_grants: Vec<FlowId> = Vec::new();
     let mut peak_flows = 0usize;
     let mut notes = Vec::new();
@@ -657,6 +691,7 @@ fn fault_churn(ops: Vec<FaultOp>) -> Result<(), TestCaseError> {
                 let key = FlowKey::new(Endpoint::new(1, port), Endpoint::new(dst, 80));
                 if let Ok(f) = cm.open(key, now) {
                     flows.push(f);
+                    homes.insert(f, (dst, false));
                 }
             }
             FaultOp::Close(i) => {
@@ -732,15 +767,15 @@ fn fault_churn(ops: Vec<FaultOp>) -> Result<(), TestCaseError> {
             }
             FaultOp::Split(i) => {
                 if !flows.is_empty() {
-                    let _ = cm.split(flows[i % flows.len()], now);
+                    let f = flows[i % flows.len()];
+                    if cm.split(f, now).is_ok() {
+                        homes.insert(f, (homes[&f].0, true));
+                    }
                 }
             }
-            FaultOp::MergeUnchecked(i, j) => {
+            FaultOp::Merge(i, j) => {
                 if !flows.is_empty() {
-                    let target = cm
-                        .macroflow_of(flows[j % flows.len()])
-                        .expect("live flow has a macroflow");
-                    let _ = cm.merge_unchecked(flows[i % flows.len()], target, now);
+                    merge_op(&mut cm, &flows, &mut homes, (i, j), now)?;
                 }
             }
             FaultOp::Tick(ms) => {
@@ -834,8 +869,8 @@ enum FaultOp {
     /// An honest transient-loss report.
     Loss(usize),
     Split(usize),
-    /// Move a flow onto another flow's macroflow, whatever its group.
-    MergeUnchecked(usize, usize),
+    /// Move a flow onto another macroflow that `merge` accepts for it.
+    Merge(usize, usize),
     Tick(u16),
 }
 
@@ -855,7 +890,7 @@ fn fault_op_strategy() -> impl Strategy<Value = FaultOp> {
         ((0usize..16), (1u8..8)).prop_map(|(i, w)| FaultOp::SetWeight(i, w)),
         (0usize..16).prop_map(FaultOp::Loss),
         (0usize..16).prop_map(FaultOp::Split),
-        ((0usize..16), (0usize..16)).prop_map(|(i, j)| FaultOp::MergeUnchecked(i, j)),
+        ((0usize..16), (0usize..16)).prop_map(|(i, j)| FaultOp::Merge(i, j)),
         (1u16..500).prop_map(FaultOp::Tick),
     ]
 }

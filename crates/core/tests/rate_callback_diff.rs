@@ -17,7 +17,7 @@
 //! runs after every operation.
 //!
 //! Scripts draw from `props.rs`' alphabet (open, close, ack, loss,
-//! thresholds set and dropped, weight, split, unchecked merge, tick) over
+//! thresholds set and dropped, weight, split, merge, tick) over
 //! both schedulers. The default run is 256 scripts; the `#[ignore]`d
 //! run CI adds is 20,000.
 
@@ -35,6 +35,10 @@ struct World {
     cm: CongestionManager,
     now: Time,
     flows: Vec<FlowId>,
+    /// Each live flow's destination, and whether it sits on a private
+    /// macroflow (split off, or merged onto a flow that was): which
+    /// macroflows `merge` accepts for it.
+    homes: FxHashMap<FlowId, (u32, bool)>,
     /// The model: thresholds and last-told share of every registered flow.
     told: FxHashMap<FlowId, (Thresholds, Rate)>,
     notes: Vec<CmNotification>,
@@ -56,6 +60,7 @@ impl World {
             }),
             now: Time::ZERO,
             flows: Vec::new(),
+            homes: FxHashMap::default(),
             told: FxHashMap::default(),
             notes: Vec::new(),
             callbacks: 0,
@@ -65,6 +70,22 @@ impl World {
     fn pick(&self, rng: &mut DetRng) -> Option<FlowId> {
         (!self.flows.is_empty())
             .then(|| self.flows[rng.next_bounded(self.flows.len() as u64) as usize])
+    }
+
+    /// A flow whose macroflow `merge` accepts for `f` — its own
+    /// destination's or a private one — other than `f`'s current one,
+    /// and that macroflow; `None` when there is none.
+    fn merge_target(&self, f: FlowId, rng: &mut DetRng) -> Option<(FlowId, MacroflowId)> {
+        let dst = self.homes[&f].0;
+        let home = self.cm.macroflow_of(f).expect("live flow");
+        let targets: Vec<(FlowId, MacroflowId)> = self
+            .flows
+            .iter()
+            .filter(|g| matches!(self.homes[g], (d, private) if d == dst || private))
+            .map(|&g| (g, self.cm.macroflow_of(g).expect("live flow")))
+            .filter(|&(_, mf)| mf != home)
+            .collect();
+        (!targets.is_empty()).then(|| targets[rng.next_bounded(targets.len() as u64) as usize])
     }
 
     /// The replaced walk over one macroflow: every registered member, in
@@ -117,6 +138,7 @@ impl World {
                 trail.push(format!("open({key:?})"));
                 if let Ok(f) = self.cm.open(key, now) {
                     self.flows.push(f);
+                    self.homes.insert(f, (key.remote.addr, false));
                 }
             }
             12..=17 => {
@@ -124,6 +146,7 @@ impl World {
                 trail.push(format!("close({f:?})"));
                 self.cm.close(f, now).expect("close of a live flow");
                 self.flows.retain(|&g| g != f);
+                self.homes.remove(&f);
                 self.told.remove(&f);
             }
             18..=44 => {
@@ -183,16 +206,19 @@ impl World {
                 let Some(f) = self.pick(rng) else { return };
                 trail.push(format!("split({f:?})"));
                 self.cm.split(f, now).expect("split of a grant-free flow");
+                self.homes.entry(f).and_modify(|h| h.1 = true);
             }
             80..=87 => {
-                let (Some(f), Some(g)) = (self.pick(rng), self.pick(rng)) else {
+                let Some(f) = self.pick(rng) else { return };
+                let Some((g, target)) = self.merge_target(f, rng) else {
                     return;
                 };
-                let target = self.cm.macroflow_of(g).expect("live flow");
-                trail.push(format!("merge_unchecked({f:?}, {target:?})"));
+                trail.push(format!("merge({f:?}, {target:?})"));
                 self.cm
-                    .merge_unchecked(f, target, now)
-                    .expect("merge of a grant-free flow");
+                    .merge(f, target, now)
+                    .expect("merge of a grant-free flow onto a macroflow it may join");
+                let private = self.homes[&g].1;
+                self.homes.entry(f).and_modify(|h| h.1 = private);
             }
             _ => {
                 let ms = 1 + rng.next_bounded(500);

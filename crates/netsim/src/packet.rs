@@ -14,8 +14,8 @@ use crate::segment::{TcpSegment, UdpDatagram};
 
 /// A network-layer address (think IPv4 host address).
 ///
-/// Addresses are dense small integers assigned by the topology builder;
-/// `Addr(0)` is reserved as "unspecified".
+/// A node's address is its simulator index + 1, so addresses are dense
+/// small integers; `Addr(0)` is reserved as "unspecified".
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Addr(pub u32);
 
@@ -23,52 +23,16 @@ impl Addr {
     /// The unspecified address.
     pub const UNSPECIFIED: Addr = Addr(0);
 
-    /// Bits of an address that number the host within its subnet; the
-    /// rest is the prefix. Matches the CM's
-    /// `AggregationPolicy::SUBNET_HOST_BITS`, so per-subnet macroflow
-    /// aggregation groups exactly the hosts a topology placed together.
-    pub const HOST_BITS: u32 = 8;
-
     /// Returns true if this is the unspecified address.
     pub fn is_unspecified(self) -> bool {
         self.0 == 0
-    }
-
-    /// Composes a prefix-structured address: host `host` within subnet
-    /// `subnet` (think `10.x.<subnet>.<host>`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` does not fit in [`Addr::HOST_BITS`] bits, if
-    /// `subnet` does not fit in 16 bits (the bound keeps every
-    /// composed address inside the 24 bits the dotted display renders,
-    /// and far away from `u32` shift overflow), or if the resulting
-    /// address would be unspecified.
-    pub fn from_subnet(subnet: u32, host: u32) -> Addr {
-        assert!(host < (1 << Self::HOST_BITS), "host {host} out of range");
-        assert!(subnet < (1 << 16), "subnet {subnet} out of range");
-        let addr = Addr((subnet << Self::HOST_BITS) | host);
-        assert!(!addr.is_unspecified(), "subnet 0 host 0 is unspecified");
-        addr
-    }
-
-    /// The subnet (prefix) part of this address.
-    pub fn subnet(self) -> u32 {
-        self.0 >> Self::HOST_BITS
-    }
-
-    /// The host number within the subnet.
-    pub fn host(self) -> u32 {
-        self.0 & ((1 << Self::HOST_BITS) - 1)
     }
 }
 
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Dotted form exposing the prefix structure; plain dense
-        // addresses (subnet 0) render as 10.0.0.N, as before. Only the
-        // low 24 bits are rendered — `from_subnet`'s bounds keep every
-        // composed address inside them.
+        // Dotted form of the low 24 bits: node addresses render as
+        // 10.0.0.N up to 255 nodes.
         write!(
             f,
             "10.{}.{}.{}",
@@ -220,5 +184,6 @@ mod tests {
         assert!(Addr::UNSPECIFIED.is_unspecified());
         assert!(!Addr(3).is_unspecified());
         assert_eq!(format!("{}", Addr(7)), "10.0.0.7");
+        assert_eq!(format!("{}", Addr(0x01_0201)), "10.1.2.1");
     }
 }

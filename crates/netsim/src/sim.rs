@@ -111,14 +111,11 @@ impl Node for RouterNode {
 struct World {
     links: Vec<Link>,
     /// Per-node dense route tables indexed by destination address value.
-    /// Addresses are assigned densely (node index + 1), so this replaces
-    /// a `HashMap<(usize, Addr), LinkId>` lookup on every forwarded
-    /// packet with two array indexes.
+    /// A node's address is its index + 1 ([`node_addr`]), so this
+    /// replaces a `HashMap<(usize, Addr), LinkId>` lookup on every
+    /// forwarded packet with two array indexes.
     routes: Vec<Vec<Option<LinkId>>>,
     default_routes: Vec<Option<LinkId>>,
-    addrs: Vec<Addr>,
-    /// Dense reverse map from address value to node.
-    addr_to_node: Vec<Option<NodeId>>,
     rng: DetRng,
     timer_slots: Vec<TimerSlot>,
     free_timer_slots: Vec<u32>,
@@ -216,7 +213,7 @@ impl NodeCtx<'_> {
 
     /// This node's network address.
     pub fn addr(&self) -> Addr {
-        self.world.addrs[self.node.0]
+        node_addr(self.node)
     }
 
     /// Sends a packet into the network along the routing table.
@@ -277,8 +274,14 @@ impl NodeCtx<'_> {
 
     /// The address assigned to `node` (for composing destination fields).
     pub fn addr_of(&self, node: NodeId) -> Addr {
-        self.world.addrs[node.0]
+        node_addr(node)
     }
+}
+
+/// A node's network address: its index + 1, so `Addr(0)` stays
+/// unspecified.
+fn node_addr(node: NodeId) -> Addr {
+    Addr(node.0 as u32 + 1)
 }
 
 /// A discrete-event network simulator.
@@ -305,8 +308,6 @@ impl Simulator {
                 links: Vec::new(),
                 routes: Vec::new(),
                 default_routes: Vec::new(),
-                addrs: Vec::new(),
-                addr_to_node: Vec::new(),
                 rng: DetRng::seed(seed).split("netsim"),
                 timer_slots: Vec::new(),
                 free_timer_slots: Vec::new(),
@@ -318,40 +319,13 @@ impl Simulator {
         }
     }
 
-    /// Adds a node; its address is assigned automatically (dense, in
-    /// subnet 0) and can be retrieved with [`Simulator::addr_of`].
+    /// Adds a node; its address is its index + 1, as
+    /// [`Simulator::addr_of`] returns it.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
-        let addr = Addr(self.nodes.len() as u32 + 1);
-        self.add_node_with_addr(node, addr)
-    }
-
-    /// Adds a node at an explicit address — how topologies give hosts
-    /// prefix-structured addresses (see [`Addr::from_subnet`]) so
-    /// per-subnet macroflow aggregation is meaningful. Mixing automatic
-    /// and explicit addressing is fine as long as explicit addresses
-    /// stay outside the dense automatic range (use subnets >= 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is unspecified or already assigned.
-    pub fn add_node_with_addr(&mut self, node: Box<dyn Node>, addr: Addr) -> NodeId {
-        assert!(
-            !addr.is_unspecified(),
-            "cannot assign the unspecified address"
-        );
-        assert!(
-            self.node_of_addr(addr).is_none(),
-            "address {addr} already assigned"
-        );
         let id = NodeId(self.nodes.len());
         let any: &dyn Any = node.as_ref();
         self.routers.push(any.is::<RouterNode>());
         self.nodes.push(Some(node));
-        self.world.addrs.push(addr);
-        if self.world.addr_to_node.len() <= addr.0 as usize {
-            self.world.addr_to_node.resize(addr.0 as usize + 1, None);
-        }
-        self.world.addr_to_node[addr.0 as usize] = Some(id);
         self.world.default_routes.push(None);
         self.world.routes.push(Vec::new());
         id
@@ -381,16 +355,7 @@ impl Simulator {
 
     /// The address assigned to `node`.
     pub fn addr_of(&self, node: NodeId) -> Addr {
-        self.world.addrs[node.0]
-    }
-
-    /// The node owning `addr`, if any.
-    fn node_of_addr(&self, addr: Addr) -> Option<NodeId> {
-        self.world
-            .addr_to_node
-            .get(addr.0 as usize)
-            .copied()
-            .flatten()
+        node_addr(node)
     }
 
     /// Total timer-slab capacity ever allocated. Stays bounded by the

@@ -36,15 +36,6 @@ impl Topology {
         self.sim.add_node(node)
     }
 
-    /// Adds a host with a prefix-structured address: host number `host`
-    /// inside `subnet` (see [`crate::packet::Addr::from_subnet`]). Hosts
-    /// placed in one subnet share an address prefix, which is what the
-    /// CM's per-subnet aggregation policy groups on.
-    pub fn add_host_in_subnet(&mut self, node: Box<dyn Node>, subnet: u32, host: u32) -> NodeId {
-        self.sim
-            .add_node_with_addr(node, crate::packet::Addr::from_subnet(subnet, host))
-    }
-
     /// Adds an interior router.
     fn add_router(&mut self) -> NodeId {
         self.sim.add_node(Box::new(RouterNode))
@@ -124,11 +115,6 @@ impl Topology {
     /// Read access to the simulator during construction.
     pub fn sim(&self) -> &Simulator {
         &self.sim
-    }
-
-    /// Mutable access to the simulator during construction.
-    pub fn sim_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
     }
 
     /// Finishes construction.
@@ -288,39 +274,6 @@ mod tests {
             "{per_offer:.3} events per link offer ({} / {offered})",
             sim.events_processed()
         );
-    }
-
-    #[test]
-    fn subnet_hosts_get_prefix_structured_addresses_and_route() {
-        let mut t = Topology::new(6);
-        let s1 = t.add_host_in_subnet(Box::new(Sink { got: 0 }), 2, 1);
-        let s2 = t.add_host_in_subnet(Box::new(Sink { got: 0 }), 2, 2);
-        let a1 = t.sim().addr_of(s1);
-        let a2 = t.sim().addr_of(s2);
-        assert_eq!(a1.subnet(), 2);
-        assert_eq!(a2.subnet(), 2);
-        assert_eq!(a1.subnet(), a2.subnet());
-        assert_eq!((a1.host(), a2.host()), (1, 2));
-        assert_eq!(format!("{a1}"), "10.0.2.1");
-        // Packets route to subnet hosts like any other.
-        let p1 = t.add_host(Box::new(Pinger { dst: a1 }));
-        let p2 = t.add_host(Box::new(Pinger { dst: a2 }));
-        let bottleneck = LinkSpec::new(Rate::from_mbps(1), Duration::from_millis(5));
-        let access = LinkSpec::new(Rate::from_mbps(100), Duration::from_micros(50));
-        t.dumbbell(&[p1, p2], &[s1, s2], &bottleneck, &access);
-        let mut sim = t.build();
-        sim.run_to_quiescence(1_000);
-        assert_eq!(sim.node_ref::<Sink>(s1).got, 1);
-        assert_eq!(sim.node_ref::<Sink>(s2).got, 1);
-        assert_eq!(sim.unrouted_packets(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already assigned")]
-    fn duplicate_explicit_address_rejected() {
-        let mut t = Topology::new(6);
-        let _ = t.add_host_in_subnet(Box::new(Sink { got: 0 }), 3, 7);
-        let _ = t.add_host_in_subnet(Box::new(Sink { got: 0 }), 3, 7);
     }
 
     #[test]

@@ -1350,76 +1350,8 @@ mod tests {
         assert_eq!(delivered, total);
     }
 
-    /// Per-subnet aggregation end to end across a multi-host topology:
-    /// a client whose CM groups by prefix opens TCP/CM connections to
-    /// two servers placed in one subnet behind a shared bottleneck —
-    /// both flows land on one macroflow (shared congestion state), and
-    /// both transfers complete.
-    #[test]
-    fn subnet_aggregation_shares_one_macroflow_across_hosts() {
-        use cm_core::config::AggregationPolicy;
-        use cm_netsim::link::LinkSpec;
-
-        let total = 60 * 1460;
-        let mut topo = Topology::new(11);
-        let server = |port| {
-            let mut h = Host::new(HostConfig::default());
-            h.add_app(Box::new(Receiver {
-                port,
-                mode: CcMode::Cm,
-                delivered: 0,
-            }));
-            h
-        };
-        // Two servers in subnet 2: addresses 10.0.2.1 and 10.0.2.2.
-        let s1 = topo.add_host_in_subnet(Box::new(server(80)), 2, 1);
-        let s2 = topo.add_host_in_subnet(Box::new(server(80)), 2, 2);
-        let s1_addr = topo.sim().addr_of(s1);
-        let s2_addr = topo.sim().addr_of(s2);
-        assert_eq!(s1_addr.subnet(), s2_addr.subnet());
-
-        let mut client = Host::new(HostConfig {
-            cm: cm_core::config::CmConfig {
-                aggregation: AggregationPolicy::Subnet {
-                    host_bits: AggregationPolicy::SUBNET_HOST_BITS,
-                },
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        for addr in [s1_addr, s2_addr] {
-            client.add_app(Box::new(BulkSender {
-                remote: addr,
-                port: 80,
-                mode: CcMode::Cm,
-                total,
-                done_at: None,
-                acked: 0,
-            }));
-        }
-        let client_id = topo.add_host(Box::new(client));
-        let bottleneck = LinkSpec::new(Rate::from_mbps(6), Duration::from_millis(20));
-        let access = LinkSpec::new(Rate::from_mbps(100), Duration::from_micros(100));
-        topo.dumbbell(&[client_id], &[s1, s2], &bottleneck, &access);
-        let mut sim = topo.build();
-        sim.run_until(Time::from_secs(60));
-
-        let client_host = sim.node_ref::<Host>(client_id);
-        // Both destinations share the subnet prefix: one macroflow.
-        assert_eq!(client_host.cm.macroflow_count(), 1);
-        assert_eq!(client_host.cm.flow_count(), 2);
-        for (host_id, _) in [(s1, s1_addr), (s2, s2_addr)] {
-            let h = sim.node_ref::<Host>(host_id);
-            assert_eq!(
-                h.tcp_conn(TcpConnId(0)).map(|c| c.bytes_delivered()),
-                Some(total),
-                "transfer incomplete"
-            );
-        }
-    }
-
     /// The sharded CM end to end: a client whose CM shards by
-    /// aggregation group drives CM-backed TCP to two different
+    /// destination drives CM-backed TCP to two different
     /// destination hosts. Each destination group gets its own shard
     /// (flow ids carry distinct shard bits), both transfers complete,
     /// and the host's periodic `cm_tick` timer keeps every shard
