@@ -210,9 +210,10 @@ fn bulk_line(label: &str, loss: f64, cost: CostModel) -> String {
 /// Three web-client hosts fetch from one TCP/CM server across a
 /// dumbbell that loses packets both ways, with the paper's CPU costs:
 /// one macroflow per client host on the server, shared by that client's
-/// sequential connections, passive opens, SYN and FIN retransmission,
-/// application timers, and the deferred-transmit queue (`TxDequeue`) on
-/// every send.
+/// sequential connections, passive opens, data and FIN retransmission
+/// timeouts, application timers, and the deferred-transmit queue
+/// (`TxDequeue`) on every send. No SYN is lost here; host.rs' unit tests
+/// cover SYN retransmission.
 fn web_line(label: &str) -> String {
     let cost = CostModel::default();
     let mut topo = Topology::new(23);

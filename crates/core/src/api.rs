@@ -26,9 +26,9 @@
 //! # Sharding
 //!
 //! Internally the CM is a set of shards (`crate::shard::Shard`) keyed by
-//! group — a macroflow's destination address: each shard owns its own flow/macroflow slabs,
-//! free-lists, generation arrays, and notification outbox, and this type
-//! is a thin front over the shard
+//! group — a macroflow's destination address: each shard owns its own
+//! flow/macroflow slabs, free-lists, generation arrays, and notification
+//! outbox, and this type is a thin front over the shard
 //! engine (`crate::engine`) that routes every entry point to the owning
 //! shard — by the shard index encoded in the id's high bits for
 //! flow/macroflow-addressed calls, and by the engine's group→shard
@@ -256,9 +256,9 @@ impl CongestionManager {
     /// Opens a flow (`cm_open`), assigning it to its destination host's
     /// macroflow — joining (and reusing the learned state of) the
     /// destination's existing macroflow, or creating one with fresh
-    /// congestion state for the destination's first flow. In sharded mode this is also where
-    /// the group's shard is created (lazily) and the returned id carries
-    /// its shard index.
+    /// congestion state for the destination's first flow. In sharded
+    /// mode this is also where the group's shard is created (lazily) and
+    /// the returned id carries its shard index.
     pub fn open(&mut self, key: FlowKey, now: Time) -> CmResult<FlowId> {
         let sid = self.router.route_open(&key);
         self.table.ensure(sid, now).open(key, now)
@@ -372,11 +372,11 @@ impl CongestionManager {
     /// `split`); any other target is rejected with
     /// [`CmError::DestinationMismatch`], so every member of a
     /// destination's macroflow goes to that destination. In sharded mode
-    /// the target must additionally live in the flow's shard, or the
-    /// call fails with [`CmError::CrossShardMerge`] (always true for the
-    /// flow's own destination and for private macroflows the flow's own
-    /// `split` created). The flow must have no unresolved grants; its
-    /// scheduler weight and pending requests move with it.
+    /// the target must also live in the flow's shard — always so for the
+    /// flow's own destination and for the private macroflows its own
+    /// `split` created — or the call fails with
+    /// [`CmError::CrossShardMerge`]. The flow must have no unresolved
+    /// grants; its scheduler weight and pending requests move with it.
     pub fn merge(&mut self, flow: FlowId, into: MacroflowId, now: Time) -> CmResult<()> {
         if flow.shard() != into.shard() {
             return Err(CmError::CrossShardMerge);

@@ -27,9 +27,9 @@ use crate::config::{CmConfig, ShardingMode};
 use crate::shard::{tracer_for, Shard};
 use crate::types::{FlowKey, MAX_SHARDS};
 
-/// Group (destination address) → shard-index routing. Pure bookkeeping: it owns no shard and
-/// never looks inside one, which is what lets the runtime keep it on the
-/// front while the shards live on worker threads.
+/// Group (destination address) → shard-index routing. Pure bookkeeping:
+/// it owns no shard and never looks inside one, which is what lets the
+/// runtime keep it on the front while the shards live on worker threads.
 pub(crate) struct Router {
     mode: ShardingMode,
     /// Shard indices by-group routing may hand out: the clamped

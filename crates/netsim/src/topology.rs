@@ -244,7 +244,7 @@ mod tests {
         let mut t = Topology::new(8);
         let (mut left, mut right) = (Vec::new(), Vec::new());
         for (i, size) in [200, 1500].into_iter().enumerate() {
-            // Automatic addresses are dense: node index + 1.
+            // A node's address is its index + 1.
             let peer = |node: usize| Addr(node as u32 + 1);
             left.push(t.add_host(Box::new(PingPong {
                 peer: peer(2 * i + 1),
