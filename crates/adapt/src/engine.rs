@@ -2,22 +2,22 @@
 
 use cm_util::{Rate, Time};
 
-use crate::policy::{AdaptationPolicy, Observation};
+use crate::policy::AdaptationPolicy;
 use crate::stats::AdaptationStats;
 
-/// The outcome of one observation.
+/// The outcome of one rate report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Decision {
     /// The level to transmit at from now on.
     pub level: usize,
-    /// Whether this observation changed the level.
+    /// Whether this report changed the level.
     pub changed: bool,
 }
 
 /// One adaptation session: a boxed policy, the selected level, and
 /// quality statistics.
 ///
-/// The box is allocated once at construction; [`Engine::observe`] — the
+/// The box is allocated once at construction; [`Engine::on_rate`] — the
 /// code that runs inside every CM rate callback — performs no heap
 /// allocation (see `tests/no_alloc.rs`).
 pub struct Engine {
@@ -37,28 +37,23 @@ impl Engine {
         }
     }
 
-    /// Feeds one observation through the policy; returns the decision.
+    /// Feeds the rate the CM reports for the flow at `now` through the
+    /// policy; returns the decision.
     ///
     /// Delivered utility is accounted as the held level's rate in KB/s
-    /// (the natural "bytes of quality per second" curve) unless the
-    /// policy is a [`crate::UtilityPolicy`], whose explicit curve the
-    /// caller can integrate separately.
-    pub fn observe(&mut self, obs: &Observation) -> Decision {
+    /// (the natural "bytes of quality per second" curve) for every
+    /// policy: a [`crate::UtilityPolicy`]'s own curve steers its choice
+    /// but is not what the engine integrates.
+    pub fn on_rate(&mut self, now: Time, rate: Rate) -> Decision {
         let utility = self.policy.ladder().rate(self.level).as_kbytes_per_sec();
-        let new_level = self.policy.decide(obs);
-        self.stats.on_observation(obs.now, new_level, utility);
+        let new_level = self.policy.decide(now, rate);
+        self.stats.on_observation(now, new_level, utility);
         let changed = new_level != self.level;
         self.level = new_level;
         Decision {
             level: new_level,
             changed,
         }
-    }
-
-    /// Convenience for the common CM-callback shape: a rate-only
-    /// observation.
-    pub fn on_rate(&mut self, now: Time, rate: Rate) -> Decision {
-        self.observe(&Observation::rate_only(now, rate))
     }
 
     /// The currently selected level.
@@ -97,13 +92,18 @@ mod tests {
     use super::*;
     use crate::ladder::LadderPolicy;
     use crate::policy::RateLadder;
+    use crate::utility::UtilityPolicy;
 
-    fn engine() -> Engine {
-        Engine::new(Box::new(LadderPolicy::immediate(RateLadder::new(vec![
+    fn ladder() -> RateLadder {
+        RateLadder::new(vec![
             Rate::from_kbps(250),
             Rate::from_kbps(500),
             Rate::from_kbps(1000),
-        ]))))
+        ])
+    }
+
+    fn engine() -> Engine {
+        Engine::new(Box::new(LadderPolicy::immediate(ladder())))
     }
 
     #[test]
@@ -135,10 +135,20 @@ mod tests {
 
     #[test]
     fn utility_integral_accumulates_level_rate() {
-        let mut e = engine();
-        e.on_rate(Time::from_secs(0), Rate::from_kbps(600)); // → level 1
-        e.on_rate(Time::from_secs(10), Rate::from_kbps(600));
-        // 10 s held at level 1 (500 kbps = 62.5 KB/s).
-        assert!((e.stats().delivered_utility() - 625.0).abs() < 1e-6);
+        // A log-utility policy is credited the same KB/s as a ladder:
+        // its utility curve is not what the engine integrates.
+        let log = Engine::new(Box::new(UtilityPolicy::log_utility(
+            ladder(),
+            1.0,
+            1.0,
+            0.0,
+        )));
+        for mut e in [engine(), log] {
+            e.on_rate(Time::from_secs(0), Rate::from_kbps(600)); // → level 1
+            e.on_rate(Time::from_secs(10), Rate::from_kbps(600));
+            assert_eq!(e.level(), 1);
+            // 10 s held at level 1 (500 kbps = 62.5 KB/s).
+            assert!((e.stats().delivered_utility() - 625.0).abs() < 1e-6);
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! experiment (or a production deployment) runs thousands. This module
 //! folds per-session statistics into a [`FleetStats`]: dense time-in-level
 //! totals plus **log-bucketed histograms** of the per-session quality
-//! signals (switch rate, oscillation rate, mean delivered utility), so a
-//! fleet's distribution — not just its mean — survives aggregation.
+//! signals (oscillation rate, mean delivered utility), so a fleet's
+//! distribution — not just its mean — survives aggregation.
 //!
 //! The record path follows the flat-state rules of `docs/perf.md`: all
 //! bucket storage is preallocated at construction and
@@ -75,24 +75,6 @@ impl LogHistogram {
         self.counts[idx] += 1;
     }
 
-    /// Folds another histogram in. Both must have identical bucket
-    /// layouts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a layout mismatch.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.lo.to_bits(), other.lo.to_bits(), "layout mismatch");
-        assert_eq!(self.counts.len(), other.counts.len(), "layout mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.total
@@ -155,9 +137,9 @@ impl LogHistogram {
 ///
 /// Construct once with the ladder depth and histogram layout, then
 /// [`FleetStats::record`] each session's final [`AdaptationStats`] (or a
-/// periodic snapshot). Per-session *rates* (switches per minute,
-/// oscillation per minute, mean utility) go into log-bucketed histograms;
-/// time-in-level and the raw counters accumulate densely.
+/// periodic snapshot). Per-session *rates* (oscillation per minute,
+/// mean utility) go into log-bucketed histograms; time-in-level and the
+/// raw counters accumulate densely.
 #[derive(Clone, Debug)]
 pub struct FleetStats {
     sessions: u64,
@@ -166,8 +148,6 @@ pub struct FleetStats {
     total_span: Duration,
     total_utility: f64,
     time_in_level: Vec<Duration>,
-    /// Distribution of per-session switch rates (switches/minute).
-    pub switch_rate: LogHistogram,
     /// Distribution of per-session oscillation rates (reversals/minute).
     pub oscillation: LogHistogram,
     /// Distribution of per-session mean utility (utility/second).
@@ -175,8 +155,8 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// Default first-bucket edge for the rate histograms: 1/16
-    /// switch (or reversal) per minute.
+    /// Default first-bucket edge for the oscillation histogram: 1/16
+    /// reversal per minute.
     pub const RATE_LO: f64 = 1.0 / 16.0;
     /// Default first-bucket edge for the utility histogram: 1 utility
     /// unit per second (1 KB/s on the default rate-utility curve).
@@ -194,7 +174,6 @@ impl FleetStats {
             total_span: Duration::ZERO,
             total_utility: 0.0,
             time_in_level: vec![Duration::ZERO; levels],
-            switch_rate: LogHistogram::new(Self::RATE_LO, Self::BUCKETS),
             oscillation: LogHistogram::new(Self::RATE_LO, Self::BUCKETS),
             utility: LogHistogram::new(Self::UTILITY_LO, Self::BUCKETS),
         }
@@ -216,36 +195,11 @@ impl FleetStats {
         }
         let mins = span.as_secs_f64() / 60.0;
         if mins > 0.0 {
-            self.switch_rate.record(stats.switches as f64 / mins);
             self.oscillation.record(stats.oscillation_per_min());
         }
         if !span.is_zero() {
             self.utility.record(stats.mean_utility());
         }
-    }
-
-    /// Folds another aggregate in (for sharded collection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the level counts or histogram layouts differ.
-    pub fn merge(&mut self, other: &FleetStats) {
-        assert_eq!(
-            self.time_in_level.len(),
-            other.time_in_level.len(),
-            "level count mismatch"
-        );
-        self.sessions += other.sessions;
-        self.switches += other.switches;
-        self.reversals += other.reversals;
-        self.total_span += other.total_span;
-        self.total_utility += other.total_utility;
-        for (a, &b) in self.time_in_level.iter_mut().zip(&other.time_in_level) {
-            *a += b;
-        }
-        self.switch_rate.merge(&other.switch_rate);
-        self.oscillation.merge(&other.oscillation);
-        self.utility.merge(&other.utility);
     }
 
     /// Sessions recorded.
@@ -362,20 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LogHistogram::new(1.0, 4);
-        let mut b = LogHistogram::new(1.0, 4);
-        a.record(1.0);
-        b.record(1.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        let rows: Vec<_> = a.rows().collect();
-        assert_eq!(rows[1], (2.0, 2));
-        assert_eq!(rows[2], (4.0, 1));
-    }
-
-    #[test]
     fn fleet_accumulates_sessions() {
         let mut fleet = FleetStats::new(4);
         // Two switches (up at 10 s, down at 20 s — a reversal would need
@@ -389,35 +329,10 @@ mod tests {
         assert_eq!(fleet.total_span, Duration::from_secs(120));
         // Both sessions held utility 1.0 throughout.
         assert!((fleet.mean_utility() - 1.0).abs() < 1e-9);
-        // switch-rate histogram saw 2/min and 3/min.
-        assert_eq!(fleet.switch_rate.count(), 2);
+        // The oscillation histogram saw 0/min and 2/min.
+        assert_eq!(fleet.oscillation.count(), 2);
         let fractions: f64 = (0..4).map(|i| fleet.fraction_in_level(i)).sum();
         assert!((fractions - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fleet_merge_matches_sequential_record() {
-        let a_sessions = [session(&[(10, 2)], 30), session(&[(5, 1), (25, 2)], 40)];
-        let b_sessions = [session(&[(1, 3), (2, 0)], 50)];
-        let mut all = FleetStats::new(4);
-        for s in a_sessions.iter().chain(&b_sessions) {
-            all.record(s);
-        }
-        let mut a = FleetStats::new(4);
-        for s in &a_sessions {
-            a.record(s);
-        }
-        let mut b = FleetStats::new(4);
-        for s in &b_sessions {
-            b.record(s);
-        }
-        a.merge(&b);
-        assert_eq!(a.sessions(), all.sessions());
-        assert_eq!(a.switches(), all.switches());
-        assert_eq!(a.reversals(), all.reversals());
-        assert_eq!(a.total_span, all.total_span);
-        assert_eq!(a.switch_rate.count(), all.switch_rate.count());
-        assert!((a.mean_utility() - all.mean_utility()).abs() < 1e-12);
     }
 
     #[test]

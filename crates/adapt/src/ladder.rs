@@ -1,8 +1,8 @@
 //! Discrete layer selection with hysteresis and dwell timers.
 
-use cm_util::{Duration, Time};
+use cm_util::{Duration, Rate, Time};
 
-use crate::policy::{AdaptationPolicy, Observation, RateLadder};
+use crate::policy::{AdaptationPolicy, RateLadder};
 
 /// Tuning for [`LadderPolicy`].
 #[derive(Clone, Copy, Debug)]
@@ -119,28 +119,28 @@ impl AdaptationPolicy for LadderPolicy {
         &self.ladder
     }
 
-    fn decide(&mut self, obs: &Observation) -> usize {
+    fn decide(&mut self, now: Time, rate: Rate) -> usize {
         // The level the observed rate affords once climbing headroom is
         // charged; headroom 1.0 makes this the plain affordable level.
         let climb_target = self
             .ladder
-            .highest_within_scaled(obs.rate, 1.0 / self.cfg.up_headroom);
+            .highest_within_scaled(rate, 1.0 / self.cfg.up_headroom);
         if climb_target > self.current {
-            if self.dwell_ok(obs.now, self.cfg.up_dwell) {
+            if self.dwell_ok(now, self.cfg.up_dwell) {
                 self.current = climb_target;
-                self.last_switch = Some(obs.now);
+                self.last_switch = Some(now);
             }
             return self.current;
         }
         // Drop when the current level's cost no longer fits under the
         // down-headroom-scaled rate.
         let cur_cost = self.ladder.rate(self.current);
-        let keep = crate::policy::scale_rate(obs.rate, 1.0 / self.cfg.down_headroom) >= cur_cost;
-        if !keep && self.current > 0 && self.dwell_ok(obs.now, self.cfg.down_dwell) {
+        let keep = crate::policy::scale_rate(rate, 1.0 / self.cfg.down_headroom) >= cur_cost;
+        if !keep && self.current > 0 && self.dwell_ok(now, self.cfg.down_dwell) {
             // Fall to the plainly affordable level (no headroom on the
             // way down: the target must simply fit).
-            self.current = self.ladder.highest_within(obs.rate).min(self.current - 1);
-            self.last_switch = Some(obs.now);
+            self.current = self.ladder.highest_within(rate).min(self.current - 1);
+            self.last_switch = Some(now);
         }
         self.current
     }
@@ -153,7 +153,6 @@ impl AdaptationPolicy for LadderPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_util::Rate;
 
     fn four_layers() -> RateLadder {
         RateLadder::new(vec![
@@ -168,18 +167,9 @@ mod tests {
     fn immediate_tracks_rate_exactly() {
         let mut p = LadderPolicy::immediate(four_layers());
         let at = Time::from_secs(1);
-        assert_eq!(
-            p.decide(&Observation::rate_only(at, Rate::from_kbps(2500))),
-            3
-        );
-        assert_eq!(
-            p.decide(&Observation::rate_only(at, Rate::from_kbps(600))),
-            1
-        );
-        assert_eq!(
-            p.decide(&Observation::rate_only(at, Rate::from_kbps(100))),
-            0
-        );
+        assert_eq!(p.decide(at, Rate::from_kbps(2500)), 3);
+        assert_eq!(p.decide(at, Rate::from_kbps(600)), 1);
+        assert_eq!(p.decide(at, Rate::from_kbps(100)), 0);
     }
 
     #[test]
@@ -192,46 +182,19 @@ mod tests {
         };
         let mut p = LadderPolicy::new(four_layers(), cfg);
         // First observation may climb freely (no switch history).
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_millis(0),
-                Rate::from_kbps(600)
-            )),
-            1
-        );
+        assert_eq!(p.decide(Time::from_millis(0), Rate::from_kbps(600)), 1);
         // 1 s later the rate would afford level 3, but the dwell holds.
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(1),
-                Rate::from_kbps(2500)
-            )),
-            1
-        );
+        assert_eq!(p.decide(Time::from_secs(1), Rate::from_kbps(2500)), 1);
         // After the dwell expires the climb goes through.
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(3),
-                Rate::from_kbps(2500)
-            )),
-            3
-        );
+        assert_eq!(p.decide(Time::from_secs(3), Rate::from_kbps(2500)), 3);
     }
 
     #[test]
     fn down_switch_is_immediate_with_zero_dwell() {
         let mut p = LadderPolicy::immediate(four_layers());
-        p.decide(&Observation::rate_only(
-            Time::from_secs(1),
-            Rate::from_kbps(2500),
-        ));
+        p.decide(Time::from_secs(1), Rate::from_kbps(2500));
         assert_eq!(p.current(), 3);
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(1),
-                Rate::from_kbps(300)
-            )),
-            0
-        );
+        assert_eq!(p.decide(Time::from_secs(1), Rate::from_kbps(300)), 0);
     }
 
     #[test]
@@ -244,20 +207,8 @@ mod tests {
         };
         let mut p = LadderPolicy::new(four_layers(), cfg);
         // 550 kbps affords level 1 (500) outright but not with 20% margin.
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(1),
-                Rate::from_kbps(550)
-            )),
-            0
-        );
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(2),
-                Rate::from_kbps(650)
-            )),
-            1
-        );
+        assert_eq!(p.decide(Time::from_secs(1), Rate::from_kbps(550)), 0);
+        assert_eq!(p.decide(Time::from_secs(2), Rate::from_kbps(650)), 1);
     }
 
     #[test]
@@ -269,26 +220,11 @@ mod tests {
             down_dwell: Duration::ZERO,
         };
         let mut p = LadderPolicy::new(four_layers(), cfg);
-        p.decide(&Observation::rate_only(
-            Time::from_secs(1),
-            Rate::from_kbps(1000),
-        ));
+        p.decide(Time::from_secs(1), Rate::from_kbps(1000));
         assert_eq!(p.current(), 2);
         // A dip to 950 is within the 10% tolerance band (950/0.9 > 1000).
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(2),
-                Rate::from_kbps(950)
-            )),
-            2
-        );
+        assert_eq!(p.decide(Time::from_secs(2), Rate::from_kbps(950)), 2);
         // A dip to 850 is not.
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(3),
-                Rate::from_kbps(850)
-            )),
-            1
-        );
+        assert_eq!(p.decide(Time::from_secs(3), Rate::from_kbps(850)), 1);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!   cm_update / cm_thresh callbacks
-//!          │  (rate, buffer observations)
+//!          │  (now, rate)
 //!          ▼
 //!   ┌─────────────────────────────┐
 //!   │ Engine                      │
@@ -21,24 +21,22 @@
 //!   └─────────────────────────────┘
 //! ```
 //!
-//! Three policies ship behind the [`AdaptationPolicy`] trait:
+//! Two policies ship behind the [`AdaptationPolicy`] trait:
 //!
 //! * [`LadderPolicy`] — discrete layer selection with configurable
 //!   up/down headroom and dwell timers; its *immediate* configuration is
 //!   exactly the paper's `layer_for` loop (Figures 8-9).
 //! * [`UtilityPolicy`] — EWMA-smoothed rate driving an argmax over a
 //!   per-level utility curve, with a switch margin for damping.
-//! * [`BufferPolicy`] — a buffer/deadline-aware drain-rate model for
-//!   HAS-style streaming clients and deadline-bounded web responses.
 //!
-//! The per-callback path ([`Engine::observe`]) follows the flat-state
+//! The per-callback path ([`Engine::on_rate`]) follows the flat-state
 //! rules of `docs/perf.md`: all state is preallocated at construction and
-//! a steady-state observation performs **zero heap allocation** (enforced
+//! a steady-state rate report performs **zero heap allocation** (enforced
 //! by the counting-allocator test in `tests/no_alloc.rs`).
 //!
 //! Above the per-session layer, [`FleetStats`] aggregates many sessions'
-//! [`AdaptationStats`] into log-bucketed distributions (switch rate,
-//! oscillation, utility) for fleet-scale telemetry and the
+//! [`AdaptationStats`] into log-bucketed distributions (oscillation,
+//! utility) for fleet-scale telemetry and the
 //! `cm-experiments` figure pipeline; its record path is allocation-free
 //! under the same counting-allocator test.
 
@@ -46,7 +44,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod engine;
 pub mod fleet;
 pub mod ladder;
@@ -54,10 +51,9 @@ pub mod policy;
 pub mod stats;
 pub mod utility;
 
-pub use buffer::BufferPolicy;
 pub use engine::{Decision, Engine};
 pub use fleet::{FleetStats, LogHistogram};
 pub use ladder::{LadderConfig, LadderPolicy};
-pub use policy::{AdaptationPolicy, Observation, RateLadder};
+pub use policy::{AdaptationPolicy, RateLadder};
 pub use stats::AdaptationStats;
 pub use utility::UtilityPolicy;

@@ -1,37 +1,6 @@
 //! The policy trait and the shared quality-ladder vocabulary.
 
-use cm_util::{Duration, Rate, Time};
-
-/// One network observation fed to a policy — the contents of a CM rate
-/// callback plus whatever local state the application can contribute.
-#[derive(Clone, Copy, Debug)]
-pub struct Observation {
-    /// The instant of the observation.
-    pub now: Time,
-    /// The flow's sustainable rate as the CM reports it (`cm_query` /
-    /// `cmapp_update`).
-    pub rate: Rate,
-    /// Media (or deadline) buffered ahead of consumption, for policies
-    /// that model drain; [`Duration::ZERO`] when not applicable.
-    pub buffer: Duration,
-}
-
-impl Observation {
-    /// An observation carrying only a rate (the common CM-callback case).
-    pub fn rate_only(now: Time, rate: Rate) -> Self {
-        Observation {
-            now,
-            rate,
-            buffer: Duration::ZERO,
-        }
-    }
-
-    /// Attaches a buffer depth (builder style).
-    pub fn with_buffer(mut self, buffer: Duration) -> Self {
-        self.buffer = buffer;
-        self
-    }
-}
+use cm_util::{Rate, Time};
 
 /// A discrete quality ladder: the cumulative rate cost of transmitting at
 /// each quality level, lowest first.
@@ -91,11 +60,6 @@ impl RateLadder {
         self.rates[i]
     }
 
-    /// The topmost level index.
-    pub fn top(&self) -> usize {
-        self.rates.len() - 1
-    }
-
     /// All level rates, lowest first.
     pub fn as_slice(&self) -> &[Rate] {
         &self.rates
@@ -134,8 +98,8 @@ pub(crate) fn scale_rate(rate: Rate, factor: f64) -> Rate {
     })
 }
 
-/// A content-adaptation policy: a (possibly stateful) map from network
-/// observations to quality levels on a fixed ladder.
+/// A content-adaptation policy: a (possibly stateful) map from the rates
+/// the CM reports to quality levels on a fixed ladder.
 ///
 /// Implementations must keep [`AdaptationPolicy::decide`] free of heap
 /// allocation — it runs on the CM's callback path, which follows the
@@ -144,11 +108,13 @@ pub trait AdaptationPolicy {
     /// The quality ladder this policy selects over.
     fn ladder(&self) -> &RateLadder;
 
-    /// Consumes one observation and returns the level to transmit at.
+    /// Consumes the flow's sustainable `rate` as the CM reports it at
+    /// `now` (`cm_query` / `cmapp_update`) and returns the level to
+    /// transmit at.
     ///
     /// Policies are free to return the current level (no switch); the
     /// [`crate::Engine`] tracks switch statistics around this call.
-    fn decide(&mut self, obs: &Observation) -> usize;
+    fn decide(&mut self, now: Time, rate: Rate) -> usize;
 
     /// Human-readable policy name for experiment output.
     fn name(&self) -> &'static str;

@@ -1,8 +1,8 @@
 //! Smoothed utility maximization over a quality ladder.
 
-use cm_util::{Ewma, Rate};
+use cm_util::{Ewma, Rate, Time};
 
-use crate::policy::{AdaptationPolicy, Observation, RateLadder};
+use crate::policy::{AdaptationPolicy, RateLadder};
 
 /// EWMA'd rate → utility-curve argmax with switch damping.
 ///
@@ -76,11 +76,6 @@ impl UtilityPolicy {
             .collect();
         UtilityPolicy::new(ladder, utilities, ewma_gain, safety, margin)
     }
-
-    /// The utility assigned to `level`.
-    pub fn utility(&self, level: usize) -> f64 {
-        self.utilities[level]
-    }
 }
 
 impl AdaptationPolicy for UtilityPolicy {
@@ -88,8 +83,8 @@ impl AdaptationPolicy for UtilityPolicy {
         &self.ladder
     }
 
-    fn decide(&mut self, obs: &Observation) -> usize {
-        let est = self.smoothed.update(obs.rate.as_bps() as f64);
+    fn decide(&mut self, _now: Time, rate: Rate) -> usize {
+        let est = self.smoothed.update(rate.as_bps() as f64);
         let budget = Rate::from_bps((est * self.safety) as u64);
         // Utilities are nondecreasing in level, so the affordable argmax
         // is the highest affordable level — no scan over utilities
@@ -115,7 +110,6 @@ impl AdaptationPolicy for UtilityPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_util::Time;
 
     fn grid() -> RateLadder {
         RateLadder::linear(Rate::from_kbps(4), Rate::from_kbps(64), 16)
@@ -126,10 +120,7 @@ mod tests {
         let mut p = UtilityPolicy::log_utility(grid(), 0.5, 1.0, 0.0);
         let mut level = 0;
         for i in 0..32 {
-            level = p.decide(&Observation::rate_only(
-                Time::from_millis(i * 20),
-                Rate::from_kbps(32),
-            ));
+            level = p.decide(Time::from_millis(i * 20), Rate::from_kbps(32));
         }
         // 32 kbps sits at grid index 7 (4 + 4*7 = 32).
         assert_eq!(level, 7);
@@ -142,18 +133,12 @@ mod tests {
         let mut p = UtilityPolicy::log_utility(grid(), 0.2, 1.0, 0.0);
         for i in 0..50 {
             let r = if i % 2 == 0 { 24 } else { 36 };
-            p.decide(&Observation::rate_only(
-                Time::from_millis(i * 20),
-                Rate::from_kbps(r),
-            ));
+            p.decide(Time::from_millis(i * 20), Rate::from_kbps(r));
         }
         let mut levels = Vec::new();
         for i in 50..70 {
             let r = if i % 2 == 0 { 24 } else { 36 };
-            levels.push(p.decide(&Observation::rate_only(
-                Time::from_millis(i * 20),
-                Rate::from_kbps(r),
-            )));
+            levels.push(p.decide(Time::from_millis(i * 20), Rate::from_kbps(r)));
         }
         let first = levels[0];
         assert!(
@@ -168,29 +153,14 @@ mod tests {
         // Utility gain of the top level is tiny; a large margin pins the
         // policy at the bottom even when the top is affordable.
         let mut p = UtilityPolicy::new(ladder, vec![1.0, 1.01], 1.0, 1.0, 0.5);
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(1),
-                Rate::from_kbps(200)
-            )),
-            0
-        );
+        assert_eq!(p.decide(Time::from_secs(1), Rate::from_kbps(200)), 0);
     }
 
     #[test]
     fn unaffordable_level_abandoned_immediately() {
         let mut p = UtilityPolicy::log_utility(grid(), 1.0, 1.0, 0.0);
-        p.decide(&Observation::rate_only(
-            Time::from_secs(1),
-            Rate::from_kbps(64),
-        ));
-        assert_eq!(
-            p.decide(&Observation::rate_only(
-                Time::from_secs(2),
-                Rate::from_kbps(4)
-            )),
-            0
-        );
+        p.decide(Time::from_secs(1), Rate::from_kbps(64));
+        assert_eq!(p.decide(Time::from_secs(2), Rate::from_kbps(4)), 0);
     }
 
     #[test]
@@ -198,8 +168,8 @@ mod tests {
         let ladder = RateLadder::new(vec![Rate::from_kbps(50), Rate::from_kbps(100)]);
         let mut full = UtilityPolicy::log_utility(ladder.clone(), 1.0, 1.0, 0.0);
         let mut half = UtilityPolicy::log_utility(ladder, 1.0, 0.5, 0.0);
-        let obs = Observation::rate_only(Time::from_secs(1), Rate::from_kbps(120));
-        assert_eq!(full.decide(&obs), 1);
-        assert_eq!(half.decide(&obs), 0); // 120 * 0.5 = 60 < 100.
+        let (now, rate) = (Time::from_secs(1), Rate::from_kbps(120));
+        assert_eq!(full.decide(now, rate), 1);
+        assert_eq!(half.decide(now, rate), 0); // 120 * 0.5 = 60 < 100.
     }
 }

@@ -1,10 +1,10 @@
 //! Zero-allocation enforcement for the per-callback hot path.
 //!
-//! `Engine::observe` runs inside every CM rate callback; docs/perf.md's
+//! `Engine::on_rate` runs inside every CM rate callback; docs/perf.md's
 //! flat-state rules require steady-state operation to perform no heap
 //! allocation. A counting global allocator measures exactly that: after
-//! construction, thousands of observations across all three policies must
-//! allocate nothing.
+//! construction, thousands of rate reports across the damped ladder, the
+//! immediate ladder and log utility must allocate nothing.
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -12,8 +12,7 @@ mod counting_alloc;
 use std::sync::atomic::Ordering;
 
 use cm_adapt::{
-    AdaptationStats, BufferPolicy, Engine, FleetStats, LadderConfig, LadderPolicy, Observation,
-    RateLadder, UtilityPolicy,
+    AdaptationStats, Engine, FleetStats, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy,
 };
 use cm_util::{Duration, Rate, Time};
 use counting_alloc::ALLOCS;
@@ -27,7 +26,8 @@ fn ladder() -> RateLadder {
     ])
 }
 
-/// Drives: `Engine::observe`, under all three policies.
+/// Drives: `Engine::on_rate`, over the damped ladder, the immediate ladder
+/// and log utility.
 #[test]
 fn observe_never_allocates_in_steady_state() {
     // Construction may allocate (boxes, ladders, stats vectors)...
@@ -43,26 +43,17 @@ fn observe_never_allocates_in_steady_state() {
             0.9,
             0.1,
         ))),
-        Engine::new(Box::new(BufferPolicy::new(
-            ladder(),
-            Duration::from_secs(2),
-            Duration::from_millis(500),
-            0.3,
-        ))),
     ];
-    // ...and the first observations settle any lazy state.
+    // ...and the first reports settle any lazy state.
     for (i, e) in engines.iter_mut().enumerate() {
-        e.observe(
-            &Observation::rate_only(Time::from_millis(i as u64), Rate::from_kbps(800))
-                .with_buffer(Duration::from_secs(3)),
-        );
+        e.on_rate(Time::from_millis(i as u64), Rate::from_kbps(800));
     }
 
     // The counter is process-global, so the libtest harness's own
     // threads can deposit a few one-shot allocations into any single
     // window. Measure several trials and require the *minimum* delta to
     // be zero: ambient noise is one-shot, while a real per-callback
-    // allocation would show up in every trial (8k observations each).
+    // allocation would show up in every trial (6k reports each).
     let mut now = Time::from_secs(1);
     let mut level_sum = 0usize;
     let mut min_delta = u64::MAX;
@@ -71,13 +62,11 @@ fn observe_never_allocates_in_steady_state() {
         for round in 0..2_000u64 {
             now += Duration::from_millis(20);
             // A rate pattern that forces real switches (sawtooth across
-            // the whole ladder) plus a moving buffer depth.
+            // the whole ladder).
             let r = trial * 2_000 + round;
             let rate = Rate::from_kbps(100 + (r % 25) * 100);
-            let buffer = Duration::from_millis(200 + (r % 40) * 100);
             for e in engines.iter_mut() {
-                let d = e.observe(&Observation::rate_only(now, rate).with_buffer(buffer));
-                level_sum += d.level;
+                level_sum += e.on_rate(now, rate).level;
             }
         }
         let after = ALLOCS.load(Ordering::SeqCst);
@@ -86,7 +75,7 @@ fn observe_never_allocates_in_steady_state() {
     assert!(level_sum > 0, "engines never moved off the floor");
     assert_eq!(
         min_delta, 0,
-        "per-callback path allocated in every trial (at least {min_delta} times per 8k observations)"
+        "per-callback path allocated in every trial (at least {min_delta} times per 6k reports)"
     );
 }
 
@@ -126,7 +115,7 @@ fn fleet_record_never_allocates_in_steady_state() {
         min_delta = min_delta.min(after - before);
     }
     assert!(fleet.sessions() > 0);
-    assert!(fleet.switch_rate.count() > 0, "histograms never filled");
+    assert!(fleet.oscillation.count() > 0, "histograms never filled");
     assert_eq!(
         min_delta, 0,
         "fleet record path allocated in every trial (at least {min_delta} times per 32k records)"

@@ -8,7 +8,7 @@
 //!    input, consecutive switches are never closer together than the
 //!    dwell timer allows, no matter how fast the input flaps.
 
-use cm_adapt::{Engine, LadderConfig, LadderPolicy, Observation, RateLadder, UtilityPolicy};
+use cm_adapt::{Engine, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy};
 use cm_util::{Duration, Rate, Time};
 use proptest::prelude::*;
 
@@ -41,11 +41,11 @@ proptest! {
             up_dwell: Duration::ZERO,
             down_dwell: Duration::ZERO,
         };
-        let obs = |r: u64| Observation::rate_only(Time::from_secs(1), Rate::from_kbps(r));
+        let now = Time::from_secs(1);
         let mut lo = LadderPolicy::new(ladder_from(&steps), cfg);
         let mut hi = LadderPolicy::new(ladder_from(&steps), cfg);
-        let l1 = cm_adapt::AdaptationPolicy::decide(&mut lo, &obs(r1));
-        let l2 = cm_adapt::AdaptationPolicy::decide(&mut hi, &obs(r1 + dr));
+        let l1 = cm_adapt::AdaptationPolicy::decide(&mut lo, now, Rate::from_kbps(r1));
+        let l2 = cm_adapt::AdaptationPolicy::decide(&mut hi, now, Rate::from_kbps(r1 + dr));
         prop_assert!(
             l2 >= l1,
             "rate {} → level {}, rate {} → level {}",
@@ -92,10 +92,7 @@ proptest! {
             // not translate into flapping output.
             for _ in 0..4 {
                 now += Duration::from_millis(half_period_ms.div_ceil(4).max(1));
-                let new = cm_adapt::AdaptationPolicy::decide(
-                    &mut policy,
-                    &Observation::rate_only(now, rate),
-                );
+                let new = cm_adapt::AdaptationPolicy::decide(&mut policy, now, rate);
                 if new != level {
                     switch_times.push(now);
                     level = new;
@@ -134,7 +131,8 @@ proptest! {
         );
         let level = cm_adapt::AdaptationPolicy::decide(
             &mut p,
-            &Observation::rate_only(Time::from_secs(1), Rate::from_kbps(rate)),
+            Time::from_secs(1),
+            Rate::from_kbps(rate),
         );
         let cost = cm_adapt::AdaptationPolicy::ladder(&p).rate(level);
         let budget = Rate::from_bps(

@@ -163,59 +163,6 @@ fn vat_polices_to_available_bandwidth() {
 }
 
 #[test]
-fn adaptive_web_server_escalates_variants_as_state_warms() {
-    // The §3.5 adaptive server: three response representations, a 2 s
-    // response deadline. The first request sees a cold macroflow (rate
-    // zero — no RTT sample yet) and must get the smallest variant;
-    // later requests ride the warmed shared state and earn larger ones.
-    let variants = vec![16 * 1024, 64 * 1024, 256 * 1024];
-    let mut topo = Topology::new(11);
-    let mut server_host = Host::new(HostConfig::default());
-    let server_app = server_host.add_app(Box::new(WebServer::adaptive(
-        80,
-        CcMode::Cm,
-        variants.clone(),
-        Duration::from_secs(2),
-    )));
-    let server_id = topo.add_host(Box::new(server_host));
-    let server_addr = topo.sim().addr_of(server_id);
-
-    let mut client_host = Host::new(HostConfig::default());
-    let client_app = client_host.add_app(Box::new(WebClient::new(
-        server_addr,
-        80,
-        6,
-        Duration::from_millis(500),
-        variants[0], // Completion = at least the smallest variant.
-    )));
-    let client_id = topo.add_host(Box::new(client_host));
-    topo.emulated_path(client_id, server_id, &PathSpec::wide_area());
-    let mut sim = topo.build();
-    sim.run_until(Time::from_secs(30));
-
-    let client = sim
-        .node_ref::<Host>(client_id)
-        .app_ref::<WebClient>(client_app);
-    assert!(client.all_done(), "latencies: {:?}", client.latencies_ms());
-    let server = sim
-        .node_ref::<Host>(server_id)
-        .app_ref::<WebServer>(server_app);
-    assert_eq!(server.served, 6);
-    let by_variant = &server.served_by_variant;
-    assert_eq!(by_variant.iter().sum::<u64>(), 6);
-    assert!(
-        by_variant[0] >= 1,
-        "cold first request should get the small variant: {by_variant:?}"
-    );
-    assert!(
-        by_variant[2] >= 1,
-        "warmed requests should reach the large variant: {by_variant:?}"
-    );
-    let stats = server.adaptation_stats().expect("adaptive server");
-    assert!(stats.switches_up >= 1, "no upward adaptation recorded");
-}
-
-#[test]
 fn layered_streamer_tracks_bandwidth_schedule() {
     // Time-varying capacity without cross-traffic hosts: the bottleneck
     // itself follows a square wave between 4 Mbps and 0.6 Mbps, and the

@@ -834,7 +834,7 @@ grant_backoffs,feedback_rejected,feedback_clamped,flows_quarantined,flows_reaped
     clippy::expect_used,
     reason = "fixed-timestamp script — a CmError means the figure script itself is wrong"
 )]
-pub fn decision_timeline_cm() -> cm_core::CongestionManager {
+fn decision_timeline_cm() -> cm_core::CongestionManager {
     decision_timeline_script().expect("decision-timeline script")
 }
 

@@ -13,7 +13,7 @@ use cm_apps::layered::{AdaptMode, LayeredStreamer};
 use cm_apps::web::{WebClient, WebServer};
 use cm_core::config::{CmConfig, ControllerKind};
 use cm_netsim::channel::PathSpec;
-use cm_netsim::cpu::{CostModel, OpCounts};
+use cm_netsim::cpu::{CostModel, Cpu, OpCounts};
 use cm_netsim::link::LinkSpec;
 use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostConfig};
@@ -146,11 +146,7 @@ pub fn bulk_transfer(path: &PathSpec, spec: BulkSpec) -> BulkOutcome {
         elapsed,
         connect_time: tx.connect_time(),
         cpu_busy: host.cpu.total_busy(),
-        cpu_utilization: if elapsed.is_zero() {
-            0.0
-        } else {
-            (host.cpu.total_busy() / elapsed).min(1.0)
-        },
+        cpu_utilization: Cpu::utilization(host.cpu.total_busy(), elapsed),
         segs_sent: conn.map(|c| c.stats.segs_sent).unwrap_or(0),
         bytes_rtx: conn.map(|c| c.stats.bytes_rtx).unwrap_or(0),
         timeouts: conn.map(|c| c.stats.timeouts).unwrap_or(0),

@@ -19,16 +19,6 @@ use crate::segment::{TcpSegment, UdpDatagram};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Addr(pub u32);
 
-impl Addr {
-    /// The unspecified address.
-    pub const UNSPECIFIED: Addr = Addr(0);
-
-    /// Returns true if this is the unspecified address.
-    pub fn is_unspecified(self) -> bool {
-        self.0 == 0
-    }
-}
-
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Dotted form of the low 24 bits: node addresses render as
@@ -181,8 +171,8 @@ mod tests {
 
     #[test]
     fn addr_display_and_unspecified() {
-        assert!(Addr::UNSPECIFIED.is_unspecified());
-        assert!(!Addr(3).is_unspecified());
+        // The default is the unspecified `Addr(0)`, which no node holds.
+        assert_eq!(Addr::default(), Addr(0));
         assert_eq!(format!("{}", Addr(7)), "10.0.0.7");
         assert_eq!(format!("{}", Addr(0x01_0201)), "10.1.2.1");
     }

@@ -1161,15 +1161,6 @@ impl HostOs<'_, '_> {
         self.host.cm.query(flow, now).ok()
     }
 
-    /// `cm_query` on the CM flow backing a TCP connection, if the
-    /// connection is CM-enabled — the call an adaptive server makes to
-    /// pick a response representation matching the path (§3.5's web
-    /// server choosing image quality from the congestion state).
-    pub fn tcp_flow_info(&mut self, conn: TcpConnId) -> Option<FlowInfo> {
-        let flow = self.host.conn_flow(conn)?;
-        self.cm_query(flow)
-    }
-
     /// `cm_thresh` + `cm_register_update`: rate callbacks for this flow.
     pub fn cm_set_thresholds(&mut self, flow: FlowId, t: Option<Thresholds>) {
         let _ = self.host.cm.set_thresholds(flow, t);

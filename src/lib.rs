@@ -16,8 +16,8 @@
 //! * [`libcm`] — the user-space library layer: control socket,
 //!   select/ioctl semantics, dispatch costs.
 //! * [`adapt`] — the shared content-adaptation engine: quality ladders,
-//!   utility maximization, buffer/deadline policies, per-session
-//!   adaptation statistics (see `docs/adaptation.md`).
+//!   utility maximization, per-session adaptation statistics (see
+//!   `docs/adaptation.md`).
 //! * [`apps`] — the paper's applications: layered streaming, vat-style
 //!   interactive audio, web server/client, bulk transfer.
 //! * [`util`] — time, rates, filters, deterministic RNG, statistics.
@@ -41,8 +41,8 @@ pub use cm_util as util;
 /// Everything an application author typically needs.
 pub mod prelude {
     pub use cm_adapt::{
-        AdaptationPolicy, AdaptationStats, BufferPolicy, Engine, LadderConfig, LadderPolicy,
-        Observation, RateLadder, UtilityPolicy,
+        AdaptationPolicy, AdaptationStats, Engine, LadderConfig, LadderPolicy, RateLadder,
+        UtilityPolicy,
     };
     pub use cm_apps::{
         AckReceiver, AdaptMode, BlastApi, BlastSender, BulkReceiver, BulkSender, DropPolicy,
