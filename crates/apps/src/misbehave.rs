@@ -55,8 +55,6 @@ pub struct MisbehavingSender {
     pub acked: u64,
     /// Packets inferred lost.
     pub lost: u64,
-    /// Grants deliberately ignored (hoarded or post-crash).
-    pub grants_ignored: u64,
     /// Whether the crash fault has fired.
     pub crashed: bool,
     sock: Option<UdpSocketId>,
@@ -78,7 +76,6 @@ impl MisbehavingSender {
             sent: 0,
             acked: 0,
             lost: 0,
-            grants_ignored: 0,
             crashed: false,
             sock: None,
             flow: None,
@@ -151,13 +148,11 @@ impl HostApp for MisbehavingSender {
         let now = os.now();
         self.requests_outstanding = self.requests_outstanding.saturating_sub(1);
         if self.check_crash(now) {
-            self.grants_ignored += 1;
             return;
         }
         if self.hoarding(now) {
             // The hostile part: take the grant, do nothing with it, and
             // immediately ask for more.
-            self.grants_ignored += 1;
             self.top_up(os);
             return;
         }
@@ -177,7 +172,6 @@ impl HostApp for MisbehavingSender {
         self.deferred_grants -= 1;
         let now = os.now();
         if self.check_crash(now) {
-            self.grants_ignored += 1;
             return;
         }
         let Some(flow) = self.flow else { return };

@@ -202,18 +202,6 @@ impl Default for CmConfig {
 }
 
 impl CmConfig {
-    /// A configuration mimicking the Linux 2.2 TCP baseline the paper
-    /// compares against: initial window of 2 MTUs and ACK counting.
-    pub fn linux_like() -> Self {
-        CmConfig {
-            initial_window_mtus: 2,
-            controller: ControllerKind::Aimd {
-                byte_counting: false,
-            },
-            ..Default::default()
-        }
-    }
-
     /// The initial congestion window in bytes.
     pub fn initial_window_bytes(&self) -> u64 {
         self.initial_window_mtus as u64 * self.mtu as u64
@@ -269,18 +257,5 @@ mod tests {
         // Tracing is opt-in: the default CM observes nothing.
         assert!(c.tracing.is_none());
         assert!(TracingConfig::default().capacity > 0);
-    }
-
-    #[test]
-    fn linux_profile_differs_in_iw_and_counting() {
-        let c = CmConfig::linux_like();
-        assert_eq!(c.initial_window_mtus, 2);
-        assert_eq!(
-            c.controller,
-            ControllerKind::Aimd {
-                byte_counting: false
-            }
-        );
-        assert_eq!(c.initial_window_bytes(), 2920);
     }
 }

@@ -626,7 +626,14 @@ mod tests {
                 byte_counting: true
             }
         ));
-        let c = build_controller(&CmConfig::linux_like());
+        // The Linux 2.2 baseline: an initial window of 2 MTUs, ACK counting.
+        let c = build_controller(&CmConfig {
+            initial_window_mtus: 2,
+            controller: ControllerKind::Aimd {
+                byte_counting: false,
+            },
+            ..Default::default()
+        });
         assert!(matches!(
             c.law,
             Law::Aimd {

@@ -2,12 +2,14 @@
 //! assert the global invariants the graceful-degradation machinery must
 //! preserve (paper §5, "Trust issues").
 //!
-//! Each scenario builds a small `cm-netsim` topology — a bulk TCP
-//! transfer, a shared-macroflow pair, an ALF blaster, a deliberately
-//! misbehaving client, or a flaky cellular trace replay — injects the
-//! [`FaultPlan`]'s link and application faults, and then *steps* the
-//! simulation in one-second slices. After every slice the harness checks,
-//! on every host:
+//! A scenario is one entry of the `SCENARIOS` catalogue: a name and a
+//! builder of a small `cm-netsim` topology — a bulk TCP transfer (on the
+//! default or the delay-gradient controller), a shared-macroflow pair, an
+//! ALF blaster, a deliberately misbehaving client, or a flaky cellular
+//! trace replay — with the [`FaultPlan`]'s link and application faults
+//! injected. One driver, `run_chaos`, runs every scenario: it *steps* the
+//! simulation in one-second slices, and after every slice checks, on
+//! both hosts:
 //!
 //! * [`cm_core::CongestionManager::check_invariants`] — no leaked or double-freed
 //!   slab slots, flow ↔ macroflow membership is a bijection, reserved
@@ -41,7 +43,7 @@ use cm_netsim::schedule::BandwidthSchedule;
 use cm_netsim::sim::{NodeId, Simulator};
 use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostConfig};
-use cm_transport::types::CcMode;
+use cm_transport::types::{AppId, CcMode};
 use cm_util::{Duration, Rate, Time};
 
 /// Fault horizon: seeded plans place their outages inside this window.
@@ -89,20 +91,49 @@ fn tag(scenario: &str, seed: u64, now: Time) -> String {
     format!("[{scenario} seed={seed} t={now}]")
 }
 
-/// The chaos scenario catalogue.
-pub const SCENARIOS: &[&str] = &[
-    "tcp_bulk",
-    "tcp_bulk_delay",
-    "tcp_pair",
-    "alf_blast",
-    "misbehaving_app",
-    "flaky_trace",
+/// Builds one scenario under a fault plan.
+type Builder = fn(&FaultPlan) -> Scenario;
+
+/// The chaos scenario catalogue: each scenario's name and builder.
+const SCENARIOS: &[(&str, Builder)] = &[
+    ("tcp_bulk", tcp_bulk),
+    ("tcp_bulk_delay", tcp_bulk_delay),
+    ("tcp_pair", tcp_pair),
+    ("alf_blast", alf_blast),
+    ("misbehaving_app", misbehaving_app),
+    ("flaky_trace", flaky_trace),
 ];
+
+/// A scenario as its builder leaves it: the simulation, not yet run, and
+/// what [`run_chaos`] needs to judge it.
+struct Scenario {
+    sim: Simulator,
+    /// The hosts whose invariants are checked, each with its label; the
+    /// sending host first.
+    hosts: [(NodeId, &'static str); 2],
+    /// Where the honest traffic lives.
+    honest: Honest,
+    /// A `MisbehavingSender` on the sending host whose flow the orphan
+    /// reaper must return once the plan crashes it.
+    hostile: Option<AppId>,
+    /// The liveness violation's text when the honest traffic stalls.
+    stall: &'static str,
+}
+
+/// Where a scenario's honest traffic lives.
+enum Honest {
+    /// `BulkSender`s on the sending host; the traffic stalls unless every
+    /// one completes.
+    Bulk(Vec<AppId>),
+    /// A `BlastSender` on the sending host and its `AckReceiver` on the
+    /// other; the traffic stalls if the receiver got nothing.
+    Blast { tx: AppId, rx: AppId },
+}
 
 /// Result of one scenario replay under one fault plan.
 #[derive(Clone, Debug)]
 pub struct ChaosOutcome {
-    /// Scenario name (one of [`SCENARIOS`]).
+    /// Scenario name (its `SCENARIOS` entry's).
     pub scenario: String,
     /// The fault plan's seed (0 for the clean baseline).
     pub seed: u64,
@@ -133,21 +164,95 @@ impl ChaosOutcome {
     }
 }
 
-/// Runs `scenario` under `plan`. Panics on an unknown scenario name —
-/// the catalogue is [`SCENARIOS`].
-fn run_chaos(scenario: &str, plan: &FaultPlan) -> ChaosOutcome {
-    match scenario {
-        "tcp_bulk" => tcp_bulk(plan),
-        "tcp_bulk_delay" => tcp_bulk_delay(plan),
-        "tcp_pair" => tcp_pair(plan),
-        "alf_blast" => alf_blast(plan),
-        "misbehaving_app" => misbehaving_app(plan),
-        "flaky_trace" => flaky_trace(plan),
-        #[expect(
-            clippy::panic,
-            reason = "scenario names come from the static registry below — an unknown one is a harness bug"
-        )]
-        other => panic!("unknown chaos scenario {other:?}"),
+/// Builds `build`'s scenario under `plan`, steps it through the fault
+/// horizon and the quiet tail, then takes the liveness verdict: a crashed
+/// hostile app's flow was reaped, and the honest traffic did not stall.
+fn run_chaos(name: &str, build: Builder, plan: &FaultPlan) -> ChaosOutcome {
+    let Scenario {
+        mut sim,
+        hosts,
+        honest,
+        hostile,
+        stall,
+    } = build(plan);
+    let mut violations = Vec::new();
+    drive(
+        &mut sim,
+        &hosts,
+        Time::ZERO + HORIZON + TAIL,
+        name,
+        plan.seed,
+        &mut violations,
+    );
+    let now = sim.now();
+    let tag = tag(name, plan.seed, now);
+    let host = sim.node_ref::<Host>(hosts[0].0);
+    if let Some(bad) = hostile {
+        // A crashed app leaks its flow; after the quiet tail the orphan
+        // reaper must have returned the slot.
+        let bad = host.app_ref::<MisbehavingSender>(bad);
+        let crashed = matches!(plan.app, AppFault::Crash { .. }) && bad.crashed;
+        if crashed && bad.flow().is_some_and(|f| host.cm.macroflow_of(f).is_ok()) {
+            violations.push(format!("{tag} crashed client's flow never reaped"));
+        }
+    }
+    let kbps = |bytes_per_sec: f64| bytes_per_sec * 8.0 / 1000.0;
+    let (goodput_kbps, completed, elapsed, stalled) = match honest {
+        Honest::Bulk(senders) => {
+            let senders: Vec<&BulkSender> = senders.iter().map(|&id| host.app_ref(id)).collect();
+            let completed = senders.iter().all(|t| t.done_at.is_some());
+            // A lone sender that never finished has no goodput; a group's
+            // is the sum of its finished senders'.
+            let goodput = match senders[..] {
+                [tx] => tx.goodput_bps().map_or(f64::NAN, kbps),
+                _ => senders
+                    .iter()
+                    .filter_map(|t| t.goodput_bps())
+                    .map(kbps)
+                    .sum(),
+            };
+            // From the first sender's start to the last one's end.
+            let last_end = senders
+                .iter()
+                .map(|t| t.done_at.unwrap_or(now))
+                .fold(Time::ZERO, Time::max);
+            let elapsed = senders
+                .first()
+                .and_then(|t| t.started_at)
+                .map_or(Duration::ZERO, |s| last_end.since(s));
+            (goodput, completed, elapsed, !completed)
+        }
+        Honest::Blast { tx, rx } => {
+            let tx = host.app_ref::<BlastSender>(tx);
+            let rx = sim.node_ref::<Host>(hosts[1].0).app_ref::<AckReceiver>(rx);
+            let elapsed = tx
+                .first_send
+                .map_or(Duration::ZERO, |s| tx.done_at.unwrap_or(now).since(s));
+            let goodput = if elapsed.is_zero() {
+                f64::NAN
+            } else {
+                kbps(rx.bytes as f64) / elapsed.as_secs_f64()
+            };
+            (goodput, tx.done_at.is_some(), elapsed, rx.packets == 0)
+        }
+    };
+    if stalled {
+        violations.push(format!("{tag} {stall}"));
+    }
+    let trace_dump = if violations.is_empty() {
+        Vec::new()
+    } else {
+        post_mortem(&sim, &hosts)
+    };
+    ChaosOutcome {
+        scenario: name.to_string(),
+        seed: plan.seed,
+        goodput_kbps,
+        completed,
+        elapsed_s: elapsed.as_secs_f64(),
+        client_stats: host.cm.stats(),
+        violations,
+        trace_dump,
     }
 }
 
@@ -155,10 +260,10 @@ fn run_chaos(scenario: &str, plan: &FaultPlan) -> ChaosOutcome {
 /// plans each — the sweep the chaos CLI and the CI smoke gate run.
 pub fn chaos_sweep(plans: u64) -> Vec<ChaosOutcome> {
     let mut out = Vec::new();
-    for &scenario in SCENARIOS {
-        out.push(run_chaos(scenario, &FaultPlan::clean()));
+    for &(name, build) in SCENARIOS {
+        out.push(run_chaos(name, build, &FaultPlan::clean()));
         for seed in 1..=plans {
-            out.push(run_chaos(scenario, &FaultPlan::seeded(seed, HORIZON)));
+            out.push(run_chaos(name, build, &FaultPlan::seeded(seed, HORIZON)));
         }
     }
     out
@@ -273,34 +378,6 @@ fn post_mortem(sim: &Simulator, hosts: &[(NodeId, &str)]) -> Vec<String> {
     out
 }
 
-/// Shared outcome assembly for the bulk-TCP scenarios.
-fn bulk_outcome(
-    scenario: &str,
-    plan: &FaultPlan,
-    sim: &Simulator,
-    client_id: NodeId,
-    tx_app: cm_transport::types::AppId,
-    violations: Vec<String>,
-) -> ChaosOutcome {
-    let host = sim.node_ref::<Host>(client_id);
-    let tx = host.app_ref::<BulkSender>(tx_app);
-    let elapsed = match (tx.started_at, tx.done_at) {
-        (Some(s), Some(d)) => d.since(s),
-        (Some(s), None) => sim.now().since(s),
-        _ => Duration::ZERO,
-    };
-    ChaosOutcome {
-        scenario: scenario.to_string(),
-        seed: plan.seed,
-        goodput_kbps: tx.goodput_bps().map_or(f64::NAN, |b| b * 8.0 / 1000.0),
-        completed: tx.done_at.is_some(),
-        elapsed_s: elapsed.as_secs_f64(),
-        client_stats: host.cm.stats(),
-        violations,
-        trace_dump: Vec::new(),
-    }
-}
-
 /// The standard two-host wiring: a client and a server joined by `path`,
 /// with `plan.link` injected on the forward (data) direction.
 fn faulted_path(base: PathSpec, plan: &FaultPlan) -> PathSpec {
@@ -308,17 +385,16 @@ fn faulted_path(base: PathSpec, plan: &FaultPlan) -> PathSpec {
 }
 
 /// One bulk TCP/CM transfer over a faulted wide-area path.
-fn tcp_bulk(plan: &FaultPlan) -> ChaosOutcome {
-    tcp_bulk_kind(plan, "tcp_bulk", CmConfig::default())
+fn tcp_bulk(plan: &FaultPlan) -> Scenario {
+    tcp_bulk_kind(plan, CmConfig::default())
 }
 
 /// The same bulk transfer with the client on the delay-gradient
 /// controller — the delay detector must survive hostile paths (spiky
 /// RTTs, outages, bogus feedback) without tripping an invariant.
-fn tcp_bulk_delay(plan: &FaultPlan) -> ChaosOutcome {
+fn tcp_bulk_delay(plan: &FaultPlan) -> Scenario {
     tcp_bulk_kind(
         plan,
-        "tcp_bulk_delay",
         CmConfig {
             controller: cm_core::config::ControllerKind::DelayGradient,
             ..Default::default()
@@ -328,7 +404,7 @@ fn tcp_bulk_delay(plan: &FaultPlan) -> ChaosOutcome {
 
 /// Shared body of the bulk-transfer scenarios, parameterized by the
 /// client's CM configuration (the server stays on the default).
-fn tcp_bulk_kind(plan: &FaultPlan, name: &'static str, client_cfg: CmConfig) -> ChaosOutcome {
+fn tcp_bulk_kind(plan: &FaultPlan, client_cfg: CmConfig) -> Scenario {
     const TOTAL: u64 = 256 * 1024;
     let mut topo = Topology::new(plan.seed.wrapping_add(0xc4a0));
     let mut server = Host::new(chaos_host_cfg(CmConfig::default()));
@@ -337,7 +413,7 @@ fn tcp_bulk_kind(plan: &FaultPlan, name: &'static str, client_cfg: CmConfig) -> 
     let server_addr = topo.sim().addr_of(server_id);
 
     let mut client = Host::new(chaos_host_cfg(client_cfg));
-    let tx_app = client.add_app(Box::new(BulkSender::new(
+    let tx = client.add_app(Box::new(BulkSender::new(
         server_addr,
         80,
         CcMode::Cm,
@@ -349,34 +425,18 @@ fn tcp_bulk_kind(plan: &FaultPlan, name: &'static str, client_cfg: CmConfig) -> 
         server_id,
         &faulted_path(PathSpec::wide_area(), plan),
     );
-
-    let mut sim = topo.build();
-    let mut violations = Vec::new();
-    let hosts = [(client_id, "client"), (server_id, "server")];
-    drive(
-        &mut sim,
-        &hosts,
-        Time::ZERO + HORIZON + TAIL,
-        name,
-        plan.seed,
-        &mut violations,
-    );
-    let mut out = bulk_outcome(name, plan, &sim, client_id, tx_app, violations);
-    if !out.completed {
-        out.violations.push(format!(
-            "{} honest transfer stuck (never completed)",
-            tag(name, plan.seed, sim.now())
-        ));
+    Scenario {
+        sim: topo.build(),
+        hosts: [(client_id, "client"), (server_id, "server")],
+        honest: Honest::Bulk(vec![tx]),
+        hostile: None,
+        stall: "honest transfer stuck (never completed)",
     }
-    if !out.ok() {
-        out.trace_dump = post_mortem(&sim, &hosts);
-    }
-    out
 }
 
 /// Two bulk TCP transfers from one host sharing a macroflow — the CM's
 /// ensemble-sharing claim must survive a hostile path.
-fn tcp_pair(plan: &FaultPlan) -> ChaosOutcome {
+fn tcp_pair(plan: &FaultPlan) -> Scenario {
     const TOTAL: u64 = 128 * 1024;
     let mut topo = Topology::new(plan.seed.wrapping_add(0xc4a1));
     let mut server = Host::new(chaos_host_cfg(CmConfig::default()));
@@ -386,90 +446,43 @@ fn tcp_pair(plan: &FaultPlan) -> ChaosOutcome {
     let server_addr = topo.sim().addr_of(server_id);
 
     let mut client = Host::new(chaos_host_cfg(CmConfig::default()));
-    let tx_a = client.add_app(Box::new(BulkSender::new(
-        server_addr,
-        80,
-        CcMode::Cm,
-        TOTAL,
-    )));
-    let tx_b = client.add_app(Box::new(BulkSender::new(
-        server_addr,
-        81,
-        CcMode::Cm,
-        TOTAL,
-    )));
+    let senders = [80, 81].map(|port| {
+        client.add_app(Box::new(BulkSender::new(
+            server_addr,
+            port,
+            CcMode::Cm,
+            TOTAL,
+        )))
+    });
     let client_id = topo.add_host(Box::new(client));
     topo.emulated_path(
         client_id,
         server_id,
         &faulted_path(PathSpec::wide_area(), plan),
     );
-
-    let mut sim = topo.build();
-    let mut violations = Vec::new();
-    let hosts = [(client_id, "client"), (server_id, "server")];
-    drive(
-        &mut sim,
-        &hosts,
-        Time::ZERO + HORIZON + TAIL,
-        "tcp_pair",
-        plan.seed,
-        &mut violations,
-    );
-
-    let host = sim.node_ref::<Host>(client_id);
-    let a = host.app_ref::<BulkSender>(tx_a);
-    let b = host.app_ref::<BulkSender>(tx_b);
-    let completed = a.done_at.is_some() && b.done_at.is_some();
-    if !completed {
-        violations.push(format!(
-            "{} a shared-macroflow transfer stuck",
-            tag("tcp_pair", plan.seed, sim.now())
-        ));
+    Scenario {
+        sim: topo.build(),
+        hosts: [(client_id, "client"), (server_id, "server")],
+        honest: Honest::Bulk(senders.to_vec()),
+        hostile: None,
+        stall: "a shared-macroflow transfer stuck",
     }
-    let goodput: f64 = [a, b]
-        .iter()
-        .filter_map(|t| t.goodput_bps())
-        .map(|bps| bps * 8.0 / 1000.0)
-        .sum();
-    let elapsed = a
-        .started_at
-        .map(|s| {
-            let end_a = a.done_at.unwrap_or(sim.now());
-            let end_b = b.done_at.unwrap_or(sim.now());
-            (if end_a > end_b { end_a } else { end_b }).since(s)
-        })
-        .unwrap_or(Duration::ZERO);
-    let mut out = ChaosOutcome {
-        scenario: "tcp_pair".to_string(),
-        seed: plan.seed,
-        goodput_kbps: goodput,
-        completed,
-        elapsed_s: elapsed.as_secs_f64(),
-        client_stats: host.cm.stats(),
-        violations,
-        trace_dump: Vec::new(),
-    };
-    if !out.ok() {
-        out.trace_dump = post_mortem(&sim, &hosts);
-    }
-    out
 }
 
 /// An ALF (request/callback) UDP blaster with per-packet application
 /// acks, over a faulted path — exercises the grant pipeline and the
 /// feedback path under reordering and duplication.
-fn alf_blast(plan: &FaultPlan) -> ChaosOutcome {
+fn alf_blast(plan: &FaultPlan) -> Scenario {
     const TARGET: u64 = 3_000;
     const PACKET: u32 = 1_000;
     let mut topo = Topology::new(plan.seed.wrapping_add(0xc4a2));
     let mut rx_host = Host::new(chaos_host_cfg(CmConfig::default()));
-    let rx_app = rx_host.add_app(Box::new(AckReceiver::new(9100, FeedbackPolicy::PerPacket)));
+    let rx = rx_host.add_app(Box::new(AckReceiver::new(9100, FeedbackPolicy::PerPacket)));
     let rx_id = topo.add_host(Box::new(rx_host));
     let rx_addr = topo.sim().addr_of(rx_id);
 
     let mut tx_host = Host::new(chaos_host_cfg(CmConfig::default()));
-    let tx_app = tx_host.add_app(Box::new(BlastSender::new(
+    let tx = tx_host.add_app(Box::new(BlastSender::new(
         rx_addr,
         9100,
         BlastApi::Alf,
@@ -478,58 +491,20 @@ fn alf_blast(plan: &FaultPlan) -> ChaosOutcome {
     )));
     let tx_id = topo.add_host(Box::new(tx_host));
     topo.emulated_path(tx_id, rx_id, &faulted_path(PathSpec::wide_area(), plan));
-
-    let mut sim = topo.build();
-    let mut violations = Vec::new();
-    let hosts = [(tx_id, "sender"), (rx_id, "receiver")];
-    drive(
-        &mut sim,
-        &hosts,
-        Time::ZERO + HORIZON + TAIL,
-        "alf_blast",
-        plan.seed,
-        &mut violations,
-    );
-
-    let tx_host = sim.node_ref::<Host>(tx_id);
-    let tx = tx_host.app_ref::<BlastSender>(tx_app);
-    let rx = sim.node_ref::<Host>(rx_id).app_ref::<AckReceiver>(rx_app);
-    if rx.packets == 0 {
-        violations.push(format!(
-            "{} receiver got nothing",
-            tag("alf_blast", plan.seed, sim.now())
-        ));
+    Scenario {
+        sim: topo.build(),
+        hosts: [(tx_id, "sender"), (rx_id, "receiver")],
+        honest: Honest::Blast { tx, rx },
+        hostile: None,
+        stall: "receiver got nothing",
     }
-    let elapsed = tx
-        .first_send
-        .map(|s| tx.done_at.unwrap_or(sim.now()).since(s))
-        .unwrap_or(Duration::ZERO);
-    let goodput_kbps = if elapsed.is_zero() {
-        f64::NAN
-    } else {
-        rx.bytes as f64 * 8.0 / 1000.0 / elapsed.as_secs_f64()
-    };
-    let mut out = ChaosOutcome {
-        scenario: "alf_blast".to_string(),
-        seed: plan.seed,
-        goodput_kbps,
-        completed: tx.done_at.is_some(),
-        elapsed_s: elapsed.as_secs_f64(),
-        client_stats: tx_host.cm.stats(),
-        violations,
-        trace_dump: Vec::new(),
-    };
-    if !out.ok() {
-        out.trace_dump = post_mortem(&sim, &hosts);
-    }
-    out
 }
 
 /// A deliberately misbehaving UDP client (per `plan.app`) sharing a host
 /// — and a CM — with an honest bulk TCP transfer. The CM must contain
 /// the damage: the honest transfer completes, slots are reclaimed, and a
 /// crashed client's flow is reaped.
-fn misbehaving_app(plan: &FaultPlan) -> ChaosOutcome {
+fn misbehaving_app(plan: &FaultPlan) -> Scenario {
     const TOTAL: u64 = 256 * 1024;
     let host_cfg = chaos_host_cfg(CmConfig {
         orphan_timeout: Some(Duration::from_secs(10)),
@@ -542,17 +517,15 @@ fn misbehaving_app(plan: &FaultPlan) -> ChaosOutcome {
     let server_id = topo.add_host(Box::new(server));
     let server_addr = topo.sim().addr_of(server_id);
 
-    // Make sure the app fault actually fires inside the horizon even for
-    // the clean plan's `AppFault::None` replays driven by the figure.
     let mut client = Host::new(host_cfg);
-    let bad_app = client.add_app(Box::new(MisbehavingSender::new(
+    let bad = client.add_app(Box::new(MisbehavingSender::new(
         server_addr,
         9100,
         plan.app,
         1_000,
         10_000,
     )));
-    let tx_app = client.add_app(Box::new(BulkSender::new(
+    let tx = client.add_app(Box::new(BulkSender::new(
         server_addr,
         80,
         CcMode::Cm,
@@ -564,52 +537,19 @@ fn misbehaving_app(plan: &FaultPlan) -> ChaosOutcome {
         server_id,
         &faulted_path(PathSpec::wide_area(), plan),
     );
-
-    let mut sim = topo.build();
-    let mut violations = Vec::new();
-    let hosts = [(client_id, "client"), (server_id, "server")];
-    drive(
-        &mut sim,
-        &hosts,
-        Time::ZERO + HORIZON + TAIL,
-        "misbehaving_app",
-        plan.seed,
-        &mut violations,
-    );
-
-    {
-        let host = sim.node_ref::<Host>(client_id);
-        let bad = host.app_ref::<MisbehavingSender>(bad_app);
-        // A crashed app leaks its flow; after the quiet tail the orphan
-        // reaper must have returned the slot.
-        if matches!(plan.app, AppFault::Crash { .. }) && bad.crashed {
-            if let Some(flow) = bad.flow() {
-                if host.cm.macroflow_of(flow).is_ok() {
-                    violations.push(format!(
-                        "{} crashed client's flow never reaped",
-                        tag("misbehaving_app", plan.seed, sim.now())
-                    ));
-                }
-            }
-        }
+    Scenario {
+        sim: topo.build(),
+        hosts: [(client_id, "client"), (server_id, "server")],
+        honest: Honest::Bulk(vec![tx]),
+        hostile: Some(bad),
+        stall: "honest transfer starved by misbehaving peer",
     }
-    let mut out = bulk_outcome("misbehaving_app", plan, &sim, client_id, tx_app, violations);
-    if !out.completed {
-        out.violations.push(format!(
-            "{} honest transfer starved by misbehaving peer",
-            tag("misbehaving_app", plan.seed, sim.now())
-        ));
-    }
-    if !out.ok() {
-        out.trace_dump = post_mortem(&sim, &hosts);
-    }
-    out
 }
 
 /// Bulk TCP over the bundled `flaky_cellular` trace — rapid rate flaps
 /// and two near-outage collapses from the schedule, with the plan's link
 /// faults layered on top.
-fn flaky_trace(plan: &FaultPlan) -> ChaosOutcome {
+fn flaky_trace(plan: &FaultPlan) -> Scenario {
     const TOTAL: u64 = 96 * 1024;
     #[expect(
         clippy::expect_used,
@@ -626,7 +566,7 @@ fn flaky_trace(plan: &FaultPlan) -> ChaosOutcome {
     let server_addr = topo.sim().addr_of(server_id);
 
     let mut client = Host::new(chaos_host_cfg(CmConfig::default()));
-    let tx_app = client.add_app(Box::new(BulkSender::new(
+    let tx = client.add_app(Box::new(BulkSender::new(
         server_addr,
         80,
         CcMode::Cm,
@@ -639,29 +579,13 @@ fn flaky_trace(plan: &FaultPlan) -> ChaosOutcome {
     );
     let d = topo.emulated_path(client_id, server_id, &path);
     topo.schedule_link(d.forward, &schedule);
-
-    let mut sim = topo.build();
-    let mut violations = Vec::new();
-    let hosts = [(client_id, "client"), (server_id, "server")];
-    drive(
-        &mut sim,
-        &hosts,
-        Time::ZERO + HORIZON + TAIL,
-        "flaky_trace",
-        plan.seed,
-        &mut violations,
-    );
-    let mut out = bulk_outcome("flaky_trace", plan, &sim, client_id, tx_app, violations);
-    if !out.completed {
-        out.violations.push(format!(
-            "{} transfer stuck on the flaky channel",
-            tag("flaky_trace", plan.seed, sim.now())
-        ));
+    Scenario {
+        sim: topo.build(),
+        hosts: [(client_id, "client"), (server_id, "server")],
+        honest: Honest::Bulk(vec![tx]),
+        hostile: None,
+        stall: "transfer stuck on the flaky channel",
     }
-    if !out.ok() {
-        out.trace_dump = post_mortem(&sim, &hosts);
-    }
-    out
 }
 
 /// One row of the `robustness` figure.
@@ -731,37 +655,37 @@ pub fn robustness_rows() -> Vec<RobustnessRow> {
             "clean",
             "wide-area path, no faults (baseline)",
             true,
-            run_chaos("tcp_bulk", &FaultPlan::clean()),
+            run_chaos("tcp_bulk", tcp_bulk, &FaultPlan::clean()),
         ),
         (
             "ge_loss",
             "Gilbert-Elliott bursty loss (40% in-burst)",
             true,
-            run_chaos("tcp_bulk", &ge),
+            run_chaos("tcp_bulk", tcp_bulk, &ge),
         ),
         (
             "flap",
             "two link flaps (2.0s and 1.5s outages)",
             true,
-            run_chaos("tcp_bulk", &flap),
+            run_chaos("tcp_bulk", tcp_bulk, &flap),
         ),
         (
             "flaky_cellular",
             "recorded flaky cellular trace (rate collapses to 10 kbps)",
             false,
-            run_chaos("flaky_trace", &FaultPlan::clean()),
+            run_chaos("flaky_trace", flaky_trace, &FaultPlan::clean()),
         ),
         (
             "hostile_hoard",
             "co-located app hoards every grant from t=2s",
             false,
-            run_chaos("misbehaving_app", &hoard),
+            run_chaos("misbehaving_app", misbehaving_app, &hoard),
         ),
         (
             "hostile_crash",
             "co-located app crashes at t=5s without cm_close",
             false,
-            run_chaos("misbehaving_app", &crash),
+            run_chaos("misbehaving_app", misbehaving_app, &crash),
         ),
     ];
 
@@ -836,34 +760,40 @@ mod tests {
     }
 
     /// Forcing a liveness failure (a permanent outage from t=0 starves
-    /// the honest transfer) must produce a report where every line is
-    /// tagged with scenario, seed, and simulated time, plus a
-    /// flight-recorder post-mortem of the hosts' last decisions.
+    /// the honest traffic) must fail every scenario with a report where
+    /// every line is tagged with scenario, seed, and simulated time, plus
+    /// a flight-recorder post-mortem of the hosts' last decisions.
     #[test]
     fn failing_run_is_tagged_and_carries_a_trace_dump() {
         let mut plan = FaultPlan::seeded(42, HORIZON);
         plan.link = LinkFaults::clean().with_outage(Time::ZERO, Time::from_secs(600));
-        let o = run_chaos("tcp_bulk", &plan);
-        assert!(!o.ok(), "a dead link must fail the liveness check");
-        for v in &o.violations {
+        for &(name, build) in SCENARIOS {
+            let o = run_chaos(name, build, &plan);
+            assert!(!o.ok(), "{name}: a dead link must fail the liveness check");
+            for v in &o.violations {
+                assert!(
+                    v.starts_with(&format!("[{name} seed=42 t=")),
+                    "violation missing scenario/seed/time context: {v}"
+                );
+            }
             assert!(
-                v.contains("tcp_bulk") && v.contains("seed=42") && v.contains("t="),
-                "violation missing scenario/seed/time context: {v}"
+                !o.trace_dump.is_empty(),
+                "{name}: no post-mortem trace dump"
+            );
+            assert!(
+                o.trace_dump
+                    .iter()
+                    .all(|l| l.starts_with("host=") && l.contains(" shard=")),
+                "{name}: malformed dump lines: {:?}",
+                o.trace_dump
+            );
+            let first = format!("host={} ", build(&plan).hosts[0].1);
+            assert!(
+                o.trace_dump.iter().any(|l| l.starts_with(&first)),
+                "{name}: dump lacks the first host's decisions: {:?}",
+                o.trace_dump
             );
         }
-        assert!(!o.trace_dump.is_empty(), "no post-mortem trace dump");
-        assert!(
-            o.trace_dump
-                .iter()
-                .all(|l| l.starts_with("host=") && l.contains(" shard=")),
-            "malformed dump lines: {:?}",
-            o.trace_dump
-        );
-        assert!(
-            o.trace_dump.iter().any(|l| l.contains("host=client")),
-            "dump lacks the client's decisions: {:?}",
-            o.trace_dump
-        );
     }
 
     #[test]
@@ -872,7 +802,7 @@ mod tests {
         plan.app = AppFault::Crash {
             at: Time::from_secs(5),
         };
-        let o = run_chaos("misbehaving_app", &plan);
+        let o = run_chaos("misbehaving_app", misbehaving_app, &plan);
         assert!(o.ok(), "violations: {:?}", o.violations);
         assert!(o.completed, "honest transfer must complete");
         assert!(
@@ -888,7 +818,7 @@ mod tests {
         plan.app = AppFault::GrantHoard {
             after: Time::from_secs(2),
         };
-        let o = run_chaos("misbehaving_app", &plan);
+        let o = run_chaos("misbehaving_app", misbehaving_app, &plan);
         assert!(o.ok(), "violations: {:?}", o.violations);
         assert!(
             o.completed,

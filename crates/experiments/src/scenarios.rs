@@ -35,8 +35,6 @@ pub struct BulkOutcome {
     pub elapsed: Duration,
     /// Handshake duration.
     pub connect_time: Option<Duration>,
-    /// Sender CPU busy time over the run.
-    pub cpu_busy: Duration,
     /// Sender CPU utilization over the transfer window.
     pub cpu_utilization: f64,
     /// Data segments transmitted (first transmissions).
@@ -145,7 +143,6 @@ pub fn bulk_transfer(path: &PathSpec, spec: BulkSpec) -> BulkOutcome {
         completed: tx.done_at.is_some(),
         elapsed,
         connect_time: tx.connect_time(),
-        cpu_busy: host.cpu.total_busy(),
         cpu_utilization: Cpu::utilization(host.cpu.total_busy(), elapsed),
         segs_sent: conn.map(|c| c.stats.segs_sent).unwrap_or(0),
         bytes_rtx: conn.map(|c| c.stats.bytes_rtx).unwrap_or(0),

@@ -119,20 +119,6 @@ impl Packet {
     }
 }
 
-/// Conventional wire overhead constants used throughout the experiments.
-pub mod wire {
-    /// Ethernet MTU in bytes.
-    pub const ETH_MTU: usize = 1500;
-    /// IP header size (no options).
-    pub const IP_HDR: usize = 20;
-    /// TCP header size (no options).
-    pub const TCP_HDR: usize = 20;
-    /// UDP header size.
-    pub const UDP_HDR: usize = 8;
-    /// Default TCP maximum segment size on Ethernet.
-    pub const DEFAULT_MSS: usize = ETH_MTU - IP_HDR - TCP_HDR;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,11 +148,6 @@ mod tests {
             (pkt.src, pkt.dst, pkt.src_port, pkt.dst_port),
             (Addr(1), Addr(2), 5000, 80)
         );
-    }
-
-    #[test]
-    fn mss_is_consistent() {
-        assert_eq!(wire::DEFAULT_MSS, 1460);
     }
 
     #[test]

@@ -102,6 +102,10 @@ impl TcpSegment {
     }
 }
 
+/// IP + TCP header overhead per segment, bytes: what the wire carries
+/// beyond [`TcpSegment::len`].
+pub const TCP_OVERHEAD: u64 = 40;
+
 /// IP + UDP header overhead per datagram, bytes: what the wire carries
 /// beyond [`UdpDatagram::len`].
 pub const UDP_OVERHEAD: u64 = 28;

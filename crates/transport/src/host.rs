@@ -47,13 +47,11 @@ use cm_netsim::packet::{Addr, Packet, Payload, Protocol};
 use cm_netsim::sim::{Node, NodeCtx};
 use cm_util::{Duration, FxHashMap, Time};
 
-use crate::segment::{TcpSegment, UdpDatagram, UDP_OVERHEAD};
+use crate::segment::{TcpSegment, UdpDatagram, TCP_OVERHEAD, UDP_OVERHEAD};
 use crate::tcp::{TcpAction, TcpConfig, TcpConnection};
 use crate::types::{AppId, CcMode, TcpConnId, TcpEvent, TcpTimer, UdpSocketId};
 use crate::udp::{QueuedDatagram, UdpSocket};
 
-/// IP + TCP header overhead, bytes.
-const TCP_OVERHEAD: usize = 40;
 /// Period of the CM maintenance timer.
 const CM_TICK: Duration = Duration::from_millis(100);
 
@@ -213,16 +211,25 @@ struct ConnTimer {
     order: u64,
 }
 
-/// Per-socket ownership record: owning app plus the connected remote
-/// endpoint for CC-UDP sockets.
-type SockMeta = (AppId, Option<(Addr, u16)>);
-
-struct ConnMeta {
-    local_port: u16,
-    remote: Addr,
-    remote_port: u16,
+/// One TCP connection: the protocol state and everything the host keeps
+/// beside it.
+struct Conn {
+    tcp: TcpConnection,
+    /// The four-tuple, local end first — also the key of its CM flow.
+    key: FlowKey,
     owner: AppId,
+    /// The CM flow of a `CcMode::Cm` connection's sending direction.
     flow: Option<FlowId>,
+    /// Indexed by `TcpTimer as usize`.
+    timers: [ConnTimer; 2],
+}
+
+/// The four-tuple from this host's `local_port` to `(remote, remote_port)`.
+fn four_tuple(ctx: &NodeCtx<'_>, local_port: u16, remote: Addr, remote_port: u16) -> FlowKey {
+    FlowKey::new(
+        Endpoint::new(ctx.addr().0, local_port),
+        Endpoint::new(remote.0, remote_port),
+    )
 }
 
 /// An application running on a host.
@@ -273,15 +280,12 @@ pub struct Host {
     pub cpu: Cpu,
     addr: Option<Addr>,
 
-    conns: Vec<Option<TcpConnection>>,
-    conn_meta: Vec<Option<ConnMeta>>,
-    /// Each connection's timers, indexed by `TcpTimer as usize`.
-    conn_timers: Vec<[ConnTimer; 2]>,
+    conns: Vec<Option<Conn>>,
     tcp_demux: FxHashMap<(u16, u32, u16), TcpConnId>,
     tcp_listeners: FxHashMap<u16, (AppId, CcMode)>,
 
-    socks: Vec<Option<UdpSocket>>,
-    sock_meta: Vec<Option<SockMeta>>,
+    /// Each socket with the app that owns it.
+    socks: Vec<(UdpSocket, AppId)>,
     udp_demux: FxHashMap<u16, UdpSocketId>,
 
     flow_owner: FlowOwners,
@@ -316,12 +320,9 @@ impl Host {
             cpu: Cpu::new(),
             addr: None,
             conns: Vec::new(),
-            conn_meta: Vec::new(),
-            conn_timers: Vec::new(),
             tcp_demux: FxHashMap::default(),
             tcp_listeners: FxHashMap::default(),
             socks: Vec::new(),
-            sock_meta: Vec::new(),
             udp_demux: FxHashMap::default(),
             flow_owner: FlowOwners::default(),
             apps: Vec::new(),
@@ -367,12 +368,15 @@ impl Host {
 
     /// Immutable access to a TCP connection.
     pub fn tcp_conn(&self, conn: TcpConnId) -> Option<&TcpConnection> {
-        self.conns.get(conn.0 as usize).and_then(Option::as_ref)
+        self.conn(conn).map(|c| &c.tcp)
     }
 
-    /// Immutable access to a UDP socket.
-    fn udp_sock(&self, sock: UdpSocketId) -> Option<&UdpSocket> {
-        self.socks.get(sock.0 as usize).and_then(Option::as_ref)
+    fn conn(&self, conn: TcpConnId) -> Option<&Conn> {
+        self.conns.get(conn.0 as usize)?.as_ref()
+    }
+
+    fn conn_mut(&mut self, conn: TcpConnId) -> Option<&mut Conn> {
+        self.conns.get_mut(conn.0 as usize)?.as_mut()
     }
 
     /// This host's address (known after simulation start).
@@ -439,7 +443,7 @@ impl Host {
                 Some(FlowOwner::Tcp(conn)) => {
                     let now = ctx.now();
                     match self.conns[conn.0 as usize].as_mut() {
-                        Some(c) => c.on_cm_grant_into(now, &mut self.tcp_actions),
+                        Some(c) => c.tcp.on_cm_grant_into(now, &mut self.tcp_actions),
                         None => {
                             // Connection gone; release the grant.
                             let _ = self.cm.notify(flow, 0, now);
@@ -466,7 +470,7 @@ impl Host {
                     Some(FlowOwner::CcUdp(sock)) => {
                         // Deliver to the application owning the socket
                         // (the vat policer adapts on these).
-                        if let Some(&Some((owner, _))) = self.sock_meta.get(sock.0 as usize) {
+                        if let Some(&(_, owner)) = self.socks.get(sock.0 as usize) {
                             self.pending
                                 .push_back((owner, AppEvent::CmRate(flow, info)));
                         }
@@ -502,12 +506,43 @@ impl Host {
     // TCP plumbing
     // ------------------------------------------------------------------
 
-    /// Installs a new connection's state under the next id, which is
-    /// its index in each of the per-connection tables.
-    fn add_conn(&mut self, conn: TcpConnection, meta: ConnMeta) {
-        self.conns.push(Some(conn));
-        self.conn_meta.push(Some(meta));
-        self.conn_timers.push(Default::default());
+    /// Opens a CM flow for `key` whose grants and rate callbacks go to
+    /// `owner`: the one `cm_open` behind TCP/CM, CC-UDP and ALF apps.
+    /// `None` if the CM refuses the key.
+    fn open_flow(&mut self, key: FlowKey, now: Time, owner: FlowOwner) -> Option<FlowId> {
+        let flow = self.cm.open(key, now).ok()?;
+        self.flow_owner.set(flow, owner);
+        Some(flow)
+    }
+
+    /// Installs a connection — an active open or an accepted SYN — under
+    /// the next id, with a CM flow for its sending direction in
+    /// `CcMode::Cm`, and runs TCP's opening actions.
+    fn open_conn(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        key: FlowKey,
+        owner: AppId,
+        mode: CcMode,
+        (tcp, actions): (TcpConnection, Vec<TcpAction>),
+    ) -> TcpConnId {
+        let id = TcpConnId(self.conns.len() as u32);
+        let flow = match mode {
+            CcMode::Cm => self.open_flow(key, ctx.now(), FlowOwner::Tcp(id)),
+            CcMode::Native => None,
+        };
+        self.conns.push(Some(Conn {
+            tcp,
+            key,
+            owner,
+            flow,
+            timers: Default::default(),
+        }));
+        self.tcp_demux
+            .insert((key.local.port, key.remote.addr, key.remote.port), id);
+        self.tcp_actions.extend(actions);
+        self.run_tcp_actions(ctx, id);
+        id
     }
 
     /// Executes what a TCP entry point left in `tcp_actions` on
@@ -520,7 +555,9 @@ impl Host {
                 TcpAction::Emit(seg) => self.emit_tcp_segment(ctx, conn_id, seg),
                 TcpAction::SetTimer(kind, after) => self.arm_tcp_timer(ctx, conn_id, kind, after),
                 TcpAction::CancelTimer(kind) => {
-                    self.conn_timers[conn_id.0 as usize][kind as usize].deadline = None;
+                    if let Some(c) = self.conn_mut(conn_id) {
+                        c.timers[kind as usize].deadline = None;
+                    }
                 }
                 TcpAction::CmRequest => {
                     if let Some(flow) = self.conn_flow(conn_id) {
@@ -547,8 +584,8 @@ impl Host {
                         if let Ok(mf) = self.cm.macroflow_of(flow) {
                             if let Ok(info) = self.cm.flow_info(flow, mf) {
                                 if let Some(srtt) = info.srtt {
-                                    if let Some(c) = self.conns[conn_id.0 as usize].as_mut() {
-                                        c.set_shared_rtt(srtt, info.rttvar);
+                                    if let Some(c) = self.conn_mut(conn_id) {
+                                        c.tcp.set_shared_rtt(srtt, info.rttvar);
                                     }
                                 }
                             }
@@ -556,9 +593,9 @@ impl Host {
                     }
                 }
                 TcpAction::Event(ev) => {
-                    if let Some(meta) = self.conn_meta[conn_id.0 as usize].as_ref() {
+                    if let Some(c) = self.conn(conn_id) {
                         self.pending
-                            .push_back((meta.owner, AppEvent::Tcp(conn_id, ev)));
+                            .push_back((c.owner, AppEvent::Tcp(conn_id, ev)));
                     }
                 }
             }
@@ -580,7 +617,10 @@ impl Host {
         after: Duration,
     ) {
         let deadline = ctx.now() + after;
-        let t = &mut self.conn_timers[conn.0 as usize][kind as usize];
+        let Some(c) = self.conn_mut(conn) else {
+            return;
+        };
+        let t = &mut c.timers[kind as usize];
         t.deadline = Some(deadline);
         match t.event_at {
             Some(at) if at < deadline => t.order = ctx.reserve_order(),
@@ -604,10 +644,10 @@ impl Host {
         kind: TcpTimer,
         gen: u32,
     ) -> bool {
-        let Some(timers) = self.conn_timers.get_mut(conn.0 as usize) else {
+        let Some(c) = self.conn_mut(conn) else {
             return false;
         };
-        let t = &mut timers[kind as usize];
+        let t = &mut c.timers[kind as usize];
         if t.gen != gen {
             return false;
         }
@@ -628,16 +668,16 @@ impl Host {
     }
 
     fn emit_tcp_segment(&mut self, ctx: &mut NodeCtx<'_>, conn_id: TcpConnId, seg: TcpSegment) {
-        let Some(meta) = self.conn_meta[conn_id.0 as usize].as_ref() else {
+        let Some(&Conn { key, .. }) = self.conn(conn_id) else {
             return;
         };
         let pkt = Packet::new(
-            ctx.addr(),
-            meta.remote,
-            meta.local_port,
-            meta.remote_port,
+            Addr(key.local.addr),
+            Addr(key.remote.addr),
+            key.local.port,
+            key.remote.port,
             Protocol::Tcp,
-            seg.len as usize + TCP_OVERHEAD,
+            seg.len as usize + TCP_OVERHEAD as usize,
             Payload::Tcp(seg),
         );
         // Kernel send path: TCP processing + IP output + the data copy.
@@ -647,9 +687,7 @@ impl Host {
     }
 
     fn conn_flow(&self, conn: TcpConnId) -> Option<FlowId> {
-        self.conn_meta[conn.0 as usize]
-            .as_ref()
-            .and_then(|m| m.flow)
+        self.conn(conn)?.flow
     }
 
     /// Emits a packet after the CPU finishes `work`; maintains FIFO order
@@ -671,7 +709,7 @@ impl Host {
 
     fn ccudp_grant(&mut self, ctx: &mut NodeCtx<'_>, sock_id: UdpSocketId, flow: FlowId) {
         let now = ctx.now();
-        let Some(sock) = self.socks[sock_id.0 as usize].as_mut() else {
+        let Some((sock, _)) = self.socks.get_mut(sock_id.0 as usize) else {
             let _ = self.cm.notify(flow, 0, now);
             return;
         };
@@ -732,53 +770,25 @@ impl Node for Host {
                 };
                 self.cpu.run(now, self.cfg.cost.tcp_proc);
                 let key = (pkt.dst_port, pkt.src.0, pkt.src_port);
-                let conn_id = match self.tcp_demux.get(&key) {
-                    Some(&id) => id,
+                match self.tcp_demux.get(&key) {
+                    Some(&id) => {
+                        match self.conns[id.0 as usize].as_mut() {
+                            Some(c) => c.tcp.on_segment_into(&seg, now, &mut self.tcp_actions),
+                            None => return,
+                        };
+                        self.run_tcp_actions(ctx, id);
+                    }
                     None if seg.flags.syn && !seg.flags.ack => {
                         // Passive open on a listening port.
                         let Some(&(owner, mode)) = self.tcp_listeners.get(&pkt.dst_port) else {
                             return;
                         };
-                        let (conn, actions) =
-                            TcpConnection::accept(self.cfg.tcp.clone(), mode, &seg, now);
-                        let id = TcpConnId(self.conns.len() as u32);
-                        // Open the CM flow for our sending direction.
-                        let flow = if mode == CcMode::Cm {
-                            let fkey = FlowKey::new(
-                                Endpoint::new(ctx.addr().0, pkt.dst_port),
-                                Endpoint::new(pkt.src.0, pkt.src_port),
-                            );
-                            let f = self.cm.open(fkey, now).ok();
-                            if let Some(f) = f {
-                                self.flow_owner.set(f, FlowOwner::Tcp(id));
-                            }
-                            f
-                        } else {
-                            None
-                        };
-                        self.add_conn(
-                            conn,
-                            ConnMeta {
-                                local_port: pkt.dst_port,
-                                remote: pkt.src,
-                                remote_port: pkt.src_port,
-                                owner,
-                                flow,
-                            },
-                        );
-                        self.tcp_demux.insert(key, id);
-                        self.tcp_actions.extend(actions);
-                        self.run_tcp_actions(ctx, id);
-                        self.settle(ctx);
-                        return;
+                        let opened = TcpConnection::accept(self.cfg.tcp.clone(), mode, &seg, now);
+                        let key = four_tuple(ctx, pkt.dst_port, pkt.src, pkt.src_port);
+                        self.open_conn(ctx, key, owner, mode, opened);
                     }
                     None => return,
-                };
-                match self.conns[conn_id.0 as usize].as_mut() {
-                    Some(c) => c.on_segment_into(&seg, now, &mut self.tcp_actions),
-                    None => return,
-                };
-                self.run_tcp_actions(ctx, conn_id);
+                }
             }
             Protocol::Udp => {
                 let Payload::Udp(dgram) = pkt.payload else {
@@ -788,14 +798,11 @@ impl Node for Host {
                 let Some(&sock_id) = self.udp_demux.get(&pkt.dst_port) else {
                     return;
                 };
-                let Some(sock) = self.socks[sock_id.0 as usize].as_mut() else {
+                let Some(&(_, owner)) = self.socks.get(sock_id.0 as usize) else {
                     return;
                 };
-                sock.note_received();
-                if let Some((owner, _)) = self.sock_meta[sock_id.0 as usize] {
-                    self.pending
-                        .push_back((owner, AppEvent::Udp(sock_id, pkt.src, pkt.src_port, dgram)));
-                }
+                self.pending
+                    .push_back((owner, AppEvent::Udp(sock_id, pkt.src, pkt.src_port, dgram)));
             }
         }
         self.settle(ctx);
@@ -812,7 +819,7 @@ impl Node for Host {
                     return; // Cancelled, superseded, or moved on to a later deadline.
                 }
                 match self.conns[conn.0 as usize].as_mut() {
-                    Some(c) => c.on_timer_into(kind, now, &mut self.tcp_actions),
+                    Some(c) => c.tcp.on_timer_into(kind, now, &mut self.tcp_actions),
                     None => return,
                 };
                 self.run_tcp_actions(ctx, conn);
@@ -888,38 +895,10 @@ impl HostOs<'_, '_> {
         let now = self.ctx.now();
         let local_port = self.host.next_ephemeral;
         self.host.next_ephemeral += 1;
-        let (conn, actions) = TcpConnection::connect(self.host.cfg.tcp.clone(), mode, now);
-        let id = TcpConnId(self.host.conns.len() as u32);
-        let flow = if mode == CcMode::Cm {
-            let fkey = FlowKey::new(
-                Endpoint::new(self.ctx.addr().0, local_port),
-                Endpoint::new(remote.0, remote_port),
-            );
-            let f = self.host.cm.open(fkey, now).ok();
-            if let Some(f) = f {
-                self.host.flow_owner.set(f, FlowOwner::Tcp(id));
-            }
-            f
-        } else {
-            None
-        };
-        self.host.add_conn(
-            conn,
-            ConnMeta {
-                local_port,
-                remote,
-                remote_port,
-                owner: self.app,
-                flow,
-            },
-        );
-        self.host
-            .tcp_demux
-            .insert((local_port, remote.0, remote_port), id);
         self.host.cpu.run(now, self.host.cfg.cost.syscall);
-        self.host.tcp_actions.extend(actions);
-        self.host.run_tcp_actions(self.ctx, id);
-        id
+        let opened = TcpConnection::connect(self.host.cfg.tcp.clone(), mode, now);
+        let key = four_tuple(self.ctx, local_port, remote, remote_port);
+        self.host.open_conn(self.ctx, key, self.app, mode, opened)
     }
 
     /// Listens for inbound connections on `port`; accepted connections
@@ -935,7 +914,7 @@ impl HostOs<'_, '_> {
         let work = self.host.cfg.cost.syscall + self.host.cfg.cost.copy(bytes as usize);
         self.host.cpu.run(now, work);
         match self.host.conns[conn.0 as usize].as_mut() {
-            Some(c) => c.app_write_into(bytes, now, &mut self.host.tcp_actions),
+            Some(c) => c.tcp.app_write_into(bytes, now, &mut self.host.tcp_actions),
             None => return,
         };
         self.host.run_tcp_actions(self.ctx, conn);
@@ -946,7 +925,7 @@ impl HostOs<'_, '_> {
         let now = self.ctx.now();
         self.host.cpu.run(now, self.host.cfg.cost.syscall);
         match self.host.conns[conn.0 as usize].as_mut() {
-            Some(c) => c.app_close_into(now, &mut self.host.tcp_actions),
+            Some(c) => c.tcp.app_close_into(now, &mut self.host.tcp_actions),
             None => return,
         };
         self.host.run_tcp_actions(self.ctx, conn);
@@ -968,8 +947,7 @@ impl HostOs<'_, '_> {
             taken.is_none(),
             "udp_socket: port {local_port} is already bound on this host"
         );
-        self.host.socks.push(Some(UdpSocket::new(local_port)));
-        self.host.sock_meta.push(Some((self.app, None)));
+        self.host.socks.push((UdpSocket::new(local_port), self.app));
         id
     }
 
@@ -988,34 +966,17 @@ impl HostOs<'_, '_> {
     /// `(remote, remote_port)` — `cm_open` + `setsockopt(CM_BUF)` (§3.3).
     pub fn ccudp_connect(&mut self, sock: UdpSocketId, remote: Addr, remote_port: u16) -> FlowId {
         let now = self.ctx.now();
-        #[expect(
-            clippy::expect_used,
-            reason = "syscall-shaped API — connecting a closed socket id is a caller bug (EBADF)"
-        )]
-        let local_port = self.host.socks[sock.0 as usize]
-            .as_ref()
-            .expect("socket open")
-            .local_port;
-        let fkey = FlowKey::new(
-            Endpoint::new(self.ctx.addr().0, local_port),
-            Endpoint::new(remote.0, remote_port),
-        );
+        let local_port = self.host.socks[sock.0 as usize].0.local_port;
+        let key = four_tuple(self.ctx, local_port, remote, remote_port);
         #[expect(
             clippy::expect_used,
             reason = "duplicate five-tuple on one host — a scenario-script bug, not a runtime condition"
         )]
         let flow = self
             .host
-            .cm
-            .open(fkey, now)
+            .open_flow(key, now, FlowOwner::CcUdp(sock))
             .expect("ccudp flow open failed");
-        self.host.flow_owner.set(flow, FlowOwner::CcUdp(sock));
-        if let Some(s) = self.host.socks[sock.0 as usize].as_mut() {
-            s.enable_cm(flow);
-        }
-        if let Some(m) = self.host.sock_meta[sock.0 as usize].as_mut() {
-            m.1 = Some((remote, remote_port));
-        }
+        self.host.socks[sock.0 as usize].0.enable_cm(flow);
         self.host.cpu.run(now, self.host.cfg.cost.syscall);
         flow
     }
@@ -1036,7 +997,7 @@ impl HostOs<'_, '_> {
         self.host.cpu.ops.bytes_copied += dgram.len as u64;
         let work = self.host.cfg.cost.syscall + self.host.cfg.cost.copy(dgram.len as usize);
         self.host.cpu.run(now, work);
-        let Some(s) = self.host.socks[sock.0 as usize].as_mut() else {
+        let Some((s, _)) = self.host.socks.get_mut(sock.0 as usize) else {
             return false;
         };
         if s.is_cm() {
@@ -1055,7 +1016,6 @@ impl HostOs<'_, '_> {
             }
             ok
         } else {
-            s.note_sent();
             let local_port = s.local_port;
             let pkt = Packet::new(
                 self.ctx.addr(),
@@ -1074,7 +1034,10 @@ impl HostOs<'_, '_> {
 
     /// Queue depth of a congestion-controlled socket.
     pub fn ccudp_queue_len(&self, sock: UdpSocketId) -> usize {
-        self.host.udp_sock(sock).map(|s| s.queue_len()).unwrap_or(0)
+        self.host
+            .socks
+            .get(sock.0 as usize)
+            .map_or(0, |(s, _)| s.queue_len())
     }
 
     // --- The CM API for ALF applications (§2.1) ---
@@ -1083,17 +1046,14 @@ impl HostOs<'_, '_> {
     pub fn cm_open(&mut self, local_port: u16, remote: Addr, remote_port: u16) -> FlowId {
         let now = self.ctx.now();
         self.host.cpu.run(now, self.host.cfg.cost.syscall);
-        let fkey = FlowKey::new(
-            Endpoint::new(self.ctx.addr().0, local_port),
-            Endpoint::new(remote.0, remote_port),
-        );
+        let key = four_tuple(self.ctx, local_port, remote, remote_port);
         #[expect(
             clippy::expect_used,
             reason = "duplicate five-tuple on one host — a scenario-script bug, not a runtime condition"
         )]
-        let flow = self.host.cm.open(fkey, now).expect("cm_open failed");
-        self.host.flow_owner.set(flow, FlowOwner::App(self.app));
-        flow
+        self.host
+            .open_flow(key, now, FlowOwner::App(self.app))
+            .expect("cm_open failed")
     }
 
     /// `cm_close`.
@@ -1103,11 +1063,6 @@ impl HostOs<'_, '_> {
         // is a no-op at the syscall boundary.
         let _ = self.host.cm.close(flow, now);
         self.host.flow_owner.clear(flow);
-    }
-
-    /// `cm_mtu`.
-    pub fn cm_mtu(&self, flow: FlowId) -> usize {
-        self.host.cm.mtu(flow).unwrap_or(1460)
     }
 
     /// `cm_request`: one implicit MTU of send permission; the grant

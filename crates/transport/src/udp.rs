@@ -19,6 +19,11 @@ use cm_core::types::FlowId;
 
 use crate::segment::UdpDatagram;
 
+/// Bound on a congestion-controlled socket's queue, in packets; datagrams
+/// beyond it are dropped at send time (the kernel buffer the vat
+/// architecture deliberately keeps small).
+const MAX_QUEUE: usize = 128;
+
 /// A datagram queued for transmission.
 #[derive(Clone, Copy, Debug)]
 pub struct QueuedDatagram {
@@ -38,16 +43,6 @@ pub struct UdpSocket {
     pub cm_flow: Option<FlowId>,
     /// Kernel packet queue (only used when congestion controlled).
     queue: VecDeque<QueuedDatagram>,
-    /// Bound maximum queue length, in packets; datagrams beyond it are
-    /// dropped at send time (the kernel buffer the vat architecture
-    /// deliberately keeps small).
-    pub max_queue: usize,
-    /// Datagrams dropped at the socket queue.
-    pub queue_drops: u64,
-    /// Datagrams sent (handed to IP).
-    pub sent: u64,
-    /// Datagrams received (delivered to the app).
-    pub received: u64,
 }
 
 impl UdpSocket {
@@ -57,10 +52,6 @@ impl UdpSocket {
             local_port,
             cm_flow: None,
             queue: VecDeque::new(),
-            max_queue: 128,
-            queue_drops: 0,
-            sent: 0,
-            received: 0,
         }
     }
 
@@ -85,8 +76,7 @@ impl UdpSocket {
     /// was full and the datagram dropped.
     pub fn enqueue(&mut self, q: QueuedDatagram) -> bool {
         debug_assert!(self.is_cm(), "enqueue only applies to CM sockets");
-        if self.queue.len() >= self.max_queue {
-            self.queue_drops += 1;
+        if self.queue.len() >= MAX_QUEUE {
             return false;
         }
         self.queue.push_back(q);
@@ -96,21 +86,7 @@ impl UdpSocket {
     /// A CM grant arrived (`udp_ccappsend`): releases the next queued
     /// datagram, if any.
     pub fn on_cm_grant(&mut self) -> Option<QueuedDatagram> {
-        let d = self.queue.pop_front();
-        if d.is_some() {
-            self.sent += 1;
-        }
-        d
-    }
-
-    /// Accounts an immediate (non-CM) transmission.
-    pub fn note_sent(&mut self) {
-        self.sent += 1;
-    }
-
-    /// Accounts a delivery to the application.
-    pub fn note_received(&mut self) {
-        self.received += 1;
+        self.queue.pop_front()
     }
 }
 
@@ -150,19 +126,17 @@ mod tests {
         assert_eq!(s.on_cm_grant().unwrap().dgram.tag, 1);
         assert_eq!(s.on_cm_grant().unwrap().dgram.tag, 2);
         assert!(s.on_cm_grant().is_none());
-        assert_eq!(s.sent, 2);
     }
 
     #[test]
     fn queue_bound_drops_excess() {
         let mut s = UdpSocket::new(5000);
-        s.max_queue = 2;
         s.enable_cm(FlowId(0));
-        assert!(s.enqueue(dgram(1)));
-        assert!(s.enqueue(dgram(2)));
-        assert!(!s.enqueue(dgram(3)));
-        assert_eq!(s.queue_drops, 1);
-        assert_eq!(s.queue_len(), 2);
+        for tag in 0..MAX_QUEUE as u32 {
+            assert!(s.enqueue(dgram(tag)));
+        }
+        assert!(!s.enqueue(dgram(MAX_QUEUE as u32)));
+        assert_eq!(s.queue_len(), MAX_QUEUE);
     }
 
     #[test]
