@@ -4,7 +4,8 @@
 //! cargo run --release -p cm-experiments --bin figures [-- --smoke] [--out DIR]
 //! ```
 //!
-//! * `--smoke` — shrunken durations/seeds (CI's rot check).
+//! * `--smoke` — shrunken durations and seeds, the geometry the tests
+//!   run (output to `target/figures-smoke`).
 //! * `--out DIR` — output directory (default `docs/figures`).
 //!
 //! Output is deterministic: the same binary produces byte-identical
@@ -60,14 +61,10 @@ fn main() {
     for fig in figures {
         let name = fig.name;
         print!("  {name}... ");
-        let run = fig.run(smoke);
-        let written = run
-            .files
+        let written = fig
+            .run(smoke)
             .write_to(&out_dir)
             .unwrap_or_else(|e| panic!("writing {name}: {e}"));
-        if let Some(sweep) = &run.sweep {
-            print!("{} cells, ", sweep.cells.len());
-        }
         println!("{} files", written.len());
         index.push_str(&format!(
             "- **{name}** — {} ([report]({name}.md), [csv]({name}.csv), [dat]({name}.dat))\n",

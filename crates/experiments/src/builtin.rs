@@ -3,11 +3,13 @@
 //! A [`Figure`] is a name, its mapping onto the paper, and a run function
 //! that turns simulations into three deterministic files: `<name>.csv`,
 //! `<name>.dat` (gnuplot-ready blocks) and `<name>.md` (the report).
-//! Figures that sweep a declarative [`Experiment`] go through `sweep`;
-//! the rest drive their scenario or `cm-core` directly. The paper's own
+//! The adaptation figures call their [`crate::runner`] cells in plain
+//! loops (schedules, then policies, then controllers, then seeds); the
+//! rest drive their scenario or `cm-core` directly. The paper's own
 //! evaluation lives in [`crate::paper`]; `docs/experiments.md` documents
 //! how each figure maps onto the paper.
 
+use cm_adapt::FleetStats;
 use cm_apps::layered::LayeredStreamer;
 use cm_core::config::ControllerKind;
 use cm_netsim::schedule::BandwidthSchedule;
@@ -15,8 +17,7 @@ use cm_util::{Duration, Rate, Time};
 
 use crate::paper;
 use crate::report::{fmt_f64, DatFile, FigureDoc, OutputSet, Table};
-use crate::runner::{run_experiment, CellOutcome, ExperimentResult};
-use crate::spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule};
+use crate::runner::{co_sched_cell, layered_cell, vat_cell, AdaptPolicyKind, CellOutcome};
 
 const AIMD: ControllerKind = ControllerKind::Aimd {
     byte_counting: true,
@@ -33,29 +34,14 @@ pub struct Figure {
     pub paper_ref: &'static str,
     /// What the figure demonstrates.
     pub description: &'static str,
-    pub(crate) run: fn(&Figure, bool) -> FigureRun,
-}
-
-/// What running a figure produces.
-pub struct FigureRun {
-    /// The figure's output files.
-    pub files: OutputSet,
-    /// The executed sweep, for figures that are a declarative
-    /// [`Experiment`] (`None` for the ones that drive their scenario
-    /// directly).
-    pub sweep: Option<ExperimentResult>,
-}
-
-impl From<OutputSet> for FigureRun {
-    fn from(files: OutputSet) -> Self {
-        FigureRun { files, sweep: None }
-    }
+    pub(crate) run: fn(&Figure, bool) -> OutputSet,
 }
 
 impl Figure {
-    /// Runs the figure end to end. `smoke` shrinks durations and seed
-    /// counts for CI; the full configuration regenerates `docs/figures/`.
-    pub fn run(&self, smoke: bool) -> FigureRun {
+    /// Runs the figure end to end and returns its files. `smoke` shrinks
+    /// durations and seed counts for the tests; the full configuration
+    /// regenerates `docs/figures/`.
+    pub fn run(&self, smoke: bool) -> OutputSet {
         (self.run)(self, smoke)
     }
 }
@@ -81,19 +67,6 @@ pub const FIGURES: &[Figure] = &[
     DECISION_TIMELINE,
 ];
 
-/// Runs a declarative sweep and emits its files.
-fn sweep(
-    fig: &Figure,
-    experiment: Experiment,
-    emit: fn(&Figure, &ExperimentResult) -> OutputSet,
-) -> FigureRun {
-    let result = run_experiment(&experiment);
-    FigureRun {
-        files: emit(fig, &result),
-        sweep: Some(result),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Figure 8/9: the layered streamer under step + square-wave schedules
 // ---------------------------------------------------------------------
@@ -110,35 +83,48 @@ Figures 8-9, also pinned by the `LadderConfig::immediate()` unit tests.",
     run: fig8_9,
 };
 
-fn fig8_9(fig: &Figure, smoke: bool) -> FigureRun {
+fn fig8_9(fig: &Figure, smoke: bool) -> OutputSet {
+    let (secs, cells) = fig8_9_cells(smoke);
+    emit_fig8_9(fig, secs, &cells)
+}
+
+/// Simulated seconds per cell, and the immediate ladder's cells under a
+/// step and a square wave.
+fn fig8_9_cells(smoke: bool) -> (u64, Vec<CellOutcome>) {
     let secs = if smoke { 10 } else { 30 };
-    let experiment = Experiment {
-        app: AppKind::Layered,
-        schedules: vec![
-            NamedSchedule::new(
-                "step_8mbps_to_1200kbps",
-                BandwidthSchedule::step(
-                    Rate::from_mbps(8),
-                    Rate::from_kbps(1200),
-                    Time::from_secs(secs / 2),
-                ),
+    let schedules = [
+        (
+            "step_8mbps_to_1200kbps",
+            BandwidthSchedule::step(
+                Rate::from_mbps(8),
+                Rate::from_kbps(1200),
+                Time::from_secs(secs / 2),
             ),
-            NamedSchedule::new(
-                "square_8mbps_600kbps_6s",
-                BandwidthSchedule::square_wave(
-                    Rate::from_mbps(8),
-                    Rate::from_kbps(600),
-                    Duration::from_secs(6),
-                    Time::from_secs(secs),
-                ),
+        ),
+        (
+            "square_8mbps_600kbps_6s",
+            BandwidthSchedule::square_wave(
+                Rate::from_mbps(8),
+                Rate::from_kbps(600),
+                Duration::from_secs(6),
+                Time::from_secs(secs),
             ),
-        ],
-        policies: vec![AdaptPolicyKind::LadderImmediate],
-        controllers: vec![AIMD],
-        secs,
-        seeds: vec![42],
-    };
-    sweep(fig, experiment, emit_fig8_9)
+        ),
+    ];
+    let cells = schedules
+        .iter()
+        .map(|(name, schedule)| {
+            layered_cell(
+                name,
+                schedule,
+                AdaptPolicyKind::LadderImmediate,
+                AIMD,
+                secs,
+                42,
+            )
+        })
+        .collect();
+    (secs, cells)
 }
 
 /// Counts track samples whose level differs from the immediate ladder's
@@ -147,7 +133,7 @@ fn fig8_9(fig: &Figure, smoke: bool) -> FigureRun {
 /// [`cm_adapt::RateLadder::highest_within`] selection the policy runs;
 /// the track stores the rate in KB/s, so reconstruct the `Rate` by
 /// rounding (the half-byte/s worst case cannot cross a layer boundary).
-pub fn immediate_track_mismatches(cell: &CellOutcome) -> usize {
+fn immediate_track_mismatches(cell: &CellOutcome) -> usize {
     let ladder = cm_adapt::RateLadder::new(LayeredStreamer::default_layers());
     cell.track
         .iter()
@@ -158,13 +144,13 @@ pub fn immediate_track_mismatches(cell: &CellOutcome) -> usize {
         .count()
 }
 
-fn emit_fig8_9(fig: &Figure, result: &ExperimentResult) -> OutputSet {
+fn emit_fig8_9(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> OutputSet {
     let layers = LayeredStreamer::default_layers();
     let mut dat = DatFile::new(
         "fig8_9_layered: quality track per cell\n\
          columns: time_s  cm_rate_KBps  level  level_rate_KBps",
     );
-    for cell in &result.cells {
+    for cell in cells {
         dat.block(
             &format!("{} seed {}", cell.schedule, cell.seed),
             &["t_s", "cm_rate_KBps", "level", "level_rate_KBps"],
@@ -179,7 +165,7 @@ fn emit_fig8_9(fig: &Figure, result: &ExperimentResult) -> OutputSet {
         }
     }
 
-    let mut doc = figure_doc(fig, result);
+    let mut doc = figure_doc(fig, secs, cells);
     doc.section("Quality track vs. the paper's layer_for rule");
     let mut total_samples = 0usize;
     let mut total_mismatches = 0usize;
@@ -190,12 +176,12 @@ fn emit_fig8_9(fig: &Figure, result: &ExperimentResult) -> OutputSet {
         "switches",
         "delivered KB",
     ]);
-    for cell in &result.cells {
+    for cell in cells {
         let mism = immediate_track_mismatches(cell);
         total_samples += cell.track.len();
         total_mismatches += mism;
         t.row(&[
-            &cell.schedule,
+            cell.schedule,
             &cell.track.len().to_string(),
             &mism.to_string(),
             &cell.stats.switches.to_string(),
@@ -210,8 +196,8 @@ requires zero: the immediate policy is *defined* as tracking the report exactly 
 (see the `immediate_tracks_rate_exactly` unit test on `LadderPolicy`)."
     ));
     doc.section("Per-phase behaviour");
-    doc.table(&phase_table(result));
-    finish(fig, cells_csv(result), dat, doc)
+    doc.table(&phase_table(cells));
+    finish(fig, cells_table(cells).to_csv(), dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -231,57 +217,69 @@ hysteresis trade: damping buys stability at a small utility cost.",
     run: policy_frontier,
 };
 
-fn policy_frontier(fig: &Figure, smoke: bool) -> FigureRun {
+fn policy_frontier(fig: &Figure, smoke: bool) -> OutputSet {
+    let (secs, cells) = policy_frontier_cells(smoke);
+    emit_frontier(fig, secs, &cells)
+}
+
+/// Simulated seconds per cell, and every policy × controller cell
+/// against two varying bottlenecks.
+fn policy_frontier_cells(smoke: bool) -> (u64, Vec<CellOutcome>) {
     let secs = if smoke { 12 } else { 24 };
     // Three seeds in the full run so the p5/p95 bands span a real
     // across-seed distribution, not a two-point spread.
-    let seeds = if smoke { vec![1] } else { vec![1, 2, 3] };
-    let experiment = Experiment {
-        app: AppKind::Layered,
-        schedules: vec![
-            NamedSchedule::new(
-                "square_8mbps_600kbps_6s",
-                BandwidthSchedule::square_wave(
-                    Rate::from_mbps(8),
-                    Rate::from_kbps(600),
-                    Duration::from_secs(6),
-                    Time::from_secs(secs),
-                ),
+    let seeds: &[u64] = if smoke { &[1] } else { &[1, 2, 3] };
+    let schedules = [
+        (
+            "square_8mbps_600kbps_6s",
+            BandwidthSchedule::square_wave(
+                Rate::from_mbps(8),
+                Rate::from_kbps(600),
+                Duration::from_secs(6),
+                Time::from_secs(secs),
             ),
-            NamedSchedule::new(
-                "onoff_12mbps_minus_10mbps",
-                BandwidthSchedule::on_off(
-                    Rate::from_mbps(12),
-                    Rate::from_mbps(10),
-                    Time::from_secs(4),
-                    Duration::from_secs(4),
-                    Duration::from_secs(4),
-                    Time::from_secs(secs),
-                ),
+        ),
+        (
+            "onoff_12mbps_minus_10mbps",
+            BandwidthSchedule::on_off(
+                Rate::from_mbps(12),
+                Rate::from_mbps(10),
+                Time::from_secs(4),
+                Duration::from_secs(4),
+                Duration::from_secs(4),
+                Time::from_secs(secs),
             ),
-        ],
-        policies: AdaptPolicyKind::ALL.to_vec(),
-        controllers: vec![
-            AIMD,
-            ControllerKind::RateBased,
-            ControllerKind::DelayGradient,
-        ],
-        secs,
-        seeds,
-    };
-    sweep(fig, experiment, emit_frontier)
+        ),
+    ];
+    let controllers = [
+        AIMD,
+        ControllerKind::RateBased,
+        ControllerKind::DelayGradient,
+    ];
+    let mut cells = Vec::new();
+    for (name, schedule) in &schedules {
+        for policy in AdaptPolicyKind::ALL {
+            for controller in controllers {
+                for &seed in seeds {
+                    cells.push(layered_cell(name, schedule, policy, controller, secs, seed));
+                }
+            }
+        }
+    }
+    (secs, cells)
 }
 
 /// The immediate-vs-damped oscillation gap (reversals/min) under the
 /// AIMD controller — the documented hysteresis effect the frontier
 /// figure must exhibit.
-pub fn hysteresis_gap(result: &ExperimentResult) -> Option<(f64, f64)> {
-    let immediate = result.fleet("immediate/aimd")?.oscillation_per_min();
-    let damped = result.fleet("damped/aimd")?.oscillation_per_min();
+fn hysteresis_gap(fleets: &[(String, FleetStats)]) -> Option<(f64, f64)> {
+    let immediate = fleet(fleets, "immediate/aimd")?.oscillation_per_min();
+    let damped = fleet(fleets, "damped/aimd")?.oscillation_per_min();
     Some((immediate, damped))
 }
 
-fn emit_frontier(fig: &Figure, result: &ExperimentResult) -> OutputSet {
+fn emit_frontier(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> OutputSet {
+    let groups = fleets(cells);
     let mut dat = DatFile::new(
         "policy_frontier: one point per policy/controller group, with p5/p95\n\
          percentile bands over the per-session (schedule x seed) distributions\n\
@@ -300,7 +298,7 @@ fn emit_frontier(fig: &Figure, result: &ExperimentResult) -> OutputSet {
             "switches_per_min",
         ],
     );
-    for (_, fleet) in &result.fleets {
+    for (_, fleet) in &groups {
         dat.row(&[
             fleet.oscillation_per_min(),
             fleet.oscillation.percentile(5.0),
@@ -312,7 +310,7 @@ fn emit_frontier(fig: &Figure, result: &ExperimentResult) -> OutputSet {
         ]);
     }
     // Per-group oscillation distributions from the fleet histograms.
-    for (group, fleet) in &result.fleets {
+    for (group, fleet) in &groups {
         dat.block(
             &format!("oscillation histogram: {group}"),
             &["bucket_hi_per_min", "sessions"],
@@ -322,23 +320,17 @@ fn emit_frontier(fig: &Figure, result: &ExperimentResult) -> OutputSet {
         }
     }
 
-    let mut doc = figure_doc(fig, result);
+    let mut doc = figure_doc(fig, secs, cells);
     doc.section("The frontier");
-    doc.table(&fleet_table(result));
+    doc.table(&fleet_table(&groups));
     doc.para(
         "The p5/p95 columns band each group's per-session (schedule \u{d7} seed) \
 distribution behind the mean: a frontier point with a tight band is robust \
 across seeds, not an averaging artifact.",
     );
-    if let Some((immediate, damped)) = hysteresis_gap(result) {
-        let iu = result
-            .fleet("immediate/aimd")
-            .map(|f| f.mean_utility())
-            .unwrap_or(0.0);
-        let du = result
-            .fleet("damped/aimd")
-            .map(|f| f.mean_utility())
-            .unwrap_or(0.0);
+    if let Some((immediate, damped)) = hysteresis_gap(&groups) {
+        let iu = fleet(&groups, "immediate/aimd").map_or(0.0, FleetStats::mean_utility);
+        let du = fleet(&groups, "damped/aimd").map_or(0.0, FleetStats::mean_utility);
         let cost = if iu > 0.0 {
             (iu - du) / iu * 100.0
         } else {
@@ -355,7 +347,7 @@ documented trade the `LadderConfig::damped()` defaults buy.",
             fmt_f64(cost),
         ));
     }
-    finish(fig, cells_csv(result), dat, doc)
+    finish(fig, cells_table(cells).to_csv(), dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -393,37 +385,36 @@ Wi-Fi cafe with contention bursts and coarse rate steps (wifi_cafe).",
     run: trace_replay,
 };
 
-fn trace_replay(fig: &Figure, smoke: bool) -> FigureRun {
-    let secs = if smoke { 12 } else { 40 };
-    let schedules = bundled_traces()
-        .into_iter()
-        .map(|(name, text)| {
-            #[expect(
-                clippy::panic,
-                reason = "the traces are compiled into the binary — a bad one is a harness bug"
-            )]
-            let schedule = BandwidthSchedule::parse_trace(text)
-                .unwrap_or_else(|e| panic!("trace {name}: {e}"));
-            NamedSchedule::new(name, schedule)
-        })
-        .collect();
-    let experiment = Experiment {
-        app: AppKind::Layered,
-        schedules,
-        policies: AdaptPolicyKind::ALL.to_vec(),
-        controllers: vec![AIMD],
-        secs,
-        seeds: vec![7],
-    };
-    sweep(fig, experiment, emit_trace_replay)
+fn trace_replay(fig: &Figure, smoke: bool) -> OutputSet {
+    let (secs, cells) = trace_replay_cells(smoke);
+    emit_trace_replay(fig, secs, &cells)
 }
 
-fn emit_trace_replay(fig: &Figure, result: &ExperimentResult) -> OutputSet {
+/// Simulated seconds per cell, and every bundled trace replayed against
+/// every policy.
+fn trace_replay_cells(smoke: bool) -> (u64, Vec<CellOutcome>) {
+    let secs = if smoke { 12 } else { 40 };
+    let mut cells = Vec::new();
+    for (name, text) in bundled_traces() {
+        #[expect(
+            clippy::panic,
+            reason = "the traces are compiled into the binary — a bad one is a harness bug"
+        )]
+        let schedule =
+            BandwidthSchedule::parse_trace(text).unwrap_or_else(|e| panic!("trace {name}: {e}"));
+        for policy in AdaptPolicyKind::ALL {
+            cells.push(layered_cell(name, &schedule, policy, AIMD, secs, 7));
+        }
+    }
+    (secs, cells)
+}
+
+fn emit_trace_replay(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> OutputSet {
     let mut dat = DatFile::new(
         "trace_replay: per-cell schedule-phase summaries\n\
          columns: phase_start_s  phase_end_s  sched_rate_KBps  mean_level  mean_cm_rate_KBps",
     );
-    for cell in &result.cells {
+    for cell in cells {
         dat.block(
             &format!("{} / {}", cell.schedule, cell.policy),
             &[
@@ -444,18 +435,18 @@ fn emit_trace_replay(fig: &Figure, result: &ExperimentResult) -> OutputSet {
             ]);
         }
     }
-    let mut doc = figure_doc(fig, result);
+    let mut doc = figure_doc(fig, secs, cells);
     doc.section("Per-trace quality");
-    doc.table(&cells_table(result));
+    doc.table(&cells_table(cells));
     doc.section("Fleet aggregate per policy");
-    doc.table(&fleet_table(result));
+    doc.table(&fleet_table(&fleets(cells)));
     doc.para(
         "Every policy degrades through each trace's fades and recovers after; the \
 damped ladder and the utility policy ride through short dips that whipsaw the \
 immediate ladder. The hspa_bus outage (a zero-rate phase) exercises the \
 stall/restart path end to end.",
     );
-    finish(fig, cells_csv(result), dat, doc)
+    finish(fig, cells_table(cells).to_csv(), dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -474,28 +465,29 @@ frames stay fresh (low queue age) \u{2014} the drop-from-head design point.",
     run: vat_audio,
 };
 
-fn vat_audio(fig: &Figure, smoke: bool) -> FigureRun {
-    let secs = if smoke { 12 } else { 30 };
-    let experiment = Experiment {
-        app: AppKind::Vat,
-        schedules: vec![NamedSchedule::new(
-            "square_96_24kbps_8s",
-            BandwidthSchedule::square_wave(
-                Rate::from_kbps(96),
-                Rate::from_kbps(24),
-                Duration::from_secs(8),
-                Time::from_secs(secs),
-            ),
-        )],
-        policies: vec![AdaptPolicyKind::LadderImmediate],
-        controllers: vec![AIMD, ControllerKind::RateBased],
-        secs,
-        seeds: vec![7],
-    };
-    sweep(fig, experiment, emit_vat)
+fn vat_audio(fig: &Figure, smoke: bool) -> OutputSet {
+    let (secs, cells) = vat_audio_cells(smoke);
+    emit_vat(fig, secs, &cells)
 }
 
-fn emit_vat(fig: &Figure, result: &ExperimentResult) -> OutputSet {
+/// Simulated seconds per cell, and one vat cell per controller on a
+/// square wave below the source rate.
+fn vat_audio_cells(smoke: bool) -> (u64, Vec<CellOutcome>) {
+    let secs = if smoke { 12 } else { 30 };
+    let schedule = BandwidthSchedule::square_wave(
+        Rate::from_kbps(96),
+        Rate::from_kbps(24),
+        Duration::from_secs(8),
+        Time::from_secs(secs),
+    );
+    let cells = [AIMD, ControllerKind::RateBased]
+        .into_iter()
+        .map(|controller| vat_cell("square_96_24kbps_8s", &schedule, controller, secs, 7))
+        .collect();
+    (secs, cells)
+}
+
+fn emit_vat(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> OutputSet {
     let mut dat = DatFile::new(
         "vat_audio: per-cell scalars\n\
          columns: delivery_fraction  mean_send_age_ms  policer_drops  buffer_drops  oscillation_per_min",
@@ -510,31 +502,24 @@ fn emit_vat(fig: &Figure, result: &ExperimentResult) -> OutputSet {
             "oscillation_per_min",
         ],
     );
-    for cell in &result.cells {
-        let get = |k: &str| {
-            cell.extra
-                .iter()
-                .find(|(n, _)| *n == k)
-                .map(|&(_, v)| v)
-                .unwrap_or(f64::NAN)
-        };
+    for cell in cells {
         dat.row(&[
-            get("delivery_fraction"),
-            get("mean_send_age_ms"),
-            get("policer_drops"),
-            get("buffer_drops"),
+            extra_scalar(cell, "delivery_fraction"),
+            extra_scalar(cell, "mean_send_age_ms"),
+            extra_scalar(cell, "policer_drops"),
+            extra_scalar(cell, "buffer_drops"),
             cell.stats.oscillation_per_min(),
         ]);
     }
-    let mut doc = figure_doc(fig, result);
+    let mut doc = figure_doc(fig, secs, cells);
     doc.section("Policer behaviour per controller");
-    doc.table(&cells_table(result));
+    doc.table(&cells_table(cells));
     doc.para(
         "The policer engages on the constrained half-periods (delivery fraction \
 falls below 1) while the mean frame age stays interactive \u{2014} load is shed \
 *before* the buffers, the paper's Figure 2 architecture.",
     );
-    finish(fig, cells_csv(result), dat, doc)
+    finish(fig, cells_table(cells).to_csv(), dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -557,31 +542,29 @@ within 5%.",
     run: co_scheduling,
 };
 
-fn co_scheduling(fig: &Figure, smoke: bool) -> FigureRun {
+fn co_scheduling(fig: &Figure, smoke: bool) -> OutputSet {
+    let (secs, cells) = co_scheduling_cells(smoke);
+    emit_co_scheduling(fig, secs, &cells)
+}
+
+/// Simulated seconds, and the one co-scheduling cell under on/off cross
+/// traffic.
+fn co_scheduling_cells(smoke: bool) -> (u64, Vec<CellOutcome>) {
     let secs = if smoke { 12 } else { 30 };
-    let experiment = Experiment {
-        app: AppKind::CoSchedule,
-        schedules: vec![NamedSchedule::new(
-            "onoff_8mbps_minus_6mbps",
-            BandwidthSchedule::on_off(
-                Rate::from_mbps(8),
-                Rate::from_mbps(6),
-                Time::from_secs(4),
-                Duration::from_secs(4),
-                Duration::from_secs(4),
-                Time::from_secs(secs),
-            ),
-        )],
-        policies: vec![AdaptPolicyKind::LadderImmediate],
-        controllers: vec![AIMD],
-        secs,
-        seeds: vec![42],
-    };
-    sweep(fig, experiment, emit_co_scheduling)
+    let schedule = BandwidthSchedule::on_off(
+        Rate::from_mbps(8),
+        Rate::from_mbps(6),
+        Time::from_secs(4),
+        Duration::from_secs(4),
+        Duration::from_secs(4),
+        Time::from_secs(secs),
+    );
+    let cell = co_sched_cell("onoff_8mbps_minus_6mbps", &schedule, AIMD, secs, 42);
+    (secs, vec![cell])
 }
 
 /// A cell's named extra scalar (`NaN` when absent).
-pub fn extra_scalar(cell: &CellOutcome, name: &str) -> f64 {
+fn extra_scalar(cell: &CellOutcome, name: &str) -> f64 {
     cell.extra
         .iter()
         .find(|(k, _)| *k == name)
@@ -589,7 +572,7 @@ pub fn extra_scalar(cell: &CellOutcome, name: &str) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
-fn emit_co_scheduling(fig: &Figure, result: &ExperimentResult) -> OutputSet {
+fn emit_co_scheduling(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> OutputSet {
     let layers = LayeredStreamer::default_layers();
     let mut dat = DatFile::new(
         "co_scheduling: per-flow tracks plus share accuracy\n\
@@ -597,7 +580,7 @@ fn emit_co_scheduling(fig: &Figure, result: &ExperimentResult) -> OutputSet {
          odd blocks: web track (time_s  cm_rate_KBps)\n\
          final block: steady-state shares vs configured weights",
     );
-    for cell in &result.cells {
+    for cell in cells {
         dat.block(
             &format!("streamer track: {} seed {}", cell.schedule, cell.seed),
             &["t_s", "cm_rate_KBps", "level", "level_rate_KBps"],
@@ -628,7 +611,7 @@ fn emit_co_scheduling(fig: &Figure, result: &ExperimentResult) -> OutputSet {
             "share_err_pct",
         ],
     );
-    for cell in &result.cells {
+    for cell in cells {
         dat.row(&[
             extra_scalar(cell, "web_share"),
             extra_scalar(cell, "web_target"),
@@ -638,7 +621,7 @@ fn emit_co_scheduling(fig: &Figure, result: &ExperimentResult) -> OutputSet {
         ]);
     }
 
-    let mut doc = figure_doc(fig, result);
+    let mut doc = figure_doc(fig, secs, cells);
     doc.section("Share accuracy vs configured weights");
     let mut t = Table::new(&[
         "schedule",
@@ -650,11 +633,11 @@ fn emit_co_scheduling(fig: &Figure, result: &ExperimentResult) -> OutputSet {
         "err (pct pts)",
     ]);
     let mut worst_err = 0.0f64;
-    for cell in &result.cells {
+    for cell in cells {
         let err = extra_scalar(cell, "share_err_pct");
         worst_err = worst_err.max(err);
         t.row(&[
-            &cell.schedule,
+            cell.schedule,
             &fmt_f64(extra_scalar(cell, "macroflows")),
             &fmt_f64(extra_scalar(cell, "web_share")),
             &fmt_f64(extra_scalar(cell, "web_target")),
@@ -675,8 +658,8 @@ it, and the layer drops \u{2014} then recovers when the burst ends.",
         fmt_f64(worst_err),
     ));
     doc.section("Streamer adaptation per cell");
-    doc.table(&cells_table(result));
-    finish(fig, cells_csv(result), dat, doc)
+    doc.table(&cells_table(cells));
+    finish(fig, cells_table(cells).to_csv(), dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -702,7 +685,7 @@ validation for bogus reports.",
 };
 
 // Identical in smoke and full mode — six ~70-simulated-second runs.
-fn robustness(fig: &Figure, _smoke: bool) -> FigureRun {
+fn robustness(fig: &Figure, _smoke: bool) -> OutputSet {
     let rows = crate::chaos::robustness_rows();
     let mut dat = DatFile::new(
         "robustness: honest-transfer goodput and recovery under faults\n\
@@ -816,7 +799,7 @@ grant_backoffs,feedback_rejected,feedback_clamped,flows_quarantined,flows_reaped
             r.stats.flows_reaped,
         ));
     }
-    finish(fig, csv, dat, doc).into()
+    finish(fig, csv, dat, doc)
 }
 
 // ---------------------------------------------------------------------
@@ -952,7 +935,7 @@ the event vocabulary is the tracer's full taxonomy in action.",
 };
 
 // Identical in smoke and full mode — the replay takes microseconds.
-fn decision_timeline(fig: &Figure, _smoke: bool) -> FigureRun {
+fn decision_timeline(fig: &Figure, _smoke: bool) -> OutputSet {
     let cm = decision_timeline_cm();
     let csv = crate::trace::trace_csv(&cm);
     let jsonl = crate::trace::trace_jsonl(&cm);
@@ -1012,34 +995,73 @@ JSON object per event).",
 
     let mut out = finish(fig, csv, dat, doc);
     out.add("decision_timeline.jsonl", jsonl);
-    out.into()
+    out
 }
 
 // ---------------------------------------------------------------------
 // Shared emission helpers
 // ---------------------------------------------------------------------
 
-fn figure_doc(fig: &Figure, result: &ExperimentResult) -> FigureDoc {
-    let spec = &result.spec;
+/// The report header: the cell count and the distinct values of each
+/// axis the cells ran (schedule, policy, controller, seed).
+fn figure_doc(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> FigureDoc {
     let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
     doc.para(&format!(
         "*Generated by `cargo run --release -p cm-experiments --bin figures` \
 ({} cells: {} schedule(s) \u{d7} {} policy(ies) \u{d7} {} controller(s) \u{d7} \
 {} seed(s), {} simulated seconds each). Deterministic: rerunning reproduces \
 this file byte for byte.*",
-        result.cells.len(),
-        spec.schedules.len(),
-        spec.policies.len(),
-        spec.controllers.len(),
-        spec.seeds.len(),
-        spec.secs,
+        cells.len(),
+        distinct(cells.iter().map(|c| c.schedule)),
+        distinct(cells.iter().map(|c| c.policy)),
+        distinct(cells.iter().map(|c| c.controller)),
+        distinct(cells.iter().map(|c| c.seed)),
+        secs,
     ));
     doc
 }
 
-fn cells_table(result: &ExperimentResult) -> Table {
-    let extra_cols: Vec<&str> = result
-        .cells
+/// How many distinct values `items` yields.
+fn distinct<T: PartialEq>(items: impl Iterator<Item = T>) -> usize {
+    let mut seen = Vec::new();
+    for item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+    }
+    seen.len()
+}
+
+/// Folds the cells' sessions into one fleet aggregate per
+/// `policy/controller` group, in first-seen order.
+fn fleets(cells: &[CellOutcome]) -> Vec<(String, FleetStats)> {
+    let levels = cells
+        .iter()
+        .map(|c| c.stats.time_in_level().len())
+        .max()
+        .unwrap_or(1);
+    let mut fleets: Vec<(String, FleetStats)> = Vec::new();
+    for cell in cells {
+        let group = cell.group();
+        let i = match fleets.iter().position(|(g, _)| *g == group) {
+            Some(i) => i,
+            None => {
+                fleets.push((group, FleetStats::new(levels)));
+                fleets.len() - 1
+            }
+        };
+        fleets[i].1.record(&cell.stats);
+    }
+    fleets
+}
+
+/// The fleet aggregate of a `policy/controller` group.
+fn fleet<'a>(fleets: &'a [(String, FleetStats)], group: &str) -> Option<&'a FleetStats> {
+    fleets.iter().find(|(g, _)| g == group).map(|(_, f)| f)
+}
+
+fn cells_table(cells: &[CellOutcome]) -> Table {
+    let extra_cols: Vec<&str> = cells
         .first()
         .map(|c| c.extra.iter().map(|&(k, _)| k).collect())
         .unwrap_or_default();
@@ -1055,9 +1077,9 @@ fn cells_table(result: &ExperimentResult) -> Table {
     ];
     headers.extend(&extra_cols);
     let mut t = Table::new(&headers);
-    for cell in &result.cells {
-        let mut cells: Vec<String> = vec![
-            cell.schedule.clone(),
+    for cell in cells {
+        let mut row: Vec<String> = vec![
+            cell.schedule.to_string(),
             cell.policy.to_string(),
             cell.controller.to_string(),
             cell.seed.to_string(),
@@ -1067,15 +1089,15 @@ fn cells_table(result: &ExperimentResult) -> Table {
             fmt_f64(cell.stats.mean_utility()),
         ];
         for &(_, v) in &cell.extra {
-            cells.push(fmt_f64(v));
+            row.push(fmt_f64(v));
         }
-        let refs: Vec<&str> = cells.iter().map(String::as_str).collect();
+        let refs: Vec<&str> = row.iter().map(String::as_str).collect();
         t.row(&refs);
     }
     t
 }
 
-fn fleet_table(result: &ExperimentResult) -> Table {
+fn fleet_table(fleets: &[(String, FleetStats)]) -> Table {
     let mut t = Table::new(&[
         "group",
         "sessions",
@@ -1088,7 +1110,7 @@ fn fleet_table(result: &ExperimentResult) -> Table {
         "utility p95",
         "top-level time %",
     ]);
-    for (group, fleet) in &result.fleets {
+    for (group, fleet) in fleets {
         let top = fleet.time_in_level().len().saturating_sub(1);
         t.row(&[
             group,
@@ -1106,7 +1128,7 @@ fn fleet_table(result: &ExperimentResult) -> Table {
     t
 }
 
-fn phase_table(result: &ExperimentResult) -> Table {
+fn phase_table(cells: &[CellOutcome]) -> Table {
     let mut t = Table::new(&[
         "schedule",
         "phase",
@@ -1114,10 +1136,10 @@ fn phase_table(result: &ExperimentResult) -> Table {
         "mean level",
         "mean CM rate KB/s",
     ]);
-    for cell in &result.cells {
+    for cell in cells {
         for (i, p) in cell.phases.iter().enumerate() {
             t.row(&[
-                &cell.schedule,
+                cell.schedule,
                 &format!("{i}: {}-{} s", fmt_f64(p.start_secs), fmt_f64(p.end_secs)),
                 &p.sched_rate_kbps.map(fmt_f64).unwrap_or_else(|| "-".into()),
                 &fmt_f64(p.mean_level),
@@ -1126,10 +1148,6 @@ fn phase_table(result: &ExperimentResult) -> Table {
         }
     }
     t
-}
-
-fn cells_csv(result: &ExperimentResult) -> String {
-    cells_table(result).to_csv()
 }
 
 /// The three files every figure emits.
@@ -1174,6 +1192,172 @@ mod tests {
             assert!(
                 counts.iter().any(|(k, _)| *k == expected),
                 "scripted session no longer provokes {expected}: {counts:?}"
+            );
+        }
+    }
+
+    /// The contents of one file a figure emitted.
+    fn file<'a>(out: &'a OutputSet, name: &str) -> &'a str {
+        out.files()
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| c.as_str())
+            .unwrap_or_else(|| panic!("{name} not emitted"))
+    }
+
+    #[test]
+    fn fig8_9_quality_track_matches_immediate_ladder() {
+        // The acceptance invariant: under the immediate policy every track
+        // sample's level equals the ladder's layer_for of the reported rate
+        // (the LadderConfig::immediate() unit-test semantics, end to end).
+        let (secs, cells) = fig8_9_cells(true);
+        assert_eq!(cells.len(), 2);
+        for cell in &cells {
+            assert!(
+                cell.track.len() > 20,
+                "{}: track too short ({})",
+                cell.schedule,
+                cell.track.len()
+            );
+            assert!(
+                cell.stats.switches >= 2,
+                "{}: streamer never adapted",
+                cell.schedule
+            );
+            assert_eq!(
+                immediate_track_mismatches(cell),
+                0,
+                "{}: quality track deviated from layer_for",
+                cell.schedule
+            );
+        }
+        let out = emit_fig8_9(&FIG8_9, secs, &cells);
+        assert!(
+            file(&out, "fig8_9_layered.md").contains("**0 of"),
+            "report does not state zero mismatches"
+        );
+    }
+
+    #[test]
+    fn frontier_report_shows_the_hysteresis_gap() {
+        let (secs, cells) = policy_frontier_cells(true);
+        let (immediate, damped) =
+            hysteresis_gap(&fleets(&cells)).expect("both AIMD groups present");
+        assert!(
+            damped < immediate,
+            "hysteresis gap inverted: damped {damped} >= immediate {immediate}"
+        );
+        let out = emit_frontier(&POLICY_FRONTIER, secs, &cells);
+        let md = file(&out, "policy_frontier.md");
+        assert!(
+            md.contains("Hysteresis-vs-immediate oscillation gap"),
+            "report omits the documented gap"
+        );
+        // Percentile bands across sessions: the report table and the
+        // .dat frontier block both carry p5/p95 columns.
+        assert!(md.contains("osc p5/min"), "report lacks the p5 band column");
+        assert!(
+            md.contains("utility p95"),
+            "report lacks the p95 band column"
+        );
+        // The .dat frontier block has one point per policy/controller group.
+        let dat = file(&out, "policy_frontier.dat");
+        assert!(dat.contains("# index 0: frontier"));
+        assert!(
+            dat.contains("osc_p5_per_min") && dat.contains("utility_p95_KBps"),
+            "frontier .dat lacks the percentile band columns"
+        );
+    }
+
+    #[test]
+    fn bundled_traces_parse_and_replay_degrades_and_recovers() {
+        for (name, text) in bundled_traces() {
+            let s = BandwidthSchedule::parse_trace(text)
+                .unwrap_or_else(|e| panic!("bundled trace {name}: {e}"));
+            assert!(!s.is_empty(), "{name} empty");
+        }
+        // The bursty Wi-Fi trace round-trips with its step structure intact:
+        // a contention burst, the microwave near-outage, and the recovery.
+        let wifi = bundled_traces()
+            .into_iter()
+            .find(|(n, _)| *n == "wifi_cafe")
+            .map(|(_, t)| BandwidthSchedule::parse_trace(t).unwrap())
+            .expect("wifi_cafe bundled");
+        assert_eq!(wifi.rate_at(Time::from_secs(1)), Some(Rate::from_mbps(24)));
+        assert_eq!(
+            wifi.rate_at(Time::from_millis(12_500)),
+            Some(Rate::from_mbps(1)),
+            "microwave burst missing"
+        );
+        assert_eq!(
+            wifi.rate_at(Time::from_millis(13_500)),
+            Some(Rate::from_kbps(800))
+        );
+        assert_eq!(wifi.rate_at(Time::from_secs(40)), Some(Rate::from_mbps(27)));
+
+        let (_, cells) = trace_replay_cells(true);
+        // One cell per trace x policy (3 policies).
+        assert_eq!(cells.len(), bundled_traces().len() * 3);
+        for cell in &cells {
+            assert!(
+                cell.delivered > 0,
+                "{} / {}: nothing delivered",
+                cell.schedule,
+                cell.policy
+            );
+        }
+    }
+
+    /// The §3.5 co-scheduling acceptance: the web transfer and the layered
+    /// streamer land on ONE macroflow, the streamer visibly adapts as cross
+    /// traffic squeezes the link, and the steady-state byte shares track
+    /// the configured 1:3 weights within 5 percentage points.
+    #[test]
+    fn co_scheduling_shares_track_weights_within_5pct() {
+        let (secs, cells) = co_scheduling_cells(true);
+        assert!(!cells.is_empty());
+        for cell in &cells {
+            assert_eq!(
+                extra_scalar(cell, "macroflows"),
+                1.0,
+                "{}: flows did not share one macroflow",
+                cell.schedule
+            );
+            let err = extra_scalar(cell, "share_err_pct");
+            assert!(
+                err < 5.0,
+                "{}: share error {err} percentage points exceeds the 5% bound",
+                cell.schedule
+            );
+            assert!(
+                cell.stats.switches >= 2,
+                "{}: streamer never adapted under cross traffic",
+                cell.schedule
+            );
+            assert!(
+                !cell.track.is_empty() && !cell.aux_track.is_empty(),
+                "{}: missing a per-flow track",
+                cell.schedule
+            );
+        }
+        let out = emit_co_scheduling(&CO_SCHEDULING, secs, &cells);
+        assert!(file(&out, "co_scheduling.md").contains("Worst-case share error"));
+    }
+
+    #[test]
+    fn vat_figure_polices_below_full_delivery() {
+        let (_, cells) = vat_audio_cells(true);
+        for cell in &cells {
+            let delivery = cell
+                .extra
+                .iter()
+                .find(|(k, _)| *k == "delivery_fraction")
+                .map(|&(_, v)| v)
+                .unwrap();
+            assert!(
+                delivery > 0.1 && delivery < 1.0,
+                "{}: policer never engaged (delivery {delivery})",
+                cell.controller
             );
         }
     }

@@ -1,25 +1,24 @@
 //! Paper-figure reproduction pipeline for the Congestion Manager.
 //!
 //! The paper's evidence is its figures; this crate regenerates them, and
-//! the figures that go beyond the paper, end to end. Most are sweeps of a
-//! declarative spec:
+//! the figures that go beyond the paper, end to end. Each figure is a
+//! [`Figure`] constant plus one function that runs its simulations in
+//! plain loops and emits through [`report`]:
 //!
 //! ```text
-//!   Experiment spec            runner                    emitters
+//!   figure function            cells / scenarios         emitters
 //!   ┌──────────────────┐   ┌──────────────────┐   ┌────────────────────┐
-//!   │ app mix          │   │ one cm-netsim    │   │ <figure>.csv       │
-//!   │ BandwidthSchedule│──▶│ run per cell     │──▶│ <figure>.dat       │
-//!   │ policy sweep     │   │ AdaptationStats  │   │ <figure>.md        │
-//!   │ controller sweep │   │ → FleetStats     │   │   (docs/figures/)  │
+//!   │ schedules        │   │ one cm-netsim    │   │ <figure>.csv       │
+//!   │ × policies       │──▶│ run per cell     │──▶│ <figure>.dat       │
+//!   │ × controllers    │   │ AdaptationStats  │   │ <figure>.md        │
+//!   │ × seeds          │   │ → FleetStats     │   │   (docs/figures/)  │
 //!   └──────────────────┘   └──────────────────┘   └────────────────────┘
 //! ```
 //!
-//! * [`spec`] — the declarative [`Experiment`]: topology app mix,
-//!   named [`cm_netsim::schedule::BandwidthSchedule`]s, and
-//!   `AdaptPolicyKind`/`ControllerKind` sweep axes.
-//! * [`runner`] — expands the sweep, executes each cell on `cm-netsim`,
-//!   and folds per-session [`cm_adapt::AdaptationStats`] into
-//!   [`cm_adapt::FleetStats`] aggregates.
+//! * [`runner`] — the adaptation figures' cells
+//!   ([`runner::layered_cell`], the vat and co-scheduling cells), each
+//!   one seeded `cm-netsim` run returning a [`runner::CellOutcome`], and
+//!   the [`runner::AdaptPolicyKind`] policy axis.
 //! * [`report`] — the deterministic emitters (aligned tables, CSV,
 //!   gnuplot `.dat`, markdown).
 //! * [`builtin`] — the [`builtin::Figure`] table and the figures beyond
@@ -45,8 +44,8 @@
 //! ```
 //!
 //! Two runs produce byte-identical output (enforced by the determinism
-//! test in `tests/figures.rs`). See `docs/experiments.md` for the spec
-//! format and how to add a figure or a trace.
+//! test in `tests/figures.rs`). See `docs/experiments.md` for how each
+//! figure maps onto the paper and how to add a figure or a trace.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -58,10 +57,7 @@ pub mod paper;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod spec;
 pub mod trace;
 
-pub use builtin::{Figure, FigureRun};
+pub use builtin::Figure;
 pub use report::Table;
-pub use runner::{run_experiment, CellOutcome, ExperimentResult};
-pub use spec::{AdaptPolicyKind, AppKind, Experiment, NamedSchedule};

@@ -18,8 +18,8 @@ use cm_netsim::cpu::CostModel;
 use cm_transport::types::CcMode;
 use cm_util::Summary;
 
-use crate::builtin::{finish, Figure, FigureRun};
-use crate::report::{DatFile, FigureDoc, Table};
+use crate::builtin::{finish, Figure};
+use crate::report::{DatFile, FigureDoc, OutputSet, Table};
 use crate::scenarios::{
     blast, bulk_transfer, layered_stream, switched_lan, tcp_blast, web_sharing, BulkOutcome,
     BulkSpec,
@@ -43,7 +43,7 @@ struct Grid {
 /// Emits a figure made of grids: one report section, one `.dat` block
 /// and one CSV table per grid (CSV tables are headed `# <heading>` when
 /// there are several).
-fn emit(fig: &Figure, geometry: &str, grids: Vec<Grid>) -> FigureRun {
+fn emit(fig: &Figure, geometry: &str, grids: Vec<Grid>) -> OutputSet {
     let mut doc = FigureDoc::new(fig.title, fig.paper_ref, fig.description);
     doc.para(&format!(
         "*Generated by `cargo run --release -p cm-experiments --bin figures` ({geometry}). \
@@ -73,7 +73,7 @@ byte for byte.*"
         csv.push_str(&t.to_csv());
         doc.section(g.heading).table(&t).para(&g.note);
     }
-    finish(fig, csv, dat, doc).into()
+    finish(fig, csv, dat, doc)
 }
 
 fn kbs(o: &BulkOutcome) -> f64 {
@@ -100,7 +100,7 @@ confirming that the CM's congestion control is TCP-compatible.",
     run: fig3,
 };
 
-fn fig3(fig: &Figure, smoke: bool) -> FigureRun {
+fn fig3(fig: &Figure, smoke: bool) -> OutputSet {
     let (total, seeds) = if smoke { (500_000, 1) } else { (4_000_000, 3) };
     // Mean goodput over the seeds whose transfer completed.
     let point = |mode, loss| {
@@ -153,7 +153,7 @@ must agree.",
     run: conn_setup,
 };
 
-fn conn_setup(fig: &Figure, _smoke: bool) -> FigureRun {
+fn conn_setup(fig: &Figure, _smoke: bool) -> OutputSet {
     const N: u64 = 25;
     let handshakes = |mode| {
         let mut s = Summary::new();
@@ -235,7 +235,7 @@ Linux using 2 MTU, not CPU overhead\". The x axis counts ttcp buffers transmitte
     run: fig4,
 };
 
-fn fig4(fig: &Figure, smoke: bool) -> FigureRun {
+fn fig4(fig: &Figure, smoke: bool) -> OutputSet {
     let rows: Vec<_> = lan_bulk(smoke)
         .iter()
         .map(|(n, cm, linux)| {
@@ -271,7 +271,7 @@ imposes on a transmitting host.",
     run: fig5,
 };
 
-fn fig5(fig: &Figure, smoke: bool) -> FigureRun {
+fn fig5(fig: &Figure, smoke: bool) -> OutputSet {
     let rows: Vec<_> = lan_bulk(smoke)
         .iter()
         .map(|(n, cm, linux)| {
@@ -313,7 +313,7 @@ throughput relative to TCP without delayed ACKs.\"",
     run: fig6,
 };
 
-fn fig6(fig: &Figure, smoke: bool) -> FigureRun {
+fn fig6(fig: &Figure, smoke: bool) -> OutputSet {
     let packets: u64 = if smoke { 500 } else { 20_000 };
     let mut ratio_168 = f64::NAN;
     let rows: Vec<_> = [64u32, 168, 300, 500, 700, 900, 1_100, 1_400]
@@ -374,7 +374,7 @@ the paper attributes to it.",
     run: table1,
 };
 
-fn table1(fig: &Figure, _smoke: bool) -> FigureRun {
+fn table1(fig: &Figure, _smoke: bool) -> OutputSet {
     const PACKETS: u64 = 2_000;
     let rows: Vec<_> = [
         ("Buffered", BlastApi::Buffered),
@@ -436,7 +436,7 @@ transfers overlap the macroflow's memory.",
     run: fig7,
 };
 
-fn fig7(fig: &Figure, _smoke: bool) -> FigureRun {
+fn fig7(fig: &Figure, _smoke: bool) -> OutputSet {
     let latencies =
         |mode, gap_ms, kb| web_sharing(mode, 9, Duration::from_millis(gap_ms), kb * 1024, SEED);
     let cm = latencies(CcMode::Cm, 500, 128);
@@ -527,7 +527,7 @@ rapidly, and the normal, though bursty, non-timeout behavior resumes.\"",
     run: fig10,
 };
 
-fn fig10(fig: &Figure, _smoke: bool) -> FigureRun {
+fn fig10(fig: &Figure, _smoke: bool) -> OutputSet {
     const SECS: u64 = 70;
     let o = layered_stream(
         AdaptMode::RateCallback,
@@ -631,7 +631,7 @@ fn scheduler_shares(kind: SchedulerKind) -> Vec<f64> {
     grants
 }
 
-fn ablations(fig: &Figure, _smoke: bool) -> FigureRun {
+fn ablations(fig: &Figure, _smoke: bool) -> OutputSet {
     let side_by_side = |a: &[f64], b: &[f64], n: usize| {
         (0..n)
             .map(|i| ((i + 1).to_string(), vec![a[i], b[i]]))

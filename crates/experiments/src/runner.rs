@@ -1,15 +1,14 @@
-//! Expands an [`Experiment`] into cells and executes each on the
-//! simulator, collecting per-session [`AdaptationStats`] into fleet
-//! aggregates.
+//! The adaptation figures' cells: one deterministic simulation each.
 //!
-//! Every cell is one deterministic simulation: an adaptive sender over a
-//! time-varying bottleneck built from the cell's [`BandwidthSchedule`].
-//! The layered cells additionally record a *quality track* — the
-//! CM-reported rate and the selected level at every sample instant — and
-//! per-phase summaries keyed to the schedule's piecewise-constant
-//! segments (via [`BandwidthSchedule::phases`]).
+//! Every cell is an adaptive sender over a time-varying bottleneck built
+//! from the cell's [`BandwidthSchedule`], and returns its per-session
+//! [`AdaptationStats`]. The layered cells additionally record a *quality
+//! track* — the CM-reported rate and the selected level at every sample
+//! instant — and per-phase summaries keyed to the schedule's
+//! piecewise-constant segments (via [`BandwidthSchedule::phases`]). The
+//! figures in [`crate::builtin`] call the cells in plain loops.
 
-use cm_adapt::{AdaptationStats, Engine, FleetStats, LadderPolicy, RateLadder};
+use cm_adapt::{AdaptationStats, Engine, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy};
 use cm_apps::ack_clients::{AckReceiver, FeedbackPolicy};
 use cm_apps::layered::{AdaptMode, LayeredStreamer};
 use cm_apps::vat::{DropPolicy, VatAudio};
@@ -20,7 +19,52 @@ use cm_netsim::topology::Topology;
 use cm_transport::host::{Host, HostConfig};
 use cm_util::{Duration, Rate, Time};
 
-use crate::spec::{AdaptPolicyKind, AppKind, Experiment};
+/// Which adaptation policy a layered cell drives: the policy axis of the
+/// quality/oscillation comparison.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AdaptPolicyKind {
+    /// Hysteresis-free ladder (the paper's Figure 8/9 behaviour).
+    LadderImmediate,
+    /// Ladder with headroom and dwell damping.
+    LadderDamped,
+    /// EWMA'd utility argmax.
+    Utility,
+}
+
+impl AdaptPolicyKind {
+    /// Every shipped policy kind, sweep-axis order.
+    pub const ALL: [AdaptPolicyKind; 3] = [
+        AdaptPolicyKind::LadderImmediate,
+        AdaptPolicyKind::LadderDamped,
+        AdaptPolicyKind::Utility,
+    ];
+
+    /// Builds an engine for this policy over the layered streamer's
+    /// default four-layer ladder.
+    pub fn engine(self) -> Engine {
+        let ladder = RateLadder::new(LayeredStreamer::default_layers());
+        match self {
+            AdaptPolicyKind::LadderImmediate => {
+                Engine::new(Box::new(LadderPolicy::immediate(ladder)))
+            }
+            AdaptPolicyKind::LadderDamped => {
+                Engine::new(Box::new(LadderPolicy::new(ladder, LadderConfig::damped())))
+            }
+            AdaptPolicyKind::Utility => Engine::new(Box::new(UtilityPolicy::log_utility(
+                ladder, 0.25, 0.95, 0.1,
+            ))),
+        }
+    }
+
+    /// Stable label for experiment output.
+    pub fn label(self) -> &'static str {
+        match self {
+            AdaptPolicyKind::LadderImmediate => "immediate",
+            AdaptPolicyKind::LadderDamped => "damped",
+            AdaptPolicyKind::Utility => "utility",
+        }
+    }
+}
 
 /// One point of a cell's quality track.
 #[derive(Clone, Copy, Debug)]
@@ -51,8 +95,8 @@ pub struct PhaseSummary {
 /// The measurements one cell produces.
 #[derive(Clone, Debug)]
 pub struct CellOutcome {
-    /// Schedule name from the spec.
-    pub schedule: String,
+    /// Name of the schedule the cell ran against.
+    pub schedule: &'static str,
     /// Policy label (`"vat"` for the vat app's fixed policy).
     pub policy: &'static str,
     /// Controller label.
@@ -84,93 +128,6 @@ impl CellOutcome {
     }
 }
 
-/// An executed experiment: every cell plus per-group fleet aggregates.
-pub struct ExperimentResult {
-    /// The spec this ran.
-    pub spec: Experiment,
-    /// All cells, in sweep order (schedules, then policies, then
-    /// controllers, then seeds).
-    pub cells: Vec<CellOutcome>,
-    /// Fleet aggregates per `policy/controller` group, in first-seen
-    /// order.
-    pub fleets: Vec<(String, FleetStats)>,
-}
-
-impl ExperimentResult {
-    /// The fleet aggregate for a `policy/controller` group label.
-    pub fn fleet(&self, group: &str) -> Option<&FleetStats> {
-        self.fleets.iter().find(|(g, _)| g == group).map(|(_, f)| f)
-    }
-}
-
-/// Runs every cell of `exp` and aggregates the fleet statistics.
-///
-/// # Panics
-///
-/// Panics if a sweep axis is empty — an authoring error in a built-in
-/// figure, not a runtime condition.
-pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
-    assert!(!exp.controllers.is_empty(), "need at least one controller");
-    assert!(!exp.policies.is_empty(), "need at least one policy");
-    assert!(!exp.seeds.is_empty(), "need at least one seed");
-    let mut cells = Vec::new();
-    for sched in &exp.schedules {
-        let schedule = &sched.schedule;
-        for &policy in &exp.policies {
-            // Fixed-policy apps (vat, co-scheduling) run their cells once.
-            if exp.app.fixed_policy() && policy != exp.policies[0] {
-                continue;
-            }
-            for &controller in &exp.controllers {
-                for &seed in &exp.seeds {
-                    let mut cell = match exp.app {
-                        AppKind::Layered => {
-                            layered_cell(policy, controller, schedule, exp.secs, seed)
-                        }
-                        AppKind::Vat => vat_cell(controller, schedule, exp.secs, seed),
-                        AppKind::CoSchedule => co_sched_cell(
-                            controller,
-                            schedule,
-                            exp.secs,
-                            seed,
-                            CO_SCHED_WEB_WEIGHT,
-                            CO_SCHED_STREAM_WEIGHT,
-                        ),
-                    };
-                    cell.schedule = sched.name.clone();
-                    cells.push(cell);
-                }
-            }
-        }
-    }
-    let levels = cells
-        .iter()
-        .map(|c| c.stats.time_in_level().len())
-        .max()
-        .unwrap_or(1);
-    let mut fleets: Vec<(String, FleetStats)> = Vec::new();
-    for cell in &cells {
-        let group = cell.group();
-        let fleet = match fleets.iter_mut().find(|(g, _)| *g == group) {
-            Some((_, f)) => f,
-            #[expect(
-                clippy::expect_used,
-                reason = "element pushed on the previous line — last_mut cannot fail"
-            )]
-            None => {
-                fleets.push((group, FleetStats::new(levels)));
-                &mut fleets.last_mut().expect("just pushed").1
-            }
-        };
-        fleet.record(&cell.stats);
-    }
-    ExperimentResult {
-        spec: exp.clone(),
-        cells,
-        fleets,
-    }
-}
-
 /// The physical link rate a schedule requires: its peak (the schedule's
 /// first step applies immediately and overrides the `LinkSpec` rate),
 /// floored at `floor` for schedules that never reach it.
@@ -183,12 +140,13 @@ fn base_rate(schedule: &BandwidthSchedule, floor: Rate) -> Rate {
 }
 
 /// Runs one layered-streamer cell: the ALF-mode streamer adapting via
-/// `policy` against `schedule` on a 40 ms-RTT path, the CM running
-/// `controller`.
+/// `policy` against `schedule` (reported as `name`) on a 40 ms-RTT path,
+/// the CM running `controller`.
 pub fn layered_cell(
+    name: &'static str,
+    schedule: &BandwidthSchedule,
     policy: AdaptPolicyKind,
     controller: ControllerKind,
-    schedule: &BandwidthSchedule,
     secs: u64,
     seed: u64,
 ) -> CellOutcome {
@@ -236,7 +194,7 @@ pub fn layered_cell(
     let phases = phase_summaries(schedule, stop, &track);
 
     CellOutcome {
-        schedule: String::new(),
+        schedule: name,
         policy: policy.label(),
         controller: controller.label(),
         seed,
@@ -275,9 +233,9 @@ fn quality_track(
 }
 
 /// Scheduler weight of the web flow in co-scheduling cells.
-pub const CO_SCHED_WEB_WEIGHT: u32 = 1;
+const CO_SCHED_WEB_WEIGHT: u32 = 1;
 /// Scheduler weight of the streamer flow in co-scheduling cells.
-pub const CO_SCHED_STREAM_WEIGHT: u32 = 3;
+const CO_SCHED_STREAM_WEIGHT: u32 = 3;
 
 /// Runs one §3.5 co-scheduling cell: a weighted web transfer and a
 /// layered streamer from one host to one destination, sharing a single
@@ -285,13 +243,12 @@ pub const CO_SCHED_STREAM_WEIGHT: u32 = 3;
 /// time-varying bottleneck. Reports the streamer's quality track, the
 /// web flow's rate track (`aux_track`), and steady-state share accuracy
 /// against the configured weights.
-fn co_sched_cell(
-    controller: ControllerKind,
+pub(crate) fn co_sched_cell(
+    name: &'static str,
     schedule: &BandwidthSchedule,
+    controller: ControllerKind,
     secs: u64,
     seed: u64,
-    web_weight: u32,
-    stream_weight: u32,
 ) -> CellOutcome {
     let stop = Time::from_secs(secs);
     let cm = CmConfig {
@@ -312,7 +269,7 @@ fn co_sched_cell(
 
     let mut tx_host = Host::new(host_cfg);
     let mut streamer = LayeredStreamer::new(rx_addr, 9000, AdaptMode::Alf, stop);
-    streamer.weight = stream_weight;
+    streamer.weight = CO_SCHED_STREAM_WEIGHT;
     let stream_app = tx_host.add_app(Box::new(streamer));
     // The web transfer is a one-level ALF streamer: continuously
     // backlogged, it sends on every grant and never switches level.
@@ -324,7 +281,7 @@ fn co_sched_cell(
         stop,
         Engine::new(Box::new(one_level)),
     );
-    web.weight = web_weight;
+    web.weight = CO_SCHED_WEB_WEIGHT;
     let web_app = tx_host.add_app(Box::new(web));
     let tx_id = topo.add_host(Box::new(tx_host));
 
@@ -378,16 +335,16 @@ fn co_sched_cell(
     } else {
         (0.0, 0.0)
     };
-    let wsum = (web_weight + stream_weight) as f64;
-    let web_target = web_weight as f64 / wsum;
-    let stream_target = stream_weight as f64 / wsum;
+    let wsum = (CO_SCHED_WEB_WEIGHT + CO_SCHED_STREAM_WEIGHT) as f64;
+    let web_target = CO_SCHED_WEB_WEIGHT as f64 / wsum;
+    let stream_target = CO_SCHED_STREAM_WEIGHT as f64 / wsum;
     let share_err_pct = (web_share - web_target)
         .abs()
         .max((stream_share - stream_target).abs())
         * 100.0;
 
     CellOutcome {
-        schedule: String::new(),
+        schedule: name,
         policy: "co-sched",
         controller: controller.label(),
         seed,
@@ -409,9 +366,10 @@ fn co_sched_cell(
 
 /// Runs one vat cell: the 64 Kbit/s audio policer over a narrow
 /// scheduled path with a short queue.
-fn vat_cell(
-    controller: ControllerKind,
+pub(crate) fn vat_cell(
+    name: &'static str,
     schedule: &BandwidthSchedule,
+    controller: ControllerKind,
     secs: u64,
     seed: u64,
 ) -> CellOutcome {
@@ -448,7 +406,7 @@ fn vat_cell(
     let vat = sim.node_ref::<Host>(tx_id).app_ref::<VatAudio>(tx_app);
     let rx = sim.node_ref::<Host>(rx_id).app_ref::<AckReceiver>(rx_app);
     CellOutcome {
-        schedule: String::new(),
+        schedule: name,
         policy: "vat",
         controller: controller.label(),
         seed,
@@ -520,12 +478,19 @@ mod tests {
         let aimd = ControllerKind::Aimd {
             byte_counting: true,
         };
-        let o = layered_cell(AdaptPolicyKind::LadderImmediate, aimd, &trace, 14, 3);
+        let o = layered_cell(
+            "square",
+            &trace,
+            AdaptPolicyKind::LadderImmediate,
+            aimd,
+            14,
+            3,
+        );
         assert!(o.delivered > 200_000, "delivered {}", o.delivered);
         assert!(o.stats.switches >= 2, "no adaptation under the trace");
         assert_eq!(o.stats.time_in_level().len(), 4);
         // Damping must cut switch count against the same trace.
-        let damped = layered_cell(AdaptPolicyKind::LadderDamped, aimd, &trace, 14, 3);
+        let damped = layered_cell("square", &trace, AdaptPolicyKind::LadderDamped, aimd, 14, 3);
         assert!(
             damped.stats.switches <= o.stats.switches,
             "damped {} vs immediate {}",
@@ -539,10 +504,11 @@ mod tests {
         let schedule =
             BandwidthSchedule::step(Rate::from_kbps(96), Rate::from_kbps(24), Time::from_secs(6));
         let cell = vat_cell(
+            "step",
+            &schedule,
             ControllerKind::Aimd {
                 byte_counting: true,
             },
-            &schedule,
             14,
             5,
         );
@@ -586,5 +552,26 @@ mod tests {
         assert_eq!(phases[0].mean_level, 3.0);
         assert_eq!(phases[1].mean_level, 1.0);
         assert!((phases[1].mean_cm_rate_kbps - 110.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn policy_engines_share_the_default_ladder() {
+        for kind in AdaptPolicyKind::ALL {
+            let e = kind.engine();
+            assert_eq!(e.levels(), 4);
+        }
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        assert_eq!(AdaptPolicyKind::LadderImmediate.label(), "immediate");
+        assert_eq!(
+            ControllerKind::Aimd {
+                byte_counting: true
+            }
+            .label(),
+            "aimd"
+        );
+        assert_eq!(ControllerKind::RateBased.label(), "rate-based");
     }
 }
