@@ -9,6 +9,8 @@
 //! evaluation lives in [`crate::paper`]; `docs/experiments.md` documents
 //! how each figure maps onto the paper.
 
+use std::collections::BTreeSet;
+
 use cm_adapt::FleetStats;
 use cm_apps::layered::LayeredStreamer;
 use cm_core::config::ControllerKind;
@@ -1019,14 +1021,8 @@ this file byte for byte.*",
 }
 
 /// How many distinct values `items` yields.
-fn distinct<T: PartialEq>(items: impl Iterator<Item = T>) -> usize {
-    let mut seen = Vec::new();
-    for item in items {
-        if !seen.contains(&item) {
-            seen.push(item);
-        }
-    }
-    seen.len()
+fn distinct<T: Ord>(items: impl Iterator<Item = T>) -> usize {
+    items.collect::<BTreeSet<_>>().len()
 }
 
 /// Folds the cells' sessions into one fleet aggregate per
@@ -1039,7 +1035,7 @@ fn fleets(cells: &[CellOutcome]) -> Vec<(String, FleetStats)> {
         .unwrap_or(1);
     let mut fleets: Vec<(String, FleetStats)> = Vec::new();
     for cell in cells {
-        let group = cell.group();
+        let group = format!("{}/{}", cell.policy, cell.controller);
         let i = match fleets.iter().position(|(g, _)| *g == group) {
             Some(i) => i,
             None => {

@@ -32,7 +32,7 @@ pub enum AdaptPolicyKind {
 }
 
 impl AdaptPolicyKind {
-    /// Every shipped policy kind, sweep-axis order.
+    /// Every shipped policy kind, in policy-axis order.
     pub const ALL: [AdaptPolicyKind; 3] = [
         AdaptPolicyKind::LadderImmediate,
         AdaptPolicyKind::LadderDamped,
@@ -119,13 +119,6 @@ pub struct CellOutcome {
     /// fraction and mean frame age, or the co-scheduling share
     /// accuracy.
     pub extra: Vec<(&'static str, f64)>,
-}
-
-impl CellOutcome {
-    /// The `policy/controller` group this cell aggregates under.
-    pub fn group(&self) -> String {
-        format!("{}/{}", self.policy, self.controller)
-    }
 }
 
 /// The physical link rate a schedule requires: its peak (the schedule's
