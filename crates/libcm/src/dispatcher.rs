@@ -94,12 +94,10 @@ impl Dispatcher {
         if self.last_wakeup != Some(now) {
             self.last_wakeup = Some(now);
             self.stats.wakeups += 1;
-            cpu.ops.selects += 1;
-            cpu.run(now, costs.select(self.select_fds));
+            cpu.select(now, costs, self.select_fds);
             // One batched ioctl covers every simultaneously-ready flow;
             // same-instant stragglers ride along free.
-            cpu.ops.ioctls += 1;
-            cpu.run(now, costs.ioctl);
+            cpu.ioctl(now, costs);
             self.stats.ready_ioctls += 1;
         }
         self.socket.ioctl_ready_flows(&mut self.ready);
@@ -121,6 +119,7 @@ mod tests {
         let w = d.wakeup(Time::ZERO, &mut cpu, &costs);
         assert!(w.is_empty());
         assert_eq!(cpu.total_busy(), Duration::ZERO);
+        assert_eq!((cpu.ops.selects, cpu.ops.ioctls), (0, 0));
         assert_eq!(d.stats.wakeups, 0);
     }
 
@@ -139,7 +138,10 @@ mod tests {
         let _ = d.wakeup(now, &mut cpu, &costs);
         assert_eq!(d.ready(), [FlowId(2)]);
         assert_eq!((cpu.ops.selects, cpu.ops.ioctls), (1, 1));
-        assert_eq!(cpu.total_busy(), costs.select(2) + costs.ioctl);
+        assert_eq!(
+            cpu.total_busy(),
+            costs.select_base + costs.select_per_fd * 2 + costs.ioctl
+        );
         assert_eq!((d.stats.wakeups, d.stats.ready_ioctls), (1, 1));
     }
 
@@ -156,12 +158,14 @@ mod tests {
         // One select + one ioctl for the whole batch.
         assert_eq!(d.stats.wakeups, 1);
         assert_eq!(d.stats.ready_ioctls, 1);
+        assert_eq!((cpu.ops.selects, cpu.ops.ioctls), (1, 1));
         let one_batch_cost = cpu.total_busy();
         // A second grant at the same instant rides free.
         d.socket.post_grant(FlowId(2));
         let w2 = d.wakeup(Time::from_millis(5), &mut cpu, &costs);
         assert_eq!(w2.len(), 1);
         assert_eq!(d.stats.wakeups, 1);
+        assert_eq!((cpu.ops.selects, cpu.ops.ioctls), (1, 1));
         assert_eq!(cpu.total_busy(), one_batch_cost);
     }
 
@@ -177,5 +181,6 @@ mod tests {
         let _ = d.wakeup(Time::from_millis(2), &mut cpu, &costs);
         assert!(cpu.total_busy() > c1);
         assert_eq!(d.stats.wakeups, 2);
+        assert_eq!((cpu.ops.selects, cpu.ops.ioctls), (2, 2));
     }
 }

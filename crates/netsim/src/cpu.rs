@@ -10,7 +10,8 @@
 //!
 //! [`CostModel`] prices each operation (defaults calibrated to the paper's
 //! 600 MHz Pentium III-class hardware); [`Cpu`] is a busy-until accumulator
-//! a host uses to serialize that work and to report utilization. We do not
+//! a host uses to serialize that work, to count the operations Table 1
+//! audits ([`Cpu::syscall`] and kin) and to report utilization. We do not
 //! claim cycle accuracy — the reproduction target is the *shape* of the
 //! curves: which API costs more, by what rough factor, and where the wire
 //! overtakes the CPU as the bottleneck.
@@ -91,11 +92,6 @@ impl CostModel {
     pub fn copy(&self, bytes: usize) -> Duration {
         Duration::from_nanos(self.copy_per_byte.as_nanos() * bytes as u64)
     }
-
-    /// The cost of a `select` over `nfds` descriptors.
-    pub fn select(&self, nfds: usize) -> Duration {
-        self.select_base + Duration::from_nanos(self.select_per_fd.as_nanos() * nfds as u64)
-    }
 }
 
 /// A busy-until virtual CPU.
@@ -134,7 +130,8 @@ impl Cpu {
         Self::default()
     }
 
-    /// Submits `work`; returns when it completes.
+    /// Submits kernel work that Table 1 does not count (interrupt, protocol and IP
+    /// processing, the kernel's segment copy, CM accounting); returns when done.
     pub fn run(&mut self, now: Time, work: Duration) -> Time {
         let start = if self.busy_until > now {
             self.busy_until
@@ -147,9 +144,29 @@ impl Cpu {
         done
     }
 
-    /// The instant the CPU next goes idle.
-    pub fn busy_until(&self) -> Time {
-        self.busy_until
+    /// Charges and counts one system call copying `copy_bytes` (maybe 0).
+    pub fn syscall(&mut self, now: Time, costs: &CostModel, copy_bytes: usize) {
+        self.ops.syscalls += 1;
+        self.ops.bytes_copied += copy_bytes as u64;
+        self.run(now, costs.syscall + costs.copy(copy_bytes));
+    }
+
+    /// Charges and counts one `ioctl` on the CM control socket.
+    pub fn ioctl(&mut self, now: Time, costs: &CostModel) {
+        self.ops.ioctls += 1;
+        self.run(now, costs.ioctl);
+    }
+
+    /// Charges and counts one `select` over `fds` descriptors.
+    pub fn select(&mut self, now: Time, costs: &CostModel, fds: usize) {
+        self.ops.selects += 1;
+        self.run(now, costs.select_base + costs.select_per_fd * fds as u64);
+    }
+
+    /// Charges and counts one `gettimeofday`.
+    pub fn gettimeofday(&mut self, now: Time, costs: &CostModel) {
+        self.ops.gettimeofdays += 1;
+        self.run(now, costs.gettimeofday);
     }
 
     /// Cumulative busy time.
@@ -194,9 +211,9 @@ mod tests {
     fn gaps_do_not_count_as_busy() {
         let mut cpu = Cpu::new();
         cpu.run(Time::ZERO, Duration::from_micros(1));
-        cpu.run(Time::from_micros(100), Duration::from_micros(1));
+        let done = cpu.run(Time::from_micros(100), Duration::from_micros(1));
         assert_eq!(cpu.total_busy(), Duration::from_micros(2));
-        assert_eq!(cpu.busy_until(), Time::from_micros(101));
+        assert_eq!(done, Time::from_micros(101));
     }
 
     #[test]
@@ -216,9 +233,10 @@ mod tests {
     fn cost_model_helpers() {
         let m = CostModel::default();
         assert_eq!(m.copy(1000), Duration::from_micros(3));
-        let sel = m.select(10);
+        let mut cpu = Cpu::new();
+        cpu.select(Time::ZERO, &m, 10);
         assert_eq!(
-            sel,
+            cpu.total_busy(),
             m.select_base + Duration::from_nanos(10 * m.select_per_fd.as_nanos())
         );
     }
@@ -227,7 +245,10 @@ mod tests {
     fn free_model_is_free() {
         let m = CostModel::free();
         assert_eq!(m.copy(100_000), Duration::ZERO);
-        assert_eq!(m.select(100), Duration::ZERO);
         assert_eq!(m.syscall, Duration::ZERO);
+        let mut cpu = Cpu::new();
+        cpu.select(Time::ZERO, &m, 100);
+        cpu.syscall(Time::ZERO, &m, 100_000);
+        assert_eq!(cpu.total_busy(), Duration::ZERO);
     }
 }

@@ -851,9 +851,9 @@ impl Node for Host {
 
 /// The syscall surface applications program against.
 ///
-/// Each method charges the virtual CPU according to the cost model, so
-/// the API-overhead experiments (Figure 6, Table 1) emerge from the same
-/// code paths the applications actually exercise.
+/// Each method charges and counts its syscalls, ioctls and copies through
+/// the CPU's ledger, so the API-overhead experiments (Figure 6, Table 1)
+/// emerge from the same code paths the applications actually exercise.
 pub struct HostOs<'a, 'b> {
     host: &'a mut Host,
     ctx: &'a mut NodeCtx<'b>,
@@ -895,7 +895,7 @@ impl HostOs<'_, '_> {
         let now = self.ctx.now();
         let local_port = self.host.next_ephemeral;
         self.host.next_ephemeral += 1;
-        self.host.cpu.run(now, self.host.cfg.cost.syscall);
+        self.host.cpu.syscall(now, &self.host.cfg.cost, 0);
         let opened = TcpConnection::connect(self.host.cfg.tcp.clone(), mode, now);
         let key = four_tuple(self.ctx, local_port, remote, remote_port);
         self.host.open_conn(self.ctx, key, self.app, mode, opened)
@@ -911,8 +911,9 @@ impl HostOs<'_, '_> {
     pub fn tcp_send(&mut self, conn: TcpConnId, bytes: u64) {
         let now = self.ctx.now();
         // write() syscall + copy into the socket buffer.
-        let work = self.host.cfg.cost.syscall + self.host.cfg.cost.copy(bytes as usize);
-        self.host.cpu.run(now, work);
+        self.host
+            .cpu
+            .syscall(now, &self.host.cfg.cost, bytes as usize);
         match self.host.conns[conn.0 as usize].as_mut() {
             Some(c) => c.tcp.app_write_into(bytes, now, &mut self.host.tcp_actions),
             None => return,
@@ -923,7 +924,7 @@ impl HostOs<'_, '_> {
     /// Half-closes a connection (FIN after queued data).
     pub fn tcp_close(&mut self, conn: TcpConnId) {
         let now = self.ctx.now();
-        self.host.cpu.run(now, self.host.cfg.cost.syscall);
+        self.host.cpu.syscall(now, &self.host.cfg.cost, 0);
         match self.host.conns[conn.0 as usize].as_mut() {
             Some(c) => c.tcp.app_close_into(now, &mut self.host.tcp_actions),
             None => return,
@@ -977,7 +978,7 @@ impl HostOs<'_, '_> {
             .open_flow(key, now, FlowOwner::CcUdp(sock))
             .expect("ccudp flow open failed");
         self.host.socks[sock.0 as usize].0.enable_cm(flow);
-        self.host.cpu.run(now, self.host.cfg.cost.syscall);
+        self.host.cpu.syscall(now, &self.host.cfg.cost, 0);
         flow
     }
 
@@ -993,10 +994,9 @@ impl HostOs<'_, '_> {
     ) -> bool {
         let now = self.ctx.now();
         // sendto() syscall + copy.
-        self.host.cpu.ops.syscalls += 1;
-        self.host.cpu.ops.bytes_copied += dgram.len as u64;
-        let work = self.host.cfg.cost.syscall + self.host.cfg.cost.copy(dgram.len as usize);
-        self.host.cpu.run(now, work);
+        self.host
+            .cpu
+            .syscall(now, &self.host.cfg.cost, dgram.len as usize);
         let Some((s, _)) = self.host.socks.get_mut(sock.0 as usize) else {
             return false;
         };
@@ -1045,7 +1045,7 @@ impl HostOs<'_, '_> {
     /// `cm_open`: opens a CM flow owned by this application.
     pub fn cm_open(&mut self, local_port: u16, remote: Addr, remote_port: u16) -> FlowId {
         let now = self.ctx.now();
-        self.host.cpu.run(now, self.host.cfg.cost.syscall);
+        self.host.cpu.syscall(now, &self.host.cfg.cost, 0);
         let key = four_tuple(self.ctx, local_port, remote, remote_port);
         #[expect(
             clippy::expect_used,
@@ -1070,8 +1070,7 @@ impl HostOs<'_, '_> {
     /// control socket (Table 1's "1 cm_request (ioctl)").
     pub fn cm_request(&mut self, flow: FlowId) {
         let now = self.ctx.now();
-        self.host.cpu.ops.ioctls += 1;
-        self.host.cpu.run(now, self.host.cfg.cost.ioctl);
+        self.host.cpu.ioctl(now, &self.host.cfg.cost);
         // A bad flow id (app bug, or a flow the orphan reaper already
         // closed) is the app's errno to ignore, not the kernel's panic.
         let _ = self.host.cm.request(flow, now);
@@ -1085,13 +1084,11 @@ impl HostOs<'_, '_> {
     /// accounting.
     pub fn cm_notify(&mut self, flow: FlowId, bytes: u64, explicit: bool) {
         let now = self.ctx.now();
-        let cost = if explicit {
-            self.host.cpu.ops.ioctls += 1;
-            self.host.cfg.cost.ioctl
+        if explicit {
+            self.host.cpu.ioctl(now, &self.host.cfg.cost);
         } else {
-            self.host.cfg.cost.cm_accounting
-        };
-        self.host.cpu.run(now, cost);
+            self.host.cpu.run(now, self.host.cfg.cost.cm_accounting);
+        }
         // Errno dropped as in cm_request: a misbehaving app notifying a
         // reaped flow must not take the host down.
         let _ = self.host.cm.notify(flow, bytes, now);
@@ -1100,8 +1097,7 @@ impl HostOs<'_, '_> {
     /// `cm_update`: receiver feedback from an app-level ACK.
     pub fn cm_update(&mut self, flow: FlowId, report: FeedbackReport) {
         let now = self.ctx.now();
-        self.host.cpu.ops.ioctls += 1;
-        self.host.cpu.run(now, self.host.cfg.cost.ioctl);
+        self.host.cpu.ioctl(now, &self.host.cfg.cost);
         // `Err` here includes `InvalidFeedback`: reports the sanity
         // validator rejected or a quarantined flow's feedback. The CM
         // already counted it (`feedback_rejected`); the app's errno is
@@ -1112,7 +1108,7 @@ impl HostOs<'_, '_> {
     /// `cm_query`: current per-flow network state.
     pub fn cm_query(&mut self, flow: FlowId) -> Option<FlowInfo> {
         let now = self.ctx.now();
-        self.host.cpu.run(now, self.host.cfg.cost.ioctl);
+        self.host.cpu.ioctl(now, &self.host.cfg.cost);
         self.host.cm.query(flow, now).ok()
     }
 
@@ -1121,41 +1117,29 @@ impl HostOs<'_, '_> {
         let _ = self.host.cm.set_thresholds(flow, t);
     }
 
-    /// Sets a flow's scheduler weight (an ioctl, like the other CM
-    /// controls) — how the §3.5 co-scheduled applications express their
+    /// Sets a flow's scheduler weight (an ioctl; of the CM controls only
+    /// `cm_close` and `cm_set_thresholds` charge nothing yet) — how the §3.5 co-scheduled applications express their
     /// relative shares of one macroflow. Takes effect with the weighted
     /// scheduler (`SchedulerKind::WeightedRoundRobin`) and survives
     /// macroflow migration.
     pub fn cm_set_weight(&mut self, flow: FlowId, weight: u32) {
         let now = self.ctx.now();
-        self.host.cpu.ops.ioctls += 1;
-        self.host.cpu.run(now, self.host.cfg.cost.ioctl);
+        self.host.cpu.ioctl(now, &self.host.cfg.cost);
         let _ = self.host.cm.set_weight(flow, weight);
-    }
-
-    /// Lifetime CM counters for this host, aggregated across shards —
-    /// the host-level view of `CongestionManager::stats` (tick skip/scan
-    /// accounting included).
-    pub fn cm_stats(&self) -> cm_core::api::CmStats {
-        self.host.cm.stats()
     }
 
     /// `gettimeofday`, charged per Table 1 (user-space RTT measurement
     /// needs two per packet).
     pub fn gettimeofday(&mut self) -> Time {
         let now = self.ctx.now();
-        self.host.cpu.ops.gettimeofdays += 1;
-        self.host.cpu.run(now, self.host.cfg.cost.gettimeofday);
+        self.host.cpu.gettimeofday(now, &self.host.cfg.cost);
         now
     }
 
     /// Charges one `recv` syscall plus the copy of `bytes`.
     pub fn charge_recv(&mut self, bytes: usize) {
         let now = self.ctx.now();
-        self.host.cpu.ops.syscalls += 1;
-        self.host.cpu.ops.bytes_copied += bytes as u64;
-        let work = self.host.cfg.cost.syscall + self.host.cfg.cost.copy(bytes);
-        self.host.cpu.run(now, work);
+        self.host.cpu.syscall(now, &self.host.cfg.cost, bytes);
     }
 
     /// Direct access to the host CPU and cost model, for libraries (like
