@@ -63,7 +63,8 @@ const WINDOW: Duration = Duration::from_millis(500);
 /// per-packet or per-tick one lands in all of them) nothing may
 /// allocate.
 ///
-/// Drives: netsim `EventQueue::schedule`, `pop`.
+/// Drives: netsim `EventQueue::schedule`, `pop`; the CPU ledger
+/// `Cpu::syscall`, `ioctl`, `select`, `gettimeofday`.
 fn assert_warm_blast_allocates_nothing(api: BlastApi) {
     let _turn = measuring();
     let (mut sim, path) = blast(api);

@@ -1573,6 +1573,140 @@ mod tests {
         );
     }
 
+    /// One entry point's row in the CPU ledger: what it added to
+    /// `[syscalls, ioctls, selects, gettimeofdays, bytes_copied]` and to
+    /// the busy time.
+    type LedgerRow = (&'static str, [u64; 5], Duration);
+
+    /// Runs `op` against `os` and records its ledger row under `name`.
+    fn charged<T>(
+        rows: &mut Vec<LedgerRow>,
+        name: &'static str,
+        os: &mut HostOs<'_, '_>,
+        op: impl FnOnce(&mut HostOs<'_, '_>) -> T,
+    ) -> T {
+        let (ops, busy) = (os.host.cpu.ops, os.host.cpu.total_busy());
+        let out = op(os);
+        let now = os.host.cpu.ops;
+        let counts = [
+            now.syscalls - ops.syscalls,
+            now.ioctls - ops.ioctls,
+            now.selects - ops.selects,
+            now.gettimeofdays - ops.gettimeofdays,
+            now.bytes_copied - ops.bytes_copied,
+        ];
+        rows.push((name, counts, os.host.cpu.total_busy() - busy));
+        out
+    }
+
+    /// Every `HostOs` entry point, driven once under the default cost
+    /// model, counts exactly the operations it charges and charges exactly
+    /// their price (plus the kernel work it sets off, which Table 1 does
+    /// not count). `cm_close`, `cm_set_thresholds`, `udp_socket` and
+    /// `tcp_listen` charge and count nothing yet.
+    #[test]
+    fn every_entry_point_prices_and_counts_through_the_ledger() {
+        let c = CostModel::default();
+        let mut topo = Topology::new(3);
+        let server = Host::new(HostConfig::default());
+        let server_id = topo.add_host(Box::new(server));
+        let server_addr = topo.sim().addr_of(server_id);
+        let mut client = Host::new(HostConfig {
+            cost: c,
+            ..HostConfig::default()
+        });
+        client.add_app(Box::new(Receiver {
+            port: 80,
+            mode: CcMode::Native,
+            delivered: 0,
+        }));
+        let client_id = topo.add_host(Box::new(client));
+        topo.emulated_path(client_id, server_id, &PathSpec::fig3(0.0));
+        let mut sim = topo.build();
+        let got = sim.with_node::<Host, _>(client_id, |host, ctx| {
+            let os = &mut HostOs {
+                host,
+                ctx,
+                app: AppId(0),
+            };
+            let rows = &mut Vec::new();
+            let remote = server_addr;
+            let conn = charged(rows, "tcp_connect", os, |os| {
+                os.tcp_connect(remote, 80, CcMode::Native)
+            });
+            charged(rows, "tcp_send", os, |os| os.tcp_send(conn, 1_000));
+            charged(rows, "tcp_close", os, |os| os.tcp_close(conn));
+            charged(rows, "tcp_listen", os, |os| {
+                os.tcp_listen(81, CcMode::Native)
+            });
+            let sock = charged(rows, "udp_socket", os, |os| os.udp_socket(5_000));
+            charged(rows, "ccudp_connect", os, |os| {
+                os.ccudp_connect(sock, remote, 5_001)
+            });
+            charged(rows, "udp_sendto", os, |os| {
+                os.udp_sendto(
+                    sock,
+                    remote,
+                    5_001,
+                    UdpDatagram::data(0, 200, Time::ZERO, 0),
+                )
+            });
+            let flow = charged(rows, "cm_open", os, |os| os.cm_open(6_000, remote, 6_001));
+            charged(rows, "cm_request", os, |os| os.cm_request(flow));
+            charged(rows, "cm_notify explicit", os, |os| {
+                os.cm_notify(flow, 1_000, true)
+            });
+            charged(rows, "cm_notify implicit", os, |os| {
+                os.cm_notify(flow, 1_000, false)
+            });
+            charged(rows, "cm_update", os, |os| {
+                os.cm_update(flow, FeedbackReport::ack(1_000, 1))
+            });
+            charged(rows, "cm_query", os, |os| os.cm_query(flow));
+            charged(rows, "cm_set_thresholds", os, |os| {
+                os.cm_set_thresholds(flow, Some(Thresholds::new(0.5, 2.0)))
+            });
+            charged(rows, "cm_set_weight", os, |os| os.cm_set_weight(flow, 2));
+            charged(rows, "gettimeofday", os, |os| os.gettimeofday());
+            charged(rows, "charge_recv", os, |os| os.charge_recv(300));
+            charged(rows, "cm_close", os, |os| os.cm_close(flow));
+            std::mem::take(rows)
+        });
+        let syscall = |copied: usize| c.syscall + c.copy(copied);
+        let want: [LedgerRow; 18] = [
+            // The SYN leaves through the kernel's segment output path.
+            (
+                "tcp_connect",
+                [1, 0, 0, 0, 0],
+                syscall(0) + c.tcp_proc + c.ip_output,
+            ),
+            ("tcp_send", [1, 0, 0, 0, 1_000], syscall(1_000)),
+            ("tcp_close", [1, 0, 0, 0, 0], syscall(0)),
+            ("tcp_listen", [0; 5], Duration::ZERO),
+            ("udp_socket", [0; 5], Duration::ZERO),
+            ("ccudp_connect", [1, 0, 0, 0, 0], syscall(0)),
+            ("udp_sendto", [1, 0, 0, 0, 200], syscall(200)),
+            ("cm_open", [1, 0, 0, 0, 0], syscall(0)),
+            ("cm_request", [0, 1, 0, 0, 0], c.ioctl),
+            ("cm_notify explicit", [0, 1, 0, 0, 0], c.ioctl),
+            ("cm_notify implicit", [0; 5], c.cm_accounting),
+            ("cm_update", [0, 1, 0, 0, 0], c.ioctl),
+            ("cm_query", [0, 1, 0, 0, 0], c.ioctl),
+            ("cm_set_thresholds", [0; 5], Duration::ZERO),
+            ("cm_set_weight", [0, 1, 0, 0, 0], c.ioctl),
+            ("gettimeofday", [0, 0, 0, 1, 0], c.gettimeofday),
+            ("charge_recv", [1, 0, 0, 0, 300], syscall(300)),
+            ("cm_close", [0; 5], Duration::ZERO),
+        ];
+        let wrong: Vec<_> = got
+            .iter()
+            .zip(&want)
+            .filter(|(got, want)| got != want)
+            .collect();
+        assert!(wrong.is_empty(), "(got, want) per wrong row: {wrong:#?}");
+        assert_eq!(got.len(), want.len());
+    }
+
     /// The packet path's event budget: one transfer's two connection ends
     /// re-arm a TCP timer on nearly every packet, and none of those arms
     /// may cost a simulator event or a timer slot of its own — nor does a
