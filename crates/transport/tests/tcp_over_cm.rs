@@ -19,6 +19,12 @@
 //! does not assert it. CI's long run adds 20,000 scripts:
 //! `cargo test --release -p cm-transport --test tcp_over_cm -- --ignored`.
 //!
+//! The action golden freezes TCP below the host: scripts 0..64 under both
+//! modes, one line per script holding an FNV-1a hash of the `Debug` text
+//! of every action list the connections returned. Regenerate it
+//! intentionally with
+//! `UPDATE_GOLDENS=1 cargo test -p cm-transport --test tcp_over_cm`.
+//!
 //! One recorded TCP defect shows here, under both modes, in 47 of the
 //! 20,000 scripts (16 native runs, 33 TCP/CM runs): after a timeout, a sender whose FIN the receiver has
 //! SACKed sends the FIN again one offset late (and after a further
@@ -30,6 +36,7 @@
 //! miscount still fails.
 
 use std::collections::BTreeMap;
+use std::fmt::{Debug, Write};
 
 use cm_core::config::CmConfig;
 use cm_core::types::{Endpoint, FlowId, FlowKey};
@@ -43,6 +50,23 @@ const MSS: u64 = 1460;
 const ONE_WAY: Duration = Duration::from_millis(30);
 const CM_TICK: Duration = Duration::from_millis(100);
 const DEADLINE: Time = Time::from_secs(600);
+
+/// FNV-1a over bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Mixes in `v`'s `Debug` text.
+    fn debug(&mut self, v: &impl Debug) {
+        for b in format!("{v:?}").bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
 
 /// One seeded scenario: how many connections share the macroflow, how
 /// much each sends, and which data transmissions the wire loses.
@@ -112,6 +136,8 @@ struct Outcome {
     finished: Option<Time>,
     /// Bytes the late-FIN defect added to the receivers' counts.
     late_fin_bytes: u64,
+    /// Hash of every action list the connections returned.
+    actions_fnv: u64,
 }
 
 struct Run {
@@ -134,6 +160,8 @@ struct Run {
     late_fins: Vec<u32>,
     pace_at: Option<Time>,
     actions: Vec<TcpAction>,
+    /// Hash of every action list `apply` executed.
+    actions_fnv: Fnv,
     notes: Vec<CmNotification>,
 }
 
@@ -162,6 +190,7 @@ impl Run {
             delivered,
             finished,
             late_fin_bytes,
+            actions_fnv: self.actions_fnv.0,
         }
     }
 
@@ -175,6 +204,7 @@ impl Run {
     fn apply(&mut self, conn: usize, rx: bool) {
         let now = self.now;
         let mut actions = std::mem::take(&mut self.actions);
+        self.actions_fnv.debug(&actions);
         for act in actions.drain(..) {
             match act {
                 TcpAction::Emit(seg) => {
@@ -332,6 +362,7 @@ fn run(script: Script, mode: CcMode) -> Outcome {
         late_fins: vec![0; script.conns],
         pace_at: None,
         actions: Vec::new(),
+        actions_fnv: Fnv::new(),
         notes: Vec::new(),
     };
     for conn in 0..script.conns {
@@ -449,4 +480,43 @@ fn native_and_cm_deliver_the_same_bytes() {
 #[ignore = "20,000 scripts; CI runs it in release"]
 fn native_and_cm_deliver_the_same_bytes_20k() {
     differential(0..20_000);
+}
+
+/// Every action list of scripts 0..64 under both modes hashes to its
+/// line in `tests/golden/tcp_actions.golden`: a restructuring of TCP
+/// must leave each one byte-identical.
+#[test]
+fn tcp_actions_match_golden_file() {
+    let mut current = String::new();
+    for seed in 0..64 {
+        let script = Script::of(seed);
+        let native = run(script, CcMode::Native).actions_fnv;
+        let cm = run(script, CcMode::Cm).actions_fnv;
+        writeln!(
+            current,
+            "seed={seed} conns={} segments={} loss={} native={native:016x} cm={cm:016x}",
+            script.conns, script.segments, script.loss,
+        )
+        .unwrap();
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tcp_actions.golden");
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &current).unwrap();
+        return;
+    }
+    let frozen = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); regenerate with UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        frozen,
+        current,
+        "TCP's actions diverged from {}; if the change is intentional, \
+         regenerate with UPDATE_GOLDENS=1",
+        path.display()
+    );
 }
