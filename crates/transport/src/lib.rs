@@ -9,7 +9,11 @@
 //!   congestion-control modes**: `Native` reproduces the Linux 2.2
 //!   baseline (initial window of 2 segments, ACK counting), and `Cm`
 //!   offloads all congestion control to the Congestion Manager through
-//!   the request/callback API, exactly as §3.2 describes.
+//!   the request/callback API, exactly as §3.2 describes. The state
+//!   machine and the send half sit in `tcp/mod.rs`, the receive half
+//!   (reassembly and the delayed-ACK rule) in `tcp/recv.rs`, the byte
+//!   ranges behind reassembly and the SACK scoreboard in `tcp/ranges.rs`,
+//!   and the congestion-control seam in `tcp/cc.rs`.
 //! * [`udp`] — plain UDP sockets, plus the congestion-controlled UDP
 //!   socket of §3.3 whose kernel packet queue drains on CM grants.
 //! * [`feedback`] — the application-level acknowledgement protocol UDP

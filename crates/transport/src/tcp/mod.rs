@@ -11,8 +11,8 @@
 //! > all other TCP functionality (connection establishment and
 //! > termination, loss recovery and protocol state handling)."
 //!
-//! Who owns the window is one private enum, `Cc`, picked by the
-//! [`CcMode`] a connection is built with and holding only its state:
+//! Who owns the window is one private enum, `Cc` (in `cc.rs`), picked by
+//! the [`CcMode`] a connection is built with and holding only its state:
 //!
 //! * **Native** — Reno-style AIMD with the Linux 2.2 idiosyncrasies the
 //!   paper calls out (§4): an initial window of **2** segments and **ACK
@@ -29,6 +29,11 @@
 //! (`Cc::on_ack`), and `Cc::congestion` for the third duplicate ACK and
 //! the RTO, the one place Reno halves and TCP/CM reports a loss.
 //!
+//! The receive half — reassembly, delivery, the delayed-ACK rule — is a
+//! private `Receiver` (in `recv.rs`) over the `Ranges` of `ranges.rs`,
+//! which also hold the sender's SACK scoreboard. This file keeps the
+//! state machine and the send half.
+//!
 //! The object is deliberately pure: every entry point produces a list of
 //! [`TcpAction`]s (segments to emit, timers to arm, CM calls to make,
 //! application events to raise) that the host stack executes. That makes
@@ -43,8 +48,16 @@ use cm_core::types::{FeedbackReport, LossMode};
 use cm_util::ewma::{self, RttEstimator};
 use cm_util::{Duration, Time};
 
-use crate::segment::{unwrap_seq, wrap_seq, TcpFlags, TcpSegment};
+use crate::segment::{unwrap_seq, wrap_seq, TcpFlags, TcpSegment, MAX_SACK_BLOCKS};
 use crate::types::{CcMode, TcpEvent, TcpTimer};
+
+mod cc;
+mod ranges;
+mod recv;
+
+use cc::{Ack, Cc};
+use ranges::Ranges;
+use recv::Receiver;
 
 /// Tunables for one connection.
 #[derive(Clone, Debug)]
@@ -67,8 +80,6 @@ impl Default for TcpConfig {
     }
 }
 
-/// The delayed-ACK timer.
-const DELACK_TIMEOUT: Duration = Duration::from_millis(200);
 /// Reno's initial window, in segments (Linux 2.2 used 2).
 const INITIAL_CWND_SEGMENTS: u64 = 2;
 /// TCP/CM: cap on `cm_request`s outstanding at once (bounds the
@@ -89,6 +100,13 @@ pub enum TcpState {
     Closing,
     /// Fully closed.
     Closed,
+}
+
+impl TcpState {
+    /// Whether data flows: established, or closing with our FIN queued.
+    fn is_synchronized(self) -> bool {
+        matches!(self, TcpState::Established | TcpState::Closing)
+    }
 }
 
 /// Counters for one connection.
@@ -133,90 +151,12 @@ pub enum TcpAction {
     Event(TcpEvent),
 }
 
-/// Byte ranges `[start, end)` sorted by start: the receiver's
-/// out-of-order store and the sender's SACK scoreboard. Both are empty
-/// outside a recovery episode and hold a handful of ranges inside one,
-/// so a flat vector that keeps its capacity between episodes beats a
-/// tree that allocates a node per segment.
-#[derive(Default)]
-struct Ranges(Vec<(u64, u64)>);
-
-impl Ranges {
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Inserts `[start, end)`, keyed by `start`.
-    ///
-    /// A range that starts exactly where a held one starts *replaces*
-    /// that range's end, even with a smaller one — so a duplicate of the
-    /// first segment of a held run makes the store forget the rest of
-    /// the run (ROADMAP item 2 has the reproduction). Taking the larger
-    /// end is the fix; it moves goodput under loss, so it is kept out of
-    /// a change whose gate is bit-equal behaviour.
-    fn insert(&mut self, start: u64, end: u64) {
-        let at = self.0.partition_point(|&(s, _)| s < start);
-        match self.0.get_mut(at) {
-            Some(held) if held.0 == start => held.1 = end,
-            _ => self.0.insert(at, (start, end)),
-        }
-    }
-
-    /// Merges overlapping and touching ranges in place, clipping to
-    /// `floor` and dropping what lies wholly below it.
-    fn coalesce(&mut self, floor: u64) {
-        let mut kept = 0usize;
-        for i in 0..self.0.len() {
-            let (start, end) = self.0[i];
-            if end <= floor {
-                continue;
-            }
-            let start = start.max(floor);
-            if kept > 0 && start <= self.0[kept - 1].1 {
-                let last_end = &mut self.0[kept - 1].1;
-                *last_end = (*last_end).max(end);
-            } else {
-                self.0[kept] = (start, end);
-                kept += 1;
-            }
-        }
-        self.0.truncate(kept);
-    }
-
-    /// Removes the leading ranges that begin at or before `pos` and
-    /// returns how far they carry it.
-    fn take_prefix(&mut self, mut pos: u64) -> u64 {
-        let mut taken = 0;
-        for &(start, end) in &self.0 {
-            if start > pos {
-                break;
-            }
-            pos = pos.max(end);
-            taken += 1;
-        }
-        self.0.drain(..taken);
-        pos
-    }
-
-    /// Index of the first range that starts after `pos`.
-    fn first_after(&self, pos: u64) -> usize {
-        self.0.partition_point(|&(s, _)| s <= pos)
-    }
-
-    /// If `pos` lies inside a range, the range's end.
-    fn end_covering(&self, pos: u64) -> Option<u64> {
-        let &(_, end) = self.0.get(self.first_after(pos).checked_sub(1)?)?;
-        (pos < end).then_some(end)
-    }
-
-    /// Where the first range that starts after `pos` starts.
-    fn next_start_after(&self, pos: u64) -> Option<u64> {
-        self.0.get(self.first_after(pos)).map(|&(s, _)| s)
-    }
-
-    /// The end of the last range.
-    fn last_end(&self) -> Option<u64> {
-        self.0.last().map(|&(_, e)| e)
+/// The flags of every segment after our SYN: ACK, and FIN if `fin`.
+fn ack_flags(fin: bool) -> TcpFlags {
+    TcpFlags {
+        ack: true,
+        fin,
+        ..Default::default()
     }
 }
 
@@ -225,114 +165,6 @@ fn collect(body: impl FnOnce(&mut Vec<TcpAction>)) -> Vec<TcpAction> {
     let mut out = Vec::new();
     body(&mut out);
     out
-}
-
-/// Who owns a connection's congestion window, holding only that
-/// owner's state.
-enum Cc {
-    /// Reno with Linux 2.2's ACK counting.
-    Native {
-        /// Congestion window (bytes).
-        cwnd: u64,
-        /// Slow-start threshold (bytes).
-        ssthresh: u64,
-    },
-    /// The CM owns the window; a segment goes out per grant.
-    Cm {
-        /// `cm_request`s issued and not yet granted.
-        requests: u32,
-        /// Bytes duplicate ACKs already drained from the CM's outstanding
-        /// count, which the cumulative ACK must not drain again.
-        recovery_credits: u64,
-        /// The CM's shared (srtt, rttvar), which the host pushes in for
-        /// the RTO: "useful in loss recovery" (§3.2).
-        shared_rtt: Option<(Duration, Duration)>,
-    },
-}
-
-/// What an acknowledgement did, as congestion control sees it.
-enum Ack {
-    /// New data acknowledged outside recovery.
-    Open,
-    /// New data below the recovery point (NewReno partial ACK).
-    Partial,
-    /// The cumulative ACK that ends recovery.
-    Recovered,
-    /// A duplicate past the third: one more segment reached the receiver.
-    Duplicate,
-}
-
-impl Cc {
-    /// Data acked: `acked` sequence bytes left the network, `data` of
-    /// them stream data. Reno deflates on a partial ACK, resumes at
-    /// `ssthresh` after recovery, inflates per duplicate and otherwise
-    /// grows by ACK counting. TCP/CM reports the data to the CM, net of
-    /// what duplicates already drained.
-    fn on_ack(
-        &mut self,
-        ack: Ack,
-        acked: u64,
-        data: u64,
-        rtt: Option<Duration>,
-        mss: u64,
-        out: &mut Vec<TcpAction>,
-    ) {
-        match self {
-            Cc::Native { cwnd, ssthresh } => {
-                *cwnd = match ack {
-                    Ack::Partial => cwnd.saturating_sub(acked).max(mss),
-                    Ack::Recovered => *ssthresh,
-                    Ack::Open if *cwnd >= *ssthresh => *cwnd + (mss * mss / *cwnd).max(1),
-                    Ack::Open | Ack::Duplicate => *cwnd + mss,
-                }
-            }
-            Cc::Cm {
-                recovery_credits: credits,
-                ..
-            } if data > 0 => {
-                let fresh = if matches!(ack, Ack::Duplicate) {
-                    *credits += data;
-                    data
-                } else {
-                    let credit = (*credits).min(data);
-                    *credits -= credit;
-                    data - credit
-                };
-                let report = FeedbackReport::ack(fresh, 1);
-                out.push(TcpAction::CmUpdate(
-                    rtt.map_or(report, |s| report.with_rtt(s)),
-                ));
-            }
-            Cc::Cm { .. } => {}
-        }
-    }
-
-    /// A congestion signal with `flight` bytes outstanding: the third
-    /// duplicate ACK (`Transient`) or the RTO (`Persistent`). Reno halves
-    /// its window, inflated by the three duplicates in fast recovery and
-    /// cut to one segment at a timeout.
-    /// TCP/CM reports the signal (§3.2); a lost segment's charge drains
-    /// with its retransmission, but a timeout drains the whole flight.
-    fn congestion(&mut self, signal: LossMode, flight: u64, mss: u64, out: &mut Vec<TcpAction>) {
-        match self {
-            Cc::Native { cwnd, ssthresh } => {
-                *ssthresh = (flight / 2).max(2 * mss);
-                *cwnd = match signal {
-                    LossMode::Persistent => mss,
-                    _ => *ssthresh + 3 * mss,
-                };
-            }
-            Cc::Cm {
-                recovery_credits, ..
-            } => {
-                let drained = match signal {
-                    LossMode::Persistent => flight.saturating_sub(std::mem::take(recovery_credits)),
-                    _ => 0,
-                };
-                out.push(TcpAction::CmUpdate(FeedbackReport::loss(signal, drained)));
-            }
-        }
-    }
 }
 
 /// A TCP connection endpoint.
@@ -379,23 +211,8 @@ pub struct TcpConnection {
     /// go-back-N reset are retransmissions for accounting purposes.
     highest_sent: u64,
 
-    // --- Receive side ---
-    /// Next expected offset.
-    rcv_nxt: u64,
-    /// Out-of-order ranges above `rcv_nxt`.
-    ooo: Ranges,
-    /// Cumulative in-order data bytes delivered to the application.
-    delivered: u64,
-    /// Stream offset of the peer's FIN, once a segment carrying it has
-    /// arrived: delivered-data accounting stops short of it, and
-    /// `PeerClosed` fires once `rcv_nxt` passes it.
-    peer_fin_at: Option<u64>,
-    /// Segments received since the last ACK was sent.
-    segs_since_ack: u32,
-    /// A delayed ACK is pending.
-    ack_pending: bool,
-    /// Timestamp to echo on the next ACK.
-    echo_ts: Option<Time>,
+    /// The receive half.
+    rcv: Receiver,
 
     /// Counters.
     pub stats: TcpStats,
@@ -418,8 +235,7 @@ impl TcpConnection {
     ) -> (Self, Vec<TcpAction>) {
         debug_assert!(syn.flags.syn && !syn.flags.ack);
         let mut conn = Self::new(cfg, mode, TcpState::SynRcvd);
-        conn.rcv_nxt = 1;
-        conn.echo_ts = Some(syn.ts);
+        conn.rcv.synchronize(syn.ts);
         conn.open(now)
     }
 
@@ -456,6 +272,7 @@ impl TcpConnection {
                     shared_rtt: None,
                 },
             },
+            rcv: Receiver::new(cfg.delayed_ack),
             cfg,
             state,
             snd_una: 0,
@@ -473,20 +290,9 @@ impl TcpConnection {
             rtt: RttEstimator::new(),
             rto_armed: false,
             highest_sent: 0,
-            rcv_nxt: 0,
-            ooo: Ranges::default(),
-            delivered: 0,
-            peer_fin_at: None,
-            segs_since_ack: 0,
-            ack_pending: false,
-            echo_ts: None,
             stats: TcpStats::default(),
         }
     }
-
-    // ------------------------------------------------------------------
-    // Introspection
-    // ------------------------------------------------------------------
 
     /// Current lifecycle state.
     pub fn state(&self) -> TcpState {
@@ -500,7 +306,7 @@ impl TcpConnection {
 
     /// Cumulative in-order data bytes delivered to the application.
     pub fn bytes_delivered(&self) -> u64 {
-        self.delivered
+        self.rcv.delivered()
     }
 
     /// Cumulative stream bytes acknowledged by the peer (data only).
@@ -540,13 +346,8 @@ impl TcpConnection {
             } => ewma::rto_of(srtt, rttvar),
             _ => self.rtt.rto(),
         };
-        let scaled = base * (1u64 << self.backoff.min(6));
-        scaled.min(ewma::MAX_RTO)
+        (base * (1u64 << self.backoff.min(6))).min(ewma::MAX_RTO)
     }
-
-    // ------------------------------------------------------------------
-    // Application entry points
-    // ------------------------------------------------------------------
 
     /// The application wrote `bytes` more stream bytes.
     pub fn app_write(&mut self, bytes: u64, now: Time) -> Vec<TcpAction> {
@@ -569,10 +370,6 @@ impl TcpConnection {
         self.pump(now, out);
     }
 
-    // ------------------------------------------------------------------
-    // Segment arrival
-    // ------------------------------------------------------------------
-
     /// Processes an incoming segment. `_ce_marked` is ignored: no
     /// simulated queue marks a packet. It stays because the benchmark's
     /// TCP replay (`benchmark/src/replay.rs`) passes it.
@@ -583,25 +380,19 @@ impl TcpConnection {
     /// [`TcpConnection::on_segment`], appending its actions to `out`.
     pub fn on_segment_into(&mut self, seg: &TcpSegment, now: Time, out: &mut Vec<TcpAction>) {
         self.stats.segs_rcvd += 1;
-        // The header's 32-bit positions, at full width: a sequence number
-        // is near what we expect next, an acknowledgement near what we
-        // wait on.
-        let seq = unwrap_seq(seg.seq, self.rcv_nxt);
+        // The header's 32-bit acknowledgement, at full width: it is near
+        // what we wait on.
         let ack = unwrap_seq(seg.ack, self.snd_una);
 
         // Handshake transitions.
         match self.state {
             TcpState::SynSent if seg.flags.syn && seg.flags.ack => {
-                self.rcv_nxt = 1;
+                self.rcv.synchronize(seg.ts);
                 self.snd_una = 1;
                 self.backoff = 0;
                 self.state = TcpState::Established;
-                self.echo_ts = Some(seg.ts);
-                if let Some(ecr) = seg.echo() {
-                    self.take_rtt_sample(now.since(ecr));
-                }
-                self.rto_armed = false;
-                out.push(TcpAction::CancelTimer(TcpTimer::Rto));
+                self.sample_rtt(seg, now);
+                self.disarm_rto(out);
                 out.push(TcpAction::Event(TcpEvent::Connected));
                 self.send_ack(now, out);
                 self.pump(now, out);
@@ -611,8 +402,7 @@ impl TcpConnection {
                 self.snd_una = self.snd_una.max(1);
                 self.backoff = 0;
                 self.state = TcpState::Established;
-                self.rto_armed = false;
-                out.push(TcpAction::CancelTimer(TcpTimer::Rto));
+                self.disarm_rto(out);
                 out.push(TcpAction::Event(TcpEvent::Accepted));
                 // Fall through: the ACK may carry data.
             }
@@ -622,8 +412,8 @@ impl TcpConnection {
         if seg.flags.ack {
             self.process_ack(seg, ack, now, out);
         }
-        if seg.seq_space() > 0 && !seg.flags.syn {
-            self.process_data(seg, seq, now, out);
+        if seg.seq_space() > 0 && !seg.flags.syn && self.rcv.on_data(seg, out) {
+            self.send_ack(now, out);
         }
     }
 
@@ -636,17 +426,17 @@ impl TcpConnection {
         if ack > self.snd_una {
             // --- New data acknowledged ---
             let acked = ack - self.snd_una;
-            let data_acked = self.data_bytes_in(self.snd_una, ack);
+            // Stream data among them: neither our SYN nor our FIN.
+            let data_acked = ack
+                .min(self.stream_limit())
+                .saturating_sub(self.snd_una.max(1));
             self.snd_una = ack;
             // After a go-back-N rewind, a late ACK from a pre-reset
             // transmission can pass the send point; jump forward.
             self.snd_nxt = self.snd_nxt.max(self.snd_una);
             self.backoff = 0;
             self.sacked.coalesce(self.snd_una);
-            let rtt_sample = seg.echo().map(|ecr| now.since(ecr));
-            if let Some(sample) = rtt_sample {
-                self.take_rtt_sample(sample);
-            }
+            let rtt = self.sample_rtt(seg, now);
             let mut rearm_rto = true;
             let kind = match self.recover {
                 Some(point) if ack < point => {
@@ -674,8 +464,7 @@ impl TcpConnection {
                     Ack::Open
                 }
             };
-            self.cc
-                .on_ack(kind, acked, data_acked, rtt_sample, mss, out);
+            self.cc.on_ack(kind, acked, data_acked, rtt, mss, out);
             out.push(TcpAction::Event(TcpEvent::SendProgress(self.bytes_acked())));
             // Restart or cancel the RTO.
             if self.flight() > 0 {
@@ -683,8 +472,7 @@ impl TcpConnection {
                     self.arm_rto(out);
                 }
             } else {
-                self.rto_armed = false;
-                out.push(TcpAction::CancelTimer(TcpTimer::Rto));
+                self.disarm_rto(out);
                 if self.state == TcpState::Closing && self.send_complete() {
                     self.state = TcpState::Closed;
                     out.push(TcpAction::Event(TcpEvent::Closed));
@@ -717,70 +505,6 @@ impl TcpConnection {
         }
     }
 
-    /// The data half of a segment whose `seq` is unwrapped.
-    fn process_data(&mut self, seg: &TcpSegment, seq: u64, now: Time, out: &mut Vec<TcpAction>) {
-        let start = seq;
-        let end = seq + seg.seq_space();
-        if seg.flags.fin {
-            self.peer_fin_at = Some(end - 1);
-        }
-        let mut out_of_order = end <= self.rcv_nxt || start > self.rcv_nxt;
-        if end > self.rcv_nxt {
-            let before = self.rcv_nxt;
-            if self.ooo.is_empty() && start <= before {
-                // In order with nothing held (all but the segments of a
-                // recovery episode): the store would take the range and
-                // hand it straight back.
-                self.rcv_nxt = end;
-            } else {
-                // Insert and merge into the out-of-order store, then
-                // advance rcv_nxt through any now-contiguous prefix.
-                self.ooo.insert(start.max(before), end);
-                self.ooo.coalesce(0);
-                self.rcv_nxt = self.ooo.take_prefix(before);
-            }
-            if self.rcv_nxt > before {
-                if start <= before {
-                    // In-order arrival (possibly filling a hole).
-                    if start < before || !self.ooo.is_empty() {
-                        // Filled a hole: ack immediately.
-                        out_of_order = true;
-                    } else {
-                        out_of_order = false;
-                    }
-                    self.echo_ts = Some(seg.ts);
-                }
-                let delivered_now = self.rcv_data_bytes_in(before, self.rcv_nxt);
-                if delivered_now > 0 {
-                    self.delivered += delivered_now;
-                    out.push(TcpAction::Event(TcpEvent::DataDelivered(self.delivered)));
-                }
-                if let Some(fin) = self.peer_fin_at {
-                    if self.rcv_nxt > fin {
-                        out.push(TcpAction::Event(TcpEvent::PeerClosed));
-                    }
-                }
-            }
-        }
-        // ACK generation (RFC 1122 delayed-ACK rules).
-        self.segs_since_ack += 1;
-        let force = out_of_order
-            || !self.ooo.is_empty()
-            || seg.flags.fin
-            || !self.cfg.delayed_ack
-            || self.segs_since_ack >= 2;
-        if force {
-            self.send_ack(now, out);
-        } else if !self.ack_pending {
-            self.ack_pending = true;
-            out.push(TcpAction::SetTimer(TcpTimer::DelayedAck, DELACK_TIMEOUT));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Timers
-    // ------------------------------------------------------------------
-
     /// Handles a fired timer.
     pub fn on_timer(&mut self, timer: TcpTimer, now: Time) -> Vec<TcpAction> {
         collect(|out| self.on_timer_into(timer, now, out))
@@ -790,7 +514,7 @@ impl TcpConnection {
     pub fn on_timer_into(&mut self, timer: TcpTimer, now: Time, out: &mut Vec<TcpAction>) {
         match timer {
             TcpTimer::DelayedAck => {
-                if self.ack_pending {
+                if self.rcv.ack_owed() {
                     self.send_ack(now, out);
                 }
             }
@@ -828,10 +552,6 @@ impl TcpConnection {
         }
     }
 
-    // ------------------------------------------------------------------
-    // CM grant handling
-    // ------------------------------------------------------------------
-
     /// TCP/CM: a send grant arrived (`cmapp_send`). Transmits exactly
     /// one segment — a pending retransmission takes priority over new
     /// data, mirroring §3.2 — or declines with `cm_notify(0)`. A native
@@ -847,7 +567,7 @@ impl TcpConnection {
             return;
         };
         *requests = requests.saturating_sub(1);
-        if self.state != TcpState::Established && self.state != TcpState::Closing {
+        if !self.state.is_synchronized() {
             out.push(TcpAction::CmNotify(0));
             return;
         }
@@ -865,33 +585,9 @@ impl TcpConnection {
         self.maybe_request(out);
     }
 
-    // ------------------------------------------------------------------
-    // Transmission machinery
-    // ------------------------------------------------------------------
-
     /// Stream offset one past the last writable data byte.
     fn stream_limit(&self) -> u64 {
         1 + self.app_written
-    }
-
-    /// Sent-stream data bytes (excluding our SYN/FIN offsets) within
-    /// `[from, to)`; used to convert ACK advances into acked data.
-    fn data_bytes_in(&self, from: u64, to: u64) -> u64 {
-        let data_lo = from.max(1);
-        let data_hi = to.min(self.stream_limit().max(1));
-        data_hi.saturating_sub(data_lo)
-    }
-
-    /// Received-stream data bytes (excluding the peer's SYN/FIN offsets)
-    /// within `[from, to)`; used to convert `rcv_nxt` advances into
-    /// delivered data.
-    fn rcv_data_bytes_in(&self, from: u64, to: u64) -> u64 {
-        let lo = from.max(1);
-        let hi = match self.peer_fin_at {
-            Some(fin) => to.min(fin),
-            None => to,
-        };
-        hi.saturating_sub(lo)
     }
 
     /// Builds the next untransmitted segment, if data (or FIN) is
@@ -917,25 +613,14 @@ impl TcpConnection {
                 .min(self.cfg.mss as u64)
                 .min(wnd_room)
                 .min(next_sacked) as u32;
-            let mut flags = TcpFlags {
-                ack: true,
-                ..Default::default()
-            };
             // Piggyback FIN on the last segment.
-            if self.fin_queued && self.snd_nxt + len as u64 == limit && !self.fin_sent {
-                flags.fin = true;
-                self.fin_sent = true;
-            }
-            return Some(self.make_segment(self.snd_nxt, len, flags, now));
+            let fin = self.fin_queued && self.snd_nxt + len as u64 == limit && !self.fin_sent;
+            self.fin_sent |= fin;
+            return Some(self.make_segment(self.snd_nxt, len, ack_flags(fin), now));
         }
         if avail == 0 && self.fin_queued && !self.fin_sent && wnd_room > 0 {
             self.fin_sent = true;
-            let flags = TcpFlags {
-                ack: true,
-                fin: true,
-                ..Default::default()
-            };
-            return Some(self.make_segment(self.snd_nxt, 0, flags, now));
+            return Some(self.make_segment(self.snd_nxt, 0, ack_flags(true), now));
         }
         None
     }
@@ -947,7 +632,7 @@ impl TcpConnection {
         let Cc::Native { cwnd, .. } = self.cc else {
             return self.maybe_request(out);
         };
-        if self.state != TcpState::Established && self.state != TcpState::Closing {
+        if !self.state.is_synchronized() {
             return;
         }
         let mut sent_any = false;
@@ -991,7 +676,7 @@ impl TcpConnection {
     /// TCP/CM: tops up outstanding `cm_request`s to cover the work we
     /// could do with more grants.
     fn maybe_request(&mut self, out: &mut Vec<TcpAction>) {
-        if self.state != TcpState::Established && self.state != TcpState::Closing {
+        if !self.state.is_synchronized() {
             return;
         }
         // Request only for data the peer window lets us send; otherwise a
@@ -1036,31 +721,21 @@ impl TcpConnection {
         // information, exactly the classic `snd_una` hole qualifies.
         let fack = self.sacked.last_end().unwrap_or(self.snd_una + 1);
         let mut pos = self.rtx_next_hole.max(self.snd_una).max(1);
-        loop {
-            if pos >= recover || pos >= fack {
-                return None;
-            }
-            if let Some(end) = self.sacked.end_covering(pos) {
-                pos = end;
-                continue;
-            }
-            let limit = self.stream_limit();
-            if pos >= limit {
-                // Only the FIN offset can remain.
-                if self.fin_sent && pos == limit {
-                    return Some((pos, 0, true));
-                }
-                return None;
-            }
-            let next_sacked = self.sacked.next_start_after(pos).unwrap_or(u64::MAX);
-            let hole_end = recover.min(next_sacked).min(limit);
-            let len = (hole_end - pos).min(self.cfg.mss as u64) as u32;
-            if len == 0 {
-                return None;
-            }
-            let fin = self.fin_sent && pos + len as u64 == limit;
-            return Some((pos, len, fin));
+        while let Some(end) = self.sacked.end_covering(pos) {
+            pos = end;
         }
+        if pos >= recover || pos >= fack {
+            return None;
+        }
+        let limit = self.stream_limit();
+        if pos >= limit {
+            // Only the FIN offset can remain.
+            return (self.fin_sent && pos == limit).then_some((pos, 0, true));
+        }
+        let next_sacked = self.sacked.next_start_after(pos).unwrap_or(u64::MAX);
+        let hole_end = recover.min(next_sacked).min(limit);
+        let len = (hole_end - pos).min(self.cfg.mss as u64) as u32;
+        (len > 0).then(|| (pos, len, self.fin_sent && pos + len as u64 == limit))
     }
 
     /// Retransmits the next scoreboard hole, if any; returns whether a
@@ -1069,23 +744,19 @@ impl TcpConnection {
         let Some((pos, len, fin)) = self.next_hole() else {
             return false;
         };
-        let flags = TcpFlags {
-            ack: true,
-            fin,
-            ..Default::default()
-        };
-        let seg = self.make_segment(pos, len, flags, now);
-        self.rtx_next_hole = pos + seg.seq_space();
+        let seg = self.make_segment(pos, len, ack_flags(fin), now);
+        let wire = seg.seq_space();
+        self.rtx_next_hole = pos + wire;
         self.stats.bytes_rtx += len as u64;
         self.emit(seg, out);
         if let Cc::Cm { .. } = self.cc {
             // I sent: charge the retransmission, and drain the original
             // transmission's charge — it is lost (no congestion signal
             // here; the episode already reported one).
-            out.push(TcpAction::CmNotify(seg.seq_space()));
+            out.push(TcpAction::CmNotify(wire));
             out.push(TcpAction::CmUpdate(FeedbackReport::loss(
                 LossMode::None,
-                seg.seq_space(),
+                wire,
             )));
         }
         self.arm_rto_if_idle(out);
@@ -1099,6 +770,12 @@ impl TcpConnection {
         out.push(TcpAction::SetTimer(TcpTimer::Rto, rto));
     }
 
+    /// Disarms the RTO timer.
+    fn disarm_rto(&mut self, out: &mut Vec<TcpAction>) {
+        self.rto_armed = false;
+        out.push(TcpAction::CancelTimer(TcpTimer::Rto));
+    }
+
     /// Arms the RTO timer only if it is not already running.
     fn arm_rto_if_idle(&mut self, out: &mut Vec<TcpAction>) {
         if !self.rto_armed {
@@ -1107,47 +784,39 @@ impl TcpConnection {
     }
 
     fn send_ack(&mut self, now: Time, out: &mut Vec<TcpAction>) {
-        let flags = TcpFlags {
-            ack: true,
-            ..Default::default()
-        };
-        let ack = self.make_segment(self.snd_nxt, 0, flags, now);
+        let ack = self.make_segment(self.snd_nxt, 0, ack_flags(false), now);
         self.stats.acks_sent += 1;
         self.emit(ack, out);
     }
 
     fn make_segment(&self, seq: u64, len: u32, flags: TcpFlags, now: Time) -> TcpSegment {
-        // RFC 2018: report up to three out-of-order ranges so the peer's
-        // scoreboard can steer retransmissions.
-        let mut sack = [(0, 0); crate::segment::MAX_SACK_BLOCKS];
-        let mut sack_count = 0u8;
-        for (block, &(start, end)) in sack.iter_mut().zip(&self.ooo.0) {
-            *block = (wrap_seq(start), wrap_seq(end));
-            sack_count += 1;
-        }
-        TcpSegment {
+        let mut seg = TcpSegment {
             seq: wrap_seq(seq),
             len,
-            ack: wrap_seq(self.rcv_nxt),
+            ack: 0,
             flags,
             wnd: u32::try_from(self.cfg.rwnd).unwrap_or(u32::MAX),
             ts: now,
-            ts_ecr: self.echo_ts.unwrap_or(TcpSegment::NO_ECHO),
-            sack,
-            sack_count,
-        }
+            ts_ecr: TcpSegment::NO_ECHO,
+            sack: [(0, 0); MAX_SACK_BLOCKS],
+            sack_count: 0,
+        };
+        self.rcv.stamp(&mut seg);
+        seg
     }
 
     fn emit(&mut self, seg: TcpSegment, out: &mut Vec<TcpAction>) {
-        self.segs_since_ack = 0;
-        self.ack_pending = false;
+        self.rcv.ack_sent();
         self.stats.segs_sent += 1;
         out.push(TcpAction::Emit(seg));
     }
 
-    fn take_rtt_sample(&mut self, sample: Duration) {
+    /// Samples the RTT from `seg`'s timestamp echo, if it carries one.
+    fn sample_rtt(&mut self, seg: &TcpSegment, now: Time) -> Option<Duration> {
+        let sample = now.since(seg.echo()?);
         self.stats.rtt_samples += 1;
         self.rtt.update(sample);
+        Some(sample)
     }
 }
 
@@ -1610,35 +1279,7 @@ mod tests {
         assert_eq!(reqs as u64, MAX_REQUESTS);
     }
 
-    #[test]
-    fn ranges_coalesce_clip_and_search() {
-        let mut r = Ranges::default();
-        for (s, e) in [(30, 40), (10, 20), (20, 25), (50, 60), (35, 45)] {
-            r.insert(s, e);
-        }
-        // Sorted by start; touching and overlapping ranges merge.
-        r.coalesce(0);
-        assert_eq!(r.0, [(10, 25), (30, 45), (50, 60)]);
-        assert_eq!(r.end_covering(9), None);
-        assert_eq!(r.end_covering(10), Some(25));
-        assert_eq!(r.end_covering(24), Some(25));
-        assert_eq!(r.end_covering(25), None);
-        assert_eq!(r.next_start_after(9), Some(10));
-        assert_eq!(r.next_start_after(10), Some(30));
-        assert_eq!(r.next_start_after(50), None);
-        assert_eq!(r.last_end(), Some(60));
-        // A floor drops what lies below it and clips what straddles it.
-        r.coalesce(35);
-        assert_eq!(r.0, [(35, 45), (50, 60)]);
-        // Only ranges reachable from the position are taken.
-        assert_eq!(r.take_prefix(34), 34);
-        assert_eq!(r.take_prefix(40), 45);
-        assert_eq!(r.0, [(50, 60)]);
-        assert_eq!(r.take_prefix(50), 60);
-        assert!(r.is_empty());
-    }
-
-    /// Pins a recorded defect (ROADMAP item 2), not a requirement: the
+    /// Pins a recorded defect (ROADMAP item 15), not a requirement: the
     /// out-of-order store is keyed by start, so a retransmission that
     /// starts where a held run starts *replaces* the run's end — the
     /// receiver forgets 1,460 bytes it holds and its next SACK un-reports
@@ -1664,11 +1305,11 @@ mod tests {
         assert_eq!(
             sack_of(&acts),
             [(1461, 2921)],
-            "defect fixed? update ROADMAP item 2"
+            "defect fixed? update ROADMAP item 15"
         );
     }
 
-    /// Pins a recorded defect (ROADMAP item 2b), not a requirement: the
+    /// Pins a recorded defect (ROADMAP item 15), not a requirement: the
     /// receiver SACKs the FIN's offset with the data, so after a timeout
     /// `next_new_segment` skips the SACKed run past the FIN and sends the
     /// FIN again one offset late. A receiver still missing data below
@@ -1709,7 +1350,7 @@ mod tests {
         let first = granted(&mut tx);
         let fin = granted(&mut tx);
         assert!(fin.flags.fin && fin.len == 0);
-        assert_eq!(fin.seq, 4382, "defect fixed? update ROADMAP item 2b");
+        assert_eq!(fin.seq, 4382, "defect fixed? update ROADMAP item 15");
         let _ = rx.on_segment(&fin, false, now);
         let _ = rx.on_segment(&first, false, now);
         assert_eq!(rx.bytes_delivered(), 3 * 1460 + 1);

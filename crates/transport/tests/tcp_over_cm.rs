@@ -30,8 +30,8 @@
 //! SACKed sends the FIN again one offset late (and after a further
 //! timeout, later still), and a receiver that gets it before a hole
 //! below fills counts the skipped offsets as data bytes.
-//! `go_back_n_past_a_sacked_fin_resends_it_one_offset_late` in `tcp.rs`
-//! pins it (ROADMAP item 2b). The harness watches the wire for late FINs
+//! `go_back_n_past_a_sacked_fin_resends_it_one_offset_late` in `tcp/mod.rs`
+//! pins it (ROADMAP item 15). The harness watches the wire for late FINs
 //! and takes back at most one byte per offset a FIN moved; any other
 //! miscount still fails.
 
