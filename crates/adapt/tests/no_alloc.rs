@@ -9,13 +9,11 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use std::sync::atomic::Ordering;
-
 use cm_adapt::{
     AdaptationStats, Engine, FleetStats, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy,
 };
 use cm_util::{Duration, Rate, Time};
-use counting_alloc::ALLOCS;
+use counting_alloc::allocs;
 
 fn ladder() -> RateLadder {
     RateLadder::new(vec![
@@ -49,16 +47,15 @@ fn observe_never_allocates_in_steady_state() {
         e.on_rate(Time::from_millis(i as u64), Rate::from_kbps(800));
     }
 
-    // The counter is process-global, so the libtest harness's own
-    // threads can deposit a few one-shot allocations into any single
+    // A one-shot allocation (a lazy first use) can land in any single
     // window. Measure several trials and require the *minimum* delta to
-    // be zero: ambient noise is one-shot, while a real per-callback
+    // be zero: such noise is one-shot, while a real per-callback
     // allocation would show up in every trial (6k reports each).
     let mut now = Time::from_secs(1);
     let mut level_sum = 0usize;
     let mut min_delta = u64::MAX;
     for trial in 0..5u64 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocs();
         for round in 0..2_000u64 {
             now += Duration::from_millis(20);
             // A rate pattern that forces real switches (sawtooth across
@@ -69,7 +66,7 @@ fn observe_never_allocates_in_steady_state() {
                 level_sum += e.on_rate(now, rate).level;
             }
         }
-        let after = ALLOCS.load(Ordering::SeqCst);
+        let after = allocs();
         min_delta = min_delta.min(after - before);
     }
     assert!(level_sum > 0, "engines never moved off the floor");
@@ -103,7 +100,7 @@ fn fleet_record_never_allocates_in_steady_state() {
     // harness's ambient one-shot allocations.
     let mut min_delta = u64::MAX;
     for trial in 0..5u64 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocs();
         for round in 0..500u64 {
             for (i, s) in sessions.iter_mut().enumerate() {
                 let t = Time::from_secs(100 + trial * 1000 + round * 2);
@@ -111,7 +108,7 @@ fn fleet_record_never_allocates_in_steady_state() {
                 fleet.record(s);
             }
         }
-        let after = ALLOCS.load(Ordering::SeqCst);
+        let after = allocs();
         min_delta = min_delta.min(after - before);
     }
     assert!(fleet.sessions() > 0);

@@ -43,6 +43,8 @@ const CLOCK: u64 = 1;
 const SAMPLE: u64 = 2;
 /// Grants kept pipelined in ALF mode.
 const PIPELINE: u32 = 8;
+/// Width of one [`LayeredStreamer::tx_per_sec`] entry.
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// The layered streaming server.
 pub struct LayeredStreamer {
@@ -64,9 +66,11 @@ pub struct LayeredStreamer {
     pub bytes_sent: u64,
     /// Packets transmitted.
     pub packets_sent: u64,
-    /// Raw transmission events `(time, rate-right-now)` sampled per
-    /// packet burst; the harness bins them ("Transmission Rate").
-    pub tx_events: Vec<(Time, u32)>,
+    /// Payload bytes transmitted in each whole simulated second, indexed
+    /// by second and grown on the first packet of a new second, so it
+    /// is bounded by simulated time, not by packets; the harness reads
+    /// it as the "Transmission Rate".
+    pub tx_per_sec: Vec<u64>,
     /// The CM-reported rate over time ("Rate reported by CM").
     pub cm_rate: TimeSeries,
     /// Layer-change history `(time, layer)`.
@@ -120,7 +124,7 @@ impl LayeredStreamer {
             stop_at,
             bytes_sent: 0,
             packets_sent: 0,
-            tx_events: Vec::new(),
+            tx_per_sec: Vec::new(),
             cm_rate: TimeSeries::new(),
             layer_changes: Vec::new(),
             sock: None,
@@ -160,7 +164,11 @@ impl LayeredStreamer {
             self.seq += 1;
             self.packets_sent += 1;
             self.bytes_sent += self.packet_size as u64;
-            self.tx_events.push((os.now(), self.packet_size));
+            let sec = (os.now().as_nanos() / NANOS_PER_SEC) as usize;
+            if sec >= self.tx_per_sec.len() {
+                self.tx_per_sec.resize(sec + 1, 0);
+            }
+            self.tx_per_sec[sec] += self.packet_size as u64;
         }
         ok
     }

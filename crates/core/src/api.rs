@@ -569,12 +569,10 @@ impl CongestionManager {
         self.mf_shard_ref(mf)?.reserved_of(mf)
     }
 
-    /// A state snapshot for `flow` without the query bookkeeping.
-    pub fn flow_info(&self, flow: FlowId, mf_id: MacroflowId) -> CmResult<FlowInfo> {
-        if flow.shard() != mf_id.shard() {
-            return Err(CmError::UnknownMacroflow(mf_id));
-        }
-        self.flow_shard_ref(flow)?.flow_info(flow, mf_id)
+    /// A state snapshot for `flow`, read from its own macroflow, without
+    /// the query bookkeeping.
+    pub fn flow_info(&self, flow: FlowId) -> CmResult<FlowInfo> {
+        self.flow_shard_ref(flow)?.flow_info(flow)
     }
 
     // ------------------------------------------------------------------

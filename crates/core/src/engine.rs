@@ -214,7 +214,7 @@ impl ShardTable {
     pub(crate) fn drain_into(&mut self, out: &mut Vec<CmNotification>) {
         for shard in self.iter_mut() {
             if !shard.outbox.is_empty() {
-                out.extend(shard.outbox.drain(..));
+                out.append(&mut shard.outbox);
             }
         }
     }

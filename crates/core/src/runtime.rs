@@ -368,7 +368,7 @@ impl Worker {
 
     /// Forwards everything in a shard's outbox to the reply ring.
     fn flush_outbox(shard: &mut Shard, replies: &mut ReplyPort) {
-        while let Some(note) = shard.outbox.pop_front() {
+        for note in shard.outbox.drain(..) {
             replies.push(ShardReply::Note(note));
         }
     }

@@ -38,8 +38,6 @@
 //! of a slab scan — on a host where one group is active and fifteen
 //! idle, `tick` touches one shard's slab, not sixteen.
 
-use std::collections::VecDeque;
-
 use cm_obs::{CongestionSignal, TraceEvent, Tracer};
 use cm_util::ewma::MIN_RTO;
 use cm_util::{Duration, Rate, Time};
@@ -166,7 +164,7 @@ pub(crate) struct Shard {
     /// (more groups than shards) and the single-shard mode put several
     /// here; the index keeps them apart.
     group_index: SlotIndex,
-    pub(crate) outbox: VecDeque<CmNotification>,
+    pub(crate) outbox: Vec<CmNotification>,
     pub(crate) stats: CmStats,
     next_private_key: u32,
     /// Pooled buffer so the hot entry points allocate nothing.
@@ -209,7 +207,7 @@ impl Shard {
             live_mfs: 0,
             mf_pool: Vec::new(),
             group_index: SlotIndex::default(),
-            outbox: VecDeque::new(),
+            outbox: Vec::new(),
             stats: CmStats::default(),
             next_private_key: 0,
             scratch_flows: Vec::new(),
@@ -606,7 +604,7 @@ impl Shard {
         f.last_api = now;
         self.mf_mut(mf_id)?.age_if_idle(now);
         self.stats.queries += 1;
-        self.flow_info(flow, mf_id)
+        self.flow_info(flow)
     }
 
     pub(crate) fn set_thresholds(
@@ -1246,9 +1244,8 @@ impl Shard {
         Ok(self.mf_ref(mf)?.granted_unnotified)
     }
 
-    pub(crate) fn flow_info(&self, flow: FlowId, mf_id: MacroflowId) -> CmResult<FlowInfo> {
-        self.flow_ref(flow)?;
-        let mf = self.mf_ref(mf_id)?;
+    pub(crate) fn flow_info(&self, flow: FlowId) -> CmResult<FlowInfo> {
+        let mf = self.mf_ref(self.flow_ref(flow)?.macroflow)?;
         let share = mf.share_of(self.sched[slot(flow.0)].weight());
         Ok(flow_info_of(share, self.cfg.mtu, mf))
     }
@@ -1363,7 +1360,7 @@ impl Shard {
                 gen: flow_gens[local as usize],
                 issued: now,
             });
-            outbox.push_back(CmNotification::SendGrant { flow: flow_id });
+            outbox.push(CmNotification::SendGrant { flow: flow_id });
             stats.grants += 1;
             tracer.record(
                 now,
@@ -1498,7 +1495,7 @@ impl Shard {
                 let weight = sched[s].weight();
                 let current = rate.mul_ratio(weight as u64, total_weight);
                 if thresh.crossed(last, current) {
-                    outbox.push_back(CmNotification::RateChange {
+                    outbox.push(CmNotification::RateChange {
                         flow: flow_id,
                         info: flow_info_of(current, mtu, mf),
                     });
@@ -1607,6 +1604,8 @@ fn remove_member(mf: &mut Macroflow, flows: &mut [Option<Flow>], pos: u32) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use crate::flow::NO_COLD;
     use crate::types::Endpoint;

@@ -10,20 +10,19 @@
 mod counting_alloc;
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 
 use cm_core::prelude::*;
-use counting_alloc::{measuring, ALLOCS, LIVE};
+use counting_alloc::{allocs, live};
 
-/// The fewest allocations any of five runs of `run` made. The counter is
-/// process-global, so libtest's own one-shot allocations can land in a
-/// run; a real per-cycle allocation lands in all five.
+/// The fewest allocations any of five runs of `run` made. A one-shot
+/// allocation can land in a run; a real per-cycle allocation lands in
+/// all five.
 fn fewest_allocs_of_five(mut run: impl FnMut()) -> u64 {
     (0..5)
         .map(|_| {
-            let before = ALLOCS.load(Ordering::SeqCst);
+            let before = allocs();
             run();
-            ALLOCS.load(Ordering::SeqCst) - before
+            allocs() - before
         })
         .fold(u64::MAX, u64::min)
 }
@@ -96,7 +95,6 @@ fn cycle(
 /// scheduler `enqueue`, `serve_head`, `rotate` (weighted round-robin).
 #[test]
 fn split_merge_cycle_never_allocates_in_steady_state() {
-    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         scheduler: SchedulerKind::WeightedRoundRobin,
         macroflow_linger: Duration::from_millis(200),
@@ -193,7 +191,6 @@ fn shard_cycle(cm: &mut CongestionManager, now: &mut Time, notes: &mut Vec<CmNot
 /// Drives: engine `route`, `tick`.
 #[test]
 fn sharded_churn_never_allocates_in_steady_state() {
-    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         sharding: ShardingConfig::by_group(8),
         macroflow_linger: Duration::from_millis(200),
@@ -271,7 +268,6 @@ fn churn_cycle(
 #[test]
 fn open_close_churn_never_allocates_in_steady_state() {
     const POPULATION: u32 = 256;
-    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         macroflow_linger: Duration::from_millis(10),
         ..Default::default()
@@ -338,7 +334,6 @@ fn delay_gradient_cycle(
 }
 
 fn delay_gradient_min_delta(tracing: Option<TracingConfig>) -> u64 {
-    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         controller: ControllerKind::DelayGradient,
         pacing: false,
@@ -405,16 +400,15 @@ fn delay_gradient_update_path_never_allocates_tracer_enabled() {
 #[test]
 fn open_population_stays_under_1kb_per_flow() {
     const FLOWS: usize = 4_096;
-    let _turn = measuring();
     for (dests, bound) in [(512, 165), (2_048, 295)] {
-        let before = LIVE.load(Ordering::SeqCst);
+        let before = live();
         let mut cm = CongestionManager::new(CmConfig::default());
         for i in 0..FLOWS {
             let dst = 0x0a00_0000 + (i % dests) as u32;
             cm.open(key(i as u16 + 1, dst), Time::ZERO).expect("open");
         }
         assert_eq!(cm.macroflow_count(), dests);
-        let per_flow = (LIVE.load(Ordering::SeqCst) - before) / FLOWS as i64;
+        let per_flow = (live() - before) / FLOWS as i64;
         assert!(
             per_flow < bound,
             "{per_flow} B per open flow at {} flows per macroflow (bound {bound})",
@@ -431,7 +425,6 @@ fn open_population_stays_under_1kb_per_flow() {
 /// scheduler holding its own map and slot vector this open made five.)
 #[test]
 fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
-    let _turn = measuring();
     for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin] {
         let mut cm = CongestionManager::new(CmConfig {
             scheduler,
@@ -445,9 +438,9 @@ fn first_flow_of_a_new_macroflow_allocates_nothing_for_its_scheduler() {
         for &f in &flows[4..] {
             cm.close(f, Time::ZERO).expect("close");
         }
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocs();
         cm.open(key(2000, 3), Time::ZERO).expect("open");
-        let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+        let allocs = allocs() - before;
         assert_eq!(cm.macroflow_count(), 2);
         assert_eq!(
             allocs, 1,
@@ -511,7 +504,6 @@ fn maintenance_round(
 /// `serve_head`, `rotate` (round-robin, weighted round-robin).
 #[test]
 fn maintenance_and_rate_callbacks_never_allocate_in_steady_state() {
-    let _turn = measuring();
     for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::WeightedRoundRobin] {
         let mut cm = CongestionManager::new(CmConfig {
             scheduler,
@@ -563,7 +555,6 @@ fn maintenance_and_rate_callbacks_never_allocate_in_steady_state() {
 /// Drives: shard `tick` (the reap list and the closes it makes).
 #[test]
 fn orphan_reaping_never_allocates_in_steady_state() {
-    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         orphan_timeout: Some(Duration::from_secs(2)),
         ..Default::default()
@@ -677,7 +668,6 @@ fn cold_churn_cycle(
 /// parking and releasing requests; cold slab `attach`, `release`.
 #[test]
 fn cold_record_churn_never_allocates_in_steady_state() {
-    let _turn = measuring();
     let mut cm = CongestionManager::new(CmConfig {
         grant_timeout: Duration::from_millis(50),
         ..Default::default()

@@ -99,7 +99,7 @@ impl World {
             let Some((thresholds, last)) = self.told.get_mut(&flow) else {
                 continue;
             };
-            let info = self.cm.flow_info(flow, mf).expect("member is live");
+            let info = self.cm.flow_info(flow).expect("member is live");
             if thresholds.crossed(*last, info.rate) {
                 expected.push(CmNotification::RateChange { flow, info });
                 *last = info.rate;
@@ -187,8 +187,7 @@ impl World {
                     .set_thresholds(f, thresholds)
                     .expect("thresholds on a live flow");
                 // A registration starts from the share the flow has now.
-                let mf = self.cm.macroflow_of(f).expect("live flow");
-                let share = self.cm.flow_info(f, mf).expect("live flow").rate;
+                let share = self.cm.flow_info(f).expect("live flow").rate;
                 match thresholds {
                     Some(t) => self.told.insert(f, (t, share)),
                     None => self.told.remove(&f),

@@ -536,7 +536,6 @@ fn fig10(fig: &Figure, _smoke: bool) -> OutputSet {
             max_acks: 500,
             max_delay: Duration::from_millis(2_000),
         },
-        Duration::from_secs(1),
         SEED,
     );
     let rows = o

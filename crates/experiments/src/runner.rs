@@ -312,16 +312,12 @@ pub(crate) fn co_sched_cell(
     // pipelines never drain), so the scheduler alone decides the byte
     // split. Skip the slow-start warm-up, then compare transmitted
     // bytes per flow against the configured weight fractions.
-    let window_start = Time::from_secs(secs / 5);
-    let in_window = |events: &[(Time, u32)]| -> f64 {
-        events
-            .iter()
-            .filter(|&&(t, _)| t >= window_start && t < stop)
-            .map(|&(_, b)| b as u64)
-            .sum::<u64>() as f64
+    let in_window = |per_sec: &[u64]| -> f64 {
+        let (from, to) = ((secs / 5) as usize, secs as usize);
+        per_sec.iter().take(to).skip(from).sum::<u64>() as f64
     };
-    let wb = in_window(&web.tx_events);
-    let sb = in_window(&streamer.tx_events);
+    let wb = in_window(&web.tx_per_sec);
+    let sb = in_window(&streamer.tx_per_sec);
     let total = wb + sb;
     let (web_share, stream_share) = if total > 0.0 {
         (wb / total, sb / total)

@@ -224,9 +224,9 @@ pub fn tcp_blast(mode: CcMode, mss: usize, segments: u64, delayed_ack: bool, see
 
 /// Result of a streaming adaptation run (Figure 10).
 pub struct StreamOutcome {
-    /// Transmission rate over time, KB/s, binned.
+    /// Transmission rate over time, KB/s, one point per second.
     pub tx_rate: Vec<(f64, f64)>,
-    /// CM-reported rate over time, KB/s, binned.
+    /// CM-reported rate over time, KB/s, averaged per second.
     pub cm_rate: Vec<(f64, f64)>,
     /// Layer changes `(seconds, layer)`.
     pub layer_changes: Vec<(f64, usize)>,
@@ -242,7 +242,6 @@ pub fn layered_stream(
     mode: AdaptMode,
     secs: u64,
     feedback: FeedbackPolicy,
-    bin: Duration,
     seed: u64,
 ) -> StreamOutcome {
     let stop = Time::from_secs(secs);
@@ -289,24 +288,17 @@ pub fn layered_stream(
         .app_ref::<LayeredStreamer>(tx_app);
     let rx = sim.node_ref::<Host>(rx_id).app_ref::<AckReceiver>(rx_app);
 
-    // Bin transmission events into rate samples.
+    // One rate sample per second of the streamer's send record.
     let mut tx_series = TimeSeries::new();
-    {
-        let mut bin_start = Time::ZERO;
-        let mut acc: u64 = 0;
-        for &(t, bytes) in &tx.tx_events {
-            while t >= bin_start + bin {
-                tx_series.push(bin_start, acc as f64 / 1000.0 / bin.as_secs_f64());
-                acc = 0;
-                bin_start += bin;
-            }
-            acc += bytes as u64;
-        }
-        tx_series.push(bin_start, acc as f64 / 1000.0 / bin.as_secs_f64());
+    for (sec, &bytes) in tx.tx_per_sec.iter().enumerate() {
+        tx_series.push(Time::from_secs(sec as u64), bytes as f64 / 1000.0);
+    }
+    if tx.tx_per_sec.is_empty() {
+        tx_series.push(Time::ZERO, 0.0);
     }
     let to_points = |series: &TimeSeries| -> Vec<(f64, f64)> {
         series
-            .rebin(Time::ZERO, stop, bin)
+            .rebin(Time::ZERO, stop, Duration::from_secs(1))
             .into_iter()
             .map(|(t, v)| (t.as_secs_f64(), v))
             .collect()
@@ -400,13 +392,7 @@ mod tests {
 
     #[test]
     fn stream_scenario_produces_series() {
-        let o = layered_stream(
-            AdaptMode::Alf,
-            6,
-            FeedbackPolicy::PerPacket,
-            Duration::from_secs(1),
-            3,
-        );
+        let o = layered_stream(AdaptMode::Alf, 6, FeedbackPolicy::PerPacket, 3);
         assert_eq!(o.tx_rate.len(), 6);
         assert_eq!(o.cm_rate.len(), 6);
         assert!(o.delivered > 100_000);

@@ -11,12 +11,10 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use std::sync::atomic::Ordering;
-
 use cm_netsim::event::{EventQueue, SimEvent, SLOT_NANOS, WHEEL_SLOTS};
 use cm_netsim::sim::NodeId;
 use cm_util::Time;
-use counting_alloc::{measuring, ALLOCS};
+use counting_alloc::allocs;
 
 fn timer(token: u64) -> SimEvent {
     SimEvent::Timer {
@@ -63,21 +61,20 @@ fn sweep(q: &mut EventQueue, start: u64) -> u64 {
     popped
 }
 
-/// Best of three fresh queues, because libtest's own allocations share
-/// the counter; a wheel slot's first use would land in all three.
+/// Best of three fresh queues, because a one-shot allocation can land
+/// in one; a wheel slot's first use would land in all three.
 ///
 /// Drives: netsim `EventQueue::schedule`, `pop`, and through them the
 /// wheel's link, gather and overflow migration.
 #[test]
 fn event_wheel_first_sweep_allocates_nothing() {
-    let _turn = measuring();
     let mut min_allocs = u64::MAX;
     for trial in 0..3 {
         let mut q = warm_queue();
         let start = (100 + trial) * WHEEL_SLOTS as u64 * SLOT_NANOS;
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocs();
         let popped = sweep(&mut q, start);
-        min_allocs = min_allocs.min(ALLOCS.load(Ordering::SeqCst) - before);
+        min_allocs = min_allocs.min(allocs() - before);
         assert_eq!(popped, SWEEP_EVENTS);
     }
     assert_eq!(min_allocs, 0, "allocations in the best sweep");

@@ -8,11 +8,9 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use std::sync::atomic::Ordering;
-
 use cm_obs::{TraceEvent, Tracer};
 use cm_util::Time;
-use counting_alloc::ALLOCS;
+use counting_alloc::allocs;
 
 /// One burst of record work: a wrap-inducing event storm.
 fn burst(t: &mut Tracer, base: u64) {
@@ -36,16 +34,15 @@ fn burst(t: &mut Tracer, base: u64) {
 }
 
 fn min_delta_over_trials(t: &mut Tracer) -> u64 {
-    // The counter is process-global, so take the minimum delta over
-    // several trials (ambient libtest allocations are one-shot; a real
-    // per-record allocation shows up in every trial).
+    // Take the minimum delta over several trials (an ambient allocation
+    // is one-shot; a real per-record allocation shows up in every trial).
     let mut min_delta = u64::MAX;
     for trial in 0..5 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocs();
         for i in 0..20 {
             burst(t, trial * 1_000 + i * 37);
         }
-        let after = ALLOCS.load(Ordering::SeqCst);
+        let after = allocs();
         min_delta = min_delta.min(after - before);
     }
     min_delta

@@ -581,12 +581,10 @@ impl Host {
                         let _ = self.cm.update(flow, report, now);
                         // Push the shared RTT estimate back into the
                         // connection for RTO computation (§3.2).
-                        if let Ok(mf) = self.cm.macroflow_of(flow) {
-                            if let Ok(info) = self.cm.flow_info(flow, mf) {
-                                if let Some(srtt) = info.srtt {
-                                    if let Some(c) = self.conn_mut(conn_id) {
-                                        c.tcp.set_shared_rtt(srtt, info.rttvar);
-                                    }
+                        if let Ok(info) = self.cm.flow_info(flow) {
+                            if let Some(srtt) = info.srtt {
+                                if let Some(c) = self.conn_mut(conn_id) {
+                                    c.tcp.set_shared_rtt(srtt, info.rttvar);
                                 }
                             }
                         }

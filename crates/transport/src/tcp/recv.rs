@@ -4,7 +4,7 @@ use cm_util::{Duration, Time};
 
 use super::ranges::Ranges;
 use super::TcpAction;
-use crate::segment::{unwrap_seq, wrap_seq, TcpSegment};
+use crate::segment::{wrap_seq, TcpSegment};
 use crate::types::{TcpEvent, TcpTimer};
 
 /// The delayed-ACK timer.
@@ -59,9 +59,14 @@ impl Receiver {
     /// whether the peer must be ACKed now ([`Self::ack_now`]).
     pub(super) fn on_data(&mut self, seg: &TcpSegment, out: &mut Vec<TcpAction>) -> bool {
         // The header's 32-bit sequence number, at full width: it is near
-        // what we expect next.
+        // what we expect next (`unwrap_seq`, checked). One that unwraps
+        // below offset 0 lies before the ISN: an old duplicate, ACKed at
+        // once and otherwise dropped.
         let before = self.rcv_nxt;
-        let start = unwrap_seq(seg.seq, before);
+        let delta = seg.seq.wrapping_sub(wrap_seq(before)) as i32;
+        let Some(start) = before.checked_add_signed(i64::from(delta)) else {
+            return self.ack_now(false, seg.flags.fin, out);
+        };
         let end = start + seg.seq_space();
         if seg.flags.fin {
             self.peer_fin_at = Some(end - 1);
@@ -138,5 +143,40 @@ impl Receiver {
             *block = (wrap_seq(start), wrap_seq(end));
             seg.sack_count += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::segment::TcpFlags;
+
+    /// A segment whose sequence number unwraps below offset 0 lies before
+    /// the ISN: nothing is delivered or held, and it is ACKed at once.
+    #[test]
+    fn segment_from_before_the_isn_is_an_old_duplicate() {
+        let mut rx = Receiver::new(true);
+        rx.synchronize(Time::ZERO);
+        let seg = TcpSegment {
+            seq: 0xFFFF_FF00,
+            len: 1_000,
+            ack: 1,
+            flags: TcpFlags {
+                ack: true,
+                ..TcpFlags::default()
+            },
+            wnd: 1 << 20,
+            ts: Time::from_millis(1),
+            ts_ecr: TcpSegment::NO_ECHO,
+            sack: [(0, 0); 3],
+            sack_count: 0,
+        };
+        let mut out = Vec::new();
+        assert!(rx.on_data(&seg, &mut out), "an old duplicate is ACKed now");
+        assert!(out.is_empty(), "nothing delivered: {out:?}");
+        assert_eq!(rx.rcv_nxt, 1);
+        assert!(rx.ooo.is_empty(), "held {:?}", rx.ooo.as_slice());
+        assert_eq!(rx.delivered(), 0);
+        assert_eq!(rx.peer_fin_at, None);
     }
 }

@@ -12,8 +12,6 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use std::sync::atomic::Ordering;
-
 use cm_core::config::CmConfig;
 use cm_netsim::channel::PathSpec;
 use cm_netsim::link::{LinkId, LinkSpec};
@@ -24,7 +22,7 @@ use cm_transport::host::{Host, HostApp, HostConfig, HostOs};
 use cm_transport::tcp::TcpConfig;
 use cm_transport::types::CcMode;
 use cm_util::{Duration, Rate, Time};
-use counting_alloc::{measuring, ALLOCS};
+use counting_alloc::allocs;
 
 /// Writes more than any window can carry, as soon as it starts.
 struct Sender {
@@ -84,10 +82,9 @@ fn bulk(loss: f64, routed: bool) -> (Simulator, LinkId) {
 }
 
 /// Runs `sim` for `warmup_s` simulated seconds, then measures three
-/// windows of `window_s` each: in the best of them (the counter is
-/// process-global, so libtest's own one-shot allocations can land in a
-/// window; a per-packet allocation lands in all of them) nothing may
-/// allocate.
+/// windows of `window_s` each: in the best of them (a one-shot
+/// allocation can land in a window; a per-packet allocation lands in
+/// all of them) nothing may allocate.
 ///
 /// Drives: netsim `EventQueue::schedule`, `pop`, `advance`,
 /// `Link::offer`, `start_tx`, `DropTailQueue::enqueue`, `dequeue`,
@@ -95,7 +92,6 @@ fn bulk(loss: f64, routed: bool) -> (Simulator, LinkId) {
 /// forwarding); transport `TcpConnection::on_segment_into`; shard
 /// `request`, `notify`, `update`, `tick`, `try_grants` (round-robin).
 fn assert_warm_path_allocates_nothing(loss: f64, routed: bool, warmup_s: u64, window_s: u64) {
-    let _turn = measuring();
     let (mut sim, forward) = bulk(loss, routed);
     let mut until = Time::from_secs(warmup_s);
     sim.run_until(until);
@@ -104,9 +100,9 @@ fn assert_warm_path_allocates_nothing(loss: f64, routed: bool, warmup_s: u64, wi
     for _ in 0..3 {
         until += Duration::from_secs(window_s);
         let delivered_before = sim.link_stats(forward).transmitted;
-        let allocs_before = ALLOCS.load(Ordering::SeqCst);
+        let allocs_before = allocs();
         sim.run_until(until);
-        let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
+        let allocs = allocs() - allocs_before;
         let delivered = sim.link_stats(forward).transmitted - delivered_before;
         assert!(
             delivered >= 2_000,

@@ -254,8 +254,7 @@ impl Run {
                 TcpAction::CmUpdate(report) => {
                     let flow = self.flows[conn];
                     self.cm.update(flow, report, now).unwrap();
-                    let mf = self.cm.macroflow_of(flow).unwrap();
-                    let info = self.cm.flow_info(flow, mf).unwrap();
+                    let info = self.cm.flow_info(flow).unwrap();
                     if let Some(srtt) = info.srtt {
                         self.senders[conn].set_shared_rtt(srtt, info.rttvar);
                     }

@@ -5,20 +5,46 @@
 //! which installs [`CountingAlloc`] as that binary's global allocator.
 //! Cargo builds only `tests/*.rs` as test targets, so this file is never
 //! a target of its own.
+//!
+//! The counters are per thread. libtest runs tests on parallel threads
+//! and allocates on its own, so a process-wide count let a neighbour's
+//! set-up land inside a measuring window and read as a leak. A test
+//! reads only what its own thread allocated, which needs no lock and
+//! holds as long as no `no_alloc` test spawns a thread of its own.
 
 #![allow(unsafe_code, reason = "GlobalAlloc is an unsafe trait")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
 
-/// Heap allocations (including reallocations) since the process started.
-pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated (requested sizes, allocator overhead
-/// excluded).
-pub static LIVE: AtomicI64 = AtomicI64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching them
+    // allocates nothing and never fails, even while the thread exits.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
 
-/// [`System`], counting every allocation into [`ALLOCS`] and [`LIVE`].
+/// Heap allocations (including reallocations) made by this thread since
+/// it started.
+pub fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Bytes this thread has allocated and not freed (requested sizes,
+/// allocator overhead excluded; a block freed on another thread stays
+/// counted here).
+#[allow(dead_code, reason = "only some no_alloc tests bound live bytes")]
+pub fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+fn count(allocs: u64, bytes: i64) {
+    ALLOCS.with(|a| a.set(a.get() + allocs));
+    LIVE.with(|l| l.set(l.get() + bytes));
+}
+
+/// [`System`], counting every allocation into the calling thread's
+/// [`allocs`] and [`live`].
 pub struct CountingAlloc;
 
 // SAFETY: every method passes its caller's arguments unchanged to the
@@ -26,36 +52,18 @@ pub struct CountingAlloc;
 // are statistics and publish no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(1, layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        count(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        count(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
-
-/// The counters are process-wide and libtest runs tests on parallel
-/// threads, so a test holds this while it measures: a neighbour's set-up
-/// landing inside every trial window would otherwise read as a leak
-/// (it did, in ~4 % of whole-binary runs of the CM's test).
-static MEASURING: Mutex<()> = Mutex::new(());
-
-/// Takes the measuring turn (see [`MEASURING`]). A poisoned lock is
-/// still a valid turn: the mutex guards no data.
-#[allow(
-    dead_code,
-    reason = "tests that take the minimum over trials measure without it"
-)]
-pub fn measuring() -> MutexGuard<'static, ()> {
-    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
-}
