@@ -288,13 +288,11 @@ pub fn layered_stream(
         .app_ref::<LayeredStreamer>(tx_app);
     let rx = sim.node_ref::<Host>(rx_id).app_ref::<AckReceiver>(rx_app);
 
-    // One rate sample per second of the streamer's send record.
+    // One rate sample per second of the streamer's send record (none
+    // sent: no samples, which rebin to zeros).
     let mut tx_series = TimeSeries::new();
     for (sec, &bytes) in tx.tx_per_sec.iter().enumerate() {
         tx_series.push(Time::from_secs(sec as u64), bytes as f64 / 1000.0);
-    }
-    if tx.tx_per_sec.is_empty() {
-        tx_series.push(Time::ZERO, 0.0);
     }
     let to_points = |series: &TimeSeries| -> Vec<(f64, f64)> {
         series
