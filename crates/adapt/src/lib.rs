@@ -34,25 +34,20 @@
 //! a steady-state rate report performs **zero heap allocation** (enforced
 //! by the counting-allocator test in `tests/no_alloc.rs`).
 //!
-//! Above the per-session layer, [`FleetStats`] aggregates many sessions'
-//! [`AdaptationStats`] into log-bucketed distributions (oscillation,
-//! utility) for fleet-scale telemetry and the
-//! `cm-experiments` figure pipeline; its record path is allocation-free
-//! under the same counting-allocator test.
+//! [`AdaptationStats`] is the per-session record; folding sessions into
+//! per-group figures is the `cm-experiments` figure pipeline's job.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod fleet;
 pub mod ladder;
 pub mod policy;
 pub mod stats;
 pub mod utility;
 
 pub use engine::{Decision, Engine};
-pub use fleet::{FleetStats, LogHistogram};
 pub use ladder::{LadderConfig, LadderPolicy};
 pub use policy::{AdaptationPolicy, RateLadder};
 pub use stats::AdaptationStats;

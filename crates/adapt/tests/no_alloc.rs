@@ -9,9 +9,7 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use cm_adapt::{
-    AdaptationStats, Engine, FleetStats, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy,
-};
+use cm_adapt::{Engine, LadderConfig, LadderPolicy, RateLadder, UtilityPolicy};
 use cm_util::{Duration, Rate, Time};
 use counting_alloc::allocs;
 
@@ -73,48 +71,5 @@ fn observe_never_allocates_in_steady_state() {
     assert_eq!(
         min_delta, 0,
         "per-callback path allocated in every trial (at least {min_delta} times per 6k reports)"
-    );
-}
-
-#[test]
-fn fleet_record_never_allocates_in_steady_state() {
-    // Construction allocates (bucket vectors, session stats)...
-    let mut fleet = FleetStats::new(4);
-    let mut sessions: Vec<AdaptationStats> = (0..64)
-        .map(|i| {
-            let mut s = AdaptationStats::new(4);
-            let mut now = Time::from_millis(i);
-            for step in 0..50u64 {
-                now += Duration::from_millis(200);
-                s.on_observation(now, ((i + step) % 4) as usize, (step % 7) as f64);
-            }
-            s
-        })
-        .collect();
-    for s in &sessions {
-        fleet.record(s);
-    }
-
-    // ...but folding sessions in — the telemetry hot path — must not.
-    // As above, take the minimum delta over several trials to mask the
-    // harness's ambient one-shot allocations.
-    let mut min_delta = u64::MAX;
-    for trial in 0..5u64 {
-        let before = allocs();
-        for round in 0..500u64 {
-            for (i, s) in sessions.iter_mut().enumerate() {
-                let t = Time::from_secs(100 + trial * 1000 + round * 2);
-                s.on_observation(t, (i + round as usize) % 4, 1.0);
-                fleet.record(s);
-            }
-        }
-        let after = allocs();
-        min_delta = min_delta.min(after - before);
-    }
-    assert!(fleet.sessions() > 0);
-    assert!(fleet.oscillation.count() > 0, "histograms never filled");
-    assert_eq!(
-        min_delta, 0,
-        "fleet record path allocated in every trial (at least {min_delta} times per 32k records)"
     );
 }

@@ -4,18 +4,18 @@
 //! that turns simulations into three deterministic files: `<name>.csv`,
 //! `<name>.dat` (gnuplot-ready blocks) and `<name>.md` (the report).
 //! The adaptation figures call their [`crate::runner`] cells in plain
-//! loops (schedules, then policies, then controllers, then seeds); the
+//! loops (schedules, then policies, then controllers, one seed); the
 //! rest drive their scenario or `cm-core` directly. The paper's own
 //! evaluation lives in [`crate::paper`]; `docs/experiments.md` documents
 //! how each figure maps onto the paper.
 
 use std::collections::BTreeSet;
 
-use cm_adapt::FleetStats;
+use cm_adapt::AdaptationStats;
 use cm_apps::layered::LayeredStreamer;
 use cm_core::config::ControllerKind;
 use cm_netsim::schedule::BandwidthSchedule;
-use cm_util::{Duration, Rate, Time};
+use cm_util::{Duration, Rate, Summary, Time};
 
 use crate::paper;
 use crate::report::{fmt_f64, DatFile, FigureDoc, OutputSet, Table};
@@ -213,7 +213,7 @@ const POLICY_FRONTIER: Figure = Figure {
 network-assisted streaming literature's quality/oscillation frontiers",
     description: "Every adaptation policy \u{d7} congestion controller \
 combination against the same time-varying bottlenecks. Each point is a fleet \
-aggregate over schedules and seeds: mean delivered utility (KB/s) against \
+aggregate over schedules: mean delivered utility (KB/s) against \
 oscillation rate (direction reversals per minute). The frontier quantifies the \
 hysteresis trade: damping buys stability at a small utility cost.",
     run: policy_frontier,
@@ -271,9 +271,9 @@ fn policy_frontier_cells(smoke: bool) -> (u64, Vec<CellOutcome>) {
 /// The immediate-vs-damped oscillation gap (reversals/min) under the
 /// AIMD controller — the documented hysteresis effect the frontier
 /// figure must exhibit.
-fn hysteresis_gap(fleets: &[(String, FleetStats)]) -> Option<(f64, f64)> {
-    let immediate = fleet(fleets, "immediate/aimd")?.oscillation_per_min();
-    let damped = fleet(fleets, "damped/aimd")?.oscillation_per_min();
+fn hysteresis_gap(fleets: &[Fleet]) -> Option<(f64, f64)> {
+    let immediate = fleet(fleets, "immediate/aimd")?.reversals_per_min();
+    let damped = fleet(fleets, "damped/aimd")?.reversals_per_min();
     Some((immediate, damped))
 }
 
@@ -281,7 +281,7 @@ fn emit_frontier(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> OutputSet {
     let groups = fleets(cells);
     let mut dat = DatFile::new(
         "policy_frontier: one point per policy/controller group, with p5/p95\n\
-         percentile bands over the per-session (schedule x seed) distributions\n\
+         percentile bands over the per-session distributions\n\
          plot 'policy_frontier.dat' index 0 using 1:4 with points,\n\
          '' index 0 using 1:4:5:6 with yerrorbars",
     );
@@ -297,39 +297,31 @@ fn emit_frontier(fig: &Figure, secs: u64, cells: &[CellOutcome]) -> OutputSet {
             "switches_per_min",
         ],
     );
-    for (_, fleet) in &groups {
+    for fleet in &groups {
+        let (osc_p5, osc_p95) = fleet.band(AdaptationStats::oscillation_per_min);
+        let (utility_p5, utility_p95) = fleet.band(AdaptationStats::mean_utility);
         dat.row(&[
-            fleet.oscillation_per_min(),
-            fleet.oscillation.percentile(5.0),
-            fleet.oscillation.percentile(95.0),
+            fleet.reversals_per_min(),
+            osc_p5,
+            osc_p95,
             fleet.mean_utility(),
-            fleet.utility.percentile(5.0),
-            fleet.utility.percentile(95.0),
+            utility_p5,
+            utility_p95,
             fleet.switches_per_min(),
         ]);
-    }
-    // Per-group oscillation distributions from the fleet histograms.
-    for (group, fleet) in &groups {
-        dat.block(
-            &format!("oscillation histogram: {group}"),
-            &["bucket_hi_per_min", "sessions"],
-        );
-        for (hi, count) in fleet.oscillation.rows() {
-            dat.row(&[hi, count as f64]);
-        }
     }
 
     let mut doc = figure_doc(fig, secs, cells);
     doc.section("The frontier");
     doc.table(&fleet_table(&groups));
     doc.para(
-        "The p5/p95 columns band each group's per-session distribution behind the \
-mean, one session per schedule. Every cell runs on a loss-free emulated path, \
-so it draws nothing from its seed: one seed is the whole distribution.",
+        "Each p5/p95 band is the nearest-rank percentile of the group's sessions, one \
+per schedule: at two sessions, their min and max. Every cell runs on a loss-free \
+emulated path, so it draws nothing from its seed: one seed is the whole distribution.",
     );
     if let Some((immediate, damped)) = hysteresis_gap(&groups) {
-        let iu = fleet(&groups, "immediate/aimd").map_or(0.0, FleetStats::mean_utility);
-        let du = fleet(&groups, "damped/aimd").map_or(0.0, FleetStats::mean_utility);
+        let iu = fleet(&groups, "immediate/aimd").map_or(0.0, Fleet::mean_utility);
+        let du = fleet(&groups, "damped/aimd").map_or(0.0, Fleet::mean_utility);
         let cost = if iu > 0.0 {
             (iu - du) / iu * 100.0
         } else {
@@ -1025,32 +1017,94 @@ fn distinct<T: Ord>(items: impl Iterator<Item = T>) -> usize {
     items.collect::<BTreeSet<_>>().len()
 }
 
-/// Folds the cells' sessions into one fleet aggregate per
-/// `policy/controller` group, in first-seen order.
-fn fleets(cells: &[CellOutcome]) -> Vec<(String, FleetStats)> {
-    let levels = cells
-        .iter()
-        .map(|c| c.stats.time_in_level().len())
-        .max()
-        .unwrap_or(1);
-    let mut fleets: Vec<(String, FleetStats)> = Vec::new();
+/// One `policy/controller` group's sessions. Its rates are fleet-wide
+/// totals over its total span, summed in cell order; its bands are
+/// session values.
+struct Fleet<'a> {
+    group: String,
+    sessions: Vec<&'a AdaptationStats>,
+}
+
+impl Fleet<'_> {
+    fn span_secs(&self) -> f64 {
+        let span = self
+            .sessions
+            .iter()
+            .fold(Duration::ZERO, |t, s| t + s.span());
+        span.as_secs_f64()
+    }
+
+    /// Σ`count` per session-minute.
+    fn per_min(&self, count: fn(&AdaptationStats) -> u64) -> f64 {
+        let total: u64 = self.sessions.iter().map(|s| count(s)).sum();
+        ratio(total as f64, self.span_secs() / 60.0)
+    }
+
+    fn switches_per_min(&self) -> f64 {
+        self.per_min(|s| s.switches)
+    }
+
+    fn reversals_per_min(&self) -> f64 {
+        self.per_min(|s| s.reversals)
+    }
+
+    /// Σ delivered utility per session-second.
+    fn mean_utility(&self) -> f64 {
+        let utility: f64 = self.sessions.iter().map(|s| s.delivered_utility()).sum();
+        ratio(utility, self.span_secs())
+    }
+
+    /// Percent of the group's session time spent at its top level.
+    fn top_level_pct(&self) -> f64 {
+        let levels = self.sessions.iter().map(|s| s.time_in_level().len());
+        let top = levels.max().unwrap_or(0).saturating_sub(1);
+        let at_top = self
+            .sessions
+            .iter()
+            .filter_map(|s| s.time_in_level().get(top))
+            .fold(Duration::ZERO, |t, &d| t + d);
+        ratio(at_top.as_secs_f64(), self.span_secs()) * 100.0
+    }
+
+    /// Nearest-rank p5 and p95 of `value` over the sessions that observed
+    /// any time.
+    fn band(&self, value: fn(&AdaptationStats) -> f64) -> (f64, f64) {
+        let mut values = Summary::new();
+        for s in self.sessions.iter().filter(|s| !s.span().is_zero()) {
+            values.add(value(s));
+        }
+        (values.percentile(0.05), values.percentile(0.95))
+    }
+}
+
+/// `num / den`, or zero over an empty span.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
+/// Groups the cells' sessions by `policy/controller`, in first-seen order.
+fn fleets(cells: &[CellOutcome]) -> Vec<Fleet<'_>> {
+    let mut fleets: Vec<Fleet> = Vec::new();
     for cell in cells {
         let group = format!("{}/{}", cell.policy, cell.controller);
-        let i = match fleets.iter().position(|(g, _)| *g == group) {
-            Some(i) => i,
-            None => {
-                fleets.push((group, FleetStats::new(levels)));
-                fleets.len() - 1
-            }
-        };
-        fleets[i].1.record(&cell.stats);
+        match fleets.iter_mut().find(|f| f.group == group) {
+            Some(f) => f.sessions.push(&cell.stats),
+            None => fleets.push(Fleet {
+                group,
+                sessions: vec![&cell.stats],
+            }),
+        }
     }
     fleets
 }
 
-/// The fleet aggregate of a `policy/controller` group.
-fn fleet<'a>(fleets: &'a [(String, FleetStats)], group: &str) -> Option<&'a FleetStats> {
-    fleets.iter().find(|(g, _)| g == group).map(|(_, f)| f)
+/// The fleet of a `policy/controller` group.
+fn fleet<'f, 'a>(fleets: &'f [Fleet<'a>], group: &str) -> Option<&'f Fleet<'a>> {
+    fleets.iter().find(|f| f.group == group)
 }
 
 fn cells_table(cells: &[CellOutcome]) -> Table {
@@ -1090,7 +1144,7 @@ fn cells_table(cells: &[CellOutcome]) -> Table {
     t
 }
 
-fn fleet_table(fleets: &[(String, FleetStats)]) -> Table {
+fn fleet_table(fleets: &[Fleet]) -> Table {
     let mut t = Table::new(&[
         "group",
         "sessions",
@@ -1103,19 +1157,20 @@ fn fleet_table(fleets: &[(String, FleetStats)]) -> Table {
         "utility p95",
         "top-level time %",
     ]);
-    for (group, fleet) in fleets {
-        let top = fleet.time_in_level().len().saturating_sub(1);
+    for fleet in fleets {
+        let (osc_p5, osc_p95) = fleet.band(AdaptationStats::oscillation_per_min);
+        let (utility_p5, utility_p95) = fleet.band(AdaptationStats::mean_utility);
         t.row(&[
-            group,
-            &fleet.sessions().to_string(),
+            &fleet.group,
+            &fleet.sessions.len().to_string(),
             &fmt_f64(fleet.switches_per_min()),
-            &fmt_f64(fleet.oscillation_per_min()),
-            &fmt_f64(fleet.oscillation.percentile(5.0)),
-            &fmt_f64(fleet.oscillation.percentile(95.0)),
+            &fmt_f64(fleet.reversals_per_min()),
+            &fmt_f64(osc_p5),
+            &fmt_f64(osc_p95),
             &fmt_f64(fleet.mean_utility()),
-            &fmt_f64(fleet.utility.percentile(5.0)),
-            &fmt_f64(fleet.utility.percentile(95.0)),
-            &fmt_f64(fleet.fraction_in_level(top) * 100.0),
+            &fmt_f64(utility_p5),
+            &fmt_f64(utility_p95),
+            &fmt_f64(fleet.top_level_pct()),
         ]);
     }
     t
@@ -1260,6 +1315,40 @@ mod tests {
             dat.contains("osc_p5_per_min") && dat.contains("utility_p95_KBps"),
             "frontier .dat lacks the percentile band columns"
         );
+    }
+
+    /// Every p5/p95 band cell of both fleet tables is a value one of the
+    /// group's sessions produced, not a bucket edge.
+    #[test]
+    fn fleet_bands_are_session_values() {
+        for cells in [policy_frontier_cells(true).1, trace_replay_cells(true).1] {
+            let csv = fleet_table(&fleets(&cells)).to_csv();
+            for row in csv.lines().skip(1) {
+                let cols: Vec<&str> = row.split(',').collect();
+                let sessions: Vec<_> = cells
+                    .iter()
+                    .filter(|c| format!("{}/{}", c.policy, c.controller) == cols[0])
+                    .map(|c| &c.stats)
+                    .collect();
+                let formatted = |f: fn(&AdaptationStats) -> f64| -> Vec<String> {
+                    sessions.iter().map(|s| fmt_f64(f(s))).collect()
+                };
+                let osc = formatted(AdaptationStats::oscillation_per_min);
+                let utility = formatted(AdaptationStats::mean_utility);
+                for (band, values) in [
+                    (cols[4], &osc),
+                    (cols[5], &osc),
+                    (cols[7], &utility),
+                    (cols[8], &utility),
+                ] {
+                    assert!(
+                        values.iter().any(|v| v == band),
+                        "{}: band {band} is none of its sessions' {values:?}",
+                        cols[0]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

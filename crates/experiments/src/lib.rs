@@ -11,7 +11,7 @@
 //!   │ schedules        │   │ one cm-netsim    │   │ <figure>.csv       │
 //!   │ × policies       │──▶│ run per cell     │──▶│ <figure>.dat       │
 //!   │ × controllers    │   │ AdaptationStats  │   │ <figure>.md        │
-//!   │ × seeds          │   │ → FleetStats     │   │   (docs/figures/)  │
+//!   │ (one seed)       │   │ → fleet groups   │   │   (docs/figures/)  │
 //!   └──────────────────┘   └──────────────────┘   └────────────────────┘
 //! ```
 //!

@@ -267,7 +267,9 @@ pub(crate) const FIG5: Figure = Figure {
 converges to slightly less than 1%\"",
     description: "Sender CPU utilization over the Figure 4 transfers, from the \
 simulated host's cost model: the steady-state overhead the Congestion Manager \
-imposes on a transmitting host.",
+imposes on a transmitting host. Utilization is busy time over elapsed time, so \
+TCP/CM's slower transfer (Figure 4) reads as less CPU; busy \u{b5}s per KB sent \
+compares the two at equal throughput.",
     run: fig5,
 };
 
@@ -275,21 +277,41 @@ fn fig5(fig: &Figure, smoke: bool) -> OutputSet {
     let rows: Vec<_> = lan_bulk(smoke)
         .iter()
         .map(|(n, cm, linux)| {
+            // Busy µs per KB sent: n ttcp buffers of 8 KB.
+            let per_kb = |o: &BulkOutcome| {
+                o.cpu_utilization * o.elapsed.as_secs_f64() * 1e6 / (n * 8) as f64
+            };
+            let (cm_kb, linux_kb) = (per_kb(cm), per_kb(linux));
             let (cm, linux) = (cm.cpu_utilization * 100.0, linux.cpu_utilization * 100.0);
-            (n.to_string(), vec![cm, linux, cm - linux])
+            let equal_rate = linux * (cm_kb / linux_kb - 1.0);
+            (
+                n.to_string(),
+                vec![cm, linux, cm - linux, cm_kb, linux_kb, equal_rate],
+            )
         })
         .collect();
+    let last = &rows[rows.len() - 1].1;
     let note = format!(
         "Paper: the TCP/CM - TCP/Linux difference converges to slightly under 1% for long \
-transfers. Here it is {:.2} percentage points at the longest run.",
-        rows[rows.len() - 1].1[2]
+transfers. Here it is {:.2} percentage points at the longest run at TCP/Linux's \
+throughput (TCP/Linux's utilization times TCP/CM's extra cost per KB), and {:.2} per \
+elapsed second, where TCP/CM's slower transfer spreads the same work over more time.",
+        last[5], last[2]
     );
     emit(
         fig,
         LAN_BULK_GEOMETRY,
         vec![Grid {
             heading: "CPU utilization vs. buffers transmitted",
-            headers: &["buffers", "CM CPU %", "Linux CPU %", "diff %"],
+            headers: &[
+                "buffers",
+                "CM CPU %",
+                "Linux CPU %",
+                "diff %",
+                "CM \u{b5}s/KB",
+                "Linux \u{b5}s/KB",
+                "equal-rate diff %",
+            ],
             rows,
             note,
         }],

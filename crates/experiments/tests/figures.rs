@@ -1,6 +1,6 @@
 //! End-to-end checks on the built-in figure pipeline (smoke geometry):
-//! determinism of every figure, the paper's Table 1 / Figure 3 / Figure 7
-//! results, and that `docs/figures/` holds exactly the figures' files.
+//! determinism of every figure, the paper's Table 1 / Figure 3 / Figure 5 /
+//! Figure 7 results, and that `docs/figures/` holds exactly the figures' files.
 //! The adaptation figures' cell-level checks are unit tests in
 //! `builtin.rs`, next to the cells they read.
 
@@ -115,6 +115,27 @@ fn fig7_cm_requests_speed_up_and_linux_stays_flat() {
         .iter()
         .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
     assert!(hi / lo < 1.02, "TCP/Linux spread {lo}..{hi} ms");
+}
+
+/// Figure 5: per KB sent, TCP/CM costs at least what TCP/Linux does, and
+/// at TCP/Linux's throughput the difference stays under 1.5 percentage
+/// points at the longest run (the paper: "slightly less than 1%").
+#[test]
+fn fig5_cm_costs_more_per_kb_and_under_1_5_points_at_equal_rate() {
+    let rows = csv_rows("fig5", true);
+    assert_eq!(rows.len(), 2);
+    for (buffers, cols) in &rows {
+        let (cm_kb, linux_kb) = (cols[3], cols[4]);
+        assert!(
+            cm_kb >= linux_kb,
+            "{buffers} buffers: TCP/CM {cm_kb} us/KB below TCP/Linux {linux_kb}"
+        );
+    }
+    let equal_rate = rows[rows.len() - 1].1[5];
+    assert!(
+        equal_rate < 1.5,
+        "equal-rate difference {equal_rate} pp at the longest run"
+    );
 }
 
 /// `docs/figures/` holds exactly what the `figures` binary writes: its
