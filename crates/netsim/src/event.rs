@@ -33,7 +33,10 @@
 //! * an **overflow heap** for events beyond the wheel horizon (RTO and
 //!   maintenance timers); entries migrate into the wheel as the cursor
 //!   advances, paying the heap cost once per far event instead of on
-//!   every reshuffle;
+//!   every reshuffle. When the wheel is empty, `advance` jumps the cursor
+//!   straight to the overflow head: that jump is the one way a quiet gap
+//!   is crossed. A push never moves the cursor, so an event scheduled
+//!   into an empty queue goes where any other event would;
 //! * a **current bucket** holding the slots being drained (a gathered run
 //!   of up to 16), sorted by `(time, seq)` exactly once when the cursor
 //!   reaches them.
@@ -528,15 +531,6 @@ impl EventQueue {
         };
         let entry = Entry { at, seq, idx };
         let slot = slot_of(entry.at);
-        if self.len == 1 {
-            // Empty queue: snap the cursor to the event so a long quiet
-            // gap costs nothing to cross.
-            self.cursor = slot;
-            self.current.clear();
-            self.cur_pos = 0;
-            self.current.push(entry);
-            return;
-        }
         if slot <= self.cursor {
             // Lands in (or before) the slot being drained: keep the
             // current bucket sorted. Later keys (the overwhelmingly

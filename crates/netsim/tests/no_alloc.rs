@@ -3,10 +3,11 @@
 //! A simulator's event queue allocates only as its arena, its current
 //! bucket, its overflow heap and its packet slab grow: each wheel slot
 //! is a list threaded through the arena, so a slot's first use costs
-//! nothing. This test warms an `EventQueue`'s storage without touching
-//! the wheel, then sweeps the cursor once around all 512 wheel slots,
-//! one event per slot plus far events that cross the horizon, and
-//! requires the sweep to allocate nothing.
+//! nothing. Each test warms an `EventQueue`'s storage without touching
+//! the wheel. One then sweeps the cursor once around all 512 wheel
+//! slots, one event per slot plus far events that cross the horizon;
+//! the other runs a closed loop of near events behind one far event
+//! placed into the emptied queue. Both must allocate nothing.
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -61,21 +62,65 @@ fn sweep(q: &mut EventQueue, start: u64) -> u64 {
     popped
 }
 
-/// Best of three fresh queues, because a one-shot allocation can land
-/// in one; a wheel slot's first use would land in all three.
-///
+/// The fewest allocations `run` makes on three fresh warm queues, the
+/// `trial`-th run given `trial`: a one-shot allocation can land in one
+/// run, growth that every run meets lands in all three.
+fn fewest_allocs(run: impl Fn(&mut EventQueue, u64)) -> u64 {
+    (0..3)
+        .map(|trial| {
+            let mut q = warm_queue();
+            let before = allocs();
+            run(&mut q, trial);
+            allocs() - before
+        })
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
 /// Drives: netsim `EventQueue::schedule`, `pop`, and through them the
 /// wheel's link, gather and overflow migration.
 #[test]
 fn event_wheel_first_sweep_allocates_nothing() {
-    let mut min_allocs = u64::MAX;
-    for trial in 0..3 {
-        let mut q = warm_queue();
+    let fewest = fewest_allocs(|q, trial| {
         let start = (100 + trial) * WHEEL_SLOTS as u64 * SLOT_NANOS;
-        let before = allocs();
-        let popped = sweep(&mut q, start);
-        min_allocs = min_allocs.min(allocs() - before);
-        assert_eq!(popped, SWEEP_EVENTS);
-    }
-    assert_eq!(min_allocs, 0, "allocations in the best sweep");
+        assert_eq!(sweep(q, start), SWEEP_EVENTS);
+    });
+    assert_eq!(fewest, 0, "allocations in the best sweep");
+}
+
+/// Spacing of the closed loop's near events.
+const NEAR_STEP: u64 = 10_000;
+
+/// Drives: netsim `EventQueue::schedule` of a far event into an empty
+/// queue (it waits in the overflow heap; the cursor stays put), then a
+/// closed loop of near events (each pop schedules the next one
+/// [`NEAR_STEP`] ns later) for 2 simulated seconds through `pop`,
+/// `advance`'s jump to the overflow head, `link`, `gather` and the
+/// current bucket, and finally the far event's migration. A cursor
+/// moved to the far event would put every near event in the current
+/// bucket, which keeps each popped entry until it drains and so grows
+/// without bound.
+#[test]
+fn near_events_behind_a_far_first_event_allocate_nothing() {
+    let fewest = fewest_allocs(|q, trial| {
+        let start = (100 + trial) * WHEEL_SLOTS as u64 * SLOT_NANOS;
+        let far = start + 5_000_000_000;
+        let end = start + 2_000_000_000;
+        q.schedule(Time::from_nanos(far), timer(0));
+        q.schedule(Time::from_nanos(start), timer(1));
+        let mut near = 0;
+        while let Some((at, _)) = q.pop() {
+            let at = at.as_nanos();
+            if at == far {
+                assert!(q.is_empty(), "the far event pops last");
+                continue;
+            }
+            near += 1;
+            if at < end {
+                q.schedule(Time::from_nanos(at + NEAR_STEP), timer(1));
+            }
+        }
+        assert_eq!(near, (end - start) / NEAR_STEP + 1);
+    });
+    assert_eq!(fewest, 0, "allocations in the best loop");
 }

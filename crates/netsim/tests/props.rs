@@ -346,7 +346,8 @@ mod event_queue_differential {
     /// `now + delta(kind, d)`, 5 reserves a number, 6 schedules under a
     /// reserved number at `now + delta(d % 3, d)`, and 3-4 pop from both,
     /// comparing `(time, token)`, length and next time. The two drain to
-    /// identical ends.
+    /// identical ends. A sentinel scheduled and popped at `start` first
+    /// brings the wheel's cursor there.
     fn differential(
         ops: &[(u8, u64)],
         start: u64,
@@ -354,8 +355,13 @@ mod event_queue_differential {
     ) -> Result<(), TestCaseError> {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
+        let sentinel = Time::from_nanos(start);
+        wheel.schedule(sentinel, timer(0));
+        heap.schedule(sentinel, timer(0));
+        prop_assert_eq!(wheel.pop().map(|(t, _)| t), Some(sentinel));
+        prop_assert_eq!(heap.pop().map(|(t, _)| t), Some(sentinel));
         let mut now = start;
-        let mut next_token = 0u64;
+        let mut next_token = 1u64;
         let mut reserved: Vec<u64> = Vec::new();
         for &(kind, d) in ops {
             if kind < 3 {
@@ -438,9 +444,11 @@ mod event_queue_differential {
     /// A start instant a few slots short of a bitmap word's end: `word`
     /// 0-6 puts the first gathered window across a word boundary, 7
     /// across the ring's end (slot 511 to slot 0), `turn` picks the wheel
-    /// rotation.
+    /// rotation after the first. Beyond the first rotation, the sentinel
+    /// at `start` lies past a new queue's horizon: the wheel is empty when
+    /// it pops, so `advance` jumps the cursor onto its slot exactly.
     fn boundary_start(turn: u64, word: u64, back: u64, sub: u64) -> u64 {
-        let slot = turn * WHEEL_SLOTS as u64 + word * 64 + 63 - back;
+        let slot = (turn + 1) * WHEEL_SLOTS as u64 + word * 64 + 63 - back;
         slot * SLOT_NANOS + sub
     }
 
