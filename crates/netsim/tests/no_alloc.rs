@@ -62,9 +62,9 @@ fn sweep(q: &mut EventQueue, start: u64) -> u64 {
     popped
 }
 
-/// The fewest allocations `run` makes on three fresh warm queues, the
-/// `trial`-th run given `trial`: a one-shot allocation can land in one
-/// run, growth that every run meets lands in all three.
+/// The fewest allocations `run` makes over three fresh warm queues (run
+/// `trial` is passed `trial`): a one-shot allocation can land in one
+/// run, while growth that every run meets lands in all three.
 fn fewest_allocs(run: impl Fn(&mut EventQueue, u64)) -> u64 {
     (0..3)
         .map(|trial| {
